@@ -98,7 +98,9 @@ type Options struct {
 	// MTEvery runs deadlock detection every k-th GC cycle (default 4;
 	// 0 disables M_T).
 	MTEvery int
-	// Capacity pre-allocates the free list (default 1<<16 vertices).
+	// Capacity reserves that many vertices as the initial free set F
+	// (default 1<<16). Reserving is free: arena memory is taken only for
+	// the id ranges a program's allocations actually reach.
 	Capacity int
 	// GCInterval is how many deterministic steps run between collector
 	// cycles during Eval (default 20000).
@@ -107,7 +109,9 @@ type Options struct {
 	MaxSteps int
 	// Timeout bounds one parallel Eval (default 30s).
 	Timeout time.Duration
-	// Pace idles the parallel collector between cycles (default 100µs).
+	// Pace is the least time the parallel collector idles between cycles
+	// (default 100µs); after a cycle longer than that it idles as long as
+	// the cycle took.
 	Pace time.Duration
 	// Adversarial, in deterministic mode, pops uniformly random tasks
 	// instead of respecting priority bands (interleaving stress).

@@ -26,7 +26,9 @@ type CollectorConfig struct {
 	// OnDeadlock, if set, is called with the vertices newly identified as
 	// deadlocked (members of DL'_v = R'_v − T').
 	OnDeadlock func([]graph.VertexID)
-	// Pace, in parallel mode, is the idle delay between cycles.
+	// Pace, in parallel mode, is the least idle delay between cycles; the
+	// collector idles at least as long as the cycle it just ran took, so it
+	// is active at most half of the time. 0 runs cycles back to back.
 	Pace time.Duration
 	// MaxStepsPerPhase bounds the deterministic pump per marking phase
 	// (0 = unlimited). If the bound is hit the phase is abandoned and the
@@ -542,32 +544,29 @@ func (c *Collector) restructure(rep *CycleReport) {
 		part := rep.Sweep - 1
 		forEach = func(fn func(*graph.Vertex)) { c.store.ForEachInPartition(part, fn) }
 	}
+	// The closure runs once per swept slot, most of them free: it unlocks
+	// explicitly on each path rather than paying a defer per slot.
 	forEach(func(v *graph.Vertex) {
 		v.Lock()
-		defer v.Unlock()
-		if v.Kind == graph.KindFree {
-			return
-		}
-		if v.Red.AllocEpoch >= epochR {
+		switch {
+		case v.Kind == graph.KindFree:
+		case v.Red.AllocEpoch >= epochR:
 			// Allocated during this cycle: from F, not garbage (axiom 1).
-			return
-		}
-		if v.RCtx.StateAt(epochR) == graph.Unmarked {
+		case v.RCtx.StateAt(epochR) == graph.Unmarked:
 			garbage = append(garbage, v)
 			garbageSet[v.ID] = true
-			return
-		}
-		if rep.MTRan &&
+		case rep.MTRan &&
 			v.RCtx.PriorAt(epochR) == graph.PriorVital &&
 			v.Red.AllocEpochT < epochT &&
 			v.TCtx.StateAt(epochT) == graph.Unmarked &&
-			!v.IsValueLocked() {
+			!v.IsValueLocked():
 			// DL'_v = R'_v − T', excluding vertices that already hold
 			// their value (they await nothing; after a computation
 			// completes and the pools drain, T is empty but nothing is
 			// deadlocked).
 			dead = append(dead, v.ID)
 		}
+		v.Unlock()
 	})
 	o.Span("sweep", "collector", obs.TIDCollector, sweepStart, int64(len(garbage)))
 
@@ -767,12 +766,18 @@ func (c *Collector) Start() {
 				return
 			default:
 			}
+			begin := time.Now()
 			c.RunCycle()
 			if c.cfg.Pace > 0 {
+				// Idle at least as long as the cycle ran. A cycle's marking
+				// tasks run on the PEs, in place of reduction: were a cheap
+				// cycle followed by the next after a fixed Pace, a busy
+				// machine would spend most of its tasks on marking.
+				idle := max(c.cfg.Pace, time.Since(begin))
 				select {
 				case <-stop:
 					return
-				case <-time.After(c.cfg.Pace):
+				case <-time.After(idle):
 				}
 			}
 		}

@@ -16,8 +16,10 @@ type Config struct {
 	// Partitions is the number of subgraph partitions (one per PE). Must be
 	// at least 1.
 	Partitions int
-	// Capacity is the initial number of vertices pre-allocated into the
-	// free lists (spread round-robin across partitions).
+	// Capacity is the initial size of V: ids 1..Capacity are reserved as
+	// free vertices, spread round-robin across partitions (id i belongs to
+	// partition (i-1) mod Partitions). Reserving costs nothing; a vertex
+	// takes arena memory only once its segment is first touched.
 	Capacity int
 	// FixedSize, when true, makes Alloc fail with ErrNoFreeVertices instead
 	// of growing the vertex arena when F is empty. The paper's model has a
@@ -28,43 +30,74 @@ type Config struct {
 // Arena segmentation: vertex lookups are the hottest operation in the
 // whole system (every task execution does several), so the arena is a
 // lock-free two-level table — an atomically published slice of fixed-size
-// segments. Readers never take a lock; the grow mutex guards only appends.
+// segments. Readers never take a lock; the grow mutex guards only the
+// publication of a new segment.
+//
+// The segment size is the unit in which a store pays for what a program
+// touched: smaller segments waste less on a small program, but lengthen
+// the segment table, which is copied on every materialisation. 512 is
+// where the measured saving flattens (DESIGN.md §8).
 const (
-	segBits = 12
+	segBits = 9
 	segSize = 1 << segBits
 	segMask = segSize - 1
 )
 
-// segment is one arena block: vertices are embedded by value, so growing
-// the arena costs one allocation per segSize vertices instead of one per
-// vertex (a Machine pre-allocates tens of thousands of free vertices at
-// construction — vertex-at-a-time heap allocation dominated its profile).
-// Vertex pointers into a segment stay stable for the life of the store.
+// segment is one arena block: vertices are embedded by value, so the arena
+// costs one allocation per segSize vertices instead of one per vertex. A
+// segment is materialised when Alloc first hands out one of its ids, so a
+// store pays for the id ranges a program reached, not for Capacity. Vertex
+// pointers into a segment stay stable for the life of the store.
 type segment [segSize]Vertex
 
-// freeShard is one partition's slice of the free set F: its own lock, its
-// own id stack. PEs allocate and release on their own partition, so under
+// freeShard is one partition's slice of the free set F: its own lock and a
+// stack of ids. The bottom of the stack is implicit: the partition's
+// never-used ids part+1+k*parts for k < virgin, popped highest-first —
+// exactly the stack a store that pushed ids 1..Capacity round-robin at
+// construction would hold. Released ids are pushed on top of it in ids.
+// PEs allocate and release on their own partition, so under
 // partition-local workloads no two PEs ever contend on the same shard
 // lock. The padding keeps adjacent shards on separate cache lines.
 type freeShard struct {
-	mu  sync.Mutex
-	ids []VertexID
-	_   [32]byte // pad to one cache line: adjacent shards must not false-share
+	mu     sync.Mutex
+	ids    []VertexID
+	virgin int
+	_      [24]byte // pad to one cache line: adjacent shards must not false-share
+}
+
+// take pops the shard's top free id: the most recently released one, else
+// the highest never-used one. The caller holds sh.mu.
+func (sh *freeShard) take(part, parts int) (VertexID, bool) {
+	if n := len(sh.ids); n > 0 {
+		id := sh.ids[n-1]
+		sh.ids = sh.ids[:n-1]
+		return id, true
+	}
+	if sh.virgin > 0 {
+		sh.virgin--
+		return VertexID(part + 1 + sh.virgin*parts), true
+	}
+	return NilVertex, false
 }
 
 // Store owns every vertex in the computation graph, the per-partition free
 // lists (the paper's set F), and an interned string table for KindStr
 // literals. Vertex field access is guarded by per-vertex locks; free-list
 // access is sharded per partition, so Alloc/Release on different PEs never
-// touch a shared lock (the slow path steals from a sibling shard in
-// batches). Arena growth alone is funneled through one mutex, and both the
-// vertex table and the string table are read lock-free via atomically
-// published copy-on-write structures.
+// touch a shared lock (the slow path steals one vertex from a sibling
+// shard). Segment materialisation and growth past Capacity alone are
+// funneled through one mutex, and both the vertex table and the string
+// table are read lock-free via atomically published copy-on-write
+// structures. Construction costs O(partitions) and every later operation
+// O(vertices ever handed out): the never-used part of V exists only as a
+// count per shard.
 type Store struct {
-	segs atomic.Pointer[[]*segment]
-	n    atomic.Int64 // number of vertices allocated into the arena (excludes NilVertex)
+	segs atomic.Pointer[[]*segment] // indexed by id>>segBits; nil until first touched
+	n    atomic.Int64               // |V|: reserved + grown vertices (excludes NilVertex)
 
-	growMu sync.Mutex // guards arena growth (segment appends); not taken by Alloc fast paths
+	growMu sync.Mutex // guards segment publication and growth past reserved; not taken by Alloc fast paths
+
+	reserved int // ids 1..reserved start out free, owned round-robin (reservedOwner)
 
 	shards []freeShard
 	freeN  atomic.Int64 // |F|, exact: updated only when a vertex enters or leaves F
@@ -78,53 +111,48 @@ type Store struct {
 }
 
 // NewStore builds a store with cfg.Capacity free vertices distributed over
-// cfg.Partitions partitions.
+// cfg.Partitions partitions. It touches no vertex: its cost is one shard
+// per partition, whatever the capacity.
 func NewStore(cfg Config) *Store {
 	if cfg.Partitions < 1 {
 		cfg.Partitions = 1
 	}
+	if cfg.Capacity < 0 {
+		cfg.Capacity = 0
+	}
 	s := &Store{
-		shards: make([]freeShard, cfg.Partitions),
-		fixed:  cfg.FixedSize,
-		parts:  cfg.Partitions,
-		strIdx: make(map[string]int64),
+		shards:   make([]freeShard, cfg.Partitions),
+		fixed:    cfg.FixedSize,
+		parts:    cfg.Partitions,
+		reserved: cfg.Capacity,
+		strIdx:   make(map[string]int64),
 	}
 	empty := make([]*segment, 0)
 	s.segs.Store(&empty)
 	emptyStr := make([]string, 0)
 	s.strTab.Store(&emptyStr)
-	for i := 0; i < cfg.Capacity; i++ {
-		part := i % cfg.Partitions
-		id := s.growOne(part)
-		sh := &s.shards[part]
-		sh.mu.Lock()
-		sh.ids = append(sh.ids, id)
-		sh.mu.Unlock()
-		s.freeN.Add(1)
+	for part := range s.shards {
+		// Partition part owns ids part+1, part+1+parts, ... up to Capacity.
+		if cfg.Capacity > part {
+			s.shards[part].virgin = (cfg.Capacity - part + cfg.Partitions - 1) / cfg.Partitions
+		}
 	}
+	s.n.Store(int64(cfg.Capacity))
+	s.freeN.Store(int64(cfg.Capacity))
 	return s
 }
 
-// growOne extends the arena by one vertex owned by part and returns its id.
-// The new vertex is NOT added to any free list; the caller decides whether
-// it enters F or is handed out directly.
+// reservedOwner returns the partition that owns reserved id (1..reserved):
+// the ids are dealt round-robin, partition p owning p+1, p+1+parts, ...
+func (s *Store) reservedOwner(id int) int { return (id - 1) % s.parts }
+
+// growOne extends V past the reserved range by one vertex owned by part and
+// returns its id. The new vertex is NOT added to any free list: it is
+// handed out directly.
 func (s *Store) growOne(part int) VertexID {
 	s.growMu.Lock()
 	id := VertexID(s.n.Load() + 1) // slot 0 is NilVertex
-
-	segs := *s.segs.Load()
-	segIdx := int(id) >> segBits
-	if segIdx >= len(segs) {
-		// Publish a copy with the new segment appended; readers holding
-		// the old slice simply don't see the new (not yet referenced)
-		// vertices.
-		grown := make([]*segment, len(segs)+1)
-		copy(grown, segs)
-		grown[len(segs)] = new(segment)
-		s.segs.Store(&grown)
-		segs = grown
-	}
-	v := &segs[segIdx][int(id)&segMask]
+	v := &s.segmentLocked(int(id) >> segBits)[int(id)&segMask]
 	v.ID = id
 	v.Part = part
 	v.Kind = KindFree
@@ -135,11 +163,52 @@ func (s *Store) growOne(part int) VertexID {
 	return id
 }
 
+// segmentLocked returns segment segIdx, materialising it if no id in it was
+// ever touched: every reserved id in it becomes a free vertex of its
+// round-robin partition (ids past the reserved range are initialised by
+// growOne). The new table is published copy-on-write; readers holding the
+// old slice simply don't see the new, not yet referenced, vertices. The
+// caller holds growMu.
+func (s *Store) segmentLocked(segIdx int) *segment {
+	segs := *s.segs.Load()
+	if seg := segmentIn(segs, segIdx); seg != nil {
+		return seg
+	}
+	seg := new(segment)
+	base := segIdx << segBits
+	for i := range seg {
+		id := base + i
+		if id > s.reserved {
+			break
+		}
+		if id == 0 {
+			continue // NilVertex
+		}
+		v := &seg[i]
+		v.ID = VertexID(id)
+		v.Part = s.reservedOwner(id)
+		v.Kind = KindFree
+	}
+	grown := make([]*segment, max(len(segs), segIdx+1))
+	copy(grown, segs)
+	grown[segIdx] = seg
+	s.segs.Store(&grown)
+	return seg
+}
+
+// materialise returns the vertex of an id whose segment may not exist yet;
+// Alloc calls it for the first vertex it hands out of a segment.
+func (s *Store) materialise(id VertexID) *Vertex {
+	s.growMu.Lock()
+	defer s.growMu.Unlock()
+	return &s.segmentLocked(int(id) >> segBits)[int(id)&segMask]
+}
+
 // Partitions returns the number of partitions.
 func (s *Store) Partitions() int { return s.parts }
 
-// Len returns the number of vertices in V (allocated arena size, free or
-// not), excluding the nil slot.
+// Len returns the number of vertices in V (free or not, touched or not),
+// excluding the nil slot.
 func (s *Store) Len() int { return int(s.n.Load()) }
 
 // FreeCount returns |F|. It is exact: the counter moves only when a vertex
@@ -157,24 +226,40 @@ func (s *Store) FreeCountOf(part int) int {
 	}
 	sh := &s.shards[part]
 	sh.mu.Lock()
-	n := len(sh.ids)
+	n := len(sh.ids) + sh.virgin
 	sh.mu.Unlock()
 	return n
 }
 
-// Vertex returns the vertex with the given ID, or nil for NilVertex or an
-// out-of-range ID. The returned pointer is stable for the life of the
-// store. Lock-free.
+// Vertex returns the vertex with the given ID. It returns nil for
+// NilVertex, for an out-of-range ID, and for a reserved ID in a segment no
+// allocation has reached yet — a vertex that was never handed out, so no
+// edge, task or root can name it. The returned pointer is stable for the
+// life of the store. Lock-free.
 func (s *Store) Vertex(id VertexID) *Vertex {
 	if id == NilVertex || int64(id) > s.n.Load() {
 		return nil
 	}
-	segs := *s.segs.Load()
-	segIdx := int(id) >> segBits
+	return vertexIn(*s.segs.Load(), id)
+}
+
+// segmentIn returns segment segIdx of a loaded segment table, or nil if it
+// is not materialised there.
+func segmentIn(segs []*segment, segIdx int) *segment {
 	if segIdx >= len(segs) {
 		return nil
 	}
-	return &segs[segIdx][int(id)&segMask]
+	return segs[segIdx]
+}
+
+// vertexIn returns id's slot in a loaded segment table, or nil if its
+// segment is not materialised there.
+func vertexIn(segs []*segment, id VertexID) *Vertex {
+	seg := segmentIn(segs, int(id)>>segBits)
+	if seg == nil {
+		return nil
+	}
+	return &seg[int(id)&segMask]
 }
 
 // MustVertex is Vertex but panics on an invalid ID; for internal callers
@@ -238,6 +323,9 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 		}
 	}
 	v := s.Vertex(id)
+	if v == nil {
+		v = s.materialise(id) // the first vertex handed out of its segment
+	}
 
 	v.Lock()
 	v.Kind = kind
@@ -247,21 +335,17 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 	return v, nil
 }
 
-// popLocal takes the most recently freed vertex of part's own shard.
-// This is the allocation fast path: one uncontended per-partition lock.
+// popLocal takes the top free vertex of part's own shard. This is the
+// allocation fast path: one uncontended per-partition lock.
 func (s *Store) popLocal(part int) (VertexID, bool) {
 	sh := &s.shards[part]
 	sh.mu.Lock()
-	n := len(sh.ids)
-	if n == 0 {
-		sh.mu.Unlock()
-		return NilVertex, false
-	}
-	id := sh.ids[n-1]
-	sh.ids = sh.ids[:n-1]
+	id, ok := sh.take(part, s.parts)
 	sh.mu.Unlock()
-	s.freeN.Add(-1)
-	return id, true
+	if ok {
+		s.freeN.Add(-1)
+	}
+	return id, ok
 }
 
 // steal claims one free vertex from a sibling partition's shard. It is the
@@ -273,16 +357,15 @@ func (s *Store) popLocal(part int) (VertexID, bool) {
 // each other or against Release.
 func (s *Store) steal(part int) (VertexID, bool) {
 	for off := 1; off < s.parts; off++ {
-		vs := &s.shards[(part+off)%s.parts]
+		victim := (part + off) % s.parts
+		vs := &s.shards[victim]
 		vs.mu.Lock()
-		if n := len(vs.ids); n > 0 {
-			id := vs.ids[n-1]
-			vs.ids = vs.ids[:n-1]
-			vs.mu.Unlock()
+		id, ok := vs.take(victim, s.parts)
+		vs.mu.Unlock()
+		if ok {
 			s.freeN.Add(-1)
 			return id, true
 		}
-		vs.mu.Unlock()
 	}
 	return NilVertex, false
 }
@@ -348,32 +431,71 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 func (s *Store) IsFree(id VertexID) bool {
 	v := s.Vertex(id)
 	if v == nil {
-		return false
+		// Inside V but never materialised: never handed out, so still in F.
+		return id != NilVertex && int64(id) <= s.n.Load()
 	}
 	v.Lock()
 	defer v.Unlock()
 	return v.Kind == KindFree
 }
 
-// ForEach calls fn for every vertex ID in the arena. It snapshots the
-// arena length first; vertices allocated during iteration may be missed,
-// which is the semantics restructuring wants (new vertices come from F and
-// are never garbage in the current cycle by reduction axiom 1).
+// firstHandedOut returns the lowest id part's shard ever handed out, or an
+// id past the reserved range if it handed out none. Never-used ids leave a
+// shard highest-first, so every id of the partition below it is untouched.
+func (s *Store) firstHandedOut(part int) int {
+	sh := &s.shards[part]
+	sh.mu.Lock()
+	virgin := sh.virgin
+	sh.mu.Unlock()
+	return part + 1 + virgin*s.parts
+}
+
+// ForEach calls fn, in id order, for every vertex from the lowest id ever
+// handed out up to Len(): everything that was ever in use, plus the
+// never-used vertices interleaved with it. The never-used rest of V is
+// skipped — its members are free, and no caller has business with a free
+// vertex — so a pass costs what the program touched, not Capacity. It
+// snapshots the arena bounds first; vertices allocated during iteration may
+// be missed, which is the semantics restructuring wants (new vertices come
+// from F and are never garbage in the current cycle by reduction axiom 1).
 func (s *Store) ForEach(fn func(*Vertex)) {
-	n := s.n.Load()
+	n := int(s.n.Load())
 	segs := *s.segs.Load()
-	for i := int64(1); i <= n; i++ {
-		fn(&segs[int(i)>>segBits][int(i)&segMask])
+	lo := s.reserved + 1
+	for part := range s.shards {
+		lo = min(lo, s.firstHandedOut(part))
+	}
+	for id := lo; id <= n; {
+		end := min(n, id|segMask)
+		if seg := segmentIn(segs, id>>segBits); seg != nil {
+			for ; id <= end; id++ {
+				fn(&seg[id&segMask])
+			}
+		}
+		id = end + 1
 	}
 }
 
-// ForEachInPartition calls fn for every vertex owned by part.
+// ForEachInPartition is ForEach restricted to the vertices owned by part:
+// it strides over the partition's own reserved ids and filters only the
+// vertices grown past the reserved range, whose owner is whoever asked.
 func (s *Store) ForEachInPartition(part int, fn func(*Vertex)) {
-	s.ForEach(func(v *Vertex) {
-		if v.Part == part {
+	if part < 0 || part >= s.parts {
+		return
+	}
+	n := VertexID(s.n.Load())
+	segs := *s.segs.Load()
+	reserved := VertexID(s.reserved)
+	for id := VertexID(s.firstHandedOut(part)); id <= reserved; id += VertexID(s.parts) {
+		if v := vertexIn(segs, id); v != nil {
 			fn(v)
 		}
-	})
+	}
+	for id := reserved + 1; id <= n; id++ {
+		if v := vertexIn(segs, id); v != nil && v.Part == part {
+			fn(v)
+		}
+	}
 }
 
 // InternString interns a string and returns its table index for use as a
@@ -408,11 +530,13 @@ func (s *Store) StringAt(i int64) string {
 
 // PartitionOf returns the partition that owns id (0 for invalid IDs).
 func (s *Store) PartitionOf(id VertexID) int {
-	v := s.Vertex(id)
-	if v == nil {
-		return 0
+	if v := s.Vertex(id); v != nil {
+		return v.Part
 	}
-	return v.Part
+	if id != NilVertex && int(id) <= s.reserved {
+		return s.reservedOwner(int(id)) // its segment not materialised yet
+	}
+	return 0
 }
 
 // Snapshot returns a consistent copy of the graph's connectivity for
@@ -423,6 +547,12 @@ func (s *Store) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		Verts: make([]SnapVertex, n+1),
 		Parts: s.parts,
+	}
+	// Every reserved id starts as the free vertex it is while never used —
+	// no need to materialise the arena to say so; ForEach then overwrites
+	// the ones that were handed out.
+	for id := 1; id <= s.reserved; id++ {
+		snap.Verts[id] = SnapVertex{ID: VertexID(id), Part: s.reservedOwner(id), Kind: KindFree}
 	}
 	s.ForEach(func(v *Vertex) {
 		v.Lock()

@@ -19,7 +19,11 @@ type Pool struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	bands [numBands]ring
-	n     int
+	// n is the number of queued tasks. It changes only under mu, next to
+	// the ring operation it counts, and is atomic so that Len — which the
+	// deterministic scheduler calls on every pool every step — reads it
+	// without the lock.
+	n atomic.Int64
 	// waiters counts goroutines blocked in PopWait; wakeups are issued
 	// only when someone can actually consume them.
 	waiters int
@@ -100,7 +104,7 @@ func (p *Pool) Push(t Task) {
 	t.Band = t.ComputeBand()
 	p.mu.Lock()
 	p.bands[t.Band].push(t)
-	p.n++
+	p.n.Add(1)
 	waiters := p.waiters
 	p.mu.Unlock()
 	p.wake(1, waiters)
@@ -119,18 +123,14 @@ func (p *Pool) PushBatch(ts []Task) {
 		t.Band = t.ComputeBand()
 		p.bands[t.Band].push(t)
 	}
-	p.n += len(ts)
+	p.n.Add(int64(len(ts)))
 	waiters := p.waiters
 	p.mu.Unlock()
 	p.wake(len(ts), waiters)
 }
 
 // Len returns the number of queued tasks.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.n
-}
+func (p *Pool) Len() int { return int(p.n.Load()) }
 
 // BandLens returns the queued-task count per priority band, lowest band
 // first. One lock acquisition; used by the observability sampler.
@@ -152,12 +152,12 @@ func (p *Pool) TryPop() (Task, bool) {
 }
 
 func (p *Pool) popLocked() (Task, bool) {
-	if p.n == 0 {
+	if p.n.Load() == 0 {
 		return Task{}, false
 	}
 	for b := int(numBands) - 1; b >= 0; b-- {
 		if p.bands[b].len() > 0 {
-			p.n--
+			p.n.Add(-1)
 			t := p.bands[b].popFront()
 			if p.onPop != nil {
 				p.onPop(t)
@@ -182,7 +182,7 @@ func (p *Pool) TryPopWhere(pred func(Task) bool) (Task, bool) {
 		r := &p.bands[b]
 		for i := 0; i < r.len(); i++ {
 			if pred(*r.at(i)) {
-				p.n--
+				p.n.Add(-1)
 				t := r.removeAt(i)
 				if p.onPop != nil {
 					p.onPop(t)
@@ -200,13 +200,14 @@ func (p *Pool) TryPopWhere(pred func(Task) bool) (Task, bool) {
 func (p *Pool) TryPopRandom(rng *rand.Rand) (Task, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.n == 0 {
+	n := int(p.n.Load())
+	if n == 0 {
 		return Task{}, false
 	}
-	k := rng.Intn(p.n)
+	k := rng.Intn(n)
 	for b := range p.bands {
 		if k < p.bands[b].len() {
-			p.n--
+			p.n.Add(-1)
 			t := p.bands[b].removeAt(k)
 			if p.onPop != nil {
 				p.onPop(t)
@@ -333,8 +334,8 @@ func (p *Pool) StealInto(dst *Pool, max int, each func(Task)) int {
 		moved += cnt
 	}
 	if moved > 0 {
-		p.n -= moved
-		dst.n += moved
+		p.n.Add(int64(-moved))
+		dst.n.Add(int64(moved))
 		dst.wake(moved, dst.waiters)
 	}
 	return moved
@@ -411,7 +412,7 @@ func (p *Pool) Expunge(pred func(Task) bool) int {
 	for b := range p.bands {
 		removed += p.bands[b].filter(func(t *Task) bool { return !pred(*t) })
 	}
-	p.n -= removed
+	p.n.Add(int64(-removed))
 	return removed
 }
 
