@@ -10,7 +10,7 @@ import (
 
 // rig bundles a store, machine, marker and mutator for marking tests.
 type rig struct {
-	t        *testing.T
+	t        testing.TB
 	store    *graph.Store
 	mach     *sched.Machine
 	marker   *Marker
@@ -19,7 +19,7 @@ type rig struct {
 }
 
 // newRig builds a deterministic test rig.
-func newRig(t *testing.T, pes int, seed int64, adversarial bool) *rig {
+func newRig(t testing.TB, pes int, seed int64, adversarial bool) *rig {
 	t.Helper()
 	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 64})
 	counters := &metrics.Counters{}

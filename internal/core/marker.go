@@ -263,6 +263,11 @@ func (m *Marker) handleMark(t task.Task) {
 	v.Unlock()
 }
 
+// taskChildrenInline sizes the stack buffer M_T's child walks hand to
+// Vertex.TaskChildren; a vertex with more task children than this spills the
+// walk to the heap.
+const taskChildrenInline = 8
+
 // modifyLocked is the modify(v,par,prior) procedure of Figure 5-1: touch v,
 // record the marking-tree parent and priority, spawn mark tasks on the
 // context's children, and mark immediately if there are none. The caller
@@ -281,7 +286,8 @@ func (m *Marker) modifyLocked(v *graph.Vertex, c graph.Ctx, epoch uint64, par gr
 			mc.MtCnt++
 		}
 	} else {
-		for _, a := range v.TaskChildren(nil) {
+		var buf [taskChildrenInline]graph.VertexID
+		for _, a := range v.TaskChildren(buf[:0]) {
 			if m.faultDropsMark(v.ID, a, epoch) {
 				continue
 			}

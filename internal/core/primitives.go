@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
 	"dgr/internal/sched"
@@ -51,34 +49,6 @@ func (mu *Mutator) Store() *graph.Store { return mu.store }
 // Marker returns the marker this mutator cooperates with.
 func (mu *Mutator) Marker() *Marker { return mu.marker }
 
-// lockAll locks the given vertices in ascending ID order (duplicates are
-// locked once) and returns the unlock function.
-func lockAll(vs ...*graph.Vertex) func() {
-	sorted := make([]*graph.Vertex, 0, len(vs))
-	for _, v := range vs {
-		if v != nil {
-			sorted = append(sorted, v)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	uniq := sorted[:0]
-	var last graph.VertexID
-	for _, v := range sorted {
-		if v.ID != last {
-			uniq = append(uniq, v)
-			last = v.ID
-		}
-	}
-	for _, v := range uniq {
-		v.Lock()
-	}
-	return func() {
-		for i := len(uniq) - 1; i >= 0; i-- {
-			uniq[i].Unlock()
-		}
-	}
-}
-
 // coopCount bumps the cooperating-mark counter.
 func (mu *Mutator) coopCount() {
 	if mu.counters != nil {
@@ -112,8 +82,8 @@ func (mu *Mutator) Alloc(part int, kind graph.Kind, val int64) (*graph.Vertex, e
 // vertices, so no marking cooperation is required. It returns the request
 // kind the edge carried and whether the edge existed.
 func (mu *Mutator) DeleteReference(a, b *graph.Vertex) (graph.ReqKind, bool) {
-	unlock := lockAll(a)
-	defer unlock()
+	ls := lockVertices(a)
+	defer ls.unlock()
 	return a.RemoveArg(b.ID)
 }
 
@@ -122,8 +92,8 @@ func (mu *Mutator) DeleteReference(a, b *graph.Vertex) (graph.ReqKind, bool) {
 // a new child of a with request kind rk, cooperating with every active
 // marking process so that invariants 1 and 2 are preserved.
 func (mu *Mutator) AddReference(a, b, c *graph.Vertex, rk graph.ReqKind) {
-	unlock := lockAll(a, b, c)
-	defer unlock()
+	ls := lockVertices(a, b, c)
+	defer ls.unlock()
 	for _, ctx := range []graph.Ctx{graph.CtxR, graph.CtxT} {
 		if mu.marker.Active(ctx) {
 			mu.coopAddRefLocked(ctx, a, b, c, rk)
@@ -170,11 +140,8 @@ func (mu *Mutator) coopAddRefLocked(ctx graph.Ctx, a, b, c *graph.Vertex, rk gra
 // marked (with a's priority); if a is transient, marks are spawned on all
 // of a's post-splice children.
 func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice func()) {
-	locks := make([]*graph.Vertex, 0, len(fresh)+1)
-	locks = append(locks, a)
-	locks = append(locks, fresh...)
-	unlock := lockAll(locks...)
-	defer unlock()
+	ls := lockSpliceSet(a, fresh, nil)
+	defer ls.unlock()
 
 	type coopPlan struct {
 		ctx   graph.Ctx
@@ -190,7 +157,8 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 		g.Red.AllocEpochT = mu.marker.Epoch(graph.CtxT)
 	}
 
-	var plans []coopPlan
+	var plans [2]coopPlan
+	np := 0
 	for _, ctx := range []graph.Ctx{graph.CtxR, graph.CtxT} {
 		if mu.noCoop || !mu.marker.Active(ctx) {
 			continue
@@ -198,7 +166,8 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 		epoch := mu.marker.Epoch(ctx)
 		mc := a.CtxOf(ctx)
 		st := mc.StateAt(epoch)
-		plans = append(plans, coopPlan{ctx: ctx, epoch: epoch, state: st, prior: mc.Prior})
+		plans[np] = coopPlan{ctx: ctx, epoch: epoch, state: st, prior: mc.Prior}
+		np++
 		if st == graph.Marked {
 			// "if marked(a) then mark(g)".
 			for _, g := range fresh {
@@ -217,7 +186,7 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 
 	splice()
 
-	for _, p := range plans {
+	for _, p := range plans[:np] {
 		if p.state != graph.Transient {
 			continue
 		}
@@ -230,7 +199,8 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 				mc.MtCnt++
 			}
 		} else {
-			for _, x := range a.TaskChildren(nil) {
+			var buf [taskChildrenInline]graph.VertexID
+			for _, x := range a.TaskChildren(buf[:0]) {
 				mu.marker.spawnMark(p.ctx, a.ID, x, 0, p.epoch)
 				mc.MtCnt++
 			}
@@ -242,8 +212,8 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 // RelabelLeaf rewrites a into a leaf of the given kind/value, deleting all
 // outgoing edges (a pure contraction: no cooperation needed).
 func (mu *Mutator) RelabelLeaf(a *graph.Vertex, kind graph.Kind, val int64) {
-	unlock := lockAll(a)
-	defer unlock()
+	ls := lockVertices(a)
+	defer ls.unlock()
 	a.Kind = kind
 	a.Val = val
 	a.Args = a.Args[:0]
@@ -284,8 +254,8 @@ func (mu *Mutator) coopTaskEdgeLocked(p, x *graph.Vertex) {
 //
 // It returns false if the edge x→y does not exist.
 func (mu *Mutator) RegisterRequest(x, y *graph.Vertex, rk graph.ReqKind) bool {
-	unlock := lockAll(x, y)
-	defer unlock()
+	ls := lockVertices(x, y)
+	defer ls.unlock()
 	if !x.SetReqKind(y.ID, rk) {
 		return false
 	}
@@ -301,8 +271,8 @@ func (mu *Mutator) RegisterRequest(x, y *graph.Vertex, rk graph.ReqKind) bool {
 // edge back into args(x) − req-args(x) makes y task-traceable from x again,
 // which requires M_T cooperation.
 func (mu *Mutator) CompleteRequest(x, y *graph.Vertex) {
-	unlock := lockAll(x, y)
-	defer unlock()
+	ls := lockVertices(x, y)
+	defer ls.unlock()
 	y.RemoveRequester(x.ID)
 	ok := x.SetReqKind(y.ID, graph.ReqNone)
 	if ok {
@@ -319,8 +289,8 @@ func (mu *Mutator) CompleteRequest(x, y *graph.Vertex) {
 // M_R sees only a priority change (self-correcting next cycle, §5.3); for
 // M_T the edge leaves C(x), a removal, so no cooperation is needed.
 func (mu *Mutator) SetRequestKind(x, y *graph.Vertex, rk graph.ReqKind) bool {
-	unlock := lockAll(x)
-	defer unlock()
+	ls := lockVertices(x)
+	defer ls.unlock()
 	i := x.ArgIndex(y.ID)
 	if i < 0 {
 		return false
@@ -337,8 +307,8 @@ func (mu *Mutator) SetRequestKind(x, y *graph.Vertex, rk graph.ReqKind) bool {
 // of adding a second entry. Adding x to requested(y) makes x
 // task-reachable from y, requiring M_T cooperation.
 func (mu *Mutator) AddRequesterCoop(y, x *graph.Vertex, rk graph.ReqKind) {
-	unlock := lockAll(x, y)
-	defer unlock()
+	ls := lockVertices(x, y)
+	defer ls.unlock()
 	for i := range y.Requested {
 		if y.Requested[i].Src == x.ID {
 			if rk > y.Requested[i].Kind {
@@ -386,8 +356,6 @@ func (mu *Mutator) CoopTaskSpawn(src, dst graph.VertexID) {
 			v.Red.AllocEpochT < epoch &&
 			v.CtxOf(graph.CtxT).StateAt(epoch) == graph.Unmarked
 		v.Unlock()
-		if needsRoot {
-		}
 		if needsRoot && mu.marker.AddRootDuringCycle(graph.CtxT, id, 0) {
 			mu.coopCount()
 		}
@@ -400,8 +368,8 @@ func (mu *Mutator) CoopTaskSpawn(src, dst graph.VertexID) {
 // garbage) and x is removed from requested(y). Removals need no marking
 // cooperation.
 func (mu *Mutator) Dereference(x, y *graph.Vertex) {
-	unlock := lockAll(x, y)
-	defer unlock()
+	ls := lockVertices(x, y)
+	defer ls.unlock()
 	x.RemoveArg(y.ID)
 	y.RemoveRequester(x.ID)
 }

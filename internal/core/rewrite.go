@@ -52,8 +52,8 @@ func (mu *Mutator) coopAttachLocked(parent, c *graph.Vertex, rk graph.ReqKind) {
 // rewrite used by K-reduction, if-selection and head/tail extraction. The
 // new reference v→c is covered by the generalized attach cooperation.
 func (mu *Mutator) CollapseToInd(v, c *graph.Vertex) {
-	unlock := lockAll(v, c)
-	defer unlock()
+	ls := lockVertices(v, c)
+	defer ls.unlock()
 	mu.coopAttachLocked(v, c, graph.ReqNone)
 	v.Kind = graph.KindInd
 	v.Val = 0
@@ -65,8 +65,8 @@ func (mu *Mutator) CollapseToInd(v, c *graph.Vertex) {
 // child c. No new reference is created (the edge v→c already exists), so no
 // marking cooperation is required — only deletions of v's other edges.
 func (mu *Mutator) CollapseToIndDirect(v, c *graph.Vertex) {
-	unlock := lockAll(v, c)
-	defer unlock()
+	ls := lockVertices(v, c)
+	defer ls.unlock()
 	v.Kind = graph.KindInd
 	v.Val = 0
 	v.Args = append(v.Args[:0], c.ID)
@@ -78,8 +78,8 @@ func (mu *Mutator) CollapseToIndDirect(v, c *graph.Vertex) {
 // primitive. A self-edge needs no cooperation: a transient/marked v is
 // itself already traced.
 func (mu *Mutator) MakeSelfKnot(v *graph.Vertex) {
-	unlock := lockAll(v)
-	defer unlock()
+	ls := lockVertices(v)
+	defer ls.unlock()
 	if !v.HasArg(v.ID) {
 		v.AddArg(v.ID, graph.ReqVital)
 		v.AddRequester(v.ID, graph.ReqVital)
@@ -97,12 +97,8 @@ func (mu *Mutator) MakeSelfKnot(v *graph.Vertex) {
 // add-reference cooperation for every deep operand that becomes newly
 // referenced.
 func (mu *Mutator) Rewrite(v *graph.Vertex, fresh, existing []*graph.Vertex, fn func()) {
-	locks := make([]*graph.Vertex, 0, 2+len(fresh)+len(existing))
-	locks = append(locks, v)
-	locks = append(locks, fresh...)
-	locks = append(locks, existing...)
-	unlock := lockAll(locks...)
-	defer unlock()
+	ls := lockSpliceSet(v, fresh, existing)
+	defer ls.unlock()
 
 	for _, g := range fresh {
 		g.Red.AllocEpoch = mu.marker.Epoch(graph.CtxR)
@@ -134,24 +130,30 @@ func (mu *Mutator) Rewrite(v *graph.Vertex, fresh, existing []*graph.Vertex, fn 
 	fn()
 
 	// Post-splice cooperation: every child edge of v and of the fresh
-	// vertices is treated as an attach. byID lets us reuse already-locked
-	// vertices; anything else is read fresh from the store (it is either
-	// pre-existing-and-listed or a fresh vertex).
-	byID := make(map[graph.VertexID]*graph.Vertex, len(locks))
-	for _, l := range locks {
-		byID[l.ID] = l
+	// vertices is treated as an attach. Outside a marking cycle (and with
+	// cooperation off) an attach needs nothing, so the pass is skipped. A
+	// cycle that opens after this test cannot be missed: it starts at a new
+	// epoch, at which v and the fresh vertices — locked here, so no mark
+	// task has reached them — are unmarked, and an unmarked parent's attach
+	// is a no-op.
+	if mu.noCoop || !(mu.marker.Active(graph.CtxR) || mu.marker.Active(graph.CtxT)) {
+		return
 	}
-	coverChildren := func(p *graph.Vertex) {
-		for i, cid := range p.Args {
-			c, ok := byID[cid]
-			if !ok || c == p {
-				continue
-			}
-			mu.coopAttachLocked(p, c, p.ReqKinds[i])
-		}
-	}
-	coverChildren(v)
+	mu.coverChildrenLocked(&ls, v)
 	for _, g := range fresh {
-		coverChildren(g)
+		mu.coverChildrenLocked(&ls, g)
+	}
+}
+
+// coverChildrenLocked applies the attach cooperation to every child edge of
+// p whose target is in the locked set; any other child is not a vertex this
+// rewrite newly references.
+func (mu *Mutator) coverChildrenLocked(ls *lockSet, p *graph.Vertex) {
+	for i, cid := range p.Args {
+		c := ls.find(cid)
+		if c == nil || c == p {
+			continue
+		}
+		mu.coopAttachLocked(p, c, p.ReqKinds[i])
 	}
 }

@@ -160,3 +160,84 @@ func TestRewriteFreshUnderActiveMT(t *testing.T) {
 	}
 	r.mach.RunUntil(func() bool { return r.marker.Done(graph.CtxT) }, 100000)
 }
+
+// TestRewriteOperandUnderActiveMR is the M_R twin of the test above, and the
+// other side of Rewrite's "no active cycle ⇒ skip the cover pass" branch:
+// with a cycle running, an existing operand newly referenced from a marked v
+// becomes an extra cycle root, and from a transient v gets a mark counted
+// against v's mt-cnt; with none running the same rewrite spawns nothing.
+func TestRewriteOperandUnderActiveMR(t *testing.T) {
+	for _, want := range []graph.MarkState{graph.Marked, graph.Transient} {
+		r := newRig(t, 1, 4, false)
+		root := r.vertex(graph.KindApply)
+		v := r.vertex(graph.KindApply)
+		r.edge(root, v, graph.ReqVital)
+		// A chain below root keeps the cycle open after v is marked; one
+		// below v keeps v transient while its marks are outstanding.
+		below := root
+		if want == graph.Transient {
+			below = v
+		}
+		for i := 0; i < 8; i++ {
+			nxt := r.vertex(graph.KindApply)
+			r.edge(below, nxt, graph.ReqVital)
+			below = nxt
+		}
+		op := r.vertex(graph.KindInt) // exists, unreachable: unmarked all cycle
+		attach := func() {
+			r.mut.Rewrite(v, nil, []*graph.Vertex{op}, func() {
+				v.AddArg(op.ID, graph.ReqNone)
+			})
+		}
+
+		attach()
+		if n := r.mach.Inflight(); n != 0 || r.counters.CoopMarks.Load() != 0 {
+			t.Fatalf("%v: rewrite outside a cycle spawned %d tasks, %d coop marks",
+				want, n, r.counters.CoopMarks.Load())
+		}
+		r.mut.DeleteReference(v, op)
+
+		r.marker.StartCycle(graph.CtxR, []Root{{ID: root.ID, Prior: graph.PriorVital}})
+		for r.stateOf(v, graph.CtxR) != want {
+			if r.marker.Done(graph.CtxR) || !r.mach.Step() {
+				t.Fatalf("v never became %v", want)
+			}
+		}
+		r.assertUnmarked(graph.CtxR, op)
+		st := &r.marker.ctxs[graph.CtxR]
+		st.mu.Lock()
+		rootsBefore := st.pendingRoots
+		st.mu.Unlock()
+		v.Lock()
+		cntBefore := v.RCtx.MtCnt
+		v.Unlock()
+
+		attach()
+
+		st.mu.Lock()
+		newRoots := st.pendingRoots - rootsBefore
+		st.mu.Unlock()
+		v.Lock()
+		newCnt := v.RCtx.MtCnt - cntBefore
+		v.Unlock()
+		if want == graph.Marked && (newRoots != 1 || newCnt != 0) {
+			t.Fatalf("marked v: %d new roots, mt-cnt %+d; want 1 root, mt-cnt unchanged", newRoots, newCnt)
+		}
+		if want == graph.Transient && (newRoots != 0 || newCnt != 1) {
+			t.Fatalf("transient v: %d new roots, mt-cnt %+d; want no root, mt-cnt +1", newRoots, newCnt)
+		}
+		if n := r.counters.CoopMarks.Load(); n != 1 {
+			t.Fatalf("%v: %d coop marks, want 1", want, n)
+		}
+
+		r.mach.RunUntil(func() bool { return r.marker.Done(graph.CtxR) }, 100000)
+		if !r.marker.Done(graph.CtxR) {
+			t.Fatalf("%v: marking did not terminate", want)
+		}
+		if n := r.marker.UnderflowCount(graph.CtxR); n != 0 {
+			t.Fatalf("%v: %d mt-cnt underflows", want, n)
+		}
+		r.assertMarked(graph.CtxR, root, v, op)
+		r.assertNoViolations(graph.CtxR)
+	}
+}

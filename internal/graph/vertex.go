@@ -307,7 +307,7 @@ func (v *Vertex) IsValueLocked() bool {
 }
 
 // Lock acquires the vertex lock. Callers that lock multiple vertices must
-// do so in ascending ID order (see core.lockAll).
+// do so in ascending ID order (see core.lockSet).
 func (v *Vertex) Lock() { v.mu.Lock() }
 
 // Unlock releases the vertex lock.

@@ -13,24 +13,24 @@ import (
 // Counters aggregates run statistics. All fields are safe for concurrent
 // update. The zero value is ready to use.
 type Counters struct {
-	TasksExecuted   atomic.Int64 // all task executions
-	ReductionTasks  atomic.Int64 // demand/result/reduce executions
-	MarkTasks       atomic.Int64 // mark task executions
-	ReturnTasks     atomic.Int64 // return task executions
-	RemoteMessages  atomic.Int64 // tasks spawned across partitions
-	LocalMessages   atomic.Int64 // tasks spawned within a partition
-	Rewrites        atomic.Int64 // combinator/primitive graph rewrites
-	Allocations     atomic.Int64 // vertices taken from F
-	Reclaimed       atomic.Int64 // vertices returned to F by restructuring
-	Cycles          atomic.Int64 // completed mark/restructure cycles
-	MTRuns          atomic.Int64 // cycles that included an M_T phase
-	Expunged        atomic.Int64 // irrelevant tasks deleted
-	Reprioritized   atomic.Int64 // tasks whose band changed in restructuring
+	TasksExecuted     atomic.Int64 // all task executions
+	ReductionTasks    atomic.Int64 // demand/result/reduce executions
+	MarkTasks         atomic.Int64 // mark task executions
+	ReturnTasks       atomic.Int64 // return task executions
+	RemoteMessages    atomic.Int64 // tasks spawned across partitions
+	LocalMessages     atomic.Int64 // tasks spawned within a partition
+	Rewrites          atomic.Int64 // combinator/primitive graph rewrites
+	Allocations       atomic.Int64 // vertices taken from F
+	Reclaimed         atomic.Int64 // vertices returned to F by restructuring
+	Cycles            atomic.Int64 // completed mark/restructure cycles
+	MTRuns            atomic.Int64 // cycles that included an M_T phase
+	Expunged          atomic.Int64 // irrelevant tasks deleted
+	Reprioritized     atomic.Int64 // tasks whose band changed in restructuring
 	DeadlockedFound   atomic.Int64 // vertices with a confirmed deadlock verdict
 	DeadlockRetracted atomic.Int64 // candidate verdicts retracted before confirmation
 	CoopMarks         atomic.Int64 // marks spawned by cooperating mutator primitives
-	MaxPauseNs      atomic.Int64 // longest single mutator pause (stop-the-world baseline)
-	TotalPauseNs    atomic.Int64 // cumulative mutator pause time
+	MaxPauseNs        atomic.Int64 // longest single mutator pause (stop-the-world baseline)
+	TotalPauseNs      atomic.Int64 // cumulative mutator pause time
 
 	// Work-stealing activity (zero unless sched.Config.Steal is on).
 	Steals      atomic.Int64 // successful steal operations (batches taken)
@@ -165,17 +165,17 @@ func (c *Counters) ObservePause(ns int64) {
 
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
-	TasksExecuted   int64
-	ReductionTasks  int64
-	MarkTasks       int64
-	ReturnTasks     int64
-	RemoteMessages  int64
-	LocalMessages   int64
-	Rewrites        int64
-	Allocations     int64
-	Reclaimed       int64
-	Cycles          int64
-	MTRuns          int64
+	TasksExecuted     int64
+	ReductionTasks    int64
+	MarkTasks         int64
+	ReturnTasks       int64
+	RemoteMessages    int64
+	LocalMessages     int64
+	Rewrites          int64
+	Allocations       int64
+	Reclaimed         int64
+	Cycles            int64
+	MTRuns            int64
 	Expunged          int64
 	Reprioritized     int64
 	DeadlockedFound   int64
@@ -206,19 +206,19 @@ type Snapshot struct {
 // Snapshot copies the current counter values.
 func (c *Counters) Snapshot() Snapshot {
 	return Snapshot{
-		TasksExecuted:   c.TasksExecuted.Load(),
-		ReductionTasks:  c.ReductionTasks.Load(),
-		MarkTasks:       c.MarkTasks.Load(),
-		ReturnTasks:     c.ReturnTasks.Load(),
-		RemoteMessages:  c.RemoteMessages.Load(),
-		LocalMessages:   c.LocalMessages.Load(),
-		Rewrites:        c.Rewrites.Load(),
-		Allocations:     c.Allocations.Load(),
-		Reclaimed:       c.Reclaimed.Load(),
-		Cycles:          c.Cycles.Load(),
-		MTRuns:          c.MTRuns.Load(),
-		Expunged:        c.Expunged.Load(),
-		Reprioritized:   c.Reprioritized.Load(),
+		TasksExecuted:     c.TasksExecuted.Load(),
+		ReductionTasks:    c.ReductionTasks.Load(),
+		MarkTasks:         c.MarkTasks.Load(),
+		ReturnTasks:       c.ReturnTasks.Load(),
+		RemoteMessages:    c.RemoteMessages.Load(),
+		LocalMessages:     c.LocalMessages.Load(),
+		Rewrites:          c.Rewrites.Load(),
+		Allocations:       c.Allocations.Load(),
+		Reclaimed:         c.Reclaimed.Load(),
+		Cycles:            c.Cycles.Load(),
+		MTRuns:            c.MTRuns.Load(),
+		Expunged:          c.Expunged.Load(),
+		Reprioritized:     c.Reprioritized.Load(),
 		DeadlockedFound:   c.DeadlockedFound.Load(),
 		DeadlockRetracted: c.DeadlockRetracted.Load(),
 		CoopMarks:         c.CoopMarks.Load(),
@@ -258,19 +258,19 @@ func (c *Counters) Diff(prev Snapshot) Snapshot {
 // MaxPauseNs takes the maximum (a pool's worst pause, not a sum of pauses).
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	out := Snapshot{
-		TasksExecuted:   s.TasksExecuted + o.TasksExecuted,
-		ReductionTasks:  s.ReductionTasks + o.ReductionTasks,
-		MarkTasks:       s.MarkTasks + o.MarkTasks,
-		ReturnTasks:     s.ReturnTasks + o.ReturnTasks,
-		RemoteMessages:  s.RemoteMessages + o.RemoteMessages,
-		LocalMessages:   s.LocalMessages + o.LocalMessages,
-		Rewrites:        s.Rewrites + o.Rewrites,
-		Allocations:     s.Allocations + o.Allocations,
-		Reclaimed:       s.Reclaimed + o.Reclaimed,
-		Cycles:          s.Cycles + o.Cycles,
-		MTRuns:          s.MTRuns + o.MTRuns,
-		Expunged:        s.Expunged + o.Expunged,
-		Reprioritized:   s.Reprioritized + o.Reprioritized,
+		TasksExecuted:     s.TasksExecuted + o.TasksExecuted,
+		ReductionTasks:    s.ReductionTasks + o.ReductionTasks,
+		MarkTasks:         s.MarkTasks + o.MarkTasks,
+		ReturnTasks:       s.ReturnTasks + o.ReturnTasks,
+		RemoteMessages:    s.RemoteMessages + o.RemoteMessages,
+		LocalMessages:     s.LocalMessages + o.LocalMessages,
+		Rewrites:          s.Rewrites + o.Rewrites,
+		Allocations:       s.Allocations + o.Allocations,
+		Reclaimed:         s.Reclaimed + o.Reclaimed,
+		Cycles:            s.Cycles + o.Cycles,
+		MTRuns:            s.MTRuns + o.MTRuns,
+		Expunged:          s.Expunged + o.Expunged,
+		Reprioritized:     s.Reprioritized + o.Reprioritized,
 		DeadlockedFound:   s.DeadlockedFound + o.DeadlockedFound,
 		DeadlockRetracted: s.DeadlockRetracted + o.DeadlockRetracted,
 		CoopMarks:         s.CoopMarks + o.CoopMarks,
@@ -331,19 +331,19 @@ func (s Snapshot) String() string {
 // Sub returns s - o field-wise, for measuring an interval.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return Snapshot{
-		TasksExecuted:   s.TasksExecuted - o.TasksExecuted,
-		ReductionTasks:  s.ReductionTasks - o.ReductionTasks,
-		MarkTasks:       s.MarkTasks - o.MarkTasks,
-		ReturnTasks:     s.ReturnTasks - o.ReturnTasks,
-		RemoteMessages:  s.RemoteMessages - o.RemoteMessages,
-		LocalMessages:   s.LocalMessages - o.LocalMessages,
-		Rewrites:        s.Rewrites - o.Rewrites,
-		Allocations:     s.Allocations - o.Allocations,
-		Reclaimed:       s.Reclaimed - o.Reclaimed,
-		Cycles:          s.Cycles - o.Cycles,
-		MTRuns:          s.MTRuns - o.MTRuns,
-		Expunged:        s.Expunged - o.Expunged,
-		Reprioritized:   s.Reprioritized - o.Reprioritized,
+		TasksExecuted:     s.TasksExecuted - o.TasksExecuted,
+		ReductionTasks:    s.ReductionTasks - o.ReductionTasks,
+		MarkTasks:         s.MarkTasks - o.MarkTasks,
+		ReturnTasks:       s.ReturnTasks - o.ReturnTasks,
+		RemoteMessages:    s.RemoteMessages - o.RemoteMessages,
+		LocalMessages:     s.LocalMessages - o.LocalMessages,
+		Rewrites:          s.Rewrites - o.Rewrites,
+		Allocations:       s.Allocations - o.Allocations,
+		Reclaimed:         s.Reclaimed - o.Reclaimed,
+		Cycles:            s.Cycles - o.Cycles,
+		MTRuns:            s.MTRuns - o.MTRuns,
+		Expunged:          s.Expunged - o.Expunged,
+		Reprioritized:     s.Reprioritized - o.Reprioritized,
 		DeadlockedFound:   s.DeadlockedFound - o.DeadlockedFound,
 		DeadlockRetracted: s.DeadlockRetracted - o.DeadlockRetracted,
 		CoopMarks:         s.CoopMarks - o.CoopMarks,

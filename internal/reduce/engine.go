@@ -87,6 +87,10 @@ type Engine struct {
 	// are resolved to true by ResolveBottomProbes when the deadlock
 	// detector finds the probe itself deadlocked (footnote 5).
 	probes map[graph.VertexID]graph.VertexID
+
+	// superScratch holds idle compiled-body execution states for reuse, one
+	// per body that has ever executed at the same time (at most one per PE).
+	superScratch []*superExec
 }
 
 var _ sched.Handler = (*Engine)(nil)
@@ -349,7 +353,8 @@ func (e *Engine) complete(v *graph.Vertex) {
 	}
 	v.Red.Evaluating = false
 	v.Red.WHNF = true
-	reqs := append([]graph.Requester(nil), v.Requested...)
+	var buf [spineInline]graph.Requester
+	reqs := append(buf[:0], v.Requested...)
 	v.Unlock()
 
 	for _, r := range reqs {
@@ -587,17 +592,35 @@ func (e *Engine) stepInd(v *graph.Vertex) {
 	e.demandFrom(v, target, e.demandKind(v))
 }
 
-// spine is a collected partial-application spine: the head leaf plus the
-// operands in application order.
+// spine holds the operands of a collected partial-application spine, in
+// application order. (The head leaf travels beside it, not in it: escape
+// analysis treats a struct as one location, and the head's lock calls would
+// drag the operand storage to the heap with it.)
 type spine struct {
-	head *graph.Vertex
-	ops  []graph.VertexID
+	ops []graph.VertexID
 	// owners[i] is the apply vertex whose operand edge holds ops[i]. A
 	// strict-operand demand must record its request kind on that edge —
 	// the marker propagates priorities along arg edges, so annotating the
 	// saturated apply (which has no edge to an inner operand) would hide
 	// the operand from deadlock detection.
 	owners []graph.VertexID
+}
+
+// spineInline is how many operands (and, in complete, requesters) a
+// reduction step holds in its own stack frame. Every combinator and primitive
+// redex fits (S' has four operands); only a supercombinator of higher arity,
+// or a vertex awaited by more requesters, spills to the heap.
+const spineInline = 8
+
+// spineBuf is the stack storage stepApply lends a spine: room for the
+// collected operands plus the one the redex itself supplies.
+type spineBuf struct {
+	ops, owners [spineInline]graph.VertexID
+}
+
+// spine returns an empty spine backed by b.
+func (b *spineBuf) spine() spine {
+	return spine{ops: b.ops[:0], owners: b.owners[:0]}
 }
 
 // maxSpineLen bounds a partial-application spine walk. A legal spine is
@@ -608,15 +631,16 @@ type spine struct {
 const maxSpineLen = 1 << 20
 
 // collectSpine walks a WHNF partial application down its function edges
-// (through indirections), gathering operands. ok is false if the
-// structure changed underfoot or an indirection dangles; cyclic is true
-// if the walk exceeded maxSpineLen, which only a corrupted (cyclic)
-// spine can do.
-func (e *Engine) collectSpine(f *graph.Vertex) (sp spine, ok, cyclic bool) {
+// (through indirections) to the head leaf, gathering operands into the
+// caller's buf. ok is false if the structure changed underfoot or an
+// indirection dangles; cyclic is true if the walk exceeded maxSpineLen,
+// which only a corrupted (cyclic) spine can do.
+func (e *Engine) collectSpine(f *graph.Vertex, buf *spineBuf) (head *graph.Vertex, sp spine, ok, cyclic bool) {
+	sp = buf.spine()
 	cur := f
 	for {
 		if len(sp.ops) > maxSpineLen {
-			return sp, false, true
+			return nil, sp, false, true
 		}
 		cur.Lock()
 		if cur.Kind != graph.KindApply {
@@ -625,7 +649,7 @@ func (e *Engine) collectSpine(f *graph.Vertex) (sp spine, ok, cyclic bool) {
 		}
 		if len(cur.Args) != 2 {
 			cur.Unlock()
-			return sp, false, false
+			return nil, sp, false, false
 		}
 		fun, arg := cur.Args[0], cur.Args[1]
 		cur.Unlock()
@@ -633,7 +657,7 @@ func (e *Engine) collectSpine(f *graph.Vertex) (sp spine, ok, cyclic bool) {
 		sp.owners = append(sp.owners, cur.ID)
 		next := e.resolveInd(fun)
 		if next == nil {
-			return sp, false, false
+			return nil, sp, false, false
 		}
 		cur = next
 	}
@@ -642,8 +666,7 @@ func (e *Engine) collectSpine(f *graph.Vertex) (sp spine, ok, cyclic bool) {
 		sp.ops[i], sp.ops[j] = sp.ops[j], sp.ops[i]
 		sp.owners[i], sp.owners[j] = sp.owners[j], sp.owners[i]
 	}
-	sp.head = cur
-	return sp, true, false
+	return cur, sp, true, false
 }
 
 func (e *Engine) stepApply(v *graph.Vertex) {
@@ -676,9 +699,10 @@ func (e *Engine) stepApply(v *graph.Vertex) {
 	f.Lock()
 	fk := f.Kind
 	f.Unlock()
+	var buf spineBuf
 	switch fk {
 	case graph.KindApply:
-		sp, ok, cyclic := e.collectSpine(f)
+		head, sp, ok, cyclic := e.collectSpine(f, &buf)
 		if cyclic {
 			// Permanent, not transient: respawning would walk the same
 			// cycle every step. Surface it as an engine error instead.
@@ -689,9 +713,9 @@ func (e *Engine) stepApply(v *graph.Vertex) {
 			e.spawnReduce(v.ID)
 			return
 		}
-		e.applySaturation(v, sp, argID)
+		e.applySaturation(v, head, sp, argID)
 	case graph.KindComb, graph.KindPrim, graph.KindSuper:
-		e.applySaturation(v, spine{head: f}, argID)
+		e.applySaturation(v, f, buf.spine(), argID)
 	case graph.KindCons, graph.KindNil, graph.KindInt, graph.KindBool, graph.KindStr:
 		e.fail(v, "cannot apply non-function %s", fk)
 	default:
@@ -700,11 +724,12 @@ func (e *Engine) stepApply(v *graph.Vertex) {
 }
 
 // applySaturation decides whether v (supplying one more operand to the
-// WHNF function sp) saturates a redex, and contracts it if so.
-func (e *Engine) applySaturation(v *graph.Vertex, sp spine, argID graph.VertexID) {
-	ops := append(append([]graph.VertexID(nil), sp.ops...), argID)
-	owners := append(append([]graph.VertexID(nil), sp.owners...), v.ID)
-	head := sp.head
+// WHNF function with the given head and spine) saturates a redex, and
+// contracts it if so. It consumes sp: the redex's own operand is appended in
+// place.
+func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.VertexID) {
+	ops := append(sp.ops, argID)
+	owners := append(sp.owners, v.ID)
 	head.Lock()
 	hk, hv := head.Kind, head.Val
 	head.Unlock()
@@ -810,20 +835,21 @@ func (e *Engine) markPartial(v *graph.Vertex) {
 	e.complete(v)
 }
 
-// vs resolves a list of IDs to vertices (for lock sets).
-func (e *Engine) vs(ids ...graph.VertexID) []*graph.Vertex {
-	out := make([]*graph.Vertex, 0, len(ids))
+// vs resolves a list of IDs to vertices (for lock sets), appending them to
+// the caller's buffer.
+func (e *Engine) vs(dst []*graph.Vertex, ids []graph.VertexID) []*graph.Vertex {
 	for _, id := range ids {
 		if w := e.store.Vertex(id); w != nil {
-			out = append(out, w)
+			dst = append(dst, w)
 		}
 	}
-	return out
+	return dst
 }
 
 // contract performs one combinator contraction, rewriting v in place.
 func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 	part := v.Part
+	var vbuf [spineInline]*graph.Vertex
 	freshApply := func() *graph.Vertex {
 		n, err := e.mut.Alloc(part, graph.KindApply, 0)
 		if err != nil {
@@ -857,7 +883,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		if n1 == nil || n2 == nil {
 			return
 		}
-		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(ops...), func() {
+		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
 			wire(n1, ops[0], ops[2])
 			wire(n2, ops[1], ops[2])
 			setV(n1.ID, n2.ID)
@@ -867,7 +893,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		if n1 == nil {
 			return
 		}
-		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(ops...), func() {
+		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(vbuf[:0], ops), func() {
 			wire(n1, ops[1], ops[2])
 			setV(ops[0], n1.ID)
 		})
@@ -876,7 +902,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		if n1 == nil {
 			return
 		}
-		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(ops...), func() {
+		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(vbuf[:0], ops), func() {
 			wire(n1, ops[0], ops[2])
 			setV(n1.ID, ops[1])
 		})
@@ -885,7 +911,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		if n1 == nil || n2 == nil || n3 == nil {
 			return
 		}
-		e.mut.Rewrite(v, []*graph.Vertex{n1, n2, n3}, e.vs(ops...), func() {
+		e.mut.Rewrite(v, []*graph.Vertex{n1, n2, n3}, e.vs(vbuf[:0], ops), func() {
 			wire(n1, ops[1], ops[3])
 			wire(n2, ops[2], ops[3])
 			wire(n3, ops[0], n1.ID)
@@ -896,7 +922,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		if n1 == nil || n2 == nil {
 			return
 		}
-		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(ops...), func() {
+		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
 			wire(n1, ops[0], ops[1])
 			wire(n2, ops[2], ops[3])
 			setV(n1.ID, n2.ID)
@@ -906,13 +932,13 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		if n1 == nil || n2 == nil {
 			return
 		}
-		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(ops...), func() {
+		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
 			wire(n2, ops[1], ops[3])
 			wire(n1, ops[0], n2.ID)
 			setV(n1.ID, ops[2])
 		})
 	case graph.CombY: // Y f → f (Y f), as a cyclic knot: v := f v
-		e.mut.Rewrite(v, nil, e.vs(ops[0]), func() {
+		e.mut.Rewrite(v, nil, e.vs(vbuf[:0], ops[:1]), func() {
 			setV(ops[0], v.ID)
 		})
 	default:
@@ -924,7 +950,8 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 // form with the operands as direct children — making v's operand requests
 // legal req-args(v) entries, as the model requires.
 func (e *Engine) flattenPrim(v *graph.Vertex, p graph.Prim, ops []graph.VertexID) {
-	e.mut.Rewrite(v, nil, e.vs(ops...), func() {
+	var vbuf [spineInline]*graph.Vertex
+	e.mut.Rewrite(v, nil, e.vs(vbuf[:0], ops), func() {
 		v.Kind = graph.KindPrimApp
 		v.Val = int64(p)
 		v.Args = append(v.Args[:0], ops...)

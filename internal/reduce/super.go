@@ -38,18 +38,59 @@ type wire struct {
 	args []graph.VertexID
 }
 
-// superExec is the per-invocation machine state.
+// superExec is the per-invocation machine state. Its slices are scratch:
+// nothing in them outlives the invocation (Rewrite copies every wire's args
+// into the vertex), so invocations recycle them through Engine.superScratch
+// and a warm engine runs a body without asking the allocator for any.
 type superExec struct {
-	e      *Engine
-	v      *graph.Vertex
-	sup    *gm.Super
-	ops    []graph.VertexID
-	part   int
-	stack  []slot
-	locals []*graph.Vertex
-	fresh  []*graph.Vertex
-	wires  []wire
-	bad    bool
+	e       *Engine
+	v       *graph.Vertex
+	sup     *gm.Super
+	part    int
+	stack   []slot
+	opSlots []slot
+	locals  []*graph.Vertex
+	fresh   []*graph.Vertex
+	wires   []wire
+	// ids is the arena the wires' args are cut from. When it grows, wires
+	// already planned keep the old backing array, which nothing rewrites.
+	ids []graph.VertexID
+	bad bool
+}
+
+// beginSuper takes an idle execution state (or makes the first one) and
+// readies it for one invocation on the redex v; endSuper hands it back.
+func (e *Engine) beginSuper(v *graph.Vertex, sup *gm.Super) *superExec {
+	e.mu.Lock()
+	var x *superExec
+	if n := len(e.superScratch); n > 0 {
+		x, e.superScratch = e.superScratch[n-1], e.superScratch[:n-1]
+	} else {
+		x = new(superExec)
+	}
+	e.mu.Unlock()
+	*x = superExec{
+		e:       e,
+		v:       v,
+		sup:     sup,
+		part:    v.Part,
+		stack:   x.stack[:0],
+		opSlots: x.opSlots[:0],
+		locals:  x.locals[:0],
+		fresh:   x.fresh[:0],
+		wires:   x.wires[:0],
+		ids:     x.ids[:0],
+	}
+	for i := 0; i < sup.NLocals; i++ {
+		x.locals = append(x.locals, nil)
+	}
+	return x
+}
+
+func (e *Engine) endSuper(x *superExec) {
+	e.mu.Lock()
+	e.superScratch = append(e.superScratch, x)
+	e.mu.Unlock()
 }
 
 // execSuper executes one compiled supercombinator body on the saturated
@@ -57,33 +98,24 @@ type superExec struct {
 // additionally reports that the root became a WHNF literal (so the caller
 // can complete v without another scheduler round trip).
 func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID) (done, value bool) {
-	x := &superExec{
-		e:     e,
-		v:     v,
-		sup:   sup,
-		ops:   ops,
-		part:  v.Part,
-		stack: make([]slot, 0, sup.MaxHigh),
-	}
-	if sup.NLocals > 0 {
-		x.locals = make([]*graph.Vertex, sup.NLocals)
-	}
+	x := e.beginSuper(v, sup)
+	defer e.endSuper(x)
 
 	// Operand value peek: a WHNF literal operand folds like a known
 	// constant. Values are final once written, and the redex spine keeps
 	// every operand reachable, so the read is stable for the whole
 	// execution.
-	opSlots := make([]slot, len(ops))
-	for i, id := range ops {
-		opSlots[i] = slot{id: id}
+	for _, id := range ops {
+		s := slot{id: id}
 		if w := e.resolveInd(id); w != nil {
 			w.Lock()
 			switch w.Kind {
 			case graph.KindInt, graph.KindBool, graph.KindNil:
-				opSlots[i] = slot{id: id, known: true, kind: w.Kind, val: w.Val}
+				s = slot{id: id, known: true, kind: w.Kind, val: w.Val}
 			}
 			w.Unlock()
 		}
+		x.opSlots = append(x.opSlots, s)
 	}
 
 	var root wire
@@ -98,7 +130,7 @@ func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID)
 				e.fail(v, "compiled body bad operand %d in %s", in.A, sup.Name)
 				return false, false
 			}
-			x.push(opSlots[in.A])
+			x.push(x.opSlots[in.A])
 		case gm.OpPushLocal:
 			n := x.local(in.A)
 			if n == nil {
@@ -161,7 +193,7 @@ func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID)
 			if t.known && t.id == graph.NilVertex {
 				x.wires = append(x.wires, wire{w: h, kind: t.kind, val: t.val})
 			} else {
-				x.wires = append(x.wires, wire{w: h, kind: graph.KindInd, args: []graph.VertexID{t.id}})
+				x.wires = append(x.wires, wire{w: h, kind: graph.KindInd, args: x.idArgs(t.id)})
 			}
 		case gm.OpUpdate:
 			t := x.pop()
@@ -201,7 +233,8 @@ func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID)
 	}
 
 	x.wires = append(x.wires, root)
-	e.mut.Rewrite(v, x.fresh, e.vs(ops...), func() {
+	var vbuf [spineInline]*graph.Vertex
+	e.mut.Rewrite(v, x.fresh, e.vs(vbuf[:0], ops), func() {
 		for _, w := range x.wires {
 			w.w.Kind = w.kind
 			w.w.Val = w.val
@@ -226,7 +259,7 @@ func (x *superExec) rootFor(t slot) wire {
 	if t.known {
 		return wire{w: x.v, kind: t.kind, val: t.val}
 	}
-	return wire{w: x.v, kind: graph.KindInd, args: []graph.VertexID{t.id}}
+	return wire{w: x.v, kind: graph.KindInd, args: x.idArgs(t.id)}
 }
 
 // primApp pops an OpMkPrimApp/OpUpdatePrimApp's operands: if every
@@ -412,16 +445,22 @@ func (x *superExec) materializeN(n int) []graph.VertexID {
 		x.bad = true
 		return nil
 	}
-	ids := make([]graph.VertexID, n)
+	at := len(x.ids)
 	for i := 0; i < n; i++ {
 		s := &x.stack[len(x.stack)-n+i]
 		if !x.materialize(s) {
 			return nil
 		}
-		ids[i] = s.id
+		x.ids = append(x.ids, s.id)
 	}
 	x.stack = x.stack[:len(x.stack)-n]
-	return ids
+	return x.ids[at:]
+}
+
+// idArgs returns a one-element args list cut from the ids arena.
+func (x *superExec) idArgs(id graph.VertexID) []graph.VertexID {
+	x.ids = append(x.ids, id)
+	return x.ids[len(x.ids)-1:]
 }
 
 func (x *superExec) local(i int64) *graph.Vertex {
