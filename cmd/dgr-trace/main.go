@@ -36,7 +36,6 @@ import (
 	"dgr/internal/analysis"
 	"dgr/internal/graph"
 	"dgr/internal/obs"
-	"dgr/internal/trace"
 	"dgr/internal/workload"
 )
 
@@ -87,7 +86,9 @@ func run() error {
 			Fabric: *fab, BatchSize: *batch, DropRate: *drop, LinkLatency: *latency,
 		}
 		if *jsonl {
-			opts.TraceCapacity = 1 << 18
+			// A log of its own, large enough (1<<18 events, an eighth of the
+			// span capacity) to hold a lossy run's whole message lifecycle.
+			opts.TraceSink = obs.NewTraceSink(1<<21, 0)
 			return dumpJSONL(*expr, opts)
 		}
 		return dumpProgram(*expr, *phase, opts)
@@ -116,7 +117,7 @@ func dumpScenario(name string) error {
 	}
 	fmt.Fprintf(os.Stderr, "scenario %s: |R|=%d |T|=%d |GAR|=%d |DL|=%d\n",
 		name, len(res.R), len(res.T), len(res.Gar), len(res.DLv))
-	return trace.WriteDOT(os.Stdout, sc.Store.Snapshot(), sc.Root, trace.DOTOptions{Highlight: hl})
+	return sc.Store.Snapshot().WriteDOT(os.Stdout, sc.Root, hl)
 }
 
 func dumpProgram(src, phase string, opts dgr.Options) error {
@@ -127,7 +128,7 @@ func dumpProgram(src, phase string, opts dgr.Options) error {
 		return err
 	}
 	if phase == "before" {
-		return trace.WriteDOT(os.Stdout, m.Snapshot(), root, trace.DOTOptions{})
+		return m.Snapshot().WriteDOT(os.Stdout, root, nil)
 	}
 	v, evalErr := m.EvalNode(root)
 	if evalErr != nil {
@@ -139,7 +140,7 @@ func dumpProgram(src, phase string, opts dgr.Options) error {
 	for _, id := range m.Deadlocked() {
 		hl[id] = "salmon"
 	}
-	return trace.WriteDOT(os.Stdout, m.Snapshot(), root, trace.DOTOptions{Highlight: hl})
+	return m.Snapshot().WriteDOT(os.Stdout, root, hl)
 }
 
 func dumpJSONL(src string, opts dgr.Options) error {

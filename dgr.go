@@ -38,7 +38,6 @@ import (
 	"dgr/internal/reduce"
 	"dgr/internal/sched"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // Re-exported result and identifier types.
@@ -109,10 +108,6 @@ type Options struct {
 	MaxSteps int
 	// Timeout bounds one parallel Eval (default 30s).
 	Timeout time.Duration
-	// Pace is the least time the parallel collector idles between cycles
-	// (default 100µs); after a cycle longer than that it idles as long as
-	// the cycle took.
-	Pace time.Duration
 	// Adversarial, in deterministic mode, pops uniformly random tasks
 	// instead of respecting priority bands (interleaving stress).
 	Adversarial bool
@@ -120,14 +115,13 @@ type Options struct {
 	// default in parallel mode (an idle PE takes a batch from the tail of
 	// the most-loaded peer's pool) and never applies to deterministic mode.
 	DisableSteal bool
-	// StealBatch caps how many tasks one steal moves (default 32).
-	StealBatch int
 
 	// Fabric routes every cross-partition spawn through a simulated
 	// inter-PE network with batching, latency, loss, and at-least-once
 	// redelivery instead of pushing directly into the destination pool.
 	// The remaining fields tune it (zero values get fabric defaults:
-	// BatchSize 16, FlushEvery 100µs, RetryEvery derived).
+	// BatchSize 16, FlushEvery 100µs; the retransmission timeout is derived
+	// from FlushEvery, LinkLatency and Jitter).
 	Fabric bool
 	// BatchSize flushes a link's outbox at this many buffered tasks.
 	BatchSize int
@@ -141,28 +135,16 @@ type Options struct {
 	LinkLatency time.Duration
 	Jitter      time.Duration
 	ReorderRate float64
-	// RetryEvery is the retransmission timeout for unacked batches.
-	RetryEvery time.Duration
 
-	// TraceCapacity, when positive, retains the last N machine events
-	// (fabric message lifecycle among them) for WriteTraceJSONL.
-	TraceCapacity int
-
-	// Obs enables the unified observability layer (internal/obs): span
-	// tracing of collector phases, per-PE execution batches, and fabric
-	// flights; per-PE time-series with quantile summaries; a flight recorder
-	// of recent scheduler/collector/fabric events; and the Prometheus/JSON
-	// exposition methods (WriteSpansJSONL, WriteFlightJSONL,
-	// WritePrometheus, WriteSnapshotJSON). When off, instrumented hot paths
-	// pay a single pointer test and schedules are bit-identical to an
-	// uninstrumented build.
+	// Obs enables the observability layer (internal/obs): one event log
+	// holding collector phases, per-PE execution batches, fabric flights and
+	// the collector / fabric / checker events; per-PE execution rings and
+	// time-series with quantile summaries; and the exposition methods that
+	// read them (WriteSpansJSONL, WriteFlightJSONL, WriteTraceJSONL,
+	// WritePrometheus, WriteSnapshotJSON). With Obs, TraceRate and TraceSink
+	// all unset, instrumented hot paths pay a single pointer test and
+	// schedules are bit-identical to an uninstrumented build.
 	Obs bool
-	// ObsSpanCapacity bounds the span ring (default 4096).
-	ObsSpanCapacity int
-	// ObsFlightCapacity bounds each flight-recorder shard (default 1024).
-	ObsFlightCapacity int
-	// ObsSeriesCapacity bounds each time-series ring (default 512).
-	ObsSeriesCapacity int
 	// ObsSampleEvery is the parallel-mode sampling period (default 5ms);
 	// deterministic machines sample at collector cycle ends instead.
 	ObsSampleEvery time.Duration
@@ -175,21 +157,18 @@ type Options struct {
 	// TraceRate enables causal task-lineage tracing: each Eval is
 	// head-sampled at this rate (1.0 = every request), and a sampled
 	// request's full causal history — spawn DAG, steals, fabric hops,
-	// collector-phase overlap — is recorded as wall-clock spans for
-	// assembly and critical-path analysis (WriteTracesJSON,
-	// `dgr-trace analyze`). 0 with a nil TraceSink disables tracing; the
-	// instrumented hot paths then pay a single pointer test and schedules
-	// stay bit-identical. Independent of Obs.
+	// collector-phase overlap — is recorded in the event log for assembly
+	// and critical-path analysis (WriteTracesJSON, `dgr-trace analyze`).
+	// 0 with a nil TraceSink disables tracing. Independent of Obs: tracing
+	// alone skips the per-task execution accounting.
 	TraceRate float64
-	// TraceSink, when non-nil, shares an externally owned lineage sink
-	// instead of building a private one — the serving layer pools machines
-	// behind one sink so a request's spans land in one ring regardless of
-	// which machine served it. Implies tracing; sampling decisions are
-	// then the sink owner's (originate contexts via EvalNodeTraced).
+	// TraceSink, when non-nil, is the event log the machine writes to,
+	// shared with its owner instead of a private one — the serving layer
+	// pools machines behind one log so a request's spans land together
+	// whichever machine served it, and a caller wanting a larger ring than
+	// the default passes its own. Implies tracing; sampling decisions are
+	// then the owner's (originate contexts via EvalNodeTraced).
 	TraceSink *obs.TraceSink
-	// TraceSpanCapacity bounds the private trace sink's span ring
-	// (default 1<<16); ignored when TraceSink is supplied.
-	TraceSpanCapacity int
 
 	// Check enables the always-on invariant checker: marking invariants
 	// (Figure 4-2), inflight conservation, band consistency, and mt-cnt
@@ -210,6 +189,11 @@ type Options struct {
 	// selection hashes (parent, child, epoch), so a replayed schedule
 	// reproduces the recorded run's faults exactly.
 	FaultSkipMark int64
+
+	// pace is the least time the parallel collector idles between cycles
+	// (default 100µs); after a cycle longer than that it idles as long as
+	// the cycle took. Only this package's stress test varies it.
+	pace time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -236,8 +220,8 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
-	if o.Pace <= 0 {
-		o.Pace = 100 * time.Microsecond
+	if o.pace <= 0 {
+		o.pace = 100 * time.Microsecond
 	}
 	if o.Check && o.CheckEvery <= 0 {
 		o.CheckEvery = 256
@@ -260,11 +244,9 @@ type Machine struct {
 	collector *core.Collector
 	counters  *metrics.Counters
 	fab       *fabric.Fabric
-	tracer    *trace.Tracer
 	checker   *check.Checker
 	recorder  *check.Recorder
 	obs       *obs.Obs
-	lineage   *obs.TraceSink
 	// flightOnce gates the flight-recorder auto-dump: the first failure
 	// (deadlock or invariant violation) writes the artifact; later ones
 	// would only overwrite the fresh evidence. flightPath publishes the
@@ -290,26 +272,24 @@ func New(opts Options) *Machine {
 	if opts.Parallel {
 		mode = sched.Parallel
 	}
-	var tracer *trace.Tracer
-	if opts.TraceCapacity > 0 {
-		tracer = trace.NewTracer(opts.TraceCapacity)
-	}
-	// The observability layer's sources close over the machine and collector
+	// The observability handle is threaded through every layer that records:
+	// scheduler spawns/execs/steals, fabric lifecycle and hops, collector
+	// phases, the checker. Its sources close over the machine and collector
 	// assigned below (the same late-binding pattern the checker uses): no
 	// source is read until a collector cycle runs or the sampler starts,
 	// both strictly after New finishes wiring.
 	var mach *sched.Machine
 	var collector *core.Collector
 	var ob *obs.Obs
-	if opts.Obs {
+	if opts.Obs || opts.TraceSink != nil || opts.TraceRate > 0 {
 		ob = obs.New(obs.Options{
-			PEs:            opts.PEs,
-			Parallel:       opts.Parallel,
-			SpanCapacity:   opts.ObsSpanCapacity,
-			FlightCapacity: opts.ObsFlightCapacity,
-			SeriesCapacity: opts.ObsSeriesCapacity,
-			SampleEvery:    opts.ObsSampleEvery,
-			KindNames:      task.KindNameTable(),
+			PEs:         opts.PEs,
+			Parallel:    opts.Parallel,
+			Log:         opts.TraceSink,
+			TraceRate:   opts.TraceRate,
+			Exec:        opts.Obs,
+			SampleEvery: opts.ObsSampleEvery,
+			KindNames:   task.KindNameTable(),
 			Sources: obs.Sources{
 				// BandLens returns [task.NumBands]int; compiling it as an
 				// [obs.Bands]int asserts the two constants agree.
@@ -324,14 +304,6 @@ func New(opts Options) *Machine {
 			},
 		})
 	}
-	// The lineage sink is shared (serving layer) or private; either way it
-	// is threaded through every causal edge: scheduler spawns/execs/steals,
-	// fabric hops, collector phases, and the reduction engine's
-	// vertex-carried propagation.
-	lineage := opts.TraceSink
-	if lineage == nil && opts.TraceRate > 0 {
-		lineage = obs.NewTraceSink(opts.TraceSpanCapacity, opts.TraceRate)
-	}
 	var fab *fabric.Fabric
 	if opts.Fabric {
 		fab = fabric.New(fabric.Config{
@@ -344,11 +316,8 @@ func New(opts Options) *Machine {
 			Jitter:      opts.Jitter,
 			DropRate:    opts.DropRate,
 			ReorderRate: opts.ReorderRate,
-			RetryEvery:  opts.RetryEvery,
 			Counters:    counters,
-			Tracer:      tracer,
 			Obs:         ob,
-			Trace:       lineage,
 		})
 	}
 	// The checker and recorder hook into the scheduler, but both need the
@@ -363,12 +332,10 @@ func New(opts Options) *Machine {
 		Seed:        opts.Seed,
 		Adversarial: opts.Adversarial,
 		Steal:       opts.Parallel && !opts.DisableSteal,
-		StealBatch:  opts.StealBatch,
 		PartOf:      store.PartitionOf,
 		Counters:    counters,
 		Fabric:      fab,
 		Obs:         ob,
-		Trace:       lineage,
 	}
 	if opts.RecordSchedule {
 		recorder = check.NewRecorder()
@@ -387,7 +354,7 @@ func New(opts Options) *Machine {
 	if opts.Check {
 		checker = &check.Checker{
 			Store: store, Marker: marker, Mach: mach,
-			Counters: counters, Tracer: tracer,
+			Counters: counters, Obs: ob,
 			Every: uint64(opts.CheckEvery), Parallel: opts.Parallel,
 		}
 	}
@@ -400,14 +367,13 @@ func New(opts Options) *Machine {
 		SpeculativeIf: opts.SpeculativeIf,
 		Prog:          prog,
 		Counters:      counters,
-		Tracing:       lineage != nil,
+		Tracing:       ob.Lineage() != nil,
 	})
 	mach.SetHandler(core.NewDispatcher(marker, engine))
 	collCfg := core.CollectorConfig{
 		MTEvery: opts.MTEvery,
-		Pace:    opts.Pace,
+		Pace:    opts.pace,
 		Obs:     ob,
-		Trace:   lineage,
 		OnDeadlock: func(ids []graph.VertexID) {
 			// Footnote 5: resolve pending is-bottom probes that are
 			// themselves deadlocked, and un-record them (they now have a
@@ -434,14 +400,14 @@ func New(opts Options) *Machine {
 		opts: opts, store: store, mach: mach, marker: marker,
 		mut: mut, engine: engine, prog: prog, collector: collector,
 		counters: counters,
-		fab:      fab, tracer: tracer, checker: checker, recorder: recorder,
-		obs: ob, lineage: lineage,
+		fab:      fab, checker: checker, recorder: recorder,
+		obs: ob,
 	}
-	if checker != nil && (ob != nil || lineage != nil) {
+	if checker != nil && ob != nil {
 		checker.OnViolation = func() {
-			// A violation flips the sink to always-sample so every request
+			// A violation flips the log to always-sample so every request
 			// after the failure carries a full trace.
-			m.lineage.Force()
+			ob.Lineage().Force()
 			m.dumpFlight("violation")
 		}
 	}
@@ -550,21 +516,26 @@ func (m *Machine) Compile(src string) (NodeID, error) {
 	return v.ID, nil
 }
 
-// Eval compiles and evaluates a program to WHNF. In parallel mode the
-// compile and re-rooting are fenced against the concurrent collection loop:
-// a cycle that started from a previous program's root mid-compile would
-// otherwise sweep the fresh, not-yet-rooted graph on the next cycle.
-func (m *Machine) Eval(src string) (Value, error) {
+// compileRooted compiles a program and makes its graph the collector's
+// root. In parallel mode the pair is fenced against the concurrent
+// collection loop: a cycle that started from a previous program's root
+// mid-compile would otherwise sweep the fresh, not-yet-rooted graph on the
+// next cycle.
+func (m *Machine) compileRooted(src string) (NodeID, error) {
 	if m.opts.Parallel {
 		m.collector.Pause()
+		defer m.collector.Resume()
 	}
 	root, err := m.Compile(src)
 	if err == nil {
 		m.collector.SetRoot(root)
 	}
-	if m.opts.Parallel {
-		m.collector.Resume()
-	}
+	return root, err
+}
+
+// Eval compiles and evaluates a program to WHNF.
+func (m *Machine) Eval(src string) (Value, error) {
+	root, err := m.compileRooted(src)
 	if err != nil {
 		return Value{}, err
 	}
@@ -577,8 +548,8 @@ func (m *Machine) Eval(src string) (Value, error) {
 // trace.
 func (m *Machine) EvalNode(root NodeID) (Value, error) {
 	var tr uint64
-	if m.lineage.Sample() {
-		tr = m.lineage.NewTrace()
+	if s := m.obs.Lineage(); s.Sample() {
+		tr = s.NewTrace()
 	}
 	return m.EvalNodeTraced(root, tr, 0)
 }
@@ -593,14 +564,15 @@ func (m *Machine) EvalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 		return Value{}, ErrClosed
 	}
 	m.collector.SetRoot(root)
-	if m.lineage == nil {
+	s := m.obs.Lineage()
+	if s == nil {
 		tr = 0
 	}
 	var span uint32
 	var start int64
 	if tr != 0 {
-		span = m.lineage.NewSpan()
-		start = time.Now().UnixNano()
+		span = s.NewSpan()
+		start = obs.Now()
 	}
 	ch := m.engine.DemandTraced(root, tr, span)
 	var v Value
@@ -611,13 +583,13 @@ func (m *Machine) EvalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 		v, err = m.pumpDeterministic(root, ch)
 	}
 	if span != 0 {
-		m.lineage.Record(obs.TraceSpan{Trace: tr, Span: span, Parent: parent,
+		s.Record(obs.TraceSpan{Trace: tr, Span: span, Parent: parent,
 			Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval,
-			Start: start, End: time.Now().UnixNano()})
+			Start: start, End: obs.Now()})
 	}
 	if err != nil && (errors.Is(err, ErrStuck) || errors.Is(err, ErrDeadlock)) {
-		// Failures flip the sink sticky so everything after is traced.
-		m.lineage.Force()
+		// Failures flip the log sticky so everything after is traced.
+		s.Force()
 	}
 	return v, err
 }
@@ -639,7 +611,7 @@ func (m *Machine) pumpDeterministic(root NodeID, ch <-chan Value) (Value, error)
 			return v, nil
 		default:
 		}
-		rep := m.collector.RunCycle()
+		m.collector.RunCycle()
 		// The cycle's marking pump interleaves reduction, so the value may
 		// have been delivered mid-cycle; it is authoritative over any stale
 		// deadlock record (a deadlocked subterm does not block a completed
@@ -677,7 +649,6 @@ func (m *Machine) pumpDeterministic(root NodeID, ch <-chan Value) (Value, error)
 		} else {
 			quietCycles = 0
 		}
-		_ = rep
 	}
 	return Value{}, ErrBudget
 }
@@ -762,16 +733,7 @@ func (m *Machine) waitParallel(ch <-chan Value) (Value, error) {
 // originated trace context (see EvalNodeTraced); the serving layer calls
 // it with each sampled request's trace and request span.
 func (m *Machine) EvalTraced(src string, tr uint64, parent uint32) (Value, error) {
-	if m.opts.Parallel {
-		m.collector.Pause()
-	}
-	root, err := m.Compile(src)
-	if err == nil {
-		m.collector.SetRoot(root)
-	}
-	if m.opts.Parallel {
-		m.collector.Resume()
-	}
+	root, err := m.compileRooted(src)
 	if err != nil {
 		return Value{}, err
 	}
@@ -786,12 +748,17 @@ func (m *Machine) EvalList(src string) ([]Value, error) {
 
 // EvalListTraced is EvalList under an externally originated trace context:
 // the spine and every element evaluation record sibling "eval" spans under
-// the same parent.
+// the same parent. Each of those evaluations re-roots the collector at the
+// cell or element it forces, so the list's own root stays pinned for the
+// whole walk: a cycle during one element's evaluation must not sweep the
+// cells and elements the walk has yet to reach.
 func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value, error) {
-	root, err := m.Compile(src)
+	root, err := m.compileRooted(src)
 	if err != nil {
 		return nil, err
 	}
+	m.collector.Pin(root)
+	defer m.collector.Pin(graph.NilVertex)
 	var out []Value
 	cur := root
 	for {
@@ -859,30 +826,38 @@ func (m *Machine) FabricStats() []fabric.LinkStat {
 	return m.fab.LinkStats()
 }
 
-// WriteTraceJSONL writes the retained machine events (message lifecycle
-// included) as JSON Lines. It errors unless Options.TraceCapacity was set.
+// WriteTraceJSONL writes the machine's retained point events — collector
+// cycle and verdict events, the fabric message lifecycle, checker violations
+// — as JSON Lines in the flight recorder's row format, without the per-task
+// executions. It errors unless the machine has an event log (Options.Obs,
+// TraceRate or TraceSink).
 func (m *Machine) WriteTraceJSONL(w io.Writer) error {
-	if m.tracer == nil {
-		return errors.New("dgr: tracing disabled (set Options.TraceCapacity)")
+	if m.obs == nil {
+		return errObsDisabled
 	}
-	return m.tracer.WriteJSONL(w)
+	return m.obs.WriteEventsJSONL(w)
 }
 
-// TraceSink returns the machine's lineage sink (shared or private), or nil
-// when lineage tracing is off.
-func (m *Machine) TraceSink() *obs.TraceSink { return m.lineage }
+// TraceSink returns the event log lineage traces are recorded into (shared
+// or private), or nil when lineage tracing is off.
+func (m *Machine) TraceSink() *obs.TraceSink { return m.obs.Lineage() }
 
 // WriteTracesJSON writes the retained lineage traces — each assembled back
 // into its spawn DAG with critical-path analysis and per-category blame —
 // as an obs.TraceDoc. It errors unless lineage tracing is enabled (set
 // Options.TraceRate or Options.TraceSink).
 func (m *Machine) WriteTracesJSON(w io.Writer) error {
-	if m.lineage == nil {
+	s := m.obs.Lineage()
+	if s == nil {
 		return errors.New("dgr: lineage tracing disabled (set Options.TraceRate or Options.TraceSink)")
 	}
-	return obs.WriteTracesJSON(w, m.lineage)
+	return obs.WriteTracesJSON(w, s)
 }
 
+// errObsDisabled is what the exposition methods below return on a machine
+// with no observability handle. Options.Obs gives it one; so does tracing
+// (TraceRate, TraceSink), whose machines answer too, with no exec rings or
+// time-series behind the answer.
 var errObsDisabled = errors.New("dgr: observability disabled (set Options.Obs)")
 
 // WriteSpansJSONL writes the retained observation spans (collector phases,
@@ -908,11 +883,6 @@ func (m *Machine) WriteFlightJSONL(w io.Writer) error {
 // ObsSeries returns a snapshot of the sampled per-PE and machine-wide
 // time-series with quantile summaries, or nil unless Options.Obs is on.
 func (m *Machine) ObsSeries() *obs.SeriesSnap { return m.obs.Series() }
-
-// ObsSampleNow takes one time-series sample immediately (deterministic
-// machines otherwise sample only at collector cycle ends). No-op when
-// Options.Obs is off.
-func (m *Machine) ObsSampleNow() { m.obs.SampleNow() }
 
 // promData assembles the live gauge set for the Prometheus exposition.
 func (m *Machine) promData() obs.PromData {
@@ -1017,9 +987,7 @@ func (m *Machine) WriteGraphDOT(w io.Writer) error {
 	for _, id := range m.collector.Deadlocked() {
 		hl[id] = "red"
 	}
-	return trace.WriteDOT(w, m.store.Snapshot(), m.collector.Root(), trace.DOTOptions{
-		Highlight: hl,
-	})
+	return m.store.Snapshot().WriteDOT(w, m.collector.Root(), hl)
 }
 
 // Root returns the collector's current computation root (the last node

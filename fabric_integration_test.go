@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dgr/internal/obs"
 	"dgr/internal/workload"
 )
 
@@ -175,12 +176,12 @@ func TestFabricLinkStats(t *testing.T) {
 	}
 }
 
-// TestFabricTraceJSONL evaluates under a lossy fabric with tracing on and
-// checks the JSONL export is well-formed and includes the fabric message
-// lifecycle.
+// TestFabricTraceJSONL evaluates under a lossy fabric with an event log
+// attached and checks the event reader's JSONL is well-formed and includes
+// the fabric message lifecycle.
 func TestFabricTraceJSONL(t *testing.T) {
 	opts := lossyFabricOpts(9)
-	opts.TraceCapacity = 1 << 16
+	opts.TraceSink = obs.NewTraceSink(1<<19, 0) // room for 1<<16 events
 	m := New(opts)
 	defer m.Close()
 	if _, err := m.Eval(workload.Programs["tak"].Src); err != nil {
@@ -195,11 +196,14 @@ func TestFabricTraceJSONL(t *testing.T) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var e struct {
-			Seq  uint64 `json:"seq"`
+			TS   int64  `json:"ts"`
 			Kind string `json:"kind"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+		}
+		if e.TS <= 0 {
+			t.Fatalf("event without a clock stamp: %q", sc.Text())
 		}
 		kinds[e.Kind]++
 	}
@@ -215,6 +219,6 @@ func TestFabricTraceJSONL(t *testing.T) {
 	m2 := New(Options{PEs: 2})
 	defer m2.Close()
 	if err := m2.WriteTraceJSONL(&buf); err == nil {
-		t.Fatal("WriteTraceJSONL should error without TraceCapacity")
+		t.Fatal("WriteTraceJSONL should error with no log attached")
 	}
 }

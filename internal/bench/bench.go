@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"time"
 
@@ -551,16 +552,19 @@ func overheadCase(c overheadConfig, src string, want int64) caseFn {
 }
 
 // OverheadPair is one A/B verdict from ObsOverhead: the instrumented
-// configuration against its uninstrumented partner, best (minimum) ratio
-// over the repetitions. Minimum-of-reps is the right statistic here: noise
-// on a shared box only ever inflates a ratio, so the smallest observed one
-// is the closest to the true overhead.
+// configuration against its uninstrumented partner, each side's best
+// (minimum) ns/op over the repetitions. Noise on a shared box only ever
+// inflates a time, so each side's minimum is its closest reading of the true
+// cost — which is not so of a minimum over per-repetition ratios, where
+// noise in the base run deflates the result.
 type OverheadPair struct {
 	Name    string  `json:"name"`    // instrumented cell, e.g. ".../trace=armed"
-	BaseNs  int64   `json:"base_ns"` // partner obs=off ns/op (from the best rep)
-	WithNs  int64   `json:"with_ns"` // instrumented ns/op (same rep)
-	Ratio   float64 `json:"ratio"`   // min over reps of with/base
-	Samples int     `json:"samples"` // repetitions measured
+	BaseNs  int64   `json:"base_ns"` // partner obs=off ns/op, best rep
+	WithNs  int64   `json:"with_ns"` // instrumented ns/op, best rep
+	BaseMax int64   `json:"base_max_ns"`
+	WithMax int64   `json:"with_max_ns"` // worst reps: each side's spread
+	Ratio   float64 `json:"ratio"`       // WithNs / BaseNs
+	Samples int     `json:"samples"`     // repetitions measured
 	// Gated configurations must stay under the overhead budget; ungated
 	// ones (rate-1.0 tracing, a debugging mode that records a span per
 	// task execution) are reported for the record only.
@@ -570,10 +574,10 @@ type OverheadPair struct {
 // ObsOverhead measures the instrumentation overhead against the
 // uninstrumented machine, interleaved A/B within one process (the same
 // discipline as the -json suite's obs-overhead rows, which is what keeps
-// the comparison meaningful on a noisy host). The gated cells are obs=on
-// and trace=armed — the configurations a production machine actually runs
-// — plus an ungated rate-1.0 row documenting full-tracing cost. reps
-// repetitions per pair, minimum ratio wins. cmd/dgr-bench -obscheck gates
+// the comparison meaningful on a noisy host), the side that runs first
+// alternating per repetition. The gated cells are obs=on and trace=armed —
+// the configurations a production machine actually runs — plus an ungated
+// rate-1.0 row documenting full-tracing cost. cmd/dgr-bench -obscheck gates
 // CI on the result.
 func ObsOverhead(reps int) ([]OverheadPair, error) {
 	if reps < 1 {
@@ -595,23 +599,23 @@ func ObsOverhead(reps int) ([]OverheadPair, error) {
 			{overheadConfig{"obs-overhead/fib/" + mode.tag + "/trace=armed", mode.parallel, true, armedRate}, true},
 			{overheadConfig{"obs-overhead/fib/" + mode.tag + "/trace=on", mode.parallel, true, 1}, false},
 		} {
-			pair := OverheadPair{Name: cell.cfg.name, Samples: reps, Gated: cell.gated}
+			pair := OverheadPair{Name: cell.cfg.name, Samples: reps, Gated: cell.gated,
+				BaseNs: math.MaxInt64, WithNs: math.MaxInt64}
+			sides := [2]overheadConfig{base, cell.cfg}
 			for rep := 0; rep < reps; rep++ {
-				off, err := run(bt, overheadCase(base, p.Src, p.Want))
-				if err != nil {
-					return pairs, err
+				var ns [2]int64
+				for k := range sides {
+					side := (k + rep) % 2
+					m, err := run(bt, overheadCase(sides[side], p.Src, p.Want))
+					if err != nil {
+						return pairs, err
+					}
+					ns[side] = m.elapsed.Nanoseconds() / int64(m.n)
 				}
-				on, err := run(bt, overheadCase(cell.cfg, p.Src, p.Want))
-				if err != nil {
-					return pairs, err
-				}
-				offNs := off.elapsed.Nanoseconds() / int64(off.n)
-				onNs := on.elapsed.Nanoseconds() / int64(on.n)
-				ratio := float64(onNs) / float64(offNs)
-				if rep == 0 || ratio < pair.Ratio {
-					pair.Ratio, pair.BaseNs, pair.WithNs = ratio, offNs, onNs
-				}
+				pair.BaseNs, pair.BaseMax = min(pair.BaseNs, ns[0]), max(pair.BaseMax, ns[0])
+				pair.WithNs, pair.WithMax = min(pair.WithNs, ns[1]), max(pair.WithMax, ns[1])
 			}
+			pair.Ratio = float64(pair.WithNs) / float64(pair.BaseNs)
 			pairs = append(pairs, pair)
 		}
 	}

@@ -30,9 +30,9 @@ import (
 	"dgr/internal/core"
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
+	"dgr/internal/obs"
 	"dgr/internal/sched"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // maxViolations caps the retained violation list; once full the checker
@@ -48,7 +48,7 @@ type Checker struct {
 	Marker   *core.Marker
 	Mach     *sched.Machine
 	Counters *metrics.Counters // optional: check counters land here
-	Tracer   *trace.Tracer     // optional: check.violation events land here
+	Obs      *obs.Obs          // optional: check.violation events land here
 	// Coll, when set, enables the confirmed-verdict invariant: a vertex the
 	// collector has CONFIRMED deadlocked (two-phase verdict) can never reduce
 	// again, so it must not be freed, must not hold a value, and must not be
@@ -372,9 +372,9 @@ func (c *Checker) report(point string, errs []string) {
 		c.violations = append(c.violations, point+": "+e)
 	}
 	c.mu.Unlock()
-	if c.Tracer != nil {
+	if c.Obs != nil {
 		for _, e := range errs {
-			c.Tracer.Record("check.violation", 0, 0, point+": "+e)
+			c.Obs.Event(obs.TIDEval, "check.violation", 0, 0, point+": "+e)
 		}
 	}
 	if c.OnViolation != nil {

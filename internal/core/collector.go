@@ -49,14 +49,12 @@ type CollectorConfig struct {
 	// completion, and later phases of the same cycle legally rewire edges
 	// (most visibly for M_T, which runs before the whole M_R phase).
 	AfterPhase func(ctx graph.Ctx)
-	// Obs, when non-nil, receives per-phase spans (M_T, M_R, restructure,
-	// sweep), cycle events for the flight recorder, and an end-of-cycle
+	// Obs, when non-nil, receives one record per phase (M_T, M_R,
+	// restructure — the intervals trace analysis blames overlapping
+	// execution to), the sweep and cycle intervals around them, cycle and
+	// verdict events for the flight recorder, and an end-of-cycle
 	// time-series sample. All calls are nil-safe no-ops when unset.
 	Obs *obs.Obs
-	// Trace, when non-nil, receives each collector phase as a wall-clock
-	// global interval so trace analysis can attribute the part of a traced
-	// task's execution that overlapped collector work (gc-overlap blame).
-	Trace *obs.TraceSink
 }
 
 // CycleRecorder observes cycle-level scheduling decisions. The M_T root set
@@ -113,8 +111,12 @@ type Collector struct {
 	// (Pause/Resume); RunCycle holds it for the cycle's duration.
 	pauseMu sync.Mutex
 
-	mu         sync.Mutex
-	cycleN     int64
+	mu     sync.Mutex
+	cycleN int64
+	// pin is a second M_R root (NilVertex: none), marked at reserve priority:
+	// what it reaches is retained whatever SetRoot does, without becoming
+	// vital work or a deadlock candidate on its account.
+	pin        graph.VertexID
 	lastTEpoch uint64 // T epoch of the most recent M_T run
 	// nextSweep is the partition the next incremental sweep will cover.
 	// Parallel-mode cycles without M_T sweep one partition per cycle in
@@ -155,6 +157,16 @@ func NewCollector(store *graph.Store, marker *Marker, mach *sched.Machine, count
 func (c *Collector) SetRoot(root graph.VertexID) {
 	c.mu.Lock()
 	c.cfg.Root = root
+	c.mu.Unlock()
+}
+
+// Pin makes id a second root of every following M_R cycle, until the next
+// Pin (NilVertex unpins). A harness that walks a structure by re-rooting at
+// its parts pins the whole, or a cycle during one part's evaluation sweeps
+// the parts not yet visited.
+func (c *Collector) Pin(id graph.VertexID) {
+	c.mu.Lock()
+	c.pin = id
 	c.mu.Unlock()
 }
 
@@ -297,24 +309,6 @@ func (c *Collector) mtDue(n int64) bool {
 	return c.cfg.MTEvery > 0 && n%int64(c.cfg.MTEvery) == 0
 }
 
-// traceWallStart captures the wall clock at a phase start when lineage
-// tracing is on (0 otherwise); pairs with tracePhase.
-func (c *Collector) traceWallStart() int64 {
-	if c.cfg.Trace == nil {
-		return 0
-	}
-	return time.Now().UnixNano()
-}
-
-// tracePhase records a finished collector phase as a global lineage
-// interval, so trace analysis can blame the slice of a traced execution
-// that overlapped collector work.
-func (c *Collector) tracePhase(name string, wallStart int64) {
-	if wallStart != 0 {
-		c.cfg.Trace.Global(name, obs.TIDCollector, wallStart, time.Now().UnixNano())
-	}
-}
-
 // RunCycle performs one full cycle. In deterministic mode it pumps the
 // scheduler itself (interleaving marking with whatever reduction tasks are
 // queued — this is the concurrent-marking execution); in parallel mode it
@@ -326,7 +320,7 @@ func (c *Collector) RunCycle() CycleReport {
 	c.mu.Lock()
 	c.cycleN++
 	n := c.cycleN
-	root := c.cfg.Root
+	root, pin := c.cfg.Root, c.pin
 	c.mu.Unlock()
 
 	rep := CycleReport{Cycle: n, Completed: true}
@@ -335,6 +329,9 @@ func (c *Collector) RunCycle() CycleReport {
 	o.Event(obs.TIDCollector, "cycle.start", uint64(root), 0, "")
 
 	rRoots := []Root{{ID: root, Prior: graph.PriorVital}}
+	if pin != graph.NilVertex && pin != root {
+		rRoots = append(rRoots, Root{ID: pin, Prior: graph.PriorReserve})
+	}
 	if c.mtDue(n) && c.mach.Mode() == sched.Parallel {
 		// Parallel mode overlaps the two marking phases: the contexts keep
 		// disjoint per-vertex marking state (RCtx vs TCtx), so M_T and M_R
@@ -343,7 +340,6 @@ func (c *Collector) RunCycle() CycleReport {
 		// order below is kept for deterministic mode, whose recorded
 		// schedules and golden digests assume it.
 		phaseStart := o.Now()
-		wallStart := c.traceWallStart()
 		// Activate the cycle before snapshotting the pools, so reduction
 		// activity concurrent with the snapshot is covered by the
 		// cooperative hooks rather than silently missed (see
@@ -363,8 +359,7 @@ func (c *Collector) RunCycle() CycleReport {
 		c.lastTEpoch = c.marker.Epoch(graph.CtxT)
 		c.mu.Unlock()
 		rep.MTRan = true
-		o.Span("M_T", "collector", obs.TIDCollector, phaseStart, int64(len(tRoots)))
-		c.tracePhase("M_T", wallStart)
+		o.Span("M_T", obs.CatGC, obs.TIDCollector, phaseStart, int64(len(tRoots)))
 		if c.counters != nil {
 			c.counters.MTRuns.Add(1)
 		}
@@ -372,15 +367,13 @@ func (c *Collector) RunCycle() CycleReport {
 			c.cfg.AfterPhase(graph.CtxT)
 		}
 		<-doneR
-		o.Span("M_R", "collector", obs.TIDCollector, phaseStart, 1)
-		c.tracePhase("M_R", wallStart)
+		o.Span("M_R", obs.CatGC, obs.TIDCollector, phaseStart, 1)
 		if c.cfg.AfterPhase != nil {
 			c.cfg.AfterPhase(graph.CtxR)
 		}
 	} else {
 		if c.mtDue(n) {
 			phaseStart := o.Now()
-			wallStart := c.traceWallStart()
 			// Activate before snapshotting, as in the overlap branch. In
 			// deterministic mode nothing executes between the two halves,
 			// so recorded schedules and golden digests are unchanged.
@@ -395,8 +388,7 @@ func (c *Collector) RunCycle() CycleReport {
 			c.lastTEpoch = c.marker.Epoch(graph.CtxT)
 			c.mu.Unlock()
 			rep.MTRan = rep.Completed
-			o.Span("M_T", "collector", obs.TIDCollector, phaseStart, int64(len(roots)))
-			c.tracePhase("M_T", wallStart)
+			o.Span("M_T", obs.CatGC, obs.TIDCollector, phaseStart, int64(len(roots)))
 			if c.counters != nil && rep.MTRan {
 				c.counters.MTRuns.Add(1)
 			}
@@ -407,14 +399,12 @@ func (c *Collector) RunCycle() CycleReport {
 
 		if rep.Completed {
 			phaseStart := o.Now()
-			wallStart := c.traceWallStart()
 			if c.cfg.Recorder != nil {
 				c.cfg.Recorder.CycleStart(graph.CtxR, rRoots)
 			}
 			done := c.marker.StartCycle(graph.CtxR, rRoots)
 			rep.Steps += c.waitPhase(graph.CtxR, done, &rep)
-			o.Span("M_R", "collector", obs.TIDCollector, phaseStart, 1)
-			c.tracePhase("M_R", wallStart)
+			o.Span("M_R", obs.CatGC, obs.TIDCollector, phaseStart, 1)
 			if rep.Completed && c.cfg.AfterPhase != nil {
 				c.cfg.AfterPhase(graph.CtxR)
 			}
@@ -427,15 +417,13 @@ func (c *Collector) RunCycle() CycleReport {
 			c.cfg.Recorder.RestructureStart(rep.MTRan, rep.Sweep)
 		}
 		phaseStart := o.Now()
-		wallStart := c.traceWallStart()
 		c.restructure(&rep)
-		o.Span("restructure", "collector", obs.TIDCollector, phaseStart, int64(rep.Reclaimed))
-		c.tracePhase("restructure", wallStart)
+		o.Span("restructure", obs.CatGC, obs.TIDCollector, phaseStart, int64(rep.Reclaimed))
 		if c.counters != nil {
 			c.counters.Cycles.Add(1)
 		}
 	}
-	o.Span("cycle", "collector", obs.TIDCollector, cycleStart, n)
+	o.Span("cycle", obs.CatCollector, obs.TIDCollector, cycleStart, n)
 	if o != nil {
 		o.Event(obs.TIDCollector, "cycle.end", uint64(root), 0,
 			fmt.Sprintf("reclaimed=%d expunged=%d reprio=%d deadlocked=%d",
@@ -568,7 +556,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 		}
 		v.Unlock()
 	})
-	o.Span("sweep", "collector", obs.TIDCollector, sweepStart, int64(len(garbage)))
+	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbage)))
 
 	// Expunge irrelevant tasks: every task whose destination is garbage
 	// (Property 6: IRR = {<s,d> | d ∈ GAR}). The garbage set was computed

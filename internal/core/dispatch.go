@@ -23,10 +23,6 @@ func NewDispatcher(marker *Marker, reducer sched.Handler) *Dispatcher {
 	return &Dispatcher{marker: marker, reducer: reducer}
 }
 
-// SetReducer installs the reduction engine after construction (the engine
-// needs the machine, which needs a handler first).
-func (d *Dispatcher) SetReducer(r sched.Handler) { d.reducer = r }
-
 // Handle implements sched.Handler.
 func (d *Dispatcher) Handle(t task.Task) {
 	if t.Kind.IsMarking() {

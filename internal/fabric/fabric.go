@@ -15,9 +15,9 @@
 //   - Fault injection: per-link latency, jitter, reorder, and drop
 //     probability. Delivery is at-least-once: batches carry per-link
 //     sequence numbers, the receiver acks, the sender retransmits unacked
-//     batches after RetryEvery, and the receiver dedups by sequence number,
-//     so every task is delivered into its pool exactly once even at 10%
-//     drop.
+//     batches after a retry timeout, and the receiver dedups by sequence
+//     number, so every task is delivered into its pool exactly once even at
+//     10% drop.
 //
 //   - Observability: per-link sent/delivered/dropped/retried/batched
 //     counters and an enqueue→delivery latency histogram, mirrored into the
@@ -45,11 +45,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dgr/internal/graph"
 	"dgr/internal/metrics"
 	"dgr/internal/obs"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // maxDropRate caps fault injection so retransmission always makes progress.
@@ -67,20 +65,14 @@ type Config struct {
 	Jitter      time.Duration // additional uniform random latency
 	DropRate    float64       // per-transmission loss probability, clamped to 0.95
 	ReorderRate float64       // probability a batch is held back behind later traffic
-	RetryEvery  time.Duration // retransmit an unacked batch after this long
-	// (default 2·FlushEvery + 4·(LinkLatency+Jitter), at least 1ms)
 
 	Counters *metrics.Counters // optional shared counters
-	Tracer   *trace.Tracer     // optional event log (fab.* events)
-	// Obs, when non-nil, receives the fab.* events into the flight recorder
-	// and a "fab-batch" span per delivered batch (flush to first delivery).
-	// Nil-safe.
+	// Obs, when non-nil, receives the fab.* message-lifecycle events and a
+	// "fab-batch" span per delivered batch (flush to first delivery); when
+	// its lineage tracing is on, also one "fabric-hop" span per traced task
+	// per delivered batch (flush to delivery) and a "fabric-retry" point
+	// span per retransmission carrying traced tasks.
 	Obs *obs.Obs
-	// Trace, when non-nil, receives causal-lineage spans for traced tasks
-	// crossing the fabric: one "fabric-hop" span per traced task per
-	// delivered batch (flush to delivery, wall clock) and a "fabric-retry"
-	// point span per retransmission carrying traced tasks.
-	Trace *obs.TraceSink
 }
 
 func (c Config) withDefaults() Config {
@@ -92,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 100 * time.Microsecond
-	}
-	if c.RetryEvery <= 0 {
-		c.RetryEvery = 2*c.FlushEvery + 4*(c.LinkLatency+c.Jitter)
-		if c.RetryEvery < time.Millisecond {
-			c.RetryEvery = time.Millisecond
-		}
 	}
 	if c.DropRate < 0 {
 		c.DropRate = 0
@@ -159,9 +145,8 @@ type link struct {
 type batch struct {
 	seq      uint64
 	tasks    []task.Task
-	born     int64 // clock when the oldest task entered the outbox
-	obsBorn  int64 // obs monotonic clock at flush (0 when obs is disabled)
-	wallBorn int64 // wall clock at flush (0 unless lineage tracing is on)
+	born     int64 // fabric clock when the oldest task entered the outbox
+	flushed  int64 // obs clock at flush (0 when obs is disabled)
 	attempts int
 	inFlight bool  // a transmission is en route
 	dueAt    int64 // deterministic mode: arrival tick of that transmission
@@ -179,7 +164,9 @@ func New(cfg Config) *Fabric {
 	f.flushD = f.delta(cfg.FlushEvery)
 	f.latD = f.delta(cfg.LinkLatency)
 	f.jitD = f.delta(cfg.Jitter)
-	f.retryD = f.delta(cfg.RetryEvery)
+	// An unacked batch is retransmitted after two flush periods plus four
+	// worst-case transits, and never sooner than 1ms.
+	f.retryD = f.delta(max(2*cfg.FlushEvery+4*(cfg.LinkLatency+cfg.Jitter), time.Millisecond))
 	f.links = make([]*link, cfg.PEs*cfg.PEs)
 	for s := 0; s < cfg.PEs; s++ {
 		for d := 0; d < cfg.PEs; d++ {
@@ -269,17 +256,14 @@ func (lk *link) flushLocked() *batch {
 	}
 	lk.nextSeq++
 	b := &batch{seq: lk.nextSeq, tasks: lk.outbox, born: lk.outboxBorn,
-		obsBorn: lk.f.cfg.Obs.Now()}
-	if lk.f.cfg.Trace != nil {
-		b.wallBorn = time.Now().UnixNano()
-	}
+		flushed: lk.f.cfg.Obs.Now()}
 	lk.outbox = nil
 	lk.unacked[b.seq] = b
 	lk.batches++
 	if c := lk.f.cfg.Counters; c != nil {
 		c.FabricBatches.Add(1)
 	}
-	lk.f.traceEvent("fab.flush", lk, fmt.Sprintf("seq=%d n=%d", b.seq, len(b.tasks)))
+	lk.event("fab.flush", b)
 	return b
 }
 
@@ -293,16 +277,16 @@ func (lk *link) transmitLocked(b *batch, now int64) {
 		if c := f.cfg.Counters; c != nil {
 			c.FabricRetries.Add(1)
 		}
-		f.traceEvent("fab.retry", lk, fmt.Sprintf("seq=%d attempt=%d", b.seq, b.attempts))
-		if s := f.cfg.Trace; s != nil {
-			wall := time.Now().UnixNano()
+		lk.event("fab.retry", b)
+		if s := f.cfg.Obs.Lineage(); s != nil {
+			now := obs.Now()
 			for _, t := range b.tasks {
 				if t.Trace == 0 {
 					continue
 				}
 				s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
 					Parent: t.Span(), Name: "fabric-retry", Cat: obs.CatFabric,
-					PE: lk.to, Start: wall, End: wall, N: int64(b.attempts),
+					PE: lk.to, Start: now, End: now, N: int64(b.attempts),
 					Note: fmt.Sprintf("from=%d to=%d seq=%d", lk.from, lk.to, b.seq)})
 			}
 		}
@@ -356,7 +340,7 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		if c != nil {
 			c.FabricDropped.Add(1)
 		}
-		f.traceEvent("fab.drop", lk, fmt.Sprintf("seq=%d attempt=%d", b.seq, b.attempts))
+		lk.event("fab.drop", b)
 		b.retryAt = now + f.retryD
 		return
 	}
@@ -374,17 +358,17 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 			c.FabricDelivered.Add(n)
 			c.FabricLatency.Observe(lat)
 		}
-		f.traceEvent("fab.deliver", lk, fmt.Sprintf("seq=%d n=%d attempt=%d", b.seq, len(b.tasks), b.attempts))
-		f.cfg.Obs.Span("fab-batch", "fabric", obs.TIDFabric, b.obsBorn, n)
-		if s := f.cfg.Trace; s != nil {
-			wall := time.Now().UnixNano()
+		lk.event("fab.deliver", b)
+		f.cfg.Obs.Span("fab-batch", obs.CatFabric, obs.TIDFabric, b.flushed, n)
+		if s := f.cfg.Obs.Lineage(); s != nil {
+			now := obs.Now()
 			for _, t := range b.tasks {
 				if t.Trace == 0 {
 					continue
 				}
 				s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
 					Parent: t.Span(), Name: "fabric-hop", Cat: obs.CatFabric,
-					PE: lk.to, Start: b.wallBorn, End: wall, N: int64(b.attempts),
+					PE: lk.to, Start: b.flushed, End: now, N: int64(b.attempts),
 					Note: fmt.Sprintf("from=%d to=%d seq=%d attempts=%d",
 						lk.from, lk.to, b.seq, b.attempts)})
 			}
@@ -398,7 +382,7 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		if c != nil {
 			c.FabricDuplicates.Add(1)
 		}
-		f.traceEvent("fab.dup", lk, fmt.Sprintf("seq=%d", b.seq))
+		lk.event("fab.dup", b)
 	}
 	// The ack crosses the same lossy link.
 	if f.cfg.DropRate > 0 && lk.rng.Float64() < f.cfg.DropRate {
@@ -406,7 +390,7 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		if c != nil {
 			c.FabricAcksDropped.Add(1)
 		}
-		f.traceEvent("fab.ackdrop", lk, fmt.Sprintf("seq=%d", b.seq))
+		lk.event("fab.ackdrop", b)
 		b.retryAt = now + f.retryD
 		return
 	}
@@ -759,9 +743,11 @@ func (f *Fabric) LinkStats() []LinkStat {
 	return out
 }
 
-func (f *Fabric) traceEvent(kind string, lk *link, note string) {
-	if f.cfg.Tracer != nil {
-		f.cfg.Tracer.Record(kind, graph.VertexID(lk.from), graph.VertexID(lk.to), note)
+// event logs one step of batch b's lifecycle on the link. The note is
+// formatted only when a handle is attached.
+func (lk *link) event(kind string, b *batch) {
+	if o := lk.f.cfg.Obs; o != nil {
+		o.Event(obs.TIDFabric, kind, uint64(lk.from), uint64(lk.to),
+			fmt.Sprintf("seq=%d n=%d attempt=%d", b.seq, len(b.tasks), b.attempts))
 	}
-	f.cfg.Obs.Event(obs.TIDFabric, kind, uint64(lk.from), uint64(lk.to), note)
 }

@@ -7,8 +7,8 @@ import (
 
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
+	"dgr/internal/obs"
 	"dgr/internal/task"
-	"dgr/internal/trace"
 )
 
 // sink collects deliveries per destination PE.
@@ -209,10 +209,10 @@ func TestEachAndExpunge(t *testing.T) {
 }
 
 func TestLinkStatsAndTrace(t *testing.T) {
-	tr := trace.NewTracer(1024)
+	o := obs.New(obs.Options{PEs: 2})
 	s := newSink()
 	f := New(Config{PEs: 2, Seed: 3, BatchSize: 2, FlushEvery: 5 * time.Microsecond,
-		DropRate: 0.3, Tracer: tr})
+		DropRate: 0.3, Obs: o})
 	f.SetDeliver(s.deliver)
 	for i := 0; i < 40; i++ {
 		f.Enqueue(0, 1, tk(1, 2))
@@ -229,7 +229,7 @@ func TestLinkStatsAndTrace(t *testing.T) {
 		t.Fatalf("missing loss or latency samples: %+v", st[0])
 	}
 	kinds := make(map[string]int)
-	for _, e := range tr.Events() {
+	for _, e := range o.Events() {
 		kinds[e.Kind]++
 	}
 	for _, k := range []string{"fab.flush", "fab.deliver", "fab.drop", "fab.retry"} {
@@ -284,4 +284,26 @@ func TestCloseDeliversDirectly(t *testing.T) {
 	if s.count(1) != 1 {
 		t.Fatal("post-close Enqueue must bypass the network")
 	}
+}
+
+// TestFlushDeliverAllocBudget pins what one full batch — 16 enqueues, the
+// flush they trigger, and its delivery — allocates with no observability
+// handle attached: the outbox's growth and the batch record, and nothing for
+// the fab.flush / fab.deliver events nobody is listening to.
+func TestFlushDeliverAllocBudget(t *testing.T) {
+	f := New(Config{PEs: 2, Seed: 1, BatchSize: 16})
+	f.SetDeliver(func(int, []task.Task) {})
+	allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 16; i++ {
+			f.Enqueue(0, 1, tk(1, 2))
+		}
+	})
+	if f.Pending() != 0 {
+		t.Fatalf("pending = %d, want every batch delivered", f.Pending())
+	}
+	const budget = 6
+	if allocs > budget {
+		t.Fatalf("one 16-task flush + deliver allocates %.0f objects, budget %d", allocs, budget)
+	}
+	t.Logf("%.0f allocs per batch", allocs)
 }

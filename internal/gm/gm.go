@@ -16,11 +16,8 @@ package gm
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
-
-	"dgr/internal/graph"
 )
 
 // Op is an instruction opcode. The machine is a small stack machine over
@@ -82,24 +79,6 @@ type Instr struct {
 	A, B int64
 }
 
-// String renders the instruction for disassembly.
-func (i Instr) String() string {
-	switch i.Op {
-	case OpPushNil, OpUpdate, OpUpdateApp:
-		return i.Op.String()
-	case OpMkPrimApp, OpUpdatePrimApp:
-		return fmt.Sprintf("%s %s/%d", i.Op, graph.Prim(i.A), i.B)
-	case OpPushPrim:
-		return fmt.Sprintf("%s %s", i.Op, graph.Prim(i.A))
-	case OpPushComb:
-		return fmt.Sprintf("%s %s", i.Op, graph.Comb(i.A))
-	case OpUpdateLeaf:
-		return fmt.Sprintf("%s %s/%d", i.Op, graph.Kind(i.A), i.B)
-	default:
-		return fmt.Sprintf("%s %d", i.Op, i.A)
-	}
-}
-
 // Super is one compiled supercombinator.
 type Super struct {
 	Name    string
@@ -114,16 +93,6 @@ type Super struct {
 	// selection over known operand values instead of building the
 	// corresponding primapp subgraphs.
 	Strict []bool
-}
-
-// Disassemble renders the supercombinator for debugging and tests.
-func (s *Super) Disassemble() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%d:", s.Name, s.Arity)
-	for _, in := range s.Code {
-		fmt.Fprintf(&b, "\n\t%s", in)
-	}
-	return b.String()
 }
 
 // Program is a machine's supercombinator table. Compilation appends;

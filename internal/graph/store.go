@@ -262,16 +262,6 @@ func vertexIn(segs []*segment, id VertexID) *Vertex {
 	return &seg[int(id)&segMask]
 }
 
-// MustVertex is Vertex but panics on an invalid ID; for internal callers
-// that hold a structurally guaranteed ID.
-func (s *Store) MustVertex(id VertexID) *Vertex {
-	v := s.Vertex(id)
-	if v == nil {
-		panic(fmt.Sprintf("graph: no vertex %d", id))
-	}
-	return v
-}
-
 // Alloc takes a vertex from the free list of the given partition, stealing
 // from other partitions if the local list is empty, and growing the arena if
 // allowed. The vertex is returned labeled with the given kind/value, with no

@@ -7,19 +7,20 @@ import (
 	"dgr/internal/metrics"
 )
 
-// WriteSpansJSONL writes the retained spans as chrome://tracing-compatible
-// JSON Lines: one complete-duration ("ph":"X") event per line, timestamps
-// and durations in microseconds on the layer's monotonic clock. Load the
-// lines (wrapped in a JSON array) in chrome://tracing or Perfetto; PEs
-// appear as tids 0..n-1, the collector as tid -1, the fabric as tid -2.
+// WriteSpansJSONL writes the handle's retained intervals as
+// chrome://tracing-compatible JSON Lines: one complete-duration ("ph":"X")
+// event per line, timestamps and durations in microseconds on the clock.
+// Load the lines (wrapped in a JSON array) in chrome://tracing or Perfetto;
+// PEs appear as tids 0..n-1, the collector as tid -1, the fabric as tid -2.
 func (o *Obs) WriteSpansJSONL(w io.Writer) error {
-	if o == nil {
-		return nil
-	}
 	for _, s := range o.Spans() {
+		cat := s.Cat
+		if cat == CatGC {
+			cat = CatCollector // one lane for the phases and the cycle around them
+		}
 		_, err := fmt.Fprintf(w,
 			`{"name":%q,"cat":%q,"ph":"X","pid":0,"tid":%d,"ts":%.3f,"dur":%.3f,"args":{"n":%d}}`+"\n",
-			s.Name, s.Cat, s.TID, float64(s.Start)/1e3, float64(s.Dur)/1e3, s.N)
+			s.Name, cat, s.PE, float64(s.Start)/1e3, float64(s.End-s.Start)/1e3, s.N)
 		if err != nil {
 			return err
 		}

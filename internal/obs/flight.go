@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
-// FlightEvent is one entry in the flight recorder: a timestamped scheduler,
-// collector, or fabric occurrence. TS is nanoseconds on the layer's
-// monotonic clock; PE is the acting processing element, or TIDCollector /
-// TIDFabric for the non-PE actors.
+// FlightEvent is one row of the flight recorder's dump: a task execution
+// from a PE's exec ring, or one of the handle's point events from the log.
+// TS is nanoseconds on the clock; PE is the acting processing element, or
+// TIDCollector / TIDFabric / TIDEval for the non-PE actors.
 type FlightEvent struct {
 	TS   int64  `json:"ts"`
 	PE   int    `json:"pe"`
@@ -22,14 +21,17 @@ type FlightEvent struct {
 	Note string `json:"note,omitempty"`
 }
 
+// execRingSize is each PE's exec-ring capacity (a power of two).
+const execRingSize = 1024
+
 // peExec is one task execution in a PE's ring, packed into two atomic
-// words: when holds ts<<8|kind (56 bits of monotonic nanoseconds — ample —
-// plus the numeric task kind), ends holds src<<32|dst (vertex IDs are 32
-// bits). The ring has a single writer (the PE's goroutine, or the driver
-// thread in deterministic mode) so stores never contend, and a dump racing
-// the writer can at worst read a torn *entry* (words from two executions),
-// never unsafe memory — which is why the entry holds a numeric kind instead
-// of a string.
+// words: when holds ts<<8|kind (56 bits of nanoseconds since process start —
+// two years — plus the numeric task kind), ends holds src<<32|dst (vertex
+// IDs are 32 bits). The ring has a single writer (the PE's goroutine, or the
+// driver thread in deterministic mode) so stores never contend, and a dump
+// racing the writer can at worst read a torn *entry* (words from two
+// executions), never unsafe memory — which is why the entry holds a numeric
+// kind instead of a string.
 type peExec struct {
 	when atomic.Uint64
 	ends atomic.Uint64
@@ -38,129 +40,93 @@ type peExec struct {
 // peRing is a lock-free single-writer ring of executions.
 type peRing struct {
 	ring []peExec
-	mask uint64
 	next atomic.Uint64
 	_    [32]byte // keep neighboring PEs off this cache line
 }
 
-// flightShard is a mutex-guarded ring for the rare collector/fabric events,
-// which carry preformatted note strings.
-type flightShard struct {
-	mu   sync.Mutex
-	ring []FlightEvent
-	next uint64
-}
-
-// Flight is the recorder: per-execution events go to per-PE lock-free
-// rings; collector and fabric events to two mutex shards. Dumps merge
-// everything by timestamp.
-type Flight struct {
-	pe        []peRing
-	coll, fab flightShard
-	kindNames []string
-}
-
-func newFlight(pes, capacity int, kindNames []string) *Flight {
-	cap2 := 1
-	for cap2 < capacity {
-		cap2 <<= 1
+func newExecRings(pes int) []peRing {
+	rings := make([]peRing, pes)
+	for i := range rings {
+		rings[i].ring = make([]peExec, execRingSize)
 	}
-	f := &Flight{pe: make([]peRing, pes), kindNames: kindNames}
-	for i := range f.pe {
-		f.pe[i].ring = make([]peExec, cap2)
-		f.pe[i].mask = uint64(cap2 - 1)
-	}
-	f.coll.ring = make([]FlightEvent, capacity)
-	f.fab.ring = make([]FlightEvent, capacity)
-	return f
+	return rings
 }
 
-// noteExec records one task execution on PE pe's ring: two uncontended
-// atomic stores and a head publish. This is the scheduler's per-task path.
-func (f *Flight) noteExec(pe int, ts int64, kind uint8, src, dst uint64) {
-	r := &f.pe[pe]
+// note records one task execution: two uncontended atomic stores and a head
+// publish. This is the scheduler's per-task path.
+func (r *peRing) note(ts int64, kind uint8, src, dst uint64) {
 	n := r.next.Load()
-	e := &r.ring[n&r.mask]
+	e := &r.ring[n&(execRingSize-1)]
 	e.when.Store(uint64(ts)<<8 | uint64(kind))
 	e.ends.Store(src<<32 | dst&0xffffffff)
 	r.next.Store(n + 1)
 }
 
-// note records a collector or fabric event (any non-collector actor folds
-// onto the fabric shard; these paths are rare enough for a mutex).
-func (f *Flight) note(pe int, ts int64, kind string, src, dst uint64, note string) {
-	sh := &f.fab
-	if pe == TIDCollector {
-		sh = &f.coll
-	}
-	sh.mu.Lock()
-	sh.ring[sh.next%uint64(len(sh.ring))] = FlightEvent{
-		TS: ts, PE: pe, Kind: kind, Src: src, Dst: dst, Note: note,
-	}
-	sh.next++
-	sh.mu.Unlock()
-}
-
-func (f *Flight) kindName(k uint8) string {
-	if int(k) < len(f.kindNames) && f.kindNames[k] != "" {
-		return f.kindNames[k]
+func (o *Obs) kindName(k uint8) string {
+	if int(k) < len(o.opts.KindNames) && o.opts.KindNames[k] != "" {
+		return o.opts.KindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// events returns every retained event across rings and shards, oldest
-// first. A dump racing a still-executing PE may mix the fields of the
-// couple of entries at that ring's head; dumps happen on failure or
-// exposition, where that imprecision is acceptable.
-func (f *Flight) events() []FlightEvent {
-	var out []FlightEvent
-	for pe := range f.pe {
-		r := &f.pe[pe]
+// Events returns the point events this handle recorded (collector cycle
+// events, the fabric message lifecycle, checker violations), oldest first.
+func (o *Obs) Events() []FlightEvent {
+	if o == nil {
+		return nil
+	}
+	recs := o.mine(true)
+	out := make([]FlightEvent, len(recs))
+	for i, sp := range recs {
+		out[i] = FlightEvent{TS: sp.Start, PE: sp.PE, Kind: sp.Name, Src: sp.Src, Dst: sp.Dst, Note: sp.Note}
+	}
+	return out
+}
+
+// FlightEvents returns the flight recorder's view: the handle's retained
+// point events merged with every PE's exec ring in timestamp order. A dump
+// racing a still-executing PE may mix the fields of the couple of entries
+// at that ring's head; dumps happen on failure or exposition, where that
+// imprecision is acceptable.
+func (o *Obs) FlightEvents() []FlightEvent {
+	if o == nil {
+		return nil
+	}
+	out := o.Events()
+	for pe := range o.execs {
+		r := &o.execs[pe]
 		n := r.next.Load()
-		start := uint64(0)
-		if n > uint64(len(r.ring)) {
-			start = n - uint64(len(r.ring))
-		}
-		for i := start; i < n; i++ {
-			e := &r.ring[i&r.mask]
+		for i := n - min(n, execRingSize); i < n; i++ {
+			e := &r.ring[i&(execRingSize-1)]
 			when, ends := e.when.Load(), e.ends.Load()
 			out = append(out, FlightEvent{
 				TS:   int64(when >> 8),
 				PE:   pe,
-				Kind: f.kindName(uint8(when)),
+				Kind: o.kindName(uint8(when)),
 				Src:  ends >> 32,
 				Dst:  ends & 0xffffffff,
 			})
 		}
 	}
-	for _, sh := range []*flightShard{&f.coll, &f.fab} {
-		sh.mu.Lock()
-		n := uint64(len(sh.ring))
-		start := uint64(0)
-		if sh.next > n {
-			start = sh.next - n
-		}
-		for j := start; j < sh.next; j++ {
-			out = append(out, sh.ring[j%n])
-		}
-		sh.mu.Unlock()
-	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out
 }
 
-// WriteFlightJSONL dumps the flight recorder as JSON Lines, oldest event
-// first — the artifact the machine writes automatically when it reports
-// ErrDeadlock or an invariant violation.
-func (o *Obs) WriteFlightJSONL(w io.Writer) error {
-	if o == nil {
-		return nil
-	}
+func writeJSONL(w io.Writer, evs []FlightEvent) error {
 	enc := json.NewEncoder(w)
-	for _, e := range o.flight.events() {
+	for _, e := range evs {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// WriteFlightJSONL dumps the flight recorder as JSON Lines, oldest event
+// first — the artifact the machine writes automatically when it reports
+// ErrDeadlock or an invariant violation.
+func (o *Obs) WriteFlightJSONL(w io.Writer) error { return writeJSONL(w, o.FlightEvents()) }
+
+// WriteEventsJSONL writes the handle's point events alone, in the same row
+// format — the fabric message lifecycle as dgr-trace -jsonl prints it.
+func (o *Obs) WriteEventsJSONL(w io.Writer) error { return writeJSONL(w, o.Events()) }

@@ -1,235 +1,11 @@
 package obs
 
-// Causal task-lineage tracing: a TraceSink collects wall-clock spans stamped
-// with (trace ID, span ID, parent span ID) across every causal edge of the
-// system — request admission, task spawn, steal, fabric hop, collector
-// phase — and this file also holds the offline half: assembling the spans of
-// one trace back into its spawn DAG and computing the critical path with
-// per-category blame (exec / queue-wait / steal / fabric / gc-overlap).
-//
-// The sink is deliberately independent of *Obs: the per-PE span slices and
-// flight rings run on each machine's private monotonic clock, while one
-// TraceSink is shared by the serving layer and every pooled machine, so
-// lineage spans use wall-clock UnixNano (Go's time.Now carries a monotonic
-// reading within the process, so in-process deltas stay consistent).
+// Readers over the log's trace class: assembling the spans of one sampled
+// request — admission, task spawn, steal, fabric hop, execution — back into
+// its spawn DAG, and computing the critical path with per-category blame
+// (exec / queue-wait / steal / fabric / gc-overlap).
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
-
-// Trace-span categories. Blame accounting keys off Cat, so producers must
-// use these exact strings.
-const (
-	CatExec   = "exec"   // a task execution on a PE
-	CatSteal  = "steal"  // a cross-PE steal (point span on the stolen task)
-	CatFabric = "fabric" // a fabric hop or retry on an in-transit task
-	CatServe  = "serve"  // serving-layer phases: request/admission/memo/settle
-	CatEval   = "eval"   // one machine evaluation (root of the task subtree)
-	CatGC     = "gc"     // a collector phase interval (global, Trace == 0)
-	CatQueue  = "queue"  // synthesized: pool wait between spawn and execution
-)
-
-// TraceSpan is one record in a causal trace. Start/End are wall-clock
-// UnixNano. Queue, set on exec spans, is Start minus the task's spawn time
-// (the pre-execution wait the blame pass decomposes into fabric / steal /
-// queue). Trace == 0 marks a global interval (collector phases) that is not
-// part of any one trace but is overlapped against all of them.
-type TraceSpan struct {
-	Trace  uint64 `json:"trace,omitempty"`
-	Span   uint32 `json:"span"`
-	Parent uint32 `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	Cat    string `json:"cat"`
-	PE     int    `json:"pe"`
-	Start  int64  `json:"start"`
-	End    int64  `json:"end"`
-	Queue  int64  `json:"queue_ns,omitempty"`
-	N      int64  `json:"n,omitempty"`
-	Note   string `json:"note,omitempty"`
-}
-
-// TraceSink is the shared lineage collector: a mutex-guarded ring of
-// TraceSpans plus the trace/span ID allocators and the head-sampling state.
-// All methods are safe for concurrent use. A nil *TraceSink is inert.
-type TraceSink struct {
-	mu   sync.Mutex
-	ring []TraceSpan
-	next uint64 // total spans ever recorded; ring index = next % len
-	// Global (Trace 0) collector intervals live in their own, smaller ring:
-	// the collector cycles endlessly, so sharing the main ring would let gc
-	// records evict trace spans on an idle server.
-	glob     []TraceSpan
-	globNext uint64
-
-	rate    atomic.Uint64 // math.Float64bits of the sampling rate
-	acc     atomic.Uint64 // sampling accumulator (requests seen)
-	force   atomic.Bool   // sticky always-sample, set on violation/stuck
-	spanID  atomic.Uint32
-	traceID atomic.Uint64
-}
-
-// NewTraceSink returns a sink retaining the last capacity spans (default
-// 1<<16) and head-sampling traces at rate (clamped to [0,1]).
-func NewTraceSink(capacity int, rate float64) *TraceSink {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	globCap := capacity / 8
-	if globCap < 1024 {
-		globCap = 1024
-	}
-	s := &TraceSink{
-		ring: make([]TraceSpan, 0, capacity),
-		glob: make([]TraceSpan, 0, globCap),
-	}
-	s.SetRate(rate)
-	return s
-}
-
-// SetRate updates the head-sampling rate (clamped to [0,1]).
-func (s *TraceSink) SetRate(r float64) {
-	if r < 0 {
-		r = 0
-	}
-	if r > 1 {
-		r = 1
-	}
-	s.rate.Store(math.Float64bits(r))
-}
-
-// Rate returns the configured head-sampling rate.
-func (s *TraceSink) Rate() float64 {
-	if s == nil {
-		return 0
-	}
-	return math.Float64frombits(s.rate.Load())
-}
-
-// Force switches the sink into always-sample mode — called when the machine
-// reports a violation, a deadlock, or ErrStuck, so every request after a
-// failure is traced regardless of the rate knob. Sticky until ClearForce.
-func (s *TraceSink) Force() {
-	if s != nil {
-		s.force.Store(true)
-	}
-}
-
-// Forced reports whether the sink is in always-sample mode.
-func (s *TraceSink) Forced() bool { return s != nil && s.force.Load() }
-
-// ClearForce returns the sink to rate-based sampling.
-func (s *TraceSink) ClearForce() {
-	if s != nil {
-		s.force.Store(false)
-	}
-}
-
-// Sample makes one head-sampling decision: deterministic rate-accumulator
-// sampling (every 1/rate-th request), overridden to true while forced.
-func (s *TraceSink) Sample() bool {
-	if s == nil {
-		return false
-	}
-	if s.force.Load() {
-		return true
-	}
-	rate := math.Float64frombits(s.rate.Load())
-	if rate <= 0 {
-		return false
-	}
-	if rate >= 1 {
-		return true
-	}
-	n := s.acc.Add(1)
-	return uint64(float64(n)*rate) > uint64(float64(n-1)*rate)
-}
-
-// NewTrace allocates a fresh nonzero trace ID.
-func (s *TraceSink) NewTrace() uint64 { return s.traceID.Add(1) }
-
-// NewSpan allocates a fresh nonzero span ID.
-func (s *TraceSink) NewSpan() uint32 {
-	id := s.spanID.Add(1)
-	for id == 0 { // wrapped: 0 means "no span"
-		id = s.spanID.Add(1)
-	}
-	return id
-}
-
-// Record appends one span, evicting the oldest when the ring is full.
-func (s *TraceSink) Record(sp TraceSpan) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, sp)
-	} else {
-		s.ring[s.next%uint64(cap(s.ring))] = sp
-	}
-	s.next++
-	s.mu.Unlock()
-}
-
-// Exec records a task execution span: the scheduler's per-traced-task path.
-func (s *TraceSink) Exec(trace uint64, span, parent uint32, name string, pe int, born, start, end int64) {
-	var queue int64
-	if born > 0 && start > born {
-		queue = start - born
-	}
-	s.Record(TraceSpan{Trace: trace, Span: span, Parent: parent, Name: name,
-		Cat: CatExec, PE: pe, Start: start, End: end, Queue: queue})
-}
-
-// Global records a collector phase interval. It belongs to no single trace
-// (Trace 0); the blame pass overlaps it against exec segments.
-func (s *TraceSink) Global(name string, pe int, start, end int64) {
-	if s == nil {
-		return
-	}
-	sp := TraceSpan{Span: s.NewSpan(), Name: name, Cat: CatGC, PE: pe, Start: start, End: end}
-	s.mu.Lock()
-	if len(s.glob) < cap(s.glob) {
-		s.glob = append(s.glob, sp)
-	} else {
-		s.glob[s.globNext%uint64(cap(s.glob))] = sp
-	}
-	s.globNext++
-	s.mu.Unlock()
-}
-
-// Spans returns the retained spans (trace spans followed by global
-// collector intervals), oldest first within each class, plus how many
-// trace spans were evicted from the ring.
-func (s *TraceSink) Spans() (spans []TraceSpan, dropped uint64) {
-	if s == nil {
-		return nil, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TraceSpan, 0, len(s.ring)+len(s.glob))
-	if len(s.ring) < cap(s.ring) {
-		out = append(out, s.ring...)
-	} else {
-		n := uint64(cap(s.ring))
-		dropped = s.next - n
-		for i := s.next - n; i < s.next; i++ {
-			out = append(out, s.ring[i%n])
-		}
-	}
-	if len(s.glob) < cap(s.glob) {
-		out = append(out, s.glob...)
-	} else {
-		n := uint64(cap(s.glob))
-		for i := s.globNext - n; i < s.globNext; i++ {
-			out = append(out, s.glob[i%n])
-		}
-	}
-	return out, dropped
-}
+import "sort"
 
 // --- Assembly: spans back into per-trace spawn DAGs -----------------------
 
@@ -251,15 +27,18 @@ type TraceAssembly struct {
 	Orphans int // spans whose recorded parent was evicted from the ring
 }
 
-// AssembleTraces groups spans by trace ID and rebuilds each trace's DAG;
-// global (Trace 0) collector intervals come back separately for overlap
-// blame. Spans whose parent is missing become extra roots and are counted
-// as orphans.
+// AssembleTraces groups spans by trace ID and rebuilds each trace's DAG. Of
+// the global (Trace 0) records only the collector phases (CatGC) come back,
+// separately, for overlap blame: the "cycle" record that encloses them would
+// otherwise swallow the whole path. Spans whose parent is missing become
+// extra roots and are counted as orphans.
 func AssembleTraces(spans []TraceSpan) (traces []*TraceAssembly, globals []TraceSpan) {
 	byTrace := map[uint64][]TraceSpan{}
 	for _, sp := range spans {
 		if sp.Trace == 0 {
-			globals = append(globals, sp)
+			if sp.Cat == CatGC {
+				globals = append(globals, sp)
+			}
 			continue
 		}
 		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
@@ -500,9 +279,9 @@ func chain(node *TraceNode, cursor int64, fin map[*TraceNode]int64, segs *[]Crit
 	return cursor
 }
 
-// carveGC splits exec segments where they overlap a global collector
-// interval, re-blaming the overlap to gc. Segments arrive and leave oldest
-// first; globals must be Start-sorted.
+// carveGC splits exec segments where they overlap a collector phase (the
+// CatGC records among globals), re-blaming the overlap to gc. Segments arrive
+// and leave oldest first; globals must be Start-sorted.
 func carveGC(segs []CritSegment, globals []TraceSpan) []CritSegment {
 	if len(globals) == 0 {
 		return segs
@@ -515,7 +294,7 @@ func carveGC(segs []CritSegment, globals []TraceSpan) []CritSegment {
 		}
 		cur := sg.Start
 		for _, g := range globals {
-			if g.End <= cur || g.Start >= sg.End {
+			if g.Cat != CatGC || g.End <= cur || g.Start >= sg.End {
 				continue
 			}
 			if g.Start > cur {

@@ -11,8 +11,8 @@ import (
 )
 
 // TraceDoc is the lineage exposition document: every assembled trace with
-// its critical-path analysis, plus the global collector intervals they
-// overlap and how many trace spans the sink's ring has evicted.
+// its critical-path analysis, plus the collector phases (CatGC records) they
+// overlap and how many trace spans the log has evicted.
 type TraceDoc struct {
 	Traces  []TraceReport `json:"traces"`
 	Globals []TraceSpan   `json:"globals,omitempty"`

@@ -155,7 +155,6 @@ func TestTraceSinkSampling(t *testing.T) {
 			t.Fatal("forced sink must sample every request")
 		}
 	}
-	s.ClearForce()
 	if s.Rate() != 0.25 {
 		t.Fatalf("Rate = %v, want 0.25", s.Rate())
 	}
@@ -167,32 +166,47 @@ func TestTraceSinkSampling(t *testing.T) {
 	nilSink.Record(TraceSpan{})
 }
 
+// TestTraceSinkEviction: the two retention classes wrap independently. Trace
+// spans churning through their ring never evict a global record (the
+// collector cycles forever on an idle server), global records churning
+// through theirs never evict a trace span, and each class counts its own
+// evictions.
 func TestTraceSinkEviction(t *testing.T) {
-	s := NewTraceSink(4, 1)
+	s := NewTraceSink(4, 1) // 4 trace spans, 1024 global records
 	for i := 0; i < 10; i++ {
 		s.Record(TraceSpan{Trace: 1, Span: uint32(i + 1), Start: int64(i)})
 	}
 	spans, dropped := s.Spans()
-	if dropped != 6 {
-		t.Fatalf("dropped = %d, want 6", dropped)
+	if dropped != 6 || s.GlobalDropped() != 0 {
+		t.Fatalf("dropped = %d trace / %d global, want 6 / 0", dropped, s.GlobalDropped())
 	}
 	if len(spans) != 4 || spans[0].Span != 7 || spans[3].Span != 10 {
 		t.Fatalf("retained %+v, want spans 7..10 oldest-first", spans)
 	}
-	// Global intervals survive in their own ring even when trace spans
-	// churn: the collector cycles forever on an idle server.
-	s.Global("M_T", TIDCollector, 1, 2)
+
+	s.Record(TraceSpan{Name: "M_T", Cat: CatGC, PE: TIDCollector, Start: 1, End: 2})
 	for i := 0; i < 8; i++ {
 		s.Record(TraceSpan{Trace: 2, Span: uint32(100 + i)})
 	}
-	spans, _ = s.Spans()
-	foundGlobal := false
-	for _, sp := range spans {
-		if sp.Trace == 0 && sp.Name == "M_T" {
-			foundGlobal = true
-		}
+	spans, dropped = s.Spans()
+	if dropped != 14 || s.GlobalDropped() != 0 {
+		t.Fatalf("dropped = %d trace / %d global, want 14 / 0", dropped, s.GlobalDropped())
 	}
-	if !foundGlobal {
-		t.Fatal("global collector interval evicted by trace-span churn")
+	if last := spans[len(spans)-1]; len(spans) != 5 || last.Trace != 0 || last.Name != "M_T" {
+		t.Fatalf("global record evicted by trace-span churn: %+v", spans)
+	}
+
+	for i := 0; i < 1024+2; i++ {
+		s.Record(TraceSpan{Name: "cycle", Cat: CatCollector, N: int64(i)})
+	}
+	spans, dropped = s.Spans()
+	if dropped != 14 || s.GlobalDropped() != 3 {
+		t.Fatalf("dropped = %d trace / %d global, want 14 / 3", dropped, s.GlobalDropped())
+	}
+	if len(spans) != 4+1024 || spans[0].Span != 104 || spans[3].Span != 107 {
+		t.Fatalf("trace spans evicted by global churn: %d retained, first %+v", len(spans), spans[0])
+	}
+	if spans[4].N != 2 || spans[len(spans)-1].N != 1025 {
+		t.Fatalf("global window = %d..%d, want 2..1025", spans[4].N, spans[len(spans)-1].N)
 	}
 }

@@ -1,17 +1,17 @@
-// Package obs is the machine's unified observability layer: monotonic-clock
-// span tracing for collector phases, per-PE execution batches, and fabric
-// batch flights; per-PE time-series sampled into fixed-size ring buffers;
-// Prometheus-text and JSON exposition helpers; and a flight recorder — a
-// bounded ring of recent timestamped scheduler/collector/fabric events that
-// is dumped when the machine misbehaves (ErrDeadlock, invariant violation),
-// so intermittent failures leave a diagnosable artifact instead of a shrug.
+// Package obs is the machine's observability layer. Each machine holds one
+// handle, *Obs, and each layer under it (scheduler, fabric, collector,
+// checker) is given that one handle; a nil *Obs is the disabled layer, every
+// method is nil-safe, and callers on hot paths pay exactly one pointer test.
 //
-// Every recording method is nil-safe: a nil *Obs is the disabled layer, and
-// callers on hot paths pay exactly one pointer test. With obs enabled the
-// steady-state hot path (TaskStart/TaskEnd) costs a few plain single-writer
-// field updates and one lock-free ring write per task; the monotonic clock
-// is read and the sampled counters accrued once per clockTasks executions
-// (exactly at idle transitions) — no locks, no allocation.
+// The handle writes to one log (TraceSink, log.go) — private, or shared with
+// the serving layer and its other pooled machines — and everything the
+// machine exports about events is a reader over that log: chrome spans, the
+// flight dump, the event JSONL, trace assembly and critical-path blame.
+// Two things deliberately live outside the log. The per-PE exec rings
+// (flight.go) take one packed two-word entry per task execution, because a
+// mutex and a 128-byte record per task is what the ≤ 5 % overhead budget
+// cannot afford. The time-series rings (series.go) hold sampled gauges, not
+// events.
 package obs
 
 import (
@@ -29,19 +29,25 @@ const Bands = 4
 // BandReserve..BandMarking order.
 var BandNames = [Bands]string{"reserve", "eager", "vital", "marking"}
 
-// Options sizes the layer's bounded buffers. Zero values get defaults.
+// Options configures a handle.
 type Options struct {
 	// PEs is the number of processing elements (required, ≥1).
 	PEs int
 	// Parallel tells the layer whether PE goroutines run concurrently
 	// (gates which goroutine may flush per-PE batch spans).
 	Parallel bool
-	// SpanCapacity bounds the span ring (default 4096).
-	SpanCapacity int
-	// FlightCapacity bounds each flight-recorder shard (default 1024).
-	FlightCapacity int
-	// SeriesCapacity bounds each time-series ring (default 512 samples).
-	SeriesCapacity int
+	// Log, when non-nil, is shared with its other holders instead of the
+	// handle building a private one, and enables lineage tracing (sampling
+	// is then the log owner's decision).
+	Log *TraceSink
+	// TraceRate, when positive, enables lineage tracing with the private
+	// log head-sampling at this rate.
+	TraceRate float64
+	// Exec enables per-task accounting: the per-PE exec rings, busy time and
+	// execution counts, "pe-batch" spans, and the sampled time-series.
+	// Without it TaskStart/TaskEnd return after one more test, which is what
+	// a machine that only traces pays.
+	Exec bool
 	// SampleEvery is the parallel-mode sampling period (default 5ms).
 	SampleEvery time.Duration
 	// KindNames maps numeric task-kind values to names for flight-recorder
@@ -73,26 +79,6 @@ type Sources struct {
 	Deadlocked func() int
 }
 
-// Span is one completed timed operation. Start and Dur are nanoseconds on
-// the layer's monotonic clock (Start is since New).
-type Span struct {
-	Name  string `json:"name"`
-	Cat   string `json:"cat"`
-	TID   int    `json:"tid"`
-	Start int64  `json:"start"`
-	Dur   int64  `json:"dur"`
-	N     int64  `json:"n,omitempty"` // operation count (tasks in a batch, …)
-}
-
-// Well-known span TIDs for non-PE actors.
-const (
-	TIDCollector = -1
-	TIDFabric    = -2
-	// TIDEval marks machine-level evaluation envelopes and serving-layer
-	// phase spans in lineage traces (no single PE owns them).
-	TIDEval = -3
-)
-
 // peSlot is one PE's hot-path accounting. Only PE pe's goroutine writes the
 // plain fields; the sampler reads the atomics. Padded so neighboring PEs
 // never share a cache line.
@@ -116,106 +102,105 @@ const maxBatchSpan = 10 * time.Millisecond
 // transition and safe point, and within clockTasks-1 executions otherwise.
 const clockTasks = 32
 
-// Obs is the observability hub. Use New; a nil *Obs is the disabled layer
-// and every method is a cheap no-op on it.
+// Obs is one machine's observability handle. Use New; a nil *Obs is the
+// disabled layer and every method is a cheap no-op on it.
 type Obs struct {
-	opts  Options
-	epoch time.Time
+	opts    Options
+	log     *TraceSink
+	id      uint32 // this handle's TraceSpan.Mach
+	tracing bool
 
-	slots []peSlot
-
-	spanMu   sync.Mutex
-	spans    []Span
-	spanNext uint64
-
-	flight *Flight
+	// Per-task accounting; all nil unless Options.Exec.
+	slots  []peSlot
+	execs  []peRing
 	series *series
 
 	samplerStop chan struct{}
 	samplerWG   sync.WaitGroup
 }
 
-// New builds the layer. It does not start the sampler goroutine; call
+// New builds a handle. It does not start the sampler goroutine; call
 // StartSampler in parallel mode (deterministic machines sample at collector
 // cycle ends instead).
 func New(opts Options) *Obs {
 	if opts.PEs < 1 {
 		opts.PEs = 1
 	}
-	if opts.SpanCapacity <= 0 {
-		opts.SpanCapacity = 4096
-	}
-	if opts.FlightCapacity <= 0 {
-		opts.FlightCapacity = 1024
-	}
-	if opts.SeriesCapacity <= 0 {
-		opts.SeriesCapacity = 512
-	}
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 5 * time.Millisecond
 	}
-	o := &Obs{
-		opts:   opts,
-		epoch:  time.Now(),
-		slots:  make([]peSlot, opts.PEs),
-		spans:  make([]Span, opts.SpanCapacity),
-		flight: newFlight(opts.PEs, opts.FlightCapacity, opts.KindNames),
+	o := &Obs{opts: opts, log: opts.Log, tracing: opts.Log != nil || opts.TraceRate > 0}
+	if o.log == nil {
+		o.log = NewTraceSink(0, opts.TraceRate)
 	}
-	for i := range o.slots {
-		o.slots[i].idle = true
+	o.id = o.log.machID.Add(1)
+	if opts.Exec {
+		o.slots = make([]peSlot, opts.PEs)
+		for i := range o.slots {
+			o.slots[i].idle = true
+		}
+		o.execs = newExecRings(opts.PEs)
+		o.series = newSeries(o, opts.PEs, seriesCapacity)
 	}
-	o.series = newSeries(o, opts.PEs, opts.SeriesCapacity)
 	return o
 }
 
-// Now returns nanoseconds on the layer's monotonic clock (0 for nil).
+// Now returns nanoseconds on the clock (0 for nil, so a disabled layer's
+// call sites read no clock).
 func (o *Obs) Now() int64 {
 	if o == nil {
 		return 0
 	}
-	return int64(time.Since(o.epoch))
+	return Now()
 }
 
-// PEs returns the PE count the layer was built for (0 for nil).
-func (o *Obs) PEs() int {
-	if o == nil {
-		return 0
+// Lineage returns the log when lineage tracing is enabled (a shared log, or
+// a positive TraceRate), else nil: the sink traced tasks record their exec,
+// steal and fabric-hop spans into, and the allocator of their span IDs.
+func (o *Obs) Lineage() *TraceSink {
+	if o == nil || !o.tracing {
+		return nil
 	}
-	return o.opts.PEs
+	return o.log
 }
 
-// Span records a completed span that began at start (a prior Now value);
-// the duration is measured to the current clock. n is an optional
-// operation count.
+// Span records a completed global interval that began at start (a prior Now
+// value) and ends now. n is an optional operation count.
 func (o *Obs) Span(name, cat string, tid int, start, n int64) {
 	if o == nil {
 		return
 	}
-	o.spanMu.Lock()
-	o.spans[o.spanNext%uint64(len(o.spans))] = Span{
-		Name: name, Cat: cat, TID: tid, Start: start, Dur: o.Now() - start, N: n,
-	}
-	o.spanNext++
-	o.spanMu.Unlock()
+	o.log.Record(TraceSpan{Name: name, Cat: cat, PE: tid, Start: start, End: Now(), N: n, Mach: o.id})
 }
 
-// Spans returns the retained spans in recording order.
-func (o *Obs) Spans() []Span {
+// Event records a point occurrence (a flight-recorder row): a collector
+// cycle event, a fabric message-lifecycle step, a checker violation. Format
+// note only under a nil test of the handle; these events are rare enough
+// that the allocation is acceptable once someone is listening.
+func (o *Obs) Event(pe int, kind string, src, dst uint64, note string) {
+	if o == nil {
+		return
+	}
+	now := Now()
+	o.log.Record(TraceSpan{Name: kind, Cat: CatEvent, PE: pe, Start: now, End: now,
+		Src: src, Dst: dst, Note: note, Mach: o.id})
+}
+
+// mine returns this handle's global records, oldest first: its point events,
+// or its intervals.
+func (o *Obs) mine(events bool) []TraceSpan {
+	return o.log.global.appendTo(nil, func(sp *TraceSpan) bool {
+		return sp.Mach == o.id && (sp.Cat == CatEvent) == events
+	})
+}
+
+// Spans returns the retained global intervals this handle recorded
+// (collector phases, execution batches, fabric batch flights), oldest first.
+func (o *Obs) Spans() []TraceSpan {
 	if o == nil {
 		return nil
 	}
-	o.spanMu.Lock()
-	defer o.spanMu.Unlock()
-	n := uint64(len(o.spans))
-	start := uint64(0)
-	if o.spanNext > n {
-		start = o.spanNext - n
-	}
-	out := make([]Span, 0, o.spanNext-start)
-	for i := start; i < o.spanNext; i++ {
-		out = append(out, o.spans[i%n])
-	}
-	return out
+	return o.mine(false)
 }
 
 // TaskStart marks the beginning of a task execution on PE pe. Steady-state
@@ -224,26 +209,26 @@ func (o *Obs) Spans() []Span {
 // timestamp doubles as this task's start, charging the scheduler's pop
 // overhead to busy time — the honest reading for a utilization metric.
 func (o *Obs) TaskStart(pe int) {
-	if o == nil {
+	if o == nil || o.slots == nil {
 		return
 	}
 	s := &o.slots[pe]
 	if s.idle {
-		s.last = o.Now()
+		s.last = Now()
 		s.idle = false
 	}
 }
 
 // TaskEnd marks the end of a task execution on PE pe: it counts the task
-// into the open execution-batch span, and appends an execution event (the
-// task's numeric kind and endpoints) to the flight recorder. Steady-state
+// into the open execution-batch span, and appends an execution entry (the
+// task's numeric kind and endpoints) to the PE's exec ring. Steady-state
 // hot path: a few plain single-writer fields plus one lock-free ring write;
 // the clock is read and the busy/exec atomics accrued once per clockTasks
-// executions (and exactly at every idle transition), so Execs/BusyNs lag
-// live execution by at most clockTasks-1 tasks. Kind values are named in
-// dumps via Options.KindNames.
+// executions (and exactly at every idle transition), so the sampled
+// counters lag live execution by at most clockTasks-1 tasks. Kind values
+// are named in dumps via Options.KindNames.
 func (o *Obs) TaskEnd(pe int, kind uint8, src, dst uint64) {
-	if o == nil {
+	if o == nil || o.slots == nil {
 		return
 	}
 	s := &o.slots[pe]
@@ -253,18 +238,18 @@ func (o *Obs) TaskEnd(pe int, kind uint8, src, dst uint64) {
 	s.batchN++
 	s.pending++
 	if s.pending >= clockTasks {
-		o.accrue(s)
+		accrue(s)
 		if s.last-s.batchStart >= int64(maxBatchSpan) {
 			o.flushBatch(pe)
 		}
 	}
-	o.flight.noteExec(pe, s.last, kind, src, dst)
+	o.execs[pe].note(s.last, kind, src, dst)
 }
 
 // accrue reads the clock and folds the pending executions into the sampled
 // busy-time and execution counters. Caller must be slot s's single writer.
-func (o *Obs) accrue(s *peSlot) {
-	now := o.Now()
+func accrue(s *peSlot) {
+	now := Now()
 	s.busyNs.Add(now - s.last)
 	s.execs.Add(int64(s.pending))
 	s.pending = 0
@@ -277,12 +262,16 @@ func (o *Obs) accrue(s *peSlot) {
 // so the wait is not charged as busy time. Must be called from PE pe's own
 // goroutine.
 func (o *Obs) PEIdle(pe int) {
-	if o == nil {
+	if o == nil || o.slots == nil {
 		return
 	}
+	o.idle(pe)
+}
+
+func (o *Obs) idle(pe int) {
 	s := &o.slots[pe]
 	if s.pending > 0 {
-		o.accrue(s)
+		accrue(s)
 	}
 	o.flushBatch(pe)
 	s.idle = true
@@ -296,7 +285,7 @@ func (o *Obs) flushBatch(pe int) {
 	if s.batchN == 0 {
 		return
 	}
-	o.Span("pe-batch", "sched", pe, s.batchStart, s.batchN)
+	o.Span("pe-batch", CatSched, pe, s.batchStart, s.batchN)
 	s.batchN = 0
 }
 
@@ -308,58 +297,14 @@ func (o *Obs) FlushBatches() {
 		return
 	}
 	for pe := range o.slots {
-		s := &o.slots[pe]
-		if s.pending > 0 {
-			o.accrue(s)
-		}
-		o.flushBatch(pe)
-		s.idle = true
+		o.idle(pe)
 	}
-}
-
-// BusyNs returns PE pe's accumulated execution time. Between accrual points
-// it lags live execution by up to clockTasks-1 tasks; every idle transition
-// and FlushBatches safe point makes it exact.
-func (o *Obs) BusyNs(pe int) int64 {
-	if o == nil {
-		return 0
-	}
-	return o.slots[pe].busyNs.Load()
-}
-
-// Execs returns PE pe's execution count, with the same accrual lag as
-// BusyNs.
-func (o *Obs) Execs(pe int) int64 {
-	if o == nil {
-		return 0
-	}
-	return o.slots[pe].execs.Load()
-}
-
-// Event appends a non-execution event to the flight recorder (TIDCollector
-// events get their own shard; everything else shares the fabric's). note
-// should be preformatted; these events are rare enough that an allocation
-// is acceptable.
-func (o *Obs) Event(pe int, kind string, src, dst uint64, note string) {
-	if o == nil {
-		return
-	}
-	o.flight.note(pe, o.Now(), kind, src, dst, note)
-}
-
-// FlightEvents returns the flight recorder's retained events merged across
-// shards in timestamp order.
-func (o *Obs) FlightEvents() []FlightEvent {
-	if o == nil {
-		return nil
-	}
-	return o.flight.events()
 }
 
 // StartSampler launches the sampling goroutine (parallel machines). It is
 // idempotent; Close stops it.
 func (o *Obs) StartSampler() {
-	if o == nil || o.samplerStop != nil {
+	if o == nil || o.series == nil || o.samplerStop != nil {
 		return
 	}
 	o.samplerStop = make(chan struct{})
@@ -384,7 +329,7 @@ func (o *Obs) StartSampler() {
 // machines call it at collector cycle ends; the sampler goroutine calls it
 // on its period. Safe for concurrent use.
 func (o *Obs) SampleNow() {
-	if o == nil {
+	if o == nil || o.series == nil {
 		return
 	}
 	o.series.sample()
@@ -395,9 +340,10 @@ func (o *Obs) SampleNow() {
 	}
 }
 
-// Series returns a snapshot of the sampled time-series.
+// Series returns a snapshot of the sampled time-series (nil without
+// Options.Exec).
 func (o *Obs) Series() *SeriesSnap {
-	if o == nil {
+	if o == nil || o.series == nil {
 		return nil
 	}
 	return o.series.snapshot()

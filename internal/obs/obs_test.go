@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -25,29 +26,58 @@ func TestNilSafety(t *testing.T) {
 	o.SampleNow()
 	o.StartSampler()
 	o.Close()
-	if o.Now() != 0 || o.PEs() != 0 || o.Spans() != nil || o.FlightEvents() != nil || o.Series() != nil {
+	if o.Now() != 0 || o.Lineage() != nil || o.Spans() != nil || o.Events() != nil ||
+		o.FlightEvents() != nil || o.Series() != nil {
 		t.Fatal("nil Obs returned non-zero data")
 	}
-	if err := o.WriteSpansJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	for _, write := range []func(io.Writer) error{o.WriteSpansJSONL, o.WriteFlightJSONL, o.WriteEventsJSONL} {
+		if err := write(&bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := o.WriteFlightJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+}
+
+// TestTracingOnlyHandle: a handle built for lineage tracing alone logs
+// spans and events but skips the per-task accounting entirely.
+func TestTracingOnlyHandle(t *testing.T) {
+	o := New(Options{PEs: 2, TraceRate: 1})
+	if o.Lineage() == nil {
+		t.Fatal("TraceRate > 0 must enable lineage")
+	}
+	o.TaskStart(0)
+	o.TaskEnd(0, 1, 1, 2)
+	o.PEIdle(0)
+	o.SampleNow()
+	o.StartSampler()
+	o.Span("M_R", CatGC, TIDCollector, o.Now(), 1)
+	o.Close()
+	if o.Series() != nil {
+		t.Fatal("time-series without Options.Exec")
+	}
+	if evs := o.FlightEvents(); len(evs) != 0 {
+		t.Fatalf("exec ring entries without Options.Exec: %+v", evs)
+	}
+	if sp := o.Spans(); len(sp) != 1 || sp[0].Name != "M_R" {
+		t.Fatalf("spans = %+v, want the one M_R", sp)
+	}
+	if New(Options{PEs: 1, Exec: true}).Lineage() != nil {
+		t.Fatal("lineage on without TraceRate or a shared log")
 	}
 }
 
 func TestSpanRingAndJSONL(t *testing.T) {
-	o := New(Options{PEs: 2, SpanCapacity: 4})
-	for i := 0; i < 6; i++ {
+	o := New(Options{PEs: 2, Log: NewTraceSink(8, 0)}) // global class: 1024 records
+	const n = 1024 + 2
+	for i := 0; i < n; i++ {
 		start := o.Now()
 		o.Span("s", "cat", i, start, int64(i))
 	}
 	spans := o.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("retained %d spans, want 4 (capacity)", len(spans))
+	if len(spans) != 1024 {
+		t.Fatalf("retained %d spans, want 1024 (capacity)", len(spans))
 	}
-	if spans[0].TID != 2 || spans[3].TID != 5 {
-		t.Fatalf("ring kept wrong window: %+v", spans)
+	if spans[0].PE != 2 || spans[1023].PE != n-1 {
+		t.Fatalf("ring kept wrong window: %d..%d", spans[0].PE, spans[1023].PE)
 	}
 
 	var buf bytes.Buffer
@@ -72,13 +102,13 @@ func TestSpanRingAndJSONL(t *testing.T) {
 			t.Fatalf("bad chrome trace event: %+v", ev)
 		}
 	}
-	if lines != 4 {
-		t.Fatalf("JSONL lines = %d, want 4", lines)
+	if lines != 1024 {
+		t.Fatalf("JSONL lines = %d, want 1024", lines)
 	}
 }
 
 func TestTaskAccounting(t *testing.T) {
-	o := New(Options{PEs: 2})
+	o := New(Options{PEs: 2, Exec: true})
 	for i := 0; i < 5; i++ {
 		o.TaskStart(1)
 		o.TaskEnd(1, 1, uint64(i), uint64(i+1))
@@ -90,18 +120,18 @@ func TestTaskAccounting(t *testing.T) {
 		}
 	}
 	o.PEIdle(1) // accrual point: counters become exact
-	if o.Execs(1) != 5 {
-		t.Fatalf("Execs = %d, want 5", o.Execs(1))
+	if got := o.slots[1].execs.Load(); got != 5 {
+		t.Fatalf("execs = %d, want 5", got)
 	}
-	if o.Execs(0) != 0 {
-		t.Fatalf("PE 0 executed nothing but Execs = %d", o.Execs(0))
+	if got := o.slots[0].execs.Load(); got != 0 {
+		t.Fatalf("PE 0 executed nothing but execs = %d", got)
 	}
-	if o.BusyNs(1) < 0 {
-		t.Fatalf("negative busy time %d", o.BusyNs(1))
+	if got := o.slots[1].busyNs.Load(); got < 0 {
+		t.Fatalf("negative busy time %d", got)
 	}
 	found := false
 	for _, s := range o.Spans() {
-		if s.Name == "pe-batch" && s.TID == 1 && s.N == 5 {
+		if s.Name == "pe-batch" && s.PE == 1 && s.N == 5 {
 			found = true
 		}
 	}
@@ -117,16 +147,16 @@ func TestTaskAccounting(t *testing.T) {
 }
 
 func TestFlightRecorder(t *testing.T) {
-	o := New(Options{PEs: 2, FlightCapacity: 8, KindNames: []string{"", "demand"}})
+	o := New(Options{PEs: 2, Exec: true, KindNames: []string{"", "demand"}})
 	o.Event(TIDCollector, "cycle.start", 0, 0, "n=1")
-	for i := 0; i < 12; i++ { // overflow PE 0's shard
+	for i := 0; i < execRingSize+4; i++ { // overflow PE 0's ring
 		o.TaskStart(0)
 		o.TaskEnd(0, 1, uint64(i), uint64(i+100))
 	}
 	o.Event(TIDFabric, "fab.flush", 0, 0, "seq=1")
 	evs := o.FlightEvents()
-	// PE 0's shard retains the last 8 execs; the other shards keep their one
-	// event each.
+	// PE 0's ring retains its last execRingSize execs; the log keeps the two
+	// point events.
 	var execs, coll, fab int
 	for _, e := range evs {
 		switch {
@@ -138,8 +168,8 @@ func TestFlightRecorder(t *testing.T) {
 			fab++
 		}
 	}
-	if execs != 8 || coll != 1 || fab != 1 {
-		t.Fatalf("execs=%d coll=%d fab=%d, want 8/1/1", execs, coll, fab)
+	if execs != execRingSize || coll != 1 || fab != 1 {
+		t.Fatalf("execs=%d coll=%d fab=%d, want %d/1/1", execs, coll, fab, execRingSize)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].TS < evs[i-1].TS {
@@ -158,8 +188,8 @@ func TestFlightRecorder(t *testing.T) {
 func TestSeriesSamplingAndQuantiles(t *testing.T) {
 	depth := 0
 	o := New(Options{
-		PEs:            1,
-		SeriesCapacity: 4,
+		PEs:  1,
+		Exec: true,
 		Sources: Sources{
 			QueueDepths: func(pe int) [Bands]int { return [Bands]int{depth, 0, 0, 0} },
 			FreeOf:      func(part int) int { return 10 },
@@ -169,6 +199,7 @@ func TestSeriesSamplingAndQuantiles(t *testing.T) {
 			Cycles:      func() int64 { return 7 },
 		},
 	})
+	o.series = newSeries(o, 1, 4)
 	for i := 0; i < 6; i++ { // wrap the 4-sample ring
 		depth = i * 10
 		o.SampleNow()
@@ -194,7 +225,7 @@ func TestSeriesSamplingAndQuantiles(t *testing.T) {
 }
 
 func TestSamplerGoroutine(t *testing.T) {
-	o := New(Options{PEs: 1, Parallel: true, SampleEvery: time.Millisecond})
+	o := New(Options{PEs: 1, Parallel: true, Exec: true, SampleEvery: time.Millisecond})
 	o.StartSampler()
 	deadline := time.Now().Add(2 * time.Second)
 	for len(o.Series().Mach) < 3 {
@@ -213,7 +244,7 @@ func TestSamplerGoroutine(t *testing.T) {
 
 // TestConcurrentRecording drives every shard concurrently under -race.
 func TestConcurrentRecording(t *testing.T) {
-	o := New(Options{PEs: 4, Parallel: true})
+	o := New(Options{PEs: 4, Parallel: true, Exec: true})
 	var wg sync.WaitGroup
 	for pe := 0; pe < 4; pe++ {
 		wg.Add(1)
@@ -234,7 +265,7 @@ func TestConcurrentRecording(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			o.Event(TIDCollector, "cycle", 0, 0, "")
-			o.Span("M_R", "collector", TIDCollector, o.Now(), 1)
+			o.Span("M_R", CatGC, TIDCollector, o.Now(), 1)
 			o.series.sample()
 		}
 	}()
@@ -249,7 +280,7 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	total := int64(0)
 	for pe := 0; pe < 4; pe++ {
-		total += o.Execs(pe)
+		total += o.slots[pe].execs.Load()
 	}
 	if total != 2000 {
 		t.Fatalf("execs = %d, want 2000", total)

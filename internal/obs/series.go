@@ -8,7 +8,7 @@ import (
 
 // PEPoint is one per-PE time-series sample.
 type PEPoint struct {
-	// TS is nanoseconds on the layer's monotonic clock.
+	// TS is nanoseconds on the clock (Now).
 	TS int64 `json:"ts"`
 	// Bands is the PE's pool depth per priority band (reserve..marking).
 	Bands [Bands]int `json:"bands"`
@@ -32,6 +32,9 @@ type MachPoint struct {
 	Deadlocked int   `json:"deadlocked"`
 }
 
+// seriesCapacity is how many samples each time-series ring retains.
+const seriesCapacity = 512
+
 // series holds the bounded sample history. One mutex guards everything:
 // sampling happens a few hundred times a second at most.
 type series struct {
@@ -53,6 +56,7 @@ func newSeries(o *Obs, pes, capacity int) *series {
 		pe:       make([][]PEPoint, pes),
 		mach:     make([]MachPoint, capacity),
 		lastBusy: make([]int64, pes),
+		lastTS:   Now(),
 	}
 	for i := range s.pe {
 		s.pe[i] = make([]PEPoint, capacity)
@@ -62,7 +66,7 @@ func newSeries(o *Obs, pes, capacity int) *series {
 
 func (s *series) sample() {
 	src := s.o.opts.Sources
-	now := s.o.Now()
+	now := Now()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -126,27 +126,17 @@ type Config struct {
 	// sees every pool, and schedules must stay byte-identical to the
 	// recorded goldens).
 	Steal bool
-	// StealBatch caps the number of tasks one steal operation moves
-	// (default 32); a steal takes at most half the victim's queue.
-	StealBatch int
 
 	// Obs, when non-nil, receives per-execution timing, batch spans, and
-	// idle transitions. Every call is a nil-safe no-op when unset, so the
-	// hot path pays one pointer test for the disabled layer.
+	// idle transitions — every call a nil-safe no-op when unset, so the hot
+	// path pays one pointer test for the disabled layer — and, when its
+	// lineage tracing is on, the spans of traced tasks: a span ID is
+	// assigned at spawn, an exec span is recorded per traced execution, and
+	// a steal point-span when a traced task moves pools. Untraced tasks
+	// (Trace == 0 — everything unless a head-sampled request stamped a
+	// context upstream) pay one field test.
 	Obs *obs.Obs
 
-	// Trace, when non-nil, receives causal-lineage spans for traced tasks:
-	// a span ID is assigned at spawn, an exec span is recorded per traced
-	// execution, and a steal point-span is recorded when a traced task
-	// moves pools. Untraced tasks (Trace == 0 — everything unless a head-
-	// sampled request stamped a context upstream) pay one field test.
-	Trace *obs.TraceSink
-
-	// OnSpawn, when set, observes every task entering the machine (before
-	// routing). It must be fast and must not call back into the Machine;
-	// it may run concurrently in parallel mode. The invariant checker uses
-	// it for structural task validation at the spawn boundary.
-	OnSpawn func(t task.Task)
 	// OnExecute, when set, is called at the start of every task execution
 	// with a globally ordered sequence number (0-based). In parallel mode
 	// the numbering is the linearization of execution starts; the schedule
@@ -234,9 +224,6 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.PartOf == nil {
 		panic("sched: Config.PartOf is required")
-	}
-	if cfg.StealBatch <= 0 {
-		cfg.StealBatch = defaultStealBatch
 	}
 	m := &Machine{
 		cfg:   cfg,
@@ -351,9 +338,6 @@ func (m *Machine) originOf(t task.Task) int {
 // destination pool.
 func (m *Machine) Spawn(t task.Task) {
 	m.stampTrace(&t)
-	if fn := m.cfg.OnSpawn; fn != nil {
-		fn(t)
-	}
 	if w := m.watch.Load(); w != nil {
 		w.Note(t)
 	}
@@ -380,21 +364,17 @@ func (m *Machine) Spawn(t task.Task) {
 // cycles use it to seed a whole root set at once: an M_T frontier of
 // thousands of roots fans out across the partitions as len(pools) batched
 // pushes, so cycle seeding stops serializing on per-task lock traffic.
-// Semantics match len(ts) Spawn calls exactly — same hooks, same counters,
+// Semantics match len(ts) Spawn calls exactly — same watch, same counters,
 // same per-pool FIFO order — so deterministic schedules are unchanged.
 func (m *Machine) SpawnBatch(ts []task.Task) {
 	if len(ts) == 0 {
 		return
 	}
-	onSpawn := m.cfg.OnSpawn
 	w := m.watch.Load()
 	buckets := make([][]task.Task, m.cfg.PEs)
 	var local, remote int64
 	for _, t := range ts {
 		m.stampTrace(&t)
-		if onSpawn != nil {
-			onSpawn(t)
-		}
 		if w != nil {
 			w.Note(t)
 		}
@@ -431,13 +411,13 @@ func (m *Machine) SpawnBatch(ts []task.Task) {
 
 // stampTrace assigns a traced task its own lineage span ID and spawn
 // timestamp before routing. Untraced tasks (the common case) pay one field
-// test; with no sink configured a stray context is dropped instead of
+// test; with lineage tracing off a stray context is dropped instead of
 // carried dead.
 func (m *Machine) stampTrace(t *task.Task) {
 	if t.Trace == 0 {
 		return
 	}
-	s := m.cfg.Trace
+	s := m.cfg.Obs.Lineage()
 	if s == nil {
 		t.Trace, t.Spans, t.Born = 0, 0, 0
 		return
@@ -446,7 +426,7 @@ func (m *Machine) stampTrace(t *task.Task) {
 		t.SetSpan(s.NewSpan())
 	}
 	if t.Born == 0 {
-		t.Born = time.Now().UnixNano()
+		t.Born = obs.Now()
 	}
 }
 
@@ -488,16 +468,17 @@ func (m *Machine) execute(pe int, t task.Task) {
 	slot.valid = true
 	slot.execs++
 	slot.mu.Unlock()
+	// Every queued task passed stampTrace, so a set Trace means tracing is on.
 	var traceStart int64
-	if m.cfg.Trace != nil && t.Trace != 0 {
-		traceStart = time.Now().UnixNano()
+	if t.Trace != 0 {
+		traceStart = obs.Now()
 	}
 	m.cfg.Obs.TaskStart(pe)
 	m.handler.Handle(t)
 	m.cfg.Obs.TaskEnd(pe, uint8(t.Kind), uint64(t.Src), uint64(t.Dst))
-	if traceStart != 0 {
-		m.cfg.Trace.Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
-			pe, t.Born, traceStart, time.Now().UnixNano())
+	if t.Trace != 0 {
+		m.cfg.Obs.Lineage().Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
+			pe, t.Born, traceStart, obs.Now())
 	}
 	slot.mu.Lock()
 	slot.valid = false
@@ -770,15 +751,16 @@ func (m *Machine) peLoop(i int) {
 // for park, doubling from stealParkMin to stealParkMax while nothing turns
 // up so a genuinely quiescent machine does not spin.
 const (
-	stealParkMin      = 50 * time.Microsecond
-	stealParkMax      = 2 * time.Millisecond
-	defaultStealBatch = 32
+	stealParkMin = 50 * time.Microsecond
+	stealParkMax = 2 * time.Millisecond
+	// stealBatch caps the number of tasks one steal moves.
+	stealBatch = 32
 )
 
 // stealFor moves a batch of tasks from the most-loaded peer's pool into PE
 // pe's, reporting whether anything was stolen. Victims need at least two
 // queued tasks (taking an owner's only task just migrates latency), and a
-// steal takes at most half the victim's queue, capped at StealBatch.
+// steal takes at most half the victim's queue, capped at stealBatch.
 func (m *Machine) stealFor(pe int) bool {
 	victim, best := -1, 1
 	for j := range m.pools {
@@ -792,19 +774,16 @@ func (m *Machine) stealFor(pe int) bool {
 	if victim < 0 {
 		return false
 	}
-	batch := best / 2
-	if batch > m.cfg.StealBatch {
-		batch = m.cfg.StealBatch
-	}
+	batch := min(best/2, stealBatch)
 	// For traced tasks, a steal is a causal hop worth a span: it explains
 	// why the task's remaining queue wait happened on the thief's pool.
 	var each func(task.Task)
-	if s := m.cfg.Trace; s != nil {
+	if s := m.cfg.Obs.Lineage(); s != nil {
 		each = func(t task.Task) {
 			if t.Trace == 0 {
 				return
 			}
-			now := time.Now().UnixNano()
+			now := obs.Now()
 			s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
 				Parent: t.Span(), Name: "steal", Cat: obs.CatSteal, PE: pe,
 				Start: now, End: now, N: int64(victim),

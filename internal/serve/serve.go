@@ -107,8 +107,6 @@ type Options struct {
 	// trace sink across the whole pool, assembled (with critical-path
 	// blame) at /debug/traces.json. 0 disables tracing.
 	TraceRate float64
-	// TraceCapacity bounds the shared sink's span ring (default 1<<17).
-	TraceCapacity int
 }
 
 func (o Options) withDefaults() Options {
@@ -138,9 +136,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JobHistory <= 0 {
 		o.JobHistory = 4096
-	}
-	if o.TraceCapacity <= 0 {
-		o.TraceCapacity = 1 << 17
 	}
 	return o
 }
@@ -291,12 +286,15 @@ type Server struct {
 	violations []string // from recycled (closed) machines, capped
 
 	cache *memoCache
-	// trace is the pool-wide lineage sink (nil when tracing is off): one
-	// ring shared by the serving layer and every pooled machine, so a
-	// request's spans assemble into one trace no matter which machine —
-	// or, after a recycle, which machine generation — served it.
+	// trace is the pool-wide event log (nil when tracing is off): shared by
+	// the serving layer and every pooled machine, so a request's spans
+	// assemble into one trace no matter which machine — or, after a
+	// recycle, which machine generation — served it.
 	trace *obs.TraceSink
 }
+
+// traceCapacity is how many trace spans the pool-wide log retains.
+const traceCapacity = 1 << 17
 
 // New builds and starts a server (its worker goroutines idle until jobs
 // arrive). Close must be called to stop them.
@@ -309,7 +307,7 @@ func New(opts Options) *Server {
 		cache:   newMemoCache(opts.CacheEntries),
 	}
 	if opts.TraceRate > 0 {
-		s.trace = obs.NewTraceSink(opts.TraceCapacity, opts.TraceRate)
+		s.trace = obs.NewTraceSink(traceCapacity, opts.TraceRate)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for b := range s.credits {
@@ -414,7 +412,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		if j.trace != 0 {
 			s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 				Parent: j.rootSpan, Name: "memo", Cat: obs.CatServe, PE: obs.TIDEval,
-				Start: j.submitted.UnixNano(), End: j.finished.UnixNano(), Note: "hit"})
+				Start: obs.At(j.submitted), End: obs.At(j.finished), Note: "hit"})
 			s.traceRequestLocked(j)
 		}
 		t.observeTrace(j)
@@ -459,7 +457,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if j.trace != 0 {
 		s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 			Parent: j.rootSpan, Name: "admission", Cat: obs.CatServe, PE: obs.TIDEval,
-			Start: j.submitted.UnixNano(), End: time.Now().UnixNano(),
+			Start: obs.At(j.submitted), End: obs.Now(),
 			Note: fmt.Sprintf("tenant=%s cost=%d", t.name, cost)})
 	}
 	s.cond.Signal()
@@ -476,7 +474,7 @@ func (s *Server) traceRequestLocked(j *Job) {
 	}
 	s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: j.rootSpan,
 		Name: "request", Cat: obs.CatServe, PE: obs.TIDEval,
-		Start: j.submitted.UnixNano(), End: j.finished.UnixNano(), Note: note})
+		Start: obs.At(j.submitted), End: obs.At(j.finished), Note: note})
 }
 
 // newJobLocked registers a fresh job and counts it against the tenant's
@@ -624,7 +622,7 @@ func (s *Server) execute(w *worker, j *Job) {
 		// it into the critical path's queue blame bucket.
 		s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 			Parent: j.rootSpan, Name: "queue-wait", Cat: obs.CatQueue, PE: obs.TIDEval,
-			Start: j.submitted.UnixNano(), End: j.started.UnixNano(),
+			Start: obs.At(j.submitted), End: obs.At(j.started),
 			Note: fmt.Sprintf("worker=%d", w.id)})
 	}
 	probe := time.Now()
@@ -636,7 +634,7 @@ func (s *Server) execute(w *worker, j *Job) {
 		}
 		s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 			Parent: j.rootSpan, Name: "memo", Cat: obs.CatServe, PE: obs.TIDEval,
-			Start: probe.UnixNano(), End: time.Now().UnixNano(), Note: note})
+			Start: obs.At(probe), End: obs.Now(), Note: note})
 	}
 	if ok {
 		s.finish(j, res, true, 0, nil)
@@ -741,7 +739,7 @@ func (s *Server) traceSettleLocked(j *Job) {
 	}
 	s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 		Parent: j.rootSpan, Name: "settle", Cat: obs.CatServe, PE: obs.TIDEval,
-		Start: settleStart.UnixNano(), End: j.finished.UnixNano()})
+		Start: obs.At(settleStart), End: obs.At(j.finished)})
 	s.traceRequestLocked(j)
 }
 

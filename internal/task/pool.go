@@ -381,11 +381,6 @@ func (p *Pool) Close() {
 	p.cond.Broadcast()
 }
 
-// Kick wakes all waiters without pushing (used when external state such as
-// a stop flag changed; correctness requires every waiter to re-check, so
-// this is the one deliberate Broadcast besides Close).
-func (p *Pool) Kick() { p.cond.Broadcast() }
-
 // Each calls fn for every queued task under the pool lock. fn must not call
 // back into the pool. This is the taskpool snapshot M_T uses to build
 // taskroot_i. When an inter-PE fabric is wired in, a spawned task may also

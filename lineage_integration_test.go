@@ -200,3 +200,100 @@ func TestWriteTracesJSON(t *testing.T) {
 		t.Fatal("WriteTracesJSON on an untraced machine must error")
 	}
 }
+
+// TestCollectorPhaseRecordedOnce: with obs and rate-1.0 tracing both on,
+// each collector phase is one record in the one log — not one per
+// instrument.
+func TestCollectorPhaseRecordedOnce(t *testing.T) {
+	m := dgr.New(dgr.Options{
+		PEs:        2,
+		Seed:       42,
+		Capacity:   1 << 14,
+		GCInterval: 500,
+		Obs:        true,
+		TraceRate:  1,
+	})
+	defer m.Close()
+	if _, err := m.Eval(detFib); err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+	cycles := m.Stats().Cycles
+	if cycles < 2 {
+		t.Fatalf("only %d collector cycles ran; the eval must span several", cycles)
+	}
+	spans, _ := m.TraceSink().Spans()
+	var mr int64
+	for _, sp := range spans {
+		if sp.Name == "M_R" {
+			mr++
+		}
+	}
+	if mr != cycles {
+		t.Fatalf("log holds %d M_R records for %d cycles, want one each", mr, cycles)
+	}
+}
+
+// TestBlameWithNonGCGlobals runs with obs, tracing and the fabric all on, so
+// the log's global class holds far more than collector phases — cycle and
+// sweep envelopes, execution batches, batch flights, point events. Only the
+// phases may be overlapped against the trace: blame must still sum exactly
+// to latency, and the "cycle" record around them must not turn the whole
+// path into gc.
+func TestBlameWithNonGCGlobals(t *testing.T) {
+	m := dgr.New(dgr.Options{
+		PEs:        4,
+		Seed:       42,
+		Capacity:   1 << 12, // small partitions: allocation spills across them early
+		GCInterval: 2000,
+		Fabric:     true,
+		Obs:        true,
+		TraceRate:  1,
+	})
+	defer m.Close()
+	if _, err := m.Eval(detFib); err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+	spans, _ := m.TraceSink().Spans()
+	other := map[string]int{}
+	for _, sp := range spans {
+		if sp.Trace == 0 && sp.Cat != obs.CatGC {
+			other[sp.Name]++
+		}
+	}
+	for _, name := range []string{"cycle", "sweep", "pe-batch", "fab-batch", "cycle.start", "fab.flush"} {
+		if other[name] == 0 {
+			t.Fatalf("no %q record among the non-gc globals %v; the run does not exercise the filter", name, other)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := m.WriteTracesJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc obs.TraceDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Globals) == 0 {
+		t.Fatal("document carries no collector phases")
+	}
+	for _, g := range doc.Globals {
+		if g.Cat != obs.CatGC {
+			t.Fatalf("TraceDoc.Globals holds a %s/%s record, want collector phases only", g.Cat, g.Name)
+		}
+	}
+	if len(doc.Traces) != 1 {
+		t.Fatalf("doc has %d traces, want 1", len(doc.Traces))
+	}
+	crit := doc.Traces[0].Crit
+	var blamed int64
+	for _, ns := range crit.Blame {
+		blamed += ns
+	}
+	if blamed != crit.TotalNs {
+		t.Fatalf("blame sums to %d, want exactly TotalNs %d", blamed, crit.TotalNs)
+	}
+	if crit.Blame[obs.CatExec] == 0 {
+		t.Fatalf("no time blamed to exec (blame %v): an enclosing interval swallowed the path", crit.Blame)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"dgr"
+	"dgr/internal/obs"
 )
 
 func TestObsSpansAndExposition(t *testing.T) {
@@ -227,5 +228,59 @@ func TestObsDisabledSurface(t *testing.T) {
 	// The graph DOT export does not need the obs layer.
 	if err := m.WriteGraphDOT(&buf); err != nil {
 		t.Errorf("WriteGraphDOT: %v", err)
+	}
+}
+
+// TestSharedLogReadersSeeOwnMachine pools two machines behind one log, as
+// the serving layer does. Each machine's flight dump and chrome export must
+// hold its own records only (told apart here by how many cycles each ran),
+// while trace assembly over the log sees both machines' traces.
+func TestSharedLogReadersSeeOwnMachine(t *testing.T) {
+	log := obs.NewTraceSink(0, 0)
+	count := func(m *dgr.Machine, write func(*dgr.Machine, *bytes.Buffer) error, needle string) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := write(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(buf.String(), needle)
+	}
+	flight := func(m *dgr.Machine, w *bytes.Buffer) error { return m.WriteFlightJSONL(w) }
+	chrome := func(m *dgr.Machine, w *bytes.Buffer) error { return m.WriteSpansJSONL(w) }
+
+	var machines []*dgr.Machine
+	for i, cycles := range []int{3, 5} {
+		m := dgr.New(dgr.Options{PEs: 2, Seed: 1, Capacity: 1 << 12, Obs: true, TraceSink: log})
+		defer m.Close()
+		machines = append(machines, m)
+		if _, err := m.EvalTraced(`6 * 7`, log.NewTrace(), 0); err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+		for m.Stats().Cycles < int64(cycles) {
+			m.RunGC()
+		}
+	}
+	for i, want := range []int{3, 5} {
+		m := machines[i]
+		if got := count(m, flight, `"kind":"cycle.start"`); got != want {
+			t.Errorf("machine %d's flight dump has %d cycle.start events, want its own %d", i, got, want)
+		}
+		if got := count(m, chrome, `"name":"cycle"`); got != want {
+			t.Errorf("machine %d's chrome export has %d cycle spans, want its own %d", i, got, want)
+		}
+	}
+	spans, _ := log.Spans()
+	traces, globals := obs.AssembleTraces(spans)
+	if len(traces) != 2 {
+		t.Fatalf("assembly over the shared log saw %d traces, want both machines' (2)", len(traces))
+	}
+	var mr int
+	for _, g := range globals {
+		if g.Name == "M_R" {
+			mr++
+		}
+	}
+	if mr != 3+5 {
+		t.Fatalf("assembly saw %d M_R phases, want both machines' (8)", mr)
 	}
 }

@@ -122,7 +122,7 @@ func TestParallelFalseDeadlockStress(t *testing.T) {
 			Parallel: true,
 			MTEvery:  1,
 			Seed:     int64(i),
-			Pace:     time.Nanosecond, // continuous collection: maximize snapshot/mutator overlap
+			pace:     time.Nanosecond, // continuous collection: maximize snapshot/mutator overlap
 			Timeout:  2 * time.Minute,
 			Capacity: 1 << 14,
 		})
