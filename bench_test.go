@@ -1,130 +1,16 @@
 package dgr_test
 
-// The benchmark harness: one benchmark per experiment of EXPERIMENTS.md
-// (each also self-validates the paper's property it reproduces) plus
-// microbenchmarks of the machine's hot paths. `go run ./cmd/dgr-bench`
-// prints the full experiment tables; these wrappers make every experiment
-// runnable under `go test -bench`.
+// The experiments of EXPERIMENTS.md run through `go run ./cmd/dgr-bench`
+// (and, in Quick mode, internal/exp's TestAllExperimentsQuick); the reduce,
+// reduce-pes and gc-cycle measurements are rows of `dgr-bench -json`. What is
+// left here is the one measurement neither has.
 
 import (
-	"fmt"
 	"testing"
 
 	"dgr"
-	"dgr/internal/exp"
 	"dgr/internal/workload"
 )
-
-// runExperiment executes a registered experiment b.N times (Quick mode, so
-// bench sweeps stay tractable) and fails the benchmark if the experiment's
-// self-validation fails.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := exp.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(exp.Config{Quick: true, Seed: int64(i)}); err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-	}
-}
-
-// E1 / Figure 3-1: deadlocked computation x = x+1.
-func BenchmarkFig31Deadlock(b *testing.B) { runExperiment(b, "fig31") }
-
-// E2 / Figure 3-2: vital, eager, irrelevant and reserve tasks.
-func BenchmarkFig32TaskTypes(b *testing.B) { runExperiment(b, "fig32") }
-
-// E3 / Figure 3-3: reachability-set Venn relationships.
-func BenchmarkVennFig33(b *testing.B) { runExperiment(b, "venn") }
-
-// E4 / §4.2: the add-reference/delete-reference race under marking.
-func BenchmarkMutatorRace(b *testing.B) { runExperiment(b, "race") }
-
-// E5 / Theorem 1: GAR(t_b) ⊆ GAR' ⊆ GAR(t_c).
-func BenchmarkTheorem1(b *testing.B) { runExperiment(b, "thm1") }
-
-// E6 / Theorem 2: DL(t_a) ⊆ DL' ⊆ DL(t_c) with M_T before M_R.
-func BenchmarkTheorem2(b *testing.B) { runExperiment(b, "thm2") }
-
-// E7: marking throughput scalability across PEs.
-func BenchmarkMarkScalability(b *testing.B) { runExperiment(b, "scale") }
-
-// E8: concurrent marking vs stop-the-world pauses.
-func BenchmarkConcurrentVsStopWorld(b *testing.B) { runExperiment(b, "pause") }
-
-// E9: marking vs reference counting (cyclic garbage, messages).
-func BenchmarkVsRefcount(b *testing.B) { runExperiment(b, "refcount") }
-
-// E10: irrelevant-task expungement on runaway speculation.
-func BenchmarkIrrelevantTasks(b *testing.B) { runExperiment(b, "irrelevant") }
-
-// E11: eager→vital task reprioritization.
-func BenchmarkPriorityUpgrade(b *testing.B) { runExperiment(b, "priority") }
-
-// E12 / §6: M_T frequency ablation.
-func BenchmarkMTFrequency(b *testing.B) { runExperiment(b, "mtfreq") }
-
-// E13 / §6: per-vertex space overhead of the marking fields.
-func BenchmarkSpaceOverhead(b *testing.B) { runExperiment(b, "space") }
-
-// E14: end-to-end corpus profile.
-func BenchmarkCorpusPrograms(b *testing.B) { runExperiment(b, "programs") }
-
-// E15: inter-PE fabric batching throughput (batched must beat unbatched).
-func BenchmarkFabricBatching(b *testing.B) { runExperiment(b, "fabric") }
-
-// E16: evaluation over a lossy fabric (exactly-once under injected drops).
-func BenchmarkFabricLoss(b *testing.B) { runExperiment(b, "fabdrop") }
-
-// BenchmarkReduce measures end-to-end reduction throughput (compile + run
-// + concurrent GC) for the corpus programs on a deterministic machine.
-func BenchmarkReduce(b *testing.B) {
-	for _, name := range []string{"fib", "fac", "sumsquares", "churn"} {
-		p := workload.Programs[name]
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var tasks int64
-			for i := 0; i < b.N; i++ {
-				m := dgr.New(dgr.Options{PEs: 4, Seed: int64(i), Capacity: 1 << 16})
-				v, err := m.Eval(p.Src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.Int != p.Want {
-					b.Fatalf("%s = %v, want %d", name, v, p.Want)
-				}
-				tasks += m.Stats().TasksExecuted
-				m.Close()
-			}
-			b.ReportMetric(float64(tasks)/float64(b.N), "tasks/op")
-		})
-	}
-}
-
-// BenchmarkReducePEs measures the same program across PE counts in
-// parallel mode.
-func BenchmarkReducePEs(b *testing.B) {
-	p := workload.Programs["fib"]
-	for _, pes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("pes=%d", pes), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m := dgr.New(dgr.Options{PEs: pes, Parallel: true, Capacity: 1 << 16})
-				v, err := m.Eval(p.Src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.Int != p.Want {
-					b.Fatalf("fib = %v", v)
-				}
-				m.Close()
-			}
-		})
-	}
-}
 
 // BenchmarkCompile measures the front end alone.
 func BenchmarkCompile(b *testing.B) {
@@ -135,23 +21,5 @@ func BenchmarkCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.Close()
-	}
-}
-
-// BenchmarkGCCycle measures one mark/restructure cycle over a live heap.
-func BenchmarkGCCycle(b *testing.B) {
-	m := dgr.New(dgr.Options{PEs: 4, Seed: 1, Capacity: 1 << 16})
-	defer m.Close()
-	// Populate a live heap.
-	if _, err := m.Eval(workload.Programs["sumsquares"].Src); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := m.RunGC()
-		if !rep.Completed {
-			b.Fatal("cycle incomplete")
-		}
 	}
 }

@@ -65,8 +65,9 @@ var (
 	// ErrDeadlock: the computation can never complete; the collector
 	// identified deadlocked vertices (DL_v = R_v − T).
 	ErrDeadlock = errors.New("dgr: computation deadlocked")
-	// ErrStuck: evaluation quiesced without a value and without detected
-	// deadlock — check RuntimeErrors (e.g. type errors).
+	// ErrStuck: evaluation quiesced without a value — on a runtime error
+	// (a type error, a division by zero), which the returned error wraps, or
+	// without any diagnosis (deadlock detection disabled).
 	ErrStuck = errors.New("dgr: evaluation stuck")
 	// ErrBudget: the step/time budget was exhausted (likely divergence).
 	ErrBudget = errors.New("dgr: evaluation budget exhausted")
@@ -594,6 +595,42 @@ func (m *Machine) EvalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 	return v, err
 }
 
+// settle is the one outcome rule both drivers apply when the evaluation may
+// have ended. A delivered value is the outcome, with a nil error: a runtime
+// error raised by work the value did not need — speculation since
+// dereferenced, irrelevant by Property 6 — is not the evaluation's failure
+// (RuntimeErrors still lists it), and a deadlocked subterm does not block a
+// completed root. Without a value, a quiescent machine is diagnosed: by the
+// first runtime error of this evaluation (the vertex stuck on it is
+// semantically ⊥ and M_T would report it deadlocked; the error itself is the
+// better diagnosis), else by a confirmed deadlock. done is false while
+// neither applies; the driver's patience and budget decide from there.
+func (m *Machine) settle(ch <-chan Value) (v Value, done bool, err error) {
+	// Quiescence is read before the channel: the task that delivers the
+	// value is in flight until it returns, so a machine seen quiescent and
+	// then a channel seen empty means no value is coming. TerminalVerdict
+	// pairs "confirmed deadlock" with its own quiescence reading under the
+	// collector's verdict lock.
+	n, dead := m.collector.TerminalVerdict()
+	quiet := dead || m.mach.Inflight() == 0
+	select {
+	case v = <-ch:
+		return v, true, nil
+	default:
+	}
+	if !quiet {
+		return Value{}, false, nil
+	}
+	if errs := m.engine.Errors(); len(errs) > 0 {
+		return Value{}, true, fmt.Errorf("%w: %v", ErrStuck, errs[0])
+	}
+	if dead {
+		m.dumpFlight("deadlock")
+		return Value{}, true, fmt.Errorf("%w: %d vertices", ErrDeadlock, n)
+	}
+	return Value{}, false, nil
+}
+
 func (m *Machine) pumpDeterministic(root NodeID, ch <-chan Value) (Value, error) {
 	// Eval completion is a safe point: close open execution batches and
 	// accrue pending counters so post-eval exposition reads exact totals.
@@ -601,47 +638,23 @@ func (m *Machine) pumpDeterministic(root NodeID, ch <-chan Value) (Value, error)
 	steps := 0
 	quietCycles := 0
 	for steps < m.opts.MaxSteps {
-		n := m.mach.RunUntil(func() bool { return len(ch) > 0 }, m.opts.GCInterval)
-		steps += n
-		select {
-		case v := <-ch:
-			if errs := m.engine.Errors(); len(errs) > 0 {
-				return v, fmt.Errorf("%w: %v", ErrStuck, errs[0])
+		steps += m.mach.RunUntil(func() bool { return len(ch) > 0 }, m.opts.GCInterval)
+		if len(ch) == 0 {
+			// The cycle's marking pump interleaves reduction, so the value
+			// may be delivered mid-cycle.
+			m.collector.RunCycle()
+			if m.checker != nil && len(ch) == 0 && m.mach.Inflight() == 0 {
+				m.checker.AtQuiescence()
 			}
-			return v, nil
-		default:
 		}
-		m.collector.RunCycle()
-		// The cycle's marking pump interleaves reduction, so the value may
-		// have been delivered mid-cycle; it is authoritative over any stale
-		// deadlock record (a deadlocked subterm does not block a completed
-		// root).
-		select {
-		case v := <-ch:
-			if errs := m.engine.Errors(); len(errs) > 0 {
-				return v, fmt.Errorf("%w: %v", ErrStuck, errs[0])
-			}
-			return v, nil
-		default:
-		}
-		if m.checker != nil && m.mach.Inflight() == 0 {
-			m.checker.AtQuiescence()
+		if v, done, err := m.settle(ch); done {
+			return v, err
 		}
 		if m.mach.Inflight() == 0 {
-			// Quiescent without a value: deadlocked, erroneous, or waiting
-			// on tasks the collector just expunged. Give the detector two
-			// full M_T passes (candidate + confirmation) before concluding.
+			// Quiescent without a value or a diagnosis: possibly waiting on
+			// tasks the collector just expunged. Give the detector two full
+			// M_T passes (candidate + confirmation) before concluding.
 			quietCycles++
-			// A vertex stuck on a runtime (type) error is semantically ⊥
-			// and will be reported deadlocked by M_T/M_R; surface the
-			// error itself as the diagnosis.
-			if errs := m.engine.Errors(); len(errs) > 0 {
-				return Value{}, fmt.Errorf("%w: %v", ErrStuck, errs[0])
-			}
-			if n, ok := m.collector.TerminalVerdict(); ok {
-				m.dumpFlight("deadlock")
-				return Value{}, fmt.Errorf("%w: %d vertices", ErrDeadlock, n)
-			}
 			if quietCycles >= maxQuietCycles(m.opts.MTEvery) {
 				m.dumpFlight("stuck")
 				return Value{}, ErrStuck
@@ -677,33 +690,12 @@ func (m *Machine) waitParallel(ch <-chan Value) (Value, error) {
 	for {
 		select {
 		case v := <-ch:
-			if errs := m.engine.Errors(); len(errs) > 0 {
-				return v, fmt.Errorf("%w: %v", ErrStuck, errs[0])
-			}
 			return v, nil
 		case <-ticker.C:
-			// Prefer a delivered value: select picks ready cases at random,
-			// so without this drain a completed computation could be
-			// misreported via a stale deadlock record.
-			select {
-			case v := <-ch:
-				if errs := m.engine.Errors(); len(errs) > 0 {
-					return v, fmt.Errorf("%w: %v", ErrStuck, errs[0])
-				}
-				return v, nil
-			default:
-			}
-			// TerminalVerdict evaluates "confirmed deadlock ∧ inflight == 0"
-			// under the collector's verdict lock, so the pair is one reading
-			// rather than the old racy two-instant check.
-			if n, ok := m.collector.TerminalVerdict(); ok {
-				m.dumpFlight("deadlock")
-				return Value{}, fmt.Errorf("%w: %d vertices", ErrDeadlock, n)
+			if v, done, err := m.settle(ch); done {
+				return v, err
 			}
 			if m.mach.Inflight() == 0 {
-				if errs := m.engine.Errors(); len(errs) > 0 {
-					return Value{}, fmt.Errorf("%w: %v", ErrStuck, errs[0])
-				}
 				// Quiescent, no value, no errors, no confirmed deadlock.
 				// Mirror pumpDeterministic's quiet-cycle logic: if no
 				// reduction work has happened for maxQuietCycles collector
@@ -1057,8 +1049,9 @@ func (m *Machine) ReplaySchedule(root NodeID, events []check.Event) error {
 // deadlocked so far.
 func (m *Machine) Deadlocked() []NodeID { return m.collector.Deadlocked() }
 
-// RuntimeErrors returns runtime (type) errors raised by the reduction
-// engine.
+// RuntimeErrors returns the runtime errors (type errors, division by zero)
+// the reduction engine raised during the current — or, between evaluations,
+// the latest — evaluation, speculative work included.
 func (m *Machine) RuntimeErrors() []error { return m.engine.Errors() }
 
 // ExecsPerPE reports how many tasks each PE has executed so far — the

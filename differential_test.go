@@ -15,6 +15,7 @@ package dgr_test
 //     supercombinator leaves)
 //   - reference bottom (self-dependency)  → both engines report
 //     ErrDeadlock
+//   - a reference runtime error           → both engines report ErrStuck
 //
 // Every run must additionally leave the invariant checker clean, and
 // deterministic value runs must satisfy the internal/analysis reachability
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -77,7 +79,8 @@ const (
 	refCons
 	refFunc
 	refDeadlock
-	refUnknown // out of fuel: excluded from the matrix
+	refStuck   // a runtime error: type error, division by zero
+	refUnknown // unparsable or out of fuel: excluded from the matrix
 )
 
 type diffCase struct {
@@ -101,8 +104,10 @@ func classify(name, src string) diffCase {
 	switch {
 	case errors.Is(err, lang.ErrBottom):
 		c.outcome = refDeadlock
-	case err != nil:
+	case errors.Is(err, lang.ErrFuel):
 		c.outcome = refUnknown
+	case err != nil:
+		c.outcome = refStuck
 	default:
 		switch val := v.(type) {
 		case lang.IInt:
@@ -243,6 +248,12 @@ func assertAgainstReference(t *testing.T, c diffCase, mode, engine string, v dgr
 		}
 		return
 	}
+	if c.outcome == refStuck {
+		if !errors.Is(err, dgr.ErrStuck) {
+			t.Errorf("%s: want ErrStuck, got (%v, %v)", tag, v, err)
+		}
+		return
+	}
 	if err != nil {
 		t.Errorf("%s: eval: %v", tag, err)
 		return
@@ -345,5 +356,56 @@ func TestDifferentialGeneratedShrinks(t *testing.T) {
 	if mismatch(e) {
 		min := lang.ShrinkWhile(e, 200, mismatch)
 		t.Fatalf("cross-engine mismatch; minimized counterexample:\n%s", min)
+	}
+}
+
+// TestDifferentialValuePrimitives: step against fold. For every value
+// primitive over the operand grid, `let f x y = x ⊕ y in f a b` runs on the
+// compiled engine — f is strict in both parameters, so its operands are known
+// and the application folds inside the body's execution — and on the
+// interpreted engine, where the flattened primapp is stepped. Both read the
+// one rule of graph's table, and must come to the same value or the same
+// runtime-error text (a fold the rule refuses builds the primapp instead).
+func TestDifferentialValuePrimitives(t *testing.T) {
+	grid := map[graph.Kind][]string{
+		graph.KindInt:  {"0", "1", "(0 - 1)", "(0 - 9223372036854775807 - 1)", "9223372036854775807"},
+		graph.KindBool: {"false", "true"},
+	}
+	vertexIDs := regexp.MustCompile(`v\d+`)
+	run := func(m *dgr.Machine, src string) string {
+		v, err := m.Eval(src)
+		if err != nil {
+			return vertexIDs.ReplaceAllString(err.Error(), "v#")
+		}
+		return v.String()
+	}
+	interp := dgr.New(dgr.Options{PEs: 2, Seed: 1, Engine: dgr.EngineInterp})
+	defer interp.Close()
+	compiled := dgr.New(dgr.Options{PEs: 2, Seed: 1, Engine: dgr.EngineCompiled})
+	defer compiled.Close()
+	for p := graph.Prim(1); p < graph.PrimEnd; p++ {
+		if p.Operand() == 0 {
+			continue
+		}
+		bs := grid[p.Operand()]
+		if p.Arity() == 1 {
+			bs = []string{""}
+		}
+		for _, a := range grid[p.Operand()] {
+			for _, b := range bs {
+				src := fmt.Sprintf("let f x y = %s x y in f %s %s", p.Builtin(), a, b)
+				if p.Arity() == 1 {
+					src = fmt.Sprintf("let f x = %s x in f %s", p.Builtin(), a)
+				}
+				stepped, folded := run(interp, src), run(compiled, src)
+				if stepped != folded {
+					t.Errorf("%s: stepped %q, folded %q", src, stepped, folded)
+				}
+				if c := classify("", src); c.outcome == refInt && stepped != fmt.Sprint(c.wantInt) ||
+					c.outcome == refBool && stepped != fmt.Sprint(c.wantBool) {
+					t.Errorf("%s: engines say %q, oracle %d / %v", src, stepped, c.wantInt, c.wantBool)
+				}
+			}
+		}
 	}
 }

@@ -30,10 +30,6 @@ type CollectorConfig struct {
 	// collector idles at least as long as the cycle it just ran took, so it
 	// is active at most half of the time. 0 runs cycles back to back.
 	Pace time.Duration
-	// MaxStepsPerPhase bounds the deterministic pump per marking phase
-	// (0 = unlimited). If the bound is hit the phase is abandoned and the
-	// report's Completed flag is false.
-	MaxStepsPerPhase int
 	// Recorder, if set, observes the collector's nondeterministic decisions
 	// (which marking cycles start with which roots, and when restructuring
 	// runs) so a schedule recorder can log them for deterministic replay.
@@ -78,8 +74,8 @@ type CycleReport struct {
 	Cycle int64
 	// MTRan reports whether the M_T phase executed this cycle.
 	MTRan bool
-	// Completed is false if a marking phase did not finish within the
-	// deterministic step bound.
+	// Completed is false if the deterministic machine quiesced before a
+	// marking phase finished; such a cycle reclaims and reports nothing.
 	Completed bool
 	// Reclaimed is the number of garbage vertices returned to F.
 	Reclaimed int
@@ -499,8 +495,9 @@ func (c *Collector) waitPhase(ctx graph.Ctx, done <-chan struct{}, rep *CycleRep
 		<-done
 		return 0
 	}
-	steps := c.mach.RunUntil(func() bool { return c.marker.Done(ctx) }, c.cfg.MaxStepsPerPhase)
+	steps := c.mach.RunUntil(func() bool { return c.marker.Done(ctx) }, 0)
 	if !c.marker.Done(ctx) {
+		// Quiescent with the phase unfinished: a mark or return was lost.
 		rep.Completed = false
 	}
 	return steps

@@ -330,6 +330,10 @@ func TestCollectorFreshAllocationsSurviveCycle(t *testing.T) {
 	}
 }
 
+// TestCollectorStepBound: a marking phase whose pump runs dry before the
+// marker is done — here because a queued return task is dropped mid-phase —
+// is abandoned: the report says so, and nothing is reclaimed on the strength
+// of incomplete marks.
 func TestCollectorStepBound(t *testing.T) {
 	r := newRig(t, 1, 10, false)
 	root := r.vertex(graph.KindApply)
@@ -339,11 +343,20 @@ func TestCollectorStepBound(t *testing.T) {
 		r.edge(chain, nxt, graph.ReqVital)
 		chain = nxt
 	}
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:             root.ID,
-		MaxStepsPerPhase: 5, // far too few
-	})
+	r.vertex(graph.KindApply) // garbage a completed cycle would reclaim
+	marking := NewDispatcher(r.marker, nil)
+	dropped := 0
+	r.mach.SetHandler(sched.HandlerFunc(func(tk task.Task) {
+		marking.Handle(tk)
+		if dropped == 0 {
+			dropped = r.mach.Expunge(0, func(q task.Task) bool { return q.Kind == task.Return })
+		}
+	}))
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
 	rep := col.RunCycle()
+	if dropped != 1 {
+		t.Fatalf("dropped %d return tasks, want exactly the first one queued", dropped)
+	}
 	if rep.Completed {
 		t.Fatal("cycle should have been abandoned")
 	}

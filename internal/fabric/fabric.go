@@ -348,7 +348,6 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		b.delivered = true
 		n := int64(len(b.tasks))
 		lk.delivered += n
-		f.pending.Add(-n)
 		lat := now - b.born
 		if f.cfg.Parallel {
 			lat /= int64(time.Microsecond)
@@ -376,6 +375,9 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		if n > 0 {
 			f.deliver(lk.to, b.tasks)
 		}
+		// Custody ends only once the sink has the tasks: Pending() == 0
+		// means delivered, not about to be.
+		f.pending.Add(-n)
 	} else {
 		// Receiver-side dedup: it has seen seq already; just re-ack.
 		lk.dups++

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,7 +246,16 @@ func TestParallelDelivery(t *testing.T) {
 	f := New(Config{PEs: 4, Parallel: true, Seed: 5, BatchSize: 8,
 		FlushEvery: 100 * time.Microsecond, LinkLatency: 50 * time.Microsecond,
 		Jitter: 30 * time.Microsecond, DropRate: 0.1, Counters: c})
-	f.SetDeliver(s.deliver)
+	// A batch stays in custody until the sink has it: were it subtracted
+	// first, a reader could see Pending() == 0 with the last delivery still
+	// running.
+	var early atomic.Int64
+	f.SetDeliver(func(pe int, ts []task.Task) {
+		if f.Pending() < int64(len(ts)) {
+			early.Add(1)
+		}
+		s.deliver(pe, ts)
+	})
 	f.Start()
 	const n = 2000
 	var wg sync.WaitGroup
@@ -266,8 +276,13 @@ func TestParallelDelivery(t *testing.T) {
 	if f.Pending() != 0 {
 		t.Fatalf("pending = %d after deadline", f.Pending())
 	}
+	// The implication a drain loop relies on: nothing pending means every
+	// task has reached the sink — not that its delivery is under way.
 	if got := s.total(); got != n {
-		t.Fatalf("delivered %d, want exactly %d", got, n)
+		t.Fatalf("Pending() == 0 with %d of %d tasks delivered", got, n)
+	}
+	if e := early.Load(); e != 0 {
+		t.Fatalf("%d batches left custody before their delivery", e)
 	}
 	f.Close()
 	if c.FabricDelivered.Load() != n {

@@ -445,14 +445,25 @@ func TestCombPrimMetadata(t *testing.T) {
 	if PrimIf.Arity() != 3 || PrimAdd.Arity() != 2 || PrimNot.Arity() != 1 {
 		t.Fatal("prim arity wrong")
 	}
-	if got := PrimIf.StrictArgs(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("if strict args = %v", got)
+	if !PrimIf.Needs(0) || PrimIf.Needs(1) || PrimIf.Needs(2) {
+		t.Fatal("if needs exactly its predicate")
 	}
-	if got := PrimAdd.StrictArgs(); len(got) != 2 {
-		t.Fatalf("add strict args = %v", got)
+	if !PrimAdd.Needs(0) || !PrimAdd.Needs(1) || PrimAdd.Operand() != KindInt {
+		t.Fatal("add needs two int operands")
 	}
-	if got := PrimCons.StrictArgs(); got != nil {
-		t.Fatalf("cons strict args = %v, want nil", got)
+	if PrimCons.Needs(0) || PrimCons.Needs(1) || PrimIsBotOp.Needs(0) {
+		t.Fatal("cons and is-bottom claim no operand")
+	}
+	if Prim(0).Arity() != 0 || PrimEnd.Arity() != 0 || Prim(99).String() != "prim(99)" {
+		t.Fatal("unknown codes must read the zero row")
+	}
+	for p := Prim(1); p < PrimEnd; p++ {
+		if (p.Builtin() == "") != (p == PrimIf) || p.String() == "" {
+			t.Fatalf("%v: every primitive is named, and all but if have a surface name", p)
+		}
+		if (p.Operand() != 0) != (p.row().apply != nil) {
+			t.Fatalf("%v: a value primitive has both an operand kind and a rule", p)
+		}
 	}
 	if PrimIf.String() != "if" || PrimAdd.String() != "+" {
 		t.Fatal("prim names wrong")

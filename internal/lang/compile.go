@@ -30,35 +30,17 @@ func (tApp) termNode()  {}
 
 func ap(f, a term) term { return tApp{fun: f, arg: a} }
 
-// builtins maps surface names to terms.
-var builtins = map[string]term{
-	"__add":    tPrim{p: graph.PrimAdd},
-	"__sub":    tPrim{p: graph.PrimSub},
-	"__mul":    tPrim{p: graph.PrimMul},
-	"__div":    tPrim{p: graph.PrimDiv},
-	"__mod":    tPrim{p: graph.PrimMod},
-	"__eq":     tPrim{p: graph.PrimEq},
-	"__ne":     tPrim{p: graph.PrimNe},
-	"__lt":     tPrim{p: graph.PrimLt},
-	"__le":     tPrim{p: graph.PrimLe},
-	"__gt":     tPrim{p: graph.PrimGt},
-	"__ge":     tPrim{p: graph.PrimGe},
-	"and":      tPrim{p: graph.PrimAnd},
-	"or":       tPrim{p: graph.PrimOr},
-	"not":      tPrim{p: graph.PrimNot},
-	"neg":      tPrim{p: graph.PrimNeg},
-	"cons":     tPrim{p: graph.PrimCons},
-	"head":     tPrim{p: graph.PrimHead},
-	"tail":     tPrim{p: graph.PrimTail},
-	"isnil":    tPrim{p: graph.PrimIsNil},
-	"ispair":   tPrim{p: graph.PrimIsPair},
-	"seq":      tPrim{p: graph.PrimSeq},
-	"spec":     tPrim{p: graph.PrimSpec},
-	"par":      tPrim{p: graph.PrimPar},
-	"bottom":   tPrim{p: graph.PrimBottom},
-	"isbottom": tPrim{p: graph.PrimIsBotOp},
-	"fix":      tComb{c: graph.CombY},
-}
+// builtins maps surface names to terms: every primitive under the builtin
+// name graph's table gives it (if has none, it is syntax), plus fix.
+var builtins = func() map[string]term {
+	m := map[string]term{"fix": tComb{c: graph.CombY}}
+	for p := graph.Prim(1); p < graph.PrimEnd; p++ {
+		if name := p.Builtin(); name != "" {
+			m[name] = tPrim{p: p}
+		}
+	}
+	return m
+}()
 
 // Builtin resolves a builtin surface name to its graph leaf label
 // (KindPrim or KindComb). It is the compiled backend's view of the

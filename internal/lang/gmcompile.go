@@ -188,29 +188,44 @@ func (c *bodyCompiler) expr(e Expr, env map[string]binding) error {
 	return nil
 }
 
+// saturatedPrim is the flattening test both back ends of the compiled
+// pipeline share: the spine's head names a builtin primitive (not shadowed
+// by a binding in env or a supercombinator) and the spine supplies at least
+// its arity of arguments.
+func saturatedPrim[B any](head Expr, nargs int, env map[string]B, scIdx map[string]int) (graph.Prim, bool) {
+	v, ok := head.(Var)
+	if !ok {
+		return 0, false
+	}
+	if _, bound := env[v.Name]; bound {
+		return 0, false
+	}
+	if _, sc := scIdx[v.Name]; sc {
+		return 0, false
+	}
+	k, val, ok := Builtin(v.Name)
+	if !ok || k != graph.KindPrim {
+		return 0, false
+	}
+	p := graph.Prim(val)
+	return p, p.Arity() > 0 && nargs >= p.Arity()
+}
+
 // app compiles an application spine. A head that statically saturates a
 // strict primitive becomes one flattened primapp vertex — the big win over
 // interpreted combinator rewriting, which reaches the same flat form only
 // after several spine-collection task steps.
 func (c *bodyCompiler) app(e App, env map[string]binding) error {
 	head, args := spine(e)
-	if v, ok := head.(Var); ok {
-		if _, bound := env[v.Name]; !bound {
-			if _, sc := c.scIdx[v.Name]; !sc {
-				if k, val, ok := Builtin(v.Name); ok && k == graph.KindPrim {
-					p := graph.Prim(val)
-					if ar := p.Arity(); ar > 0 && len(args) >= ar {
-						for _, a := range args[:ar] {
-							if err := c.expr(a, env); err != nil {
-								return err
-							}
-						}
-						c.emit(gm.Instr{Op: gm.OpMkPrimApp, A: val, B: int64(ar)}, 1-ar)
-						return c.apps(args[ar:], env)
-					}
-				}
+	if p, ok := saturatedPrim(head, len(args), env, c.scIdx); ok {
+		ar := p.Arity()
+		for _, a := range args[:ar] {
+			if err := c.expr(a, env); err != nil {
+				return err
 			}
 		}
+		c.emit(gm.Instr{Op: gm.OpMkPrimApp, A: int64(p), B: int64(ar)}, 1-ar)
+		return c.apps(args[ar:], env)
 	}
 	if err := c.expr(head, env); err != nil {
 		return err
@@ -347,26 +362,16 @@ func (em *emitter) app(e App, env map[string]*graph.Vertex) (*graph.Vertex, erro
 	head, args := spine(e)
 	// Statically saturated strict primitives flatten here too, so the main
 	// graph starts in the same normal shape compiled bodies build.
-	if v, ok := head.(Var); ok {
-		_, bound := env[v.Name]
-		_, sc := em.scIdx[v.Name]
-		if !bound && !sc {
-			if k, val, ok := Builtin(v.Name); ok && k == graph.KindPrim {
-				p := graph.Prim(val)
-				if ar := p.Arity(); ar > 0 && len(args) >= ar {
-					ops := make([]*graph.Vertex, ar)
-					for i, a := range args[:ar] {
-						w, err := em.emit(a, env)
-						if err != nil {
-							return nil, err
-						}
-						ops[i] = w
-					}
-					f := em.b.PrimApp(p, ops...)
-					return em.apps(f, args[ar:], env)
-				}
+	if p, ok := saturatedPrim(head, len(args), env, em.scIdx); ok {
+		ops := make([]*graph.Vertex, p.Arity())
+		for i, a := range args[:len(ops)] {
+			w, err := em.emit(a, env)
+			if err != nil {
+				return nil, err
 			}
+			ops[i] = w
 		}
+		return em.apps(em.b.PrimApp(p, ops...), args[len(ops):], env)
 	}
 	f, err := em.emit(head, env)
 	if err != nil {

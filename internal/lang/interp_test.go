@@ -2,7 +2,11 @@ package lang
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+
+	"dgr/internal/graph"
 )
 
 func evalInt(t *testing.T, src string) int64 {
@@ -155,5 +159,60 @@ func TestInterpIsBottom(t *testing.T) {
 	}
 	if evalBool(t, "isbottom (1 + 1)") {
 		t.Fatal("isbottom of a value should be false")
+	}
+}
+
+// operandGrid is the operand values a value primitive is checked over, per
+// operand kind: the identities, both signs, and both ends of int64.
+var operandGrid = map[graph.Kind][]int64{
+	graph.KindInt:  {0, 1, -1, math.MinInt64, math.MaxInt64},
+	graph.KindBool: {0, 1},
+}
+
+// TestPrimTableAgainstOracle: for every value primitive, graph's one rule
+// (what both engines step and fold by) agrees with the independent
+// interpreter on the corresponding term — the same value, or both a runtime
+// error of the same name. MinInt64 / -1 wraps; it does not panic.
+func TestPrimTableAgainstOracle(t *testing.T) {
+	lit := func(k graph.Kind, v int64) Expr {
+		if k == graph.KindBool {
+			return BoolLit{Val: v != 0}
+		}
+		return IntLit{Val: v}
+	}
+	checked := 0
+	for p := graph.Prim(1); p < graph.PrimEnd; p++ {
+		k := p.Operand()
+		if k == 0 {
+			continue
+		}
+		ys := operandGrid[k]
+		if p.Arity() == 1 {
+			ys = []int64{0}
+		}
+		for _, x := range operandGrid[k] {
+			for _, y := range ys {
+				term := Expr(App{Fun: Var{Name: p.Builtin()}, Arg: lit(k, x)})
+				if p.Arity() == 2 {
+					term = App{Fun: term, Arg: lit(k, y)}
+				}
+				want, werr := NewInterp(100).Eval(term)
+				kind, val, errName := p.Apply(x, y)
+				checked++
+				if werr != nil || errName != "" {
+					if werr == nil || werr.Error() != errName {
+						t.Errorf("%v: table error %q, oracle (%v, %v)", term, errName, want, werr)
+					}
+					continue
+				}
+				if got := lit(kind, val); kind != graph.KindInt && kind != graph.KindBool ||
+					fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%v: table says %v, oracle %v", term, got, want)
+				}
+			}
+		}
+	}
+	if checked < 15 {
+		t.Fatalf("only %d cells checked: the value primitives were not found", checked)
 	}
 }

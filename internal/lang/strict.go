@@ -19,36 +19,6 @@ import (
 // conflates all bottoms (a deadlocked and a diverging operand are both ⊥),
 // which is exactly the equivalence the machine's semantics grants.
 
-// primStrict maps a primitive to its per-argument strictness. Primitives
-// absent from the table contribute nothing (conservative). isbottom is
-// deliberately absent: its deadlock probe must be registered by the
-// primapp itself before its operand is demanded, so hoisting the demand
-// to a caller would change which vertex the verdict lands on.
-var primStrict = map[graph.Prim][]bool{
-	graph.PrimAdd:    {true, true},
-	graph.PrimSub:    {true, true},
-	graph.PrimMul:    {true, true},
-	graph.PrimDiv:    {true, true},
-	graph.PrimMod:    {true, true},
-	graph.PrimEq:     {true, true},
-	graph.PrimNe:     {true, true},
-	graph.PrimLt:     {true, true},
-	graph.PrimLe:     {true, true},
-	graph.PrimGt:     {true, true},
-	graph.PrimGe:     {true, true},
-	graph.PrimAnd:    {true, true},
-	graph.PrimOr:     {true, true},
-	graph.PrimNot:    {true},
-	graph.PrimNeg:    {true},
-	graph.PrimHead:   {true},
-	graph.PrimTail:   {true},
-	graph.PrimIsNil:  {true},
-	graph.PrimIsPair: {true},
-	graph.PrimSeq:    {true, true},
-	graph.PrimPar:    {true, true},
-	graph.PrimIf:     {true, false, false},
-}
-
 // strictMasks computes the per-parameter strictness mask of every
 // supercombinator in the lifted program.
 func strictMasks(sc *SCProg) map[string][]bool {
@@ -125,7 +95,10 @@ func neededParams(e Expr, params map[string]int, shadow map[string]bool, assume 
 		return neededParams(x.Body, params, inner, assume)
 	case App:
 		head, args := spine(x)
-		var strict []bool
+		// strict reports whether the head, applied to at least arity
+		// arguments, certainly forces argument i.
+		var arity int
+		var strict func(i int) bool
 		switch h := head.(type) {
 		case Var:
 			if shadow[h.Name] {
@@ -138,25 +111,19 @@ func neededParams(e Expr, params map[string]int, shadow map[string]bool, assume 
 				return out
 			}
 			if mask, ok := assume[h.Name]; ok {
-				if len(args) < len(mask) {
-					return out // partial application: already WHNF
-				}
-				strict = mask
+				arity, strict = len(mask), func(i int) bool { return mask[i] }
 			} else if k, val, ok := Builtin(h.Name); ok && k == graph.KindPrim {
-				mask := primStrict[graph.Prim(val)]
-				if len(args) < len(mask) {
-					return out
-				}
-				strict = mask
-			} else {
-				return out
+				arity, strict = graph.Prim(val).Arity(), graph.Prim(val).Needs
+			}
+			if len(args) < arity {
+				return out // partial application: already WHNF
 			}
 		default:
 			// An If/Let in head position: the head is forced.
 			out = neededParams(head, params, shadow, assume)
 		}
-		for i, s := range strict {
-			if !s || i >= len(args) {
+		for i := 0; i < arity; i++ {
+			if !strict(i) {
 				continue
 			}
 			for p := range neededParams(args[i], params, shadow, assume) {

@@ -170,6 +170,10 @@ func WritePrometheus(w io.Writer, d PromData) error {
 	counter("dgr_expunged_total", "Irrelevant tasks deleted.", s.Expunged)
 	counter("dgr_reprioritized_total", "Tasks whose band changed in restructuring.", s.Reprioritized)
 	counter("dgr_deadlocked_found_total", "Vertices reported deadlocked.", s.DeadlockedFound)
+	counter("dgr_deadlock_retracted_total", "Candidate deadlock verdicts retracted before confirmation.", s.DeadlockRetracted)
+	counter("dgr_coop_marks_total", "Marks spawned by cooperating mutator primitives.", s.CoopMarks)
+	counter("dgr_check_runs_total", "Sample points where the invariant checker ran.", s.CheckRuns)
+	counter("dgr_check_skipped_total", "Sample points the checker skipped as unstable.", s.CheckSkipped)
 	counter("dgr_check_violations_total", "Invariant violations reported.", s.CheckViolations)
 	counter("dgr_steals_total", "Successful cross-PE steal operations (batches taken).", s.Steals)
 	counter("dgr_stolen_tasks_total", "Tasks moved between PE pools by stealing.", s.StolenTasks)
@@ -181,6 +185,9 @@ func WritePrometheus(w io.Writer, d PromData) error {
 		counter("dgr_fabric_batches_total", "Batches flushed onto links.", s.FabricBatches)
 		counter("dgr_fabric_dropped_total", "Batch transmissions lost.", s.FabricDropped)
 		counter("dgr_fabric_retries_total", "Batch retransmissions.", s.FabricRetries)
+		counter("dgr_fabric_duplicates_total", "Duplicate deliveries suppressed.", s.FabricDuplicates)
+		counter("dgr_fabric_acks_dropped_total", "Acknowledgements lost to fault injection.", s.FabricAcksDropped)
+		counter("dgr_fabric_expunged_total", "In-transit tasks deleted by restructuring.", s.FabricExpunged)
 		h := s.FabricLatency
 		p("# HELP dgr_fabric_latency_us Enqueue-to-delivery latency, microseconds.\n")
 		p("# TYPE dgr_fabric_latency_us histogram\n")

@@ -168,7 +168,7 @@ func (e *Engine) unregisterProbe(probe graph.VertexID) {
 	e.mu.Unlock()
 }
 
-// Errors returns the runtime (type) errors encountered so far.
+// Errors returns the runtime errors raised since the latest Demand.
 func (e *Engine) Errors() []error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -191,10 +191,12 @@ func (e *Engine) Demand(root graph.VertexID) <-chan Value {
 // DemandTraced is Demand with an explicit causal-lineage context: the root
 // demand — and, transitively, every task its reduction spawns — belongs to
 // trace, with parent as the root demand's causal parent span (the serving
-// layer's eval span). A zero trace is an ordinary untraced Demand.
+// layer's eval span). A zero trace is an ordinary untraced Demand. A demand
+// begins an evaluation: the runtime errors of the one before are forgotten.
 func (e *Engine) DemandTraced(root graph.VertexID, trace uint64, parent uint32) <-chan Value {
 	ch := make(chan Value, 1)
 	e.mu.Lock()
+	e.errs = e.errs[:0]
 	e.rootWaiters[root] = append(e.rootWaiters[root], ch)
 	e.mu.Unlock()
 	t := task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root, Req: graph.ReqVital, Trace: trace}

@@ -33,30 +33,17 @@ func (e *Engine) needValue(v *graph.Vertex, i int, kind graph.ReqKind) (*graph.V
 	return nil, false
 }
 
-// intOf extracts an integer from a WHNF vertex.
-func (e *Engine) intOf(v, w *graph.Vertex) (int64, bool) {
+// literal reads a WHNF operand w of v as a literal of the wanted kind,
+// recording v's runtime error if it is anything else.
+func (e *Engine) literal(v, w *graph.Vertex, want graph.Kind) (int64, bool) {
 	w.Lock()
-	defer w.Unlock()
-	if w.Kind != graph.KindInt {
-		e.failKind(v, w, "int")
+	kind, val := w.Kind, w.Val
+	w.Unlock()
+	if kind != want {
+		e.fail(v, "operand v%d has kind %s, want %s", w.ID, kind, want)
 		return 0, false
 	}
-	return w.Val, true
-}
-
-// boolOf extracts a boolean from a WHNF vertex.
-func (e *Engine) boolOf(v, w *graph.Vertex) (bool, bool) {
-	w.Lock()
-	defer w.Unlock()
-	if w.Kind != graph.KindBool {
-		e.failKind(v, w, "bool")
-		return false, false
-	}
-	return w.Val != 0, true
-}
-
-func (e *Engine) failKind(v, w *graph.Vertex, want string) {
-	e.fail(v, "operand v%d has kind %s, want %s", w.ID, w.Kind, want)
+	return val, true
 }
 
 // finishLeaf relabels v to a literal leaf and completes it.
@@ -111,15 +98,11 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 
 	kind := e.demandKind(v)
 
+	if p.Operand() != 0 {
+		e.stepValuePrim(v, p, kind)
+		return
+	}
 	switch p {
-	case graph.PrimAdd, graph.PrimSub, graph.PrimMul, graph.PrimDiv,
-		graph.PrimMod, graph.PrimEq, graph.PrimNe, graph.PrimLt,
-		graph.PrimLe, graph.PrimGt, graph.PrimGe:
-		e.stepBinArith(v, p, kind)
-	case graph.PrimNeg, graph.PrimNot:
-		e.stepUnary(v, p, kind)
-	case graph.PrimAnd, graph.PrimOr:
-		e.stepBoolBin(v, p, kind)
 	case graph.PrimIf:
 		e.stepIf(v, kind)
 	case graph.PrimCons:
@@ -152,12 +135,11 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 	case graph.PrimSpec:
 		e.stepSpec(v)
 	case graph.PrimPar:
-		a, okA := e.needValue(v, 0, kind)
-		b, okB := e.needValue(v, 1, kind)
+		_, okA := e.needValue(v, 0, kind)
+		_, okB := e.needValue(v, 1, kind)
 		if !okA || !okB {
 			return
 		}
-		_, _ = a, b
 		e.collapseToOperand(v, 1)
 	case graph.PrimIsBotOp:
 		// Footnote 5's non-monotonic probe: the operand is demanded
@@ -178,94 +160,35 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 	}
 }
 
-func (e *Engine) stepBinArith(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
-	// Demand both before testing, so the operands evaluate in parallel.
-	a, okA := e.needValue(v, 0, kind)
-	b, okB := e.needValue(v, 1, kind)
-	if !okA || !okB {
+// stepValuePrim reduces a value primitive — arithmetic, comparison, boolean
+// — by the one rule graph's table holds for it. Every operand is demanded
+// before any is tested, so the operands evaluate in parallel; they are then
+// type-checked in order.
+func (e *Engine) stepValuePrim(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
+	var w [2]*graph.Vertex
+	n, ready := p.Arity(), true
+	for i := 0; i < n; i++ {
+		var ok bool
+		w[i], ok = e.needValue(v, i, kind)
+		ready = ready && ok
+	}
+	if !ready {
 		return
 	}
-	x, ok := e.intOf(v, a)
-	if !ok {
-		return
-	}
-	y, ok := e.intOf(v, b)
-	if !ok {
-		return
-	}
-	switch p {
-	case graph.PrimAdd:
-		e.finishLeaf(v, graph.KindInt, x+y)
-	case graph.PrimSub:
-		e.finishLeaf(v, graph.KindInt, x-y)
-	case graph.PrimMul:
-		e.finishLeaf(v, graph.KindInt, x*y)
-	case graph.PrimDiv:
-		if y == 0 {
-			e.fail(v, "division by zero")
+	var x [2]int64
+	want := p.Operand()
+	for i := 0; i < n; i++ {
+		var ok bool
+		if x[i], ok = e.literal(v, w[i], want); !ok {
 			return
 		}
-		e.finishLeaf(v, graph.KindInt, x/y)
-	case graph.PrimMod:
-		if y == 0 {
-			e.fail(v, "modulo by zero")
-			return
-		}
-		e.finishLeaf(v, graph.KindInt, x%y)
-	case graph.PrimEq:
-		e.finishBool(v, x == y)
-	case graph.PrimNe:
-		e.finishBool(v, x != y)
-	case graph.PrimLt:
-		e.finishBool(v, x < y)
-	case graph.PrimLe:
-		e.finishBool(v, x <= y)
-	case graph.PrimGt:
-		e.finishBool(v, x > y)
-	case graph.PrimGe:
-		e.finishBool(v, x >= y)
 	}
-}
-
-func (e *Engine) stepUnary(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
-	a, ok := e.needValue(v, 0, kind)
-	if !ok {
+	k, val, errName := p.Apply(x[0], x[1])
+	if errName != "" {
+		e.fail(v, "%s", errName)
 		return
 	}
-	if p == graph.PrimNeg {
-		x, ok := e.intOf(v, a)
-		if !ok {
-			return
-		}
-		e.finishLeaf(v, graph.KindInt, -x)
-		return
-	}
-	bval, ok := e.boolOf(v, a)
-	if !ok {
-		return
-	}
-	e.finishBool(v, !bval)
-}
-
-func (e *Engine) stepBoolBin(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
-	a, okA := e.needValue(v, 0, kind)
-	b, okB := e.needValue(v, 1, kind)
-	if !okA || !okB {
-		return
-	}
-	x, ok := e.boolOf(v, a)
-	if !ok {
-		return
-	}
-	y, ok := e.boolOf(v, b)
-	if !ok {
-		return
-	}
-	if p == graph.PrimAnd {
-		e.finishBool(v, x && y)
-	} else {
-		e.finishBool(v, x || y)
-	}
+	e.finishLeaf(v, k, val)
 }
 
 // stepIf implements the conditional. With SpeculativeIf, both branches are
@@ -284,7 +207,7 @@ func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) {
 	if !ok {
 		return
 	}
-	cond, ok := e.boolOf(v, c)
+	cond, ok := e.literal(v, c, graph.KindBool)
 	if !ok {
 		return
 	}
@@ -294,10 +217,8 @@ func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) {
 		return
 	}
 	chosen, dead := thenOp, elseOp
-	chosenIdx := 1
-	if !cond {
+	if cond == 0 {
 		chosen, dead = elseOp, thenOp
-		chosenIdx = 2
 	}
 	if dead != chosen {
 		// Dereference the dead branch if it was speculatively requested:
@@ -320,7 +241,6 @@ func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) {
 		e.fail(v, "if lost its chosen branch")
 		return
 	}
-	_ = chosenIdx
 	cv := e.store.Vertex(chosen)
 	if cv == nil {
 		return

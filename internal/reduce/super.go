@@ -17,9 +17,10 @@ import (
 // and any primitive whose operands are all known computes immediately —
 // pushing a value instead of building a primapp vertex. Branch selection
 // folds the same way, and a literal never materializes a vertex at all
-// unless an unfoldable consumer needs a real vertex ID. Folding uses
-// exactly the semantics of stepPrimApp (division by zero, for instance,
-// is not folded — the built primapp reproduces the runtime error path).
+// unless an unfoldable consumer needs a real vertex ID. Folding and stepping
+// a value primitive call the same rule (graph.Prim.Apply); a fold the rule
+// refuses — division by zero, for instance — builds the primapp, which
+// reproduces the runtime error path.
 
 // slot is one stack entry: a vertex ID, a known literal value, or both.
 // id == NilVertex means the literal has not been materialized.
@@ -284,18 +285,14 @@ func (x *superExec) primApp(in gm.Instr) (s slot, built []graph.VertexID, ok boo
 	return slot{}, ids, true
 }
 
-// foldPrim computes a primitive over known operand slots, mirroring
-// stepPrimApp exactly. ok is false when the operands are not all known,
-// the primitive is not foldable, or folding would bypass a runtime error
-// path (division by zero, operand type errors).
+// foldPrim computes a primitive over known operand slots. A value primitive
+// folds by the same table rule stepValuePrim applies; the structural folds
+// are the ones a known literal decides (a list test, a branch selection, a
+// forced seq operand). ok is false when a needed operand is unknown, the
+// primitive is not foldable, or folding would bypass a runtime error path
+// (the rule names an error, an operand is mistyped): the primapp is then
+// built and reproduces the error when stepped.
 func foldPrim(p graph.Prim, args []slot) (slot, bool) {
-	known := func(i int, k graph.Kind) (int64, bool) {
-		if !args[i].known || args[i].kind != k {
-			return 0, false
-		}
-		return args[i].val, true
-	}
-	intS := func(v int64) slot { return slot{known: true, kind: graph.KindInt, val: v} }
 	boolS := func(b bool) slot {
 		var v int64
 		if b {
@@ -304,67 +301,6 @@ func foldPrim(p graph.Prim, args []slot) (slot, bool) {
 		return slot{known: true, kind: graph.KindBool, val: v}
 	}
 	switch p {
-	case graph.PrimAdd, graph.PrimSub, graph.PrimMul, graph.PrimDiv,
-		graph.PrimMod, graph.PrimEq, graph.PrimNe, graph.PrimLt,
-		graph.PrimLe, graph.PrimGt, graph.PrimGe:
-		xv, okx := known(0, graph.KindInt)
-		yv, oky := known(1, graph.KindInt)
-		if !okx || !oky {
-			return slot{}, false
-		}
-		switch p {
-		case graph.PrimAdd:
-			return intS(xv + yv), true
-		case graph.PrimSub:
-			return intS(xv - yv), true
-		case graph.PrimMul:
-			return intS(xv * yv), true
-		case graph.PrimDiv:
-			if yv == 0 {
-				return slot{}, false
-			}
-			return intS(xv / yv), true
-		case graph.PrimMod:
-			if yv == 0 {
-				return slot{}, false
-			}
-			return intS(xv % yv), true
-		case graph.PrimEq:
-			return boolS(xv == yv), true
-		case graph.PrimNe:
-			return boolS(xv != yv), true
-		case graph.PrimLt:
-			return boolS(xv < yv), true
-		case graph.PrimLe:
-			return boolS(xv <= yv), true
-		default:
-			if p == graph.PrimGt {
-				return boolS(xv > yv), true
-			}
-			return boolS(xv >= yv), true
-		}
-	case graph.PrimNeg:
-		xv, ok := known(0, graph.KindInt)
-		if !ok {
-			return slot{}, false
-		}
-		return intS(-xv), true
-	case graph.PrimNot:
-		xv, ok := known(0, graph.KindBool)
-		if !ok {
-			return slot{}, false
-		}
-		return boolS(xv == 0), true
-	case graph.PrimAnd, graph.PrimOr:
-		xv, okx := known(0, graph.KindBool)
-		yv, oky := known(1, graph.KindBool)
-		if !okx || !oky {
-			return slot{}, false
-		}
-		if p == graph.PrimAnd {
-			return boolS(xv != 0 && yv != 0), true
-		}
-		return boolS(xv != 0 || yv != 0), true
 	case graph.PrimIsNil, graph.PrimIsPair:
 		if !args[0].known {
 			return slot{}, false
@@ -374,11 +310,10 @@ func foldPrim(p graph.Prim, args []slot) (slot, bool) {
 		}
 		return boolS(false), true // known kinds are never cons
 	case graph.PrimIf:
-		cv, ok := known(0, graph.KindBool)
-		if !ok {
+		if !args[0].known || args[0].kind != graph.KindBool {
 			return slot{}, false
 		}
-		if cv != 0 {
+		if args[0].val != 0 {
 			return args[1], true
 		}
 		return args[2], true
@@ -388,7 +323,22 @@ func foldPrim(p graph.Prim, args []slot) (slot, bool) {
 		}
 		return args[1], true
 	}
-	return slot{}, false
+	want := p.Operand()
+	if want == 0 {
+		return slot{}, false
+	}
+	var x [2]int64
+	for i, a := range args[:p.Arity()] {
+		if !a.known || a.kind != want {
+			return slot{}, false
+		}
+		x[i] = a.val
+	}
+	kind, val, errName := p.Apply(x[0], x[1])
+	if errName != "" {
+		return slot{}, false
+	}
+	return slot{known: true, kind: kind, val: val}, true
 }
 
 // ---- stack machine helpers ----

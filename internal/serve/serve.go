@@ -93,12 +93,6 @@ type Options struct {
 	// DefaultLimits applies to tenants not configured via SetTenant
 	// (defaults: MaxInflight 8, VertexQuota Capacity/2, BandEager, weight 1).
 	DefaultLimits TenantLimits
-	// EstimateVertices prices a tenant's first request against its vertex
-	// quota before any footprint has been observed (default 2048).
-	EstimateVertices int
-	// JobHistory bounds how many finished jobs remain queryable by ID
-	// (default 4096; oldest evicted first).
-	JobHistory int
 
 	// TraceRate enables causal task-lineage tracing: each submission is
 	// head-sampled at this rate, and a sampled request's full causal
@@ -131,14 +125,17 @@ func (o Options) withDefaults() Options {
 	if o.DefaultLimits.VertexQuota <= 0 {
 		o.DefaultLimits.VertexQuota = o.Capacity / 2
 	}
-	if o.EstimateVertices <= 0 {
-		o.EstimateVertices = 2048
-	}
-	if o.JobHistory <= 0 {
-		o.JobHistory = 4096
-	}
 	return o
 }
+
+const (
+	// estimateVertices prices a tenant's first request against its vertex
+	// quota, before any footprint has been observed.
+	estimateVertices = 2048
+	// jobHistory bounds how many finished jobs remain queryable by ID
+	// (oldest evicted first).
+	jobHistory = 4096
+)
 
 // Request is one evaluation submission.
 type Request struct {
@@ -436,7 +433,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 			Tenant: t.name, Limit: t.limits.MaxInflight, Current: t.inflight,
 		}
 	}
-	cost := t.chargeCost(s.opts)
+	cost := t.chargeCost()
 	if t.charged+cost > t.limits.VertexQuota {
 		t.stats.RejectedQuota++
 		return nil, &Error{
@@ -746,7 +743,7 @@ func (s *Server) traceSettleLocked(j *Job) {
 // retireLocked bounds the finished-job history.
 func (s *Server) retireLocked(j *Job) {
 	s.history = append(s.history, j.id)
-	for len(s.history) > s.opts.JobHistory {
+	for len(s.history) > jobHistory {
 		delete(s.jobs, s.history[0])
 		s.history = s.history[1:]
 	}

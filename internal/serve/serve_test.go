@@ -235,7 +235,7 @@ func TestAdmissionRejections(t *testing.T) {
 // exactly one such request runs at a time.
 func TestQuotaClampAdmitsOversizedEstimate(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
-	s.SetTenant("alice", TenantLimits{VertexQuota: 64}) // far below EstimateVertices
+	s.SetTenant("alice", TenantLimits{VertexQuota: 64}) // far below estimateVertices
 
 	j, err := s.Submit(Request{Tenant: "alice", Program: fibSrc})
 	if err != nil {

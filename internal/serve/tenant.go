@@ -92,10 +92,10 @@ func (t *tenant) observeTrace(j *Job) {
 }
 
 // charge prices one request against the vertex quota.
-func (t *tenant) chargeCost(o Options) int {
+func (t *tenant) chargeCost() int {
 	c := int(t.estimate)
 	if c <= 0 {
-		c = o.EstimateVertices
+		c = estimateVertices
 	}
 	if c > t.limits.VertexQuota {
 		// A footprint estimate above the whole quota would wedge the tenant

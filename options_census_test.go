@@ -1,26 +1,47 @@
-package dgr
+package dgr_test
 
 import (
 	"reflect"
 	"testing"
+
+	"dgr"
+	"dgr/internal/core"
+	"dgr/internal/fabric"
+	"dgr/internal/sched"
+	"dgr/internal/serve"
 )
 
-// maxOptions is the number of exported Options fields this tree has. It is a
-// ratchet, like the allocation budget next door: every field doubles the
-// configurations that tests and benchmarks must cover. Lower it when a field
-// goes.
-const maxOptions = 28
+// The census of settable configuration: exported fields of the public
+// Options, and of every config struct a layer takes. Both ceilings are
+// ratchets, like the allocation budget next door: every field doubles the
+// configurations that tests and benchmarks must cover. Lower them when a
+// field goes.
+const (
+	maxOptions      = 28 // dgr.Options
+	maxConfigFields = 72 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
+)
 
-func TestOptionsCensus(t *testing.T) {
-	typ := reflect.TypeOf(Options{})
+func exportedFields(v any) int {
+	typ := reflect.TypeOf(v)
 	n := 0
 	for i := 0; i < typ.NumField(); i++ {
 		if typ.Field(i).IsExported() {
 			n++
 		}
 	}
-	if n > maxOptions {
-		t.Fatalf("dgr.Options has %d exported fields, ceiling %d: delete a knob nothing sets, "+
-			"or raise maxOptions and justify the new one in CHANGES.md", n, maxOptions)
+	return n
+}
+
+func TestOptionsCensus(t *testing.T) {
+	const advice = "delete a knob nothing sets, or raise the ceiling and justify the new one in CHANGES.md"
+	if n := exportedFields(dgr.Options{}); n > maxOptions {
+		t.Fatalf("dgr.Options has %d exported fields, ceiling %d: %s", n, maxOptions, advice)
+	}
+	sum := 0
+	for _, cfg := range []any{dgr.Options{}, serve.Options{}, sched.Config{}, fabric.Config{}, core.CollectorConfig{}} {
+		sum += exportedFields(cfg)
+	}
+	if sum > maxConfigFields {
+		t.Fatalf("the config structs have %d exported fields in all, ceiling %d: %s", sum, maxConfigFields, advice)
 	}
 }
