@@ -301,7 +301,7 @@ func New(opts Options) *Machine {
 				Inflight:    func() int64 { return mach.Inflight() },
 				InTransit:   func() int64 { return mach.InTransit() },
 				Cycles:      func() int64 { return collector.Cycles() },
-				Deadlocked:  func() int { return len(collector.Deadlocked()) },
+				Deadlocked:  func() int { return collector.DeadlockedCount() },
 			},
 		})
 	}
@@ -885,7 +885,7 @@ func (m *Machine) promData() obs.PromData {
 		Free:       m.store.FreeCount(),
 		Inflight:   m.mach.Inflight(),
 		InTransit:  m.mach.InTransit(),
-		Deadlocked: len(m.collector.Deadlocked()),
+		Deadlocked: m.collector.DeadlockedCount(),
 
 		FreePerPart: make([]int, m.opts.PEs),
 		PoolBands:   make([][obs.Bands]int, m.opts.PEs),
@@ -926,7 +926,6 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 		return errObsDisabled
 	}
 	d := m.promData()
-	dead := m.collector.Deadlocked()
 	out := struct {
 		Now         int64             `json:"now_ns"`
 		PEs         int               `json:"pes"`
@@ -939,9 +938,6 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 		Cycles      int64             `json:"cycles"`
 		Executions  uint64            `json:"executions"`
 		Deadlocked  []NodeID          `json:"deadlocked,omitempty"`
-		Steals      int64             `json:"steals"`
-		StolenTasks int64             `json:"stolen_tasks"`
-		IdlePolls   int64             `json:"idle_polls"`
 		Pools       [][obs.Bands]int  `json:"pools"`
 		ExecsPerPE  []int64           `json:"execs_per_pe"`
 		Utils       []float64         `json:"utils"`
@@ -954,10 +950,8 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 		Heap: d.Heap, Free: d.Free, FreePerPart: d.FreePerPart,
 		Inflight: d.Inflight, InTransit: d.InTransit,
 		Cycles: m.collector.Cycles(), Executions: m.mach.Executions(),
-		Deadlocked: dead,
-		Steals:     d.Stats.Steals, StolenTasks: d.Stats.StolenTasks,
-		IdlePolls: d.Stats.IdlePolls,
-		Pools:     d.PoolBands, ExecsPerPE: d.ExecsPerPE,
+		Deadlocked: m.collector.Deadlocked(),
+		Pools:      d.PoolBands, ExecsPerPE: d.ExecsPerPE,
 		Utils: d.Utils, Stats: d.Stats, Series: m.obs.Series(),
 		Violations: m.CheckViolations(),
 	}
@@ -1046,8 +1040,12 @@ func (m *Machine) ReplaySchedule(root NodeID, events []check.Event) error {
 }
 
 // Deadlocked returns every vertex the collector has identified as
-// deadlocked so far.
+// deadlocked so far, in ascending order.
 func (m *Machine) Deadlocked() []NodeID { return m.collector.Deadlocked() }
+
+// DeadlockedCount is len(Deadlocked()) without the copy (the gauge the
+// serving layer's pooled exposition aggregates).
+func (m *Machine) DeadlockedCount() int { return m.collector.DeadlockedCount() }
 
 // RuntimeErrors returns the runtime errors (type errors, division by zero)
 // the reduction engine raised during the current — or, between evaluations,

@@ -1,7 +1,11 @@
 package dgr
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"dgr/internal/graph"
@@ -79,6 +83,43 @@ func TestEvalDeadlock(t *testing.T) {
 	}
 	if len(m.Deadlocked()) == 0 {
 		t.Fatal("no deadlocked vertices reported")
+	}
+}
+
+// TestDeadlockedOrderStable: what a seeded machine reports is a function of
+// the seed. The verdict set is kept in a map; Deadlocked, and every artifact
+// that prints it, must list it ascending, not in iteration order.
+func TestDeadlockedOrderStable(t *testing.T) {
+	run := func() ([]NodeID, []NodeID) {
+		m := New(Options{PEs: 2, Seed: 4, MTEvery: 1, Obs: true})
+		defer m.Close()
+		if _, err := m.Eval("let x = x + 1; y = y + 2 in x + y"); !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("err = %v, want ErrDeadlock", err)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteSnapshotJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Deadlocked []NodeID `json:"deadlocked"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return m.Deadlocked(), doc.Deadlocked
+	}
+	dead, inJSON := run()
+	if len(dead) < 3 {
+		t.Fatalf("two knots deadlocked only %v", dead)
+	}
+	if !sort.SliceIsSorted(dead, func(i, j int) bool { return dead[i] < dead[j] }) {
+		t.Errorf("Deadlocked() = %v, want ascending", dead)
+	}
+	again, againJSON := run()
+	for _, got := range [][]NodeID{inJSON, again, againJSON} {
+		if !reflect.DeepEqual(got, dead) {
+			t.Errorf("same seed, same program: %v vs %v", got, dead)
+		}
 	}
 }
 

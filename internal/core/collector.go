@@ -208,30 +208,33 @@ func (c *Collector) Forget(ids []graph.VertexID) {
 	c.mu.Unlock()
 }
 
-// Deadlocked returns the confirmed-deadlocked set: vertices whose verdict
-// survived a full M_T cycle untouched (deadlock is stable, reduction
+// sortedIDs lists a verdict set in ascending order: what a seeded machine
+// reports must not depend on map iteration.
+func sortedIDs(set map[graph.VertexID]bool) []graph.VertexID {
+	out := make([]graph.VertexID, 0, len(set))
+	for id := range set {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Deadlocked returns the confirmed-deadlocked set, ascending: vertices whose
+// verdict survived a full M_T cycle untouched (deadlock is stable, reduction
 // axiom 4, so a genuine verdict always confirms).
 func (c *Collector) Deadlocked() []graph.VertexID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]graph.VertexID, 0, len(c.deadSet))
-	for id := range c.deadSet {
-		out = append(out, id)
-	}
-	return out
+	return sortedIDs(c.deadSet)
 }
 
-// PendingDeadlocked returns the candidate vertices detected by the most
-// recent M_T cycle that have not yet been confirmed (or retracted) by a
-// subsequent one.
+// PendingDeadlocked returns, ascending, the candidate vertices detected by
+// the most recent M_T cycle that have not yet been confirmed (or retracted)
+// by a subsequent one.
 func (c *Collector) PendingDeadlocked() []graph.VertexID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]graph.VertexID, 0, len(c.pending))
-	for id := range c.pending {
-		out = append(out, id)
-	}
-	return out
+	return sortedIDs(c.pending)
 }
 
 // VerdictEpoch returns a counter that advances every time the confirmed
@@ -256,6 +259,14 @@ func (c *Collector) TerminalVerdict() (int, bool) {
 	defer c.mu.Unlock()
 	n := len(c.deadSet)
 	return n, n > 0 && c.mach.Inflight() == 0
+}
+
+// DeadlockedCount returns the size of the confirmed-deadlocked set without
+// copying it (the gauge the samplers and expositions poll).
+func (c *Collector) DeadlockedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.deadSet)
 }
 
 // taskRoots enumerates the marking roots for M_T: the source and

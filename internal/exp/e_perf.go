@@ -121,7 +121,7 @@ func runPause(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := stopworld.Collect(store, nil, root)
+		res := stopworld.Collect(store, root)
 
 		// Concurrent: same heap, parallel PEs marking while a mutator
 		// goroutine splices fresh vertices under the root.

@@ -101,7 +101,7 @@ type Super struct {
 // on the reduction hot path, possibly from many PEs at once).
 type Program struct {
 	mu     sync.Mutex
-	supers atomic.Value // []*Super, copy-on-write
+	supers atomic.Value // []*Super; appended in place under mu, header republished
 }
 
 // NewProgram returns an empty program table.
@@ -113,17 +113,15 @@ func NewProgram() *Program {
 
 // AddBatch appends a group of supercombinators atomically and returns the
 // index of the first (the group occupies base..base+len-1, letting a
-// compile resolve mutually recursive references before publishing).
+// compile resolve mutually recursive references before publishing). The
+// table grows in place: a reader holding an earlier header never indexes past
+// its own length, so only the slots it cannot see are written.
 func (p *Program) AddBatch(supers []*Super) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cur := p.supers.Load().([]*Super)
-	base := len(cur)
-	next := make([]*Super, 0, len(cur)+len(supers))
-	next = append(next, cur...)
-	next = append(next, supers...)
-	p.supers.Store(next)
-	return base
+	p.supers.Store(append(cur, supers...))
+	return len(cur)
 }
 
 // Super resolves a table index, or nil when out of range.

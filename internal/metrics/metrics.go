@@ -1,11 +1,18 @@
 // Package metrics collects the counters the experiment harness reports:
 // task executions, message traffic between partitions, marking work, and
 // reclamation results.
+//
+// A counter is declared once, as two lines of this file: an atomic field of
+// Counters, which the layers increment, and the field of the same name and
+// position in Snapshot, whose tags give the Prometheus series it is exposed
+// as. Snapshot, Add, Sub and the /metrics exposition (internal/obs) are walks
+// over that declaration; none of them names a counter.
 package metrics
 
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"strings"
 	"sync/atomic"
 )
@@ -29,8 +36,6 @@ type Counters struct {
 	DeadlockedFound   atomic.Int64 // vertices with a confirmed deadlock verdict
 	DeadlockRetracted atomic.Int64 // candidate verdicts retracted before confirmation
 	CoopMarks         atomic.Int64 // marks spawned by cooperating mutator primitives
-	MaxPauseNs        atomic.Int64 // longest single mutator pause (stop-the-world baseline)
-	TotalPauseNs      atomic.Int64 // cumulative mutator pause time
 
 	// Work-stealing activity (zero unless sched.Config.Steal is on).
 	Steals      atomic.Int64 // successful steal operations (batches taken)
@@ -52,6 +57,122 @@ type Counters struct {
 	FabricAcksDropped atomic.Int64 // acknowledgements lost to fault injection
 	FabricExpunged    atomic.Int64 // in-transit tasks deleted by restructuring
 	FabricLatency     Histogram    // enqueue→delivery latency in µs
+}
+
+// Snapshot is a point-in-time copy of the counters: the same names in the
+// same order as Counters, each tagged with its series name and help line.
+type Snapshot struct {
+	TasksExecuted     int64 `prom:"dgr_tasks_executed_total" help:"Task executions across all PEs."`
+	ReductionTasks    int64 `prom:"dgr_reduction_tasks_total" help:"Demand/result/reduce executions."`
+	MarkTasks         int64 `prom:"dgr_mark_tasks_total" help:"Mark task executions."`
+	ReturnTasks       int64 `prom:"dgr_return_tasks_total" help:"Return task executions."`
+	RemoteMessages    int64 `prom:"dgr_remote_messages_total" help:"Tasks spawned across partitions."`
+	LocalMessages     int64 `prom:"dgr_local_messages_total" help:"Tasks spawned within a partition."`
+	Rewrites          int64 `prom:"dgr_rewrites_total" help:"Combinator/primitive graph rewrites."`
+	Allocations       int64 `prom:"dgr_allocations_total" help:"Vertices taken from the free set."`
+	Reclaimed         int64 `prom:"dgr_reclaimed_total" help:"Vertices returned to the free set."`
+	Cycles            int64 `prom:"dgr_gc_cycles_total" help:"Completed mark/restructure cycles."`
+	MTRuns            int64 `prom:"dgr_mt_runs_total" help:"Cycles that included an M_T phase."`
+	Expunged          int64 `prom:"dgr_expunged_total" help:"Irrelevant tasks deleted."`
+	Reprioritized     int64 `prom:"dgr_reprioritized_total" help:"Tasks whose band changed in restructuring."`
+	DeadlockedFound   int64 `prom:"dgr_deadlocked_found_total" help:"Vertices reported deadlocked."`
+	DeadlockRetracted int64 `prom:"dgr_deadlock_retracted_total" help:"Candidate deadlock verdicts retracted before confirmation."`
+	CoopMarks         int64 `prom:"dgr_coop_marks_total" help:"Marks spawned by cooperating mutator primitives."`
+
+	Steals      int64 `prom:"dgr_steals_total" help:"Successful cross-PE steal operations (batches taken)."`
+	StolenTasks int64 `prom:"dgr_stolen_tasks_total" help:"Tasks moved between PE pools by stealing."`
+	IdlePolls   int64 `prom:"dgr_idle_polls_total" help:"Times a PE found no work in its own pool or any peer's."`
+
+	CheckRuns       int64 `prom:"dgr_check_runs_total" help:"Sample points where the invariant checker ran."`
+	CheckViolations int64 `prom:"dgr_check_violations_total" help:"Invariant violations reported."`
+	CheckSkipped    int64 `prom:"dgr_check_skipped_total" help:"Sample points the checker skipped as unstable."`
+
+	FabricSent        int64 `prom:"dgr_fabric_sent_total" help:"Tasks handed to the fabric."`
+	FabricDelivered   int64 `prom:"dgr_fabric_delivered_total" help:"Tasks delivered by the fabric."`
+	FabricBatches     int64 `prom:"dgr_fabric_batches_total" help:"Batches flushed onto links."`
+	FabricDropped     int64 `prom:"dgr_fabric_dropped_total" help:"Batch transmissions lost."`
+	FabricRetries     int64 `prom:"dgr_fabric_retries_total" help:"Batch retransmissions."`
+	FabricDuplicates  int64 `prom:"dgr_fabric_duplicates_total" help:"Duplicate deliveries suppressed."`
+	FabricAcksDropped int64 `prom:"dgr_fabric_acks_dropped_total" help:"Acknowledgements lost to fault injection."`
+	FabricExpunged    int64 `prom:"dgr_fabric_expunged_total" help:"In-transit tasks deleted by restructuring."`
+	FabricLatency     HistSnapshot
+}
+
+// Series is one exposed statistic of a struct: an int64 field, the
+// Prometheus series it is printed as (its prom tag) and that series' help
+// line (its help tag).
+type Series struct {
+	Field string // Go field name
+	Name  string
+	Help  string
+	Index int // of the field in its struct
+}
+
+// Kind is the series' exposition type, read off its name: cumulative series
+// end in _total by Prometheus convention, everything else is a gauge.
+func (s Series) Kind() string {
+	if strings.HasSuffix(s.Name, "_total") {
+		return "counter"
+	}
+	return "gauge"
+}
+
+// SeriesOf lists struct type t's prom-tagged fields in declaration order.
+func SeriesOf(t reflect.Type) []Series {
+	var out []Series
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if name := f.Tag.Get("prom"); name != "" {
+			out = append(out, Series{Field: f.Name, Name: name, Help: f.Tag.Get("help"), Index: i})
+		}
+	}
+	return out
+}
+
+// declared is the one list of counters, resolved from Snapshot's tags at
+// start-up. An entry's Index is the counter's field in Snapshot and in
+// Counters alike (TestCountersDeclaredOnce holds the two structs in step).
+var declared = SeriesOf(reflect.TypeOf(Snapshot{}))
+
+// CounterSeries returns the declared counters, Index into Snapshot.
+func CounterSeries() []Series { return declared }
+
+// Snapshot copies the current counter values.
+func (c *Counters) Snapshot() Snapshot {
+	var s Snapshot
+	cv, sv := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
+	for _, d := range declared {
+		sv.Field(d.Index).SetInt(cv.Field(d.Index).Addr().Interface().(*atomic.Int64).Load())
+	}
+	s.FabricLatency = c.FabricLatency.Snapshot()
+	return s
+}
+
+// accumulate adds sign·o to s, counter by counter.
+func (s *Snapshot) accumulate(o *Snapshot, sign int64) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for _, d := range declared {
+		f := sv.Field(d.Index)
+		f.SetInt(f.Int() + sign*ov.Field(d.Index).Int())
+	}
+}
+
+// Add returns the field-wise sum of two snapshots — the aggregation the
+// serving layer uses to report a machine pool as one counter set. The
+// latency histograms merge exactly (log2 buckets add).
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	s.accumulate(&o, 1)
+	for i, n := range o.FabricLatency {
+		s.FabricLatency[i] += n
+	}
+	return s
+}
+
+// Sub returns s - o field-wise, for measuring an interval.
+func (s Snapshot) Sub(o Snapshot) Snapshot {
+	s.accumulate(&o, -1)
+	s.FabricLatency = s.FabricLatency.Sub(o.FabricLatency)
+	return s
 }
 
 // HistBuckets is the number of log2 buckets in a Histogram. Bucket b counts
@@ -107,17 +228,6 @@ func (s HistSnapshot) Sub(o HistSnapshot) HistSnapshot {
 	return d
 }
 
-// Merge returns s + o bucket-wise: the histogram of the union of both
-// observation sets (log2 buckets make merging exact). The sampler uses it
-// to combine per-link histograms into one exposition series.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	var m HistSnapshot
-	for i := range s {
-		m[i] = s[i] + o[i]
-	}
-	return m
-}
-
 // Quantile returns an upper bound on the q-quantile (q in [0,1]): the
 // exclusive upper edge of the first bucket whose cumulative count reaches
 // q·Total. Returns 0 on an empty histogram.
@@ -152,157 +262,6 @@ func (s HistSnapshot) String() string {
 	return sb.String()
 }
 
-// ObservePause records a mutator pause, updating both the total and the max.
-func (c *Counters) ObservePause(ns int64) {
-	c.TotalPauseNs.Add(ns)
-	for {
-		cur := c.MaxPauseNs.Load()
-		if ns <= cur || c.MaxPauseNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// Snapshot is a point-in-time copy of the counters.
-type Snapshot struct {
-	TasksExecuted     int64
-	ReductionTasks    int64
-	MarkTasks         int64
-	ReturnTasks       int64
-	RemoteMessages    int64
-	LocalMessages     int64
-	Rewrites          int64
-	Allocations       int64
-	Reclaimed         int64
-	Cycles            int64
-	MTRuns            int64
-	Expunged          int64
-	Reprioritized     int64
-	DeadlockedFound   int64
-	DeadlockRetracted int64
-	CoopMarks         int64
-	MaxPauseNs        int64
-	TotalPauseNs      int64
-
-	Steals      int64
-	StolenTasks int64
-	IdlePolls   int64
-
-	CheckRuns       int64
-	CheckViolations int64
-	CheckSkipped    int64
-
-	FabricSent        int64
-	FabricDelivered   int64
-	FabricBatches     int64
-	FabricDropped     int64
-	FabricRetries     int64
-	FabricDuplicates  int64
-	FabricAcksDropped int64
-	FabricExpunged    int64
-	FabricLatency     HistSnapshot
-}
-
-// Snapshot copies the current counter values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		TasksExecuted:     c.TasksExecuted.Load(),
-		ReductionTasks:    c.ReductionTasks.Load(),
-		MarkTasks:         c.MarkTasks.Load(),
-		ReturnTasks:       c.ReturnTasks.Load(),
-		RemoteMessages:    c.RemoteMessages.Load(),
-		LocalMessages:     c.LocalMessages.Load(),
-		Rewrites:          c.Rewrites.Load(),
-		Allocations:       c.Allocations.Load(),
-		Reclaimed:         c.Reclaimed.Load(),
-		Cycles:            c.Cycles.Load(),
-		MTRuns:            c.MTRuns.Load(),
-		Expunged:          c.Expunged.Load(),
-		Reprioritized:     c.Reprioritized.Load(),
-		DeadlockedFound:   c.DeadlockedFound.Load(),
-		DeadlockRetracted: c.DeadlockRetracted.Load(),
-		CoopMarks:         c.CoopMarks.Load(),
-		MaxPauseNs:        c.MaxPauseNs.Load(),
-		TotalPauseNs:      c.TotalPauseNs.Load(),
-
-		Steals:      c.Steals.Load(),
-		StolenTasks: c.StolenTasks.Load(),
-		IdlePolls:   c.IdlePolls.Load(),
-
-		CheckRuns:       c.CheckRuns.Load(),
-		CheckViolations: c.CheckViolations.Load(),
-		CheckSkipped:    c.CheckSkipped.Load(),
-
-		FabricSent:        c.FabricSent.Load(),
-		FabricDelivered:   c.FabricDelivered.Load(),
-		FabricBatches:     c.FabricBatches.Load(),
-		FabricDropped:     c.FabricDropped.Load(),
-		FabricRetries:     c.FabricRetries.Load(),
-		FabricDuplicates:  c.FabricDuplicates.Load(),
-		FabricAcksDropped: c.FabricAcksDropped.Load(),
-		FabricExpunged:    c.FabricExpunged.Load(),
-		FabricLatency:     c.FabricLatency.Snapshot(),
-	}
-}
-
-// Diff snapshots the current counters and returns the delta against a
-// previous snapshot — the value-type interval helper the time-series
-// sampler and the exposition endpoints use (equivalent to
-// c.Snapshot().Sub(prev), in one call).
-func (c *Counters) Diff(prev Snapshot) Snapshot {
-	return c.Snapshot().Sub(prev)
-}
-
-// Add returns the field-wise sum of two snapshots — the aggregation the
-// serving layer uses to report a machine pool as one counter set.
-// MaxPauseNs takes the maximum (a pool's worst pause, not a sum of pauses).
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	out := Snapshot{
-		TasksExecuted:     s.TasksExecuted + o.TasksExecuted,
-		ReductionTasks:    s.ReductionTasks + o.ReductionTasks,
-		MarkTasks:         s.MarkTasks + o.MarkTasks,
-		ReturnTasks:       s.ReturnTasks + o.ReturnTasks,
-		RemoteMessages:    s.RemoteMessages + o.RemoteMessages,
-		LocalMessages:     s.LocalMessages + o.LocalMessages,
-		Rewrites:          s.Rewrites + o.Rewrites,
-		Allocations:       s.Allocations + o.Allocations,
-		Reclaimed:         s.Reclaimed + o.Reclaimed,
-		Cycles:            s.Cycles + o.Cycles,
-		MTRuns:            s.MTRuns + o.MTRuns,
-		Expunged:          s.Expunged + o.Expunged,
-		Reprioritized:     s.Reprioritized + o.Reprioritized,
-		DeadlockedFound:   s.DeadlockedFound + o.DeadlockedFound,
-		DeadlockRetracted: s.DeadlockRetracted + o.DeadlockRetracted,
-		CoopMarks:         s.CoopMarks + o.CoopMarks,
-		MaxPauseNs:        s.MaxPauseNs,
-		TotalPauseNs:      s.TotalPauseNs + o.TotalPauseNs,
-
-		Steals:      s.Steals + o.Steals,
-		StolenTasks: s.StolenTasks + o.StolenTasks,
-		IdlePolls:   s.IdlePolls + o.IdlePolls,
-
-		CheckRuns:       s.CheckRuns + o.CheckRuns,
-		CheckViolations: s.CheckViolations + o.CheckViolations,
-		CheckSkipped:    s.CheckSkipped + o.CheckSkipped,
-
-		FabricSent:        s.FabricSent + o.FabricSent,
-		FabricDelivered:   s.FabricDelivered + o.FabricDelivered,
-		FabricBatches:     s.FabricBatches + o.FabricBatches,
-		FabricDropped:     s.FabricDropped + o.FabricDropped,
-		FabricRetries:     s.FabricRetries + o.FabricRetries,
-		FabricDuplicates:  s.FabricDuplicates + o.FabricDuplicates,
-		FabricAcksDropped: s.FabricAcksDropped + o.FabricAcksDropped,
-		FabricExpunged:    s.FabricExpunged + o.FabricExpunged,
-	}
-	if o.MaxPauseNs > out.MaxPauseNs {
-		out.MaxPauseNs = o.MaxPauseNs
-	}
-	for i := range out.FabricLatency {
-		out.FabricLatency[i] = s.FabricLatency[i] + o.FabricLatency[i]
-	}
-	return out
-}
-
 // String renders the snapshot as a one-line summary. Fabric traffic is
 // appended only when a fabric carried messages.
 func (s Snapshot) String() string {
@@ -326,46 +285,4 @@ func (s Snapshot) String() string {
 			s.CheckRuns, s.CheckViolations, s.CheckSkipped)
 	}
 	return out
-}
-
-// Sub returns s - o field-wise, for measuring an interval.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	return Snapshot{
-		TasksExecuted:     s.TasksExecuted - o.TasksExecuted,
-		ReductionTasks:    s.ReductionTasks - o.ReductionTasks,
-		MarkTasks:         s.MarkTasks - o.MarkTasks,
-		ReturnTasks:       s.ReturnTasks - o.ReturnTasks,
-		RemoteMessages:    s.RemoteMessages - o.RemoteMessages,
-		LocalMessages:     s.LocalMessages - o.LocalMessages,
-		Rewrites:          s.Rewrites - o.Rewrites,
-		Allocations:       s.Allocations - o.Allocations,
-		Reclaimed:         s.Reclaimed - o.Reclaimed,
-		Cycles:            s.Cycles - o.Cycles,
-		MTRuns:            s.MTRuns - o.MTRuns,
-		Expunged:          s.Expunged - o.Expunged,
-		Reprioritized:     s.Reprioritized - o.Reprioritized,
-		DeadlockedFound:   s.DeadlockedFound - o.DeadlockedFound,
-		DeadlockRetracted: s.DeadlockRetracted - o.DeadlockRetracted,
-		CoopMarks:         s.CoopMarks - o.CoopMarks,
-		MaxPauseNs:        s.MaxPauseNs,
-		TotalPauseNs:      s.TotalPauseNs - o.TotalPauseNs,
-
-		Steals:      s.Steals - o.Steals,
-		StolenTasks: s.StolenTasks - o.StolenTasks,
-		IdlePolls:   s.IdlePolls - o.IdlePolls,
-
-		CheckRuns:       s.CheckRuns - o.CheckRuns,
-		CheckViolations: s.CheckViolations - o.CheckViolations,
-		CheckSkipped:    s.CheckSkipped - o.CheckSkipped,
-
-		FabricSent:        s.FabricSent - o.FabricSent,
-		FabricDelivered:   s.FabricDelivered - o.FabricDelivered,
-		FabricBatches:     s.FabricBatches - o.FabricBatches,
-		FabricDropped:     s.FabricDropped - o.FabricDropped,
-		FabricRetries:     s.FabricRetries - o.FabricRetries,
-		FabricDuplicates:  s.FabricDuplicates - o.FabricDuplicates,
-		FabricAcksDropped: s.FabricAcksDropped - o.FabricAcksDropped,
-		FabricExpunged:    s.FabricExpunged - o.FabricExpunged,
-		FabricLatency:     s.FabricLatency.Sub(o.FabricLatency),
-	}
 }

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -36,37 +38,6 @@ func TestSnapshotSub(t *testing.T) {
 	}
 }
 
-func TestObservePause(t *testing.T) {
-	var c Counters
-	c.ObservePause(100)
-	c.ObservePause(50)
-	c.ObservePause(200)
-	if got := c.MaxPauseNs.Load(); got != 200 {
-		t.Fatalf("max pause = %d, want 200", got)
-	}
-	if got := c.TotalPauseNs.Load(); got != 350 {
-		t.Fatalf("total pause = %d, want 350", got)
-	}
-}
-
-func TestObservePauseConcurrent(t *testing.T) {
-	var c Counters
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(base int64) {
-			defer wg.Done()
-			for j := int64(0); j < 100; j++ {
-				c.ObservePause(base + j)
-			}
-		}(int64(i * 1000))
-	}
-	wg.Wait()
-	if got := c.MaxPauseNs.Load(); got != 7099 {
-		t.Fatalf("max pause = %d, want 7099", got)
-	}
-}
-
 func TestSnapshotString(t *testing.T) {
 	var c Counters
 	c.TasksExecuted.Add(5)
@@ -76,26 +47,6 @@ func TestSnapshotString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestObservePauseMaxQuick(t *testing.T) {
-	// Property: max is always ≥ each observed value, total is the sum.
-	f := func(vals []uint16) bool {
-		var c Counters
-		var sum, max int64
-		for _, v := range vals {
-			n := int64(v)
-			c.ObservePause(n)
-			sum += n
-			if n > max {
-				max = n
-			}
-		}
-		return c.TotalPauseNs.Load() == sum && c.MaxPauseNs.Load() == max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -228,6 +179,8 @@ func TestHistogramSub(t *testing.T) {
 	}
 }
 
+// TestCountersDiff: the interval between two snapshots of one counter set,
+// histogram included, and the zero interval against itself.
 func TestCountersDiff(t *testing.T) {
 	var c Counters
 	c.TasksExecuted.Add(10)
@@ -237,27 +190,29 @@ func TestCountersDiff(t *testing.T) {
 	c.Reclaimed.Add(2)
 	c.FabricLatency.Observe(5)
 	c.FabricLatency.Observe(9000)
-	d := c.Diff(prev)
+	d := c.Snapshot().Sub(prev)
 	if d.TasksExecuted != 4 || d.Reclaimed != 2 {
 		t.Fatalf("Diff = %+v", d)
 	}
 	if d.FabricLatency.Total() != 2 {
 		t.Fatalf("Diff latency total = %d, want 2", d.FabricLatency.Total())
 	}
-	// Diff against a fresh snapshot of itself is zero everywhere.
-	if z := c.Diff(c.Snapshot()); z.TasksExecuted != 0 || z.FabricLatency.Total() != 0 {
+	// The interval against a fresh snapshot of itself is zero everywhere.
+	if z := c.Snapshot().Sub(c.Snapshot()); z != (Snapshot{}) {
 		t.Fatalf("self-diff = %+v", z)
 	}
 }
 
+// TestHistogramMerge: Snapshot.Add merges two machines' latency histograms
+// exactly (log2 buckets add), which is how a pool reports one histogram.
 func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(1)
-	a.Observe(100)
-	b.Observe(1)
-	b.Observe(1)
-	b.Observe(5000)
-	m := a.Snapshot().Merge(b.Snapshot())
+	var a, b Counters
+	a.FabricLatency.Observe(1)
+	a.FabricLatency.Observe(100)
+	b.FabricLatency.Observe(1)
+	b.FabricLatency.Observe(1)
+	b.FabricLatency.Observe(5000)
+	m := a.Snapshot().Add(b.Snapshot()).FabricLatency
 	if m.Total() != 5 {
 		t.Fatalf("merged total = %d, want 5", m.Total())
 	}
@@ -265,12 +220,11 @@ func TestHistogramMerge(t *testing.T) {
 	if m[1] != 3 {
 		t.Fatalf("merged bucket 1 = %d, want 3", m[1])
 	}
-	// Merge is commutative and the identity is the zero snapshot.
-	if b.Snapshot().Merge(a.Snapshot()) != m {
+	// Merging is commutative and the identity is the zero snapshot.
+	if b.Snapshot().Add(a.Snapshot()).FabricLatency != m {
 		t.Fatal("merge not commutative")
 	}
-	var zero HistSnapshot
-	if m.Merge(zero) != m {
+	if a.Snapshot().Add(Snapshot{}) != a.Snapshot() {
 		t.Fatal("zero is not the merge identity")
 	}
 	// Quantiles over the merged set see both populations.
@@ -323,4 +277,140 @@ func TestSnapshotStringOmitsFabricWhenUnused(t *testing.T) {
 	if s := c.Snapshot().String(); strings.Contains(s, "fabric(") {
 		t.Fatalf("String() = %q should omit fabric section when sent=0", s)
 	}
+}
+
+// fillCounters sets counter i to i+1 and puts i+1 observations in latency
+// bucket i, so every field of a snapshot has a distinct, known value.
+func fillCounters(c *Counters) {
+	cv := reflect.ValueOf(c).Elem()
+	for i, d := range CounterSeries() {
+		cv.Field(d.Index).Addr().Interface().(*atomic.Int64).Store(int64(i + 1))
+	}
+	for b := range c.FabricLatency.buckets {
+		c.FabricLatency.buckets[b].Store(int64(b + 1))
+	}
+}
+
+// TestCountersDeclaredOnce holds the declaration the walkers rely on:
+// Counters and Snapshot list the same counters in the same order, every one
+// is tagged with a well-formed, unique series name and a help line, and the
+// three walkers are right in every field — not in the ones a test happened
+// to name.
+func TestCountersDeclaredOnce(t *testing.T) {
+	ct, st := reflect.TypeOf(Counters{}), reflect.TypeOf(Snapshot{})
+	if ct.NumField() != st.NumField() {
+		t.Fatalf("Counters has %d fields, Snapshot %d", ct.NumField(), st.NumField())
+	}
+	series := CounterSeries()
+	if len(series) != st.NumField()-1 {
+		t.Fatalf("%d tagged counters among Snapshot's %d fields; only FabricLatency may go untagged", len(series), st.NumField())
+	}
+	name := regexp.MustCompile(`^dgr_[a-z_]+_total$`)
+	seen := map[string]string{}
+	for i := 0; i < st.NumField(); i++ {
+		cf, sf := ct.Field(i), st.Field(i)
+		if cf.Name != sf.Name {
+			t.Fatalf("field %d: Counters.%s vs Snapshot.%s — the two structs must list the counters in the same order", i, cf.Name, sf.Name)
+		}
+		if sf.Name == "FabricLatency" {
+			if cf.Type != reflect.TypeOf(Histogram{}) || sf.Type != reflect.TypeOf(HistSnapshot{}) {
+				t.Fatalf("FabricLatency is %v / %v", cf.Type, sf.Type)
+			}
+			continue
+		}
+		if cf.Type != reflect.TypeOf(atomic.Int64{}) || sf.Type.Kind() != reflect.Int64 {
+			t.Fatalf("%s is %v / %v, want atomic.Int64 / int64", sf.Name, cf.Type, sf.Type)
+		}
+		prom, help := sf.Tag.Get("prom"), sf.Tag.Get("help")
+		if !name.MatchString(prom) {
+			t.Errorf("%s: series name %q does not match %v", sf.Name, prom, name)
+		}
+		if help == "" {
+			t.Errorf("%s: no help text", sf.Name)
+		}
+		if other, dup := seen[prom]; dup {
+			t.Errorf("%s and %s share the series name %q", other, sf.Name, prom)
+		}
+		seen[prom] = sf.Name
+	}
+
+	var c Counters
+	fillCounters(&c)
+	s := c.Snapshot()
+	sum := s.Add(s)
+	back := sum.Sub(s)
+	sv, sumv := reflect.ValueOf(s), reflect.ValueOf(sum)
+	for i, d := range series {
+		want := int64(i + 1)
+		if got := sv.Field(d.Index).Int(); got != want {
+			t.Errorf("Snapshot().%s = %d, want %d", d.Field, got, want)
+		}
+		if got := sumv.Field(d.Index).Int(); got != 2*want {
+			t.Errorf("s.Add(s).%s = %d, want %d", d.Field, got, 2*want)
+		}
+	}
+	for b := range s.FabricLatency {
+		if s.FabricLatency[b] != int64(b+1) || sum.FabricLatency[b] != 2*int64(b+1) {
+			t.Errorf("latency bucket %d: snapshot %d, sum %d", b, s.FabricLatency[b], sum.FabricLatency[b])
+		}
+	}
+	if back != s {
+		t.Errorf("s.Add(s).Sub(s) != s:\n got %+v\nwant %+v", back, s)
+	}
+	t.Logf("census: %d counters declared", len(series))
+}
+
+var sinkSnapshot Snapshot
+
+// TestSnapshotAllocFree: the walkers run on every Stats call, every pool
+// aggregation and every traced benchmark op; reflection must not make them
+// allocate.
+func TestSnapshotAllocFree(t *testing.T) {
+	var c Counters
+	fillCounters(&c)
+	s := c.Snapshot()
+	for name, f := range map[string]func(){
+		"Snapshot": func() { sinkSnapshot = c.Snapshot() },
+		"Add":      func() { sinkSnapshot = s.Add(s) },
+		"Sub":      func() { sinkSnapshot = s.Sub(s) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+}
+
+// TestSnapshotConcurrent reads the counters while other goroutines bump
+// them (run under -race in CI): every read is of an atomic, and successive
+// snapshots never run backwards.
+func TestSnapshotConcurrent(t *testing.T) {
+	var c Counters
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.TasksExecuted.Add(1)
+					c.FabricLatency.Observe(3)
+				}
+			}
+		}()
+	}
+	prev := c.Snapshot()
+	for i := 0; i < 200; i++ {
+		s := c.Snapshot()
+		if d := s.Sub(prev); d.TasksExecuted < 0 || d.FabricLatency.Total() < 0 {
+			t.Errorf("snapshot ran backwards: %+v", d)
+			break
+		}
+		prev = s
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 
 	"dgr/internal/metrics"
 )
@@ -48,29 +50,30 @@ type PromData struct {
 	Tenants []TenantProm
 }
 
-// TenantProm is one tenant's serving-layer metric row. The serving layer
-// (internal/serve) fills these from its admission and cache accounting;
-// latency quantiles come from the per-tenant log2 histogram.
+// TenantProm is one tenant's statistics: the record the serving layer
+// (internal/serve) counts in, and, through the same tags metrics.Snapshot
+// carries, the tenant-labelled series of the exposition. The serving layer
+// fills the fields from Inflight down when it reports.
 type TenantProm struct {
 	Name      string
-	Requests  int64 // submissions (admitted + rejected)
-	Admitted  int64
-	Completed int64
-	Failed    int64
+	Requests  int64 `prom:"dgr_tenant_requests_total" help:"Evaluation submissions per tenant."`
+	Admitted  int64 `prom:"dgr_tenant_admitted_total" help:"Submissions admitted past quota checks."`
+	Completed int64 `prom:"dgr_tenant_completed_total" help:"Evaluations finished successfully."`
+	Failed    int64 `prom:"dgr_tenant_failed_total" help:"Evaluations finished with an error."`
 	// Rejections by structured cause.
-	RejectedQueue    int64
-	RejectedInflight int64
-	RejectedQuota    int64
+	RejectedQueue    int64 `prom:"dgr_tenant_rejected_queue_total" help:"Rejections: admission queue full."`
+	RejectedInflight int64 `prom:"dgr_tenant_rejected_inflight_total" help:"Rejections: tenant in-flight limit."`
+	RejectedQuota    int64 `prom:"dgr_tenant_rejected_quota_total" help:"Rejections: tenant vertex quota."`
 	// Memo-cache outcomes, one per admitted request.
-	CacheHits   int64
-	CacheMisses int64
+	CacheHits   int64 `prom:"dgr_tenant_cache_hits_total" help:"Memo-cache hits (reduction skipped)."`
+	CacheMisses int64 `prom:"dgr_tenant_cache_misses_total" help:"Memo-cache misses (reduction ran)."`
 	// Live admission state.
-	Inflight        int64
-	ChargedVertices int64
-	VertexQuota     int64
-	// Completed-request latency quantiles, microseconds.
-	LatencyP50Us int64
-	LatencyP95Us int64
+	Inflight        int64 `prom:"dgr_tenant_inflight" help:"Queued plus running requests."`
+	ChargedVertices int64 `prom:"dgr_tenant_charged_vertices" help:"Graph vertices charged against the quota."`
+	VertexQuota     int64 `prom:"dgr_tenant_vertex_quota" help:"Configured graph-vertex quota."`
+	// Completed-request latency quantiles, from the tenant's log2 histogram.
+	LatencyP50Us int64 `prom:"dgr_tenant_latency_p50_us" help:"Median request latency, microseconds."`
+	LatencyP95Us int64 `prom:"dgr_tenant_latency_p95_us" help:"95th-percentile request latency, microseconds."`
 	// Lineage exemplar: the slowest traced request so far ("" when the
 	// tenant has no traced requests), linking the latency series to a
 	// concrete trace in /debug/traces.json.
@@ -78,53 +81,65 @@ type TenantProm struct {
 	SlowestUs      int64
 }
 
-// writeTenants renders the tenant-labeled serving series. Counters first,
-// then gauges, each series listing every tenant under one header.
-func writeTenants(p func(format string, args ...any), ts []TenantProm) {
-	counter := func(name, help string, get func(TenantProm) int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, t := range ts {
-			p("%s{tenant=%q} %d\n", name, t.Name, get(t))
+var tenantSeries = metrics.SeriesOf(reflect.TypeOf(TenantProm{}))
+
+// labelEscaper escapes a label value; these three are the only escapes the
+// text format defines (Go's %q knows others, which fail a scrape).
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// WritePrometheus renders d in the Prometheus text exposition format
+// (version 0.0.4). Counter totals are a walk over the metrics snapshot's
+// declared counters, tenant series a walk over TenantProm's tagged fields;
+// gauges come from the live machine; the fabric latency histogram is
+// rendered with its native log2 bucket bounds.
+func WritePrometheus(w io.Writer, d PromData) error {
+	var err error
+	p := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	gauge := func(name, help string, get func(TenantProm) int64) {
-		p("# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		for _, t := range ts {
-			p("%s{tenant=%q} %d\n", name, t.Name, get(t))
+	header := func(s metrics.Series) {
+		p("# HELP %s %s\n# TYPE %s %s\n", s.Name, s.Help, s.Name, s.Kind())
+	}
+	gauge := func(name, help string, v int64) {
+		p("# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	}
+
+	// The walk's two exceptions: Fabric* series and the latency histogram
+	// appear only once a fabric has carried traffic.
+	s, fabric := reflect.ValueOf(d.Stats), d.Stats.FabricSent > 0
+	for _, c := range metrics.CounterSeries() {
+		if fabric || !strings.HasPrefix(c.Field, "Fabric") {
+			header(c)
+			p("%s %d\n", c.Name, s.Field(c.Index).Int())
 		}
 	}
-	counter("dgr_tenant_requests_total", "Evaluation submissions per tenant.",
-		func(t TenantProm) int64 { return t.Requests })
-	counter("dgr_tenant_admitted_total", "Submissions admitted past quota checks.",
-		func(t TenantProm) int64 { return t.Admitted })
-	counter("dgr_tenant_completed_total", "Evaluations finished successfully.",
-		func(t TenantProm) int64 { return t.Completed })
-	counter("dgr_tenant_failed_total", "Evaluations finished with an error.",
-		func(t TenantProm) int64 { return t.Failed })
-	counter("dgr_tenant_rejected_queue_total", "Rejections: admission queue full.",
-		func(t TenantProm) int64 { return t.RejectedQueue })
-	counter("dgr_tenant_rejected_inflight_total", "Rejections: tenant in-flight limit.",
-		func(t TenantProm) int64 { return t.RejectedInflight })
-	counter("dgr_tenant_rejected_quota_total", "Rejections: tenant vertex quota.",
-		func(t TenantProm) int64 { return t.RejectedQuota })
-	counter("dgr_tenant_cache_hits_total", "Memo-cache hits (reduction skipped).",
-		func(t TenantProm) int64 { return t.CacheHits })
-	counter("dgr_tenant_cache_misses_total", "Memo-cache misses (reduction ran).",
-		func(t TenantProm) int64 { return t.CacheMisses })
-	gauge("dgr_tenant_inflight", "Queued plus running requests.",
-		func(t TenantProm) int64 { return t.Inflight })
-	gauge("dgr_tenant_charged_vertices", "Graph vertices charged against the quota.",
-		func(t TenantProm) int64 { return t.ChargedVertices })
-	gauge("dgr_tenant_vertex_quota", "Configured graph-vertex quota.",
-		func(t TenantProm) int64 { return t.VertexQuota })
-	gauge("dgr_tenant_latency_p50_us", "Median request latency, microseconds.",
-		func(t TenantProm) int64 { return t.LatencyP50Us })
-	gauge("dgr_tenant_latency_p95_us", "95th-percentile request latency, microseconds.",
-		func(t TenantProm) int64 { return t.LatencyP95Us })
-	// Exemplar series: value is the slowest traced request's latency, the
-	// trace label points into /debug/traces.json.
+	if fabric {
+		p("# HELP dgr_fabric_latency_us Enqueue-to-delivery latency, microseconds.\n")
+		p("# TYPE dgr_fabric_latency_us histogram\n")
+		var cum int64
+		for b, c := range d.Stats.FabricLatency {
+			cum += c
+			p("dgr_fabric_latency_us_bucket{le=\"%d\"} %d\n", int64(1)<<b, cum)
+		}
+		p("dgr_fabric_latency_us_bucket{le=\"+Inf\"} %d\n", cum)
+		p("dgr_fabric_latency_us_count %d\n", cum)
+	}
+
+	// Tenant-labelled serving series, each listing every tenant under one
+	// header, then the exemplar: its value is the slowest traced request's
+	// latency, its trace label points into /debug/traces.json.
+	if tenants := reflect.ValueOf(d.Tenants); len(d.Tenants) > 0 {
+		for _, f := range tenantSeries {
+			header(f)
+			for i, t := range d.Tenants {
+				p("%s{tenant=\"%s\"} %d\n", f.Name, labelEscaper.Replace(t.Name), tenants.Index(i).Field(f.Index).Int())
+			}
+		}
+	}
 	emitted := false
-	for _, t := range ts {
+	for _, t := range d.Tenants {
 		if t.SlowestTraceID == "" {
 			continue
 		}
@@ -133,75 +148,7 @@ func writeTenants(p func(format string, args ...any), ts []TenantProm) {
 			p("# TYPE dgr_tenant_slowest_trace_us gauge\n")
 			emitted = true
 		}
-		p("dgr_tenant_slowest_trace_us{tenant=%q,trace=%q} %d\n", t.Name, t.SlowestTraceID, t.SlowestUs)
-	}
-}
-
-// WritePrometheus renders d in the Prometheus text exposition format
-// (version 0.0.4). Counter totals come from the metrics snapshot; gauges
-// from the live machine; the fabric latency histogram is rendered with its
-// native log2 bucket bounds.
-func WritePrometheus(w io.Writer, d PromData) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	counter := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	s := d.Stats
-	counter("dgr_tasks_executed_total", "Task executions across all PEs.", s.TasksExecuted)
-	counter("dgr_reduction_tasks_total", "Demand/result/reduce executions.", s.ReductionTasks)
-	counter("dgr_mark_tasks_total", "Mark task executions.", s.MarkTasks)
-	counter("dgr_return_tasks_total", "Return task executions.", s.ReturnTasks)
-	counter("dgr_remote_messages_total", "Tasks spawned across partitions.", s.RemoteMessages)
-	counter("dgr_local_messages_total", "Tasks spawned within a partition.", s.LocalMessages)
-	counter("dgr_rewrites_total", "Combinator/primitive graph rewrites.", s.Rewrites)
-	counter("dgr_allocations_total", "Vertices taken from the free set.", s.Allocations)
-	counter("dgr_reclaimed_total", "Vertices returned to the free set.", s.Reclaimed)
-	counter("dgr_gc_cycles_total", "Completed mark/restructure cycles.", s.Cycles)
-	counter("dgr_mt_runs_total", "Cycles that included an M_T phase.", s.MTRuns)
-	counter("dgr_expunged_total", "Irrelevant tasks deleted.", s.Expunged)
-	counter("dgr_reprioritized_total", "Tasks whose band changed in restructuring.", s.Reprioritized)
-	counter("dgr_deadlocked_found_total", "Vertices reported deadlocked.", s.DeadlockedFound)
-	counter("dgr_deadlock_retracted_total", "Candidate deadlock verdicts retracted before confirmation.", s.DeadlockRetracted)
-	counter("dgr_coop_marks_total", "Marks spawned by cooperating mutator primitives.", s.CoopMarks)
-	counter("dgr_check_runs_total", "Sample points where the invariant checker ran.", s.CheckRuns)
-	counter("dgr_check_skipped_total", "Sample points the checker skipped as unstable.", s.CheckSkipped)
-	counter("dgr_check_violations_total", "Invariant violations reported.", s.CheckViolations)
-	counter("dgr_steals_total", "Successful cross-PE steal operations (batches taken).", s.Steals)
-	counter("dgr_stolen_tasks_total", "Tasks moved between PE pools by stealing.", s.StolenTasks)
-	counter("dgr_idle_polls_total", "Times a PE found no work in its own pool or any peer's.", s.IdlePolls)
-
-	if s.FabricSent > 0 {
-		counter("dgr_fabric_sent_total", "Tasks handed to the fabric.", s.FabricSent)
-		counter("dgr_fabric_delivered_total", "Tasks delivered by the fabric.", s.FabricDelivered)
-		counter("dgr_fabric_batches_total", "Batches flushed onto links.", s.FabricBatches)
-		counter("dgr_fabric_dropped_total", "Batch transmissions lost.", s.FabricDropped)
-		counter("dgr_fabric_retries_total", "Batch retransmissions.", s.FabricRetries)
-		counter("dgr_fabric_duplicates_total", "Duplicate deliveries suppressed.", s.FabricDuplicates)
-		counter("dgr_fabric_acks_dropped_total", "Acknowledgements lost to fault injection.", s.FabricAcksDropped)
-		counter("dgr_fabric_expunged_total", "In-transit tasks deleted by restructuring.", s.FabricExpunged)
-		h := s.FabricLatency
-		p("# HELP dgr_fabric_latency_us Enqueue-to-delivery latency, microseconds.\n")
-		p("# TYPE dgr_fabric_latency_us histogram\n")
-		var cum int64
-		for b, c := range h {
-			cum += c
-			p("dgr_fabric_latency_us_bucket{le=\"%d\"} %d\n", int64(1)<<b, cum)
-		}
-		p("dgr_fabric_latency_us_bucket{le=\"+Inf\"} %d\n", cum)
-		p("dgr_fabric_latency_us_count %d\n", cum)
-	}
-
-	if len(d.Tenants) > 0 {
-		writeTenants(p, d.Tenants)
+		p("dgr_tenant_slowest_trace_us{tenant=\"%s\",trace=\"%s\"} %d\n", labelEscaper.Replace(t.Name), t.SlowestTraceID, t.SlowestUs)
 	}
 
 	gauge("dgr_pes", "Processing elements.", int64(d.PEs))

@@ -168,23 +168,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// promData aggregates the pooled machines into one exposition: counters
-// and occupancy sum across workers, and the serving layer contributes the
-// tenant-labeled series.
+// promData aggregates the pool into one exposition: counters sum over every
+// machine it has held, occupancy over the machines the workers hold now, and
+// the serving layer contributes the tenant-labeled series.
 func (s *Server) promData() obs.PromData {
 	d := obs.PromData{Tenants: s.TenantProms()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	d.Stats = s.machineTotalsLocked()
 	for _, w := range s.workers {
 		if w.m == nil {
 			continue
 		}
-		d.Stats = d.Stats.Add(w.m.Stats())
 		d.PEs += s.opts.PEs
 		d.Heap += w.m.TotalVertices()
 		d.Free += w.m.FreeVertices()
 		d.Inflight += w.m.InflightTasks()
-		d.Deadlocked += len(w.m.Deadlocked())
+		d.Deadlocked += w.m.DeadlockedCount()
 	}
 	return d
 }

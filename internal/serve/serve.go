@@ -139,7 +139,8 @@ const (
 
 // Request is one evaluation submission.
 type Request struct {
-	// Tenant names the submitting tenant ("" is the anonymous tenant).
+	// Tenant names the submitting tenant: 1-64 bytes of [A-Za-z0-9._-], or
+	// "" for the anonymous tenant. Submit refuses any other name.
 	Tenant string `json:"tenant"`
 	// Program is the source text to evaluate.
 	Program string `json:"program"`
@@ -280,7 +281,8 @@ type Server struct {
 	workers    []*worker
 	wg         sync.WaitGroup
 	recycles   int64
-	violations []string // from recycled (closed) machines, capped
+	retired    metrics.Snapshot // counters of recycled (closed) machines
+	violations []string         // from recycled (closed) machines, capped
 
 	cache *memoCache
 	// trace is the pool-wide event log (nil when tracing is off): shared by
@@ -356,18 +358,22 @@ func (s *Server) tenantLocked(name string) *tenant {
 	}
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &tenant{name: name, limits: TenantLimits{}.withDefaults(s.opts)}
+		t = &tenant{name: name, limits: TenantLimits{}.withDefaults(s.opts), stats: obs.TenantProm{Name: name}}
 		s.tenants[name] = t
 	}
 	return t
 }
 
 // Submit admits one evaluation. It returns a structured *Error (as error)
-// on parse failure or admission rejection; otherwise the returned job is
-// queued — or, on a memo-cache hit, already done — and never blocks on
-// machine availability. A hit is served at admission: it consumes no queue
+// on a malformed tenant name (before any state is touched), parse failure
+// or admission rejection; otherwise the returned job is queued — or, on a
+// memo-cache hit, already done — and never blocks on machine availability. A hit is served at admission: it consumes no queue
 // slot, no quota charge, and no machine time.
 func (s *Server) Submit(req Request) (*Job, error) {
+	if req.Tenant != "" && !tenantName.MatchString(req.Tenant) {
+		return nil, &Error{Code: CodeBadRequest,
+			Message: "tenant name must be 1-64 characters of [A-Za-z0-9._-]"}
+	}
 	digest, derr := lang.DigestString(req.Program)
 
 	s.mu.Lock()
@@ -405,7 +411,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		j.started = j.submitted
 		j.finished = time.Now()
 		t.inflight-- // newJobLocked charged it; a hit never occupies a slot
-		t.stats.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
+		t.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
 		if j.trace != 0 {
 			s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 				Parent: j.rootSpan, Name: "memo", Cat: obs.CatServe, PE: obs.TIDEval,
@@ -596,7 +602,7 @@ func (s *Server) workerLoop(w *worker) {
 		if j == nil { // closed and drained
 			m := w.m
 			w.m = nil
-			s.collectViolationsLocked(m)
+			s.retireMachineLocked(m)
 			s.mu.Unlock()
 			m.Close()
 			return
@@ -695,7 +701,7 @@ func (s *Server) finish(j *Job, res *Result, hit bool, used int, m *dgr.Machine)
 		t.observe(used)
 	}
 	t.stats.Completed++
-	t.stats.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
+	t.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
 	s.traceSettleLocked(j)
 	t.observeTrace(j)
 	close(j.done)
@@ -717,7 +723,7 @@ func (s *Server) fail(j *Job, e *Error, used int) {
 		t.observe(used)
 	}
 	t.stats.Failed++
-	t.stats.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
+	t.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
 	s.traceSettleLocked(j)
 	t.observeTrace(j)
 	close(j.done)
@@ -752,29 +758,46 @@ func (s *Server) retireLocked(j *Job) {
 // recycle replaces a worker's machine after a failed evaluation: a
 // deadlocked, stuck, or budget-exhausted run can leave deadlock records,
 // runtime errors, or (in parallel mode) still-live tasks behind, and a
-// fresh machine is cheaper than proving the old one clean. Check
-// violations are harvested before the close so they stay reportable.
+// fresh machine is cheaper than proving the old one clean. The old one's
+// counters and check violations are harvested in the same critical section
+// as the swap, so they stay reportable and no scrape sees the totals dip.
 func (s *Server) recycle(w *worker) {
 	fresh := s.newMachine(w.id)
 	s.mu.Lock()
 	old := w.m
 	w.m = fresh
 	s.recycles++
-	s.collectViolationsLocked(old)
+	s.retireMachineLocked(old)
 	s.mu.Unlock()
 	old.Close()
 }
 
-func (s *Server) collectViolationsLocked(m *dgr.Machine) {
+// retireMachineLocked keeps what a machine leaving the pool would take with
+// it: its counters, folded into the retired sum so the pool's totals never
+// run backwards, and its check violations (capped).
+func (s *Server) retireMachineLocked(m *dgr.Machine) {
 	if m == nil {
 		return
 	}
+	s.retired = s.retired.Add(m.Stats())
 	for _, v := range m.CheckViolations() {
 		if len(s.violations) >= 64 {
 			return
 		}
 		s.violations = append(s.violations, v)
 	}
+}
+
+// machineTotalsLocked sums the pool's counters: every retired machine's plus
+// those of the machines the workers hold now.
+func (s *Server) machineTotalsLocked() metrics.Snapshot {
+	sum := s.retired
+	for _, w := range s.workers {
+		if w.m != nil {
+			sum = sum.Add(w.m.Stats())
+		}
+	}
+	return sum
 }
 
 // evalError maps machine errors onto structured codes.
@@ -880,30 +903,14 @@ func (s *Server) TenantProms() []obs.TenantProm {
 	out := make([]obs.TenantProm, 0, len(names))
 	for _, name := range names {
 		t := s.tenants[name]
-		lat := t.stats.latency.Snapshot()
-		slowest := ""
+		p, lat := t.stats, t.latency.Snapshot()
+		p.Inflight, p.ChargedVertices = int64(t.inflight), int64(t.charged)
+		p.VertexQuota = int64(t.limits.VertexQuota)
+		p.LatencyP50Us, p.LatencyP95Us = lat.Quantile(0.50), lat.Quantile(0.95)
 		if t.slowestTrace != 0 {
-			slowest = fmt.Sprintf("%x", t.slowestTrace)
+			p.SlowestTraceID = fmt.Sprintf("%x", t.slowestTrace)
 		}
-		out = append(out, obs.TenantProm{
-			Name:             name,
-			Requests:         t.stats.Requests,
-			Admitted:         t.stats.Admitted,
-			Completed:        t.stats.Completed,
-			Failed:           t.stats.Failed,
-			RejectedQueue:    t.stats.RejectedQueue,
-			RejectedInflight: t.stats.RejectedInflight,
-			RejectedQuota:    t.stats.RejectedQuota,
-			CacheHits:        t.stats.CacheHits,
-			CacheMisses:      t.stats.CacheMisses,
-			Inflight:         int64(t.inflight),
-			ChargedVertices:  int64(t.charged),
-			VertexQuota:      int64(t.limits.VertexQuota),
-			LatencyP50Us:     lat.Quantile(0.50),
-			LatencyP95Us:     lat.Quantile(0.95),
-			SlowestTraceID:   slowest,
-			SlowestUs:        t.slowestUs,
-		})
+		out = append(out, p)
 	}
 	return out
 }
@@ -938,21 +945,17 @@ type PoolStats struct {
 	Machine    metrics.Snapshot `json:"machine_totals"`
 }
 
-// Stats snapshots the server, summing the pooled machines' counters.
+// Stats snapshots the server, summing the counters of every machine the
+// pool has held.
 func (s *Server) Stats() PoolStats {
 	viol := len(s.Violations())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ps := PoolStats{
+	return PoolStats{
 		Workers: len(s.workers), PEs: s.opts.PEs, Parallel: s.opts.Parallel,
 		Queued: s.queued, Running: s.running, QueueDepth: s.opts.QueueDepth,
 		Tenants: len(s.tenants), Jobs: len(s.jobs), Recycles: s.recycles,
 		Violations: viol, Cache: s.cacheStatsLocked(),
+		Machine: s.machineTotalsLocked(),
 	}
-	for _, w := range s.workers {
-		if w.m != nil {
-			ps.Machine = ps.Machine.Add(w.m.Stats())
-		}
-	}
-	return ps
 }

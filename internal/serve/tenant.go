@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"regexp"
+
 	"dgr/internal/metrics"
+	"dgr/internal/obs"
 	"dgr/internal/task"
 )
 
@@ -41,20 +44,10 @@ func (l TenantLimits) withDefaults(o Options) TenantLimits {
 	return l
 }
 
-// tenantStats are the per-tenant counters the exposition renders. All
-// fields except the latency histogram are guarded by the server mutex.
-type tenantStats struct {
-	Requests         int64
-	Admitted         int64
-	Completed        int64
-	Failed           int64
-	RejectedQueue    int64
-	RejectedInflight int64
-	RejectedQuota    int64
-	CacheHits        int64
-	CacheMisses      int64
-	latency          metrics.Histogram // completed-request latency, µs
-}
+// tenantName is what a tenant may be called. The name arrives from outside
+// (request body or header), becomes a /metrics label and keys state that is
+// never dropped, so Submit refuses anything else before touching either.
+var tenantName = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // tenant is the server-side state for one tenant. Guarded by the server
 // mutex.
@@ -71,12 +64,14 @@ type tenant struct {
 	// current ring visit.
 	deficit int
 	inRing  bool
-	stats   tenantStats
-	// Lineage exemplar: the slowest traced request seen so far, exposed
-	// next to the tenant's latency quantiles so an operator can jump from
-	// a latency regression straight to a concrete trace.
+	// stats is the tenant's exposition record, counted in place; the fields
+	// that mirror live state above are filled in by Server.TenantProms.
+	stats   obs.TenantProm
+	latency metrics.Histogram // completed-request latency, µs
+	// Lineage exemplar: the slowest traced request seen so far (its latency
+	// is stats.SlowestUs), exposed next to the tenant's latency quantiles so
+	// an operator can jump from a latency regression straight to a trace.
 	slowestTrace uint64
-	slowestUs    int64
 }
 
 // observeTrace updates the tenant's slowest-traced-request exemplar from a
@@ -86,8 +81,8 @@ func (t *tenant) observeTrace(j *Job) {
 		return
 	}
 	us := j.finished.Sub(j.submitted).Microseconds()
-	if us > t.slowestUs || t.slowestTrace == 0 {
-		t.slowestTrace, t.slowestUs = j.trace, us
+	if us > t.stats.SlowestUs || t.slowestTrace == 0 {
+		t.slowestTrace, t.stats.SlowestUs = j.trace, us
 	}
 }
 

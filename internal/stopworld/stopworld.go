@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 )
 
 // Result summarizes one stop-the-world collection.
@@ -27,8 +26,8 @@ type Result struct {
 // Collect performs one stop-the-world collection: the caller must
 // guarantee the mutator is halted for the duration (in deterministic
 // harnesses, simply do not step the machine; in parallel harnesses, stop
-// the PEs first). counters may be nil.
-func Collect(store *graph.Store, counters *metrics.Counters, roots ...graph.VertexID) Result {
+// the PEs first).
+func Collect(store *graph.Store, roots ...graph.VertexID) Result {
 	start := time.Now()
 
 	// Mark: sequential, centralized stack.
@@ -62,14 +61,9 @@ func Collect(store *graph.Store, counters *metrics.Counters, roots ...graph.Vert
 	})
 	store.ReleaseBatch(garbage)
 
-	res := Result{
+	return Result{
 		Marked:    len(live),
 		Reclaimed: len(garbage),
 		Pause:     time.Since(start),
 	}
-	if counters != nil {
-		counters.Reclaimed.Add(int64(res.Reclaimed))
-		counters.ObservePause(res.Pause.Nanoseconds())
-	}
-	return res
 }
