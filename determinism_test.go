@@ -153,3 +153,64 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 		t.Fatalf("same seed produced different schedules: %s vs %s", a, b)
 	}
 }
+
+// goldenCollectingSchedules pins schedules that have a collector in them.
+// fib 12 finishes inside the default GCInterval of 20 000 steps, so the
+// digests above hold no mark task at all; these run a cycle every 500 steps
+// with M_T in every cycle, which puts marking-cycle starts with their M_T root
+// sets, every mark and return that ran as a task (roots, cut arcs, spills of a
+// wave past its budget) and the restructure events inside the digest. What a
+// wave marks inline is not in the log — it shows in what the next task finds.
+var goldenCollectingSchedules = map[string]string{
+	"interp/seed=42/pes=4":   "b048da5a71cdc92b",
+	"interp/seed=7/pes=3":    "320781d623ecb4dd",
+	"compiled/seed=42/pes=4": "83915e6760273cc8",
+	"compiled/seed=7/pes=3":  "487aa84739080b68",
+}
+
+func collectingOptions(engine string, seed int64, pes int) dgr.Options {
+	return dgr.Options{PEs: pes, Seed: seed, Engine: engine, Capacity: 1 << 14,
+		GCInterval: 500, MTEvery: 1}
+}
+
+// TestScheduleDeterminismCollectingGolden pins the deterministic task
+// sequence of runs that collect while they reduce, for both engines, and —
+// without the recorder, which could itself hide a difference — that two such
+// runs of one seed end with identical counters.
+func TestScheduleDeterminismCollectingGolden(t *testing.T) {
+	for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
+		for _, tc := range []struct {
+			seed int64
+			pes  int
+		}{{42, 4}, {7, 3}} {
+			name := fmt.Sprintf("%s/seed=%d/pes=%d", engine, tc.seed, tc.pes)
+			t.Run(name, func(t *testing.T) {
+				opts := collectingOptions(engine, tc.seed, tc.pes)
+				opts.RecordSchedule = true
+				m := dgr.New(opts)
+				defer m.Close()
+				got := digestEval(t, m, detFib, 144)
+				if s := m.Stats(); s.Cycles < 3 || s.MTRuns < 3 || s.MarkVisits <= s.MarkTasks {
+					t.Fatalf("the run pins too little marking: %d cycles, %d M_T runs, %d mark visits in %d mark tasks",
+						s.Cycles, s.MTRuns, s.MarkVisits, s.MarkTasks)
+				}
+				if want := goldenCollectingSchedules[name]; got != want {
+					t.Errorf("schedule digest = %s, want %s (the deterministic task sequence changed)", got, want)
+				}
+
+				var stats [2]dgr.Stats
+				for i := range stats {
+					m := dgr.New(collectingOptions(engine, tc.seed, tc.pes))
+					if v, err := m.Eval(detFib); err != nil || v.Int != 144 {
+						t.Fatalf("eval = %v, %v", v, err)
+					}
+					stats[i] = m.Stats()
+					m.Close()
+				}
+				if stats[0] != stats[1] {
+					t.Errorf("same seed, different counters:\n%v\n%v", stats[0], stats[1])
+				}
+			})
+		}
+	}
+}

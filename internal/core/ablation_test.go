@@ -15,7 +15,7 @@ func TestCooperationIsLoadBearing(t *testing.T) {
 	trials := 0
 	for mutateAt := 0; mutateAt < 12; mutateAt++ {
 		for seed := int64(0); seed < 8; seed++ {
-			r := newRig(t, 2, seed, true)
+			r := newRig(t, 2, seed, true).taskPerArc()
 			r.mut.SetCooperation(false)
 			a := r.vertex(graph.KindApply)
 			b := r.vertex(graph.KindApply)

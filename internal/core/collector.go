@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -58,7 +60,8 @@ type CollectorConfig struct {
 // must reuse the recorded roots rather than recompute them.
 type CycleRecorder interface {
 	// CycleStart fires immediately before a marking phase begins, with the
-	// exact root set the phase will use.
+	// exact root set the phase will use. roots is the collector's buffer,
+	// rewritten by the next cycle: copy what must outlive the call.
 	CycleStart(ctx graph.Ctx, roots []Root)
 	// RestructureStart fires immediately before the restructuring phase.
 	// sweep is the sweep scope the phase will use: 0 for a full-arena sweep,
@@ -131,6 +134,16 @@ type Collector struct {
 	watch        *sched.Watch
 	verdictEpoch uint64 // advances whenever deadSet changes
 
+	// Per-cycle bookkeeping, kept from cycle to cycle so a warm collector
+	// does not ask the allocator for it again. pauseMu serializes cycles, so
+	// one set suffices.
+	rRoots     []Root                  // M_R's root set
+	tRoots     []Root                  // M_T's root set (taskRoots)
+	tSeen      map[graph.VertexID]bool // taskRoots' endpoint set
+	garbage    []*graph.Vertex         // this cycle's sweep
+	garbageSet map[graph.VertexID]bool
+	destPrior  map[graph.VertexID]uint8 // marked priority of queued demands' destinations
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
@@ -145,6 +158,10 @@ func NewCollector(store *graph.Store, marker *Marker, mach *sched.Machine, count
 		cfg:      cfg,
 		deadSet:  make(map[graph.VertexID]bool),
 		pending:  make(map[graph.VertexID]bool),
+
+		tSeen:      make(map[graph.VertexID]bool),
+		garbageSet: make(map[graph.VertexID]bool),
+		destPrior:  make(map[graph.VertexID]uint8),
 	}
 }
 
@@ -275,9 +292,11 @@ func (c *Collector) DeadlockedCount() int {
 // virtual troot whose args are the taskroot_i vertices of §5.2; including
 // in-transit tasks keeps the snapshot exhaustive when spawned work can sit
 // in an outbox or on the wire, so a vertex awaited only by an undelivered
-// message is never misreported as deadlocked.
+// message is never misreported as deadlocked. The returned slice is the
+// collector's own and is overwritten by the next M_T cycle.
 func (c *Collector) taskRoots() []Root {
-	seen := make(map[graph.VertexID]bool)
+	seen := c.tSeen
+	clear(seen)
 	add := func(t task.Task) {
 		if !t.Kind.IsReduction() {
 			return
@@ -303,11 +322,12 @@ func (c *Collector) taskRoots() []Root {
 	for _, t := range c.mach.CurrentTasks() {
 		add(t)
 	}
-	roots := make([]Root, 0, len(seen))
+	roots := c.tRoots[:0]
 	for id := range seen {
 		roots = append(roots, Root{ID: id})
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
+	slices.SortFunc(roots, func(a, b Root) int { return cmp.Compare(a.ID, b.ID) })
+	c.tRoots = roots
 	return roots
 }
 
@@ -335,10 +355,11 @@ func (c *Collector) RunCycle() CycleReport {
 	cycleStart := o.Now()
 	o.Event(obs.TIDCollector, "cycle.start", uint64(root), 0, "")
 
-	rRoots := []Root{{ID: root, Prior: graph.PriorVital}}
+	rRoots := append(c.rRoots[:0], Root{ID: root, Prior: graph.PriorVital})
 	if pin != graph.NilVertex && pin != root {
 		rRoots = append(rRoots, Root{ID: pin, Prior: graph.PriorReserve})
 	}
+	c.rRoots = rRoots
 	if c.mtDue(n) && c.mach.Mode() == sched.Parallel {
 		// Parallel mode overlaps the two marking phases: the contexts keep
 		// disjoint per-vertex marking state (RCtx vs TCtx), so M_T and M_R
@@ -529,20 +550,15 @@ func (c *Collector) restructure(rep *CycleReport) {
 	epochT := c.lastTEpoch
 	c.mu.Unlock()
 
-	var garbage []*graph.Vertex
-	garbageSet := make(map[graph.VertexID]bool)
+	garbage, garbageSet := c.garbage[:0], c.garbageSet
+	clear(garbageSet)
 	var dead []graph.VertexID
 
 	o := c.cfg.Obs
 	sweepStart := o.Now()
-	forEach := c.store.ForEach
-	if rep.Sweep > 0 {
-		part := rep.Sweep - 1
-		forEach = func(fn func(*graph.Vertex)) { c.store.ForEachInPartition(part, fn) }
-	}
 	// The closure runs once per swept slot, most of them free: it unlocks
 	// explicitly on each path rather than paying a defer per slot.
-	forEach(func(v *graph.Vertex) {
+	sweep := func(v *graph.Vertex) {
 		v.Lock()
 		switch {
 		case v.Kind == graph.KindFree:
@@ -563,7 +579,13 @@ func (c *Collector) restructure(rep *CycleReport) {
 			dead = append(dead, v.ID)
 		}
 		v.Unlock()
-	})
+	}
+	if rep.Sweep > 0 {
+		c.store.ForEachInPartition(rep.Sweep-1, sweep)
+	} else {
+		c.store.ForEach(sweep)
+	}
+	c.garbage = garbage // keep what append grew
 	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbage)))
 
 	// Expunge irrelevant tasks: every task whose destination is garbage
@@ -585,7 +607,8 @@ func (c *Collector) restructure(rep *CycleReport) {
 	// destination was marked with (§3.2 / §5): 3→vital, 2→eager,
 	// 1→reserve. Destination priorities are pre-read into a map, again to
 	// avoid nested locking from inside the pool.
-	destPrior := make(map[graph.VertexID]uint8)
+	destPrior := c.destPrior
+	clear(destPrior)
 	for i := 0; i < c.mach.PEs(); i++ {
 		c.mach.Pool(i).Each(func(t task.Task) {
 			if t.Kind == task.Demand {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"dgr/internal/graph"
@@ -335,7 +336,7 @@ func TestCollectorFreshAllocationsSurviveCycle(t *testing.T) {
 // is abandoned: the report says so, and nothing is reclaimed on the strength
 // of incomplete marks.
 func TestCollectorStepBound(t *testing.T) {
-	r := newRig(t, 1, 10, false)
+	r := newRig(t, 1, 10, false).taskPerArc() // the dropped return must be a task
 	root := r.vertex(graph.KindApply)
 	chain := root
 	for i := 0; i < 50; i++ {
@@ -624,5 +625,41 @@ func TestIncrementalSweepConservation(t *testing.T) {
 		if rFull.store.IsFree(id) != rInc.store.IsFree(id) {
 			t.Errorf("v%d: full free=%v, incremental free=%v", id, rFull.store.IsFree(id), rInc.store.IsFree(id))
 		}
+	}
+}
+
+// TestWarmCycleAllocations: a collector cycle over a live graph that did not
+// change keeps its bookkeeping — root sets, the seed batch, the sweep's
+// garbage list and set, the priority map, the wave — from the cycle before.
+// What is left is stated in DESIGN.md §8: the done channel of each marking
+// phase and, in a cycle that runs M_T, the scheduler's copy of the executing
+// tasks, the pool-lock order of the all-pools scan, and the deadlock
+// candidates (this graph has some) — the list the report hands out and the
+// verdict judge's set of them. Before the buffers were kept the same cycles
+// allocated 16 and 36.
+func TestWarmCycleAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		mtEvery int
+		want    float64
+	}{{0, 1}, {1, 10}} {
+		r := newRig(t, 4, 1, false)
+		r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
+		vs, tasks := frozenGraph(rand.New(rand.NewSource(1)), r, 200)
+		for _, tk := range tasks {
+			r.mach.Spawn(tk)
+		}
+		col := NewCollector(r.store, r.marker, r.mach, r.counters,
+			CollectorConfig{Root: vs[0].ID, MTEvery: tc.mtEvery})
+		col.RunCycle() // sweeps what the root does not reach, sizes the buffers
+		col.RunCycle()
+		got := testing.AllocsPerRun(20, func() {
+			if rep := col.RunCycle(); !rep.Completed || rep.Reclaimed != 0 {
+				t.Fatalf("warm cycle: %+v", rep)
+			}
+		})
+		if got > tc.want {
+			t.Errorf("MTEvery %d: %v allocations per warm cycle, want at most %v", tc.mtEvery, got, tc.want)
+		}
+		t.Logf("MTEvery %d: %v allocations per warm cycle", tc.mtEvery, got)
 	}
 }

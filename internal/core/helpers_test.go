@@ -37,6 +37,28 @@ func newRig(t testing.TB, pes int, seed int64, adversarial bool) *rig {
 	return &rig{t: t, store: store, mach: mach, marker: marker, mut: mut, counters: counters}
 }
 
+// testBudgets are the wave budgets the property tests sweep: the
+// paper-literal schedule (one task per arc), two that make every wave spill
+// mid-way, and the one that ships.
+var testBudgets = []int{0, 1, 3, waveBudget}
+
+// atEachBudget runs a property test's body once per budget. A failure is at
+// the last budget logged.
+func atEachBudget(t *testing.T, body func(t *testing.T, budget int)) {
+	for _, budget := range testBudgets {
+		t.Logf("wave budget %d", budget)
+		body(t, budget)
+	}
+}
+
+// taskPerArc sets the wave budget to 0, so that every mark and every return
+// is a task of its own — the schedule of Figures 4-1 to 5-3 read literally —
+// and a test can act between any two of them.
+func (r *rig) taskPerArc() *rig {
+	r.marker.budget = 0
+	return r
+}
+
 // vertex allocates a vertex of the given kind.
 func (r *rig) vertex(kind graph.Kind) *graph.Vertex {
 	r.t.Helper()

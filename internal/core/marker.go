@@ -4,7 +4,9 @@
 // endless mark/restructure collector cycles of §4–§5.
 //
 // Marking is realized as mark and return tasks flowing through the same PE
-// machinery as the reduction process. The two marking processes M_R
+// machinery as the reduction process; a task is what crosses a partition
+// boundary, and the arcs inside a partition are walked by the PE that pops
+// the task (see wave). The two marking processes M_R
 // (Figure 5-1/5-2: mark2 from the root with priorities) and M_T
 // (Figure 5-3: mark3 from the task pools) share one implementation
 // parameterized by the marking context: context R traces args(v) and
@@ -41,12 +43,19 @@ type ctxState struct {
 	mu           sync.Mutex
 	pendingRoots int64
 	done         chan struct{}
+	// seed is SeedRoots' task buffer, reused from cycle to cycle (a
+	// context's cycles never overlap).
+	seed []task.Task
 
 	// negCnt counts mt-cnt underflows — always zero in a correct run;
 	// surfaced by the invariant checker.
 	negCnt atomic.Int64
 	// staleDropped counts epoch-mismatched marking tasks dropped.
 	staleDropped atomic.Int64
+	// upgrades counts Figure 5-1 re-marks: a vertex already touched this
+	// cycle is reached at a higher priority and its children are marked
+	// again. The order of a wave exists to keep this near zero.
+	upgrades atomic.Int64
 }
 
 // Marker executes mark and return tasks and tracks cycle completion for the
@@ -56,6 +65,14 @@ type Marker struct {
 	mach     *sched.Machine
 	counters *metrics.Counters
 	ctxs     [2]ctxState
+
+	// budget is waveBudget; this package's step-granular tests set it to 0
+	// to get the paper-literal schedule of one task per arc.
+	budget int
+	// waves[p] holds partition p's idle work list, so a warm marker
+	// allocates none. A slot, not a locked free list: every mark and return
+	// task takes and returns one, on all PEs at once.
+	waves []waveSlot
 
 	// faultSkipN, when n > 0, silently drops a deterministic 1/n of child
 	// mark spawns (and their mt-cnt increments, so cycles still terminate).
@@ -74,7 +91,8 @@ func (m *Marker) SetFaultSkipMark(n int64) { m.faultSkipN.Store(n) }
 // NewMarker builds a marker over the given store and machine. counters may
 // be nil.
 func NewMarker(store *graph.Store, mach *sched.Machine, counters *metrics.Counters) *Marker {
-	m := &Marker{store: store, mach: mach, counters: counters}
+	m := &Marker{store: store, mach: mach, counters: counters, budget: waveBudget,
+		waves: make([]waveSlot, mach.PEs())}
 	for i := range m.ctxs {
 		ch := make(chan struct{})
 		close(ch) // no cycle yet: "done"
@@ -144,17 +162,18 @@ func (m *Marker) SeedRoots(c graph.Ctx, roots []Root) {
 		// fans out across the PEs in O(partitions) lock acquisitions instead
 		// of O(roots) — the seeding step no longer serializes the phase it
 		// starts.
-		ts := make([]task.Task, len(roots))
-		for i, r := range roots {
-			ts[i] = task.Task{
+		ts := st.seed[:0]
+		for _, r := range roots {
+			ts = append(ts, task.Task{
 				Kind:  task.Mark,
 				Src:   graph.NilVertex, // rootpar
 				Dst:   r.ID,
 				Ctx:   c,
 				Prior: r.Prior,
 				Epoch: epoch,
-			}
+			})
 		}
+		st.seed = ts
 		m.mach.SpawnBatch(ts)
 	}
 	m.rootReturn(c) // release the seeding sentinel
@@ -186,14 +205,7 @@ func (m *Marker) AddRootDuringCycle(c graph.Ctx, id graph.VertexID, prior uint8)
 	st.pendingRoots++
 	st.mu.Unlock()
 
-	m.mach.Spawn(task.Task{
-		Kind:  task.Mark,
-		Src:   graph.NilVertex,
-		Dst:   id,
-		Ctx:   c,
-		Prior: prior,
-		Epoch: epoch,
-	})
+	m.spawnMark(nil, c, graph.NilVertex, id, prior, epoch)
 	return true
 }
 
@@ -212,21 +224,102 @@ func (m *Marker) rootReturn(c graph.Ctx) {
 	st.mu.Unlock()
 }
 
-// Handle executes a marking task. Non-marking tasks are ignored (the
-// dispatcher routes them to the reduction engine).
+// waveBudget is the number of marks and returns one executed task may absorb
+// inline. It bounds how long a PE stays away from its pool; DESIGN §8 has the
+// measurements it was chosen by.
+const waveBudget = 256
+
+// wave is the work list of one Handle call: the marks and returns the
+// executing task (and the items after it) addressed to its own partition,
+// kept here instead of being spawned. Each is popped and run through the
+// same handleMark/handleReturn as a task would be, one vertex lock at a
+// time, so a wave is the schedule in which those tasks ran back to back on
+// this PE — one of the schedules Figures 4-1, 5-1 and 5-3 allow. Arcs that
+// leave the partition, and everything past the budget, are spawned.
+type wave struct {
+	part   int // partition of the task that started the wave
+	budget int // visits left after the current one; negative once spent
+	// lifo[0] holds returns, lifo[1..3] marks of priority vital, eager and
+	// below. pop takes the lowest non-empty index: a vertex is then mostly
+	// reached at its final priority first, and Figure 5-1's re-marking
+	// (which walks a subgraph a second time) stays rare.
+	lifo [4][]task.Task
+}
+
+func (w *wave) push(t task.Task) {
+	i := 0
+	if t.Kind == task.Mark {
+		i = 4 - int(max(t.Prior, graph.PriorReserve))
+	}
+	w.lifo[i] = append(w.lifo[i], t)
+}
+
+func (w *wave) pop() (task.Task, bool) {
+	for i := range w.lifo {
+		if n := len(w.lifo[i]); n > 0 {
+			t := w.lifo[i][n-1]
+			w.lifo[i] = w.lifo[i][:n-1]
+			return t, true
+		}
+	}
+	return task.Task{}, false
+}
+
+// waveSlot keeps one partition's idle wave on a cache line of its own.
+type waveSlot struct {
+	idle atomic.Pointer[wave]
+	_    [56]byte
+}
+
+// beginWave takes partition part's idle wave for a task executing there, or
+// makes one: the first time, and when a thief runs a stolen task of the
+// partition while its owner is in a wave of its own. endWave puts it back,
+// drained (a second wave made for a thief is then dropped).
+func (m *Marker) beginWave(part int) *wave {
+	w := m.waves[part].idle.Swap(nil)
+	if w == nil {
+		w = new(wave)
+	}
+	w.part, w.budget = part, m.budget
+	return w
+}
+
+func (m *Marker) endWave(w *wave) { m.waves[w.part].idle.Store(w) }
+
+// Handle executes a marking task and then the wave of partition-local marks
+// and returns it set off. Non-marking tasks are ignored (the dispatcher
+// routes them to the reduction engine).
 func (m *Marker) Handle(t task.Task) {
-	switch t.Kind {
-	case task.Mark:
-		m.handleMark(t)
-	case task.Return:
-		m.handleReturn(t)
+	if !t.Kind.IsMarking() {
+		return
+	}
+	// The wave belongs to the destination's partition even when a thief
+	// executes the task: local means local to the vertices, not to the PE.
+	w := m.beginWave(m.mach.PartOf(t.Dst))
+	var marks int64
+	for ok := true; ok; t, ok = w.pop() {
+		if w.budget < 0 {
+			m.mach.Spawn(t) // the remainder of a wave that spent its budget
+			continue
+		}
+		w.budget--
+		if t.Kind == task.Mark {
+			m.handleMark(w, t)
+			marks++
+		} else {
+			m.handleReturn(w, t)
+		}
+	}
+	m.endWave(w)
+	if m.counters != nil && marks > 0 { // a lone return must not touch the shared line
+		m.counters.MarkVisits.Add(marks)
 	}
 }
 
 // handleMark is mark2 of Figure 5-1 (context R) and mark3 of Figure 5-3
 // (context T). mark1 of Figure 4-1 is the degenerate case with a single
 // priority.
-func (m *Marker) handleMark(t task.Task) {
+func (m *Marker) handleMark(w *wave, t task.Task) {
 	st := &m.ctxs[t.Ctx]
 	epoch := st.epoch.Load()
 	if t.Epoch != epoch {
@@ -235,7 +328,7 @@ func (m *Marker) handleMark(t task.Task) {
 	}
 	v := m.store.Vertex(t.Dst)
 	if v == nil {
-		m.spawnReturn(t.Ctx, t.Dst, t.Src, epoch)
+		m.spawnReturn(w, t.Ctx, t.Dst, t.Src, epoch)
 		return
 	}
 
@@ -243,22 +336,23 @@ func (m *Marker) handleMark(t task.Task) {
 	mc := v.CtxOf(t.Ctx)
 	switch mc.StateAt(epoch) {
 	case graph.Unmarked:
-		m.modifyLocked(v, t.Ctx, epoch, t.Src, t.Prior)
+		m.modifyLocked(w, v, t.Ctx, epoch, t.Src, t.Prior)
 	default:
 		if t.Ctx == graph.CtxT || t.Prior <= mc.Prior {
 			// Already (being) marked at sufficient priority: just release
 			// our parent.
 			v.Unlock()
-			m.spawnReturn(t.Ctx, t.Dst, t.Src, epoch)
+			m.spawnReturn(w, t.Ctx, t.Dst, t.Src, epoch)
 			return
 		}
 		// Re-mark at the higher priority (Figure 5-1): if v is transient,
 		// release the old marking-tree parent first.
+		st.upgrades.Add(1)
 		if mc.State == graph.Transient {
 			old := mc.MtPar
-			m.spawnReturn(t.Ctx, t.Dst, old, epoch)
+			m.spawnReturn(w, t.Ctx, t.Dst, old, epoch)
 		}
-		m.modifyLocked(v, t.Ctx, epoch, t.Src, t.Prior)
+		m.modifyLocked(w, v, t.Ctx, epoch, t.Src, t.Prior)
 	}
 	v.Unlock()
 }
@@ -272,7 +366,7 @@ const taskChildrenInline = 8
 // record the marking-tree parent and priority, spawn mark tasks on the
 // context's children, and mark immediately if there are none. The caller
 // holds v's lock.
-func (m *Marker) modifyLocked(v *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
+func (m *Marker) modifyLocked(w *wave, v *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
 	mc := v.CtxOf(c)
 	mc.Touch(epoch, par, prior)
 
@@ -282,7 +376,7 @@ func (m *Marker) modifyLocked(v *graph.Vertex, c graph.Ctx, epoch uint64, par gr
 				continue
 			}
 			childPrior := min(prior, v.ReqKinds[i].Priority())
-			m.spawnMark(c, v.ID, a, childPrior, epoch)
+			m.spawnMark(w, c, v.ID, a, childPrior, epoch)
 			mc.MtCnt++
 		}
 	} else {
@@ -291,18 +385,18 @@ func (m *Marker) modifyLocked(v *graph.Vertex, c graph.Ctx, epoch uint64, par gr
 			if m.faultDropsMark(v.ID, a, epoch) {
 				continue
 			}
-			m.spawnMark(c, v.ID, a, 0, epoch)
+			m.spawnMark(w, c, v.ID, a, 0, epoch)
 			mc.MtCnt++
 		}
 	}
 	if mc.MtCnt == 0 {
 		mc.State = graph.Marked
-		m.spawnReturn(c, v.ID, par, epoch)
+		m.spawnReturn(w, c, v.ID, par, epoch)
 	}
 }
 
 // handleReturn is return1 of Figure 4-1.
-func (m *Marker) handleReturn(t task.Task) {
+func (m *Marker) handleReturn(w *wave, t task.Task) {
 	st := &m.ctxs[t.Ctx]
 	epoch := st.epoch.Load()
 	if t.Epoch != epoch {
@@ -335,7 +429,7 @@ func (m *Marker) handleReturn(t task.Task) {
 		mc.State = graph.Marked
 		par := mc.MtPar
 		v.Unlock()
-		m.spawnReturn(t.Ctx, t.Dst, par, epoch)
+		m.spawnReturn(w, t.Ctx, t.Dst, par, epoch)
 		return
 	}
 	v.Unlock()
@@ -355,15 +449,27 @@ func (m *Marker) faultDropsMark(par, child graph.VertexID, epoch uint64) bool {
 	return h%uint64(n) == 0
 }
 
-// spawnMark enqueues a mark task.
-func (m *Marker) spawnMark(c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) {
-	m.mach.Spawn(task.Task{Kind: task.Mark, Src: par, Dst: dst, Ctx: c, Prior: prior, Epoch: epoch})
+// spawn routes a marking task: onto the wave when there is one, it has budget
+// left and the destination is in its partition (rootpar is everywhere), and
+// into the destination's pool otherwise — the cut arc, the spill past the
+// budget, and every cooperating mutator, which runs outside any wave.
+func (m *Marker) spawn(w *wave, t task.Task) {
+	if w != nil && w.budget >= 0 && (t.Dst == graph.NilVertex || m.mach.PartOf(t.Dst) == w.part) {
+		w.push(t)
+		return
+	}
+	m.mach.Spawn(t)
 }
 
-// spawnReturn enqueues a return task to the marking-tree parent par (from
+// spawnMark issues a mark task.
+func (m *Marker) spawnMark(w *wave, c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) {
+	m.spawn(w, task.Task{Kind: task.Mark, Src: par, Dst: dst, Ctx: c, Prior: prior, Epoch: epoch})
+}
+
+// spawnReturn issues a return task to the marking-tree parent par (from
 // vertex from, for diagnostics).
-func (m *Marker) spawnReturn(c graph.Ctx, from, par graph.VertexID, epoch uint64) {
-	m.mach.Spawn(task.Task{Kind: task.Return, Src: from, Dst: par, Ctx: c, Epoch: epoch})
+func (m *Marker) spawnReturn(w *wave, c graph.Ctx, from, par graph.VertexID, epoch uint64) {
+	m.spawn(w, task.Task{Kind: task.Return, Src: from, Dst: par, Ctx: c, Epoch: epoch})
 }
 
 // executeMarkLocked is the "execute mark1(c,b)" path of Figure 4-2's
@@ -375,8 +481,8 @@ func (m *Marker) spawnReturn(c graph.Ctx, from, par graph.VertexID, epoch uint64
 func (m *Marker) executeMarkLocked(child *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
 	mc := child.CtxOf(c)
 	if mc.StateAt(epoch) == graph.Unmarked {
-		m.modifyLocked(child, c, epoch, par, prior)
+		m.modifyLocked(nil, child, c, epoch, par, prior)
 		return
 	}
-	m.spawnReturn(c, child.ID, par, epoch)
+	m.spawnReturn(nil, c, child.ID, par, epoch)
 }

@@ -238,11 +238,14 @@ func TestMarkRequestTypeFunction(t *testing.T) {
 	}
 }
 
-func TestInvariantsHoldAtEveryStep(t *testing.T) {
+func TestInvariantsHoldAtEveryStep(t *testing.T) { atEachBudget(t, testInvariantsHoldAtEveryStep) }
+
+func testInvariantsHoldAtEveryStep(t *testing.T, budget int) {
 	// Pump a marking cycle one step at a time over a random-ish shared
 	// graph; check I1–I3 after every step.
 	for seed := int64(0); seed < 5; seed++ {
 		r := newRig(t, 3, seed, true)
+		r.marker.budget = budget
 		var vs []*graph.Vertex
 		for i := 0; i < 12; i++ {
 			vs = append(vs, r.vertex(graph.KindApply))

@@ -13,10 +13,13 @@ import (
 // a completed M_R cycle must mark exactly the oracle's R with exactly the
 // oracle's priorities, and a completed M_T cycle must mark exactly T —
 // Lemmas 1–4 collapse to set equality.
-func TestMarkerMatchesOracleExactly(t *testing.T) {
+func TestMarkerMatchesOracleExactly(t *testing.T) { atEachBudget(t, testMarkerMatchesOracleExactly) }
+
+func testMarkerMatchesOracleExactly(t *testing.T, budget int) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := newRig(t, 1+int(seed%4), seed, seed%2 == 0)
+		r.marker.budget = budget
 
 		n := 10 + rng.Intn(50)
 		vs := make([]*graph.Vertex, n)
@@ -62,17 +65,7 @@ func TestMarkerMatchesOracleExactly(t *testing.T) {
 		}
 
 		// M_T: exact T, rooted at the task endpoints.
-		var roots []Root
-		seen := map[graph.VertexID]bool{}
-		for _, tk := range tasks {
-			for _, id := range []graph.VertexID{tk.Src, tk.Dst} {
-				if id != graph.NilVertex && !seen[id] {
-					seen[id] = true
-					roots = append(roots, Root{ID: id})
-				}
-			}
-		}
-		r.runCycle(graph.CtxT, roots...)
+		r.runCycle(graph.CtxT, endpointRoots(tasks)...)
 		epochT := r.marker.Epoch(graph.CtxT)
 		for _, v := range vs {
 			v.Lock()

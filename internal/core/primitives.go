@@ -115,7 +115,7 @@ func (mu *Mutator) coopAddRefLocked(ctx graph.Ctx, a, b, c *graph.Vertex, rk gra
 	case sa == graph.Transient && sb == graph.Unmarked:
 		// c may be untraced; spawn a mark from a and account for it.
 		prior := min(a.CtxOf(ctx).Prior, rk.Priority())
-		mu.marker.spawnMark(ctx, a.ID, c.ID, prior, epoch)
+		mu.marker.spawnMark(nil, ctx, a.ID, c.ID, prior, epoch)
 		a.CtxOf(ctx).MtCnt++
 		mu.coopCount()
 	case sa == graph.Marked && sb == graph.Transient:
@@ -195,13 +195,13 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 		if p.ctx == graph.CtxR {
 			for i, x := range a.Args {
 				prior := min(p.prior, a.ReqKinds[i].Priority())
-				mu.marker.spawnMark(p.ctx, a.ID, x, prior, p.epoch)
+				mu.marker.spawnMark(nil, p.ctx, a.ID, x, prior, p.epoch)
 				mc.MtCnt++
 			}
 		} else {
 			var buf [taskChildrenInline]graph.VertexID
 			for _, x := range a.TaskChildren(buf[:0]) {
-				mu.marker.spawnMark(p.ctx, a.ID, x, 0, p.epoch)
+				mu.marker.spawnMark(nil, p.ctx, a.ID, x, 0, p.epoch)
 				mc.MtCnt++
 			}
 		}
@@ -237,7 +237,7 @@ func (mu *Mutator) coopTaskEdgeLocked(p, x *graph.Vertex) {
 	}
 	switch pc.StateAt(epoch) {
 	case graph.Transient:
-		mu.marker.spawnMark(graph.CtxT, p.ID, x.ID, 0, epoch)
+		mu.marker.spawnMark(nil, graph.CtxT, p.ID, x.ID, 0, epoch)
 		pc.MtCnt++
 		mu.coopCount()
 	case graph.Marked:

@@ -11,10 +11,14 @@ import (
 // then delete-reference(b,c), leaving b ← a → c. Without cooperation, c is
 // never marked once marking has passed a. With the cooperating primitives,
 // c must be marked at the end of the cycle for EVERY interleaving point.
+//
+// The rig runs one task per arc: a wave would mark a, b and c in one step
+// (they share a partition) and the mutation would never land mid-marking.
 func TestSection42Race(t *testing.T) {
 	for mutateAt := 0; mutateAt < 12; mutateAt++ {
+		midMarking := 0
 		for seed := int64(0); seed < 8; seed++ {
-			r := newRig(t, 2, seed, true)
+			r := newRig(t, 2, seed, true).taskPerArc()
 			a := r.vertex(graph.KindApply)
 			b := r.vertex(graph.KindApply)
 			c := r.vertex(graph.KindApply)
@@ -54,6 +58,12 @@ func TestSection42Race(t *testing.T) {
 			if n := r.marker.UnderflowCount(graph.CtxR); n != 0 {
 				t.Fatalf("mutateAt=%d seed=%d: mt-cnt underflows %d", mutateAt, seed, n)
 			}
+			midMarking++
+		}
+		// Marking a→b→c takes six tasks (three marks, three returns), so every
+		// earlier point must really have been hit with the cycle running.
+		if mutateAt < 6 && midMarking == 0 {
+			t.Fatalf("mutateAt=%d: no trial mutated mid-marking; the test no longer interleaves", mutateAt)
 		}
 	}
 }

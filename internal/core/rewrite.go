@@ -35,7 +35,7 @@ func (mu *Mutator) coopAttachLocked(parent, c *graph.Vertex, rk graph.ReqKind) {
 		prior := min(pc.Prior, rk.Priority())
 		switch pc.StateAt(epoch) {
 		case graph.Transient:
-			mu.marker.spawnMark(ctx, parent.ID, c.ID, prior, epoch)
+			mu.marker.spawnMark(nil, ctx, parent.ID, c.ID, prior, epoch)
 			pc.MtCnt++
 			mu.coopCount()
 		case graph.Marked:

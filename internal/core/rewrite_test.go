@@ -168,7 +168,7 @@ func TestRewriteFreshUnderActiveMT(t *testing.T) {
 // against v's mt-cnt; with none running the same rewrite spawns nothing.
 func TestRewriteOperandUnderActiveMR(t *testing.T) {
 	for _, want := range []graph.MarkState{graph.Marked, graph.Transient} {
-		r := newRig(t, 1, 4, false)
+		r := newRig(t, 1, 4, false).taskPerArc() // stops while v is in each state
 		root := r.vertex(graph.KindApply)
 		v := r.vertex(graph.KindApply)
 		r.edge(root, v, graph.ReqVital)

@@ -130,10 +130,13 @@ func buildRandomGraph(rng *rand.Rand, r *rig, n int) []*graph.Vertex {
 // where GAR' is what the concurrent M_R identifies as garbage: all garbage
 // present when marking began is found, and nothing is erroneously
 // identified.
-func TestTheorem1Containments(t *testing.T) {
+func TestTheorem1Containments(t *testing.T) { atEachBudget(t, testTheorem1Containments) }
+
+func testTheorem1Containments(t *testing.T, budget int) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := newRig(t, 1+int(seed%4), seed, true)
+		r.marker.budget = budget
 		vs := buildRandomGraph(rng, r, 8+rng.Intn(25))
 		root := vs[0]
 
@@ -202,10 +205,13 @@ func TestTheorem1Containments(t *testing.T) {
 // deadlocked vertices present before M_T are found, and no vertex is
 // erroneously reported deadlocked — even with live-region mutation churn
 // during both marking phases.
-func TestTheorem2Containments(t *testing.T) {
+func TestTheorem2Containments(t *testing.T) { atEachBudget(t, testTheorem2Containments) }
+
+func testTheorem2Containments(t *testing.T, budget int) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
 		r := newRig(t, 2, seed, true)
+		r.marker.budget = budget
 		root := r.vertex(graph.KindApply)
 
 		// Deadlocked knot: root vitally depends on k1; k1 ↔ k2 vitally

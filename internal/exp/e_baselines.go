@@ -257,7 +257,7 @@ func runMTFreq(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "mtfreq",
 		Title:   "deadlock-detection latency and marking overhead vs M_T cadence",
-		Columns: []string{"MTEvery", "cycles to detect", "M_T runs", "mark tasks", "wall time"},
+		Columns: []string{"MTEvery", "cycles to detect", "M_T runs", "mark visits", "wall time"},
 	}
 	for _, k := range ks {
 		counters2 := &metrics.Counters{}
@@ -289,7 +289,7 @@ func runMTFreq(cfg Config) (*Table, error) {
 		}
 		dur := time.Since(start)
 		s := counters2.Snapshot()
-		t.AddRow(k, cycles, s.MTRuns, s.MarkTasks, dur)
+		t.AddRow(k, cycles, s.MTRuns, s.MarkVisits, dur)
 		if cycles != k {
 			return t, fmt.Errorf("mtfreq: detection at cycle %d with MTEvery=%d", cycles, k)
 		}

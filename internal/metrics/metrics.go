@@ -22,8 +22,9 @@ import (
 type Counters struct {
 	TasksExecuted     atomic.Int64 // all task executions
 	ReductionTasks    atomic.Int64 // demand/result/reduce executions
-	MarkTasks         atomic.Int64 // mark task executions
-	ReturnTasks       atomic.Int64 // return task executions
+	MarkTasks         atomic.Int64 // marks executed as tasks (cut arcs, spills, roots)
+	ReturnTasks       atomic.Int64 // returns executed as tasks
+	MarkVisits        atomic.Int64 // mark bodies run, as a task or inline in a wave
 	RemoteMessages    atomic.Int64 // tasks spawned across partitions
 	LocalMessages     atomic.Int64 // tasks spawned within a partition
 	Rewrites          atomic.Int64 // combinator/primitive graph rewrites
@@ -64,8 +65,9 @@ type Counters struct {
 type Snapshot struct {
 	TasksExecuted     int64 `prom:"dgr_tasks_executed_total" help:"Task executions across all PEs."`
 	ReductionTasks    int64 `prom:"dgr_reduction_tasks_total" help:"Demand/result/reduce executions."`
-	MarkTasks         int64 `prom:"dgr_mark_tasks_total" help:"Mark task executions."`
-	ReturnTasks       int64 `prom:"dgr_return_tasks_total" help:"Return task executions."`
+	MarkTasks         int64 `prom:"dgr_mark_tasks_total" help:"Marks executed as tasks: roots, arcs that cross a partition, spills past the wave budget."`
+	ReturnTasks       int64 `prom:"dgr_return_tasks_total" help:"Returns executed as tasks."`
+	MarkVisits        int64 `prom:"dgr_mark_visits_total" help:"Mark bodies run, as a task or inline in a partition-local wave."`
 	RemoteMessages    int64 `prom:"dgr_remote_messages_total" help:"Tasks spawned across partitions."`
 	LocalMessages     int64 `prom:"dgr_local_messages_total" help:"Tasks spawned within a partition."`
 	Rewrites          int64 `prom:"dgr_rewrites_total" help:"Combinator/primitive graph rewrites."`
@@ -262,12 +264,14 @@ func (s HistSnapshot) String() string {
 	return sb.String()
 }
 
-// String renders the snapshot as a one-line summary. Fabric traffic is
-// appended only when a fabric carried messages.
+// String renders the snapshot as a one-line summary. mark and ret count the
+// marks and returns that ran as tasks, visits every mark body run (most run
+// inline, in the wave of the task that reached their partition). Fabric
+// traffic is appended only when a fabric carried messages.
 func (s Snapshot) String() string {
 	out := fmt.Sprintf(
-		"tasks=%d (red=%d mark=%d ret=%d) msgs(remote=%d local=%d) rewrites=%d alloc=%d reclaimed=%d cycles=%d expunged=%d deadlocked=%d",
-		s.TasksExecuted, s.ReductionTasks, s.MarkTasks, s.ReturnTasks,
+		"tasks=%d (red=%d mark=%d ret=%d) visits=%d msgs(remote=%d local=%d) rewrites=%d alloc=%d reclaimed=%d cycles=%d expunged=%d deadlocked=%d",
+		s.TasksExecuted, s.ReductionTasks, s.MarkTasks, s.ReturnTasks, s.MarkVisits,
 		s.RemoteMessages, s.LocalMessages, s.Rewrites, s.Allocations,
 		s.Reclaimed, s.Cycles, s.Expunged, s.DeadlockedFound)
 	if s.FabricSent > 0 {

@@ -183,6 +183,11 @@ type Machine struct {
 	// uncontended lock.
 	current []curSlot
 
+	// batchMu guards batchBuckets, SpawnBatch's per-destination buckets,
+	// kept so that seeding a marking cycle allocates nothing once warm.
+	batchMu      sync.Mutex
+	batchBuckets [][]task.Task
+
 	// stepScratch is Step's reusable non-empty-PE selection buffer.
 	// Deterministic mode is single-threaded by contract, so one buffer
 	// per machine suffices and Step allocates nothing.
@@ -232,6 +237,7 @@ func New(cfg Config) *Machine {
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.current = make([]curSlot, cfg.PEs)
+	m.batchBuckets = make([][]task.Task, cfg.PEs)
 	m.stepScratch = make([]int, 0, cfg.PEs)
 	for i := range m.pools {
 		m.pools[i] = task.NewPool()
@@ -371,7 +377,12 @@ func (m *Machine) SpawnBatch(ts []task.Task) {
 		return
 	}
 	w := m.watch.Load()
-	buckets := make([][]task.Task, m.cfg.PEs)
+	m.batchMu.Lock()
+	defer m.batchMu.Unlock()
+	buckets := m.batchBuckets
+	for i := range buckets {
+		buckets[i] = buckets[i][:0]
+	}
 	var local, remote int64
 	for _, t := range ts {
 		m.stampTrace(&t)

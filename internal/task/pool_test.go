@@ -623,3 +623,32 @@ func TestPoolPopWaitFor(t *testing.T) {
 		t.Fatal("Close did not wake the timed waiter")
 	}
 }
+
+// TestPoolRestructureAllocsIndependentOfSize: the collector calls Expunge and
+// Reprioritize on every pool in every cycle, so what they ask the allocator
+// for may not grow with the queue — at most the closure handed to each band.
+func TestPoolRestructureAllocsIndependentOfSize(t *testing.T) {
+	measure := func(n int) (expunge, reprio float64) {
+		p := NewPool()
+		for i := 0; i < n; i++ {
+			p.Push(Task{Kind: Demand, Dst: graph.VertexID(i + 1), Req: graph.ReqVital})
+		}
+		expunge = testing.AllocsPerRun(20, func() {
+			p.Expunge(func(Task) bool { return false })
+		})
+		reprio = testing.AllocsPerRun(20, func() {
+			p.Reprioritize(func(t Task) graph.ReqKind { return t.Req })
+		})
+		return expunge, reprio
+	}
+	e10, r10 := measure(10)
+	e1000, r1000 := measure(1000)
+	if e10 != e1000 || r10 != r1000 {
+		t.Fatalf("allocations grow with the queue: Expunge %v → %v, Reprioritize %v → %v (10 → 1000 tasks)",
+			e10, e1000, r10, r1000)
+	}
+	if e10 > float64(NumBands) || r10 > float64(NumBands) {
+		t.Fatalf("Expunge %v, Reprioritize %v allocations per call; want at most one closure per band (%d)",
+			e10, r10, NumBands)
+	}
+}

@@ -90,9 +90,13 @@ func (r *ring) removeAt(i int) Task {
 func (r *ring) filter(keep func(*Task) bool) int {
 	w := 0
 	for i := 0; i < r.n; i++ {
-		t := *r.at(i)
-		if keep(&t) {
-			*r.at(w) = t
+		// keep gets the slot itself: a copy whose address is passed to a func
+		// value escapes, one heap object per queued task per call.
+		p := r.at(i)
+		if keep(p) {
+			if w != i {
+				*r.at(w) = *p
+			}
 			w++
 		}
 	}
