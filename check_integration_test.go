@@ -171,6 +171,44 @@ func TestRecordReplayEval(t *testing.T) {
 	}
 }
 
+// TestReplayedCycleEqualsLive: a replayed collector cycle runs the body a
+// live one runs — the replayer only supplies the roots and the order of the
+// tasks. A recorded deterministic run that collects, with M_T in every cycle,
+// and its replay on a fresh machine end with identical counters: cycles, M_T
+// runs, vertices reclaimed, tasks expunged and reprioritized, every mark.
+func TestReplayedCycleEqualsLive(t *testing.T) {
+	src := "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 10"
+	opts := Options{PEs: 3, Seed: 5, GCInterval: 500, MTEvery: 1, Capacity: 1 << 12}
+	live := opts
+	live.RecordSchedule = true
+	m := New(live)
+	defer m.Close()
+	if _, err := m.Eval(src); err != nil {
+		t.Fatal(err)
+	}
+	events, err := m.ScheduleEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := m.Stats()
+	if want.Cycles < 3 || want.MTRuns != want.Cycles || want.Reclaimed == 0 {
+		t.Fatalf("the recorded run must collect, with M_T in every cycle: %v", want)
+	}
+
+	m2 := New(opts)
+	defer m2.Close()
+	root, err := m2.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.ReplaySchedule(root, events); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Stats(); got != want {
+		t.Errorf("replayed counters differ from the live run's:\nlive   %+v\nreplay %+v", want, got)
+	}
+}
+
 // TestParallelFaultReplaysToSameViolation is the full pipeline the tooling
 // exists for: a parallel run with an injected marking fault is caught by the
 // checker, its recorded schedule is replayed on a fresh deterministic

@@ -255,6 +255,11 @@ func sweep(f flags) error {
 						bad = fmt.Sprintf("eval error: %v", evalErr)
 					case v.Int != p.Want:
 						bad = fmt.Sprintf("wrong result: got %d, want %d", v.Int, p.Want)
+					case len(m.RuntimeErrors()) != 0:
+						// No program of the corpus can raise one, needed or not: a
+						// recorded error beside the right value is a step that
+						// acted on a vertex another PE had since rewritten.
+						bad = fmt.Sprintf("right result, but runtime errors recorded by an error-free program: %v", m.RuntimeErrors())
 					}
 					if bad != "" {
 						path, werr := writeReplayLog(f, m, p.Name, cell, seed)
@@ -307,7 +312,7 @@ func injectSweep(f flags) error {
 	}
 	for _, p := range programs {
 		caught := 0
-		replayed := false
+		replayed := ""
 		for _, config := range configs {
 			for seed := int64(1); seed <= int64(f.seeds); seed++ {
 				m := dgr.New(mustOptions(f, config, seed, true))
@@ -320,11 +325,14 @@ func injectSweep(f flags) error {
 				if f.verbose {
 					fmt.Printf("caught %s/%s seed %d: %v\n", p.Name, config, seed, m.CheckErr())
 				}
-				if !replayed {
+				if replayed == "" {
 					if err := replayReproduces(f, m, p.Src, seed); err != nil {
 						return fmt.Errorf("%s/%s seed %d: %w", p.Name, config, seed, err)
 					}
-					replayed = true
+					// Kept, so that `-inject N -replay <log>` reproduces it from disk.
+					if replayed, err = writeReplayLog(f, m, p.Name, config, seed); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -332,8 +340,8 @@ func injectSweep(f flags) error {
 			return fmt.Errorf("%s: injected fault (1/%d marks dropped) never caught in %d runs — checker asleep",
 				p.Name, f.inject, len(configs)*f.seeds)
 		}
-		fmt.Printf("dgr-check: %s: injected fault caught in %d runs, first recording replayed to the violation\n",
-			p.Name, caught)
+		fmt.Printf("dgr-check: %s: injected fault caught in %d runs, first recording replayed to the violation: %s\n",
+			p.Name, caught, replayed)
 	}
 	return nil
 }
@@ -376,7 +384,7 @@ func replayLog(f flags) error {
 	events, err := check.ReadJSONL(file)
 	file.Close()
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", f.replay, err)
 	}
 	if len(events) == 0 || events[0].Ev != check.EvMeta {
 		return fmt.Errorf("%s: no meta header; cannot reconstruct the run", f.replay)

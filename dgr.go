@@ -279,6 +279,7 @@ func New(opts Options) *Machine {
 	// assigned below (the same late-binding pattern the checker uses): no
 	// source is read until a collector cycle runs or the sampler starts,
 	// both strictly after New finishes wiring.
+	var m *Machine
 	var mach *sched.Machine
 	var collector *core.Collector
 	var ob *obs.Obs
@@ -296,12 +297,8 @@ func New(opts Options) *Machine {
 				// [obs.Bands]int asserts the two constants agree.
 				QueueDepths: func(pe int) [obs.Bands]int { return mach.Pool(pe).BandLens() },
 				FreeOf:      store.FreeCountOf,
-				FreeTotal:   store.FreeCount,
-				Heap:        store.Len,
-				Inflight:    func() int64 { return mach.Inflight() },
-				InTransit:   func() int64 { return mach.InTransit() },
+				Gauges:      func() obs.Gauges { return m.Gauges() },
 				Cycles:      func() int64 { return collector.Cycles() },
-				Deadlocked:  func() int { return collector.DeadlockedCount() },
 			},
 		})
 	}
@@ -397,7 +394,7 @@ func New(opts Options) *Machine {
 		// reads the collector, which needs the machine the checker hooks.
 		checker.Coll = collector
 	}
-	m := &Machine{
+	m = &Machine{
 		opts: opts, store: store, mach: mach, marker: marker,
 		mut: mut, engine: engine, prog: prog, collector: collector,
 		counters: counters,
@@ -794,10 +791,6 @@ func (m *Machine) Pump(max int) int {
 // Quiescent reports whether no tasks are queued or executing.
 func (m *Machine) Quiescent() bool { return m.mach.Inflight() == 0 }
 
-// InflightTasks reports the number of queued-plus-executing tasks (the
-// live gauge the serving layer's pooled exposition aggregates).
-func (m *Machine) InflightTasks() int64 { return m.mach.Inflight() }
-
 // DemandNode spawns the initial <-,root> task and returns the channel that
 // will receive the WHNF value — without driving the machine (harness hook;
 // normal callers use EvalNode).
@@ -876,16 +869,26 @@ func (m *Machine) WriteFlightJSONL(w io.Writer) error {
 // time-series with quantile summaries, or nil unless Options.Obs is on.
 func (m *Machine) ObsSeries() *obs.SeriesSnap { return m.obs.Series() }
 
-// promData assembles the live gauge set for the Prometheus exposition.
-func (m *Machine) promData() obs.PromData {
-	d := obs.PromData{
-		Stats:      m.counters.Snapshot(),
+// Gauges reads the live-machine gauges: what the time-series samples, what
+// the exposition and snapshot.json print, what a machine pool sums.
+func (m *Machine) Gauges() obs.Gauges {
+	deadlocked, _ := m.collector.TerminalVerdict()
+	return obs.Gauges{
 		PEs:        m.opts.PEs,
 		Heap:       m.store.Len(),
 		Free:       m.store.FreeCount(),
 		Inflight:   m.mach.Inflight(),
 		InTransit:  m.mach.InTransit(),
-		Deadlocked: m.collector.DeadlockedCount(),
+		Deadlocked: deadlocked,
+	}
+}
+
+// promData assembles the counters and live gauges for the Prometheus
+// exposition.
+func (m *Machine) promData() obs.PromData {
+	d := obs.PromData{
+		Stats:  m.counters.Snapshot(),
+		Gauges: m.Gauges(),
 
 		FreePerPart: make([]int, m.opts.PEs),
 		PoolBands:   make([][obs.Bands]int, m.opts.PEs),
@@ -925,34 +928,21 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 	if m.obs == nil {
 		return errObsDisabled
 	}
-	d := m.promData()
 	out := struct {
-		Now         int64             `json:"now_ns"`
-		PEs         int               `json:"pes"`
-		Parallel    bool              `json:"parallel"`
-		Heap        int               `json:"heap"`
-		Free        int               `json:"free"`
-		FreePerPart []int             `json:"free_per_part"`
-		Inflight    int64             `json:"inflight"`
-		InTransit   int64             `json:"in_transit"`
-		Cycles      int64             `json:"cycles"`
-		Executions  uint64            `json:"executions"`
-		Deadlocked  []NodeID          `json:"deadlocked,omitempty"`
-		Pools       [][obs.Bands]int  `json:"pools"`
-		ExecsPerPE  []int64           `json:"execs_per_pe"`
-		Utils       []float64         `json:"utils"`
-		Stats       metrics.Snapshot  `json:"stats"`
-		Series      *obs.SeriesSnap   `json:"series"`
-		Violations  []string          `json:"violations,omitempty"`
-		FlightLast  []obs.FlightEvent `json:"flight_last,omitempty"`
+		Now int64 `json:"now_ns"`
+		obs.PromData
+		Parallel   bool   `json:"parallel"`
+		Cycles     int64  `json:"cycles"`
+		Executions uint64 `json:"executions"`
+		// The list, under the key the embedded count would otherwise take.
+		Deadlocked []NodeID          `json:"deadlocked,omitempty"`
+		Series     *obs.SeriesSnap   `json:"series"`
+		Violations []string          `json:"violations,omitempty"`
+		FlightLast []obs.FlightEvent `json:"flight_last,omitempty"`
 	}{
-		Now: m.obs.Now(), PEs: d.PEs, Parallel: m.opts.Parallel,
-		Heap: d.Heap, Free: d.Free, FreePerPart: d.FreePerPart,
-		Inflight: d.Inflight, InTransit: d.InTransit,
+		Now: m.obs.Now(), PromData: m.promData(), Parallel: m.opts.Parallel,
 		Cycles: m.collector.Cycles(), Executions: m.mach.Executions(),
-		Deadlocked: m.collector.Deadlocked(),
-		Pools:      d.PoolBands, ExecsPerPE: d.ExecsPerPE,
-		Utils: d.Utils, Stats: d.Stats, Series: m.obs.Series(),
+		Deadlocked: m.collector.Deadlocked(), Series: m.obs.Series(),
 		Violations: m.CheckViolations(),
 	}
 	if evs := m.obs.FlightEvents(); len(evs) > 16 {
@@ -1042,10 +1032,6 @@ func (m *Machine) ReplaySchedule(root NodeID, events []check.Event) error {
 // Deadlocked returns every vertex the collector has identified as
 // deadlocked so far, in ascending order.
 func (m *Machine) Deadlocked() []NodeID { return m.collector.Deadlocked() }
-
-// DeadlockedCount is len(Deadlocked()) without the copy (the gauge the
-// serving layer's pooled exposition aggregates).
-func (m *Machine) DeadlockedCount() int { return m.collector.DeadlockedCount() }
 
 // RuntimeErrors returns the runtime errors (type errors, division by zero)
 // the reduction engine raised during the current — or, between evaluations,

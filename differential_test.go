@@ -90,6 +90,9 @@ type diffCase struct {
 	// wantInt / wantBool hold the reference value for refInt / refBool.
 	wantInt  int64
 	wantBool bool
+	// errorFree: no part of the program can raise a runtime error, needed or
+	// not, so a successful evaluation must leave RuntimeErrors empty.
+	errorFree bool
 }
 
 // classify runs the reference interpreter on src.
@@ -185,6 +188,8 @@ func diffCorpus(t *testing.T) []diffCase {
 			src:     src,
 			outcome: refInt,
 			wantInt: want,
+			// The generator divides by nonzero literals only.
+			errorFree: true,
 		})
 	}
 	return cases
@@ -199,6 +204,9 @@ func diffRun(t *testing.T, c diffCase, mode, engine string) (dgr.Value, error) {
 	v, err := m.Eval(c.src)
 	if cerr := m.CheckErr(); cerr != nil {
 		t.Errorf("%s [%s/%s]: invariant violations: %v", c.name, mode, engine, cerr)
+	}
+	if errs := m.RuntimeErrors(); c.errorFree && err == nil && len(errs) != 0 {
+		t.Errorf("%s [%s/%s]: evaluated, but recorded runtime errors: %v", c.name, mode, engine, errs)
 	}
 	if mode == "det" && err == nil {
 		assertAnalysisInvariants(t, m, c, engine)
@@ -319,7 +327,7 @@ func TestDifferentialWorkloadCorpus(t *testing.T) {
 		p := workload.Programs[name]
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			c := diffCase{name: "workload/" + name, src: p.Src, outcome: refInt, wantInt: p.Want}
+			c := diffCase{name: "workload/" + name, src: p.Src, outcome: refInt, wantInt: p.Want, errorFree: true}
 			for _, mode := range []string{"det", "parallel"} {
 				for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
 					v, err := diffRun(t, c, mode, engine)

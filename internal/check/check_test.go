@@ -23,7 +23,7 @@ func TestEventJSONLRoundTrip(t *testing.T) {
 	r.OnExecute(0, 2, task.Task{Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital})
 	r.CycleStart(graph.CtxT, []core.Root{{ID: 5}, {ID: 9, Prior: graph.PriorVital}})
 	r.OnExecute(1, 0, task.Task{Kind: task.Mark, Src: 0, Dst: 5, Ctx: graph.CtxT, Epoch: 7})
-	r.RestructureStart(true, 0)
+	r.RestructureStart(true)
 
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
@@ -269,5 +269,50 @@ func TestCheckerSkipsUnstableSample(t *testing.T) {
 	}
 	if c.CheckSkipped.Load() != 1 {
 		t.Fatalf("skipped = %d, want 1", c.CheckSkipped.Load())
+	}
+}
+
+// TestReadJSONLRefusesOtherFormats: a log is replayed exactly or not at
+// all. A field this build's Event does not declare — "sweep", the
+// incremental-sweep scope earlier builds recorded — is a decision the replay
+// could not honour, so the reader refuses the log and says where.
+func TestReadJSONLRefusesOtherFormats(t *testing.T) {
+	for _, tc := range []struct {
+		name, log string
+		events    int
+		wantErr   []string // substrings of the error; nil = accepted
+	}{
+		{"current", `{"ev":"meta","program":"fib","pes":4}
+{"ev":"cycle","ctx":1,"roots":[{"id":5}]}
+{"ev":"restructure","mt":true}
+`, 3, nil},
+		{"incremental sweep", `{"ev":"meta","program":"fib","pes":4}
+{"ev":"restructure","sweep":2}
+`, 1, []string{"line 2", `"sweep"`}},
+		{"garbage", `{"ev":"meta"}
+{"ev":"exec","pe":1}
+not json
+`, 2, []string{"line 3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events, err := ReadJSONL(strings.NewReader(tc.log))
+			if len(events) != tc.events {
+				t.Errorf("read %d events, want %d", len(events), tc.events)
+			}
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, want := range tc.wantErr {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
 	}
 }

@@ -58,11 +58,8 @@ type Event struct {
 	// Cycle fields (Ctx above selects the context).
 	Roots []RootRec `json:"roots,omitempty"`
 
-	// Restructure fields. Sweep is the recorded sweep scope: 0 (absent in
-	// the JSON, including every log written before the field existed) means
-	// a full-arena sweep; k+1 means an incremental sweep of partition k.
-	MT    bool `json:"mt,omitempty"`
-	Sweep int  `json:"sweep,omitempty"`
+	// Restructure fields.
+	MT bool `json:"mt,omitempty"`
 }
 
 // RootRec is a recorded marking root.
@@ -117,8 +114,8 @@ func (r *Recorder) CycleStart(ctx graph.Ctx, roots []core.Root) {
 }
 
 // RestructureStart records a restructuring phase (core.CycleRecorder).
-func (r *Recorder) RestructureStart(mtRan bool, sweep int) {
-	r.append(Event{Ev: EvRestructure, MT: mtRan, Sweep: sweep})
+func (r *Recorder) RestructureStart(mtRan bool) {
+	r.append(Event{Ev: EvRestructure, MT: mtRan})
 }
 
 func (r *Recorder) append(e Event) {
@@ -134,13 +131,6 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // WriteJSONL writes the recorded schedule as JSON Lines.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -152,9 +142,14 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ReadJSONL parses a schedule log written by WriteJSONL.
+// ReadJSONL parses a schedule log written by WriteJSONL, one event a line.
+// A field Event does not declare is an error, not a field to skip: it is a
+// decision some other build recorded (an incremental-sweep scope, "sweep",
+// until the collector lost it), and a replay that ignored it would diverge
+// somewhere unrelated.
 func ReadJSONL(rd io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
 	var events []Event
 	for {
 		var e Event
@@ -162,7 +157,7 @@ func ReadJSONL(rd io.Reader) ([]Event, error) {
 			if errors.Is(err, io.EOF) {
 				return events, nil
 			}
-			return events, fmt.Errorf("check: schedule log event %d: %w", len(events), err)
+			return events, fmt.Errorf("check: schedule log line %d: %w", len(events)+1, err)
 		}
 		events = append(events, e)
 	}

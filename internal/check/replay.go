@@ -49,7 +49,7 @@ func (rp *Replayer) Run(events []Event) error {
 			if rp.Coll == nil {
 				return fmt.Errorf("check: replay event %d is a restructure but no collector is wired", i)
 			}
-			rp.Coll.ReplayRestructure(e.MT, e.Sweep)
+			rp.Coll.ReplayRestructure(e.MT)
 		case EvExec:
 			want := e.Task()
 			pred := func(q task.Task) bool { return sameTask(q, want) }

@@ -3,8 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,11 +64,7 @@ type CycleRecorder interface {
 	// rewritten by the next cycle: copy what must outlive the call.
 	CycleStart(ctx graph.Ctx, roots []Root)
 	// RestructureStart fires immediately before the restructuring phase.
-	// sweep is the sweep scope the phase will use: 0 for a full-arena sweep,
-	// k+1 for an incremental sweep of partition k only. The scope is a
-	// scheduling decision (it depends on the cycle's mode and M_T rotation),
-	// so replay must reuse the recorded value.
-	RestructureStart(mtRan bool, sweep int)
+	RestructureStart(mtRan bool)
 }
 
 // CycleReport summarizes one mark/restructure cycle.
@@ -88,12 +84,6 @@ type CycleReport struct {
 	Expunged int
 	// Reprioritized is the number of tasks whose priority band changed.
 	Reprioritized int
-	// Steps is the number of deterministic scheduler steps consumed by the
-	// marking phases (0 in parallel mode).
-	Steps int
-	// Sweep is the restructuring phase's sweep scope: 0 for a full-arena
-	// sweep, k+1 for an incremental sweep of partition k only.
-	Sweep int
 }
 
 // Collector drives the endless cycle: (occasionally M_T, then) M_R, then
@@ -117,12 +107,6 @@ type Collector struct {
 	// vital work or a deadlock candidate on its account.
 	pin        graph.VertexID
 	lastTEpoch uint64 // T epoch of the most recent M_T run
-	// nextSweep is the partition the next incremental sweep will cover.
-	// Parallel-mode cycles without M_T sweep one partition per cycle in
-	// rotation, bounding the per-cycle pause; M_T cycles always sweep the
-	// full arena because dead-candidate detection and pending-verdict
-	// re-detection both need a whole-arena view.
-	nextSweep int
 
 	// Two-phase deadlock verdict state. An M_T cycle's DL'_v computation
 	// yields candidates, which go to pending with a sched.Watch armed over
@@ -216,33 +200,29 @@ func (c *Collector) Cycles() int64 {
 func (c *Collector) Forget(ids []graph.VertexID) {
 	c.mu.Lock()
 	for _, id := range ids {
-		if c.deadSet[id] {
-			delete(c.deadSet, id)
-			c.verdictEpoch++
-		}
-		delete(c.pending, id)
+		c.dropVerdictLocked(id)
 	}
 	c.mu.Unlock()
 }
 
-// sortedIDs lists a verdict set in ascending order: what a seeded machine
-// reports must not depend on map iteration.
-func sortedIDs(set map[graph.VertexID]bool) []graph.VertexID {
-	out := make([]graph.VertexID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+// dropVerdictLocked removes id from the verdict record, confirmed and
+// pending. Caller holds c.mu.
+func (c *Collector) dropVerdictLocked(id graph.VertexID) {
+	if c.deadSet[id] {
+		delete(c.deadSet, id)
+		c.verdictEpoch++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	delete(c.pending, id)
 }
 
-// Deadlocked returns the confirmed-deadlocked set, ascending: vertices whose
-// verdict survived a full M_T cycle untouched (deadlock is stable, reduction
-// axiom 4, so a genuine verdict always confirms).
+// Deadlocked returns the confirmed-deadlocked set: vertices whose verdict
+// survived a full M_T cycle untouched (deadlock is stable, reduction axiom 4,
+// so a genuine verdict always confirms). Ascending — what a seeded machine
+// reports must not depend on map iteration.
 func (c *Collector) Deadlocked() []graph.VertexID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return sortedIDs(c.deadSet)
+	return slices.Sorted(maps.Keys(c.deadSet))
 }
 
 // PendingDeadlocked returns, ascending, the candidate vertices detected by
@@ -251,7 +231,7 @@ func (c *Collector) Deadlocked() []graph.VertexID {
 func (c *Collector) PendingDeadlocked() []graph.VertexID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return sortedIDs(c.pending)
+	return slices.Sorted(maps.Keys(c.pending))
 }
 
 // VerdictEpoch returns a counter that advances every time the confirmed
@@ -276,14 +256,6 @@ func (c *Collector) TerminalVerdict() (int, bool) {
 	defer c.mu.Unlock()
 	n := len(c.deadSet)
 	return n, n > 0 && c.mach.Inflight() == 0
-}
-
-// DeadlockedCount returns the size of the confirmed-deadlocked set without
-// copying it (the gauge the samplers and expositions poll).
-func (c *Collector) DeadlockedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.deadSet)
 }
 
 // taskRoots enumerates the marking roots for M_T: the source and
@@ -336,122 +308,113 @@ func (c *Collector) mtDue(n int64) bool {
 	return c.cfg.MTEvery > 0 && n%int64(c.cfg.MTEvery) == 0
 }
 
-// RunCycle performs one full cycle. In deterministic mode it pumps the
-// scheduler itself (interleaving marking with whatever reduction tasks are
-// queued — this is the concurrent-marking execution); in parallel mode it
-// blocks on the marker's done channels while the PEs run.
+// RunCycle performs one full cycle, the same sequence in every mode and the
+// paper's: M_T if it is due, then M_R, then restructuring. M_T completes
+// before M_R starts — a premise of Theorem 2 (DESIGN §1). Only waitPhase
+// knows how the machine is driven.
 func (c *Collector) RunCycle() CycleReport {
 	c.pauseMu.Lock()
 	defer c.pauseMu.Unlock()
 
 	c.mu.Lock()
 	c.cycleN++
-	n := c.cycleN
+	rep := CycleReport{Cycle: c.cycleN, Completed: true}
 	root, pin := c.cfg.Root, c.pin
 	c.mu.Unlock()
 
-	rep := CycleReport{Cycle: n, Completed: true}
-	o := c.cfg.Obs
-	cycleStart := o.Now()
-	o.Event(obs.TIDCollector, "cycle.start", uint64(root), 0, "")
+	began := c.cfg.Obs.Now()
+	c.cfg.Obs.Event(obs.TIDCollector, "cycle.start", uint64(root), 0, "")
 
 	rRoots := append(c.rRoots[:0], Root{ID: root, Prior: graph.PriorVital})
 	if pin != graph.NilVertex && pin != root {
 		rRoots = append(rRoots, Root{ID: pin, Prior: graph.PriorReserve})
 	}
 	c.rRoots = rRoots
-	if c.mtDue(n) && c.mach.Mode() == sched.Parallel {
-		// Parallel mode overlaps the two marking phases: the contexts keep
-		// disjoint per-vertex marking state (RCtx vs TCtx), so M_T and M_R
-		// tasks interleave freely across the PEs and the cycle's marking
-		// wall-time is max(M_T, M_R) instead of their sum. The sequential
-		// order below is kept for deterministic mode, whose recorded
-		// schedules and golden digests assume it.
-		phaseStart := o.Now()
-		// Activate the cycle before snapshotting the pools, so reduction
-		// activity concurrent with the snapshot is covered by the
-		// cooperative hooks rather than silently missed (see
-		// Marker.BeginCycle).
-		doneT := c.marker.BeginCycle(graph.CtxT)
-		tRoots := c.taskRoots()
-		if c.cfg.Recorder != nil {
-			c.cfg.Recorder.CycleStart(graph.CtxT, tRoots)
-		}
-		c.marker.SeedRoots(graph.CtxT, tRoots)
-		if c.cfg.Recorder != nil {
-			c.cfg.Recorder.CycleStart(graph.CtxR, rRoots)
-		}
-		doneR := c.marker.StartCycle(graph.CtxR, rRoots)
-		<-doneT
+
+	if c.mtDue(rep.Cycle) {
+		c.runPhase(graph.CtxT, nil, &rep)
+		rep.MTRan = rep.Completed
+	}
+	if rep.Completed {
+		c.runPhase(graph.CtxR, rRoots, &rep)
+	}
+	c.closeCycle(&rep, began, root)
+	return rep
+}
+
+// phaseSpan names a marking phase's obs interval.
+var phaseSpan = [...]string{graph.CtxR: "M_R", graph.CtxT: "M_T"}
+
+// runPhase runs one marking phase of a live cycle to completion (nil roots:
+// see openPhase) and hands AfterPhase the context while its marked closure is
+// still exact.
+func (c *Collector) runPhase(ctx graph.Ctx, roots []Root, rep *CycleReport) {
+	o := c.cfg.Obs
+	began := o.Now()
+	done, n := c.openPhase(ctx, roots)
+	rep.Completed = c.waitPhase(ctx, done)
+	o.Span(phaseSpan[ctx], obs.CatGC, obs.TIDCollector, began, int64(n))
+	if rep.Completed && c.cfg.AfterPhase != nil {
+		c.cfg.AfterPhase(ctx)
+	}
+}
+
+// openPhase is the phase-opening half of a cycle, the one a live cycle and a
+// replayed one share: log the phase, activate the context, seed its roots.
+// Nil roots ask for the live M_T's, a snapshot of the task pools, which can
+// only be taken — and so logged — once the context is active: reduction
+// activity concurrent with the snapshot must be covered by the cooperative
+// hooks rather than silently missed (see Marker.BeginCycle); in deterministic
+// mode nothing executes in between. Roots known beforehand are logged before
+// the activation: a task logged ahead of the phase must not have seen it
+// active, or the replay, which runs the log in order, lacks the marks that
+// task's cooperation spawned. It returns the phase's done channel and the
+// number of roots it was seeded with.
+func (c *Collector) openPhase(ctx graph.Ctx, roots []Root) (<-chan struct{}, int) {
+	if roots != nil {
+		c.logPhase(ctx, roots)
+	}
+	done := c.marker.BeginCycle(ctx)
+	if roots == nil {
+		roots = c.taskRoots()
+		c.logPhase(ctx, roots)
+	}
+	c.marker.SeedRoots(ctx, roots)
+	if ctx == graph.CtxT {
+		// What restructure tests T marks against. A context's epoch only
+		// advances at its next BeginCycle, so it can be read already.
 		c.mu.Lock()
 		c.lastTEpoch = c.marker.Epoch(graph.CtxT)
 		c.mu.Unlock()
-		rep.MTRan = true
-		o.Span("M_T", obs.CatGC, obs.TIDCollector, phaseStart, int64(len(tRoots)))
-		if c.counters != nil {
-			c.counters.MTRuns.Add(1)
-		}
-		if c.cfg.AfterPhase != nil {
-			c.cfg.AfterPhase(graph.CtxT)
-		}
-		<-doneR
-		o.Span("M_R", obs.CatGC, obs.TIDCollector, phaseStart, 1)
-		if c.cfg.AfterPhase != nil {
-			c.cfg.AfterPhase(graph.CtxR)
-		}
-	} else {
-		if c.mtDue(n) {
-			phaseStart := o.Now()
-			// Activate before snapshotting, as in the overlap branch. In
-			// deterministic mode nothing executes between the two halves,
-			// so recorded schedules and golden digests are unchanged.
-			done := c.marker.BeginCycle(graph.CtxT)
-			roots := c.taskRoots()
-			if c.cfg.Recorder != nil {
-				c.cfg.Recorder.CycleStart(graph.CtxT, roots)
-			}
-			c.marker.SeedRoots(graph.CtxT, roots)
-			rep.Steps += c.waitPhase(graph.CtxT, done, &rep)
-			c.mu.Lock()
-			c.lastTEpoch = c.marker.Epoch(graph.CtxT)
-			c.mu.Unlock()
-			rep.MTRan = rep.Completed
-			o.Span("M_T", obs.CatGC, obs.TIDCollector, phaseStart, int64(len(roots)))
-			if c.counters != nil && rep.MTRan {
-				c.counters.MTRuns.Add(1)
-			}
-			if rep.MTRan && c.cfg.AfterPhase != nil {
-				c.cfg.AfterPhase(graph.CtxT)
-			}
-		}
-
-		if rep.Completed {
-			phaseStart := o.Now()
-			if c.cfg.Recorder != nil {
-				c.cfg.Recorder.CycleStart(graph.CtxR, rRoots)
-			}
-			done := c.marker.StartCycle(graph.CtxR, rRoots)
-			rep.Steps += c.waitPhase(graph.CtxR, done, &rep)
-			o.Span("M_R", obs.CatGC, obs.TIDCollector, phaseStart, 1)
-			if rep.Completed && c.cfg.AfterPhase != nil {
-				c.cfg.AfterPhase(graph.CtxR)
-			}
-		}
 	}
+	return done, len(roots)
+}
 
+func (c *Collector) logPhase(ctx graph.Ctx, roots []Root) {
+	if c.cfg.Recorder != nil {
+		c.cfg.Recorder.CycleStart(ctx, roots)
+	}
+}
+
+// closeCycle is the cycle-closing half, shared likewise: restructure a
+// completed cycle and count it, emit the cycle's obs records, report it.
+func (c *Collector) closeCycle(rep *CycleReport, began int64, root graph.VertexID) {
+	o := c.cfg.Obs
 	if rep.Completed {
-		rep.Sweep = c.sweepScope(rep.MTRan)
 		if c.cfg.Recorder != nil {
-			c.cfg.Recorder.RestructureStart(rep.MTRan, rep.Sweep)
+			c.cfg.Recorder.RestructureStart(rep.MTRan)
 		}
 		phaseStart := o.Now()
-		c.restructure(&rep)
+		c.restructure(rep)
 		o.Span("restructure", obs.CatGC, obs.TIDCollector, phaseStart, int64(rep.Reclaimed))
 		if c.counters != nil {
 			c.counters.Cycles.Add(1)
+			if rep.MTRan {
+				c.counters.MTRuns.Add(1)
+			}
 		}
 	}
-	o.Span("cycle", obs.CatCollector, obs.TIDCollector, cycleStart, n)
+	o.Span("cycle", obs.CatCollector, obs.TIDCollector, began, rep.Cycle)
 	if o != nil {
 		o.Event(obs.TIDCollector, "cycle.end", uint64(root), 0,
 			fmt.Sprintf("reclaimed=%d expunged=%d reprio=%d deadlocked=%d",
@@ -459,91 +422,52 @@ func (c *Collector) RunCycle() CycleReport {
 		o.SampleNow()
 	}
 	if c.cfg.AfterCycle != nil {
-		c.cfg.AfterCycle(rep)
+		c.cfg.AfterCycle(*rep)
 	}
-	return rep
 }
 
-// ReplayCycleStart begins a marking phase with an explicitly recorded root
-// set, for schedule replay. It performs RunCycle's per-phase bookkeeping
-// (including the M_T epoch capture — safe immediately after StartCycle,
-// since a context's epoch only advances at the next StartCycle) but leaves
-// pumping the scheduler to the replayer, which executes the phase's tasks
-// in recorded order.
+// ReplayCycleStart opens a marking phase with an explicitly recorded root
+// set, for schedule replay. Pumping the scheduler is left to the replayer,
+// which executes the phase's tasks in recorded order.
 func (c *Collector) ReplayCycleStart(ctx graph.Ctx, roots []Root) {
-	c.marker.StartCycle(ctx, roots)
-	if ctx == graph.CtxT {
-		c.mu.Lock()
-		c.lastTEpoch = c.marker.Epoch(graph.CtxT)
-		c.mu.Unlock()
-		if c.counters != nil {
-			c.counters.MTRuns.Add(1)
-		}
+	if roots == nil {
+		roots = []Root{} // a recorded phase without roots, not a request for a snapshot
 	}
+	c.openPhase(ctx, roots)
 }
 
-// sweepScope decides the restructuring phase's sweep scope for a live
-// cycle: 0 (full arena) or k+1 (partition k only). Parallel-mode cycles
-// without M_T rotate through the partitions one per cycle, so the sweep's
-// stop-the-arena work is bounded by one partition slice; M_T cycles and all
-// deterministic cycles sweep everything (deadlock detection and golden
-// schedules both depend on the full scan).
-func (c *Collector) sweepScope(mtRan bool) int {
-	if c.mach.Mode() != sched.Parallel || mtRan || c.store.Partitions() < 2 {
-		return 0
-	}
-	c.mu.Lock()
-	part := c.nextSweep
-	c.nextSweep = (part + 1) % c.store.Partitions()
-	c.mu.Unlock()
-	return part + 1
-}
-
-// ReplayRestructure runs one restructuring phase at a recorded position in
-// the schedule. mtRan is the recorded M_T flag for the cycle and sweep the
-// recorded sweep scope (0 = full arena, k+1 = partition k); they gate
-// deadlock detection and the sweep's coverage exactly as in the live run —
-// an incremental sweep replayed as a full one would reclaim garbage cycles
-// earlier than the recording did.
-func (c *Collector) ReplayRestructure(mtRan bool, sweep int) CycleReport {
+// ReplayRestructure closes a cycle at a recorded position in the schedule.
+// mtRan is the cycle's recorded M_T flag; it gates deadlock detection exactly
+// as in the live run.
+func (c *Collector) ReplayRestructure(mtRan bool) CycleReport {
 	c.mu.Lock()
 	c.cycleN++
-	rep := CycleReport{Cycle: c.cycleN, MTRan: mtRan, Completed: true, Sweep: sweep}
+	rep := CycleReport{Cycle: c.cycleN, MTRan: mtRan, Completed: true}
+	root := c.cfg.Root
 	c.mu.Unlock()
-	c.restructure(&rep)
-	if c.counters != nil {
-		c.counters.Cycles.Add(1)
-	}
-	if c.cfg.AfterCycle != nil {
-		c.cfg.AfterCycle(rep)
-	}
+	c.closeCycle(&rep, c.cfg.Obs.Now(), root)
 	return rep
 }
 
-// waitPhase waits for a marking phase to finish, pumping the deterministic
-// scheduler if needed. It returns the deterministic steps consumed.
-func (c *Collector) waitPhase(ctx graph.Ctx, done <-chan struct{}, rep *CycleReport) int {
+// waitPhase waits for a marking phase to finish — pumping the seeded
+// scheduler, or blocking while the PEs run — and is the one place the
+// collector asks which machine it is on. It reports whether the phase
+// finished: a seeded machine can fall quiescent first, when a mark or a
+// return was lost.
+func (c *Collector) waitPhase(ctx graph.Ctx, done <-chan struct{}) bool {
 	if c.mach.Mode() == sched.Parallel {
 		<-done
-		return 0
+		return true
 	}
-	steps := c.mach.RunUntil(func() bool { return c.marker.Done(ctx) }, 0)
-	if !c.marker.Done(ctx) {
-		// Quiescent with the phase unfinished: a mark or return was lost.
-		rep.Completed = false
-	}
-	return steps
+	c.mach.RunUntil(func() bool { return c.marker.Done(ctx) }, 0)
+	return c.marker.Done(ctx)
 }
 
 // restructure is the restructuring phase: sweep garbage to F, detect
 // deadlocked vertices, expunge irrelevant tasks, and reprioritize the task
-// pools from the marked priorities. rep.Sweep scopes the sweep: 0 scans the
-// full arena; k+1 scans only partition k (incremental mode — garbage in
-// other partitions is simply collected on a later rotation, which is safe
-// because unreachability is stable: nothing can re-reference a vertex no
-// path reaches). The expunge below uses this cycle's garbageSet, so every
-// task destined to a vertex freed THIS cycle is deleted in the same cycle
-// regardless of scope — the invariant that makes freeing safe at all.
+// pools from the marked priorities. The expunge uses this cycle's garbageSet,
+// so every task destined to a vertex freed this cycle is deleted in the same
+// cycle — the invariant that makes freeing safe at all.
 func (c *Collector) restructure(rep *CycleReport) {
 	epochR := c.marker.Epoch(graph.CtxR)
 	c.mu.Lock()
@@ -558,7 +482,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 	sweepStart := o.Now()
 	// The closure runs once per swept slot, most of them free: it unlocks
 	// explicitly on each path rather than paying a defer per slot.
-	sweep := func(v *graph.Vertex) {
+	c.store.ForEach(func(v *graph.Vertex) {
 		v.Lock()
 		switch {
 		case v.Kind == graph.KindFree:
@@ -579,12 +503,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 			dead = append(dead, v.ID)
 		}
 		v.Unlock()
-	}
-	if rep.Sweep > 0 {
-		c.store.ForEachInPartition(rep.Sweep-1, sweep)
-	} else {
-		c.store.ForEach(sweep)
-	}
+	})
 	c.garbage = garbage // keep what append grew
 	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbage)))
 
@@ -644,6 +563,19 @@ func (c *Collector) restructure(rep *CycleReport) {
 	c.store.ReleaseBatch(garbage)
 	rep.Reclaimed = len(garbage)
 
+	// Swept vertices leave the verdict record: a reclaimed ID can be reused by
+	// an unrelated allocation (a root switch or is-bottom recovery can make a
+	// once-deadlocked knot garbage), and a stale record under a recycled ID
+	// would poison both the facade's deadlock check and the checker's
+	// confirmed-verdict oracle.
+	if len(garbageSet) > 0 {
+		c.mu.Lock()
+		for id := range garbageSet {
+			c.dropVerdictLocked(id)
+		}
+		c.mu.Unlock()
+	}
+
 	// Two-phase deadlock verdict. This cycle's candidate set DL'_v feeds
 	// the report but is not yet believed: in parallel mode M_T's taskpool
 	// snapshot races the PEs, so a reduction that re-animates a candidate
@@ -656,7 +588,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 	// missed task or the delivered value) or touched, and is retracted.
 	if rep.MTRan {
 		rep.Deadlocked = dead
-		confirmed, retracted := c.judgeVerdicts(dead, garbageSet)
+		confirmed, retracted := c.judgeVerdicts(dead)
 		if retracted > 0 {
 			if c.counters != nil {
 				c.counters.DeadlockRetracted.Add(int64(retracted))
@@ -681,8 +613,6 @@ func (c *Collector) restructure(rep *CycleReport) {
 			o.Event(obs.TIDCollector, "deadlock.pending", uint64(dead[0]), 0,
 				fmt.Sprintf("n=%d", len(dead)))
 		}
-	} else if len(garbageSet) > 0 {
-		c.purgeVerdicts(garbageSet)
 	}
 
 	if c.counters != nil {
@@ -690,23 +620,6 @@ func (c *Collector) restructure(rep *CycleReport) {
 		c.counters.Expunged.Add(int64(rep.Expunged))
 		c.counters.Reprioritized.Add(int64(rep.Reprioritized))
 	}
-}
-
-// purgeVerdicts drops swept vertices from the verdict record. A reclaimed
-// vertex's ID can be reused by an unrelated allocation (a root switch or
-// is-bottom recovery can make a once-deadlocked knot garbage), and a stale
-// record under a recycled ID would poison both the facade's deadlock check
-// and the checker's confirmed-verdict oracle. Caller must not hold c.mu.
-func (c *Collector) purgeVerdicts(garbage map[graph.VertexID]bool) {
-	c.mu.Lock()
-	for id := range garbage {
-		if c.deadSet[id] {
-			delete(c.deadSet, id)
-			c.verdictEpoch++
-		}
-		delete(c.pending, id)
-	}
-	c.mu.Unlock()
 }
 
 // judgeVerdicts is the two-phase confirmation pass, run after every M_T
@@ -717,19 +630,12 @@ func (c *Collector) purgeVerdicts(garbage map[graph.VertexID]bool) {
 // touched but still detected, it stays a candidate for another cycle under
 // a fresh watch. The surviving candidates become the new pending set.
 // Returns the newly confirmed vertices (sorted) and the retraction count.
-func (c *Collector) judgeVerdicts(dead []graph.VertexID, garbage map[graph.VertexID]bool) (confirmed []graph.VertexID, retracted int) {
+func (c *Collector) judgeVerdicts(dead []graph.VertexID) (confirmed []graph.VertexID, retracted int) {
 	detected := make(map[graph.VertexID]bool, len(dead))
 	for _, id := range dead {
 		detected[id] = true
 	}
 	c.mu.Lock()
-	for id := range garbage {
-		if c.deadSet[id] {
-			delete(c.deadSet, id)
-			c.verdictEpoch++
-		}
-		delete(c.pending, id)
-	}
 	clean := c.watch != nil && !c.watch.Touched()
 	for id := range c.pending {
 		switch {
@@ -743,25 +649,18 @@ func (c *Collector) judgeVerdicts(dead []graph.VertexID, garbage map[graph.Verte
 			retracted++
 		}
 	}
-	next := make(map[graph.VertexID]bool, len(dead))
+	c.pending, c.watch = make(map[graph.VertexID]bool, len(dead)), nil
 	for _, id := range dead {
 		if !c.deadSet[id] {
-			next[id] = true
+			c.pending[id] = true
 		}
 	}
-	c.pending = next
-	if len(next) > 0 {
-		ids := make([]graph.VertexID, 0, len(next))
-		for id := range next {
-			ids = append(ids, id)
-		}
-		c.watch = sched.NewWatch(ids)
-	} else {
-		c.watch = nil
+	if len(c.pending) > 0 {
+		c.watch = sched.NewWatch(slices.Collect(maps.Keys(c.pending)))
 	}
 	c.mach.SetWatch(c.watch)
 	c.mu.Unlock()
-	sort.Slice(confirmed, func(i, j int) bool { return confirmed[i] < confirmed[j] })
+	slices.Sort(confirmed)
 	return confirmed, retracted
 }
 

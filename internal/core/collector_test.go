@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dgr/internal/graph"
@@ -559,75 +562,6 @@ func TestCollectorForgetAcrossMT(t *testing.T) {
 	}
 }
 
-// sweepFixture builds a 4-partition heap with a marked reachable chain and
-// unreachable garbage spread over every partition, runs one M_R cycle, and
-// returns the collector plus the IDs of the garbage vertices.
-func sweepFixture(t *testing.T) (*rig, *Collector, []graph.VertexID) {
-	t.Helper()
-	r := newRig(t, 4, 17, false)
-	root := r.vertex(graph.KindApply)
-	live := root
-	for i := 0; i < 7; i++ {
-		nxt, err := r.store.Alloc(i%4, graph.KindApply, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.edge(live, nxt, graph.ReqVital)
-		live = nxt
-	}
-	var garbage []graph.VertexID
-	for i := 0; i < 12; i++ {
-		g, err := r.store.Alloc(i%4, graph.KindApply, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		garbage = append(garbage, g.ID)
-	}
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
-	r.runCycle(graph.CtxR, Root{ID: root.ID, Prior: graph.PriorVital})
-	return r, col, garbage
-}
-
-func TestIncrementalSweepConservation(t *testing.T) {
-	// The union of the four per-partition sweeps of one marking epoch frees
-	// exactly the set a single full sweep would: unreachability is stable,
-	// so rotating the scope delays reclamation but never changes it.
-	rFull, colFull, garbFull := sweepFixture(t)
-	full := colFull.ReplayRestructure(false, 0)
-
-	rInc, colInc, garbInc := sweepFixture(t)
-	var incTotal int64
-	for part := 0; part < rInc.store.Partitions(); part++ {
-		rep := colInc.ReplayRestructure(false, part+1)
-		incTotal += int64(rep.Reclaimed)
-	}
-
-	if int64(full.Reclaimed) != incTotal {
-		t.Fatalf("full sweep reclaimed %d, partition rotation reclaimed %d", full.Reclaimed, incTotal)
-	}
-	if full.Reclaimed == 0 {
-		t.Fatal("fixture produced no garbage")
-	}
-	for i := range garbFull {
-		if !rFull.store.IsFree(garbFull[i]) {
-			t.Errorf("full sweep: garbage v%d not freed", garbFull[i])
-		}
-		if !rInc.store.IsFree(garbInc[i]) {
-			t.Errorf("partition rotation: garbage v%d not freed", garbInc[i])
-		}
-	}
-	// And the sweeps agree vertex by vertex across the whole arena, not
-	// just on the planted garbage.
-	if nf, ni := rFull.store.FreeCount(), rInc.store.FreeCount(); nf != ni {
-		t.Fatalf("free counts diverge: full=%d incremental=%d", nf, ni)
-	}
-	for id := graph.VertexID(1); int(id) <= rFull.store.Len(); id++ {
-		if rFull.store.IsFree(id) != rInc.store.IsFree(id) {
-			t.Errorf("v%d: full free=%v, incremental free=%v", id, rFull.store.IsFree(id), rInc.store.IsFree(id))
-		}
-	}
-}
-
 // TestWarmCycleAllocations: a collector cycle over a live graph that did not
 // change keeps its bookkeeping — root sets, the seed batch, the sweep's
 // garbage list and set, the priority map, the wave — from the cycle before.
@@ -661,5 +595,86 @@ func TestWarmCycleAllocations(t *testing.T) {
 			t.Errorf("MTEvery %d: %v allocations per warm cycle, want at most %v", tc.mtEvery, got, tc.want)
 		}
 		t.Logf("MTEvery %d: %v allocations per warm cycle", tc.mtEvery, got)
+	}
+}
+
+// cycleShape is a CycleRecorder that writes down what it is handed, and
+// checks on the way that M_R is never opened over a running M_T.
+type cycleShape struct {
+	t      *testing.T
+	marker *Marker
+	events []string
+	// onMT runs inside M_T's CycleStart: after the task pools were
+	// snapshotted, before the roots are seeded.
+	onMT func()
+}
+
+func (s *cycleShape) CycleStart(ctx graph.Ctx, roots []Root) {
+	if ctx == graph.CtxR && !s.marker.Done(graph.CtxT) {
+		s.t.Error("M_R opened while M_T was still marking")
+	}
+	s.events = append(s.events, fmt.Sprintf("CycleStart %v %v", ctx, roots))
+	if ctx == graph.CtxT && s.onMT != nil {
+		s.onMT()
+	}
+}
+
+func (s *cycleShape) RestructureStart(mtRan bool) {
+	s.events = append(s.events, fmt.Sprintf("RestructureStart mt=%t", mtRan))
+}
+
+// TestCycleShapeIsModeFree: a cycle is one sequence — M_T to completion,
+// then M_R, then one sweep of the arena — whichever way the machine is
+// driven. Over one frozen graph with queued tasks, the collector of a seeded
+// machine and the collector of a machine with running PEs hand a recorder
+// the same events with the same root sets, and free the same vertices.
+func TestCycleShapeIsModeFree(t *testing.T) {
+	run := func(mode sched.Mode) (events []string, freed []graph.VertexID) {
+		r := newRigIn(t, mode, 4, 1, false)
+		// Demand tasks stay queued (or executing) for as long as parked is
+		// set, so both machines show M_T the same task pools.
+		var parked atomic.Bool
+		parked.Store(true)
+		r.mach.SetHandler(NewDispatcher(r.marker, sched.HandlerFunc(func(tk task.Task) {
+			if tk.Kind == task.Demand && parked.Load() {
+				r.mach.Spawn(tk)
+			}
+		})))
+		vs, tasks := frozenGraph(rand.New(rand.NewSource(7)), r, 200)
+		for _, tk := range tasks {
+			r.mach.Spawn(tk)
+		}
+		shape := &cycleShape{t: t, marker: r.marker}
+		if mode == sched.Parallel {
+			// The PEs start once M_T has its snapshot: until then the pools are
+			// exactly what the seeded machine's are.
+			shape.onMT = r.mach.Start
+			defer func() {
+				parked.Store(false)
+				r.mach.Stop()
+			}()
+		}
+		col := NewCollector(r.store, r.marker, r.mach, r.counters,
+			CollectorConfig{Root: vs[0].ID, MTEvery: 1, Recorder: shape})
+		if rep := col.RunCycle(); !rep.Completed || !rep.MTRan || rep.Reclaimed == 0 {
+			t.Fatalf("%v cycle: %+v", mode, rep)
+		}
+		for _, v := range vs {
+			if r.store.IsFree(v.ID) {
+				freed = append(freed, v.ID)
+			}
+		}
+		return shape.events, freed
+	}
+	detEvents, detFreed := run(sched.Deterministic)
+	parEvents, parFreed := run(sched.Parallel)
+	if len(detEvents) != 3 {
+		t.Fatalf("deterministic cycle recorded %d events, want CycleStart T, CycleStart R, RestructureStart:\n%q", len(detEvents), detEvents)
+	}
+	if !reflect.DeepEqual(detEvents, parEvents) {
+		t.Errorf("cycle shape differs by mode:\ndeterministic %q\nparallel      %q", detEvents, parEvents)
+	}
+	if !reflect.DeepEqual(detFreed, parFreed) {
+		t.Errorf("freed sets differ by mode:\ndeterministic %v\nparallel      %v", detFreed, parFreed)
 	}
 }

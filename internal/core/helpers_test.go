@@ -20,12 +20,18 @@ type rig struct {
 
 // newRig builds a deterministic test rig.
 func newRig(t testing.TB, pes int, seed int64, adversarial bool) *rig {
+	return newRigIn(t, sched.Deterministic, pes, seed, adversarial)
+}
+
+// newRigIn builds a test rig on a machine of the given mode. A parallel
+// rig's PEs are the test's to Start and Stop.
+func newRigIn(t testing.TB, mode sched.Mode, pes int, seed int64, adversarial bool) *rig {
 	t.Helper()
 	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 64})
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
 		PEs:         pes,
-		Mode:        sched.Deterministic,
+		Mode:        mode,
 		Seed:        seed,
 		Adversarial: adversarial,
 		PartOf:      store.PartitionOf,

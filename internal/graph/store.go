@@ -240,7 +240,11 @@ func (s *Store) Vertex(id VertexID) *Vertex {
 	if id == NilVertex || int64(id) > s.n.Load() {
 		return nil
 	}
-	return vertexIn(*s.segs.Load(), id)
+	seg := segmentIn(*s.segs.Load(), int(id)>>segBits)
+	if seg == nil {
+		return nil
+	}
+	return &seg[int(id)&segMask]
 }
 
 // segmentIn returns segment segIdx of a loaded segment table, or nil if it
@@ -250,16 +254,6 @@ func segmentIn(segs []*segment, segIdx int) *segment {
 		return nil
 	}
 	return segs[segIdx]
-}
-
-// vertexIn returns id's slot in a loaded segment table, or nil if its
-// segment is not materialised there.
-func vertexIn(segs []*segment, id VertexID) *Vertex {
-	seg := segmentIn(segs, int(id)>>segBits)
-	if seg == nil {
-		return nil
-	}
-	return &seg[int(id)&segMask]
 }
 
 // Alloc takes a vertex from the free list of the given partition, stealing
@@ -463,28 +457,6 @@ func (s *Store) ForEach(fn func(*Vertex)) {
 			}
 		}
 		id = end + 1
-	}
-}
-
-// ForEachInPartition is ForEach restricted to the vertices owned by part:
-// it strides over the partition's own reserved ids and filters only the
-// vertices grown past the reserved range, whose owner is whoever asked.
-func (s *Store) ForEachInPartition(part int, fn func(*Vertex)) {
-	if part < 0 || part >= s.parts {
-		return
-	}
-	n := VertexID(s.n.Load())
-	segs := *s.segs.Load()
-	reserved := VertexID(s.reserved)
-	for id := VertexID(s.firstHandedOut(part)); id <= reserved; id += VertexID(s.parts) {
-		if v := vertexIn(segs, id); v != nil {
-			fn(v)
-		}
-	}
-	for id := reserved + 1; id <= n; id++ {
-		if v := vertexIn(segs, id); v != nil && v.Part == part {
-			fn(v)
-		}
 	}
 }
 

@@ -250,11 +250,6 @@ func TestStoreGrowsPastCapacity(t *testing.T) {
 	if visited != total {
 		t.Fatalf("ForEach visited %d vertices, want %d", visited, total)
 	}
-	inPart := 0
-	s.ForEachInPartition(2, func(*Vertex) { inPart++ })
-	if want := capacity/parts + (total - capacity); inPart != want {
-		t.Fatalf("ForEachInPartition(2) visited %d, want %d", inPart, want)
-	}
 	if snap := s.Snapshot(); snap.Len() != total || snap.Vertex(VertexID(total)).Part != 2 {
 		t.Fatalf("snapshot len %d, last %+v", snap.Len(), snap.Vertex(VertexID(total)))
 	}
@@ -392,11 +387,6 @@ func TestStoreConcurrentMaterialise(t *testing.T) {
 				prev = v.ID
 				v.Unlock()
 			})
-			s.ForEachInPartition(1, func(v *Vertex) {
-				if v.Part != 1 {
-					t.Errorf("ForEachInPartition(1) visited vertex %d of partition %d", v.ID, v.Part)
-				}
-			})
 		}
 	}()
 	allocators.Wait()
@@ -441,7 +431,7 @@ func TestStoreCostsWhatItTouches(t *testing.T) {
 	}
 
 	// A 300-vertex program: built on partition 0, a little traffic on the
-	// others, one full sweep and one incremental sweep over it.
+	// others, one sweep over it.
 	b := allocatedBytes(func() {
 		s = NewStore(cfg)
 		for i := 0; i < 300; i++ {
@@ -455,9 +445,8 @@ func TestStoreCostsWhatItTouches(t *testing.T) {
 		}
 		visited := 0
 		s.ForEach(func(*Vertex) { visited++ })
-		s.ForEachInPartition(0, func(*Vertex) { visited++ })
 		if visited > 4*segSize {
-			t.Errorf("sweeps over a 300-vertex program visited %d slots", visited)
+			t.Errorf("a sweep over a 300-vertex program visited %d slots", visited)
 		}
 	})
 	if b >= 2<<20 {

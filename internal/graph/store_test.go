@@ -367,74 +367,6 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-// TestForEachInPartition: the iteration covers every vertex the partition's
-// shard ever handed out — locally, to a thief, or grown past Capacity —
-// each exactly once and in id order, and nothing owned by another
-// partition. Never-used vertices are free and may be skipped.
-func TestForEachInPartition(t *testing.T) {
-	s := NewStore(Config{Partitions: 3, Capacity: 9})
-	visit := func(part int) []VertexID {
-		var ids []VertexID
-		s.ForEachInPartition(part, func(v *Vertex) {
-			if v.Part != part {
-				t.Errorf("vertex %d in wrong partition %d", v.ID, v.Part)
-			}
-			if n := len(ids); n > 0 && ids[n-1] >= v.ID {
-				t.Errorf("partition %d: id %d visited after %d", part, v.ID, ids[n-1])
-			}
-			ids = append(ids, v.ID)
-		})
-		return ids
-	}
-	handedOut := make(map[int]map[VertexID]bool)
-	alloc := func(part int) {
-		v, err := s.Alloc(part, KindInt, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if handedOut[v.Part] == nil {
-			handedOut[v.Part] = make(map[VertexID]bool)
-		}
-		handedOut[v.Part][v.ID] = true
-	}
-	check := func(when string) {
-		t.Helper()
-		for part := 0; part < 3; part++ {
-			seen := make(map[VertexID]bool)
-			for _, id := range visit(part) {
-				seen[id] = true
-			}
-			for id := range handedOut[part] {
-				if !seen[id] {
-					t.Errorf("%s: partition %d missed handed-out vertex %d", when, part, id)
-				}
-			}
-		}
-	}
-
-	if got := visit(1); len(got) != 0 {
-		t.Fatalf("untouched store: partition 1 visited %v, want nothing", got)
-	}
-	alloc(1)
-	alloc(1)
-	check("two local allocations")
-	for i := 0; i < 5; i++ {
-		alloc(0) // 3 local, then 2 stolen from partitions 1 and 2
-	}
-	check("after steals")
-	if got := visit(1); len(got) != 3 {
-		t.Fatalf("partition 1 fully handed out: visited %v, want its 3 vertices", got)
-	}
-	for i := 0; i < 4; i++ {
-		alloc(2) // 2 left in F, then growth past Capacity owned by partition 2
-	}
-	check("after growth")
-	if got, want := len(visit(2)), 3+2; got != want {
-		t.Fatalf("partition 2 visited %d vertices, want %d (3 reserved + 2 grown)", got, want)
-	}
-	s.ForEachInPartition(7, func(*Vertex) { t.Error("out-of-range partition visited a vertex") })
-}
-
 func TestCombPrimMetadata(t *testing.T) {
 	if CombS.Arity() != 3 || CombK.Arity() != 2 || CombI.Arity() != 1 || CombSP.Arity() != 4 {
 		t.Fatal("combinator arity wrong")

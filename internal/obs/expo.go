@@ -30,24 +30,45 @@ func (o *Obs) WriteSpansJSONL(w io.Writer) error {
 	return nil
 }
 
+// Gauges are the live-machine gauges, each declared once: the field is what
+// Machine.Gauges reads and the time-series samples, its tags the key in
+// snapshot.json and in a MachPoint, and the series and help text of the
+// exposition (the tags metrics.Snapshot carries).
+type Gauges struct {
+	PEs        int   `json:"pes" prom:"dgr_pes" help:"Processing elements."`
+	Heap       int   `json:"heap" prom:"dgr_heap_vertices" help:"Vertices in the arena (|V|)."`
+	Free       int   `json:"free" prom:"dgr_free_vertices" help:"Free vertices (|F|)."`
+	Inflight   int64 `json:"inflight" prom:"dgr_inflight_tasks" help:"Queued plus executing tasks."`
+	InTransit  int64 `json:"in_transit" prom:"dgr_in_transit_tasks" help:"Tasks inside the inter-PE fabric."`
+	Deadlocked int   `json:"deadlocked" prom:"dgr_deadlocked_vertices" help:"Vertices identified as deadlocked."`
+}
+
+var gaugeSeries = metrics.SeriesOf(reflect.TypeOf(Gauges{}))
+
+// Add returns the gauge-wise sum: a machine pool read as one machine.
+func (g Gauges) Add(o Gauges) Gauges {
+	gv, ov := reflect.ValueOf(&g).Elem(), reflect.ValueOf(o)
+	for _, s := range gaugeSeries {
+		f := gv.Field(s.Index)
+		f.SetInt(f.Int() + ov.Field(s.Index).Int())
+	}
+	return g
+}
+
 // PromData is everything the Prometheus exposition renders: the shared
 // counters plus live machine gauges. Slices indexed by PE; nil slices are
-// simply omitted from the output.
+// simply omitted from the output. The JSON keys are snapshot.json's.
 type PromData struct {
-	Stats       metrics.Snapshot
-	PEs         int
-	Heap, Free  int
-	FreePerPart []int
-	Inflight    int64
-	InTransit   int64
-	Deadlocked  int
-	PoolBands   [][Bands]int // per-PE queue depth per band
-	Utils       []float64    // per-PE utilization (latest sample window)
-	ExecsPerPE  []int64      // per-PE cumulative executions
+	Stats metrics.Snapshot `json:"stats"`
+	Gauges
+	FreePerPart []int        `json:"free_per_part"`
+	PoolBands   [][Bands]int `json:"pools"`        // per-PE queue depth per band
+	Utils       []float64    `json:"utils"`        // per-PE utilization (latest sample window)
+	ExecsPerPE  []int64      `json:"execs_per_pe"` // per-PE cumulative executions
 
 	// Tenants, when non-empty, adds the serving layer's per-tenant series
 	// (tenant-labeled counters and gauges) to the exposition.
-	Tenants []TenantProm
+	Tenants []TenantProm `json:"-"`
 }
 
 // TenantProm is one tenant's statistics: the record the serving layer
@@ -89,8 +110,8 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // WritePrometheus renders d in the Prometheus text exposition format
 // (version 0.0.4). Counter totals are a walk over the metrics snapshot's
-// declared counters, tenant series a walk over TenantProm's tagged fields;
-// gauges come from the live machine; the fabric latency histogram is
+// declared counters, tenant series a walk over TenantProm's tagged fields,
+// the live-machine gauges a walk over Gauges'; the fabric latency histogram is
 // rendered with its native log2 bucket bounds.
 func WritePrometheus(w io.Writer, d PromData) error {
 	var err error
@@ -101,9 +122,6 @@ func WritePrometheus(w io.Writer, d PromData) error {
 	}
 	header := func(s metrics.Series) {
 		p("# HELP %s %s\n# TYPE %s %s\n", s.Name, s.Help, s.Name, s.Kind())
-	}
-	gauge := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 
 	// The walk's two exceptions: Fabric* series and the latency histogram
@@ -151,12 +169,11 @@ func WritePrometheus(w io.Writer, d PromData) error {
 		p("dgr_tenant_slowest_trace_us{tenant=\"%s\",trace=\"%s\"} %d\n", labelEscaper.Replace(t.Name), t.SlowestTraceID, t.SlowestUs)
 	}
 
-	gauge("dgr_pes", "Processing elements.", int64(d.PEs))
-	gauge("dgr_heap_vertices", "Vertices in the arena (|V|).", int64(d.Heap))
-	gauge("dgr_free_vertices", "Free vertices (|F|).", int64(d.Free))
-	gauge("dgr_inflight_tasks", "Queued plus executing tasks.", d.Inflight)
-	gauge("dgr_in_transit_tasks", "Tasks inside the inter-PE fabric.", d.InTransit)
-	gauge("dgr_deadlocked_vertices", "Vertices identified as deadlocked.", int64(d.Deadlocked))
+	g := reflect.ValueOf(d.Gauges)
+	for _, f := range gaugeSeries {
+		header(f)
+		p("%s %d\n", f.Name, g.Field(f.Index).Int())
+	}
 
 	if len(d.FreePerPart) > 0 {
 		p("# HELP dgr_partition_free_vertices Free vertices per graph partition.\n")

@@ -66,17 +66,10 @@ type Sources struct {
 	QueueDepths func(pe int) [Bands]int
 	// FreeOf returns the free-vertex count of partition part.
 	FreeOf func(part int) int
-	// FreeTotal returns |F| and Heap returns |V|.
-	FreeTotal func() int
-	Heap      func() int
-	// Inflight returns queued+executing tasks; InTransit those inside the
-	// fabric.
-	Inflight  func() int64
-	InTransit func() int64
-	// Cycles returns completed collector cycles; Deadlocked the number of
-	// vertices reported deadlocked.
-	Cycles     func() int64
-	Deadlocked func() int
+	// Gauges reads the live-machine gauges.
+	Gauges func() Gauges
+	// Cycles returns completed collector cycles.
+	Cycles func() int64
 }
 
 // peSlot is one PE's hot-path accounting. Only PE pe's goroutine writes the

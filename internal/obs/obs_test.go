@@ -195,9 +195,7 @@ func TestSeriesSamplingAndQuantiles(t *testing.T) {
 		Sources: Sources{
 			QueueDepths: func(pe int) [Bands]int { return [Bands]int{depth, 0, 0, 0} },
 			FreeOf:      func(part int) int { return 10 },
-			FreeTotal:   func() int { return 10 },
-			Heap:        func() int { return 20 },
-			Inflight:    func() int64 { return 3 },
+			Gauges:      func() Gauges { return Gauges{Free: 10, Heap: 20, Inflight: 3} },
 			Cycles:      func() int64 { return 7 },
 		},
 	})
@@ -300,11 +298,8 @@ func TestWritePrometheus(t *testing.T) {
 	var buf bytes.Buffer
 	err := WritePrometheus(&buf, PromData{
 		Stats:       s,
-		PEs:         2,
-		Heap:        100,
-		Free:        60,
+		Gauges:      Gauges{PEs: 2, Heap: 100, Free: 60, Inflight: 5},
 		FreePerPart: []int{30, 30},
-		Inflight:    5,
 		PoolBands:   [][Bands]int{{1, 0, 2, 0}, {0, 0, 0, 3}},
 		Utils:       []float64{0.5, 0.25},
 		ExecsPerPE:  []int64{21, 21},

@@ -23,13 +23,9 @@ type PEPoint struct {
 
 // MachPoint is one machine-wide time-series sample.
 type MachPoint struct {
-	TS         int64 `json:"ts"`
-	Inflight   int64 `json:"inflight"`
-	InTransit  int64 `json:"in_transit"`
-	Cycles     int64 `json:"cycles"`
-	Free       int   `json:"free"`
-	Heap       int   `json:"heap"`
-	Deadlocked int   `json:"deadlocked"`
+	TS     int64 `json:"ts"`
+	Cycles int64 `json:"cycles"`
+	Gauges
 }
 
 // seriesCapacity is how many samples each time-series ring retains.
@@ -88,23 +84,11 @@ func (s *series) sample() {
 		s.pe[pe][slot] = p
 	}
 	mp := MachPoint{TS: now}
-	if src.Inflight != nil {
-		mp.Inflight = src.Inflight()
-	}
-	if src.InTransit != nil {
-		mp.InTransit = src.InTransit()
-	}
 	if src.Cycles != nil {
 		mp.Cycles = src.Cycles()
 	}
-	if src.FreeTotal != nil {
-		mp.Free = src.FreeTotal()
-	}
-	if src.Heap != nil {
-		mp.Heap = src.Heap()
-	}
-	if src.Deadlocked != nil {
-		mp.Deadlocked = src.Deadlocked()
+	if src.Gauges != nil {
+		mp.Gauges = src.Gauges()
 	}
 	s.mach[slot] = mp
 	s.next++

@@ -91,6 +91,11 @@ type Engine struct {
 	// superScratch holds idle compiled-body execution states for reuse, one
 	// per body that has ever executed at the same time (at most one per PE).
 	superScratch []*superExec
+
+	// afterResolve, set only by tests, runs where resolveWHNF has released the
+	// vertex it is about to return: the point at which another PE may rewrite
+	// it before the caller acts on the answer.
+	afterResolve func(*graph.Vertex)
 }
 
 var _ sched.Handler = (*Engine)(nil)
@@ -494,39 +499,37 @@ func (e *Engine) whnfLocked(v *graph.Vertex) bool {
 	}
 }
 
-// resolveInd follows indirection chains to the first non-indirection
-// vertex, or nil if the chain is cyclic/dangling.
-func (e *Engine) resolveInd(id graph.VertexID) *graph.Vertex {
+// resolveWHNF follows indirection chains to the first non-indirection
+// vertex and reports it and whether it is in WHNF, or nil if the chain is
+// cyclic/dangling. Both are decided under one hold of the final vertex's
+// lock: once it is dropped another PE may contract the vertex into an
+// indirection and stepInd may mark that WHNF, and an answer assembled from two
+// holds would call the indirection itself a value. A vertex seen in WHNF stays
+// what it is, so a true answer holds after the unlock; a false one only costs
+// the caller a demand.
+func (e *Engine) resolveWHNF(id graph.VertexID) (*graph.Vertex, bool) {
 	for i := 0; i < maxIndChain; i++ {
 		v := e.store.Vertex(id)
 		if v == nil {
-			return nil
+			return nil, false
 		}
 		v.Lock()
 		if v.Kind != graph.KindInd {
+			whnf := e.whnfLocked(v)
 			v.Unlock()
-			return v
+			if e.afterResolve != nil {
+				e.afterResolve(v)
+			}
+			return v, whnf
 		}
 		if len(v.Args) == 0 {
 			v.Unlock()
-			return nil
+			return nil, false
 		}
 		id = v.Args[0]
 		v.Unlock()
 	}
-	return nil
-}
-
-// resolveWHNF follows indirections and reports the final vertex and
-// whether it is in WHNF.
-func (e *Engine) resolveWHNF(id graph.VertexID) (*graph.Vertex, bool) {
-	v := e.resolveInd(id)
-	if v == nil {
-		return nil, false
-	}
-	v.Lock()
-	defer v.Unlock()
-	return v, e.whnfLocked(v)
+	return nil, false
 }
 
 // ---- the reduction step ----
@@ -657,7 +660,7 @@ func (e *Engine) collectSpine(f *graph.Vertex, buf *spineBuf) (head *graph.Verte
 		cur.Unlock()
 		sp.ops = append(sp.ops, arg)
 		sp.owners = append(sp.owners, cur.ID)
-		next := e.resolveInd(fun)
+		next, _ := e.resolveWHNF(fun)
 		if next == nil {
 			return nil, sp, false, false
 		}

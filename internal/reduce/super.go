@@ -108,7 +108,7 @@ func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID)
 	// execution.
 	for _, id := range ops {
 		s := slot{id: id}
-		if w := e.resolveInd(id); w != nil {
+		if w, _ := e.resolveWHNF(id); w != nil {
 			w.Lock()
 			switch w.Kind {
 			case graph.KindInt, graph.KindBool, graph.KindNil:

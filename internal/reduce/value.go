@@ -12,7 +12,7 @@ func taskDemandEager(src, dst graph.VertexID) task.Task {
 // ValueOf resolves id through indirections and returns its current value.
 // For vertices not yet in WHNF the Kind reflects the unevaluated form.
 func (e *Engine) ValueOf(id graph.VertexID) Value {
-	v := e.resolveInd(id)
+	v, _ := e.resolveWHNF(id)
 	if v == nil {
 		return Value{ID: id, Kind: graph.KindHole}
 	}
@@ -30,7 +30,7 @@ func (e *Engine) ValueOf(id graph.VertexID) Value {
 
 // ConsParts returns the head and tail vertex IDs of a WHNF cons value.
 func (e *Engine) ConsParts(id graph.VertexID) (head, tail graph.VertexID, ok bool) {
-	v := e.resolveInd(id)
+	v, _ := e.resolveWHNF(id)
 	if v == nil {
 		return 0, 0, false
 	}

@@ -441,9 +441,10 @@ func (m *Machine) stampTrace(t *task.Task) {
 	}
 }
 
-// finish marks one task execution complete and signals quiescence waiters.
-func (m *Machine) finish() {
-	if m.inflight.Add(-1) == 0 {
+// release takes n tasks — executed or expunged, never to be waited for again —
+// off the in-flight count and signals quiescence waiters when none is left.
+func (m *Machine) release(n int) {
+	if n > 0 && m.inflight.Add(int64(-n)) == 0 {
 		m.mu.Lock()
 		m.mu.Unlock() // pairs with WaitQuiescent: no lost wakeup
 		m.cond.Broadcast()
@@ -494,7 +495,7 @@ func (m *Machine) execute(pe int, t task.Task) {
 	slot.mu.Lock()
 	slot.valid = false
 	slot.mu.Unlock()
-	m.finish()
+	m.release(1)
 	if fn := m.cfg.AfterExecute; fn != nil {
 		fn(seq, pe, t)
 	}
@@ -522,11 +523,7 @@ func (m *Machine) ExecutionsByPE() []uint64 {
 // so it must not be waited for). It returns the number removed.
 func (m *Machine) Expunge(pe int, pred func(task.Task) bool) int {
 	n := m.pools[pe].Expunge(pred)
-	if n > 0 && m.inflight.Add(int64(-n)) == 0 {
-		m.mu.Lock()
-		m.mu.Unlock() // pairs with WaitQuiescent: no lost wakeup
-		m.cond.Broadcast()
-	}
+	m.release(n)
 	return n
 }
 
@@ -559,11 +556,7 @@ func (m *Machine) ExpungeInTransit(pred func(task.Task) bool) int {
 		return 0
 	}
 	n := m.fab.Expunge(pred)
-	if n > 0 && m.inflight.Add(int64(-n)) == 0 {
-		m.mu.Lock()
-		m.mu.Unlock() // pairs with WaitQuiescent: no lost wakeup
-		m.cond.Broadcast()
-	}
+	m.release(n)
 	return n
 }
 

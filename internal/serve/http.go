@@ -180,11 +180,7 @@ func (s *Server) promData() obs.PromData {
 		if w.m == nil {
 			continue
 		}
-		d.PEs += s.opts.PEs
-		d.Heap += w.m.TotalVertices()
-		d.Free += w.m.FreeVertices()
-		d.Inflight += w.m.InflightTasks()
-		d.Deadlocked += w.m.DeadlockedCount()
+		d.Gauges = d.Gauges.Add(w.m.Gauges())
 	}
 	return d
 }

@@ -10,6 +10,18 @@ import (
 	"dgr/internal/workload"
 )
 
+// assertNoRuntimeErrors fails when an evaluation that came to its value left
+// a runtime error behind. None of the programs these stress tests run can
+// raise one, needed or not, so a recorded error is a reduction step that
+// acted on a vertex another PE had since rewritten ("operand vN has kind ind,
+// want int" was one) — silent otherwise, since a delivered value wins.
+func assertNoRuntimeErrors(t *testing.T, m *Machine, what string) {
+	t.Helper()
+	if errs := m.RuntimeErrors(); len(errs) != 0 {
+		t.Errorf("%s: evaluated, but recorded runtime errors: %v", what, errs)
+	}
+}
+
 // TestParallelStress runs the corpus concurrently on parallel machines —
 // PE goroutines, a background collector, and Eval all racing — primarily
 // as a race-detector workload.
@@ -40,6 +52,7 @@ func TestParallelStress(t *testing.T) {
 			if v.Int != p.Want {
 				t.Errorf("%s = %v, want %d", name, v, p.Want)
 			}
+			assertNoRuntimeErrors(t, m, name)
 		}(i, name)
 	}
 	wg.Wait()
@@ -68,6 +81,7 @@ func TestParallelSpeculativeStress(t *testing.T) {
 	if v.Int != 362880 {
 		t.Fatalf("fac 9 = %v", v)
 	}
+	assertNoRuntimeErrors(t, m, "speculative fac 9")
 }
 
 // TestParallelRepeatedEvals reuses one parallel machine for many programs
@@ -83,6 +97,7 @@ func TestParallelRepeatedEvals(t *testing.T) {
 		if _, err := m.Eval(src); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
+		assertNoRuntimeErrors(t, m, fmt.Sprintf("round %d", i))
 	}
 	// The background collector needs a few cycles to catch up with the
 	// garbage the evals left behind.
@@ -137,6 +152,7 @@ func TestParallelFalseDeadlockStress(t *testing.T) {
 		if v.Int != want[n] {
 			t.Fatalf("round %d: fib %d = %v, want %d", i, n, v, want[n])
 		}
+		assertNoRuntimeErrors(t, m, fmt.Sprintf("round %d", i))
 		if s.DeadlockedFound != 0 {
 			t.Fatalf("round %d: confirmed deadlock verdict on a completed run (found=%d retracted=%d)",
 				i, s.DeadlockedFound, s.DeadlockRetracted)
