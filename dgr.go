@@ -168,7 +168,7 @@ type Options struct {
 	// pools machines behind one log so a request's spans land together
 	// whichever machine served it, and a caller wanting a larger ring than
 	// the default passes its own. Implies tracing; sampling decisions are
-	// then the owner's (originate contexts via EvalNodeTraced).
+	// then the owner's (originate contexts via EvalTraced).
 	TraceSink *obs.TraceSink
 
 	// Check enables the always-on invariant checker: marking invariants
@@ -238,8 +238,7 @@ type Machine struct {
 	opts      Options
 	store     *graph.Store
 	mach      *sched.Machine
-	marker    *core.Marker
-	mut       *core.Mutator
+	halter    *core.Halter // parallel machines: what Close stops the tasks with
 	engine    *reduce.Engine
 	prog      *gm.Program
 	collector *core.Collector
@@ -258,10 +257,13 @@ type Machine struct {
 	// closed is atomic so a machine pool (internal/serve) can race Close
 	// against exposition reads without a data race; the first Close wins.
 	closed atomic.Bool
+	// waiter is where a parallel machine's collector announces each cycle it
+	// closes: the evaluation in progress's channel, nil when there is none.
+	waiter atomic.Pointer[chan reading]
 }
 
-// New builds a machine. Parallel machines start their PEs and collector
-// immediately; Close must be called to stop them.
+// New builds a machine. A parallel machine starts its PEs immediately and its
+// collector at the first evaluation; Close must be called to stop them.
 func New(opts Options) *Machine {
 	opts = opts.withDefaults()
 	counters := &metrics.Counters{}
@@ -367,7 +369,8 @@ func New(opts Options) *Machine {
 		Counters:      counters,
 		Tracing:       ob.Lineage() != nil,
 	})
-	mach.SetHandler(core.NewDispatcher(marker, engine))
+	var handler sched.Handler = core.NewDispatcher(marker, engine)
+	var halter *core.Halter
 	collCfg := core.CollectorConfig{
 		MTEvery: opts.MTEvery,
 		Pace:    opts.pace,
@@ -388,6 +391,20 @@ func New(opts Options) *Machine {
 		collCfg.AfterCycle = checker.AtCycleEnd
 		collCfg.AfterPhase = checker.AtPhaseEnd
 	}
+	if opts.Parallel {
+		halter = &core.Halter{Handler: handler}
+		handler = halter
+		// The collector tells the evaluation in progress of each cycle it
+		// closes (a seeded machine's cycles run on the evaluation's goroutine).
+		checked := collCfg.AfterCycle
+		collCfg.AfterCycle = func(rep core.CycleReport) {
+			if checked != nil {
+				checked(rep)
+			}
+			m.announce(m.readClose())
+		}
+	}
+	mach.SetHandler(handler)
 	collector = core.NewCollector(store, marker, mach, counters, collCfg)
 	if checker != nil {
 		// Late binding, as above: the checker's confirmed-verdict invariant
@@ -395,11 +412,9 @@ func New(opts Options) *Machine {
 		checker.Coll = collector
 	}
 	m = &Machine{
-		opts: opts, store: store, mach: mach, marker: marker,
-		mut: mut, engine: engine, prog: prog, collector: collector,
-		counters: counters,
-		fab:      fab, checker: checker, recorder: recorder,
-		obs: ob,
+		opts: opts, store: store, mach: mach,
+		halter: halter, engine: engine, prog: prog, collector: collector, counters: counters,
+		fab: fab, checker: checker, recorder: recorder, obs: ob,
 	}
 	if checker != nil && ob != nil {
 		checker.OnViolation = func() {
@@ -475,6 +490,9 @@ func (m *Machine) Close() {
 	if !m.closed.CompareAndSwap(false, true) {
 		return
 	}
+	// An evaluation in progress returns ErrClosed now, not when the machine
+	// under it has stopped; the token only wakes it, closed is what it reads.
+	m.announce(reading{})
 	if m.opts.Parallel {
 		m.collector.Stop()
 		if m.checker != nil {
@@ -484,6 +502,9 @@ func (m *Machine) Close() {
 			// than fails, if tasks are still in flight.
 			m.checker.AtQuiescence()
 		}
+		// What is still queued is abandoned, not run: a divergent evaluation
+		// (or speculation no collector expunges now) would never drain.
+		m.halter.Halt()
 		m.mach.Stop() // also flushes and closes the fabric
 	} else if m.fab != nil {
 		m.fab.Close()
@@ -515,15 +536,12 @@ func (m *Machine) Compile(src string) (NodeID, error) {
 }
 
 // compileRooted compiles a program and makes its graph the collector's
-// root. In parallel mode the pair is fenced against the concurrent
-// collection loop: a cycle that started from a previous program's root
-// mid-compile would otherwise sweep the fresh, not-yet-rooted graph on the
-// next cycle.
+// root. The pair is fenced against a parallel machine's collection loop: a
+// cycle that started from a previous program's root mid-compile would
+// otherwise sweep the fresh, not-yet-rooted graph on the next cycle.
 func (m *Machine) compileRooted(src string) (NodeID, error) {
-	if m.opts.Parallel {
-		m.collector.Pause()
-		defer m.collector.Resume()
-	}
+	m.collector.Pause()
+	defer m.collector.Resume()
 	root, err := m.Compile(src)
 	if err == nil {
 		m.collector.SetRoot(root)
@@ -549,15 +567,15 @@ func (m *Machine) EvalNode(root NodeID) (Value, error) {
 	if s := m.obs.Lineage(); s.Sample() {
 		tr = s.NewTrace()
 	}
-	return m.EvalNodeTraced(root, tr, 0)
+	return m.evalNodeTraced(root, tr, 0)
 }
 
-// EvalNodeTraced evaluates root to WHNF under an externally originated
+// evalNodeTraced evaluates root to WHNF under an externally originated
 // trace context: the evaluation envelope is recorded as an "eval" span with
 // the given parent (the serving layer passes its request span), and every
 // task the reduction spawns inherits the trace through the graph. A zero
 // trace runs untraced; the sampling decision belongs to the caller.
-func (m *Machine) EvalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, error) {
+func (m *Machine) evalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, error) {
 	if m.closed.Load() {
 		return Value{}, ErrClosed
 	}
@@ -572,14 +590,7 @@ func (m *Machine) EvalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 		span = s.NewSpan()
 		start = obs.Now()
 	}
-	ch := m.engine.DemandTraced(root, tr, span)
-	var v Value
-	var err error
-	if m.opts.Parallel {
-		v, err = m.waitParallel(ch)
-	} else {
-		v, err = m.pumpDeterministic(root, ch)
-	}
+	v, err := m.drive(m.engine.DemandTraced(root, tr, span))
 	if span != 0 {
 		s.Record(obs.TraceSpan{Trace: tr, Span: span, Parent: parent,
 			Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval,
@@ -592,50 +603,82 @@ func (m *Machine) EvalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 	return v, err
 }
 
-// settle is the one outcome rule both drivers apply when the evaluation may
-// have ended. A delivered value is the outcome, with a nil error: a runtime
-// error raised by work the value did not need — speculation since
-// dereferenced, irrelevant by Property 6 — is not the evaluation's failure
-// (RuntimeErrors still lists it), and a deadlocked subterm does not block a
-// completed root. Without a value, a quiescent machine is diagnosed: by the
-// first runtime error of this evaluation (the vertex stuck on it is
-// semantically ⊥ and M_T would report it deadlocked; the error itself is the
-// better diagnosis), else by a confirmed deadlock. done is false while
-// neither applies; the driver's patience and budget decide from there.
-func (m *Machine) settle(ch <-chan Value) (v Value, done bool, err error) {
-	// Quiescence is read before the channel: the task that delivers the
-	// value is in flight until it returns, so a machine seen quiescent and
-	// then a channel seen empty means no value is coming. TerminalVerdict
-	// pairs "confirmed deadlock" with its own quiescence reading under the
-	// collector's verdict lock.
-	n, dead := m.collector.TerminalVerdict()
-	quiet := dead || m.mach.Inflight() == 0
-	select {
-	case v = <-ch:
-		return v, true, nil
-	default:
-	}
-	if !quiet {
-		return Value{}, false, nil
-	}
-	if errs := m.engine.Errors(); len(errs) > 0 {
-		return Value{}, true, fmt.Errorf("%w: %v", ErrStuck, errs[0])
-	}
-	if dead {
-		m.dumpFlight("deadlock")
-		return Value{}, true, fmt.Errorf("%w: %d vertices", ErrDeadlock, n)
-	}
-	return Value{}, false, nil
+// reading is what an evaluation is judged by: the value, once delivered, else
+// the machine as the collector cycle that just closed left it — a close has
+// none of the cycle's own mark and return tasks in flight, and only a close
+// changes DL_v, GAR and the expunged tasks (DESIGN §4, "One driver").
+type reading struct {
+	value      Value
+	delivered  bool
+	quiescent  bool  // no task queued, in transit or executing
+	deadlocked int   // confirmed-deadlocked vertices
+	terminal   bool  // some, on a machine quiescent with them
+	reductions int64 // reduction tasks executed so far
 }
 
-func (m *Machine) pumpDeterministic(root NodeID, ch <-chan Value) (Value, error) {
-	// Eval completion is a safe point: close open execution batches and
-	// accrue pending counters so post-eval exposition reads exact totals.
-	defer m.obs.FlushBatches()
-	steps := 0
-	quietCycles := 0
-	for steps < m.opts.MaxSteps {
-		steps += m.mach.RunUntil(func() bool { return len(ch) > 0 }, m.opts.GCInterval)
+// readClose reads the machine at the close of a cycle. TerminalVerdict pairs
+// "confirmed deadlock" with its own quiescence reading under the verdict lock.
+func (m *Machine) readClose() (r reading) {
+	r.deadlocked, r.terminal = m.collector.TerminalVerdict()
+	r.quiescent = r.terminal || m.mach.Inflight() == 0
+	r.reductions = m.counters.ReductionTasks.Load()
+	return r
+}
+
+// announce hands r to the evaluation in progress, if there is one and it has
+// taken the reading before: a close it misses only delays its outcome.
+func (m *Machine) announce(r reading) {
+	if w := m.waiter.Load(); w != nil {
+		select {
+		case *w <- r:
+		default:
+		}
+	}
+}
+
+// evaluation is what one evaluation has spent and, parallel, what it waits on.
+type evaluation struct {
+	steps    int              // seeded: tasks executed, against Options.MaxSteps
+	closes   chan reading     // parallel: the collector's announcements, and Close's
+	deadline <-chan time.Time // parallel: Options.Timeout
+}
+
+// drive is the one loop every evaluation runs: advance to the close of the
+// next collector cycle or to the value, apply the outcome rule, charge
+// patience. ch is the root demand's channel.
+func (m *Machine) drive(ch <-chan Value) (Value, error) {
+	defer m.waiter.Store(nil)
+	var e evaluation
+	var last reading
+	for quiet := 0; ; {
+		r, err := m.advance(ch, &e)
+		if err != nil {
+			return Value{}, err
+		}
+		if v, done, err := m.settle(r); done {
+			return v, err
+		}
+		// Quiescent without a value or a diagnosis: possibly waiting on tasks
+		// the collector just expunged, or on a verdict still to be confirmed.
+		if quiet = quietCycles(quiet, last, r); quiet >= maxQuietCycles(m.opts.MTEvery) {
+			m.dumpFlight("stuck")
+			return Value{}, ErrStuck
+		}
+		last = r
+	}
+}
+
+// advance takes the evaluation to the next instant its outcome can change:
+// the value is delivered, or a collector cycle closes. A seeded machine runs
+// GCInterval tasks and then the cycle on this goroutine; a parallel machine,
+// whose PEs and collector run on theirs, blocks until a close is announced.
+// The errors are the ends no reading decides.
+func (m *Machine) advance(ch <-chan Value, e *evaluation) (r reading, err error) {
+	if !m.opts.Parallel {
+		if e.steps >= m.opts.MaxSteps {
+			return r, ErrBudget
+		}
+		e.steps += m.mach.RunUntil(func() bool { return len(ch) > 0 }, m.opts.GCInterval)
 		if len(ch) == 0 {
 			// The cycle's marking pump interleaves reduction, so the value
 			// may be delivered mid-cycle.
@@ -644,29 +687,85 @@ func (m *Machine) pumpDeterministic(root NodeID, ch <-chan Value) (Value, error)
 				m.checker.AtQuiescence()
 			}
 		}
-		if v, done, err := m.settle(ch); done {
-			return v, err
+		r = m.readClose()
+		// A safe point, and possibly the evaluation's last: close open
+		// execution batches so post-eval exposition reads exact totals. (A
+		// cycle's end has closed them already; this catches a value that came
+		// without one.)
+		m.obs.FlushBatches()
+	} else {
+		if e.closes == nil {
+			// Registered after the root demand was spawned, so every reading
+			// this evaluation is handed saw its tasks in the machine.
+			closes := make(chan reading, 1)
+			e.closes, e.deadline = closes, time.After(m.opts.Timeout)
+			m.waiter.Store(&closes)
+			m.collector.Start()
 		}
-		if m.mach.Inflight() == 0 {
-			// Quiescent without a value or a diagnosis: possibly waiting on
-			// tasks the collector just expunged. Give the detector two full
-			// M_T passes (candidate + confirmation) before concluding.
-			quietCycles++
-			if quietCycles >= maxQuietCycles(m.opts.MTEvery) {
-				m.dumpFlight("stuck")
-				return Value{}, ErrStuck
-			}
-		} else {
-			quietCycles = 0
+		// Read after registering, and Close sets it before it reads waiter:
+		// one of the two sees the other.
+		if m.closed.Load() {
+			return r, ErrClosed
+		}
+		select {
+		case r = <-e.closes:
+		case r.value = <-ch:
+			r.delivered = true
+		case <-e.deadline:
+			return r, ErrBudget
 		}
 	}
-	return Value{}, ErrBudget
+	// Quiescence was read before the channel is: the task that delivers the
+	// value is in flight until it returns, so a machine seen quiescent and
+	// then a channel seen empty means no value is coming.
+	select {
+	case r.value = <-ch:
+		r.delivered = true
+	default:
+	}
+	return r, nil
 }
 
-// maxQuietCycles ensures at least two M_T phases run while quiescent: the
-// first can only nominate a deadlock candidate, the second confirms it
-// (two-phase verdict), so concluding ErrStuck any earlier would shadow a
-// real deadlock still awaiting confirmation.
+// settle is the one outcome rule (README, "What Eval returns"). A delivered
+// value is the outcome whatever else happened: a runtime error raised by work
+// the value did not need is not the evaluation's failure, and a deadlocked
+// subterm does not block a completed root. Without a value, a quiescent
+// machine is diagnosed: by this evaluation's first runtime error (M_T would
+// report the vertex stuck on it deadlocked; the error is the better
+// diagnosis), else by a confirmed deadlock. done is false while neither
+// applies; patience and budget decide from there.
+func (m *Machine) settle(r reading) (v Value, done bool, err error) {
+	if r.delivered || !r.quiescent {
+		return r.value, r.delivered, nil
+	}
+	if errs := m.engine.Errors(); len(errs) > 0 {
+		return Value{}, true, fmt.Errorf("%w: %v", ErrStuck, errs[0])
+	}
+	if r.terminal {
+		m.dumpFlight("deadlock")
+		return Value{}, true, fmt.Errorf("%w: %d vertices", ErrDeadlock, r.deadlocked)
+	}
+	return Value{}, false, nil
+}
+
+// quietCycles is the one patience rule: n closed cycles in a row had left the
+// machine quiescent at last's count of executed reduction tasks; the run after
+// a cycle closed on r. A machine not quiescent, or that has reduced since, is
+// alive, and the run starts over.
+func quietCycles(n int, last, r reading) int {
+	switch {
+	case !r.quiescent:
+		return 0
+	case r.reductions != last.reductions:
+		return 1
+	}
+	return n + 1
+}
+
+// maxQuietCycles is the patience an evaluation has: quiet cycles enough for
+// two M_T phases. The first can only nominate a deadlock candidate, the second
+// confirms it (two-phase verdict), so concluding ErrStuck any earlier would
+// shadow a real deadlock still awaiting confirmation.
 func maxQuietCycles(mtEvery int) int {
 	if mtEvery <= 0 {
 		return 2
@@ -674,59 +773,15 @@ func maxQuietCycles(mtEvery int) int {
 	return 2*mtEvery + 1
 }
 
-func (m *Machine) waitParallel(ch <-chan Value) (Value, error) {
-	m.collector.Start()
-	deadline := time.NewTimer(m.opts.Timeout)
-	defer deadline.Stop()
-	ticker := time.NewTicker(10 * time.Millisecond)
-	defer ticker.Stop()
-	// Quiet-cycle tracking for ErrStuck (see below): the collector cycle at
-	// which the reduction counter last changed, and that counter's value.
-	quietBase := int64(-1)
-	baseRed := int64(0)
-	for {
-		select {
-		case v := <-ch:
-			return v, nil
-		case <-ticker.C:
-			if v, done, err := m.settle(ch); done {
-				return v, err
-			}
-			if m.mach.Inflight() == 0 {
-				// Quiescent, no value, no errors, no confirmed deadlock.
-				// Mirror pumpDeterministic's quiet-cycle logic: if no
-				// reduction work has happened for maxQuietCycles collector
-				// cycles, the machine is stuck, not merely slow. Collector
-				// marking traffic makes Inflight bounce, so progress is
-				// measured by the reduction-task counter, and patience is
-				// measured in collector cycles so at least two M_T passes
-				// (candidate + confirmation) get to run first.
-				red := m.counters.ReductionTasks.Load()
-				cyc := m.collector.Cycles()
-				if quietBase < 0 || red != baseRed {
-					quietBase, baseRed = cyc, red
-				} else if cyc-quietBase > int64(maxQuietCycles(m.opts.MTEvery)) {
-					m.dumpFlight("stuck")
-					return Value{}, ErrStuck
-				}
-			} else {
-				quietBase = -1
-			}
-		case <-deadline.C:
-			return Value{}, ErrBudget
-		}
-	}
-}
-
 // EvalTraced compiles and evaluates a program under an externally
-// originated trace context (see EvalNodeTraced); the serving layer calls
+// originated trace context (see evalNodeTraced); the serving layer calls
 // it with each sampled request's trace and request span.
 func (m *Machine) EvalTraced(src string, tr uint64, parent uint32) (Value, error) {
 	root, err := m.compileRooted(src)
 	if err != nil {
 		return Value{}, err
 	}
-	return m.EvalNodeTraced(root, tr, parent)
+	return m.evalNodeTraced(root, tr, parent)
 }
 
 // EvalList evaluates a program expected to yield a (finite) list, forcing
@@ -751,7 +806,7 @@ func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value,
 	var out []Value
 	cur := root
 	for {
-		v, err := m.EvalNodeTraced(cur, tr, parent)
+		v, err := m.evalNodeTraced(cur, tr, parent)
 		if err != nil {
 			return out, err
 		}
@@ -763,7 +818,7 @@ func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value,
 			if !ok {
 				return out, fmt.Errorf("dgr: malformed cons at v%d", v.ID)
 			}
-			hv, err := m.EvalNodeTraced(h, tr, parent)
+			hv, err := m.evalNodeTraced(h, tr, parent)
 			if err != nil {
 				return out, err
 			}
@@ -945,11 +1000,8 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 		Deadlocked: m.collector.Deadlocked(), Series: m.obs.Series(),
 		Violations: m.CheckViolations(),
 	}
-	if evs := m.obs.FlightEvents(); len(evs) > 16 {
-		out.FlightLast = evs[len(evs)-16:]
-	} else {
-		out.FlightLast = evs
-	}
+	evs := m.obs.FlightEvents()
+	out.FlightLast = evs[max(0, len(evs)-16):]
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)

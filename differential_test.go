@@ -156,7 +156,7 @@ func digestCorpus(t *testing.T) []diffCase {
 	return cases
 }
 
-// exampleCorpus holds the example programs (examples/*/main.go), with the
+// exampleCorpus holds the example programs (example_test.go), with the
 // quickstart fib scaled down so the full matrix stays fast.
 var exampleCorpus = []struct{ name, src string }{
 	{"examples/arith", "2 + 3 * 4"},

@@ -1,0 +1,207 @@
+package dgr
+
+// Tests of the evaluation driver (dgr.go: drive, advance, settle, quietCycles):
+// the patience rule as a pure function, the seeded path pinned to the outcomes
+// it reached before there was one driver, and the parallel path's two
+// promises — a verdict within a cycle of being decided, ErrClosed on Close.
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+const (
+	knot    = "let x = x + 1 in x"
+	runaway = "let loop n = loop (n + 1) in loop 0"
+)
+
+// TestPatienceRule drives the patience rule over sequences of per-cycle
+// readings. A reading is {quiescent, reductions}; stuck is the 1-based reading
+// at which patience is spent, 0 for never.
+func TestPatienceRule(t *testing.T) {
+	type rd struct {
+		quiet bool
+		red   int64
+	}
+	q := func(red int64) rd { return rd{true, red} }
+	busy := func(red int64) rd { return rd{false, red} }
+	cases := []struct {
+		name    string
+		mtEvery int
+		seq     []rd
+		stuck   int
+	}{
+		{"M_T off: two quiet cycles", 0, []rd{q(5), q(5)}, 2},
+		{"M_T off, as Options gives it", -1, []rd{q(5), q(5)}, 2},
+		{"k=1: 2k+1", 1, []rd{q(5), q(5), q(5), q(5)}, 3},
+		{"k=4: 2k+1", 4, slices.Repeat([]rd{q(9)}, 10), 9},
+		{"one short of patience", 1, []rd{q(5), q(5)}, 0},
+		{"a busy machine is never charged", 0, []rd{busy(1), busy(1), busy(1), busy(1)}, 0},
+		{"non-quiescence starts over", 1, []rd{q(5), q(5), busy(5), q(5), q(5), q(5)}, 6},
+		{"progress starts over, at one", 1, []rd{q(5), q(5), q(6), q(6), q(6)}, 5},
+		{"progress on every close never ends", 0, []rd{q(1), q(2), q(3), q(4)}, 0},
+		{"the first quiet close counts whatever was reduced before it", 0, []rd{busy(0), q(7), q(7)}, 3},
+		// The same machine as "k=1: 2k+1" with the second close's
+		// announcement lost: one cycle later, never earlier.
+		{"a missed close only delays", 1, []rd{q(5) /* q(5) missed */, q(5), q(5), q(5)}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var last reading
+			quiet, stuck := 0, 0
+			for i, rd := range tc.seq {
+				r := reading{quiescent: rd.quiet, reductions: rd.red}
+				if quiet = quietCycles(quiet, last, r); quiet >= maxQuietCycles(tc.mtEvery) {
+					stuck = i + 1
+					break
+				}
+				last = r
+			}
+			if stuck != tc.stuck {
+				t.Errorf("patience spent at reading %d, want %d", stuck, tc.stuck)
+			}
+		})
+	}
+}
+
+// statsLine renders the non-zero counters of s by name, in declaration order.
+func statsLine(s Stats) string {
+	var b strings.Builder
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Int64 && f.Int() != 0 {
+			fmt.Fprintf(&b, " %s=%d", v.Type().Field(i).Name, f.Int())
+		}
+	}
+	return b.String()
+}
+
+// TestSeededOutcomeUnchanged pins the seeded driver: every way an evaluation
+// can end without a value — a confirmed deadlock, patience spent, the budget —
+// is reached at the same cycle and step as before the two drivers became one.
+// testdata/seeded_outcome.golden was captured at that commit (PR 22), one line
+// per run: the error and every non-zero counter of Stats().
+func TestSeededOutcomeUnchanged(t *testing.T) {
+	cases := []struct {
+		name, src string
+		opts      Options
+	}{
+		{"knot/mt=1", knot, Options{MTEvery: 1}},
+		{"knot/mt=4", knot, Options{MTEvery: 4}},
+		{"knot/mt=-1", knot, Options{MTEvery: -1}},
+		{"loop/maxsteps=5000", runaway, Options{MaxSteps: 5000}},
+	}
+	var got []string
+	for _, tc := range cases {
+		for _, engine := range []string{EngineInterp, EngineCompiled} {
+			for seed := int64(0); seed < 8; seed++ {
+				o := tc.opts
+				o.PEs, o.Seed, o.Engine = 4, seed, engine
+				m := New(o)
+				_, err := m.Eval(tc.src)
+				got = append(got, fmt.Sprintf("%s/%s/seed=%d: %v |%s", tc.name, engine, seed, err, statsLine(m.Stats())))
+				m.Close()
+			}
+		}
+	}
+	golden, err := os.ReadFile("testdata/seeded_outcome.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(golden)), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d runs, golden has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("seeded outcome changed:\n got %s\nwant %s", got[i], want[i])
+		}
+	}
+}
+
+// TestParallelVerdictWithinACycle: a parallel evaluation learns its verdict
+// from the cycle that decided it, not from a clock. The knot ends in
+// ErrDeadlock (ErrStuck with M_T off) with no more collector cycles run than
+// the verdict needs, plus the one open when reduction went quiet and the one
+// that may close while Eval returns — a count, so a loaded runner cannot fail
+// it; the times are logged, not asserted. (On a 10 ms poll this read 9–17
+// cycles at MTEvery 1 against a bound of 5.)
+func TestParallelVerdictWithinACycle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parallel machines")
+	}
+	for _, mtEvery := range []int{1, 4, -1} {
+		for _, pace := range []time.Duration{0, time.Nanosecond} {
+			want := ErrDeadlock
+			if mtEvery < 0 {
+				want = ErrStuck
+			}
+			t.Run(fmt.Sprintf("mt=%d/pace=%v", mtEvery, pace), func(t *testing.T) {
+				bound := int64(maxQuietCycles(mtEvery) + 2)
+				var took []time.Duration
+				var cycles []int64
+				for seed := int64(0); seed < 20; seed++ {
+					m := New(Options{PEs: 4, Parallel: true, Seed: seed, MTEvery: mtEvery, pace: pace})
+					start := time.Now()
+					_, err := m.Eval(knot)
+					took = append(took, time.Since(start))
+					n := m.Stats().Cycles
+					m.Close()
+					cycles = append(cycles, n)
+					if !errors.Is(err, want) {
+						t.Errorf("seed %d: err = %v, want %v", seed, err, want)
+					}
+					if n > bound {
+						t.Errorf("seed %d: %d cycles at return, want at most %d", seed, n, bound)
+					}
+				}
+				slices.Sort(took)
+				slices.Sort(cycles)
+				t.Logf("time to verdict min / median / max: %v / %v / %v; cycles at return %d–%d (bound %d)",
+					took[0], took[len(took)/2], took[len(took)-1], cycles[0], cycles[len(cycles)-1], bound)
+			})
+		}
+	}
+}
+
+// TestCloseWakesParallelEval: Close during a parallel evaluation ends it with
+// ErrClosed at once, and returns. (The evaluation used to wait out its whole
+// Timeout and report ErrBudget; and Close, which lets the PEs drain their
+// pools, never returned under a program that refills them for ever.)
+func TestCloseWakesParallelEval(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parallel machine")
+	}
+	m := New(Options{PEs: 4, Parallel: true, Timeout: 3 * time.Second})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := m.Eval(runaway)
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the evaluation get going
+	start := time.Now()
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("Eval returned %v, want ErrClosed", err)
+		}
+	case <-time.After(time.Second):
+		t.Errorf("Eval still running %v after Close began", time.Since(start))
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still running after 10 s")
+	}
+}
