@@ -180,7 +180,7 @@ func (c *Checker) AtQuiescence() {
 
 // conservationErrs asserts the inflight conservation law:
 //
-//	sum(Pool.Len) + fabric in-transit + |CurrentTasks| == Machine.Inflight
+//	sum(Pool.Len) + fabric in-transit + |EachCurrent| == Machine.Inflight
 //
 // Every spawned-but-unfinished task is in exactly one of the three places.
 // Only meaningful when the machine is not concurrently executing (between
@@ -191,7 +191,8 @@ func (c *Checker) conservationErrs() []string {
 		pools += c.Mach.Pool(i).Len()
 	}
 	transit := c.Mach.InTransit()
-	current := int64(len(c.Mach.CurrentTasks()))
+	var current int64
+	c.Mach.EachCurrent(func(task.Task) { current++ })
 	inflight := c.Mach.Inflight()
 	if int64(pools)+transit+current != inflight {
 		return []string{fmt.Sprintf(
@@ -338,9 +339,7 @@ func (c *Checker) confirmedDeadlockErrs() []string {
 		c.Mach.Pool(i).Each(keep)
 	}
 	c.Mach.EachInTransit(keep)
-	for _, t := range c.Mach.CurrentTasks() {
-		keep(t)
-	}
+	c.Mach.EachCurrent(keep)
 	if len(tasks) > 0 {
 		res := analysis.Analyze(c.Store.Snapshot(), c.Coll.Root(), tasks)
 		for _, id := range dead {

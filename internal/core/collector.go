@@ -291,9 +291,7 @@ func (c *Collector) taskRoots() []Root {
 	// (see sched.Machine.EachQueued).
 	c.mach.EachInTransit(add)
 	c.mach.EachQueued(add)
-	for _, t := range c.mach.CurrentTasks() {
-		add(t)
-	}
+	c.mach.EachCurrent(add)
 	roots := c.tRoots[:0]
 	for id := range seen {
 		roots = append(roots, Root{ID: id})
@@ -480,8 +478,8 @@ func (c *Collector) restructure(rep *CycleReport) {
 
 	o := c.cfg.Obs
 	sweepStart := o.Now()
-	// The closure runs once per swept slot, most of them free: it unlocks
-	// explicitly on each path rather than paying a defer per slot.
+	// The closure runs once per vertex in use: it unlocks explicitly on each
+	// path rather than paying a defer per vertex.
 	c.store.ForEach(func(v *graph.Vertex) {
 		v.Lock()
 		switch {

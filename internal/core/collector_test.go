@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"dgr/internal/analysis"
 	"dgr/internal/graph"
 	"dgr/internal/sched"
 	"dgr/internal/task"
@@ -566,16 +569,15 @@ func TestCollectorForgetAcrossMT(t *testing.T) {
 // change keeps its bookkeeping — root sets, the seed batch, the sweep's
 // garbage list and set, the priority map, the wave — from the cycle before.
 // What is left is stated in DESIGN.md §8: the done channel of each marking
-// phase and, in a cycle that runs M_T, the scheduler's copy of the executing
-// tasks, the pool-lock order of the all-pools scan, and the deadlock
-// candidates (this graph has some) — the list the report hands out and the
-// verdict judge's set of them. Before the buffers were kept the same cycles
-// allocated 16 and 36.
+// phase and, in a cycle that runs M_T, the deadlock candidates (this graph
+// has some) — the list the report hands out and the verdict judge's set of
+// them. Before the buffers were kept the same cycles allocated 16 and 36;
+// before M_T walked the executing tasks and the pools in place, 1 and 10.
 func TestWarmCycleAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		mtEvery int
 		want    float64
-	}{{0, 1}, {1, 10}} {
+	}{{0, 1}, {1, 6}} {
 		r := newRig(t, 4, 1, false)
 		r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 		vs, tasks := frozenGraph(rand.New(rand.NewSource(1)), r, 200)
@@ -595,6 +597,104 @@ func TestWarmCycleAllocations(t *testing.T) {
 			t.Errorf("MTEvery %d: %v allocations per warm cycle, want at most %v", tc.mtEvery, got, tc.want)
 		}
 		t.Logf("MTEvery %d: %v allocations per warm cycle", tc.mtEvery, got)
+	}
+}
+
+// TestSweepAfterMassRelease: the sweep visits the vertices whose in-use bit
+// is set, so the bits must follow a mass release — 20 000 vertices, 200 of
+// them reachable — and the reuse of the freed ids in the cycles after it:
+// bits cleared by a batch and set again by Alloc, cut arcs freeing batches
+// of once-live vertices. Every cycle must reclaim exactly the oracle's GAR
+// and never free a vertex the root reaches, on a seeded machine and on one
+// with running PEs.
+func TestSweepAfterMassRelease(t *testing.T) {
+	const n, kept, pes = 20_000, 200, 4
+	for _, tc := range []struct {
+		name string
+		mode sched.Mode
+	}{{"deterministic", sched.Deterministic}, {"parallel", sched.Parallel}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			r := newRigIn(t, tc.mode, pes, 1, false)
+			vs := make([]*graph.Vertex, n)
+			for i := range vs {
+				vs[i] = r.vertexOn(rng.Intn(pes), graph.KindApply)
+			}
+			root := vs[0]
+			for i := 1; i < n; i++ {
+				if i < kept { // a random tree over the first kept vertices
+					r.edge(vs[rng.Intn(i)], vs[i], graph.ReqKind(rng.Intn(3)))
+				} else { // the rest point anywhere, and nothing live points at them
+					r.edge(vs[i], vs[rng.Intn(n)], graph.ReqKind(rng.Intn(3)))
+				}
+			}
+			if tc.mode == sched.Parallel {
+				r.mach.Start()
+				defer r.mach.Stop()
+			}
+			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+
+			// cycle runs one collector cycle against the oracle and returns
+			// the vertices the root reaches, in id order.
+			cycle := func(round int) (reach []*graph.Vertex) {
+				t.Helper()
+				res := analysis.Analyze(r.store.Snapshot(), root.ID, nil)
+				rep := col.RunCycle()
+				if !rep.Completed || rep.Reclaimed != len(res.Gar) {
+					t.Fatalf("round %d: %+v, want %d reclaimed (the oracle's GAR)", round, rep, len(res.Gar))
+				}
+				for id := range res.Gar {
+					if !r.store.IsFree(id) {
+						t.Fatalf("round %d: garbage v%d not freed", round, id)
+					}
+				}
+				for _, id := range slices.Sorted(maps.Keys(res.R)) {
+					if r.store.IsFree(id) {
+						t.Fatalf("round %d: v%d, reachable from the root, was freed", round, id)
+					}
+					reach = append(reach, r.store.Vertex(id))
+				}
+				inUse := 0
+				r.store.ForEach(func(*graph.Vertex) { inUse++ })
+				if want := r.store.Len() - r.store.FreeCount(); inUse != want {
+					t.Fatalf("round %d: ForEach visited %d vertices, %d are in use", round, inUse, want)
+				}
+				return reach
+			}
+
+			reach := cycle(0)
+			if len(reach) != kept {
+				t.Fatalf("%d vertices reachable after the mass release, want %d", len(reach), kept)
+			}
+			for round := 1; round <= 6; round++ {
+				// Fresh vertices take freed ids: a third hang off the live
+				// graph, the rest are garbage at birth.
+				grown := r.store.Len()
+				fresh := make([]*graph.Vertex, 3000)
+				for i := range fresh {
+					fresh[i] = r.vertexOn(rng.Intn(pes), graph.KindApply)
+					if rng.Intn(3) == 0 {
+						r.edge(reach[rng.Intn(len(reach))], fresh[i], graph.ReqKind(rng.Intn(3)))
+					} else {
+						r.edge(fresh[i], fresh[rng.Intn(i+1)], graph.ReqVital)
+					}
+				}
+				if r.store.Len() != grown {
+					t.Fatalf("round %d: the store grew from %d to %d; the fresh vertices should reuse freed ids", round, grown, r.store.Len())
+				}
+				// Cut arcs out of the live graph, so once-live vertices join
+				// the next batch.
+				for i := 0; i < 20; i++ {
+					v := reach[rng.Intn(len(reach))]
+					v.Lock()
+					if len(v.Args) > 0 {
+						v.RemoveArg(v.Args[rng.Intn(len(v.Args))])
+					}
+					v.Unlock()
+				}
+				reach = cycle(round)
+			}
+		})
 	}
 }
 

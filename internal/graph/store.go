@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -35,8 +36,10 @@ type Config struct {
 //
 // The segment size is the unit in which a store pays for what a program
 // touched: smaller segments waste less on a small program, but lengthen
-// the segment table, which is copied on every materialisation. 512 is
-// where the measured saving flattens (DESIGN.md §8).
+// the segment table, which is copied on every materialisation. The sweep
+// follows the in-use bits, so the size no longer sets what a sweep costs.
+// 512 is where the measured saving flattens; 256 and 1024 each cost some
+// workload allocations (DESIGN.md §8).
 const (
 	segBits = 9
 	segSize = 1 << segBits
@@ -48,7 +51,21 @@ const (
 // segment is materialised when Alloc first hands out one of its ids, so a
 // store pays for the id ranges a program reached, not for Capacity. Vertex
 // pointers into a segment stay stable for the life of the store.
-type segment [segSize]Vertex
+//
+// used holds one in-use bit per slot, so a sweep visits the vertices out of
+// F and nothing else (DESIGN.md §8, "The sweep visits what is in use").
+// AllocStamped sets a slot's bit after its id has left the shard and before
+// the vertex is labelled non-free; Release and ReleaseBatch clear it after
+// ResetFree and before the id goes back on a shard's stack. A set bit may
+// therefore name a vertex that still reads KindFree, never the reverse: a
+// vertex labelled non-free before a ForEach began is visited by it.
+type segment struct {
+	verts [segSize]Vertex
+	used  [segSize / 64]atomic.Uint64
+}
+
+func (seg *segment) setUsed(i int)   { seg.used[i>>6].Or(uint64(1) << (i & 63)) }
+func (seg *segment) clearUsed(i int) { seg.used[i>>6].And(^(uint64(1) << (i & 63))) }
 
 // freeShard is one partition's slice of the free set F: its own lock and a
 // stack of ids. The bottom of the stack is implicit: the partition's
@@ -88,9 +105,9 @@ func (sh *freeShard) take(part, parts int) (VertexID, bool) {
 // shard). Segment materialisation and growth past Capacity alone are
 // funneled through one mutex, and both the vertex table and the string
 // table are read lock-free via atomically published copy-on-write
-// structures. Construction costs O(partitions) and every later operation
-// O(vertices ever handed out): the never-used part of V exists only as a
-// count per shard.
+// structures. Construction costs O(partitions), and the never-used part of V
+// exists only as a count per shard; a ForEach costs the vertices in use plus
+// one word per 64 slots of the segments a program reached.
 type Store struct {
 	segs atomic.Pointer[[]*segment] // indexed by id>>segBits; nil until first touched
 	n    atomic.Int64               // |V|: reserved + grown vertices (excludes NilVertex)
@@ -152,7 +169,7 @@ func (s *Store) reservedOwner(id int) int { return (id - 1) % s.parts }
 func (s *Store) growOne(part int) VertexID {
 	s.growMu.Lock()
 	id := VertexID(s.n.Load() + 1) // slot 0 is NilVertex
-	v := &s.segmentLocked(int(id) >> segBits)[int(id)&segMask]
+	v := &s.segmentLocked(int(id) >> segBits).verts[int(id)&segMask]
 	v.ID = id
 	v.Part = part
 	v.Kind = KindFree
@@ -176,7 +193,7 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 	}
 	seg := new(segment)
 	base := segIdx << segBits
-	for i := range seg {
+	for i := range seg.verts {
 		id := base + i
 		if id > s.reserved {
 			break
@@ -184,7 +201,7 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 		if id == 0 {
 			continue // NilVertex
 		}
-		v := &seg[i]
+		v := &seg.verts[i]
 		v.ID = VertexID(id)
 		v.Part = s.reservedOwner(id)
 		v.Kind = KindFree
@@ -196,12 +213,12 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 	return seg
 }
 
-// materialise returns the vertex of an id whose segment may not exist yet;
+// materialise returns the segment of an id, materialising it if need be;
 // Alloc calls it for the first vertex it hands out of a segment.
-func (s *Store) materialise(id VertexID) *Vertex {
+func (s *Store) materialise(id VertexID) *segment {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
-	return &s.segmentLocked(int(id) >> segBits)[int(id)&segMask]
+	return s.segmentLocked(int(id) >> segBits)
 }
 
 // Partitions returns the number of partitions.
@@ -244,7 +261,7 @@ func (s *Store) Vertex(id VertexID) *Vertex {
 	if seg == nil {
 		return nil
 	}
-	return &seg[int(id)&segMask]
+	return &seg.verts[int(id)&segMask]
 }
 
 // segmentIn returns segment segIdx of a loaded segment table, or nil if it
@@ -306,10 +323,13 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 			return nil, ErrNoFreeVertices
 		}
 	}
-	v := s.Vertex(id)
-	if v == nil {
-		v = s.materialise(id) // the first vertex handed out of its segment
+	seg := segmentIn(*s.segs.Load(), int(id)>>segBits)
+	if seg == nil {
+		seg = s.materialise(id) // the first vertex handed out of its segment
 	}
+	slot := int(id) & segMask
+	seg.setUsed(slot)
+	v := &seg.verts[slot]
 
 	v.Lock()
 	v.Kind = kind
@@ -363,6 +383,7 @@ func (s *Store) Release(v *Vertex) {
 	v.ResetFree()
 	part := v.Part
 	v.Unlock()
+	s.clearUsed(v.ID)
 
 	sh := &s.shards[part]
 	sh.mu.Lock()
@@ -386,17 +407,11 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 		v.Lock()
 		v.ResetFree()
 		v.Unlock()
+		s.clearUsed(v.ID)
 	}
-	// One pass per distinct partition in the batch; each pass appends all
-	// of that partition's vertices (in batch order) under a single lock
-	// hold.
-	released := make([]bool, s.parts)
-	for _, first := range vs {
-		part := first.Part
-		if released[part] {
-			continue
-		}
-		released[part] = true
+	// One pass per partition; each appends all of that partition's
+	// vertices (in batch order) under a single lock hold.
+	for part := range s.shards {
 		sh := &s.shards[part]
 		n := 0
 		sh.mu.Lock()
@@ -411,6 +426,12 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 	}
 }
 
+// clearUsed clears the in-use bit of a vertex handed out earlier, whose
+// segment therefore exists.
+func (s *Store) clearUsed(id VertexID) {
+	segmentIn(*s.segs.Load(), int(id)>>segBits).clearUsed(int(id) & segMask)
+}
+
 // IsFree reports whether id is currently in F.
 func (s *Store) IsFree(id VertexID) bool {
 	v := s.Vertex(id)
@@ -423,40 +444,29 @@ func (s *Store) IsFree(id VertexID) bool {
 	return v.Kind == KindFree
 }
 
-// firstHandedOut returns the lowest id part's shard ever handed out, or an
-// id past the reserved range if it handed out none. Never-used ids leave a
-// shard highest-first, so every id of the partition below it is untouched.
-func (s *Store) firstHandedOut(part int) int {
-	sh := &s.shards[part]
-	sh.mu.Lock()
-	virgin := sh.virgin
-	sh.mu.Unlock()
-	return part + 1 + virgin*s.parts
-}
-
-// ForEach calls fn, in id order, for every vertex from the lowest id ever
-// handed out up to Len(): everything that was ever in use, plus the
-// never-used vertices interleaved with it. The never-used rest of V is
-// skipped — its members are free, and no caller has business with a free
-// vertex — so a pass costs what the program touched, not Capacity. It
-// snapshots the arena bounds first; vertices allocated during iteration may
-// be missed, which is the semantics restructuring wants (new vertices come
-// from F and are never garbage in the current cycle by reduction axiom 1).
+// ForEach calls fn, in ascending id order, for every vertex whose in-use bit
+// is set: every vertex out of F, plus any caught between its id and its
+// label changing, which still reads KindFree. Free vertices are skipped
+// without being touched — no caller has business with one — so a pass costs
+// the vertices in use, not the ids the program ever touched. It snapshots
+// the arena bounds first; vertices allocated during iteration may be missed,
+// which is the semantics restructuring wants (new vertices come from F and
+// are never garbage in the current cycle by reduction axiom 1).
 func (s *Store) ForEach(fn func(*Vertex)) {
 	n := int(s.n.Load())
-	segs := *s.segs.Load()
-	lo := s.reserved + 1
-	for part := range s.shards {
-		lo = min(lo, s.firstHandedOut(part))
-	}
-	for id := lo; id <= n; {
-		end := min(n, id|segMask)
-		if seg := segmentIn(segs, id>>segBits); seg != nil {
-			for ; id <= end; id++ {
-				fn(&seg[id&segMask])
+	for si, seg := range *s.segs.Load() {
+		if seg == nil {
+			continue
+		}
+		for w := range seg.used {
+			for word := seg.used[w].Load(); word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				if si<<segBits|i > n {
+					return // grown after the snapshot, like every id above it
+				}
+				fn(&seg.verts[i])
 			}
 		}
-		id = end + 1
 	}
 }
 
@@ -510,11 +520,18 @@ func (s *Store) Snapshot() *Snapshot {
 		Verts: make([]SnapVertex, n+1),
 		Parts: s.parts,
 	}
-	// Every reserved id starts as the free vertex it is while never used —
-	// no need to materialise the arena to say so; ForEach then overwrites
-	// the ones that were handed out.
-	for id := 1; id <= s.reserved; id++ {
-		snap.Verts[id] = SnapVertex{ID: VertexID(id), Part: s.reservedOwner(id), Kind: KindFree}
+	// Every id starts as a free vertex of its owner — a never-used reserved
+	// id's owner is arithmetic, no need to materialise the arena to say so;
+	// a grown id's is its immutable Part — and ForEach then overwrites the
+	// ones in use.
+	for id := 1; id <= n; id++ {
+		sv := SnapVertex{ID: VertexID(id), Kind: KindFree}
+		if id <= s.reserved {
+			sv.Part = s.reservedOwner(id)
+		} else {
+			sv.Part = s.Vertex(VertexID(id)).Part
+		}
+		snap.Verts[id] = sv
 	}
 	s.ForEach(func(v *Vertex) {
 		v.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,8 +75,10 @@ func (m *eagerModel) freeCount() int {
 // TestStoreMatchesEagerAllocator drives random Alloc / Release /
 // ReleaseBatch traces — small capacities, so local shards run dry and the
 // steal and growth paths are hit constantly — against the eager model and
-// requires the same id (or the same exhaustion), the same owner, and the
-// same FreeCount / FreeCountOf after every operation.
+// requires the same id (or the same exhaustion), the same owner, the same
+// FreeCount / FreeCountOf, and a ForEach that visits exactly the ids not in
+// F, ascending, after every operation (grown ids included: the stores that
+// are not FixedSize grow past Capacity).
 func TestStoreMatchesEagerAllocator(t *testing.T) {
 	for _, parts := range []int{1, 3, 4, 8} {
 		for _, capacity := range []int{0, 1, 5, 37, 200} {
@@ -113,6 +116,16 @@ func runAllocatorTrace(t *testing.T, parts, capacity int, fixed bool, seed int64
 			if got, want := s.FreeCountOf(p), len(m.shards[p]); got != want {
 				t.Fatalf("seed %d step %d (%s): FreeCountOf(%d) = %d, model %d", seed, step, op, p, got, want)
 			}
+		}
+		inUse := make([]VertexID, 0, len(live))
+		for _, v := range live {
+			inUse = append(inUse, v.ID)
+		}
+		slices.Sort(inUse)
+		var visited []VertexID
+		s.ForEach(func(v *Vertex) { visited = append(visited, v.ID) })
+		if !slices.Equal(visited, inUse) {
+			t.Fatalf("seed %d step %d (%s): ForEach visited %v, want the ids not in F %v", seed, step, op, visited, inUse)
 		}
 	}
 	compare(0, "new")
@@ -258,11 +271,49 @@ func TestStoreGrowsPastCapacity(t *testing.T) {
 	if s.FreeCount() != total || s.Len() != total {
 		t.Fatalf("after release: FreeCount %d Len %d, want %d", s.FreeCount(), s.Len(), total)
 	}
+	s.ForEach(func(v *Vertex) { t.Errorf("ForEach visited v%d, which is back in F", v.ID) })
 	if got, want := s.FreeCountOf(2), capacity/parts+(total-capacity); got != want {
 		t.Fatalf("FreeCountOf(2) = %d, want %d (its reserved share plus everything grown)", got, want)
 	}
 	if v, err := s.Alloc(0, KindInt, 0); err != nil || s.Len() != total {
 		t.Fatalf("alloc from refilled F = %v, %v; Len %d", v, err, s.Len())
+	}
+}
+
+// TestSnapshotKeepsReleasedGrownVertices: ForEach no longer visits a free
+// vertex, so Snapshot must say on its own that a vertex grown past Capacity
+// and released again is a free vertex of the partition that grew it — not an
+// absent one.
+func TestSnapshotKeepsReleasedGrownVertices(t *testing.T) {
+	const parts, capacity = 4, 6
+	s := NewStore(Config{Partitions: parts, Capacity: capacity})
+	var grown []*Vertex
+	for i := 0; i < capacity+segSize; i++ { // into a second segment
+		v, err := s.Alloc(3, KindInt, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(v.ID) > capacity && i%2 == 0 {
+			grown = append(grown, v)
+		}
+	}
+	s.ReleaseBatch(grown[:len(grown)/2])
+	for _, v := range grown[len(grown)/2:] {
+		s.Release(v)
+	}
+	snap := s.Snapshot()
+	if snap.Len() != capacity+segSize {
+		t.Fatalf("snapshot len = %d, want %d", snap.Len(), capacity+segSize)
+	}
+	for _, v := range grown {
+		if sv := snap.Vertex(v.ID); sv == nil || sv.ID != v.ID || sv.Kind != KindFree || sv.Part != 3 {
+			t.Fatalf("released grown vertex %d reads %+v in the snapshot, want free on partition 3", v.ID, sv)
+		}
+	}
+	for id := 1; id <= snap.Len(); id++ {
+		if sv := snap.Vertex(VertexID(id)); sv == nil || (sv.Kind == KindFree) != s.IsFree(sv.ID) {
+			t.Fatalf("snapshot vertex %d = %+v disagrees with the store", id, sv)
+		}
 	}
 }
 
@@ -312,20 +363,26 @@ func TestNeverUsedVerticesStayUnmaterialised(t *testing.T) {
 }
 
 // TestStoreConcurrentMaterialise races, for the race detector, everything
-// that can meet a segment being materialised: allocators on every partition
-// walking down through untouched segments, readers looking up ids the
-// moment they are published, and sweeps iterating the touched range.
+// that can meet a segment being materialised or an in-use bit changing:
+// allocators on every partition walking down through untouched segments, a
+// churner releasing ids that share bitmap words with theirs, readers looking
+// up ids the moment they are published, and sweeps — each of which must
+// visit, in ascending order, every vertex an allocator had labelled before
+// the sweep began. It is sized to run under -short, so CI's race step
+// covers it.
 func TestStoreConcurrentMaterialise(t *testing.T) {
 	const parts = 4
 	perPart := 8 * segSize // every allocator walks down through all 8*parts segments
 	s := NewStore(Config{Partitions: parts, Capacity: parts * perPart})
 
-	published := make([]atomic.Uint32, parts*perPart)
-	var count atomic.Int64
+	// ids[p][:done[p]] are allocator p's vertices, labelled and never released.
+	ids := make([][]VertexID, parts)
+	done := make([]atomic.Int64, parts)
 	var allocators, observers sync.WaitGroup
 	stop := make(chan struct{})
 
 	for p := 0; p < parts; p++ {
+		ids[p] = make([]VertexID, perPart)
 		allocators.Add(1)
 		go func(part int) {
 			defer allocators.Done()
@@ -335,11 +392,28 @@ func TestStoreConcurrentMaterialise(t *testing.T) {
 					t.Errorf("alloc: %v", err)
 					return
 				}
-				published[count.Add(1)-1].Store(uint32(v.ID))
+				ids[part][i] = v.ID
+				done[part].Store(int64(i + 1))
 			}
 		}(p)
 	}
-	observers.Add(2)
+	observers.Add(3)
+	go func() { // churn: set and clear bits beside the allocators' own
+		defer observers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v, err := s.Alloc(i%parts, KindInt, -1)
+			if err != nil {
+				t.Errorf("churn alloc: %v", err)
+				return
+			}
+			s.Release(v)
+		}
+	}()
 	go func() { // lookups of published ids
 		defer observers.Done()
 		for i := 0; ; i++ {
@@ -348,14 +422,12 @@ func TestStoreConcurrentMaterialise(t *testing.T) {
 				return
 			default:
 			}
-			n := int(count.Load())
+			p := i % parts
+			n := int(done[p].Load())
 			if n == 0 {
 				continue
 			}
-			id := VertexID(published[i%n].Load())
-			if id == NilVertex {
-				continue // slot claimed, id not stored yet
-			}
+			id := ids[p][i%n]
 			v := s.Vertex(id)
 			if v == nil || v.ID != id {
 				t.Errorf("Vertex(%d) = %v", id, v)
@@ -372,12 +444,18 @@ func TestStoreConcurrentMaterialise(t *testing.T) {
 	}()
 	go func() { // sweeps
 		defer observers.Done()
+		var visited map[VertexID]bool
+		labelled := make([]int64, parts)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
+			for p := range done {
+				labelled[p] = done[p].Load()
+			}
+			visited = make(map[VertexID]bool, len(visited))
 			prev := NilVertex
 			s.ForEach(func(v *Vertex) {
 				v.Lock()
@@ -386,7 +464,16 @@ func TestStoreConcurrentMaterialise(t *testing.T) {
 				}
 				prev = v.ID
 				v.Unlock()
+				visited[v.ID] = true
 			})
+			for p, n := range labelled {
+				for _, id := range ids[p][:n] {
+					if !visited[id] {
+						t.Errorf("ForEach missed v%d, labelled by partition %d before the sweep began", id, p)
+						return
+					}
+				}
+			}
 		}
 	}()
 	allocators.Wait()
@@ -399,8 +486,9 @@ func TestStoreConcurrentMaterialise(t *testing.T) {
 			live++
 		}
 	})
-	if live != parts*perPart || s.FreeCount() != 0 {
-		t.Fatalf("ForEach found %d live vertices, FreeCount %d; want %d and 0", live, s.FreeCount(), parts*perPart)
+	if live != parts*perPart || s.FreeCount() != s.Len()-live {
+		t.Fatalf("ForEach found %d live vertices, FreeCount %d of %d; want %d and the rest",
+			live, s.FreeCount(), s.Len(), parts*perPart)
 	}
 }
 
@@ -445,8 +533,8 @@ func TestStoreCostsWhatItTouches(t *testing.T) {
 		}
 		visited := 0
 		s.ForEach(func(*Vertex) { visited++ })
-		if visited > 4*segSize {
-			t.Errorf("a sweep over a 300-vertex program visited %d slots", visited)
+		if visited != 300 {
+			t.Errorf("a sweep over a 300-vertex program visited %d slots, want exactly the 300 in use", visited)
 		}
 	})
 	if b >= 2<<20 {

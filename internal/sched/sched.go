@@ -179,7 +179,7 @@ type Machine struct {
 	// mutex: the previous atomic.Pointer design forced every execution to
 	// heap-allocate a task copy for the pointer to point at — one
 	// allocation per task on the hottest path in the machine. Readers
-	// (CurrentTasks) are rare; writers only ever touch their own PE's
+	// (EachCurrent) are rare; writers only ever touch their own PE's
 	// uncontended lock.
 	current []curSlot
 
@@ -245,7 +245,7 @@ func New(cfg Config) *Machine {
 		// pool lock is still held (pool i is consumed only by PE i; stolen
 		// tasks land in the thief's own pool before being popped). Between
 		// the pop and execute's own publish a task would otherwise be
-		// invisible to both EachQueued and CurrentTasks — M_T's troot
+		// invisible to both EachQueued and EachCurrent — M_T's troot
 		// snapshot reads the pools first and the current slots second, so
 		// with the pop-time publish every task is in at least one view at
 		// every instant.
@@ -571,19 +571,19 @@ func (m *Machine) InTransit() int64 {
 // Fabric returns the wired-in fabric, or nil.
 func (m *Machine) Fabric() *fabric.Fabric { return m.fab }
 
-// CurrentTasks returns a copy of the tasks currently being executed by the
-// PEs (empty in deterministic mode when called between steps).
-func (m *Machine) CurrentTasks() []task.Task {
-	out := make([]task.Task, 0, len(m.current))
+// EachCurrent calls fn for every task currently being executed by a PE
+// (none in deterministic mode when called between steps), one PE slot at a
+// time, outside the slot's lock.
+func (m *Machine) EachCurrent(fn func(task.Task)) {
 	for i := range m.current {
 		s := &m.current[i]
 		s.mu.Lock()
-		if s.valid {
-			out = append(out, s.t)
-		}
+		t, ok := s.t, s.valid
 		s.mu.Unlock()
+		if ok {
+			fn(t)
+		}
 	}
-	return out
 }
 
 // Step executes one task in deterministic mode, picking a pseudo-random

@@ -314,14 +314,17 @@ func TestCurrentTasksParallel(t *testing.T) {
 	m.Start()
 	m.Spawn(task.Task{Kind: task.Reduce, Dst: 1})
 	<-started
-	cur := m.CurrentTasks()
-	if len(cur) != 1 || cur[0].Dst != 1 {
-		t.Fatalf("CurrentTasks = %v", cur)
+	current := func() (cur []task.Task) {
+		m.EachCurrent(func(tk task.Task) { cur = append(cur, tk) })
+		return cur
+	}
+	if cur := current(); len(cur) != 1 || cur[0].Dst != 1 {
+		t.Fatalf("EachCurrent visited %v", cur)
 	}
 	close(release)
 	m.WaitQuiescent()
-	if got := m.CurrentTasks(); len(got) != 0 {
-		t.Fatalf("CurrentTasks after quiescence = %v", got)
+	if got := current(); len(got) != 0 {
+		t.Fatalf("EachCurrent after quiescence visited %v", got)
 	}
 	m.Stop()
 }

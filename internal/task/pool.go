@@ -2,7 +2,6 @@ package task
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -342,27 +341,31 @@ func (p *Pool) StealInto(dst *Pool, max int, each func(Task)) int {
 }
 
 // EachAcross calls fn for every task queued in any of the pools while
-// holding EVERY pool lock simultaneously, acquired in pool-creation (seq)
-// order — the same global order StealInto uses, so the two can never
-// deadlock. This is the atomic whole-machine snapshot M_T's troot needs
-// once work stealing is on: a pool-by-pool scan can be raced by a steal
-// that moves a batch from a not-yet-scanned pool into an already-scanned
-// one, hiding queued tasks from the snapshot entirely. Because StealInto
-// holds both pool locks for the transfer, a scan that holds all locks sees
-// every task in pool custody exactly once. fn must not call back into any
-// of the pools.
+// holding EVERY pool lock simultaneously, acquired in the order of pools,
+// which must be pool-creation (seq) order — the same global order StealInto
+// uses, so the two can never deadlock. A machine creates its pools in that
+// order and keeps them so; EachAcross panics on a slice that is not. This is
+// the atomic whole-machine snapshot M_T's troot needs once work stealing is
+// on: a pool-by-pool scan can be raced by a steal that moves a batch from a
+// not-yet-scanned pool into an already-scanned one, hiding queued tasks from
+// the snapshot entirely. Because StealInto holds both pool locks for the
+// transfer, a scan that holds all locks sees every task in pool custody
+// exactly once. fn must not call back into any of the pools.
 func EachAcross(pools []*Pool, fn func(Task)) {
-	ordered := append([]*Pool(nil), pools...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	for _, p := range ordered {
+	for i := 1; i < len(pools); i++ {
+		if pools[i-1].seq >= pools[i].seq {
+			panic("task: EachAcross needs pools in creation order")
+		}
+	}
+	for _, p := range pools {
 		p.mu.Lock()
 	}
 	defer func() {
-		for i := len(ordered) - 1; i >= 0; i-- {
-			ordered[i].mu.Unlock()
+		for i := len(pools) - 1; i >= 0; i-- {
+			pools[i].mu.Unlock()
 		}
 	}()
-	for _, p := range ordered {
+	for _, p := range pools {
 		for b := range p.bands {
 			r := &p.bands[b]
 			for i := 0; i < r.len(); i++ {

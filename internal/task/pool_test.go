@@ -2,6 +2,7 @@ package task
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -143,6 +144,30 @@ func TestPoolEach(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("Each visited %d tasks", len(got))
 	}
+}
+
+// TestEachAcross: the all-pools scan visits every queued task, pool by pool
+// in creation order, without allocating, and refuses a slice out of that
+// order — the lock order StealInto relies on.
+func TestEachAcross(t *testing.T) {
+	pools := []*Pool{NewPool(), NewPool(), NewPool()}
+	for i, p := range pools {
+		p.Push(Task{Kind: Mark, Dst: graph.VertexID(i + 1)})
+	}
+	var got []graph.VertexID
+	EachAcross(pools, func(tk Task) { got = append(got, tk.Dst) })
+	if !slices.Equal(got, []graph.VertexID{1, 2, 3}) {
+		t.Fatalf("EachAcross visited %v, want [1 2 3]", got)
+	}
+	if n := testing.AllocsPerRun(20, func() { EachAcross(pools, func(Task) {}) }); n != 0 {
+		t.Errorf("EachAcross makes %v allocations, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EachAcross over pools out of creation order did not panic")
+		}
+	}()
+	EachAcross([]*Pool{pools[1], pools[0]}, func(Task) {})
 }
 
 func TestPoolExpunge(t *testing.T) {
