@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"dgr/internal/check"
+	"dgr/internal/graph"
+	"dgr/internal/task"
 	"dgr/internal/workload"
 )
 
@@ -206,6 +208,54 @@ func TestReplayedCycleEqualsLive(t *testing.T) {
 	}
 	if got := m2.Stats(); got != want {
 		t.Errorf("replayed counters differ from the live run's:\nlive   %+v\nreplay %+v", want, got)
+	}
+}
+
+// TestReplayMissingMarkDiverges: replay accounts for every mark of a parent,
+// whether it ran as a task or a drain took it in. A log with one such mark
+// removed leaves replay a mark the log never ran; a log that runs one twice
+// asks for a mark replay never queued — a mark replay lost. Each is a
+// divergence, not a replay that runs on without it.
+func TestReplayMissingMarkDiverges(t *testing.T) {
+	src := "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 10"
+	opts := Options{PEs: 3, Seed: 5, GCInterval: 500, MTEvery: 1, Capacity: 1 << 12}
+	live := opts
+	live.RecordSchedule = true
+	m := New(live)
+	defer m.Close()
+	if _, err := m.Eval(src); err != nil {
+		t.Fatal(err)
+	}
+	events, err := m.ScheduleEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []string{check.EvExec, check.EvAbsorb} {
+		victim := -1
+		for i, e := range events {
+			if e.Ev == ev && e.Kind == task.Mark && e.Src != graph.NilVertex {
+				victim = i
+				break
+			}
+		}
+		if victim < 0 {
+			t.Fatalf("the recorded run has no %s of a mark", ev)
+		}
+		removed := append(append([]check.Event(nil), events[:victim]...), events[victim+1:]...)
+		twice := append(append([]check.Event(nil), events[:victim+1]...), events[victim:]...)
+		for what, doctored := range map[string][]check.Event{"without": removed, "running twice": twice} {
+			m2 := New(opts)
+			root, err := m2.Compile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = m2.ReplaySchedule(root, doctored)
+			m2.Close()
+			if err == nil || !strings.Contains(err.Error(), "diverged") {
+				t.Errorf("log %s %s event %d (%s) replayed with error %v, want a divergence",
+					what, ev, victim, events[victim].Task(), err)
+			}
+		}
 	}
 }
 

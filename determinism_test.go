@@ -158,14 +158,16 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 // fib 12 finishes inside the default GCInterval of 20 000 steps, so the
 // digests above hold no mark task at all; these run a cycle every 500 steps
 // with M_T in every cycle, which puts marking-cycle starts with their M_T root
-// sets, every mark and return that ran as a task (roots, cut arcs, spills of a
-// wave past its budget) and the restructure events inside the digest. What a
-// wave marks inline is not in the log — it shows in what the next task finds.
+// sets, every mark and return that ran as a task (cut arcs, and one
+// continuation per partition a phase's roots fall on or per budget a
+// partition's list spends), every mark and return a drain took in from its
+// pool, and the restructure events inside the digest. What a partition's list
+// marks inline is not in the log — it shows in what the next task finds.
 var goldenCollectingSchedules = map[string]string{
-	"interp/seed=42/pes=4":   "b048da5a71cdc92b",
-	"interp/seed=7/pes=3":    "320781d623ecb4dd",
-	"compiled/seed=42/pes=4": "83915e6760273cc8",
-	"compiled/seed=7/pes=3":  "487aa84739080b68",
+	"interp/seed=42/pes=4":   "75d308cb27035540",
+	"interp/seed=7/pes=3":    "c0ba81638dc92959",
+	"compiled/seed=42/pes=4": "beb34ab6fa8a7c66",
+	"compiled/seed=7/pes=3":  "25df48137efa5994",
 }
 
 func collectingOptions(engine string, seed int64, pes int) dgr.Options {

@@ -348,6 +348,9 @@ func New(opts Options) *Machine {
 	}
 	mach = sched.New(schedCfg)
 	marker := core.NewMarker(store, mach, counters)
+	if recorder != nil {
+		marker.SetAbsorbHook(recorder.OnAbsorb)
+	}
 	if opts.FaultSkipMark > 0 {
 		marker.SetFaultSkipMark(opts.FaultSkipMark)
 	}

@@ -40,6 +40,35 @@ func TestEvalCorpus(t *testing.T) {
 	}
 }
 
+// TestEvalCorpusMarksOnce: on the corpus, collecting every 2000 steps with M_T
+// in every cycle, no collector phase re-marks a vertex at a higher priority —
+// each partition drains its pending marks best-first, so a vertex is first
+// reached at its final priority — and no evaluation raises a runtime error.
+func TestEvalCorpusMarksOnce(t *testing.T) {
+	for _, engine := range []string{EngineInterp, EngineCompiled} {
+		var visits int64
+		for name, p := range workload.Programs {
+			m := New(Options{PEs: 4, Seed: 2, Engine: engine, GCInterval: 2000, MTEvery: 1})
+			v, err := m.Eval(p.Src)
+			if err != nil || v.Int != p.Want {
+				t.Errorf("%s/%s = %v, %v, want %d", engine, name, v, err, p.Want)
+			}
+			if errs := m.RuntimeErrors(); len(errs) != 0 {
+				t.Errorf("%s/%s: runtime errors: %v", engine, name, errs)
+			}
+			mk := m.collector.Marker()
+			if n := mk.Upgrades(graph.CtxR) + mk.Upgrades(graph.CtxT); n != 0 {
+				t.Errorf("%s/%s: %d re-marks in %d mark visits", engine, name, n, m.Stats().MarkVisits)
+			}
+			visits += m.Stats().MarkVisits
+			m.Close()
+		}
+		if visits == 0 {
+			t.Errorf("%s: the corpus ran no collector phase", engine)
+		}
+	}
+}
+
 func TestEvalCorpusSpeculative(t *testing.T) {
 	for name, p := range workload.Programs {
 		if name == "primes" || name == "churn" {

@@ -86,7 +86,12 @@ func statsLine(s Stats) string {
 // can end without a value — a confirmed deadlock, patience spent, the budget —
 // is reached at the same cycle and step as before the two drivers became one.
 // testdata/seeded_outcome.golden was captured at that commit (PR 22), one line
-// per run: the error and every non-zero counter of Stats().
+// per run: the error and every non-zero counter of Stats(). The budget runs
+// are compared on the error and Cycles alone. MaxSteps counts every task
+// executed, marking tasks included, so when a partition's pending marks
+// became one task the budget bought more reduction: those runs still end in
+// the same cycle, but their reduction, rewrite, allocation and marking counts
+// moved with it.
 func TestSeededOutcomeUnchanged(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -119,10 +124,24 @@ func TestSeededOutcomeUnchanged(t *testing.T) {
 		t.Fatalf("%d runs, golden has %d", len(got), len(want))
 	}
 	for i := range got {
+		if strings.HasPrefix(got[i], "loop/") {
+			got[i], want[i] = budgetOutcome(got[i]), budgetOutcome(want[i])
+		}
 		if got[i] != want[i] {
 			t.Errorf("seeded outcome changed:\n got %s\nwant %s", got[i], want[i])
 		}
 	}
+}
+
+// budgetOutcome cuts a budget run's golden line down to its error and Cycles.
+func budgetOutcome(line string) string {
+	head, counters, _ := strings.Cut(line, " |")
+	for _, f := range strings.Fields(counters) {
+		if strings.HasPrefix(f, "Cycles=") {
+			return head + " | " + f
+		}
+	}
+	return head
 }
 
 // TestParallelVerdictWithinACycle: a parallel evaluation learns its verdict

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dgr/internal/check"
+	"dgr/internal/core"
 	"dgr/internal/graph"
 )
 
@@ -75,8 +76,16 @@ func regenFalseDeadlockLog(t *testing.T) {
 	events[victim].Roots = nil
 	doctored := events[:0:0]
 	dropped := 0
-	for _, e := range events {
-		if e.Ev == check.EvExec && e.Ctx == graph.CtxT && e.Epoch == epoch {
+	inPhase := false // between the victim's start and the next phase's
+	for i, e := range events {
+		if e.Ev == check.EvCycle {
+			inPhase = i == victim
+		}
+		// The phase's continuations drained the lists its roots filled;
+		// they carry no epoch of their own. What its drains took in goes
+		// with them.
+		marking := e.Ev == check.EvExec || e.Ev == check.EvAbsorb
+		if marking && (e.Ctx == graph.CtxT && e.Epoch == epoch || inPhase && core.IsContinuation(e.Task())) {
 			dropped++
 			continue
 		}

@@ -169,6 +169,14 @@ func (c *Checker) AtQuiescence() {
 				"quiescent machine but %s marking cycle still active (marks or returns lost)", ctx))
 		}
 	}
+	// A non-empty partition list always has a drainer or a queued
+	// continuation, so a quiet machine holds none.
+	parked := 0
+	c.Marker.EachPending(func(task.Task) { parked++ })
+	if parked > 0 {
+		errs = append(errs, fmt.Sprintf(
+			"quiescent machine but %d marks and returns parked on partition lists (a continuation was lost)", parked))
+	}
 	if c.Mach.Inflight() != 0 {
 		// The machine moved under the sweep; nothing read above is
 		// trustworthy.

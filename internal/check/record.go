@@ -18,6 +18,9 @@ const (
 	EvMeta = "meta"
 	// EvExec is one task execution: (pe, task) in global execution order.
 	EvExec = "exec"
+	// EvAbsorb is a mark or return a drain took in from its partition's
+	// pool (core.Marker's absorb): it ran, but not as an execution.
+	EvAbsorb = "absorb"
 	// EvCycle is a marking-phase start with its explicit root set.
 	EvCycle = "cycle"
 	// EvRestructure is a restructuring-phase run.
@@ -42,7 +45,7 @@ type Event struct {
 	PEs     int    `json:"pes,omitempty"`
 	MTEvery int    `json:"mtevery,omitempty"`
 
-	// Exec fields. Seq is the scheduler's own sequence number, kept for
+	// Exec fields, and an absorb's task fields. Seq is the scheduler's own sequence number, kept for
 	// diagnostics; replay follows log order, which can differ from Seq
 	// order when two PEs raced between sequence assignment and recording.
 	Seq   uint64         `json:"seq,omitempty"`
@@ -77,8 +80,9 @@ func (e Event) Task() task.Task {
 }
 
 // Recorder captures a run's schedule. Wire OnExecute into
-// sched.Config.OnExecute and the recorder itself into
-// core.CollectorConfig.Recorder; it is safe for concurrent use.
+// sched.Config.OnExecute, OnAbsorb into core.Marker.SetAbsorbHook and the
+// recorder itself into core.CollectorConfig.Recorder; it is safe for
+// concurrent use.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -102,6 +106,16 @@ func (r *Recorder) OnExecute(seq uint64, pe int, t task.Task) {
 		Kind: t.Kind, Src: t.Src, Dst: t.Dst, Req: t.Req,
 		Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch,
 	})
+}
+
+// OnAbsorb records a mark or return a drain took in (core.Marker's absorb
+// hook).
+func (r *Recorder) OnAbsorb(t task.Task) bool {
+	r.append(Event{
+		Ev: EvAbsorb, Kind: t.Kind, Src: t.Src, Dst: t.Dst,
+		Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch,
+	})
+	return true
 }
 
 // CycleStart records a marking-phase start (core.CycleRecorder).

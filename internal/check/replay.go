@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dgr/internal/core"
+	"dgr/internal/graph"
 	"dgr/internal/sched"
 	"dgr/internal/task"
 )
@@ -22,23 +23,82 @@ import (
 // fabric may have applied that rewrite to a different copy than replay
 // sees. The recorded task is executed verbatim either way, so the handler
 // observes exactly the recorded inputs.
+//
+// Marking work is claimed, not only executed: a drain takes in the marks and
+// returns queued for its partition (core.Marker's absorb) and the log lists
+// each as an absorb event, after the execution whose drain took it in. A
+// replayed drain may take in only what the absorb events right after the
+// event being replayed list, up to the next execution or phase event; on a
+// deterministic recording that is exactly what the recorded drain took in.
+// A parallel recording's drain ran alongside later events and took in work
+// as it arrived; replay runs it whole at its execution, so what it took in
+// later comes up as absorb events of their own, and each is claimed from
+// what a replayed drain took in or executed where it is queued — at about
+// the point the recorded drain reached it. A replayed drain can also have
+// got less far than the recorded one when a task it would spawn comes up;
+// then the spawning partition's continuation runs first. A recorded
+// continuation matches any queued continuation of its partition; when none
+// is queued the partition has nothing pending. A cooperation root (a mark
+// with no parent) depends on how far marking had got when a mutator ran, so
+// the log supplies it as a cycle event supplies its roots: replay adds a
+// recorded one its own cooperation did not, and runs one its cooperation
+// added that the recording did not at the phase boundary. Anything else is a
+// divergence: a mark of a parent or a return neither queued nor taken in, a
+// phase the log closes that replay cannot finish, or a taken-in task of the
+// closed phase that the log never ran.
 type Replayer struct {
 	Mach *sched.Machine
 	Coll *core.Collector
+
+	// absorbed counts, by identity (key), the marks and returns replayed
+	// drains took in that no event has claimed yet; window, those a replayed
+	// drain may still take in (see Replayer).
+	absorbed map[task.Task]int
+	window   map[task.Task]int
 }
 
 // Run replays the schedule, returning a descriptive error at the first
-// divergence (an exec event whose task is not queued on the recorded PE).
-// A clean replay of a recorded violation run drives the machine to the
-// same failing step, where the caller's checker reports it again.
+// divergence (see Replayer). A clean replay of a recorded violation run
+// drives the machine to the same failing step, where the caller's checker
+// reports it again.
 func (rp *Replayer) Run(events []Event) error {
+	if rp.Coll != nil {
+		rp.absorbed = make(map[task.Task]int)
+		rp.window = make(map[task.Task]int)
+		mk := rp.Coll.Marker()
+		var prev func(task.Task) bool
+		prev = mk.SetAbsorbHook(func(t task.Task) bool {
+			k := key(t)
+			if rp.window[k] == 0 || prev != nil && !prev(t) {
+				return false
+			}
+			rp.window[k]--
+			rp.absorbed[k]++
+			return true
+		})
+		defer mk.SetAbsorbHook(prev)
+	}
 	for i, e := range events {
+		// An execution opens a window of the absorb events right after it;
+		// any other event but an absorb closes it.
+		if rp.window != nil && e.Ev != EvAbsorb {
+			clear(rp.window)
+			for _, a := range events[i+1:] {
+				if e.Ev != EvExec || a.Ev != EvAbsorb {
+					break
+				}
+				rp.window[key(a.Task())]++
+			}
+		}
 		switch e.Ev {
 		case EvMeta:
 			// Informational only.
 		case EvCycle:
 			if rp.Coll == nil {
 				return fmt.Errorf("check: replay event %d is a cycle start but no collector is wired", i)
+			}
+			if err := rp.closePhases(i); err != nil {
+				return err
 			}
 			roots := make([]core.Root, len(e.Roots))
 			for j, r := range e.Roots {
@@ -49,34 +109,169 @@ func (rp *Replayer) Run(events []Event) error {
 			if rp.Coll == nil {
 				return fmt.Errorf("check: replay event %d is a restructure but no collector is wired", i)
 			}
-			rp.Coll.ReplayRestructure(e.MT)
-		case EvExec:
-			want := e.Task()
-			pred := func(q task.Task) bool { return sameTask(q, want) }
-			ok := rp.Mach.ExecuteMatching(e.PE, pred, want)
-			if !ok {
-				// The recorded run may have stolen the task to the PE it
-				// executed on; replay runs with no stealing, so the task sits
-				// in its home partition's pool. Executing it there instead is
-				// the same serialization — the event's PE is bookkeeping, the
-				// task's effect is PE-independent.
-				for pe := 0; pe < rp.Mach.PEs() && !ok; pe++ {
-					if pe == e.PE {
-						continue
-					}
-					ok = rp.Mach.ExecuteMatching(pe, pred, want)
-				}
+			if err := rp.closePhases(i); err != nil {
+				return err
 			}
-			if !ok {
-				return fmt.Errorf(
-					"check: replay diverged at event %d: %s not queued on PE %d (pool holds %d tasks, machine inflight %d)",
-					i, want, e.PE, rp.Mach.Pool(e.PE).Len(), rp.Mach.Inflight())
+			rp.Coll.ReplayRestructure(e.MT)
+		case EvExec, EvAbsorb:
+			want := e.Task()
+			switch {
+			case e.Ev == EvExec && core.IsContinuation(want):
+				// A continuation names its partition by whichever of its
+				// vertices the drain that queued it ran for.
+				rp.runContinuation(rp.Mach.PartOf(want.Dst))
+			case e.Ev == EvExec && !want.Kind.IsMarking():
+				if !rp.execute(e.PE, want) {
+					return rp.diverged(i, e, want)
+				}
+			default:
+				if rp.Coll == nil {
+					return fmt.Errorf("check: replay event %d is marking work but no collector is wired", i)
+				}
+				if !rp.claim(e, want) {
+					return rp.diverged(i, e, want)
+				}
 			}
 		default:
 			return fmt.Errorf("check: replay event %d has unknown kind %q", i, e.Ev)
 		}
 	}
 	return nil
+}
+
+// diverged reports event i as a task replay neither has queued nor took in.
+func (rp *Replayer) diverged(i int, e Event, want task.Task) error {
+	return fmt.Errorf(
+		"check: replay diverged at event %d: %s %s not queued on PE %d (pool holds %d tasks, machine inflight %d)",
+		i, e.Ev, want, e.PE, rp.Mach.Pool(e.PE).Len(), rp.Mach.Inflight())
+}
+
+// execute runs the queued task matching want on the recorded PE, or on any
+// other: the recorded run may have stolen it to the PE it executed on, and
+// replay runs with no stealing, so it sits in its home partition's pool.
+// Executing it there is the same serialization — the event's PE is
+// bookkeeping, the task's effect is PE-independent.
+func (rp *Replayer) execute(pe int, want task.Task) bool {
+	pred := func(q task.Task) bool { return sameTask(q, want) }
+	if rp.Mach.ExecuteMatching(pe, pred, want) {
+		return true
+	}
+	for p := range rp.Mach.PEs() {
+		if p != pe && rp.Mach.ExecuteMatching(p, pred, want) {
+			return true
+		}
+	}
+	return false
+}
+
+// claim accounts for a recorded mark or return (see Replayer), reporting
+// whether it could. An absorb is claimed from what replayed drains took in
+// before a queued copy is executed, and an execution the other way round,
+// so a deterministic replay matches each the way the recorded run did.
+func (rp *Replayer) claim(e Event, want task.Task) bool {
+	k := key(want)
+	for {
+		if e.Ev == EvAbsorb && rp.take(k) {
+			return true
+		}
+		if rp.execute(e.PE, want) {
+			if e.Ev == EvAbsorb && rp.window[k] > 0 {
+				rp.window[k]-- // this event is claimed; its drain may not take it in again
+			}
+			return true
+		}
+		if rp.take(k) {
+			return true
+		}
+		if isCoopRoot(want) {
+			// The recorded run's cooperation registered this root; replay's
+			// marking, further on or behind, may not have. Like a cycle
+			// event's roots, it is input the log supplies.
+			if !rp.Coll.Marker().AddRootDuringCycle(want.Ctx, want.Dst, want.Prior) {
+				return false
+			}
+			continue
+		}
+		if want.Src == graph.NilVertex || !rp.runContinuation(rp.Mach.PartOf(want.Src)) {
+			return false
+		}
+	}
+}
+
+// isCoopRoot reports whether a recorded task is a root a cooperating mutator
+// added to the running cycle (core.Marker.AddRootDuringCycle): a mark with no
+// parent. A cycle's own roots start on their partitions' lists and are never
+// queued as tasks.
+func isCoopRoot(t task.Task) bool {
+	return t.Kind == task.Mark && t.Src == graph.NilVertex && !core.IsContinuation(t)
+}
+
+// take claims one task a replayed drain took in.
+func (rp *Replayer) take(k task.Task) bool {
+	if rp.absorbed[k] == 0 {
+		return false
+	}
+	rp.absorbed[k]--
+	return true
+}
+
+// runContinuation executes a queued continuation of partition part,
+// reporting whether there was one.
+func (rp *Replayer) runContinuation(part int) bool {
+	return rp.runQueued(func(q task.Task) bool { return core.IsContinuation(q) && rp.Mach.PartOf(q.Dst) == part })
+}
+
+// runQueued executes one queued task matching pred, reporting whether there
+// was one.
+func (rp *Replayer) runQueued(pred func(task.Task) bool) bool {
+	for pe := range rp.Mach.PEs() {
+		var c task.Task
+		found := false
+		rp.Mach.Pool(pe).Each(func(q task.Task) {
+			if !found && pred(q) {
+				c, found = q, true
+			}
+		})
+		if found {
+			return rp.Mach.ExecuteMatching(pe, func(q task.Task) bool { return q == c }, c)
+		}
+	}
+	return false
+}
+
+// closePhases runs at a recorded phase boundary: the recorded run's phase
+// was done there, so replay finishes it — from its partitions' lists, and
+// from any root replay's own cooperation added that the recorded run's did
+// not — and then checks that it is done and that its drains took in nothing
+// the log does not list.
+func (rp *Replayer) closePhases(i int) error {
+	mk := rp.Coll.Marker()
+	open := func(q task.Task) bool {
+		if core.IsContinuation(q) {
+			return mk.Active(graph.CtxR) || mk.Active(graph.CtxT)
+		}
+		return isCoopRoot(q) && mk.Active(q.Ctx) && q.Epoch == mk.Epoch(q.Ctx)
+	}
+	for rp.runQueued(open) {
+	}
+	for _, c := range []graph.Ctx{graph.CtxR, graph.CtxT} {
+		if mk.Active(c) {
+			return fmt.Errorf("check: replay diverged at event %d: the log closes the %v phase, replay's is still open (machine inflight %d)",
+				i, c, rp.Mach.Inflight())
+		}
+	}
+	for k, n := range rp.absorbed {
+		if n > 0 && k.Epoch == mk.Epoch(k.Ctx) {
+			return fmt.Errorf("check: replay diverged at event %d: a replayed drain took in %s, which the log never ran", i, k)
+		}
+	}
+	return nil
+}
+
+// key is a marking task's identity, what sameTask compares.
+func key(t task.Task) task.Task {
+	t.Req, t.Band = 0, 0
+	return t
 }
 
 // sameTask matches a queued task against a recorded one on identity

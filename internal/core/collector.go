@@ -192,6 +192,9 @@ func (c *Collector) Cycles() int64 {
 	return c.cycleN
 }
 
+// Marker returns the marker the collector drives.
+func (c *Collector) Marker() *Marker { return c.marker }
+
 // Forget removes vertices from the deadlock verdict record, both confirmed
 // and pending. It exists for footnote 5's is-bottom recovery, which
 // deliberately violates reduction axiom 4: a resolved probe produces a

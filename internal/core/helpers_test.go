@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
@@ -24,7 +25,8 @@ func newRig(t testing.TB, pes int, seed int64, adversarial bool) *rig {
 }
 
 // newRigIn builds a test rig on a machine of the given mode. A parallel
-// rig's PEs are the test's to Start and Stop.
+// rig's PEs are the test's to Start and Stop, and steal from each other as a
+// parallel dgr machine's do.
 func newRigIn(t testing.TB, mode sched.Mode, pes int, seed int64, adversarial bool) *rig {
 	t.Helper()
 	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 64})
@@ -34,6 +36,7 @@ func newRigIn(t testing.TB, mode sched.Mode, pes int, seed int64, adversarial bo
 		Mode:        mode,
 		Seed:        seed,
 		Adversarial: adversarial,
+		Steal:       mode == sched.Parallel,
 		PartOf:      store.PartitionOf,
 		Counters:    counters,
 	})
@@ -92,12 +95,20 @@ func (r *rig) request(src, dst *graph.Vertex, rk graph.ReqKind) {
 }
 
 // runCycle starts a marking cycle for ctx from the given roots and pumps
-// the deterministic machine until it completes, failing the test if it does
-// not terminate within a generous bound.
+// the deterministic machine until it completes — or, on a parallel rig, waits
+// for its running PEs to complete it — failing the test if it does not
+// terminate within a generous bound.
 func (r *rig) runCycle(ctx graph.Ctx, roots ...Root) {
 	r.t.Helper()
-	r.marker.StartCycle(ctx, roots)
-	r.mach.RunUntil(func() bool { return r.marker.Done(ctx) }, 1_000_000)
+	done := r.marker.StartCycle(ctx, roots)
+	if r.mach.Mode() == sched.Parallel {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+		}
+	} else {
+		r.mach.RunUntil(func() bool { return r.marker.Done(ctx) }, 1_000_000)
+	}
 	if !r.marker.Done(ctx) {
 		r.t.Fatalf("marking ctx %v did not terminate", ctx)
 	}

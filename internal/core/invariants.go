@@ -23,6 +23,8 @@ import (
 //	    queued marks with parent v, plus queued returns addressed to v,
 //	    plus transient vertices whose mt-par is v.
 //
+// "Queued" covers a pool, the fabric, and a partition's list (EachPending).
+//
 // It returns a list of violations (empty when all invariants hold).
 func CheckInvariants(store *graph.Store, marker *Marker, mach *sched.Machine, ctx graph.Ctx) []error {
 	epoch := marker.Epoch(ctx)
@@ -49,6 +51,9 @@ func CheckInvariants(store *graph.Store, marker *Marker, mach *sched.Machine, ct
 	// must be accounted exactly like a queued one or I1/I3 would report
 	// false violations whenever a message is on the wire.
 	mach.EachInTransit(count)
+	// So is one parked on a partition's list, waiting for the drain or the
+	// continuation that will pop it.
+	marker.EachPending(count)
 
 	transientBy := make(map[graph.VertexID]int)
 	store.ForEach(func(v *graph.Vertex) {

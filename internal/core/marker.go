@@ -15,6 +15,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,9 +44,6 @@ type ctxState struct {
 	mu           sync.Mutex
 	pendingRoots int64
 	done         chan struct{}
-	// seed is SeedRoots' task buffer, reused from cycle to cycle (a
-	// context's cycles never overlap).
-	seed []task.Task
 
 	// negCnt counts mt-cnt underflows — always zero in a correct run;
 	// surfaced by the invariant checker.
@@ -54,7 +52,7 @@ type ctxState struct {
 	staleDropped atomic.Int64
 	// upgrades counts Figure 5-1 re-marks: a vertex already touched this
 	// cycle is reached at a higher priority and its children are marked
-	// again. The order of a wave exists to keep this near zero.
+	// again. The order of a partition's list exists to keep this at zero.
 	upgrades atomic.Int64
 }
 
@@ -69,10 +67,8 @@ type Marker struct {
 	// budget is waveBudget; this package's step-granular tests set it to 0
 	// to get the paper-literal schedule of one task per arc.
 	budget int
-	// waves[p] holds partition p's idle work list, so a warm marker
-	// allocates none. A slot, not a locked free list: every mark and return
-	// task takes and returns one, on all PEs at once.
-	waves []waveSlot
+	// parts[p] is partition p's pending marking work, kept across tasks.
+	parts []partSlot
 
 	// faultSkipN, when n > 0, silently drops a deterministic 1/n of child
 	// mark spawns (and their mt-cnt increments, so cycles still terminate).
@@ -82,17 +78,33 @@ type Marker struct {
 	// than counting calls, so a recorded parallel run and its serial replay
 	// skip exactly the same marks regardless of execution order.
 	faultSkipN atomic.Int64
+	// absorbed, if set, is told of every mark and return a drain takes in
+	// from its pool (SetAbsorbHook).
+	absorbed func(task.Task) bool
 }
 
 // SetFaultSkipMark arms the test-only fault injector: a deterministic 1/n
 // of child marks spawned by modify are skipped entirely. n <= 0 disarms it.
 func (m *Marker) SetFaultSkipMark(n int64) { m.faultSkipN.Store(n) }
 
+// SetAbsorbHook has fn called with every mark and return a drain takes in
+// from its partition's pool, where it runs without an execution of its own:
+// the schedule recorder logs each, and replay accounts for them. It returns
+// the hook it replaces. Set it before the machine runs; fn runs under the
+// pool's lock and must not touch the machine.
+func (m *Marker) SetAbsorbHook(fn func(task.Task) bool) (prev func(task.Task) bool) {
+	prev, m.absorbed = m.absorbed, fn
+	return prev
+}
+
 // NewMarker builds a marker over the given store and machine. counters may
 // be nil.
 func NewMarker(store *graph.Store, mach *sched.Machine, counters *metrics.Counters) *Marker {
 	m := &Marker{store: store, mach: mach, counters: counters, budget: waveBudget,
-		waves: make([]waveSlot, mach.PEs())}
+		parts: make([]partSlot, mach.PEs())}
+	for p := range m.parts {
+		m.parts[p].list.part = p
+	}
 	for i := range m.ctxs {
 		ch := make(chan struct{})
 		close(ch) // no cycle yet: "done"
@@ -116,6 +128,9 @@ func (m *Marker) UnderflowCount(c graph.Ctx) int64 { return m.ctxs[c].negCnt.Loa
 
 // StaleDropped returns the number of stale marking tasks dropped.
 func (m *Marker) StaleDropped(c graph.Ctx) int64 { return m.ctxs[c].staleDropped.Load() }
+
+// Upgrades returns the number of Figure 5-1 re-marks in the context so far.
+func (m *Marker) Upgrades(c graph.Ctx) int64 { return m.ctxs[c].upgrades.Load() }
 
 // BeginCycle opens a new marking cycle for the context before its roots are
 // known: it advances the epoch (implicitly unmarking every vertex) and marks
@@ -145,9 +160,11 @@ func (m *Marker) BeginCycle(c graph.Ctx) <-chan struct{} {
 	return ch
 }
 
-// SeedRoots registers and spawns the cycle's root set, then releases
-// BeginCycle's seeding sentinel (so an empty root set completes the cycle
-// immediately, unless cooperation added roots in between).
+// SeedRoots registers the cycle's root set and puts each root on its
+// partition's list, which queues one continuation per partition the roots
+// fall on; then it releases BeginCycle's seeding sentinel (so an empty root
+// set completes the cycle immediately, unless cooperation added roots in
+// between). At budget 0 every root is a mark task of its own.
 func (m *Marker) SeedRoots(c graph.Ctx, roots []Root) {
 	st := &m.ctxs[c]
 	st.mu.Lock()
@@ -155,26 +172,13 @@ func (m *Marker) SeedRoots(c graph.Ctx, roots []Root) {
 	st.pendingRoots += int64(len(roots))
 	st.mu.Unlock()
 
-	if len(roots) > 0 {
-		// Seed the whole frontier in one batch: SpawnBatch buckets the root
-		// marks by destination partition and delivers each bucket under a
-		// single pool lock, so an M_T cycle with thousands of taskpool roots
-		// fans out across the PEs in O(partitions) lock acquisitions instead
-		// of O(roots) — the seeding step no longer serializes the phase it
-		// starts.
-		ts := st.seed[:0]
-		for _, r := range roots {
-			ts = append(ts, task.Task{
-				Kind:  task.Mark,
-				Src:   graph.NilVertex, // rootpar
-				Dst:   r.ID,
-				Ctx:   c,
-				Prior: r.Prior,
-				Epoch: epoch,
-			})
+	for _, r := range roots {
+		t := task.Task{Kind: task.Mark, Src: graph.NilVertex, Dst: r.ID, Ctx: c, Prior: r.Prior, Epoch: epoch}
+		if m.budget == 0 {
+			m.spawn(nil, t)
+		} else {
+			m.park(t)
 		}
-		st.seed = ts
-		m.mach.SpawnBatch(ts)
 	}
 	m.rootReturn(c) // release the seeding sentinel
 }
@@ -224,25 +228,23 @@ func (m *Marker) rootReturn(c graph.Ctx) {
 	st.mu.Unlock()
 }
 
-// waveBudget is the number of marks and returns one executed task may absorb
-// inline. It bounds how long a PE stays away from its pool; DESIGN §8 has the
+// waveBudget is the number of marks and returns one executed task may visit.
+// It bounds how long a PE stays away from its pool; DESIGN §8 has the
 // measurements it was chosen by.
 const waveBudget = 256
 
-// wave is the work list of one Handle call: the marks and returns the
-// executing task (and the items after it) addressed to its own partition,
-// kept here instead of being spawned. Each is popped and run through the
-// same handleMark/handleReturn as a task would be, one vertex lock at a
-// time, so a wave is the schedule in which those tasks ran back to back on
-// this PE — one of the schedules Figures 4-1, 5-1 and 5-3 allow. Arcs that
-// leave the partition, and everything past the budget, are spawned.
+// wave is a best-first work list of marks and returns addressed to one
+// partition. Each popped item is run through the same handleMark/handleReturn
+// as a task would be, one vertex lock at a time, so draining a list is a
+// schedule in which those tasks ran back to back on one PE — one of the
+// schedules Figures 4-1, 5-1 and 5-3 allow.
 type wave struct {
-	part   int // partition of the task that started the wave
-	budget int // visits left after the current one; negative once spent
+	part int // the partition whose items it holds
 	// lifo[0] holds returns, lifo[1..3] marks of priority vital, eager and
-	// below. pop takes the lowest non-empty index: a vertex is then mostly
-	// reached at its final priority first, and Figure 5-1's re-marking
-	// (which walks a subgraph a second time) stays rare.
+	// below. pop takes the lowest non-empty index, and the list outlives the
+	// task that filled it, so within a partition a vertex is first reached
+	// at its final priority and Figure 5-1's re-marking (which walks a
+	// subgraph a second time) does not arise.
 	lifo [4][]task.Task
 }
 
@@ -251,7 +253,14 @@ func (w *wave) push(t task.Task) {
 	if t.Kind == task.Mark {
 		i = 4 - int(max(t.Prior, graph.PriorReserve))
 	}
-	w.lifo[i] = append(w.lifo[i], t)
+	l := w.lifo[i]
+	if n := len(l); n == cap(l) && n >= 256 {
+		// Double, where append grows a long slice by less: a list keeps the
+		// largest size it reached, and each new peak (an M_T root set a
+		// little larger than the last) would otherwise cost another copy.
+		l = slices.Grow(l, n)
+	}
+	w.lifo[i] = append(l, t)
 }
 
 func (w *wave) pop() (task.Task, bool) {
@@ -265,54 +274,185 @@ func (w *wave) pop() (task.Task, bool) {
 	return task.Task{}, false
 }
 
-// waveSlot keeps one partition's idle wave on a cache line of its own.
-type waveSlot struct {
-	idle atomic.Pointer[wave]
-	_    [56]byte
-}
-
-// beginWave takes partition part's idle wave for a task executing there, or
-// makes one: the first time, and when a thief runs a stolen task of the
-// partition while its owner is in a wave of its own. endWave puts it back,
-// drained (a second wave made for a thief is then dropped).
-func (m *Marker) beginWave(part int) *wave {
-	w := m.waves[part].idle.Swap(nil)
-	if w == nil {
-		w = new(wave)
+func (w *wave) empty() bool {
+	for _, l := range w.lifo {
+		if len(l) > 0 {
+			return false
+		}
 	}
-	w.part, w.budget = part, m.budget
-	return w
+	return true
 }
 
-func (m *Marker) endWave(w *wave) { m.waves[w.part].idle.Store(w) }
+// take moves o's items onto w, class by class, and leaves o empty.
+func (w *wave) take(o *wave) {
+	for i := range w.lifo {
+		w.lifo[i] = append(w.lifo[i], o.lifo[i]...)
+		o.lifo[i] = o.lifo[i][:0]
+	}
+}
 
-// Handle executes a marking task and then the wave of partition-local marks
-// and returns it set off. Non-marking tasks are ignored (the dispatcher
-// routes them to the reduction engine).
+// partSlot is one partition's pending marking work, kept across tasks (a warm
+// marker allocates none) and padded off its neighbours' cache lines. list
+// holds the items parked between tasks; while a drainer works on it without
+// the lock, the items other PEs bring park on inbox, which the drainer takes
+// in before it lets go (on a seeded machine nothing arrives mid-drain, and
+// inbox stays empty).
+//
+// The invariant, under mu: a non-empty list is always being drained
+// (draining), or has exactly one continuation queued (queued). unlockQueue
+// is the one place that queues a continuation, and only when neither holds; a
+// continuation clears queued when it runs.
+type partSlot struct {
+	mu       sync.Mutex
+	list     wave
+	inbox    wave
+	draining bool
+	queued   bool
+	_        [64]byte
+}
+
+// add parks an item: on inbox while a drainer owns list. The caller holds mu.
+func (s *partSlot) add(t task.Task) {
+	if s.draining {
+		s.inbox.push(t)
+	} else {
+		s.list.push(t)
+	}
+}
+
+// continuation is the task that drains partition PartOf(dst)'s list. It is a
+// mark of epoch 0, which no cycle has: the scheduler counts and bands it with
+// the marks, and every reader that matches marking work to a cycle by epoch
+// (the stale-task test, the invariant checker) passes it by. Which vertex of
+// the partition dst is carries no meaning.
+func continuation(dst graph.VertexID) task.Task {
+	return task.Task{Kind: task.Mark, Src: graph.NilVertex, Dst: dst}
+}
+
+// IsContinuation reports whether t is a "continue partition PartOf(t.Dst)"
+// task rather than a mark or return of some cycle.
+func IsContinuation(t task.Task) bool { return t.Kind == task.Mark && t.Epoch == 0 }
+
+// unlockQueue releases s.mu, queuing a continuation of s's partition (to dst,
+// a vertex of it) first if the list is non-empty and has neither a drainer
+// nor a continuation.
+func (m *Marker) unlockQueue(s *partSlot, dst graph.VertexID) {
+	queue := !s.draining && !s.queued && !s.list.empty()
+	s.queued = s.queued || queue
+	s.mu.Unlock()
+	if queue {
+		m.mach.Spawn(continuation(dst))
+	}
+}
+
+// park puts a root on its partition's list, or on its inbox while another
+// PE drains the partition (a stale drain of an earlier phase, say).
+func (m *Marker) park(t task.Task) {
+	s := &m.parts[m.mach.PartOf(t.Dst)]
+	s.mu.Lock()
+	s.add(t)
+	m.unlockQueue(s, t.Dst)
+}
+
+// Handle executes a marking task: it puts the task's item, if it carries one,
+// on its partition's list and drains the list best-first, up to the budget,
+// taking in the marks and returns queued for the partition whenever the list
+// runs dry (absorb). What a spent drain leaves stays on the list, for one
+// continuation. A task that finds another PE draining the partition (a
+// thief's) leaves its item to that drainer and returns at once. Non-marking
+// tasks are ignored (the dispatcher routes them to the reduction engine).
 func (m *Marker) Handle(t task.Task) {
 	if !t.Kind.IsMarking() {
 		return
 	}
-	// The wave belongs to the destination's partition even when a thief
+	// The list belongs to the destination's partition even when a thief
 	// executes the task: local means local to the vertices, not to the PE.
-	w := m.beginWave(m.mach.PartOf(t.Dst))
+	s := &m.parts[m.mach.PartOf(t.Dst)]
+	s.mu.Lock()
+	if IsContinuation(t) {
+		s.queued = false
+	} else {
+		s.add(t)
+	}
+	if s.draining {
+		s.mu.Unlock()
+		return
+	}
+	s.draining = true
+	s.mu.Unlock()
+
+	w := &s.list
 	var marks int64
-	for ok := true; ok; t, ok = w.pop() {
-		if w.budget < 0 {
-			m.mach.Spawn(t) // the remainder of a wave that spent its budget
+	for left := max(m.budget, 1); ; {
+		for ; left > 0; left-- {
+			it, ok := w.pop()
+			if !ok {
+				break
+			}
+			if it.Kind == task.Mark {
+				m.handleMark(w, it)
+				marks++
+			} else {
+				m.handleReturn(w, it)
+			}
+		}
+		if left > 0 && m.absorb(w) {
 			continue
 		}
-		w.budget--
-		if t.Kind == task.Mark {
-			m.handleMark(w, t)
-			marks++
-		} else {
-			m.handleReturn(w, t)
+		s.mu.Lock()
+		w.take(&s.inbox)
+		if left > 0 && !w.empty() { // it was empty: drain what arrived
+			s.mu.Unlock()
+			continue
 		}
+		s.draining = false
+		m.unlockQueue(s, t.Dst)
+		break
 	}
-	m.endWave(w)
 	if m.counters != nil && marks > 0 { // a lone return must not touch the shared line
 		m.counters.MarkVisits.Add(marks)
+	}
+}
+
+// absorb moves the marks and returns queued in partition w.part's pool onto w
+// and reports whether it took any: a cut arc travels as a task, and joins the
+// list of the partition it reaches instead of running as a task of its own
+// when that partition is being drained. The pool releases what it hands over
+// (Machine.Expunge), so the in-flight count stays exact; a continuation stays
+// queued, since its partition's flag counts it.
+func (m *Marker) absorb(w *wave) bool {
+	p := w.part
+	if m.mach.Pool(p).BandLens()[task.BandMarking] == 0 {
+		return false
+	}
+	m.mach.Expunge(p, func(t task.Task) bool {
+		if !t.Kind.IsMarking() || IsContinuation(t) || m.mach.PartOf(t.Dst) != p {
+			return false // a stolen task of another partition stays put
+		}
+		if m.absorbed != nil && !m.absorbed(t) {
+			return false
+		}
+		w.push(t)
+		return true
+	})
+	return !w.empty()
+}
+
+// EachPending calls fn for every mark and return parked on a partition's
+// list: work that is pending like a queued task but sits in no pool. Call it
+// where no marking task executes (between deterministic steps, at
+// quiescence); fn runs under the partition's lock and must not call the
+// marker.
+func (m *Marker) EachPending(fn func(task.Task)) {
+	for i := range m.parts {
+		s := &m.parts[i]
+		s.mu.Lock()
+		for _, l := range s.list.lifo {
+			for _, t := range l {
+				fn(t)
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 
@@ -346,7 +486,8 @@ func (m *Marker) handleMark(w *wave, t task.Task) {
 			return
 		}
 		// Re-mark at the higher priority (Figure 5-1): if v is transient,
-		// release the old marking-tree parent first.
+		// release the old marking-tree parent first. The order of a
+		// partition's list exists to make this rare.
 		st.upgrades.Add(1)
 		if mc.State == graph.Transient {
 			old := mc.MtPar
@@ -449,12 +590,12 @@ func (m *Marker) faultDropsMark(par, child graph.VertexID, epoch uint64) bool {
 	return h%uint64(n) == 0
 }
 
-// spawn routes a marking task: onto the wave when there is one, it has budget
-// left and the destination is in its partition (rootpar is everywhere), and
-// into the destination's pool otherwise — the cut arc, the spill past the
-// budget, and every cooperating mutator, which runs outside any wave.
+// spawn routes a marking item: onto the drain's list when there is one, the
+// budget is not 0 and the destination is in its partition (rootpar is
+// everywhere), and into the destination's pool otherwise — the cut arc, and
+// every cooperating mutator, which runs outside any drain.
 func (m *Marker) spawn(w *wave, t task.Task) {
-	if w != nil && w.budget >= 0 && (t.Dst == graph.NilVertex || m.mach.PartOf(t.Dst) == w.part) {
+	if w != nil && m.budget > 0 && (t.Dst == graph.NilVertex || m.mach.PartOf(t.Dst) == w.part) {
 		w.push(t)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dgr/internal/analysis"
 	"dgr/internal/graph"
+	"dgr/internal/sched"
 	"dgr/internal/task"
 )
 
@@ -16,9 +17,14 @@ import (
 // draws a few demand tasks whose endpoints are M_T's roots. The graph is a
 // function of rng alone, so two rigs of one seed hold the same one.
 func frozenGraph(rng *rand.Rand, r *rig, n int) (vs []*graph.Vertex, tasks []task.Task) {
+	return frozenGraphOn(rng, r, n, func() int { return rng.Intn(r.mach.PEs()) })
+}
+
+// frozenGraphOn is frozenGraph with each vertex on the partition place draws.
+func frozenGraphOn(rng *rand.Rand, r *rig, n int, place func() int) (vs []*graph.Vertex, tasks []task.Task) {
 	vs = make([]*graph.Vertex, n)
 	for i := range vs {
-		vs[i] = r.vertexOn(rng.Intn(r.mach.PEs()), graph.KindApply)
+		vs[i] = r.vertexOn(place(), graph.KindApply)
 	}
 	for i := 0; i < n*3; i++ {
 		r.edge(vs[rng.Intn(n)], vs[rng.Intn(n)], graph.ReqKind(rng.Intn(3)))
@@ -123,16 +129,97 @@ func TestWaveEquivalentToTaskPerArc(t *testing.T) {
 	}
 }
 
+// TestParallelContinuationCollisions: on a stealing 4-PE machine with seven
+// vertices in eight on partition 0, the other PEs run out of work and steal
+// partition 0's continuations and cut-arc marks while its owner drains the
+// list; a stolen task that finds the list taken leaves its item to the
+// drainer and returns. Every cycle must complete, leave nothing parked once
+// the machine is quiet, and mark what the oracle marks — R, its priorities and
+// T — and what the budget-0 deterministic run marks, with the fault injector
+// armed as well (it picks arcs by parent, child and epoch, so the two runs
+// keep their cycles in step).
+func TestParallelContinuationCollisions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parallel machines; CI runs it under -race on its own")
+	}
+	const pes, rounds = 4, 3
+	var steals int64
+	for seed := int64(0); seed < 16; seed++ {
+		budget := testBudgets[1+seed%3] // every budget that drains a list
+		for _, skip := range []int64{0, 3} {
+			build := func(r *rig) ([]*graph.Vertex, []task.Task) {
+				rng := rand.New(rand.NewSource(seed))
+				return frozenGraphOn(rng, r, 150+rng.Intn(150), func() int {
+					if rng.Intn(8) == 0 {
+						return 1 + rng.Intn(pes-1)
+					}
+					return 0
+				})
+			}
+			ref := newRig(t, pes, seed, false).taskPerArc()
+			ref.marker.SetFaultSkipMark(skip)
+			refVs, refTasks := build(ref)
+
+			r := newRigIn(t, sched.Parallel, pes, seed, false)
+			r.marker.budget = budget
+			r.marker.SetFaultSkipMark(skip)
+			vs, tasks := build(r)
+			oracle := analysis.Analyze(r.store.Snapshot(), vs[0].ID, tasks)
+			r.mach.Start()
+			for round := range rounds {
+				want, got := ref.markBoth(refVs, refTasks), r.markBoth(vs, tasks)
+				where := fmt.Sprintf("seed %d skip %d budget %d round %d", seed, skip, budget, round)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: the parallel run and budget 0 disagree:\n%v\n%v", where, got, want)
+				}
+				for _, v := range vs {
+					if p, marked := got.prior[v.ID]; skip == 0 &&
+						(marked != oracle.R[v.ID] || p != oracle.Prior[v.ID] || got.t[v.ID] != oracle.T[v.ID]) {
+						t.Fatalf("%s: v%d R-marked=%v prior=%d T-marked=%v, oracle %v %d %v", where,
+							v.ID, marked, p, got.t[v.ID], oracle.R[v.ID], oracle.Prior[v.ID], oracle.T[v.ID])
+					}
+				}
+			}
+			r.mach.WaitQuiescent()
+			r.marker.EachPending(func(tk task.Task) {
+				t.Errorf("seed %d skip %d: %v parked on a quiet machine", seed, skip, tk)
+			})
+			r.mach.Stop()
+			steals += r.counters.StolenTasks.Load()
+		}
+	}
+	if steals == 0 {
+		t.Error("no task was stolen: the collisions went untested")
+	}
+}
+
 // TestWaveBounds states "marking scales" as inequalities and checks them per
-// cycle on frozen graphs over 1–4 partitions, in both contexts, at every
-// budget: a mark body runs once per root and once per arc out of a marked
-// vertex (again for each arc of a vertex Figure 5-1 re-marks), and a marking
+// phase on frozen graphs over 1–4 partitions, in both contexts, at every
+// budget. A mark body runs once per root and once per arc out of a marked
+// vertex (again for each arc of a vertex Figure 5-1 re-marks). A marking
 // message crosses a partition boundary at most twice per cut arc — a mark
-// over, a return back — so the traffic follows the cut, not the graph. On
-// one partition there is no cut: below the budget the only tasks are the
-// roots.
+// over, a return back — so the traffic follows the cut, not the graph. And
+// the tasks are ROADMAP item 5's count: the cut arcs' marks and returns,
+// plus, on each partition the phase visits, one task to start and one
+// continuation per budget its items spend. The cut counts twice because a
+// return crosses back as a task of its own unless a drain of its partition
+// takes it in: seed 95's M_T at budget 256, with no re-mark, runs 17 marks
+// and 16 returns as tasks over 23 cut arcs and 4 partitions.
+//
+// A partition's list is best-first and outlives the task that filled it, so
+// on one partition a vertex is first reached at its final priority and no
+// phase re-marks; M_T has one priority and never does. Across a cut a vital
+// mark can still arrive after its partition has marked the vertex eager.
+// These graphs, random over every request kind, have such cuts: there the
+// re-marks are bounded by what Figure 5-1 allows — a vertex is raised at most
+// twice, reserve to eager to vital — their traffic is allowed for once per
+// phase, and the seeds in zeroRemarks, where none arises, pin it at zero.
 func TestWaveBounds(t *testing.T) {
-	rootsOnly := 0 // cycles the one-partition equality was checked on
+	// Multi-partition M_R phases at a budget that drains lists, with more
+	// than one vertex marked and no re-mark.
+	zeroRemarks := map[int64]bool{5: true, 7: true, 21: true, 22: true, 25: true, 38: true, 42: true,
+		43: true, 47: true, 54: true, 63: true, 89: true, 95: true, 101: true, 109: true}
+	rootsOnly := 0 // phases the one-partition equality was checked on
 	for seed := int64(0); seed < 120; seed++ {
 		budget := testBudgets[(seed/4)%int64(len(testBudgets))]
 		rng := rand.New(rand.NewSource(seed))
@@ -145,20 +232,26 @@ func TestWaveBounds(t *testing.T) {
 			if ctx == graph.CtxT {
 				roots = endpointRoots(tasks)
 			}
-			before := r.counters.Snapshot()
-			upBefore := r.marker.ctxs[ctx].upgrades.Load()
+			before, upBefore := r.counters.Snapshot(), r.marker.Upgrades(ctx)
 			r.runCycle(ctx, roots...)
 			d := r.counters.Snapshot().Sub(before)
-			upgrades := r.marker.ctxs[ctx].upgrades.Load() - upBefore
+			upgrades := r.marker.Upgrades(ctx) - upBefore
+			where := fmt.Sprintf("seed %d ctx %v budget %d", seed, ctx, budget)
 
-			// Arcs out of marked vertices, those that leave the partition,
-			// and the widest fan-out (what one re-mark can add).
-			var arcs, cut, maxDeg int64
+			// Marked vertices, arcs out of them, those that leave the
+			// partition, the widest fan-out, and the visits each partition's
+			// list runs (re-marks aside).
+			var marked, arcs, cut, maxDeg int64
+			visits := make([]int64, r.mach.PEs())
+			for _, root := range roots {
+				visits[r.store.PartitionOf(root.ID)]++
+			}
 			epoch := r.marker.Epoch(ctx)
 			for _, v := range vs {
 				if v.CtxOf(ctx).StateAt(epoch) != graph.Marked {
 					continue
 				}
+				marked++
 				children := v.Args
 				if ctx == graph.CtxT {
 					children = v.TaskChildren(nil)
@@ -166,45 +259,60 @@ func TestWaveBounds(t *testing.T) {
 				arcs += int64(len(children))
 				maxDeg = max(maxDeg, int64(len(children)))
 				for _, c := range children {
+					visits[r.store.PartitionOf(c)]++
 					if r.store.PartitionOf(c) != v.Part {
 						cut++
 					}
 				}
 			}
 			nRoots := int64(len(roots))
-			where := fmt.Sprintf("seed %d ctx %v budget %d", seed, ctx, budget)
 
+			mustBeZero := ctx == graph.CtxT || budget > 0 && (r.mach.PEs() == 1 || zeroRemarks[seed])
+			if mustBeZero && upgrades != 0 || upgrades > 2*marked {
+				t.Errorf("%s: %d re-marks over %d marked vertices on %d partitions", where, upgrades, marked, r.mach.PEs())
+			}
 			if lo, hi := nRoots+arcs, nRoots+arcs+upgrades*maxDeg; d.MarkVisits < lo || d.MarkVisits > hi {
 				t.Errorf("%s: %d mark visits, want %d roots + %d arcs (+ at most %d upgrades × %d)",
 					where, d.MarkVisits, nRoots, arcs, upgrades, maxDeg)
 			}
-			if ctx == graph.CtxT && upgrades != 0 {
-				t.Errorf("%s: %d upgrades in a context without priorities", where, upgrades)
-			}
-			// A rootpar return that is spawned (not absorbed by a wave) is
-			// addressed to partition 0 and counts as remote from any other.
-			if hi := 2*(cut+upgrades*maxDeg) + nRoots; d.RemoteMessages > hi {
+			// What the re-marks add: each visit again is a mark and its
+			// return, and each re-mark returns to its old parent.
+			remark := 2*(d.MarkVisits-nRoots-arcs) + upgrades
+			// At budget 0 a root's return to rootpar is a task too,
+			// addressed to partition 0.
+			if hi := 2*cut + remark + nRoots; d.RemoteMessages > hi {
 				t.Errorf("%s: %d remote messages for %d cut arcs (bound %d)", where, d.RemoteMessages, cut, hi)
 			}
-			if d.MarkTasks > d.MarkVisits {
-				t.Errorf("%s: %d mark tasks but only %d visits", where, d.MarkTasks, d.MarkVisits)
+			// Every visit sends one return, so a partition's list runs twice
+			// its visits in items; budget 0 runs one item per task. A re-mark
+			// item can cross the cut and spend budget: two tasks at most.
+			per := int64(max(budget, 1))
+			hi := 2*cut + 2*remark
+			for _, n := range visits {
+				if n > 0 {
+					hi += 1 + (2*n+per-1)/per
+				}
+			}
+			if tasks := d.MarkTasks + d.ReturnTasks; tasks > hi {
+				t.Errorf("%s: %d marks and returns ran as tasks, bound %d (%d cut arcs, visits by partition %v)",
+					where, tasks, hi, cut, visits)
 			}
 			if budget == 0 && d.MarkTasks != d.MarkVisits {
 				t.Errorf("%s: %d mark tasks, %d visits; budget 0 is one task per arc", where, d.MarkTasks, d.MarkVisits)
 			}
-			// Every visit sends one return, so a cycle is 2 × visits items:
-			// within the budget nothing spills.
+			// Within the budget, one partition is one task: the continuation
+			// its roots queued.
 			if budget == waveBudget && r.mach.PEs() == 1 && 2*d.MarkVisits <= waveBudget {
 				rootsOnly++
-				if d.MarkTasks != nRoots || d.ReturnTasks != 0 {
-					t.Errorf("%s: %d mark and %d return tasks on one partition, want the %d roots and nothing else",
-						where, d.MarkTasks, d.ReturnTasks, nRoots)
+				if d.MarkTasks != 1 || d.ReturnTasks != 0 {
+					t.Errorf("%s: %d mark and %d return tasks on one partition, want one continuation and nothing else",
+						where, d.MarkTasks, d.ReturnTasks)
 				}
 			}
 		}
 	}
 	if rootsOnly == 0 {
-		t.Error("no cycle fit one partition and one budget: the roots-only equality went unchecked")
+		t.Error("no phase fit one partition and one budget: the one-task equality went unchecked")
 	}
 }
 
@@ -230,27 +338,47 @@ func listOfLists(r *rig, outer, inner int) *graph.Vertex {
 	})
 }
 
-// BenchmarkMarkWave is one M_R cycle over a frozen 10k-vertex list of lists,
-// on one partition (all wave, no cut) and on four, at budget 0 (one task per
-// arc) and at the shipped budget: ns and executed tasks per mark visit.
+// BenchmarkMarkWave is one M_R cycle over a frozen list of lists: 100 lists
+// of 49 (10k vertices), on one partition (no cut) and on four, and four lists
+// of 2000, one per partition, so every partition's list spends the budget
+// many times over. Each runs at budget 0 (one task per arc) and at the
+// shipped budget, and reports ns and executed tasks per mark visit and the
+// continuations each phase queued.
 func BenchmarkMarkWave(b *testing.B) {
-	for _, parts := range []int{1, 4} {
+	for _, shape := range []struct {
+		name                string
+		parts, outer, inner int
+	}{{"lists=100x49/parts=1", 1, 100, 49}, {"lists=100x49/parts=4", 4, 100, 49}, {"lists=4x2000/parts=4", 4, 4, 2000}} {
 		for _, budget := range []int{0, waveBudget} {
-			b.Run(fmt.Sprintf("parts=%d/budget=%d", parts, budget), func(b *testing.B) {
-				r := newRig(b, parts, 1, false)
+			b.Run(fmt.Sprintf("%s/budget=%d", shape.name, budget), func(b *testing.B) {
+				r := newRig(b, shape.parts, 1, false)
 				r.marker.budget = budget
-				root := Root{ID: listOfLists(r, 100, 49).ID, Prior: graph.PriorVital}
-				r.runCycle(graph.CtxR, root) // warm: pools, wave, arena
-				before := r.counters.Snapshot()
+				var continuations int64
+				d := NewDispatcher(r.marker, nil)
+				r.mach.SetHandler(handlerFunc(func(t task.Task) {
+					if IsContinuation(t) {
+						continuations++
+					}
+					d.Handle(t)
+				}))
+				root := Root{ID: listOfLists(r, shape.outer, shape.inner).ID, Prior: graph.PriorVital}
+				r.runCycle(graph.CtxR, root) // warm: pools, lists, arena
+				before, contBefore := r.counters.Snapshot(), continuations
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					r.runCycle(graph.CtxR, root)
 				}
 				b.StopTimer()
-				d := r.counters.Snapshot().Sub(before)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(d.MarkVisits), "ns/visit")
-				b.ReportMetric(float64(d.TasksExecuted)/float64(d.MarkVisits), "tasks/visit")
+				s := r.counters.Snapshot().Sub(before)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(s.MarkVisits), "ns/visit")
+				b.ReportMetric(float64(s.TasksExecuted)/float64(s.MarkVisits), "tasks/visit")
+				b.ReportMetric(float64(continuations-contBefore)/float64(b.N), "continuations/phase")
 			})
 		}
 	}
 }
+
+// handlerFunc adapts a function to sched.Handler.
+type handlerFunc func(task.Task)
+
+func (f handlerFunc) Handle(t task.Task) { f(t) }

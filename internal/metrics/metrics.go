@@ -22,7 +22,7 @@ import (
 type Counters struct {
 	TasksExecuted     atomic.Int64 // all task executions
 	ReductionTasks    atomic.Int64 // demand/result/reduce executions
-	MarkTasks         atomic.Int64 // marks executed as tasks (cut arcs, spills, roots)
+	MarkTasks         atomic.Int64 // marks executed as tasks (cut arcs, continuations)
 	ReturnTasks       atomic.Int64 // returns executed as tasks
 	MarkVisits        atomic.Int64 // mark bodies run, as a task or inline in a wave
 	RemoteMessages    atomic.Int64 // tasks spawned across partitions
