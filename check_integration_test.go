@@ -270,11 +270,12 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 	var want string
 	// Parallel timing decides how much work a cycle sees; scan a few seeds
 	// for a run whose corruption is caught (in practice the first hits).
+	// churn is some 5 000 tasks: a cycle every 500 collects it throughout.
 	for seed := int64(1); seed <= 5; seed++ {
 		m = New(Options{
 			PEs: 4, Seed: seed, Parallel: true, Check: true, CheckEvery: 1 << 30,
 			Capacity: 1 << 12, RecordSchedule: true, FaultSkipMark: 3,
-			Timeout: 3 * time.Second,
+			Timeout: 3 * time.Second, GCInterval: 500,
 		})
 		m.Eval(p.Src) // outcome irrelevant: the run is deliberately corrupted
 		m.Close()

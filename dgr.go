@@ -88,8 +88,9 @@ type Options struct {
 	// args/req-args discipline, so marking, deadlock detection, and the
 	// invariant checker behave identically.
 	Engine string
-	// Parallel runs one goroutine per PE plus a background collector;
-	// otherwise the machine is deterministic (seeded) and driven by Eval.
+	// Parallel runs one goroutine per PE plus a collection loop driven by
+	// GCInterval; otherwise the machine is deterministic (seeded) and driven
+	// by Eval.
 	Parallel bool
 	// Seed drives deterministic scheduling.
 	Seed int64
@@ -102,8 +103,10 @@ type Options struct {
 	// (default 1<<16). Reserving is free: arena memory is taken only for
 	// the id ranges a program's allocations actually reach.
 	Capacity int
-	// GCInterval is how many deterministic steps run between collector
-	// cycles during Eval (default 20000).
+	// GCInterval is how many task executions, reduction and marking, run
+	// between collector cycles (default 20000): a seeded Eval pumps that many
+	// and then runs a cycle; a parallel machine's collection loop runs one
+	// every GCInterval tasks its PEs execute, evaluation in progress or not.
 	GCInterval int
 	// MaxSteps bounds one deterministic Eval (default 200 million).
 	MaxSteps int
@@ -190,11 +193,6 @@ type Options struct {
 	// selection hashes (parent, child, epoch), so a replayed schedule
 	// reproduces the recorded run's faults exactly.
 	FaultSkipMark int64
-
-	// pace is the least time the parallel collector idles between cycles
-	// (default 100µs); after a cycle longer than that it idles as long as
-	// the cycle took. Only this package's stress test varies it.
-	pace time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -220,9 +218,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.pace <= 0 {
-		o.pace = 100 * time.Microsecond
 	}
 	if o.Check && o.CheckEvery <= 0 {
 		o.CheckEvery = 256
@@ -257,13 +252,13 @@ type Machine struct {
 	// closed is atomic so a machine pool (internal/serve) can race Close
 	// against exposition reads without a data race; the first Close wins.
 	closed atomic.Bool
-	// waiter is where a parallel machine's collector announces each cycle it
-	// closes: the evaluation in progress's channel, nil when there is none.
-	waiter atomic.Pointer[chan reading]
+	// closing is closed by Close; a parallel evaluation waits on it. Seeded
+	// machines, whose evaluations run on the caller's goroutine, have none.
+	closing chan struct{}
 }
 
-// New builds a machine. A parallel machine starts its PEs immediately and its
-// collector at the first evaluation; Close must be called to stop them.
+// New builds a machine. A parallel machine starts its PEs and its collection
+// loop immediately; Close must be called to stop them.
 func New(opts Options) *Machine {
 	opts = opts.withDefaults()
 	counters := &metrics.Counters{}
@@ -376,7 +371,6 @@ func New(opts Options) *Machine {
 	var halter *core.Halter
 	collCfg := core.CollectorConfig{
 		MTEvery: opts.MTEvery,
-		Pace:    opts.pace,
 		Obs:     ob,
 		OnDeadlock: func(ids []graph.VertexID) {
 			// Footnote 5: resolve pending is-bottom probes that are
@@ -397,15 +391,6 @@ func New(opts Options) *Machine {
 	if opts.Parallel {
 		halter = &core.Halter{Handler: handler}
 		handler = halter
-		// The collector tells the evaluation in progress of each cycle it
-		// closes (a seeded machine's cycles run on the evaluation's goroutine).
-		checked := collCfg.AfterCycle
-		collCfg.AfterCycle = func(rep core.CycleReport) {
-			if checked != nil {
-				checked(rep)
-			}
-			m.announce(m.readClose())
-		}
 	}
 	mach.SetHandler(handler)
 	collector = core.NewCollector(store, marker, mach, counters, collCfg)
@@ -428,7 +413,9 @@ func New(opts Options) *Machine {
 		}
 	}
 	if opts.Parallel {
+		m.closing = make(chan struct{})
 		mach.Start()
+		collector.Start(opts.GCInterval)
 		if ob != nil {
 			ob.StartSampler()
 		}
@@ -493,10 +480,11 @@ func (m *Machine) Close() {
 	if !m.closed.CompareAndSwap(false, true) {
 		return
 	}
-	// An evaluation in progress returns ErrClosed now, not when the machine
-	// under it has stopped; the token only wakes it, closed is what it reads.
-	m.announce(reading{})
 	if m.opts.Parallel {
+		// An evaluation in progress returns ErrClosed now, not when the
+		// machine under it has stopped. A verdict cycle it is running is
+		// waited out by Stop, and none starts after.
+		close(m.closing)
 		m.collector.Stop()
 		if m.checker != nil {
 			// With the collector stopped and the PEs idle (if the run
@@ -619,41 +607,33 @@ type reading struct {
 	reductions int64 // reduction tasks executed so far
 }
 
-// readClose reads the machine at the close of a cycle. TerminalVerdict pairs
-// "confirmed deadlock" with its own quiescence reading under the verdict lock.
-func (m *Machine) readClose() (r reading) {
-	r.deadlocked, r.terminal = m.collector.TerminalVerdict()
-	r.quiescent = r.terminal || m.mach.Inflight() == 0
-	r.reductions = m.counters.ReductionTasks.Load()
-	return r
-}
-
-// announce hands r to the evaluation in progress, if there is one and it has
-// taken the reading before: a close it misses only delays its outcome.
-func (m *Machine) announce(r reading) {
-	if w := m.waiter.Load(); w != nil {
-		select {
-		case *w <- r:
-		default:
-		}
+// readClose is the reading rep's close took under the cycle lock, so a cycle
+// that starts after cannot blur it. Reductions are counted on return: on a
+// machine quiescent at the close none run until this evaluation spawns again,
+// and a busy machine's count patience does not read.
+func (m *Machine) readClose(rep GCReport) reading {
+	return reading{
+		quiescent:  rep.Quiescent,
+		deadlocked: rep.Confirmed,
+		terminal:   rep.Confirmed > 0 && rep.Quiescent,
+		reductions: m.counters.ReductionTasks.Load(),
 	}
 }
 
-// evaluation is what one evaluation has spent and, parallel, what it waits on.
+// evaluation is what one evaluation has spent: tasks or time, and patience.
 type evaluation struct {
 	steps    int              // seeded: tasks executed, against Options.MaxSteps
-	closes   chan reading     // parallel: the collector's announcements, and Close's
 	deadline <-chan time.Time // parallel: Options.Timeout
+	quiet    int              // quiet closes in a row (quietCycles)
+	last     reading          // the previous close's reading
 }
 
 // drive is the one loop every evaluation runs: advance to the close of the
 // next collector cycle or to the value, apply the outcome rule, charge
 // patience. ch is the root demand's channel.
 func (m *Machine) drive(ch <-chan Value) (Value, error) {
-	defer m.waiter.Store(nil)
 	var e evaluation
-	var last reading
-	for quiet := 0; ; {
+	for {
 		r, err := m.advance(ch, &e)
 		if err != nil {
 			return Value{}, err
@@ -663,60 +643,43 @@ func (m *Machine) drive(ch <-chan Value) (Value, error) {
 		}
 		// Quiescent without a value or a diagnosis: possibly waiting on tasks
 		// the collector just expunged, or on a verdict still to be confirmed.
-		if quiet = quietCycles(quiet, last, r); quiet >= maxQuietCycles(m.opts.MTEvery) {
+		if e.quiet = quietCycles(e.quiet, e.last, r); e.quiet >= maxQuietCycles(m.opts.MTEvery) {
 			m.dumpFlight("stuck")
 			return Value{}, ErrStuck
 		}
-		last = r
+		e.last = r
 	}
 }
 
 // advance takes the evaluation to the next instant its outcome can change:
 // the value is delivered, or a collector cycle closes. A seeded machine runs
-// GCInterval tasks and then the cycle on this goroutine; a parallel machine,
-// whose PEs and collector run on theirs, blocks until a close is announced.
-// The errors are the ends no reading decides.
+// GCInterval tasks on this goroutine, or fewer if it goes quiet; a parallel
+// machine, whose PEs and collection loop run on theirs, is waited on until it
+// goes quiet. Either way this goroutine then runs the next cycle and is judged
+// by its close. The errors are the ends no reading decides.
 func (m *Machine) advance(ch <-chan Value, e *evaluation) (r reading, err error) {
 	if !m.opts.Parallel {
 		if e.steps >= m.opts.MaxSteps {
 			return r, ErrBudget
 		}
 		e.steps += m.mach.RunUntil(func() bool { return len(ch) > 0 }, m.opts.GCInterval)
-		if len(ch) == 0 {
-			// The cycle's marking pump interleaves reduction, so the value
-			// may be delivered mid-cycle.
-			m.collector.RunCycle()
-			if m.checker != nil && len(ch) == 0 && m.mach.Inflight() == 0 {
-				m.checker.AtQuiescence()
-			}
+	} else if v, delivered, err := m.waitQuiet(ch, e); delivered || err != nil {
+		return reading{value: v, delivered: delivered}, err
+	}
+	if len(ch) == 0 {
+		// The cycle's marking pump interleaves reduction, so the value
+		// may be delivered mid-cycle.
+		r = m.readClose(m.collector.RunCycle())
+	}
+	if !m.opts.Parallel {
+		// A safe point, which a parallel machine's running PEs never give.
+		if m.checker != nil && len(ch) == 0 && m.mach.Inflight() == 0 {
+			m.checker.AtQuiescence()
 		}
-		r = m.readClose()
-		// A safe point, and possibly the evaluation's last: close open
-		// execution batches so post-eval exposition reads exact totals. (A
-		// cycle's end has closed them already; this catches a value that came
-		// without one.)
+		// Possibly the evaluation's last: close open execution batches so
+		// post-eval exposition reads exact totals. (A cycle's end has closed
+		// them already; this catches a value that came without one.)
 		m.obs.FlushBatches()
-	} else {
-		if e.closes == nil {
-			// Registered after the root demand was spawned, so every reading
-			// this evaluation is handed saw its tasks in the machine.
-			closes := make(chan reading, 1)
-			e.closes, e.deadline = closes, time.After(m.opts.Timeout)
-			m.waiter.Store(&closes)
-			m.collector.Start()
-		}
-		// Read after registering, and Close sets it before it reads waiter:
-		// one of the two sees the other.
-		if m.closed.Load() {
-			return r, ErrClosed
-		}
-		select {
-		case r = <-e.closes:
-		case r.value = <-ch:
-			r.delivered = true
-		case <-e.deadline:
-			return r, ErrBudget
-		}
 	}
 	// Quiescence was read before the channel is: the task that delivers the
 	// value is in flight until it returns, so a machine seen quiescent and
@@ -727,6 +690,29 @@ func (m *Machine) advance(ch <-chan Value, e *evaluation) (r reading, err error)
 	default:
 	}
 	return r, nil
+}
+
+// waitQuiet is a parallel evaluation's wait, on four things: the value, its
+// machine going quiet (neither delivered nor an error), the deadline, Close.
+func (m *Machine) waitQuiet(ch <-chan Value, e *evaluation) (v Value, delivered bool, err error) {
+	if e.deadline == nil {
+		e.deadline = time.After(m.opts.Timeout)
+	}
+	// A stopped collector's cycles are empty: do not run one for nothing
+	// when Close's channel and the quiet one are both ready.
+	if m.closed.Load() {
+		return v, false, ErrClosed
+	}
+	select {
+	case v = <-ch:
+		return v, true, nil
+	case <-m.mach.Quiet():
+		return v, false, nil
+	case <-e.deadline:
+		return v, false, ErrBudget
+	case <-m.closing:
+		return v, false, ErrClosed
+	}
 }
 
 // settle is the one outcome rule (README, "What Eval returns"). A delivered
@@ -833,8 +819,9 @@ func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value,
 	}
 }
 
-// RunGC runs one explicit mark/restructure cycle (deterministic machines;
-// parallel machines collect continuously while evaluating).
+// RunGC runs one explicit mark/restructure cycle. On a parallel machine it
+// takes its turn with the collection loop's cycles, which run only while the
+// PEs execute: an idle machine collects nothing unless asked.
 func (m *Machine) RunGC() GCReport {
 	return m.collector.RunCycle()
 }
@@ -930,7 +917,7 @@ func (m *Machine) ObsSeries() *obs.SeriesSnap { return m.obs.Series() }
 // Gauges reads the live-machine gauges: what the time-series samples, what
 // the exposition and snapshot.json print, what a machine pool sums.
 func (m *Machine) Gauges() obs.Gauges {
-	deadlocked, _ := m.collector.TerminalVerdict()
+	deadlocked, _ := m.collector.Verdict()
 	return obs.Gauges{
 		PEs:        m.opts.PEs,
 		Heap:       m.store.Len(),

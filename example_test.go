@@ -190,8 +190,8 @@ func ExampleOptions_speculativeIf() {
 	// speculation did extra work: true
 }
 
-// Parallel reduction: one goroutine per PE plus a background collector, with
-// `par` exposing parallelism to the reducer. The graph is partitioned across
+// Parallel reduction: one goroutine per PE plus a collection loop that runs a
+// cycle every GCInterval tasks, with `par` exposing parallelism to the reducer. The graph is partitioned across
 // PEs; a task whose destination lives on another partition is a remote
 // message. (Its output is timing, so none is checked and `go test` compiles it
 // without running it; the parallel stress tests run `par` programs.)

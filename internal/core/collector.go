@@ -6,7 +6,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"time"
 
 	"dgr/internal/graph"
 	"dgr/internal/metrics"
@@ -28,10 +27,6 @@ type CollectorConfig struct {
 	// OnDeadlock, if set, is called with the vertices newly identified as
 	// deadlocked (members of DL'_v = R'_v − T').
 	OnDeadlock func([]graph.VertexID)
-	// Pace, in parallel mode, is the least idle delay between cycles; the
-	// collector idles at least as long as the cycle it just ran took, so it
-	// is active at most half of the time. 0 runs cycles back to back.
-	Pace time.Duration
 	// Recorder, if set, observes the collector's nondeterministic decisions
 	// (which marking cycles start with which roots, and when restructuring
 	// runs) so a schedule recorder can log them for deterministic replay.
@@ -84,6 +79,10 @@ type CycleReport struct {
 	Expunged int
 	// Reprioritized is the number of tasks whose priority band changed.
 	Reprioritized int
+	// Confirmed and Quiescent are the Verdict the cycle's close read, before
+	// another cycle could start. An evaluation is judged by them.
+	Confirmed int
+	Quiescent bool
 }
 
 // Collector drives the endless cycle: (occasionally M_T, then) M_R, then
@@ -99,6 +98,7 @@ type Collector struct {
 	// pauseMu serializes whole cycles against harness critical sections
 	// (Pause/Resume); RunCycle holds it for the cycle's duration.
 	pauseMu sync.Mutex
+	stopped bool // set by Stop, under pauseMu: no cycle runs after it
 
 	mu     sync.Mutex
 	cycleN int64
@@ -247,18 +247,16 @@ func (c *Collector) VerdictEpoch() uint64 {
 	return c.verdictEpoch
 }
 
-// TerminalVerdict evaluates the machine's terminal-deadlock condition — at
-// least one confirmed-deadlocked vertex AND no task queued, in transit, or
-// executing — as one atomic observation: both sides are read under the
-// verdict lock that every confirmation holds, so a caller can never pair a
-// stale verdict with a later quiescence (the TOCTOU the old
-// Deadlocked()/Inflight() call pair allowed). It returns the confirmed
-// count and whether the verdict is terminal.
-func (c *Collector) TerminalVerdict() (int, bool) {
+// Verdict reads the confirmed-deadlocked vertex count and whether no task is
+// queued, in transit or executing as one observation: both under the verdict
+// lock every confirmation holds, so a caller can never pair a stale verdict
+// with a later quiescence (the TOCTOU the old Deadlocked()/Inflight() call
+// pair allowed). The verdict is terminal when the count is positive on a
+// quiescent machine.
+func (c *Collector) Verdict() (confirmed int, quiescent bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.deadSet)
-	return n, n > 0 && c.mach.Inflight() == 0
+	return len(c.deadSet), c.mach.Inflight() == 0
 }
 
 // taskRoots enumerates the marking roots for M_T: the source and
@@ -313,9 +311,15 @@ func (c *Collector) mtDue(n int64) bool {
 // paper's: M_T if it is due, then M_R, then restructuring. M_T completes
 // before M_R starts — a premise of Theorem 2 (DESIGN §1). Only waitPhase
 // knows how the machine is driven.
+//
+// A stopped collector runs none and returns a zero report: the machine under
+// it is being halted, and a phase whose marks are dropped never finishes.
 func (c *Collector) RunCycle() CycleReport {
 	c.pauseMu.Lock()
 	defer c.pauseMu.Unlock()
+	if c.stopped {
+		return CycleReport{}
+	}
 
 	c.mu.Lock()
 	c.cycleN++
@@ -422,6 +426,7 @@ func (c *Collector) closeCycle(rep *CycleReport, began int64, root graph.VertexI
 				rep.Reclaimed, rep.Expunged, rep.Reprioritized, len(rep.Deadlocked)))
 		o.SampleNow()
 	}
+	rep.Confirmed, rep.Quiescent = c.Verdict()
 	if c.cfg.AfterCycle != nil {
 		c.cfg.AfterCycle(*rep)
 	}
@@ -665,8 +670,12 @@ func (c *Collector) judgeVerdicts(dead []graph.VertexID) (confirmed []graph.Vert
 	return confirmed, retracted
 }
 
-// Start launches the endless collection loop in parallel mode.
-func (c *Collector) Start() {
+// Start launches the collection loop of a parallel machine: a cycle after
+// every interval task executions since the loop's last one, whatever they
+// were — reduction, or marking the cycles an evaluation runs itself. A
+// machine that executes nothing runs no cycle; one that runs on after its
+// evaluation returned, speculation or a runaway, is collected as it goes.
+func (c *Collector) Start(interval int) {
 	c.mu.Lock()
 	if c.stop != nil {
 		c.mu.Unlock()
@@ -679,34 +688,19 @@ func (c *Collector) Start() {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			begin := time.Now()
+		for c.mach.WaitExecutions(c.mach.Executions()+uint64(interval), stop) {
 			c.RunCycle()
-			if c.cfg.Pace > 0 {
-				// Idle at least as long as the cycle ran. A cycle's marking
-				// tasks run on the PEs, in place of reduction: were a cheap
-				// cycle followed by the next after a fixed Pace, a busy
-				// machine would spend most of its tasks on marking.
-				idle := max(c.cfg.Pace, time.Since(begin))
-				select {
-				case <-stop:
-					return
-				case <-time.After(idle):
-				}
-			}
 		}
 	}()
 }
 
-// Stop terminates the collection loop after the current cycle and waits for
-// it to exit. It must be called before the machine is stopped (a cycle in
-// progress blocks on marking completion).
+// Stop waits out the cycle in progress, if any, and ends the collection loop;
+// from then on RunCycle runs nothing. It must be called before the machine
+// is halted, or that cycle's phase never finishes.
 func (c *Collector) Stop() {
+	c.pauseMu.Lock()
+	c.stopped = true
+	c.pauseMu.Unlock()
 	c.mu.Lock()
 	stop := c.stop
 	c.stop = nil

@@ -159,19 +159,25 @@ type Machine struct {
 	fab     *fabric.Fabric
 
 	// inflight counts queued + currently executing tasks. It is atomic so
-	// the Spawn/execute hot path does not serialize the PEs; mu/cond are
-	// only taken on the rare transition to zero (quiescence signal) and by
-	// waiters.
+	// the Spawn/execute hot path does not serialize the PEs; mu is only
+	// taken on the rare transition to zero and by Quiet.
 	inflight atomic.Int64
 	mu       sync.Mutex
-	cond     *sync.Cond
-	running  bool
+	// quiet is the quiescence signal: Quiet hands it out while tasks are in
+	// flight, and the release that empties the machine closes and clears it.
+	quiet   chan struct{}
+	running bool
 
 	rng *rand.Rand // deterministic mode only
 
 	// execSeq numbers task executions globally (the schedule recorder's
 	// ordering); assigned at execution start.
 	execSeq atomic.Uint64
+	// wakeAt is the execution count WaitExecutions is waiting for (0: none);
+	// the execution that reaches it sends on wake, which only a parallel
+	// machine has.
+	wakeAt atomic.Uint64
+	wake   chan struct{}
 
 	// current[i] publishes PE i's in-execution task, so M_T's troot
 	// snapshot cannot miss a task that is neither queued nor finished.
@@ -182,11 +188,6 @@ type Machine struct {
 	// (EachCurrent) are rare; writers only ever touch their own PE's
 	// uncontended lock.
 	current []curSlot
-
-	// batchMu guards batchBuckets, SpawnBatch's per-destination buckets,
-	// kept so that seeding a marking cycle allocates nothing once warm.
-	batchMu      sync.Mutex
-	batchBuckets [][]task.Task
 
 	// stepScratch is Step's reusable non-empty-PE selection buffer.
 	// Deterministic mode is single-threaded by contract, so one buffer
@@ -235,9 +236,10 @@ func New(cfg Config) *Machine {
 		pools: make([]*task.Pool, cfg.PEs),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	m.cond = sync.NewCond(&m.mu)
+	if cfg.Mode == Parallel {
+		m.wake = make(chan struct{}, 1)
+	}
 	m.current = make([]curSlot, cfg.PEs)
-	m.batchBuckets = make([][]task.Task, cfg.PEs)
 	m.stepScratch = make([]int, 0, cfg.PEs)
 	for i := range m.pools {
 		m.pools[i] = task.NewPool()
@@ -365,61 +367,6 @@ func (m *Machine) Spawn(t task.Task) {
 	m.pools[dst].Push(t)
 }
 
-// SpawnBatch enqueues many tasks with one pool-lock acquisition per
-// destination partition instead of one per task. The collector's marking
-// cycles use it to seed a whole root set at once: an M_T frontier of
-// thousands of roots fans out across the partitions as len(pools) batched
-// pushes, so cycle seeding stops serializing on per-task lock traffic.
-// Semantics match len(ts) Spawn calls exactly — same watch, same counters,
-// same per-pool FIFO order — so deterministic schedules are unchanged.
-func (m *Machine) SpawnBatch(ts []task.Task) {
-	if len(ts) == 0 {
-		return
-	}
-	w := m.watch.Load()
-	m.batchMu.Lock()
-	defer m.batchMu.Unlock()
-	buckets := m.batchBuckets
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	var local, remote int64
-	for _, t := range ts {
-		m.stampTrace(&t)
-		if w != nil {
-			w.Note(t)
-		}
-		dst := m.PartOf(t.Dst)
-		if origin := m.originOf(t); origin != dst {
-			remote++
-			m.inflight.Add(1)
-			if m.fab != nil {
-				m.fab.Enqueue(origin, dst, t)
-			} else {
-				m.pools[dst].Push(t)
-			}
-			continue
-		}
-		local++
-		buckets[dst] = append(buckets[dst], t)
-	}
-	for pe, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		m.inflight.Add(int64(len(b)))
-		m.pools[pe].PushBatch(b)
-	}
-	if c := m.cfg.Counters; c != nil {
-		if remote > 0 {
-			c.RemoteMessages.Add(remote)
-		}
-		if local > 0 {
-			c.LocalMessages.Add(local)
-		}
-	}
-}
-
 // stampTrace assigns a traced task its own lineage span ID and spawn
 // timestamp before routing. Untraced tasks (the common case) pay one field
 // test; with lineage tracing off a stray context is dropped instead of
@@ -442,17 +389,61 @@ func (m *Machine) stampTrace(t *task.Task) {
 }
 
 // release takes n tasks — executed or expunged, never to be waited for again —
-// off the in-flight count and signals quiescence waiters when none is left.
+// off the in-flight count and signals quiescence when none is left.
 func (m *Machine) release(n int) {
 	if n > 0 && m.inflight.Add(int64(-n)) == 0 {
 		m.mu.Lock()
-		m.mu.Unlock() // pairs with WaitQuiescent: no lost wakeup
-		m.cond.Broadcast()
+		if m.quiet != nil {
+			close(m.quiet)
+			m.quiet = nil
+		}
+		m.mu.Unlock()
 	}
 }
 
 // Inflight returns the number of queued plus executing tasks.
 func (m *Machine) Inflight() int64 { return m.inflight.Load() }
+
+// closedChan is what Quiet returns on a machine that is quiescent already.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// Quiet returns a channel that is closed once no task is queued, in transit
+// or executing: at once if none is now, else when the in-flight count next
+// falls to zero. Work spawned from outside the PEs can refill the machine
+// in between, so a receiver that needs quiescence to hold re-reads Inflight.
+func (m *Machine) Quiet() <-chan struct{} {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.inflight.Load() == 0 {
+		return closedChan
+	}
+	if m.quiet == nil {
+		m.quiet = make(chan struct{})
+	}
+	return m.quiet
+}
+
+// WaitExecutions blocks until n task executions have started or stop is
+// closed, and reports whether the count was reached. One waiter at a time;
+// parallel mode only.
+func (m *Machine) WaitExecutions(n uint64, stop <-chan struct{}) bool {
+	m.wakeAt.Store(n)
+	defer m.wakeAt.Store(0)
+	// The execution that reaches n either saw wakeAt and sends, or ran
+	// before the store, and then this load sees it.
+	for m.execSeq.Load() < n {
+		select {
+		case <-m.wake:
+		case <-stop:
+			return false
+		}
+	}
+	return true
+}
 
 // execute runs one task through the handler, with accounting. pe is the
 // executing processing element, used to publish the in-execution task so a
@@ -460,6 +451,12 @@ func (m *Machine) Inflight() int64 { return m.inflight.Load() }
 // nor finished.
 func (m *Machine) execute(pe int, t task.Task) {
 	seq := m.execSeq.Add(1) - 1
+	if seq+1 == m.wakeAt.Load() {
+		select {
+		case m.wake <- struct{}{}:
+		default: // a wake is pending already
+		}
+	}
 	if fn := m.cfg.OnExecute; fn != nil {
 		fn(seq, pe, t)
 	}
@@ -841,10 +838,8 @@ func (m *Machine) WaitQuiescent() bool {
 	if m.cfg.Mode == Deterministic {
 		return m.inflight.Load() == 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for m.inflight.Load() != 0 {
-		m.cond.Wait()
+		<-m.Quiet()
 	}
 	return true
 }

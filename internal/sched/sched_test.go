@@ -177,6 +177,38 @@ func TestParallelMode(t *testing.T) {
 	}
 }
 
+// TestWaitExecutions: the wait returns once the count is reached — by
+// executions that start after it began or that ran before — and returns
+// false on stop when the machine runs nothing more.
+func TestWaitExecutions(t *testing.T) {
+	m := New(Config{PEs: 4, Mode: Parallel, PartOf: partMod(4)})
+	m.SetHandler(HandlerFunc(func(tk task.Task) {
+		if tk.Dst < 1000 {
+			m.Spawn(task.Task{Kind: task.Reduce, Src: tk.Dst, Dst: tk.Dst + 4})
+		}
+	}))
+	m.Start()
+	defer m.Stop()
+	stop := make(chan struct{})
+	reached := make(chan bool)
+	go func() { reached <- m.WaitExecutions(500, stop) }()
+	for i := 1; i <= 4; i++ {
+		m.Spawn(task.Task{Kind: task.Reduce, Dst: graph.VertexID(i)})
+	}
+	if !<-reached {
+		t.Fatal("WaitExecutions(500) gave up while the machine executed 1003 tasks")
+	}
+	m.WaitQuiescent()
+	if !m.WaitExecutions(1003, stop) {
+		t.Fatal("WaitExecutions(1003) did not count executions that ran before it")
+	}
+	go func() { reached <- m.WaitExecutions(1004, stop) }()
+	close(stop)
+	if <-reached {
+		t.Fatal("WaitExecutions(1004) reported 1004 executions on a quiescent machine at 1003")
+	}
+}
+
 func TestParallelStopIdempotent(t *testing.T) {
 	m := New(Config{PEs: 2, Mode: Parallel, PartOf: partMod(2)})
 	m.SetHandler(HandlerFunc(func(task.Task) {}))

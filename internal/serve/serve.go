@@ -646,9 +646,10 @@ func (s *Server) execute(w *worker, j *Job) {
 	m := w.m
 	// Settle the quota charge against real free-list movement: footprint =
 	// how far the sharded store's FreeCount dropped across the evaluation.
-	// Deterministic machines reclaim the previous request's garbage first
-	// so one job's leavings aren't billed to the next.
-	if !s.opts.Parallel && m.FreeVertices() < s.opts.Capacity/4 {
+	// The previous request's garbage is reclaimed first, so one job's
+	// leavings aren't billed to the next: no machine collects while it
+	// waits for work.
+	if m.FreeVertices() < s.opts.Capacity/4 {
 		m.RunGC()
 	}
 	free0 := m.FreeVertices()

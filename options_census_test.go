@@ -18,7 +18,7 @@ import (
 // field goes.
 const (
 	maxOptions      = 28 // dgr.Options
-	maxConfigFields = 72 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
+	maxConfigFields = 71 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
 )
 
 func exportedFields(v any) int {

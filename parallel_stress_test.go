@@ -3,6 +3,7 @@ package dgr
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -85,12 +86,16 @@ func TestParallelSpeculativeStress(t *testing.T) {
 }
 
 // TestParallelRepeatedEvals reuses one parallel machine for many programs
-// back to back, checking the collector keeps the heap bounded.
+// back to back, checking the collector keeps the heap bounded. A round is
+// some 250–350 tasks and 80–95 vertices, so a cycle every 500 tasks keeps no
+// more than three rounds' leavings in use; never collected, the heap would
+// pass 800 by the tenth.
 func TestParallelRepeatedEvals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	m := New(Options{PEs: 4, Parallel: true, Capacity: 1 << 16, Timeout: 2 * time.Minute})
+	const bound = 400
+	m := New(Options{PEs: 4, Parallel: true, Capacity: 1 << 16, Timeout: 2 * time.Minute, GCInterval: 500})
 	defer m.Close()
 	for i := 0; i < 10; i++ {
 		src := fmt.Sprintf("let fac n = if n == 0 then 1 else n * fac (n - 1) in fac %d", 5+i%3)
@@ -98,16 +103,13 @@ func TestParallelRepeatedEvals(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		assertNoRuntimeErrors(t, m, fmt.Sprintf("round %d", i))
-	}
-	// The background collector needs a few cycles to catch up with the
-	// garbage the evals left behind.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && m.Stats().Reclaimed == 0 {
-		time.Sleep(10 * time.Millisecond)
+		if inUse := m.TotalVertices() - m.FreeVertices(); inUse > bound {
+			t.Errorf("round %d: %d vertices in use, want at most %d", i, inUse, bound)
+		}
 	}
 	s := m.Stats()
 	if s.Reclaimed == 0 {
-		t.Fatal("repeated evals should have reclaimed garbage")
+		t.Fatalf("repeated evals should have reclaimed garbage (%d cycles)", s.Cycles)
 	}
 	// Nothing may ever be falsely reported deadlocked: every program
 	// completed.
@@ -117,8 +119,8 @@ func TestParallelRepeatedEvals(t *testing.T) {
 }
 
 // TestParallelFalseDeadlockStress hammers the deadlock detector's historic
-// racy window: parallel machines with M_T on every cycle and the collector
-// paced as hot as it will go, evaluating live programs to completion over
+// racy window: parallel machines with M_T on every cycle and a cycle after
+// every task the PEs execute, evaluating live programs to completion over
 // and over. Every program terminates, so any ErrDeadlock — or any nonzero
 // DeadlockedFound — is a false verdict: the M_T snapshot raced a reduction
 // or an in-flight delivery and the two-phase confirmation failed to retract
@@ -130,16 +132,17 @@ func TestParallelFalseDeadlockStress(t *testing.T) {
 		rounds = 6
 	}
 	want := map[int]int64{9: 34, 10: 55, 11: 89}
+	var cycles []int64
 	for i := 0; i < rounds; i++ {
 		n := 9 + i%3
 		m := New(Options{
-			PEs:      4,
-			Parallel: true,
-			MTEvery:  1,
-			Seed:     int64(i),
-			pace:     time.Nanosecond, // continuous collection: maximize snapshot/mutator overlap
-			Timeout:  2 * time.Minute,
-			Capacity: 1 << 14,
+			PEs:        4,
+			Parallel:   true,
+			MTEvery:    1,
+			Seed:       int64(i),
+			GCInterval: 1, // continuous collection: maximize snapshot/mutator overlap
+			Timeout:    2 * time.Minute,
+			Capacity:   1 << 14,
 		})
 		src := fmt.Sprintf("let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib %d", n)
 		v, err := m.Eval(src)
@@ -157,7 +160,11 @@ func TestParallelFalseDeadlockStress(t *testing.T) {
 			t.Fatalf("round %d: confirmed deadlock verdict on a completed run (found=%d retracted=%d)",
 				i, s.DeadlockedFound, s.DeadlockRetracted)
 		}
+		cycles = append(cycles, s.Cycles)
 	}
+	slices.Sort(cycles)
+	t.Logf("cycles per eval min / median / max: %d / %d / %d",
+		cycles[0], cycles[len(cycles)/2], cycles[len(cycles)-1])
 }
 
 // TestNoGoroutineLeaks verifies Close tears down PE goroutines and the
