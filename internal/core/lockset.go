@@ -12,7 +12,9 @@ const lockSetInline = 12
 // sorted by ID so that every primitive acquires its vertex locks in the same
 // global order (the locking discipline in Mutator's doc). It is a value meant
 // to live in the primitive's stack frame: members sit in an inline array, and
-// only a set larger than lockSetInline spills to a heap slice.
+// only a set larger than lockSetInline spills to a heap slice. On a serial
+// store (a seeded machine's) the locks it takes are no-ops and only the set
+// itself, sorted all the same, remains.
 type lockSet struct {
 	n      int
 	inline [lockSetInline]*graph.Vertex

@@ -26,6 +26,11 @@ type Config struct {
 	// of growing the vertex arena when F is empty. The paper's model has a
 	// fixed finite V; benchmarks that study reclamation use FixedSize.
 	FixedSize bool
+	// Serial promises that one goroutine at a time touches the store's
+	// vertices — a seeded machine, which runs one task at a time and fences
+	// every other reader with its owner lock. Vertex.Lock and Unlock then
+	// skip the vertex mutex. The zero value keeps per-vertex locking.
+	Serial bool
 }
 
 // Arena segmentation: vertex lookups are the hottest operation in the
@@ -99,7 +104,8 @@ func (sh *freeShard) take(part, parts int) (VertexID, bool) {
 
 // Store owns every vertex in the computation graph, the per-partition free
 // lists (the paper's set F), and an interned string table for KindStr
-// literals. Vertex field access is guarded by per-vertex locks; free-list
+// literals. Vertex field access is guarded by per-vertex locks, or, on a
+// serial store, by its owner running one task at a time; free-list
 // access is sharded per partition, so Alloc/Release on different PEs never
 // touch a shared lock (the slow path steals one vertex from a sibling
 // shard). Segment materialisation and growth past Capacity alone are
@@ -119,6 +125,7 @@ type Store struct {
 	shards []freeShard
 	freeN  atomic.Int64 // |F|, exact: updated only when a vertex enters or leaves F
 	fixed  bool
+	serial bool // Config.Serial, stamped on every vertex as it is materialised
 
 	strMu  sync.Mutex               // guards interning (writers)
 	strTab atomic.Pointer[[]string] // published table; readers never lock
@@ -140,6 +147,7 @@ func NewStore(cfg Config) *Store {
 	s := &Store{
 		shards:   make([]freeShard, cfg.Partitions),
 		fixed:    cfg.FixedSize,
+		serial:   cfg.Serial,
 		parts:    cfg.Partitions,
 		reserved: cfg.Capacity,
 		strIdx:   make(map[string]int64),
@@ -171,6 +179,7 @@ func (s *Store) growOne(part int) VertexID {
 	id := VertexID(s.n.Load() + 1) // slot 0 is NilVertex
 	v := &s.segmentLocked(int(id) >> segBits).verts[int(id)&segMask]
 	v.ID = id
+	v.serial = s.serial
 	v.Part = part
 	v.Kind = KindFree
 	// The vertex fields are fully written before n is published; readers
@@ -203,6 +212,7 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 		}
 		v := &seg.verts[i]
 		v.ID = VertexID(id)
+		v.serial = s.serial
 		v.Part = s.reservedOwner(id)
 		v.Kind = KindFree
 	}
@@ -513,7 +523,8 @@ func (s *Store) PartitionOf(id VertexID) int {
 
 // Snapshot returns a consistent copy of the graph's connectivity for
 // offline analysis. The world should be quiescent (or deterministically
-// paused) when it is taken; each vertex is copied under its own lock.
+// paused) when it is taken; each vertex is copied under its own lock — on a
+// serial store, the caller must be, or hold off, the owner.
 func (s *Store) Snapshot() *Snapshot {
 	n := int(s.n.Load())
 	snap := &Snapshot{

@@ -212,16 +212,20 @@ type Requester struct {
 	Kind ReqKind
 }
 
-// Vertex is a computation-graph node. All fields except ID and Part are
-// guarded by mu; tasks execute atomically with respect to the vertices they
-// manipulate by holding the vertex locks (see internal/core for the lock
-// ordering discipline).
+// Vertex is a computation-graph node. All fields except ID, serial and Part
+// are guarded by mu; tasks execute atomically with respect to the vertices
+// they manipulate by holding the vertex locks (see internal/core for the lock
+// ordering discipline). A vertex of a serial store (Config.Serial) has one
+// owner that runs one task at a time, which is the atomicity: its Lock and
+// Unlock leave mu alone, and the owner serializes every other reader.
 type Vertex struct {
 	mu sync.Mutex
 
-	// ID and Part are immutable after allocation.
-	ID   VertexID
-	Part int // owning partition / processing element
+	// ID, serial and Part are immutable after allocation. serial sits in the
+	// padding after ID, so it costs the vertex no space.
+	ID     VertexID
+	serial bool
+	Part   int // owning partition / processing element
 
 	Kind Kind
 	Val  int64 // literal value, combinator code, or primitive code
@@ -307,11 +311,20 @@ func (v *Vertex) IsValueLocked() bool {
 }
 
 // Lock acquires the vertex lock. Callers that lock multiple vertices must
-// do so in ascending ID order (see core.lockSet).
-func (v *Vertex) Lock() { v.mu.Lock() }
+// do so in ascending ID order (see core.lockSet). On a serial store's vertex
+// it does nothing: the store's owner provides the exclusion.
+func (v *Vertex) Lock() {
+	if !v.serial {
+		v.mu.Lock()
+	}
+}
 
-// Unlock releases the vertex lock.
-func (v *Vertex) Unlock() { v.mu.Unlock() }
+// Unlock releases the vertex lock (nothing, on a serial store's vertex).
+func (v *Vertex) Unlock() {
+	if !v.serial {
+		v.mu.Unlock()
+	}
+}
 
 // CtxOf returns the requested marking context. The caller must hold the
 // vertex lock (or otherwise guarantee exclusion) to mutate it.

@@ -3,6 +3,7 @@ package graph
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -217,5 +218,34 @@ func TestMarkCtxTouchQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSerialStoreSkipsVertexLock: a serial store's vertices, reserved or
+// grown, leave their mutex alone, and a default store's take it. The flag
+// that says which sits in padding: Vertex stays 216 bytes.
+func TestSerialStoreSkipsVertexLock(t *testing.T) {
+	if got := unsafe.Sizeof(Vertex{}); got != 216 {
+		t.Errorf("Sizeof(Vertex) = %d, want 216", got)
+	}
+	for _, serial := range []bool{false, true} {
+		s := NewStore(Config{Partitions: 1, Capacity: 2, Serial: serial})
+		for i := 0; i < 3; i++ { // the third grows the arena past Capacity
+			v, err := s.Alloc(0, KindInt, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Lock()
+			if free := v.mu.TryLock(); free != serial {
+				t.Errorf("serial=%v: v%d's mutex free under Lock = %v", serial, v.ID, free)
+			} else if free {
+				v.mu.Unlock()
+			}
+			v.Unlock()
+			if !v.mu.TryLock() {
+				t.Fatalf("serial=%v: v%d's mutex held after Unlock", serial, v.ID)
+			}
+			v.mu.Unlock()
+		}
 	}
 }

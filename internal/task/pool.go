@@ -35,16 +35,15 @@ type Pool struct {
 	// deadlock-verdict watch relies on this to close the window in which a
 	// popped-but-not-yet-published task is invisible to M_T's snapshot.
 	onPop func(Task)
-	// onTake, when set, observes every task consumed through TryPop — the
-	// parallel PE loop's pop path — while the pool lock is still held. The
-	// scheduler uses it to publish the task as the owning PE's in-execution
-	// task before the pool lock is released: without it, a task is invisible
-	// to both the queued-task snapshot and the current-task view between the
-	// pop and the executor's own publish — a window a taskpool snapshot
-	// (M_T's troot) could land in. It does not fire for StealInto's moves
-	// (the task stays in pool custody) nor for the deterministic selection
-	// primitives TryPopWhere/TryPopRandom, whose single-threaded callers
-	// execute the task synchronously with no invisibility window.
+	// onTake, when set, observes every task consumed for execution — TryPop,
+	// TryPopRandom and the blocking pops — while the pool lock is still held.
+	// The scheduler uses it to publish the task as the owning PE's
+	// in-execution task before the pool lock is released: published any
+	// later, a task is invisible to both the queued-task snapshot and the
+	// current-task view for a while — a window a taskpool snapshot (M_T's
+	// troot) could land in. It does not fire for StealInto's moves (the task
+	// stays in pool custody) nor for the replayer's TryPopWhere, whose caller
+	// publishes the recorded task itself.
 	onTake func(Task)
 	// seq is a process-global creation number; StealInto acquires the two
 	// pool locks in seq order so concurrent steals in opposite directions
@@ -74,7 +73,8 @@ func (p *Pool) SetOnPop(fn func(Task)) {
 
 // SetOnTake installs (or, with nil, clears) the consumption observer. The
 // hook runs under the pool lock for every task popped for execution (but
-// not for tasks moved by StealInto) and must not call back into the pool.
+// not for tasks moved by StealInto or taken by TryPopWhere) and must not
+// call back into the pool.
 func (p *Pool) SetOnTake(fn func(Task)) {
 	p.mu.Lock()
 	p.onTake = fn
@@ -210,6 +210,9 @@ func (p *Pool) TryPopRandom(rng *rand.Rand) (Task, bool) {
 			t := p.bands[b].removeAt(k)
 			if p.onPop != nil {
 				p.onPop(t)
+			}
+			if p.onTake != nil {
+				p.onTake(t)
 			}
 			return t, true
 		}

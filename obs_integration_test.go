@@ -284,3 +284,47 @@ func TestSharedLogReadersSeeOwnMachine(t *testing.T) {
 		t.Fatalf("assembly saw %d M_R phases, want both machines' (8)", mr)
 	}
 }
+
+// TestSeededGraphDOTDuringEval: a seeded machine's vertices take no lock of
+// their own, so what reads the graph from another goroutine — dgr-run serves
+// /debug/graph.dot during an eval — waits on the machine's owner lock, which
+// an evaluation holds across each collector interval. Race-free under -race, and
+// each dump is a whole graph.
+func TestSeededGraphDOTDuringEval(t *testing.T) {
+	m := dgr.New(dgr.Options{PEs: 2, Seed: 3, GCInterval: 500, Obs: true})
+	defer m.Close()
+	stop := make(chan struct{})
+	reads := make(chan int)
+	go func() {
+		n := 0
+		defer func() { reads <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var dot bytes.Buffer
+			if err := m.WriteGraphDOT(&dot); err != nil || !strings.HasSuffix(dot.String(), "}\n") {
+				t.Errorf("WriteGraphDOT: %v, %d bytes", err, dot.Len())
+				return
+			}
+			if s := m.Snapshot(); s.Len() == 0 {
+				t.Error("Snapshot holds no vertices")
+				return
+			}
+			if err := m.WriteSnapshotJSON(&dot); err != nil {
+				t.Errorf("WriteSnapshotJSON: %v", err)
+				return
+			}
+			n++
+		}
+	}()
+	v, err := m.Eval(`let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 15`)
+	close(stop)
+	n := <-reads
+	if err != nil || v.Int != 610 {
+		t.Fatalf("fib 15 = %v, %v; want 610", v, err)
+	}
+	t.Logf("%d graph reads alongside the evaluation", n)
+}
