@@ -994,10 +994,8 @@ func (m *Machine) promData() obs.PromData {
 		Utils:       make([]float64, m.opts.PEs),
 	}
 	snap := m.obs.Series()
-	execs := m.mach.ExecutionsByPE()
+	execs := m.perPE(d.FreePerPart, d.PoolBands)
 	for pe := 0; pe < m.opts.PEs; pe++ {
-		d.FreePerPart[pe] = m.store.FreeCountOf(pe)
-		d.PoolBands[pe] = m.mach.Pool(pe).BandLens()
 		// The scheduler's own per-PE counters, not the obs batches: they
 		// count every execution (including those before obs batching
 		// flushed), which is the balance view stealing is judged by.
@@ -1007,6 +1005,24 @@ func (m *Machine) promData() obs.PromData {
 		}
 	}
 	return d
+}
+
+// perPE reads each PE's execution count and, into the slices given (either
+// may be nil), each partition's free-vertex count and each pool's band
+// depths. A seeded machine's pools, PE slots and free-list shards take no
+// lock of their own (their owner runs one task at a time), so a reader on
+// another goroutine takes the owner lock here, the one place the facade
+// reads them.
+func (m *Machine) perPE(free []int, bands [][obs.Bands]int) []uint64 {
+	m.lockOwner()
+	defer m.unlockOwner()
+	for pe := range free {
+		free[pe] = m.store.FreeCountOf(pe)
+	}
+	for pe := range bands {
+		bands[pe] = m.mach.Pool(pe).BandLens()
+	}
+	return m.mach.ExecutionsByPE()
 }
 
 // WritePrometheus renders the machine's counters and live gauges in the
@@ -1143,7 +1159,7 @@ func (m *Machine) RuntimeErrors() []error { return m.engine.Errors() }
 // ExecsPerPE reports how many tasks each PE has executed so far — the
 // execution-balance view work stealing is judged by (a heavily skewed
 // distribution with stealing on means the thieves never got traction).
-func (m *Machine) ExecsPerPE() []uint64 { return m.mach.ExecutionsByPE() }
+func (m *Machine) ExecsPerPE() []uint64 { return m.perPE(nil, nil) }
 
 // FreeVertices reports |F|, the current size of the free list.
 func (m *Machine) FreeVertices() int { return m.store.FreeCount() }

@@ -13,15 +13,16 @@ const lockSetInline = 12
 // global order (the locking discipline in Mutator's doc). It is a value meant
 // to live in the primitive's stack frame: members sit in an inline array, and
 // only a set larger than lockSetInline spills to a heap slice. On a serial
-// store (a seeded machine's) the locks it takes are no-ops and only the set
-// itself, sorted all the same, remains.
+// store (a seeded machine's) the locks it takes are no-ops, so there is no
+// order to keep: the set holds its members in the order they were added.
 type lockSet struct {
 	n      int
 	inline [lockSetInline]*graph.Vertex
 	spill  []*graph.Vertex // holds every member once n > lockSetInline
 }
 
-// members returns the set in ascending ID order.
+// members returns the set: in ascending ID order, unless its vertices are
+// serial.
 func (s *lockSet) members() []*graph.Vertex {
 	if s.spill != nil {
 		return s.spill
@@ -29,19 +30,26 @@ func (s *lockSet) members() []*graph.Vertex {
 	return s.inline[:s.n]
 }
 
-// add inserts v at its place in ID order. A nil vertex and a vertex already
-// in the set are skipped, so each member is locked exactly once.
+// add inserts v at its place in ID order, or, for a serial vertex, at the
+// end. A nil vertex and a vertex already in the set are skipped, so each
+// member is locked exactly once.
 func (s *lockSet) add(v *graph.Vertex) {
 	if v == nil {
 		return
 	}
 	m := s.members()
 	i := len(m)
-	for i > 0 && m[i-1].ID > v.ID {
-		i--
-	}
-	if i > 0 && m[i-1].ID == v.ID {
-		return
+	if v.Serial() {
+		if s.find(v.ID) != nil {
+			return
+		}
+	} else {
+		for i > 0 && m[i-1].ID > v.ID {
+			i--
+		}
+		if i > 0 && m[i-1].ID == v.ID {
+			return
+		}
 	}
 	if s.spill == nil && s.n < lockSetInline {
 		m = s.inline[:s.n+1]
@@ -52,7 +60,9 @@ func (s *lockSet) add(v *graph.Vertex) {
 		s.spill = append(s.spill, nil)
 		m = s.spill
 	}
-	copy(m[i+1:], m[i:])
+	if i < s.n {
+		copy(m[i+1:], m[i:])
+	}
 	m[i] = v
 	s.n++
 }
@@ -67,7 +77,8 @@ func (s *lockSet) find(id graph.VertexID) *graph.Vertex {
 	return nil
 }
 
-// lock acquires every member's lock in ascending ID order.
+// lock acquires every member's lock in ascending ID order (and none, on a
+// serial store).
 func (s *lockSet) lock() {
 	for _, v := range s.members() {
 		v.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -114,6 +115,50 @@ func TestLockSetPastInlineCapacity(t *testing.T) {
 	}
 }
 
+// serialVertices allocates n vertices of a serial store (a seeded
+// machine's), in ascending ID order.
+func serialVertices(tb testing.TB, n int) []*graph.Vertex {
+	tb.Helper()
+	store := graph.NewStore(graph.Config{Partitions: 1, Capacity: n, Serial: true})
+	vs := make([]*graph.Vertex, n)
+	for i := range vs {
+		v, err := store.Alloc(0, graph.KindApply, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		vs[i] = v
+	}
+	sort.Slice(vs, func(i, j int) bool { return vs[i].ID < vs[j].ID })
+	return vs
+}
+
+// TestLockSetSerial: on serial vertices the set keeps its members in the
+// order they were added, once each, inline or spilled, and find still finds
+// them.
+func TestLockSetSerial(t *testing.T) {
+	for _, n := range []int{4, lockSetInline + 3} {
+		vs := serialVertices(t, n)
+		// Descending, every vertex twice, with nils: the set is the first
+		// occurrences, in argument order.
+		var args, want []*graph.Vertex
+		for i := n - 1; i >= 0; i-- {
+			args = append(args, vs[i], nil, vs[i])
+			want = append(want, vs[i])
+		}
+		s := lockVertices(args...)
+		assertLockOrder(t, &s, want)
+		for _, v := range vs {
+			if s.find(v.ID) != v {
+				t.Fatalf("n=%d: find(v%d) missed", n, v.ID)
+			}
+		}
+		if s.find(graph.NilVertex) != nil {
+			t.Fatalf("n=%d: find(nil vertex) hit", n)
+		}
+		s.unlock()
+	}
+}
+
 // TestLockSetNoInversion locks overlapping sets from two goroutines in
 // opposite argument order. Were the set to lock in argument order the two
 // would deadlock within a few rounds; run under -race in CI.
@@ -201,22 +246,28 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkLockSet: a parallel machine's set (locked, kept in ID order) and
+// a seeded machine's (serial vertices: no lock, no order).
 func BenchmarkLockSet(b *testing.B) {
-	for _, n := range []int{1, 2, 3, 8} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			r := newRig(b, 1, 1, false)
-			vs := r.vertices(n)
-			// Descending arguments: every insertion shifts the whole set.
-			for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-				vs[i], vs[j] = vs[j], vs[i]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := lockVertices(vs...)
-				s.unlock()
-			}
-		})
+	for _, serial := range []bool{false, true} {
+		for _, n := range []int{1, 2, 3, 8} {
+			b.Run(fmt.Sprintf("serial=%v/%d", serial, n), func(b *testing.B) {
+				var vs []*graph.Vertex
+				if serial {
+					vs = serialVertices(b, n)
+				} else {
+					vs = newRig(b, 1, 1, false).vertices(n)
+				}
+				// Descending arguments: every insertion shifts the whole set.
+				slices.Reverse(vs)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s := lockVertices(vs...)
+					s.unlock()
+				}
+			})
+		}
 	}
 }
 

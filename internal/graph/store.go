@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"dgr/internal/lock"
 )
 
 // ErrNoFreeVertices is returned by Alloc when the free set F is exhausted
@@ -29,7 +31,8 @@ type Config struct {
 	// Serial promises that one goroutine at a time touches the store's
 	// vertices — a seeded machine, which runs one task at a time and fences
 	// every other reader with its owner lock. Vertex.Lock and Unlock then
-	// skip the vertex mutex. The zero value keeps per-vertex locking.
+	// skip the vertex mutex, and Alloc and Release the free-list shard's.
+	// The zero value keeps both locked.
 	Serial bool
 }
 
@@ -79,12 +82,14 @@ func (seg *segment) clearUsed(i int) { seg.used[i>>6].And(^(uint64(1) << (i & 63
 // construction would hold. Released ids are pushed on top of it in ids.
 // PEs allocate and release on their own partition, so under
 // partition-local workloads no two PEs ever contend on the same shard
-// lock. The padding keeps adjacent shards on separate cache lines.
+// lock; a serial store's shards, like its vertices, take none (the lock
+// follows Config.Serial). The padding keeps adjacent shards on separate
+// cache lines.
 type freeShard struct {
-	mu     sync.Mutex
+	mu     lock.Mutex
 	ids    []VertexID
 	virgin int
-	_      [24]byte // pad to one cache line: adjacent shards must not false-share
+	_      [16]byte // pad to one cache line: adjacent shards must not false-share
 }
 
 // take pops the shard's top free id: the most recently released one, else
@@ -108,12 +113,13 @@ func (sh *freeShard) take(part, parts int) (VertexID, bool) {
 // serial store, by its owner running one task at a time; free-list
 // access is sharded per partition, so Alloc/Release on different PEs never
 // touch a shared lock (the slow path steals one vertex from a sibling
-// shard). Segment materialisation and growth past Capacity alone are
-// funneled through one mutex, and both the vertex table and the string
-// table are read lock-free via atomically published copy-on-write
-// structures. Construction costs O(partitions), and the never-used part of V
-// exists only as a count per shard; a ForEach costs the vertices in use plus
-// one word per 64 slots of the segments a program reached.
+// shard), and a serial store's owner takes no shard lock either. Segment
+// materialisation and growth past Capacity alone are funneled through one
+// mutex, and both the vertex table and the string table are read lock-free
+// via atomically published copy-on-write structures. Construction costs
+// O(partitions), and the never-used part of V exists only as a count per
+// shard; a ForEach costs the vertices in use plus one word per 64 slots of
+// the segments a program reached.
 type Store struct {
 	segs atomic.Pointer[[]*segment] // indexed by id>>segBits; nil until first touched
 	n    atomic.Int64               // |V|: reserved + grown vertices (excludes NilVertex)
@@ -125,7 +131,7 @@ type Store struct {
 	shards []freeShard
 	freeN  atomic.Int64 // |F|, exact: updated only when a vertex enters or leaves F
 	fixed  bool
-	serial bool // Config.Serial, stamped on every vertex as it is materialised
+	serial bool // Config.Serial, stamped on every shard and on every vertex as it is materialised
 
 	strMu  sync.Mutex               // guards interning (writers)
 	strTab atomic.Pointer[[]string] // published table; readers never lock
@@ -157,6 +163,7 @@ func NewStore(cfg Config) *Store {
 	emptyStr := make([]string, 0)
 	s.strTab.Store(&emptyStr)
 	for part := range s.shards {
+		s.shards[part].mu.SetSerial(s.serial)
 		// Partition part owns ids part+1, part+1+parts, ... up to Capacity.
 		if cfg.Capacity > part {
 			s.shards[part].virgin = (cfg.Capacity - part + cfg.Partitions - 1) / cfg.Partitions
@@ -179,7 +186,7 @@ func (s *Store) growOne(part int) VertexID {
 	id := VertexID(s.n.Load() + 1) // slot 0 is NilVertex
 	v := &s.segmentLocked(int(id) >> segBits).verts[int(id)&segMask]
 	v.ID = id
-	v.serial = s.serial
+	v.SetSerial(s.serial)
 	v.Part = part
 	v.Kind = KindFree
 	// The vertex fields are fully written before n is published; readers
@@ -212,7 +219,7 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 		}
 		v := &seg.verts[i]
 		v.ID = VertexID(id)
-		v.serial = s.serial
+		v.SetSerial(s.serial)
 		v.Part = s.reservedOwner(id)
 		v.Kind = KindFree
 	}
@@ -246,7 +253,8 @@ func (s *Store) FreeCount() int {
 }
 
 // FreeCountOf returns the free-vertex count of one partition's shard, or 0
-// for an out-of-range partition. Takes that shard's lock only.
+// for an out-of-range partition. Takes that shard's lock only; on a serial
+// store, the caller must be, or hold off, the owner.
 func (s *Store) FreeCountOf(part int) int {
 	if part < 0 || part >= len(s.shards) {
 		return 0
@@ -350,7 +358,8 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 }
 
 // popLocal takes the top free vertex of part's own shard. This is the
-// allocation fast path: one uncontended per-partition lock.
+// allocation fast path: one uncontended per-partition lock, or none on a
+// serial store.
 func (s *Store) popLocal(part int) (VertexID, bool) {
 	sh := &s.shards[part]
 	sh.mu.Lock()

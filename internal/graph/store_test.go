@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 func TestStoreAllocRelease(t *testing.T) {
@@ -311,6 +313,59 @@ func TestReleaseBatch(t *testing.T) {
 		t.Fatalf("FreeCount = %d, want 0 after re-allocating batch", got)
 	}
 	s.ReleaseBatch(nil) // no-op
+}
+
+// TestSerialStoreSkipsShardLock: a serial store's Alloc, Release and
+// ReleaseBatch run while someone else holds every free-list shard's mutex,
+// so they never take one; a default store's wait. The mode bit fits the
+// shard's cache line: freeShard stays 64 bytes.
+func TestSerialStoreSkipsShardLock(t *testing.T) {
+	if got := unsafe.Sizeof(freeShard{}); got != 64 {
+		t.Errorf("Sizeof(freeShard) = %d, want 64", got)
+	}
+	for _, serial := range []bool{false, true} {
+		s := NewStore(Config{Partitions: 2, Capacity: 4, Serial: serial})
+		for i := range s.shards {
+			if !s.shards[i].mu.Mutex.TryLock() {
+				t.Fatalf("serial=%v: a new shard's mutex is held", serial)
+			}
+		}
+		done := make(chan int)
+		go func() {
+			var vs []*Vertex
+			for i := 0; i < 4; i++ {
+				v, err := s.Alloc(i%2, KindInt, int64(i))
+				if err != nil {
+					t.Error(err)
+					done <- -1
+					return
+				}
+				vs = append(vs, v)
+			}
+			s.Release(vs[0])
+			s.ReleaseBatch(vs[1:])
+			done <- s.FreeCount()
+		}()
+		var n int
+		if serial {
+			n = <-done // hangs if an operation takes a shard mutex
+		} else {
+			select {
+			case <-done:
+				t.Fatal("a default store allocated without its shard mutex")
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		for i := range s.shards {
+			s.shards[i].mu.Mutex.Unlock()
+		}
+		if !serial {
+			n = <-done
+		}
+		if n != 4 {
+			t.Fatalf("serial=%v: FreeCount = %d after releasing all, want 4", serial, n)
+		}
+	}
 }
 
 func TestInternString(t *testing.T) {

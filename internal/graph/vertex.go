@@ -13,7 +13,8 @@ package graph
 
 import (
 	"fmt"
-	"sync"
+
+	"dgr/internal/lock"
 )
 
 // VertexID identifies a vertex in a Store. The zero value is NilVertex and
@@ -212,20 +213,24 @@ type Requester struct {
 	Kind ReqKind
 }
 
-// Vertex is a computation-graph node. All fields except ID, serial and Part
-// are guarded by mu; tasks execute atomically with respect to the vertices
-// they manipulate by holding the vertex locks (see internal/core for the lock
-// ordering discipline). A vertex of a serial store (Config.Serial) has one
-// owner that runs one task at a time, which is the atomicity: its Lock and
-// Unlock leave mu alone, and the owner serializes every other reader.
+// Vertex is a computation-graph node. All fields except ID and Part are
+// guarded by the vertex lock (Lock, Unlock); tasks execute atomically with
+// respect to the vertices they manipulate by holding the vertex locks, and
+// callers that lock several vertices must do so in ascending ID order (see
+// core.lockSet). A vertex of a serial store (Config.Serial) has one owner
+// that runs one task at a time, which is the atomicity: its lock is serial,
+// so Lock and Unlock do nothing, and the owner serializes every other
+// reader.
 type Vertex struct {
-	mu sync.Mutex
+	// The vertex lock is embedded so that Lock and Unlock are its own,
+	// inlined at every call site. Its mode bit, set as the vertex is
+	// materialised, ends it at 12 bytes, and ID fills the 4 after it: the
+	// bit costs the vertex no space.
+	vertexLock
 
-	// ID, serial and Part are immutable after allocation. serial sits in the
-	// padding after ID, so it costs the vertex no space.
-	ID     VertexID
-	serial bool
-	Part   int // owning partition / processing element
+	// ID and Part are immutable after allocation.
+	ID   VertexID
+	Part int // owning partition / processing element
 
 	Kind Kind
 	Val  int64 // literal value, combinator code, or primitive code
@@ -261,8 +266,6 @@ type RedState struct {
 	// form (set for under-applied applications and completed
 	// indirections, whose WHNF-ness is not derivable from the kind alone).
 	WHNF bool
-	// SpineHint caches the vertex that demanded v (for diagnostics).
-	SpineHint VertexID
 	// AllocEpoch records the M_R epoch at which the vertex left the free
 	// list; the restructuring sweep skips vertices allocated during the
 	// cycle being swept (reduction axiom 1: R expands only from F).
@@ -310,21 +313,8 @@ func (v *Vertex) IsValueLocked() bool {
 	}
 }
 
-// Lock acquires the vertex lock. Callers that lock multiple vertices must
-// do so in ascending ID order (see core.lockSet). On a serial store's vertex
-// it does nothing: the store's owner provides the exclusion.
-func (v *Vertex) Lock() {
-	if !v.serial {
-		v.mu.Lock()
-	}
-}
-
-// Unlock releases the vertex lock (nothing, on a serial store's vertex).
-func (v *Vertex) Unlock() {
-	if !v.serial {
-		v.mu.Unlock()
-	}
-}
+// vertexLock names the vertex's embedded lock.
+type vertexLock = lock.Mutex
 
 // CtxOf returns the requested marking context. The caller must hold the
 // vertex lock (or otherwise guarantee exclusion) to mutate it.

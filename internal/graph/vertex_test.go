@@ -236,16 +236,16 @@ func TestSerialStoreSkipsVertexLock(t *testing.T) {
 				t.Fatal(err)
 			}
 			v.Lock()
-			if free := v.mu.TryLock(); free != serial {
+			if free := v.Mutex.TryLock(); free != serial {
 				t.Errorf("serial=%v: v%d's mutex free under Lock = %v", serial, v.ID, free)
 			} else if free {
-				v.mu.Unlock()
+				v.Mutex.Unlock()
 			}
 			v.Unlock()
-			if !v.mu.TryLock() {
+			if !v.Mutex.TryLock() {
 				t.Fatalf("serial=%v: v%d's mutex held after Unlock", serial, v.ID)
 			}
-			v.mu.Unlock()
+			v.Mutex.Unlock()
 		}
 	}
 }

@@ -325,7 +325,6 @@ func (e *Engine) handleDemand(t task.Task) {
 	start := !v.Red.Evaluating
 	if start {
 		v.Red.Evaluating = true
-		v.Red.SpineHint = t.Src
 	}
 	v.Unlock()
 	if start {

@@ -30,6 +30,7 @@ import (
 
 	"dgr/internal/fabric"
 	"dgr/internal/graph"
+	"dgr/internal/lock"
 	"dgr/internal/metrics"
 	"dgr/internal/obs"
 	"dgr/internal/task"
@@ -182,11 +183,11 @@ type Machine struct {
 	// current[i] publishes PE i's in-execution task, so M_T's troot
 	// snapshot cannot miss a task that is neither queued nor finished.
 	// Each slot is a preallocated per-PE struct guarded by its own (padded)
-	// mutex: the previous atomic.Pointer design forced every execution to
-	// heap-allocate a task copy for the pointer to point at — one
-	// allocation per task on the hottest path in the machine. Readers
-	// (EachCurrent) are rare; writers only ever touch their own PE's
-	// uncontended lock.
+	// lock, which a deterministic machine's slots skip (see curSlot): the
+	// previous atomic.Pointer design forced every execution to heap-allocate
+	// a task copy for the pointer to point at — one allocation per task on
+	// the hottest path in the machine. Readers (EachCurrent) are rare;
+	// writers only ever touch their own PE's uncontended lock.
 	current []curSlot
 
 	// stepScratch is Step's reusable non-empty-PE selection buffer.
@@ -209,11 +210,14 @@ type Machine struct {
 // per task: the publish at the pop, the retire when the task is done). execs
 // rides along under the same per-PE lock: it is the PE's execution count,
 // incremented by the publish, and read (rarely) by ExecutionsByPE for
-// balance reporting.
+// balance reporting. A deterministic machine's slots are serial, like its
+// pools: its one goroutine is the only writer, and its owner fences the
+// readers.
 type curSlot struct {
-	mu    sync.Mutex
-	t     task.Task
+	mu lock.Mutex
+	// valid follows mu so that it fills the padding after mu's mode bit.
 	valid bool
+	t     task.Task
 	execs uint64
 	_     [16]byte
 }
@@ -253,8 +257,16 @@ func New(cfg Config) *Machine {
 	}
 	m.current = make([]curSlot, cfg.PEs)
 	m.stepScratch = make([]int, 0, cfg.PEs)
+	// A deterministic machine runs one task at a time on one goroutine, so
+	// its pools and slots take no lock (task.NewSerialPool, lock.Mutex).
+	serial := cfg.Mode == Deterministic
 	for i := range m.pools {
-		m.pools[i] = task.NewPool()
+		m.current[i].mu.SetSerial(serial)
+		if serial {
+			m.pools[i] = task.NewSerialPool()
+		} else {
+			m.pools[i] = task.NewPool()
+		}
 		// Publish every consumed task as PE i's in-execution task while the
 		// pool lock is still held (pool i is consumed only by PE i; stolen
 		// tasks land in the thief's own pool before being popped). Published
@@ -504,7 +516,9 @@ func (m *Machine) Executions() uint64 { return m.execSeq.Load() }
 
 // ExecutionsByPE returns each PE's execution count, indexed by PE. The
 // benchmark harness derives execution-balance figures from it; unlike the
-// observability layer's per-PE counters it is always available.
+// observability layer's per-PE counters it is always available. A
+// deterministic machine's slots take no lock, so there the caller must be
+// the goroutine that steps the machine, or hold it off.
 func (m *Machine) ExecutionsByPE() []uint64 {
 	out := make([]uint64, len(m.current))
 	for i := range m.current {

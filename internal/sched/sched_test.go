@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dgr/internal/fabric"
 	"dgr/internal/graph"
@@ -41,6 +42,27 @@ func TestDeterministicStepExecutesAll(t *testing.T) {
 		// quiescent machine: Step returns false
 	} else {
 		t.Fatal("Step on quiescent machine executed something")
+	}
+}
+
+// TestSerialModeFollowsMachine: a deterministic machine's pools and PE
+// slots take no lock, and a parallel machine's do. The slot's mode bit sits
+// in the padding after valid: curSlot stays 96 bytes.
+func TestSerialModeFollowsMachine(t *testing.T) {
+	if got := unsafe.Sizeof(curSlot{}); got != 96 {
+		t.Errorf("Sizeof(curSlot) = %d, want 96", got)
+	}
+	for _, mode := range []Mode{Deterministic, Parallel} {
+		m := New(Config{PEs: 2, Mode: mode, PartOf: partMod(2)})
+		want := mode == Deterministic
+		for pe := 0; pe < m.PEs(); pe++ {
+			if got := m.Pool(pe).Serial(); got != want {
+				t.Errorf("mode %d: pool %d serial = %v, want %v", mode, pe, got, want)
+			}
+			if got := m.current[pe].mu.Serial(); got != want {
+				t.Errorf("mode %d: slot %d serial = %v, want %v", mode, pe, got, want)
+			}
+		}
 	}
 }
 

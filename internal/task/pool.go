@@ -7,17 +7,25 @@ import (
 	"time"
 
 	"dgr/internal/graph"
+	"dgr/internal/lock"
 )
 
 // Pool is the per-PE taskpool(i) of §5.2: all unexecuted tasks whose
-// destination resides on that PE. It is safe for concurrent use. Tasks are
-// held in priority bands (marking > vital > eager > reserve) with FIFO order
-// within a band; each band is a growable ring buffer, so the steady-state
-// push/pop cycle of a busy PE allocates nothing.
+// destination resides on that PE. A pool from NewPool is safe for concurrent
+// use. A pool from NewSerialPool takes no lock: it belongs to a seeded
+// machine, whose one goroutine runs one task at a time and fences every
+// other reader with its owner lock, and it never blocks (PopWait and
+// PopWaitFor are for parallel PEs). Tasks are held in priority bands
+// (marking > vital > eager > reserve) with FIFO order within a band; each
+// band is a growable ring buffer, so the steady-state push/pop cycle of a
+// busy PE allocates nothing.
 type Pool struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	bands [numBands]ring
+	mu lock.Mutex
+	// closed stops blocking waiters. It follows mu so that it fills the
+	// padding after mu's mode bit: the bit costs the pool no space.
+	closed bool
+	cond   *sync.Cond
+	bands  [numBands]ring
 	// n is the number of queued tasks. It changes only under mu, next to
 	// the ring operation it counts, and is atomic so that Len — which the
 	// deterministic scheduler calls on every pool every step — reads it
@@ -26,8 +34,6 @@ type Pool struct {
 	// waiters counts goroutines blocked in PopWait; wakeups are issued
 	// only when someone can actually consume them.
 	waiters int
-	// closed stops blocking waiters.
-	closed bool
 	// onPop, when set, observes every popped task while the pool lock is
 	// still held. Because Each holds the same lock, any observer that reads
 	// both is guaranteed one of the two views of a task: still queued (Each
@@ -54,12 +60,22 @@ type Pool struct {
 // poolSeq numbers pools at creation for StealInto's lock ordering.
 var poolSeq atomic.Uint64
 
-// NewPool returns an empty pool.
-func NewPool() *Pool {
+// NewPool returns an empty pool that is safe for concurrent use.
+func NewPool() *Pool { return newPool(false) }
+
+// NewSerialPool returns an empty pool for a seeded machine, which takes no
+// lock (see Pool).
+func NewSerialPool() *Pool { return newPool(true) }
+
+func newPool(serial bool) *Pool {
 	p := &Pool{seq: poolSeq.Add(1)}
+	p.mu.SetSerial(serial)
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
+
+// Serial reports whether the pool came from NewSerialPool.
+func (p *Pool) Serial() bool { return p.mu.Serial() }
 
 // SetOnPop installs (or, with nil, clears) the pop observer. The hook runs
 // under the pool lock and must not call back into the pool. It is armed
@@ -132,7 +148,8 @@ func (p *Pool) PushBatch(ts []Task) {
 func (p *Pool) Len() int { return int(p.n.Load()) }
 
 // BandLens returns the queued-task count per priority band, lowest band
-// first. One lock acquisition; used by the observability sampler.
+// first. One lock acquisition (none on a serial pool, whose caller must be,
+// or hold off, the owner); used by the observability sampler.
 func (p *Pool) BandLens() [NumBands]int {
 	var out [NumBands]int
 	p.mu.Lock()

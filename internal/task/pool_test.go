@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"dgr/internal/graph"
 )
@@ -143,6 +144,51 @@ func TestPoolEach(t *testing.T) {
 	p.Each(func(tk Task) { got = append(got, tk) })
 	if len(got) != 2 {
 		t.Fatalf("Each visited %d tasks", len(got))
+	}
+}
+
+// TestSerialPoolTakesNoLock: a serial pool's Push, TryPop and Each run while
+// someone else holds its mutex, so they never take it; a default pool's wait
+// for it. The mode bit sits in the padding after closed: Pool stays 224
+// bytes.
+func TestSerialPoolTakesNoLock(t *testing.T) {
+	if got := unsafe.Sizeof(Pool{}); got != 224 {
+		t.Errorf("Sizeof(Pool) = %d, want 224", got)
+	}
+	for _, serial := range []bool{false, true} {
+		p := NewPool()
+		if serial {
+			p = NewSerialPool()
+		}
+		if !p.mu.Mutex.TryLock() {
+			t.Fatalf("serial=%v: a new pool's mutex is held", serial)
+		}
+		done := make(chan int)
+		go func() {
+			p.Push(Task{Kind: Mark, Dst: 1})
+			p.Push(Task{Kind: Demand, Dst: 2, Req: graph.ReqVital})
+			p.TryPop()
+			n := 0
+			p.Each(func(Task) { n++ })
+			done <- n
+		}()
+		var n int
+		if serial {
+			n = <-done // hangs if an operation takes the mutex
+		} else {
+			select {
+			case <-done:
+				t.Fatal("a default pool ran its operations without its mutex")
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+		p.mu.Mutex.Unlock()
+		if !serial {
+			n = <-done
+		}
+		if n != 1 {
+			t.Fatalf("serial=%v: Each saw %d tasks, want 1", serial, n)
+		}
 	}
 }
 

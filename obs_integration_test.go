@@ -285,11 +285,12 @@ func TestSharedLogReadersSeeOwnMachine(t *testing.T) {
 	}
 }
 
-// TestSeededGraphDOTDuringEval: a seeded machine's vertices take no lock of
-// their own, so what reads the graph from another goroutine — dgr-run serves
-// /debug/graph.dot during an eval — waits on the machine's owner lock, which
-// an evaluation holds across each collector interval. Race-free under -race, and
-// each dump is a whole graph.
+// TestSeededGraphDOTDuringEval: a seeded machine's vertices, task pools, PE
+// slots and free-list shards take no lock of their own, so what reads them
+// from another goroutine — dgr-run serves /debug/graph.dot, /metrics and
+// /debug/snapshot.json during an eval — waits on the machine's owner lock,
+// which an evaluation holds across each collector interval. Race-free under
+// -race, and each dump is a whole graph.
 func TestSeededGraphDOTDuringEval(t *testing.T) {
 	m := dgr.New(dgr.Options{PEs: 2, Seed: 3, GCInterval: 500, Obs: true})
 	defer m.Close()
@@ -315,6 +316,19 @@ func TestSeededGraphDOTDuringEval(t *testing.T) {
 			}
 			if err := m.WriteSnapshotJSON(&dot); err != nil {
 				t.Errorf("WriteSnapshotJSON: %v", err)
+				return
+			}
+			dot.Reset()
+			if err := m.WritePrometheus(&dot); err != nil || !strings.Contains(dot.String(), "dgr_tasks_executed_total") {
+				t.Errorf("WritePrometheus: %v, %d bytes", err, dot.Len())
+				return
+			}
+			if g := m.Gauges(); g.PEs != 2 || g.Heap == 0 {
+				t.Errorf("Gauges = %+v", g)
+				return
+			}
+			if execs := m.ExecsPerPE(); len(execs) != 2 {
+				t.Errorf("ExecsPerPE = %v, want 2 PEs", execs)
 				return
 			}
 			n++
