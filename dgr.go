@@ -78,7 +78,8 @@ var (
 // Options configures a Machine. The zero value is usable: one PE,
 // deterministic scheduling, no speculation, M_T every 4th cycle.
 type Options struct {
-	// PEs is the number of processing elements (default 1).
+	// PEs is the number of processing elements (default 1, at most
+	// graph.MaxPartitions: New panics above it).
 	PEs int
 	// Engine selects the reduction backend: "interp" (default) reduces
 	// Turner-combinator graphs one rewrite at a time; "compiled"

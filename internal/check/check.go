@@ -267,7 +267,7 @@ func (c *Checker) markedClosureErrs(ctx graph.Ctx) []string {
 		id := v.ID
 		var children []graph.VertexID
 		if ctx == graph.CtxR {
-			children = append(children, v.Args...)
+			children = append(children, v.Args()...)
 		} else {
 			children = v.TaskChildren(nil)
 		}

@@ -687,8 +687,8 @@ func TestSweepAfterMassRelease(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					v := reach[rng.Intn(len(reach))]
 					v.Lock()
-					if len(v.Args) > 0 {
-						v.RemoveArg(v.Args[rng.Intn(len(v.Args))])
+					if args := v.Args(); len(args) > 0 {
+						v.RemoveArg(args[rng.Intn(len(args))])
 					}
 					v.Unlock()
 				}

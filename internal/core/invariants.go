@@ -90,7 +90,7 @@ func CheckInvariants(store *graph.Store, marker *Marker, mach *sched.Machine, ct
 		if st == graph.Transient || st == graph.Marked {
 			var children []graph.VertexID
 			if ctx == graph.CtxR {
-				children = v.Args
+				children = v.Args()
 			} else {
 				children = v.TaskChildren(nil)
 			}
@@ -149,7 +149,7 @@ func CheckAllReachableMarked(store *graph.Store, marker *Marker, ctx graph.Ctx, 
 		}
 		var children []graph.VertexID
 		if ctx == graph.CtxR {
-			children = append(children, v.Args...)
+			children = append(children, v.Args()...)
 		} else {
 			children = v.TaskChildren(nil)
 		}

@@ -193,16 +193,12 @@ func rewriteShape(r *rig, nFresh, nOps int) (v *graph.Vertex, fresh, ops []*grap
 	v = r.vertex(graph.KindApply)
 	fresh = r.vertices(nFresh)
 	ops = r.vertices(nOps)
-	wire := func(n *graph.Vertex, fun, arg graph.VertexID) {
-		n.Args = append(n.Args[:0], fun, arg)
-		n.ReqKinds = append(n.ReqKinds[:0], graph.ReqNone, graph.ReqNone)
-	}
 	splice = func() {
 		last := ops[nOps-1].ID
 		for i, n := range fresh {
-			wire(n, ops[i].ID, last)
+			n.SetArgs(ops[i].ID, last)
 		}
-		wire(v, fresh[0].ID, ops[nOps-2].ID)
+		v.SetArgs(fresh[0].ID, ops[nOps-2].ID)
 	}
 	return v, fresh, ops, splice
 }

@@ -512,11 +512,11 @@ func (m *Marker) modifyLocked(w *wave, v *graph.Vertex, c graph.Ctx, epoch uint6
 	mc.Touch(epoch, par, prior)
 
 	if c == graph.CtxR {
-		for i, a := range v.Args {
+		for i, a := range v.Args() {
 			if m.faultDropsMark(v.ID, a, epoch) {
 				continue
 			}
-			childPrior := min(prior, v.ReqKinds[i].Priority())
+			childPrior := min(prior, v.ReqKindAt(i).Priority())
 			m.spawnMark(w, c, v.ID, a, childPrior, epoch)
 			mc.MtCnt++
 		}

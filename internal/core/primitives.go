@@ -193,8 +193,8 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 		// "if transient(a) then for each x ∈ children(a) spawn mark1(x,a)".
 		mc := a.CtxOf(p.ctx)
 		if p.ctx == graph.CtxR {
-			for i, x := range a.Args {
-				prior := min(p.prior, a.ReqKinds[i].Priority())
+			for i, x := range a.Args() {
+				prior := min(p.prior, a.ReqKindAt(i).Priority())
 				mu.marker.spawnMark(nil, p.ctx, a.ID, x, prior, p.epoch)
 				mc.MtCnt++
 			}
@@ -216,8 +216,7 @@ func (mu *Mutator) RelabelLeaf(a *graph.Vertex, kind graph.Kind, val int64) {
 	defer ls.unlock()
 	a.Kind = kind
 	a.Val = val
-	a.Args = a.Args[:0]
-	a.ReqKinds = a.ReqKinds[:0]
+	a.SetArgs()
 }
 
 // coopTaskEdgeLocked handles M_T cooperation when vertex p gains a new
@@ -295,8 +294,8 @@ func (mu *Mutator) SetRequestKind(x, y *graph.Vertex, rk graph.ReqKind) bool {
 	if i < 0 {
 		return false
 	}
-	if rk > x.ReqKinds[i] {
-		x.ReqKinds[i] = rk
+	if rk > x.ReqKindAt(i) {
+		x.SetReqKindAt(i, rk)
 	}
 	return true
 }
@@ -309,10 +308,11 @@ func (mu *Mutator) SetRequestKind(x, y *graph.Vertex, rk graph.ReqKind) bool {
 func (mu *Mutator) AddRequesterCoop(y, x *graph.Vertex, rk graph.ReqKind) {
 	ls := lockVertices(x, y)
 	defer ls.unlock()
-	for i := range y.Requested {
-		if y.Requested[i].Src == x.ID {
-			if rk > y.Requested[i].Kind {
-				y.Requested[i].Kind = rk
+	reqs := y.Requested()
+	for i := range reqs {
+		if reqs[i].Src == x.ID {
+			if rk > reqs[i].Kind {
+				reqs[i].Kind = rk
 			}
 			return
 		}

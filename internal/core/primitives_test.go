@@ -79,7 +79,7 @@ func TestAddReferenceOutsideMarking(t *testing.T) {
 	r.mut.AddReference(a, b, c, graph.ReqEager)
 	a.Lock()
 	if !a.HasArg(c.ID) || a.ReqKindOf(c.ID) != graph.ReqEager {
-		t.Fatalf("edge a→c missing or wrong kind: %v/%v", a.Args, a.ReqKinds)
+		t.Fatalf("edge a→c missing or wrong kind: %v", a)
 	}
 	a.Unlock()
 	if got := r.counters.CoopMarks.Load(); got != 0 {
@@ -132,8 +132,7 @@ func TestExpandNodeUnderTransient(t *testing.T) {
 				r.mut.ExpandNode(a, []*graph.Vertex{n1, n2}, func() {
 					n1.AddArg(n2.ID, graph.ReqVital)
 					n1.AddArg(x.ID, graph.ReqVital)
-					a.Args = a.Args[:0]
-					a.ReqKinds = a.ReqKinds[:0]
+					a.SetArgs()
 					a.AddArg(n1.ID, graph.ReqVital)
 				})
 				r.assertNoViolations(graph.CtxR)
@@ -315,7 +314,7 @@ func TestRelabelLeaf(t *testing.T) {
 	r.mut.RelabelLeaf(v, graph.KindInt, 42)
 	v.Lock()
 	defer v.Unlock()
-	if v.Kind != graph.KindInt || v.Val != 42 || len(v.Args) != 0 {
+	if v.Kind != graph.KindInt || v.Val != 42 || len(v.Args()) != 0 {
 		t.Fatalf("after relabel: %+v", v)
 	}
 }

@@ -57,8 +57,7 @@ func (mu *Mutator) CollapseToInd(v, c *graph.Vertex) {
 	mu.coopAttachLocked(v, c, graph.ReqNone)
 	v.Kind = graph.KindInd
 	v.Val = 0
-	v.Args = append(v.Args[:0], c.ID)
-	v.ReqKinds = append(v.ReqKinds[:0], graph.ReqNone)
+	v.SetArgs(c.ID)
 }
 
 // CollapseToIndDirect rewrites v into an indirection to its existing direct
@@ -69,8 +68,7 @@ func (mu *Mutator) CollapseToIndDirect(v, c *graph.Vertex) {
 	defer ls.unlock()
 	v.Kind = graph.KindInd
 	v.Val = 0
-	v.Args = append(v.Args[:0], c.ID)
-	v.ReqKinds = append(v.ReqKinds[:0], graph.ReqNone)
+	v.SetArgs(c.ID)
 }
 
 // MakeSelfKnot gives v a vital self-dependency (v ∈ req-args_v(v) and
@@ -149,11 +147,11 @@ func (mu *Mutator) Rewrite(v *graph.Vertex, fresh, existing []*graph.Vertex, fn 
 // p whose target is in the locked set; any other child is not a vertex this
 // rewrite newly references.
 func (mu *Mutator) coverChildrenLocked(ls *lockSet, p *graph.Vertex) {
-	for i, cid := range p.Args {
+	for i, cid := range p.Args() {
 		c := ls.find(cid)
 		if c == nil || c == p {
 			continue
 		}
-		mu.coopAttachLocked(p, c, p.ReqKinds[i])
+		mu.coopAttachLocked(p, c, p.ReqKindAt(i))
 	}
 }

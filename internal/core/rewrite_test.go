@@ -17,7 +17,7 @@ func TestCollapseToIndOutsideMarking(t *testing.T) {
 	r.mut.CollapseToInd(v, c)
 	v.Lock()
 	defer v.Unlock()
-	if v.Kind != graph.KindInd || len(v.Args) != 1 || v.Args[0] != c.ID {
+	if v.Kind != graph.KindInd || len(v.Args()) != 1 || v.Args()[0] != c.ID {
 		t.Fatalf("collapse: %+v", v)
 	}
 }
@@ -77,7 +77,7 @@ func TestMakeSelfKnotIdempotent(t *testing.T) {
 	v.Lock()
 	defer v.Unlock()
 	count := 0
-	for _, a := range v.Args {
+	for _, a := range v.Args() {
 		if a == v.ID {
 			count++
 		}
@@ -85,8 +85,8 @@ func TestMakeSelfKnotIdempotent(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("self edges = %d, want 1", count)
 	}
-	if len(v.Requested) != 1 || v.Requested[0].Src != v.ID {
-		t.Fatalf("requested = %v", v.Requested)
+	if len(v.Requested()) != 1 || v.Requested()[0].Src != v.ID {
+		t.Fatalf("requested = %v", v.Requested())
 	}
 }
 
@@ -100,11 +100,11 @@ func TestAddRequesterCoopUpgrade(t *testing.T) {
 	r.mut.AddRequesterCoop(y, x, graph.ReqEager) // no downgrade
 	y.Lock()
 	defer y.Unlock()
-	if len(y.Requested) != 1 {
-		t.Fatalf("requesters = %v", y.Requested)
+	if len(y.Requested()) != 1 {
+		t.Fatalf("requesters = %v", y.Requested())
 	}
-	if y.Requested[0].Kind != graph.ReqVital {
-		t.Fatalf("kind = %v, want vital", y.Requested[0].Kind)
+	if y.Requested()[0].Kind != graph.ReqVital {
+		t.Fatalf("kind = %v, want vital", y.Requested()[0].Kind)
 	}
 }
 
@@ -121,8 +121,7 @@ func TestRewriteSelfReference(t *testing.T) {
 	r.marker.StartCycle(graph.CtxR, []Root{{ID: root.ID, Prior: graph.PriorVital}})
 	r.mach.Step()
 	r.mut.Rewrite(v, nil, []*graph.Vertex{f}, func() {
-		v.Args = append(v.Args[:0], f.ID, v.ID)
-		v.ReqKinds = append(v.ReqKinds[:0], graph.ReqNone, graph.ReqNone)
+		v.SetArgs(f.ID, v.ID)
 	})
 	r.mach.RunUntil(func() bool { return r.marker.Done(graph.CtxR) }, 100000)
 	if !r.marker.Done(graph.CtxR) {

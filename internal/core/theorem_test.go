@@ -25,7 +25,7 @@ func liveSet(store *graph.Store, root graph.VertexID) map[graph.VertexID]bool {
 			continue
 		}
 		v.Lock()
-		stack = append(stack, v.Args...)
+		stack = append(stack, v.Args()...)
 		v.Unlock()
 	}
 	return seen
@@ -50,8 +50,8 @@ func randomMutation(rng *rand.Rand, r *rig, root graph.VertexID) {
 		a := pick()
 		a.Lock()
 		var b graph.VertexID
-		if len(a.Args) > 0 {
-			b = a.Args[rng.Intn(len(a.Args))]
+		if args := a.Args(); len(args) > 0 {
+			b = args[rng.Intn(len(args))]
 		}
 		a.Unlock()
 		if b != graph.NilVertex {
@@ -61,8 +61,8 @@ func randomMutation(rng *rand.Rand, r *rig, root graph.VertexID) {
 		a := pick()
 		a.Lock()
 		var bid graph.VertexID
-		if len(a.Args) > 0 {
-			bid = a.Args[rng.Intn(len(a.Args))]
+		if args := a.Args(); len(args) > 0 {
+			bid = args[rng.Intn(len(args))]
 		}
 		a.Unlock()
 		if bid == graph.NilVertex {
@@ -71,8 +71,8 @@ func randomMutation(rng *rand.Rand, r *rig, root graph.VertexID) {
 		b := r.store.Vertex(bid)
 		b.Lock()
 		var cid graph.VertexID
-		if len(b.Args) > 0 {
-			cid = b.Args[rng.Intn(len(b.Args))]
+		if args := b.Args(); len(args) > 0 {
+			cid = args[rng.Intn(len(args))]
 		}
 		b.Unlock()
 		if cid == graph.NilVertex || cid == a.ID {
@@ -97,8 +97,8 @@ func randomMutation(rng *rand.Rand, r *rig, root graph.VertexID) {
 		a := pick()
 		a.Lock()
 		var bid graph.VertexID
-		if len(a.Args) > 0 {
-			bid = a.Args[rng.Intn(len(a.Args))]
+		if args := a.Args(); len(args) > 0 {
+			bid = args[rng.Intn(len(args))]
 		}
 		a.Unlock()
 		if bid != graph.NilVertex {
@@ -333,9 +333,9 @@ func mutateLiveOnly(rng *rand.Rand, r *rig, live []*graph.Vertex) {
 	case 1:
 		a.Lock()
 		var bid graph.VertexID
-		for i := len(a.Args) - 1; i >= 0; i-- {
-			if a.ReqKinds[i] == graph.ReqNone {
-				bid = a.Args[i]
+		for i := len(a.Args()) - 1; i >= 0; i-- {
+			if a.ReqKindAt(i) == graph.ReqNone {
+				bid = a.Args()[i]
 				break
 			}
 		}

@@ -252,7 +252,7 @@ func TestWaveBounds(t *testing.T) {
 					continue
 				}
 				marked++
-				children := v.Args
+				children := v.Args()
 				if ctx == graph.CtxT {
 					children = v.TaskChildren(nil)
 				}
@@ -260,7 +260,7 @@ func TestWaveBounds(t *testing.T) {
 				maxDeg = max(maxDeg, int64(len(children)))
 				for _, c := range children {
 					visits[r.store.PartitionOf(c)]++
-					if r.store.PartitionOf(c) != v.Part {
+					if r.store.PartitionOf(c) != int(v.Part) {
 						cut++
 					}
 				}

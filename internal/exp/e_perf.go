@@ -174,10 +174,9 @@ func runPause(cfg Config) (*Table, error) {
 				}
 				mut.ExpandNode(mutZone, []*graph.Vertex{n1}, func() {
 					mutZone.AddArg(n1.ID, graph.ReqNone)
-					if len(mutZone.Args) > 8 {
+					if args := mutZone.Args(); len(args) > 8 {
 						// keep the mutation zone's fanout bounded
-						mutZone.Args = mutZone.Args[1:]
-						mutZone.ReqKinds = mutZone.ReqKinds[1:]
+						mutZone.RemoveArg(args[0])
 					}
 				})
 				now := time.Now()

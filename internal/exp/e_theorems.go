@@ -63,7 +63,7 @@ func (r *markRig) liveMutation(rng *rand.Rand, root graph.VertexID) {
 			continue
 		}
 		v.Lock()
-		stack = append(stack, v.Args...)
+		stack = append(stack, v.Args()...)
 		v.Unlock()
 	}
 	if len(live) == 0 {
@@ -74,8 +74,8 @@ func (r *markRig) liveMutation(rng *rand.Rand, root graph.VertexID) {
 	case 0: // drop a random edge
 		a.Lock()
 		var b graph.VertexID
-		if len(a.Args) > 0 {
-			b = a.Args[rng.Intn(len(a.Args))]
+		if args := a.Args(); len(args) > 0 {
+			b = args[rng.Intn(len(args))]
 		}
 		a.Unlock()
 		if b != graph.NilVertex {
@@ -84,8 +84,8 @@ func (r *markRig) liveMutation(rng *rand.Rand, root graph.VertexID) {
 	case 1: // add-reference over an adjacent triple
 		a.Lock()
 		var bid graph.VertexID
-		if len(a.Args) > 0 {
-			bid = a.Args[rng.Intn(len(a.Args))]
+		if args := a.Args(); len(args) > 0 {
+			bid = args[rng.Intn(len(args))]
 		}
 		a.Unlock()
 		if bid == graph.NilVertex {
@@ -94,8 +94,8 @@ func (r *markRig) liveMutation(rng *rand.Rand, root graph.VertexID) {
 		b := r.store.Vertex(bid)
 		b.Lock()
 		var cid graph.VertexID
-		if len(b.Args) > 0 {
-			cid = b.Args[rng.Intn(len(b.Args))]
+		if args := b.Args(); len(args) > 0 {
+			cid = args[rng.Intn(len(args))]
 		}
 		b.Unlock()
 		if cid != graph.NilVertex && cid != a.ID {

@@ -126,8 +126,7 @@ func (b *Builder) Ind(target *Vertex) *Vertex {
 func (b *Builder) Knot(hole, target *Vertex) {
 	hole.Lock()
 	hole.Kind = KindInd
-	hole.Args = append(hole.Args[:0], target.ID)
-	hole.ReqKinds = append(hole.ReqKinds[:0], ReqNone)
+	hole.SetArgs(target.ID)
 	hole.Unlock()
 }
 

@@ -49,11 +49,11 @@ func TestBuilderApp(t *testing.T) {
 	y := b.Int(2)
 	app := b.AppN(f, x, y)
 	// ((+ 1) 2): outer apply's fun is the inner apply.
-	if app.Kind != KindApply || len(app.Args) != 2 || app.Args[1] != y.ID {
+	if app.Kind != KindApply || len(app.Args()) != 2 || app.Args()[1] != y.ID {
 		t.Fatalf("AppN: %+v", app)
 	}
-	inner := s.Vertex(app.Args[0])
-	if inner.Kind != KindApply || inner.Args[0] != f.ID || inner.Args[1] != x.ID {
+	inner := s.Vertex(app.Args()[0])
+	if inner.Kind != KindApply || inner.Args()[0] != f.ID || inner.Args()[1] != x.ID {
 		t.Fatalf("inner: %+v", inner)
 	}
 }
@@ -65,11 +65,11 @@ func TestBuilderListAndCons(t *testing.T) {
 	if lst.Kind != KindCons {
 		t.Fatalf("List head: %v", lst.Kind)
 	}
-	tail := s.Vertex(lst.Args[1])
+	tail := s.Vertex(lst.Args()[1])
 	if tail.Kind != KindCons {
 		t.Fatalf("List tail: %v", tail.Kind)
 	}
-	end := s.Vertex(tail.Args[1])
+	end := s.Vertex(tail.Args()[1])
 	if end.Kind != KindNil {
 		t.Fatalf("List end: %v", end.Kind)
 	}
@@ -85,11 +85,11 @@ func TestBuilderKnot(t *testing.T) {
 	h := b.Hole()
 	target := b.Int(9)
 	b.Knot(h, target)
-	if h.Kind != KindInd || len(h.Args) != 1 || h.Args[0] != target.ID {
+	if h.Kind != KindInd || len(h.Args()) != 1 || h.Args()[0] != target.ID {
 		t.Fatalf("Knot: %+v", h)
 	}
 	ind := b.Ind(target)
-	if ind.Kind != KindInd || ind.Args[0] != target.ID {
+	if ind.Kind != KindInd || ind.Args()[0] != target.ID {
 		t.Fatalf("Ind: %+v", ind)
 	}
 }
@@ -135,7 +135,7 @@ func TestIsValueLocked(t *testing.T) {
 	}
 	for _, tt := range tests {
 		v := &Vertex{Kind: tt.kind}
-		v.Red.WHNF = tt.whnf
+		v.WHNF = tt.whnf
 		v.Lock()
 		got := v.IsValueLocked()
 		v.Unlock()

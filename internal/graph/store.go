@@ -17,7 +17,7 @@ var ErrNoFreeVertices = errors.New("graph: free list exhausted")
 // Config parameterizes a Store.
 type Config struct {
 	// Partitions is the number of subgraph partitions (one per PE). Must be
-	// at least 1.
+	// at least 1 and at most MaxPartitions.
 	Partitions int
 	// Capacity is the initial size of V: ids 1..Capacity are reserved as
 	// free vertices, spread round-robin across partitions (id i belongs to
@@ -35,6 +35,10 @@ type Config struct {
 	// The zero value keeps both locked.
 	Serial bool
 }
+
+// MaxPartitions bounds Config.Partitions: a vertex records its partition
+// in 16 bits.
+const MaxPartitions = 1 << 16
 
 // Arena segmentation: vertex lookups are the hottest operation in the
 // whole system (every task execution does several), so the arena is a
@@ -83,13 +87,14 @@ func (seg *segment) clearUsed(i int) { seg.used[i>>6].And(^(uint64(1) << (i & 63
 // PEs allocate and release on their own partition, so under
 // partition-local workloads no two PEs ever contend on the same shard
 // lock; a serial store's shards, like its vertices, take none (the lock
-// follows Config.Serial). The padding keeps adjacent shards on separate
-// cache lines.
+// follows Config.Serial). The same lock guards recs, the spare overflow
+// records of the partition's vertices. A shard fills one cache line, so
+// adjacent shards do not false-share.
 type freeShard struct {
 	mu     lock.Mutex
+	virgin uint32 // fills the 4 bytes after the lock
 	ids    []VertexID
-	virgin int
-	_      [16]byte // pad to one cache line: adjacent shards must not false-share
+	recs   []*overflow
 }
 
 // take pops the shard's top free id: the most recently released one, else
@@ -102,7 +107,7 @@ func (sh *freeShard) take(part, parts int) (VertexID, bool) {
 	}
 	if sh.virgin > 0 {
 		sh.virgin--
-		return VertexID(part + 1 + sh.virgin*parts), true
+		return VertexID(part + 1 + int(sh.virgin)*parts), true
 	}
 	return NilVertex, false
 }
@@ -133,6 +138,10 @@ type Store struct {
 	fixed  bool
 	serial bool // Config.Serial, stamped on every shard and on every vertex as it is materialised
 
+	// blank is the overflow record every vertex points at until it takes
+	// one of its own; through it a vertex reaches the store's spares.
+	blank overflow
+
 	strMu  sync.Mutex               // guards interning (writers)
 	strTab atomic.Pointer[[]string] // published table; readers never lock
 	strIdx map[string]int64
@@ -146,6 +155,9 @@ type Store struct {
 func NewStore(cfg Config) *Store {
 	if cfg.Partitions < 1 {
 		cfg.Partitions = 1
+	}
+	if cfg.Partitions > MaxPartitions {
+		panic(fmt.Sprintf("graph: NewStore with %d partitions, more than %d", cfg.Partitions, MaxPartitions))
 	}
 	if cfg.Capacity < 0 {
 		cfg.Capacity = 0
@@ -166,9 +178,10 @@ func NewStore(cfg Config) *Store {
 		s.shards[part].mu.SetSerial(s.serial)
 		// Partition part owns ids part+1, part+1+parts, ... up to Capacity.
 		if cfg.Capacity > part {
-			s.shards[part].virgin = (cfg.Capacity - part + cfg.Partitions - 1) / cfg.Partitions
+			s.shards[part].virgin = uint32((cfg.Capacity - part + cfg.Partitions - 1) / cfg.Partitions)
 		}
 	}
+	s.blank.home = s
 	s.n.Store(int64(cfg.Capacity))
 	s.freeN.Store(int64(cfg.Capacity))
 	return s
@@ -187,8 +200,9 @@ func (s *Store) growOne(part int) VertexID {
 	v := &s.segmentLocked(int(id) >> segBits).verts[int(id)&segMask]
 	v.ID = id
 	v.SetSerial(s.serial)
-	v.Part = part
+	v.Part = uint16(part)
 	v.Kind = KindFree
+	v.more = &s.blank
 	// The vertex fields are fully written before n is published; readers
 	// only dereference ids at or below a loaded n.
 	s.n.Add(1)
@@ -220,8 +234,9 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 		v := &seg.verts[i]
 		v.ID = VertexID(id)
 		v.SetSerial(s.serial)
-		v.Part = s.reservedOwner(id)
+		v.Part = uint16(s.reservedOwner(id))
 		v.Kind = KindFree
+		v.more = &s.blank
 	}
 	grown := make([]*segment, max(len(segs), segIdx+1))
 	copy(grown, segs)
@@ -261,7 +276,7 @@ func (s *Store) FreeCountOf(part int) int {
 	}
 	sh := &s.shards[part]
 	sh.mu.Lock()
-	n := len(sh.ids) + sh.virgin
+	n := len(sh.ids) + int(sh.virgin)
 	sh.mu.Unlock()
 	return n
 }
@@ -395,12 +410,13 @@ func (s *Store) steal(part int) (VertexID, bool) {
 
 // Release returns a vertex to F (the restructuring phase's "adding elements
 // of GAR to F"). The caller must guarantee the vertex is unreachable; its
-// edges and reduction state are cleared. Only the owning partition's shard
-// lock is taken, so concurrent releases on different PEs never contend.
+// edges and reduction state are cleared, and its overflow record, if any,
+// joins the partition's spares. Only the owning partition's shard lock is
+// taken, so concurrent releases on different PEs never contend.
 func (s *Store) Release(v *Vertex) {
 	v.Lock()
 	v.ResetFree()
-	part := v.Part
+	part := int(v.Part)
 	v.Unlock()
 	s.clearUsed(v.ID)
 
@@ -417,7 +433,9 @@ func (s *Store) Release(v *Vertex) {
 // shard lock per vertex would make the collector the one writer that
 // serializes against every PE's allocation fast path. Append order within
 // a partition matches vertex order in vs, so the id sequence handed back
-// out by Alloc is identical to len(vs) individual Release calls.
+// out by Alloc is identical to len(vs) individual Release calls. A vertex
+// that still holds an overflow record gives it back in ResetFree, under its
+// shard's lock.
 func (s *Store) ReleaseBatch(vs []*Vertex) {
 	if len(vs) == 0 {
 		return
@@ -435,7 +453,7 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 		n := 0
 		sh.mu.Lock()
 		for _, v := range vs {
-			if v.Part == part {
+			if int(v.Part) == part {
 				sh.ids = append(sh.ids, v.ID)
 				n++
 			}
@@ -522,7 +540,7 @@ func (s *Store) StringAt(i int64) string {
 // PartitionOf returns the partition that owns id (0 for invalid IDs).
 func (s *Store) PartitionOf(id VertexID) int {
 	if v := s.Vertex(id); v != nil {
-		return v.Part
+		return int(v.Part)
 	}
 	if id != NilVertex && int(id) <= s.reserved {
 		return s.reservedOwner(int(id)) // its segment not materialised yet
@@ -549,7 +567,7 @@ func (s *Store) Snapshot() *Snapshot {
 		if id <= s.reserved {
 			sv.Part = s.reservedOwner(id)
 		} else {
-			sv.Part = s.Vertex(VertexID(id)).Part
+			sv.Part = int(s.Vertex(VertexID(id)).Part)
 		}
 		snap.Verts[id] = sv
 	}
@@ -557,13 +575,15 @@ func (s *Store) Snapshot() *Snapshot {
 		v.Lock()
 		sv := SnapVertex{
 			ID:   v.ID,
-			Part: v.Part,
+			Part: int(v.Part),
 			Kind: v.Kind,
 			Val:  v.Val,
 		}
-		sv.Args = append(sv.Args, v.Args...)
-		sv.ReqKinds = append(sv.ReqKinds, v.ReqKinds...)
-		sv.Requested = append(sv.Requested, v.Requested...)
+		sv.Args = append(sv.Args, v.Args()...)
+		for i := range sv.Args {
+			sv.ReqKinds = append(sv.ReqKinds, v.ReqKindAt(i))
+		}
+		sv.Requested = append(sv.Requested, v.Requested()...)
 		v.Unlock()
 		snap.Verts[sv.ID] = sv
 	})

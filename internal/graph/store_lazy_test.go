@@ -154,7 +154,7 @@ func runAllocatorTrace(t *testing.T, parts, capacity int, fixed bool, seed int64
 			if err != nil {
 				t.Fatalf("seed %d step %d: Alloc(%d): %v; model hands out %d", seed, step, part, err, want)
 			}
-			if v.ID != want || v.Part != m.partOf[want] {
+			if v.ID != want || int(v.Part) != m.partOf[want] {
 				t.Fatalf("seed %d step %d: Alloc(%d) = id %d part %d, model id %d part %d",
 					seed, step, part, v.ID, v.Part, want, m.partOf[want])
 			}
@@ -200,7 +200,7 @@ func TestStoreFixedSizeExhaustsAtCapacity(t *testing.T) {
 		if v.ID < 1 || int(v.ID) > capacity || seen[v.ID] {
 			t.Fatalf("alloc %d: id %d out of range or handed out twice", i, v.ID)
 		}
-		if want := int(v.ID-1) % parts; v.Part != want {
+		if want := int(v.ID-1) % parts; int(v.Part) != want {
 			t.Fatalf("vertex %d owned by partition %d, want %d", v.ID, v.Part, want)
 		}
 		seen[v.ID] = true

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,6 +39,33 @@ func TestStoreAllocRelease(t *testing.T) {
 	if !s.IsFree(v.ID) {
 		t.Fatal("released vertex not reported free")
 	}
+}
+
+// TestNewStorePartitionBound: a vertex records its partition in 16 bits, so
+// a store takes at most MaxPartitions partitions — the last of them owns its
+// vertices like any other — and NewStore panics, naming the value, when
+// asked for one more.
+func TestNewStorePartitionBound(t *testing.T) {
+	s := NewStore(Config{Partitions: MaxPartitions, Capacity: MaxPartitions + 1})
+	last := MaxPartitions - 1
+	v, err := s.Alloc(last, KindInt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(v.Part) != last || s.PartitionOf(v.ID) != last || s.Snapshot().Vertex(v.ID).Part != last {
+		t.Fatalf("v%d in partition %d (PartitionOf %d), want %d", v.ID, v.Part, s.PartitionOf(v.ID), last)
+	}
+	if w, _ := s.Alloc(0, KindInt, 0); w.Part != 0 || s.PartitionOf(MaxPartitions+1) != 0 {
+		t.Fatalf("partition 0's vertices: v%d in %d, id %d in %d", w.ID, w.Part, MaxPartitions+1, s.PartitionOf(MaxPartitions+1))
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "65537 partitions") {
+			t.Fatalf("NewStore(MaxPartitions+1) panicked with %q, want the count named", msg)
+		}
+	}()
+	NewStore(Config{Partitions: MaxPartitions + 1})
 }
 
 func TestStoreAllocPartitionAffinity(t *testing.T) {

@@ -221,6 +221,16 @@ type Requester struct {
 // that runs one task at a time, which is the atomicity: its lock is serial,
 // so Lock and Unlock do nothing, and the owner serializes every other
 // reader.
+//
+// The edge sets are stored by size. Up to two args with their request
+// kinds, and one requester, sit in the vertex itself; a set larger than
+// that lives wholly in an overflow record, which the vertex holds only
+// while it needs one (overflow.go). Args and Requested read either place
+// without allocating; AddArg, RemoveArg, SetArgs, SetReqKindAt,
+// AddRequester, RemoveRequester and ResetFree are the only writers, and
+// they keep a set inline whenever it fits. The layout is 120 bytes, so a
+// segment of 512 vertices fits in 64 KiB (DESIGN.md §8, "The vertex on a
+// diet").
 type Vertex struct {
 	// The vertex lock is embedded so that Lock and Unlock are its own,
 	// inlined at every call site. Its mode bit, set as the vertex is
@@ -229,43 +239,50 @@ type Vertex struct {
 	vertexLock
 
 	// ID and Part are immutable after allocation.
-	ID   VertexID
-	Part int // owning partition / processing element
+	ID VertexID
 
+	Val int64 // literal value, combinator code, or primitive code
+
+	args [inlineArgs]VertexID  // args(v) while na <= inlineArgs
+	reqs [inlineReqs]Requester // requested(v) while nr <= inlineReqs
+	more *overflow             // larger sets, and the lineage context
+
+	// One 8-byte group: the partition, the label, the two edge-set counts,
+	// the inline request kinds and the two reduction flags.
+	Part uint16 // owning partition / processing element (< MaxPartitions)
 	Kind Kind
-	Val  int64 // literal value, combinator code, or primitive code
-
-	// Args is the ordered args(v) edge list; ReqKinds is parallel to it and
-	// classifies each edge as vital / eager / not-requested.
-	Args     []VertexID
-	ReqKinds []ReqKind
-
-	// Requested is the paper's requested(v): vertices that asked for v's
-	// value and have not been replied to.
-	Requested []Requester
+	na   uint8 // inline arg count, or spilled
+	nr   uint8 // inline requester count, or spilled
+	rks  uint8 // request kinds of the inline args, 2 bits each
+	// Evaluating is true while a reduction task is driving v toward WHNF,
+	// so duplicate demands only register as requesters.
+	Evaluating bool
+	// WHNF records that v has been determined to be in weak head normal
+	// form (set for under-applied applications and completed indirections,
+	// whose WHNF-ness is not derivable from the kind alone).
+	WHNF bool
 
 	// RCtx and TCtx are the marking contexts for M_R and M_T.
 	RCtx MarkCtx
 	TCtx MarkCtx
 
-	// Red holds the reduction engine's per-vertex bookkeeping. It is
+	// Red holds the reduction engine's per-vertex allocation stamps. It is
 	// opaque to the marking machinery.
 	Red RedState
 }
 
-// RedState is the reduction engine's per-vertex scratch state. It lives on
-// the vertex because in the paper's model a vertex carries the local status
-// of its own evaluation.
+// Inline capacities of a vertex's edge sets. Every vertex reclaimed from
+// the corpus had at most two args (an apply node, a cons cell, a binary
+// primitive); a requester set rarely holds more than one.
+const (
+	inlineArgs = 2
+	inlineReqs = 1
+	spilled    = 0xff // na or nr: the set lives in the overflow record
+)
+
+// RedState holds the epochs at which a vertex left the free list, which the
+// restructuring sweep and the deadlock detector compare with their cycle's.
 type RedState struct {
-	// Evaluating is true while a reduction task is driving v toward WHNF,
-	// so duplicate demands only register as requesters.
-	Evaluating bool
-	// Pending counts argument values v is waiting for.
-	Pending int
-	// WHNF records that v has been determined to be in weak head normal
-	// form (set for under-applied applications and completed
-	// indirections, whose WHNF-ness is not derivable from the kind alone).
-	WHNF bool
 	// AllocEpoch records the M_R epoch at which the vertex left the free
 	// list; the restructuring sweep skips vertices allocated during the
 	// cycle being swept (reduction axiom 1: R expands only from F).
@@ -277,14 +294,6 @@ type RedState struct {
 	// (vertices allocated later are trivially T-unmarked without being
 	// deadlocked).
 	AllocEpochT uint64
-	// Trace and TraceSpan carry the causal-lineage context of the traced
-	// task currently driving this vertex (0 = untraced): tasks the engine
-	// spawns from here inherit Trace and point at TraceSpan as their
-	// causal parent. Like the rest of RedState the fields are opaque to
-	// the marking machinery, and ResetFree zeroes them with the struct, so
-	// a reclaimed-and-reallocated vertex can never leak a stale context.
-	Trace     uint64
-	TraceSpan uint32
 }
 
 // FreshAllocEpoch is the alloc-epoch sentinel carried by a vertex from the
@@ -307,7 +316,7 @@ func (v *Vertex) IsValueLocked() bool {
 		KindSuper:
 		return true
 	case KindApply, KindPrimApp, KindInd:
-		return v.Red.WHNF
+		return v.WHNF
 	default:
 		return false
 	}
@@ -325,9 +334,66 @@ func (v *Vertex) CtxOf(c Ctx) *MarkCtx {
 	return &v.RCtx
 }
 
-// ArgIndex returns the first index of c in Args, or -1.
+// Args returns args(v) in order. The slice aliases the vertex's storage:
+// it is valid until the next write to the vertex's args.
+func (v *Vertex) Args() []VertexID {
+	if v.na <= inlineArgs {
+		return v.args[:v.na]
+	}
+	return v.more.args
+}
+
+// ReqKindAt returns the request kind of the i-th arg edge.
+func (v *Vertex) ReqKindAt(i int) ReqKind {
+	if v.na <= inlineArgs {
+		if uint(i) >= uint(v.na) {
+			panic(fmt.Sprintf("graph: ReqKindAt(%d) of %d args", i, v.na))
+		}
+		return ReqKind(v.rks >> (2 * i) & 3)
+	}
+	return v.more.kinds[i]
+}
+
+// SetReqKindAt reclassifies the i-th arg edge.
+func (v *Vertex) SetReqKindAt(i int, rk ReqKind) {
+	if v.na <= inlineArgs {
+		if uint(i) >= uint(v.na) {
+			panic(fmt.Sprintf("graph: SetReqKindAt(%d) of %d args", i, v.na))
+		}
+		v.rks = v.rks&^(3<<(2*i)) | uint8(rk)<<(2*i)
+		return
+	}
+	v.more.kinds[i] = rk
+}
+
+// SetArgs replaces args(v) with ids, in order, every edge unrequested.
+// ids may alias Args().
+func (v *Vertex) SetArgs(ids ...VertexID) {
+	if len(ids) <= inlineArgs {
+		wasSpilled := v.na == spilled
+		copy(v.args[:], ids)
+		clear(v.args[len(ids):])
+		v.na = uint8(len(ids))
+		v.rks = 0
+		if wasSpilled {
+			v.more.args, v.more.kinds = v.more.args[:0], v.more.kinds[:0]
+			v.dropIdleRecord()
+		}
+		return
+	}
+	o := v.overflowRec()
+	o.args = append(o.args[:0], ids...)
+	o.kinds = o.kinds[:0]
+	for range ids {
+		o.kinds = append(o.kinds, ReqNone)
+	}
+	v.args = [inlineArgs]VertexID{}
+	v.na, v.rks = spilled, 0
+}
+
+// ArgIndex returns the first index of c in args(v), or -1.
 func (v *Vertex) ArgIndex(c VertexID) int {
-	for i, a := range v.Args {
+	for i, a := range v.Args() {
 		if a == c {
 			return i
 		}
@@ -340,8 +406,21 @@ func (v *Vertex) HasArg(c VertexID) bool { return v.ArgIndex(c) >= 0 }
 
 // AddArg appends c to args(v) with the given request kind.
 func (v *Vertex) AddArg(c VertexID, rk ReqKind) {
-	v.Args = append(v.Args, c)
-	v.ReqKinds = append(v.ReqKinds, rk)
+	switch {
+	case v.na < inlineArgs:
+		v.args[v.na] = c
+		v.rks |= uint8(rk) << (2 * v.na)
+		v.na++
+	case v.na == inlineArgs: // the set outgrows the vertex
+		o := v.overflowRec()
+		o.args = append(o.args[:0], v.args[0], v.args[1], c)
+		o.kinds = append(o.kinds[:0], ReqKind(v.rks&3), ReqKind(v.rks>>2&3), rk)
+		v.args = [inlineArgs]VertexID{}
+		v.na, v.rks = spilled, 0
+	default:
+		v.more.args = append(v.more.args, c)
+		v.more.kinds = append(v.more.kinds, rk)
+	}
 }
 
 // RemoveArg removes the first occurrence of c from args(v), returning the
@@ -352,9 +431,26 @@ func (v *Vertex) RemoveArg(c VertexID) (ReqKind, bool) {
 	if i < 0 {
 		return ReqNone, false
 	}
-	rk := v.ReqKinds[i]
-	v.Args = append(v.Args[:i], v.Args[i+1:]...)
-	v.ReqKinds = append(v.ReqKinds[:i], v.ReqKinds[i+1:]...)
+	rk := v.ReqKindAt(i)
+	if v.na <= inlineArgs {
+		// Shift the later edge, if any, down over slot i.
+		low := v.rks & (1<<(2*i) - 1)
+		v.rks = low | v.rks>>(2*(i+1))<<(2*i)
+		copy(v.args[i:], v.args[i+1:])
+		v.na--
+		v.args[v.na] = NilVertex
+		return rk, true
+	}
+	o := v.more
+	o.args = append(o.args[:i], o.args[i+1:]...)
+	o.kinds = append(o.kinds[:i], o.kinds[i+1:]...)
+	if len(o.args) == inlineArgs { // the set fits again
+		v.args = [inlineArgs]VertexID{o.args[0], o.args[1]}
+		v.rks = uint8(o.kinds[0]) | uint8(o.kinds[1])<<2
+		v.na = inlineArgs
+		o.args, o.kinds = o.args[:0], o.kinds[:0]
+		v.dropIdleRecord()
+	}
 	return rk, true
 }
 
@@ -365,7 +461,7 @@ func (v *Vertex) SetReqKind(c VertexID, rk ReqKind) bool {
 	if i < 0 {
 		return false
 	}
-	v.ReqKinds[i] = rk
+	v.SetReqKindAt(i, rk)
 	return true
 }
 
@@ -375,30 +471,66 @@ func (v *Vertex) ReqKindOf(c VertexID) ReqKind {
 	if i < 0 {
 		return ReqNone
 	}
-	return v.ReqKinds[i]
+	return v.ReqKindAt(i)
+}
+
+// Requested returns requested(v) in the order the requests arrived. The
+// slice aliases the vertex's storage: an element's Kind may be written
+// through it, and it is valid until the next AddRequester or
+// RemoveRequester.
+func (v *Vertex) Requested() []Requester {
+	if v.nr <= inlineReqs {
+		return v.reqs[:v.nr]
+	}
+	return v.more.reqs
 }
 
 // AddRequester records that src requested v's value.
 func (v *Vertex) AddRequester(src VertexID, rk ReqKind) {
-	v.Requested = append(v.Requested, Requester{Src: src, Kind: rk})
+	r := Requester{Src: src, Kind: rk}
+	switch {
+	case v.nr < inlineReqs:
+		v.reqs[v.nr] = r
+		v.nr++
+	case v.nr == inlineReqs: // the set outgrows the vertex
+		o := v.overflowRec()
+		o.reqs = append(o.reqs[:0], v.reqs[0], r)
+		v.reqs = [inlineReqs]Requester{}
+		v.nr = spilled
+	default:
+		v.more.reqs = append(v.more.reqs, r)
+	}
 }
 
 // RemoveRequester removes the first request by src, reporting whether one
 // was present. This is the "dereference" half of §3.2: removing x from
 // requested(y).
 func (v *Vertex) RemoveRequester(src VertexID) bool {
-	for i, r := range v.Requested {
-		if r.Src == src {
-			v.Requested = append(v.Requested[:i], v.Requested[i+1:]...)
+	for i, r := range v.Requested() {
+		if r.Src != src {
+			continue
+		}
+		if v.nr <= inlineReqs {
+			v.reqs = [inlineReqs]Requester{}
+			v.nr = 0
 			return true
 		}
+		o := v.more
+		o.reqs = append(o.reqs[:i], o.reqs[i+1:]...)
+		if len(o.reqs) == inlineReqs { // the set fits again
+			v.reqs = [inlineReqs]Requester{o.reqs[0]}
+			v.nr = inlineReqs
+			o.reqs = o.reqs[:0]
+			v.dropIdleRecord()
+		}
+		return true
 	}
 	return false
 }
 
 // HasRequester reports whether src ∈ requested(v).
 func (v *Vertex) HasRequester(src VertexID) bool {
-	for _, r := range v.Requested {
+	for _, r := range v.Requested() {
 		if r.Src == src {
 			return true
 		}
@@ -409,30 +541,59 @@ func (v *Vertex) HasRequester(src VertexID) bool {
 // TaskChildren appends to dst the vertices M_T traces through from v:
 // requested(v) ∪ (args(v) − req-args(v)), per Figure 5-3.
 func (v *Vertex) TaskChildren(dst []VertexID) []VertexID {
-	for _, r := range v.Requested {
+	for _, r := range v.Requested() {
 		dst = append(dst, r.Src)
 	}
-	for i, a := range v.Args {
-		if v.ReqKinds[i] == ReqNone {
+	for i, a := range v.Args() {
+		if v.ReqKindAt(i) == ReqNone {
 			dst = append(dst, a)
 		}
 	}
 	return dst
 }
 
-// ResetFree reinitializes the vertex as a member of F, clearing edges and
-// reduction state but preserving marking context epochs (a stale epoch is
-// equivalent to unmarked).
+// Trace returns the causal-lineage context of the traced task currently
+// driving this vertex: its trace id (0 = untraced) and its span. Tasks the
+// engine spawns from here inherit the trace and point at the span as their
+// causal parent. The context is opaque to the marking machinery.
+func (v *Vertex) Trace() (trace uint64, span uint32) {
+	if v.more == nil {
+		return 0, 0
+	}
+	return v.more.trace, v.more.span
+}
+
+// SetTrace publishes a lineage context on the vertex. Clearing one that
+// was never set costs nothing, so an untraced machine never takes a record
+// for it.
+func (v *Vertex) SetTrace(trace uint64, span uint32) {
+	if trace == 0 && span == 0 && !v.ownsRecord() {
+		return
+	}
+	o := v.overflowRec()
+	o.trace, o.span = trace, span
+	v.dropIdleRecord()
+}
+
+// ResetFree reinitializes the vertex as a member of F, clearing edges,
+// reduction state and lineage context but preserving marking context
+// epochs (a stale epoch is equivalent to unmarked), so a reclaimed and
+// reallocated vertex can never leak a stale context. Its overflow record,
+// if it has one, goes back to its store's spares.
 func (v *Vertex) ResetFree() {
 	v.Kind = KindFree
 	v.Val = 0
-	v.Args = v.Args[:0]
-	v.ReqKinds = v.ReqKinds[:0]
-	v.Requested = v.Requested[:0]
+	v.args = [inlineArgs]VertexID{}
+	v.reqs = [inlineReqs]Requester{}
+	v.na, v.nr, v.rks = 0, 0, 0
+	v.Evaluating, v.WHNF = false, false
 	v.Red = RedState{}
+	if v.ownsRecord() {
+		v.releaseRecord()
+	}
 }
 
 // String renders a compact description for diagnostics.
 func (v *Vertex) String() string {
-	return fmt.Sprintf("v%d[%s part=%d val=%d args=%v]", v.ID, v.Kind, v.Part, v.Val, v.Args)
+	return fmt.Sprintf("v%d[%s part=%d val=%d args=%v]", v.ID, v.Kind, v.Part, v.Val, v.Args())
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -116,11 +119,11 @@ func TestVertexArgEdgeOps(t *testing.T) {
 		t.Fatalf("RemoveArg(3) = (%v, %v)", rk, ok)
 	}
 	// Order of remaining args preserved.
-	if len(v.Args) != 2 || v.Args[0] != 2 || v.Args[1] != 4 {
-		t.Fatalf("args after remove = %v", v.Args)
+	if len(v.Args()) != 2 || v.Args()[0] != 2 || v.Args()[1] != 4 {
+		t.Fatalf("args after remove = %v", v.Args())
 	}
-	if len(v.ReqKinds) != 2 || v.ReqKinds[0] != ReqEager || v.ReqKinds[1] != ReqEager {
-		t.Fatalf("reqkinds after remove = %v", v.ReqKinds)
+	if v.ReqKindAt(0) != ReqEager || v.ReqKindAt(1) != ReqEager {
+		t.Fatalf("reqkinds after remove = %v, %v", v.ReqKindAt(0), v.ReqKindAt(1))
 	}
 	if _, ok := v.RemoveArg(3); ok {
 		t.Fatal("RemoveArg of absent edge succeeded")
@@ -140,8 +143,8 @@ func TestVertexDuplicateArgs(t *testing.T) {
 	if !ok || rk != ReqVital {
 		t.Fatalf("RemoveArg = (%v,%v), want (vital,true)", rk, ok)
 	}
-	if len(v.Args) != 1 || v.ReqKinds[0] != ReqEager {
-		t.Fatalf("remaining = %v/%v", v.Args, v.ReqKinds)
+	if len(v.Args()) != 1 || v.ReqKindAt(0) != ReqEager {
+		t.Fatalf("remaining = %v/%v", v.Args(), v.ReqKindAt(0))
 	}
 }
 
@@ -158,8 +161,8 @@ func TestRequesterOps(t *testing.T) {
 	if v.RemoveRequester(10) {
 		t.Fatal("double RemoveRequester succeeded")
 	}
-	if len(v.Requested) != 1 || v.Requested[0].Src != 11 {
-		t.Fatalf("requested = %v", v.Requested)
+	if len(v.Requested()) != 1 || v.Requested()[0].Src != 11 {
+		t.Fatalf("requested = %v", v.Requested())
 	}
 }
 
@@ -188,15 +191,11 @@ func TestResetFree(t *testing.T) {
 	v := &Vertex{ID: 1, Kind: KindApply, Val: 42}
 	v.AddArg(2, ReqVital)
 	v.AddRequester(3, ReqEager)
-	v.Red.Pending = 2
 	v.RCtx.Touch(5, 9, PriorVital)
 
 	v.ResetFree()
-	if v.Kind != KindFree || v.Val != 0 || len(v.Args) != 0 || len(v.Requested) != 0 {
+	if v.Kind != KindFree || v.Val != 0 || len(v.Args()) != 0 || len(v.Requested()) != 0 {
 		t.Fatalf("after ResetFree: %+v", v)
-	}
-	if v.Red.Pending != 0 {
-		t.Fatal("reduction state not cleared")
 	}
 	// Marking epochs are preserved: a stale epoch is already "unmarked".
 	if v.RCtx.Epoch != 5 {
@@ -221,13 +220,27 @@ func TestMarkCtxTouchQuick(t *testing.T) {
 	}
 }
 
+// TestVertexSize: a vertex is 120 bytes, so a segment of segSize vertices
+// and its in-use bits fit in 64 KiB — eight pages — where the 216-byte
+// vertex's took fourteen. The CI census prints both sizes.
+func TestVertexSize(t *testing.T) {
+	vsz, ssz := unsafe.Sizeof(Vertex{}), unsafe.Sizeof(segment{})
+	t.Logf("census: Sizeof(Vertex)=%d Sizeof(segment)=%d", vsz, ssz)
+	if vsz != 120 {
+		t.Errorf("Sizeof(Vertex) = %d, want 120", vsz)
+	}
+	if ssz > 64<<10 {
+		t.Errorf("Sizeof(segment) = %d, want <= %d", ssz, 64<<10)
+	}
+	if got := unsafe.Sizeof(overflow{}); got != 128 {
+		t.Errorf("Sizeof(overflow) = %d, want 128", got)
+	}
+}
+
 // TestSerialStoreSkipsVertexLock: a serial store's vertices, reserved or
 // grown, leave their mutex alone, and a default store's take it. The flag
-// that says which sits in padding: Vertex stays 216 bytes.
+// that says which sits in what would be the lock's padding (TestVertexSize).
 func TestSerialStoreSkipsVertexLock(t *testing.T) {
-	if got := unsafe.Sizeof(Vertex{}); got != 216 {
-		t.Errorf("Sizeof(Vertex) = %d, want 216", got)
-	}
 	for _, serial := range []bool{false, true} {
 		s := NewStore(Config{Partitions: 1, Capacity: 2, Serial: serial})
 		for i := 0; i < 3; i++ { // the third grows the arena past Capacity
@@ -247,5 +260,245 @@ func TestSerialStoreSkipsVertexLock(t *testing.T) {
 			}
 			v.Mutex.Unlock()
 		}
+	}
+}
+
+// edgeModel is the plain-slice reference the vertex's inline/overflow edge
+// storage must agree with.
+type edgeModel struct {
+	args  []VertexID
+	kinds []ReqKind
+	reqs  []Requester
+}
+
+func (m *edgeModel) argIndex(c VertexID) int {
+	for i, a := range m.args {
+		if a == c {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *edgeModel) taskChildren() []VertexID {
+	var dst []VertexID
+	for _, r := range m.reqs {
+		dst = append(dst, r.Src)
+	}
+	for i, a := range m.args {
+		if m.kinds[i] == ReqNone {
+			dst = append(dst, a)
+		}
+	}
+	return dst
+}
+
+// TestVertexEdgesMatchModel drives random sequences of edge writes against a
+// vertex and a plain-slice model, and checks after every step that Args, the
+// request kinds, Requested and TaskChildren agree element for element and in
+// order, and that a set sits in the overflow record exactly when it does not
+// fit inline. The ids come from a small range, so duplicates occur, and the
+// sequences must cross between inline and overflow storage both ways.
+func TestVertexEdgesMatchModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewStore(Config{Partitions: 1, Capacity: 4})
+	var spills, unspills, reqSpills, reqUnspills int
+	for seq := 0; seq < 300; seq++ {
+		v, err := s.Alloc(0, KindApply, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m edgeModel
+		for step := 0; step < 60; step++ {
+			id := VertexID(2 + rng.Intn(5))
+			rk := ReqKind(rng.Intn(3))
+			wasSpilled, reqWasSpilled := v.na == spilled, v.nr == spilled
+			var op string
+			switch rng.Intn(8) {
+			case 0:
+				n := rng.Intn(6)
+				ids := make([]VertexID, n)
+				for i := range ids {
+					ids[i] = VertexID(2 + rng.Intn(5))
+				}
+				op = fmt.Sprintf("SetArgs(%v)", ids)
+				v.SetArgs(ids...)
+				m.args = append([]VertexID(nil), ids...)
+				m.kinds = make([]ReqKind, n)
+			case 1, 2:
+				op = fmt.Sprintf("AddArg(%d, %v)", id, rk)
+				v.AddArg(id, rk)
+				m.args = append(m.args, id)
+				m.kinds = append(m.kinds, rk)
+			case 3:
+				op = fmt.Sprintf("RemoveArg(%d)", id)
+				gotRK, gotOK := v.RemoveArg(id)
+				var wantRK ReqKind
+				i := m.argIndex(id)
+				if i >= 0 {
+					wantRK = m.kinds[i]
+					m.args = append(m.args[:i], m.args[i+1:]...)
+					m.kinds = append(m.kinds[:i], m.kinds[i+1:]...)
+				}
+				if gotRK != wantRK || gotOK != (i >= 0) {
+					t.Fatalf("seq %d step %d %s = (%v, %v), want (%v, %v)", seq, step, op, gotRK, gotOK, wantRK, i >= 0)
+				}
+			case 4:
+				if len(m.args) == 0 {
+					continue
+				}
+				i := rng.Intn(len(m.args))
+				op = fmt.Sprintf("SetReqKindAt(%d, %v)", i, rk)
+				v.SetReqKindAt(i, rk)
+				m.kinds[i] = rk
+			case 5:
+				op = fmt.Sprintf("AddRequester(%d, %v)", id, rk)
+				v.AddRequester(id, rk)
+				m.reqs = append(m.reqs, Requester{Src: id, Kind: rk})
+			case 6:
+				op = fmt.Sprintf("RemoveRequester(%d)", id)
+				got, want := v.RemoveRequester(id), false
+				for i, r := range m.reqs {
+					if r.Src == id {
+						m.reqs = append(m.reqs[:i], m.reqs[i+1:]...)
+						want = true
+						break
+					}
+				}
+				if got != want {
+					t.Fatalf("seq %d step %d %s = %v, want %v", seq, step, op, got, want)
+				}
+			case 7:
+				if rng.Intn(3) != 0 {
+					continue // keep resets rarer, so the sets grow
+				}
+				op = "ResetFree"
+				v.ResetFree()
+				v.Kind = KindApply
+				m = edgeModel{}
+			}
+			checkVertexEdges(t, fmt.Sprintf("seq %d step %d after %s", seq, step, op), v, &m)
+			switch isSpilled := v.na == spilled; {
+			case !wasSpilled && isSpilled:
+				spills++
+			case wasSpilled && !isSpilled:
+				unspills++
+			}
+			switch isSpilled := v.nr == spilled; {
+			case !reqWasSpilled && isSpilled:
+				reqSpills++
+			case reqWasSpilled && !isSpilled:
+				reqUnspills++
+			}
+		}
+		s.Release(v)
+	}
+	t.Logf("args: %d spills, %d returns inline; requesters: %d spills, %d returns inline",
+		spills, unspills, reqSpills, reqUnspills)
+	if spills == 0 || unspills == 0 || reqSpills == 0 || reqUnspills == 0 {
+		t.Fatal("the sequences did not cross between inline and overflow storage both ways")
+	}
+}
+
+func checkVertexEdges(t *testing.T, at string, v *Vertex, m *edgeModel) {
+	t.Helper()
+	if got := v.Args(); !slices.Equal(got, m.args) {
+		t.Fatalf("%s: Args() = %v, want %v", at, got, m.args)
+	}
+	for i, want := range m.kinds {
+		if got := v.ReqKindAt(i); got != want {
+			t.Fatalf("%s: ReqKindAt(%d) = %v, want %v", at, i, got, want)
+		}
+	}
+	if got := v.Requested(); !slices.Equal(got, m.reqs) {
+		t.Fatalf("%s: Requested() = %v, want %v", at, got, m.reqs)
+	}
+	if got, want := v.TaskChildren(nil), m.taskChildren(); !slices.Equal(got, want) {
+		t.Fatalf("%s: TaskChildren = %v, want %v", at, got, want)
+	}
+	if (v.na == spilled) != (len(m.args) > inlineArgs) || (v.nr == spilled) != (len(m.reqs) > inlineReqs) {
+		t.Fatalf("%s: %d args and %d requesters stored with na=%d nr=%d", at, len(m.args), len(m.reqs), v.na, v.nr)
+	}
+	if v.ownsRecord() != (v.na == spilled || v.nr == spilled) {
+		t.Fatalf("%s: owns a record = %v with na=%d nr=%d", at, v.ownsRecord(), v.na, v.nr)
+	}
+}
+
+// TestVertexRewireAllocatesNothing: rewiring a reclaimed vertex allocates
+// nothing, whether its edges fit inline or spill into an overflow record
+// that an earlier spill left among the store's spares.
+func TestVertexRewireAllocatesNothing(t *testing.T) {
+	s := NewStore(Config{Partitions: 1, Capacity: 8, Serial: true})
+	v, err := s.Alloc(0, KindApply, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		args, reqs int
+	}{
+		{"inline: 2 args, 1 requester", 2, 1},
+		{"spilled, a spare record at hand: 5 args, 3 requesters", 5, 3},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			s.Release(v)
+			w, err := s.Alloc(0, KindApply, 0)
+			if err != nil || w != v {
+				t.Fatalf("reallocation returned %v, %v; want v%d", w, err, v.ID)
+			}
+			v.SetArgs(2, 3)
+			for i := 2; i < tc.args; i++ {
+				v.AddArg(VertexID(2+i), ReqNone)
+			}
+			v.SetReqKindAt(1, ReqVital)
+			for i := 0; i < tc.reqs; i++ {
+				v.AddRequester(VertexID(7+i), ReqVital)
+			}
+			v.SetTrace(0, 0)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per rewire, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestOverflowRecordLifetime: a vertex holds an overflow record exactly
+// while a set is spilled or a lineage context is set; clearing a context
+// never set takes none, and a record given back goes to the store's spares
+// of the vertex's partition, from which the next spill takes it.
+func TestOverflowRecordLifetime(t *testing.T) {
+	s := NewStore(Config{Partitions: 2, Capacity: 8})
+	v, err := s.Alloc(1, KindApply, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SetTrace(0, 0)
+	if v.ownsRecord() {
+		t.Fatal("clearing an unset lineage context took a record")
+	}
+	v.SetTrace(7, 3)
+	v.Evaluating, v.WHNF = true, true
+	rec := v.more
+	if tr, sp := v.Trace(); !v.ownsRecord() || tr != 7 || sp != 3 {
+		t.Fatalf("after SetTrace(7, 3): owns record %v, Trace() = %d, %d", v.ownsRecord(), tr, sp)
+	}
+	v.SetArgs(2, 3, 4)
+	s.Release(v)
+	if tr, sp := v.Trace(); tr != 0 || sp != 0 || v.Evaluating || v.WHNF || v.ownsRecord() {
+		t.Fatalf("after Release: Trace() = %d, %d, Evaluating %v, WHNF %v, owns record %v",
+			tr, sp, v.Evaluating, v.WHNF, v.ownsRecord())
+	}
+	if got := s.shards[1].recs; len(got) != 1 || got[0] != rec {
+		t.Fatalf("partition 1's spares = %v, want the released record", got)
+	}
+	w, _ := s.Alloc(1, KindApply, 0)
+	w.AddRequester(5, ReqVital)
+	w.AddRequester(6, ReqVital)
+	if w.more != rec || len(s.shards[1].recs) != 0 {
+		t.Fatal("a spill did not take the spare record")
+	}
+	w.RemoveRequester(5)
+	if w.ownsRecord() || len(s.shards[1].recs) != 1 {
+		t.Fatal("a record left empty was not given back")
 	}
 }

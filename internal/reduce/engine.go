@@ -242,17 +242,18 @@ func (e *Engine) inheritTrace(t *task.Task) {
 		return
 	}
 	v.Lock()
-	if v.Kind != graph.KindFree && v.Red.Trace != 0 {
-		t.Trace = v.Red.Trace
-		t.SetParentSpan(v.Red.TraceSpan)
+	if trace, span := v.Trace(); v.Kind != graph.KindFree && trace != 0 {
+		t.Trace = trace
+		t.SetParentSpan(span)
 	}
 	v.Unlock()
 }
 
 // publishTrace stamps the executing traced task's context on its
 // destination vertex, making the task the causal parent of everything the
-// reduction spawns from there. RedState is opaque to the marking machinery
-// and zeroed on reclamation, so the stamp cannot outlive the vertex.
+// reduction spawns from there. The context is opaque to the marking
+// machinery and zeroed on reclamation, so the stamp cannot outlive the
+// vertex.
 func (e *Engine) publishTrace(t task.Task) {
 	v := e.store.Vertex(t.Dst)
 	if v == nil {
@@ -260,8 +261,7 @@ func (e *Engine) publishTrace(t task.Task) {
 	}
 	v.Lock()
 	if v.Kind != graph.KindFree {
-		v.Red.Trace = t.Trace
-		v.Red.TraceSpan = t.Span()
+		v.SetTrace(t.Trace, t.Span())
 	}
 	v.Unlock()
 }
@@ -322,9 +322,9 @@ func (e *Engine) handleDemand(t task.Task) {
 		e.complete(v)
 		return
 	}
-	start := !v.Red.Evaluating
+	start := !v.Evaluating
 	if start {
-		v.Red.Evaluating = true
+		v.Evaluating = true
 	}
 	v.Unlock()
 	if start {
@@ -357,10 +357,10 @@ func (e *Engine) complete(v *graph.Vertex) {
 		v.Unlock()
 		return
 	}
-	v.Red.Evaluating = false
-	v.Red.WHNF = true
+	v.Evaluating = false
+	v.WHNF = true
 	var buf [spineInline]graph.Requester
-	reqs := append(buf[:0], v.Requested...)
+	reqs := append(buf[:0], v.Requested()...)
 	v.Unlock()
 
 	for _, r := range reqs {
@@ -397,7 +397,7 @@ func (e *Engine) spawnReduce(id graph.VertexID) {
 func (e *Engine) demandKind(v *graph.Vertex) graph.ReqKind {
 	v.Lock()
 	kind := graph.ReqEager
-	for _, r := range v.Requested {
+	for _, r := range v.Requested() {
 		if r.Kind == graph.ReqVital {
 			kind = graph.ReqVital
 			break
@@ -464,7 +464,7 @@ func (e *Engine) demandOperand(v *graph.Vertex, ownerID, childID graph.VertexID,
 		return
 	}
 	child.Lock()
-	for _, r := range child.Requested {
+	for _, r := range child.Requested() {
 		if r.Src == v.ID && r.Kind >= kind {
 			child.Unlock()
 			return // v already awaits this operand at sufficient urgency
@@ -492,7 +492,7 @@ func (e *Engine) whnfLocked(v *graph.Vertex) bool {
 	case graph.KindPrim:
 		return graph.Prim(v.Val) != graph.PrimBottom
 	case graph.KindApply, graph.KindPrimApp, graph.KindInd:
-		return v.Red.WHNF
+		return v.WHNF
 	default: // Hole, Free
 		return false
 	}
@@ -521,11 +521,12 @@ func (e *Engine) resolveWHNF(id graph.VertexID) (*graph.Vertex, bool) {
 			}
 			return v, whnf
 		}
-		if len(v.Args) == 0 {
+		args := v.Args()
+		if len(args) == 0 {
 			v.Unlock()
 			return nil, false
 		}
-		id = v.Args[0]
+		id = args[0]
 		v.Unlock()
 	}
 	return nil, false
@@ -570,18 +571,19 @@ func (e *Engine) step(id graph.VertexID) {
 
 func (e *Engine) stepInd(v *graph.Vertex) {
 	v.Lock()
-	if v.Kind != graph.KindInd || len(v.Args) == 0 {
+	args := v.Args()
+	if v.Kind != graph.KindInd || len(args) == 0 {
 		v.Unlock()
 		e.spawnReduce(v.ID)
 		return
 	}
-	target := v.Args[0]
+	target := args[0]
 	v.Unlock()
 
 	final, whnf := e.resolveWHNF(target)
 	if whnf {
 		v.Lock()
-		v.Red.WHNF = true
+		v.WHNF = true
 		v.Unlock()
 		e.complete(v)
 		return
@@ -651,11 +653,12 @@ func (e *Engine) collectSpine(f *graph.Vertex, buf *spineBuf) (head *graph.Verte
 			cur.Unlock()
 			break
 		}
-		if len(cur.Args) != 2 {
+		args := cur.Args()
+		if len(args) != 2 {
 			cur.Unlock()
 			return nil, sp, false, false
 		}
-		fun, arg := cur.Args[0], cur.Args[1]
+		fun, arg := args[0], args[1]
 		cur.Unlock()
 		sp.ops = append(sp.ops, arg)
 		sp.owners = append(sp.owners, cur.ID)
@@ -680,12 +683,13 @@ func (e *Engine) stepApply(v *graph.Vertex) {
 		e.spawnReduce(v.ID)
 		return
 	}
-	if len(v.Args) != 2 {
+	args := v.Args()
+	if len(args) != 2 {
 		v.Unlock()
-		e.fail(v, "apply vertex with %d args", len(v.Args))
+		e.fail(v, "apply vertex with %d args", len(args))
 		return
 	}
-	funID, argID := v.Args[0], v.Args[1]
+	funID, argID := args[0], args[1]
 	v.Unlock()
 
 	f, whnf := e.resolveWHNF(funID)
@@ -820,7 +824,7 @@ func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.Ve
 			// The body folded all the way to a literal root: v is already
 			// WHNF; complete it without another scheduler round trip.
 			v.Lock()
-			v.Red.WHNF = true
+			v.WHNF = true
 			v.Unlock()
 			e.complete(v)
 			return
@@ -834,7 +838,7 @@ func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.Ve
 // markPartial records that v is an under-applied (hence WHNF) application.
 func (e *Engine) markPartial(v *graph.Vertex) {
 	v.Lock()
-	v.Red.WHNF = true
+	v.WHNF = true
 	v.Unlock()
 	e.complete(v)
 }
@@ -852,7 +856,7 @@ func (e *Engine) vs(dst []*graph.Vertex, ids []graph.VertexID) []*graph.Vertex {
 
 // contract performs one combinator contraction, rewriting v in place.
 func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
-	part := v.Part
+	part := int(v.Part)
 	var vbuf [spineInline]*graph.Vertex
 	freshApply := func() *graph.Vertex {
 		n, err := e.mut.Alloc(part, graph.KindApply, 0)
@@ -862,15 +866,10 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 		}
 		return n
 	}
-	wire := func(n *graph.Vertex, fun, arg graph.VertexID) {
-		n.Args = append(n.Args[:0], fun, arg)
-		n.ReqKinds = append(n.ReqKinds[:0], graph.ReqNone, graph.ReqNone)
-	}
 	setV := func(fun, arg graph.VertexID) {
 		v.Kind = graph.KindApply
 		v.Val = 0
-		v.Args = append(v.Args[:0], fun, arg)
-		v.ReqKinds = append(v.ReqKinds[:0], graph.ReqNone, graph.ReqNone)
+		v.SetArgs(fun, arg)
 	}
 
 	switch c {
@@ -888,8 +887,8 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
-			wire(n1, ops[0], ops[2])
-			wire(n2, ops[1], ops[2])
+			n1.SetArgs(ops[0], ops[2])
+			n2.SetArgs(ops[1], ops[2])
 			setV(n1.ID, n2.ID)
 		})
 	case graph.CombB: // B f g x → f (g x)
@@ -898,7 +897,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(vbuf[:0], ops), func() {
-			wire(n1, ops[1], ops[2])
+			n1.SetArgs(ops[1], ops[2])
 			setV(ops[0], n1.ID)
 		})
 	case graph.CombC: // C f g x → (f x) g
@@ -907,7 +906,7 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(vbuf[:0], ops), func() {
-			wire(n1, ops[0], ops[2])
+			n1.SetArgs(ops[0], ops[2])
 			setV(n1.ID, ops[1])
 		})
 	case graph.CombSP: // S' k f g x → k (f x) (g x)
@@ -916,9 +915,9 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2, n3}, e.vs(vbuf[:0], ops), func() {
-			wire(n1, ops[1], ops[3])
-			wire(n2, ops[2], ops[3])
-			wire(n3, ops[0], n1.ID)
+			n1.SetArgs(ops[1], ops[3])
+			n2.SetArgs(ops[2], ops[3])
+			n3.SetArgs(ops[0], n1.ID)
 			setV(n3.ID, n2.ID)
 		})
 	case graph.CombBP: // B' k f g x → k f (g x)
@@ -927,8 +926,8 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
-			wire(n1, ops[0], ops[1])
-			wire(n2, ops[2], ops[3])
+			n1.SetArgs(ops[0], ops[1])
+			n2.SetArgs(ops[2], ops[3])
 			setV(n1.ID, n2.ID)
 		})
 	case graph.CombCP: // C' k f g x → k (f x) g
@@ -937,8 +936,8 @@ func (e *Engine) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
-			wire(n2, ops[1], ops[3])
-			wire(n1, ops[0], n2.ID)
+			n2.SetArgs(ops[1], ops[3])
+			n1.SetArgs(ops[0], n2.ID)
 			setV(n1.ID, ops[2])
 		})
 	case graph.CombY: // Y f → f (Y f), as a cyclic knot: v := f v
@@ -958,10 +957,6 @@ func (e *Engine) flattenPrim(v *graph.Vertex, p graph.Prim, ops []graph.VertexID
 	e.mut.Rewrite(v, nil, e.vs(vbuf[:0], ops), func() {
 		v.Kind = graph.KindPrimApp
 		v.Val = int64(p)
-		v.Args = append(v.Args[:0], ops...)
-		v.ReqKinds = v.ReqKinds[:0]
-		for range ops {
-			v.ReqKinds = append(v.ReqKinds, graph.ReqNone)
-		}
+		v.SetArgs(ops...)
 	})
 }

@@ -8,10 +8,11 @@ import (
 func (e *Engine) operand(v *graph.Vertex, i int) (graph.VertexID, bool) {
 	v.Lock()
 	defer v.Unlock()
-	if v.Kind != graph.KindPrimApp || i >= len(v.Args) {
+	args := v.Args()
+	if v.Kind != graph.KindPrimApp || i >= len(args) {
 		return graph.NilVertex, false
 	}
-	return v.Args[i], true
+	return args[i], true
 }
 
 // needValue resolves operand i to a WHNF vertex, demanding it with the
@@ -50,7 +51,7 @@ func (e *Engine) literal(v, w *graph.Vertex, want graph.Kind) (int64, bool) {
 func (e *Engine) finishLeaf(v *graph.Vertex, kind graph.Kind, val int64) {
 	e.mut.RelabelLeaf(v, kind, val)
 	v.Lock()
-	v.Red.WHNF = true
+	v.WHNF = true
 	v.Unlock()
 	if e.cfg.Counters != nil {
 		e.cfg.Counters.Rewrites.Add(1)
@@ -109,7 +110,7 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 		v.Lock()
 		v.Kind = graph.KindCons
 		v.Val = 0
-		v.Red.WHNF = true
+		v.WHNF = true
 		v.Unlock()
 		e.complete(v)
 	case graph.PrimHead, graph.PrimTail:
@@ -297,7 +298,8 @@ func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind)
 		return
 	}
 	w.Lock()
-	if w.Kind != graph.KindCons || len(w.Args) != 2 {
+	args := w.Args()
+	if w.Kind != graph.KindCons || len(args) != 2 {
 		wk := w.Kind
 		w.Unlock()
 		e.fail(v, "%v of non-pair %s", p, wk)
@@ -307,7 +309,7 @@ func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind)
 	if p == graph.PrimTail {
 		idx = 1
 	}
-	target := w.Args[idx]
+	target := args[idx]
 	w.Unlock()
 
 	tv := e.store.Vertex(target)

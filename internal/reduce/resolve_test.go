@@ -30,7 +30,7 @@ func TestResolveWHNFDecidesUnderOneHold(t *testing.T) {
 			r.engine.step(operand.ID)
 		}
 		operand.Lock()
-		kind, whnf := operand.Kind, operand.Red.WHNF
+		kind, whnf := operand.Kind, operand.WHNF
 		operand.Unlock()
 		if kind != graph.KindInd || !whnf {
 			t.Fatalf("operand is %v (whnf %t) after the interleaved steps, want a WHNF indirection", kind, whnf)

@@ -74,7 +74,7 @@ func (e *Engine) beginSuper(v *graph.Vertex, sup *gm.Super) *superExec {
 		e:       e,
 		v:       v,
 		sup:     sup,
-		part:    v.Part,
+		part:    int(v.Part),
 		stack:   x.stack[:0],
 		opSlots: x.opSlots[:0],
 		locals:  x.locals[:0],
@@ -239,11 +239,7 @@ func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID)
 		for _, w := range x.wires {
 			w.w.Kind = w.kind
 			w.w.Val = w.val
-			w.w.Args = append(w.w.Args[:0], w.args...)
-			w.w.ReqKinds = w.w.ReqKinds[:0]
-			for range w.args {
-				w.w.ReqKinds = append(w.w.ReqKinds, graph.ReqNone)
-			}
+			w.w.SetArgs(w.args...)
 		}
 	})
 	switch root.kind {

@@ -36,8 +36,9 @@ func (e *Engine) ConsParts(id graph.VertexID) (head, tail graph.VertexID, ok boo
 	}
 	v.Lock()
 	defer v.Unlock()
-	if v.Kind != graph.KindCons || len(v.Args) != 2 {
+	args := v.Args()
+	if v.Kind != graph.KindCons || len(args) != 2 {
 		return 0, 0, false
 	}
-	return v.Args[0], v.Args[1], true
+	return args[0], args[1], true
 }

@@ -75,7 +75,7 @@ func (c *Collector) InitFromGraph() {
 		if v.Kind == graph.KindFree {
 			return
 		}
-		for _, a := range v.Args {
+		for _, a := range v.Args() {
 			c.counts[a]++
 		}
 	})
@@ -118,7 +118,7 @@ func (c *Collector) Process() int {
 			v.Unlock()
 			continue
 		}
-		children := append([]graph.VertexID(nil), v.Args...)
+		children := append([]graph.VertexID(nil), v.Args()...)
 		v.Unlock()
 		for _, ch := range children {
 			c.queue = append(c.queue, message{from: m.to, to: ch, delta: -1})

@@ -45,7 +45,7 @@ func Collect(store *graph.Store, roots ...graph.VertexID) Result {
 		}
 		live[id] = true
 		v.Lock()
-		stack = append(stack, v.Args...)
+		stack = append(stack, v.Args()...)
 		v.Unlock()
 	}
 
