@@ -19,6 +19,7 @@
 //	dgr-trace -e 'fib...' -fabric -drop 0.1 -jsonl > events.jsonl
 //	dgr-trace -analyze http://127.0.0.1:8091/debug/traces.json
 //	dgr-trace -e 'fib...' -pes 4 -lineage
+//	dgr-trace -e 'fib...' -engine compiled -lineage
 package main
 
 import (
@@ -52,6 +53,7 @@ func run() error {
 		scenario = flag.String("scenario", "", "builtin scenario: fig31 or fig32")
 		phase    = flag.String("phase", "after", "snapshot point: before | after evaluation")
 		pes      = flag.Int("pes", 2, "processing elements")
+		engine   = flag.String("engine", dgr.EngineInterp, "with -e: reduction engine, interp or compiled")
 		seed     = flag.Int64("seed", 1, "scheduling seed")
 		spec     = flag.Bool("spec", false, "speculative if branches")
 		jsonl    = flag.Bool("jsonl", false, "emit the event trace as JSON Lines instead of DOT")
@@ -65,6 +67,9 @@ func run() error {
 		parallel = flag.Bool("parallel", false, "with -lineage: run the machine in parallel mode")
 	)
 	flag.Parse()
+	if *engine != dgr.EngineInterp && *engine != dgr.EngineCompiled {
+		return fmt.Errorf("unknown -engine %q (interp, compiled)", *engine)
+	}
 
 	switch {
 	case *analyze != "":
@@ -74,7 +79,7 @@ func run() error {
 			return fmt.Errorf("-lineage requires -e")
 		}
 		return runLineage(*expr, dgr.Options{
-			PEs: *pes, Seed: *seed, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
+			PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
 			Parallel: *parallel, Fabric: *fab, BatchSize: *batch, DropRate: *drop,
 			LinkLatency: *latency, TraceRate: 1,
 		}, *asJSON)
@@ -82,7 +87,7 @@ func run() error {
 		return dumpScenario(*scenario)
 	case *expr != "":
 		opts := dgr.Options{
-			PEs: *pes, Seed: *seed, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
+			PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
 			Fabric: *fab, BatchSize: *batch, DropRate: *drop, LinkLatency: *latency,
 		}
 		if *jsonl {

@@ -28,8 +28,21 @@ func newRig(t testing.TB, pes int, seed int64, adversarial bool) *rig {
 // rig's PEs are the test's to Start and Stop, and steal from each other as a
 // parallel dgr machine's do.
 func newRigIn(t testing.TB, mode sched.Mode, pes int, seed int64, adversarial bool) *rig {
+	return newRigOn(t, graph.Config{Partitions: pes, Capacity: 64}, mode, seed, adversarial)
+}
+
+// newRigSerial builds a one-PE deterministic test rig whose store, if serial
+// is set, is serial as dgr.New builds a seeded machine's: its vertices take
+// no lock.
+func newRigSerial(t testing.TB, seed int64, serial bool) *rig {
+	return newRigOn(t, graph.Config{Partitions: 1, Capacity: 64, Serial: serial}, sched.Deterministic, seed, false)
+}
+
+// newRigOn builds a test rig of cfg.Partitions PEs on a store built from cfg.
+func newRigOn(t testing.TB, cfg graph.Config, mode sched.Mode, seed int64, adversarial bool) *rig {
 	t.Helper()
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 64})
+	pes := cfg.Partitions
+	store := graph.NewStore(cfg)
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
 		PEs:         pes,

@@ -5,24 +5,22 @@ import "dgr/internal/graph"
 // lockSetInline is how many vertices a lockSet holds without touching the Go
 // heap. The largest interpreted contraction, S', locks 8 (the redex, 3 fresh
 // applies, 4 operands); compiled supercombinator bodies are the only sets
-// that grow past that (see DESIGN §8 for the measured spill share).
+// that grow past that.
 const lockSetInline = 12
 
-// lockSet is the set of vertices one mutator primitive manipulates, kept
-// sorted by ID so that every primitive acquires its vertex locks in the same
-// global order (the locking discipline in Mutator's doc). It is a value meant
-// to live in the primitive's stack frame: members sit in an inline array, and
-// only a set larger than lockSetInline spills to a heap slice. On a serial
-// store (a seeded machine's) the locks it takes are no-ops, so there is no
-// order to keep: the set holds its members in the order they were added.
+// lockSet is the set of vertices one mutator primitive of a parallel machine
+// manipulates, kept sorted by ID so that every primitive acquires its vertex
+// locks in the same global order (the locking discipline in Mutator's doc).
+// The primitive declares it in its own stack frame and has lockVertices or
+// lockSpliceSet fill it: members sit in an inline array, and only a set
+// larger than lockSetInline spills to a heap slice.
 type lockSet struct {
 	n      int
 	inline [lockSetInline]*graph.Vertex
 	spill  []*graph.Vertex // holds every member once n > lockSetInline
 }
 
-// members returns the set: in ascending ID order, unless its vertices are
-// serial.
+// members returns the set in ascending ID order.
 func (s *lockSet) members() []*graph.Vertex {
 	if s.spill != nil {
 		return s.spill
@@ -30,26 +28,19 @@ func (s *lockSet) members() []*graph.Vertex {
 	return s.inline[:s.n]
 }
 
-// add inserts v at its place in ID order, or, for a serial vertex, at the
-// end. A nil vertex and a vertex already in the set are skipped, so each
-// member is locked exactly once.
+// add inserts v at its place in ID order. A nil vertex and a vertex already
+// in the set are skipped, so each member is locked exactly once.
 func (s *lockSet) add(v *graph.Vertex) {
 	if v == nil {
 		return
 	}
 	m := s.members()
 	i := len(m)
-	if v.Serial() {
-		if s.find(v.ID) != nil {
-			return
-		}
-	} else {
-		for i > 0 && m[i-1].ID > v.ID {
-			i--
-		}
-		if i > 0 && m[i-1].ID == v.ID {
-			return
-		}
+	for i > 0 && m[i-1].ID > v.ID {
+		i--
+	}
+	if i > 0 && m[i-1].ID == v.ID {
+		return
 	}
 	if s.spill == nil && s.n < lockSetInline {
 		m = s.inline[:s.n+1]
@@ -67,18 +58,7 @@ func (s *lockSet) add(v *graph.Vertex) {
 	s.n++
 }
 
-// find returns the member with the given ID, or nil.
-func (s *lockSet) find(id graph.VertexID) *graph.Vertex {
-	for _, v := range s.members() {
-		if v.ID == id {
-			return v
-		}
-	}
-	return nil
-}
-
-// lock acquires every member's lock in ascending ID order (and none, on a
-// serial store).
+// lock acquires every member's lock in ascending ID order.
 func (s *lockSet) lock() {
 	for _, v := range s.members() {
 		v.Lock()
@@ -93,22 +73,23 @@ func (s *lockSet) unlock() {
 	}
 }
 
-// lockVertices locks the given vertices in ascending ID order (nils skipped,
-// duplicates locked once) and returns the set for the caller to unlock.
-func lockVertices(vs ...*graph.Vertex) lockSet {
-	var s lockSet
-	for _, v := range vs {
-		s.add(v)
-	}
-	s.lock()
-	return s
+// lockVertices is lockSpliceSet for the given vertices, the first of which
+// is not nil (nils skipped, duplicates locked once).
+func lockVertices(s *lockSet, vs ...*graph.Vertex) *lockSet {
+	return lockSpliceSet(s, vs[0], vs[1:], nil)
 }
 
-// lockSpliceSet locks what a splice primitive manipulates — the vertex being
-// rewritten, the fresh vertices spliced below it and the existing vertices
-// the splice will reference — and returns the set.
-func lockSpliceSet(v *graph.Vertex, fresh, existing []*graph.Vertex) lockSet {
-	var s lockSet
+// lockSpliceSet locks into s, in ascending ID order, what a splice primitive
+// manipulates — the vertex being rewritten, the fresh vertices spliced below
+// it and the existing vertices the splice will reference — and returns s for
+// the caller's deferred unlock. On a serial store (a seeded machine's) it
+// leaves s empty: the one owner running one task at a time is the
+// primitive's atomicity, and there is no lock to take and no order to keep.
+// This is the one place core tests the mode.
+func lockSpliceSet(s *lockSet, v *graph.Vertex, fresh, existing []*graph.Vertex) *lockSet {
+	if v.Serial() {
+		return s
+	}
 	s.add(v)
 	for _, g := range fresh {
 		s.add(g)

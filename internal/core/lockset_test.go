@@ -80,7 +80,8 @@ func TestLockSetOrder(t *testing.T) {
 		{c, a, d, b},
 		{b, nil, d, b, a, nil, c, a, d}, // nils skipped, duplicates taken once
 	} {
-		s := lockVertices(args...)
+		var s lockSet
+		lockVertices(&s, args...)
 		assertLockOrder(t, &s, vs)
 		assertHeldThenReleased(t, vs, s.unlock)
 	}
@@ -101,15 +102,16 @@ func TestLockSetPastInlineCapacity(t *testing.T) {
 		for i := n - 1; i >= 0; i-- {
 			args = append(args, vs[i], vs[i])
 		}
-		s := lockVertices(args...)
+		var s lockSet
+		lockVertices(&s, args...)
 		assertLockOrder(t, &s, vs)
 		for _, v := range vs {
-			if s.find(v.ID) != v {
-				t.Fatalf("n=%d: find(v%d) missed", n, v.ID)
+			if !slices.Contains(s.members(), v) {
+				t.Fatalf("n=%d: v%d missed", n, v.ID)
 			}
 		}
-		if s.find(graph.NilVertex) != nil {
-			t.Fatalf("n=%d: find(nil vertex) hit", n)
+		if slices.ContainsFunc(s.members(), func(v *graph.Vertex) bool { return v.ID == graph.NilVertex }) {
+			t.Fatalf("n=%d: nil vertex hit", n)
 		}
 		assertHeldThenReleased(t, vs, s.unlock)
 	}
@@ -132,28 +134,22 @@ func serialVertices(tb testing.TB, n int) []*graph.Vertex {
 	return vs
 }
 
-// TestLockSetSerial: on serial vertices the set keeps its members in the
-// order they were added, once each, inline or spilled, and find still finds
-// them.
+// TestLockSetSerial: on serial vertices (a seeded machine's) the helpers
+// leave the set empty and take no vertex's mutex — there is no set to build,
+// sort, spill or walk — inline-sized or not.
 func TestLockSetSerial(t *testing.T) {
 	for _, n := range []int{4, lockSetInline + 3} {
 		vs := serialVertices(t, n)
-		// Descending, every vertex twice, with nils: the set is the first
-		// occurrences, in argument order.
-		var args, want []*graph.Vertex
-		for i := n - 1; i >= 0; i-- {
-			args = append(args, vs[i], nil, vs[i])
-			want = append(want, vs[i])
-		}
-		s := lockVertices(args...)
-		assertLockOrder(t, &s, want)
+		var s lockSet
+		lockVertices(&s, vs...)
+		assertLockOrder(t, &s, nil)
+		lockSpliceSet(&s, vs[0], vs[1:n/2], vs[n/2:])
+		assertLockOrder(t, &s, nil)
 		for _, v := range vs {
-			if s.find(v.ID) != v {
-				t.Fatalf("n=%d: find(v%d) missed", n, v.ID)
+			if !v.Mutex.TryLock() {
+				t.Fatalf("n=%d: v%d's mutex is held", n, v.ID)
 			}
-		}
-		if s.find(graph.NilVertex) != nil {
-			t.Fatalf("n=%d: find(nil vertex) hit", n)
+			v.Mutex.Unlock()
 		}
 		s.unlock()
 	}
@@ -174,7 +170,8 @@ func TestLockSetNoInversion(t *testing.T) {
 		go func(set []*graph.Vertex) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s := lockVertices(set...)
+				var s lockSet
+				lockVertices(&s, set...)
 				shared++ // guarded by the overlap; -race checks it
 				s.unlock()
 			}
@@ -203,47 +200,144 @@ func rewriteShape(r *rig, nFresh, nOps int) (v *graph.Vertex, fresh, ops []*grap
 	return v, fresh, ops, splice
 }
 
-// TestPrimitivesDoNotAllocate pins the tentpole at the primitive level: with
-// the vertices' own slices at size, a cooperating primitive outside a marking
-// cycle makes no heap allocation — no lock slice, no sort closure, no map.
+// TestPrimitivesDoNotAllocate: with the vertices' own slices at size, a
+// cooperating primitive outside a marking cycle makes no heap allocation — no
+// lock slice, no sort closure, no map — on a locked store and a serial one.
+// A splice wider than lockSetInline spills a parallel machine's lock set to
+// the heap; a seeded machine builds no set, so it allocates nothing either.
 func TestPrimitivesDoNotAllocate(t *testing.T) {
-	r := newRig(t, 1, 1, false)
-	x, y := r.vertex(graph.KindApply), r.vertex(graph.KindApply)
-	r.edge(x, y, graph.ReqNone)
-	v, c := r.vertex(graph.KindApply), r.vertex(graph.KindInt)
-	r.edge(v, c, graph.ReqNone)
-	leaf := r.vertex(graph.KindPrimApp)
-	rv, fresh, ops, splice := rewriteShape(r, 3, 4) // S': 3 fresh + 4 existing
+	for _, serial := range []bool{false, true} {
+		r := newRigSerial(t, 1, serial)
+		x, y := r.vertex(graph.KindApply), r.vertex(graph.KindApply)
+		r.edge(x, y, graph.ReqNone)
+		v, c := r.vertex(graph.KindApply), r.vertex(graph.KindInt)
+		r.edge(v, c, graph.ReqNone)
+		leaf := r.vertex(graph.KindPrimApp)
+		rv, fresh, ops, splice := rewriteShape(r, 3, 4) // S': 3 fresh + 4 existing
+		wv, wfresh, wops, wsplice := rewriteShape(r, 6, 8)
 
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"RegisterRequest+CompleteRequest", func() {
-			r.mut.RegisterRequest(x, y, graph.ReqVital)
-			r.mut.CompleteRequest(x, y)
-		}},
-		{"AddRequesterCoop", func() {
-			r.mut.AddRequesterCoop(y, x, graph.ReqVital)
-			r.mut.CompleteRequest(x, y)
-		}},
-		{"SetRequestKind", func() { r.mut.SetRequestKind(x, y, graph.ReqEager) }},
-		{"CollapseToInd", func() { r.mut.CollapseToInd(v, c) }},
-		{"RelabelLeaf", func() { r.mut.RelabelLeaf(leaf, graph.KindInt, 7) }},
-		{"Rewrite/Sprime", func() { r.mut.Rewrite(rv, fresh, ops, splice) }},
-	} {
-		tc.fn() // first call grows the vertices' own slices
-		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
-			t.Errorf("%s: %v allocations per call, want 0", tc.name, n)
+		for _, tc := range []struct {
+			name       string
+			fn         func()
+			serialOnly bool
+		}{
+			{"RegisterRequest+CompleteRequest", func() {
+				r.mut.RegisterRequest(x, y, graph.ReqVital)
+				r.mut.CompleteRequest(x, y)
+			}, false},
+			{"AddRequesterCoop", func() {
+				r.mut.AddRequesterCoop(y, x, graph.ReqVital)
+				r.mut.CompleteRequest(x, y)
+			}, false},
+			{"SetRequestKind", func() { r.mut.SetRequestKind(x, y, graph.ReqEager) }, false},
+			{"CollapseToInd", func() { r.mut.CollapseToInd(v, c) }, false},
+			{"RelabelLeaf", func() { r.mut.RelabelLeaf(leaf, graph.KindInt, 7) }, false},
+			{"Rewrite/Sprime", func() { r.mut.Rewrite(rv, fresh, ops, splice) }, false},
+			{"Rewrite/wide", func() { r.mut.Rewrite(wv, wfresh, wops, wsplice) }, true},
+		} {
+			if tc.serialOnly && !serial {
+				continue
+			}
+			tc.fn() // first call grows the vertices' own slices
+			if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+				t.Errorf("serial=%v %s: %v allocations per call, want 0", serial, tc.name, n)
+			}
+		}
+		if n := r.mach.Inflight(); n != 0 {
+			t.Errorf("serial=%v: %d tasks spawned outside a marking cycle", serial, n)
 		}
 	}
-	if n := r.mach.Inflight(); n != 0 {
-		t.Errorf("%d tasks spawned outside a marking cycle", n)
+}
+
+// TestRewriteLocks: inside a splice wider than lockSetInline, a locked
+// store's Rewrite holds every member's lock (the redex, each fresh vertex,
+// each operand) and releases them all on return; a serial store's holds none.
+func TestRewriteLocks(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		r := newRigSerial(t, 1, serial)
+		v, fresh, ops, splice := rewriteShape(r, 6, 8)
+		members := append(append([]*graph.Vertex{v}, fresh...), ops...)
+		free := func(when string, want bool) {
+			for _, m := range members {
+				got := m.Mutex.TryLock()
+				if got {
+					m.Mutex.Unlock()
+				}
+				if got != want {
+					t.Errorf("serial=%v %s: v%d's mutex free = %v, want %v", serial, when, m.ID, got, want)
+				}
+			}
+		}
+		r.mut.Rewrite(v, fresh, ops, func() {
+			free("inside fn", serial)
+			splice()
+		})
+		free("after Rewrite", true)
+	}
+}
+
+// TestRewriteCoopBothModes: a Rewrite under an active M_R cycle splices a
+// fresh vertex g below v and has g reference an unreachable existing operand.
+// From a marked v, g is marked at once (expand-node) and the operand becomes
+// an extra root (the cover pass from g); from a transient v, g is a new
+// child counted against v's mt-cnt, and the operand is traced through g. In
+// every case and on both stores the cycle ends with all three marked.
+func TestRewriteCoopBothModes(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		for _, want := range []graph.MarkState{graph.Marked, graph.Transient} {
+			r := newRigSerial(t, 4, serial)
+			r.taskPerArc()
+			root, v := r.vertex(graph.KindApply), r.vertex(graph.KindApply)
+			r.edge(root, v, graph.ReqVital)
+			below := root
+			if want == graph.Transient {
+				below = v
+			}
+			for i := 0; i < 8; i++ {
+				nxt := r.vertex(graph.KindApply)
+				r.edge(below, nxt, graph.ReqVital)
+				below = nxt
+			}
+			op := r.vertex(graph.KindInt)
+			r.marker.StartCycle(graph.CtxR, []Root{{ID: root.ID, Prior: graph.PriorVital}})
+			for r.stateOf(v, graph.CtxR) != want {
+				if r.marker.Done(graph.CtxR) || !r.mach.Step() {
+					t.Fatalf("serial=%v: v never became %v", serial, want)
+				}
+			}
+			g, err := r.mut.Alloc(0, graph.KindApply, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.mut.Rewrite(v, []*graph.Vertex{g}, []*graph.Vertex{op}, func() {
+				g.SetArgs(op.ID)
+				v.AddArg(g.ID, graph.ReqNone)
+			})
+			wantCoop := int64(1) // transient v: the mark spawned on g
+			if want == graph.Marked {
+				r.assertMarked(graph.CtxR, g)
+				wantCoop = 2 // g marked, op made a root
+			} else {
+				r.assertUnmarked(graph.CtxR, g, op)
+			}
+			if n := r.counters.CoopMarks.Load(); n != wantCoop {
+				t.Fatalf("serial=%v %v: %d coop marks, want %d", serial, want, n, wantCoop)
+			}
+			r.mach.RunUntil(func() bool { return r.marker.Done(graph.CtxR) }, 100000)
+			if !r.marker.Done(graph.CtxR) {
+				t.Fatalf("serial=%v %v: marking did not terminate", serial, want)
+			}
+			if n := r.marker.UnderflowCount(graph.CtxR); n != 0 {
+				t.Fatalf("serial=%v %v: %d mt-cnt underflows", serial, want, n)
+			}
+			r.assertMarked(graph.CtxR, root, v, g, op)
+			r.assertNoViolations(graph.CtxR)
+		}
 	}
 }
 
 // BenchmarkLockSet: a parallel machine's set (locked, kept in ID order) and
-// a seeded machine's (serial vertices: no lock, no order).
+// a seeded machine's (serial vertices: left empty).
 func BenchmarkLockSet(b *testing.B) {
 	for _, serial := range []bool{false, true} {
 		for _, n := range []int{1, 2, 3, 8} {
@@ -259,7 +353,8 @@ func BenchmarkLockSet(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s := lockVertices(vs...)
+					var s lockSet
+					lockVertices(&s, vs...)
 					s.unlock()
 				}
 			})

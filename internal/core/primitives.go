@@ -22,6 +22,8 @@ import (
 // ascending ID order before reading any marking state, which makes it
 // atomic with respect to marking tasks (which lock single vertices) and to
 // other primitives. This realizes the paper's atomicity assumption (§4.1).
+// A seeded machine's one owner runs one task at a time, which is the same
+// atomicity, so there its primitives lock nothing (lockSpliceSet).
 type Mutator struct {
 	store    *graph.Store
 	marker   *Marker
@@ -82,8 +84,8 @@ func (mu *Mutator) Alloc(part int, kind graph.Kind, val int64) (*graph.Vertex, e
 // vertices, so no marking cooperation is required. It returns the request
 // kind the edge carried and whether the edge existed.
 func (mu *Mutator) DeleteReference(a, b *graph.Vertex) (graph.ReqKind, bool) {
-	ls := lockVertices(a)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, a).unlock()
 	return a.RemoveArg(b.ID)
 }
 
@@ -92,8 +94,8 @@ func (mu *Mutator) DeleteReference(a, b *graph.Vertex) (graph.ReqKind, bool) {
 // a new child of a with request kind rk, cooperating with every active
 // marking process so that invariants 1 and 2 are preserved.
 func (mu *Mutator) AddReference(a, b, c *graph.Vertex, rk graph.ReqKind) {
-	ls := lockVertices(a, b, c)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, a, b, c).unlock()
 	for _, ctx := range []graph.Ctx{graph.CtxR, graph.CtxT} {
 		if mu.marker.Active(ctx) {
 			mu.coopAddRefLocked(ctx, a, b, c, rk)
@@ -140,8 +142,8 @@ func (mu *Mutator) coopAddRefLocked(ctx graph.Ctx, a, b, c *graph.Vertex, rk gra
 // marked (with a's priority); if a is transient, marks are spawned on all
 // of a's post-splice children.
 func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice func()) {
-	ls := lockSpliceSet(a, fresh, nil)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockSpliceSet(&ls, a, fresh, nil).unlock()
 
 	type coopPlan struct {
 		ctx   graph.Ctx
@@ -212,8 +214,8 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 // RelabelLeaf rewrites a into a leaf of the given kind/value, deleting all
 // outgoing edges (a pure contraction: no cooperation needed).
 func (mu *Mutator) RelabelLeaf(a *graph.Vertex, kind graph.Kind, val int64) {
-	ls := lockVertices(a)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, a).unlock()
 	a.Kind = kind
 	a.Val = val
 	a.SetArgs()
@@ -253,8 +255,8 @@ func (mu *Mutator) coopTaskEdgeLocked(p, x *graph.Vertex) {
 //
 // It returns false if the edge x→y does not exist.
 func (mu *Mutator) RegisterRequest(x, y *graph.Vertex, rk graph.ReqKind) bool {
-	ls := lockVertices(x, y)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, x, y).unlock()
 	if !x.SetReqKind(y.ID, rk) {
 		return false
 	}
@@ -270,8 +272,8 @@ func (mu *Mutator) RegisterRequest(x, y *graph.Vertex, rk graph.ReqKind) bool {
 // edge back into args(x) − req-args(x) makes y task-traceable from x again,
 // which requires M_T cooperation.
 func (mu *Mutator) CompleteRequest(x, y *graph.Vertex) {
-	ls := lockVertices(x, y)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, x, y).unlock()
 	y.RemoveRequester(x.ID)
 	ok := x.SetReqKind(y.ID, graph.ReqNone)
 	if ok {
@@ -288,8 +290,8 @@ func (mu *Mutator) CompleteRequest(x, y *graph.Vertex) {
 // M_R sees only a priority change (self-correcting next cycle, §5.3); for
 // M_T the edge leaves C(x), a removal, so no cooperation is needed.
 func (mu *Mutator) SetRequestKind(x, y *graph.Vertex, rk graph.ReqKind) bool {
-	ls := lockVertices(x)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, x).unlock()
 	i := x.ArgIndex(y.ID)
 	if i < 0 {
 		return false
@@ -306,8 +308,8 @@ func (mu *Mutator) SetRequestKind(x, y *graph.Vertex, rk graph.ReqKind) bool {
 // of adding a second entry. Adding x to requested(y) makes x
 // task-reachable from y, requiring M_T cooperation.
 func (mu *Mutator) AddRequesterCoop(y, x *graph.Vertex, rk graph.ReqKind) {
-	ls := lockVertices(x, y)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, x, y).unlock()
 	reqs := y.Requested()
 	for i := range reqs {
 		if reqs[i].Src == x.ID {
@@ -368,8 +370,8 @@ func (mu *Mutator) CoopTaskSpawn(src, dst graph.VertexID) {
 // garbage) and x is removed from requested(y). Removals need no marking
 // cooperation.
 func (mu *Mutator) Dereference(x, y *graph.Vertex) {
-	ls := lockVertices(x, y)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, x, y).unlock()
 	x.RemoveArg(y.ID)
 	y.RemoveRequester(x.ID)
 }

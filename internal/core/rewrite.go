@@ -52,8 +52,8 @@ func (mu *Mutator) coopAttachLocked(parent, c *graph.Vertex, rk graph.ReqKind) {
 // rewrite used by K-reduction, if-selection and head/tail extraction. The
 // new reference v→c is covered by the generalized attach cooperation.
 func (mu *Mutator) CollapseToInd(v, c *graph.Vertex) {
-	ls := lockVertices(v, c)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, v, c).unlock()
 	mu.coopAttachLocked(v, c, graph.ReqNone)
 	v.Kind = graph.KindInd
 	v.Val = 0
@@ -64,8 +64,8 @@ func (mu *Mutator) CollapseToInd(v, c *graph.Vertex) {
 // child c. No new reference is created (the edge v→c already exists), so no
 // marking cooperation is required — only deletions of v's other edges.
 func (mu *Mutator) CollapseToIndDirect(v, c *graph.Vertex) {
-	ls := lockVertices(v, c)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, v, c).unlock()
 	v.Kind = graph.KindInd
 	v.Val = 0
 	v.SetArgs(c.ID)
@@ -76,8 +76,8 @@ func (mu *Mutator) CollapseToIndDirect(v, c *graph.Vertex) {
 // primitive. A self-edge needs no cooperation: a transient/marked v is
 // itself already traced.
 func (mu *Mutator) MakeSelfKnot(v *graph.Vertex) {
-	ls := lockVertices(v)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockVertices(&ls, v).unlock()
 	if !v.HasArg(v.ID) {
 		v.AddArg(v.ID, graph.ReqVital)
 		v.AddRequester(v.ID, graph.ReqVital)
@@ -95,8 +95,8 @@ func (mu *Mutator) MakeSelfKnot(v *graph.Vertex) {
 // add-reference cooperation for every deep operand that becomes newly
 // referenced.
 func (mu *Mutator) Rewrite(v *graph.Vertex, fresh, existing []*graph.Vertex, fn func()) {
-	ls := lockSpliceSet(v, fresh, existing)
-	defer ls.unlock()
+	var ls lockSet
+	defer lockSpliceSet(&ls, v, fresh, existing).unlock()
 
 	for _, g := range fresh {
 		g.Red.AllocEpoch = mu.marker.Epoch(graph.CtxR)
@@ -131,27 +131,43 @@ func (mu *Mutator) Rewrite(v *graph.Vertex, fresh, existing []*graph.Vertex, fn 
 	// vertices is treated as an attach. Outside a marking cycle (and with
 	// cooperation off) an attach needs nothing, so the pass is skipped. A
 	// cycle that opens after this test cannot be missed: it starts at a new
-	// epoch, at which v and the fresh vertices — locked here, so no mark
-	// task has reached them — are unmarked, and an unmarked parent's attach
-	// is a no-op.
+	// epoch, at which v and the fresh vertices — locked here, or owned, so
+	// no mark task has reached them — are unmarked, and an unmarked
+	// parent's attach is a no-op.
 	if mu.noCoop || !(mu.marker.Active(graph.CtxR) || mu.marker.Active(graph.CtxT)) {
 		return
 	}
-	mu.coverChildrenLocked(&ls, v)
+	mu.coverChildrenLocked(v, v, fresh, existing)
 	for _, g := range fresh {
-		mu.coverChildrenLocked(&ls, g)
+		mu.coverChildrenLocked(g, v, fresh, existing)
 	}
 }
 
 // coverChildrenLocked applies the attach cooperation to every child edge of
-// p whose target is in the locked set; any other child is not a vertex this
-// rewrite newly references.
-func (mu *Mutator) coverChildrenLocked(ls *lockSet, p *graph.Vertex) {
+// p whose target is one of the splice's inputs (v, fresh, existing); any
+// other child is not a vertex this rewrite newly references.
+func (mu *Mutator) coverChildrenLocked(p, v *graph.Vertex, fresh, existing []*graph.Vertex) {
 	for i, cid := range p.Args() {
-		c := ls.find(cid)
+		c := spliceInput(cid, v, fresh, existing)
 		if c == nil || c == p {
 			continue
 		}
 		mu.coopAttachLocked(p, c, p.ReqKindAt(i))
 	}
+}
+
+// spliceInput returns the vertex with the given ID among v, fresh and
+// existing, or nil.
+func spliceInput(id graph.VertexID, v *graph.Vertex, fresh, existing []*graph.Vertex) *graph.Vertex {
+	if v.ID == id {
+		return v
+	}
+	for _, set := range [2][]*graph.Vertex{fresh, existing} {
+		for _, x := range set {
+			if x != nil && x.ID == id {
+				return x
+			}
+		}
+	}
+	return nil
 }

@@ -58,6 +58,15 @@ const (
 	segMask = segSize - 1
 )
 
+// slotOf returns the segment and the slot in it that hold id (not
+// NilVertex). Id 1 sits in slot 0, so a reserved range of whole segments —
+// the default Capacity, 65 536 — ends on a segment boundary, and no
+// partition pays a segment for its one top id.
+func slotOf(id VertexID) (segIdx, slot int) {
+	i := int(id) - 1
+	return i >> segBits, i & segMask
+}
+
 // segment is one arena block: vertices are embedded by value, so the arena
 // costs one allocation per segSize vertices instead of one per vertex. A
 // segment is materialised when Alloc first hands out one of its ids, so a
@@ -126,7 +135,7 @@ func (sh *freeShard) take(part, parts int) (VertexID, bool) {
 // shard; a ForEach costs the vertices in use plus one word per 64 slots of
 // the segments a program reached.
 type Store struct {
-	segs atomic.Pointer[[]*segment] // indexed by id>>segBits; nil until first touched
+	segs atomic.Pointer[[]*segment] // indexed by slotOf; nil until first touched
 	n    atomic.Int64               // |V|: reserved + grown vertices (excludes NilVertex)
 
 	growMu sync.Mutex // guards segment publication and growth past reserved; not taken by Alloc fast paths
@@ -189,15 +198,17 @@ func NewStore(cfg Config) *Store {
 
 // reservedOwner returns the partition that owns reserved id (1..reserved):
 // the ids are dealt round-robin, partition p owning p+1, p+1+parts, ...
-func (s *Store) reservedOwner(id int) int { return (id - 1) % s.parts }
+// Ids are 32 bits wide, and a 32-bit division is the cheaper one.
+func (s *Store) reservedOwner(id int) int { return int(uint32(id-1) % uint32(s.parts)) }
 
 // growOne extends V past the reserved range by one vertex owned by part and
 // returns its id. The new vertex is NOT added to any free list: it is
 // handed out directly.
 func (s *Store) growOne(part int) VertexID {
 	s.growMu.Lock()
-	id := VertexID(s.n.Load() + 1) // slot 0 is NilVertex
-	v := &s.segmentLocked(int(id) >> segBits).verts[int(id)&segMask]
+	id := VertexID(s.n.Load() + 1)
+	segIdx, slot := slotOf(id)
+	v := &s.segmentLocked(segIdx).verts[slot]
 	v.ID = id
 	v.SetSerial(s.serial)
 	v.Part = uint16(part)
@@ -222,14 +233,11 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 		return seg
 	}
 	seg := new(segment)
-	base := segIdx << segBits
+	base := segIdx<<segBits + 1 // the id in slot 0
 	for i := range seg.verts {
 		id := base + i
 		if id > s.reserved {
 			break
-		}
-		if id == 0 {
-			continue // NilVertex
 		}
 		v := &seg.verts[i]
 		v.ID = VertexID(id)
@@ -250,7 +258,8 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 func (s *Store) materialise(id VertexID) *segment {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
-	return s.segmentLocked(int(id) >> segBits)
+	segIdx, _ := slotOf(id)
+	return s.segmentLocked(segIdx)
 }
 
 // Partitions returns the number of partitions.
@@ -290,11 +299,12 @@ func (s *Store) Vertex(id VertexID) *Vertex {
 	if id == NilVertex || int64(id) > s.n.Load() {
 		return nil
 	}
-	seg := segmentIn(*s.segs.Load(), int(id)>>segBits)
+	segIdx, slot := slotOf(id)
+	seg := segmentIn(*s.segs.Load(), segIdx)
 	if seg == nil {
 		return nil
 	}
-	return &seg.verts[int(id)&segMask]
+	return &seg.verts[slot]
 }
 
 // segmentIn returns segment segIdx of a loaded segment table, or nil if it
@@ -356,11 +366,11 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 			return nil, ErrNoFreeVertices
 		}
 	}
-	seg := segmentIn(*s.segs.Load(), int(id)>>segBits)
+	segIdx, slot := slotOf(id)
+	seg := segmentIn(*s.segs.Load(), segIdx)
 	if seg == nil {
 		seg = s.materialise(id) // the first vertex handed out of its segment
 	}
-	slot := int(id) & segMask
 	seg.setUsed(slot)
 	v := &seg.verts[slot]
 
@@ -466,7 +476,8 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 // clearUsed clears the in-use bit of a vertex handed out earlier, whose
 // segment therefore exists.
 func (s *Store) clearUsed(id VertexID) {
-	segmentIn(*s.segs.Load(), int(id)>>segBits).clearUsed(int(id) & segMask)
+	segIdx, slot := slotOf(id)
+	segmentIn(*s.segs.Load(), segIdx).clearUsed(slot)
 }
 
 // IsFree reports whether id is currently in F.
@@ -498,7 +509,7 @@ func (s *Store) ForEach(fn func(*Vertex)) {
 		for w := range seg.used {
 			for word := seg.used[w].Load(); word != 0; word &= word - 1 {
 				i := w<<6 | bits.TrailingZeros64(word)
-				if si<<segBits|i > n {
+				if si<<segBits+i+1 > n { // the slot's id
 					return // grown after the snapshot, like every id above it
 				}
 				fn(&seg.verts[i])
@@ -537,13 +548,15 @@ func (s *Store) StringAt(i int64) string {
 	return tab[i]
 }
 
-// PartitionOf returns the partition that owns id (0 for invalid IDs).
+// PartitionOf returns the partition that owns id (0 for invalid IDs). A
+// reserved id's owner is arithmetic, the value its vertex's Part is written
+// with, so only a grown id loads its vertex.
 func (s *Store) PartitionOf(id VertexID) int {
+	if id != NilVertex && int(id) <= s.reserved {
+		return s.reservedOwner(int(id))
+	}
 	if v := s.Vertex(id); v != nil {
 		return int(v.Part)
-	}
-	if id != NilVertex && int(id) <= s.reserved {
-		return s.reservedOwner(int(id)) // its segment not materialised yet
 	}
 	return 0
 }

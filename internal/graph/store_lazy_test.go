@@ -362,6 +362,31 @@ func TestNeverUsedVerticesStayUnmaterialised(t *testing.T) {
 	}
 }
 
+// TestReservedRangeEndsOnSegment: a default-capacity store's top id is the
+// last slot of its segment, so a partition whose first allocation is that id
+// (partition 0 of one, partition 3 of four) materialises one full segment of
+// reserved ids, not one segment for a single vertex.
+func TestReservedRangeEndsOnSegment(t *testing.T) {
+	const capacity = 1 << 16
+	for _, parts := range []int{1, 4} {
+		s := NewStore(Config{Partitions: parts, Capacity: capacity})
+		v, err := s.Alloc(parts-1, KindInt, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := *s.segs.Load()
+		if v.ID != capacity || len(segs) != capacity/segSize {
+			t.Fatalf("parts=%d: first id %d, %d segments; want %d in segment %d of %d",
+				parts, v.ID, len(segs), capacity, capacity/segSize-1, capacity/segSize)
+		}
+		top := segs[len(segs)-1]
+		if v != &top.verts[segSize-1] || top.verts[0].ID != capacity-segSize+1 {
+			t.Fatalf("parts=%d: the top segment holds v%d..v%d, want v%d..v%d",
+				parts, top.verts[0].ID, top.verts[segSize-1].ID, capacity-segSize+1, capacity)
+		}
+	}
+}
+
 // TestStoreConcurrentMaterialise races, for the race detector, everything
 // that can meet a segment being materialised or an in-use bit changing:
 // allocators on every partition walking down through untouched segments, a

@@ -41,6 +41,43 @@ func TestStoreAllocRelease(t *testing.T) {
 	}
 }
 
+// TestPartitionOfMatchesPart: PartitionOf answers a reserved id by
+// arithmetic and a grown id by its vertex, and either way agrees with the
+// Part the vertex was written with, on every materialised id, reserved and
+// grown, on 1 to 5 partitions.
+func TestPartitionOfMatchesPart(t *testing.T) {
+	for parts := 1; parts <= 5; parts++ {
+		capacity := segSize + 7
+		s := NewStore(Config{Partitions: parts, Capacity: capacity})
+		// Past the reserved range every partition grows ids of its own, so
+		// a grown id's owner is not (id-1) mod parts.
+		for i := 0; i < capacity+4*parts; i++ {
+			if _, err := s.Alloc(i%parts, KindInt, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reserved, grown := 0, 0
+		for id := VertexID(1); int(id) <= s.Len(); id++ {
+			v := s.Vertex(id)
+			if v == nil {
+				t.Fatalf("parts=%d: v%d not materialised", parts, id)
+			}
+			if got := s.PartitionOf(id); got != int(v.Part) {
+				t.Fatalf("parts=%d: PartitionOf(%d) = %d, Part %d", parts, id, got, v.Part)
+			}
+			if int(id) <= capacity {
+				reserved++
+			} else {
+				grown++
+			}
+		}
+		if reserved != capacity || grown != 4*parts {
+			t.Fatalf("parts=%d: checked %d reserved and %d grown ids, want %d and %d",
+				parts, reserved, grown, capacity, 4*parts)
+		}
+	}
+}
+
 // TestNewStorePartitionBound: a vertex records its partition in 16 bits, so
 // a store takes at most MaxPartitions partitions — the last of them owns its
 // vertices like any other — and NewStore panics, naming the value, when
