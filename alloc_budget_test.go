@@ -3,6 +3,7 @@ package dgr
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestTaskPathAllocBudget pins what the per-task path (sched.execute →
@@ -95,5 +96,48 @@ func TestColdEvalByteBudget(t *testing.T) {
 	t.Logf("cold fac 12: %d KiB allocated (budget %d KiB)", bytes>>10, budget>>10)
 	if bytes > budget {
 		t.Errorf("cold fac 12 allocated %d KiB, budget %d KiB", bytes>>10, budget>>10)
+	}
+}
+
+// TestObsMachineBudget pins what the observability layer adds to a machine
+// that does not run: the bytes New allocates for a 4-PE machine with Obs on,
+// and the goroutines a parallel machine starts. The handle keeps one event
+// log and per-PE exec rings, reads live gauges when asked, and starts no
+// goroutine. New read ~76 KiB; a 512-sample ring per PE plus one for the
+// machine, and the goroutine that filled them, took it to 237 KB.
+func TestObsMachineBudget(t *testing.T) {
+	const budget = 100 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(Options{PEs: 4, Obs: true})
+	runtime.ReadMemStats(&after)
+	m.Close()
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New, 4 PEs, Obs on: %d KiB in %d objects (budget %d KiB)",
+		bytes>>10, after.Mallocs-before.Mallocs, budget>>10)
+	if bytes > budget {
+		t.Errorf("New with Obs on allocated %d KiB, budget %d KiB", bytes>>10, budget>>10)
+	}
+
+	// Each try waits for the machine's goroutines to end after Close, so
+	// that the next one starts from a settled count; one that ends during a
+	// try can only lower that try's reading, so the most of three counts.
+	started := func(obs bool) int {
+		most := 0
+		for range 3 {
+			n := runtime.NumGoroutine()
+			m := New(Options{PEs: 4, Parallel: true, Obs: obs})
+			most = max(most, runtime.NumGoroutine()-n)
+			m.Close()
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return most
+	}
+	off, on := started(false), started(true)
+	t.Logf("a parallel machine starts %d goroutines with Obs off, %d with it on", off, on)
+	if on != off {
+		t.Errorf("Obs on starts %d goroutines, off %d: the observability layer must start none", on, off)
 	}
 }

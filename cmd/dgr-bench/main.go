@@ -10,8 +10,6 @@
 //	dgr-bench -list           # list experiment IDs
 //	dgr-bench -json           # hot-path benchmark suite as JSON
 //	dgr-bench -json -quick    # same, one iteration per case (CI smoke)
-//	dgr-bench -watch          # live per-PE dashboard (parallel machine + obs)
-//	dgr-bench -watch -name churn -pes 8 -interval 500ms -for 30s
 //	dgr-bench -obscheck       # gate obs/tracing overhead at -obslimit (CI guard)
 //
 // -json replaces the experiment tables with the internal/bench hot-path
@@ -26,7 +24,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"dgr/internal/bench"
 	"dgr/internal/exp"
@@ -50,17 +47,8 @@ func run() error {
 		obscheck = flag.Bool("obscheck", false, "A/B-gate the obs + tracing overhead against the uninstrumented machine")
 		obslimit = flag.Float64("obslimit", 1.05, "maximum instrumented/base ns-per-op ratio for -obscheck")
 		obsreps  = flag.Int("obsreps", 3, "A/B repetitions per -obscheck pair (best rep on each side counts)")
-		watch    = flag.Bool("watch", false, "live terminal dashboard: loop a corpus program on a parallel machine")
-		wName    = flag.String("name", "fib", "corpus program for -watch")
-		wPEs     = flag.Int("pes", 4, "machine width for -watch")
-		interval = flag.Duration("interval", 250*time.Millisecond, "refresh interval for -watch")
-		wFor     = flag.Duration("for", 0, "stop -watch after this long (0 = until Ctrl-C)")
 	)
 	flag.Parse()
-
-	if *watch {
-		return watchRun(*wName, *wPEs, *interval, *wFor)
-	}
 
 	if *obscheck {
 		return obsCheck(*obsreps, *obslimit)

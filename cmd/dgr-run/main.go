@@ -12,7 +12,7 @@
 //
 //	dgr-run -parallel -http :8080 -linger 30s -name fib
 //	curl localhost:8080/metrics              # Prometheus text exposition
-//	curl localhost:8080/debug/snapshot.json  # machine digest + time-series
+//	curl localhost:8080/debug/snapshot.json  # machine digest: counters, gauges, per-PE pools, executions, busy time
 //	curl localhost:8080/debug/graph.dot      # computation graph (Graphviz)
 //	curl localhost:8080/debug/spans.jsonl    # chrome://tracing span export
 //	curl localhost:8080/debug/flight.jsonl   # flight-recorder ring

@@ -164,7 +164,7 @@ func dumpJSONL(src string, opts dgr.Options) error {
 				ls.Dropped, ls.Retries, ls.Duplicates, ls.Latency)
 		}
 	}
-	return m.WriteTraceJSONL(os.Stdout)
+	return m.WriteFlightJSONL(os.Stdout)
 }
 
 // analyzeDoc loads an obs.TraceDoc (URL, file, or stdin), reassembles every

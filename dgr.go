@@ -144,15 +144,12 @@ type Options struct {
 	// Obs enables the observability layer (internal/obs): one event log
 	// holding collector phases, per-PE execution batches, fabric flights and
 	// the collector / fabric / checker events; per-PE execution rings and
-	// time-series with quantile summaries; and the exposition methods that
-	// read them (WriteSpansJSONL, WriteFlightJSONL, WriteTraceJSONL,
-	// WritePrometheus, WriteSnapshotJSON). With Obs, TraceRate and TraceSink
-	// all unset, instrumented hot paths pay a single pointer test and
-	// schedules are bit-identical to an uninstrumented build.
+	// busy-time counters; and the exposition methods that read them and the
+	// live machine (WriteSpansJSONL, WriteFlightJSONL, WritePrometheus,
+	// WriteSnapshotJSON). It starts no goroutine. With Obs, TraceRate and
+	// TraceSink all unset, instrumented hot paths pay a single pointer test
+	// and schedules are bit-identical to an uninstrumented build.
 	Obs bool
-	// ObsSampleEvery is the parallel-mode sampling period (default 5ms);
-	// deterministic machines sample at collector cycle ends instead.
-	ObsSampleEvery time.Duration
 	// ObsFlightDir, when non-empty (implies Obs), auto-dumps the flight
 	// recorder as JSONL into this directory the first time an Eval returns
 	// ErrDeadlock, ErrStuck, or the invariant checker reports a violation,
@@ -297,31 +294,16 @@ func New(opts Options) *Machine {
 	}
 	// The observability handle is threaded through every layer that records:
 	// scheduler spawns/execs/steals, fabric lifecycle and hops, collector
-	// phases, the checker. Its sources close over the machine and collector
-	// assigned below (the same late-binding pattern the checker uses): no
-	// source is read until a collector cycle runs or the sampler starts,
-	// both strictly after New finishes wiring.
-	var m *Machine
-	var mach *sched.Machine
-	var collector *core.Collector
+	// phases, the checker.
 	var ob *obs.Obs
 	if opts.Obs || opts.TraceSink != nil || opts.TraceRate > 0 {
 		ob = obs.New(obs.Options{
-			PEs:         opts.PEs,
-			Parallel:    opts.Parallel,
-			Log:         opts.TraceSink,
-			TraceRate:   opts.TraceRate,
-			Exec:        opts.Obs,
-			SampleEvery: opts.ObsSampleEvery,
-			KindNames:   task.KindNameTable(),
-			Sources: obs.Sources{
-				// BandLens returns [task.NumBands]int; compiling it as an
-				// [obs.Bands]int asserts the two constants agree.
-				QueueDepths: func(pe int) [obs.Bands]int { return mach.Pool(pe).BandLens() },
-				FreeOf:      store.FreeCountOf,
-				Gauges:      func() obs.Gauges { return m.Gauges() },
-				Cycles:      func() int64 { return collector.Cycles() },
-			},
+			PEs:       opts.PEs,
+			Parallel:  opts.Parallel,
+			Log:       opts.TraceSink,
+			TraceRate: opts.TraceRate,
+			Exec:      opts.Obs,
+			KindNames: task.KindNameTable(),
 		})
 	}
 	var fab *fabric.Fabric
@@ -366,7 +348,7 @@ func New(opts Options) *Machine {
 			checker.AfterExecute(seq, pe, t)
 		}
 	}
-	mach = sched.New(schedCfg)
+	mach := sched.New(schedCfg)
 	marker := core.NewMarker(store, mach, counters)
 	if recorder != nil {
 		marker.SetAbsorbHook(recorder.OnAbsorb)
@@ -394,6 +376,7 @@ func New(opts Options) *Machine {
 	})
 	var handler sched.Handler = core.NewDispatcher(marker, engine)
 	var halter *core.Halter
+	var collector *core.Collector // late-bound, as the checker hooks are
 	collCfg := core.CollectorConfig{
 		MTEvery: opts.MTEvery,
 		Obs:     ob,
@@ -424,7 +407,7 @@ func New(opts Options) *Machine {
 		// reads the collector, which needs the machine the checker hooks.
 		checker.Coll = collector
 	}
-	m = &Machine{
+	m := &Machine{
 		opts: opts, store: store, mach: mach,
 		halter: halter, engine: engine, prog: prog, collector: collector, counters: counters,
 		fab: fab, checker: checker, recorder: recorder, obs: ob,
@@ -441,9 +424,6 @@ func New(opts Options) *Machine {
 		m.closing = make(chan struct{})
 		mach.Start()
 		collector.Start(opts.GCInterval)
-		if ob != nil {
-			ob.StartSampler()
-		}
 	}
 	return m
 }
@@ -910,18 +890,6 @@ func (m *Machine) FabricStats() []fabric.LinkStat {
 	return m.fab.LinkStats()
 }
 
-// WriteTraceJSONL writes the machine's retained point events — collector
-// cycle and verdict events, the fabric message lifecycle, checker violations
-// — as JSON Lines in the flight recorder's row format, without the per-task
-// executions. It errors unless the machine has an event log (Options.Obs,
-// TraceRate or TraceSink).
-func (m *Machine) WriteTraceJSONL(w io.Writer) error {
-	if m.obs == nil {
-		return errObsDisabled
-	}
-	return m.obs.WriteEventsJSONL(w)
-}
-
 // TraceSink returns the event log lineage traces are recorded into (shared
 // or private), or nil when lineage tracing is off.
 func (m *Machine) TraceSink() *obs.TraceSink { return m.obs.Lineage() }
@@ -941,7 +909,7 @@ func (m *Machine) WriteTracesJSON(w io.Writer) error {
 // errObsDisabled is what the exposition methods below return on a machine
 // with no observability handle. Options.Obs gives it one; so does tracing
 // (TraceRate, TraceSink), whose machines answer too, with no exec rings or
-// time-series behind the answer.
+// busy time behind the answer.
 var errObsDisabled = errors.New("dgr: observability disabled (set Options.Obs)")
 
 // WriteSpansJSONL writes the retained observation spans (collector phases,
@@ -956,7 +924,8 @@ func (m *Machine) WriteSpansJSONL(w io.Writer) error {
 
 // WriteFlightJSONL writes the flight recorder's retained events (recent
 // executions and collector/fabric activity, timestamp-merged) as JSON
-// Lines. It errors unless Options.Obs is on.
+// Lines. It errors unless the machine has an event log (Options.Obs,
+// TraceRate or TraceSink); only Options.Obs adds the executions.
 func (m *Machine) WriteFlightJSONL(w io.Writer) error {
 	if m.obs == nil {
 		return errObsDisabled
@@ -964,12 +933,8 @@ func (m *Machine) WriteFlightJSONL(w io.Writer) error {
 	return m.obs.WriteFlightJSONL(w)
 }
 
-// ObsSeries returns a snapshot of the sampled per-PE and machine-wide
-// time-series with quantile summaries, or nil unless Options.Obs is on.
-func (m *Machine) ObsSeries() *obs.SeriesSnap { return m.obs.Series() }
-
-// Gauges reads the live-machine gauges: what the time-series samples, what
-// the exposition and snapshot.json print, what a machine pool sums.
+// Gauges reads the live-machine gauges: what the exposition and
+// snapshot.json print, what a machine pool sums.
 func (m *Machine) Gauges() obs.Gauges {
 	deadlocked, _ := m.collector.Verdict()
 	return obs.Gauges{
@@ -992,18 +957,15 @@ func (m *Machine) promData() obs.PromData {
 		FreePerPart: make([]int, m.opts.PEs),
 		PoolBands:   make([][obs.Bands]int, m.opts.PEs),
 		ExecsPerPE:  make([]int64, m.opts.PEs),
-		Utils:       make([]float64, m.opts.PEs),
+		BusyNs:      make([]int64, m.opts.PEs),
 	}
-	snap := m.obs.Series()
 	execs := m.perPE(d.FreePerPart, d.PoolBands)
 	for pe := 0; pe < m.opts.PEs; pe++ {
 		// The scheduler's own per-PE counters, not the obs batches: they
 		// count every execution (including those before obs batching
 		// flushed), which is the balance view stealing is judged by.
 		d.ExecsPerPE[pe] = int64(execs[pe])
-		if snap != nil && len(snap.PE[pe]) > 0 {
-			d.Utils[pe] = snap.PE[pe][len(snap.PE[pe])-1].Util
-		}
+		d.BusyNs[pe] = m.obs.BusyNs(pe)
 	}
 	return d
 }
@@ -1021,6 +983,8 @@ func (m *Machine) perPE(free []int, bands [][obs.Bands]int) []uint64 {
 		free[pe] = m.store.FreeCountOf(pe)
 	}
 	for pe := range bands {
+		// BandLens returns [task.NumBands]int; assigning it to an
+		// [obs.Bands]int asserts the two constants agree.
 		bands[pe] = m.mach.Pool(pe).BandLens()
 	}
 	return m.mach.ExecutionsByPE()
@@ -1036,9 +1000,8 @@ func (m *Machine) WritePrometheus(w io.Writer) error {
 }
 
 // WriteSnapshotJSON writes a one-shot JSON digest of the machine: counters,
-// graph occupancy, per-PE pool depths and execution counts, the sampled
-// time-series, and any recorded invariant violations. It errors unless
-// Options.Obs is on.
+// graph occupancy, per-PE pool depths, execution counts and busy time, and
+// any recorded invariant violations. It errors unless Options.Obs is on.
 func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 	if m.obs == nil {
 		return errObsDisabled
@@ -1051,14 +1014,12 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 		Executions uint64 `json:"executions"`
 		// The list, under the key the embedded count would otherwise take.
 		Deadlocked []NodeID          `json:"deadlocked,omitempty"`
-		Series     *obs.SeriesSnap   `json:"series"`
 		Violations []string          `json:"violations,omitempty"`
 		FlightLast []obs.FlightEvent `json:"flight_last,omitempty"`
 	}{
 		Now: m.obs.Now(), PromData: m.promData(), Parallel: m.opts.Parallel,
 		Cycles: m.collector.Cycles(), Executions: m.mach.Executions(),
-		Deadlocked: m.collector.Deadlocked(), Series: m.obs.Series(),
-		Violations: m.CheckViolations(),
+		Deadlocked: m.collector.Deadlocked(), Violations: m.CheckViolations(),
 	}
 	evs := m.obs.FlightEvents()
 	out.FlightLast = evs[max(0, len(evs)-16):]

@@ -188,7 +188,7 @@ func TestFabricTraceJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.WriteTraceJSONL(&buf); err != nil {
+	if err := m.WriteFlightJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	kinds := make(map[string]int)
@@ -218,7 +218,7 @@ func TestFabricTraceJSONL(t *testing.T) {
 
 	m2 := New(Options{PEs: 2})
 	defer m2.Close()
-	if err := m2.WriteTraceJSONL(&buf); err == nil {
-		t.Fatal("WriteTraceJSONL should error with no log attached")
+	if err := m2.WriteFlightJSONL(&buf); err == nil {
+		t.Fatal("WriteFlightJSONL should error with no log attached")
 	}
 }

@@ -46,8 +46,8 @@ type CollectorConfig struct {
 	// Obs, when non-nil, receives one record per phase (M_T, M_R,
 	// restructure — the intervals trace analysis blames overlapping
 	// execution to), the sweep and cycle intervals around them, cycle and
-	// verdict events for the flight recorder, and an end-of-cycle
-	// time-series sample. All calls are nil-safe no-ops when unset.
+	// verdict events for the flight recorder, and the cycle-end hook
+	// (CycleEnd). All calls are nil-safe no-ops when unset.
 	Obs *obs.Obs
 }
 
@@ -437,7 +437,7 @@ func (c *Collector) closeCycle(rep *CycleReport, began int64, root graph.VertexI
 		o.Event(obs.TIDCollector, "cycle.end", uint64(root), 0,
 			fmt.Sprintf("reclaimed=%d expunged=%d reprio=%d deadlocked=%d",
 				rep.Reclaimed, rep.Expunged, rep.Reprioritized, len(rep.Deadlocked)))
-		o.SampleNow()
+		o.CycleEnd()
 	}
 	rep.Confirmed, rep.Quiescent = c.Verdict()
 	if c.cfg.AfterCycle != nil {

@@ -31,9 +31,8 @@ func (o *Obs) WriteSpansJSONL(w io.Writer) error {
 }
 
 // Gauges are the live-machine gauges, each declared once: the field is what
-// Machine.Gauges reads and the time-series samples, its tags the key in
-// snapshot.json and in a MachPoint, and the series and help text of the
-// exposition (the tags metrics.Snapshot carries).
+// Machine.Gauges reads, its tags the key in snapshot.json and the series and
+// help text of the exposition (the tags metrics.Snapshot carries).
 type Gauges struct {
 	PEs        int   `json:"pes" prom:"dgr_pes" help:"Processing elements."`
 	Heap       int   `json:"heap" prom:"dgr_heap_vertices" help:"Vertices in the arena (|V|)."`
@@ -62,9 +61,9 @@ type PromData struct {
 	Stats metrics.Snapshot `json:"stats"`
 	Gauges
 	FreePerPart []int        `json:"free_per_part"`
-	PoolBands   [][Bands]int `json:"pools"`        // per-PE queue depth per band
-	Utils       []float64    `json:"utils"`        // per-PE utilization (latest sample window)
-	ExecsPerPE  []int64      `json:"execs_per_pe"` // per-PE cumulative executions
+	PoolBands   [][Bands]int `json:"pools"`          // per-PE queue depth per band
+	BusyNs      []int64      `json:"busy_ns_per_pe"` // per-PE cumulative nanoseconds executing
+	ExecsPerPE  []int64      `json:"execs_per_pe"`   // per-PE cumulative executions
 
 	// Tenants, when non-empty, adds the serving layer's per-tenant series
 	// (tenant-labeled counters and gauges) to the exposition.
@@ -191,11 +190,11 @@ func WritePrometheus(w io.Writer, d PromData) error {
 			}
 		}
 	}
-	if len(d.Utils) > 0 {
-		p("# HELP dgr_pe_utilization Fraction of the last sample interval spent executing.\n")
-		p("# TYPE dgr_pe_utilization gauge\n")
-		for pe, u := range d.Utils {
-			p("dgr_pe_utilization{pe=\"%d\"} %.6f\n", pe, u)
+	if len(d.BusyNs) > 0 {
+		p("# HELP dgr_pe_busy_seconds_total Seconds each PE spent executing tasks.\n")
+		p("# TYPE dgr_pe_busy_seconds_total counter\n")
+		for pe, ns := range d.BusyNs {
+			p("dgr_pe_busy_seconds_total{pe=\"%d\"} %.9f\n", pe, float64(ns)/1e9)
 		}
 	}
 	if len(d.ExecsPerPE) > 0 {

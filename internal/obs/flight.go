@@ -112,21 +112,16 @@ func (o *Obs) FlightEvents() []FlightEvent {
 	return out
 }
 
-func writeJSONL(w io.Writer, evs []FlightEvent) error {
+// WriteFlightJSONL dumps the flight recorder as JSON Lines, oldest event
+// first — the artifact the machine writes automatically when it reports
+// ErrDeadlock or an invariant violation, and the rows dgr-trace -jsonl
+// prints (a handle without exec rings writes its point events alone).
+func (o *Obs) WriteFlightJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, e := range evs {
+	for _, e := range o.FlightEvents() {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// WriteFlightJSONL dumps the flight recorder as JSON Lines, oldest event
-// first — the artifact the machine writes automatically when it reports
-// ErrDeadlock or an invariant violation.
-func (o *Obs) WriteFlightJSONL(w io.Writer) error { return writeJSONL(w, o.FlightEvents()) }
-
-// WriteEventsJSONL writes the handle's point events alone, in the same row
-// format — the fabric message lifecycle as dgr-trace -jsonl prints it.
-func (o *Obs) WriteEventsJSONL(w io.Writer) error { return writeJSONL(w, o.Events()) }

@@ -21,7 +21,7 @@ import (
 var epoch = time.Now()
 
 // Now returns nanoseconds on the process-wide monotonic clock: the time base
-// of every record, of task.Born, and of the exec rings and time-series.
+// of every record, of task.Born, and of the exec rings and busy time.
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // At places a time.Time on the clock (exactly, when t carries Go's monotonic

@@ -75,7 +75,7 @@ func TestLogTimestamps(t *testing.T) {
 		t.Fatalf("span [%d, %d], want start %d and an end before %d", sp.Start, sp.End, start, At(after))
 	}
 	var sb strings.Builder
-	if err := o.WriteEventsJSONL(&sb); err != nil {
+	if err := o.WriteFlightJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var e FlightEvent
@@ -87,15 +87,16 @@ func TestLogTimestamps(t *testing.T) {
 	}
 }
 
-// TestWriteEventsJSONL: one row per point event, spans excluded, fields
-// round-tripping, an empty note omitted.
+// TestWriteEventsJSONL: a handle without exec rings (a traced machine, or
+// dgr-trace -jsonl's) writes one flight row per point event, spans
+// excluded, fields round-tripping, an empty note omitted.
 func TestWriteEventsJSONL(t *testing.T) {
 	o := New(Options{PEs: 2})
 	o.Event(TIDFabric, "fab.flush", 0, 1, "seq=1 n=3 attempt=0")
 	o.Span("fab-batch", CatFabric, TIDFabric, o.Now(), 3)
 	o.Event(TIDFabric, "fab.deliver", 0, 1, "")
 	var sb strings.Builder
-	if err := o.WriteEventsJSONL(&sb); err != nil {
+	if err := o.WriteFlightJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

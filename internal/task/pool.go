@@ -149,7 +149,7 @@ func (p *Pool) Len() int { return int(p.n.Load()) }
 
 // BandLens returns the queued-task count per priority band, lowest band
 // first. One lock acquisition (none on a serial pool, whose caller must be,
-// or hold off, the owner); used by the observability sampler.
+// or hold off, the owner); read by the exposition and the marker.
 func (p *Pool) BandLens() [NumBands]int {
 	var out [NumBands]int
 	p.mu.Lock()

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dgr"
 	"dgr/internal/obs"
@@ -87,9 +88,6 @@ func TestObsSpansAndExposition(t *testing.T) {
 		Cycles     int64   `json:"cycles"`
 		Executions uint64  `json:"executions"`
 		ExecsPerPE []int64 `json:"execs_per_pe"`
-		Series     *struct {
-			Mach []json.RawMessage `json:"mach"`
-		} `json:"series"`
 	}
 	if err := json.Unmarshal(snap.Bytes(), &got); err != nil {
 		t.Fatalf("snapshot not JSON: %v", err)
@@ -103,10 +101,6 @@ func TestObsSpansAndExposition(t *testing.T) {
 	}
 	if uint64(execs) != got.Executions {
 		t.Errorf("per-PE execs sum %d != machine executions %d", execs, got.Executions)
-	}
-	// Deterministic machines sample at each cycle end.
-	if got.Series == nil || len(got.Series.Mach) == 0 {
-		t.Error("no time-series samples after collector cycles")
 	}
 
 	var flight bytes.Buffer
@@ -205,6 +199,55 @@ func TestObsParallelSmoke(t *testing.T) {
 	}
 }
 
+// TestObsBusyTime checks the per-PE busy-time counter against the wall
+// clock of the evaluation it accrued in. A seeded machine runs every PE on
+// one goroutine, so their busy times add up to at most the wall time; a
+// parallel machine's PEs run at once, so each one's does.
+func TestObsBusyTime(t *testing.T) {
+	const src = `let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 15`
+	for _, parallel := range []bool{false, true} {
+		m := dgr.New(dgr.Options{PEs: 4, Seed: 1, Parallel: parallel, Obs: true})
+		start := time.Now()
+		v, err := m.Eval(src)
+		if err != nil || v.Int != 610 {
+			m.Close()
+			t.Fatalf("parallel=%v: fib 15 = %v, %v", parallel, v, err)
+		}
+		// Until the snapshot is read: a parallel machine's PEs may run on
+		// after Eval returns.
+		var snap bytes.Buffer
+		err = m.WriteSnapshotJSON(&snap)
+		wall := time.Since(start)
+		m.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			BusyNs []int64 `json:"busy_ns_per_pe"`
+		}
+		if err := json.Unmarshal(snap.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.BusyNs) != 4 {
+			t.Fatalf("parallel=%v: busy_ns_per_pe = %v, want 4 entries", parallel, got.BusyNs)
+		}
+		var sum int64
+		for pe, ns := range got.BusyNs {
+			if ns < 0 || ns > int64(wall) {
+				t.Errorf("parallel=%v: PE %d busy %d ns, outside [0, wall %d ns]", parallel, pe, ns, wall)
+			}
+			sum += ns
+		}
+		t.Logf("parallel=%v: busy %v ns per PE, sum %d, wall %d", parallel, got.BusyNs, sum, wall)
+		if sum <= 0 {
+			t.Errorf("parallel=%v: no busy time accrued", parallel)
+		}
+		if !parallel && sum > int64(wall) {
+			t.Errorf("seeded: busy times sum to %d ns, more than the wall time %d ns", sum, wall)
+		}
+	}
+}
+
 func TestObsDisabledSurface(t *testing.T) {
 	m := dgr.New(dgr.Options{PEs: 1})
 	defer m.Close()
@@ -221,9 +264,6 @@ func TestObsDisabledSurface(t *testing.T) {
 		if err := fn(); err == nil {
 			t.Errorf("%s: no error with obs disabled", name)
 		}
-	}
-	if m.ObsSeries() != nil {
-		t.Error("ObsSeries non-nil with obs disabled")
 	}
 	// The graph DOT export does not need the obs layer.
 	if err := m.WriteGraphDOT(&buf); err != nil {
