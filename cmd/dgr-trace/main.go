@@ -158,11 +158,7 @@ func dumpJSONL(src string, opts dgr.Options) error {
 		fmt.Fprintf(os.Stderr, "result: %s\n", v)
 	}
 	if opts.Fabric {
-		for _, ls := range m.FabricStats() {
-			fmt.Fprintf(os.Stderr, "link %d->%d: sent=%d delivered=%d batches=%d dropped=%d retries=%d dup=%d lat[µs]=%s\n",
-				ls.From, ls.To, ls.Sent, ls.Delivered, ls.Batches,
-				ls.Dropped, ls.Retries, ls.Duplicates, ls.Latency)
-		}
+		fmt.Fprintln(os.Stderr, m.Stats())
 	}
 	return m.WriteFlightJSONL(os.Stdout)
 }

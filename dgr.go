@@ -501,7 +501,7 @@ func (m *Machine) Close() {
 		// What is still queued is abandoned, not run: a divergent evaluation
 		// (or speculation no collector expunges now) would never drain.
 		m.halter.Halt()
-		m.mach.Stop() // also flushes and closes the fabric
+		m.mach.Stop() // also closes the fabric, emptying its custody
 	} else if m.fab != nil {
 		m.fab.Close()
 	}
@@ -880,15 +880,6 @@ func (m *Machine) DemandNode(root NodeID) <-chan Value {
 
 // Stats snapshots the machine's counters.
 func (m *Machine) Stats() Stats { return m.counters.Snapshot() }
-
-// FabricStats returns per-link fabric traffic summaries, ordered by
-// (from, to) PE pair. It is nil when Options.Fabric is off.
-func (m *Machine) FabricStats() []fabric.LinkStat {
-	if m.fab == nil {
-		return nil
-	}
-	return m.fab.LinkStats()
-}
 
 // TraceSink returns the event log lineage traces are recorded into (shared
 // or private), or nil when lineage tracing is off.

@@ -21,8 +21,8 @@ func init() {
 // runFabricBatch floods the fabric with remote task messages from every PE
 // at once and measures end-to-end delivery throughput as the batch size
 // grows, against a direct-dispatch baseline. Batching must beat
-// one-task-per-message: the per-message overhead (timer, lock handshake,
-// ack bookkeeping) is paid per batch, not per task.
+// one-task-per-message: the per-message overhead (lock handshake, arrival
+// scheduling, ack bookkeeping) is paid per batch, not per task.
 func runFabricBatch(cfg Config) (*Table, error) {
 	const pes = 4
 	n := 200_000
@@ -103,7 +103,7 @@ func runFabricBatch(cfg Config) (*Table, error) {
 		tbl.AddRow(fmt.Sprintf("fabric b=%d", batch), n, d.FabricBatches,
 			fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.2fx", rate/unbatched))
 	}
-	tbl.Note("batching amortizes per-message latency scheduling and ack bookkeeping")
+	tbl.Note("batching amortizes per-message link locking, arrival scheduling and ack bookkeeping")
 	if best <= unbatched {
 		return tbl, fmt.Errorf("batching did not improve throughput: best=%.0f unbatched=%.0f", best, unbatched)
 	}

@@ -19,16 +19,18 @@
 //     number, so every task is delivered into its pool exactly once even at
 //     10% drop.
 //
-//   - Observability: per-link sent/delivered/dropped/retried/batched
-//     counters and an enqueue→delivery latency histogram, mirrored into the
-//     shared metrics.Counters.
+//   - Observability: sent/delivered/dropped/retried/batched counts and an
+//     enqueue→delivery latency histogram, kept in one metrics.Counters (the
+//     caller's, or a private one).
 //
-// The fabric runs in two modes matching the scheduler's. In deterministic
-// mode time is virtual: one scheduler step is one tick (≈1µs), Tick advances
-// the clock, and Advance fast-forwards to the next due event when every pool
-// is empty, so a seeded run replays the identical loss schedule. In parallel
-// mode a pump goroutine flushes deadline-expired outboxes and retransmits,
-// and latency is realized with timers.
+// The fabric has one event loop, runDue, that runs every flush, arrival and
+// retry due at a given time, and one clock unit, the microsecond. Only the
+// clock's source differs between the scheduler's two modes. In deterministic
+// mode time is virtual: one scheduler step is one tick, Tick advances the
+// clock, and Advance fast-forwards to the next due event when every pool is
+// empty, so a seeded run replays the identical loss schedule. In parallel
+// mode the clock is the wall time since New, and a pump goroutine runs the
+// loop once per period (see pumpPeriod).
 //
 // Custody accounting: a task in the fabric (outbox or undelivered batch)
 // still counts against the machine's inflight counter, so quiescence
@@ -56,7 +58,7 @@ const maxDropRate = 0.95
 // Config parameterizes a Fabric.
 type Config struct {
 	PEs      int
-	Parallel bool // drive with the pump goroutine instead of Tick/Advance
+	Parallel bool // wall clock and the pump goroutine instead of Tick/Advance
 	Seed     int64
 
 	BatchSize   int           // flush an outbox at this many tasks (default 16)
@@ -66,7 +68,7 @@ type Config struct {
 	DropRate    float64       // per-transmission loss probability, clamped to 0.95
 	ReorderRate float64       // probability a batch is held back behind later traffic
 
-	Counters *metrics.Counters // optional shared counters
+	Counters *metrics.Counters // shared counters; New supplies private ones when nil
 	// Obs, when non-nil, receives the fab.* message-lifecycle events and a
 	// "fab-batch" span per delivered batch (flush to first delivery); when
 	// its lineage tracing is on, also one "fabric-hop" span per traced task
@@ -97,6 +99,9 @@ func (c Config) withDefaults() Config {
 	if c.ReorderRate > 1 {
 		c.ReorderRate = 1
 	}
+	if c.Counters == nil {
+		c.Counters = &metrics.Counters{}
+	}
 	return c
 }
 
@@ -110,10 +115,10 @@ type Fabric struct {
 	pending   atomic.Int64 // tasks in custody: outboxes + undelivered batches
 	busyLinks atomic.Int64 // links with any outbox/unacked state
 	tick      atomic.Int64 // deterministic virtual clock
+	start     time.Time    // parallel clock origin
 	closed    atomic.Bool
 
-	// Duration knobs converted to clock units: ticks in deterministic mode
-	// (1 tick ≈ 1µs), nanoseconds in parallel mode.
+	// Duration knobs in clock units (µs).
 	flushD, latD, jitD, retryD int64
 
 	stop chan struct{}
@@ -131,11 +136,6 @@ type link struct {
 	outboxBorn int64 // clock when the oldest outbox task was enqueued
 	nextSeq    uint64
 	unacked    map[uint64]*batch
-
-	// Stats, guarded by mu except the histogram (internally atomic).
-	sent, delivered, batches, dropped int64
-	retries, dups, acksDropped, expng int64
-	hist                              metrics.Histogram
 }
 
 // batch is a flushed group of tasks awaiting acknowledgement. The "wire"
@@ -149,7 +149,7 @@ type batch struct {
 	flushed  int64 // obs clock at flush (0 when obs is disabled)
 	attempts int
 	inFlight bool  // a transmission is en route
-	dueAt    int64 // deterministic mode: arrival tick of that transmission
+	dueAt    int64 // arrival time of that transmission
 	retryAt  int64 // when to retransmit if not in flight (0 = not scheduled)
 	// delivered means the receiver has the tasks but the ack was lost; the
 	// batch stays in the window so retransmissions can be re-acked, and the
@@ -160,13 +160,13 @@ type batch struct {
 // New builds a fabric. SetDeliver must be called before the first Enqueue.
 func New(cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
-	f := &Fabric{cfg: cfg}
-	f.flushD = f.delta(cfg.FlushEvery)
-	f.latD = f.delta(cfg.LinkLatency)
-	f.jitD = f.delta(cfg.Jitter)
+	f := &Fabric{cfg: cfg, start: time.Now()}
+	f.flushD = delta(cfg.FlushEvery)
+	f.latD = delta(cfg.LinkLatency)
+	f.jitD = delta(cfg.Jitter)
 	// An unacked batch is retransmitted after two flush periods plus four
 	// worst-case transits, and never sooner than 1ms.
-	f.retryD = f.delta(max(2*cfg.FlushEvery+4*(cfg.LinkLatency+cfg.Jitter), time.Millisecond))
+	f.retryD = delta(max(2*cfg.FlushEvery+4*(cfg.LinkLatency+cfg.Jitter), time.Millisecond))
 	f.links = make([]*link, cfg.PEs*cfg.PEs)
 	for s := 0; s < cfg.PEs; s++ {
 		for d := 0; d < cfg.PEs; d++ {
@@ -189,24 +189,19 @@ func New(cfg Config) *Fabric {
 // SetDeliver installs the delivery sink: the scheduler's per-PE pool push.
 func (f *Fabric) SetDeliver(fn func(pe int, ts []task.Task)) { f.deliver = fn }
 
-// delta converts a duration knob to clock units.
-func (f *Fabric) delta(d time.Duration) int64 {
+// delta converts a duration knob to clock units: whole microseconds, at
+// least one for a positive knob.
+func delta(d time.Duration) int64 {
 	if d <= 0 {
 		return 0
 	}
-	if f.cfg.Parallel {
-		return int64(d)
-	}
-	t := int64(d / time.Microsecond)
-	if t < 1 {
-		t = 1
-	}
-	return t
+	return max(int64(d/time.Microsecond), 1)
 }
 
+// now reads the clock in µs: the virtual tick, or the wall time since New.
 func (f *Fabric) now() int64 {
 	if f.cfg.Parallel {
-		return time.Now().UnixNano()
+		return int64(time.Since(f.start) / time.Microsecond)
 	}
 	return f.tick.Load()
 }
@@ -220,26 +215,30 @@ func (f *Fabric) link(from, to int) *link {
 
 // Enqueue accepts a cross-partition task from PE `from` addressed to PE
 // `to`. The task buffers in the link's outbox until a count or deadline
-// flush. Degenerate routes (from == to, closing fabric) bypass the network
-// and deliver directly so no task is ever lost.
+// flush. Degenerate routes (from == to, closed fabric) bypass the network
+// and deliver directly so no task is ever lost. The closed test is made
+// under the link lock, which Close takes after setting it, so no task
+// enters an outbox that Close has already emptied.
 func (f *Fabric) Enqueue(from, to int, t task.Task) {
 	lk := f.link(from, to)
-	if lk == nil || f.closed.Load() {
+	if lk == nil {
 		f.deliver(to, []task.Task{t})
 		return
 	}
 	now := f.now()
 	lk.mu.Lock()
+	if f.closed.Load() {
+		lk.mu.Unlock()
+		f.deliver(to, []task.Task{t})
+		return
+	}
 	if len(lk.outbox) == 0 {
 		lk.outboxBorn = now
 	}
 	lk.outbox = append(lk.outbox, t)
-	lk.sent++
 	lk.markBusyLocked()
 	f.pending.Add(1)
-	if c := f.cfg.Counters; c != nil {
-		c.FabricSent.Add(1)
-	}
+	f.cfg.Counters.FabricSent.Add(1)
 	if len(lk.outbox) >= f.cfg.BatchSize {
 		if b := lk.flushLocked(); b != nil {
 			lk.transmitLocked(b, now)
@@ -259,10 +258,7 @@ func (lk *link) flushLocked() *batch {
 		flushed: lk.f.cfg.Obs.Now()}
 	lk.outbox = nil
 	lk.unacked[b.seq] = b
-	lk.batches++
-	if c := lk.f.cfg.Counters; c != nil {
-		c.FabricBatches.Add(1)
-	}
+	lk.f.cfg.Counters.FabricBatches.Add(1)
 	lk.event("fab.flush", b)
 	return b
 }
@@ -273,10 +269,7 @@ func (lk *link) transmitLocked(b *batch, now int64) {
 	b.attempts++
 	b.retryAt = 0
 	if b.attempts > 1 {
-		lk.retries++
-		if c := f.cfg.Counters; c != nil {
-			c.FabricRetries.Add(1)
-		}
+		f.cfg.Counters.FabricRetries.Add(1)
 		lk.event("fab.retry", b)
 		if s := f.cfg.Obs.Lineage(); s != nil {
 			now := obs.Now()
@@ -301,30 +294,10 @@ func (lk *link) transmitLocked(b *batch, now int64) {
 		delay += f.latD + f.flushD
 	}
 	b.inFlight = true
-	if f.cfg.Parallel {
-		if delay <= 0 {
-			lk.arriveLocked(b, f.now())
-			return
-		}
-		seq := b.seq
-		time.AfterFunc(time.Duration(delay), func() { lk.arrive(seq) })
-		return
-	}
 	b.dueAt = now + delay
-	if b.dueAt <= now {
+	if delay <= 0 {
 		lk.arriveLocked(b, now)
 	}
-}
-
-// arrive realizes a parallel-mode transmission landing: the batch may have
-// been acked or expunged in the meantime, in which case this is a no-op.
-func (lk *link) arrive(seq uint64) {
-	lk.mu.Lock()
-	if b := lk.unacked[seq]; b != nil && b.inFlight {
-		lk.arriveLocked(b, lk.f.now())
-	}
-	lk.syncBusyLocked()
-	lk.mu.Unlock()
 }
 
 // arriveLocked is one transmission reaching the receiver: roll for drop,
@@ -336,10 +309,7 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 	b.dueAt = 0
 	c := f.cfg.Counters
 	if f.cfg.DropRate > 0 && lk.rng.Float64() < f.cfg.DropRate {
-		lk.dropped++
-		if c != nil {
-			c.FabricDropped.Add(1)
-		}
+		c.FabricDropped.Add(1)
 		lk.event("fab.drop", b)
 		b.retryAt = now + f.retryD
 		return
@@ -347,16 +317,8 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 	if !b.delivered {
 		b.delivered = true
 		n := int64(len(b.tasks))
-		lk.delivered += n
-		lat := now - b.born
-		if f.cfg.Parallel {
-			lat /= int64(time.Microsecond)
-		}
-		lk.hist.Observe(lat)
-		if c != nil {
-			c.FabricDelivered.Add(n)
-			c.FabricLatency.Observe(lat)
-		}
+		c.FabricDelivered.Add(n)
+		c.FabricLatency.Observe(now - b.born)
 		lk.event("fab.deliver", b)
 		f.cfg.Obs.Span("fab-batch", obs.CatFabric, obs.TIDFabric, b.flushed, n)
 		if s := f.cfg.Obs.Lineage(); s != nil {
@@ -380,18 +342,12 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		f.pending.Add(-n)
 	} else {
 		// Receiver-side dedup: it has seen seq already; just re-ack.
-		lk.dups++
-		if c != nil {
-			c.FabricDuplicates.Add(1)
-		}
+		c.FabricDuplicates.Add(1)
 		lk.event("fab.dup", b)
 	}
 	// The ack crosses the same lossy link.
 	if f.cfg.DropRate > 0 && lk.rng.Float64() < f.cfg.DropRate {
-		lk.acksDropped++
-		if c != nil {
-			c.FabricAcksDropped.Add(1)
-		}
+		c.FabricAcksDropped.Add(1)
 		lk.event("fab.ackdrop", b)
 		b.retryAt = now + f.retryD
 		return
@@ -424,6 +380,12 @@ func (f *Fabric) Tick() {
 	if f.busyLinks.Load() == 0 {
 		return
 	}
+	f.runDue(now)
+}
+
+// runDue is the fabric's one event loop: Tick, Advance and the parallel
+// pump all run every link's due events through it.
+func (f *Fabric) runDue(now int64) {
 	for _, lk := range f.links {
 		if lk == nil || !lk.busy.Load() {
 			continue
@@ -433,8 +395,8 @@ func (f *Fabric) Tick() {
 }
 
 // runDue executes every event on the link due at or before now. Events run
-// in deterministic order (arrivals by due tick then sequence, retries by
-// retry tick then sequence) so the seeded rng stream replays identically.
+// in deterministic order (arrivals by due time then sequence, retries by
+// retry time then sequence) so the seeded rng stream replays identically.
 func (lk *link) runDue(now int64) {
 	lk.mu.Lock()
 	defer lk.mu.Unlock()
@@ -475,16 +437,16 @@ func (lk *link) runDue(now int64) {
 	lk.syncBusyLocked()
 }
 
-// Advance fast-forwards the deterministic clock to the next due fabric
-// event and runs it. It returns false when no tasks are in transit — the
-// scheduler calls it only when every pool is empty, so false there means
-// quiescence. Each call makes progress: the clock jumps straight to the
-// earliest flush deadline, arrival, or retry.
+// Advance fast-forwards to the next due fabric event and runs it. It
+// returns false when no tasks are in transit — the scheduler calls it only
+// when every pool is empty, so false there means quiescence. Each call
+// makes progress: the clock jumps straight to the earliest flush deadline,
+// arrival, or retry. A parallel fabric's wall clock cannot jump, so there
+// the event simply runs early (Close relies on this).
 func (f *Fabric) Advance() bool {
-	if f.cfg.Parallel || f.pending.Load() == 0 {
+	if f.pending.Load() == 0 {
 		return false
 	}
-	now := f.tick.Load()
 	next := int64(math.MaxInt64)
 	for _, lk := range f.links {
 		if lk == nil || !lk.busy.Load() {
@@ -509,22 +471,14 @@ func (f *Fabric) Advance() bool {
 	if next == math.MaxInt64 {
 		return false
 	}
-	if next < now {
-		next = now
-	}
+	next = max(next, f.now())
 	f.tick.Store(next)
-	for _, lk := range f.links {
-		if lk == nil || !lk.busy.Load() {
-			continue
-		}
-		lk.runDue(next)
-	}
+	f.runDue(next)
 	return true
 }
 
-// Start launches the parallel-mode pump goroutine that flushes
-// deadline-expired outboxes and retransmits unacked batches. No-op in
-// deterministic mode.
+// Start launches the parallel-mode pump goroutine that runs the event loop
+// on the wall clock. No-op in deterministic mode.
 func (f *Fabric) Start() {
 	if !f.cfg.Parallel || f.closed.Load() {
 		return
@@ -534,87 +488,52 @@ func (f *Fabric) Start() {
 	go f.pump()
 }
 
+// pumpPeriod is how often the pump runs the event loop, so an arrival or
+// flush lands at most one period after it is due: the shorter of FlushEvery
+// and LinkLatency (when set), floored at 50µs. The retry timeout is at
+// least twice FlushEvery, so it never sets the period.
+func (f *Fabric) pumpPeriod() time.Duration {
+	p := f.cfg.FlushEvery
+	if f.cfg.LinkLatency > 0 {
+		p = min(p, f.cfg.LinkLatency)
+	}
+	return max(p, 50*time.Microsecond)
+}
+
 func (f *Fabric) pump() {
 	defer f.wg.Done()
-	period := f.cfg.FlushEvery
-	if period < 50*time.Microsecond {
-		period = 50 * time.Microsecond
-	}
-	tk := time.NewTicker(period)
+	tk := time.NewTicker(f.pumpPeriod())
 	defer tk.Stop()
 	for {
 		select {
 		case <-f.stop:
 			return
 		case <-tk.C:
-			now := time.Now().UnixNano()
-			for _, lk := range f.links {
-				if lk == nil || !lk.busy.Load() {
-					continue
-				}
-				lk.runDuePar(now)
-			}
+			f.runDue(f.now())
 		}
 	}
 }
 
-// runDuePar is the parallel-mode pump pass: deadline flushes and retries.
-// Arrivals happen on their own timers.
-func (lk *link) runDuePar(now int64) {
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	if len(lk.outbox) > 0 && now >= lk.outboxBorn+lk.f.flushD {
-		if b := lk.flushLocked(); b != nil {
-			lk.transmitLocked(b, now)
-		}
-	}
-	var retry []*batch
-	for _, b := range lk.unacked {
-		if !b.inFlight && b.retryAt > 0 && now >= b.retryAt {
-			retry = append(retry, b)
-		}
-	}
-	sort.Slice(retry, func(i, j int) bool { return retry[i].seq < retry[j].seq })
-	for _, b := range retry {
-		if lk.unacked[b.seq] != nil {
-			lk.transmitLocked(b, now)
-		}
-	}
-	lk.syncBusyLocked()
-}
-
-// Flush force-flushes every outbox immediately (deadline be damned) and, in
-// deterministic mode, pumps until nothing is in transit. Used by tests and
-// by drains that cannot wait for deadlines.
-func (f *Fabric) Flush() {
-	now := f.now()
-	for _, lk := range f.links {
-		if lk == nil || !lk.busy.Load() {
-			continue
-		}
-		lk.mu.Lock()
-		if b := lk.flushLocked(); b != nil {
-			lk.transmitLocked(b, now)
-		}
-		lk.syncBusyLocked()
-		lk.mu.Unlock()
-	}
-	if !f.cfg.Parallel {
-		for f.Advance() {
-		}
-	}
-}
-
-// Close stops the pump (parallel mode) and routes subsequent Enqueues
-// directly to the delivery sink. In-flight timer arrivals still complete,
-// so no task in custody is lost.
+// Close routes subsequent Enqueues directly to the delivery sink, stops the
+// pump, and runs the event loop until nothing is in custody: every outbox
+// flushes and every batch lands, however far off its arrival or retry was.
 func (f *Fabric) Close() {
 	if f.closed.Swap(true) {
 		return
 	}
-	if f.cfg.Parallel && f.stop != nil {
+	if f.stop != nil {
 		close(f.stop)
 		f.wg.Wait()
+	}
+	// An Enqueue that read closed as false holds its link's lock until its
+	// task is counted in custody; taking every lock once waits those out.
+	for _, lk := range f.links {
+		if lk != nil {
+			lk.mu.Lock()
+			lk.mu.Unlock()
+		}
+	}
+	for f.Advance() {
 	}
 }
 
@@ -662,7 +581,6 @@ func (f *Fabric) Expunge(pred func(task.Task) bool) int {
 		for _, t := range lk.outbox {
 			if pred(t) {
 				removed++
-				lk.expng++
 				continue
 			}
 			kept = append(kept, t)
@@ -676,7 +594,6 @@ func (f *Fabric) Expunge(pred func(task.Task) bool) int {
 			for _, t := range b.tasks {
 				if pred(t) {
 					removed++
-					lk.expng++
 					continue
 				}
 				bk = append(bk, t)
@@ -691,58 +608,9 @@ func (f *Fabric) Expunge(pred func(task.Task) bool) int {
 	}
 	if removed > 0 {
 		f.pending.Add(int64(-removed))
-		if c := f.cfg.Counters; c != nil {
-			c.FabricExpunged.Add(int64(removed))
-		}
+		f.cfg.Counters.FabricExpunged.Add(int64(removed))
 	}
 	return removed
-}
-
-// LinkStat is a per-link traffic summary.
-type LinkStat struct {
-	From, To    int
-	Sent        int64 // tasks enqueued
-	Delivered   int64 // tasks delivered to the destination pool
-	Batches     int64 // batches flushed
-	Dropped     int64 // transmissions lost
-	Retries     int64 // retransmissions
-	Duplicates  int64 // duplicate deliveries suppressed
-	AcksDropped int64 // acks lost
-	Expunged    int64 // in-transit tasks expunged
-	InTransit   int   // tasks currently in custody
-	Latency     metrics.HistSnapshot
-}
-
-// LinkStats returns stats for every link that has carried traffic, ordered
-// by (from, to).
-func (f *Fabric) LinkStats() []LinkStat {
-	var out []LinkStat
-	for _, lk := range f.links {
-		if lk == nil {
-			continue
-		}
-		lk.mu.Lock()
-		if lk.sent == 0 {
-			lk.mu.Unlock()
-			continue
-		}
-		st := LinkStat{
-			From: lk.from, To: lk.to,
-			Sent: lk.sent, Delivered: lk.delivered, Batches: lk.batches,
-			Dropped: lk.dropped, Retries: lk.retries, Duplicates: lk.dups,
-			AcksDropped: lk.acksDropped, Expunged: lk.expng,
-			Latency: lk.hist.Snapshot(),
-		}
-		st.InTransit = len(lk.outbox)
-		for _, b := range lk.unacked {
-			if !b.delivered {
-				st.InTransit += len(b.tasks)
-			}
-		}
-		lk.mu.Unlock()
-		out = append(out, st)
-	}
-	return out
 }
 
 // event logs one step of batch b's lifecycle on the link. The note is

@@ -203,31 +203,30 @@ func TestEachAndExpunge(t *testing.T) {
 	if got := c.FabricExpunged.Load(); got != 2 {
 		t.Fatalf("FabricExpunged = %d, want 2", got)
 	}
-	f.Flush()
+	f.Close()
 	if s.total() != 1 || s.got[1][0].Dst != 11 {
 		t.Fatalf("surviving delivery = %+v, want one task to v11", s.got[1])
 	}
 }
 
 func TestLinkStatsAndTrace(t *testing.T) {
+	c := &metrics.Counters{}
 	o := obs.New(obs.Options{PEs: 2})
 	s := newSink()
 	f := New(Config{PEs: 2, Seed: 3, BatchSize: 2, FlushEvery: 5 * time.Microsecond,
-		DropRate: 0.3, Obs: o})
+		DropRate: 0.3, Counters: c, Obs: o})
 	f.SetDeliver(s.deliver)
 	for i := 0; i < 40; i++ {
 		f.Enqueue(0, 1, tk(1, 2))
 	}
 	drain(t, f)
-	st := f.LinkStats()
-	if len(st) != 1 {
-		t.Fatalf("LinkStats len = %d, want 1", len(st))
+	snap := c.Snapshot()
+	if snap.FabricSent != 40 || snap.FabricDelivered != 40 {
+		t.Fatalf("sent=%d delivered=%d, want 40/40", snap.FabricSent, snap.FabricDelivered)
 	}
-	if st[0].From != 0 || st[0].To != 1 || st[0].Sent != 40 || st[0].Delivered != 40 {
-		t.Fatalf("bad link stat: %+v", st[0])
-	}
-	if st[0].Dropped == 0 || st[0].Latency.Total() != st[0].Batches {
-		t.Fatalf("missing loss or latency samples: %+v", st[0])
+	if snap.FabricDropped == 0 || snap.FabricLatency.Total() != snap.FabricBatches {
+		t.Fatalf("missing loss or latency samples: dropped=%d latency samples=%d batches=%d",
+			snap.FabricDropped, snap.FabricLatency.Total(), snap.FabricBatches)
 	}
 	kinds := make(map[string]int)
 	for _, e := range o.Events() {
@@ -285,8 +284,49 @@ func TestParallelDelivery(t *testing.T) {
 		t.Fatalf("%d batches left custody before their delivery", e)
 	}
 	f.Close()
-	if c.FabricDelivered.Load() != n {
-		t.Fatalf("FabricDelivered = %d, want %d", c.FabricDelivered.Load(), n)
+	snap := c.Snapshot()
+	if f.Pending() != 0 || snap.FabricSent != n || snap.FabricDelivered != n {
+		t.Fatalf("after Close: pending=%d sent=%d delivered=%d, want 0/%d/%d",
+			f.Pending(), snap.FabricSent, snap.FabricDelivered, n, n)
+	}
+	// One latency sample per delivered batch.
+	if snap.FabricLatency.Total() != snap.FabricBatches {
+		t.Fatalf("latency samples %d != batches %d", snap.FabricLatency.Total(), snap.FabricBatches)
+	}
+}
+
+// TestCloseEmptiesCustody: Close runs the event loop until nothing is in
+// custody, so a batch whose arrival is an hour off still reaches the sink
+// and no arrival is left pending behind a closed fabric.
+func TestCloseEmptiesCustody(t *testing.T) {
+	s := newSink()
+	f := New(Config{PEs: 2, Parallel: true, Seed: 1, BatchSize: 1, LinkLatency: time.Hour})
+	f.SetDeliver(s.deliver)
+	f.Start()
+	f.Enqueue(0, 1, tk(1, 2))
+	f.Close()
+	if f.Pending() != 0 || s.count(1) != 1 {
+		t.Fatalf("after Close: pending=%d delivered=%d, want 0/1", f.Pending(), s.count(1))
+	}
+}
+
+// TestPumpPeriodFollowsLatency: the pump's period comes from the delays it
+// serves, not from FlushEvery alone, so an hour-long flush deadline does not
+// hold back a 100µs arrival.
+func TestPumpPeriodFollowsLatency(t *testing.T) {
+	s := newSink()
+	f := New(Config{PEs: 2, Parallel: true, Seed: 1, BatchSize: 1,
+		FlushEvery: time.Hour, LinkLatency: 100 * time.Microsecond})
+	f.SetDeliver(s.deliver)
+	f.Start()
+	defer f.Close()
+	f.Enqueue(0, 1, tk(1, 2))
+	deadline := time.Now().Add(time.Second)
+	for s.count(1) == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if s.count(1) != 1 {
+		t.Fatalf("delivered %d within 1s, want 1", s.count(1))
 	}
 }
 

@@ -832,10 +832,8 @@ func (m *Machine) Stop() {
 	m.running = false
 	m.mu.Unlock()
 	if m.fab != nil {
-		// Push any buffered messages through before closing so queued work
-		// reaches the pools, then stop the pump; late timer arrivals still
-		// deliver, and post-close Enqueues bypass the network entirely.
-		m.fab.Flush()
+		// Close empties the fabric's custody into the pools before they
+		// close; post-close Enqueues bypass the network entirely.
 		m.fab.Close()
 	}
 	for _, p := range m.pools {

@@ -536,6 +536,27 @@ func TestFabricParallelDelivery(t *testing.T) {
 	}
 }
 
+// TestStopEmptiesFabric: Stop closes the fabric before the pools, and Close
+// lands every batch in custody however far off its arrival is, so the
+// stopped machine leaves no task on the wire and runs the one it had.
+func TestStopEmptiesFabric(t *testing.T) {
+	fab := fabric.New(fabric.Config{
+		PEs: 2, Parallel: true, Seed: 1, BatchSize: 1, LinkLatency: time.Hour,
+	})
+	m := New(Config{PEs: 2, Mode: Parallel, PartOf: partMod(2), Fabric: fab})
+	var count atomic.Int64
+	m.SetHandler(HandlerFunc(func(task.Task) { count.Add(1) }))
+	m.Start()
+	m.Spawn(task.Task{Kind: task.Demand, Src: 2, Dst: 1, Req: graph.ReqVital})
+	m.Stop()
+	if n := m.Fabric().Pending(); n != 0 {
+		t.Fatalf("Pending() = %d after Stop, want 0", n)
+	}
+	if got := count.Load(); got != 1 {
+		t.Fatalf("executed %d tasks, want the one remote task", got)
+	}
+}
+
 func TestFabricExpungeInTransit(t *testing.T) {
 	fab := fabric.New(fabric.Config{
 		PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: time.Hour,
