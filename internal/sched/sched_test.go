@@ -47,10 +47,11 @@ func TestDeterministicStepExecutesAll(t *testing.T) {
 
 // TestSerialModeFollowsMachine: a deterministic machine's pools and PE
 // slots take no lock, and a parallel machine's do. The slot's mode bit sits
-// in the padding after valid: curSlot stays 96 bytes.
+// in the padding after valid: curSlot is 88 bytes, the 48-byte task's
+// (task.TestTaskSize) plus the lock, the count and the padding.
 func TestSerialModeFollowsMachine(t *testing.T) {
-	if got := unsafe.Sizeof(curSlot{}); got != 96 {
-		t.Errorf("Sizeof(curSlot) = %d, want 96", got)
+	if got := unsafe.Sizeof(curSlot{}); got != 88 {
+		t.Errorf("Sizeof(curSlot) = %d, want 88", got)
 	}
 	for _, mode := range []Mode{Deterministic, Parallel} {
 		m := New(Config{PEs: 2, Mode: mode, PartOf: partMod(2)})

@@ -443,9 +443,16 @@ func (p *Pool) Reprioritize(fn func(Task) graph.ReqKind) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	changed := 0
-	var moved []Task
+	// A moved task goes straight onto its new band's tail, and each band's
+	// filter sees only the tasks it held when the call began, so fn sees
+	// every task once and each band ends its kept tasks, then its arrivals
+	// in the order they left theirs.
+	var held [NumBands]int
 	for b := range p.bands {
-		p.bands[b].filter(func(t *Task) bool {
+		held[b] = p.bands[b].len()
+	}
+	for b := range p.bands {
+		p.bands[b].filterFirst(held[b], func(t *Task) bool {
 			if t.Kind != Demand {
 				return true
 			}
@@ -459,13 +466,10 @@ func (p *Pool) Reprioritize(fn func(Task) graph.ReqKind) int {
 				return true
 			}
 			t.Band = nb
-			moved = append(moved, *t)
+			p.bands[nb].push(*t)
 			changed++
 			return false
 		})
-	}
-	for _, t := range moved {
-		p.bands[t.Band].push(t)
 	}
 	return changed
 }

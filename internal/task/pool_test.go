@@ -262,8 +262,8 @@ func TestPoolReprioritize(t *testing.T) {
 
 func TestPoolReprioritizeNoDoubleVisit(t *testing.T) {
 	// A Demand moved to a not-yet-processed higher band must not be
-	// re-visited in the same pass: moved tasks are appended only after the
-	// band sweep completes. Count fn invocations per task to prove it.
+	// re-visited in the same pass: a band's filter sees only the tasks it
+	// held when the pass began. Count fn invocations per task to prove it.
 	p := NewPool()
 	const n = 50
 	for i := 1; i <= n; i++ {
@@ -320,6 +320,46 @@ func TestPoolReprioritizeNoDoubleVisit(t *testing.T) {
 		if seen[graph.VertexID(i)] != 1 {
 			t.Fatalf("task %d popped %d times", i, seen[graph.VertexID(i)])
 		}
+	}
+}
+
+// TestPoolReprioritizeAllocatesNothing: a pass that moves tasks between
+// bands with room for them allocates nothing, and leaves every band in the
+// order a pass that pushed the moved tasks after all filters would.
+func TestPoolReprioritizeAllocatesNothing(t *testing.T) {
+	p := NewSerialPool()
+	for i := 1; i <= 12; i++ {
+		p.Push(Task{Kind: Demand, Dst: graph.VertexID(i), Req: graph.ReqKind(i % 3)})
+	}
+	flip := func(tk Task) graph.ReqKind { // reserve<->vital, eager stays
+		switch tk.Req {
+		case graph.ReqNone:
+			return graph.ReqVital
+		case graph.ReqVital:
+			return graph.ReqNone
+		}
+		return tk.Req
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.Reprioritize(flip) }); allocs != 0 {
+		t.Errorf("Reprioritize allocates %.1f objects per pass, want 0", allocs)
+	}
+	// 101 passes: reserve and vital have swapped once. Vital holds the old
+	// reserve tasks (i%3 == 0) in push order, then eager, then the rest.
+	want := []graph.VertexID{3, 6, 9, 12, 1, 4, 7, 10, 2, 5, 8, 11}
+	for i, id := range want {
+		if tk, ok := p.TryPop(); !ok || tk.Dst != id {
+			t.Fatalf("pop %d = %v (ok=%v), want dst %d", i, tk, ok, id)
+		}
+	}
+}
+
+// TestTaskSize: the fields are ordered by size, so a task is 48 bytes. The
+// CI census prints it.
+func TestTaskSize(t *testing.T) {
+	sz := unsafe.Sizeof(Task{})
+	t.Logf("census: Sizeof(Task)=%d", sz)
+	if sz != 48 {
+		t.Errorf("Sizeof(Task) = %d, want 48", sz)
 	}
 }
 

@@ -87,13 +87,17 @@ func (r *ring) removeAt(i int) Task {
 // order, and returns how many were removed. keep is called in FIFO order
 // and may mutate the task through the pointer; mutations to kept tasks are
 // retained in place.
-func (r *ring) filter(keep func(*Task) bool) int {
+func (r *ring) filter(keep func(*Task) bool) int { return r.filterFirst(r.n, keep) }
+
+// filterFirst is filter over the first n tasks only; the tasks behind them
+// are kept, unseen.
+func (r *ring) filterFirst(n int, keep func(*Task) bool) int {
 	w := 0
 	for i := 0; i < r.n; i++ {
 		// keep gets the slot itself: a copy whose address is passed to a func
 		// value escapes, one heap object per queued task per call.
 		p := r.at(i)
-		if keep(p) {
+		if i >= n || keep(p) {
 			if w != i {
 				*r.at(w) = *p
 			}

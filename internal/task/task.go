@@ -80,27 +80,29 @@ const (
 // NumBands is the number of priority bands a pool schedules over.
 const NumBands = int(numBands)
 
-// Task is an unexecuted task <s,d>. The zero value is invalid.
+// Task is an unexecuted task <s,d>. The zero value is invalid. The fields
+// are ordered by size, so the struct packs into 48 bytes (TestTaskSize):
+// every pool ring, wave list and PE slot holds tasks by value.
 type Task struct {
-	Kind Kind
 	// Src is the source vertex s (NilVertex when the source is irrelevant,
 	// written <-,d> in the paper).
 	Src graph.VertexID
 	// Dst is the destination vertex d; the task executes on the PE owning d.
-	Dst graph.VertexID
+	Dst  graph.VertexID
+	Kind Kind
 	// Req is the request kind for Demand tasks.
 	Req graph.ReqKind
 	// Ctx selects the marking context for Mark/Return tasks.
 	Ctx graph.Ctx
 	// Prior is the mark2 marking priority (3 vital / 2 eager / 1 reserve).
 	Prior uint8
+	// Band caches the scheduling band, ComputeBand as of the push.
+	Band uint8
 	// Epoch tags Mark/Return tasks with their marking cycle so tasks that
 	// straddle a cycle boundary (e.g. spawned by a cooperating mutator just
 	// as the cycle completes) are dropped instead of corrupting the next
 	// cycle's mt-cnt accounting.
 	Epoch uint64
-	// Band caches the scheduling band; set by Band() when pushed.
-	Band uint8
 
 	// Trace is the causal-lineage trace ID this task belongs to, or 0 for
 	// an untraced task (the common case — lineage is head-sampled). The
