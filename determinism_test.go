@@ -75,9 +75,9 @@ const detFib = `let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 12
 // to alter scheduling semantics) by running this test and copying the
 // reported digests.
 var goldenSchedules = map[string]string{
-	"seed=42/pes=1": "2c0f16ab1f92c60a",
-	"seed=42/pes=4": "61dbc67fc60e465b",
-	"seed=7/pes=3":  "8a33f4748811e6fd",
+	"seed=42/pes=1": "bdf4ad6a538fe6f8",
+	"seed=42/pes=4": "99469f2bc5a3a3dc",
+	"seed=7/pes=3":  "a42fdc8759b6776f",
 }
 
 // TestScheduleDeterminismGolden asserts that fixed-seed deterministic runs
@@ -113,9 +113,9 @@ func TestScheduleDeterminismGolden(t *testing.T) {
 // just as brittle against any change to scheduling, allocation order, or
 // the compiler's instruction selection.
 var goldenCompiledSchedules = map[string]string{
-	"seed=42/pes=1": "311ff46fddd489e7",
-	"seed=42/pes=4": "ae9b782d3d2bb2c4",
-	"seed=7/pes=3":  "2f426320f12cb357",
+	"seed=42/pes=1": "14ce3dc0a57ba2c9",
+	"seed=42/pes=4": "f04be0f80032875b",
+	"seed=7/pes=3":  "79f599b3fea0396c",
 }
 
 // TestScheduleDeterminismCompiledGolden pins the compiled engine's
@@ -164,10 +164,10 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 // pool, and the restructure events inside the digest. What a partition's list
 // marks inline is not in the log — it shows in what the next task finds.
 var goldenCollectingSchedules = map[string]string{
-	"interp/seed=42/pes=4":   "75d308cb27035540",
-	"interp/seed=7/pes=3":    "c0ba81638dc92959",
-	"compiled/seed=42/pes=4": "beb34ab6fa8a7c66",
-	"compiled/seed=7/pes=3":  "25df48137efa5994",
+	"interp/seed=42/pes=4":   "ed113e80642789a5",
+	"interp/seed=7/pes=3":    "11fa954282df8b90",
+	"compiled/seed=42/pes=4": "5865f589fb4411f3",
+	"compiled/seed=7/pes=3":  "f678d9f37b2dff0c",
 }
 
 func collectingOptions(engine string, seed int64, pes int) dgr.Options {
@@ -214,5 +214,49 @@ func TestScheduleDeterminismCollectingGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// preInlineSchedules are the digests every golden above had before the
+// reduction engine continued a step's reduction in place (the Reduce task
+// each continuation was is now an inline step, so every schedule moved). At
+// inline budget 0 the engine spawns every continuation as a Reduce task
+// again, and must run those schedules exactly.
+var preInlineSchedules = []struct {
+	collecting bool
+	engine     string
+	seed       int64
+	pes        int
+	digest     string
+}{
+	{false, dgr.EngineInterp, 42, 1, "2c0f16ab1f92c60a"},
+	{false, dgr.EngineInterp, 42, 4, "61dbc67fc60e465b"},
+	{false, dgr.EngineInterp, 7, 3, "8a33f4748811e6fd"},
+	{false, dgr.EngineCompiled, 42, 1, "311ff46fddd489e7"},
+	{false, dgr.EngineCompiled, 42, 4, "ae9b782d3d2bb2c4"},
+	{false, dgr.EngineCompiled, 7, 3, "2f426320f12cb357"},
+	{true, dgr.EngineInterp, 42, 4, "75d308cb27035540"},
+	{true, dgr.EngineInterp, 7, 3, "c0ba81638dc92959"},
+	{true, dgr.EngineCompiled, 42, 4, "beb34ab6fa8a7c66"},
+	{true, dgr.EngineCompiled, 7, 3, "25df48137efa5994"},
+}
+
+// TestScheduleAtBudgetZeroIsPreInline: with no step run in place, the
+// engine's schedules are the ones it ran before it could.
+func TestScheduleAtBudgetZeroIsPreInline(t *testing.T) {
+	for _, tc := range preInlineSchedules {
+		t.Run(fmt.Sprintf("collecting=%v/%s/seed=%d/pes=%d", tc.collecting, tc.engine, tc.seed, tc.pes), func(t *testing.T) {
+			opts := dgr.Options{PEs: tc.pes, Seed: tc.seed, Engine: tc.engine, Capacity: 1 << 14}
+			if tc.collecting {
+				opts = collectingOptions(tc.engine, tc.seed, tc.pes)
+			}
+			opts.RecordSchedule = true
+			m := dgr.New(opts)
+			defer m.Close()
+			dgr.SetInlineBudget(m, 0)
+			if got := digestEval(t, m, detFib, 144); got != tc.digest {
+				t.Errorf("schedule digest at budget 0 = %s, want %s", got, tc.digest)
+			}
+		})
 	}
 }

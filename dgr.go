@@ -104,12 +104,15 @@ type Options struct {
 	// (default 1<<16). Reserving is free: arena memory is taken only for
 	// the id ranges a program's allocations actually reach.
 	Capacity int
-	// GCInterval is how many task executions, reduction and marking, run
-	// between collector cycles (default 20000): a seeded Eval pumps that many
-	// and then runs a cycle; a parallel machine's collection loop runs one
-	// every GCInterval tasks its PEs execute, evaluation in progress or not.
+	// GCInterval is how many steps, reduction and marking, run between
+	// collector cycles (default 20000): a seeded Eval pumps that many and then
+	// runs a cycle; a parallel machine's collection loop runs one every
+	// GCInterval steps its PEs take, evaluation in progress or not. A step is
+	// a task execution or a reduction step a task ran in place (Stats
+	// InlineSteps).
 	GCInterval int
-	// MaxSteps bounds one deterministic Eval (default 200 million).
+	// MaxSteps bounds one deterministic Eval, in steps as GCInterval counts
+	// them (default 200 million).
 	MaxSteps int
 	// Timeout bounds one parallel Eval (default 30s).
 	Timeout time.Duration
@@ -637,9 +640,10 @@ func (m *Machine) readClose(rep GCReport) reading {
 	}
 }
 
-// evaluation is what one evaluation has spent: tasks or time, and patience.
+// evaluation is what one evaluation has spent: steps or time, and patience.
 type evaluation struct {
-	steps    int              // seeded: tasks executed, against Options.MaxSteps
+	steps    int              // seeded: steps taken, against Options.MaxSteps
+	overrun  int              // seeded: steps the last advance ran past its interval
 	deadline <-chan time.Time // parallel: Options.Timeout
 	quiet    int              // quiet closes in a row (quietCycles)
 	last     reading          // the previous close's reading
@@ -688,7 +692,13 @@ func (m *Machine) advance(ch <-chan Value, e *evaluation) (r reading, err error)
 		if e.steps >= m.opts.MaxSteps {
 			return r, ErrBudget
 		}
-		e.steps += m.mach.RunUntil(func() bool { return len(ch) > 0 }, m.opts.GCInterval)
+		// A task ends past the interval when its last steps run in place;
+		// the next interval is that much shorter, so cycles stay on the
+		// GCInterval grid of the evaluation's steps.
+		n := max(m.opts.GCInterval-e.overrun, 1)
+		ran := m.mach.RunUntil(func() bool { return len(ch) > 0 }, n)
+		e.overrun = max(ran-n, 0)
+		e.steps += ran
 	} else if v, delivered, err := m.waitQuiet(ch, e); delivered || err != nil {
 		return reading{value: v, delivered: delivered}, err
 	}
@@ -856,9 +866,10 @@ func (m *Machine) RunGC() GCReport {
 	return m.collector.RunCycle()
 }
 
-// Pump executes up to max tasks on a deterministic machine without running
-// the collector, returning the number executed. It is a low-level hook for
-// harnesses that orchestrate GC themselves.
+// Pump executes tasks on a deterministic machine for up to max steps (as
+// GCInterval counts them) without running the collector, returning the
+// steps taken. It is a low-level hook for harnesses that orchestrate GC
+// themselves.
 func (m *Machine) Pump(max int) int {
 	m.lockOwner()
 	defer m.unlockOwner()

@@ -83,8 +83,11 @@ func statsLine(s Stats) string {
 // TestSeededOutcomeUnchanged pins the seeded driver: every way an evaluation
 // can end without a value — a confirmed deadlock, patience spent, the budget —
 // is reached at the same cycle and step as before the two drivers became one.
-// testdata/seeded_outcome.golden was captured at that commit (PR 22), one line
-// per run: the error and every non-zero counter of Stats(). The budget runs
+// testdata/seeded_outcome.golden was captured at that commit, one line per
+// run: the error and every non-zero counter of Stats(). It was regenerated
+// once since, when a reduction step's continuation began to run in place: the
+// knot runs moved in TasksExecuted, ReductionTasks and LocalMessages alone
+// (and gained InlineSteps), every error, Cycles and MarkVisits as before. The budget runs
 // are compared on the error and Cycles alone. MaxSteps counts every task
 // executed, marking tasks included, so when a partition's pending marks
 // became one task the budget bought more reduction: those runs still end in

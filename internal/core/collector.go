@@ -689,9 +689,9 @@ func (c *Collector) judgeVerdicts(dead []graph.VertexID) (confirmed []graph.Vert
 }
 
 // Start launches the collection loop of a parallel machine: a cycle after
-// every interval task executions since the loop's last one, whatever they
-// were — reduction, or marking the cycles an evaluation runs itself — but
-// its own cycles' marks and returns. The count starts here, not when the
+// every interval steps (sched.Machine.Steps) since the loop's last one,
+// whatever they were — reduction, or marking the cycles an evaluation runs
+// itself — but its own cycles' marks and returns. The count starts here, not when the
 // loop's goroutine first runs, and what the PEs reduce while a cycle of the
 // loop runs counts toward the next. A machine that executes nothing runs no
 // cycle, at any interval; one that runs on after its evaluation returned,
@@ -708,11 +708,11 @@ func (c *Collector) Start(interval int) {
 	c.mu.Unlock()
 
 	c.interval = uint64(interval)
-	c.due.Store(c.mach.Executions() + c.interval)
+	c.due.Store(c.mach.Steps() + c.interval)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		for c.mach.WaitExecutions(c.due.Load(), stop) {
+		for c.mach.WaitSteps(c.due.Load(), stop) {
 			c.RunDue()
 		}
 	}()
@@ -728,10 +728,10 @@ func (c *Collector) RunDue() {
 	c.pauseMu.Lock()
 	defer c.pauseMu.Unlock()
 	due := c.due.Load()
-	if due == 0 || c.mach.Executions() < due {
+	if due == 0 || c.mach.Steps() < due {
 		return
 	}
-	base, own := c.mach.Executions(), c.markExecutions()
+	base, own := c.mach.Steps(), c.markExecutions()
 	c.runCycle()
 	c.due.Store(base + c.interval + c.markExecutions() - own)
 }

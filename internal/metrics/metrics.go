@@ -22,6 +22,7 @@ import (
 type Counters struct {
 	TasksExecuted     atomic.Int64 // all task executions
 	ReductionTasks    atomic.Int64 // demand/result/reduce executions
+	InlineSteps       atomic.Int64 // reduction steps run in place, in the task that reached their vertex
 	MarkTasks         atomic.Int64 // marks executed as tasks (cut arcs, continuations)
 	ReturnTasks       atomic.Int64 // returns executed as tasks
 	MarkVisits        atomic.Int64 // mark bodies run, as a task or inline in a wave
@@ -65,6 +66,7 @@ type Counters struct {
 type Snapshot struct {
 	TasksExecuted     int64 `prom:"dgr_tasks_executed_total" help:"Task executions across all PEs."`
 	ReductionTasks    int64 `prom:"dgr_reduction_tasks_total" help:"Demand/result/reduce executions."`
+	InlineSteps       int64 `prom:"dgr_inline_steps_total" help:"Reduction steps run in place, inside the task that reached their vertex, where a reduce task would have run each."`
 	MarkTasks         int64 `prom:"dgr_mark_tasks_total" help:"Marks executed as tasks: roots, arcs that cross a partition, spills past the wave budget."`
 	ReturnTasks       int64 `prom:"dgr_return_tasks_total" help:"Returns executed as tasks."`
 	MarkVisits        int64 `prom:"dgr_mark_visits_total" help:"Mark bodies run, as a task or inline in a partition-local wave."`

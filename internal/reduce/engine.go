@@ -22,6 +22,14 @@ import (
 	"dgr/internal/task"
 )
 
+// inlineBudget is how many steps one execution runs on its destination
+// vertex after its own, continuing the reduction in place, before it hands
+// the rest to the scheduler as a Reduce task (DESIGN §8, "Continuing in
+// place"). It bounds how long a task keeps its PE from the collector and the
+// halter: a reduction that never waits on another vertex, such as
+// loop n = loop (n + 1), still yields every inlineBudget+1 steps.
+const inlineBudget = 16
+
 // maxIndChain bounds indirection-chain resolution; a longer chain is
 // treated as unresolvable (a cyclic knot such as letrec x = x), which
 // leaves the demand quiescent so the deadlock detector can find it.
@@ -96,6 +104,9 @@ type Engine struct {
 	// vertex it is about to return: the point at which another PE may rewrite
 	// it before the caller acts on the answer.
 	afterResolve func(*graph.Vertex)
+
+	// budget is inlineBudget; SetInlineBudget changes it for tests.
+	budget int
 }
 
 var _ sched.Handler = (*Engine)(nil)
@@ -109,8 +120,14 @@ func New(store *graph.Store, mach *sched.Machine, mut *core.Mutator, cfg Config)
 		cfg:         cfg,
 		rootWaiters: make(map[graph.VertexID][]chan Value),
 		probes:      make(map[graph.VertexID]graph.VertexID),
+		budget:      inlineBudget,
 	}
 }
+
+// SetInlineBudget replaces inlineBudget, for tests, before the engine runs a
+// task. At 0 every continuation is a Reduce task: the schedule of an engine
+// that does not continue in place.
+func (e *Engine) SetInlineBudget(n int) { e.budget = n }
 
 // ResolveBottomProbes implements footnote 5's is-bottom pseudo-function:
 // given the vertices newly identified as deadlocked, every pending probe
@@ -266,25 +283,44 @@ func (e *Engine) publishTrace(t task.Task) {
 	v.Unlock()
 }
 
-// Handle implements sched.Handler for reduction tasks.
+// Handle implements sched.Handler for reduction tasks. A step that leaves
+// its vertex needing another reports it (the handlers' "again" result) and
+// Handle runs that step itself, up to the budget, counting it with the
+// machine (AddSteps); past the budget it spawns the step as a Reduce task.
+// Every continuation is on t.Dst, the vertex the executing task names: the
+// PE slot publishes it to M_T's root snapshot for the whole execution, and
+// the verdict watch noted the task when it was popped.
 func (e *Engine) Handle(t task.Task) {
 	if t.Trace != 0 {
 		e.publishTrace(t)
 	}
+	var again bool
 	switch t.Kind {
 	case task.Demand:
-		e.handleDemand(t)
+		again = e.handleDemand(t)
 	case task.Result, task.Reduce:
-		e.step(t.Dst)
+		again = e.step(t.Dst)
+	}
+	n := 0
+	for ; again && n < e.budget; n++ {
+		again = e.step(t.Dst)
+	}
+	if n > 0 {
+		e.mach.AddSteps(n)
+	}
+	if again {
+		e.spawn(task.Task{Kind: task.Reduce, Dst: t.Dst})
 	}
 }
 
 // ---- demand handling ----
 
-func (e *Engine) handleDemand(t task.Task) {
+// handleDemand executes a demand and reports whether its destination needs
+// a reduction step: it has just started evaluating.
+func (e *Engine) handleDemand(t task.Task) bool {
 	v := e.store.Vertex(t.Dst)
 	if v == nil {
-		return
+		return false
 	}
 	kind := t.Req
 	if kind == graph.ReqNone {
@@ -296,14 +332,14 @@ func (e *Engine) handleDemand(t task.Task) {
 	if v.Kind == graph.KindFree {
 		// Destination reclaimed: the task was irrelevant.
 		v.Unlock()
-		return
+		return false
 	}
 	whnf := e.whnfLocked(v)
 	v.Unlock()
 
 	if whnf {
 		e.reply(v, t.Src)
-		return
+		return false
 	}
 
 	if t.Src == graph.NilVertex {
@@ -320,16 +356,14 @@ func (e *Engine) handleDemand(t task.Task) {
 	if e.whnfLocked(v) {
 		v.Unlock()
 		e.complete(v)
-		return
+		return false
 	}
 	start := !v.Evaluating
 	if start {
 		v.Evaluating = true
 	}
 	v.Unlock()
-	if start {
-		e.spawnReduce(v.ID)
-	}
+	return start
 }
 
 // reply sends v's (already WHNF) value to a single requester or root waiter.
@@ -386,10 +420,6 @@ func (e *Engine) notifyRoot(v *graph.Vertex) {
 	for _, ch := range chans {
 		ch <- val
 	}
-}
-
-func (e *Engine) spawnReduce(id graph.VertexID) {
-	e.spawn(task.Task{Kind: task.Reduce, Dst: id})
 }
 
 // demandKind computes the urgency with which v should request its own
@@ -537,11 +567,13 @@ func (e *Engine) resolveWHNF(id graph.VertexID) (*graph.Vertex, bool) {
 // step makes progress on vertex id toward WHNF. It is invoked by Reduce
 // and Result tasks and is idempotent: a step that cannot progress leaves
 // the vertex quiescent until the awaited results arrive (or forever, in
-// which case the vertex is deadlocked and M_T/M_R will say so).
-func (e *Engine) step(id graph.VertexID) {
+// which case the vertex is deadlocked and M_T/M_R will say so). It reports
+// whether id needs another step at once (a rewrite left it a new redex, or
+// it changed underfoot), which Handle runs; so do the step functions below.
+func (e *Engine) step(id graph.VertexID) bool {
 	v := e.store.Vertex(id)
 	if v == nil {
-		return
+		return false
 	}
 	v.Lock()
 	kind := v.Kind
@@ -550,32 +582,31 @@ func (e *Engine) step(id graph.VertexID) {
 
 	if whnf {
 		e.complete(v)
-		return
+		return false
 	}
 
 	switch kind {
-	case graph.KindFree, graph.KindHole:
-		return // reclaimed, or a stuck placeholder (deadlock candidate)
+	case graph.KindInd:
+		return e.stepInd(v)
+	case graph.KindApply:
+		return e.stepApply(v)
+	case graph.KindPrimApp:
+		return e.stepPrimApp(v)
 	case graph.KindPrim:
 		// Only ⊥ reaches here: tie the Figure 3-1 self-knot and go quiet.
 		e.mut.MakeSelfKnot(v)
-		return
-	case graph.KindInd:
-		e.stepInd(v)
-	case graph.KindApply:
-		e.stepApply(v)
-	case graph.KindPrimApp:
-		e.stepPrimApp(v)
 	}
+	// KindFree or KindHole: reclaimed, or a stuck placeholder (deadlock
+	// candidate).
+	return false
 }
 
-func (e *Engine) stepInd(v *graph.Vertex) {
+func (e *Engine) stepInd(v *graph.Vertex) bool {
 	v.Lock()
 	args := v.Args()
 	if v.Kind != graph.KindInd || len(args) == 0 {
 		v.Unlock()
-		e.spawnReduce(v.ID)
-		return
+		return true
 	}
 	target := args[0]
 	v.Unlock()
@@ -586,16 +617,17 @@ func (e *Engine) stepInd(v *graph.Vertex) {
 		v.WHNF = true
 		v.Unlock()
 		e.complete(v)
-		return
+		return false
 	}
 	if final == nil {
 		// Cyclic indirection knot (letrec x = x): stuck; deadlock detection
 		// will report it. Leave a vital self-request so the shape matches
 		// Figure 3-1.
 		e.mut.MakeSelfKnot(v)
-		return
+		return false
 	}
 	e.demandFrom(v, target, e.demandKind(v))
+	return false
 }
 
 // spine holds the operands of a collected partial-application spine, in
@@ -676,18 +708,17 @@ func (e *Engine) collectSpine(f *graph.Vertex, buf *spineBuf) (head *graph.Verte
 	return cur, sp, true, false
 }
 
-func (e *Engine) stepApply(v *graph.Vertex) {
+func (e *Engine) stepApply(v *graph.Vertex) bool {
 	v.Lock()
 	if v.Kind != graph.KindApply {
 		v.Unlock()
-		e.spawnReduce(v.ID)
-		return
+		return true
 	}
 	args := v.Args()
 	if len(args) != 2 {
 		v.Unlock()
 		e.fail(v, "apply vertex with %d args", len(args))
-		return
+		return false
 	}
 	funID, argID := args[0], args[1]
 	v.Unlock()
@@ -696,11 +727,11 @@ func (e *Engine) stepApply(v *graph.Vertex) {
 	if f == nil {
 		// Dangling or cyclic function position: stuck.
 		e.mut.MakeSelfKnot(v)
-		return
+		return false
 	}
 	if !whnf {
 		e.demandFrom(v, funID, e.demandKind(v))
-		return
+		return false
 	}
 
 	// f is a stable WHNF function value; collect its spine.
@@ -712,30 +743,30 @@ func (e *Engine) stepApply(v *graph.Vertex) {
 	case graph.KindApply:
 		head, sp, ok, cyclic := e.collectSpine(f, &buf)
 		if cyclic {
-			// Permanent, not transient: respawning would walk the same
+			// Permanent, not transient: stepping again would walk the same
 			// cycle every step. Surface it as an engine error instead.
 			e.fail(v, "cyclic application spine at v%d", f.ID)
-			return
+			return false
 		}
 		if !ok {
-			e.spawnReduce(v.ID)
-			return
+			return true
 		}
-		e.applySaturation(v, head, sp, argID)
+		return e.applySaturation(v, head, sp, argID)
 	case graph.KindComb, graph.KindPrim, graph.KindSuper:
-		e.applySaturation(v, f, buf.spine(), argID)
+		return e.applySaturation(v, f, buf.spine(), argID)
 	case graph.KindCons, graph.KindNil, graph.KindInt, graph.KindBool, graph.KindStr:
 		e.fail(v, "cannot apply non-function %s", fk)
 	default:
 		e.fail(v, "cannot apply %s", fk)
 	}
+	return false
 }
 
 // applySaturation decides whether v (supplying one more operand to the
 // WHNF function with the given head and spine) saturates a redex, and
 // contracts it if so. It consumes sp: the redex's own operand is appended in
 // place.
-func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.VertexID) {
+func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.VertexID) bool {
 	ops := append(sp.ops, argID)
 	owners := append(sp.owners, v.ID)
 	head.Lock()
@@ -748,46 +779,46 @@ func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.Ve
 		ar := c.Arity()
 		if ar == 0 {
 			e.fail(v, "combinator %v with arity 0", c)
-			return
+			return false
 		}
 		if len(ops) < ar {
 			e.markPartial(v)
-			return
+			return false
 		}
 		e.contract(v, c, ops)
 		if e.cfg.Counters != nil {
 			e.cfg.Counters.Rewrites.Add(1)
 		}
-		e.spawnReduce(v.ID)
+		return true
 	case graph.KindPrim:
 		p := graph.Prim(hv)
 		ar := p.Arity()
 		if ar == 0 {
 			e.fail(v, "applying nullary primitive %v", p)
-			return
+			return false
 		}
 		if len(ops) < ar {
 			e.markPartial(v)
-			return
+			return false
 		}
 		e.flattenPrim(v, p, ops)
 		if e.cfg.Counters != nil {
 			e.cfg.Counters.Rewrites.Add(1)
 		}
-		e.spawnReduce(v.ID)
+		return true
 	case graph.KindSuper:
 		if e.cfg.Prog == nil {
 			e.fail(v, "supercombinator $%d without a compiled program", hv)
-			return
+			return false
 		}
 		sup := e.cfg.Prog.Super(int(hv))
 		if sup == nil {
 			e.fail(v, "unknown supercombinator $%d", hv)
-			return
+			return false
 		}
 		if len(ops) < sup.Arity {
 			e.markPartial(v)
-			return
+			return false
 		}
 		// Force strict operands first (the analysis guarantees the body
 		// forces them anyway), so body execution sees known values and can
@@ -811,28 +842,29 @@ func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.Ve
 			waiting = true
 		}
 		if waiting {
-			return
+			return false
 		}
 		done, value := e.execSuper(v, sup, ops)
 		if !done {
-			return
+			return false
 		}
 		if e.cfg.Counters != nil {
 			e.cfg.Counters.Rewrites.Add(1)
 		}
 		if value {
 			// The body folded all the way to a literal root: v is already
-			// WHNF; complete it without another scheduler round trip.
+			// WHNF; complete it without another step.
 			v.Lock()
 			v.WHNF = true
 			v.Unlock()
 			e.complete(v)
-			return
+			return false
 		}
-		e.spawnReduce(v.ID)
+		return true
 	default:
 		e.fail(v, "cannot apply %s", hk)
 	}
+	return false
 }
 
 // markPartial records that v is an under-applied (hence WHNF) application.

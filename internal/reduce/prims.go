@@ -68,31 +68,30 @@ func (e *Engine) finishBool(v *graph.Vertex, b bool) {
 	e.finishLeaf(v, graph.KindBool, n)
 }
 
-// collapseTo rewrites v to an indirection to its direct child at operand
-// index i and continues reduction.
-func (e *Engine) collapseToOperand(v *graph.Vertex, i int) {
+// collapseToOperand rewrites v to an indirection to its direct child at
+// operand index i and reports that reduction continues.
+func (e *Engine) collapseToOperand(v *graph.Vertex, i int) bool {
 	op, ok := e.operand(v, i)
 	if !ok {
-		return
+		return false
 	}
 	c := e.store.Vertex(op)
 	if c == nil {
-		return
+		return false
 	}
 	e.mut.CollapseToIndDirect(v, c)
 	if e.cfg.Counters != nil {
 		e.cfg.Counters.Rewrites.Add(1)
 	}
-	e.spawnReduce(v.ID)
+	return true
 }
 
 // stepPrimApp reduces a flattened primitive application.
-func (e *Engine) stepPrimApp(v *graph.Vertex) {
+func (e *Engine) stepPrimApp(v *graph.Vertex) bool {
 	v.Lock()
 	if v.Kind != graph.KindPrimApp {
 		v.Unlock()
-		e.spawnReduce(v.ID)
-		return
+		return true
 	}
 	p := graph.Prim(v.Val)
 	v.Unlock()
@@ -101,11 +100,11 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 
 	if p.Operand() != 0 {
 		e.stepValuePrim(v, p, kind)
-		return
+		return false
 	}
 	switch p {
 	case graph.PrimIf:
-		e.stepIf(v, kind)
+		return e.stepIf(v, kind)
 	case graph.PrimCons:
 		v.Lock()
 		v.Kind = graph.KindCons
@@ -114,11 +113,11 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 		v.Unlock()
 		e.complete(v)
 	case graph.PrimHead, graph.PrimTail:
-		e.stepHeadTail(v, p, kind)
+		return e.stepHeadTail(v, p, kind)
 	case graph.PrimIsNil, graph.PrimIsPair:
 		w, ok := e.needValue(v, 0, kind)
 		if !ok {
-			return
+			return false
 		}
 		w.Lock()
 		wk := w.Kind
@@ -130,18 +129,18 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 		}
 	case graph.PrimSeq:
 		if _, ok := e.needValue(v, 0, kind); !ok {
-			return
+			return false
 		}
-		e.collapseToOperand(v, 1)
+		return e.collapseToOperand(v, 1)
 	case graph.PrimSpec:
-		e.stepSpec(v)
+		return e.stepSpec(v)
 	case graph.PrimPar:
 		_, okA := e.needValue(v, 0, kind)
 		_, okB := e.needValue(v, 1, kind)
 		if !okA || !okB {
-			return
+			return false
 		}
-		e.collapseToOperand(v, 1)
+		return e.collapseToOperand(v, 1)
 	case graph.PrimIsBotOp:
 		// Footnote 5's non-monotonic probe: the operand is demanded
 		// vitally; if its value arrives the probe is false. If instead
@@ -152,13 +151,14 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) {
 			e.registerProbe(v.ID, op)
 		}
 		if _, ok := e.needValue(v, 0, graph.ReqVital); !ok {
-			return
+			return false
 		}
 		e.unregisterProbe(v.ID)
 		e.finishBool(v, false)
 	default:
 		e.fail(v, "unknown primitive %v", p)
 	}
+	return false
 }
 
 // stepValuePrim reduces a value primitive — arithmetic, comparison, boolean
@@ -196,7 +196,7 @@ func (e *Engine) stepValuePrim(v *graph.Vertex, p graph.Prim, kind graph.ReqKind
 // eagerly requested while the predicate computes (§3.2's eager tasks);
 // once the predicate resolves, the dead branch is dereferenced — making
 // any tasks already working on it irrelevant.
-func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) {
+func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) bool {
 	if e.cfg.SpeculativeIf {
 		for _, i := range []int{1, 2} {
 			if op, ok := e.operand(v, i); ok {
@@ -206,16 +206,16 @@ func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) {
 	}
 	c, ok := e.needValue(v, 0, kind)
 	if !ok {
-		return
+		return false
 	}
 	cond, ok := e.literal(v, c, graph.KindBool)
 	if !ok {
-		return
+		return false
 	}
 	thenOp, ok1 := e.operand(v, 1)
 	elseOp, ok2 := e.operand(v, 2)
 	if !ok1 || !ok2 {
-		return
+		return false
 	}
 	chosen, dead := thenOp, elseOp
 	if cond == 0 {
@@ -240,17 +240,17 @@ func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) {
 	v.Unlock()
 	if !hasChosen {
 		e.fail(v, "if lost its chosen branch")
-		return
+		return false
 	}
 	cv := e.store.Vertex(chosen)
 	if cv == nil {
-		return
+		return false
 	}
 	e.mut.CollapseToIndDirect(v, cv)
 	if e.cfg.Counters != nil {
 		e.cfg.Counters.Rewrites.Add(1)
 	}
-	e.spawnReduce(v.ID)
+	return true
 }
 
 // speculate eagerly requests child's value on v's behalf, registering both
@@ -280,22 +280,22 @@ func (e *Engine) speculate(v *graph.Vertex, childID graph.VertexID) {
 	e.spawn(taskDemandEager(v.ID, childID))
 }
 
-func (e *Engine) stepSpec(v *graph.Vertex) {
+func (e *Engine) stepSpec(v *graph.Vertex) bool {
 	op0, ok := e.operand(v, 0)
 	if !ok {
-		return
+		return false
 	}
 	e.speculate(v, op0)
 	// Return the second operand immediately; the speculation's subgraph
 	// becomes unreachable the moment v collapses, so its tasks are
 	// irrelevant from then on — the paper's runaway-eager-work scenario.
-	e.collapseToOperand(v, 1)
+	return e.collapseToOperand(v, 1)
 }
 
-func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
+func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) bool {
 	w, ok := e.needValue(v, 0, kind)
 	if !ok {
-		return
+		return false
 	}
 	w.Lock()
 	args := w.Args()
@@ -303,7 +303,7 @@ func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind)
 		wk := w.Kind
 		w.Unlock()
 		e.fail(v, "%v of non-pair %s", p, wk)
-		return
+		return false
 	}
 	idx := 0
 	if p == graph.PrimTail {
@@ -314,11 +314,11 @@ func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind)
 
 	tv := e.store.Vertex(target)
 	if tv == nil {
-		return
+		return false
 	}
 	e.mut.CollapseToInd(v, tv)
 	if e.cfg.Counters != nil {
 		e.cfg.Counters.Rewrites.Add(1)
 	}
-	e.spawnReduce(v.ID)
+	return true
 }

@@ -174,9 +174,12 @@ type Machine struct {
 	// execSeq numbers task executions globally (the schedule recorder's
 	// ordering); assigned at execution start.
 	execSeq atomic.Uint64
-	// wakeAt is the execution count WaitExecutions is waiting for (0: none);
-	// the execution that reaches it sends on wake, which only a parallel
-	// machine has.
+	// inline counts the steps handlers ran in place (AddSteps). Steps is
+	// execSeq plus inline.
+	inline atomic.Uint64
+	// wakeAt is the step count WaitSteps is waiting for (0: none); an
+	// execution or AddSteps that finds the count reached sends on wake, which
+	// only a parallel machine has.
 	wakeAt atomic.Uint64
 	wake   chan struct{}
 
@@ -445,15 +448,16 @@ func (m *Machine) Quiet() <-chan struct{} {
 	return m.quiet
 }
 
-// WaitExecutions blocks until n task executions have started or stop is
+// WaitSteps blocks until the machine has taken n steps (Steps) or stop is
 // closed, and reports whether the count was reached. One waiter at a time;
 // parallel mode only.
-func (m *Machine) WaitExecutions(n uint64, stop <-chan struct{}) bool {
+func (m *Machine) WaitSteps(n uint64, stop <-chan struct{}) bool {
 	m.wakeAt.Store(n)
 	defer m.wakeAt.Store(0)
-	// The execution that reaches n either saw wakeAt and sends, or ran
-	// before the store, and then this load sees it.
-	for m.execSeq.Load() < n {
+	// Each step adds to its counter before it loads the other and wakeAt, so
+	// the last step to n either sees wakeAt and sends, or ran before the
+	// store, and then these loads see it.
+	for m.Steps() < n {
 		select {
 		case <-m.wake:
 		case <-stop:
@@ -469,11 +473,8 @@ func (m *Machine) WaitExecutions(n uint64, stop <-chan struct{}) bool {
 // neither queued nor finished; execute retires it when it is done.
 func (m *Machine) execute(pe int, t task.Task) {
 	seq := m.execSeq.Add(1) - 1
-	if seq+1 == m.wakeAt.Load() {
-		select {
-		case m.wake <- struct{}{}:
-		default: // a wake is pending already
-		}
+	if w := m.wakeAt.Load(); w != 0 && seq+1+m.inline.Load() >= w {
+		m.wakeUp()
 	}
 	if fn := m.cfg.OnExecute; fn != nil {
 		fn(seq, pe, t)
@@ -511,8 +512,35 @@ func (m *Machine) execute(pe int, t task.Task) {
 	}
 }
 
+// wakeUp wakes WaitSteps's waiter.
+func (m *Machine) wakeUp() {
+	select {
+	case m.wake <- struct{}{}:
+	default: // a wake is pending already
+	}
+}
+
 // Executions returns the number of task executions started so far.
 func (m *Machine) Executions() uint64 { return m.execSeq.Load() }
+
+// AddSteps counts n steps a handler ran in place, inside the task it is
+// executing, where it could have spawned a task to run each: the reduction
+// engine continuing its destination vertex (metrics InlineSteps).
+func (m *Machine) AddSteps(n int) {
+	total := m.execSeq.Load() + m.inline.Add(uint64(n))
+	if c := m.cfg.Counters; c != nil {
+		c.InlineSteps.Add(int64(n))
+	}
+	if w := m.wakeAt.Load(); w != 0 && total >= w {
+		m.wakeUp()
+	}
+}
+
+// Steps returns the work the machine has done: one step per task execution
+// started plus the steps handlers ran in place (AddSteps). Collection pacing
+// and step budgets count it, so a handler that runs the work of several
+// tasks in one execution is paced as that many.
+func (m *Machine) Steps() uint64 { return m.execSeq.Load() + m.inline.Load() }
 
 // ExecutionsByPE returns each PE's execution count, indexed by PE. The
 // benchmark harness derives execution-balance figures from it; unlike the
@@ -664,32 +692,30 @@ func (m *Machine) ExecuteMatching(pe int, pred func(task.Task) bool, exec task.T
 	return true
 }
 
-// RunUntil steps the deterministic machine until pred returns true or the
-// machine quiesces or max steps elapse; it returns the number of steps taken.
-// A max of 0 means no limit.
+// RunUntil executes tasks on the deterministic machine until pred returns
+// true or the machine quiesces or max steps (Steps) elapse; it returns the
+// number of steps taken. A max of 0 means no limit.
 func (m *Machine) RunUntil(pred func() bool, max int) int {
-	steps := 0
-	for (max == 0 || steps < max) && !pred() {
+	start := m.Steps()
+	for (max == 0 || m.Steps()-start < uint64(max)) && !pred() {
 		if !m.Step() {
 			break
 		}
-		steps++
 	}
-	return steps
+	return int(m.Steps() - start)
 }
 
-// RunToQuiescence steps the deterministic machine until no tasks remain or
-// max steps elapse (0 = no limit); it returns the steps taken and whether
-// quiescence was reached.
+// RunToQuiescence executes tasks on the deterministic machine until no
+// tasks remain or max steps (Steps) elapse (0 = no limit); it returns the
+// steps taken and whether quiescence was reached.
 func (m *Machine) RunToQuiescence(max int) (int, bool) {
-	steps := 0
-	for max == 0 || steps < max {
+	start := m.Steps()
+	for max == 0 || m.Steps()-start < uint64(max) {
 		if !m.Step() {
-			return steps, true
+			return int(m.Steps() - start), true
 		}
-		steps++
 	}
-	return steps, m.Inflight() == 0
+	return int(m.Steps() - start), m.Inflight() == 0
 }
 
 // Start launches the PE goroutines in parallel mode.

@@ -126,9 +126,12 @@ func TestSpawnFromHandler(t *testing.T) {
 
 func TestRunUntil(t *testing.T) {
 	m := New(Config{PEs: 1, Mode: Deterministic, Seed: 1, PartOf: partMod(1)})
-	var count int
+	var count, inline int
 	m.SetHandler(HandlerFunc(func(tk task.Task) {
 		count++
+		if inline > 0 {
+			m.AddSteps(inline)
+		}
 		m.Spawn(task.Task{Kind: task.Reduce, Dst: 1}) // endless
 	}))
 	m.Spawn(task.Task{Kind: task.Reduce, Dst: 1})
@@ -139,6 +142,13 @@ func TestRunUntil(t *testing.T) {
 	steps = m.RunUntil(func() bool { return false }, 10)
 	if steps != 10 {
 		t.Fatalf("bounded steps = %d, want 10", steps)
+	}
+	// Steps run in place count toward the bound: four tasks of three steps
+	// each, the last of which runs past it.
+	inline = 2
+	steps = m.RunUntil(func() bool { return false }, 10)
+	if steps != 12 || count != 19 {
+		t.Fatalf("bounded steps with 2 in place per task = %d in %d tasks, want 12 in 4", steps, count-15)
 	}
 }
 
@@ -200,35 +210,40 @@ func TestParallelMode(t *testing.T) {
 	}
 }
 
-// TestWaitExecutions: the wait returns once the count is reached — by
-// executions that start after it began or that ran before — and returns
-// false on stop when the machine runs nothing more.
+// TestWaitExecutions: the wait returns once the step count is reached — by
+// steps taken after it began or before — and returns false on stop when the
+// machine runs nothing more. Every task here runs one step in place
+// (AddSteps), so 1003 executions are 2006 steps.
 func TestWaitExecutions(t *testing.T) {
 	m := New(Config{PEs: 4, Mode: Parallel, PartOf: partMod(4)})
 	m.SetHandler(HandlerFunc(func(tk task.Task) {
 		if tk.Dst < 1000 {
 			m.Spawn(task.Task{Kind: task.Reduce, Src: tk.Dst, Dst: tk.Dst + 4})
 		}
+		m.AddSteps(1)
 	}))
 	m.Start()
 	defer m.Stop()
 	stop := make(chan struct{})
 	reached := make(chan bool)
-	go func() { reached <- m.WaitExecutions(500, stop) }()
+	go func() { reached <- m.WaitSteps(1000, stop) }()
 	for i := 1; i <= 4; i++ {
 		m.Spawn(task.Task{Kind: task.Reduce, Dst: graph.VertexID(i)})
 	}
 	if !<-reached {
-		t.Fatal("WaitExecutions(500) gave up while the machine executed 1003 tasks")
+		t.Fatal("WaitSteps(1000) gave up while the machine took 2006 steps")
 	}
 	m.WaitQuiescent()
-	if !m.WaitExecutions(1003, stop) {
-		t.Fatal("WaitExecutions(1003) did not count executions that ran before it")
+	if got := m.Executions(); got != 1003 {
+		t.Fatalf("Executions() = %d, want 1003", got)
 	}
-	go func() { reached <- m.WaitExecutions(1004, stop) }()
+	if !m.WaitSteps(2006, stop) {
+		t.Fatal("WaitSteps(2006) did not count steps taken before it")
+	}
+	go func() { reached <- m.WaitSteps(2007, stop) }()
 	close(stop)
 	if <-reached {
-		t.Fatal("WaitExecutions(1004) reported 1004 executions on a quiescent machine at 1003")
+		t.Fatal("WaitSteps(2007) reported 2007 steps on a quiescent machine at 2006")
 	}
 }
 
