@@ -85,14 +85,15 @@ func statsLine(s Stats) string {
 // is reached at the same cycle and step as before the two drivers became one.
 // testdata/seeded_outcome.golden was captured at that commit, one line per
 // run: the error and every non-zero counter of Stats(). It was regenerated
-// once since, when a reduction step's continuation began to run in place: the
-// knot runs moved in TasksExecuted, ReductionTasks and LocalMessages alone
-// (and gained InlineSteps), every error, Cycles and MarkVisits as before. The budget runs
-// are compared on the error and Cycles alone. MaxSteps counts every task
-// executed, marking tasks included, so when a partition's pending marks
-// became one task the budget bought more reduction: those runs still end in
-// the same cycle, but their reduction, rewrite, allocation and marking counts
-// moved with it.
+// once since, when a reduction step's continuation began to run in place:
+// the knot runs moved in TasksExecuted, ReductionTasks and LocalMessages
+// alone (and gained InlineSteps), every error, Cycles and MarkVisits as
+// before. The budget runs are compared on the error and Cycles alone.
+// MaxSteps counts every step, marking tasks included, so when a partition's
+// pending marks became one task, or a task began to run reduction steps in
+// place, the budget bought different work: those runs still end in the same
+// cycle, but their reduction, rewrite, allocation and marking counts moved
+// with it.
 func TestSeededOutcomeUnchanged(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -288,8 +289,9 @@ func TestLeftoverSpeculationIsCollected(t *testing.T) {
 	m.collector.Pause() // the cycle that stopped the runaway may still be closing
 	m.collector.Resume()
 	s := m.Stats()
-	// The first cycle comes GCInterval tasks in; the runaway runs on while it
-	// marks, and what it allocates meanwhile is not this cycle's garbage.
+	// The first cycle comes GCInterval steps in (a task of the runaway runs
+	// 17); the runaway runs on while it marks, and what it allocates
+	// meanwhile is not this cycle's garbage.
 	const interval = 20000
 	if s.Cycles == 0 || s.Reclaimed == 0 {
 		t.Fatalf("quiet, but the runaway was not collected: %d cycles, %d reclaimed", s.Cycles, s.Reclaimed)

@@ -268,12 +268,13 @@ func (s HistSnapshot) String() string {
 
 // String renders the snapshot as a one-line summary. mark and ret count the
 // marks and returns that ran as tasks, visits every mark body run (most run
-// inline, in the wave of the task that reached their partition). Fabric
-// traffic is appended only when a fabric carried messages.
+// inline, in the wave of the task that reached their partition); inline
+// counts the reduction steps run in place, beside the red tasks that ran
+// them. Fabric traffic is appended only when a fabric carried messages.
 func (s Snapshot) String() string {
 	out := fmt.Sprintf(
-		"tasks=%d (red=%d mark=%d ret=%d) visits=%d msgs(remote=%d local=%d) rewrites=%d alloc=%d reclaimed=%d cycles=%d expunged=%d deadlocked=%d",
-		s.TasksExecuted, s.ReductionTasks, s.MarkTasks, s.ReturnTasks, s.MarkVisits,
+		"tasks=%d (red=%d mark=%d ret=%d) inline=%d visits=%d msgs(remote=%d local=%d) rewrites=%d alloc=%d reclaimed=%d cycles=%d expunged=%d deadlocked=%d",
+		s.TasksExecuted, s.ReductionTasks, s.MarkTasks, s.ReturnTasks, s.InlineSteps, s.MarkVisits,
 		s.RemoteMessages, s.LocalMessages, s.Rewrites, s.Allocations,
 		s.Reclaimed, s.Cycles, s.Expunged, s.DeadlockedFound)
 	if s.FabricSent > 0 {

@@ -24,9 +24,10 @@ import (
 
 // inlineBudget is how many steps one execution runs on its destination
 // vertex after its own, continuing the reduction in place, before it hands
-// the rest to the scheduler as a Reduce task (DESIGN §8, "Continuing in
-// place"). It bounds how long a task keeps its PE from the collector and the
-// halter: a reduction that never waits on another vertex, such as
+// the rest to the scheduler as a Reduce task (DESIGN §8, "A reduction
+// continues in place", has the chain lengths it was chosen from). It bounds
+// how long a task keeps its PE from the collector and the halter: a
+// reduction that never waits on another vertex, such as
 // loop n = loop (n + 1), still yields every inlineBudget+1 steps.
 const inlineBudget = 16
 

@@ -454,9 +454,9 @@ func (m *Machine) Quiet() <-chan struct{} {
 func (m *Machine) WaitSteps(n uint64, stop <-chan struct{}) bool {
 	m.wakeAt.Store(n)
 	defer m.wakeAt.Store(0)
-	// Each step adds to its counter before it loads the other and wakeAt, so
-	// the last step to n either sees wakeAt and sends, or ran before the
-	// store, and then these loads see it.
+	// Each step adds to its counter before it loads wakeAt and then the
+	// other counter, so the last step to n either sees wakeAt and sends, or
+	// loaded wakeAt before the store, and then these loads see its add.
 	for m.Steps() < n {
 		select {
 		case <-m.wake:
@@ -527,11 +527,11 @@ func (m *Machine) Executions() uint64 { return m.execSeq.Load() }
 // executing, where it could have spawned a task to run each: the reduction
 // engine continuing its destination vertex (metrics InlineSteps).
 func (m *Machine) AddSteps(n int) {
-	total := m.execSeq.Load() + m.inline.Add(uint64(n))
+	inline := m.inline.Add(uint64(n))
 	if c := m.cfg.Counters; c != nil {
 		c.InlineSteps.Add(int64(n))
 	}
-	if w := m.wakeAt.Load(); w != 0 && total >= w {
+	if w := m.wakeAt.Load(); w != 0 && m.execSeq.Load()+inline >= w {
 		m.wakeUp()
 	}
 }

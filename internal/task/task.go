@@ -26,8 +26,11 @@ const (
 	// Result is <s,d> returning to d the fact that s has reached weak head
 	// normal form; d reads s's value from the graph.
 	Result
-	// Reduce is <-,d>: continue the reduction of d (self-scheduled
-	// continuation after a rewrite or an arrived result).
+	// Reduce is <-,d>: step d again. The task whose step left d needing
+	// another (a rewrite made it a new redex) runs that step itself, in the
+	// same execution, up to the reduction engine's inline budget; only the
+	// step past the budget is queued as a Reduce task (DESIGN §8,
+	// "A reduction continues in place").
 	Reduce
 	// Mark is the mark task of Figures 4-1/5-1/5-3: Dst is the vertex to
 	// mark, Src is the marking-tree parent, Ctx selects M_R or M_T, and
