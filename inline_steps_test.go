@@ -18,12 +18,14 @@ type inlineRun struct {
 	stats dgr.Stats
 }
 
-func runInline(t *testing.T, engine string, seed int64, budget int, src string) inlineRun {
+// runInline evaluates src, spawning every continuation as a Reduce task
+// unless inPlace.
+func runInline(t *testing.T, engine string, seed int64, inPlace bool, src string) inlineRun {
 	t.Helper()
 	m := dgr.New(dgr.Options{PEs: 4, Seed: seed, Engine: engine, RecordSchedule: true})
 	defer m.Close()
-	if budget >= 0 {
-		dgr.SetInlineBudget(m, budget)
+	if !inPlace {
+		dgr.SetInlineBudget(m, 0)
 	}
 	v, err := m.Eval(src)
 	if err != nil {
@@ -67,8 +69,8 @@ func TestInlineStepsAreReduceTasks(t *testing.T) {
 			for _, name := range names {
 				p := workload.Programs[name]
 				t.Run(fmt.Sprintf("%s/seed=%d/%s", engine, seed, name), func(t *testing.T) {
-					tasks := runInline(t, engine, seed, 0, p.Src)
-					inline := runInline(t, engine, seed, -1, p.Src)
+					tasks := runInline(t, engine, seed, false, p.Src)
+					inline := runInline(t, engine, seed, true, p.Src)
 					if want := fmt.Sprint(p.Want); tasks.value != want || inline.value != want {
 						t.Fatalf("value = %s at budget 0 and %s in place, want %s", tasks.value, inline.value, want)
 					}

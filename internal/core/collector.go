@@ -691,9 +691,9 @@ func (c *Collector) judgeVerdicts(dead []graph.VertexID) (confirmed []graph.Vert
 // Start launches the collection loop of a parallel machine: a cycle after
 // every interval steps (sched.Machine.Steps) since the loop's last one,
 // whatever they were — reduction, or marking the cycles an evaluation runs
-// itself — but its own cycles' marks and returns. The count starts here, not when the
-// loop's goroutine first runs, and what the PEs reduce while a cycle of the
-// loop runs counts toward the next. A machine that executes nothing runs no
+// itself — but its own cycles' marks and returns. The count starts here, not
+// when the loop's goroutine first runs, and what the PEs reduce while a cycle
+// of the loop runs counts toward the next. A machine that executes nothing runs no
 // cycle, at any interval; one that runs on after its evaluation returned,
 // speculation or a runaway, is collected as it goes. The loop counts its
 // own marks on the collector's counters, which must not be nil.

@@ -587,18 +587,18 @@ func (e *Engine) step(id graph.VertexID) bool {
 	}
 
 	switch kind {
+	case graph.KindFree, graph.KindHole:
+		// Reclaimed, or a stuck placeholder (deadlock candidate).
+	case graph.KindPrim:
+		// Only ⊥ reaches here: tie the Figure 3-1 self-knot and go quiet.
+		e.mut.MakeSelfKnot(v)
 	case graph.KindInd:
 		return e.stepInd(v)
 	case graph.KindApply:
 		return e.stepApply(v)
 	case graph.KindPrimApp:
 		return e.stepPrimApp(v)
-	case graph.KindPrim:
-		// Only ⊥ reaches here: tie the Figure 3-1 self-knot and go quiet.
-		e.mut.MakeSelfKnot(v)
 	}
-	// KindFree or KindHole: reclaimed, or a stuck placeholder (deadlock
-	// candidate).
 	return false
 }
 
