@@ -15,7 +15,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -245,7 +244,26 @@ type wave struct {
 	// task that filled it, so within a partition a vertex is first reached
 	// at its final priority and Figure 5-1's re-marking (which walks a
 	// subgraph a second time) does not arise.
+	//
+	// lifo[i] is the top chunk of class i, empty only when the class is: up
+	// to waveChunk items it grows by append, and past that deep holds the
+	// full chunks under it.
 	lifo [4][]task.Task
+	deep *waveChunks // nil until a class outgrows its first chunk
+}
+
+// waveChunk is the length of a wave list's chunks past its first.
+const waveChunk = 128
+
+// waveChunks holds the chunks of a wave's classes past their first. A wave
+// keeps every chunk it ever held, so a warm list allocates nothing, and a
+// new peak costs one chunk per waveChunk items it adds, where a doubled
+// slice would cost a copy of the whole class: a list's peak moves from cycle
+// to cycle, and a doubling that lands in one evaluation and not the next
+// would make their allocations differ by tens of kilobytes.
+type waveChunks struct {
+	full  [4][][]task.Task // per class, the chunks under lifo[i], oldest first, each at capacity
+	spare [][]task.Task    // emptied chunks, for the next peak of any class
 }
 
 func (w *wave) push(t task.Task) {
@@ -253,23 +271,44 @@ func (w *wave) push(t task.Task) {
 	if t.Kind == task.Mark {
 		i = 4 - int(max(t.Prior, graph.PriorReserve))
 	}
-	l := w.lifo[i]
-	if n := len(l); n == cap(l) && n >= 256 {
-		// Double, where append grows a long slice by less: a list keeps the
-		// largest size it reached, and each new peak (an M_T root set a
-		// little larger than the last) would otherwise cost another copy.
-		l = slices.Grow(l, n)
+	if n := len(w.lifo[i]); n == cap(w.lifo[i]) && n >= waveChunk {
+		w.newChunk(i)
 	}
-	w.lifo[i] = append(l, t)
+	w.lifo[i] = append(w.lifo[i], t)
+}
+
+// newChunk puts class i's full top chunk under a spare or new one.
+func (w *wave) newChunk(i int) {
+	if w.deep == nil {
+		w.deep = new(waveChunks)
+	}
+	d := w.deep
+	d.full[i] = append(d.full[i], w.lifo[i])
+	if k := len(d.spare); k > 0 {
+		w.lifo[i] = d.spare[k-1]
+		d.spare = d.spare[:k-1]
+	} else {
+		w.lifo[i] = make([]task.Task, 0, waveChunk)
+	}
 }
 
 func (w *wave) pop() (task.Task, bool) {
 	for i := range w.lifo {
-		if n := len(w.lifo[i]); n > 0 {
-			t := w.lifo[i][n-1]
-			w.lifo[i] = w.lifo[i][:n-1]
-			return t, true
+		n := len(w.lifo[i])
+		if n == 0 {
+			continue
 		}
+		t := w.lifo[i][n-1]
+		w.lifo[i] = w.lifo[i][:n-1]
+		if n == 1 && w.deep != nil {
+			if d := w.deep; len(d.full[i]) > 0 {
+				k := len(d.full[i])
+				d.spare = append(d.spare, w.lifo[i])
+				w.lifo[i] = d.full[i][k-1]
+				d.full[i] = d.full[i][:k-1]
+			}
+		}
+		return t, true
 	}
 	return task.Task{}, false
 }
@@ -285,9 +324,45 @@ func (w *wave) empty() bool {
 
 // take moves o's items onto w, class by class, and leaves o empty.
 func (w *wave) take(o *wave) {
+	for i := range o.lifo {
+		o.eachOf(i, w.push)
+	}
+	o.clear()
+}
+
+// each calls fn for every item on w, class by class, oldest first.
+func (w *wave) each(fn func(task.Task)) {
 	for i := range w.lifo {
-		w.lifo[i] = append(w.lifo[i], o.lifo[i]...)
-		o.lifo[i] = o.lifo[i][:0]
+		w.eachOf(i, fn)
+	}
+}
+
+// eachOf calls fn for every item of class i, oldest first.
+func (w *wave) eachOf(i int, fn func(task.Task)) {
+	if w.deep != nil {
+		for _, c := range w.deep.full[i] {
+			for _, t := range c {
+				fn(t)
+			}
+		}
+	}
+	for _, t := range w.lifo[i] {
+		fn(t)
+	}
+}
+
+// clear empties w, keeping its chunks.
+func (w *wave) clear() {
+	for i := range w.lifo {
+		if d := w.deep; d != nil && len(d.full[i]) > 0 {
+			d.spare = append(d.spare, w.lifo[i][:0])
+			for _, c := range d.full[i][1:] {
+				d.spare = append(d.spare, c[:0])
+			}
+			w.lifo[i] = d.full[i][0]
+			d.full[i] = d.full[i][:0]
+		}
+		w.lifo[i] = w.lifo[i][:0]
 	}
 }
 
@@ -447,11 +522,7 @@ func (m *Marker) EachPending(fn func(task.Task)) {
 	for i := range m.parts {
 		s := &m.parts[i]
 		s.mu.Lock()
-		for _, l := range s.list.lifo {
-			for _, t := range l {
-				fn(t)
-			}
-		}
+		s.list.each(fn)
 		s.mu.Unlock()
 	}
 }

@@ -382,3 +382,99 @@ func BenchmarkMarkWave(b *testing.B) {
 type handlerFunc func(task.Task)
 
 func (f handlerFunc) Handle(t task.Task) { f(t) }
+
+// TestWaveListMatchesSliceModel drives a wave and four plain slices, one per
+// class, with the same random pushes, pops, clears and takes, past several
+// chunks of a class, and requires the same items in the same order
+// throughout; then a wave back at a peak it reached before allocates nothing.
+func TestWaveListMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var w, o wave
+	var model, omodel [4][]task.Task
+	item := func(op, class int) task.Task {
+		if class == 0 {
+			return task.Task{Kind: task.Return, Dst: graph.VertexID(op)}
+		}
+		return task.Task{Kind: task.Mark, Dst: graph.VertexID(op), Prior: uint8(4 - class)}
+	}
+	class := func() int { // mostly the lowest priority, where the long lists are
+		if k := rng.Intn(10); k < 4 {
+			return k
+		}
+		return 3
+	}
+	items := func(w *wave) (out []task.Task) {
+		w.each(func(t task.Task) { out = append(out, t) })
+		return out
+	}
+	flat := func(m *[4][]task.Task) (out []task.Task) {
+		for _, l := range m {
+			out = append(out, l...)
+		}
+		return out
+	}
+	for op := 0; op < 20000; op++ {
+		switch k := rng.Intn(100); {
+		case k < 55:
+			c := class()
+			w.push(item(op, c))
+			model[c] = append(model[c], item(op, c))
+		case k < 97:
+			got, ok := w.pop()
+			c := 0
+			for c < 4 && len(model[c]) == 0 {
+				c++
+			}
+			if ok != (c < 4) {
+				t.Fatalf("op %d: pop ok=%v, model %v", op, ok, model)
+			}
+			if ok {
+				if want := model[c][len(model[c])-1]; got != want {
+					t.Fatalf("op %d: pop = %v, want %v", op, got, want)
+				}
+				model[c] = model[c][:len(model[c])-1]
+			}
+		case k < 98:
+			for range rng.Intn(600) {
+				c := class()
+				o.push(item(-op, c))
+				omodel[c] = append(omodel[c], item(-op, c))
+			}
+			w.take(&o)
+			for c := range model {
+				model[c] = append(model[c], omodel[c]...)
+				omodel[c] = omodel[c][:0]
+			}
+			if !o.empty() {
+				t.Fatalf("op %d: take left %d items", op, len(items(&o)))
+			}
+		default:
+			w.clear()
+			model = [4][]task.Task{}
+		}
+		want := flat(&model)
+		if w.empty() != (len(want) == 0) {
+			t.Fatalf("op %d: empty=%v with %d items", op, w.empty(), len(want))
+		}
+		if op%101 == 0 && len(want) > 0 && !reflect.DeepEqual(items(&w), want) {
+			t.Fatalf("op %d: wave %v, model %v", op, items(&w), want)
+		}
+	}
+	if w.deep == nil || len(w.deep.full[3])+len(w.deep.spare) < 3 {
+		t.Fatal("the wave's lowest class never held more than three chunks")
+	}
+	w.clear()
+	for range 4 * waveChunk {
+		w.push(item(0, 3))
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for range 4 * waveChunk {
+			w.pop()
+		}
+		for range 4 * waveChunk {
+			w.push(item(0, 3))
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm wave allocated %.1f objects per peak", allocs)
+	}
+}

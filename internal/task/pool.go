@@ -349,7 +349,7 @@ func (p *Pool) StealInto(dst *Pool, max int, each func(Task)) int {
 			}
 			dst.bands[b].push(t)
 		}
-		r.n -= cnt
+		r.n -= int32(cnt)
 		moved += cnt
 	}
 	if moved > 0 {

@@ -2,7 +2,9 @@ package task
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"dgr/internal/graph"
 )
@@ -123,50 +125,116 @@ func TestRingFilterInPlace(t *testing.T) {
 // TestRingMatchesSliceModel drives ring and a plain-slice model with the
 // same random operation sequence and requires identical observable state
 // throughout — the semantics-identity argument for swapping the pool's
-// band storage.
+// band storage. In the second case pushes outnumber the other operations
+// for the first growOps, so the ring grows chunk by chunk with its head
+// anywhere in a chunk, and then drains back down.
 func TestRingMatchesSliceModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var r ring
-	var model []Task
-	for op := 0; op < 5000; op++ {
-		switch k := rng.Intn(4); {
-		case k == 0 || len(model) == 0:
-			tk := Task{Dst: vid(int64(op)), Kind: Demand}
-			r.push(tk)
-			model = append(model, tk)
-		case k == 1:
-			got := r.popFront()
-			want := model[0]
-			model = model[1:]
-			if got != want {
-				t.Fatalf("op %d: popFront = %v, want %v", op, got, want)
-			}
-		case k == 2:
-			i := rng.Intn(len(model))
-			got := r.removeAt(i)
-			want := model[i]
-			model = append(model[:i], model[i+1:]...)
-			if got != want {
-				t.Fatalf("op %d: removeAt(%d) = %v, want %v", op, i, got, want)
-			}
-		default:
-			cut := graph.VertexID(rng.Intn(3))
-			r.filter(func(tk *Task) bool { return tk.Dst%3 != cut })
-			kept := model[:0]
-			for _, tk := range model {
-				if tk.Dst%3 != cut {
-					kept = append(kept, tk)
+	for _, tc := range []struct {
+		name         string
+		seed         int64
+		ops, growOps int
+		mod          graph.VertexID // filter drops one residue of Dst modulo mod
+		every        int            // compare the whole ring every that many ops
+		minChunks    int
+	}{
+		{"small", 1, 5000, 0, 3, 1, 0},
+		{"chunks", 2, 12000, 8000, 500, 97, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			var r ring
+			var model []Task
+			for op := 0; op < tc.ops; op++ {
+				// Of eight draws: pushes, then a third each of the rest to
+				// popFront, removeAt and filter.
+				pushes := 2
+				if op < tc.growOps {
+					pushes = 5
+				}
+				rest := (8 - pushes) / 3
+				switch k := rng.Intn(8); {
+				case k < pushes || len(model) == 0:
+					tk := Task{Dst: vid(int64(op)), Kind: Demand}
+					r.push(tk)
+					model = append(model, tk)
+				case k < pushes+rest:
+					got := r.popFront()
+					want := model[0]
+					model = model[1:]
+					if got != want {
+						t.Fatalf("op %d: popFront = %v, want %v", op, got, want)
+					}
+				case k < 8-rest:
+					i := rng.Intn(len(model))
+					got := r.removeAt(i)
+					want := model[i]
+					model = append(model[:i], model[i+1:]...)
+					if got != want {
+						t.Fatalf("op %d: removeAt(%d) = %v, want %v", op, i, got, want)
+					}
+				default:
+					cut := graph.VertexID(rng.Intn(int(tc.mod)))
+					r.filter(func(tk *Task) bool { return tk.Dst%tc.mod != cut })
+					kept := model[:0]
+					for _, tk := range model {
+						if tk.Dst%tc.mod != cut {
+							kept = append(kept, tk)
+						}
+					}
+					model = kept
+				}
+				if r.len() != len(model) {
+					t.Fatalf("op %d: len = %d, model %d", op, r.len(), len(model))
+				}
+				if op%tc.every != 0 && op != tc.ops-1 {
+					continue
+				}
+				for i := range model {
+					if *r.at(i) != model[i] {
+						t.Fatalf("op %d: at(%d) = %v, model %v", op, i, *r.at(i), model[i])
+					}
 				}
 			}
-			model = kept
-		}
-		if r.len() != len(model) {
-			t.Fatalf("op %d: len = %d, model %d", op, r.len(), len(model))
-		}
-		for i := range model {
-			if *r.at(i) != model[i] {
-				t.Fatalf("op %d: at(%d) = %v, model %v", op, i, *r.at(i), model[i])
+			if chunks := r.size() / ringChunk; chunks < tc.minChunks {
+				t.Fatalf("the ring grew to %d chunks, want at least %d", chunks, tc.minChunks)
 			}
+		})
+	}
+}
+
+// TestRingGrowsByChunk: past ringChunk a new peak costs one chunk, and a
+// ring back at a peak it reached before allocates nothing.
+func TestRingGrowsByChunk(t *testing.T) {
+	var r ring
+	for i := range 3*ringChunk + 5 {
+		r.push(Task{Dst: vid(int64(i))})
+	}
+	for range ringChunk + 7 { // the head moves into the second chunk
+		r.popFront()
+	}
+	for r.len() < r.size() {
+		r.push(Task{})
+	}
+	before := r.size()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	r.push(Task{})
+	runtime.ReadMemStats(&ms1)
+	if got := r.size(); got != before+ringChunk {
+		t.Fatalf("size %d -> %d, want one more chunk", before, got)
+	}
+	// One chunk, and the chunk list's array (a few words) if append moved it.
+	if got, max := ms1.TotalAlloc-ms0.TotalAlloc, uint64(ringChunk*unsafe.Sizeof(Task{})+256); got > max {
+		t.Fatalf("a new peak allocated %d bytes, want at most %d", got, max)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for range 2 * ringChunk {
+			r.popFront()
 		}
+		for range 2 * ringChunk {
+			r.push(Task{})
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm ring allocated %.1f objects per cycle", allocs)
 	}
 }
