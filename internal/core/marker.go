@@ -97,7 +97,8 @@ func (m *Marker) SetAbsorbHook(fn func(task.Task) bool) (prev func(task.Task) bo
 }
 
 // NewMarker builds a marker over the given store and machine. counters may
-// be nil.
+// be nil. mach must route by store.PartitionOf, as every machine that runs a
+// marker does: the marker asks the store which partition owns a vertex.
 func NewMarker(store *graph.Store, mach *sched.Machine, counters *metrics.Counters) *Marker {
 	m := &Marker{store: store, mach: mach, counters: counters, budget: waveBudget,
 		parts: make([]partSlot, mach.PEs())}
@@ -150,7 +151,12 @@ func (m *Marker) Upgrades(c graph.Ctx) int64 { return m.ctxs[c].upgrades.Load() 
 func (m *Marker) BeginCycle(c graph.Ctx) <-chan struct{} {
 	st := &m.ctxs[c]
 	st.mu.Lock()
-	st.epoch.Add(1)
+	epoch := st.epoch.Load() + 1
+	if epoch>>itemEpochBits != 0 { // a queued item holds 60 bits of it
+		st.mu.Unlock()
+		panic("core: marking epoch reached 2^60")
+	}
+	st.epoch.Store(epoch)
 	st.pendingRoots = 1 // seeding sentinel, released by SeedRoots
 	st.done = make(chan struct{})
 	ch := st.done
@@ -172,11 +178,11 @@ func (m *Marker) SeedRoots(c graph.Ctx, roots []Root) {
 	st.mu.Unlock()
 
 	for _, r := range roots {
-		t := task.Task{Kind: task.Mark, Src: graph.NilVertex, Dst: r.ID, Ctx: c, Prior: r.Prior, Epoch: epoch}
+		it := markItem(c, graph.NilVertex, r.ID, r.Prior, epoch)
 		if m.budget == 0 {
-			m.spawn(nil, t)
+			m.spawn(nil, it)
 		} else {
-			m.park(t)
+			m.park(it)
 		}
 	}
 	m.rootReturn(c) // release the seeding sentinel
@@ -232,6 +238,52 @@ func (m *Marker) rootReturn(c graph.Ctx) {
 // measurements it was chosen by.
 const waveBudget = 256
 
+// item is one mark or return on a wave list: a task.Task of 16 bytes rather
+// than 48. word packs epoch<<4 | ctx<<3 | isMark<<2 | prior; BeginCycle keeps
+// every epoch below 2⁶⁰, so the packing loses nothing. A task is built from an
+// item only where one leaves the drain: the cut, cooperation and EachPending.
+type item struct {
+	src, dst graph.VertexID
+	word     uint64
+}
+
+// itemMark is the word's isMark bit; itemEpochBits is the width of its epoch.
+const (
+	itemMark      = 1 << 2
+	itemEpochBits = 60
+)
+
+func markItem(c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) item {
+	return item{src: par, dst: dst, word: epoch<<4 | uint64(c)<<3 | itemMark | uint64(prior)}
+}
+
+func returnItem(c graph.Ctx, from, par graph.VertexID, epoch uint64) item {
+	return item{src: from, dst: par, word: epoch<<4 | uint64(c)<<3}
+}
+
+// itemOf packs a mark or return task.
+func itemOf(t task.Task) item {
+	it := item{src: t.Src, dst: t.Dst, word: t.Epoch<<4 | uint64(t.Ctx)<<3 | uint64(t.Prior)}
+	if t.Kind == task.Mark {
+		it.word |= itemMark
+	}
+	return it
+}
+
+func (it item) isMark() bool   { return it.word&itemMark != 0 }
+func (it item) ctx() graph.Ctx { return graph.Ctx(it.word >> 3 & 1) }
+func (it item) prior() uint8   { return uint8(it.word & 3) }
+func (it item) epoch() uint64  { return it.word >> 4 }
+
+// task is the task it packs.
+func (it item) task() task.Task {
+	kind := task.Return
+	if it.isMark() {
+		kind = task.Mark
+	}
+	return task.Task{Kind: kind, Src: it.src, Dst: it.dst, Ctx: it.ctx(), Prior: it.prior(), Epoch: it.epoch()}
+}
+
 // wave is a best-first work list of marks and returns addressed to one
 // partition. Each popped item is run through the same handleMark/handleReturn
 // as a task would be, one vertex lock at a time, so draining a list is a
@@ -248,11 +300,11 @@ type wave struct {
 	// lifo[i] is the top chunk of class i, empty only when the class is: up
 	// to waveChunk items it grows by append, and past that deep holds the
 	// full chunks under it.
-	lifo [4][]task.Task
+	lifo [4][]item
 	deep *waveChunks // nil until a class outgrows its first chunk
 }
 
-// waveChunk is the length of a wave list's chunks past its first.
+// waveChunk is the length of a wave list's chunks past its first (2 KB).
 const waveChunk = 128
 
 // waveChunks holds the chunks of a wave's classes past their first. A wave
@@ -262,19 +314,19 @@ const waveChunk = 128
 // to cycle, and a doubling that lands in one evaluation and not the next
 // would make their allocations differ by tens of kilobytes.
 type waveChunks struct {
-	full  [4][][]task.Task // per class, the chunks under lifo[i], oldest first, each at capacity
-	spare [][]task.Task    // emptied chunks, for the next peak of any class
+	full  [4][][]item // per class, the chunks under lifo[i], oldest first, each at capacity
+	spare [][]item    // emptied chunks, for the next peak of any class
 }
 
-func (w *wave) push(t task.Task) {
+func (w *wave) push(it item) {
 	i := 0
-	if t.Kind == task.Mark {
-		i = 4 - int(max(t.Prior, graph.PriorReserve))
+	if it.isMark() {
+		i = 4 - int(max(it.prior(), graph.PriorReserve))
 	}
 	if n := len(w.lifo[i]); n == cap(w.lifo[i]) && n >= waveChunk {
 		w.newChunk(i)
 	}
-	w.lifo[i] = append(w.lifo[i], t)
+	w.lifo[i] = append(w.lifo[i], it)
 }
 
 // newChunk puts class i's full top chunk under a spare or new one.
@@ -288,17 +340,17 @@ func (w *wave) newChunk(i int) {
 		w.lifo[i] = d.spare[k-1]
 		d.spare = d.spare[:k-1]
 	} else {
-		w.lifo[i] = make([]task.Task, 0, waveChunk)
+		w.lifo[i] = make([]item, 0, waveChunk)
 	}
 }
 
-func (w *wave) pop() (task.Task, bool) {
+func (w *wave) pop() (item, bool) {
 	for i := range w.lifo {
 		n := len(w.lifo[i])
 		if n == 0 {
 			continue
 		}
-		t := w.lifo[i][n-1]
+		it := w.lifo[i][n-1]
 		w.lifo[i] = w.lifo[i][:n-1]
 		if n == 1 && w.deep != nil {
 			if d := w.deep; len(d.full[i]) > 0 {
@@ -308,9 +360,9 @@ func (w *wave) pop() (task.Task, bool) {
 				d.full[i] = d.full[i][:k-1]
 			}
 		}
-		return t, true
+		return it, true
 	}
-	return task.Task{}, false
+	return item{}, false
 }
 
 func (w *wave) empty() bool {
@@ -331,23 +383,23 @@ func (w *wave) take(o *wave) {
 }
 
 // each calls fn for every item on w, class by class, oldest first.
-func (w *wave) each(fn func(task.Task)) {
+func (w *wave) each(fn func(item)) {
 	for i := range w.lifo {
 		w.eachOf(i, fn)
 	}
 }
 
 // eachOf calls fn for every item of class i, oldest first.
-func (w *wave) eachOf(i int, fn func(task.Task)) {
+func (w *wave) eachOf(i int, fn func(item)) {
 	if w.deep != nil {
 		for _, c := range w.deep.full[i] {
-			for _, t := range c {
-				fn(t)
+			for _, it := range c {
+				fn(it)
 			}
 		}
 	}
-	for _, t := range w.lifo[i] {
-		fn(t)
+	for _, it := range w.lifo[i] {
+		fn(it)
 	}
 }
 
@@ -364,6 +416,48 @@ func (w *wave) clear() {
 		}
 		w.lifo[i] = w.lifo[i][:0]
 	}
+}
+
+// drain is a running drain's hold on its partition's list: the list, and a
+// register for the newest return, which sits above lifo[0]. A mark's return
+// is usually the next item the drain pops, so it passes through the register
+// and never touches the list; pop takes the register first, which is what the
+// list would have returned. The register lives on the drainer's stack, not in
+// the wave, so that a partSlot stays 304 bytes. take, which takes in the
+// inbox whenever a drain would stop, first puts a held return back on the
+// list.
+type drain struct {
+	w    *wave
+	ret  item
+	held bool
+}
+
+func (d *drain) push(it item) {
+	if it.isMark() {
+		d.w.push(it)
+		return
+	}
+	if d.held {
+		d.w.push(d.ret)
+	}
+	d.ret, d.held = it, true
+}
+
+func (d *drain) pop() (item, bool) {
+	if d.held {
+		d.held = false
+		return d.ret, true
+	}
+	return d.w.pop()
+}
+
+// take moves o's items onto the list, under a held return put back first.
+func (d *drain) take(o *wave) {
+	if d.held {
+		d.w.push(d.ret)
+		d.held = false
+	}
+	d.w.take(o)
 }
 
 // partSlot is one partition's pending marking work, kept across tasks (a warm
@@ -387,11 +481,11 @@ type partSlot struct {
 }
 
 // add parks an item: on inbox while a drainer owns list. The caller holds mu.
-func (s *partSlot) add(t task.Task) {
+func (s *partSlot) add(it item) {
 	if s.draining {
-		s.inbox.push(t)
+		s.inbox.push(it)
 	} else {
-		s.list.push(t)
+		s.list.push(it)
 	}
 }
 
@@ -422,11 +516,11 @@ func (m *Marker) unlockQueue(s *partSlot, dst graph.VertexID) {
 
 // park puts a root on its partition's list, or on its inbox while another
 // PE drains the partition (a stale drain of an earlier phase, say).
-func (m *Marker) park(t task.Task) {
-	s := &m.parts[m.mach.PartOf(t.Dst)]
+func (m *Marker) park(it item) {
+	s := &m.parts[m.store.PartitionOf(it.dst)]
 	s.mu.Lock()
-	s.add(t)
-	m.unlockQueue(s, t.Dst)
+	s.add(it)
+	m.unlockQueue(s, it.dst)
 }
 
 // Handle executes a marking task: it puts the task's item, if it carries one,
@@ -442,12 +536,12 @@ func (m *Marker) Handle(t task.Task) {
 	}
 	// The list belongs to the destination's partition even when a thief
 	// executes the task: local means local to the vertices, not to the PE.
-	s := &m.parts[m.mach.PartOf(t.Dst)]
+	s := &m.parts[m.store.PartitionOf(t.Dst)]
 	s.mu.Lock()
 	if IsContinuation(t) {
 		s.queued = false
 	} else {
-		s.add(t)
+		s.add(itemOf(t))
 	}
 	if s.draining {
 		s.mu.Unlock()
@@ -457,25 +551,26 @@ func (m *Marker) Handle(t task.Task) {
 	s.mu.Unlock()
 
 	w := &s.list
+	d := drain{w: w}
 	var marks int64
 	for left := max(m.budget, 1); ; {
 		for ; left > 0; left-- {
-			it, ok := w.pop()
+			it, ok := d.pop()
 			if !ok {
 				break
 			}
-			if it.Kind == task.Mark {
-				m.handleMark(w, it)
+			if it.isMark() {
+				m.handleMark(&d, it)
 				marks++
 			} else {
-				m.handleReturn(w, it)
+				m.handleReturn(&d, it)
 			}
 		}
-		if left > 0 && m.absorb(w) {
+		if left > 0 && m.absorb(w) { // the list ran dry: nothing is held
 			continue
 		}
 		s.mu.Lock()
-		w.take(&s.inbox)
+		d.take(&s.inbox)
 		if left > 0 && !w.empty() { // it was empty: drain what arrived
 			s.mu.Unlock()
 			continue
@@ -501,13 +596,13 @@ func (m *Marker) absorb(w *wave) bool {
 		return false
 	}
 	m.mach.Expunge(p, func(t task.Task) bool {
-		if !t.Kind.IsMarking() || IsContinuation(t) || m.mach.PartOf(t.Dst) != p {
+		if !t.Kind.IsMarking() || IsContinuation(t) || m.store.PartitionOf(t.Dst) != p {
 			return false // a stolen task of another partition stays put
 		}
 		if m.absorbed != nil && !m.absorbed(t) {
 			return false
 		}
-		w.push(t)
+		w.push(itemOf(t))
 		return true
 	})
 	return !w.empty()
@@ -522,7 +617,7 @@ func (m *Marker) EachPending(fn func(task.Task)) {
 	for i := range m.parts {
 		s := &m.parts[i]
 		s.mu.Lock()
-		s.list.each(fn)
+		s.list.each(func(it item) { fn(it.task()) })
 		s.mu.Unlock()
 	}
 }
@@ -530,30 +625,31 @@ func (m *Marker) EachPending(fn func(task.Task)) {
 // handleMark is mark2 of Figure 5-1 (context R) and mark3 of Figure 5-3
 // (context T). mark1 of Figure 4-1 is the degenerate case with a single
 // priority.
-func (m *Marker) handleMark(w *wave, t task.Task) {
-	st := &m.ctxs[t.Ctx]
+func (m *Marker) handleMark(d *drain, it item) {
+	c := it.ctx()
+	st := &m.ctxs[c]
 	epoch := st.epoch.Load()
-	if t.Epoch != epoch {
+	if it.epoch() != epoch {
 		st.staleDropped.Add(1)
 		return
 	}
-	v := m.store.Vertex(t.Dst)
+	v := m.store.Vertex(it.dst)
 	if v == nil {
-		m.spawnReturn(w, t.Ctx, t.Dst, t.Src, epoch)
+		m.spawnReturn(d, c, it.dst, it.src, epoch)
 		return
 	}
 
 	v.Lock()
-	mc := v.CtxOf(t.Ctx)
+	mc := v.CtxOf(c)
 	switch mc.StateAt(epoch) {
 	case graph.Unmarked:
-		m.modifyLocked(w, v, t.Ctx, epoch, t.Src, t.Prior)
+		m.modifyLocked(d, v, c, epoch, it.src, it.prior())
 	default:
-		if t.Ctx == graph.CtxT || t.Prior <= mc.Prior {
+		if c == graph.CtxT || it.prior() <= mc.Prior {
 			// Already (being) marked at sufficient priority: just release
 			// our parent.
 			v.Unlock()
-			m.spawnReturn(w, t.Ctx, t.Dst, t.Src, epoch)
+			m.spawnReturn(d, c, it.dst, it.src, epoch)
 			return
 		}
 		// Re-mark at the higher priority (Figure 5-1): if v is transient,
@@ -562,9 +658,9 @@ func (m *Marker) handleMark(w *wave, t task.Task) {
 		st.upgrades.Add(1)
 		if mc.State == graph.Transient {
 			old := mc.MtPar
-			m.spawnReturn(w, t.Ctx, t.Dst, old, epoch)
+			m.spawnReturn(d, c, it.dst, old, epoch)
 		}
-		m.modifyLocked(w, v, t.Ctx, epoch, t.Src, t.Prior)
+		m.modifyLocked(d, v, c, epoch, it.src, it.prior())
 	}
 	v.Unlock()
 }
@@ -578,7 +674,7 @@ const taskChildrenInline = 8
 // record the marking-tree parent and priority, spawn mark tasks on the
 // context's children, and mark immediately if there are none. The caller
 // holds v's lock.
-func (m *Marker) modifyLocked(w *wave, v *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
+func (m *Marker) modifyLocked(d *drain, v *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
 	mc := v.CtxOf(c)
 	mc.Touch(epoch, par, prior)
 
@@ -588,7 +684,7 @@ func (m *Marker) modifyLocked(w *wave, v *graph.Vertex, c graph.Ctx, epoch uint6
 				continue
 			}
 			childPrior := min(prior, v.ReqKindAt(i).Priority())
-			m.spawnMark(w, c, v.ID, a, childPrior, epoch)
+			m.spawnMark(d, c, v.ID, a, childPrior, epoch)
 			mc.MtCnt++
 		}
 	} else {
@@ -597,34 +693,35 @@ func (m *Marker) modifyLocked(w *wave, v *graph.Vertex, c graph.Ctx, epoch uint6
 			if m.faultDropsMark(v.ID, a, epoch) {
 				continue
 			}
-			m.spawnMark(w, c, v.ID, a, 0, epoch)
+			m.spawnMark(d, c, v.ID, a, 0, epoch)
 			mc.MtCnt++
 		}
 	}
 	if mc.MtCnt == 0 {
 		mc.State = graph.Marked
-		m.spawnReturn(w, c, v.ID, par, epoch)
+		m.spawnReturn(d, c, v.ID, par, epoch)
 	}
 }
 
 // handleReturn is return1 of Figure 4-1.
-func (m *Marker) handleReturn(w *wave, t task.Task) {
-	st := &m.ctxs[t.Ctx]
+func (m *Marker) handleReturn(d *drain, it item) {
+	c := it.ctx()
+	st := &m.ctxs[c]
 	epoch := st.epoch.Load()
-	if t.Epoch != epoch {
+	if it.epoch() != epoch {
 		st.staleDropped.Add(1)
 		return
 	}
-	if t.Dst == graph.NilVertex {
-		m.rootReturn(t.Ctx)
+	if it.dst == graph.NilVertex {
+		m.rootReturn(c)
 		return
 	}
-	v := m.store.Vertex(t.Dst)
+	v := m.store.Vertex(it.dst)
 	if v == nil {
 		return
 	}
 	v.Lock()
-	mc := v.CtxOf(t.Ctx)
+	mc := v.CtxOf(c)
 	if mc.Epoch != epoch {
 		// A stale context here means the vertex was never touched this
 		// cycle; the return is from dropped work.
@@ -641,7 +738,7 @@ func (m *Marker) handleReturn(w *wave, t task.Task) {
 		mc.State = graph.Marked
 		par := mc.MtPar
 		v.Unlock()
-		m.spawnReturn(w, t.Ctx, t.Dst, par, epoch)
+		m.spawnReturn(d, c, it.dst, par, epoch)
 		return
 	}
 	v.Unlock()
@@ -661,27 +758,27 @@ func (m *Marker) faultDropsMark(par, child graph.VertexID, epoch uint64) bool {
 	return h%uint64(n) == 0
 }
 
-// spawn routes a marking item: onto the drain's list when there is one, the
-// budget is not 0 and the destination is in its partition (rootpar is
-// everywhere), and into the destination's pool otherwise — the cut arc, and
+// spawn routes a marking item: onto the drain when there is one, the budget
+// is not 0 and the destination is in its partition (rootpar is everywhere),
+// and into the destination's pool as a task otherwise — the cut arc, and
 // every cooperating mutator, which runs outside any drain.
-func (m *Marker) spawn(w *wave, t task.Task) {
-	if w != nil && m.budget > 0 && (t.Dst == graph.NilVertex || m.mach.PartOf(t.Dst) == w.part) {
-		w.push(t)
+func (m *Marker) spawn(d *drain, it item) {
+	if d != nil && m.budget > 0 && (it.dst == graph.NilVertex || m.store.PartitionOf(it.dst) == d.w.part) {
+		d.push(it)
 		return
 	}
-	m.mach.Spawn(t)
+	m.mach.Spawn(it.task())
 }
 
-// spawnMark issues a mark task.
-func (m *Marker) spawnMark(w *wave, c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) {
-	m.spawn(w, task.Task{Kind: task.Mark, Src: par, Dst: dst, Ctx: c, Prior: prior, Epoch: epoch})
+// spawnMark issues a mark.
+func (m *Marker) spawnMark(d *drain, c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) {
+	m.spawn(d, markItem(c, par, dst, prior, epoch))
 }
 
-// spawnReturn issues a return task to the marking-tree parent par (from
-// vertex from, for diagnostics).
-func (m *Marker) spawnReturn(w *wave, c graph.Ctx, from, par graph.VertexID, epoch uint64) {
-	m.spawn(w, task.Task{Kind: task.Return, Src: from, Dst: par, Ctx: c, Epoch: epoch})
+// spawnReturn issues a return to the marking-tree parent par (from vertex
+// from, for diagnostics).
+func (m *Marker) spawnReturn(d *drain, c graph.Ctx, from, par graph.VertexID, epoch uint64) {
+	m.spawn(d, returnItem(c, from, par, epoch))
 }
 
 // executeMarkLocked is the "execute mark1(c,b)" path of Figure 4-2's

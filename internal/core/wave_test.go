@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dgr/internal/analysis"
 	"dgr/internal/graph"
@@ -341,17 +342,30 @@ func listOfLists(r *rig, outer, inner int) *graph.Vertex {
 // BenchmarkMarkWave is one M_R cycle over a frozen list of lists: 100 lists
 // of 49 (10k vertices), on one partition (no cut) and on four, and four lists
 // of 2000, one per partition, so every partition's list spends the budget
-// many times over. Each runs at budget 0 (one task per arc) and at the
-// shipped budget, and reports ns and executed tasks per mark visit and the
-// continuations each phase queued.
+// many times over. The four-partition shapes run again on the store a seeded
+// dgr machine has (store=seeded: serial, every id reserved, so that a
+// vertex's owner is arithmetic). Each runs at budget 0 (one task per arc)
+// and at the shipped budget, and reports ns and executed tasks per mark visit
+// and the continuations each phase queued.
 func BenchmarkMarkWave(b *testing.B) {
+	seeded := graph.Config{Partitions: 4, Capacity: 1 << 16, Serial: true}
 	for _, shape := range []struct {
 		name                string
 		parts, outer, inner int
-	}{{"lists=100x49/parts=1", 1, 100, 49}, {"lists=100x49/parts=4", 4, 100, 49}, {"lists=4x2000/parts=4", 4, 4, 2000}} {
+		store               graph.Config // zero: the rig's
+	}{
+		{"lists=100x49/parts=1", 1, 100, 49, graph.Config{}},
+		{"lists=100x49/parts=4", 4, 100, 49, graph.Config{}},
+		{"lists=4x2000/parts=4", 4, 4, 2000, graph.Config{}},
+		{"lists=100x49/parts=4/store=seeded", 4, 100, 49, seeded},
+		{"lists=4x2000/parts=4/store=seeded", 4, 4, 2000, seeded},
+	} {
 		for _, budget := range []int{0, waveBudget} {
 			b.Run(fmt.Sprintf("%s/budget=%d", shape.name, budget), func(b *testing.B) {
 				r := newRig(b, shape.parts, 1, false)
+				if shape.store.Partitions > 0 {
+					r = newRigOn(b, shape.store, sched.Deterministic, 1, false)
+				}
 				r.marker.budget = budget
 				var continuations int64
 				d := NewDispatcher(r.marker, nil)
@@ -383,19 +397,29 @@ type handlerFunc func(task.Task)
 
 func (f handlerFunc) Handle(t task.Task) { f(t) }
 
-// TestWaveListMatchesSliceModel drives a wave and four plain slices, one per
-// class, with the same random pushes, pops, clears and takes, past several
-// chunks of a class, and requires the same items in the same order
-// throughout; then a wave back at a peak it reached before allocates nothing.
+// TestWaveListMatchesSliceModel drives a drain — a wave and its return
+// register — and four plain slices, one per class, with the same random
+// pushes (runs of consecutive returns among them), pops, clears and takes,
+// past several chunks of a class, and requires the same items in the same
+// order throughout: the held return is the top of the returns' slice. Takes
+// and clears also come while the register holds a return, the take through
+// the drain as Handle's is, the clear after the drain has taken in an empty
+// inbox. Then a wave back at a peak it reached before allocates nothing.
 func TestWaveListMatchesSliceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var w, o wave
-	var model, omodel [4][]task.Task
-	item := func(op, class int) task.Task {
+	var w, o, none wave
+	d := drain{w: &w}
+	var model, omodel [4][]item
+	mk := func(op, class int) item {
+		c, src, epoch := graph.Ctx(op&1), graph.VertexID(op+7), uint64(1+op%5)<<40|uint64(op)
 		if class == 0 {
-			return task.Task{Kind: task.Return, Dst: graph.VertexID(op)}
+			return returnItem(c, src, graph.VertexID(op), epoch)
 		}
-		return task.Task{Kind: task.Mark, Dst: graph.VertexID(op), Prior: uint8(4 - class)}
+		prior := uint8(4 - class)
+		if class == 3 {
+			prior = uint8(op & 1) // M_T's marks have priority 0
+		}
+		return markItem(c, src, graph.VertexID(op), prior, epoch)
 	}
 	class := func() int { // mostly the lowest priority, where the long lists are
 		if k := rng.Intn(10); k < 4 {
@@ -403,24 +427,36 @@ func TestWaveListMatchesSliceModel(t *testing.T) {
 		}
 		return 3
 	}
-	items := func(w *wave) (out []task.Task) {
-		w.each(func(t task.Task) { out = append(out, t) })
+	items := func() (out []item) { // the list with the register in its place
+		w.eachOf(0, func(it item) { out = append(out, it) })
+		if d.held {
+			out = append(out, d.ret)
+		}
+		for i := 1; i < len(w.lifo); i++ {
+			w.eachOf(i, func(it item) { out = append(out, it) })
+		}
 		return out
 	}
-	flat := func(m *[4][]task.Task) (out []task.Task) {
+	flat := func(m *[4][]item) (out []item) {
 		for _, l := range m {
 			out = append(out, l...)
 		}
 		return out
 	}
-	for op := 0; op < 20000; op++ {
+	var heldTakes, heldClears int
+	for op := 1; op <= 20000; op++ {
 		switch k := rng.Intn(100); {
-		case k < 55:
+		case k < 50:
 			c := class()
-			w.push(item(op, c))
-			model[c] = append(model[c], item(op, c))
+			d.push(mk(op, c))
+			model[c] = append(model[c], mk(op, c))
+		case k < 53:
+			for i := range 2 + rng.Intn(8) {
+				d.push(mk(op+i, 0))
+				model[0] = append(model[0], mk(op+i, 0))
+			}
 		case k < 97:
-			got, ok := w.pop()
+			got, ok := d.pop()
 			c := 0
 			for c < 4 && len(model[c]) == 0 {
 				c++
@@ -435,46 +471,125 @@ func TestWaveListMatchesSliceModel(t *testing.T) {
 				model[c] = model[c][:len(model[c])-1]
 			}
 		case k < 98:
+			if d.held {
+				heldTakes++
+			}
 			for range rng.Intn(600) {
 				c := class()
-				o.push(item(-op, c))
-				omodel[c] = append(omodel[c], item(-op, c))
+				o.push(mk(-op, c))
+				omodel[c] = append(omodel[c], mk(-op, c))
 			}
-			w.take(&o)
+			d.take(&o)
 			for c := range model {
 				model[c] = append(model[c], omodel[c]...)
 				omodel[c] = omodel[c][:0]
 			}
 			if !o.empty() {
-				t.Fatalf("op %d: take left %d items", op, len(items(&o)))
+				t.Fatalf("op %d: take left items on the wave it took", op)
 			}
 		default:
+			if d.held {
+				heldClears++
+			}
+			d.take(&none)
 			w.clear()
-			model = [4][]task.Task{}
+			model = [4][]item{}
 		}
 		want := flat(&model)
-		if w.empty() != (len(want) == 0) {
-			t.Fatalf("op %d: empty=%v with %d items", op, w.empty(), len(want))
+		if w.empty() && !d.held != (len(want) == 0) {
+			t.Fatalf("op %d: empty=%v held=%v with %d items", op, w.empty(), d.held, len(want))
 		}
-		if op%101 == 0 && len(want) > 0 && !reflect.DeepEqual(items(&w), want) {
-			t.Fatalf("op %d: wave %v, model %v", op, items(&w), want)
+		if op%101 == 0 && len(want) > 0 && !reflect.DeepEqual(items(), want) {
+			t.Fatalf("op %d: drain %v, model %v", op, items(), want)
 		}
 	}
 	if w.deep == nil || len(w.deep.full[3])+len(w.deep.spare) < 3 {
 		t.Fatal("the wave's lowest class never held more than three chunks")
 	}
+	if heldTakes == 0 || heldClears == 0 {
+		t.Fatalf("%d takes and %d clears came while a return was held; want some of each", heldTakes, heldClears)
+	}
 	w.clear()
 	for range 4 * waveChunk {
-		w.push(item(0, 3))
+		w.push(mk(1, 3))
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		for range 4 * waveChunk {
 			w.pop()
 		}
 		for range 4 * waveChunk {
-			w.push(item(0, 3))
+			w.push(mk(1, 3))
 		}
 	}); allocs != 0 {
 		t.Fatalf("a warm wave allocated %.1f objects per peak", allocs)
+	}
+}
+
+// TestWaveItem: an item is a mark or return task in 16 bytes. Every kind,
+// context and priority, from rootpar and from the last id, at epochs 1,
+// 2³²+1 and 2⁶⁰−1, goes to a task and back unchanged, and markItem and
+// returnItem pack what spawnMark and spawnReturn spawned as tasks. The
+// register lives in the drain, so a partition's slot stays within 304 bytes.
+// The CI census prints both sizes.
+func TestWaveItem(t *testing.T) {
+	for _, epoch := range []uint64{1, 1<<32 + 1, 1<<itemEpochBits - 1} {
+		for _, kind := range []task.Kind{task.Mark, task.Return} {
+			for _, c := range []graph.Ctx{graph.CtxR, graph.CtxT} {
+				for prior := range uint8(4) {
+					for _, src := range []graph.VertexID{graph.NilVertex, ^graph.VertexID(0)} {
+						tk := task.Task{Kind: kind, Src: src, Dst: 5, Ctx: c, Prior: prior, Epoch: epoch}
+						it := itemOf(tk)
+						if got := it.task(); got != tk {
+							t.Fatalf("%v → %v → %v", tk, it, got)
+						}
+						if back := itemOf(it.task()); back != it {
+							t.Fatalf("%v → %v → %v", it, it.task(), back)
+						}
+						if kind == task.Mark && it != markItem(c, src, 5, prior, epoch) {
+							t.Fatalf("markItem(%v, %d, 5, %d, %d) != %v", c, src, prior, epoch, it)
+						}
+						if kind == task.Return && prior == 0 && it != returnItem(c, src, 5, epoch) {
+							t.Fatalf("returnItem(%v, %d, 5, %d) != %v", c, src, epoch, it)
+						}
+					}
+				}
+			}
+		}
+	}
+	item, slot := unsafe.Sizeof(item{}), unsafe.Sizeof(partSlot{})
+	t.Logf("census: Sizeof(item)=%d Sizeof(partSlot)=%d", item, slot)
+	if item != 16 {
+		t.Errorf("Sizeof(item) = %d, want 16", item)
+	}
+	if slot > 304 {
+		t.Errorf("Sizeof(partSlot) = %d, want at most 304", slot)
+	}
+}
+
+// TestEpochStopsShortOf2to60: an item holds 60 bits of its epoch, so
+// BeginCycle refuses the cycle that would reach 2⁶⁰. A cycle at 2⁶⁰−1 still
+// marks through the wave and completes; the next one panics and leaves the
+// epoch where it was.
+func TestEpochStopsShortOf2to60(t *testing.T) {
+	const last = 1<<itemEpochBits - 1
+	r := newRig(t, 2, 1, false)
+	a, b := r.vertexOn(0, graph.KindApply), r.vertexOn(1, graph.KindInt)
+	r.edge(a, b, graph.ReqVital)
+	r.marker.ctxs[graph.CtxR].epoch.Store(last - 1)
+	r.runCycle(graph.CtxR, Root{ID: a.ID, Prior: graph.PriorVital})
+	if e := r.marker.Epoch(graph.CtxR); e != last {
+		t.Fatalf("epoch %d, want %d", e, uint64(last))
+	}
+	r.assertMarked(graph.CtxR, a, b)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("BeginCycle opened a cycle at epoch 2^60")
+			}
+		}()
+		r.marker.BeginCycle(graph.CtxR)
+	}()
+	if e := r.marker.Epoch(graph.CtxR); e != last {
+		t.Fatalf("a refused BeginCycle left epoch %d, want %d", e, uint64(last))
 	}
 }

@@ -85,7 +85,8 @@ const NumBands = int(numBands)
 
 // Task is an unexecuted task <s,d>. The zero value is invalid. The fields
 // are ordered by size, so the struct packs into 48 bytes (TestTaskSize):
-// every pool ring, wave list and PE slot holds tasks by value.
+// every pool ring and PE slot holds tasks by value (a marker's wave list
+// packs its marks and returns into 16-byte items).
 type Task struct {
 	// Src is the source vertex s (NilVertex when the source is irrelevant,
 	// written <-,d> in the paper).
