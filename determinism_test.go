@@ -75,9 +75,9 @@ const detFib = `let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 12
 // to alter scheduling semantics) by running this test and copying the
 // reported digests.
 var goldenSchedules = map[string]string{
-	"seed=42/pes=1": "bdf4ad6a538fe6f8",
-	"seed=42/pes=4": "99469f2bc5a3a3dc",
-	"seed=7/pes=3":  "a42fdc8759b6776f",
+	"seed=42/pes=1": "2066377946d064f4",
+	"seed=42/pes=4": "c7163f1b3ab7afa7",
+	"seed=7/pes=3":  "ce0de929bcaeaf82",
 }
 
 // TestScheduleDeterminismGolden asserts that fixed-seed deterministic runs
@@ -113,9 +113,9 @@ func TestScheduleDeterminismGolden(t *testing.T) {
 // just as brittle against any change to scheduling, allocation order, or
 // the compiler's instruction selection.
 var goldenCompiledSchedules = map[string]string{
-	"seed=42/pes=1": "14ce3dc0a57ba2c9",
-	"seed=42/pes=4": "f04be0f80032875b",
-	"seed=7/pes=3":  "79f599b3fea0396c",
+	"seed=42/pes=1": "519d47b6589fd92b",
+	"seed=42/pes=4": "1c73b2eab5e57eeb",
+	"seed=7/pes=3":  "dfc8bede4f3f4fa4",
 }
 
 // TestScheduleDeterminismCompiledGolden pins the compiled engine's
@@ -164,10 +164,10 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 // pool, and the restructure events inside the digest. What a partition's list
 // marks inline is not in the log — it shows in what the next task finds.
 var goldenCollectingSchedules = map[string]string{
-	"interp/seed=42/pes=4":   "ed113e80642789a5",
-	"interp/seed=7/pes=3":    "11fa954282df8b90",
-	"compiled/seed=42/pes=4": "5865f589fb4411f3",
-	"compiled/seed=7/pes=3":  "f678d9f37b2dff0c",
+	"interp/seed=42/pes=4":   "8a7fce41eac0844c",
+	"interp/seed=7/pes=3":    "c45e379891cb0a71",
+	"compiled/seed=42/pes=4": "169ad4c09db53129",
+	"compiled/seed=7/pes=3":  "f69f6e906c7417b0",
 }
 
 func collectingOptions(engine string, seed int64, pes int) dgr.Options {

@@ -108,8 +108,8 @@ type Options struct {
 	// collector cycles (default 20000): a seeded Eval pumps that many and then
 	// runs a cycle; a parallel machine's collection loop runs one every
 	// GCInterval steps its PEs take, evaluation in progress or not. A step is
-	// a task execution or a reduction step a task ran in place (Stats
-	// InlineSteps).
+	// a task execution or a reduction step a task ran in place, a
+	// continuation or a hand-off (Stats InlineSteps).
 	GCInterval int
 	// MaxSteps bounds one deterministic Eval, in steps as GCInterval counts
 	// them (default 200 million).

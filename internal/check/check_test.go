@@ -62,7 +62,7 @@ type fanout struct {
 	order []graph.VertexID
 }
 
-func (f *fanout) Handle(tk task.Task) {
+func (f *fanout) Handle(_ int, tk task.Task) {
 	f.mu.Lock()
 	f.order = append(f.order, tk.Dst)
 	f.mu.Unlock()

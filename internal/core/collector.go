@@ -127,6 +127,7 @@ type Collector struct {
 	tRoots     []Root                   // M_T's root set (taskRoots)
 	garbage    []*graph.Vertex          // this cycle's sweep, ascending by id
 	garbageIDs []graph.VertexID         // the same vertices' ids: GAR, searched by the expunge
+	abandoned  []request                // garbage vertices' pending requests
 	destPrior  map[graph.VertexID]uint8 // marked priority of queued demands' destinations
 
 	// The collection loop's trigger (Start, RunDue): due is the execution
@@ -484,6 +485,9 @@ func (c *Collector) waitPhase(ctx graph.Ctx, done <-chan struct{}) bool {
 	return c.marker.Done(ctx)
 }
 
+// request is one pending request of a vertex: requester awaits child's value.
+type request struct{ requester, child graph.VertexID }
+
 // restructure is the restructuring phase: sweep garbage to F, detect
 // deadlocked vertices, expunge irrelevant tasks, and reprioritize the task
 // pools from the marked priorities. It is one visit per vertex in use and
@@ -497,7 +501,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 	epochT := c.lastTEpoch
 	c.mu.Unlock()
 
-	garbage, garbageIDs := c.garbage[:0], c.garbageIDs[:0]
+	garbage, garbageIDs, abandoned := c.garbage[:0], c.garbageIDs[:0], c.abandoned[:0]
 	var dead []graph.VertexID
 
 	o := c.cfg.Obs
@@ -514,6 +518,11 @@ func (c *Collector) restructure(rep *CycleReport) {
 		case v.RCtx.StateAt(epochR) == graph.Unmarked:
 			garbage = append(garbage, v)
 			garbageIDs = append(garbageIDs, v.ID)
+			for i, a := range v.Args() {
+				if v.ReqKindAt(i) != graph.ReqNone {
+					abandoned = append(abandoned, request{v.ID, a})
+				}
+			}
 		case rep.MTRan &&
 			v.RCtx.PriorAt(epochR) == graph.PriorVital &&
 			v.Red.AllocEpochT < epochT &&
@@ -527,8 +536,24 @@ func (c *Collector) restructure(rep *CycleReport) {
 		}
 		v.Unlock()
 	})
-	c.garbage, c.garbageIDs = garbage, garbageIDs // keep what append grew
+	c.garbage, c.garbageIDs, c.abandoned = garbage, garbageIDs, abandoned // keep what append grew
 	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbage)))
+
+	// A garbage vertex's pending requests go with it: each child it awaits
+	// forgets it as a requester. A child that survives the sweep (another
+	// vertex needs its value, or it was allocated during the cycle) would
+	// otherwise keep a backlink to a freed vertex, which its next M_T would
+	// trace and its completion would answer with a Result to whatever the id
+	// is allocated to next. A garbage vertex awaits a value when a requester
+	// took the value through its indirection before it arrived (resolveWHNF
+	// follows an indirection that is still evaluating) and dropped it.
+	for _, r := range abandoned {
+		if w := c.store.Vertex(r.child); w != nil {
+			w.Lock()
+			w.RemoveRequester(r.requester)
+			w.Unlock()
+		}
+	}
 
 	// Expunge irrelevant tasks: every task whose destination is garbage
 	// (Property 6: IRR = {<s,d> | d ∈ GAR}). GAR was computed above, as

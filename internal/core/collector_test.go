@@ -21,7 +21,7 @@ import (
 // for the duration of a collector cycle (static-scenario stand-in for the
 // reduction engine).
 func parkReducer(mach *sched.Machine) sched.Handler {
-	return sched.HandlerFunc(func(t task.Task) {
+	return sched.HandlerFunc(func(_ int, t task.Task) {
 		if t.Kind == task.Demand {
 			mach.Spawn(t)
 		}
@@ -60,6 +60,36 @@ func TestCollectorReclaimsGarbage(t *testing.T) {
 	}
 	if r.store.IsFree(root.ID) || r.store.IsFree(live.ID) {
 		t.Fatal("live vertices were freed")
+	}
+}
+
+// TestSweepDropsAbandonedRequests: a garbage vertex's pending requests go
+// with it. A requester the root no longer reaches, still awaiting an operand
+// the root reaches another way (a consumer took the operand's value through
+// an indirection and dropped the requester), leaves the operand's requested
+// set when it is swept, so no live vertex keeps a backlink to a freed one.
+// A requester that is still live keeps its entry.
+func TestSweepDropsAbandonedRequests(t *testing.T) {
+	r, _ := newCollectorRig(t, 2, 1, CollectorConfig{})
+	root := r.vertex(graph.KindApply)
+	operand := r.vertex(graph.KindApply)
+	waiting := r.vertex(graph.KindApply)
+	abandoned := r.vertex(graph.KindApply)
+	r.edge(root, waiting, graph.ReqVital)
+	r.edge(waiting, operand, graph.ReqVital)
+	r.request(waiting, operand, graph.ReqVital)
+	r.edge(abandoned, operand, graph.ReqVital) // unreachable
+	r.request(abandoned, operand, graph.ReqVital)
+
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	if rep := col.RunCycle(); !rep.Completed || rep.Reclaimed != 1 || !r.store.IsFree(abandoned.ID) {
+		t.Fatalf("cycle %+v: want the abandoned requester, and only it, reclaimed", rep)
+	}
+	operand.Lock()
+	reqs := slices.Clone(operand.Requested())
+	operand.Unlock()
+	if len(reqs) != 1 || reqs[0].Src != waiting.ID {
+		t.Fatalf("operand's requesters after the sweep = %v, want only v%d", reqs, waiting.ID)
 	}
 }
 
@@ -355,8 +385,8 @@ func TestCollectorStepBound(t *testing.T) {
 	r.vertex(graph.KindApply) // garbage a completed cycle would reclaim
 	marking := NewDispatcher(r.marker, nil)
 	dropped := 0
-	r.mach.SetHandler(sched.HandlerFunc(func(tk task.Task) {
-		marking.Handle(tk)
+	r.mach.SetHandler(sched.HandlerFunc(func(pe int, tk task.Task) {
+		marking.Handle(pe, tk)
 		if dropped == 0 {
 			dropped = r.mach.Expunge(0, func(q task.Task) bool { return q.Kind == task.Return })
 		}
@@ -962,7 +992,7 @@ func TestCycleShapeIsModeFree(t *testing.T) {
 		// set, so both machines show M_T the same task pools.
 		var parked atomic.Bool
 		parked.Store(true)
-		r.mach.SetHandler(NewDispatcher(r.marker, sched.HandlerFunc(func(tk task.Task) {
+		r.mach.SetHandler(NewDispatcher(r.marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 			if tk.Kind == task.Demand && parked.Load() {
 				r.mach.Spawn(tk)
 			}

@@ -26,13 +26,13 @@ func NewDispatcher(marker *Marker, reducer sched.Handler) *Dispatcher {
 }
 
 // Handle implements sched.Handler.
-func (d *Dispatcher) Handle(t task.Task) {
+func (d *Dispatcher) Handle(pe int, t task.Task) {
 	if t.Kind.IsMarking() {
-		d.marker.Handle(t)
+		d.marker.Handle(pe, t)
 		return
 	}
 	if d.reducer != nil {
-		d.reducer.Handle(t)
+		d.reducer.Handle(pe, t)
 	}
 }
 
@@ -49,8 +49,8 @@ type Halter struct {
 func (h *Halter) Halt() { h.halted.Store(true) }
 
 // Handle implements sched.Handler.
-func (h *Halter) Handle(t task.Task) {
+func (h *Halter) Handle(pe int, t task.Task) {
 	if !h.halted.Load() {
-		h.Handler.Handle(t)
+		h.Handler.Handle(pe, t)
 	}
 }

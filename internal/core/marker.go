@@ -530,7 +530,7 @@ func (m *Marker) park(it item) {
 // continuation. A task that finds another PE draining the partition (a
 // thief's) leaves its item to that drainer and returns at once. Non-marking
 // tasks are ignored (the dispatcher routes them to the reduction engine).
-func (m *Marker) Handle(t task.Task) {
+func (m *Marker) Handle(_ int, t task.Task) {
 	if !t.Kind.IsMarking() {
 		return
 	}

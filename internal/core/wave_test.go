@@ -369,11 +369,11 @@ func BenchmarkMarkWave(b *testing.B) {
 				r.marker.budget = budget
 				var continuations int64
 				d := NewDispatcher(r.marker, nil)
-				r.mach.SetHandler(handlerFunc(func(t task.Task) {
+				r.mach.SetHandler(handlerFunc(func(pe int, t task.Task) {
 					if IsContinuation(t) {
 						continuations++
 					}
-					d.Handle(t)
+					d.Handle(pe, t)
 				}))
 				root := Root{ID: listOfLists(r, shape.outer, shape.inner).ID, Prior: graph.PriorVital}
 				r.runCycle(graph.CtxR, root) // warm: pools, lists, arena
@@ -393,9 +393,9 @@ func BenchmarkMarkWave(b *testing.B) {
 }
 
 // handlerFunc adapts a function to sched.Handler.
-type handlerFunc func(task.Task)
+type handlerFunc func(int, task.Task)
 
-func (f handlerFunc) Handle(t task.Task) { f(t) }
+func (f handlerFunc) Handle(pe int, t task.Task) { f(pe, t) }
 
 // TestWaveListMatchesSliceModel drives a drain — a wave and its return
 // register — and four plain slices, one per class, with the same random

@@ -267,7 +267,7 @@ func runMTFreq(cfg Config) (*Table, error) {
 			PartOf: sc2.Store.PartitionOf, Counters: counters2,
 		})
 		marker := core.NewMarker(sc2.Store, mach, counters2)
-		mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(tk task.Task) {
+		mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 			if tk.Kind == task.Demand {
 				mach.Spawn(tk)
 			}

@@ -29,7 +29,7 @@ func scenarioMachine(sc *workload.Scenario, seed int64) (*sched.Machine, *core.M
 		PartOf: sc.Store.PartitionOf, Counters: counters,
 	})
 	marker := core.NewMarker(sc.Store, mach, counters)
-	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(tk task.Task) {
+	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Kind == task.Demand {
 			mach.Spawn(tk)
 		}

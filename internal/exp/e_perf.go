@@ -61,11 +61,11 @@ func runScale(cfg Config) (*Table, error) {
 		}
 		perPE := make([]padded, pes)
 		dispatch := core.NewDispatcher(marker, nil)
-		mach.SetHandler(sched.HandlerFunc(func(tk task.Task) {
+		mach.SetHandler(sched.HandlerFunc(func(pe int, tk task.Task) {
 			if tk.Kind == task.Mark {
 				perPE[store.PartitionOf(tk.Dst)].n++
 			}
-			dispatch.Handle(tk)
+			dispatch.Handle(pe, tk)
 		}))
 		mach.Start()
 

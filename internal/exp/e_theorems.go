@@ -35,7 +35,7 @@ func newMarkRig(pes int, capacity int, seed int64) *markRig {
 		PartOf: store.PartitionOf, Counters: counters,
 	})
 	marker := core.NewMarker(store, mach, counters)
-	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(tk task.Task) {
+	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Kind == task.Demand {
 			mach.Spawn(tk)
 		}

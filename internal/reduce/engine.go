@@ -22,14 +22,16 @@ import (
 	"dgr/internal/task"
 )
 
-// inlineBudget is how many steps one execution runs on its destination
-// vertex after its own, continuing the reduction in place, before it hands
-// the rest to the scheduler as a Reduce task (DESIGN §8, "A reduction
-// continues in place", has the chain lengths it was chosen from). It bounds
-// how long a task keeps its PE from the collector and the halter: a
-// reduction that never waits on another vertex, such as
+// inlineBudget is how many steps one execution runs in place after its own
+// task's first: steps on the vertex it is reducing, continuing the reduction
+// in place, and hand-offs, the local demands and results it runs instead of
+// spawning them. Past it, a continuation is spawned as a Reduce task and a
+// demand or result as itself (DESIGN §8, "A reduction continues in place"
+// and "A local demand or result runs in place", have the measurements it was
+// chosen from). It bounds how long a task keeps its PE from the collector
+// and the halter: a reduction that never waits on another vertex, such as
 // loop n = loop (n + 1), still yields every inlineBudget+1 steps.
-const inlineBudget = 16
+const inlineBudget = 64
 
 // maxIndChain bounds indirection-chain resolution; a longer chain is
 // treated as unresolvable (a cyclic knot such as letrec x = x), which
@@ -110,6 +112,21 @@ type Engine struct {
 	budget int
 }
 
+// execution is one task's execution on a PE: the engine, and what the
+// execution may still run in place. The step functions, which reach the
+// three hand-off sites (request, complete and reply), are its methods.
+// Handle keeps it on its stack, so no two executions share one.
+type execution struct {
+	*Engine
+	pe int
+	// left is how many steps the execution may still run in place: inline
+	// steps on its task's vertex and hand-offs draw on it alike.
+	left int
+	// handed reports a pending hand-off, which the machine holds in the PE's
+	// slot until Handle takes it.
+	handed bool
+}
+
 var _ sched.Handler = (*Engine)(nil)
 
 // New builds an engine.
@@ -126,8 +143,8 @@ func New(store *graph.Store, mach *sched.Machine, mut *core.Mutator, cfg Config)
 }
 
 // SetInlineBudget replaces inlineBudget, for tests, before the engine runs a
-// task. At 0 every continuation is a Reduce task: the schedule of an engine
-// that does not continue in place.
+// task. At 0 every continuation is a Reduce task and every demand and result
+// is spawned: the schedule of an engine that runs nothing in place.
 func (e *Engine) SetInlineBudget(n int) { e.budget = n }
 
 // ResolveBottomProbes implements footnote 5's is-bottom pseudo-function:
@@ -171,7 +188,8 @@ func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.Vertex
 		if !isProbe {
 			continue
 		}
-		e.finishBool(v, true)
+		// Outside any execution: nothing runs in place.
+		(&execution{Engine: e}).finishBool(v, true)
 		resolved = append(resolved, p)
 	}
 	return resolved
@@ -284,41 +302,80 @@ func (e *Engine) publishTrace(t task.Task) {
 	v.Unlock()
 }
 
-// Handle implements sched.Handler for reduction tasks. A step that leaves
-// its vertex needing another reports it (the handlers' "again" result) and
-// Handle runs that step itself, up to the budget, counting it with the
-// machine (AddSteps); past the budget it spawns the step as a Reduce task.
-// Every continuation is on t.Dst, the vertex the executing task names: the
-// PE slot publishes it to M_T's root snapshot for the whole execution, and
-// the verdict watch noted the task when it was popped.
-func (e *Engine) Handle(t task.Task) {
-	if t.Trace != 0 {
-		e.publishTrace(t)
+// Handle implements sched.Handler for reduction tasks, executing t on PE pe.
+// A step that leaves its vertex needing another reports it (the handlers'
+// "again" result) and Handle runs that step itself; past the budget it
+// spawns the step as a Reduce task. Every continuation is on t.Dst, the
+// vertex the running task names: the PE slot publishes it to M_T's root
+// snapshot for as long as it runs, and the verdict watch noted it when it
+// was popped or handed off. When the task's steps are done, Handle runs the
+// pending hand-off, if a step left one (handOff), as the PE's next task.
+// Inline steps and hand-offs share the budget and are counted with the
+// machine as steps (AddSteps).
+func (e *Engine) Handle(pe int, t task.Task) {
+	x := &execution{Engine: e, pe: pe, left: e.budget}
+	steps := 0
+	for {
+		if t.Trace != 0 {
+			e.publishTrace(t)
+		}
+		var again bool
+		switch t.Kind {
+		case task.Demand:
+			again = x.handleDemand(t)
+		case task.Result, task.Reduce:
+			again = x.step(t.Dst)
+		}
+		for ; again && x.left > 0; x.left-- {
+			steps++
+			again = x.step(t.Dst)
+		}
+		if again {
+			e.spawn(task.Task{Kind: task.Reduce, Dst: t.Dst})
+		}
+		if !x.handed {
+			break
+		}
+		x.handed = false
+		steps++
+		t = e.mach.TakeHandOff(pe)
 	}
-	var again bool
-	switch t.Kind {
-	case task.Demand:
-		again = e.handleDemand(t)
-	case task.Result, task.Reduce:
-		again = e.step(t.Dst)
+	if steps > 0 {
+		e.mach.AddSteps(steps)
 	}
-	n := 0
-	for ; again && n < e.budget; n++ {
-		again = e.step(t.Dst)
+}
+
+// handOff sends t, a demand or result a step of this execution spawns, or
+// runs it later in the execution instead: a hand-off (DESIGN §8, "A local
+// demand or result runs in place"). It hands off a task in the vital band (a
+// vital demand, or a result) whose destination is on the executing PE's
+// partition (the store's, which the machine routes by), while the execution
+// has budget left and no hand-off pending; the hand-off spends one step of
+// the budget. Any other task is spawned. A hand-off pays what a spawn pays
+// but the pool: the machine stamps it, notes it against the verdict watch
+// and publishes it in the PE's slot (sched.Machine.HandOff) before it
+// cooperates with M_T, so the caller may move the edge it travels on as it
+// would after a spawn.
+func (e *execution) handOff(t task.Task) {
+	if e.left == 0 || e.handed || (t.Kind == task.Demand && t.Req != graph.ReqVital) ||
+		e.store.PartitionOf(t.Dst) != e.pe {
+		e.spawn(t)
+		return
 	}
-	if n > 0 {
-		e.mach.AddSteps(n)
+	e.left--
+	e.handed = true
+	if e.cfg.Tracing && t.Trace == 0 {
+		e.inheritTrace(&t)
 	}
-	if again {
-		e.spawn(task.Task{Kind: task.Reduce, Dst: t.Dst})
-	}
+	e.mach.HandOff(e.pe, t)
+	e.mut.CoopTaskSpawn(t.Src, t.Dst)
 }
 
 // ---- demand handling ----
 
 // handleDemand executes a demand and reports whether its destination needs
 // a reduction step: it has just started evaluating.
-func (e *Engine) handleDemand(t task.Task) bool {
+func (e *execution) handleDemand(t task.Task) bool {
 	v := e.store.Vertex(t.Dst)
 	if v == nil {
 		return false
@@ -368,12 +425,12 @@ func (e *Engine) handleDemand(t task.Task) bool {
 }
 
 // reply sends v's (already WHNF) value to a single requester or root waiter.
-func (e *Engine) reply(v *graph.Vertex, src graph.VertexID) {
+func (e *execution) reply(v *graph.Vertex, src graph.VertexID) {
 	if src == graph.NilVertex {
 		e.notifyRoot(v)
 		return
 	}
-	e.spawn(task.Task{Kind: task.Result, Src: v.ID, Dst: src})
+	e.handOff(task.Task{Kind: task.Result, Src: v.ID, Dst: src})
 }
 
 // complete finishes v's evaluation: replies to every requester (removing
@@ -385,8 +442,10 @@ func (e *Engine) reply(v *graph.Vertex, src graph.VertexID) {
 // subtree holds the only live tasks), so removing it first would leave
 // the requester task-unreachable until the spawn lands — an unbounded
 // window under goroutine preemption, and a false-deadlock source. The
-// queued Result (Dst = requester) covers it through the transition.
-func (e *Engine) complete(v *graph.Vertex) {
+// queued Result (Dst = requester) covers it through the transition; a
+// handed-off one does from the PE's slot. The Result to the last requester on
+// the executing PE's partition is the one complete may hand off.
+func (e *execution) complete(v *graph.Vertex) {
 	v.Lock()
 	if !e.whnfLocked(v) {
 		v.Unlock()
@@ -398,12 +457,26 @@ func (e *Engine) complete(v *graph.Vertex) {
 	reqs := append(buf[:0], v.Requested()...)
 	v.Unlock()
 
-	for _, r := range reqs {
+	last := -1
+	if e.left > 0 && !e.handed {
+		for i := len(reqs) - 1; i >= 0; i-- {
+			if e.store.PartitionOf(reqs[i].Src) == e.pe {
+				last = i
+				break
+			}
+		}
+	}
+	for i, r := range reqs {
 		src := e.store.Vertex(r.Src)
 		if src == nil {
 			continue
 		}
-		e.spawn(task.Task{Kind: task.Result, Src: v.ID, Dst: r.Src})
+		t := task.Task{Kind: task.Result, Src: v.ID, Dst: r.Src}
+		if i == last {
+			e.handOff(t)
+		} else {
+			e.spawn(t)
+		}
 		e.mut.CompleteRequest(src, v)
 	}
 	e.notifyRoot(v)
@@ -448,20 +521,20 @@ func (e *Engine) demandKind(v *graph.Vertex) graph.ReqKind {
 }
 
 // demandFrom spawns a demand from parent for child's value, then records
-// the request kind on the parent's edge. The spawn MUST come first: the
-// model's invariant is that "a task has been spawned on each element of
-// req-args(v)", and moving the edge into req-args removes the child from
-// C(parent) — M_T stops tracing it downward — so from that instant the
-// demand task is the child's only carrier of task-reachability. Setting
-// the edge first opens a window (unbounded, if this goroutine is
-// preempted) in which the child is covered by neither the parent's edge
-// nor any task, and the deadlock detector confirms it as a false
-// positive. Spawning first only over-covers: until the edge moves, the
-// child is traced both via C(parent) and via the queued task. If the edge
-// vanished under a concurrent rewrite the spawned demand is moot but
-// harmless (the handler tolerates it). Already-requested edges are not
-// re-demanded unless the kind is being upgraded.
-func (e *Engine) demandFrom(parent *graph.Vertex, childID graph.VertexID, kind graph.ReqKind) {
+// the request kind on the parent's edge (request). The spawn MUST come
+// first: the model's invariant is that "a task has been spawned on each
+// element of req-args(v)", and moving the edge into req-args removes the
+// child from C(parent) — M_T stops tracing it downward — so from that
+// instant the demand task is the child's only carrier of
+// task-reachability. Setting the edge first opens a window (unbounded, if
+// this goroutine is preempted) in which the child is covered by neither
+// the parent's edge nor any task, and the deadlock detector confirms it as
+// a false positive. Spawning first only over-covers: until the edge moves,
+// the child is traced both via C(parent) and via the queued (or handed-off)
+// task. If the edge vanished under a concurrent rewrite the spawned demand
+// is moot but harmless (the handler tolerates it). Already-requested edges
+// are not re-demanded unless the kind is being upgraded.
+func (e *execution) demandFrom(parent *graph.Vertex, childID graph.VertexID, kind graph.ReqKind) {
 	child := e.store.Vertex(childID)
 	if child == nil {
 		return
@@ -472,8 +545,7 @@ func (e *Engine) demandFrom(parent *graph.Vertex, childID graph.VertexID, kind g
 	if cur >= kind && cur != graph.ReqNone {
 		return // already requested at sufficient urgency
 	}
-	e.spawn(task.Task{Kind: task.Demand, Src: parent.ID, Dst: childID, Req: kind})
-	e.mut.SetRequestKind(parent, child, kind)
+	e.request(parent, parent, child, kind)
 }
 
 // demandOperand demands a strict operand of a compiled-super redex on
@@ -484,7 +556,7 @@ func (e *Engine) demandFrom(parent *graph.Vertex, childID graph.VertexID, kind g
 // saturated apply. Inner spines can be shared between several saturated
 // applications, so duplicate-demand suppression keys on the child's
 // requester list (per requester), not on the owning edge.
-func (e *Engine) demandOperand(v *graph.Vertex, ownerID, childID graph.VertexID, kind graph.ReqKind) {
+func (e *execution) demandOperand(v *graph.Vertex, ownerID, childID graph.VertexID, kind graph.ReqKind) {
 	if ownerID == v.ID {
 		e.demandFrom(v, childID, kind)
 		return
@@ -507,7 +579,14 @@ func (e *Engine) demandOperand(v *graph.Vertex, ownerID, childID graph.VertexID,
 	// only task-reachability carrier, so it must already be queued. The
 	// edge may have vanished under a concurrent rewrite of the spine; the
 	// demand is still sound (v re-collects the spine when re-stepped).
-	e.spawn(task.Task{Kind: task.Demand, Src: v.ID, Dst: childID, Req: kind})
+	e.request(v, owner, child, kind)
+}
+
+// request sends v's demand for child's value at kind, handing it off if it
+// may (handOff), then records kind on owner's edge to child: the demand is
+// published, queued or pending, before the edge moves into req-args.
+func (e *execution) request(v, owner, child *graph.Vertex, kind graph.ReqKind) {
+	e.handOff(task.Task{Kind: task.Demand, Src: v.ID, Dst: child.ID, Req: kind})
 	e.mut.SetRequestKind(owner, child, kind)
 }
 
@@ -571,7 +650,7 @@ func (e *Engine) resolveWHNF(id graph.VertexID) (*graph.Vertex, bool) {
 // which case the vertex is deadlocked and M_T/M_R will say so). It reports
 // whether id needs another step at once (a rewrite left it a new redex, or
 // it changed underfoot), which Handle runs; so do the step functions below.
-func (e *Engine) step(id graph.VertexID) bool {
+func (e *execution) step(id graph.VertexID) bool {
 	v := e.store.Vertex(id)
 	if v == nil {
 		return false
@@ -602,7 +681,7 @@ func (e *Engine) step(id graph.VertexID) bool {
 	return false
 }
 
-func (e *Engine) stepInd(v *graph.Vertex) bool {
+func (e *execution) stepInd(v *graph.Vertex) bool {
 	v.Lock()
 	args := v.Args()
 	if v.Kind != graph.KindInd || len(args) == 0 {
@@ -709,7 +788,7 @@ func (e *Engine) collectSpine(f *graph.Vertex, buf *spineBuf) (head *graph.Verte
 	return cur, sp, true, false
 }
 
-func (e *Engine) stepApply(v *graph.Vertex) bool {
+func (e *execution) stepApply(v *graph.Vertex) bool {
 	v.Lock()
 	if v.Kind != graph.KindApply {
 		v.Unlock()
@@ -767,7 +846,7 @@ func (e *Engine) stepApply(v *graph.Vertex) bool {
 // WHNF function with the given head and spine) saturates a redex, and
 // contracts it if so. It consumes sp: the redex's own operand is appended in
 // place.
-func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.VertexID) bool {
+func (e *execution) applySaturation(v, head *graph.Vertex, sp spine, argID graph.VertexID) bool {
 	ops := append(sp.ops, argID)
 	owners := append(sp.owners, v.ID)
 	head.Lock()
@@ -869,7 +948,7 @@ func (e *Engine) applySaturation(v, head *graph.Vertex, sp spine, argID graph.Ve
 }
 
 // markPartial records that v is an under-applied (hence WHNF) application.
-func (e *Engine) markPartial(v *graph.Vertex) {
+func (e *execution) markPartial(v *graph.Vertex) {
 	v.Lock()
 	v.WHNF = true
 	v.Unlock()

@@ -17,7 +17,7 @@ func (e *Engine) operand(v *graph.Vertex, i int) (graph.VertexID, bool) {
 
 // needValue resolves operand i to a WHNF vertex, demanding it with the
 // given kind if not yet available. Returns (vertex, true) when ready.
-func (e *Engine) needValue(v *graph.Vertex, i int, kind graph.ReqKind) (*graph.Vertex, bool) {
+func (e *execution) needValue(v *graph.Vertex, i int, kind graph.ReqKind) (*graph.Vertex, bool) {
 	op, ok := e.operand(v, i)
 	if !ok {
 		return nil, false
@@ -48,7 +48,7 @@ func (e *Engine) literal(v, w *graph.Vertex, want graph.Kind) (int64, bool) {
 }
 
 // finishLeaf relabels v to a literal leaf and completes it.
-func (e *Engine) finishLeaf(v *graph.Vertex, kind graph.Kind, val int64) {
+func (e *execution) finishLeaf(v *graph.Vertex, kind graph.Kind, val int64) {
 	e.mut.RelabelLeaf(v, kind, val)
 	v.Lock()
 	v.WHNF = true
@@ -60,7 +60,7 @@ func (e *Engine) finishLeaf(v *graph.Vertex, kind graph.Kind, val int64) {
 }
 
 // finishBool is finishLeaf for booleans.
-func (e *Engine) finishBool(v *graph.Vertex, b bool) {
+func (e *execution) finishBool(v *graph.Vertex, b bool) {
 	var n int64
 	if b {
 		n = 1
@@ -87,7 +87,7 @@ func (e *Engine) collapseToOperand(v *graph.Vertex, i int) bool {
 }
 
 // stepPrimApp reduces a flattened primitive application.
-func (e *Engine) stepPrimApp(v *graph.Vertex) bool {
+func (e *execution) stepPrimApp(v *graph.Vertex) bool {
 	v.Lock()
 	if v.Kind != graph.KindPrimApp {
 		v.Unlock()
@@ -165,7 +165,7 @@ func (e *Engine) stepPrimApp(v *graph.Vertex) bool {
 // — by the one rule graph's table holds for it. Every operand is demanded
 // before any is tested, so the operands evaluate in parallel; they are then
 // type-checked in order.
-func (e *Engine) stepValuePrim(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
+func (e *execution) stepValuePrim(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) {
 	var w [2]*graph.Vertex
 	n, ready := p.Arity(), true
 	for i := 0; i < n; i++ {
@@ -196,7 +196,7 @@ func (e *Engine) stepValuePrim(v *graph.Vertex, p graph.Prim, kind graph.ReqKind
 // eagerly requested while the predicate computes (§3.2's eager tasks);
 // once the predicate resolves, the dead branch is dereferenced — making
 // any tasks already working on it irrelevant.
-func (e *Engine) stepIf(v *graph.Vertex, kind graph.ReqKind) bool {
+func (e *execution) stepIf(v *graph.Vertex, kind graph.ReqKind) bool {
 	if e.cfg.SpeculativeIf {
 		for _, i := range []int{1, 2} {
 			if op, ok := e.operand(v, i); ok {
@@ -292,7 +292,7 @@ func (e *Engine) stepSpec(v *graph.Vertex) bool {
 	return e.collapseToOperand(v, 1)
 }
 
-func (e *Engine) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) bool {
+func (e *execution) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKind) bool {
 	w, ok := e.needValue(v, 0, kind)
 	if !ok {
 		return false

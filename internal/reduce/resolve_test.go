@@ -26,8 +26,9 @@ func TestResolveWHNFDecidesUnderOneHold(t *testing.T) {
 		fired = true
 		// The other PE: I 5 contracts to an indirection, whose own step finds
 		// the 5 and marks the indirection WHNF.
+		other := &execution{Engine: r.engine, pe: 1}
 		for i := 0; i < 4; i++ {
-			r.engine.step(operand.ID)
+			other.step(operand.ID)
 		}
 		operand.Lock()
 		kind, whnf := operand.Kind, operand.WHNF

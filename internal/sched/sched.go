@@ -50,18 +50,20 @@ const (
 // ErrNotRunning is returned by operations that require Start in Parallel mode.
 var ErrNotRunning = errors.New("sched: machine not running")
 
-// Handler executes one task. Implementations (the marking engine and the
-// reduction engine, composed by internal/core's dispatcher) call back into
-// Machine.Spawn to propagate work.
+// Handler executes one task on processing element pe. Implementations (the
+// marking engine and the reduction engine, composed by internal/core's
+// dispatcher) call back into Machine.Spawn to propagate work, or into
+// Machine.HandOff to run a task of pe's own partition later in the same
+// execution.
 type Handler interface {
-	Handle(t task.Task)
+	Handle(pe int, t task.Task)
 }
 
 // HandlerFunc adapts a function to Handler.
-type HandlerFunc func(task.Task)
+type HandlerFunc func(pe int, t task.Task)
 
 // Handle implements Handler.
-func (f HandlerFunc) Handle(t task.Task) { f(t) }
+func (f HandlerFunc) Handle(pe int, t task.Task) { f(pe, t) }
 
 // Watch observes the machine for reduction activity touching a fixed vertex
 // set. The collector arms one over each pending (unconfirmed) deadlock
@@ -183,9 +185,9 @@ type Machine struct {
 	wakeAt atomic.Uint64
 	wake   chan struct{}
 
-	// current[i] publishes PE i's in-execution task, so M_T's troot
-	// snapshot cannot miss a task that is neither queued nor finished.
-	// Each slot is a preallocated per-PE struct guarded by its own (padded)
+	// current[i] publishes PE i's in-execution task and its pending hand-off,
+	// so M_T's troot snapshot cannot miss a task that is neither queued nor
+	// finished. Each slot is a preallocated per-PE struct guarded by its own
 	// lock, which a deterministic machine's slots skip (see curSlot): the
 	// previous atomic.Pointer design forced every execution to heap-allocate
 	// a task copy for the pointer to point at — one allocation per task on
@@ -208,21 +210,24 @@ type Machine struct {
 	wg   sync.WaitGroup
 }
 
-// curSlot is one PE's in-execution task slot. Padding keeps neighboring
-// PEs' slots off each other's cache lines (each PE writes its slot twice
-// per task: the publish at the pop, the retire when the task is done). execs
-// rides along under the same per-PE lock: it is the PE's execution count,
-// incremented by the publish, and read (rarely) by ExecutionsByPE for
-// balance reporting. A deterministic machine's slots are serial, like its
-// pools: its one goroutine is the only writer, and its owner fences the
-// readers.
+// curSlot is one PE's in-execution task slot, two cache lines long, which
+// keeps neighboring PEs' slots off each other's lines (each PE writes its
+// slot twice per task: the publish at the pop, the retire when the task is
+// done). execs rides along under the same per-PE lock: it is the PE's
+// execution count, incremented by the publish, and read (rarely) by
+// ExecutionsByPE for balance reporting. next is the PE's pending hand-off
+// (HandOff), beside the running task t. A deterministic machine's slots are
+// serial, like its pools: its one goroutine is the only writer, and its
+// owner fences the readers.
 type curSlot struct {
 	mu lock.Mutex
-	// valid follows mu so that it fills the padding after mu's mode bit.
-	valid bool
-	t     task.Task
-	execs uint64
-	_     [16]byte
+	// valid and handing follow mu so that they fill the padding after mu's
+	// mode bit.
+	valid, handing bool
+	t, next        task.Task
+	execs          uint64
+	// started is when t began to run, for a traced t; only the PE touches it.
+	started int64
 }
 
 // publish makes t the PE's in-execution task and counts its execution. Every
@@ -470,7 +475,9 @@ func (m *Machine) WaitSteps(n uint64, stop <-chan struct{}) bool {
 // execute runs one task through the handler, with accounting. pe is the
 // executing processing element, whose slot already publishes t (curSlot's
 // publish), so a taskpool snapshot (M_T's troot) cannot miss a task that is
-// neither queued nor finished; execute retires it when it is done.
+// neither queued nor finished; execute retires it, or the last hand-off the
+// handler took in its place, when it is done. The hand-offs run inside this
+// execution: the schedule (OnExecute) and the execution count see t alone.
 func (m *Machine) execute(pe int, t task.Task) {
 	seq := m.execSeq.Add(1) - 1
 	if w := m.wakeAt.Load(); w != 0 && seq+1+m.inline.Load() >= w {
@@ -495,21 +502,66 @@ func (m *Machine) execute(pe int, t task.Task) {
 	if t.Trace != 0 {
 		traceStart = obs.Now()
 	}
-	m.cfg.Obs.TaskStart(pe)
-	m.handler.Handle(t)
-	m.cfg.Obs.TaskEnd(pe, uint8(t.Kind), uint64(t.Src), uint64(t.Dst))
-	if t.Trace != 0 {
-		m.cfg.Obs.Lineage().Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
-			pe, t.Born, traceStart, obs.Now())
-	}
 	slot := &m.current[pe]
+	slot.started = traceStart
+	m.cfg.Obs.TaskStart(pe)
+	m.handler.Handle(pe, t)
+	m.cfg.Obs.TaskEnd(pe, uint8(t.Kind), uint64(t.Src), uint64(t.Dst))
+	// The slot's task is t, or the last hand-off the handler took.
+	last := slot.t
 	slot.mu.Lock()
 	slot.valid = false
 	slot.mu.Unlock()
+	m.traceExec(pe, last, slot.started)
 	m.release(1)
 	if fn := m.cfg.AfterExecute; fn != nil {
 		fn(seq, pe, t)
 	}
+}
+
+// traceExec records the lineage exec span of a traced task that ran on PE pe
+// from start until now.
+func (m *Machine) traceExec(pe int, t task.Task, start int64) {
+	if t.Trace != 0 {
+		m.cfg.Obs.Lineage().Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
+			pe, t.Born, start, obs.Now())
+	}
+}
+
+// HandOff makes t PE pe's pending hand-off: a task of pe's own partition
+// that the handler executing on pe runs later in the same execution
+// (TakeHandOff) instead of spawning it. A hand-off pays what Spawn pays but
+// the pool and the message count: a traced task is stamped, the armed watch
+// notes it, and the slot publishes it beside the running task, under the
+// slot lock, so M_T's troot snapshot (EachCurrent) sees it from this instant
+// as it would see a queued task. One hand-off may be pending on a PE, and
+// the handler must take it before it returns.
+func (m *Machine) HandOff(pe int, t task.Task) {
+	m.stampTrace(&t)
+	if w := m.watch.Load(); w != nil {
+		w.Note(t)
+	}
+	s := &m.current[pe]
+	s.mu.Lock()
+	s.next, s.handing = t, true
+	s.mu.Unlock()
+}
+
+// TakeHandOff makes PE pe's pending hand-off the PE's running task, retiring
+// the task that ran before it, and returns it. The handler runs it, and
+// counts it as a step of the execution (AddSteps).
+func (m *Machine) TakeHandOff(pe int) task.Task {
+	s := &m.current[pe]
+	prev := s.t
+	s.mu.Lock()
+	t := s.next
+	s.t, s.handing = t, false
+	s.mu.Unlock()
+	m.traceExec(pe, prev, s.started)
+	if t.Trace != 0 {
+		s.started = obs.Now()
+	}
+	return t
 }
 
 // wakeUp wakes WaitSteps's waiter.
@@ -611,17 +663,21 @@ func (m *Machine) InTransit() int64 {
 // Fabric returns the wired-in fabric, or nil.
 func (m *Machine) Fabric() *fabric.Fabric { return m.fab }
 
-// EachCurrent calls fn for every task currently being executed by a PE
-// (none in deterministic mode when called between steps), one PE slot at a
-// time, outside the slot's lock.
+// EachCurrent calls fn for every task currently being executed by a PE and
+// every pending hand-off (none in deterministic mode when called between
+// steps), one PE slot at a time, outside the slot's lock.
 func (m *Machine) EachCurrent(fn func(task.Task)) {
 	for i := range m.current {
 		s := &m.current[i]
 		s.mu.Lock()
 		t, ok := s.t, s.valid
+		next, handing := s.next, s.handing
 		s.mu.Unlock()
 		if ok {
 			fn(t)
+		}
+		if handing {
+			fn(next)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,7 @@ func partMod(n int) func(graph.VertexID) int {
 func TestDeterministicStepExecutesAll(t *testing.T) {
 	m := New(Config{PEs: 4, Mode: Deterministic, Seed: 1, PartOf: partMod(4)})
 	var executed []graph.VertexID
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		executed = append(executed, tk.Dst)
 	}))
 	for i := 1; i <= 20; i++ {
@@ -47,11 +48,12 @@ func TestDeterministicStepExecutesAll(t *testing.T) {
 
 // TestSerialModeFollowsMachine: a deterministic machine's pools and PE
 // slots take no lock, and a parallel machine's do. The slot's mode bit sits
-// in the padding after valid: curSlot is 88 bytes, the 48-byte task's
-// (task.TestTaskSize) plus the lock, the count and the padding.
+// in the padding after valid: curSlot is 128 bytes, two cache lines, the
+// running task and the pending hand-off, 48 bytes each (task.TestTaskSize),
+// plus the lock, the count and the trace start.
 func TestSerialModeFollowsMachine(t *testing.T) {
-	if got := unsafe.Sizeof(curSlot{}); got != 88 {
-		t.Errorf("Sizeof(curSlot) = %d, want 88", got)
+	if got := unsafe.Sizeof(curSlot{}); got != 128 {
+		t.Errorf("Sizeof(curSlot) = %d, want 128", got)
 	}
 	for _, mode := range []Mode{Deterministic, Parallel} {
 		m := New(Config{PEs: 2, Mode: mode, PartOf: partMod(2)})
@@ -71,7 +73,7 @@ func TestDeterministicReproducible(t *testing.T) {
 	run := func(seed int64) []graph.VertexID {
 		m := New(Config{PEs: 3, Mode: Deterministic, Seed: seed, Adversarial: true, PartOf: partMod(3)})
 		var order []graph.VertexID
-		m.SetHandler(HandlerFunc(func(tk task.Task) {
+		m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 			order = append(order, tk.Dst)
 			// Fan out some follow-up work.
 			if tk.Dst < 10 {
@@ -111,7 +113,7 @@ func TestDeterministicReproducible(t *testing.T) {
 func TestSpawnFromHandler(t *testing.T) {
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 7, PartOf: partMod(2)})
 	var count int
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		count++
 		if tk.Dst < 100 {
 			m.Spawn(task.Task{Kind: task.Reduce, Dst: tk.Dst + 1})
@@ -127,7 +129,7 @@ func TestSpawnFromHandler(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	m := New(Config{PEs: 1, Mode: Deterministic, Seed: 1, PartOf: partMod(1)})
 	var count, inline int
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		count++
 		if inline > 0 {
 			m.AddSteps(inline)
@@ -155,7 +157,7 @@ func TestRunUntil(t *testing.T) {
 func TestMessageCounters(t *testing.T) {
 	var c metrics.Counters
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Counters: &c})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 
 	// Src 1 (PE 1) → Dst 2 (PE 0): remote.
 	m.Spawn(task.Task{Kind: task.Reduce, Src: 1, Dst: 2})
@@ -180,7 +182,7 @@ func TestParallelMode(t *testing.T) {
 	var count atomic.Int64
 	var mu sync.Mutex
 	perPE := map[int]int{}
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		count.Add(1)
 		mu.Lock()
 		perPE[int(tk.Dst)%4]++
@@ -216,7 +218,7 @@ func TestParallelMode(t *testing.T) {
 // (AddSteps), so 1003 executions are 2006 steps.
 func TestWaitExecutions(t *testing.T) {
 	m := New(Config{PEs: 4, Mode: Parallel, PartOf: partMod(4)})
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Dst < 1000 {
 			m.Spawn(task.Task{Kind: task.Reduce, Src: tk.Dst, Dst: tk.Dst + 4})
 		}
@@ -249,7 +251,7 @@ func TestWaitExecutions(t *testing.T) {
 
 func TestParallelStopIdempotent(t *testing.T) {
 	m := New(Config{PEs: 2, Mode: Parallel, PartOf: partMod(2)})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	m.Start()
 	m.Start() // second start is a no-op
 	m.Stop()
@@ -288,7 +290,7 @@ func TestWaitQuiescentDeterministic(t *testing.T) {
 	// Regression: WaitQuiescent used to be a silent no-op in deterministic
 	// mode even with tasks queued; it must report actual quiescence.
 	m := New(Config{PEs: 1, Mode: Deterministic, Seed: 1, PartOf: partMod(1)})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	if !m.WaitQuiescent() {
 		t.Fatal("empty machine reported non-quiescent")
 	}
@@ -305,7 +307,7 @@ func TestWaitQuiescentDeterministic(t *testing.T) {
 func TestExecuteMatching(t *testing.T) {
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2)})
 	var got []graph.VertexID
-	m.SetHandler(HandlerFunc(func(tk task.Task) { got = append(got, tk.Dst) }))
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) { got = append(got, tk.Dst) }))
 	for i := 1; i <= 6; i++ {
 		m.Spawn(task.Task{Kind: task.Reduce, Dst: graph.VertexID(i)})
 	}
@@ -335,7 +337,7 @@ func TestExecuteMatching(t *testing.T) {
 func TestMarkTaskCounters(t *testing.T) {
 	var c metrics.Counters
 	m := New(Config{PEs: 1, Mode: Deterministic, Seed: 1, PartOf: partMod(1), Counters: &c})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	m.Spawn(task.Task{Kind: task.Mark, Dst: 1})
 	m.Spawn(task.Task{Kind: task.Return, Dst: 1})
 	m.RunToQuiescence(0)
@@ -347,7 +349,7 @@ func TestMarkTaskCounters(t *testing.T) {
 
 func TestExpungeAccounting(t *testing.T) {
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2)})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	for i := 1; i <= 10; i++ {
 		m.Spawn(task.Task{Kind: task.Demand, Dst: graph.VertexID(i), Req: graph.ReqVital})
 	}
@@ -375,7 +377,7 @@ func TestCurrentTasksParallel(t *testing.T) {
 	m := New(Config{PEs: 2, Mode: Parallel, PartOf: partMod(2)})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Dst == 1 {
 			started <- struct{}{}
 			<-release
@@ -409,7 +411,7 @@ func TestSpawnPlacementLocality(t *testing.T) {
 	// a pointless network transit per M_T root).
 	var c metrics.Counters
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Counters: &c})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 
 	// Sourceless spawns of every kind, on both partitions: all local.
 	m.Spawn(task.Task{Kind: task.Demand, Dst: 1, Req: graph.ReqVital})
@@ -434,7 +436,7 @@ func TestSpawnPlacementSourcelessBypassesFabric(t *testing.T) {
 	// travels between partitions for a host-injected task.
 	fab := fabric.New(fabric.Config{PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: time.Hour})
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Fabric: fab})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	for i := 1; i <= 6; i++ {
 		m.Spawn(task.Task{Kind: task.Demand, Dst: graph.VertexID(i), Req: graph.ReqVital})
 	}
@@ -460,7 +462,7 @@ func TestFabricDeterministicExactlyOnce(t *testing.T) {
 	m := New(Config{PEs: 4, Mode: Deterministic, Seed: 11, PartOf: partMod(4),
 		Counters: &c, Fabric: fab})
 	var executed atomic.Int64
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		executed.Add(1)
 		// Fan out one remote hop per task until id 400.
 		if tk.Dst < 400 {
@@ -503,7 +505,7 @@ func TestFabricDeterministicReproducible(t *testing.T) {
 		m := New(Config{PEs: 3, Mode: Deterministic, Seed: 21, PartOf: partMod(3),
 			Counters: &c, Fabric: fab})
 		var sum atomic.Int64
-		m.SetHandler(HandlerFunc(func(tk task.Task) {
+		m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 			sum.Add(int64(tk.Dst))
 			if tk.Dst < 200 {
 				m.Spawn(task.Task{Kind: task.Demand, Src: tk.Dst, Dst: tk.Dst + 2, Req: graph.ReqVital})
@@ -533,7 +535,7 @@ func TestFabricParallelDelivery(t *testing.T) {
 	})
 	m := New(Config{PEs: 4, Mode: Parallel, PartOf: partMod(4), Counters: &c, Fabric: fab})
 	var count atomic.Int64
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		count.Add(1)
 		if tk.Dst < 1000 {
 			m.Spawn(task.Task{Kind: task.Demand, Src: tk.Dst, Dst: tk.Dst + 1, Req: graph.ReqVital})
@@ -561,7 +563,7 @@ func TestStopEmptiesFabric(t *testing.T) {
 	})
 	m := New(Config{PEs: 2, Mode: Parallel, PartOf: partMod(2), Fabric: fab})
 	var count atomic.Int64
-	m.SetHandler(HandlerFunc(func(task.Task) { count.Add(1) }))
+	m.SetHandler(HandlerFunc(func(int, task.Task) { count.Add(1) }))
 	m.Start()
 	m.Spawn(task.Task{Kind: task.Demand, Src: 2, Dst: 1, Req: graph.ReqVital})
 	m.Stop()
@@ -578,7 +580,7 @@ func TestFabricExpungeInTransit(t *testing.T) {
 		PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: time.Hour,
 	})
 	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Fabric: fab})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	// Remote demands park in the outbox (huge batch + deadline).
 	for i := 0; i < 6; i++ {
 		m.Spawn(task.Task{Kind: task.Demand, Src: 2, Dst: graph.VertexID(2*i + 1), Req: graph.ReqVital})
@@ -612,7 +614,7 @@ func TestStealBalancesSkewedLoad(t *testing.T) {
 	m := New(Config{PEs: 4, Mode: Parallel, Steal: true,
 		PartOf: func(graph.VertexID) int { return 0 }, Counters: &c})
 	var count atomic.Int64
-	m.SetHandler(HandlerFunc(func(tk task.Task) {
+	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		count.Add(1)
 		// Simulated work so the queue stays non-empty long enough to steal.
 		time.Sleep(50 * time.Microsecond)
@@ -652,7 +654,7 @@ func TestStealNotesWatch(t *testing.T) {
 	// moving a watched task between pools must touch the armed watch even
 	// though the task never executes.
 	m := New(Config{PEs: 2, Mode: Parallel, Steal: true, PartOf: partMod(2)})
-	m.SetHandler(HandlerFunc(func(task.Task) {}))
+	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	// Queue directly (machine not started: nothing pops).
 	m.Pool(0).Push(task.Task{Kind: task.Demand, Dst: 42, Req: graph.ReqVital})
 	m.Pool(0).Push(task.Task{Kind: task.Demand, Dst: 43, Req: graph.ReqVital})
@@ -690,7 +692,7 @@ func TestStealUnderWatchStress(t *testing.T) {
 		m := New(Config{PEs: 4, Mode: Parallel, Steal: true,
 			PartOf: func(graph.VertexID) int { return 0 }, Counters: &c})
 		executed := make(chan graph.VertexID, 1024)
-		m.SetHandler(HandlerFunc(func(tk task.Task) {
+		m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 			if tk.Kind.IsReduction() {
 				executed <- tk.Dst
 			}
@@ -717,5 +719,81 @@ func TestStealUnderWatchStress(t *testing.T) {
 		if !w.Touched() {
 			t.Fatalf("round %d: watch never touched despite watched spawns", round)
 		}
+	}
+}
+
+// TestPendingHandOffIsCurrent: a hand-off is in its PE's slot from the
+// instant it is made. EachCurrent yields it beside the running task until the
+// handler takes it, and then as the running task until the execution ends;
+// the armed watch notes it as it would a spawn. On a parallel machine another
+// goroutine reads the slot while the handler waits.
+func TestPendingHandOffIsCurrent(t *testing.T) {
+	for _, mode := range []Mode{Deterministic, Parallel} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			m := New(Config{PEs: 2, Mode: mode, PartOf: partMod(2)})
+			first := task.Task{Kind: task.Demand, Src: 2, Dst: 4, Req: graph.ReqVital}
+			next := task.Task{Kind: task.Result, Src: 4, Dst: 6}
+			w := NewWatch([]graph.VertexID{6})
+			m.SetWatch(w)
+			current := func() []task.Task {
+				var ts []task.Task
+				m.EachCurrent(func(tk task.Task) { ts = append(ts, tk) })
+				return ts
+			}
+			// look reads the slots: from the handler on a seeded machine, from
+			// this goroutine while the handler waits on a parallel one.
+			var seen [][]task.Task
+			record := func() { seen = append(seen, current()) }
+			look := record
+			if mode == Parallel {
+				ask, done := make(chan struct{}), make(chan struct{})
+				go func() {
+					for range ask {
+						record()
+						done <- struct{}{}
+					}
+				}()
+				defer close(ask)
+				look = func() {
+					ask <- struct{}{}
+					<-done
+				}
+			}
+			var took task.Task
+			var touched bool
+			m.SetHandler(HandlerFunc(func(pe int, tk task.Task) {
+				if w.Touched() {
+					t.Errorf("watch touched before the hand-off")
+				}
+				m.HandOff(pe, next)
+				touched = w.Touched()
+				look()
+				took = m.TakeHandOff(pe)
+				look()
+			}))
+			m.Spawn(first)
+			if mode == Parallel {
+				m.Start()
+				m.WaitQuiescent()
+				m.Stop()
+			} else if !m.Step() {
+				t.Fatal("nothing ran")
+			}
+			look()
+			if !touched {
+				t.Error("the hand-off did not touch the armed watch")
+			}
+			if took != next {
+				t.Errorf("TakeHandOff = %v, want %v", took, next)
+			}
+			// Compared as printed: the pool sets a queued task's band.
+			want := [][]task.Task{{first, next}, {next}, nil}
+			if fmt.Sprint(seen) != fmt.Sprint(want) {
+				t.Errorf("EachCurrent at the hand-off, after the take and after the execution = %v, want %v", seen, want)
+			}
+			if got := m.Executions(); got != 1 {
+				t.Errorf("%d executions, want 1: a hand-off runs inside its execution", got)
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ func runScenario(t *testing.T, sc *Scenario) (core.CycleReport, *metrics.Counter
 		PartOf: sc.Store.PartitionOf, Counters: counters,
 	})
 	marker := core.NewMarker(sc.Store, mach, counters)
-	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(tk task.Task) {
+	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Kind == task.Demand {
 			mach.Spawn(tk) // park reduction tasks
 		}
