@@ -234,7 +234,6 @@ type Machine struct {
 	opts      Options
 	store     *graph.Store
 	mach      *sched.Machine
-	halter    *core.Halter // parallel machines: what Close stops the tasks with
 	engine    *reduce.Engine
 	prog      *gm.Program
 	collector *core.Collector
@@ -377,8 +376,6 @@ func New(opts Options) *Machine {
 		Counters:      counters,
 		Tracing:       ob.Lineage() != nil,
 	})
-	var handler sched.Handler = core.NewDispatcher(marker, engine)
-	var halter *core.Halter
 	var collector *core.Collector // late-bound, as the checker hooks are
 	collCfg := core.CollectorConfig{
 		MTEvery: opts.MTEvery,
@@ -399,11 +396,7 @@ func New(opts Options) *Machine {
 		collCfg.AfterCycle = checker.AtCycleEnd
 		collCfg.AfterPhase = checker.AtPhaseEnd
 	}
-	if opts.Parallel {
-		halter = &core.Halter{Handler: handler}
-		handler = halter
-	}
-	mach.SetHandler(handler)
+	mach.SetHandler(core.NewDispatcher(marker, engine))
 	collector = core.NewCollector(store, marker, mach, counters, collCfg)
 	if checker != nil {
 		// Late binding, as above: the checker's confirmed-verdict invariant
@@ -412,7 +405,7 @@ func New(opts Options) *Machine {
 	}
 	m := &Machine{
 		opts: opts, store: store, mach: mach,
-		halter: halter, engine: engine, prog: prog, collector: collector, counters: counters,
+		engine: engine, prog: prog, collector: collector, counters: counters,
 		fab: fab, checker: checker, recorder: recorder, obs: ob,
 	}
 	if checker != nil && ob != nil {
@@ -502,9 +495,9 @@ func (m *Machine) Close() {
 			m.checker.AtQuiescence()
 		}
 		// What is still queued is abandoned, not run: a divergent evaluation
-		// (or speculation no collector expunges now) would never drain.
-		m.halter.Halt()
-		m.mach.Stop() // also closes the fabric, emptying its custody
+		// (or speculation no collector expunges now) would never drain. Stop
+		// also closes the fabric, emptying its custody into the pools first.
+		m.mach.Stop()
 	} else if m.fab != nil {
 		m.fab.Close()
 	}

@@ -71,9 +71,6 @@ func TestEvalCorpusMarksOnce(t *testing.T) {
 
 func TestEvalCorpusSpeculative(t *testing.T) {
 	for name, p := range workload.Programs {
-		if name == "primes" || name == "churn" {
-			continue // speculative infinite-list programs need many GC rounds; covered in benches
-		}
 		t.Run(name, func(t *testing.T) {
 			m := New(Options{PEs: 4, Seed: 3, SpeculativeIf: true, GCInterval: 3000})
 			defer m.Close()

@@ -355,4 +355,8 @@ func TestCloseWakesParallelEval(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close still running after 10 s")
 	}
+	// The runaway's queued tasks were abandoned, not run.
+	if n := m.mach.Inflight(); n != 0 {
+		t.Errorf("Inflight() = %d after Close, want 0", n)
+	}
 }

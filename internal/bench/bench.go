@@ -3,10 +3,9 @@
 // it to emit the JSON consumed by CI (and checked in as BENCH_0.json so
 // perf regressions diff against a recorded baseline).
 //
-// The suite mirrors the root bench_test.go microbenchmarks: end-to-end
-// reduction per corpus program on the deterministic 4-PE machine, the
-// fib scaling sweep in parallel mode, and a single GC cycle over a live
-// heap. Measurement follows the testing package's recipe — ramp the
+// The suite is end-to-end reduction per corpus program on the
+// deterministic 4-PE machine, the fib scaling sweep in parallel mode, and a
+// single GC cycle over a live heap. Measurement follows the testing package's recipe — ramp the
 // iteration count until the timed loop exceeds the target benchtime,
 // with ns/op from wall time and allocs/op from runtime.MemStats deltas.
 package bench

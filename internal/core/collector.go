@@ -324,7 +324,7 @@ func (c *Collector) mtDue(n int64) bool {
 // knows how the machine is driven.
 //
 // A stopped collector runs none and returns a zero report: the machine under
-// it is being halted, and a phase whose marks are dropped never finishes.
+// it is being stopped, and a phase whose marks are abandoned never finishes.
 func (c *Collector) RunCycle() CycleReport {
 	c.pauseMu.Lock()
 	defer c.pauseMu.Unlock()
@@ -770,7 +770,7 @@ func (c *Collector) markExecutions() uint64 {
 
 // Stop waits out the cycle in progress, if any, and ends the collection loop;
 // from then on RunCycle runs nothing. It must be called before the machine
-// is halted, or that cycle's phase never finishes.
+// is stopped, or that cycle's phase never finishes.
 func (c *Collector) Stop() {
 	c.pauseMu.Lock()
 	c.stopped = true

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"dgr/internal/sched"
 	"dgr/internal/task"
 )
@@ -33,24 +31,5 @@ func (d *Dispatcher) Handle(pe int, t task.Task) {
 	}
 	if d.reducer != nil {
 		d.reducer.Handle(pe, t)
-	}
-}
-
-// Halter is a handler with a stop: after Halt every task is a no-op. A
-// parallel machine being closed halts before it stops its PEs — they leave
-// only once their pools are empty, and a divergent reduction, or speculation
-// nobody expunges any more, would keep refilling them for ever.
-type Halter struct {
-	sched.Handler
-	halted atomic.Bool
-}
-
-// Halt stops the handler.
-func (h *Halter) Halt() { h.halted.Store(true) }
-
-// Handle implements sched.Handler.
-func (h *Halter) Handle(pe int, t task.Task) {
-	if !h.halted.Load() {
-		h.Handler.Handle(pe, t)
 	}
 }

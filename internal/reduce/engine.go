@@ -29,7 +29,7 @@ import (
 // demand or result as itself (DESIGN §8, "A reduction continues in place"
 // and "A local demand or result runs in place", have the measurements it was
 // chosen from). It bounds how long a task keeps its PE from the collector
-// and the halter: a reduction that never waits on another vertex, such as
+// and from a stopping machine: a reduction that never waits on another vertex, such as
 // loop n = loop (n + 1), still yields every inlineBudget+1 steps.
 const inlineBudget = 64
 

@@ -8,9 +8,11 @@
 //     non-empty PE (seeded), pops one task and executes it. Every
 //     interleaving of marking and mutation is reproducible from the seed,
 //     which the concurrency property tests exploit.
-//   - Parallel: one goroutine per PE, blocking on its pool. This is the
-//     "real" distributed execution used by examples and throughput
-//     benchmarks.
+//   - Parallel: one goroutine per PE, one loop each: it pops from its own
+//     pool, steals from the most-loaded peer when Config.Steal is set, and
+//     parks on its pool with a timed wait. This is the "real" distributed
+//     execution used by examples and throughput benchmarks. Stop abandons
+//     what is still queued instead of running it.
 //
 // Task spawns crossing a partition boundary are remote messages. Without a
 // fabric they are pushed straight into the destination pool and merely
@@ -201,13 +203,11 @@ type Machine struct {
 	stepScratch []int
 
 	// watch is the collector's armed re-animation watch, nil when no
-	// deadlock verdict is pending. The spawn/deliver hot paths pay one
-	// atomic pointer load for it; the pop path pays a nil func check
-	// (the pool hooks are installed only while a watch is armed).
+	// deadlock verdict is pending. The spawn, deliver, pop and steal paths
+	// pay one atomic pointer load for it.
 	watch atomic.Pointer[Watch]
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // curSlot is one PE's in-execution task slot, two cache lines long, which
@@ -283,17 +283,19 @@ func New(cfg Config) *Machine {
 		// and the current slots second, so with the pop-time publish every
 		// task is in at least one view at every instant. It is the task's one
 		// publish: execute leaves the slot alone until the task is done.
-		m.pools[i].SetOnTake(m.current[i].publish)
+		slot := &m.current[i]
+		m.pools[i].SetOnTake(func(t task.Task) {
+			m.note(t)
+			slot.publish(t)
+		})
 	}
 	if cfg.Fabric != nil {
 		m.fab = cfg.Fabric
 		m.fab.SetDeliver(func(pe int, ts []task.Task) {
 			// A delivery can re-animate a vertex under a pending deadlock
 			// verdict; note it before the batch becomes poppable.
-			if w := m.watch.Load(); w != nil {
-				for _, t := range ts {
-					w.Note(t)
-				}
+			for _, t := range ts {
+				m.note(t)
 			}
 			m.pools[pe].PushBatch(ts)
 		})
@@ -302,20 +304,18 @@ func New(cfg Config) *Machine {
 }
 
 // SetWatch arms (or, with nil, clears) the re-animation watch over the task
-// flow. While armed, every spawned, delivered, and popped task is noted
-// against it. The pop-side note runs under the pool lock — the same lock
-// M_T's taskpool snapshot (Pool.Each) takes — so for any task the snapshot
-// either still sees it queued or the watch already saw it popped; the
-// window in which a task is in neither view (popped but not yet published
-// as executing) cannot hide a re-animation from the verdict judge.
-func (m *Machine) SetWatch(w *Watch) {
-	m.watch.Store(w)
-	var fn func(task.Task)
-	if w != nil {
-		fn = w.Note
-	}
-	for _, p := range m.pools {
-		p.SetOnPop(fn)
+// flow. While armed, every spawned, delivered, handed-off, popped, and stolen
+// task is noted against it. The pop- and steal-side notes run under the pool
+// locks — the locks M_T's taskpool snapshot (EachQueued) takes — so for any
+// task the snapshot either still sees it queued or the watch already saw it
+// leave; the window in which a task is in neither view (popped but not yet
+// published as executing) cannot hide a re-animation from the verdict judge.
+func (m *Machine) SetWatch(w *Watch) { m.watch.Store(w) }
+
+// note records one task event against the armed watch, if any.
+func (m *Machine) note(t task.Task) {
+	if w := m.watch.Load(); w != nil {
+		w.Note(t)
 	}
 }
 
@@ -372,9 +372,7 @@ func (m *Machine) originOf(t task.Task) int {
 // destination pool.
 func (m *Machine) Spawn(t task.Task) {
 	m.stampTrace(&t)
-	if w := m.watch.Load(); w != nil {
-		w.Note(t)
-	}
+	m.note(t)
 	dst := m.PartOf(t.Dst)
 	origin := m.originOf(t)
 	remote := origin != dst
@@ -538,9 +536,7 @@ func (m *Machine) traceExec(pe int, t task.Task, start int64) {
 // the handler must take it before it returns.
 func (m *Machine) HandOff(pe int, t task.Task) {
 	m.stampTrace(&t)
-	if w := m.watch.Load(); w != nil {
-		w.Note(t)
-	}
+	m.note(t)
 	s := &m.current[pe]
 	s.mu.Lock()
 	s.next, s.handing = t, true
@@ -739,10 +735,11 @@ func (m *Machine) ExecuteMatching(pe int, pred func(task.Task) bool, exec task.T
 		return false
 	}
 	// TryPopWhere publishes nothing: the slot shows exec, the task the log
-	// names, not the pooled copy.
+	// names, not the pooled copy, and the watch notes it.
 	if _, ok := m.pools[pe].TryPopWhere(pred); !ok {
 		return false
 	}
+	m.note(exec)
 	m.current[pe].publish(exec)
 	m.execute(pe, exec)
 	return true
@@ -785,7 +782,6 @@ func (m *Machine) Start() {
 		return
 	}
 	m.running = true
-	m.stop = make(chan struct{})
 	m.mu.Unlock()
 
 	if m.fab != nil {
@@ -797,63 +793,50 @@ func (m *Machine) Start() {
 	}
 }
 
+// peLoop is PE i's worker loop: its own pool first, then, with stealing on,
+// the most-loaded peer, then a timed park on its own pool with backoff. The
+// park must be timed when stealing: a push only wakes the owning pool's
+// waiter, so a PE blocked for good on its pool would never notice a peer's
+// queue growing with partition-local work — exactly the hot-partition
+// pattern (fib's spine on one partition) that stealing exists to flatten.
+// The PE leaves when its pool is closed.
 func (m *Machine) peLoop(i int) {
 	defer m.wg.Done()
-	o := m.cfg.Obs
-	if !m.cfg.Steal {
-		for {
-			t, ok := m.pools[i].TryPop()
-			if !ok {
-				// About to block: close the open execution-batch span so the
-				// trace shows the busy interval ending here, then wait.
-				o.PEIdle(i)
-				if t, ok = m.pools[i].PopWait(); !ok {
-					return
-				}
-			}
-			m.execute(i, t)
-		}
-	}
-	// Stealing loop: own pool first, then the most-loaded peer, then a timed
-	// park with backoff. The park must be timed, not indefinite: a push only
-	// wakes the owning pool's waiter, so a PE blocked forever in PopWait
-	// would never notice a peer's queue growing with partition-local work —
-	// exactly the hot-partition pattern (fib's spine on one partition) that
-	// stealing exists to flatten.
-	park := stealParkMin
+	pool := m.pools[i]
+	park := parkMin
 	for {
-		t, ok := m.pools[i].TryPop()
-		if !ok && m.stealFor(i) {
-			t, ok = m.pools[i].TryPop()
+		t, ok := pool.TryPop()
+		if !ok && m.cfg.Steal && m.stealFor(i) {
+			t, ok = pool.TryPop()
 		}
 		if !ok {
 			if c := m.cfg.Counters; c != nil {
 				c.IdlePolls.Add(1)
 			}
-			o.PEIdle(i)
+			// About to park: close the open execution-batch span so the trace
+			// shows the busy interval ending here.
+			m.cfg.Obs.PEIdle(i)
 			var closed bool
-			t, ok, closed = m.pools[i].PopWaitFor(park)
+			t, ok, closed = pool.PopWaitFor(park)
 			if closed {
 				return
 			}
 			if !ok {
-				if park < stealParkMax {
-					park *= 2
-				}
+				park = min(2*park, parkMax)
 				continue
 			}
 		}
-		park = stealParkMin
+		park = parkMin
 		m.execute(i, t)
 	}
 }
 
-// Stealing pacing: an idle PE re-scans peers after parking on its own pool
-// for park, doubling from stealParkMin to stealParkMax while nothing turns
-// up so a genuinely quiescent machine does not spin.
+// Park pacing: an idle PE re-scans its pool (and, stealing, its peers) after
+// parking for park, doubling from parkMin to parkMax while nothing
+// turns up so a genuinely quiescent machine does not spin.
 const (
-	stealParkMin = 50 * time.Microsecond
-	stealParkMax = 2 * time.Millisecond
+	parkMin = 50 * time.Microsecond
+	parkMax = 2 * time.Millisecond
 	// stealBatch caps the number of tasks one steal moves.
 	stealBatch = 32
 )
@@ -876,22 +859,21 @@ func (m *Machine) stealFor(pe int) bool {
 		return false
 	}
 	batch := min(best/2, stealBatch)
-	// For traced tasks, a steal is a causal hop worth a span: it explains
-	// why the task's remaining queue wait happened on the thief's pool.
-	var each func(task.Task)
-	if s := m.cfg.Obs.Lineage(); s != nil {
-		each = func(t task.Task) {
-			if t.Trace == 0 {
-				return
-			}
-			now := obs.Now()
-			s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
-				Parent: t.Span(), Name: "steal", Cat: obs.CatSteal, PE: pe,
-				Start: now, End: now, N: int64(victim),
-				Note: fmt.Sprintf("victim=%d thief=%d", victim, pe)})
+	// A steal is a pop as far as a pending deadlock verdict is concerned, and
+	// for traced tasks a causal hop worth a span: it explains why the task's
+	// remaining queue wait happened on the thief's pool.
+	s := m.cfg.Obs.Lineage()
+	n := m.pools[victim].StealInto(m.pools[pe], batch, func(t task.Task) {
+		m.note(t)
+		if t.Trace == 0 || s == nil {
+			return
 		}
-	}
-	n := m.pools[victim].StealInto(m.pools[pe], batch, each)
+		now := obs.Now()
+		s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
+			Parent: t.Span(), Name: "steal", Cat: obs.CatSteal, PE: pe,
+			Start: now, End: now, N: int64(victim),
+			Note: fmt.Sprintf("victim=%d thief=%d", victim, pe)})
+	})
 	if n == 0 {
 		return false
 	}
@@ -902,9 +884,11 @@ func (m *Machine) stealFor(pe int) bool {
 	return true
 }
 
-// Stop shuts the PE goroutines down after their pools drain of already
-// popped tasks, and waits for them to exit. Remaining queued tasks are
-// executed before each PE notices the close (Pool.PopWait drains first).
+// Stop shuts the PE goroutines down and waits for them to exit. Each PE
+// finishes the task it is executing and leaves at its next pop; what is
+// still queued is abandoned, not run — a divergent evaluation would refill
+// its pool for ever — and expunged once every PE has left, so Inflight is
+// then 0.
 func (m *Machine) Stop() {
 	m.mu.Lock()
 	if !m.running {
@@ -922,6 +906,9 @@ func (m *Machine) Stop() {
 		p.Close()
 	}
 	m.wg.Wait()
+	for i := range m.pools {
+		m.Expunge(i, func(task.Task) bool { return true })
+	}
 }
 
 // WaitQuiescent blocks until no tasks are queued or executing and reports

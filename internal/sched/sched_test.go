@@ -556,7 +556,8 @@ func TestFabricParallelDelivery(t *testing.T) {
 
 // TestStopEmptiesFabric: Stop closes the fabric before the pools, and Close
 // lands every batch in custody however far off its arrival is, so the
-// stopped machine leaves no task on the wire and runs the one it had.
+// stopped machine leaves no task on the wire; Stop abandons what is queued,
+// so nothing is in flight and the task never ran.
 func TestStopEmptiesFabric(t *testing.T) {
 	fab := fabric.New(fabric.Config{
 		PEs: 2, Parallel: true, Seed: 1, BatchSize: 1, LinkLatency: time.Hour,
@@ -570,8 +571,11 @@ func TestStopEmptiesFabric(t *testing.T) {
 	if n := m.Fabric().Pending(); n != 0 {
 		t.Fatalf("Pending() = %d after Stop, want 0", n)
 	}
-	if got := count.Load(); got != 1 {
-		t.Fatalf("executed %d tasks, want the one remote task", got)
+	if n := m.Inflight(); n != 0 {
+		t.Fatalf("Inflight() = %d after Stop, want 0", n)
+	}
+	if got := count.Load(); got != 0 {
+		t.Fatalf("executed %d tasks, want none: Stop abandons queued work", got)
 	}
 }
 
@@ -655,25 +659,27 @@ func TestStealNotesWatch(t *testing.T) {
 	// though the task never executes.
 	m := New(Config{PEs: 2, Mode: Parallel, Steal: true, PartOf: partMod(2)})
 	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
-	// Queue directly (machine not started: nothing pops).
-	m.Pool(0).Push(task.Task{Kind: task.Demand, Dst: 42, Req: graph.ReqVital})
+	// Queue directly (machine not started: nothing pops). A steal takes
+	// half the victim's queue from its tail: here the watched task.
 	m.Pool(0).Push(task.Task{Kind: task.Demand, Dst: 43, Req: graph.ReqVital})
+	m.Pool(0).Push(task.Task{Kind: task.Demand, Dst: 42, Req: graph.ReqVital})
 	w := NewWatch([]graph.VertexID{42})
 	m.SetWatch(w)
 	if w.Touched() {
 		t.Fatal("watch touched before any activity")
 	}
-	if n := m.Pool(0).StealInto(m.Pool(1), 2, nil); n != 2 {
-		t.Fatalf("stole %d, want 2", n)
+	if !m.stealFor(1) || m.Pool(1).Len() != 1 {
+		t.Fatalf("stealFor moved %d tasks, want 1", m.Pool(1).Len())
 	}
 	if !w.Touched() {
 		t.Fatal("steal of a watched task did not touch the watch")
 	}
-	// Marking tasks must not touch a fresh watch, stolen or not.
+	// Marking tasks must not touch a fresh watch, stolen or not. The mark
+	// is in the highest band, so it is the one stolen.
 	w2 := NewWatch([]graph.VertexID{99})
 	m.SetWatch(w2)
 	m.Pool(0).Push(task.Task{Kind: task.Mark, Dst: 99})
-	if n := m.Pool(0).StealInto(m.Pool(1), 1, nil); n != 1 {
+	if !m.stealFor(1) || m.Pool(1).Len() != 2 {
 		t.Fatal("mark steal failed")
 	}
 	if w2.Touched() {

@@ -14,42 +14,39 @@ import (
 // destination resides on that PE. A pool from NewPool is safe for concurrent
 // use. A pool from NewSerialPool takes no lock: it belongs to a seeded
 // machine, whose one goroutine runs one task at a time and fences every
-// other reader with its owner lock, and it never blocks (PopWait and
-// PopWaitFor are for parallel PEs). Tasks are held in priority bands
-// (marking > vital > eager > reserve) with FIFO order within a band; each
-// band is a growable ring buffer, so the steady-state push/pop cycle of a
-// busy PE allocates nothing.
+// other reader with its owner lock, and it never blocks (PopWaitFor is for
+// a parallel PE, the pool's one blocking consumer). Tasks are held in
+// priority bands (marking > vital > eager > reserve) with FIFO order within a
+// band; each band is a growable ring buffer, so the steady-state push/pop
+// cycle of a busy PE allocates nothing.
 type Pool struct {
 	mu lock.Mutex
-	// closed stops blocking waiters. It follows mu so that it fills the
-	// padding after mu's mode bit: the bit costs the pool no space.
+	// closed makes the pool hand out nothing and wakes its waiter. It and
+	// waiting follow mu so that they fill the padding after mu's mode bit:
+	// the bit costs the pool no space.
 	closed bool
-	cond   *sync.Cond
-	bands  [numBands]ring
+	// waiting is set while the pool's consumer is blocked in PopWaitFor; a
+	// push signals only then. A pool has one blocking consumer, its own PE.
+	waiting bool
+	cond    *sync.Cond
+	bands   [numBands]ring
 	// n is the number of queued tasks. It changes only under mu, next to
 	// the ring operation it counts, and is atomic so that Len — which the
 	// deterministic scheduler calls on every pool every step — reads it
 	// without the lock.
 	n atomic.Int64
-	// waiters counts goroutines blocked in PopWait; wakeups are issued
-	// only when someone can actually consume them.
-	waiters int
-	// onPop, when set, observes every popped task while the pool lock is
-	// still held. Because Each holds the same lock, any observer that reads
-	// both is guaranteed one of the two views of a task: still queued (Each
-	// sees it) or already popped (onPop fired first). The collector's
-	// deadlock-verdict watch relies on this to close the window in which a
-	// popped-but-not-yet-published task is invisible to M_T's snapshot.
-	onPop func(Task)
 	// onTake, when set, observes every task consumed for execution — TryPop,
-	// TryPopRandom and the blocking pops — while the pool lock is still held.
-	// The scheduler uses it to publish the task as the owning PE's
-	// in-execution task before the pool lock is released: published any
-	// later, a task is invisible to both the queued-task snapshot and the
-	// current-task view for a while — a window a taskpool snapshot (M_T's
-	// troot) could land in. It does not fire for StealInto's moves (the task
-	// stays in pool custody) nor for the replayer's TryPopWhere, whose caller
-	// publishes the recorded task itself.
+	// TryPopRandom and PopWaitFor — while the pool lock is still held.
+	// Because Each holds the same lock, an observer that reads both sees
+	// every task in one of two views: still queued (Each) or taken (onTake
+	// fired first). The scheduler uses it to publish the task as the owning
+	// PE's in-execution task and to note it against an armed deadlock-verdict
+	// watch before the pool lock is released: published any later, a task is
+	// invisible to both the queued-task snapshot and the current-task view
+	// for a while — a window a taskpool snapshot (M_T's troot) could land in.
+	// It does not fire for StealInto's moves (the task stays in pool custody;
+	// the thief observes them through StealInto's each) nor for the
+	// replayer's TryPopWhere, whose caller publishes the recorded task itself.
 	onTake func(Task)
 	// seq is a process-global creation number; StealInto acquires the two
 	// pool locks in seq order so concurrent steals in opposite directions
@@ -77,16 +74,6 @@ func newPool(serial bool) *Pool {
 // Serial reports whether the pool came from NewSerialPool.
 func (p *Pool) Serial() bool { return p.mu.Serial() }
 
-// SetOnPop installs (or, with nil, clears) the pop observer. The hook runs
-// under the pool lock and must not call back into the pool. It is armed
-// only while a deadlock verdict is pending, so the steady-state pop path
-// pays a nil check.
-func (p *Pool) SetOnPop(fn func(Task)) {
-	p.mu.Lock()
-	p.onPop = fn
-	p.mu.Unlock()
-}
-
 // SetOnTake installs (or, with nil, clears) the consumption observer. The
 // hook runs under the pool lock for every task popped for execution (but
 // not for tasks moved by StealInto or taken by TryPopWhere) and must not
@@ -97,19 +84,10 @@ func (p *Pool) SetOnTake(fn func(Task)) {
 	p.mu.Unlock()
 }
 
-// Wakeup policy: every push wakes exactly as many waiters as it queued
-// tasks (capped at the number of goroutines actually blocked), via one
-// Signal per wakeable task. Signal wakes at most one waiter, each woken
-// waiter consumes at least one task or re-waits, so this is sufficient for
-// progress without Broadcast's thundering herd — a Broadcast on an n-PE
-// machine wakes n goroutines to fight over one pool lock even when only
-// one of them can pop. When no waiter is blocked, no wakeup is issued at
-// all.
-func (p *Pool) wake(pushed, waiters int) {
-	if waiters < pushed {
-		pushed = waiters
-	}
-	for i := 0; i < pushed; i++ {
+// wake wakes the pool's consumer if it is blocked; it takes what was
+// queued, or waits again.
+func (p *Pool) wake(waiting bool) {
+	if waiting {
 		p.cond.Signal()
 	}
 }
@@ -120,15 +98,14 @@ func (p *Pool) Push(t Task) {
 	p.mu.Lock()
 	p.bands[t.Band].push(t)
 	p.n.Add(1)
-	waiters := p.waiters
+	waiting := p.waiting
 	p.mu.Unlock()
-	p.wake(1, waiters)
+	p.wake(waiting)
 }
 
 // PushBatch enqueues a batch of tasks under one lock acquisition — the
 // amortization the inter-PE fabric's coalescing buys: a link delivers a
 // whole batch into the destination pool at the cost of a single message.
-// See wake for the wakeup policy (one Signal per consumable task).
 func (p *Pool) PushBatch(ts []Task) {
 	if len(ts) == 0 {
 		return
@@ -139,9 +116,9 @@ func (p *Pool) PushBatch(ts []Task) {
 		p.bands[t.Band].push(t)
 	}
 	p.n.Add(int64(len(ts)))
-	waiters := p.waiters
+	waiting := p.waiting
 	p.mu.Unlock()
-	p.wake(len(ts), waiters)
+	p.wake(waiting)
 }
 
 // Len returns the number of queued tasks.
@@ -160,7 +137,8 @@ func (p *Pool) BandLens() [NumBands]int {
 	return out
 }
 
-// TryPop removes and returns the highest-band task, FIFO within a band.
+// TryPop removes and returns the highest-band task, FIFO within a band. A
+// closed pool hands out nothing.
 func (p *Pool) TryPop() (Task, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -168,16 +146,13 @@ func (p *Pool) TryPop() (Task, bool) {
 }
 
 func (p *Pool) popLocked() (Task, bool) {
-	if p.n.Load() == 0 {
+	if p.closed || p.n.Load() == 0 {
 		return Task{}, false
 	}
 	for b := int(numBands) - 1; b >= 0; b-- {
 		if p.bands[b].len() > 0 {
 			p.n.Add(-1)
 			t := p.bands[b].popFront()
-			if p.onPop != nil {
-				p.onPop(t)
-			}
 			if p.onTake != nil {
 				p.onTake(t)
 			}
@@ -199,11 +174,7 @@ func (p *Pool) TryPopWhere(pred func(Task) bool) (Task, bool) {
 		for i := 0; i < r.len(); i++ {
 			if pred(*r.at(i)) {
 				p.n.Add(-1)
-				t := r.removeAt(i)
-				if p.onPop != nil {
-					p.onPop(t)
-				}
-				return t, true
+				return r.removeAt(i), true
 			}
 		}
 	}
@@ -225,9 +196,6 @@ func (p *Pool) TryPopRandom(rng *rand.Rand) (Task, bool) {
 		if k < p.bands[b].len() {
 			p.n.Add(-1)
 			t := p.bands[b].removeAt(k)
-			if p.onPop != nil {
-				p.onPop(t)
-			}
 			if p.onTake != nil {
 				p.onTake(t)
 			}
@@ -238,30 +206,13 @@ func (p *Pool) TryPopRandom(rng *rand.Rand) (Task, bool) {
 	return Task{}, false // unreachable
 }
 
-// PopWait blocks until a task is available or the pool is closed. The
-// second return is false only after Close.
-func (p *Pool) PopWait() (Task, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if t, ok := p.popLocked(); ok {
-			return t, true
-		}
-		if p.closed {
-			return Task{}, false
-		}
-		p.waiters++
-		p.cond.Wait()
-		p.waiters--
-	}
-}
-
 // PopWaitFor blocks until a task is available, the pool is closed, or d
 // elapses. closed is true only after Close; a (zero, false, false) return
-// means the wait timed out. The stealing PE loop uses it as a timed park:
-// park briefly on the own pool, and on timeout go back to scanning peers —
-// a plain PopWait would strand an idle PE forever while a neighbor's queue
-// grows with partition-local work it could have stolen.
+// means the wait timed out. A PE parks on its own pool with it: briefly, so
+// that a stealing PE goes back to scanning peers on timeout — an untimed
+// park would strand an idle PE while a neighbor's queue grows with
+// partition-local work it could have stolen. One goroutine at a time may
+// wait on a pool.
 func (p *Pool) PopWaitFor(d time.Duration) (t Task, ok bool, closed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -272,14 +223,13 @@ func (p *Pool) PopWaitFor(d time.Duration) (t Task, ok bool, closed bool) {
 		return Task{}, false, true
 	}
 	// sync.Cond has no timed wait; an AfterFunc flips a flag under the pool
-	// lock and broadcasts. The broadcast is rare (one per expired park) so
-	// the thundering herd the Signal policy avoids is not reintroduced.
+	// lock and signals.
 	expired := false
 	tm := time.AfterFunc(d, func() {
 		p.mu.Lock()
 		expired = true
 		p.mu.Unlock()
-		p.cond.Broadcast()
+		p.cond.Signal()
 	})
 	defer tm.Stop()
 	for {
@@ -292,9 +242,9 @@ func (p *Pool) PopWaitFor(d time.Duration) (t Task, ok bool, closed bool) {
 		if expired {
 			return Task{}, false, false
 		}
-		p.waiters++
+		p.waiting = true
 		p.cond.Wait()
-		p.waiters--
+		p.waiting = false
 	}
 }
 
@@ -303,17 +253,14 @@ func (p *Pool) PopWaitFor(d time.Duration) (t Task, ok bool, closed bool) {
 // pool locks are held for the transfer — acquired in pool-creation order so
 // opposite-direction steals cannot deadlock — which keeps every task in
 // pool custody throughout: an M_T taskpool snapshot (Each takes the same
-// locks) sees each task in exactly one of the two pools. p's onPop observer
-// fires for every stolen task, so an armed deadlock-verdict watch counts a
-// steal as reduction activity exactly like a pop; a task that leaves the
-// victim after its pool was snapshotted can therefore never silently escape
-// a pending verdict's re-animation veto.
+// locks) sees each task in exactly one of the two pools. each, when non-nil,
+// observes every moved task under the same locks: the scheduler notes it
+// against an armed deadlock-verdict watch there, so a steal counts as
+// reduction activity exactly like a pop, and records lineage steal spans.
 //
 // Tails, not heads: the victim keeps the oldest work in each band (what it
 // will pop next), and the stolen tasks retain their relative FIFO order at
 // the thief's tail.
-// each, when non-nil, additionally observes every moved task under the same
-// locks (the scheduler records lineage steal spans through it).
 func (p *Pool) StealInto(dst *Pool, max int, each func(Task)) int {
 	if p == dst || max <= 0 {
 		return 0
@@ -341,9 +288,6 @@ func (p *Pool) StealInto(dst *Pool, max int, each func(Task)) int {
 		start := r.len() - cnt
 		for i := 0; i < cnt; i++ {
 			t := *r.at(start + i)
-			if p.onPop != nil {
-				p.onPop(t)
-			}
 			if each != nil {
 				each(t)
 			}
@@ -355,7 +299,7 @@ func (p *Pool) StealInto(dst *Pool, max int, each func(Task)) int {
 	if moved > 0 {
 		p.n.Add(int64(-moved))
 		dst.n.Add(int64(moved))
-		dst.wake(moved, dst.waiters)
+		dst.wake(dst.waiting)
 	}
 	return moved
 }
@@ -395,13 +339,14 @@ func EachAcross(pools []*Pool, fn func(Task)) {
 	}
 }
 
-// Close wakes all blocked waiters; subsequent PopWait calls drain remaining
-// tasks and then return false.
+// Close makes the pool hand out nothing — no pop takes a task, PopWaitFor
+// returns closed at once — and wakes its waiter. Pushes still queue, and
+// Expunge still removes: the owner of a closed pool abandons what it holds.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	p.cond.Signal()
 }
 
 // Each calls fn for every queued task under the pool lock. fn must not call

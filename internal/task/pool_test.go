@@ -105,34 +105,28 @@ func TestPoolPopRandomExhaustive(t *testing.T) {
 	}
 }
 
+// TestPoolPopWaitClose: a closed pool returns closed at once and hands out
+// nothing although tasks are queued, and Expunge then empties it.
 func TestPoolPopWaitClose(t *testing.T) {
 	p := NewPool()
-	done := make(chan Task, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tk, ok := p.PopWait()
-		if ok {
-			done <- tk
-		}
-		close(done)
-	}()
-	p.Push(Task{Kind: Reduce, Dst: 42})
-	tk, ok := <-done
-	if !ok || tk.Dst != 42 {
-		t.Fatalf("PopWait = %v, %v", tk, ok)
-	}
-	wg.Wait()
-
-	// After Close, PopWait drains then reports closed.
 	p.Push(Task{Kind: Reduce, Dst: 1})
+	p.Push(Task{Kind: Reduce, Dst: 2})
 	p.Close()
-	if tk, ok := p.PopWait(); !ok || tk.Dst != 1 {
-		t.Fatalf("drain after close = %v, %v", tk, ok)
+	start := time.Now()
+	if tk, ok, closed := p.PopWaitFor(time.Hour); ok || !closed {
+		t.Fatalf("PopWaitFor on a closed pool = %v, %v, %v; want closed and no task", tk, ok, closed)
 	}
-	if _, ok := p.PopWait(); ok {
-		t.Fatal("PopWait on closed empty pool should report closed")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("PopWaitFor on a closed pool waited %v", d)
+	}
+	if tk, ok := p.TryPop(); ok {
+		t.Fatalf("TryPop on a closed pool handed out %v", tk)
+	}
+	if p.Len() != 2 {
+		t.Fatalf("Len = %d, want the 2 queued tasks", p.Len())
+	}
+	if n := p.Expunge(func(Task) bool { return true }); n != 2 || p.Len() != 0 {
+		t.Fatalf("Expunge removed %d, left %d; want 2 and 0", n, p.Len())
 	}
 }
 
@@ -149,11 +143,11 @@ func TestPoolEach(t *testing.T) {
 
 // TestSerialPoolTakesNoLock: a serial pool's Push, TryPop and Each run while
 // someone else holds its mutex, so they never take it; a default pool's wait
-// for it. The mode bit sits in the padding after closed: Pool stays 224
-// bytes.
+// for it. The mode bit sits in the padding after closed and waiting: Pool
+// is 208 bytes.
 func TestSerialPoolTakesNoLock(t *testing.T) {
-	if got := unsafe.Sizeof(Pool{}); got != 224 {
-		t.Errorf("Sizeof(Pool) = %d, want 224", got)
+	if got := unsafe.Sizeof(Pool{}); got != 208 {
+		t.Errorf("Sizeof(Pool) = %d, want 208", got)
 	}
 	for _, serial := range []bool{false, true} {
 		p := NewPool()
@@ -564,29 +558,28 @@ func TestPoolPushBatch(t *testing.T) {
 	}
 }
 
+// TestPoolPushBatchWakesWaiters: a PushBatch wakes the pool's parked
+// consumer, which takes the batch's first task.
 func TestPoolPushBatchWakesWaiters(t *testing.T) {
 	p := NewPool()
-	const waiters = 4
-	var wg sync.WaitGroup
-	got := make(chan Task, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if tk, ok := p.PopWait(); ok {
-				got <- tk
-			}
-		}()
-	}
-	batch := make([]Task, waiters)
+	got := make(chan Task, 1)
+	go func() {
+		if tk, ok, _ := p.PopWaitFor(time.Hour); ok {
+			got <- tk
+		}
+		close(got)
+	}()
+	time.Sleep(2 * time.Millisecond) // let it park
+	batch := make([]Task, 4)
 	for i := range batch {
 		batch[i] = Task{Kind: Demand, Dst: graph.VertexID(i + 1), Req: graph.ReqVital}
 	}
 	p.PushBatch(batch)
-	wg.Wait()
-	close(got)
-	if len(got) != waiters {
-		t.Fatalf("only %d of %d waiters woke", len(got), waiters)
+	if tk, ok := <-got; !ok || tk.Dst != 1 {
+		t.Fatalf("woken consumer took %v, %v; want dst 1", tk, ok)
+	}
+	if p.Len() != 3 {
+		t.Fatalf("Len = %d after one pop of a batch of 4", p.Len())
 	}
 }
 
@@ -599,18 +592,18 @@ func TestPoolStealInto(t *testing.T) {
 	for i := 11; i <= 13; i++ {
 		victim.Push(Task{Kind: Demand, Dst: graph.VertexID(i), Req: graph.ReqNone})
 	}
-	var popped []graph.VertexID
-	victim.SetOnPop(func(tk Task) { popped = append(popped, tk.Dst) })
+	var moved []graph.VertexID
+	each := func(tk Task) { moved = append(moved, tk.Dst) }
 
 	// Steal 2: from the tail of the highest band, FIFO order retained.
-	if n := victim.StealInto(thief, 2, nil); n != 2 {
+	if n := victim.StealInto(thief, 2, each); n != 2 {
 		t.Fatalf("stole %d, want 2", n)
 	}
 	if victim.Len() != 5 || thief.Len() != 2 {
 		t.Fatalf("lens after steal: victim=%d thief=%d, want 5/2", victim.Len(), thief.Len())
 	}
 	// Steal 3 more: the remaining vital tasks, then the reserve tail.
-	if n := victim.StealInto(thief, 3, nil); n != 3 {
+	if n := victim.StealInto(thief, 3, each); n != 3 {
 		t.Fatalf("second steal moved %d, want 3", n)
 	}
 	// Thief got the vital tail {3,4}, then vital {1,2}, then reserve {13};
@@ -630,16 +623,10 @@ func TestPoolStealInto(t *testing.T) {
 			t.Fatalf("victim pop %d = %v/%v, want dst %d", i, tk.Dst, ok, want)
 		}
 	}
-	// The victim's onPop observer saw every stolen task (the deadlock-verdict
-	// watch's veto path) and then the 2 regular pops.
-	if len(popped) != 7 {
-		t.Fatalf("onPop fired %d times, want 7 (5 stolen + 2 popped): %v", len(popped), popped)
-	}
-	wantStolen := []graph.VertexID{3, 4, 1, 2, 13}
-	for i, want := range wantStolen {
-		if popped[i] != want {
-			t.Fatalf("onPop order %v, stolen prefix should be %v", popped, wantStolen)
-		}
+	// The each observer saw the five stolen tasks (the deadlock-verdict
+	// watch's veto path) in the order they moved.
+	if !slices.Equal(moved, wantThief) {
+		t.Fatalf("each saw %v, want %v", moved, wantThief)
 	}
 }
 
