@@ -76,8 +76,8 @@ const detFib = `let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 12
 // reported digests.
 var goldenSchedules = map[string]string{
 	"seed=42/pes=1": "2066377946d064f4",
-	"seed=42/pes=4": "c7163f1b3ab7afa7",
-	"seed=7/pes=3":  "ce0de929bcaeaf82",
+	"seed=42/pes=4": "9b6b2342f24a554c",
+	"seed=7/pes=3":  "694ab5af51ef6e8a",
 }
 
 // TestScheduleDeterminismGolden asserts that fixed-seed deterministic runs
@@ -114,8 +114,8 @@ func TestScheduleDeterminismGolden(t *testing.T) {
 // the compiler's instruction selection.
 var goldenCompiledSchedules = map[string]string{
 	"seed=42/pes=1": "519d47b6589fd92b",
-	"seed=42/pes=4": "1c73b2eab5e57eeb",
-	"seed=7/pes=3":  "dfc8bede4f3f4fa4",
+	"seed=42/pes=4": "c90f507e573ce7cf",
+	"seed=7/pes=3":  "2b0b1d54b586ddc9",
 }
 
 // TestScheduleDeterminismCompiledGolden pins the compiled engine's
@@ -164,10 +164,10 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 // pool, and the restructure events inside the digest. What a partition's list
 // marks inline is not in the log — it shows in what the next task finds.
 var goldenCollectingSchedules = map[string]string{
-	"interp/seed=42/pes=4":   "8a7fce41eac0844c",
-	"interp/seed=7/pes=3":    "c45e379891cb0a71",
-	"compiled/seed=42/pes=4": "169ad4c09db53129",
-	"compiled/seed=7/pes=3":  "f69f6e906c7417b0",
+	"interp/seed=42/pes=4":   "04d52fe0ed0e9efa",
+	"interp/seed=7/pes=3":    "b32771960e8c91e6",
+	"compiled/seed=42/pes=4": "44303a5e3bc24bc6",
+	"compiled/seed=7/pes=3":  "b5058f5947e9fb06",
 }
 
 func collectingOptions(engine string, seed int64, pes int) dgr.Options {
@@ -230,15 +230,15 @@ var preInlineSchedules = []struct {
 	digest     string
 }{
 	{false, dgr.EngineInterp, 42, 1, "2c0f16ab1f92c60a"},
-	{false, dgr.EngineInterp, 42, 4, "61dbc67fc60e465b"},
-	{false, dgr.EngineInterp, 7, 3, "8a33f4748811e6fd"},
+	{false, dgr.EngineInterp, 42, 4, "e48dd2e49274d203"},
+	{false, dgr.EngineInterp, 7, 3, "15c43d9d6b2d6626"},
 	{false, dgr.EngineCompiled, 42, 1, "311ff46fddd489e7"},
-	{false, dgr.EngineCompiled, 42, 4, "ae9b782d3d2bb2c4"},
-	{false, dgr.EngineCompiled, 7, 3, "2f426320f12cb357"},
-	{true, dgr.EngineInterp, 42, 4, "75d308cb27035540"},
-	{true, dgr.EngineInterp, 7, 3, "c0ba81638dc92959"},
-	{true, dgr.EngineCompiled, 42, 4, "beb34ab6fa8a7c66"},
-	{true, dgr.EngineCompiled, 7, 3, "25df48137efa5994"},
+	{false, dgr.EngineCompiled, 42, 4, "3e96b4fa50e5754b"},
+	{false, dgr.EngineCompiled, 7, 3, "de920908a1410bd4"},
+	{true, dgr.EngineInterp, 42, 4, "f2d22b89fc028b60"},
+	{true, dgr.EngineInterp, 7, 3, "345efe02450f3e2b"},
+	{true, dgr.EngineCompiled, 42, 4, "d49809c5b1967b59"},
+	{true, dgr.EngineCompiled, 7, 3, "77f7b7a43724b89a"},
 }
 
 // TestScheduleAtBudgetZeroIsPreInline: with no step run in place, the

@@ -94,7 +94,7 @@ func runScale(cfg Config) (*Table, error) {
 			fmt.Sprintf("%.2fx", base/best.Seconds()))
 	}
 	t.Note("decentralized marking: no shared stack; work spreads over per-PE task pools")
-	t.Note("a mark is a task only where its arc crosses a partition (ids are dealt round-robin here, so (PEs-1)/PEs of a random graph's arcs do); arcs inside a partition are walked inline by the PE that popped the task")
+	t.Note("a mark is a task only where its arc crosses a partition (vertex i is allocated on partition i mod PEs here, so (PEs-1)/PEs of a random graph's arcs do); arcs inside a partition are walked inline by the PE that popped the task")
 	return t, nil
 }
 

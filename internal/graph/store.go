@@ -20,9 +20,10 @@ type Config struct {
 	// at least 1 and at most MaxPartitions.
 	Partitions int
 	// Capacity is the initial size of V: ids 1..Capacity are reserved as
-	// free vertices, spread round-robin across partitions (id i belongs to
-	// partition (i-1) mod Partitions). Reserving costs nothing; a vertex
-	// takes arena memory only once its segment is first touched.
+	// free vertices, dealt to the partitions in blocks of consecutive ids
+	// (reservedOwner), so that a partition's vertices sit side by side.
+	// Reserving costs nothing; a vertex takes arena memory only once its
+	// segment is first touched.
 	Capacity int
 	// FixedSize, when true, makes Alloc fail with ErrNoFreeVertices instead
 	// of growing the vertex arena when F is empty. The paper's model has a
@@ -90,9 +91,10 @@ func (seg *segment) clearUsed(i int) { seg.used[i>>6].And(^(uint64(1) << (i & 63
 
 // freeShard is one partition's slice of the free set F: its own lock and a
 // stack of ids. The bottom of the stack is implicit: the partition's
-// never-used ids part+1+k*parts for k < virgin, popped highest-first —
-// exactly the stack a store that pushed ids 1..Capacity round-robin at
-// construction would hold. Released ids are pushed on top of it in ids.
+// never-used ids, the k-th of them virginID(k) for k < virgin, popped
+// highest-first — exactly the stack a store that pushed its blocks of ids
+// 1..Capacity at construction would hold. Released ids are pushed on top
+// of it in ids.
 // PEs allocate and release on their own partition, so under
 // partition-local workloads no two PEs ever contend on the same shard
 // lock; a serial store's shards, like its vertices, take none (the lock
@@ -108,7 +110,7 @@ type freeShard struct {
 
 // take pops the shard's top free id: the most recently released one, else
 // the highest never-used one. The caller holds sh.mu.
-func (sh *freeShard) take(part, parts int) (VertexID, bool) {
+func (sh *freeShard) take(part, parts int, blockBits uint) (VertexID, bool) {
 	if n := len(sh.ids); n > 0 {
 		id := sh.ids[n-1]
 		sh.ids = sh.ids[:n-1]
@@ -116,9 +118,43 @@ func (sh *freeShard) take(part, parts int) (VertexID, bool) {
 	}
 	if sh.virgin > 0 {
 		sh.virgin--
-		return VertexID(part + 1 + int(sh.virgin)*parts), true
+		return virginID(int(sh.virgin), part, parts, blockBits), true
 	}
 	return NilVertex, false
+}
+
+// maxBlockBits is log₂ of the largest block of consecutive reserved ids a
+// partition is dealt (DESIGN.md §8, "A partition's vertices are
+// contiguous"). 64 ids of 4 partitions fill one segment.
+const maxBlockBits = 6
+
+// blockBitsFor returns log₂ of the block size B: the largest power of two
+// at most 1<<maxBlockBits and capacity/(8·parts), so that each partition
+// owns eight blocks or more. A store too small for B = 2 deals round-robin.
+func blockBitsFor(capacity, parts int) uint {
+	return uint(max(0, min(maxBlockBits, bits.Len(uint(capacity/(8*parts)))-1)))
+}
+
+// virginCount returns how many of the reserved ids 1..capacity partition
+// part owns: its blocks part, part+parts, ..., the last of all blocks
+// partial when capacity is not a multiple of the block size.
+func virginCount(capacity, part, parts int, blockBits uint) int {
+	blocks := (capacity + 1<<blockBits - 1) >> blockBits
+	if blocks <= part {
+		return 0
+	}
+	n := ((blocks-1-part)/parts + 1) << blockBits
+	if (blocks-1)%parts == part {
+		n -= blocks<<blockBits - capacity
+	}
+	return n
+}
+
+// virginID returns partition part's k-th reserved id, counting up from 0:
+// offset k mod B in the partition's (k div B)-th block.
+func virginID(k, part, parts int, blockBits uint) VertexID {
+	block := (k>>blockBits)*parts + part
+	return VertexID(block<<blockBits + k&(1<<blockBits-1) + 1)
 }
 
 // Store owns every vertex in the computation graph, the per-partition free
@@ -140,7 +176,8 @@ type Store struct {
 
 	growMu sync.Mutex // guards segment publication and growth past reserved; not taken by Alloc fast paths
 
-	reserved int // ids 1..reserved start out free, owned round-robin (reservedOwner)
+	reserved  int  // ids 1..reserved start out free, owned block by block (reservedOwner)
+	blockBits uint // log₂ of the block size B the reserved ids are dealt in
 
 	shards []freeShard
 	freeN  atomic.Int64 // |F|, exact: updated only when a vertex enters or leaves F
@@ -178,12 +215,13 @@ func NewStore(cfg Config) *Store {
 		cfg.Capacity = 0
 	}
 	s := &Store{
-		shards:   make([]freeShard, cfg.Partitions),
-		fixed:    cfg.FixedSize,
-		serial:   cfg.Serial,
-		parts:    cfg.Partitions,
-		reserved: cfg.Capacity,
-		strIdx:   make(map[string]int64),
+		shards:    make([]freeShard, cfg.Partitions),
+		fixed:     cfg.FixedSize,
+		serial:    cfg.Serial,
+		parts:     cfg.Partitions,
+		reserved:  cfg.Capacity,
+		blockBits: blockBitsFor(cfg.Capacity, cfg.Partitions),
+		strIdx:    make(map[string]int64),
 	}
 	empty := make([]*segment, 0)
 	s.segs.Store(&empty)
@@ -192,10 +230,7 @@ func NewStore(cfg Config) *Store {
 	s.relMu.SetSerial(s.serial)
 	for part := range s.shards {
 		s.shards[part].mu.SetSerial(s.serial)
-		// Partition part owns ids part+1, part+1+parts, ... up to Capacity.
-		if cfg.Capacity > part {
-			s.shards[part].virgin = uint32((cfg.Capacity - part + cfg.Partitions - 1) / cfg.Partitions)
-		}
+		s.shards[part].virgin = uint32(virginCount(cfg.Capacity, part, cfg.Partitions, s.blockBits))
 	}
 	s.blank.home = s
 	s.n.Store(int64(cfg.Capacity))
@@ -204,9 +239,10 @@ func NewStore(cfg Config) *Store {
 }
 
 // reservedOwner returns the partition that owns reserved id (1..reserved):
-// the ids are dealt round-robin, partition p owning p+1, p+1+parts, ...
-// Ids are 32 bits wide, and a 32-bit division is the cheaper one.
-func (s *Store) reservedOwner(id int) int { return int(uint32(id-1) % uint32(s.parts)) }
+// the ids are dealt in blocks of B = 1<<blockBits consecutive ids,
+// partition p owning blocks p, p+parts, ... Ids are 32 bits wide, and a
+// 32-bit division is the cheaper one.
+func (s *Store) reservedOwner(id int) int { return int(uint32(id-1) >> s.blockBits % uint32(s.parts)) }
 
 // growOne extends V past the reserved range by one vertex owned by part and
 // returns its id. The new vertex is NOT added to any free list: it is
@@ -230,7 +266,7 @@ func (s *Store) growOne(part int) VertexID {
 
 // segmentLocked returns segment segIdx, materialising it if no id in it was
 // ever touched: every reserved id in it becomes a free vertex of its
-// round-robin partition (ids past the reserved range are initialised by
+// block's partition (ids past the reserved range are initialised by
 // growOne). The new table is published copy-on-write; readers holding the
 // old slice simply don't see the new, not yet referenced, vertices. The
 // caller holds growMu.
@@ -395,7 +431,7 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 func (s *Store) popLocal(part int) (VertexID, bool) {
 	sh := &s.shards[part]
 	sh.mu.Lock()
-	id, ok := sh.take(part, s.parts)
+	id, ok := sh.take(part, s.parts, s.blockBits)
 	sh.mu.Unlock()
 	if ok {
 		s.freeN.Add(-1)
@@ -415,7 +451,7 @@ func (s *Store) steal(part int) (VertexID, bool) {
 		victim := (part + off) % s.parts
 		vs := &s.shards[victim]
 		vs.mu.Lock()
-		id, ok := vs.take(victim, s.parts)
+		id, ok := vs.take(victim, s.parts, s.blockBits)
 		vs.mu.Unlock()
 		if ok {
 			s.freeN.Add(-1)

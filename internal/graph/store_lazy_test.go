@@ -12,9 +12,10 @@ import (
 )
 
 // eagerModel is the allocator the store used to be, kept here as the
-// reference: construction pushes ids 1..capacity round-robin onto explicit
-// per-partition stacks, Alloc pops the local stack, then steals in ring
-// order, then grows. The golden schedule digests and the checked-in replay
+// reference: construction pushes ids 1..capacity onto explicit
+// per-partition stacks, dealt in blocks of the store's size B (ids
+// kB+1..kB+B to partition k mod parts), Alloc pops the local stack, then
+// steals in ring order, then grows. The golden schedule digests and the checked-in replay
 // logs were recorded against the id sequence it produces, so the lazy store
 // must reproduce it exactly.
 type eagerModel struct {
@@ -24,10 +25,11 @@ type eagerModel struct {
 	fixed  bool
 }
 
-func newEagerModel(parts, capacity int, fixed bool) *eagerModel {
+func newEagerModel(parts, capacity, block int, fixed bool) *eagerModel {
 	m := &eagerModel{shards: make([][]VertexID, parts), partOf: make(map[VertexID]int), fixed: fixed}
 	for i := 0; i < capacity; i++ {
-		m.shards[i%parts] = append(m.shards[i%parts], m.grow(i%parts))
+		part := i / block % parts
+		m.shards[part] = append(m.shards[part], m.grow(part))
 	}
 	return m
 }
@@ -101,7 +103,7 @@ func runAllocatorTrace(t *testing.T, parts, capacity int, fixed bool, seed int64
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := NewStore(Config{Partitions: parts, Capacity: capacity, FixedSize: fixed})
-	m := newEagerModel(parts, capacity, fixed)
+	m := newEagerModel(parts, capacity, 1<<s.blockBits, fixed)
 	var live []*Vertex
 
 	compare := func(step int, op string) {
@@ -200,7 +202,7 @@ func TestStoreFixedSizeExhaustsAtCapacity(t *testing.T) {
 		if v.ID < 1 || int(v.ID) > capacity || seen[v.ID] {
 			t.Fatalf("alloc %d: id %d out of range or handed out twice", i, v.ID)
 		}
-		if want := int(v.ID-1) % parts; int(v.Part) != want {
+		if want := int(v.ID-1) >> s.blockBits % parts; int(v.Part) != want {
 			t.Fatalf("vertex %d owned by partition %d, want %d", v.ID, v.Part, want)
 		}
 		seen[v.ID] = true
@@ -272,7 +274,13 @@ func TestStoreGrowsPastCapacity(t *testing.T) {
 		t.Fatalf("after release: FreeCount %d Len %d, want %d", s.FreeCount(), s.Len(), total)
 	}
 	s.ForEach(func(v *Vertex) { t.Errorf("ForEach visited v%d, which is back in F", v.ID) })
-	if got, want := s.FreeCountOf(2), capacity/parts+(total-capacity); got != want {
+	share := 0 // partition 2's reserved ids
+	for id := 1; id <= capacity; id++ {
+		if (id-1)>>s.blockBits%parts == 2 {
+			share++
+		}
+	}
+	if got, want := s.FreeCountOf(2), share+(total-capacity); got != want {
 		t.Fatalf("FreeCountOf(2) = %d, want %d (its reserved share plus everything grown)", got, want)
 	}
 	if v, err := s.Alloc(0, KindInt, 0); err != nil || s.Len() != total {
@@ -334,7 +342,7 @@ func TestNeverUsedVerticesStayUnmaterialised(t *testing.T) {
 	free := 0
 	for id := 1; id <= capacity; id++ {
 		sv := snap.Vertex(VertexID(id))
-		if sv == nil || sv.ID != VertexID(id) || sv.Part != (id-1)%4 {
+		if sv == nil || sv.ID != VertexID(id) || sv.Part != (id-1)>>s.blockBits%4 {
 			t.Fatalf("snapshot vertex %d = %+v", id, sv)
 		}
 		if sv.Kind == KindFree {
@@ -344,9 +352,10 @@ func TestNeverUsedVerticesStayUnmaterialised(t *testing.T) {
 	if free != capacity-1 || snap.Vertex(v.ID).Kind != KindInt {
 		t.Fatalf("%d free in snapshot, want %d; allocated vertex = %+v", free, capacity-1, snap.Vertex(v.ID))
 	}
-	if !s.IsFree(5) || s.PartitionOf(6) != 1 || s.Vertex(5) != nil {
-		t.Fatalf("never-used id: IsFree(5)=%v PartitionOf(6)=%d Vertex(5)=%v; want true, 1, nil",
-			s.IsFree(5), s.PartitionOf(6), s.Vertex(5))
+	block1 := VertexID(1<<s.blockBits + 1) // the first id of the second block
+	if !s.IsFree(5) || s.PartitionOf(block1) != 1 || s.Vertex(5) != nil {
+		t.Fatalf("never-used id: IsFree(5)=%v PartitionOf(%d)=%d Vertex(5)=%v; want true, 1, nil",
+			s.IsFree(5), block1, s.PartitionOf(block1), s.Vertex(5))
 	}
 	if s.IsFree(NilVertex) || s.IsFree(VertexID(capacity+1)) || s.PartitionOf(VertexID(capacity+1)) != 0 {
 		t.Fatal("ids outside V must be neither free nor owned")
@@ -383,6 +392,78 @@ func TestReservedRangeEndsOnSegment(t *testing.T) {
 		if v != &top.verts[segSize-1] || top.verts[0].ID != capacity-segSize+1 {
 			t.Fatalf("parts=%d: the top segment holds v%d..v%d, want v%d..v%d",
 				parts, top.verts[0].ID, top.verts[segSize-1].ID, capacity-segSize+1, capacity)
+		}
+	}
+}
+
+// TestReservedIdsDealtInBlocks pins the block rule over capacities with
+// and without a partial last block: the block size B is the largest power
+// of two at most 1<<maxBlockBits and at most Capacity/(8·parts), reserved id
+// id belongs to partition ((id-1)/B) mod parts, each partition's never-used
+// ids come off its shard once each and highest first, and the shares sum to
+// Capacity and differ by at most one block. At the default 65 536 ids and 4
+// partitions every partition's first Alloc lands in the top segment, as it
+// did when ids were dealt one at a time, so a machine that allocates on
+// every partition materialises no more arena than it did then.
+func TestReservedIdsDealtInBlocks(t *testing.T) {
+	for _, capacity := range []int{5, 37, 200, 4096, 65535, 65536} {
+		for _, parts := range []int{1, 3, 4, 8} {
+			t.Run(fmt.Sprintf("cap=%d/parts=%d", capacity, parts), func(t *testing.T) {
+				block := 1
+				for block*2 <= 1<<maxBlockBits && block*2 <= capacity/(8*parts) {
+					block *= 2
+				}
+				s := NewStore(Config{Partitions: parts, Capacity: capacity, FixedSize: true})
+				if 1<<s.blockBits != block {
+					t.Fatalf("block size %d, want %d", 1<<s.blockBits, block)
+				}
+				for id := 1; id <= capacity; id++ {
+					if got, want := s.PartitionOf(VertexID(id)), (id-1)/block%parts; got != want {
+						t.Fatalf("PartitionOf(%d) = %d, want %d", id, got, want)
+					}
+				}
+
+				seen := make([]bool, capacity+1)
+				sum, least, most := 0, capacity, 0
+				for p := 0; p < parts; p++ {
+					n := s.FreeCountOf(p)
+					sum, least, most = sum+n, min(least, n), max(most, n)
+					prev := VertexID(capacity + 1)
+					for k := 0; ; k++ {
+						id, ok := s.popLocal(p)
+						if !ok {
+							if k != n {
+								t.Fatalf("partition %d gave %d ids, FreeCountOf said %d", p, k, n)
+							}
+							break
+						}
+						if id >= prev || seen[id] || s.PartitionOf(id) != p {
+							t.Fatalf("partition %d's id %d after %d: not descending, seen before, or owned by %d",
+								p, id, prev, s.PartitionOf(id))
+						}
+						seen[id], prev = true, id
+					}
+				}
+				if sum != capacity || most-least > block {
+					t.Fatalf("shares sum to %d (want %d) and range over %d..%d (want within one block, %d)",
+						sum, capacity, least, most, block)
+				}
+
+				if capacity != 1<<16 || parts != 4 {
+					return
+				}
+				s = NewStore(Config{Partitions: parts, Capacity: capacity})
+				for p := 0; p < parts; p++ {
+					v, err := s.Alloc(p, KindInt, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if seg, _ := slotOf(v.ID); seg != capacity/segSize-1 {
+						t.Fatalf("partition %d's first id %d is in segment %d, want the top one, %d",
+							p, v.ID, seg, capacity/segSize-1)
+					}
+				}
+			})
 		}
 	}
 }

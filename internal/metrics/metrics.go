@@ -39,10 +39,11 @@ type Counters struct {
 	DeadlockRetracted atomic.Int64 // candidate verdicts retracted before confirmation
 	CoopMarks         atomic.Int64 // marks spawned by cooperating mutator primitives
 
-	// Work-stealing activity (zero unless sched.Config.Steal is on).
+	// Work-stealing activity (zero unless sched.Config.Steal is on), and
+	// the parks of a parallel PE that found no work.
 	Steals      atomic.Int64 // successful steal operations (batches taken)
 	StolenTasks atomic.Int64 // tasks moved between PE pools by stealing
-	IdlePolls   atomic.Int64 // times a PE found no work (own pool and peers empty)
+	IdlePolls   atomic.Int64 // times a PE parked for want of work (own pool empty, and no steal when stealing is on)
 
 	// Invariant checker activity (zero unless internal/check is wired in).
 	CheckRuns       atomic.Int64 // sample points where a check actually ran
@@ -85,7 +86,7 @@ type Snapshot struct {
 
 	Steals      int64 `prom:"dgr_steals_total" help:"Successful cross-PE steal operations (batches taken)."`
 	StolenTasks int64 `prom:"dgr_stolen_tasks_total" help:"Tasks moved between PE pools by stealing."`
-	IdlePolls   int64 `prom:"dgr_idle_polls_total" help:"Times a PE found no work in its own pool or any peer's."`
+	IdlePolls   int64 `prom:"dgr_idle_polls_total" help:"Times a PE found no work and parked: its own pool was empty and, with stealing on, no steal succeeded."`
 
 	CheckRuns       int64 `prom:"dgr_check_runs_total" help:"Sample points where the invariant checker ran."`
 	CheckViolations int64 `prom:"dgr_check_violations_total" help:"Invariant violations reported."`

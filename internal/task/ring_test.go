@@ -2,9 +2,7 @@ package task
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"unsafe"
 
 	"dgr/internal/graph"
 )
@@ -202,8 +200,10 @@ func TestRingMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestRingGrowsByChunk: past ringChunk a new peak costs one chunk, and a
-// ring back at a peak it reached before allocates nothing.
+// TestRingGrowsByChunk: past ringChunk a new peak costs one chunk — the
+// chunks the ring had keep their backing arrays and exactly one new one of
+// ringChunk slots joins them — and a ring back at a peak it reached before
+// allocates nothing.
 func TestRingGrowsByChunk(t *testing.T) {
 	var r ring
 	for i := range 3*ringChunk + 5 {
@@ -215,17 +215,25 @@ func TestRingGrowsByChunk(t *testing.T) {
 	for r.len() < r.size() {
 		r.push(Task{})
 	}
-	before := r.size()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	r.push(Task{})
-	runtime.ReadMemStats(&ms1)
-	if got := r.size(); got != before+ringChunk {
-		t.Fatalf("size %d -> %d, want one more chunk", before, got)
+	if r.chunks == nil {
+		t.Fatalf("a ring of %d tasks is one buffer, want chunks", r.len())
 	}
-	// One chunk, and the chunk list's array (a few words) if append moved it.
-	if got, max := ms1.TotalAlloc-ms0.TotalAlloc, uint64(ringChunk*unsafe.Sizeof(Task{})+256); got > max {
-		t.Fatalf("a new peak allocated %d bytes, want at most %d", got, max)
+	old := make(map[*Task]bool)
+	for _, c := range *r.chunks {
+		old[&c[0]] = true
+	}
+	r.push(Task{})
+	kept, fresh := 0, []int(nil) // fresh: the capacities of the new chunks
+	for _, c := range *r.chunks {
+		if old[&c[0]] {
+			kept++
+		} else {
+			fresh = append(fresh, cap(c))
+		}
+	}
+	if kept != len(old) || len(fresh) != 1 || fresh[0] != ringChunk {
+		t.Fatalf("a new peak kept %d of %d chunks and added chunks of %v slots, want all of them and one of %d",
+			kept, len(old), fresh, ringChunk)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		for range 2 * ringChunk {
