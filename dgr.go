@@ -374,7 +374,6 @@ func New(opts Options) *Machine {
 		SpeculativeIf: opts.SpeculativeIf,
 		Prog:          prog,
 		Counters:      counters,
-		Tracing:       ob.Lineage() != nil,
 	})
 	var collector *core.Collector // late-bound, as the checker hooks are
 	collCfg := core.CollectorConfig{
@@ -564,18 +563,23 @@ func (m *Machine) Eval(src string) (Value, error) {
 // head-sampled at Options.TraceRate and, when chosen, originates its own
 // trace.
 func (m *Machine) EvalNode(root NodeID) (Value, error) {
-	var tr uint64
+	return m.evalNodeTraced(root, m.sampleTrace(), 0)
+}
+
+// sampleTrace makes an evaluation's head-sampling decision: a new trace if
+// lineage tracing is on and chooses it, else 0.
+func (m *Machine) sampleTrace() uint64 {
 	if s := m.obs.Lineage(); s.Sample() {
-		tr = s.NewTrace()
+		return s.NewTrace()
 	}
-	return m.evalNodeTraced(root, tr, 0)
+	return 0
 }
 
 // evalNodeTraced evaluates root to WHNF under an externally originated
 // trace context: the evaluation envelope is recorded as an "eval" span with
 // the given parent (the serving layer passes its request span), and every
-// task the reduction spawns inherits the trace through the graph. A zero
-// trace runs untraced; the sampling decision belongs to the caller.
+// task the reduction spawns inherits the trace from the task that spawns it.
+// A zero trace runs untraced; the sampling decision belongs to the caller.
 func (m *Machine) evalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, error) {
 	if m.closed.Load() {
 		return Value{}, ErrClosed
@@ -803,9 +807,10 @@ func (m *Machine) EvalTraced(src string, tr uint64, parent uint32) (Value, error
 }
 
 // EvalList evaluates a program expected to yield a (finite) list, forcing
-// every element.
+// every element. Like EvalNode it is head-sampled, once per call: when
+// chosen, the whole walk is one trace.
 func (m *Machine) EvalList(src string) ([]Value, error) {
-	return m.EvalListTraced(src, 0, 0)
+	return m.EvalListTraced(src, m.sampleTrace(), 0)
 }
 
 // EvalListTraced is EvalList under an externally originated trace context:

@@ -38,7 +38,7 @@ func runSpace(cfg Config) (*Table, error) {
 	t.AddRow("one MarkCtx (epoch, mt-cnt, mt-par, state, prior)", ctxSize, pct(ctxSize))
 	t.AddRow("both contexts (M_R + M_T, §5.2)", markBytes, pct(markBytes))
 	t.AddRow("allocation stamps (axiom-1 sweep guard)", stampBytes, pct(stampBytes))
-	t.Note("a larger edge set, and a traced task's lineage context, live in an overflow record the vertex holds only while it needs one")
+	t.Note("a larger edge set lives in an overflow record the vertex holds only while it needs one")
 	t.Note("the paper's space optimization [6] folds every mt-cnt and mt-par into two words per PE; kept per-vertex here (sanctioned by §6 for coarser granularity) and traded for O(1) epoch-based unmarking between cycles")
 
 	// Sanity: the marking overhead must stay a bounded fraction.

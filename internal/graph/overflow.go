@@ -1,15 +1,15 @@
 package graph
 
 // overflow holds what does not fit in a vertex: an args set larger than
-// inlineArgs with its request kinds, a requested set larger than
-// inlineReqs, and the causal-lineage context of a traced task. The sets
-// start out in the record's own arrays, so a spill of up to four args or
-// two requesters costs no allocation beyond the record, and a recycled
-// record keeps whatever its sets grew to. The record is 128 bytes.
+// inlineArgs with its request kinds, and a requested set larger than
+// inlineReqs. The sets start out in the record's own arrays, so a spill of
+// up to four args or two requesters costs no allocation beyond the record,
+// and a recycled record keeps whatever its sets grew to. The record is 120
+// bytes, in Go's 128-byte size class.
 //
 // A vertex holds a record exactly while it needs one: it takes one when a
-// set outgrows the vertex or a lineage context is published, and gives it
-// back when the last of these is gone (or ResetFree reclaims the vertex).
+// set outgrows the vertex, and gives it back when both sets fit inline
+// again (or ResetFree reclaims the vertex).
 // The store keeps the spares on the free-list shard of the vertex's
 // partition, under the shard's lock, so the records a machine makes number
 // the vertices spilled at one time. A record that stayed with its vertex
@@ -19,8 +19,6 @@ type overflow struct {
 	args  []VertexID
 	kinds []ReqKind
 	reqs  []Requester
-	trace uint64
-	span  uint32
 
 	argBuf  [4]VertexID
 	kindBuf [4]ReqKind
@@ -62,9 +60,9 @@ func (v *Vertex) overflowRec() *overflow {
 }
 
 // dropIdleRecord gives v's record back once it holds nothing: both sets
-// are inline and no lineage context is set. v owns a record.
+// are inline. v owns a record.
 func (v *Vertex) dropIdleRecord() {
-	if o := v.more; v.na != spilled && v.nr != spilled && o.trace == 0 && o.span == 0 {
+	if v.na != spilled && v.nr != spilled {
 		v.releaseRecord()
 	}
 }
@@ -74,7 +72,6 @@ func (v *Vertex) dropIdleRecord() {
 func (v *Vertex) releaseRecord() {
 	o := v.more
 	o.args, o.kinds, o.reqs = o.args[:0], o.kinds[:0], o.reqs[:0]
-	o.trace, o.span = 0, 0
 	if s := o.home; s != nil {
 		v.more = &s.blank
 		s.putRecord(int(v.Part), o)

@@ -245,7 +245,7 @@ type Vertex struct {
 
 	args [inlineArgs]VertexID  // args(v) while na <= inlineArgs
 	reqs [inlineReqs]Requester // requested(v) while nr <= inlineReqs
-	more *overflow             // larger sets, and the lineage context
+	more *overflow             // the sets too large for the vertex
 
 	// One 8-byte group: the partition, the label, the two edge-set counts,
 	// the inline request kinds and the two reduction flags.
@@ -552,34 +552,11 @@ func (v *Vertex) TaskChildren(dst []VertexID) []VertexID {
 	return dst
 }
 
-// Trace returns the causal-lineage context of the traced task currently
-// driving this vertex: its trace id (0 = untraced) and its span. Tasks the
-// engine spawns from here inherit the trace and point at the span as their
-// causal parent. The context is opaque to the marking machinery.
-func (v *Vertex) Trace() (trace uint64, span uint32) {
-	if v.more == nil {
-		return 0, 0
-	}
-	return v.more.trace, v.more.span
-}
-
-// SetTrace publishes a lineage context on the vertex. Clearing one that
-// was never set costs nothing, so an untraced machine never takes a record
-// for it.
-func (v *Vertex) SetTrace(trace uint64, span uint32) {
-	if trace == 0 && span == 0 && !v.ownsRecord() {
-		return
-	}
-	o := v.overflowRec()
-	o.trace, o.span = trace, span
-	v.dropIdleRecord()
-}
-
-// ResetFree reinitializes the vertex as a member of F, clearing edges,
-// reduction state and lineage context but preserving marking context
-// epochs (a stale epoch is equivalent to unmarked), so a reclaimed and
-// reallocated vertex can never leak a stale context. Its overflow record,
-// if it has one, goes back to its store's spares.
+// ResetFree reinitializes the vertex as a member of F, clearing edges and
+// reduction state but preserving marking context epochs (a stale epoch is
+// equivalent to unmarked), so a reclaimed and reallocated vertex can never
+// leak a stale context. Its overflow record, if it has one, goes back to
+// its store's spares.
 func (v *Vertex) ResetFree() {
 	v.Kind = KindFree
 	v.Val = 0

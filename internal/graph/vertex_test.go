@@ -222,7 +222,9 @@ func TestMarkCtxTouchQuick(t *testing.T) {
 
 // TestVertexSize: a vertex is 120 bytes, so a segment of segSize vertices
 // and its in-use bits fit in 64 KiB — eight pages — where the 216-byte
-// vertex's took fourteen. The CI census prints both sizes.
+// vertex's took fourteen. The CI census prints both sizes. An overflow
+// record is 120 bytes, which falls in Go's 128-byte size class: a record
+// costs an allocation what a 128-byte one would.
 func TestVertexSize(t *testing.T) {
 	vsz, ssz := unsafe.Sizeof(Vertex{}), unsafe.Sizeof(segment{})
 	t.Logf("census: Sizeof(Vertex)=%d Sizeof(segment)=%d", vsz, ssz)
@@ -232,8 +234,8 @@ func TestVertexSize(t *testing.T) {
 	if ssz > 64<<10 {
 		t.Errorf("Sizeof(segment) = %d, want <= %d", ssz, 64<<10)
 	}
-	if got := unsafe.Sizeof(overflow{}); got != 128 {
-		t.Errorf("Sizeof(overflow) = %d, want 128", got)
+	if got := unsafe.Sizeof(overflow{}); got != 120 {
+		t.Errorf("Sizeof(overflow) = %d, want 120", got)
 	}
 }
 
@@ -454,7 +456,6 @@ func TestVertexRewireAllocatesNothing(t *testing.T) {
 			for i := 0; i < tc.reqs; i++ {
 				v.AddRequester(VertexID(7+i), ReqVital)
 			}
-			v.SetTrace(0, 0)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %.1f allocations per rewire, want 0", tc.name, allocs)
@@ -463,30 +464,25 @@ func TestVertexRewireAllocatesNothing(t *testing.T) {
 }
 
 // TestOverflowRecordLifetime: a vertex holds an overflow record exactly
-// while a set is spilled or a lineage context is set; clearing a context
-// never set takes none, and a record given back goes to the store's spares
-// of the vertex's partition, from which the next spill takes it.
+// while a set is spilled: a spill takes one, and a record given back goes to
+// the store's spares of the vertex's partition, from which the next spill
+// takes it.
 func TestOverflowRecordLifetime(t *testing.T) {
 	s := NewStore(Config{Partitions: 2, Capacity: 8})
 	v, err := s.Alloc(1, KindApply, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetTrace(0, 0)
-	if v.ownsRecord() {
-		t.Fatal("clearing an unset lineage context took a record")
-	}
-	v.SetTrace(7, 3)
 	v.Evaluating, v.WHNF = true, true
-	rec := v.more
-	if tr, sp := v.Trace(); !v.ownsRecord() || tr != 7 || sp != 3 {
-		t.Fatalf("after SetTrace(7, 3): owns record %v, Trace() = %d, %d", v.ownsRecord(), tr, sp)
-	}
 	v.SetArgs(2, 3, 4)
+	rec := v.more
+	if !v.ownsRecord() {
+		t.Fatal("a spilled args set took no record")
+	}
 	s.Release(v)
-	if tr, sp := v.Trace(); tr != 0 || sp != 0 || v.Evaluating || v.WHNF || v.ownsRecord() {
-		t.Fatalf("after Release: Trace() = %d, %d, Evaluating %v, WHNF %v, owns record %v",
-			tr, sp, v.Evaluating, v.WHNF, v.ownsRecord())
+	if v.Evaluating || v.WHNF || v.ownsRecord() {
+		t.Fatalf("after Release: Evaluating %v, WHNF %v, owns record %v",
+			v.Evaluating, v.WHNF, v.ownsRecord())
 	}
 	if got := s.shards[1].recs; len(got) != 1 || got[0] != rec {
 		t.Fatalf("partition 1's spares = %v, want the released record", got)

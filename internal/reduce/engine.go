@@ -50,11 +50,6 @@ type Config struct {
 	Prog *gm.Program
 	// Counters receives statistics; optional.
 	Counters *metrics.Counters
-	// Tracing enables causal-lineage propagation: tasks spawned by the
-	// engine inherit the trace context stamped on the vertex they originate
-	// from, and every executed traced task republishes its context on its
-	// destination vertex. Off (the default), spawns pay one boolean test.
-	Tracing bool
 }
 
 // Value is the WHNF result delivered for a demanded root.
@@ -94,10 +89,11 @@ type Engine struct {
 	mu          sync.Mutex
 	rootWaiters map[graph.VertexID][]chan Value
 	errs        []error
-	// probes maps pending is-bottom probe vertices to their operand; they
-	// are resolved to true by ResolveBottomProbes when the deadlock
-	// detector finds the probe itself deadlocked (footnote 5).
-	probes map[graph.VertexID]graph.VertexID
+	// probes maps pending is-bottom probe vertices to the lineage of the task
+	// that registered them; they are resolved to true, in that lineage, by
+	// ResolveBottomProbes when the deadlock detector finds the probe itself
+	// deadlocked (footnote 5).
+	probes map[graph.VertexID]lineage
 
 	// superScratch holds idle compiled-body execution states for reuse, one
 	// per body that has ever executed at the same time (at most one per PE).
@@ -112,9 +108,9 @@ type Engine struct {
 	budget int
 }
 
-// execution is one task's execution on a PE: the engine, and what the
-// execution may still run in place. The step functions, which reach the
-// three hand-off sites (request, complete and reply), are its methods.
+// execution is one task's execution on a PE: the engine, what the execution
+// may still run in place, and the running task's lineage. The step
+// functions, which reach the spawn and hand-off sites, are its methods.
 // Handle keeps it on its stack, so no two executions share one.
 type execution struct {
 	*Engine
@@ -125,6 +121,16 @@ type execution struct {
 	// handed reports a pending hand-off, which the machine holds in the PE's
 	// slot until Handle takes it.
 	handed bool
+	// lin is the running task's lineage: every task the execution spawns or
+	// hands off joins its trace, with its span as causal parent.
+	lin lineage
+}
+
+// lineage is a task's trace (0 = untraced) and its own span. It travels on
+// the task alone (DESIGN §9, "Lineage").
+type lineage struct {
+	trace uint64
+	span  uint32
 }
 
 var _ sched.Handler = (*Engine)(nil)
@@ -137,7 +143,7 @@ func New(store *graph.Store, mach *sched.Machine, mut *core.Mutator, cfg Config)
 		mut:         mut,
 		cfg:         cfg,
 		rootWaiters: make(map[graph.VertexID][]chan Value),
-		probes:      make(map[graph.VertexID]graph.VertexID),
+		probes:      make(map[graph.VertexID]lineage),
 		budget:      inlineBudget,
 	}
 }
@@ -167,17 +173,17 @@ func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.Vertex
 		dead[id] = true
 	}
 	e.mu.Lock()
-	var hit []graph.VertexID
-	for p := range e.probes {
+	hit := make(map[graph.VertexID]lineage)
+	for p, lin := range e.probes {
 		if dead[p] {
-			hit = append(hit, p)
+			hit[p] = lin
 			delete(e.probes, p)
 		}
 	}
 	e.mu.Unlock()
 
 	var resolved []graph.VertexID
-	for _, p := range hit {
+	for p, lin := range hit {
 		v := e.store.Vertex(p)
 		if v == nil {
 			continue
@@ -188,17 +194,19 @@ func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.Vertex
 		if !isProbe {
 			continue
 		}
-		// Outside any execution: nothing runs in place.
-		(&execution{Engine: e}).finishBool(v, true)
+		// Outside any execution: nothing runs in place, and the results go
+		// out in the lineage of the task that registered the probe.
+		(&execution{Engine: e, lin: lin}).finishBool(v, true)
 		resolved = append(resolved, p)
 	}
 	return resolved
 }
 
-// registerProbe records a pending is-bottom probe.
-func (e *Engine) registerProbe(probe, operand graph.VertexID) {
+// registerProbe records a pending is-bottom probe in the running task's
+// lineage.
+func (e *execution) registerProbe(probe graph.VertexID) {
 	e.mu.Lock()
-	e.probes[probe] = operand
+	e.probes[probe] = e.lin
 	e.mu.Unlock()
 }
 
@@ -240,66 +248,28 @@ func (e *Engine) DemandTraced(root graph.VertexID, trace uint64, parent uint32) 
 	e.errs = e.errs[:0]
 	e.rootWaiters[root] = append(e.rootWaiters[root], ch)
 	e.mu.Unlock()
-	t := task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root, Req: graph.ReqVital, Trace: trace}
-	t.SetParentSpan(parent)
-	e.spawn(t)
+	// Outside any execution: the root demand is the child of the caller's
+	// span.
+	x := &execution{Engine: e, lin: lineage{trace, parent}}
+	x.spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root, Req: graph.ReqVital})
 	return ch
 }
 
-// spawn enqueues a reduction task, then cooperates with any active M_T
-// cycle: a task spawned after the cycle's pool snapshot is the sole carrier
-// of task-reachability to its endpoints, so they must be registered as
-// extra marking roots or the deadlock detector can misreport them. The
-// push comes first: were cooperation checked before the push, a cycle
-// beginning between the two (coop sees no active cycle, snapshot misses
-// the not-yet-pushed task) would leave the task invisible to both views.
-// Pushing first makes the pair airtight — a snapshot after the push sees
-// the task queued, and a cycle activated before the push is active when
-// the cooperation check runs.
-func (e *Engine) spawn(t task.Task) {
-	if e.cfg.Tracing && t.Trace == 0 {
-		e.inheritTrace(&t)
-	}
+// spawn enqueues a reduction task in the running task's lineage, then
+// cooperates with any active M_T cycle: a task spawned after the cycle's pool
+// snapshot is the sole carrier of task-reachability to its endpoints, so they
+// must be registered as extra marking roots or the deadlock detector can
+// misreport them. The push comes first: were cooperation checked before the
+// push, a cycle beginning between the two (coop sees no active cycle,
+// snapshot misses the not-yet-pushed task) would leave the task invisible to
+// both views. Pushing first makes the pair airtight — a snapshot after the
+// push sees the task queued, and a cycle activated before the push is active
+// when the cooperation check runs.
+func (e *execution) spawn(t task.Task) {
+	t.Trace = e.lin.trace
+	t.SetParentSpan(e.lin.span)
 	e.mach.Spawn(t)
 	e.mut.CoopTaskSpawn(t.Src, t.Dst)
-}
-
-// inheritTrace stamps a spawned task with the lineage context published on
-// the vertex it causally originates from (Src; Dst for sourceless
-// self-continuations). The reduction handlers release every vertex lock
-// before spawning, so the brief acquisition here nests inside nothing.
-func (e *Engine) inheritTrace(t *task.Task) {
-	id := t.Src
-	if id == graph.NilVertex {
-		id = t.Dst
-	}
-	v := e.store.Vertex(id)
-	if v == nil {
-		return
-	}
-	v.Lock()
-	if trace, span := v.Trace(); v.Kind != graph.KindFree && trace != 0 {
-		t.Trace = trace
-		t.SetParentSpan(span)
-	}
-	v.Unlock()
-}
-
-// publishTrace stamps the executing traced task's context on its
-// destination vertex, making the task the causal parent of everything the
-// reduction spawns from there. The context is opaque to the marking
-// machinery and zeroed on reclamation, so the stamp cannot outlive the
-// vertex.
-func (e *Engine) publishTrace(t task.Task) {
-	v := e.store.Vertex(t.Dst)
-	if v == nil {
-		return
-	}
-	v.Lock()
-	if v.Kind != graph.KindFree {
-		v.SetTrace(t.Trace, t.Span())
-	}
-	v.Unlock()
 }
 
 // Handle implements sched.Handler for reduction tasks, executing t on PE pe.
@@ -311,14 +281,13 @@ func (e *Engine) publishTrace(t task.Task) {
 // was popped or handed off. When the task's steps are done, Handle runs the
 // pending hand-off, if a step left one (handOff), as the PE's next task.
 // Inline steps and hand-offs share the budget and are counted with the
-// machine as steps (AddSteps).
+// machine as steps (AddSteps). The execution takes on the lineage of each
+// task it runs, the popped one and every hand-off.
 func (e *Engine) Handle(pe int, t task.Task) {
 	x := &execution{Engine: e, pe: pe, left: e.budget}
 	steps := 0
 	for {
-		if t.Trace != 0 {
-			e.publishTrace(t)
-		}
+		x.lin = lineage{t.Trace, t.Span()}
 		var again bool
 		switch t.Kind {
 		case task.Demand:
@@ -331,7 +300,7 @@ func (e *Engine) Handle(pe int, t task.Task) {
 			again = x.step(t.Dst)
 		}
 		if again {
-			e.spawn(task.Task{Kind: task.Reduce, Dst: t.Dst})
+			x.spawn(task.Task{Kind: task.Reduce, Dst: t.Dst})
 		}
 		if !x.handed {
 			break
@@ -364,9 +333,8 @@ func (e *execution) handOff(t task.Task) {
 	}
 	e.left--
 	e.handed = true
-	if e.cfg.Tracing && t.Trace == 0 {
-		e.inheritTrace(&t)
-	}
+	t.Trace = e.lin.trace
+	t.SetParentSpan(e.lin.span)
 	e.mach.HandOff(e.pe, t)
 	e.mut.CoopTaskSpawn(t.Src, t.Dst)
 }

@@ -146,9 +146,8 @@ func (e *execution) stepPrimApp(v *graph.Vertex) bool {
 		// vitally; if its value arrives the probe is false. If instead
 		// the probe itself is later found deadlocked (its operand can
 		// never return), ResolveBottomProbes relabels it true.
-		op, okOp := e.operand(v, 0)
-		if okOp {
-			e.registerProbe(v.ID, op)
+		if _, okOp := e.operand(v, 0); okOp {
+			e.registerProbe(v.ID)
 		}
 		if _, ok := e.needValue(v, 0, graph.ReqVital); !ok {
 			return false
@@ -256,7 +255,7 @@ func (e *execution) stepIf(v *graph.Vertex, kind graph.ReqKind) bool {
 // speculate eagerly requests child's value on v's behalf, registering both
 // sides synchronously (so the registration survives even if v is rewritten
 // before the demand executes) and spawning the eager demand.
-func (e *Engine) speculate(v *graph.Vertex, childID graph.VertexID) {
+func (e *execution) speculate(v *graph.Vertex, childID graph.VertexID) {
 	child := e.store.Vertex(childID)
 	if child == nil || childID == v.ID {
 		return
@@ -280,7 +279,7 @@ func (e *Engine) speculate(v *graph.Vertex, childID graph.VertexID) {
 	e.spawn(taskDemandEager(v.ID, childID))
 }
 
-func (e *Engine) stepSpec(v *graph.Vertex) bool {
+func (e *execution) stepSpec(v *graph.Vertex) bool {
 	op0, ok := e.operand(v, 0)
 	if !ok {
 		return false

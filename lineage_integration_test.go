@@ -11,6 +11,7 @@ package dgr_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"dgr"
@@ -119,14 +120,15 @@ func TestTraceParallelStealsFabric(t *testing.T) {
 	})
 	defer m.Close()
 
-	// The parallel scheduler has a known rare flake (see ROADMAP.md);
-	// retry a couple of times rather than let it fail this test.
+	// A parallel evaluation has failed here now and then; each failed
+	// attempt is logged, and the test fails only if three in a row do.
 	var v dgr.Value
 	var err error
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 1; attempt <= 3; attempt++ {
 		if v, err = m.Eval(detFib); err == nil {
 			break
 		}
+		t.Logf("attempt %d: parallel eval: %v", attempt, err)
 	}
 	if err != nil {
 		t.Fatalf("parallel eval: %v", err)
@@ -295,5 +297,124 @@ func TestBlameWithNonGCGlobals(t *testing.T) {
 	}
 	if crit.Blame[obs.CatExec] == 0 {
 		t.Fatalf("no time blamed to exec (blame %v): an enclosing interval swallowed the path", crit.Blame)
+	}
+}
+
+// tracedSpans counts the traced spans in the log, per trace and in all.
+func tracedSpans(m *dgr.Machine) (perTrace map[uint64]int, total int) {
+	spans, _ := m.TraceSink().Spans()
+	perTrace = map[uint64]int{}
+	for _, sp := range spans {
+		if sp.Trace != 0 {
+			perTrace[sp.Trace]++
+			total++
+		}
+	}
+	return perTrace, total
+}
+
+// TestTraceUnsampledEvalAddsNoSpans: a task's lineage is its spawner's, never
+// a vertex's. At TraceRate 0.5 every other EvalNode of one root is sampled;
+// an unsampled one must record nothing, and a sampled one must add spans to
+// its own trace only. (A lineage context parked on the root vertex by the
+// previous, sampled call once put the unsampled call's root demand in that
+// call's trace: traced spans 0, 2, 3, 5.)
+func TestTraceUnsampledEvalAddsNoSpans(t *testing.T) {
+	m := dgr.New(dgr.Options{PEs: 2, Seed: 3, Capacity: 1 << 14, TraceRate: 0.5})
+	defer m.Close()
+	root, err := m.Compile(`let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 8`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var totals []int
+	prev := map[uint64]int{}
+	for call := 1; call <= 4; call++ {
+		if v, err := m.EvalNode(root); err != nil || v.Int != 21 {
+			t.Fatalf("call %d: EvalNode = %v, %v; want 21", call, v, err)
+		}
+		per, total := tracedSpans(m)
+		for tr, n := range prev {
+			if per[tr] != n {
+				t.Fatalf("call %d added %d spans to the earlier trace %d", call, per[tr]-n, tr)
+			}
+		}
+		totals = append(totals, total)
+		prev = per
+	}
+	// Calls 1 and 3 are unsampled, 2 and 4 find the root evaluated: an eval
+	// envelope and the root demand's execution each.
+	if want := []int{0, 2, 2, 4}; !slices.Equal(totals, want) {
+		t.Fatalf("traced spans after each call = %v, want %v", totals, want)
+	}
+}
+
+// TestTraceIsBottomLineage: an is-bottom probe resolved by the deadlock
+// detector answers in the lineage of the task that registered it, so the
+// reduction it un-sticks stays in the evaluation's trace: one trace, one
+// root, no orphans, and execution spans after the verdict.
+func TestTraceIsBottomLineage(t *testing.T) {
+	for _, pes := range []int{1, 2} {
+		m := dgr.New(dgr.Options{PEs: pes, Seed: 11, MTEvery: 1, TraceRate: 1})
+		v, err := m.Eval(`let x = x + 1 in if isbottom x then 0 - 1 else x`)
+		spans, _ := m.TraceSink().Spans()
+		m.Close()
+		if err != nil || v.Int != -1 {
+			t.Fatalf("pes=%d: eval = %v, %v; want -1", pes, v, err)
+		}
+		var verdict int64
+		for _, sp := range spans {
+			if sp.Name == "deadlock.found" {
+				verdict = sp.Start
+			}
+		}
+		if verdict == 0 {
+			t.Fatalf("pes=%d: no deadlock.found event; the probe was not resolved by a verdict", pes)
+		}
+		traces, _ := obs.AssembleTraces(spans)
+		if len(traces) != 1 {
+			t.Fatalf("pes=%d: %d traces, want 1", pes, len(traces))
+		}
+		tr := traces[0]
+		if tr.Orphans != 0 || len(tr.Roots) != 1 {
+			t.Fatalf("pes=%d: %d orphans and %d roots, want 0 and the eval envelope", pes, tr.Orphans, len(tr.Roots))
+		}
+		after := 0
+		for _, sp := range tr.Spans {
+			if sp.Cat == obs.CatExec && sp.Start > verdict {
+				after++
+			}
+		}
+		if after == 0 {
+			t.Fatalf("pes=%d: no traced execution after the verdict: the probe's result left the trace", pes)
+		}
+	}
+}
+
+// TestTraceEvalListSampled: EvalList is head-sampled as Eval is, once per
+// call, and the walk's evaluations share that one trace.
+func TestTraceEvalListSampled(t *testing.T) {
+	m := dgr.New(dgr.Options{PEs: 2, Seed: 5, Capacity: 1 << 14, TraceRate: 1})
+	defer m.Close()
+	vs, err := m.EvalList("[1+1, 2*3]")
+	if err != nil || len(vs) != 2 || vs[0].Int != 2 || vs[1].Int != 6 {
+		t.Fatalf("EvalList = %v, %v; want [2 6]", vs, err)
+	}
+	spans, _ := m.TraceSink().Spans()
+	traces, globals := obs.AssembleTraces(spans)
+	if len(traces) == 0 {
+		t.Fatal("a rate-1 EvalList recorded no trace")
+	}
+	for _, tr := range traces {
+		if tr.Orphans != 0 {
+			t.Fatalf("trace %d: %d orphans", tr.ID, tr.Orphans)
+		}
+		rep := obs.CriticalPath(tr, globals)
+		var blamed int64
+		for _, ns := range rep.Blame {
+			blamed += ns
+		}
+		if rep.TotalNs <= 0 || blamed != rep.TotalNs {
+			t.Fatalf("trace %d: blame sums to %d, want TotalNs %d", tr.ID, blamed, rep.TotalNs)
+		}
 	}
 }
