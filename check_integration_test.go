@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dgr/internal/check"
+	"dgr/internal/fabric"
 	"dgr/internal/graph"
 	"dgr/internal/task"
 	"dgr/internal/workload"
@@ -70,7 +71,7 @@ func TestCheckedEvalFabric(t *testing.T) {
 	p := workload.Programs["fib"]
 	m := New(Options{
 		PEs: 4, Seed: 3, Check: true, CheckEvery: 2048, GCInterval: 2000,
-		Capacity: 1 << 12, Fabric: true, DropRate: 0.2,
+		Capacity: 1 << 12, Fabric: &fabric.Params{DropRate: 0.2},
 	})
 	defer m.Close()
 	v, err := m.Eval(p.Src)

@@ -26,6 +26,7 @@ import (
 
 	"dgr"
 	"dgr/internal/check"
+	"dgr/internal/fabric"
 	"dgr/internal/lang"
 	"dgr/internal/workload"
 )
@@ -202,11 +203,10 @@ func optionsFor(f flags, config string, seed int64, record bool) (dgr.Options, e
 		o.Parallel = true
 	case "fabric":
 		o.Adversarial = true
-		o.Fabric = true
+		o.Fabric = &fabric.Params{}
 	case "fabdrop":
 		o.Adversarial = true
-		o.Fabric = true
-		o.DropRate = 0.3
+		o.Fabric = &fabric.Params{DropRate: 0.3}
 	default:
 		return o, fmt.Errorf("unknown config %q (have %s)", config, strings.Join(allConfigs, ","))
 	}

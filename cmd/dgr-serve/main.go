@@ -87,10 +87,10 @@ func run() error {
 	}
 
 	s := serve.New(serve.Options{
-		Workers: *workers, PEs: *pes, Parallel: *parallel, Seed: *seed,
-		Capacity: *capacity, MaxSteps: *maxSteps, Timeout: *timeout,
-		Check: *check, Obs: *obsOn, Engine: *engine,
-		QueueDepth: *queue, CacheEntries: *cacheN, TraceRate: *traceR,
+		Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
+		Machine: dgr.Options{PEs: *pes, Parallel: *parallel, Seed: *seed, Capacity: *capacity,
+			MaxSteps: *maxSteps, Timeout: *timeout, Check: *check, Obs: *obsOn,
+			Engine: *engine, TraceRate: *traceR},
 		DefaultLimits: serve.TenantLimits{MaxInflight: *inflight, VertexQuota: *quota},
 	})
 	defer s.Close()

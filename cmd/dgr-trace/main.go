@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,6 +36,7 @@ import (
 
 	"dgr"
 	"dgr/internal/analysis"
+	"dgr/internal/fabric"
 	"dgr/internal/graph"
 	"dgr/internal/obs"
 	"dgr/internal/workload"
@@ -71,6 +73,12 @@ func run() error {
 		return fmt.Errorf("unknown -engine %q (interp, compiled)", *engine)
 	}
 
+	opts := dgr.Options{
+		PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
+	}
+	if *fab {
+		opts.Fabric = &fabric.Params{BatchSize: *batch, DropRate: *drop, LinkLatency: *latency}
+	}
 	switch {
 	case *analyze != "":
 		return analyzeDoc(*analyze, *asJSON)
@@ -78,18 +86,11 @@ func run() error {
 		if *expr == "" {
 			return fmt.Errorf("-lineage requires -e")
 		}
-		return runLineage(*expr, dgr.Options{
-			PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
-			Parallel: *parallel, Fabric: *fab, BatchSize: *batch, DropRate: *drop,
-			LinkLatency: *latency, TraceRate: 1,
-		}, *asJSON)
+		opts.Parallel, opts.TraceRate = *parallel, 1
+		return runLineage(*expr, opts, *asJSON)
 	case *scenario != "":
 		return dumpScenario(*scenario)
 	case *expr != "":
-		opts := dgr.Options{
-			PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
-			Fabric: *fab, BatchSize: *batch, DropRate: *drop, LinkLatency: *latency,
-		}
 		if *jsonl {
 			// A log of its own, large enough (1<<18 events, an eighth of the
 			// span capacity) to hold a lossy run's whole message lifecycle.
@@ -157,7 +158,7 @@ func dumpJSONL(src string, opts dgr.Options) error {
 	} else {
 		fmt.Fprintf(os.Stderr, "result: %s\n", v)
 	}
-	if opts.Fabric {
+	if opts.Fabric != nil {
 		fmt.Fprintln(os.Stderr, m.Stats())
 	}
 	return m.WriteFlightJSONL(os.Stdout)
@@ -199,7 +200,7 @@ func analyzeDoc(src string, asJSON bool) error {
 		spans = append(spans, tr.Spans...)
 	}
 	spans = append(spans, doc.Globals...)
-	return report(spans, doc.Dropped, asJSON)
+	return report(obs.BuildTraceDoc(spans, doc.Dropped), asJSON)
 }
 
 // runLineage evaluates src under full head sampling and analyzes the
@@ -213,38 +214,30 @@ func runLineage(src string, opts dgr.Options, asJSON bool) error {
 	} else {
 		fmt.Fprintf(os.Stderr, "result: %s\n", v)
 	}
-	spans, dropped := m.TraceSink().Spans()
-	return report(spans, dropped, asJSON)
+	return report(obs.BuildTraceDoc(m.TraceSink().Spans()), asJSON)
 }
 
-// report assembles spans into traces and prints each critical path with
-// per-category blame, or re-emits the recomputed document as JSON.
-func report(spans []obs.TraceSpan, dropped uint64, asJSON bool) error {
-	traces, globals := obs.AssembleTraces(spans)
+// report prints each trace's critical path with per-category blame, or
+// emits the document as JSON. The text goes out in one write at the end, so
+// a reader that stops early (grep -q) does not cut the report short with a
+// broken pipe.
+func report(doc obs.TraceDoc, asJSON bool) error {
 	if asJSON {
-		doc := obs.TraceDoc{Globals: globals, Dropped: dropped}
-		for _, tr := range traces {
-			crit := obs.CriticalPath(tr, globals)
-			doc.Traces = append(doc.Traces, obs.TraceReport{
-				ID: tr.ID, Start: tr.Start, End: tr.End, TotalNs: crit.TotalNs,
-				Orphans: tr.Orphans, Spans: tr.Spans, Crit: crit,
-			})
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
-	if len(traces) == 0 {
-		fmt.Println("no traces")
-		return nil
+	w := &bytes.Buffer{}
+	if len(doc.Traces) == 0 {
+		fmt.Fprintln(w, "no traces")
 	}
-	for _, tr := range traces {
-		crit := obs.CriticalPath(tr, globals)
-		fmt.Printf("trace %x: total %s, %d spans", tr.ID, time.Duration(crit.TotalNs), len(tr.Spans))
+	for _, tr := range doc.Traces {
+		crit := tr.Crit
+		fmt.Fprintf(w, "trace %x: total %s, %d spans", tr.ID, time.Duration(crit.TotalNs), len(tr.Spans))
 		if tr.Orphans > 0 {
-			fmt.Printf(" (%d orphaned)", tr.Orphans)
+			fmt.Fprintf(w, " (%d orphaned)", tr.Orphans)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		type kv struct {
 			cat string
 			ns  int64
@@ -259,16 +252,17 @@ func report(spans []obs.TraceSpan, dropped uint64, asJSON bool) error {
 			if crit.TotalNs > 0 {
 				pct = 100 * float64(b.ns) / float64(crit.TotalNs)
 			}
-			fmt.Printf("  %-8s %12s  %5.1f%%\n", b.cat, time.Duration(b.ns), pct)
+			fmt.Fprintf(w, "  blame  %-7s %5.1f%%  %s\n", b.cat, pct, time.Duration(b.ns))
 		}
-		fmt.Printf("  critical path (%d segments):\n", len(crit.Path))
+		fmt.Fprintf(w, "  critical path (%d segments):\n", len(crit.Path))
 		for _, sg := range crit.Path {
-			fmt.Printf("    %-8s %-12s pe=%-3d %12s\n",
+			fmt.Fprintf(w, "    %-8s %-12s pe=%-3d %12s\n",
 				sg.Cat, sg.Name, sg.PE, time.Duration(sg.End-sg.Start))
 		}
 	}
-	if dropped > 0 {
-		fmt.Printf("(%d spans evicted from the ring before assembly)\n", dropped)
+	if doc.Dropped > 0 {
+		fmt.Fprintf(w, "(%d spans evicted from the ring before assembly)\n", doc.Dropped)
 	}
-	return nil
+	_, err := os.Stdout.Write(w.Bytes())
+	return err
 }

@@ -260,3 +260,21 @@ func TestScheduleAtBudgetZeroIsPreInline(t *testing.T) {
 		})
 	}
 }
+
+// TestIsBottomProbesResolveInVerdictOrder: three is-bottom probes deadlock
+// together, and the collector resolves them in one verdict. The results they
+// spawn must go out in the verdict's order, not a map's, so the seeded
+// schedule is the same on every run.
+func TestIsBottomProbesResolveInVerdictOrder(t *testing.T) {
+	const src = `let x = x + 1; y = y + 2; z = z + 3
+		in (if isbottom x then 1 else 0) + (if isbottom y then 10 else 0) + (if isbottom z then 100 else 0)`
+	digests := map[string]int{}
+	for i := 0; i < 30; i++ {
+		m := dgr.New(dgr.Options{PEs: 2, Seed: 11, MTEvery: 1, RecordSchedule: true})
+		digests[digestEval(t, m, src, 111)]++
+		m.Close()
+	}
+	if len(digests) != 1 {
+		t.Fatalf("30 runs of one seed gave %d schedule digests: %v", len(digests), digests)
+	}
+}

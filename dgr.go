@@ -124,25 +124,13 @@ type Options struct {
 	// the most-loaded peer's pool) and never applies to deterministic mode.
 	DisableSteal bool
 
-	// Fabric routes every cross-partition spawn through a simulated
-	// inter-PE network with batching, latency, loss, and at-least-once
-	// redelivery instead of pushing directly into the destination pool.
-	// The remaining fields tune it (zero values get fabric defaults:
-	// BatchSize 16, FlushEvery 100µs; the retransmission timeout is derived
-	// from FlushEvery, LinkLatency and Jitter).
-	Fabric bool
-	// BatchSize flushes a link's outbox at this many buffered tasks.
-	BatchSize int
-	// FlushEvery flushes an outbox when its oldest task is this old.
-	FlushEvery time.Duration
-	// DropRate injects per-transmission loss (clamped to 0.95); delivery
-	// stays exactly-once end to end via ack/retry/dedup.
-	DropRate float64
-	// LinkLatency delays every transmission; Jitter adds a uniform random
-	// extra; ReorderRate holds batches back behind later traffic.
-	LinkLatency time.Duration
-	Jitter      time.Duration
-	ReorderRate float64
+	// Fabric, when non-nil, routes every cross-partition spawn through a
+	// simulated inter-PE network with batching, latency, loss, and
+	// at-least-once redelivery instead of pushing directly into the
+	// destination pool. Its fields tune the network, and &fabric.Params{} is
+	// the fabric with its defaults. The type is internal: the fabric is a
+	// simulation for this module's own tools and tests.
+	Fabric *fabric.Params
 
 	// Obs enables the observability layer (internal/obs): one event log
 	// holding collector phases, per-PE execution batches, fabric flights and
@@ -238,7 +226,6 @@ type Machine struct {
 	prog      *gm.Program
 	collector *core.Collector
 	counters  *metrics.Counters
-	fab       *fabric.Fabric
 	checker   *check.Checker
 	recorder  *check.Recorder
 	obs       *obs.Obs
@@ -308,22 +295,6 @@ func New(opts Options) *Machine {
 			KindNames: task.KindNameTable(),
 		})
 	}
-	var fab *fabric.Fabric
-	if opts.Fabric {
-		fab = fabric.New(fabric.Config{
-			PEs:         opts.PEs,
-			Parallel:    opts.Parallel,
-			Seed:        opts.Seed,
-			BatchSize:   opts.BatchSize,
-			FlushEvery:  opts.FlushEvery,
-			LinkLatency: opts.LinkLatency,
-			Jitter:      opts.Jitter,
-			DropRate:    opts.DropRate,
-			ReorderRate: opts.ReorderRate,
-			Counters:    counters,
-			Obs:         ob,
-		})
-	}
 	// The checker and recorder hook into the scheduler, but both need the
 	// machine (and marker) that sched.New builds — so the hooks close over
 	// variables assigned below, before any task can execute (deterministic
@@ -338,7 +309,7 @@ func New(opts Options) *Machine {
 		Steal:       opts.Parallel && !opts.DisableSteal,
 		PartOf:      store.PartitionOf,
 		Counters:    counters,
-		Fabric:      fab,
+		Fabric:      opts.Fabric,
 		Obs:         ob,
 	}
 	if opts.RecordSchedule {
@@ -405,7 +376,7 @@ func New(opts Options) *Machine {
 	m := &Machine{
 		opts: opts, store: store, mach: mach,
 		engine: engine, prog: prog, collector: collector, counters: counters,
-		fab: fab, checker: checker, recorder: recorder, obs: ob,
+		checker: checker, recorder: recorder, obs: ob,
 	}
 	if checker != nil && ob != nil {
 		checker.OnViolation = func() {
@@ -497,8 +468,8 @@ func (m *Machine) Close() {
 		// (or speculation no collector expunges now) would never drain. Stop
 		// also closes the fabric, emptying its custody into the pools first.
 		m.mach.Stop()
-	} else if m.fab != nil {
-		m.fab.Close()
+	} else if f := m.mach.Fabric(); f != nil {
+		f.Close()
 	}
 	// After Stop/wg.Wait (parallel) or with nothing executing
 	// (deterministic), closing obs may safely flush open batch spans.
@@ -814,11 +785,12 @@ func (m *Machine) EvalList(src string) ([]Value, error) {
 }
 
 // EvalListTraced is EvalList under an externally originated trace context:
-// the spine and every element evaluation record sibling "eval" spans under
-// the same parent. Each of those evaluations re-roots the collector at the
-// cell or element it forces, so the list's own root stays pinned for the
-// whole walk: a cycle during one element's evaluation must not sweep the
-// cells and elements the walk has yet to reach.
+// the walk is recorded as one "eval" envelope span under parent, and the
+// spine's and every element's evaluation as an "eval" span under it. Each of
+// those evaluations re-roots the collector at the cell or element it forces,
+// so the list's own root stays pinned for the whole walk: a cycle during one
+// element's evaluation must not sweep the cells and elements the walk has yet
+// to reach.
 func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value, error) {
 	root, err := m.compileRooted(src)
 	if err != nil {
@@ -826,10 +798,21 @@ func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value,
 	}
 	m.collector.Pin(root)
 	defer m.collector.Pin(graph.NilVertex)
+	s := m.obs.Lineage()
+	var walk uint32
+	if tr != 0 && s != nil {
+		walk = s.NewSpan()
+		start := obs.Now()
+		defer func() {
+			s.Record(obs.TraceSpan{Trace: tr, Span: walk, Parent: parent,
+				Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval,
+				Start: start, End: obs.Now()})
+		}()
+	}
 	var out []Value
 	cur := root
 	for {
-		v, err := m.evalNodeTraced(cur, tr, parent)
+		v, err := m.evalNodeTraced(cur, tr, walk)
 		if err != nil {
 			return out, err
 		}
@@ -843,7 +826,7 @@ func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value,
 			if !ok {
 				return out, fmt.Errorf("dgr: malformed cons at v%d", v.ID)
 			}
-			hv, err := m.evalNodeTraced(h, tr, parent)
+			hv, err := m.evalNodeTraced(h, tr, walk)
 			if err != nil {
 				return out, err
 			}
@@ -1098,7 +1081,7 @@ func (m *Machine) ReplaySchedule(root NodeID, events []check.Event) error {
 	if m.opts.Parallel {
 		return errors.New("dgr: ReplaySchedule requires a deterministic machine")
 	}
-	if m.fab != nil {
+	if m.opts.Fabric != nil {
 		return errors.New("dgr: ReplaySchedule requires a machine without a fabric (the log order subsumes delivery)")
 	}
 	m.lockOwner()

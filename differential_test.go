@@ -32,6 +32,7 @@ import (
 
 	"dgr"
 	"dgr/internal/analysis"
+	"dgr/internal/fabric"
 	"dgr/internal/graph"
 	"dgr/internal/lang"
 	"dgr/internal/workload"
@@ -60,11 +61,10 @@ func diffOptions(mode, engine string, seed int64) dgr.Options {
 		o.Parallel = true
 	case "fabric":
 		o.Adversarial = true
-		o.Fabric = true
+		o.Fabric = &fabric.Params{}
 	case "fabdrop":
 		o.Adversarial = true
-		o.Fabric = true
-		o.DropRate = 0.3
+		o.Fabric = &fabric.Params{DropRate: 0.3}
 	}
 	return o
 }

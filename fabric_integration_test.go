@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dgr/internal/fabric"
 	"dgr/internal/obs"
 	"dgr/internal/workload"
 )
@@ -16,15 +17,16 @@ import (
 // with 10% transmission loss, latency, jitter, and reordering.
 func lossyFabricOpts(seed int64) Options {
 	return Options{
-		PEs:         4,
-		Seed:        seed,
-		Fabric:      true,
-		BatchSize:   8,
-		FlushEvery:  20 * time.Microsecond,
-		LinkLatency: 5 * time.Microsecond,
-		Jitter:      3 * time.Microsecond,
-		DropRate:    0.10,
-		ReorderRate: 0.10,
+		PEs:  4,
+		Seed: seed,
+		Fabric: &fabric.Params{
+			BatchSize:   8,
+			FlushEvery:  20 * time.Microsecond,
+			LinkLatency: 5 * time.Microsecond,
+			Jitter:      3 * time.Microsecond,
+			DropRate:    0.10,
+			ReorderRate: 0.10,
+		},
 	}
 }
 
@@ -100,14 +102,15 @@ func TestFabricDeterministicReproducible(t *testing.T) {
 // background collector, and the fabric's own pump — under 5% loss.
 func TestFabricParallelEval(t *testing.T) {
 	m := New(Options{
-		PEs:         4,
-		Parallel:    true,
-		Fabric:      true,
-		BatchSize:   8,
-		FlushEvery:  100 * time.Microsecond,
-		LinkLatency: 20 * time.Microsecond,
-		DropRate:    0.05,
-		Timeout:     2 * time.Minute,
+		PEs:      4,
+		Parallel: true,
+		Fabric: &fabric.Params{
+			BatchSize:   8,
+			FlushEvery:  100 * time.Microsecond,
+			LinkLatency: 20 * time.Microsecond,
+			DropRate:    0.05,
+		},
+		Timeout: 2 * time.Minute,
 	})
 	defer m.Close()
 	p := workload.Programs["fib"]

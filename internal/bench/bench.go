@@ -446,7 +446,7 @@ func serveCase(name string, rounds int, quick bool) (Result, error) {
 	if quick {
 		programs = 4
 	}
-	s := serve.New(serve.Options{Workers: 2, PEs: 2, Capacity: 1 << 16})
+	s := serve.New(serve.Options{Workers: 2, Machine: dgr.Options{PEs: 2, Capacity: 1 << 16}})
 	defer s.Close()
 	rep, err := workload.RunServeLoad(workload.ServeLoadConfig{
 		Tenants:     4,

@@ -13,21 +13,17 @@ import (
 
 // newFabricRig builds a deterministic rig whose cross-partition spawns
 // transit a lossy inter-PE fabric.
-func newFabricRig(t *testing.T, pes int, seed int64, fcfg fabric.Config) *rig {
+func newFabricRig(t *testing.T, pes int, seed int64, params fabric.Params) *rig {
 	t.Helper()
 	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 256})
 	counters := &metrics.Counters{}
-	fcfg.PEs = pes
-	fcfg.Seed = seed
-	fcfg.Counters = counters
-	fab := fabric.New(fcfg)
 	mach := sched.New(sched.Config{
 		PEs:      pes,
 		Mode:     sched.Deterministic,
 		Seed:     seed,
 		PartOf:   store.PartitionOf,
 		Counters: counters,
-		Fabric:   fab,
+		Fabric:   &params,
 	})
 	marker := NewMarker(store, mach, counters)
 	mach.SetHandler(NewDispatcher(marker, nil))
@@ -51,7 +47,7 @@ func (r *rig) vertexOn(part int, kind graph.Kind) *graph.Vertex {
 // marked), the marking invariants, and mt-cnt conservation.
 func TestMarkingOverLossyFabric(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		r := newFabricRig(t, 4, seed, fabric.Config{
+		r := newFabricRig(t, 4, seed, fabric.Params{
 			BatchSize:   4,
 			FlushEvery:  10 * time.Microsecond,
 			LinkLatency: 5 * time.Microsecond,
@@ -116,7 +112,7 @@ func TestMTSeesInTransitTasks(t *testing.T) {
 	// the remote demand in the outbox while taskRoots runs (the snapshot
 	// happens before any pumping); the deadline stays reachable so the
 	// cycle itself can complete.
-	r := newFabricRig(t, 2, 4, fabric.Config{
+	r := newFabricRig(t, 2, 4, fabric.Params{
 		BatchSize:  1 << 20,
 		FlushEvery: 200 * time.Microsecond,
 	})

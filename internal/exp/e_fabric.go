@@ -46,9 +46,11 @@ func runFabricBatch(cfg Config) (*Table, error) {
 		if batch > 0 {
 			f = fabric.New(fabric.Config{
 				PEs: pes, Parallel: true, Seed: cfg.Seed,
-				BatchSize: batch, FlushEvery: 200 * time.Microsecond,
-				LinkLatency: 20 * time.Microsecond,
-				Counters:    counters,
+				Params: fabric.Params{
+					BatchSize: batch, FlushEvery: 200 * time.Microsecond,
+					LinkLatency: 20 * time.Microsecond,
+				},
+				Counters: counters,
 			})
 			f.SetDeliver(sink)
 			f.Start()
@@ -127,12 +129,11 @@ func runFabricDrop(cfg Config) (*Table, error) {
 	for _, name := range programs {
 		p := workload.Programs[name]
 		for _, drop := range []float64{0, 0.05, 0.10} {
-			m := dgr.New(dgr.Options{
-				PEs: 4, Seed: cfg.Seed, Fabric: true,
+			m := dgr.New(dgr.Options{PEs: 4, Seed: cfg.Seed, Fabric: &fabric.Params{
 				BatchSize: 8, FlushEvery: 20 * time.Microsecond,
 				LinkLatency: 5 * time.Microsecond, Jitter: 3 * time.Microsecond,
 				DropRate: drop, ReorderRate: 0.05,
-			})
+			}})
 			v, err := m.Eval(p.Src)
 			if err != nil {
 				m.Close()

@@ -55,18 +55,26 @@ import (
 // maxDropRate caps fault injection so retransmission always makes progress.
 const maxDropRate = 0.95
 
-// Config parameterizes a Fabric.
-type Config struct {
-	PEs      int
-	Parallel bool // wall clock and the pump goroutine instead of Tick/Advance
-	Seed     int64
-
+// Params are the network's own dials: what a user of the machine may set.
+// The zero value is a working fabric with the defaults below; the
+// retransmission timeout is derived from FlushEvery, LinkLatency and Jitter.
+type Params struct {
 	BatchSize   int           // flush an outbox at this many tasks (default 16)
 	FlushEvery  time.Duration // flush an outbox when its oldest task is this old (default 100µs)
 	LinkLatency time.Duration // fixed one-way latency per transmission
 	Jitter      time.Duration // additional uniform random latency
 	DropRate    float64       // per-transmission loss probability, clamped to 0.95
 	ReorderRate float64       // probability a batch is held back behind later traffic
+}
+
+// Config parameterizes a Fabric: the dials, and what the machine it runs in
+// supplies (sched.New builds a machine's fabric from its own settings).
+type Config struct {
+	PEs      int
+	Parallel bool // wall clock and the pump goroutine instead of Tick/Advance
+	Seed     int64
+
+	Params
 
 	Counters *metrics.Counters // shared counters; New supplies private ones when nil
 	// Obs, when non-nil, receives the fab.* message-lifecycle events and a
@@ -78,9 +86,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PEs < 1 {
-		c.PEs = 1
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 16
 	}

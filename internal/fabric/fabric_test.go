@@ -62,7 +62,7 @@ func drain(t *testing.T, f *Fabric) {
 
 func TestFlushByCount(t *testing.T) {
 	s := newSink()
-	f := New(Config{PEs: 2, Seed: 1, BatchSize: 3, FlushEvery: time.Hour})
+	f := New(Config{PEs: 2, Seed: 1, Params: Params{BatchSize: 3, FlushEvery: time.Hour}})
 	f.SetDeliver(s.deliver)
 	f.Enqueue(0, 1, tk(1, 2))
 	f.Enqueue(0, 1, tk(1, 2))
@@ -81,7 +81,8 @@ func TestFlushByCount(t *testing.T) {
 
 func TestFlushByDeadline(t *testing.T) {
 	s := newSink()
-	f := New(Config{PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: 5 * time.Microsecond})
+	f := New(Config{PEs: 2, Seed: 1,
+		Params: Params{BatchSize: 100, FlushEvery: 5 * time.Microsecond}})
 	f.SetDeliver(s.deliver)
 	f.Enqueue(0, 1, tk(1, 2))
 	for i := 0; i < 4; i++ {
@@ -98,8 +99,9 @@ func TestFlushByDeadline(t *testing.T) {
 
 func TestAdvanceFastForwards(t *testing.T) {
 	s := newSink()
-	f := New(Config{PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: time.Millisecond,
-		LinkLatency: 50 * time.Microsecond})
+	f := New(Config{PEs: 2, Seed: 1,
+		Params: Params{BatchSize: 100, FlushEvery: time.Millisecond,
+			LinkLatency: 50 * time.Microsecond}})
 	f.SetDeliver(s.deliver)
 	f.Enqueue(0, 1, tk(1, 2))
 	// No ticking: Advance alone must jump to the flush deadline and then the
@@ -121,9 +123,10 @@ func TestExactlyOnceUnderLoss(t *testing.T) {
 	for _, drop := range []float64{0.1, 0.3, 0.6} {
 		c := &metrics.Counters{}
 		s := newSink()
-		f := New(Config{PEs: 4, Seed: 99, BatchSize: 4, FlushEvery: 10 * time.Microsecond,
-			LinkLatency: 3 * time.Microsecond, Jitter: 2 * time.Microsecond,
-			DropRate: drop, ReorderRate: 0.2, Counters: c})
+		f := New(Config{PEs: 4, Seed: 99, Counters: c,
+			Params: Params{BatchSize: 4, FlushEvery: 10 * time.Microsecond,
+				LinkLatency: 3 * time.Microsecond, Jitter: 2 * time.Microsecond,
+				DropRate: drop, ReorderRate: 0.2}})
 		f.SetDeliver(s.deliver)
 		const n = 500
 		for i := 0; i < n; i++ {
@@ -156,9 +159,10 @@ func TestDeterministicReproducibility(t *testing.T) {
 	run := func() metrics.Snapshot {
 		c := &metrics.Counters{}
 		s := newSink()
-		f := New(Config{PEs: 3, Seed: 7, BatchSize: 2, FlushEvery: 7 * time.Microsecond,
-			LinkLatency: 5 * time.Microsecond, Jitter: 4 * time.Microsecond,
-			DropRate: 0.25, ReorderRate: 0.3, Counters: c})
+		f := New(Config{PEs: 3, Seed: 7, Counters: c,
+			Params: Params{BatchSize: 2, FlushEvery: 7 * time.Microsecond,
+				LinkLatency: 5 * time.Microsecond, Jitter: 4 * time.Microsecond,
+				DropRate: 0.25, ReorderRate: 0.3}})
 		f.SetDeliver(s.deliver)
 		for i := 0; i < 300; i++ {
 			f.Enqueue(i%3, (i+1)%3, tk(graph.VertexID(i+1), graph.VertexID(i+2)))
@@ -179,8 +183,8 @@ func TestDeterministicReproducibility(t *testing.T) {
 func TestEachAndExpunge(t *testing.T) {
 	c := &metrics.Counters{}
 	s := newSink()
-	f := New(Config{PEs: 2, Seed: 1, BatchSize: 2, FlushEvery: time.Hour,
-		LinkLatency: time.Hour, Counters: c})
+	f := New(Config{PEs: 2, Seed: 1, Counters: c,
+		Params: Params{BatchSize: 2, FlushEvery: time.Hour, LinkLatency: time.Hour}})
 	f.SetDeliver(s.deliver)
 	// One full batch in flight (latency=1h keeps it undelivered) plus one
 	// task buffered in the outbox.
@@ -213,8 +217,8 @@ func TestLinkStatsAndTrace(t *testing.T) {
 	c := &metrics.Counters{}
 	o := obs.New(obs.Options{PEs: 2})
 	s := newSink()
-	f := New(Config{PEs: 2, Seed: 3, BatchSize: 2, FlushEvery: 5 * time.Microsecond,
-		DropRate: 0.3, Counters: c, Obs: o})
+	f := New(Config{PEs: 2, Seed: 3, Counters: c, Obs: o,
+		Params: Params{BatchSize: 2, FlushEvery: 5 * time.Microsecond, DropRate: 0.3}})
 	f.SetDeliver(s.deliver)
 	for i := 0; i < 40; i++ {
 		f.Enqueue(0, 1, tk(1, 2))
@@ -242,9 +246,10 @@ func TestLinkStatsAndTrace(t *testing.T) {
 func TestParallelDelivery(t *testing.T) {
 	c := &metrics.Counters{}
 	s := newSink()
-	f := New(Config{PEs: 4, Parallel: true, Seed: 5, BatchSize: 8,
-		FlushEvery: 100 * time.Microsecond, LinkLatency: 50 * time.Microsecond,
-		Jitter: 30 * time.Microsecond, DropRate: 0.1, Counters: c})
+	f := New(Config{PEs: 4, Parallel: true, Seed: 5, Counters: c,
+		Params: Params{BatchSize: 8, FlushEvery: 100 * time.Microsecond,
+			LinkLatency: 50 * time.Microsecond, Jitter: 30 * time.Microsecond,
+			DropRate: 0.1}})
 	// A batch stays in custody until the sink has it: were it subtracted
 	// first, a reader could see Pending() == 0 with the last delivery still
 	// running.
@@ -300,7 +305,8 @@ func TestParallelDelivery(t *testing.T) {
 // and no arrival is left pending behind a closed fabric.
 func TestCloseEmptiesCustody(t *testing.T) {
 	s := newSink()
-	f := New(Config{PEs: 2, Parallel: true, Seed: 1, BatchSize: 1, LinkLatency: time.Hour})
+	f := New(Config{PEs: 2, Parallel: true, Seed: 1,
+		Params: Params{BatchSize: 1, LinkLatency: time.Hour}})
 	f.SetDeliver(s.deliver)
 	f.Start()
 	f.Enqueue(0, 1, tk(1, 2))
@@ -315,8 +321,8 @@ func TestCloseEmptiesCustody(t *testing.T) {
 // hold back a 100µs arrival.
 func TestPumpPeriodFollowsLatency(t *testing.T) {
 	s := newSink()
-	f := New(Config{PEs: 2, Parallel: true, Seed: 1, BatchSize: 1,
-		FlushEvery: time.Hour, LinkLatency: 100 * time.Microsecond})
+	f := New(Config{PEs: 2, Parallel: true, Seed: 1,
+		Params: Params{BatchSize: 1, FlushEvery: time.Hour, LinkLatency: 100 * time.Microsecond}})
 	f.SetDeliver(s.deliver)
 	f.Start()
 	defer f.Close()
@@ -346,7 +352,7 @@ func TestCloseDeliversDirectly(t *testing.T) {
 // handle attached: the outbox's growth and the batch record, and nothing for
 // the fab.flush / fab.deliver events nobody is listening to.
 func TestFlushDeliverAllocBudget(t *testing.T) {
-	f := New(Config{PEs: 2, Seed: 1, BatchSize: 16})
+	f := New(Config{PEs: 2, Seed: 1, Params: Params{BatchSize: 16}})
 	f.SetDeliver(func(int, []task.Task) {})
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 16; i++ {

@@ -31,10 +31,10 @@ type TraceReport struct {
 	Crit    CritReport  `json:"critical"`
 }
 
-// BuildTraceDoc drains the sink's retained spans into the exposition
-// document, assembling each trace and running the critical-path analysis.
-func BuildTraceDoc(s *TraceSink) TraceDoc {
-	spans, dropped := s.Spans()
+// BuildTraceDoc builds the exposition document from spans, assembling each
+// trace and running the critical-path analysis; dropped is how many spans
+// were lost before the caller got them (a sink's Spans returns both).
+func BuildTraceDoc(spans []TraceSpan, dropped uint64) TraceDoc {
 	traces, globals := AssembleTraces(spans)
 	doc := TraceDoc{Globals: globals, Dropped: dropped}
 	for _, tr := range traces {
@@ -53,5 +53,5 @@ func BuildTraceDoc(s *TraceSink) TraceDoc {
 func WriteTracesJSON(w io.Writer, s *TraceSink) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(BuildTraceDoc(s))
+	return enc.Encode(BuildTraceDoc(s.Spans()))
 }

@@ -161,30 +161,31 @@ func (e *Engine) SetInlineBudget(n int) { e.budget = n }
 // becomes garbage and is reclaimed by the next cycle. It returns the
 // resolved probe vertices.
 //
+// Probes resolve in the order of deadlocked, so their results are spawned
+// in that order: the collector passes its verdict ascending (judgeVerdicts
+// sorts it), which keeps a seeded schedule independent of map order.
+//
 // As the paper warns, is-bottom is non-monotonic: resolving a probe makes
 // a "deadlocked" vertex produce a value after all, so callers must drop
 // the resolved probes from any stable deadlock record.
 func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.VertexID {
-	if len(deadlocked) == 0 {
-		return nil
+	type hit struct {
+		p   graph.VertexID
+		lin lineage
 	}
-	dead := make(map[graph.VertexID]bool, len(deadlocked))
-	for _, id := range deadlocked {
-		dead[id] = true
-	}
+	var hits []hit
 	e.mu.Lock()
-	hit := make(map[graph.VertexID]lineage)
-	for p, lin := range e.probes {
-		if dead[p] {
-			hit[p] = lin
+	for _, p := range deadlocked {
+		if lin, ok := e.probes[p]; ok {
+			hits = append(hits, hit{p, lin})
 			delete(e.probes, p)
 		}
 	}
 	e.mu.Unlock()
 
 	var resolved []graph.VertexID
-	for p, lin := range hit {
-		v := e.store.Vertex(p)
+	for _, h := range hits {
+		v := e.store.Vertex(h.p)
 		if v == nil {
 			continue
 		}
@@ -196,8 +197,8 @@ func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.Vertex
 		}
 		// Outside any execution: nothing runs in place, and the results go
 		// out in the lineage of the task that registered the probe.
-		(&execution{Engine: e, lin: lin}).finishBool(v, true)
-		resolved = append(resolved, p)
+		(&execution{Engine: e, lin: h.lin}).finishBool(v, true)
+		resolved = append(resolved, h.p)
 	}
 	return resolved
 }

@@ -119,11 +119,11 @@ type Config struct {
 	// Counters receives statistics; optional.
 	Counters *metrics.Counters
 	// Fabric, when non-nil, carries every cross-partition spawn through a
-	// simulated inter-PE network. Local spawns bypass it. The machine owns
-	// its lifecycle: Step pumps it (deterministic mode), Start starts its
-	// pump and Stop closes it (parallel mode). The fabric's mode and seed
-	// must match the machine's.
-	Fabric *fabric.Fabric
+	// simulated inter-PE network with these dials; New builds it from the
+	// machine's PEs, mode, seed, counters and obs handle. Local spawns bypass
+	// it. The machine owns its lifecycle: Step pumps it (deterministic mode),
+	// Start starts its pump and Stop closes it (parallel mode).
+	Fabric *fabric.Params
 
 	// Steal, in parallel mode, lets a PE whose band queues are empty take a
 	// batch from the tail of the most-loaded peer's rings instead of
@@ -290,7 +290,8 @@ func New(cfg Config) *Machine {
 		})
 	}
 	if cfg.Fabric != nil {
-		m.fab = cfg.Fabric
+		m.fab = fabric.New(fabric.Config{PEs: cfg.PEs, Parallel: cfg.Mode == Parallel,
+			Seed: cfg.Seed, Params: *cfg.Fabric, Counters: cfg.Counters, Obs: cfg.Obs})
 		m.fab.SetDeliver(func(pe int, ts []task.Task) {
 			// A delivery can re-animate a vertex under a pending deadlock
 			// verdict; note it before the batch becomes poppable.
@@ -656,7 +657,7 @@ func (m *Machine) InTransit() int64 {
 	return m.fab.Pending()
 }
 
-// Fabric returns the wired-in fabric, or nil.
+// Fabric returns the fabric New built, or nil.
 func (m *Machine) Fabric() *fabric.Fabric { return m.fab }
 
 // EachCurrent calls fn for every task currently being executed by a PE and

@@ -434,8 +434,8 @@ func TestSpawnPlacementSourcelessBypassesFabric(t *testing.T) {
 	// With a fabric wired in, sourceless spawns must land directly in the
 	// destination pool — never in an outbox — since nothing actually
 	// travels between partitions for a host-injected task.
-	fab := fabric.New(fabric.Config{PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: time.Hour})
-	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Fabric: fab})
+	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2),
+		Fabric: &fabric.Params{BatchSize: 100, FlushEvery: time.Hour}})
 	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	for i := 1; i <= 6; i++ {
 		m.Spawn(task.Task{Kind: task.Demand, Dst: graph.VertexID(i), Req: graph.ReqVital})
@@ -454,13 +454,12 @@ func TestSpawnPlacementSourcelessBypassesFabric(t *testing.T) {
 
 func TestFabricDeterministicExactlyOnce(t *testing.T) {
 	var c metrics.Counters
-	fab := fabric.New(fabric.Config{
-		PEs: 4, Seed: 11, BatchSize: 4, FlushEvery: 10 * time.Microsecond,
-		LinkLatency: 5 * time.Microsecond, Jitter: 3 * time.Microsecond,
-		DropRate: 0.3, ReorderRate: 0.1, Counters: &c,
-	})
 	m := New(Config{PEs: 4, Mode: Deterministic, Seed: 11, PartOf: partMod(4),
-		Counters: &c, Fabric: fab})
+		Counters: &c, Fabric: &fabric.Params{
+			BatchSize: 4, FlushEvery: 10 * time.Microsecond,
+			LinkLatency: 5 * time.Microsecond, Jitter: 3 * time.Microsecond,
+			DropRate: 0.3, ReorderRate: 0.1,
+		}})
 	var executed atomic.Int64
 	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		executed.Add(1)
@@ -497,13 +496,12 @@ func TestFabricDeterministicExactlyOnce(t *testing.T) {
 func TestFabricDeterministicReproducible(t *testing.T) {
 	run := func() (int64, metrics.Snapshot) {
 		var c metrics.Counters
-		fab := fabric.New(fabric.Config{
-			PEs: 3, Seed: 21, BatchSize: 3, FlushEvery: 8 * time.Microsecond,
-			LinkLatency: 4 * time.Microsecond, Jitter: 6 * time.Microsecond,
-			DropRate: 0.2, ReorderRate: 0.2, Counters: &c,
-		})
 		m := New(Config{PEs: 3, Mode: Deterministic, Seed: 21, PartOf: partMod(3),
-			Counters: &c, Fabric: fab})
+			Counters: &c, Fabric: &fabric.Params{
+				BatchSize: 3, FlushEvery: 8 * time.Microsecond,
+				LinkLatency: 4 * time.Microsecond, Jitter: 6 * time.Microsecond,
+				DropRate: 0.2, ReorderRate: 0.2,
+			}})
 		var sum atomic.Int64
 		m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 			sum.Add(int64(tk.Dst))
@@ -528,12 +526,11 @@ func TestFabricDeterministicReproducible(t *testing.T) {
 
 func TestFabricParallelDelivery(t *testing.T) {
 	var c metrics.Counters
-	fab := fabric.New(fabric.Config{
-		PEs: 4, Parallel: true, Seed: 5, BatchSize: 8,
-		FlushEvery: 100 * time.Microsecond, LinkLatency: 30 * time.Microsecond,
-		DropRate: 0.05, Counters: &c,
-	})
-	m := New(Config{PEs: 4, Mode: Parallel, PartOf: partMod(4), Counters: &c, Fabric: fab})
+	m := New(Config{PEs: 4, Mode: Parallel, Seed: 5, PartOf: partMod(4), Counters: &c,
+		Fabric: &fabric.Params{
+			BatchSize: 8, FlushEvery: 100 * time.Microsecond,
+			LinkLatency: 30 * time.Microsecond, DropRate: 0.05,
+		}})
 	var count atomic.Int64
 	m.SetHandler(HandlerFunc(func(_ int, tk task.Task) {
 		count.Add(1)
@@ -559,10 +556,8 @@ func TestFabricParallelDelivery(t *testing.T) {
 // stopped machine leaves no task on the wire; Stop abandons what is queued,
 // so nothing is in flight and the task never ran.
 func TestStopEmptiesFabric(t *testing.T) {
-	fab := fabric.New(fabric.Config{
-		PEs: 2, Parallel: true, Seed: 1, BatchSize: 1, LinkLatency: time.Hour,
-	})
-	m := New(Config{PEs: 2, Mode: Parallel, PartOf: partMod(2), Fabric: fab})
+	m := New(Config{PEs: 2, Mode: Parallel, Seed: 1, PartOf: partMod(2),
+		Fabric: &fabric.Params{BatchSize: 1, LinkLatency: time.Hour}})
 	var count atomic.Int64
 	m.SetHandler(HandlerFunc(func(int, task.Task) { count.Add(1) }))
 	m.Start()
@@ -580,10 +575,8 @@ func TestStopEmptiesFabric(t *testing.T) {
 }
 
 func TestFabricExpungeInTransit(t *testing.T) {
-	fab := fabric.New(fabric.Config{
-		PEs: 2, Seed: 1, BatchSize: 100, FlushEvery: time.Hour,
-	})
-	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Fabric: fab})
+	m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2),
+		Fabric: &fabric.Params{BatchSize: 100, FlushEvery: time.Hour}})
 	m.SetHandler(HandlerFunc(func(int, task.Task) {}))
 	// Remote demands park in the outbox (huge batch + deadline).
 	for i := 0; i < 6; i++ {

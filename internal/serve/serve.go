@@ -65,25 +65,21 @@ func (e *Error) IsRejection() bool {
 	return false
 }
 
-// Options configures a Server. The zero value is usable: two deterministic
-// 2-PE workers, a 256-deep admission queue, and a 1024-entry memo cache.
+// Options configures a Server. The zero value is usable; each field's
+// default is given with it.
 type Options struct {
 	// Workers is the machine-pool size (default 2).
 	Workers int
-	// PEs, Parallel, Seed, Capacity, MaxSteps, Timeout, Check, and Obs
-	// configure each pooled dgr.Machine (defaults: 2 PEs, deterministic,
-	// seed 1, 1<<16 vertices, machine defaults for the budgets).
-	PEs      int
-	Parallel bool
-	Seed     int64
-	Capacity int
-	MaxSteps int
-	Timeout  time.Duration
-	Check    bool
-	Obs      bool
-	// Engine selects the reduction back end for every pooled machine
-	// (dgr.EngineInterp or dgr.EngineCompiled; default interpreted).
-	Engine string
+	// Machine configures every pooled dgr.Machine (default PEs 2, Capacity
+	// 1<<16; dgr.New defaults the rest). Worker i runs seed Machine.Seed+i.
+	// Machine.TraceRate is the server's head-sampling rate: each submission
+	// is sampled at it, and a sampled request's causal history — admission,
+	// queue wait, memo probe, dispatch, the machine's spawn/steal/fabric
+	// lineage, settle — is recorded into one sink shared by the whole pool
+	// and assembled (with critical-path blame) at /debug/traces.json. The
+	// pooled machines record into that sink at rate 0, so Machine.TraceSink
+	// is not used.
+	Machine dgr.Options
 
 	// QueueDepth bounds the total queued (not yet running) jobs across all
 	// tenants (default 256); admission beyond it is CodeQueueFull.
@@ -91,27 +87,20 @@ type Options struct {
 	// CacheEntries bounds the normal-form memo cache (default 1024).
 	CacheEntries int
 	// DefaultLimits applies to tenants not configured via SetTenant
-	// (defaults: MaxInflight 8, VertexQuota Capacity/2, BandEager, weight 1).
+	// (defaults: MaxInflight 8, VertexQuota Machine.Capacity/2, BandEager,
+	// weight 1).
 	DefaultLimits TenantLimits
-
-	// TraceRate enables causal task-lineage tracing: each submission is
-	// head-sampled at this rate, and a sampled request's full causal
-	// history — admission, queue wait, memo probe, dispatch, the machine's
-	// spawn/steal/fabric lineage, settle — is recorded into one shared
-	// trace sink across the whole pool, assembled (with critical-path
-	// blame) at /debug/traces.json. 0 disables tracing.
-	TraceRate float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
-	if o.PEs <= 0 {
-		o.PEs = 2
+	if o.Machine.PEs <= 0 {
+		o.Machine.PEs = 2
 	}
-	if o.Capacity <= 0 {
-		o.Capacity = 1 << 16
+	if o.Machine.Capacity <= 0 {
+		o.Machine.Capacity = 1 << 16
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
@@ -123,7 +112,7 @@ func (o Options) withDefaults() Options {
 		o.DefaultLimits.MaxInflight = 8
 	}
 	if o.DefaultLimits.VertexQuota <= 0 {
-		o.DefaultLimits.VertexQuota = o.Capacity / 2
+		o.DefaultLimits.VertexQuota = o.Machine.Capacity / 2
 	}
 	return o
 }
@@ -305,8 +294,8 @@ func New(opts Options) *Server {
 		jobs:    make(map[string]*Job),
 		cache:   newMemoCache(opts.CacheEntries),
 	}
-	if opts.TraceRate > 0 {
-		s.trace = obs.NewTraceSink(traceCapacity, opts.TraceRate)
+	if opts.Machine.TraceRate > 0 {
+		s.trace = obs.NewTraceSink(traceCapacity, opts.Machine.TraceRate)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for b := range s.credits {
@@ -322,20 +311,12 @@ func New(opts Options) *Server {
 }
 
 func (s *Server) newMachine(id int) *dgr.Machine {
-	return dgr.New(dgr.Options{
-		PEs:      s.opts.PEs,
-		Parallel: s.opts.Parallel,
-		Seed:     s.opts.Seed + int64(id),
-		Capacity: s.opts.Capacity,
-		MaxSteps: s.opts.MaxSteps,
-		Timeout:  s.opts.Timeout,
-		Check:    s.opts.Check,
-		Obs:      s.opts.Obs,
-		Engine:   s.opts.Engine,
-		// Shared sink with rate 0 at the machine level: sampling is the
-		// server's admission-time decision, carried in via EvalTraced.
-		TraceSink: s.trace,
-	})
+	o := s.opts.Machine
+	o.Seed += int64(id)
+	// The shared sink at rate 0: sampling is the server's admission-time
+	// decision, carried in via EvalTraced.
+	o.TraceRate, o.TraceSink = 0, s.trace
+	return dgr.New(o)
 }
 
 // SetTenant configures a tenant's limits and scheduling class. Unknown
@@ -649,7 +630,7 @@ func (s *Server) execute(w *worker, j *Job) {
 	// The previous request's garbage is reclaimed first, so one job's
 	// leavings aren't billed to the next: no machine collects while it
 	// waits for work.
-	if m.FreeVertices() < s.opts.Capacity/4 {
+	if m.FreeVertices() < s.opts.Machine.Capacity/4 {
 		m.RunGC()
 	}
 	free0 := m.FreeVertices()
@@ -953,7 +934,7 @@ func (s *Server) Stats() PoolStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return PoolStats{
-		Workers: len(s.workers), PEs: s.opts.PEs, Parallel: s.opts.Parallel,
+		Workers: len(s.workers), PEs: s.opts.Machine.PEs, Parallel: s.opts.Machine.Parallel,
 		Queued: s.queued, Running: s.running, QueueDepth: s.opts.QueueDepth,
 		Tenants: len(s.tenants), Jobs: len(s.jobs), Recycles: s.recycles,
 		Violations: viol, Cache: s.cacheStatsLocked(),

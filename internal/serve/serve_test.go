@@ -20,10 +20,10 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
-	if opts.Capacity == 0 {
-		opts.Capacity = 1 << 14
+	if opts.Machine.Capacity == 0 {
+		opts.Machine.Capacity = 1 << 14
 	}
-	opts.Check = true
+	opts.Machine.Check = true
 	s := New(opts)
 	t.Cleanup(s.Close)
 	return s
@@ -99,7 +99,7 @@ func TestEvalAndMemoCache(t *testing.T) {
 // and a warm rerun (layout-changed, digest-identical source) still comes
 // from the memo cache rather than a fresh compile.
 func TestEvalCompiledEngineWarmRerun(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, Engine: dgr.EngineCompiled})
+	s := newTestServer(t, Options{Workers: 1, Machine: dgr.Options{Engine: dgr.EngineCompiled}})
 
 	j, err := s.Submit(Request{Tenant: "alice", Program: fibSrc})
 	if err != nil {

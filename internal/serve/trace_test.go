@@ -16,11 +16,12 @@ import (
 	"strings"
 	"testing"
 
+	"dgr"
 	"dgr/internal/obs"
 )
 
 func TestServeRequestProducesTrace(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, TraceRate: 1})
+	s := newTestServer(t, Options{Workers: 1, Machine: dgr.Options{TraceRate: 1}})
 
 	j, err := s.Submit(Request{Tenant: "alice", Program: fibSrc})
 	if err != nil {
@@ -104,7 +105,7 @@ func findTrace(t *testing.T, traces []*obs.TraceAssembly, hexID string) *obs.Tra
 }
 
 func TestServeMemoHitTraced(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, TraceRate: 1})
+	s := newTestServer(t, Options{Workers: 1, Machine: dgr.Options{TraceRate: 1}})
 	jc, err := s.Submit(Request{Tenant: "a", Program: "6 * 7"})
 	if err != nil {
 		t.Fatalf("cold submit: %v", err)
@@ -145,7 +146,7 @@ func TestServeMemoHitTraced(t *testing.T) {
 }
 
 func TestHTTPTracesEndpoint(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, TraceRate: 1})
+	s := newTestServer(t, Options{Workers: 1, Machine: dgr.Options{TraceRate: 1}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

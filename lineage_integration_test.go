@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"dgr"
+	"dgr/internal/fabric"
 	"dgr/internal/obs"
 )
 
@@ -115,7 +116,7 @@ func TestTraceParallelStealsFabric(t *testing.T) {
 		Seed:      42,
 		Capacity:  1 << 15,
 		Parallel:  true,
-		Fabric:    true,
+		Fabric:    &fabric.Params{},
 		TraceRate: 1,
 	})
 	defer m.Close()
@@ -247,7 +248,7 @@ func TestBlameWithNonGCGlobals(t *testing.T) {
 		Seed:       42,
 		Capacity:   1 << 12, // small partitions: allocation spills across them early
 		GCInterval: 2000,
-		Fabric:     true,
+		Fabric:     &fabric.Params{},
 		Obs:        true,
 		TraceRate:  1,
 	})
@@ -401,20 +402,27 @@ func TestTraceEvalListSampled(t *testing.T) {
 	}
 	spans, _ := m.TraceSink().Spans()
 	traces, globals := obs.AssembleTraces(spans)
-	if len(traces) == 0 {
-		t.Fatal("a rate-1 EvalList recorded no trace")
+	if len(traces) != 1 {
+		t.Fatalf("a rate-1 EvalList recorded %d traces, want 1", len(traces))
 	}
-	for _, tr := range traces {
-		if tr.Orphans != 0 {
-			t.Fatalf("trace %d: %d orphans", tr.ID, tr.Orphans)
-		}
-		rep := obs.CriticalPath(tr, globals)
-		var blamed int64
-		for _, ns := range rep.Blame {
-			blamed += ns
-		}
-		if rep.TotalNs <= 0 || blamed != rep.TotalNs {
-			t.Fatalf("trace %d: blame sums to %d, want TotalNs %d", tr.ID, blamed, rep.TotalNs)
-		}
+	tr := traces[0]
+	if tr.Orphans != 0 {
+		t.Fatalf("trace %d: %d orphans", tr.ID, tr.Orphans)
+	}
+	// The walk is one tree: a single envelope that every cell and element
+	// evaluation hangs off, so the critical path spans the whole trace.
+	if len(tr.Roots) != 1 {
+		t.Fatalf("trace %d has %d roots, want 1 (the walk's envelope)", tr.ID, len(tr.Roots))
+	}
+	rep := obs.CriticalPath(tr, globals)
+	if rep.TotalNs != tr.End-tr.Start {
+		t.Fatalf("trace %d: critical path covers %d ns of the trace's %d", tr.ID, rep.TotalNs, tr.End-tr.Start)
+	}
+	var blamed int64
+	for _, ns := range rep.Blame {
+		blamed += ns
+	}
+	if rep.TotalNs <= 0 || blamed != rep.TotalNs {
+		t.Fatalf("trace %d: blame sums to %d, want TotalNs %d", tr.ID, blamed, rep.TotalNs)
 	}
 }

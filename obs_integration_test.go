@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dgr"
+	"dgr/internal/fabric"
 	"dgr/internal/obs"
 )
 
@@ -173,7 +174,7 @@ func TestObsParallelSmoke(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:      4,
 		Parallel: true,
-		Fabric:   true,
+		Fabric:   &fabric.Params{},
 		Obs:      true,
 	})
 	defer m.Close()

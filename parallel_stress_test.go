@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dgr/internal/fabric"
 	"dgr/internal/workload"
 )
 
@@ -208,26 +209,27 @@ func TestFabricAdversarialStress(t *testing.T) {
 		reclaimed int64
 		live      int
 	}
-	run := func(name string, fabric bool) outcome {
+	run := func(name string, withFabric bool) outcome {
 		opts := Options{PEs: 4, Seed: 77, Adversarial: true, Capacity: 1 << 16}
-		if fabric {
-			opts.Fabric = true
-			opts.BatchSize = 8
-			opts.FlushEvery = 20 * time.Microsecond
-			opts.LinkLatency = 5 * time.Microsecond
-			opts.Jitter = 3 * time.Microsecond
-			opts.DropRate = 0.05
-			opts.ReorderRate = 0.10
+		if withFabric {
+			opts.Fabric = &fabric.Params{
+				BatchSize:   8,
+				FlushEvery:  20 * time.Microsecond,
+				LinkLatency: 5 * time.Microsecond,
+				Jitter:      3 * time.Microsecond,
+				DropRate:    0.05,
+				ReorderRate: 0.10,
+			}
 		}
 		m := New(opts)
 		defer m.Close()
 		p := workload.Programs[name]
 		v, err := m.Eval(p.Src)
 		if err != nil {
-			t.Fatalf("%s (fabric=%v): %v", name, fabric, err)
+			t.Fatalf("%s (fabric=%v): %v", name, withFabric, err)
 		}
 		if v.Int != p.Want {
-			t.Fatalf("%s (fabric=%v) = %v, want %d", name, fabric, v, p.Want)
+			t.Fatalf("%s (fabric=%v) = %v, want %d", name, withFabric, v, p.Want)
 		}
 		// Collect to fixpoint so both machines see the same final heap.
 		for i := 0; i < 50; i++ {
@@ -236,7 +238,7 @@ func TestFabricAdversarialStress(t *testing.T) {
 			}
 		}
 		s := m.Stats()
-		if fabric {
+		if withFabric {
 			if s.FabricSent == 0 {
 				t.Fatalf("%s: adversarial fabric run produced no traffic", name)
 			}
