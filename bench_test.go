@@ -1,9 +1,10 @@
 package dgr_test
 
 // The experiments of EXPERIMENTS.md run through `go run ./cmd/dgr-bench`
-// (and, in Quick mode, internal/exp's TestAllExperimentsQuick); the reduce,
-// reduce-pes and gc-cycle measurements are rows of `dgr-bench -json`. What is
-// left here is the one measurement neither has.
+// (and, in Quick mode, internal/exp's TestAllExperimentsQuick); seeded
+// evaluations on both engines and collector cycles are workloads of the
+// repository benchmark (benchmark/), and the parallel PE sweep is rows of
+// `dgr-bench -json`. What is left here is the one measurement none has.
 
 import (
 	"testing"

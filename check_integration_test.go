@@ -93,7 +93,7 @@ func TestFaultSkipMarkCaught(t *testing.T) {
 	p := workload.Programs["churn"]
 	m := New(Options{
 		PEs: 4, Seed: 7, Check: true, CheckEvery: 1 << 30, GCInterval: 500,
-		Capacity: 1 << 12, FaultSkipMark: 3,
+		Capacity: 1 << 12, Stress: &check.Stress{FaultSkipMark: 3},
 	})
 	defer m.Close()
 	m.Eval(p.Src) // outcome irrelevant: the run is deliberately corrupted
@@ -275,7 +275,7 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		m = New(Options{
 			PEs: 4, Seed: seed, Parallel: true, Check: true, CheckEvery: 1 << 30,
-			Capacity: 1 << 12, RecordSchedule: true, FaultSkipMark: 3,
+			Capacity: 1 << 12, RecordSchedule: true, Stress: &check.Stress{FaultSkipMark: 3},
 			Timeout: 3 * time.Second, GCInterval: 500,
 		})
 		m.Eval(p.Src) // outcome irrelevant: the run is deliberately corrupted
@@ -295,7 +295,7 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 
 	m2 := New(Options{
 		PEs: 4, Seed: 1, Check: true, CheckEvery: 1 << 30, Capacity: 1 << 12,
-		FaultSkipMark: 3,
+		Stress: &check.Stress{FaultSkipMark: 3},
 	})
 	defer m2.Close()
 	root, err := m2.Compile(p.Src)

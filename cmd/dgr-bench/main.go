@@ -8,14 +8,16 @@
 //	dgr-bench -exp thm1,race  # run a subset
 //	dgr-bench -quick          # small workloads (smoke test)
 //	dgr-bench -list           # list experiment IDs
-//	dgr-bench -json           # hot-path benchmark suite as JSON
+//	dgr-bench -json           # parallel and serving benchmark suite as JSON
 //	dgr-bench -json -quick    # same, one iteration per case (CI smoke)
 //	dgr-bench -obscheck       # gate obs/tracing overhead at -obslimit (CI guard)
 //
-// -json replaces the experiment tables with the internal/bench hot-path
-// suite (end-to-end reduction, PE scaling sweep, GC cycle) and emits a
-// machine-readable report on stdout; BENCH_0.json at the repo root is a
-// checked-in baseline in this format.
+// -json replaces the experiment tables with the internal/bench suite (the
+// parallel fib PE sweep on both engines, and serving-layer throughput) and
+// emits a machine-readable report on stdout; BENCH_0.json and BENCH_1.json
+// at the repo root are earlier reports in this format, kept as history.
+// Seeded evaluations and collector cycles are measured by the repository
+// benchmark (benchmark/), and the instrumentation overhead by -obscheck.
 package main
 
 import (
@@ -42,7 +44,7 @@ func run() error {
 		quick    = flag.Bool("quick", false, "shrink workloads")
 		seed     = flag.Int64("seed", 7, "workload seed")
 		list     = flag.Bool("list", false, "list experiment IDs")
-		jsonR    = flag.Bool("json", false, "run the hot-path benchmark suite, emit JSON report")
+		jsonR    = flag.Bool("json", false, "run the parallel and serving benchmark suite, emit JSON report")
 		cpus     = flag.String("cpu", "", "comma-separated GOMAXPROCS values to sweep the -json suite over (e.g. 1,2,4)")
 		obscheck = flag.Bool("obscheck", false, "A/B-gate the obs + tracing overhead against the uninstrumented machine")
 		obslimit = flag.Float64("obslimit", 1.05, "maximum instrumented/base ns-per-op ratio for -obscheck")

@@ -87,37 +87,42 @@ type flags struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dgr-check:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
 	var f flags
-	flag.IntVar(&f.seeds, "seeds", 64, "seeds per (program, config) cell")
-	flag.IntVar(&f.pes, "pes", 4, "number of processing elements")
-	flag.IntVar(&f.checkEvery, "checkevery", 1024, "sample every k-th task execution")
-	flag.IntVar(&f.gcInterval, "gcinterval", 300, "deterministic steps between GC cycles")
-	flag.IntVar(&f.mtEvery, "mtevery", 2, "run M_T every k-th cycle")
-	flag.StringVar(&f.configs, "configs", strings.Join(allConfigs, ","), "comma-separated configs to sweep")
-	flag.StringVar(&f.engines, "engines", dgr.EngineInterp, "comma-separated reduction engines to sweep (interp,compiled)")
-	flag.StringVar(&f.programs, "programs", "", "comma-separated sweep programs (default: all)")
-	flag.IntVar(&f.gen, "gen", 0, "append n property-generated programs to the sweep corpus")
-	flag.Int64Var(&f.genSeed, "genseed", 20260808, "seed for the program generator (-gen)")
-	flag.Int64Var(&f.inject, "inject", 0, "arm the mark-skip fault injector (1/n of marks dropped); the sweep then must catch it")
-	flag.StringVar(&f.out, "out", ".", "directory for replay logs written on failure")
-	flag.DurationVar(&f.timeout, "timeout", 5*time.Second, "parallel evaluation timeout")
-	flag.StringVar(&f.replay, "replay", "", "replay a recorded schedule log instead of sweeping")
-	flag.BoolVar(&f.steal, "steal", true, "cross-PE work stealing (parallel config; -steal=false sweeps with stealing off)")
-	flag.BoolVar(&f.verbose, "v", false, "log every run")
-	flag.Parse()
+	fs := flag.NewFlagSet("dgr-check", flag.ExitOnError)
+	fs.IntVar(&f.seeds, "seeds", 64, "seeds per (program, config) cell")
+	fs.IntVar(&f.pes, "pes", 4, "number of processing elements")
+	fs.IntVar(&f.checkEvery, "checkevery", 1024, "sample every k-th task execution")
+	fs.IntVar(&f.gcInterval, "gcinterval", 300, "deterministic steps between GC cycles")
+	fs.IntVar(&f.mtEvery, "mtevery", 2, "run M_T every k-th cycle")
+	fs.StringVar(&f.configs, "configs", strings.Join(allConfigs, ","), "comma-separated configs to sweep")
+	fs.StringVar(&f.engines, "engines", dgr.EngineInterp, "comma-separated reduction engines to sweep (interp,compiled)")
+	fs.StringVar(&f.programs, "programs", "", "comma-separated sweep programs (default: all)")
+	fs.IntVar(&f.gen, "gen", 0, "append n property-generated programs to the sweep corpus")
+	fs.Int64Var(&f.genSeed, "genseed", 20260808, "seed for the program generator (-gen)")
+	fs.Int64Var(&f.inject, "inject", 0, "arm the mark-skip fault injector (1/n of marks dropped); the sweep then must catch it")
+	fs.StringVar(&f.out, "out", ".", "directory for replay logs written on failure")
+	fs.DurationVar(&f.timeout, "timeout", 5*time.Second, "parallel evaluation timeout")
+	fs.StringVar(&f.replay, "replay", "", "replay a recorded schedule log instead of sweeping")
+	fs.BoolVar(&f.steal, "steal", true, "cross-PE work stealing (parallel config; -steal=false sweeps with stealing off)")
+	fs.BoolVar(&f.verbose, "v", false, "log every run")
+	fs.Parse(args)
 
 	if f.gen > 0 {
 		genPrograms = generatePrograms(f.gen, f.genSeed)
 	}
 	if f.replay != "" {
 		return replayLog(f)
+	}
+	// Both sweeps write their replay logs and flight dumps into -out.
+	if err := os.MkdirAll(f.out, 0o755); err != nil {
+		return err
 	}
 	if f.inject > 0 {
 		return injectSweep(f)
@@ -193,19 +198,18 @@ func optionsFor(f flags, config string, seed int64, record bool) (dgr.Options, e
 		CheckEvery: f.checkEvery,
 
 		RecordSchedule: record,
-		FaultSkipMark:  f.inject,
-		DisableSteal:   !f.steal,
+		Stress:         &check.Stress{FaultSkipMark: f.inject, DisableSteal: !f.steal},
 	}
 	switch config {
 	case "det":
-		o.Adversarial = true
+		o.Stress.Adversarial = true
 	case "parallel":
 		o.Parallel = true
 	case "fabric":
-		o.Adversarial = true
+		o.Stress.Adversarial = true
 		o.Fabric = &fabric.Params{}
 	case "fabdrop":
-		o.Adversarial = true
+		o.Stress.Adversarial = true
 		o.Fabric = &fabric.Params{DropRate: 0.3}
 	default:
 		return o, fmt.Errorf("unknown config %q (have %s)", config, strings.Join(allConfigs, ","))
@@ -360,7 +364,7 @@ func replayReproduces(f flags, m *dgr.Machine, src string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	o.Adversarial = false // replay ignores pop policy; keep the machine plain
+	o.Stress.Adversarial = false // replay ignores pop policy; keep the machine plain
 	m2 := dgr.New(o)
 	defer m2.Close()
 	root, err := m2.Compile(src)
@@ -400,7 +404,7 @@ func replayLog(f flags) error {
 	if err != nil {
 		return err
 	}
-	o.Adversarial = false
+	o.Stress.Adversarial = false
 	o.PEs = meta.PEs
 	o.MTEvery = meta.MTEvery
 	// The engine is part of the recorded cell name: a compiled-engine

@@ -116,14 +116,6 @@ type Options struct {
 	MaxSteps int
 	// Timeout bounds one parallel Eval (default 30s).
 	Timeout time.Duration
-	// Adversarial, in deterministic mode, pops uniformly random tasks
-	// instead of respecting priority bands (interleaving stress).
-	Adversarial bool
-	// DisableSteal turns cross-PE work stealing off. Stealing is on by
-	// default in parallel mode (an idle PE takes a batch from the tail of
-	// the most-loaded peer's pool) and never applies to deterministic mode.
-	DisableSteal bool
-
 	// Fabric, when non-nil, routes every cross-partition spawn through a
 	// simulated inter-PE network with batching, latency, loss, and
 	// at-least-once redelivery instead of pushing directly into the
@@ -176,12 +168,11 @@ type Options struct {
 	// collector cycle events — for deterministic replay. Retrieve with
 	// ScheduleEvents / WriteScheduleJSONL and re-drive with ReplaySchedule.
 	RecordSchedule bool
-	// FaultSkipMark, when n > 0, silently drops a deterministic 1/n of
-	// child mark tasks (test-only): it manufactures a marking-invariant
-	// violation for validating the checker and the replay pipeline. The
-	// selection hashes (parent, child, epoch), so a replayed schedule
-	// reproduces the recorded run's faults exactly.
-	FaultSkipMark int64
+	// Stress, when non-nil, puts the machine under test stress: a random
+	// pop order, stealing off, or an injected marking fault (see
+	// check.Stress). The type is internal: only this module's sweep command
+	// and tests set it.
+	Stress *check.Stress
 }
 
 func (o Options) withDefaults() Options {
@@ -301,12 +292,16 @@ func New(opts Options) *Machine {
 	// machines run nothing during New; parallel machines Start last).
 	var checker *check.Checker
 	var recorder *check.Recorder
+	var stress check.Stress
+	if opts.Stress != nil {
+		stress = *opts.Stress
+	}
 	schedCfg := sched.Config{
 		PEs:         opts.PEs,
 		Mode:        mode,
 		Seed:        opts.Seed,
-		Adversarial: opts.Adversarial,
-		Steal:       opts.Parallel && !opts.DisableSteal,
+		Adversarial: stress.Adversarial,
+		Steal:       opts.Parallel && !stress.DisableSteal,
 		PartOf:      store.PartitionOf,
 		Counters:    counters,
 		Fabric:      opts.Fabric,
@@ -326,8 +321,8 @@ func New(opts Options) *Machine {
 	if recorder != nil {
 		marker.SetAbsorbHook(recorder.OnAbsorb)
 	}
-	if opts.FaultSkipMark > 0 {
-		marker.SetFaultSkipMark(opts.FaultSkipMark)
+	if stress.FaultSkipMark > 0 {
+		marker.SetFaultSkipMark(stress.FaultSkipMark)
 	}
 	if opts.Check {
 		checker = &check.Checker{

@@ -32,6 +32,7 @@ import (
 
 	"dgr"
 	"dgr/internal/analysis"
+	"dgr/internal/check"
 	"dgr/internal/fabric"
 	"dgr/internal/graph"
 	"dgr/internal/lang"
@@ -54,16 +55,17 @@ func diffOptions(mode, engine string, seed int64) dgr.Options {
 		Check:      true,
 		CheckEvery: 256,
 	}
+	adversarial := &check.Stress{Adversarial: true}
 	switch mode {
 	case "det":
-		o.Adversarial = true
+		o.Stress = adversarial
 	case "parallel":
 		o.Parallel = true
 	case "fabric":
-		o.Adversarial = true
+		o.Stress = adversarial
 		o.Fabric = &fabric.Params{}
 	case "fabdrop":
-		o.Adversarial = true
+		o.Stress = adversarial
 		o.Fabric = &fabric.Params{DropRate: 0.3}
 	}
 	return o

@@ -1,13 +1,17 @@
-// Package bench runs the machine's hot-path benchmarks outside `go test`
-// and renders them as a machine-readable report. cmd/dgr-bench -json uses
-// it to emit the JSON consumed by CI (and checked in as BENCH_0.json so
-// perf regressions diff against a recorded baseline).
+// Package bench runs the machine's parallel and serving benchmarks outside
+// `go test` and renders them as a machine-readable report; it also holds the
+// observability-overhead guard. cmd/dgr-bench -json emits the report (the
+// format of the checked-in BENCH_0.json and BENCH_1.json, earlier reports
+// kept as history), and cmd/dgr-bench -obscheck runs the guard.
 //
-// The suite is end-to-end reduction per corpus program on the
-// deterministic 4-PE machine, the fib scaling sweep in parallel mode, and a
-// single GC cycle over a live heap. Measurement follows the testing package's recipe — ramp the
-// iteration count until the timed loop exceeds the target benchtime,
-// with ns/op from wall time and allocs/op from runtime.MemStats deltas.
+// The suite is the fib scaling sweep in parallel mode on both engines and
+// the serving layer's cold and warm throughput. Seeded evaluations on both
+// engines and collector cycles over a live heap are the workloads of the
+// repository benchmark (benchmark/), and the instrumentation overhead is
+// measured by -obscheck. Measurement follows the testing package's recipe —
+// ramp the iteration count until the timed loop exceeds the target
+// benchtime, with ns/op from wall time and allocs/op from runtime.MemStats
+// deltas.
 package bench
 
 import (
@@ -25,7 +29,8 @@ import (
 
 // Result is one benchmark case.
 type Result struct {
-	// Name identifies the case, e.g. "reduce/fib" or "reduce-pes/fib/pes=8".
+	// Name identifies the case, e.g. "reduce-pes/fib/pes=8" or
+	// "serve_throughput/warm".
 	Name string `json:"name"`
 	// PEs is the machine width the case ran with.
 	PEs int `json:"pes"`
@@ -234,33 +239,6 @@ func runSuite(quick bool) ([]Result, error) {
 	var results []Result
 	bt := benchtime(quick)
 
-	// End-to-end reduction, deterministic machine, 4 PEs.
-	for _, name := range []string{"fib", "fac", "sumsquares", "churn"} {
-		name := name
-		p := workload.Programs[name]
-		m, err := run(bt, func(n int, aux *caseAux) error {
-			for i := 0; i < n; i++ {
-				mach := dgr.New(dgr.Options{PEs: 4, Seed: int64(i), Capacity: 1 << 16})
-				v, err := mach.Eval(p.Src)
-				if err != nil {
-					return fmt.Errorf("%s: %w", name, err)
-				}
-				if v.Int != p.Want {
-					return fmt.Errorf("%s = %v, want %d", name, v, p.Want)
-				}
-				aux.addMachine(mach)
-				mach.Close()
-			}
-			return nil
-		})
-		if err != nil {
-			return results, err
-		}
-		res := toResult("reduce/"+name, 4, false, m)
-		res.TasksPerOp = float64(m.aux.tasks) / float64(m.n)
-		results = append(results, res)
-	}
-
 	// fib across PE counts, parallel mode, both engines. fib is
 	// deadlock-free and deterministic, so any failed iteration is a machine
 	// bug and aborts the suite — the epoch-confirmed deadlock verdict
@@ -297,82 +275,20 @@ func runSuite(quick bool) ([]Result, error) {
 			if err != nil {
 				return results, err
 			}
-			res := toResult(fmt.Sprintf("%s/fib/pes=%d", prefix, pes), pes, true, m)
-			res.TasksPerOp = float64(m.aux.tasks) / float64(m.n)
-			res.StealCount = m.aux.steals
-			res.IdlePolls = m.aux.idle
-			res.ExecsPerPE = m.aux.execs
-			res.ExecBalance = execBalance(m.aux.execs)
-			results = append(results, res)
-		}
-	}
-
-	// Observability overhead: identical fib workloads with the obs layer
-	// off, on, on with the lineage sink armed but sampling (almost) nothing
-	// — the steady-state serving configuration, where every instrumentation
-	// point is a zero test — and on with rate-1.0 tracing (every task
-	// stamped, every exec recorded: the debugging worst case), in both
-	// machine modes. The obs-off rows repeat the plain configuration so
-	// each group is measured back to back under the same conditions; the
-	// obs=on and trace=armed rows are expected to stay within ~5% of their
-	// partner, while trace=on documents what full-rate tracing costs.
-	for _, c := range []overheadConfig{
-		{"obs-overhead/fib/det/obs=off", false, false, 0},
-		{"obs-overhead/fib/det/obs=on", false, true, 0},
-		{"obs-overhead/fib/det/trace=armed", false, true, armedRate},
-		{"obs-overhead/fib/det/trace=on", false, true, 1},
-		{"obs-overhead/fib/parallel/obs=off", true, false, 0},
-		{"obs-overhead/fib/parallel/obs=on", true, true, 0},
-		{"obs-overhead/fib/parallel/trace=armed", true, true, armedRate},
-		{"obs-overhead/fib/parallel/trace=on", true, true, 1},
-	} {
-		c := c
-		m, err := run(bt, overheadCase(c, p.Src, p.Want))
-		if err != nil {
-			return results, err
-		}
-		res := toResult(c.name, 4, c.parallel, m)
-		res.TasksPerOp = float64(m.aux.tasks) / float64(m.n)
-		results = append(results, res)
-	}
-
-	// Compiled-vs-interpreted A/B: the same corpus programs on the same
-	// machine configuration, the two engines measured back to back so each
-	// pair shares ambient conditions (the same discipline as the
-	// obs-overhead pairs). The compiled rows are the acceptance numbers for
-	// the supercombinator backend: one compiled body execution replaces a
-	// chain of combinator rewrites, so ns/op and tasks/op both drop.
-	for _, name := range []string{"fib", "fac", "sumsquares"} {
-		name := name
-		cp := workload.Programs[name]
-		for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
-			engine := engine
-			m, err := run(bt, func(n int, aux *caseAux) error {
-				for i := 0; i < n; i++ {
-					mach := dgr.New(dgr.Options{
-						PEs:      4,
-						Seed:     int64(i),
-						Engine:   engine,
-						Capacity: 1 << 16,
-					})
-					v, err := mach.Eval(cp.Src)
-					if err != nil {
-						return fmt.Errorf("reduce_compiled/%s/engine=%s: %w", name, engine, err)
-					}
-					if v.Int != cp.Want {
-						return fmt.Errorf("reduce_compiled/%s/engine=%s = %v, want %d", name, engine, v, cp.Want)
-					}
-					aux.addMachine(mach)
-					mach.Close()
-				}
-				return nil
+			results = append(results, Result{
+				Name:        fmt.Sprintf("%s/fib/pes=%d", prefix, pes),
+				PEs:         pes,
+				Parallel:    true,
+				Iterations:  m.n,
+				NsPerOp:     m.elapsed.Nanoseconds() / int64(m.n),
+				AllocsPerOp: int64(m.allocs) / int64(m.n),
+				BytesPerOp:  int64(m.bytes) / int64(m.n),
+				TasksPerOp:  float64(m.aux.tasks) / float64(m.n),
+				StealCount:  m.aux.steals,
+				IdlePolls:   m.aux.idle,
+				ExecsPerPE:  m.aux.execs,
+				ExecBalance: execBalance(m.aux.execs),
 			})
-			if err != nil {
-				return results, err
-			}
-			res := toResult(fmt.Sprintf("reduce_compiled/%s/engine=%s", name, engine), 4, false, m)
-			res.TasksPerOp = float64(m.aux.tasks) / float64(m.n)
-			results = append(results, res)
 		}
 	}
 
@@ -393,25 +309,6 @@ func runSuite(quick bool) ([]Result, error) {
 		}
 		results = append(results, res)
 	}
-
-	// One GC cycle over a live heap.
-	mach := dgr.New(dgr.Options{PEs: 4, Seed: 1, Capacity: 1 << 16})
-	defer mach.Close()
-	if _, err := mach.Eval(workload.Programs["sumsquares"].Src); err != nil {
-		return results, fmt.Errorf("gc-cycle: populate heap: %w", err)
-	}
-	m, err := run(bt, func(n int, _ *caseAux) error {
-		for i := 0; i < n; i++ {
-			if rep := mach.RunGC(); !rep.Completed {
-				return fmt.Errorf("gc-cycle: cycle incomplete")
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return results, err
-	}
-	results = append(results, toResult("gc-cycle", 4, false, m))
 
 	return results, nil
 }
@@ -482,22 +379,6 @@ func serveCase(name string, rounds int, quick bool) (Result, error) {
 	return res, nil
 }
 
-// toResult converts a measurement into a report row.
-func toResult(name string, pes int, parallel bool, m measurement) Result {
-	res := Result{
-		Name:       name,
-		PEs:        pes,
-		Parallel:   parallel,
-		Iterations: m.n,
-	}
-	if m.n > 0 {
-		res.NsPerOp = m.elapsed.Nanoseconds() / int64(m.n)
-		res.AllocsPerOp = int64(m.allocs) / int64(m.n)
-		res.BytesPerOp = int64(m.bytes) / int64(m.n)
-	}
-	return res
-}
-
 // WriteJSON renders the report as indented JSON.
 func (r Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -514,8 +395,8 @@ func (r Report) WriteJSON(w io.Writer) error {
 // the steady-state serving configuration the ≤5% overhead budget covers.
 const armedRate = 1e-12
 
-// overheadConfig is one cell of the obs-overhead A/B family: a machine
-// mode crossed with an instrumentation level.
+// overheadConfig is one cell of the obs-overhead A/B pairs: a machine mode
+// crossed with an instrumentation level.
 type overheadConfig struct {
 	name     string
 	parallel bool
@@ -526,7 +407,7 @@ type overheadConfig struct {
 // overheadCase builds the measured loop for one cell: a fresh machine per
 // iteration, self-validating the program result.
 func overheadCase(c overheadConfig, src string, want int64) caseFn {
-	return func(n int, aux *caseAux) error {
+	return func(n int, _ *caseAux) error {
 		for i := 0; i < n; i++ {
 			mach := dgr.New(dgr.Options{
 				PEs:       4,
@@ -537,7 +418,6 @@ func overheadCase(c overheadConfig, src string, want int64) caseFn {
 				TraceRate: c.rate,
 			})
 			v, err := mach.Eval(src)
-			aux.addMachine(mach)
 			mach.Close()
 			if err != nil {
 				return fmt.Errorf("%s: %w", c.name, err)
@@ -571,9 +451,8 @@ type OverheadPair struct {
 }
 
 // ObsOverhead measures the instrumentation overhead against the
-// uninstrumented machine, interleaved A/B within one process (the same
-// discipline as the -json suite's obs-overhead rows, which is what keeps
-// the comparison meaningful on a noisy host), the side that runs first
+// uninstrumented machine, interleaved A/B within one process (which is what
+// keeps the comparison meaningful on a noisy host), the side that runs first
 // alternating per repetition. The gated cells are obs=on and trace=armed —
 // the configurations a production machine actually runs — plus an ungated
 // rate-1.0 row documenting full-tracing cost. cmd/dgr-bench -obscheck gates

@@ -107,6 +107,19 @@ func (r *rig) request(src, dst *graph.Vertex, rk graph.ReqKind) {
 	dst.Unlock()
 }
 
+// registerRequest records that x requested y's value with kind rk through
+// the two cooperating primitives, in the engine's order: the requester's
+// edge first (SetRequestKind, as request and speculate do), then the
+// destination's requested set (AddRequesterCoop, as handleDemand does). It
+// returns false, changing nothing, if the edge x→y does not exist.
+func (r *rig) registerRequest(x, y *graph.Vertex, rk graph.ReqKind) bool {
+	if !r.mut.SetRequestKind(x, y, rk) {
+		return false
+	}
+	r.mut.AddRequesterCoop(y, x, rk)
+	return true
+}
+
 // runCycle starts a marking cycle for ctx from the given roots and pumps
 // the deterministic machine until it completes — or, on a parallel rig, waits
 // for its running PEs to complete it — failing the test if it does not

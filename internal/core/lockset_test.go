@@ -221,8 +221,8 @@ func TestPrimitivesDoNotAllocate(t *testing.T) {
 			fn         func()
 			serialOnly bool
 		}{
-			{"RegisterRequest+CompleteRequest", func() {
-				r.mut.RegisterRequest(x, y, graph.ReqVital)
+			{"SetRequestKind+AddRequesterCoop+CompleteRequest", func() {
+				r.registerRequest(x, y, graph.ReqVital)
 				r.mut.CompleteRequest(x, y)
 			}, false},
 			{"AddRequesterCoop", func() {

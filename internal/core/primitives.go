@@ -248,23 +248,6 @@ func (mu *Mutator) coopTaskEdgeLocked(p, x *graph.Vertex) {
 	}
 }
 
-// RegisterRequest records that x has requested y's value with kind rk
-// (vital or eager): the edge x→y moves into req-args_v(x) or req-args_e(x)
-// and x joins requested(y). It cooperates with M_T because x became
-// task-reachable from y (y will eventually reply to x).
-//
-// It returns false if the edge x→y does not exist.
-func (mu *Mutator) RegisterRequest(x, y *graph.Vertex, rk graph.ReqKind) bool {
-	var ls lockSet
-	defer lockVertices(&ls, x, y).unlock()
-	if !x.SetReqKind(y.ID, rk) {
-		return false
-	}
-	y.AddRequester(x.ID, rk)
-	mu.coopTaskEdgeLocked(y, x)
-	return true
-}
-
 // CompleteRequest records that y replied to x with its value: x leaves
 // requested(y), and the edge x→y (if still present) returns to the
 // unrequested remainder — the value has been received, so per reduction

@@ -206,8 +206,8 @@ func TestRegisterAndCompleteRequest(t *testing.T) {
 	y := r.vertex(graph.KindApply)
 	r.edge(x, y, graph.ReqNone)
 
-	if !r.mut.RegisterRequest(x, y, graph.ReqVital) {
-		t.Fatal("RegisterRequest failed")
+	if !r.registerRequest(x, y, graph.ReqVital) {
+		t.Fatal("registering the request failed")
 	}
 	x.Lock()
 	if x.ReqKindOf(y.ID) != graph.ReqVital {
@@ -234,17 +234,25 @@ func TestRegisterAndCompleteRequest(t *testing.T) {
 
 	// Registering on a missing edge fails.
 	z := r.vertex(graph.KindInt)
-	if r.mut.RegisterRequest(x, z, graph.ReqVital) {
-		t.Fatal("RegisterRequest on absent edge succeeded")
+	if r.registerRequest(x, z, graph.ReqVital) {
+		t.Fatal("registering a request on an absent edge succeeded")
 	}
+	z.Lock()
+	if z.HasRequester(x.ID) {
+		t.Fatal("x in requested(z) after a request on an absent edge")
+	}
+	z.Unlock()
 }
 
 func TestRegisterRequestCooperatesWithMT(t *testing.T) {
 	// While M_T is marking, a new requester x of an already-T-marked y must
 	// still end up T-marked (via the extra-root path), so it cannot be
-	// falsely reported deadlocked.
+	// falsely reported deadlocked. The request is registered on the path the
+	// engine takes: SetRequestKind at x, then AddRequesterCoop at y. Every
+	// arc is a task of its own, so that the request lands mid-cycle.
+	midCycle := 0
 	for mutateAt := 0; mutateAt < 8; mutateAt++ {
-		r := newRig(t, 2, int64(mutateAt)+100, false)
+		r := newRig(t, 2, int64(mutateAt)+100, false).taskPerArc()
 		start := r.vertex(graph.KindApply)
 		y := r.vertex(graph.KindApply)
 		extra := r.vertex(graph.KindApply) // extends the cycle's runtime
@@ -264,7 +272,7 @@ func TestRegisterRequestCooperatesWithMT(t *testing.T) {
 		mutated := false
 		for !r.marker.Done(graph.CtxT) {
 			if steps == mutateAt && !mutated {
-				r.mut.RegisterRequest(x, y, graph.ReqVital)
+				r.registerRequest(x, y, graph.ReqVital)
 				mutated = true
 			}
 			if !r.mach.Step() {
@@ -275,12 +283,16 @@ func TestRegisterRequestCooperatesWithMT(t *testing.T) {
 		if !mutated {
 			continue
 		}
+		midCycle++
 		if !r.marker.Done(graph.CtxT) {
 			t.Fatalf("mutateAt=%d: M_T did not terminate", mutateAt)
 		}
 		if st := r.stateOf(x, graph.CtxT); st != graph.Marked {
 			t.Fatalf("mutateAt=%d: requester x not T-marked (state %v)", mutateAt, st)
 		}
+	}
+	if midCycle < 2 {
+		t.Fatalf("the request landed inside %d cycles, want at least 2", midCycle)
 	}
 }
 

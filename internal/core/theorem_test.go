@@ -103,7 +103,7 @@ func randomMutation(rng *rand.Rand, r *rig, root graph.VertexID) {
 		a.Unlock()
 		if bid != graph.NilVertex {
 			kinds := []graph.ReqKind{graph.ReqEager, graph.ReqVital}
-			r.mut.RegisterRequest(a, r.store.Vertex(bid), kinds[rng.Intn(2)])
+			r.registerRequest(a, r.store.Vertex(bid), kinds[rng.Intn(2)])
 		}
 	}
 }

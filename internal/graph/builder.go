@@ -51,11 +51,6 @@ func (b *Builder) Bool(v bool) *Vertex {
 	return b.alloc(KindBool, n)
 }
 
-// Str builds an interned string literal vertex.
-func (b *Builder) Str(s string) *Vertex {
-	return b.alloc(KindStr, b.store.InternString(s))
-}
-
 // Nil builds the empty-list vertex.
 func (b *Builder) Nil() *Vertex { return b.alloc(KindNil, 0) }
 

@@ -32,10 +32,6 @@ func TestBuilderLeaves(t *testing.T) {
 	if p.Kind != KindPrim || Prim(p.Val) != PrimAdd {
 		t.Fatal("Prim wrong")
 	}
-	st := b.Str("hi")
-	if st.Kind != KindStr || s.StringAt(st.Val) != "hi" {
-		t.Fatal("Str wrong")
-	}
 	if b.Err() != nil {
 		t.Fatal(b.Err())
 	}

@@ -157,16 +157,15 @@ func virginID(k, part, parts int, blockBits uint) VertexID {
 	return VertexID(block<<blockBits + k&(1<<blockBits-1) + 1)
 }
 
-// Store owns every vertex in the computation graph, the per-partition free
-// lists (the paper's set F), and an interned string table for KindStr
-// literals. Vertex field access is guarded by per-vertex locks, or, on a
-// serial store, by its owner running one task at a time; free-list
-// access is sharded per partition, so Alloc/Release on different PEs never
-// touch a shared lock (the slow path steals one vertex from a sibling
-// shard), and a serial store's owner takes no shard lock either. Segment
-// materialisation and growth past Capacity alone are funneled through one
-// mutex, and both the vertex table and the string table are read lock-free
-// via atomically published copy-on-write structures. Construction costs
+// Store owns every vertex in the computation graph and the per-partition
+// free lists (the paper's set F). Vertex field access is guarded by
+// per-vertex locks, or, on a serial store, by its owner running one task at
+// a time; free-list access is sharded per partition, so Alloc/Release on
+// different PEs never touch a shared lock (the slow path steals one vertex
+// from a sibling shard), and a serial store's owner takes no shard lock
+// either. Segment materialisation and growth past Capacity alone are
+// funneled through one mutex, and the vertex table is read lock-free via an
+// atomically published copy-on-write slice. Construction costs
 // O(partitions), and the never-used part of V exists only as a count per
 // shard; a ForEach costs the vertices in use plus one word per 64 slots of
 // the segments a program reached.
@@ -194,10 +193,6 @@ type Store struct {
 	// one of its own; through it a vertex reaches the store's spares.
 	blank overflow
 
-	strMu  sync.Mutex               // guards interning (writers)
-	strTab atomic.Pointer[[]string] // published table; readers never lock
-	strIdx map[string]int64
-
 	parts int
 }
 
@@ -221,12 +216,9 @@ func NewStore(cfg Config) *Store {
 		parts:     cfg.Partitions,
 		reserved:  cfg.Capacity,
 		blockBits: blockBitsFor(cfg.Capacity, cfg.Partitions),
-		strIdx:    make(map[string]int64),
 	}
 	empty := make([]*segment, 0)
 	s.segs.Store(&empty)
-	emptyStr := make([]string, 0)
-	s.strTab.Store(&emptyStr)
 	s.relMu.SetSerial(s.serial)
 	for part := range s.shards {
 		s.shards[part].mu.SetSerial(s.serial)
@@ -566,36 +558,6 @@ func (s *Store) ForEach(fn func(*Vertex)) {
 			}
 		}
 	}
-}
-
-// InternString interns a string and returns its table index for use as a
-// KindStr vertex value. Interning copies and republishes the table, which
-// keeps StringAt lock-free; interning happens at compile time, reading on
-// the reduction hot path, so the copy is on the right side.
-func (s *Store) InternString(str string) int64 {
-	s.strMu.Lock()
-	defer s.strMu.Unlock()
-	if i, ok := s.strIdx[str]; ok {
-		return i
-	}
-	old := *s.strTab.Load()
-	tab := make([]string, len(old)+1)
-	copy(tab, old)
-	tab[len(old)] = str
-	i := int64(len(old))
-	s.strIdx[str] = i
-	s.strTab.Store(&tab)
-	return i
-}
-
-// StringAt returns the interned string at index i ("" if out of range).
-// Lock-free: it reads the atomically published copy-on-write table.
-func (s *Store) StringAt(i int64) string {
-	tab := *s.strTab.Load()
-	if i < 0 || int(i) >= len(tab) {
-		return ""
-	}
-	return tab[i]
 }
 
 // PartitionOf returns the partition that owns id (0 for invalid IDs). A

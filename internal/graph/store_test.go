@@ -449,24 +449,6 @@ func TestSerialStoreSkipsShardLock(t *testing.T) {
 	}
 }
 
-func TestInternString(t *testing.T) {
-	s := NewStore(Config{Partitions: 1, Capacity: 1})
-	a := s.InternString("hello")
-	b := s.InternString("world")
-	if a == b {
-		t.Fatal("distinct strings interned to same index")
-	}
-	if got := s.InternString("hello"); got != a {
-		t.Fatal("re-interning changed index")
-	}
-	if got := s.StringAt(a); got != "hello" {
-		t.Fatalf("StringAt = %q", got)
-	}
-	if got := s.StringAt(99); got != "" {
-		t.Fatalf("StringAt(out of range) = %q", got)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	s := NewStore(Config{Partitions: 2, Capacity: 4})
 	a, _ := s.Alloc(0, KindApply, 0)

@@ -36,7 +36,6 @@ const (
 	KindComb                    // combinator leaf (S, K, I, B, C, Y, ...); Val holds the Comb code
 	KindInt                     // integer literal; Val holds the value
 	KindBool                    // boolean literal; Val is 0 or 1
-	KindStr                     // interned string literal; Val indexes the store's string table
 	KindPrim                    // strict primitive operator leaf (+, -, if, cons, ...); Val holds the Prim code
 	KindPrimApp                 // saturated (flattened) primitive application; Val holds the Prim code, Args the operands
 	KindCons                    // pair cell: args[0] = head, args[1] = tail
@@ -52,7 +51,6 @@ var kindNames = [...]string{
 	KindComb:    "comb",
 	KindInt:     "int",
 	KindBool:    "bool",
-	KindStr:     "str",
 	KindPrim:    "prim",
 	KindPrimApp: "primapp",
 	KindCons:    "cons",
@@ -312,8 +310,7 @@ const FreshAllocEpoch = ^uint64(0)
 // caller must hold the vertex lock.
 func (v *Vertex) IsValueLocked() bool {
 	switch v.Kind {
-	case KindInt, KindBool, KindStr, KindNil, KindCons, KindComb, KindPrim,
-		KindSuper:
+	case KindInt, KindBool, KindNil, KindCons, KindComb, KindPrim, KindSuper:
 		return true
 	case KindApply, KindPrimApp, KindInd:
 		return v.WHNF

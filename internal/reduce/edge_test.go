@@ -137,13 +137,3 @@ func TestDemandOnFreedVertexDropped(t *testing.T) {
 	default: // correctly dropped
 	}
 }
-
-func TestStrConstants(t *testing.T) {
-	r := newERig(t, 1, 40, false)
-	s := r.b.Str("hello")
-	root := r.b.App(r.b.Comb(graph.CombI), s)
-	v, ok := r.eval(root)
-	if !ok || v.Kind != graph.KindStr || v.Str != "hello" {
-		t.Fatalf("str value = %v (ok=%v)", v, ok)
-	}
-}

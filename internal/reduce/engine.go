@@ -58,7 +58,6 @@ type Value struct {
 	Kind graph.Kind
 	Int  int64
 	Bool bool
-	Str  string
 }
 
 // String renders the value.
@@ -68,8 +67,6 @@ func (v Value) String() string {
 		return fmt.Sprintf("%d", v.Int)
 	case graph.KindBool:
 		return fmt.Sprintf("%t", v.Bool)
-	case graph.KindStr:
-		return v.Str
 	case graph.KindNil:
 		return "[]"
 	case graph.KindCons:
@@ -565,8 +562,8 @@ func (e *execution) request(v, owner, child *graph.Vertex, kind graph.ReqKind) {
 // v's lock.
 func (e *Engine) whnfLocked(v *graph.Vertex) bool {
 	switch v.Kind {
-	case graph.KindInt, graph.KindBool, graph.KindStr, graph.KindNil,
-		graph.KindCons, graph.KindComb, graph.KindSuper:
+	case graph.KindInt, graph.KindBool, graph.KindNil, graph.KindCons,
+		graph.KindComb, graph.KindSuper:
 		return true
 	case graph.KindPrim:
 		return graph.Prim(v.Val) != graph.PrimBottom
@@ -803,7 +800,7 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 		return e.applySaturation(v, head, sp, argID)
 	case graph.KindComb, graph.KindPrim, graph.KindSuper:
 		return e.applySaturation(v, f, buf.spine(), argID)
-	case graph.KindCons, graph.KindNil, graph.KindInt, graph.KindBool, graph.KindStr:
+	case graph.KindCons, graph.KindNil, graph.KindInt, graph.KindBool:
 		e.fail(v, "cannot apply non-function %s", fk)
 	default:
 		e.fail(v, "cannot apply %s", fk)

@@ -19,11 +19,8 @@ func (e *Engine) ValueOf(id graph.VertexID) Value {
 	v.Lock()
 	defer v.Unlock()
 	val := Value{ID: v.ID, Kind: v.Kind, Int: v.Val}
-	switch v.Kind {
-	case graph.KindBool:
+	if v.Kind == graph.KindBool {
 		val.Bool = v.Val != 0
-	case graph.KindStr:
-		val.Str = e.store.StringAt(v.Val)
 	}
 	return val
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dgr/internal/check"
 	"dgr/internal/fabric"
 	"dgr/internal/workload"
 )
@@ -210,7 +211,7 @@ func TestFabricAdversarialStress(t *testing.T) {
 		live      int
 	}
 	run := func(name string, withFabric bool) outcome {
-		opts := Options{PEs: 4, Seed: 77, Adversarial: true, Capacity: 1 << 16}
+		opts := Options{PEs: 4, Seed: 77, Stress: &check.Stress{Adversarial: true}, Capacity: 1 << 16}
 		if withFabric {
 			opts.Fabric = &fabric.Params{
 				BatchSize:   8,
