@@ -565,6 +565,10 @@ func (m *Machine) evalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 	ch := m.engine.DemandTraced(root, tr, span)
 	m.unlockOwner()
 	v, err := m.drive(ch)
+	if err != nil {
+		// Nothing will read ch: the root stops being awaited.
+		m.engine.Withdraw(root, ch)
+	}
 	if span != 0 {
 		s.Record(obs.TraceSpan{Trace: tr, Span: span, Parent: parent,
 			Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval,
@@ -918,7 +922,7 @@ func (m *Machine) Gauges() obs.Gauges {
 	return obs.Gauges{
 		PEs:        m.opts.PEs,
 		Heap:       m.store.Len(),
-		Free:       m.store.FreeCount(),
+		Free:       m.FreeVertices(),
 		Inflight:   m.mach.Inflight(),
 		InTransit:  m.mach.InTransit(),
 		Deadlocked: deadlocked,
@@ -1101,8 +1105,14 @@ func (m *Machine) RuntimeErrors() []error { return m.engine.Errors() }
 // distribution with stealing on means the thieves never got traction).
 func (m *Machine) ExecsPerPE() []uint64 { return m.perPE(nil, nil) }
 
-// FreeVertices reports |F|, the current size of the free list.
-func (m *Machine) FreeVertices() int { return m.store.FreeCount() }
+// FreeVertices reports |F|, the current size of the free list: the sum of
+// the free-list shards, which a seeded machine's owner writes with no lock of
+// their own, so it is read under the owner lock (as perPE reads them).
+func (m *Machine) FreeVertices() int {
+	m.lockOwner()
+	defer m.unlockOwner()
+	return m.store.FreeCount()
+}
 
 // TotalVertices reports |V|.
 func (m *Machine) TotalVertices() int { return m.store.Len() }

@@ -67,16 +67,11 @@ func (mu *Mutator) coopCount() {
 // reachable — either way a sweep would reclaim the vertex before it is
 // wired. The splice primitives (Rewrite, ExpandNode) record the real alloc
 // epochs under the vertex locks at wiring time.
+//
+// Alloc counts nothing: the caller tallies its allocations and publishes
+// them to Counters.Allocations (the reduction engine, once per execution).
 func (mu *Mutator) Alloc(part int, kind graph.Kind, val int64) (*graph.Vertex, error) {
-	v, err := mu.store.AllocStamped(part, kind, val,
-		graph.FreshAllocEpoch, graph.FreshAllocEpoch)
-	if err != nil {
-		return nil, err
-	}
-	if mu.counters != nil {
-		mu.counters.Allocations.Add(1)
-	}
-	return v, nil
+	return mu.store.AllocStamped(part, kind, val, graph.FreshAllocEpoch, graph.FreshAllocEpoch)
 }
 
 // DeleteReference is Figure 4-2's delete-reference(a,b): disconnect b from

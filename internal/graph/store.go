@@ -80,21 +80,21 @@ func slotOf(id VertexID) (segIdx, slot int) {
 // the vertex is labelled non-free; Release and ReleaseBatch clear it after
 // ResetFree and before the id goes back on a shard's stack. A set bit may
 // therefore name a vertex that still reads KindFree, never the reverse: a
-// vertex labelled non-free before a ForEach began is visited by it.
+// vertex labelled non-free before a ForEach began is visited by it. The bits
+// are written through Store.markUsed, which knows the store's mode, and
+// read with atomic loads.
 type segment struct {
 	verts [segSize]Vertex
-	used  [segSize / 64]atomic.Uint64
+	used  [segSize / 64]uint64
 }
 
-func (seg *segment) setUsed(i int)   { seg.used[i>>6].Or(uint64(1) << (i & 63)) }
-func (seg *segment) clearUsed(i int) { seg.used[i>>6].And(^(uint64(1) << (i & 63))) }
-
 // freeShard is one partition's slice of the free set F: its own lock and a
-// stack of ids. The bottom of the stack is implicit: the partition's
-// never-used ids, the k-th of them virginID(k) for k < virgin, popped
-// highest-first — exactly the stack a store that pushed its blocks of ids
-// 1..Capacity at construction would hold. Released ids are pushed on top
-// of it in ids.
+// stack of ids. The shards are the only record of F: |F| is the sum of
+// their stacks and never-used counts (Store.FreeCount). The bottom of the
+// stack is implicit: the partition's never-used ids, the k-th of them
+// virginID(k) for k < virgin, popped highest-first — exactly the stack a
+// store that pushed its blocks of ids 1..Capacity at construction would
+// hold. Released ids are pushed on top of it in ids.
 // PEs allocate and release on their own partition, so under
 // partition-local workloads no two PEs ever contend on the same shard
 // lock; a serial store's shards, like its vertices, take none (the lock
@@ -158,30 +158,32 @@ func virginID(k, part, parts int, blockBits uint) VertexID {
 }
 
 // Store owns every vertex in the computation graph and the per-partition
-// free lists (the paper's set F). Vertex field access is guarded by
-// per-vertex locks, or, on a serial store, by its owner running one task at
-// a time; free-list access is sharded per partition, so Alloc/Release on
-// different PEs never touch a shared lock (the slow path steals one vertex
-// from a sibling shard), and a serial store's owner takes no shard lock
-// either. Segment materialisation and growth past Capacity alone are
-// funneled through one mutex, and the vertex table is read lock-free via an
-// atomically published copy-on-write slice. Construction costs
-// O(partitions), and the never-used part of V exists only as a count per
-// shard; a ForEach costs the vertices in use plus one word per 64 slots of
-// the segments a program reached.
+// free lists (the paper's set F), whose shards alone say what F holds.
+// Vertex field access is guarded by per-vertex locks, or, on a serial
+// store, by its owner running one task at a time; free-list access is
+// sharded per partition, so Alloc/Release on different PEs never touch a
+// shared lock (the slow path steals one vertex from a sibling shard), and a
+// serial store's owner takes no shard lock either. Segment materialisation
+// and growth past Capacity alone are funneled through one mutex, and the
+// vertex table is read lock-free via an atomically published copy-on-write
+// slice. Construction costs O(partitions), and the never-used part of V
+// exists only as a count per shard; a ForEach costs the vertices in use plus
+// one word per 64 slots of the segments a program reached.
 type Store struct {
 	segs atomic.Pointer[[]*segment] // indexed by slotOf; nil until first touched
 	n    atomic.Int64               // |V|: reserved + grown vertices (excludes NilVertex)
 
 	growMu sync.Mutex // guards segment publication and growth past reserved; not taken by Alloc fast paths
 
-	reserved  int  // ids 1..reserved start out free, owned block by block (reservedOwner)
-	blockBits uint // log₂ of the block size B the reserved ids are dealt in
+	reserved  int    // ids 1..reserved start out free, owned block by block (reservedOwner)
+	blockBits uint   // log₂ of the block size B the reserved ids are dealt in
+	partsM    uint64 // modMultiplier(parts), reservedOwner's multiplier
 
 	shards []freeShard
-	freeN  atomic.Int64 // |F|, exact: updated only when a vertex enters or leaves F
 	fixed  bool
-	serial bool // Config.Serial, stamped on every shard and on every vertex as it is materialised
+	// serial is Config.Serial, stamped on every shard and on every vertex as
+	// it is materialised; markUsed writes the in-use bits plainly under it.
+	serial bool
 
 	// runs are ReleaseBatch's per-partition id runs, kept from call to call
 	// under relMu (not in freeShard, which fills one cache line). relMu
@@ -216,6 +218,7 @@ func NewStore(cfg Config) *Store {
 		parts:     cfg.Partitions,
 		reserved:  cfg.Capacity,
 		blockBits: blockBitsFor(cfg.Capacity, cfg.Partitions),
+		partsM:    modMultiplier(cfg.Partitions),
 	}
 	empty := make([]*segment, 0)
 	s.segs.Store(&empty)
@@ -226,15 +229,24 @@ func NewStore(cfg Config) *Store {
 	}
 	s.blank.home = s
 	s.n.Store(int64(cfg.Capacity))
-	s.freeN.Store(int64(cfg.Capacity))
 	return s
 }
 
 // reservedOwner returns the partition that owns reserved id (1..reserved):
 // the ids are dealt in blocks of B = 1<<blockBits consecutive ids,
-// partition p owning blocks p, p+parts, ... Ids are 32 bits wide, and a
-// 32-bit division is the cheaper one.
-func (s *Store) reservedOwner(id int) int { return int(uint32(id-1) >> s.blockBits % uint32(s.parts)) }
+// partition p owning blocks p, p+parts, ... That is the block number mod
+// parts, which it takes with no division (Lemire, Kaser and Kurz, "Faster
+// remainder by direct computation", 2019): for a 32-bit block number b and
+// M = ⌈2⁶⁴/parts⌉, b mod parts is the high word of (M·b mod 2⁶⁴)·parts.
+// With one partition M wraps to 0, and so does the owner.
+func (s *Store) reservedOwner(id int) int {
+	hi, _ := bits.Mul64(s.partsM*uint64(uint32(id-1)>>s.blockBits), uint64(s.parts))
+	return int(hi)
+}
+
+// modMultiplier returns ⌈2⁶⁴/d⌉ mod 2⁶⁴, the multiplier with which
+// reservedOwner takes a 32-bit remainder by d.
+func modMultiplier(d int) uint64 { return ^uint64(0)/uint64(d) + 1 }
 
 // growOne extends V past the reserved range by one vertex owned by part and
 // returns its id. The new vertex is NOT added to any free list: it is
@@ -304,11 +316,17 @@ func (s *Store) Partitions() int { return s.parts }
 // excluding the nil slot.
 func (s *Store) Len() int { return int(s.n.Load()) }
 
-// FreeCount returns |F|. It is exact: the counter moves only when a vertex
-// actually enters or leaves the free set (cross-partition batch transfers
-// keep their vertices in F throughout).
+// FreeCount returns |F|, summed over the partitions' shards, each read
+// under its lock (FreeCountOf); on a serial store, the caller must be, or
+// hold off, the owner. A vertex counts from the moment its id is on a
+// shard until Alloc takes it off one, so a store nobody is changing reads
+// exactly; one that is changing reads each shard at a different instant.
 func (s *Store) FreeCount() int {
-	return int(s.freeN.Load())
+	n := 0
+	for part := range s.shards {
+		n += s.FreeCountOf(part)
+	}
+	return n
 }
 
 // FreeCountOf returns the free-vertex count of one partition's shard, or 0
@@ -394,10 +412,10 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 			break
 		}
 		// FixedSize and the sweep found nothing. Vertices never leave F
-		// except when claimed (freeN is decremented exactly then), so
-		// freeN == 0 means F really is empty. A nonzero freeN means a
-		// concurrent Release landed after we passed its shard — retry.
-		if s.freeN.Load() == 0 {
+		// except when claimed, so shards that all read empty mean F really
+		// is empty. A non-empty one means a concurrent Release landed after
+		// we passed its shard — retry.
+		if s.FreeCount() == 0 {
 			return nil, ErrNoFreeVertices
 		}
 	}
@@ -406,7 +424,7 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 	if seg == nil {
 		seg = s.materialise(id) // the first vertex handed out of its segment
 	}
-	seg.setUsed(slot)
+	s.markUsed(seg, slot, true)
 	v := &seg.verts[slot]
 
 	v.Lock()
@@ -425,9 +443,6 @@ func (s *Store) popLocal(part int) (VertexID, bool) {
 	sh.mu.Lock()
 	id, ok := sh.take(part, s.parts, s.blockBits)
 	sh.mu.Unlock()
-	if ok {
-		s.freeN.Add(-1)
-	}
 	return id, ok
 }
 
@@ -446,7 +461,6 @@ func (s *Store) steal(part int) (VertexID, bool) {
 		id, ok := vs.take(victim, s.parts, s.blockBits)
 		vs.mu.Unlock()
 		if ok {
-			s.freeN.Add(-1)
 			return id, true
 		}
 	}
@@ -469,7 +483,6 @@ func (s *Store) Release(v *Vertex) {
 	sh.mu.Lock()
 	sh.ids = append(sh.ids, v.ID)
 	sh.mu.Unlock()
-	s.freeN.Add(1)
 }
 
 // ReleaseBatch returns a whole batch of vertices to F in one pass over it,
@@ -510,7 +523,6 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 		sh.mu.Lock()
 		sh.ids = append(sh.ids, run...)
 		sh.mu.Unlock()
-		s.freeN.Add(int64(len(run)))
 		runs[part] = run[:0]
 	}
 }
@@ -519,7 +531,27 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 // segment therefore exists.
 func (s *Store) clearUsed(id VertexID) {
 	segIdx, slot := slotOf(id)
-	segmentIn(*s.segs.Load(), segIdx).clearUsed(slot)
+	s.markUsed(segmentIn(*s.segs.Load(), segIdx), slot, false)
+}
+
+// markUsed sets or clears slot i's in-use bit. A serial store's owner is the
+// only writer and fences every reader, so it writes the word plainly; a
+// parallel store's PEs share words, and write them with an atomic Or or And.
+func (s *Store) markUsed(seg *segment, i int, used bool) {
+	w, bit := &seg.used[i>>6], uint64(1)<<(i&63)
+	if s.serial {
+		if used {
+			*w |= bit
+		} else {
+			*w &^= bit
+		}
+		return
+	}
+	if used {
+		atomic.OrUint64(w, bit)
+	} else {
+		atomic.AndUint64(w, ^bit)
+	}
 }
 
 // IsFree reports whether id is currently in F.
@@ -549,7 +581,7 @@ func (s *Store) ForEach(fn func(*Vertex)) {
 			continue
 		}
 		for w := range seg.used {
-			for word := seg.used[w].Load(); word != 0; word &= word - 1 {
+			for word := atomic.LoadUint64(&seg.used[w]); word != 0; word &= word - 1 {
 				i := w<<6 | bits.TrailingZeros64(word)
 				if si<<segBits+i+1 > n { // the slot's id
 					return // grown after the snapshot, like every id above it

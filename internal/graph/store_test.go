@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +75,37 @@ func TestPartitionOfMatchesPart(t *testing.T) {
 		if reserved != capacity || grown != 4*parts {
 			t.Fatalf("parts=%d: checked %d reserved and %d grown ids, want %d and %d",
 				parts, reserved, grown, capacity, 4*parts)
+		}
+	}
+}
+
+// TestReservedOwnerMatchesDivision: reservedOwner, which multiplies where it
+// would divide, answers ((id-1) >> B) mod parts for every partition count up
+// to MaxPartitions and every block size 1..64: on the first and last id of
+// the blocks around each multiple of parts, on the top of the 32-bit range,
+// and on ids sampled across it.
+func TestReservedOwnerMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for parts := 1; parts <= MaxPartitions; parts++ {
+		for b := uint(0); b <= maxBlockBits; b++ {
+			s := Store{parts: parts, blockBits: b, partsM: modMultiplier(parts)}
+			check := func(id uint64) {
+				if want := int((id - 1) >> b % uint64(parts)); s.reservedOwner(int(id)) != want {
+					t.Fatalf("parts=%d B=%d: reservedOwner(%d) = %d, want %d",
+						parts, 1<<b, id, s.reservedOwner(int(id)), want)
+				}
+			}
+			top := uint64(1)<<32 - 1 // the largest VertexID
+			for _, k := range []uint64{0, 1, uint64(parts) - 1, uint64(parts), uint64(parts) + 1,
+				2*uint64(parts) - 1, 2 * uint64(parts), top >> b} {
+				if first := k<<b + 1; first <= top {
+					check(first)
+					check(min((k+1)<<b, top))
+				}
+			}
+			for i := 0; i < 4; i++ {
+				check(uint64(rng.Uint32()) | 1)
+			}
 		}
 	}
 }
@@ -282,8 +314,8 @@ func TestStoreConcurrentStealConservation(t *testing.T) {
 }
 
 // TestStoreFixedSizeExhaustionExact asserts the FixedSize contract:
-// ErrNoFreeVertices exactly when freeN == 0, including when the last free
-// vertices live on a different partition than the allocator.
+// ErrNoFreeVertices exactly when every shard is empty, including when the
+// last free vertices live on a different partition than the allocator.
 func TestStoreFixedSizeExhaustionExact(t *testing.T) {
 	s := NewStore(Config{Partitions: 3, Capacity: 6, FixedSize: true})
 	var got []*Vertex
@@ -294,12 +326,12 @@ func TestStoreFixedSizeExhaustionExact(t *testing.T) {
 		}
 		v, err := s.Alloc(2, KindInt, int64(i))
 		if err != nil {
-			t.Fatalf("alloc %d with freeN=%d: %v", i, s.FreeCount(), err)
+			t.Fatalf("alloc %d with FreeCount=%d: %v", i, s.FreeCount(), err)
 		}
 		got = append(got, v)
 	}
 	if _, err := s.Alloc(0, KindInt, 9); !errors.Is(err, ErrNoFreeVertices) {
-		t.Fatalf("err = %v, want ErrNoFreeVertices at freeN==0", err)
+		t.Fatalf("err = %v, want ErrNoFreeVertices at FreeCount 0", err)
 	}
 	// One release on any partition makes exactly one Alloc succeed again.
 	s.Release(got[3])

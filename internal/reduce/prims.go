@@ -53,9 +53,7 @@ func (e *execution) finishLeaf(v *graph.Vertex, kind graph.Kind, val int64) {
 	v.Lock()
 	v.WHNF = true
 	v.Unlock()
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.Rewrites.Add(1)
-	}
+	e.rewrites++
 	e.complete(v)
 }
 
@@ -70,7 +68,7 @@ func (e *execution) finishBool(v *graph.Vertex, b bool) {
 
 // collapseToOperand rewrites v to an indirection to its direct child at
 // operand index i and reports that reduction continues.
-func (e *Engine) collapseToOperand(v *graph.Vertex, i int) bool {
+func (e *execution) collapseToOperand(v *graph.Vertex, i int) bool {
 	op, ok := e.operand(v, i)
 	if !ok {
 		return false
@@ -80,9 +78,7 @@ func (e *Engine) collapseToOperand(v *graph.Vertex, i int) bool {
 		return false
 	}
 	e.mut.CollapseToIndDirect(v, c)
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.Rewrites.Add(1)
-	}
+	e.rewrites++
 	return true
 }
 
@@ -246,9 +242,7 @@ func (e *execution) stepIf(v *graph.Vertex, kind graph.ReqKind) bool {
 		return false
 	}
 	e.mut.CollapseToIndDirect(v, cv)
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.Rewrites.Add(1)
-	}
+	e.rewrites++
 	return true
 }
 
@@ -316,8 +310,6 @@ func (e *execution) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKi
 		return false
 	}
 	e.mut.CollapseToInd(v, tv)
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.Rewrites.Add(1)
-	}
+	e.rewrites++
 	return true
 }

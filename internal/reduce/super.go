@@ -41,8 +41,10 @@ type wire struct {
 
 // superExec is the per-invocation machine state. Its slices are scratch:
 // nothing in them outlives the invocation (Rewrite copies every wire's args
-// into the vertex), so invocations recycle them through Engine.superScratch
-// and a warm engine runs a body without asking the allocator for any.
+// into the vertex), so a PE's invocations reuse them (Engine.superScratch)
+// and a warm engine runs a body without asking the allocator for any. allocs
+// counts the vertices the invocation took from F, which endSuper hands back
+// to the execution's tally.
 type superExec struct {
 	e       *Engine
 	v       *graph.Vertex
@@ -55,23 +57,21 @@ type superExec struct {
 	wires   []wire
 	// ids is the arena the wires' args are cut from. When it grows, wires
 	// already planned keep the old backing array, which nothing rewrites.
-	ids []graph.VertexID
-	bad bool
+	ids    []graph.VertexID
+	bad    bool
+	allocs int64
 }
 
-// beginSuper takes an idle execution state (or makes the first one) and
-// readies it for one invocation on the redex v; endSuper hands it back.
-func (e *Engine) beginSuper(v *graph.Vertex, sup *gm.Super) *superExec {
-	e.mu.Lock()
-	var x *superExec
-	if n := len(e.superScratch); n > 0 {
-		x, e.superScratch = e.superScratch[n-1], e.superScratch[:n-1]
-	} else {
+// beginSuper readies the executing PE's body state (made at its first body)
+// for one invocation on the redex v; endSuper takes its allocation count.
+func (e *execution) beginSuper(v *graph.Vertex, sup *gm.Super) *superExec {
+	x := e.superScratch[e.pe]
+	if x == nil {
 		x = new(superExec)
+		e.superScratch[e.pe] = x
 	}
-	e.mu.Unlock()
 	*x = superExec{
-		e:       e,
+		e:       e.Engine,
 		v:       v,
 		sup:     sup,
 		part:    int(v.Part),
@@ -88,17 +88,13 @@ func (e *Engine) beginSuper(v *graph.Vertex, sup *gm.Super) *superExec {
 	return x
 }
 
-func (e *Engine) endSuper(x *superExec) {
-	e.mu.Lock()
-	e.superScratch = append(e.superScratch, x)
-	e.mu.Unlock()
-}
+func (e *execution) endSuper(x *superExec) { e.allocs += x.allocs }
 
 // execSuper executes one compiled supercombinator body on the saturated
 // redex v with operands ops. done reports whether v was rewritten; value
 // additionally reports that the root became a WHNF literal (so the caller
 // can complete v without another scheduler round trip).
-func (e *Engine) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID) (done, value bool) {
+func (e *execution) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID) (done, value bool) {
 	x := e.beginSuper(v, sup)
 	defer e.endSuper(x)
 
@@ -360,6 +356,7 @@ func (x *superExec) alloc(kind graph.Kind, val int64) *graph.Vertex {
 		x.bad = true
 		return nil
 	}
+	x.allocs++
 	x.fresh = append(x.fresh, n)
 	return n
 }

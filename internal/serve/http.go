@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"dgr"
 	"dgr/internal/obs"
 )
 
@@ -59,12 +60,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // errorStatus maps structured codes onto HTTP statuses: admission
-// rejections are 429 (retryable), parse errors 400, shutdown 503,
-// evaluation failures 422.
+// rejections are 429 (retryable), parse errors 400, a tenant past the
+// server's cap 403 (it stays refused), shutdown 503, evaluation failures 422.
 func errorStatus(e *Error) int {
 	switch e.Code {
 	case CodeQueueFull, CodeTenantInflight, CodeTenantQuota:
 		return http.StatusTooManyRequests
+	case CodeTenantLimit:
+		return http.StatusForbidden
 	case CodeParse, CodeBadRequest:
 		return http.StatusBadRequest
 	case CodeClosed:
@@ -174,13 +177,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) promData() obs.PromData {
 	d := obs.PromData{Tenants: s.TenantProms()}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	d.Stats = s.machineTotalsLocked()
+	held := make([]*dgr.Machine, 0, len(s.workers))
 	for _, w := range s.workers {
-		if w.m == nil {
-			continue
+		if w.m != nil {
+			held = append(held, w.m)
 		}
-		d.Gauges = d.Gauges.Add(w.m.Gauges())
+	}
+	s.mu.Unlock()
+	// A seeded machine's gauges are read under its owner lock, which its
+	// evaluation holds for a collector interval at a time: not under the
+	// server mutex, which admission takes.
+	for _, m := range held {
+		d.Gauges = d.Gauges.Add(m.Gauges())
 	}
 	return d
 }

@@ -31,6 +31,7 @@ const (
 	CodeQueueFull      = "queue_full"
 	CodeTenantInflight = "tenant_inflight"
 	CodeTenantQuota    = "tenant_quota"
+	CodeTenantLimit    = "tenant_limit"
 	CodeClosed         = "server_closed"
 	CodeDeadlock       = "deadlock"
 	CodeStuck          = "stuck"
@@ -124,6 +125,11 @@ const (
 	// jobHistory bounds how many finished jobs remain queryable by ID
 	// (oldest evicted first).
 	jobHistory = 4096
+	// maxTenants bounds the tenants a server keeps: a tenant's state and its
+	// /metrics series are never dropped, so Submit refuses a name it does
+	// not know once this many are kept (CodeTenantLimit). Tenants SetTenant
+	// configures count, and are never refused.
+	maxTenants = 1024
 )
 
 // Request is one evaluation submission.
@@ -334,9 +340,7 @@ func (s *Server) SetTenant(name string, lim TenantLimits) {
 }
 
 func (s *Server) tenantLocked(name string) *tenant {
-	if name == "" {
-		name = "anonymous"
-	}
+	name = tenantKey(name)
 	t, ok := s.tenants[name]
 	if !ok {
 		t = &tenant{name: name, limits: TenantLimits{}.withDefaults(s.opts), stats: obs.TenantProm{Name: name}}
@@ -345,10 +349,20 @@ func (s *Server) tenantLocked(name string) *tenant {
 	return t
 }
 
+// tenantKey is the name a tenant's state is kept under: the anonymous
+// tenant's for "".
+func tenantKey(name string) string {
+	if name == "" {
+		return "anonymous"
+	}
+	return name
+}
+
 // Submit admits one evaluation. It returns a structured *Error (as error)
-// on a malformed tenant name (before any state is touched), parse failure
-// or admission rejection; otherwise the returned job is queued — or, on a
-// memo-cache hit, already done — and never blocks on machine availability. A hit is served at admission: it consumes no queue
+// on a malformed tenant name or a new one past maxTenants (before any state
+// is touched), parse failure or admission rejection; otherwise the returned
+// job is queued — or, on a memo-cache hit, already done — and never blocks on
+// machine availability. A hit is served at admission: it consumes no queue
 // slot, no quota charge, and no machine time.
 func (s *Server) Submit(req Request) (*Job, error) {
 	if req.Tenant != "" && !tenantName.MatchString(req.Tenant) {
@@ -361,6 +375,10 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, &Error{Code: CodeClosed, Message: "server is shutting down"}
+	}
+	if _, known := s.tenants[tenantKey(req.Tenant)]; !known && len(s.tenants) >= maxTenants {
+		return nil, &Error{Code: CodeTenantLimit, Message: "server keeps no more tenants",
+			Tenant: req.Tenant, Limit: maxTenants, Current: len(s.tenants)}
 	}
 	t := s.tenantLocked(req.Tenant)
 	t.stats.Requests++

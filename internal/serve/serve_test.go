@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -399,4 +400,40 @@ func TestJobWaitContext(t *testing.T) {
 		t.Fatalf("status = %s, want queued", v.Status)
 	}
 	s.Close()
+}
+
+// TestTenantCap: a server keeps at most maxTenants tenants. Past the cap a
+// new name, anonymous included, is refused with CodeTenantLimit (HTTP 403, not
+// a retryable rejection) before any state or /metrics series exists for it;
+// a known name is still served, and the operator's SetTenant still configures.
+func TestTenantCap(t *testing.T) {
+	s := newIdleServer(Options{})
+	for i := 0; i < maxTenants; i++ {
+		_, err := s.Submit(Request{Tenant: fmt.Sprintf("t%d", i), Program: "1 +"})
+		if se, ok := err.(*Error); !ok || se.Code != CodeParse {
+			t.Fatalf("tenant %d: err = %v, want %s", i, err, CodeParse)
+		}
+	}
+	for _, name := range []string{"one-too-many", ""} {
+		_, err := s.Submit(Request{Tenant: name, Program: "1 + 1"})
+		se, ok := err.(*Error)
+		if !ok || se.Code != CodeTenantLimit || se.Limit != maxTenants || se.IsRejection() || errorStatus(se) != http.StatusForbidden {
+			t.Fatalf("new tenant %q past the cap: err = %#v, want %s, 403", name, err, CodeTenantLimit)
+		}
+	}
+	if n := s.Stats().Tenants; n != maxTenants {
+		t.Fatalf("%d tenants kept, want %d", n, maxTenants)
+	}
+	for _, p := range s.TenantProms() {
+		if p.Name == "one-too-many" || p.Name == "anonymous" {
+			t.Fatalf("a refused tenant has a /metrics series: %+v", p)
+		}
+	}
+	if _, err := s.Submit(Request{Tenant: "t7", Program: "1 + 1"}); err != nil {
+		t.Fatalf("a known tenant past the cap: %v", err)
+	}
+	s.SetTenant("configured", TenantLimits{Weight: 2})
+	if n := s.Stats().Tenants; n != maxTenants+1 {
+		t.Fatalf("%d tenants after SetTenant, want %d", n, maxTenants+1)
+	}
 }

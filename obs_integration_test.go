@@ -383,3 +383,53 @@ func TestSeededGraphDOTDuringEval(t *testing.T) {
 	}
 	t.Logf("%d graph reads alongside the evaluation", n)
 }
+
+// TestSeededCountersDuringEval: a reader on another goroutine calls Stats(),
+// Gauges() and FreeVertices() in a loop while a seeded machine evaluates fib.
+// The free-list shards and the in-use bits a seeded machine's owner writes
+// without a lock or an atomic are read under the owner lock, and the counters
+// an execution tallies are published with an atomic add, so the reads are
+// race-free under -race. Every read is in range, and the counters never go
+// back.
+func TestSeededCountersDuringEval(t *testing.T) {
+	m := dgr.New(dgr.Options{PEs: 2, Seed: 3, GCInterval: 500})
+	defer m.Close()
+	stop := make(chan struct{})
+	reads := make(chan int)
+	go func() {
+		n := 0
+		defer func() { reads <- n }()
+		var last dgr.Stats
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := m.Stats()
+			if s.Rewrites < last.Rewrites || s.Allocations < last.Allocations || s.TasksExecuted < last.TasksExecuted {
+				t.Errorf("counters went back: %+v after %+v", s, last)
+				return
+			}
+			last = s
+			g := m.Gauges()
+			free := m.FreeVertices()
+			if g.PEs != 2 || g.Free < 0 || g.Free > g.Heap || free < 0 || free > m.TotalVertices() {
+				t.Errorf("Gauges = %+v, FreeVertices = %d of %d", g, free, m.TotalVertices())
+				return
+			}
+			n++
+		}
+	}()
+	v, err := m.Eval(`let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 15`)
+	close(stop)
+	n := <-reads
+	if err != nil || v.Int != 610 {
+		t.Fatalf("fib 15 = %v, %v; want 610", v, err)
+	}
+	s := m.Stats()
+	if live := m.TotalVertices() - m.FreeVertices(); s.Allocations == 0 || s.Rewrites == 0 || live <= 0 {
+		t.Fatalf("after the eval: %d allocations, %d rewrites, %d vertices in use", s.Allocations, s.Rewrites, live)
+	}
+	t.Logf("%d counter reads alongside the evaluation", n)
+}
