@@ -17,7 +17,8 @@ import (
 // deterministic, so the quotient repeats to within the Go runtime's own
 // background allocations; the bounds sit ~25 % above the measured values
 // (interp 0.0032 — 229 mallocs — and compiled 0.021 — 205, before steps ran
-// in place; ~185 and ~206 mallocs since).
+// in place; ~175 and ~224 mallocs since, and ~111 and ~194 since a segment
+// is a block and a partition's segments come in chunks).
 // A vertex keeps its first two args and first requester inline, and a
 // larger set borrows a recycled overflow record, so wiring one allocates
 // nothing; before, the edge arrays made the warm eval 11 727 mallocs (0.16)
@@ -74,15 +75,18 @@ func TestTaskPathAllocBudget(t *testing.T) {
 // TestColdEvalByteBudget pins the bytes a one-shot machine asks of the Go
 // allocator: New, one Eval of fac 12 and Close on a default seeded machine.
 // Most of it is the store segments the program's vertices reach, so the
-// bound follows the vertex's size and the segment layout: at 120 bytes a
-// segment of 512 vertices takes 64 KiB (the 216-byte vertex's took 112 KiB),
-// and the default Capacity ends on a segment boundary, so partition 3 of the
-// default 4-PE machine no longer pays a whole segment for the top id alone
-// (145 KiB when it did). The bound sits ~25 % above the measured 79 KiB.
+// bound follows the vertex's size and the segment layout: a segment is one
+// partition's block of 64 vertices, 7.5 KiB at 120 bytes a vertex, and a
+// partition's segments come in chunks of 1, 2, 4, then 8, so a machine that
+// allocates on partition 0 pays for the blocks it reaches there, rounded up
+// to a chunk, plus the 8 KiB segment directory. The bound sits ~25 % above
+// the measured 47 KiB. A segment of 512 vertices of all four partitions,
+// 60 KiB at 120 bytes (108 KiB for the 216-byte vertex), read 79 KiB; with
+// partition 3 paying a whole one for the top id alone, 145 KiB.
 func TestColdEvalByteBudget(t *testing.T) {
 	const (
 		src    = "let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 12"
-		budget = 100 << 10
+		budget = 59 << 10
 	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

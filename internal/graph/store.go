@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -43,18 +44,21 @@ const MaxPartitions = 1 << 16
 
 // Arena segmentation: vertex lookups are the hottest operation in the
 // whole system (every task execution does several), so the arena is a
-// lock-free two-level table — an atomically published slice of fixed-size
-// segments. Readers never take a lock; the grow mutex guards only the
-// publication of a new segment.
+// lock-free two-level table — a directory of atomically published pointers
+// to fixed-size segments. Readers never take a lock; the grow mutex guards
+// only the publication of a new segment and the growth of the directory.
 //
 // The segment size is the unit in which a store pays for what a program
-// touched: smaller segments waste less on a small program, but lengthen
-// the segment table, which is copied on every materialisation. The sweep
-// follows the in-use bits, so the size no longer sets what a sweep costs.
-// 512 is where the measured saving flattens; 256 and 1024 each cost some
-// workload allocations (DESIGN.md §8).
+// touched, and a segment is one block of reserved ids, the largest a
+// partition is dealt: a partition's vertices fill its segments alone, so a
+// store pays for the blocks its program reached and for none of another
+// partition's. A store whose block is smaller (a Capacity below 512 per
+// partition) shares each segment among partitions. The directory is
+// written in place, so a small segment costs no table copy, and a
+// partition's segments come in doubling chunks, so one costs no allocation
+// of its own either (DESIGN.md §8, "A segment is a block").
 const (
-	segBits = 9
+	segBits = maxBlockBits
 	segSize = 1 << segBits
 	segMask = segSize - 1
 )
@@ -68,11 +72,13 @@ func slotOf(id VertexID) (segIdx, slot int) {
 	return i >> segBits, i & segMask
 }
 
-// segment is one arena block: vertices are embedded by value, so the arena
-// costs one allocation per segSize vertices instead of one per vertex. A
-// segment is materialised when Alloc first hands out one of its ids, so a
-// store pays for the id ranges a program reached, not for Capacity. Vertex
-// pointers into a segment stay stable for the life of the store.
+// segment is the arena of one block of ids: vertices are embedded by value,
+// 64 of them at 120 bytes, 7.5 KiB, and a partition's segments are
+// allocated in chunks (segChunk), so the arena costs an allocation per
+// chunk instead of one per vertex. A segment is materialised when Alloc
+// first hands out one of its ids, so a store pays for the id ranges a
+// program reached, not for Capacity. Vertex pointers into a segment stay
+// stable for the life of the store.
 //
 // used holds one in-use bit per slot, so a sweep visits the vertices out of
 // F and nothing else (DESIGN.md §8, "The sweep visits what is in use").
@@ -125,7 +131,7 @@ func (sh *freeShard) take(part, parts int, blockBits uint) (VertexID, bool) {
 
 // maxBlockBits is log₂ of the largest block of consecutive reserved ids a
 // partition is dealt (DESIGN.md §8, "A partition's vertices are
-// contiguous"). 64 ids of 4 partitions fill one segment.
+// contiguous"). A block of that size fills one segment.
 const maxBlockBits = 6
 
 // blockBitsFor returns log₂ of the block size B: the largest power of two
@@ -165,15 +171,26 @@ func virginID(k, part, parts int, blockBits uint) VertexID {
 // shared lock (the slow path steals one vertex from a sibling shard), and a
 // serial store's owner takes no shard lock either. Segment materialisation
 // and growth past Capacity alone are funneled through one mutex, and the
-// vertex table is read lock-free via an atomically published copy-on-write
-// slice. Construction costs O(partitions), and the never-used part of V
+// segment directory is read lock-free: a segment is published by an atomic
+// store into its entry, and only growth past the reserved range copies the
+// directory. Construction costs O(partitions), and the never-used part of V
 // exists only as a count per shard; a ForEach costs the vertices in use plus
-// one word per 64 slots of the segments a program reached.
+// one directory entry per segment from the lowest one a program reached.
 type Store struct {
-	segs atomic.Pointer[[]*segment] // indexed by slotOf; nil until first touched
-	n    atomic.Int64               // |V|: reserved + grown vertices (excludes NilVertex)
+	// dir is the segment directory, indexed by slotOf: an entry is nil until
+	// its segment is first touched. The first materialisation makes it span
+	// the reserved range; growOne replaces it, twice as long, past that.
+	dir atomic.Pointer[[]atomic.Pointer[segment]]
+	n   atomic.Int64 // |V|: reserved + grown vertices (excludes NilVertex)
+	// low is the lowest materialised segment index, where ForEach starts: a
+	// partition reaches its blocks top first, so a small program's segments
+	// sit at the top of a directory that spans the whole reserved range.
+	low atomic.Int32
 
-	growMu sync.Mutex // guards segment publication and growth past reserved; not taken by Alloc fast paths
+	growMu sync.Mutex // guards segment publication, chunks and growth past reserved; not taken by Alloc fast paths
+	// chunks are the partitions' spare segments, made with the first
+	// directory on a store whose segment is a block; guarded by growMu.
+	chunks []segChunk
 
 	reserved  int    // ids 1..reserved start out free, owned block by block (reservedOwner)
 	blockBits uint   // log₂ of the block size B the reserved ids are dealt in
@@ -220,8 +237,8 @@ func NewStore(cfg Config) *Store {
 		blockBits: blockBitsFor(cfg.Capacity, cfg.Partitions),
 		partsM:    modMultiplier(cfg.Partitions),
 	}
-	empty := make([]*segment, 0)
-	s.segs.Store(&empty)
+	s.dir.Store(&noSegments)
+	s.low.Store(math.MaxInt32)
 	s.relMu.SetSerial(s.serial)
 	for part := range s.shards {
 		s.shards[part].mu.SetSerial(s.serial)
@@ -248,6 +265,9 @@ func (s *Store) reservedOwner(id int) int {
 // reservedOwner takes a 32-bit remainder by d.
 func modMultiplier(d int) uint64 { return ^uint64(0)/uint64(d) + 1 }
 
+// noSegments is the directory of a store no id of which was touched yet.
+var noSegments []atomic.Pointer[segment]
+
 // growOne extends V past the reserved range by one vertex owned by part and
 // returns its id. The new vertex is NOT added to any free list: it is
 // handed out directly.
@@ -271,15 +291,16 @@ func (s *Store) growOne(part int) VertexID {
 // segmentLocked returns segment segIdx, materialising it if no id in it was
 // ever touched: every reserved id in it becomes a free vertex of its
 // block's partition (ids past the reserved range are initialised by
-// growOne). The new table is published copy-on-write; readers holding the
-// old slice simply don't see the new, not yet referenced, vertices. The
-// caller holds growMu.
+// growOne). The segment is published by an atomic store into its directory
+// entry, after its vertices are written. The caller holds growMu.
 func (s *Store) segmentLocked(segIdx int) *segment {
-	segs := *s.segs.Load()
-	if seg := segmentIn(segs, segIdx); seg != nil {
+	dir := *s.dir.Load()
+	if segIdx >= len(dir) {
+		dir = s.growDirLocked(segIdx)
+	} else if seg := dir[segIdx].Load(); seg != nil {
 		return seg
 	}
-	seg := new(segment)
+	seg := s.newSegmentLocked(segIdx)
 	base := segIdx<<segBits + 1 // the id in slot 0
 	for i := range seg.verts {
 		id := base + i
@@ -293,10 +314,67 @@ func (s *Store) segmentLocked(segIdx int) *segment {
 		v.Kind = KindFree
 		v.more = &s.blank
 	}
-	grown := make([]*segment, max(len(segs), segIdx+1))
-	copy(grown, segs)
-	grown[segIdx] = seg
-	s.segs.Store(&grown)
+	dir[segIdx].Store(seg)
+	if segIdx < int(s.low.Load()) {
+		s.low.Store(int32(segIdx))
+	}
+	return seg
+}
+
+// growDirLocked publishes a directory that has an entry for segIdx, and
+// returns it. The first spans the reserved range, inside which no directory
+// is copied again; past it, growOne's ids double the directory, so a store
+// that keeps growing copies each entry about once. Readers holding the old
+// directory miss only segments published after it was replaced, whose ids
+// they cannot have been handed. The caller holds growMu.
+func (s *Store) growDirLocked(segIdx int) []atomic.Pointer[segment] {
+	old := *s.dir.Load()
+	dir := make([]atomic.Pointer[segment], max(segIdx+1, 2*len(old), (s.reserved+segMask)>>segBits))
+	for i := range old {
+		dir[i].Store(old[i].Load())
+	}
+	s.dir.Store(&dir)
+	return dir
+}
+
+// segChunk is what is left of the last chunk of segments a partition was
+// given: one allocation holding the segments of the partition's next blocks,
+// highest first — the order its never-used ids leave its shard — spare[0]
+// standing for segment next. A partition's chunks hold 1, 2, 4, then
+// maxChunk segments, so a program pays for at most about twice the blocks it
+// reached, and a store that fills its range makes one allocation per
+// maxChunk segments.
+type segChunk struct {
+	spare []segment
+	next  int // the segment index of spare[0]
+	size  int // the segments the last chunk held
+}
+
+// maxChunk bounds a chunk: 8 segments of 64 vertices, 60 KiB.
+const maxChunk = 8
+
+// newSegmentLocked returns a zeroed segment for index segIdx. A segment that
+// is one reserved block comes from its partition's chunk, which is refilled,
+// twice as long as the last, when empty or when an allocator on a parallel
+// store reached the partition's blocks out of order; a segment shared by
+// partitions, or past the reserved range, is an allocation of its own. The
+// caller holds growMu.
+func (s *Store) newSegmentLocked(segIdx int) *segment {
+	base := segIdx << segBits // the slot-0 id, less one
+	if s.blockBits != segBits || base >= s.reserved {
+		return new(segment)
+	}
+	if s.chunks == nil {
+		s.chunks = make([]segChunk, s.parts)
+	}
+	c := &s.chunks[s.reservedOwner(base+1)]
+	if len(c.spare) == 0 || c.next != segIdx {
+		c.size = min(max(1, 2*c.size), maxChunk)
+		// The partition's blocks at or below segIdx: segIdx, segIdx-parts, ...
+		c.spare = make([]segment, min(c.size, segIdx/s.parts+1))
+	}
+	seg := &c.spare[0]
+	c.spare, c.next = c.spare[1:], segIdx-s.parts
 	return seg
 }
 
@@ -347,26 +425,31 @@ func (s *Store) FreeCountOf(part int) int {
 // NilVertex, for an out-of-range ID, and for a reserved ID in a segment no
 // allocation has reached yet — a vertex that was never handed out, so no
 // edge, task or root can name it. The returned pointer is stable for the
-// life of the store. Lock-free.
+// life of the store. Lock-free, and small enough to inline: NilVertex's
+// slot index wraps to 2⁶⁴−1, past every directory, so one unsigned test
+// rejects it with every id past the directory.
 func (s *Store) Vertex(id VertexID) *Vertex {
-	if id == NilVertex || int64(id) > s.n.Load() {
+	if int64(id) > s.n.Load() { // n first: growOne publishes a segment before n
 		return nil
 	}
-	segIdx, slot := slotOf(id)
-	seg := segmentIn(*s.segs.Load(), segIdx)
-	if seg == nil {
+	i := uint64(id) - 1 // the slot index: id 1 in slot 0
+	dir := *s.dir.Load()
+	if i>>segBits >= uint64(len(dir)) {
 		return nil
 	}
-	return &seg.verts[slot]
+	if seg := dir[i>>segBits].Load(); seg != nil {
+		return &seg.verts[i&segMask]
+	}
+	return nil
 }
 
-// segmentIn returns segment segIdx of a loaded segment table, or nil if it
-// is not materialised there.
-func segmentIn(segs []*segment, segIdx int) *segment {
-	if segIdx >= len(segs) {
+// segmentIn returns segment segIdx of a loaded directory, or nil if it is
+// not materialised there.
+func segmentIn(dir []atomic.Pointer[segment], segIdx int) *segment {
+	if segIdx >= len(dir) {
 		return nil
 	}
-	return segs[segIdx]
+	return dir[segIdx].Load()
 }
 
 // Alloc takes a vertex from the free list of the given partition, stealing
@@ -420,7 +503,7 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 		}
 	}
 	segIdx, slot := slotOf(id)
-	seg := segmentIn(*s.segs.Load(), segIdx)
+	seg := segmentIn(*s.dir.Load(), segIdx)
 	if seg == nil {
 		seg = s.materialise(id) // the first vertex handed out of its segment
 	}
@@ -531,7 +614,7 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 // segment therefore exists.
 func (s *Store) clearUsed(id VertexID) {
 	segIdx, slot := slotOf(id)
-	s.markUsed(segmentIn(*s.segs.Load(), segIdx), slot, false)
+	s.markUsed(segmentIn(*s.dir.Load(), segIdx), slot, false)
 }
 
 // markUsed sets or clears slot i's in-use bit. A serial store's owner is the
@@ -576,7 +659,9 @@ func (s *Store) IsFree(id VertexID) bool {
 // are never garbage in the current cycle by reduction axiom 1).
 func (s *Store) ForEach(fn func(*Vertex)) {
 	n := int(s.n.Load())
-	for si, seg := range *s.segs.Load() {
+	dir := *s.dir.Load()
+	for si := int(s.low.Load()); si < len(dir); si++ {
+		seg := dir[si].Load()
 		if seg == nil {
 			continue
 		}

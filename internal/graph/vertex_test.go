@@ -220,9 +220,10 @@ func TestMarkCtxTouchQuick(t *testing.T) {
 	}
 }
 
-// TestVertexSize: a vertex is 120 bytes, so a segment of segSize vertices
-// and its in-use bits fit in 64 KiB — eight pages — where the 216-byte
-// vertex's took fourteen. The CI census prints both sizes. An overflow
+// TestVertexSize: a vertex is 120 bytes, so a segment of segSize (64)
+// vertices and its in-use word, 7 688 bytes, fit Go's 8 KiB size class, and
+// a chunk of 8 segments fits 64 KiB, eight pages, where 512 216-byte
+// vertices took fourteen. The CI census prints both sizes. An overflow
 // record is 120 bytes, which falls in Go's 128-byte size class: a record
 // costs an allocation what a 128-byte one would.
 func TestVertexSize(t *testing.T) {
@@ -231,8 +232,8 @@ func TestVertexSize(t *testing.T) {
 	if vsz != 120 {
 		t.Errorf("Sizeof(Vertex) = %d, want 120", vsz)
 	}
-	if ssz > 64<<10 {
-		t.Errorf("Sizeof(segment) = %d, want <= %d", ssz, 64<<10)
+	if ssz > 8<<10 {
+		t.Errorf("Sizeof(segment) = %d, want <= %d", ssz, 8<<10)
 	}
 	if got := unsafe.Sizeof(overflow{}); got != 120 {
 		t.Errorf("Sizeof(overflow) = %d, want 120", got)

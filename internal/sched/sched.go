@@ -215,18 +215,21 @@ type Machine struct {
 // slot twice per task: the publish at the pop, the retire when the task is
 // done). execs rides along under the same per-PE lock: it is the PE's
 // execution count, incremented by the publish, and read (rarely) by
-// ExecutionsByPE for balance reporting. next is the PE's pending hand-off
-// (HandOff), beside the running task t. A deterministic machine's slots are
-// serial, like its pools: its one goroutine is the only writer, and its
+// ExecutionsByPE for balance reporting. ts[cur] is the running task and
+// ts[cur^1] the PE's pending hand-off (HandOff), so taking the hand-off
+// (TakeHandOff) flips cur and moves no task. A deterministic machine's slots
+// are serial, like its pools: its one goroutine is the only writer, and its
 // owner fences the readers.
 type curSlot struct {
 	mu lock.Mutex
-	// valid and handing follow mu so that they fill the padding after mu's
-	// mode bit.
+	// valid, handing and cur follow mu so that they fill the padding after
+	// mu's mode bit.
 	valid, handing bool
-	t, next        task.Task
+	cur            uint8
+	ts             [2]task.Task
 	execs          uint64
-	// started is when t began to run, for a traced t; only the PE touches it.
+	// started is when ts[cur] began to run, for a traced one; only the PE
+	// touches it.
 	started int64
 }
 
@@ -235,7 +238,7 @@ type curSlot struct {
 // pool's take hook under the pool lock, or by ExecuteMatching.
 func (s *curSlot) publish(t task.Task) {
 	s.mu.Lock()
-	s.t = t
+	s.ts[s.cur] = t
 	s.valid = true
 	s.execs++
 	s.mu.Unlock()
@@ -506,12 +509,13 @@ func (m *Machine) execute(pe int, t task.Task) {
 	m.cfg.Obs.TaskStart(pe)
 	m.handler.Handle(pe, t)
 	m.cfg.Obs.TaskEnd(pe, uint8(t.Kind), uint64(t.Src), uint64(t.Dst))
-	// The slot's task is t, or the last hand-off the handler took.
-	last := slot.t
 	slot.mu.Lock()
 	slot.valid = false
 	slot.mu.Unlock()
-	m.traceExec(pe, last, slot.started)
+	// The slot's task is t, or the last hand-off the handler took.
+	if last := &slot.ts[slot.cur]; last.Trace != 0 {
+		m.traceExec(pe, last, slot.started)
+	}
 	m.release(1)
 	if fn := m.cfg.AfterExecute; fn != nil {
 		fn(seq, pe, t)
@@ -519,12 +523,11 @@ func (m *Machine) execute(pe int, t task.Task) {
 }
 
 // traceExec records the lineage exec span of a traced task that ran on PE pe
-// from start until now.
-func (m *Machine) traceExec(pe int, t task.Task, start int64) {
-	if t.Trace != 0 {
-		m.cfg.Obs.Lineage().Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
-			pe, t.Born, start, obs.Now())
-	}
+// from start until now. Its callers test t.Trace, so an untraced task costs
+// them no call.
+func (m *Machine) traceExec(pe int, t *task.Task, start int64) {
+	m.cfg.Obs.Lineage().Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
+		pe, t.Born, start, obs.Now())
 }
 
 // HandOff makes t PE pe's pending hand-off: a task of pe's own partition
@@ -540,25 +543,27 @@ func (m *Machine) HandOff(pe int, t task.Task) {
 	m.note(t)
 	s := &m.current[pe]
 	s.mu.Lock()
-	s.next, s.handing = t, true
+	s.ts[s.cur^1], s.handing = t, true
 	s.mu.Unlock()
 }
 
-// TakeHandOff makes PE pe's pending hand-off the PE's running task, retiring
-// the task that ran before it, and returns it. The handler runs it, and
-// counts it as a step of the execution (AddSteps).
+// TakeHandOff makes PE pe's pending hand-off the PE's running task, in
+// place, retiring the task that ran before it, and returns a copy of it. The
+// handler runs it, and counts it as a step of the execution (AddSteps).
 func (m *Machine) TakeHandOff(pe int) task.Task {
 	s := &m.current[pe]
-	prev := s.t
+	if prev := &s.ts[s.cur]; prev.Trace != 0 {
+		m.traceExec(pe, prev, s.started)
+	}
 	s.mu.Lock()
-	t := s.next
-	s.t, s.handing = t, false
+	s.cur ^= 1
+	s.handing = false
 	s.mu.Unlock()
-	m.traceExec(pe, prev, s.started)
+	t := &s.ts[s.cur]
 	if t.Trace != 0 {
 		s.started = obs.Now()
 	}
-	return t
+	return *t
 }
 
 // wakeUp wakes WaitSteps's waiter.
@@ -667,8 +672,8 @@ func (m *Machine) EachCurrent(fn func(task.Task)) {
 	for i := range m.current {
 		s := &m.current[i]
 		s.mu.Lock()
-		t, ok := s.t, s.valid
-		next, handing := s.next, s.handing
+		t, ok := s.ts[s.cur], s.valid
+		next, handing := s.ts[s.cur^1], s.handing
 		s.mu.Unlock()
 		if ok {
 			fn(t)

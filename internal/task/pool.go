@@ -15,10 +15,10 @@ import (
 // use. A pool from NewSerialPool takes no lock: it belongs to a seeded
 // machine, whose one goroutine runs one task at a time and fences every
 // other reader with its owner lock, and it never blocks (PopWaitFor is for
-// a parallel PE, the pool's one blocking consumer). Tasks are held in
-// priority bands (marking > vital > eager > reserve) with FIFO order within a
-// band; each band is a growable ring buffer, so the steady-state push/pop
-// cycle of a busy PE allocates nothing.
+// a parallel PE, the pool's one blocking consumer), so it has no condition
+// variable either. Tasks are held in priority bands (marking > vital > eager
+// > reserve) with FIFO order within a band; each band is a growable ring
+// buffer, so the steady-state push/pop cycle of a busy PE allocates nothing.
 type Pool struct {
 	mu lock.Mutex
 	// closed makes the pool hand out nothing and wakes its waiter. It and
@@ -28,7 +28,7 @@ type Pool struct {
 	// waiting is set while the pool's consumer is blocked in PopWaitFor; a
 	// push signals only then. A pool has one blocking consumer, its own PE.
 	waiting bool
-	cond    *sync.Cond
+	cond    *sync.Cond // nil on a serial pool
 	bands   [numBands]ring
 	// n is the number of queued tasks. It changes only under mu, next to
 	// the ring operation it counts, and is atomic so that Len — which the
@@ -58,16 +58,19 @@ type Pool struct {
 var poolSeq atomic.Uint64
 
 // NewPool returns an empty pool that is safe for concurrent use.
-func NewPool() *Pool { return newPool(false) }
+func NewPool() *Pool {
+	p := newPool(false)
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
 
 // NewSerialPool returns an empty pool for a seeded machine, which takes no
-// lock (see Pool).
+// lock and has no condition variable (see Pool).
 func NewSerialPool() *Pool { return newPool(true) }
 
 func newPool(serial bool) *Pool {
 	p := &Pool{seq: poolSeq.Add(1)}
 	p.mu.SetSerial(serial)
-	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
@@ -212,8 +215,12 @@ func (p *Pool) TryPopRandom(rng *rand.Rand) (Task, bool) {
 // that a stealing PE goes back to scanning peers on timeout — an untimed
 // park would strand an idle PE while a neighbor's queue grows with
 // partition-local work it could have stolen. One goroutine at a time may
-// wait on a pool.
+// wait on a pool, and none on a serial pool, which nothing could refill
+// while its one goroutine waits: PopWaitFor panics there.
 func (p *Pool) PopWaitFor(d time.Duration) (t Task, ok bool, closed bool) {
+	if p.cond == nil {
+		panic("task: PopWaitFor on a serial pool")
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t, ok := p.popLocked(); ok {
@@ -345,8 +352,9 @@ func EachAcross(pools []*Pool, fn func(Task)) {
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
+	waiting := p.waiting
 	p.mu.Unlock()
-	p.cond.Signal()
+	p.wake(waiting)
 }
 
 // Each calls fn for every queued task under the pool lock. fn must not call

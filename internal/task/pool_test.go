@@ -317,6 +317,38 @@ func TestPoolReprioritizeNoDoubleVisit(t *testing.T) {
 	}
 }
 
+// poolSink keeps a measured pool on the heap.
+var poolSink *Pool
+
+// TestSerialPoolHasNoCond: a serial pool makes no condition variable, and
+// everything but PopWaitFor works without one — Close included, which wakes
+// only a waiting consumer. PopWaitFor, which a serial pool's one goroutine
+// could never be woken from, panics. NewSerialPool makes one object, the
+// pool.
+func TestSerialPoolHasNoCond(t *testing.T) {
+	if NewPool().cond == nil {
+		t.Fatal("a default pool has no condition variable")
+	}
+	if n := testing.AllocsPerRun(10, func() { poolSink = NewSerialPool() }); n != 1 {
+		t.Errorf("NewSerialPool makes %v allocations, want 1", n)
+	}
+	p := NewSerialPool()
+	if p.cond != nil {
+		t.Fatal("a serial pool has a condition variable")
+	}
+	p.Push(Task{Kind: Mark, Dst: 1})
+	p.Close()
+	if _, ok := p.TryPop(); ok {
+		t.Fatal("a closed serial pool handed out a task")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("PopWaitFor on a serial pool did not panic")
+		}
+	}()
+	p.PopWaitFor(time.Millisecond)
+}
+
 // TestPoolReprioritizeAllocatesNothing: a pass that moves tasks between
 // bands with room for them allocates nothing, and leaves every band in the
 // order a pass that pushed the moved tasks after all filters would.
