@@ -75,9 +75,9 @@ const detFib = `let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 12
 // to alter scheduling semantics) by running this test and copying the
 // reported digests.
 var goldenSchedules = map[string]string{
-	"seed=42/pes=1": "2066377946d064f4",
-	"seed=42/pes=4": "9b6b2342f24a554c",
-	"seed=7/pes=3":  "694ab5af51ef6e8a",
+	"seed=42/pes=1": "56b7293ab4d24af4",
+	"seed=42/pes=4": "14c1db1e189567e0",
+	"seed=7/pes=3":  "ed8df427abcd3b47",
 }
 
 // TestScheduleDeterminismGolden asserts that fixed-seed deterministic runs
@@ -164,8 +164,8 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 // pool, and the restructure events inside the digest. What a partition's list
 // marks inline is not in the log — it shows in what the next task finds.
 var goldenCollectingSchedules = map[string]string{
-	"interp/seed=42/pes=4":   "04d52fe0ed0e9efa",
-	"interp/seed=7/pes=3":    "b32771960e8c91e6",
+	"interp/seed=42/pes=4":   "8d8789d14d749786",
+	"interp/seed=7/pes=3":    "43c3aa44f657c323",
 	"compiled/seed=42/pes=4": "44303a5e3bc24bc6",
 	"compiled/seed=7/pes=3":  "b5058f5947e9fb06",
 }
@@ -217,11 +217,15 @@ func TestScheduleDeterminismCollectingGolden(t *testing.T) {
 	}
 }
 
-// preInlineSchedules are the digests every golden above had before the
-// reduction engine continued a step's reduction in place (the Reduce task
-// each continuation was is now an inline step, so every schedule moved). At
-// inline budget 0 the engine spawns every continuation as a Reduce task
-// again, and must run those schedules exactly.
+// preInlineSchedules are the schedules at inline budget 0, where the engine
+// spawns every continuation as a Reduce task and every demand and result as
+// itself. They were the digests every golden above had before the reduction
+// engine continued a step's reduction in place (the Reduce task each
+// continuation was is now an inline step, so every schedule moved). The
+// interp rows moved once since, with the goldens above, when the engine came
+// to recognise a local partial application in place instead of demanding it:
+// that rule holds at every budget (DESIGN §8, "A partial application is a
+// value"). The compiled rows are the pre-inline digests still.
 var preInlineSchedules = []struct {
 	collecting bool
 	engine     string
@@ -229,20 +233,21 @@ var preInlineSchedules = []struct {
 	pes        int
 	digest     string
 }{
-	{false, dgr.EngineInterp, 42, 1, "2c0f16ab1f92c60a"},
-	{false, dgr.EngineInterp, 42, 4, "e48dd2e49274d203"},
-	{false, dgr.EngineInterp, 7, 3, "15c43d9d6b2d6626"},
+	{false, dgr.EngineInterp, 42, 1, "752c3e0353127589"},
+	{false, dgr.EngineInterp, 42, 4, "a09fbf0003f73fab"},
+	{false, dgr.EngineInterp, 7, 3, "95f73c4bec23d299"},
 	{false, dgr.EngineCompiled, 42, 1, "311ff46fddd489e7"},
 	{false, dgr.EngineCompiled, 42, 4, "3e96b4fa50e5754b"},
 	{false, dgr.EngineCompiled, 7, 3, "de920908a1410bd4"},
-	{true, dgr.EngineInterp, 42, 4, "f2d22b89fc028b60"},
-	{true, dgr.EngineInterp, 7, 3, "345efe02450f3e2b"},
+	{true, dgr.EngineInterp, 42, 4, "fe980710d73db88a"},
+	{true, dgr.EngineInterp, 7, 3, "ead5615d18d22139"},
 	{true, dgr.EngineCompiled, 42, 4, "d49809c5b1967b59"},
 	{true, dgr.EngineCompiled, 7, 3, "77f7b7a43724b89a"},
 }
 
 // TestScheduleAtBudgetZeroIsPreInline: with no step run in place, the
-// engine's schedules are the ones it ran before it could.
+// engine's schedules are the ones it ran before it could, but for the local
+// partial applications it recognises in place (preInlineSchedules).
 func TestScheduleAtBudgetZeroIsPreInline(t *testing.T) {
 	for _, tc := range preInlineSchedules {
 		t.Run(fmt.Sprintf("collecting=%v/%s/seed=%d/pes=%d", tc.collecting, tc.engine, tc.seed, tc.pes), func(t *testing.T) {

@@ -89,8 +89,11 @@ func statsLine(s Stats) string {
 // twice since (-regen-seeded-outcome), when a reduction step's continuation
 // began to run in place and when a local demand or result did: each time the
 // knot runs moved in TasksExecuted, ReductionTasks, InlineSteps and
-// LocalMessages alone, every error, Cycles and MarkVisits as before. The
-// budget runs are compared on the error and Cycles alone.
+// LocalMessages alone, every error, Cycles and MarkVisits as before. A third
+// time, when a local partial application came to be recognised in place
+// instead of demanded, the interp knot runs moved in InlineSteps alone (8 to
+// 5), the compiled ones not at all, and every budget run kept its error and
+// its Cycles. The budget runs are compared on the error and Cycles alone.
 // MaxSteps counts every step, marking tasks included, so when a partition's
 // pending marks became one task, or a task began to run reduction steps in
 // place, the budget bought different work: those runs still end in the same

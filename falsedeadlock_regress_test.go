@@ -25,7 +25,7 @@ const (
 // falseDeadlockOpts are shared by the recording and the replaying machine —
 // replay requires an identically-built initial graph.
 func falseDeadlockOpts() Options {
-	return Options{PEs: 2, Seed: 11, MTEvery: 1, GCInterval: 2000, Capacity: 1 << 12}
+	return Options{PEs: 2, Seed: 11, MTEvery: 1, GCInterval: 1250, Capacity: 1 << 12}
 }
 
 // regenFalseDeadlockLog records a clean deterministic fib run and doctors

@@ -125,8 +125,7 @@ type Collector struct {
 	// a cycle pays per vertex, not per hash probe.
 	rRoots     []Root                   // M_R's root set
 	tRoots     []Root                   // M_T's root set (taskRoots)
-	garbage    []*graph.Vertex          // this cycle's sweep, ascending by id
-	garbageIDs []graph.VertexID         // the same vertices' ids: GAR, searched by the expunge
+	garbageIDs []graph.VertexID         // this cycle's sweep, ascending: GAR, searched by the expunge
 	abandoned  []request                // garbage vertices' pending requests
 	destPrior  map[graph.VertexID]uint8 // marked priority of queued demands' destinations
 
@@ -490,18 +489,21 @@ type request struct{ requester, child graph.VertexID }
 
 // restructure is the restructuring phase: sweep garbage to F, detect
 // deadlocked vertices, expunge irrelevant tasks, and reprioritize the task
-// pools from the marked priorities. It is one visit per vertex in use and
-// one per garbage vertex; no garbage vertex goes into a hash map (only the
-// few queued demands' destinations do). The expunge searches this cycle's
-// garbage ids, so every task destined to a vertex freed this cycle is
-// deleted in the same cycle — the invariant that makes freeing safe at all.
+// pools from the marked priorities. It is one visit per vertex in use: the
+// sweep retires a garbage vertex where it finds it (Store.Retire), and no
+// garbage vertex goes into a hash map (only the few queued demands'
+// destinations do). The expunge searches this cycle's garbage ids, so every
+// task destined to a vertex freed this cycle is deleted in the same cycle —
+// the invariant that makes freeing safe at all — and only then do the
+// retired ids reach F (Store.PublishRetired), so none is allocated again
+// while a task names it.
 func (c *Collector) restructure(rep *CycleReport) {
 	epochR := c.marker.Epoch(graph.CtxR)
 	c.mu.Lock()
 	epochT := c.lastTEpoch
 	c.mu.Unlock()
 
-	garbage, garbageIDs, abandoned := c.garbage[:0], c.garbageIDs[:0], c.abandoned[:0]
+	garbageIDs, abandoned := c.garbageIDs[:0], c.abandoned[:0]
 	var dead []graph.VertexID
 
 	o := c.cfg.Obs
@@ -516,13 +518,13 @@ func (c *Collector) restructure(rep *CycleReport) {
 		case v.Red.AllocEpoch >= epochR:
 			// Allocated during this cycle: from F, not garbage (axiom 1).
 		case v.RCtx.StateAt(epochR) == graph.Unmarked:
-			garbage = append(garbage, v)
 			garbageIDs = append(garbageIDs, v.ID)
 			for i, a := range v.Args() {
 				if v.ReqKindAt(i) != graph.ReqNone {
 					abandoned = append(abandoned, request{v.ID, a})
 				}
 			}
+			c.store.Retire(v)
 		case rep.MTRan &&
 			v.RCtx.PriorAt(epochR) == graph.PriorVital &&
 			v.Red.AllocEpochT < epochT &&
@@ -536,8 +538,8 @@ func (c *Collector) restructure(rep *CycleReport) {
 		}
 		v.Unlock()
 	})
-	c.garbage, c.garbageIDs, c.abandoned = garbage, garbageIDs, abandoned // keep what append grew
-	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbage)))
+	c.garbageIDs, c.abandoned = garbageIDs, abandoned // keep what append grew
+	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbageIDs)))
 
 	// A garbage vertex's pending requests go with it: each child it awaits
 	// forgets it as a requester. A child that survives the sweep (another
@@ -605,11 +607,9 @@ func (c *Collector) restructure(rep *CycleReport) {
 		})
 	}
 
-	// Return garbage to the free list — batched, one pass over it and one
-	// shard lock hold per partition, so a big sweep doesn't serialize against
-	// the PEs' allocation fast paths.
-	c.store.ReleaseBatch(garbage)
-	rep.Reclaimed = len(garbage)
+	// The tasks that named the garbage are gone: its retired ids go to F.
+	c.store.PublishRetired()
+	rep.Reclaimed = len(garbageIDs)
 
 	// Swept vertices leave the verdict record: a reclaimed ID can be reused by
 	// an unrelated allocation (a root switch or is-bottom recovery can make a

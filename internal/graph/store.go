@@ -83,7 +83,7 @@ func slotOf(id VertexID) (segIdx, slot int) {
 // used holds one in-use bit per slot, so a sweep visits the vertices out of
 // F and nothing else (DESIGN.md §8, "The sweep visits what is in use").
 // AllocStamped sets a slot's bit after its id has left the shard and before
-// the vertex is labelled non-free; Release and ReleaseBatch clear it after
+// the vertex is labelled non-free; Release and Retire clear it after
 // ResetFree and before the id goes back on a shard's stack. A set bit may
 // therefore name a vertex that still reads KindFree, never the reverse: a
 // vertex labelled non-free before a ForEach began is visited by it. The bits
@@ -202,9 +202,10 @@ type Store struct {
 	// it is materialised; markUsed writes the in-use bits plainly under it.
 	serial bool
 
-	// runs are ReleaseBatch's per-partition id runs, kept from call to call
-	// under relMu (not in freeShard, which fills one cache line). relMu
-	// follows Config.Serial like the shard locks: a serial store takes none.
+	// runs are the retired ids of each partition not yet published to F
+	// (Retire, PublishRetired), kept from cycle to cycle (not in freeShard,
+	// which fills one cache line). relMu serialises ReleaseBatch's callers;
+	// it follows Config.Serial like the shard locks.
 	relMu lock.Mutex
 	runs  [][]VertexID
 
@@ -568,37 +569,47 @@ func (s *Store) Release(v *Vertex) {
 	sh.mu.Unlock()
 }
 
-// ReleaseBatch returns a whole batch of vertices to F in one pass over it,
-// refilling each partition's free cache with a single lock acquisition per
-// partition — the restructuring phase reclaims garbage by the thousand, and
-// paying a shard lock per vertex would make the collector the one writer
-// that serializes against every PE's allocation fast path. The pass resets
-// each vertex, clears its in-use bit and appends its id to its partition's
-// run; each non-empty run then goes onto its shard's stack. Append order
-// within a partition matches vertex order in vs, so the id sequence handed
-// back out by Alloc is identical to len(vs) individual Release calls. A
-// vertex that still holds an overflow record gives it back in ResetFree,
-// under its shard's lock. The kept runs are guarded by relMu, taken once per
-// call; on a serial store, like the shard locks, it is no lock at all.
+// ReleaseBatch returns a whole batch of vertices to F: it retires each
+// (Retire) and then publishes them (PublishRetired). Append order within a
+// partition matches vertex order in vs, so the id sequence handed back out by
+// Alloc is identical to len(vs) individual Release calls. Concurrent calls
+// take turns on relMu, which on a serial store, like the shard locks, is no
+// lock at all.
 func (s *Store) ReleaseBatch(vs []*Vertex) {
-	if len(vs) == 0 {
-		return
-	}
 	s.relMu.Lock()
 	defer s.relMu.Unlock()
+	for _, v := range vs {
+		v.Lock()
+		s.Retire(v)
+		v.Unlock()
+	}
+	s.PublishRetired()
+}
+
+// Retire resets v, a garbage vertex, clears its in-use bit and appends its id
+// to its partition's run of retired ids, which PublishRetired hands to F: the
+// restructuring phase retires each garbage vertex as its sweep finds it, and
+// publishes them all once the tasks that still name them are expunged, so no
+// id is allocated again while a task names it. A vertex that still holds an
+// overflow record gives it back in ResetFree, under its shard's lock. The
+// caller holds v's lock, and retires and publishes alone: a machine's
+// collector is its store's one retirer, so the runs take no lock there
+// (ReleaseBatch takes relMu for callers that share a store).
+func (s *Store) Retire(v *Vertex) {
 	if s.runs == nil {
 		s.runs = make([][]VertexID, s.parts)
 	}
-	runs := s.runs
-	for _, v := range vs {
-		v.Lock()
-		v.ResetFree()
-		part := v.Part
-		v.Unlock()
-		s.clearUsed(v.ID)
-		runs[part] = append(runs[part], v.ID)
-	}
-	for part, run := range runs {
+	v.ResetFree()
+	s.clearUsed(v.ID)
+	s.runs[v.Part] = append(s.runs[v.Part], v.ID)
+}
+
+// PublishRetired puts every retired id onto its partition's free stack, in
+// the order it was retired: one shard lock hold per partition, so the
+// restructuring phase, which reclaims garbage by the thousand, does not
+// serialize against the PEs' allocation fast paths.
+func (s *Store) PublishRetired() {
+	for part, run := range s.runs {
 		if len(run) == 0 {
 			continue
 		}
@@ -606,7 +617,7 @@ func (s *Store) ReleaseBatch(vs []*Vertex) {
 		sh.mu.Lock()
 		sh.ids = append(sh.ids, run...)
 		sh.mu.Unlock()
-		runs[part] = run[:0]
+		s.runs[part] = run[:0]
 	}
 }
 

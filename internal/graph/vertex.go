@@ -205,10 +205,14 @@ func (c Ctx) String() string {
 
 // Requester is one element of requested(v): a vertex awaiting v's value,
 // together with the kind of the request (needed to route the eventual reply
-// and to restore the requester's bookkeeping).
+// and to restore the requester's bookkeeping). Answered is set when a
+// completion of v takes the request to reply to it; the entry stays in
+// requested(v), carrying the requester's task-reachability, until the reply
+// is sent and the request removed, and a second completion skips it.
 type Requester struct {
-	Src  VertexID
-	Kind ReqKind
+	Src      VertexID
+	Kind     ReqKind
+	Answered bool
 }
 
 // Vertex is a computation-graph node. All fields except ID and Part are

@@ -16,9 +16,30 @@ func (e *lexError) Error() string {
 	return fmt.Sprintf("line %d: %s", e.line, e.msg)
 }
 
-// lex tokenizes src. Comments run from "--" or "#" to end of line.
+// lex tokenizes src. Comments run from "--" or "#" to end of line. It scans
+// src twice, counting the tokens and then writing them, so that the token
+// slice is one allocation of exactly their number.
 func lex(src string) ([]token, error) {
-	var toks []token
+	n, err := scan(src, nil)
+	if err != nil {
+		return nil, err
+	}
+	toks := make([]token, n)
+	scan(src, toks)
+	return toks, nil
+}
+
+// scan tokenizes src and returns how many tokens it holds, the closing EOF
+// included. It writes the i-th token to toks[i] when toks is not nil, which
+// must then have room for them all.
+func scan(src string, toks []token) (int, error) {
+	k := 0
+	put := func(kind tokenKind, text string, pos, line int) {
+		if toks != nil {
+			toks[k] = token{kind: kind, text: text, pos: pos, line: line}
+		}
+		k++
+	}
 	line := 1
 	i := 0
 	n := len(src)
@@ -39,7 +60,7 @@ func lex(src string) ([]token, error) {
 			for j < n && src[j] >= '0' && src[j] <= '9' {
 				j++
 			}
-			toks = append(toks, token{kind: tokInt, text: src[i:j], pos: i, line: line})
+			put(tokInt, src[i:j], i, line)
 			i = j
 		case isIdentStart(rune(c)):
 			j := i
@@ -51,31 +72,31 @@ func lex(src string) ([]token, error) {
 			if keywords[text] {
 				kind = tokKeyword
 			}
-			toks = append(toks, token{kind: kind, text: text, pos: i, line: line})
+			put(kind, text, i, line)
 			i = j
 		case c == '(':
-			toks = append(toks, token{kind: tokLParen, text: "(", pos: i, line: line})
+			put(tokLParen, "(", i, line)
 			i++
 		case c == ')':
-			toks = append(toks, token{kind: tokRParen, text: ")", pos: i, line: line})
+			put(tokRParen, ")", i, line)
 			i++
 		case c == '[':
-			toks = append(toks, token{kind: tokLBracket, text: "[", pos: i, line: line})
+			put(tokLBracket, "[", i, line)
 			i++
 		case c == ']':
-			toks = append(toks, token{kind: tokRBracket, text: "]", pos: i, line: line})
+			put(tokRBracket, "]", i, line)
 			i++
 		default:
 			op, ok := lexOp(src[i:])
 			if !ok {
-				return nil, &lexError{line: line, msg: fmt.Sprintf("unexpected character %q", c)}
+				return 0, &lexError{line: line, msg: fmt.Sprintf("unexpected character %q", c)}
 			}
-			toks = append(toks, token{kind: tokOp, text: op, pos: i, line: line})
+			put(tokOp, op, i, line)
 			i += len(op)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: i, line: line})
-	return toks, nil
+	put(tokEOF, "", i, line)
+	return k, nil
 }
 
 // operators, longest first so prefixes match correctly.

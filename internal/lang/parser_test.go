@@ -3,7 +3,10 @@ package lang
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"dgr/internal/workload"
 )
 
 func mustParse(t *testing.T, src string) Expr {
@@ -106,8 +109,39 @@ func TestLexerPositions(t *testing.T) {
 }
 
 func TestLexerError(t *testing.T) {
-	if _, err := lex("a ? b"); err == nil {
+	_, err := lex("a\n ? b")
+	if err == nil {
 		t.Fatal("expected lexer error for '?'")
+	}
+	if got, want := err.Error(), "line 2: unexpected character '?'"; got != want {
+		t.Fatalf("error = %q, want %q", got, want)
+	}
+}
+
+// TestLexAllocatesOnce checks that lex makes one allocation, its token slice,
+// sized exactly: it counts the tokens before it writes them.
+func TestLexAllocatesOnce(t *testing.T) {
+	names := make([]string, 0, len(workload.Programs))
+	for name := range workload.Programs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		src := workload.Programs[name].Src
+		toks, err := lex(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(toks) != cap(toks) || toks[len(toks)-1].kind != tokEOF {
+			t.Fatalf("%s: %d tokens in a slice of capacity %d, last %v", name, len(toks), cap(toks), toks[len(toks)-1].kind)
+		}
+		allocs := testing.AllocsPerRun(20, func() { _, _ = lex(src) })
+		if allocs != 1 {
+			t.Fatalf("%s: lex made %v allocations per call, want 1", name, allocs)
+		}
+		if name == "churn" {
+			t.Logf("census: lex allocations per call = %v (churn, %d tokens)", allocs, len(toks))
+		}
 	}
 }
 

@@ -456,6 +456,11 @@ func (e *execution) reply(v *graph.Vertex, src graph.VertexID) {
 // queued Result (Dst = requester) covers it through the transition; a
 // handed-off one does from the PE's slot. The Result to the last requester on
 // the executing PE's partition is the one complete may hand off.
+//
+// Two completions of v may overlap on a parallel machine: a demand's re-check
+// finds v completed by another PE, or two steps of v reach its value. Each
+// request is answered once: a completion takes, in the hold that flags v, only
+// the requests no completion has taken yet (Requester.Answered).
 func (e *execution) complete(v *graph.Vertex) {
 	v.Lock()
 	if !e.whnfLocked(v) {
@@ -465,7 +470,14 @@ func (e *execution) complete(v *graph.Vertex) {
 	v.Evaluating = false
 	v.WHNF = true
 	var buf [spineInline]graph.Requester
-	reqs := append(buf[:0], v.Requested()...)
+	reqs := buf[:0]
+	rs := v.Requested()
+	for i := range rs {
+		if !rs[i].Answered {
+			rs[i].Answered = true
+			reqs = append(reqs, rs[i])
+		}
+	}
 	v.Unlock()
 
 	last := -1
@@ -889,15 +901,19 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 		e.mut.MakeSelfKnot(v)
 		return false
 	}
-	if !whnf {
+	f.Lock()
+	fk := f.Kind
+	f.Unlock()
+	// An application on this PE's partition may be a partial application
+	// nobody has flagged yet: its spine is walked below instead of demanded
+	// (DESIGN §8, "A partial application is a value").
+	if !whnf && (fk != graph.KindApply || e.store.PartitionOf(f.ID) != e.pe) {
 		e.demandFrom(v, funID, e.demandKind(v))
 		return false
 	}
 
-	// f is a stable WHNF function value; collect its spine.
-	f.Lock()
-	fk := f.Kind
-	f.Unlock()
+	// f is a WHNF function value, or an application to be recognised as one;
+	// collect its spine.
 	var buf spineBuf
 	switch fk {
 	case graph.KindApply:
@@ -910,6 +926,10 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 		}
 		if !ok {
 			return true
+		}
+		if !whnf && !e.flagPartial(f, head, len(sp.ops)) {
+			e.demandFrom(v, funID, e.demandKind(v))
+			return false
 		}
 		return e.applySaturation(v, head, sp, argID)
 	case graph.KindComb, graph.KindPrim, graph.KindSuper:
@@ -1027,6 +1047,53 @@ func (e *execution) markPartial(v *graph.Vertex) {
 	v.WHNF = true
 	v.Unlock()
 	e.complete(v)
+}
+
+// flagPartial recognises f, an application whose spine of n operands has the
+// given head, as a partial application in place: if the head is a function
+// of more than n parameters and nobody is evaluating f, it flags f WHNF and
+// completes it, as markPartial would at the end of f's own evaluation. It
+// reports whether f is WHNF, and false if f must be demanded instead. The
+// check and the flag are one hold of f's lock: a demand that starts
+// evaluating f before it wins, and one after it finds f WHNF, so f is never
+// evaluated and flagged both.
+func (e *execution) flagPartial(f, head *graph.Vertex, n int) bool {
+	if e.params(head) <= n {
+		return false
+	}
+	f.Lock()
+	if f.Kind != graph.KindApply || f.Evaluating {
+		f.Unlock()
+		return false
+	}
+	flagged := !f.WHNF
+	f.WHNF = true
+	f.Unlock()
+	if flagged {
+		e.complete(f)
+	}
+	return true
+}
+
+// params returns how many operands the function head takes: its arity, or 0
+// if head is not a function (⊥ included) or names no supercombinator.
+func (e *Engine) params(head *graph.Vertex) int {
+	head.Lock()
+	hk, hv := head.Kind, head.Val
+	head.Unlock()
+	switch hk {
+	case graph.KindComb:
+		return graph.Comb(hv).Arity()
+	case graph.KindPrim:
+		return graph.Prim(hv).Arity()
+	case graph.KindSuper:
+		if e.cfg.Prog != nil {
+			if sup := e.cfg.Prog.Super(int(hv)); sup != nil {
+				return sup.Arity
+			}
+		}
+	}
+	return 0
 }
 
 // vs resolves a list of IDs to vertices (for lock sets), appending them to
