@@ -23,7 +23,11 @@ const (
 )
 
 // falseDeadlockOpts are shared by the recording and the replaying machine —
-// replay requires an identically-built initial graph.
+// replay requires an identically-built initial graph. The doctoring needs
+// three M_T cycles with roots. Since the engine recognises a local partial
+// application in place, fib 10 runs about a quarter fewer steps, and at a
+// GCInterval of 2000 (down to 1500) records only two. At 1250 it records
+// three, with a margin to the interval where the third is lost.
 func falseDeadlockOpts() Options {
 	return Options{PEs: 2, Seed: 11, MTEvery: 1, GCInterval: 1250, Capacity: 1 << 12}
 }

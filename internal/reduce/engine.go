@@ -918,6 +918,12 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 	switch fk {
 	case graph.KindApply:
 		head, sp, ok, cyclic := e.collectSpine(f, &buf)
+		if !whnf && !(ok && e.flagPartial(f, head, len(sp.ops))) {
+			// Not a value yet, or a spine that does not resolve (a knot
+			// such as let g = g in g 1 2): f's own evaluation decides.
+			e.demandFrom(v, funID, e.demandKind(v))
+			return false
+		}
 		if cyclic {
 			// Permanent, not transient: stepping again would walk the same
 			// cycle every step. Surface it as an engine error instead.
@@ -926,10 +932,6 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 		}
 		if !ok {
 			return true
-		}
-		if !whnf && !e.flagPartial(f, head, len(sp.ops)) {
-			e.demandFrom(v, funID, e.demandKind(v))
-			return false
 		}
 		return e.applySaturation(v, head, sp, argID)
 	case graph.KindComb, graph.KindPrim, graph.KindSuper:

@@ -34,6 +34,9 @@ var runtimeErrorPrograms = []string{
 	"let k x y = x in k 3 (1/0)",
 	"let x = 1/0 in if true then 2 else x",
 	"let x = x + 1 in x",
+	// A knot inside an application spine: the spine does not resolve, so the
+	// function position is demanded and the knot deadlocks.
+	"let g = g in g 1 2",
 }
 
 func TestRuntimeErrorMatrix(t *testing.T) {
