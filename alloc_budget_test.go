@@ -2,8 +2,9 @@ package dgr
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 )
 
 // TestTaskPathAllocBudget pins what the per-task path (sched.execute →
@@ -110,9 +111,18 @@ func TestColdEvalByteBudget(t *testing.T) {
 // TestObsMachineBudget pins what the observability layer adds to a machine
 // that does not run: the bytes New allocates for a 4-PE machine with Obs on,
 // and the goroutines a parallel machine starts. The handle keeps one event
-// log and per-PE exec rings, reads live gauges when asked, and starts no
-// goroutine. New read ~76 KiB; a 512-sample ring per PE plus one for the
-// machine, and the goroutine that filled them, took it to 237 KB.
+// log, reads live gauges when asked, and starts no goroutine; the flight
+// view's executions are the execution record's, which allocates as it fills.
+// New read ~76 KiB while obs kept exec rings of its own, 16 KiB a PE; a
+// 512-sample ring per PE plus one for the machine, and the goroutine that
+// filled them, took it to 237 KB.
+//
+// The goroutines counted are those alive after New that were not before it,
+// told apart by id, so one ending meanwhile cannot offset one starting. A
+// difference of runtime.NumGoroutine once read "off 6, on 5" in a
+// whole-package run: a parked PE's timed wait ran an AfterFunc, whose
+// function runs on a goroutine of its own ("created by time.goFunc"), and
+// one was alive in a count's window. The wait now uses a timer's channel.
 func TestObsMachineBudget(t *testing.T) {
 	const budget = 100 << 10
 	var before, after runtime.MemStats
@@ -127,25 +137,87 @@ func TestObsMachineBudget(t *testing.T) {
 		t.Errorf("New with Obs on allocated %d KiB, budget %d KiB", bytes>>10, budget>>10)
 	}
 
-	// Each try waits for the machine's goroutines to end after Close, so
-	// that the next one starts from a settled count; one that ends during a
-	// try can only lower that try's reading, so the most of three counts.
-	started := func(obs bool) int {
-		most := 0
-		for range 3 {
-			n := runtime.NumGoroutine()
-			m := New(Options{PEs: 4, Parallel: true, Obs: obs})
-			most = max(most, runtime.NumGoroutine()-n)
-			m.Close()
-			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > n && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
+	// started returns what created each goroutine New started.
+	started := func(obs bool) (created []string) {
+		was := goroutineCreators()
+		m := New(Options{PEs: 4, Parallel: true, Obs: obs})
+		defer m.Close()
+		for id, by := range goroutineCreators() {
+			if _, old := was[id]; !old {
+				created = append(created, by)
 			}
 		}
-		return most
+		slices.Sort(created)
+		return created
 	}
 	off, on := started(false), started(true)
-	t.Logf("a parallel machine starts %d goroutines with Obs off, %d with it on", off, on)
-	if on != off {
-		t.Errorf("Obs on starts %d goroutines, off %d: the observability layer must start none", on, off)
+	t.Logf("a parallel machine starts %d goroutines with Obs off, %d with it on", len(off), len(on))
+	if len(on) != len(off) {
+		t.Errorf("Obs on starts %d goroutines, off %d: the observability layer must start none\noff: %q\non:  %q",
+			len(on), len(off), off, on)
+	}
+}
+
+// goroutineCreators maps each live goroutine's id to the function that
+// created it, the "created by" frame of its stack.
+func goroutineCreators() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		_, by, _ := strings.Cut(g, "\ncreated by ")
+		by, _, _ = strings.Cut(by, " in goroutine ")
+		by, _, _ = strings.Cut(by, "\n")
+		out[id] = by
+	}
+	return out
+}
+
+// TestRecordBudget pins what the execution record costs: a seeded 4-PE
+// fib 16 with RecordSchedule may allocate at most perEvent bytes per
+// recorded event beyond the same run without it. An entry is 40 bytes and a
+// lane allocates 128 at a time, so the reading is the entry plus each
+// lane's unfilled last chunk; the bound sits ~25 % above it. A recorder
+// that appended a 144-byte event per execution to one slice under one mutex
+// read ~480 bytes an event, the slice's doubling copies included.
+func TestRecordBudget(t *testing.T) {
+	const (
+		src      = "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 16"
+		perEvent = 60
+	)
+	run := func(record bool) (allocated uint64, events int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m := New(Options{PEs: 4, Seed: 1, RecordSchedule: record})
+		defer m.Close()
+		v, err := m.Eval(src)
+		runtime.ReadMemStats(&after)
+		if err != nil || v.Int != 987 {
+			t.Fatalf("fib 16 = %v, %v", v, err)
+		}
+		if record {
+			ev, err := m.ScheduleEvents()
+			if err != nil {
+				t.Fatal(err)
+			}
+			events = len(ev)
+		}
+		return after.TotalAlloc - before.TotalAlloc, events
+	}
+	plain, _ := run(false)
+	recorded, events := run(true)
+	per := float64(recorded-plain) / float64(events)
+	t.Logf("census: execution record, seeded 4-PE fib 16: %d events, %d KiB beyond the run's %d KiB = %.1f bytes an event (budget %d)",
+		events, (recorded-plain)>>10, plain>>10, per, perEvent)
+	if per > perEvent {
+		t.Errorf("recording allocated %.1f bytes per recorded event, budget %d", per, perEvent)
 	}
 }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -222,9 +223,10 @@ func optionsFor(f flags, config string, seed int64, record bool) (dgr.Options, e
 // so an ErrDeadlock from any config is a detector bug (the epoch-confirmed
 // verdict protocol exists precisely so this can be a hard failure rather
 // than a counted flake), and it fails the sweep like any other wrong answer,
-// after writing the replay log and flight dump. Every run arms the flight
-// recorder with the output directory, so a failing machine auto-dumps its
-// last scheduler/collector/fabric events next to the replay log.
+// after writing the replay log. Every run keeps the flight recorder too, and
+// a run whose Eval returns an error has its flight dump, the last
+// scheduler/collector/fabric events and the verdicts, taken as it returns and
+// written next to the replay log.
 func sweep(f flags) error {
 	configs, programs, err := selections(f)
 	if err != nil {
@@ -244,9 +246,13 @@ func sweep(f flags) error {
 					runs++
 					o := mustOptions(f, config, seed, true)
 					o.Engine = eng
-					o.ObsFlightDir = f.out // auto-dump flight evidence on failure
+					o.Obs = true
 					m := dgr.New(o)
 					v, evalErr := m.Eval(p.Src)
+					var flight bytes.Buffer
+					if evalErr != nil {
+						m.WriteFlightJSONL(&flight)
+					}
 					m.Close()
 					bad := ""
 					switch {
@@ -270,10 +276,17 @@ func sweep(f flags) error {
 						if werr != nil {
 							path = fmt.Sprintf("(log write failed: %v)", werr)
 						}
-						flight := persistFlightDump(f, m,
-							fmt.Sprintf("dgr-check-fail-%s-%s-seed%d.flight.jsonl", p.Name, cell, seed))
+						// A run whose Eval returned no error has no flight dump:
+						// its replay log holds the whole run.
+						dump := "(none)"
+						if flight.Len() > 0 {
+							dump = filepath.Join(f.out, fmt.Sprintf("dgr-check-fail-%s-%s-seed%d.flight.jsonl", p.Name, cell, seed))
+							if err := os.WriteFile(dump, flight.Bytes(), 0o644); err != nil {
+								dump = fmt.Sprintf("(write failed: %v)", err)
+							}
+						}
 						return fmt.Errorf("%s/%s seed %d FAILED: %s\nreplay log: %s\nflight dump: %s",
-							p.Name, cell, seed, bad, path, flight)
+							p.Name, cell, seed, bad, path, dump)
 					}
 					if f.verbose {
 						st := m.Stats()
@@ -287,22 +300,6 @@ func sweep(f flags) error {
 	fmt.Printf("dgr-check: %d runs clean (%d seeds x %d configs x %d engines x %d programs, 0 false-deadlock retries — retries are gone) in %v\n",
 		runs, f.seeds, len(configs), len(engines), len(programs), time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// persistFlightDump renames a machine's auto-dumped flight artifact to a
-// stable name derived from the failing cell, so it sits next to the replay
-// log under a name that identifies the run. Returns the final path, or
-// "(none)" when the machine never dumped.
-func persistFlightDump(f flags, m *dgr.Machine, name string) string {
-	src := m.FlightDumpPath()
-	if src == "" {
-		return "(none)"
-	}
-	dst := filepath.Join(f.out, name)
-	if err := os.Rename(src, dst); err != nil {
-		return src // keep the timestamped original rather than lose it
-	}
-	return dst
 }
 
 // injectSweep validates the checker itself: with the mark-skip fault armed,
@@ -441,9 +438,9 @@ func writeReplayLog(f flags, m *dgr.Machine, program, config string, seed int64)
 		return path, err
 	}
 	defer file.Close()
-	header := check.NewRecorder()
-	header.Meta(program, config, seed, f.pes, f.mtEvery)
-	if err := header.WriteJSONL(file); err != nil {
+	meta := check.Event{Ev: check.EvMeta, Program: program, Config: config,
+		Seed: seed, PEs: f.pes, MTEvery: f.mtEvery}
+	if err := check.WriteJSONL(file, []check.Event{meta}); err != nil {
 		return path, err
 	}
 	if err := m.WriteScheduleJSONL(file); err != nil {

@@ -19,12 +19,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -57,7 +59,7 @@ func run() error {
 		httpAddr  = flag.String("http", "", "serve /metrics and /debug/* on this address (implies -obs)")
 		linger    = flag.Duration("linger", 0, "keep serving -http for this long after the eval finishes")
 		spansOut  = flag.String("spans", "", "write chrome://tracing span JSONL to this file (implies -obs)")
-		flightDir = flag.String("flightdir", "", "auto-dump the flight recorder here on deadlock/violation (implies -obs)")
+		flightDir = flag.String("flightdir", "", "dump the flight recorder here when the eval fails (implies -obs)")
 	)
 	flag.Parse()
 
@@ -104,8 +106,7 @@ func run() error {
 		SpeculativeIf: *spec,
 		MTEvery:       mtCfg,
 		Timeout:       *timeout,
-		Obs:           *obsOn || *httpAddr != "" || *spansOut != "",
-		ObsFlightDir:  *flightDir,
+		Obs:           *obsOn || *httpAddr != "" || *spansOut != "" || *flightDir != "",
 	})
 	defer m.Close()
 
@@ -126,6 +127,15 @@ func run() error {
 	start := time.Now()
 	v, err := m.Eval(src)
 	elapsed := time.Since(start)
+	if err != nil && *flightDir != "" {
+		// The flight dump is a failed evaluation's evidence.
+		var dump bytes.Buffer
+		m.WriteFlightJSONL(&dump) // -flightdir implies -obs
+		path := filepath.Join(*flightDir, fmt.Sprintf("dgr-flight-%d.jsonl", time.Now().UnixNano()))
+		if werr := os.WriteFile(path, dump.Bytes(), 0o644); werr != nil {
+			fmt.Fprintln(os.Stderr, "dgr-run: -flightdir:", werr)
+		}
+	}
 	if werr := writeSpans(m, *spansOut); werr != nil {
 		fmt.Fprintln(os.Stderr, "dgr-run: -spans:", werr)
 	}

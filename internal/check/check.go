@@ -48,7 +48,7 @@ type Checker struct {
 	Marker   *core.Marker
 	Mach     *sched.Machine
 	Counters *metrics.Counters // optional: check counters land here
-	Obs      *obs.Obs          // optional: check.violation events land here
+	Obs      *obs.Obs          // optional: check.violation events land here, and force tracing on
 	// Coll, when set, enables the confirmed-verdict invariant: a vertex the
 	// collector has CONFIRMED deadlocked (two-phase verdict) can never reduce
 	// again, so it must not be freed, must not hold a value, and must not be
@@ -60,11 +60,6 @@ type Checker struct {
 	// Parallel restricts every-execution and cycle-end samples to the
 	// checks that are sound under concurrent mutation.
 	Parallel bool
-	// OnViolation, if set, fires once per report that found violations —
-	// after they are recorded — so a flight recorder can dump its ring while
-	// the failing state is still fresh. It must not call back into the
-	// checker.
-	OnViolation func()
 
 	mu         sync.Mutex
 	violations []string
@@ -383,9 +378,8 @@ func (c *Checker) report(point string, errs []string) {
 		for _, e := range errs {
 			c.Obs.Event(obs.TIDEval, "check.violation", 0, 0, point+": "+e)
 		}
-	}
-	if c.OnViolation != nil {
-		c.OnViolation()
+		// Every request after the failure carries a full trace.
+		c.Obs.Lineage().Force()
 	}
 }
 

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,38 +18,41 @@ func partMod(n int) func(graph.VertexID) int {
 	return func(id graph.VertexID) int { return int(id) % n }
 }
 
+// TestEventJSONLRoundTrip: execution record entries convert to the log's
+// events — a cycle's roots folded into it, an absorb without seq or PE — and
+// the events survive JSON Lines unchanged.
 func TestEventJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder()
-	r.Meta("fib", "parallel", 42, 4, 3)
-	r.OnExecute(0, 2, task.Task{Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital})
-	r.CycleStart(graph.CtxT, []core.Root{{ID: 5}, {ID: 9, Prior: graph.PriorVital}})
-	r.OnExecute(1, 0, task.Task{Kind: task.Mark, Src: 0, Dst: 5, Ctx: graph.CtxT, Epoch: 7})
-	r.RestructureStart(true)
+	events := Events([]sched.Entry{
+		{Op: sched.OpExec, Seq: 0, PE: 2, Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital},
+		{Op: sched.OpCycle, Seq: 1, Ctx: graph.CtxT},
+		{Op: sched.OpRoot, Seq: 1, Dst: 5},
+		{Op: sched.OpRoot, Seq: 1, Dst: 9, Prior: graph.PriorVital},
+		{Op: sched.OpExec, Seq: 1, Kind: task.Mark, Dst: 5, Ctx: graph.CtxT, Epoch: 7},
+		{Op: sched.OpAbsorb, Seq: 2, PE: 3, Kind: task.Return, Src: 5, Ctx: graph.CtxT, Epoch: 7},
+		{Op: sched.OpRestructure, Seq: 2, MT: true},
+	})
+	want := []Event{
+		{Ev: EvExec, PE: 2, Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital},
+		{Ev: EvCycle, Ctx: graph.CtxT, Roots: []RootRec{{ID: 5}, {ID: 9, Prior: graph.PriorVital}}},
+		{Ev: EvExec, Seq: 1, Kind: task.Mark, Dst: 5, Ctx: graph.CtxT, Epoch: 7},
+		{Ev: EvAbsorb, Kind: task.Return, Src: 5, Ctx: graph.CtxT, Epoch: 7},
+		{Ev: EvRestructure, MT: true},
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("converted\n%+v\nwant\n%+v", events, want)
+	}
+	events = append([]Event{{Ev: EvMeta, Program: "fib", Config: "parallel", Seed: 42, PEs: 4, MTEvery: 3}}, events...)
 
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := r.Events()
-	if len(got) != len(want) {
-		t.Fatalf("read %d events, wrote %d", len(got), len(want))
-	}
-	for i := range want {
-		a, b := want[i], got[i]
-		if a.Ev != b.Ev || a.Task() != b.Task() || a.PE != b.PE || a.Seq != b.Seq ||
-			a.MT != b.MT || len(a.Roots) != len(b.Roots) ||
-			a.Program != b.Program || a.Config != b.Config || a.Seed != b.Seed {
-			t.Fatalf("event %d: wrote %+v, read %+v", i, a, b)
-		}
-		for j := range a.Roots {
-			if a.Roots[j] != b.Roots[j] {
-				t.Fatalf("event %d root %d: %+v vs %+v", i, j, a.Roots[j], b.Roots[j])
-			}
-		}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("wrote\n%+v\nread\n%+v", events, got)
 	}
 }
 
@@ -72,11 +76,11 @@ func (f *fanout) Handle(_ int, tk task.Task) {
 }
 
 func TestRecordReplayDeterministic(t *testing.T) {
-	rec := NewRecorder()
 	m := sched.New(sched.Config{
 		PEs: 3, Mode: sched.Deterministic, Seed: 9, Adversarial: true,
-		PartOf: partMod(3), OnExecute: rec.OnExecute,
+		PartOf: partMod(3),
 	})
+	m.SetRecord(true)
 	h := &fanout{m: m, limit: 60}
 	m.SetHandler(h)
 	for i := 1; i <= 3; i++ {
@@ -94,7 +98,7 @@ func TestRecordReplayDeterministic(t *testing.T) {
 		m2.Spawn(task.Task{Kind: task.Reduce, Dst: graph.VertexID(i)})
 	}
 	rp := &Replayer{Mach: m2}
-	if err := rp.Run(rec.Events()); err != nil {
+	if err := rp.Run(Events(m.Record())); err != nil {
 		t.Fatal(err)
 	}
 	if len(h2.order) != len(recorded) {
@@ -111,10 +115,8 @@ func TestRecordReplayDeterministic(t *testing.T) {
 }
 
 func TestRecordReplayParallel(t *testing.T) {
-	rec := NewRecorder()
-	m := sched.New(sched.Config{
-		PEs: 4, Mode: sched.Parallel, PartOf: partMod(4), OnExecute: rec.OnExecute,
-	})
+	m := sched.New(sched.Config{PEs: 4, Mode: sched.Parallel, PartOf: partMod(4)})
+	m.SetRecord(true)
 	h := &fanout{m: m, limit: 300}
 	m.SetHandler(h)
 	m.Start()
@@ -124,7 +126,7 @@ func TestRecordReplayParallel(t *testing.T) {
 	m.WaitQuiescent()
 	m.Stop()
 
-	events := rec.Events()
+	events := Events(m.Record())
 	if len(events) != len(h.order) {
 		t.Fatalf("recorded %d events for %d executions", len(events), len(h.order))
 	}
@@ -162,15 +164,14 @@ func TestRecordReplayParallel(t *testing.T) {
 }
 
 func TestReplayDivergenceDetected(t *testing.T) {
-	rec := NewRecorder()
-	m := sched.New(sched.Config{PEs: 2, Mode: sched.Deterministic, Seed: 3,
-		PartOf: partMod(2), OnExecute: rec.OnExecute})
+	m := sched.New(sched.Config{PEs: 2, Mode: sched.Deterministic, Seed: 3, PartOf: partMod(2)})
+	m.SetRecord(true)
 	h := &fanout{m: m, limit: 20}
 	m.SetHandler(h)
 	m.Spawn(task.Task{Kind: task.Reduce, Dst: 1})
 	m.RunToQuiescence(0)
 
-	events := rec.Events()
+	events := Events(m.Record())
 	// Tamper with an event: a task that was never spawned.
 	events[len(events)/2].Dst = 9999
 	events[len(events)/2].PE = 1

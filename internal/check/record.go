@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
-	"dgr/internal/core"
 	"dgr/internal/graph"
+	"dgr/internal/sched"
 	"dgr/internal/task"
 )
 
@@ -27,14 +26,12 @@ const (
 	EvRestructure = "restructure"
 )
 
-// Event is one entry of a recorded schedule. Log order is the replay
-// order: the recorder's mutex linearizes concurrent callbacks, and because
-// an execution is only recorded after its task was popped from a pool, a
-// task's spawning execution always precedes its own in the log — so
-// replaying the log serially is a legal serialization of the parallel run
-// under the atomicity axiom of §4.1. All numeric fields use omitempty;
-// JSON decoding restores absent fields to zero, which is their recorded
-// value, so the compaction is lossless.
+// Event is one entry of a recorded schedule, the JSON form of an entry of
+// the machine's execution record. Log order is the record's replay order
+// (sched.Machine.Record), a legal serialization of a parallel run under the
+// atomicity axiom of §4.1. All numeric fields use omitempty; JSON decoding
+// restores absent fields to zero, which is their recorded value, so the
+// compaction is lossless.
 type Event struct {
 	Ev string `json:"ev"`
 
@@ -45,9 +42,8 @@ type Event struct {
 	PEs     int    `json:"pes,omitempty"`
 	MTEvery int    `json:"mtevery,omitempty"`
 
-	// Exec fields, and an absorb's task fields. Seq is the scheduler's own sequence number, kept for
-	// diagnostics; replay follows log order, which can differ from Seq
-	// order when two PEs raced between sequence assignment and recording.
+	// Exec fields, and an absorb's task fields. Seq is the execution's
+	// sequence number, which log order follows; an absorb has none, nor a PE.
 	Seq   uint64         `json:"seq,omitempty"`
 	PE    int            `json:"pe,omitempty"`
 	Kind  task.Kind      `json:"kind,omitempty"`
@@ -79,76 +75,36 @@ func (e Event) Task() task.Task {
 	}
 }
 
-// Recorder captures a run's schedule. Wire OnExecute into
-// sched.Config.OnExecute, OnAbsorb into core.Marker.SetAbsorbHook and the
-// recorder itself into core.CollectorConfig.Recorder; it is safe for
-// concurrent use.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Meta appends an informational header event. Call it before the run.
-func (r *Recorder) Meta(program, config string, seed int64, pes, mtEvery int) {
-	r.append(Event{
-		Ev: EvMeta, Program: program, Config: config,
-		Seed: seed, PEs: pes, MTEvery: mtEvery,
-	})
-}
-
-// OnExecute records one task execution (sched.Config.OnExecute hook).
-func (r *Recorder) OnExecute(seq uint64, pe int, t task.Task) {
-	r.append(Event{
-		Ev: EvExec, Seq: seq, PE: pe,
-		Kind: t.Kind, Src: t.Src, Dst: t.Dst, Req: t.Req,
-		Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch,
-	})
-}
-
-// OnAbsorb records a mark or return a drain took in (core.Marker's absorb
-// hook).
-func (r *Recorder) OnAbsorb(t task.Task) bool {
-	r.append(Event{
-		Ev: EvAbsorb, Kind: t.Kind, Src: t.Src, Dst: t.Dst,
-		Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch,
-	})
-	return true
-}
-
-// CycleStart records a marking-phase start (core.CycleRecorder).
-func (r *Recorder) CycleStart(ctx graph.Ctx, roots []core.Root) {
-	rec := make([]RootRec, len(roots))
-	for i, rt := range roots {
-		rec[i] = RootRec{ID: rt.ID, Prior: rt.Prior}
+// Events converts the machine's execution record (sched.Machine.Record) to
+// schedule events, in its order.
+func Events(rec []sched.Entry) []Event {
+	var events []Event
+	for _, e := range rec {
+		switch e.Op {
+		case sched.OpExec, sched.OpAbsorb:
+			ev := Event{Ev: EvExec, Seq: e.Seq, PE: int(e.PE)}
+			if e.Op == sched.OpAbsorb {
+				ev = Event{Ev: EvAbsorb}
+			}
+			ev.Kind, ev.Src, ev.Dst, ev.Req = e.Kind, e.Src, e.Dst, e.Req
+			ev.Ctx, ev.Prior, ev.Epoch = e.Ctx, e.Prior, e.Epoch
+			events = append(events, ev)
+		case sched.OpCycle:
+			events = append(events, Event{Ev: EvCycle, Ctx: e.Ctx})
+		case sched.OpRoot:
+			c := &events[len(events)-1]
+			c.Roots = append(c.Roots, RootRec{ID: e.Dst, Prior: e.Prior})
+		case sched.OpRestructure:
+			events = append(events, Event{Ev: EvRestructure, MT: e.MT})
+		}
 	}
-	r.append(Event{Ev: EvCycle, Ctx: ctx, Roots: rec})
+	return events
 }
 
-// RestructureStart records a restructuring phase (core.CycleRecorder).
-func (r *Recorder) RestructureStart(mtRan bool) {
-	r.append(Event{Ev: EvRestructure, MT: mtRan})
-}
-
-func (r *Recorder) append(e Event) {
-	r.mu.Lock()
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-
-// Events returns a copy of the recorded schedule.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
-// WriteJSONL writes the recorded schedule as JSON Lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
+// WriteJSONL writes schedule events as JSON Lines, one event a line.
+func WriteJSONL(w io.Writer, events []Event) error {
 	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
+	for _, e := range events {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}

@@ -66,17 +66,16 @@ func (rp *Replayer) Run(events []Event) error {
 		rp.absorbed = make(map[task.Task]int)
 		rp.window = make(map[task.Task]int)
 		mk := rp.Coll.Marker()
-		var prev func(task.Task) bool
-		prev = mk.SetAbsorbHook(func(t task.Task) bool {
+		mk.SetAbsorbHook(func(t task.Task) bool {
 			k := key(t)
-			if rp.window[k] == 0 || prev != nil && !prev(t) {
+			if rp.window[k] == 0 {
 				return false
 			}
 			rp.window[k]--
 			rp.absorbed[k]++
 			return true
 		})
-		defer mk.SetAbsorbHook(prev)
+		defer mk.SetAbsorbHook(nil)
 	}
 	for i, e := range events {
 		// An execution opens a window of the absorb events right after it;

@@ -28,10 +28,6 @@ type CollectorConfig struct {
 	// OnDeadlock, if set, is called with the vertices newly identified as
 	// deadlocked (members of DL'_v = R'_v − T').
 	OnDeadlock func([]graph.VertexID)
-	// Recorder, if set, observes the collector's nondeterministic decisions
-	// (which marking cycles start with which roots, and when restructuring
-	// runs) so a schedule recorder can log them for deterministic replay.
-	Recorder CycleRecorder
 	// AfterCycle, if set, is called with each cycle's report after the cycle
 	// fully completes. In deterministic mode this is a safe point: no task
 	// is mid-execution and no marking phase is active, so an invariant
@@ -49,18 +45,6 @@ type CollectorConfig struct {
 	// verdict events for the flight recorder, and the cycle-end hook
 	// (CycleEnd). All calls are nil-safe no-ops when unset.
 	Obs *obs.Obs
-}
-
-// CycleRecorder observes cycle-level scheduling decisions. The M_T root set
-// is a snapshot of the task pools and therefore schedule-dependent; replay
-// must reuse the recorded roots rather than recompute them.
-type CycleRecorder interface {
-	// CycleStart fires immediately before a marking phase begins, with the
-	// exact root set the phase will use. roots is the collector's buffer,
-	// rewritten by the next cycle: copy what must outlive the call.
-	CycleStart(ctx graph.Ctx, roots []Root)
-	// RestructureStart fires immediately before the restructuring phase.
-	RestructureStart(mtRan bool)
 }
 
 // CycleReport summarizes one mark/restructure cycle.
@@ -392,12 +376,12 @@ func (c *Collector) runPhase(ctx graph.Ctx, roots []Root, rep *CycleReport) {
 // number of roots it was seeded with.
 func (c *Collector) openPhase(ctx graph.Ctx, roots []Root) (<-chan struct{}, int) {
 	if roots != nil {
-		c.logPhase(ctx, roots)
+		c.mach.NotePhase(sched.Entry{Op: sched.OpCycle, Ctx: ctx}, roots)
 	}
 	done := c.marker.BeginCycle(ctx)
 	if roots == nil {
 		roots = c.taskRoots()
-		c.logPhase(ctx, roots)
+		c.mach.NotePhase(sched.Entry{Op: sched.OpCycle, Ctx: ctx}, roots)
 	}
 	c.marker.SeedRoots(ctx, roots)
 	if ctx == graph.CtxT {
@@ -410,20 +394,12 @@ func (c *Collector) openPhase(ctx graph.Ctx, roots []Root) (<-chan struct{}, int
 	return done, len(roots)
 }
 
-func (c *Collector) logPhase(ctx graph.Ctx, roots []Root) {
-	if c.cfg.Recorder != nil {
-		c.cfg.Recorder.CycleStart(ctx, roots)
-	}
-}
-
 // closeCycle is the cycle-closing half, shared likewise: restructure a
 // completed cycle and count it, emit the cycle's obs records, report it.
 func (c *Collector) closeCycle(rep *CycleReport, began int64, root graph.VertexID) {
 	o := c.cfg.Obs
 	if rep.Completed {
-		if c.cfg.Recorder != nil {
-			c.cfg.Recorder.RestructureStart(rep.MTRan)
-		}
+		c.mach.NotePhase(sched.Entry{Op: sched.OpRestructure, MT: rep.MTRan}, nil)
 		phaseStart := o.Now()
 		c.restructure(rep)
 		o.Span("restructure", obs.CatGC, obs.TIDCollector, phaseStart, int64(rep.Reclaimed))

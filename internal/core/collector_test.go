@@ -741,18 +741,11 @@ func TestWarmCycleAllocations(t *testing.T) {
 	}
 }
 
-// atRestructure is a CycleRecorder that calls itself as restructuring
-// starts: after the marking phases, before the sweep.
-type atRestructure func()
-
-func (atRestructure) CycleStart(graph.Ctx, []Root) {}
-func (f atRestructure) RestructureStart(bool)      { f() }
-
 // TestExpungeMatchesOracle: the expunge deletes exactly IRR = {<s,d> | d ∈
 // GAR} (Property 6) and nothing else, at scale — four partitions, ids grown
 // far past the reserved range, thousands of garbage vertices, and reduction
-// and marking tasks queued to random vertices. The tasks are queued as
-// restructuring starts, so none of them runs before the expunge and all that
+// and marking tasks queued to random vertices. The tasks are queued as M_R
+// completes, so none of them runs before the expunge and all that
 // it keeps are still queued after it; a parallel rig's PEs are stopped there
 // for the same reason, so what differs is its locked store. After one cycle
 // the reduction tasks left are exactly those whose destination is in the
@@ -828,12 +821,13 @@ func TestExpungeMatchesOracle(t *testing.T) {
 			}
 			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
 				Root: vs[0].ID,
-				Recorder: atRestructure(func() {
+				// The cycle's last phase: restructuring comes next.
+				AfterPhase: func(graph.Ctx) {
 					r.mach.Stop()
 					for _, tk := range queued {
 						r.mach.Spawn(tk)
 					}
-				}),
+				},
 			})
 			rep := col.RunCycle()
 			if !rep.Completed || rep.Reclaimed != len(res.Gar) || rep.Expunged != irrelevant {
@@ -955,41 +949,19 @@ func TestSweepAfterMassRelease(t *testing.T) {
 	}
 }
 
-// cycleShape is a CycleRecorder that writes down what it is handed, and
-// checks on the way that M_R is never opened over a running M_T.
-type cycleShape struct {
-	t      *testing.T
-	marker *Marker
-	events []string
-	// onMT runs inside M_T's CycleStart: after the task pools were
-	// snapshotted, before the roots are seeded.
-	onMT func()
-}
-
-func (s *cycleShape) CycleStart(ctx graph.Ctx, roots []Root) {
-	if ctx == graph.CtxR && !s.marker.Done(graph.CtxT) {
-		s.t.Error("M_R opened while M_T was still marking")
-	}
-	s.events = append(s.events, fmt.Sprintf("CycleStart %v %v", ctx, roots))
-	if ctx == graph.CtxT && s.onMT != nil {
-		s.onMT()
-	}
-}
-
-func (s *cycleShape) RestructureStart(mtRan bool) {
-	s.events = append(s.events, fmt.Sprintf("RestructureStart mt=%t", mtRan))
-}
-
 // TestCycleShapeIsModeFree: a cycle is one sequence — M_T to completion,
 // then M_R, then one sweep of the arena — whichever way the machine is
 // driven. Over one frozen graph with queued tasks, the collector of a seeded
-// machine and the collector of a machine with running PEs hand a recorder
-// the same events with the same root sets, and free the same vertices.
+// machine and the collector of a machine with running PEs write the same
+// phase entries into the machine's execution record, with the same root
+// sets, and free the same vertices.
 func TestCycleShapeIsModeFree(t *testing.T) {
-	run := func(mode sched.Mode) (events []string, freed []graph.VertexID) {
+	run := func(mode sched.Mode) (phases []string, freed []graph.VertexID) {
 		r := newRigIn(t, mode, 4, 1, false)
+		r.mach.SetRecord(true)
 		// Demand tasks stay queued (or executing) for as long as parked is
-		// set, so both machines show M_T the same task pools.
+		// set, so both machines show M_T the same tasks: its root set is
+		// their endpoints, each once, whichever PE holds a task.
 		var parked atomic.Bool
 		parked.Store(true)
 		r.mach.SetHandler(NewDispatcher(r.marker, sched.HandlerFunc(func(_ int, tk task.Task) {
@@ -1001,35 +973,48 @@ func TestCycleShapeIsModeFree(t *testing.T) {
 		for _, tk := range tasks {
 			r.mach.Spawn(tk)
 		}
-		shape := &cycleShape{t: t, marker: r.marker}
 		if mode == sched.Parallel {
-			// The PEs start once M_T has its snapshot: until then the pools are
-			// exactly what the seeded machine's are.
-			shape.onMT = r.mach.Start
+			r.mach.Start()
 			defer func() {
 				parked.Store(false)
 				r.mach.Stop()
 			}()
 		}
-		col := NewCollector(r.store, r.marker, r.mach, r.counters,
-			CollectorConfig{Root: vs[0].ID, MTEvery: 1, Recorder: shape})
+		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+			Root: vs[0].ID, MTEvery: 1,
+			AfterPhase: func(ctx graph.Ctx) {
+				if ctx == graph.CtxT && r.marker.Active(graph.CtxR) {
+					t.Errorf("%v: M_R opened while M_T was still marking", mode)
+				}
+			},
+		})
 		if rep := col.RunCycle(); !rep.Completed || !rep.MTRan || rep.Reclaimed == 0 {
 			t.Fatalf("%v cycle: %+v", mode, rep)
+		}
+		for _, e := range r.mach.Record() {
+			switch e.Op {
+			case sched.OpCycle:
+				phases = append(phases, fmt.Sprintf("cycle %v", e.Ctx))
+			case sched.OpRoot:
+				phases[len(phases)-1] += fmt.Sprintf(" v%d/%d", e.Dst, e.Prior)
+			case sched.OpRestructure:
+				phases = append(phases, fmt.Sprintf("restructure mt=%t", e.MT))
+			}
 		}
 		for _, v := range vs {
 			if r.store.IsFree(v.ID) {
 				freed = append(freed, v.ID)
 			}
 		}
-		return shape.events, freed
+		return phases, freed
 	}
-	detEvents, detFreed := run(sched.Deterministic)
-	parEvents, parFreed := run(sched.Parallel)
-	if len(detEvents) != 3 {
-		t.Fatalf("deterministic cycle recorded %d events, want CycleStart T, CycleStart R, RestructureStart:\n%q", len(detEvents), detEvents)
+	detPhases, detFreed := run(sched.Deterministic)
+	parPhases, parFreed := run(sched.Parallel)
+	if len(detPhases) != 3 {
+		t.Fatalf("deterministic cycle recorded %d phase starts, want M_T, M_R, restructure:\n%q", len(detPhases), detPhases)
 	}
-	if !reflect.DeepEqual(detEvents, parEvents) {
-		t.Errorf("cycle shape differs by mode:\ndeterministic %q\nparallel      %q", detEvents, parEvents)
+	if !reflect.DeepEqual(detPhases, parPhases) {
+		t.Errorf("cycle shape differs by mode:\ndeterministic %q\nparallel      %q", detPhases, parPhases)
 	}
 	if !reflect.DeepEqual(detFreed, parFreed) {
 		t.Errorf("freed sets differ by mode:\ndeterministic %v\nparallel      %v", detFreed, parFreed)
@@ -1042,7 +1027,7 @@ func TestCycleShapeIsModeFree(t *testing.T) {
 // demand tasks queued: half to live vertices, parked there, and half to the
 // garbage, which the cycle expunges and the next set-up queues afresh. The
 // set-up is outside the timer. Beside the whole cycle it reports the
-// restructuring phase alone (RestructureStart to AfterCycle), and vertices
+// restructuring phase alone (M_R's AfterPhase to AfterCycle), and vertices
 // reclaimed and tasks expunged per cycle.
 func BenchmarkRestructure(b *testing.B) {
 	const pes = 4
@@ -1068,7 +1053,7 @@ func BenchmarkRestructure(b *testing.B) {
 			var restructure time.Duration
 			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
 				Root:       live[0].ID,
-				Recorder:   atRestructure(func() { began = time.Now() }),
+				AfterPhase: func(graph.Ctx) { began = time.Now() },
 				AfterCycle: func(CycleReport) { restructure += time.Since(began) },
 			})
 			garbage := make([]*graph.Vertex, sz.garbage)

@@ -28,11 +28,8 @@ import (
 // single root with priority 3 ("we assume that the value of the root is
 // essential to the overall computation", Figure 5-2); for M_T there is one
 // root per task endpoint, standing in for the virtual troot/taskroot_i
-// vertices of §5.2.
-type Root struct {
-	ID    graph.VertexID
-	Prior uint8
-}
+// vertices of §5.2. The execution record logs a phase's roots as they are.
+type Root = sched.Root
 
 // ctxState is the per-context cycle bookkeeping: the paper's rootpar/done
 // protocol generalized to many roots.
@@ -77,7 +74,7 @@ type Marker struct {
 	// than counting calls, so a recorded parallel run and its serial replay
 	// skip exactly the same marks regardless of execution order.
 	faultSkipN atomic.Int64
-	// absorbed, if set, is told of every mark and return a drain takes in
+	// absorbed, if set, decides which marks and returns a drain may take in
 	// from its pool (SetAbsorbHook).
 	absorbed func(task.Task) bool
 }
@@ -86,15 +83,13 @@ type Marker struct {
 // of child marks spawned by modify are skipped entirely. n <= 0 disarms it.
 func (m *Marker) SetFaultSkipMark(n int64) { m.faultSkipN.Store(n) }
 
-// SetAbsorbHook has fn called with every mark and return a drain takes in
-// from its partition's pool, where it runs without an execution of its own:
-// the schedule recorder logs each, and replay accounts for them. It returns
-// the hook it replaces. Set it before the machine runs; fn runs under the
-// pool's lock and must not touch the machine.
-func (m *Marker) SetAbsorbHook(fn func(task.Task) bool) (prev func(task.Task) bool) {
-	prev, m.absorbed = m.absorbed, fn
-	return prev
-}
+// SetAbsorbHook has fn called with every mark and return a drain would take
+// in from its partition's pool, where it runs without an execution of its
+// own; the drain takes in only those fn accepts (nil: all). Replay
+// (check.Replayer) uses it to take in what the recorded drain took in. Set
+// it while no marking task runs; fn runs under the pool's lock and must not
+// touch the machine.
+func (m *Marker) SetAbsorbHook(fn func(task.Task) bool) { m.absorbed = fn }
 
 // NewMarker builds a marker over the given store and machine. counters may
 // be nil. mach must route by store.PartitionOf, as every machine that runs a
@@ -530,7 +525,7 @@ func (m *Marker) park(it item) {
 // continuation. A task that finds another PE draining the partition (a
 // thief's) leaves its item to that drainer and returns at once. Non-marking
 // tasks are ignored (the dispatcher routes them to the reduction engine).
-func (m *Marker) Handle(_ int, t task.Task) {
+func (m *Marker) Handle(pe int, t task.Task) {
 	if !t.Kind.IsMarking() {
 		return
 	}
@@ -566,7 +561,7 @@ func (m *Marker) Handle(_ int, t task.Task) {
 				m.handleReturn(&d, it)
 			}
 		}
-		if left > 0 && m.absorb(w) { // the list ran dry: nothing is held
+		if left > 0 && m.absorb(pe, w) { // the list ran dry: nothing is held
 			continue
 		}
 		s.mu.Lock()
@@ -589,8 +584,9 @@ func (m *Marker) Handle(_ int, t task.Task) {
 // list of the partition it reaches instead of running as a task of its own
 // when that partition is being drained. The pool releases what it hands over
 // (Machine.Expunge), so the in-flight count stays exact; a continuation stays
-// queued, since its partition's flag counts it.
-func (m *Marker) absorb(w *wave) bool {
+// queued, since its partition's flag counts it. The machine's execution
+// record lists each task taken in, on pe, the PE running the drain.
+func (m *Marker) absorb(pe int, w *wave) bool {
 	p := w.part
 	if m.mach.Pool(p).BandLens()[task.BandMarking] == 0 {
 		return false
@@ -602,6 +598,7 @@ func (m *Marker) absorb(w *wave) bool {
 		if m.absorbed != nil && !m.absorbed(t) {
 			return false
 		}
+		m.mach.NoteAbsorb(pe, t)
 		w.push(itemOf(t))
 		return true
 	})

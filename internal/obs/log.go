@@ -17,11 +17,12 @@ import (
 
 // epoch anchors the clock. It is process-wide, not per machine, so records
 // from machines that share a log order correctly, and it counts from process
-// start, not from 1970, so a stamp fits the 56 bits the exec ring gives it.
+// start, not from 1970.
 var epoch = time.Now()
 
 // Now returns nanoseconds on the process-wide monotonic clock: the time base
-// of every record, of task.Born, and of the exec rings and busy time.
+// of every record, of task.Born, and of the execution record's stamps and
+// busy time.
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // At places a time.Time on the clock (exactly, when t carries Go's monotonic

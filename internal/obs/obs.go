@@ -6,12 +6,13 @@
 // The handle writes to one log (TraceSink, log.go) — private, or shared with
 // the serving layer and its other pooled machines — and everything the
 // machine exports about events is a reader over that log: chrome spans, the
-// flight dump, trace assembly and critical-path blame. One thing
-// deliberately lives outside the log: the per-PE exec rings (flight.go) take
-// one packed two-word entry per task execution, because a mutex and a
-// 128-byte record per task is what the ≤ 5 % overhead budget cannot afford.
-// Nothing is sampled: live gauges are read when asked for, and per-PE busy
-// time is a counter (BusyNs) whose rate the reader takes.
+// flight dump, trace assembly and critical-path blame. The flight dump's
+// task executions are not in the log, since a mutex and a record per task is
+// what the ≤ 5 % overhead budget cannot afford: they are the tail of the
+// scheduler's execution record (internal/sched), merged in by the clock
+// reading TaskEnd hands it. Nothing is sampled: live gauges are read when
+// asked for, and per-PE busy time is a counter (BusyNs) whose rate the
+// reader takes.
 package obs
 
 import (
@@ -42,13 +43,10 @@ type Options struct {
 	// TraceRate, when positive, enables lineage tracing with the private
 	// log head-sampling at this rate.
 	TraceRate float64
-	// Exec enables per-task accounting: the per-PE exec rings, busy time and
-	// "pe-batch" spans. Without it TaskStart/TaskEnd return after one more
-	// test, which is what a machine that only traces pays.
+	// Exec enables per-task accounting: busy time, "pe-batch" spans and the
+	// clock reading TaskEnd returns. Without it TaskStart/TaskEnd return after
+	// one more test, which is what a machine that only traces pays.
 	Exec bool
-	// KindNames maps numeric task-kind values to names for flight-recorder
-	// dumps (index = kind value). Unknown kinds render as "kind(N)".
-	KindNames []string
 }
 
 // window is a busy window: executions since the previous clock reading.
@@ -87,9 +85,8 @@ type Obs struct {
 	id      uint32 // this handle's TraceSpan.Mach
 	tracing bool
 
-	// Per-task accounting; both nil unless Options.Exec.
+	// Per-task accounting; nil unless Options.Exec.
 	slots []peSlot
-	execs []peRing
 	// seq is a seeded machine's one busy window: one goroutine runs every
 	// PE there, so the PEs share its clock readings (see accrue).
 	seq window
@@ -110,7 +107,6 @@ func New(opts Options) *Obs {
 		for i := range o.slots {
 			o.slots[i].idle = true
 		}
-		o.execs = newExecRings(opts.PEs)
 		o.seq.idle = true
 	}
 	return o
@@ -194,16 +190,15 @@ func (o *Obs) TaskStart(pe int) {
 }
 
 // TaskEnd marks the end of a task execution on PE pe: it counts the task
-// into the open execution-batch span, and appends an execution entry (the
-// task's numeric kind and endpoints) to the PE's exec ring. Steady-state
-// hot path: a few plain single-writer fields plus one lock-free ring write;
-// the clock is read and busy time accrued once per clockTasks executions
-// of the window (and exactly at every idle transition), so BusyNs lags live
-// execution by at most clockTasks-1 tasks. Kind values are named in dumps
-// via Options.KindNames.
-func (o *Obs) TaskEnd(pe int, kind uint8, src, dst uint64) {
+// into the open execution-batch span and returns the window's clock reading,
+// the time the execution record stamps it with (0 without Options.Exec).
+// Steady-state hot path: a few plain single-writer fields; the clock is read
+// and busy time accrued once per clockTasks executions of the window (and
+// exactly at every idle transition), so BusyNs lags live execution by at
+// most clockTasks-1 tasks.
+func (o *Obs) TaskEnd(pe int) int64 {
 	if o == nil || o.slots == nil {
-		return
+		return 0
 	}
 	s := &o.slots[pe]
 	s.n++
@@ -222,7 +217,7 @@ func (o *Obs) TaskEnd(pe int, kind uint8, src, dst uint64) {
 			o.flushBatch(pe)
 		}
 	}
-	o.execs[pe].note(w.last, kind, src, dst)
+	return w.last
 }
 
 // accrue reads the clock and charges the time since PE pe's window's

@@ -142,12 +142,6 @@ type Config struct {
 	// context upstream) pay one field test.
 	Obs *obs.Obs
 
-	// OnExecute, when set, is called at the start of every task execution
-	// with a globally ordered sequence number (0-based). In parallel mode
-	// the numbering is the linearization of execution starts; the schedule
-	// recorder uses it to log a replayable execution order. It must not
-	// call back into the Machine.
-	OnExecute func(seq uint64, pe int, t task.Task)
 	// AfterExecute, when set, is called after every task execution
 	// completes (accounting included). In deterministic mode this is a
 	// safe point: no task is mid-execution and no vertex lock is held, so
@@ -175,8 +169,8 @@ type Machine struct {
 
 	rng *rand.Rand // deterministic mode only
 
-	// execSeq numbers task executions globally (the schedule recorder's
-	// ordering); assigned at execution start.
+	// execSeq numbers task executions globally (the record's replay
+	// order); assigned at execution start.
 	execSeq atomic.Uint64
 	// inline counts the steps handlers ran in place (AddSteps). Steps is
 	// execSeq plus inline.
@@ -206,6 +200,9 @@ type Machine struct {
 	// deadlock verdict is pending. The spawn, deliver, pop and steal paths
 	// pay one atomic pointer load for it.
 	watch atomic.Pointer[Watch]
+
+	// rec is the execution record, nil unless SetRecord was called.
+	rec *record
 
 	wg sync.WaitGroup
 }
@@ -479,14 +476,11 @@ func (m *Machine) WaitSteps(n uint64, stop <-chan struct{}) bool {
 // publish), so a taskpool snapshot (M_T's troot) cannot miss a task that is
 // neither queued nor finished; execute retires it, or the last hand-off the
 // handler took in its place, when it is done. The hand-offs run inside this
-// execution: the schedule (OnExecute) and the execution count see t alone.
+// execution: the record and the execution count see t alone.
 func (m *Machine) execute(pe int, t task.Task) {
 	seq := m.execSeq.Add(1) - 1
 	if w := m.wakeAt.Load(); w != 0 && seq+1+m.inline.Load() >= w {
 		m.wakeUp()
-	}
-	if fn := m.cfg.OnExecute; fn != nil {
-		fn(seq, pe, t)
 	}
 	if c := m.cfg.Counters; c != nil {
 		c.TasksExecuted.Add(1)
@@ -508,9 +502,15 @@ func (m *Machine) execute(pe int, t task.Task) {
 	slot.started = traceStart
 	m.cfg.Obs.TaskStart(pe)
 	m.handler.Handle(pe, t)
-	m.cfg.Obs.TaskEnd(pe, uint8(t.Kind), uint64(t.Src), uint64(t.Dst))
+	ts := m.cfg.Obs.TaskEnd(pe)
 	slot.mu.Lock()
 	slot.valid = false
+	if r := m.rec; r != nil {
+		// Under the lock the retire takes anyway, which guards the PE's lane.
+		e := entryOf(OpExec, pe, &t)
+		e.Seq, e.At = seq, ts
+		r.lanes[pe].add(e, r.all)
+	}
 	slot.mu.Unlock()
 	// The slot's task is t, or the last hand-off the handler took.
 	if last := &slot.ts[slot.cur]; last.Trace != 0 {
@@ -903,13 +903,15 @@ func (m *Machine) Stop() {
 	}
 	m.running = false
 	m.mu.Unlock()
-	if m.fab != nil {
-		// Close empties the fabric's custody into the pools before they
-		// close; post-close Enqueues bypass the network entirely.
-		m.fab.Close()
-	}
+	// The pools close first, so that no PE pops what the fabric's Close
+	// delivers into them: a woken PE could otherwise win the race to it.
 	for _, p := range m.pools {
 		p.Close()
+	}
+	if m.fab != nil {
+		// Close empties the fabric's custody into the pools; post-close
+		// Enqueues bypass the network entirely.
+		m.fab.Close()
 	}
 	m.wg.Wait()
 	for i := range m.pools {

@@ -2,7 +2,6 @@ package task
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 // use. A pool from NewSerialPool takes no lock: it belongs to a seeded
 // machine, whose one goroutine runs one task at a time and fences every
 // other reader with its owner lock, and it never blocks (PopWaitFor is for
-// a parallel PE, the pool's one blocking consumer), so it has no condition
-// variable either. Tasks are held in priority bands (marking > vital > eager
+// a parallel PE, the pool's one blocking consumer), so it has no wake
+// channel either. Tasks are held in priority bands (marking > vital > eager
 // > reserve) with FIFO order within a band; each band is a growable ring
 // buffer, so the steady-state push/pop cycle of a busy PE allocates nothing.
 type Pool struct {
@@ -26,10 +25,12 @@ type Pool struct {
 	// the bit costs the pool no space.
 	closed bool
 	// waiting is set while the pool's consumer is blocked in PopWaitFor; a
-	// push signals only then. A pool has one blocking consumer, its own PE.
+	// push wakes it only then. A pool has one blocking consumer, its own PE.
 	waiting bool
-	cond    *sync.Cond // nil on a serial pool
-	bands   [numBands]ring
+	// wakeC carries a push's wake to the blocked consumer; one pending wake
+	// is enough. Nil on a serial pool.
+	wakeC chan struct{}
+	bands [numBands]ring
 	// n is the number of queued tasks. It changes only under mu, next to
 	// the ring operation it counts, and is atomic so that Len — which the
 	// deterministic scheduler calls on every pool every step — reads it
@@ -60,12 +61,12 @@ var poolSeq atomic.Uint64
 // NewPool returns an empty pool that is safe for concurrent use.
 func NewPool() *Pool {
 	p := newPool(false)
-	p.cond = sync.NewCond(&p.mu)
+	p.wakeC = make(chan struct{}, 1)
 	return p
 }
 
 // NewSerialPool returns an empty pool for a seeded machine, which takes no
-// lock and has no condition variable (see Pool).
+// lock and has no wake channel (see Pool).
 func NewSerialPool() *Pool { return newPool(true) }
 
 func newPool(serial bool) *Pool {
@@ -91,7 +92,10 @@ func (p *Pool) SetOnTake(fn func(Task)) {
 // queued, or waits again.
 func (p *Pool) wake(waiting bool) {
 	if waiting {
-		p.cond.Signal()
+		select {
+		case p.wakeC <- struct{}{}:
+		default: // a wake is pending already
+		}
 	}
 }
 
@@ -216,42 +220,34 @@ func (p *Pool) TryPopRandom(rng *rand.Rand) (Task, bool) {
 // park would strand an idle PE while a neighbor's queue grows with
 // partition-local work it could have stolen. One goroutine at a time may
 // wait on a pool, and none on a serial pool, which nothing could refill
-// while its one goroutine waits: PopWaitFor panics there.
+// while its one goroutine waits: PopWaitFor panics there. The wait starts no
+// goroutine: its timer sends on a channel, where an AfterFunc would run its
+// function on a goroutine of its own at every expiry, hundreds a second on
+// an idle PE.
 func (p *Pool) PopWaitFor(d time.Duration) (t Task, ok bool, closed bool) {
-	if p.cond == nil {
+	if p.wakeC == nil {
 		panic("task: PopWaitFor on a serial pool")
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t, ok := p.popLocked(); ok {
-		return t, true, false
-	}
-	if p.closed {
-		return Task{}, false, true
-	}
-	// sync.Cond has no timed wait; an AfterFunc flips a flag under the pool
-	// lock and signals.
-	expired := false
-	tm := time.AfterFunc(d, func() {
+	var tm *time.Timer
+	for expired := false; ; {
 		p.mu.Lock()
-		expired = true
+		t, ok = p.popLocked()
+		closed = p.closed
+		p.waiting = !ok && !closed && !expired
+		wait := p.waiting
 		p.mu.Unlock()
-		p.cond.Signal()
-	})
-	defer tm.Stop()
-	for {
-		if t, ok := p.popLocked(); ok {
-			return t, true, false
+		if !wait {
+			return t, ok, closed
 		}
-		if p.closed {
-			return Task{}, false, true
+		if tm == nil {
+			tm = time.NewTimer(d)
+			defer tm.Stop()
 		}
-		if expired {
-			return Task{}, false, false
+		select {
+		case <-p.wakeC:
+		case <-tm.C:
+			expired = true
 		}
-		p.waiting = true
-		p.cond.Wait()
-		p.waiting = false
 	}
 }
 

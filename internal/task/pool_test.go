@@ -320,21 +320,21 @@ func TestPoolReprioritizeNoDoubleVisit(t *testing.T) {
 // poolSink keeps a measured pool on the heap.
 var poolSink *Pool
 
-// TestSerialPoolHasNoCond: a serial pool makes no condition variable, and
-// everything but PopWaitFor works without one — Close included, which wakes
-// only a waiting consumer. PopWaitFor, which a serial pool's one goroutine
-// could never be woken from, panics. NewSerialPool makes one object, the
-// pool.
+// TestSerialPoolHasNoCond: a serial pool makes no wake channel, the
+// condition its consumer would wait on, and everything but PopWaitFor works
+// without one — Close included, which wakes only a waiting consumer.
+// PopWaitFor, which a serial pool's one goroutine could never be woken from,
+// panics. NewSerialPool makes one object, the pool.
 func TestSerialPoolHasNoCond(t *testing.T) {
-	if NewPool().cond == nil {
-		t.Fatal("a default pool has no condition variable")
+	if NewPool().wakeC == nil {
+		t.Fatal("a default pool has no wake channel")
 	}
 	if n := testing.AllocsPerRun(10, func() { poolSink = NewSerialPool() }); n != 1 {
 		t.Errorf("NewSerialPool makes %v allocations, want 1", n)
 	}
 	p := NewSerialPool()
-	if p.cond != nil {
-		t.Fatal("a serial pool has a condition variable")
+	if p.wakeC != nil {
+		t.Fatal("a serial pool has a wake channel")
 	}
 	p.Push(Task{Kind: Mark, Dst: 1})
 	p.Close()

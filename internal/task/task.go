@@ -50,10 +50,6 @@ var kindNames = [...]string{
 	Return: "return",
 }
 
-// KindNameTable returns a copy of the kind-name table indexed by numeric
-// Kind value, for observers that record kinds as raw bytes.
-func KindNameTable() []string { return append([]string(nil), kindNames[:]...) }
-
 // String returns the task kind name.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) && kindNames[k] != "" {

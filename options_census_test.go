@@ -17,8 +17,8 @@ import (
 // configurations that tests and benchmarks must cover. Lower them when a
 // field goes.
 const (
-	maxOptions      = 19 // dgr.Options
-	maxConfigFields = 48 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
+	maxOptions      = 18 // dgr.Options
+	maxConfigFields = 45 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
 )
 
 func exportedFields(v any) int {
