@@ -120,7 +120,7 @@ func (rp *Replayer) Run(events []Event) error {
 				// vertices the drain that queued it ran for.
 				rp.runContinuation(rp.Mach.PartOf(want.Dst))
 			case e.Ev == EvExec && !want.Kind.IsMarking():
-				if !rp.execute(e.PE, want) {
+				if !rp.execute(want) {
 					return rp.diverged(i, e, want)
 				}
 			default:
@@ -138,29 +138,23 @@ func (rp *Replayer) Run(events []Event) error {
 	return nil
 }
 
-// diverged reports event i as a task replay neither has queued nor took in.
+// diverged reports event i as a task replay neither has queued in its home
+// pool nor took in.
 func (rp *Replayer) diverged(i int, e Event, want task.Task) error {
+	home := rp.Mach.PartOf(want.Dst)
 	return fmt.Errorf(
 		"check: replay diverged at event %d: %s %s not queued on PE %d (pool holds %d tasks, machine inflight %d)",
-		i, e.Ev, want, e.PE, rp.Mach.Pool(e.PE).Len(), rp.Mach.Inflight())
+		i, e.Ev, want, home, rp.Mach.Pool(home).Len(), rp.Mach.Inflight())
 }
 
-// execute runs the queued task matching want on the recorded PE, or on any
-// other: the recorded run may have stolen it to the PE it executed on, and
-// replay runs with no stealing, so it sits in its home partition's pool.
-// Executing it there is the same serialization — the event's PE is
-// bookkeeping, the task's effect is PE-independent.
-func (rp *Replayer) execute(pe int, want task.Task) bool {
-	pred := func(q task.Task) bool { return sameTask(q, want) }
-	if rp.Mach.ExecuteMatching(pe, pred, want) {
-		return true
-	}
-	for p := range rp.Mach.PEs() {
-		if p != pe && rp.Mach.ExecuteMatching(p, pred, want) {
-			return true
-		}
-	}
-	return false
+// execute runs the queued task matching want from its home pool, the PE
+// owning its destination: replay runs with no stealing, so a task the
+// recorded run stole sits there. A task's effect depends on the task and the
+// graph, not on the PE that runs it (the engine's in-place rules ask the
+// task's partition), so the event's PE is bookkeeping.
+func (rp *Replayer) execute(want task.Task) bool {
+	return rp.Mach.ExecuteMatching(rp.Mach.PartOf(want.Dst),
+		func(q task.Task) bool { return sameTask(q, want) }, want)
 }
 
 // claim accounts for a recorded mark or return (see Replayer), reporting
@@ -173,7 +167,7 @@ func (rp *Replayer) claim(e Event, want task.Task) bool {
 		if e.Ev == EvAbsorb && rp.take(k) {
 			return true
 		}
-		if rp.execute(e.PE, want) {
+		if rp.execute(want) {
 			if e.Ev == EvAbsorb && rp.window[k] > 0 {
 				rp.window[k]-- // this event is claimed; its drain may not take it in again
 			}

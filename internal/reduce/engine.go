@@ -118,14 +118,22 @@ type Engine struct {
 	budget int
 }
 
-// execution is one task's execution on a PE: the engine, what the execution
-// may still run in place, the running task's lineage, and the rewrites and
-// allocations it has made. The step functions, which reach the spawn and
-// hand-off sites, are its methods. Handle keeps it on its stack, so no two
-// executions share one.
+// execution is one task's execution on a PE: the engine, the partition it
+// runs on, what the execution may still run in place, the running task's
+// lineage, and the rewrites and allocations it has made. The step functions,
+// which reach the spawn and hand-off sites, are its methods. Handle keeps it
+// on its stack, so no two executions share one.
 type execution struct {
 	*Engine
+	// pe is the executing PE: it indexes the PE's slot (HandOff, TakeHandOff)
+	// and its body state (superScratch), and nothing else.
 	pe int
+	// part is the partition of the popped task's destination: what "local"
+	// means to the in-place rules (handOff, complete, stepApply), so a task
+	// makes the same choices on whichever PE runs it (DESIGN §8, "A local
+	// demand or result runs in place"). Every hand-off is on it, so it holds
+	// for the whole execution.
+	part int
 	// left is how many steps the execution may still run in place: inline
 	// steps on its task's vertex and hand-offs draw on it alike.
 	left int
@@ -310,9 +318,10 @@ func (e *execution) spawn(t task.Task) {
 // Inline steps and hand-offs share the budget and are counted with the
 // machine as steps (AddSteps), and the execution's rewrites and allocations
 // are published when it ends. The execution takes on the lineage of each
-// task it runs, the popped one and every hand-off.
+// task it runs, the popped one and every hand-off. Its partition is t.Dst's,
+// whichever PE pe is: a thief makes the choices the task's home PE would.
 func (e *Engine) Handle(pe int, t task.Task) {
-	x := &execution{Engine: e, pe: pe, left: e.budget}
+	x := &execution{Engine: e, pe: pe, part: e.store.PartitionOf(t.Dst), left: e.budget}
 	steps := 0
 	for {
 		x.lin = lineage{t.Trace, t.Span()}
@@ -360,17 +369,17 @@ func (e *execution) publish() {
 // handOff sends t, a demand or result a step of this execution spawns, or
 // runs it later in the execution instead: a hand-off (DESIGN §8, "A local
 // demand or result runs in place"). It hands off a task in the vital band (a
-// vital demand, or a result) whose destination is on the executing PE's
+// vital demand, or a result) whose destination is on the execution's
 // partition (the store's, which the machine routes by), while the execution
 // has budget left and no hand-off pending; the hand-off spends one step of
 // the budget. Any other task is spawned. A hand-off pays what a spawn pays
 // but the pool: the machine stamps it, notes it against the verdict watch
-// and publishes it in the PE's slot (sched.Machine.HandOff) before it
-// cooperates with M_T, so the caller may move the edge it travels on as it
-// would after a spawn.
+// and publishes it in the executing PE's slot (sched.Machine.HandOff)
+// before it cooperates with M_T, so the caller may move the edge it travels
+// on as it would after a spawn.
 func (e *execution) handOff(t task.Task) {
 	if e.left == 0 || e.handed || (t.Kind == task.Demand && t.Req != graph.ReqVital) ||
-		e.store.PartitionOf(t.Dst) != e.pe {
+		e.store.PartitionOf(t.Dst) != e.part {
 		e.spawn(t)
 		return
 	}
@@ -455,7 +464,7 @@ func (e *execution) reply(v *graph.Vertex, src graph.VertexID) {
 // window under goroutine preemption, and a false-deadlock source. The
 // queued Result (Dst = requester) covers it through the transition; a
 // handed-off one does from the PE's slot. The Result to the last requester on
-// the executing PE's partition is the one complete may hand off.
+// the execution's partition is the one complete may hand off.
 //
 // Two completions of v may overlap on a parallel machine: a demand's re-check
 // finds v completed by another PE, or two steps of v reach its value. Each
@@ -483,7 +492,7 @@ func (e *execution) complete(v *graph.Vertex) {
 	last := -1
 	if e.left > 0 && !e.handed {
 		for i := len(reqs) - 1; i >= 0; i-- {
-			if e.store.PartitionOf(reqs[i].Src) == e.pe {
+			if e.store.PartitionOf(reqs[i].Src) == e.part {
 				last = i
 				break
 			}
@@ -904,10 +913,10 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 	f.Lock()
 	fk := f.Kind
 	f.Unlock()
-	// An application on this PE's partition may be a partial application
-	// nobody has flagged yet: its spine is walked below instead of demanded
-	// (DESIGN §8, "A partial application is a value").
-	if !whnf && (fk != graph.KindApply || e.store.PartitionOf(f.ID) != e.pe) {
+	// An application on the execution's partition may be a partial
+	// application nobody has flagged yet: its spine is walked below instead
+	// of demanded (DESIGN §8, "A partial application is a value").
+	if !whnf && (fk != graph.KindApply || e.store.PartitionOf(f.ID) != e.part) {
 		e.demandFrom(v, funID, e.demandKind(v))
 		return false
 	}
@@ -933,9 +942,9 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 		if !ok {
 			return true
 		}
-		return e.applySaturation(v, head, sp, argID)
+		return e.applySaturation(v, head, sp, funID, argID)
 	case graph.KindComb, graph.KindPrim, graph.KindSuper:
-		return e.applySaturation(v, f, buf.spine(), argID)
+		return e.applySaturation(v, f, buf.spine(), funID, argID)
 	case graph.KindCons, graph.KindNil, graph.KindInt, graph.KindBool:
 		e.fail(v, "cannot apply non-function %s", fk)
 	default:
@@ -944,11 +953,11 @@ func (e *execution) stepApply(v *graph.Vertex) bool {
 	return false
 }
 
-// applySaturation decides whether v (supplying one more operand to the
-// WHNF function with the given head and spine) saturates a redex, and
-// contracts it if so. It consumes sp: the redex's own operand is appended in
-// place.
-func (e *execution) applySaturation(v, head *graph.Vertex, sp spine, argID graph.VertexID) bool {
+// applySaturation decides whether v, the application of funID to argID
+// (supplying one more operand to the WHNF function with the given head and
+// spine), saturates a redex, and contracts it if so. It consumes sp: the
+// redex's own operand is appended in place.
+func (e *execution) applySaturation(v, head *graph.Vertex, sp spine, funID, argID graph.VertexID) bool {
 	ops := append(sp.ops, argID)
 	owners := append(sp.owners, v.ID)
 	head.Lock()
@@ -967,7 +976,9 @@ func (e *execution) applySaturation(v, head *graph.Vertex, sp spine, argID graph
 			e.markPartial(v)
 			return false
 		}
-		e.contract(v, c, ops)
+		if e.contract(v, c, funID, ops) {
+			return false
+		}
 		e.rewrites++
 		return true
 	case graph.KindPrim:
@@ -981,7 +992,9 @@ func (e *execution) applySaturation(v, head *graph.Vertex, sp spine, argID graph
 			e.markPartial(v)
 			return false
 		}
-		e.flattenPrim(v, p, ops)
+		if e.flattenPrim(v, p, funID, ops) {
+			return false
+		}
 		e.rewrites++
 		return true
 	case graph.KindSuper:
@@ -1022,7 +1035,7 @@ func (e *execution) applySaturation(v, head *graph.Vertex, sp spine, argID graph
 		if waiting {
 			return false
 		}
-		done, value := e.execSuper(v, sup, ops)
+		done, value := e.execSuper(v, sup, funID, ops)
 		if !done {
 			return false
 		}
@@ -1109,8 +1122,25 @@ func (e *Engine) vs(dst []*graph.Vertex, ids []graph.VertexID) []*graph.Vertex {
 	return dst
 }
 
-// contract performs one combinator contraction, rewriting v in place.
-func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID) {
+// isRedexLocked reports whether v is still the application of fun to arg
+// that a step read it as; the caller holds v's lock, the rewrite's own hold.
+// On a parallel machine two steps of one redex can both reach its rewrite
+// (a Result for each of its operands steps it, and a thief may run one).
+// The first rewrite moves v on, and its step continues v, to its value
+// perhaps; the second would put v back to an earlier reduct under that
+// value's WHNF flag and wire operands that may since have been freed. So a
+// rewrite that builds new structure on v commits only if v is still the
+// redex its step read; otherwise its fresh vertices stay unwired, garbage
+// for the next cycle, and the step ends.
+func isRedexLocked(v *graph.Vertex, fun, arg graph.VertexID) bool {
+	a := v.Args()
+	return v.Kind == graph.KindApply && len(a) == 2 && a[0] == fun && a[1] == arg
+}
+
+// contract performs one combinator contraction, rewriting v, the application
+// of fun to the last of ops, in place. It reports true if v was no longer
+// that redex and was left alone (isRedexLocked).
+func (e *execution) contract(v *graph.Vertex, c graph.Comb, fun graph.VertexID, ops []graph.VertexID) (stale bool) {
 	part := int(v.Part)
 	var vbuf [spineInline]*graph.Vertex
 	freshApply := func() *graph.Vertex {
@@ -1122,12 +1152,20 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 		e.allocs++
 		return n
 	}
-	setV := func(fun, arg graph.VertexID) {
+	// Each rewrite below wires its fresh vertices and v only if v is still
+	// the redex, under the rewrite's hold of v's lock.
+	redex := func() bool {
+		stale = !isRedexLocked(v, fun, ops[len(ops)-1])
+		return !stale
+	}
+	setV := func(f, a graph.VertexID) {
 		v.Kind = graph.KindApply
 		v.Val = 0
-		v.SetArgs(fun, arg)
+		v.SetArgs(f, a)
 	}
 
+	// I and K make v an indirection to an operand: a second collapse makes
+	// the same one, so it needs no test.
 	switch c {
 	case graph.CombI: // I x → x
 		if t := e.store.Vertex(ops[0]); t != nil {
@@ -1143,6 +1181,9 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
+			if !redex() {
+				return
+			}
 			n1.SetArgs(ops[0], ops[2])
 			n2.SetArgs(ops[1], ops[2])
 			setV(n1.ID, n2.ID)
@@ -1153,6 +1194,9 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(vbuf[:0], ops), func() {
+			if !redex() {
+				return
+			}
 			n1.SetArgs(ops[1], ops[2])
 			setV(ops[0], n1.ID)
 		})
@@ -1162,6 +1206,9 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1}, e.vs(vbuf[:0], ops), func() {
+			if !redex() {
+				return
+			}
 			n1.SetArgs(ops[0], ops[2])
 			setV(n1.ID, ops[1])
 		})
@@ -1171,6 +1218,9 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2, n3}, e.vs(vbuf[:0], ops), func() {
+			if !redex() {
+				return
+			}
 			n1.SetArgs(ops[1], ops[3])
 			n2.SetArgs(ops[2], ops[3])
 			n3.SetArgs(ops[0], n1.ID)
@@ -1182,6 +1232,9 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
+			if !redex() {
+				return
+			}
 			n1.SetArgs(ops[0], ops[1])
 			n2.SetArgs(ops[2], ops[3])
 			setV(n1.ID, n2.ID)
@@ -1192,27 +1245,40 @@ func (e *execution) contract(v *graph.Vertex, c graph.Comb, ops []graph.VertexID
 			return
 		}
 		e.mut.Rewrite(v, []*graph.Vertex{n1, n2}, e.vs(vbuf[:0], ops), func() {
+			if !redex() {
+				return
+			}
 			n2.SetArgs(ops[1], ops[3])
 			n1.SetArgs(ops[0], n2.ID)
 			setV(n1.ID, ops[2])
 		})
 	case graph.CombY: // Y f → f (Y f), as a cyclic knot: v := f v
 		e.mut.Rewrite(v, nil, e.vs(vbuf[:0], ops[:1]), func() {
+			if !redex() {
+				return
+			}
 			setV(ops[0], v.ID)
 		})
 	default:
 		e.fail(v, "unknown combinator %v", c)
 	}
+	return stale
 }
 
-// flattenPrim rewrites the saturated prim redex v into the flat PrimApp
-// form with the operands as direct children — making v's operand requests
-// legal req-args(v) entries, as the model requires.
-func (e *Engine) flattenPrim(v *graph.Vertex, p graph.Prim, ops []graph.VertexID) {
+// flattenPrim rewrites the saturated prim redex v, the application of fun to
+// the last of ops, into the flat PrimApp form with the operands as direct
+// children — making v's operand requests legal req-args(v) entries, as the
+// model requires. It reports true if v was no longer that redex and was left
+// alone (isRedexLocked).
+func (e *Engine) flattenPrim(v *graph.Vertex, p graph.Prim, fun graph.VertexID, ops []graph.VertexID) (stale bool) {
 	var vbuf [spineInline]*graph.Vertex
 	e.mut.Rewrite(v, nil, e.vs(vbuf[:0], ops), func() {
+		if stale = !isRedexLocked(v, fun, ops[len(ops)-1]); stale {
+			return
+		}
 		v.Kind = graph.KindPrimApp
 		v.Val = int64(p)
 		v.SetArgs(ops...)
 	})
+	return stale
 }

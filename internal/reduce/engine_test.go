@@ -24,6 +24,13 @@ type erig struct {
 
 func newERig(t *testing.T, pes int, seed int64, speculative bool) *erig {
 	t.Helper()
+	return newERigConfig(t, pes, seed, Config{SpeculativeIf: speculative})
+}
+
+// newERigConfig is newERig with the engine's configuration; the rig sets its
+// Counters.
+func newERigConfig(t *testing.T, pes int, seed int64, cfg Config) *erig {
+	t.Helper()
 	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 512})
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
@@ -35,7 +42,8 @@ func newERig(t *testing.T, pes int, seed int64, speculative bool) *erig {
 	})
 	marker := core.NewMarker(store, mach, counters)
 	mut := core.NewMutator(store, marker, mach, counters)
-	eng := New(store, mach, mut, Config{SpeculativeIf: speculative, Counters: counters})
+	cfg.Counters = counters
+	eng := New(store, mach, mut, cfg)
 	mach.SetHandler(core.NewDispatcher(marker, eng))
 	return &erig{
 		t: t, store: store, mach: mach, marker: marker, mut: mut,

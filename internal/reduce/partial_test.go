@@ -102,7 +102,7 @@ func TestLocalPartialApplicationIsNotDemanded(t *testing.T) {
 			fired = true
 			// Another PE starts evaluating f on behalf of other, between the
 			// root's step finding f and its looking at f's flags.
-			x := &execution{Engine: r.engine, pe: 1}
+			x := &execution{Engine: r.engine, pe: 1, part: r.store.PartitionOf(f.ID)}
 			if !x.handleDemand(task.Task{Kind: task.Demand, Src: other.ID, Dst: f.ID, Req: graph.ReqVital}) {
 				t.Fatal("the interleaved demand did not start evaluating f")
 			}

@@ -34,21 +34,42 @@ func (e *execution) needValue(v *graph.Vertex, i int, kind graph.ReqKind) (*grap
 	return nil, false
 }
 
+// primApp reports whether v is still a primitive application. A step of v
+// acts on what it read of v's operands only if it is: a PrimApp is rewritten
+// only forward, to its value or an indirection, so a step that finds v still
+// one after its reads read operands v held throughout. On a parallel machine
+// two steps of v can run alongside each other (a Result for each operand
+// steps it); once one has finished v, the operands the other read may be
+// swept and their ids handed out again, and what it read is no ground for an
+// error or a rewrite. The two finishes that pass the test write one value.
+func (e *Engine) primApp(v *graph.Vertex) bool {
+	v.Lock()
+	defer v.Unlock()
+	return v.Kind == graph.KindPrimApp
+}
+
 // literal reads a WHNF operand w of v as a literal of the wanted kind,
-// recording v's runtime error if it is anything else.
+// recording v's runtime error if it is anything else (and v is still the
+// primitive application that read it, primApp).
 func (e *Engine) literal(v, w *graph.Vertex, want graph.Kind) (int64, bool) {
 	w.Lock()
 	kind, val := w.Kind, w.Val
 	w.Unlock()
 	if kind != want {
-		e.fail(v, "operand v%d has kind %s, want %s", w.ID, kind, want)
+		if e.primApp(v) {
+			e.fail(v, "operand v%d has kind %s, want %s", w.ID, kind, want)
+		}
 		return 0, false
 	}
 	return val, true
 }
 
-// finishLeaf relabels v to a literal leaf and completes it.
+// finishLeaf relabels v to a literal leaf and completes it, if v is still
+// the primitive application whose operands gave the leaf (primApp).
 func (e *execution) finishLeaf(v *graph.Vertex, kind graph.Kind, val int64) {
+	if !e.primApp(v) {
+		return
+	}
 	e.mut.RelabelLeaf(v, kind, val)
 	v.Lock()
 	v.WHNF = true
@@ -181,7 +202,9 @@ func (e *execution) stepValuePrim(v *graph.Vertex, p graph.Prim, kind graph.ReqK
 	}
 	k, val, errName := p.Apply(x[0], x[1])
 	if errName != "" {
-		e.fail(v, "%s", errName)
+		if e.primApp(v) {
+			e.fail(v, "%s", errName)
+		}
 		return
 	}
 	e.finishLeaf(v, k, val)
@@ -295,7 +318,9 @@ func (e *execution) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKi
 	if w.Kind != graph.KindCons || len(args) != 2 {
 		wk := w.Kind
 		w.Unlock()
-		e.fail(v, "%v of non-pair %s", p, wk)
+		if e.primApp(v) {
+			e.fail(v, "%v of non-pair %s", p, wk)
+		}
 		return false
 	}
 	idx := 0
@@ -306,7 +331,7 @@ func (e *execution) stepHeadTail(v *graph.Vertex, p graph.Prim, kind graph.ReqKi
 	w.Unlock()
 
 	tv := e.store.Vertex(target)
-	if tv == nil {
+	if tv == nil || !e.primApp(v) {
 		return false
 	}
 	e.mut.CollapseToInd(v, tv)

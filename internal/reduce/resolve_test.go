@@ -26,7 +26,7 @@ func TestResolveWHNFDecidesUnderOneHold(t *testing.T) {
 		fired = true
 		// The other PE: I 5 contracts to an indirection, whose own step finds
 		// the 5 and marks the indirection WHNF.
-		other := &execution{Engine: r.engine, pe: 1}
+		other := &execution{Engine: r.engine, pe: 1, part: r.store.PartitionOf(operand.ID)}
 		for i := 0; i < 4; i++ {
 			other.step(operand.ID)
 		}
@@ -41,4 +41,42 @@ func TestResolveWHNFDecidesUnderOneHold(t *testing.T) {
 	if !fired {
 		t.Fatal("resolveWHNF never returned the operand: the interleaving was not played")
 	}
+}
+
+// TestFinishedPrimStepActsOnNothing plays, deterministically, the
+// interleaving that left parallel interp tak with "operand vN has kind free,
+// want int" on evaluations that were right: two steps of one primitive
+// application both resolve its operands, the other PE's finishes it first,
+// and the operands, no longer held by anything, are swept before the first
+// step reads them. The first step must record no error and rewrite nothing.
+func TestFinishedPrimStepActsOnNothing(t *testing.T) {
+	r := newERig(t, 2, 1, false)
+	a, b := r.b.Int(2), r.b.Int(3)
+	root := r.b.PrimApp(graph.PrimAdd, a, b)
+
+	fired := false
+	r.engine.afterResolve = func(v *graph.Vertex) {
+		if fired || v != b {
+			return
+		}
+		fired = true
+		// The other PE's step of the sum finishes it; its operands become
+		// garbage, and the sweep frees one.
+		other := &execution{Engine: r.engine, pe: 1, part: r.store.PartitionOf(root.ID)}
+		other.step(root.ID)
+		if k := kindOf(root); k != graph.KindInt {
+			t.Fatalf("the other step left the sum %v, want its value", k)
+		}
+		r.store.Release(a)
+	}
+	r.evalInt(root, 5) // also fails on any recorded runtime error
+	if !fired {
+		t.Fatal("resolveWHNF never returned the second operand: the interleaving was not played")
+	}
+}
+
+func kindOf(v *graph.Vertex) graph.Kind {
+	v.Lock()
+	defer v.Unlock()
+	return v.Kind
 }

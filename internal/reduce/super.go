@@ -91,10 +91,18 @@ func (e *execution) beginSuper(v *graph.Vertex, sup *gm.Super) *superExec {
 func (e *execution) endSuper(x *superExec) { e.allocs += x.allocs }
 
 // execSuper executes one compiled supercombinator body on the saturated
-// redex v with operands ops. done reports whether v was rewritten; value
-// additionally reports that the root became a WHNF literal (so the caller
-// can complete v without another scheduler round trip).
-func (e *execution) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.VertexID) (done, value bool) {
+// redex v, the application of fun to the last of the operands ops. done
+// reports whether v was rewritten; value additionally reports that the root
+// became a WHNF literal (so the caller can complete v without another
+// scheduler round trip).
+//
+// On a parallel machine two steps of v may both find its strict operands
+// evaluated and run the body alongside each other. v is rewritten only if it
+// is still the redex this step read (isRedexLocked); otherwise the body's
+// fresh vertices stay unwired, garbage for the next cycle, and done is
+// false: a second rewrite would leave v an indirection, under the WHNF flag
+// the first one's evaluation set, to an application nobody evaluates.
+func (e *execution) execSuper(v *graph.Vertex, sup *gm.Super, fun graph.VertexID, ops []graph.VertexID) (done, value bool) {
 	x := e.beginSuper(v, sup)
 	defer e.endSuper(x)
 
@@ -232,12 +240,19 @@ func (e *execution) execSuper(v *graph.Vertex, sup *gm.Super, ops []graph.Vertex
 	x.wires = append(x.wires, root)
 	var vbuf [spineInline]*graph.Vertex
 	e.mut.Rewrite(v, x.fresh, e.vs(vbuf[:0], ops), func() {
+		if !isRedexLocked(v, fun, ops[len(ops)-1]) {
+			return
+		}
+		done = true
 		for _, w := range x.wires {
 			w.w.Kind = w.kind
 			w.w.Val = w.val
 			w.w.SetArgs(w.args...)
 		}
 	})
+	if !done {
+		return false, false
+	}
 	switch root.kind {
 	case graph.KindInt, graph.KindBool, graph.KindNil:
 		return true, true

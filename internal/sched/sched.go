@@ -55,8 +55,8 @@ var ErrNotRunning = errors.New("sched: machine not running")
 // Handler executes one task on processing element pe. Implementations (the
 // marking engine and the reduction engine, composed by internal/core's
 // dispatcher) call back into Machine.Spawn to propagate work, or into
-// Machine.HandOff to run a task of pe's own partition later in the same
-// execution.
+// Machine.HandOff to run a task of the running task's partition later in
+// the same execution.
 type Handler interface {
 	Handle(pe int, t task.Task)
 }
@@ -348,9 +348,11 @@ func (m *Machine) PartOf(id graph.VertexID) int {
 }
 
 // originOf infers the PE a spawn originates on. A task with a source vertex
-// is spawned by the PE executing at that vertex (handlers set Src to a
-// vertex on the executing partition); it is remote exactly when the source
-// and destination partitions differ. A sourceless spawn comes from outside
+// originates on the source's partition, whichever PE ran the step that
+// spawned it: a thief's spawns for a stolen task come from the task's
+// partition, as the home PE's would (handlers set Src to a vertex of the
+// running task). It is remote exactly when the source and destination
+// partitions differ. A sourceless spawn comes from outside
 // the ensemble — the evaluator's root demand, the collector's root marks, a
 // PE's self-continuation — and the injecting runtime is co-resident with
 // every partition: it can hand the task to the destination pool directly,
@@ -530,9 +532,10 @@ func (m *Machine) traceExec(pe int, t *task.Task, start int64) {
 		pe, t.Born, start, obs.Now())
 }
 
-// HandOff makes t PE pe's pending hand-off: a task of pe's own partition
-// that the handler executing on pe runs later in the same execution
-// (TakeHandOff) instead of spawning it. A hand-off pays what Spawn pays but
+// HandOff makes t PE pe's pending hand-off: a task of the running task's
+// partition (pe's own, unless pe stole the running task) that the handler
+// executing on pe runs later in the same execution (TakeHandOff) instead of
+// spawning it. A hand-off pays what Spawn pays but
 // the pool and the message count: a traced task is stamped, the armed watch
 // notes it, and the slot publishes it beside the running task, under the
 // slot lock, so M_T's troot snapshot (EachCurrent) sees it from this instant

@@ -401,25 +401,16 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if res, ok := s.cacheGetLocked(digest, req.List); ok {
 		t.stats.CacheHits++
 		t.stats.Admitted++
-		t.stats.Completed++
 		j := s.newJobLocked(t, req, digest)
 		j.trace, j.rootSpan = trID, rootSpan
-		j.status = StatusDone
 		j.cacheHit = true
-		j.result = res
 		j.started = j.submitted
-		j.finished = time.Now()
-		t.inflight-- // newJobLocked charged it; a hit never occupies a slot
-		t.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
 		if j.trace != 0 {
 			s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
 				Parent: j.rootSpan, Name: "memo", Cat: obs.CatServe, PE: obs.TIDEval,
-				Start: obs.At(j.submitted), End: obs.At(j.finished), Note: "hit"})
-			s.traceRequestLocked(j)
+				Start: obs.At(j.submitted), End: obs.Now(), Note: "hit"})
 		}
-		t.observeTrace(j)
-		close(j.done)
-		s.retireLocked(j)
+		s.settleLocked(j, res, nil)
 		return j, nil
 	}
 
@@ -464,19 +455,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	}
 	s.cond.Signal()
 	return j, nil
-}
-
-// traceRequestLocked closes out a traced job's root "request" span; called
-// exactly once, with the server lock held, when the job reaches a terminal
-// state.
-func (s *Server) traceRequestLocked(j *Job) {
-	note := fmt.Sprintf("tenant=%s job=%s status=%s", j.tenant.name, j.id, j.status)
-	if j.err != nil {
-		note += " code=" + j.err.Code
-	}
-	s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: j.rootSpan,
-		Name: "request", Cat: obs.CatServe, PE: obs.TIDEval,
-		Start: obs.At(j.submitted), End: obs.At(j.finished), Note: note})
 }
 
 // newJobLocked registers a fresh job and counts it against the tenant's
@@ -639,7 +617,7 @@ func (s *Server) execute(w *worker, j *Job) {
 			Start: obs.At(probe), End: obs.Now(), Note: note})
 	}
 	if ok {
-		s.finish(j, res, true, 0, nil)
+		s.finish(j, res, true, 0)
 		return
 	}
 	m := w.m
@@ -679,71 +657,79 @@ func (s *Server) execute(w *worker, j *Job) {
 		return
 	}
 	s.cache.Put(cacheKey(j.digest, j.req.List), res)
-	s.finish(j, res, false, used, m)
+	s.finish(j, res, false, used)
 }
 
-// finish completes a job successfully and releases its admission charges.
-func (s *Server) finish(j *Job, res *Result, hit bool, used int, m *dgr.Machine) {
+// finish completes a dispatched job successfully.
+func (s *Server) finish(j *Job, res *Result, hit bool, used int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := j.tenant
-	j.status = StatusDone
-	j.result = res
 	j.cacheHit = hit
-	j.finished = time.Now()
-	s.running--
-	t.inflight--
-	t.charged -= j.cost
 	if hit {
 		t.stats.CacheHits++
 		t.stats.CacheMisses-- // admission pre-counted a miss
 	} else {
 		t.observe(used)
 	}
-	t.stats.Completed++
-	t.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
-	s.traceSettleLocked(j)
-	t.observeTrace(j)
-	close(j.done)
-	s.retireLocked(j)
+	s.settleLocked(j, res, nil)
 }
 
-// fail completes a job with a structured error.
+// fail completes a dispatched job with a structured error.
 func (s *Server) fail(j *Job, e *Error, used int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if used > 0 {
+		j.tenant.observe(used)
+	}
+	s.settleLocked(j, nil, e)
+}
+
+// settleLocked ends j, done with res or failed with e. Every path that ends a
+// job comes here: the memo hit at admission, finish, fail, and Close's jobs
+// never dispatched. It releases the job's admission charges, observes its
+// latency, closes its trace — a dispatched job's "settle" span (evaluation
+// end → charges released), then the root "request" span every other span of
+// the trace hangs off — and wakes its waiters.
+func (s *Server) settleLocked(j *Job, res *Result, e *Error) {
 	t := j.tenant
-	j.status = StatusFailed
-	j.err = e
+	dispatched := j.status == StatusRunning
+	if dispatched {
+		s.running--
+	}
+	j.result, j.err = res, e
 	j.finished = time.Now()
-	s.running--
+	if e != nil {
+		j.status = StatusFailed
+		t.stats.Failed++
+	} else {
+		j.status = StatusDone
+		t.stats.Completed++
+	}
 	t.inflight--
 	t.charged -= j.cost
-	if used > 0 {
-		t.observe(used)
-	}
-	t.stats.Failed++
 	t.latency.Observe(j.finished.Sub(j.submitted).Microseconds())
-	s.traceSettleLocked(j)
+	if j.trace != 0 {
+		if dispatched {
+			settleStart := j.evalDone
+			if settleStart.IsZero() {
+				settleStart = j.finished
+			}
+			s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
+				Parent: j.rootSpan, Name: "settle", Cat: obs.CatServe, PE: obs.TIDEval,
+				Start: obs.At(settleStart), End: obs.At(j.finished)})
+		}
+		note := fmt.Sprintf("tenant=%s job=%s status=%s", t.name, j.id, j.status)
+		if e != nil {
+			note += " code=" + e.Code
+		}
+		s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: j.rootSpan,
+			Name: "request", Cat: obs.CatServe, PE: obs.TIDEval,
+			Start: obs.At(j.submitted), End: obs.At(j.finished), Note: note})
+	}
 	t.observeTrace(j)
 	close(j.done)
 	s.retireLocked(j)
-}
-
-// traceSettleLocked records a traced job's "settle" span (evaluation end →
-// charges released) and closes out its root request span.
-func (s *Server) traceSettleLocked(j *Job) {
-	if j.trace == 0 {
-		return
-	}
-	settleStart := j.evalDone
-	if settleStart.IsZero() {
-		settleStart = j.finished
-	}
-	s.trace.Record(obs.TraceSpan{Trace: j.trace, Span: s.trace.NewSpan(),
-		Parent: j.rootSpan, Name: "settle", Cat: obs.CatServe, PE: obs.TIDEval,
-		Start: obs.At(settleStart), End: obs.At(j.finished)})
-	s.traceRequestLocked(j)
 }
 
 // retireLocked bounds the finished-job history.
@@ -839,20 +825,8 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	var orphans []*Job
 	for j := s.nextJobLocked(); j != nil; j = s.nextJobLocked() {
-		orphans = append(orphans, j)
-	}
-	for _, j := range orphans {
-		t := j.tenant
-		j.status = StatusFailed
-		j.err = &Error{Code: CodeClosed, Message: "server closed before dispatch", Tenant: t.name}
-		j.finished = time.Now()
-		t.inflight--
-		t.charged -= j.cost
-		t.stats.Failed++
-		close(j.done)
-		s.retireLocked(j)
+		s.settleLocked(j, nil, &Error{Code: CodeClosed, Message: "server closed before dispatch", Tenant: j.tenant.name})
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,5 +215,48 @@ func TestHTTPTracesDisabled(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404 when tracing is off", resp.StatusCode)
+	}
+}
+
+// TestCloseSettlesQueuedTracedJob: a traced job that Close fails before
+// dispatch ends where every job ends, so its trace is whole — the root
+// "request" span its admission span hangs off, and no orphan — and its
+// latency is observed like any other job's.
+func TestCloseSettlesQueuedTracedJob(t *testing.T) {
+	s := New(Options{Workers: 1, Machine: dgr.Options{TraceRate: 1, Capacity: 1 << 14}})
+	busy, err := s.Submit(Request{Tenant: "a", Program: "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 18"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for busy.View().Status == StatusQueued {
+		runtime.Gosched()
+	}
+	queued, err := s.Submit(Request{Tenant: "b", Program: "6 * 7"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	s.Close()
+	if v := busy.View(); v.Status != StatusDone {
+		t.Fatalf("the busy job = %+v, want done: it was dispatched before Close", v)
+	}
+	view := queued.View()
+	if view.Status != StatusFailed || view.Err == nil || view.Err.Code != CodeClosed {
+		t.Fatalf("the queued job = %+v, want failed/%s", view, CodeClosed)
+	}
+	spans, _ := s.TraceSink().Spans()
+	traces, _ := obs.AssembleTraces(spans)
+	tr := findTrace(t, traces, view.TraceID)
+	if len(tr.Roots) != 1 || tr.Roots[0].Name != "request" || tr.Orphans != 0 {
+		names := []string{}
+		for _, r := range tr.Roots {
+			names = append(names, r.Name)
+		}
+		t.Fatalf("the queued job's trace has roots %v and %d orphans in %d spans, want the request span alone and 0",
+			names, tr.Orphans, len(tr.Spans))
+	}
+	for _, tp := range s.TenantProms() {
+		if tp.Name == "b" && tp.SlowestTraceID != view.TraceID {
+			t.Fatalf("tenant b's slowest trace = %q, want the job Close failed, %q", tp.SlowestTraceID, view.TraceID)
+		}
 	}
 }
