@@ -17,7 +17,7 @@ import (
 func BenchmarkCompile(b *testing.B) {
 	p := workload.Programs["primes"]
 	for i := 0; i < b.N; i++ {
-		m := dgr.New(dgr.Options{PEs: 1, Capacity: 1 << 14})
+		m := dgr.New(dgr.Options{PEs: 1})
 		if _, err := m.Compile(p.Src); err != nil {
 			b.Fatal(err)
 		}

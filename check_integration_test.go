@@ -19,10 +19,8 @@ import (
 func TestCheckedEvalDeterministic(t *testing.T) {
 	for _, name := range []string{"fib", "churn", "sumsquares"} {
 		p := workload.Programs[name]
-		// A small arena keeps the checker's whole-store sweeps cheap; the
-		// arena still grows on demand if the program needs more.
 		m := New(Options{PEs: 4, Seed: 7, Check: true, CheckEvery: 2048,
-			GCInterval: 2000, Capacity: 1 << 12})
+			GCInterval: 2000})
 		v, err := m.Eval(p.Src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -48,7 +46,7 @@ func TestCheckedEvalDeterministic(t *testing.T) {
 // a parallel evaluation, including the quiescence sweep at Close.
 func TestCheckedEvalParallel(t *testing.T) {
 	p := workload.Programs["fib"]
-	m := New(Options{PEs: 4, Parallel: true, Check: true, CheckEvery: 512, Capacity: 1 << 12})
+	m := New(Options{PEs: 4, Parallel: true, Check: true, CheckEvery: 512})
 	v, err := m.Eval(p.Src)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +69,7 @@ func TestCheckedEvalFabric(t *testing.T) {
 	p := workload.Programs["fib"]
 	m := New(Options{
 		PEs: 4, Seed: 3, Check: true, CheckEvery: 2048, GCInterval: 2000,
-		Capacity: 1 << 12, Fabric: &fabric.Params{DropRate: 0.2},
+		Fabric: &fabric.Params{DropRate: 0.2},
 	})
 	defer m.Close()
 	v, err := m.Eval(p.Src)
@@ -93,7 +91,7 @@ func TestFaultSkipMarkCaught(t *testing.T) {
 	p := workload.Programs["churn"]
 	m := New(Options{
 		PEs: 4, Seed: 7, Check: true, CheckEvery: 1 << 30, GCInterval: 500,
-		Capacity: 1 << 12, Stress: &check.Stress{FaultSkipMark: 3},
+		Stress: &check.Stress{FaultSkipMark: 3},
 	})
 	defer m.Close()
 	m.Eval(p.Src) // outcome irrelevant: the run is deliberately corrupted
@@ -115,7 +113,7 @@ func TestRecordReplayEval(t *testing.T) {
 	const want = 55
 	m := New(Options{
 		PEs: 3, Seed: 5, Check: true, CheckEvery: 512, GCInterval: 500,
-		Capacity: 1 << 12, RecordSchedule: true,
+		RecordSchedule: true,
 	})
 	defer m.Close()
 	v, err := m.Eval(src)
@@ -147,8 +145,7 @@ func TestRecordReplayEval(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := New(Options{PEs: 3, Seed: 999, Check: true, CheckEvery: 512, GCInterval: 500,
-		Capacity: 1 << 12})
+	m2 := New(Options{PEs: 3, Seed: 999, Check: true, CheckEvery: 512, GCInterval: 500})
 	defer m2.Close()
 	root, err := m2.Compile(src)
 	if err != nil {
@@ -181,7 +178,7 @@ func TestRecordReplayEval(t *testing.T) {
 // runs, vertices reclaimed, tasks expunged and reprioritized, every mark.
 func TestReplayedCycleEqualsLive(t *testing.T) {
 	src := "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 10"
-	opts := Options{PEs: 3, Seed: 5, GCInterval: 500, MTEvery: 1, Capacity: 1 << 12}
+	opts := Options{PEs: 3, Seed: 5, GCInterval: 500, MTEvery: 1}
 	live := opts
 	live.RecordSchedule = true
 	m := New(live)
@@ -219,7 +216,7 @@ func TestReplayedCycleEqualsLive(t *testing.T) {
 // divergence, not a replay that runs on without it.
 func TestReplayMissingMarkDiverges(t *testing.T) {
 	src := "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 10"
-	opts := Options{PEs: 3, Seed: 5, GCInterval: 500, MTEvery: 1, Capacity: 1 << 12}
+	opts := Options{PEs: 3, Seed: 5, GCInterval: 500, MTEvery: 1}
 	live := opts
 	live.RecordSchedule = true
 	m := New(live)
@@ -275,7 +272,7 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		m = New(Options{
 			PEs: 4, Seed: seed, Parallel: true, Check: true, CheckEvery: 1 << 30,
-			Capacity: 1 << 12, RecordSchedule: true, Stress: &check.Stress{FaultSkipMark: 3},
+			RecordSchedule: true, Stress: &check.Stress{FaultSkipMark: 3},
 			Timeout: 3 * time.Second, GCInterval: 500,
 		})
 		m.Eval(p.Src) // outcome irrelevant: the run is deliberately corrupted
@@ -294,7 +291,7 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 	}
 
 	m2 := New(Options{
-		PEs: 4, Seed: 1, Check: true, CheckEvery: 1 << 30, Capacity: 1 << 12,
+		PEs: 4, Seed: 1, Check: true, CheckEvery: 1 << 30,
 		Stress: &check.Stress{FaultSkipMark: 3},
 	})
 	defer m2.Close()

@@ -188,7 +188,6 @@ func optionsFor(f flags, config string, seed int64, record bool) (dgr.Options, e
 		Seed:       seed,
 		MTEvery:    f.mtEvery,
 		GCInterval: f.gcInterval,
-		Capacity:   1 << 12,
 		// The sweep corpus finishes in well under a million deterministic
 		// steps; a tight budget keeps deliberately corrupted runs (-inject)
 		// from grinding through the facade's 200M-step default before

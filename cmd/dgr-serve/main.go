@@ -48,13 +48,12 @@ func run() error {
 		pes      = flag.Int("pes", 2, "processing elements per pooled machine")
 		parallel = flag.Bool("parallel", false, "run pooled machines in parallel mode")
 		seed     = flag.Int64("seed", 1, "base scheduling seed (worker i uses seed+i)")
-		capacity = flag.Int("capacity", 1<<16, "vertex capacity per pooled machine")
 		maxSteps = flag.Int("maxsteps", 0, "deterministic step budget per eval (0 = machine default)")
 		timeout  = flag.Duration("timeout", 0, "parallel eval timeout (0 = machine default)")
 		queue    = flag.Int("queue", 256, "admission queue depth (all tenants)")
 		cacheN   = flag.Int("cache", 1024, "memo-cache entries")
 		inflight = flag.Int("inflight", 8, "default per-tenant in-flight limit")
-		quota    = flag.Int("quota", 0, "default per-tenant vertex quota (0 = capacity/2)")
+		quota    = flag.Int("quota", 0, "default per-tenant vertex quota (0 = 32768)")
 		check    = flag.Bool("check", true, "run pooled machines with the invariant checker")
 		engine   = flag.String("engine", dgr.EngineInterp, "reduction engine for pooled machines: interp or compiled")
 		obsOn    = flag.Bool("obs", false, "enable the observability layer on pooled machines")
@@ -88,7 +87,7 @@ func run() error {
 
 	s := serve.New(serve.Options{
 		Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
-		Machine: dgr.Options{PEs: *pes, Parallel: *parallel, Seed: *seed, Capacity: *capacity,
+		Machine: dgr.Options{PEs: *pes, Parallel: *parallel, Seed: *seed,
 			MaxSteps: *maxSteps, Timeout: *timeout, Check: *check, Obs: *obsOn,
 			Engine: *engine, TraceRate: *traceR},
 		DefaultLimits: serve.TenantLimits{MaxInflight: *inflight, VertexQuota: *quota},

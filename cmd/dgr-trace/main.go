@@ -74,7 +74,7 @@ func run() error {
 	}
 
 	opts := dgr.Options{
-		PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1, Capacity: 1 << 14,
+		PEs: *pes, Seed: *seed, Engine: *engine, SpeculativeIf: *spec, MTEvery: 1,
 	}
 	if *fab {
 		opts.Fabric = &fabric.Params{BatchSize: *batch, DropRate: *drop, LinkLatency: *latency}

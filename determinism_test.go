@@ -37,7 +37,6 @@ func engineScheduleDigest(t *testing.T, seed int64, pes int, engine, src string,
 		PEs:            pes,
 		Seed:           seed,
 		Engine:         engine,
-		Capacity:       1 << 14,
 		RecordSchedule: true,
 	})
 	defer m.Close()
@@ -75,9 +74,9 @@ const detFib = `let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 12
 // to alter scheduling semantics) by running this test and copying the
 // reported digests.
 var goldenSchedules = map[string]string{
-	"seed=42/pes=1": "56b7293ab4d24af4",
-	"seed=42/pes=4": "14c1db1e189567e0",
-	"seed=7/pes=3":  "ed8df427abcd3b47",
+	"seed=42/pes=1": "87219842d0989d26",
+	"seed=42/pes=4": "655e266df0f9883e",
+	"seed=7/pes=3":  "e0b3b4cd9196fc38",
 }
 
 // TestScheduleDeterminismGolden asserts that fixed-seed deterministic runs
@@ -111,11 +110,13 @@ func TestScheduleDeterminismGolden(t *testing.T) {
 // coarser task executions (one supercombinator body per task), so these
 // digests differ from the interpreted goldens by design — but they are
 // just as brittle against any change to scheduling, allocation order, or
-// the compiler's instruction selection.
+// the compiler's instruction selection. A partition allocates only vertices
+// of its own, and the compiled fib 12 builds and reduces on partition 0
+// alone, so it runs the same schedule on PE 0 at every PE count and seed.
 var goldenCompiledSchedules = map[string]string{
-	"seed=42/pes=1": "519d47b6589fd92b",
-	"seed=42/pes=4": "c90f507e573ce7cf",
-	"seed=7/pes=3":  "2b0b1d54b586ddc9",
+	"seed=42/pes=1": "4696e0526a054a54",
+	"seed=42/pes=4": "4696e0526a054a54",
+	"seed=7/pes=3":  "4696e0526a054a54",
 }
 
 // TestScheduleDeterminismCompiledGolden pins the compiled engine's
@@ -164,14 +165,14 @@ func TestScheduleDeterminismRepeatable(t *testing.T) {
 // pool, and the restructure events inside the digest. What a partition's list
 // marks inline is not in the log — it shows in what the next task finds.
 var goldenCollectingSchedules = map[string]string{
-	"interp/seed=42/pes=4":   "8d8789d14d749786",
-	"interp/seed=7/pes=3":    "43c3aa44f657c323",
-	"compiled/seed=42/pes=4": "44303a5e3bc24bc6",
-	"compiled/seed=7/pes=3":  "b5058f5947e9fb06",
+	"interp/seed=42/pes=4":   "31491a3a63fca218",
+	"interp/seed=7/pes=3":    "883e37020caaf6f1",
+	"compiled/seed=42/pes=4": "c81574a33b4b1e47",
+	"compiled/seed=7/pes=3":  "c81574a33b4b1e47",
 }
 
 func collectingOptions(engine string, seed int64, pes int) dgr.Options {
-	return dgr.Options{PEs: pes, Seed: seed, Engine: engine, Capacity: 1 << 14,
+	return dgr.Options{PEs: pes, Seed: seed, Engine: engine,
 		GCInterval: 500, MTEvery: 1}
 }
 
@@ -225,7 +226,10 @@ func TestScheduleDeterminismCollectingGolden(t *testing.T) {
 // interp rows moved once since, with the goldens above, when the engine came
 // to recognise a local partial application in place instead of demanding it:
 // that rule holds at every budget (DESIGN §8, "A partial application is a
-// value"). The compiled rows are the pre-inline digests still.
+// value"). Every row moved when a partition whose free list runs dry came
+// to take a fresh block of ids instead of a sibling's vertex (DESIGN §8, "A
+// partition that runs dry takes a fresh block"): the ids are renamed, and
+// the collecting rows' schedules changed with them.
 var preInlineSchedules = []struct {
 	collecting bool
 	engine     string
@@ -233,16 +237,16 @@ var preInlineSchedules = []struct {
 	pes        int
 	digest     string
 }{
-	{false, dgr.EngineInterp, 42, 1, "752c3e0353127589"},
-	{false, dgr.EngineInterp, 42, 4, "a09fbf0003f73fab"},
-	{false, dgr.EngineInterp, 7, 3, "95f73c4bec23d299"},
-	{false, dgr.EngineCompiled, 42, 1, "311ff46fddd489e7"},
-	{false, dgr.EngineCompiled, 42, 4, "3e96b4fa50e5754b"},
-	{false, dgr.EngineCompiled, 7, 3, "de920908a1410bd4"},
-	{true, dgr.EngineInterp, 42, 4, "fe980710d73db88a"},
-	{true, dgr.EngineInterp, 7, 3, "ead5615d18d22139"},
-	{true, dgr.EngineCompiled, 42, 4, "d49809c5b1967b59"},
-	{true, dgr.EngineCompiled, 7, 3, "77f7b7a43724b89a"},
+	{false, dgr.EngineInterp, 42, 1, "cc6862ce96a74fe5"},
+	{false, dgr.EngineInterp, 42, 4, "55c76a221c2dc801"},
+	{false, dgr.EngineInterp, 7, 3, "933455210ca950f5"},
+	{false, dgr.EngineCompiled, 42, 1, "a0d4a7ff2b27d746"},
+	{false, dgr.EngineCompiled, 42, 4, "a0d4a7ff2b27d746"},
+	{false, dgr.EngineCompiled, 7, 3, "a0d4a7ff2b27d746"},
+	{true, dgr.EngineInterp, 42, 4, "0f3334da8e781b58"},
+	{true, dgr.EngineInterp, 7, 3, "4b6fc0f58504cee3"},
+	{true, dgr.EngineCompiled, 42, 4, "4e66af6e8ed4ac9c"},
+	{true, dgr.EngineCompiled, 7, 3, "4e66af6e8ed4ac9c"},
 }
 
 // TestScheduleAtBudgetZeroIsPreInline: with no step run in place, the
@@ -251,7 +255,7 @@ var preInlineSchedules = []struct {
 func TestScheduleAtBudgetZeroIsPreInline(t *testing.T) {
 	for _, tc := range preInlineSchedules {
 		t.Run(fmt.Sprintf("collecting=%v/%s/seed=%d/pes=%d", tc.collecting, tc.engine, tc.seed, tc.pes), func(t *testing.T) {
-			opts := dgr.Options{PEs: tc.pes, Seed: tc.seed, Engine: tc.engine, Capacity: 1 << 14}
+			opts := dgr.Options{PEs: tc.pes, Seed: tc.seed, Engine: tc.engine}
 			if tc.collecting {
 				opts = collectingOptions(tc.engine, tc.seed, tc.pes)
 			}

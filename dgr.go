@@ -98,10 +98,6 @@ type Options struct {
 	// MTEvery runs deadlock detection every k-th GC cycle (default 4;
 	// 0 disables M_T).
 	MTEvery int
-	// Capacity reserves that many vertices as the initial free set F
-	// (default 1<<16). Reserving is free: arena memory is taken only for
-	// the id ranges a program's allocations actually reach.
-	Capacity int
 	// GCInterval is how many steps, reduction and marking, run between
 	// collector cycles (default 20000): a seeded Eval pumps that many and then
 	// runs a cycle; a parallel machine's collection loop runs one every
@@ -182,9 +178,6 @@ func (o Options) withDefaults() Options {
 	} else if o.MTEvery < 0 {
 		o.MTEvery = 0
 	}
-	if o.Capacity <= 0 {
-		o.Capacity = 1 << 16
-	}
 	if o.GCInterval <= 0 {
 		o.GCInterval = 20000
 	}
@@ -247,7 +240,6 @@ func New(opts Options) *Machine {
 	counters := &metrics.Counters{}
 	store := graph.NewStore(graph.Config{
 		Partitions: opts.PEs,
-		Capacity:   opts.Capacity,
 		// A seeded machine runs one task at a time, and its owner lock
 		// fences everything else that touches a vertex.
 		Serial: !opts.Parallel,
@@ -488,7 +480,7 @@ func (m *Machine) evalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, 
 	}
 	if span != 0 {
 		s.Record(obs.TraceSpan{Trace: tr, Span: span, Parent: parent,
-			Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval,
+			Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval, Mach: m.obs.Mach(),
 			Start: start, End: obs.Now()})
 	}
 	if err != nil && (errors.Is(err, ErrStuck) || errors.Is(err, ErrDeadlock)) {
@@ -719,7 +711,7 @@ func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value,
 		start := obs.Now()
 		defer func() {
 			s.Record(obs.TraceSpan{Trace: tr, Span: walk, Parent: parent,
-				Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval,
+				Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval, Mach: m.obs.Mach(),
 				Start: start, End: obs.Now()})
 		}()
 	}
@@ -862,10 +854,13 @@ func (m *Machine) flightExecs() []obs.FlightEvent {
 // snapshot.json print, what a machine pool sums.
 func (m *Machine) Gauges() obs.Gauges {
 	deadlocked, _ := m.collector.Verdict()
+	// Free before Heap: a block is counted in V before any of its ids is
+	// free, so Free never reads more than Heap.
+	free := m.FreeVertices()
 	return obs.Gauges{
 		PEs:        m.opts.PEs,
 		Heap:       m.store.Len(),
-		Free:       m.FreeVertices(),
+		Free:       free,
 		Inflight:   m.mach.Inflight(),
 		InTransit:  m.mach.InTransit(),
 		Deadlocked: deadlocked,

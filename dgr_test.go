@@ -203,7 +203,7 @@ func TestEvalList(t *testing.T) {
 }
 
 func TestGCReclaimsDuringEval(t *testing.T) {
-	m := New(Options{PEs: 2, Seed: 9, GCInterval: 2000, Capacity: 8192})
+	m := New(Options{PEs: 2, Seed: 9, GCInterval: 2000})
 	defer m.Close()
 	v, err := m.Eval(workload.Programs["churn"].Src)
 	if err != nil {
@@ -231,18 +231,16 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 func TestStatsAndIntrospection(t *testing.T) {
-	m := New(Options{PEs: 2, Seed: 10, Capacity: 256})
+	m := New(Options{PEs: 2, Seed: 10})
 	defer m.Close()
-	total := m.TotalVertices()
-	free := m.FreeVertices()
-	if total != 256 || free != 256 {
-		t.Fatalf("total=%d free=%d", total, free)
+	if total, free := m.TotalVertices(), m.FreeVertices(); total != 0 || free != 0 {
+		t.Fatalf("a fresh machine: total=%d free=%d, want no vertex", total, free)
 	}
 	if _, err := m.Eval("2 + 2"); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeVertices() >= free {
-		t.Fatal("allocation did not consume free vertices")
+	if total, free := m.TotalVertices(), m.FreeVertices(); total == 0 || total%64 != 0 || free >= total {
+		t.Fatalf("after an eval: total=%d free=%d, want whole blocks of 64 with vertices in use", total, free)
 	}
 	snap := m.Snapshot()
 	if snap.Len() != m.TotalVertices() {

@@ -48,7 +48,6 @@ func diffOptions(mode, engine string, seed int64) dgr.Options {
 		PEs:        4,
 		Seed:       seed,
 		Engine:     engine,
-		Capacity:   1 << 14,
 		GCInterval: 300,
 		MTEvery:    2,
 		MaxSteps:   8_000_000,

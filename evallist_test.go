@@ -32,7 +32,7 @@ func TestEvalListKeepsUnwalkedTail(t *testing.T) {
 				name := fmt.Sprintf("%s/parallel=%v/gc=%d", engine, parallel, c.gcInterval)
 				t.Run(name, func(t *testing.T) {
 					m := dgr.New(dgr.Options{
-						PEs: 2, Capacity: 1 << 14, Engine: engine,
+						PEs: 2, Engine: engine,
 						Parallel: parallel, GCInterval: c.gcInterval, Check: true,
 					})
 					defer m.Close()
@@ -57,7 +57,7 @@ func TestEvalListKeepsUnwalkedTail(t *testing.T) {
 func TestEvalListDeadlockedElement(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			m := dgr.New(dgr.Options{PEs: 2, Capacity: 1 << 12, MTEvery: 1, Parallel: parallel, Check: true})
+			m := dgr.New(dgr.Options{PEs: 2, MTEvery: 1, Parallel: parallel, Check: true})
 			defer m.Close()
 			vs, err := m.EvalList(`[1, let x = x + 1 in x, 3]`)
 			if !errors.Is(err, dgr.ErrDeadlock) {

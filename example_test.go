@@ -152,7 +152,6 @@ func ExampleOptions_speculativeIf() {
 		Seed:          7,
 		SpeculativeIf: true,
 		GCInterval:    4000, // collect aggressively: speculation is hungry
-		Capacity:      1 << 17,
 	})
 	defer m.Close()
 
@@ -203,7 +202,7 @@ let fib n = if n < 2 then n
                  in par a b + a                -- par demands both halves in parallel
 in fib 19`
 	for _, pes := range []int{1, 2, 4, 8} {
-		m := dgr.New(dgr.Options{PEs: pes, Parallel: true, Timeout: 2 * time.Minute, Capacity: 1 << 18})
+		m := dgr.New(dgr.Options{PEs: pes, Parallel: true, Timeout: 2 * time.Minute})
 		start := time.Now()
 		v, err := m.Eval(src)
 		if err != nil {

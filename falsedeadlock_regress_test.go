@@ -29,7 +29,7 @@ const (
 // GCInterval of 2000 (down to 1500) records only two. At 1250 it records
 // three, with a margin to the interval where the third is lost.
 func falseDeadlockOpts() Options {
-	return Options{PEs: 2, Seed: 11, MTEvery: 1, GCInterval: 1250, Capacity: 1 << 12}
+	return Options{PEs: 2, Seed: 11, MTEvery: 1, GCInterval: 1250}
 }
 
 // regenFalseDeadlockLog records a clean deterministic fib run and doctors

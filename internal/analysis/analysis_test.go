@@ -11,7 +11,7 @@ import (
 // build constructs a store with n apply vertices and returns them.
 func build(t *testing.T, n int) (*graph.Store, []*graph.Vertex) {
 	t.Helper()
-	s := graph.NewStore(graph.Config{Partitions: 2, Capacity: n})
+	s := graph.NewStore(graph.Config{Partitions: 2})
 	vs := make([]*graph.Vertex, n)
 	for i := range vs {
 		v, err := s.Alloc(i%2, graph.KindApply, 0)
@@ -177,15 +177,15 @@ func TestClassString(t *testing.T) {
 }
 
 func TestFreeSetExcludedFromGarbage(t *testing.T) {
-	s := graph.NewStore(graph.Config{Partitions: 1, Capacity: 5})
+	s := graph.NewStore(graph.Config{Partitions: 1})
 	root, err := s.Alloc(0, graph.KindApply, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := Analyze(s.Snapshot(), root.ID, nil)
-	// 4 vertices remain free; none may be garbage.
-	if len(res.F) != 4 {
-		t.Fatalf("|F| = %d, want 4", len(res.F))
+	// The other 63 vertices of root's block remain free; none may be garbage.
+	if len(res.F) != 63 {
+		t.Fatalf("|F| = %d, want 63", len(res.F))
 	}
 	if len(res.Gar) != 0 {
 		t.Fatalf("|GAR| = %d, want 0", len(res.Gar))

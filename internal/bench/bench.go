@@ -258,7 +258,7 @@ func runSuite(quick bool) ([]Result, error) {
 			m, err := run(bt, func(n int, aux *caseAux) error {
 				for i := 0; i < n; i++ {
 					mach := dgr.New(dgr.Options{
-						PEs: pes, Parallel: true, Engine: engine, Capacity: 1 << 16,
+						PEs: pes, Parallel: true, Engine: engine,
 					})
 					v, err := mach.Eval(p.Src)
 					aux.addMachine(mach)
@@ -343,7 +343,7 @@ func serveCase(name string, rounds int, quick bool) (Result, error) {
 	if quick {
 		programs = 4
 	}
-	s := serve.New(serve.Options{Workers: 2, Machine: dgr.Options{PEs: 2, Capacity: 1 << 16}})
+	s := serve.New(serve.Options{Workers: 2, Machine: dgr.Options{PEs: 2}})
 	defer s.Close()
 	rep, err := workload.RunServeLoad(workload.ServeLoadConfig{
 		Tenants:     4,
@@ -413,7 +413,6 @@ func overheadCase(c overheadConfig, src string, want int64) caseFn {
 				PEs:       4,
 				Seed:      int64(i),
 				Parallel:  c.parallel,
-				Capacity:  1 << 16,
 				Obs:       c.obs,
 				TraceRate: c.rate,
 			})

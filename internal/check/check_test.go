@@ -191,7 +191,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 // newCheckRig builds a machine + marker + checker over an empty store.
 func newCheckRig(t *testing.T, pes int) (*sched.Machine, *core.Marker, *Checker, *metrics.Counters) {
 	t.Helper()
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 64})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	var c metrics.Counters
 	m := sched.New(sched.Config{
 		PEs: pes, Mode: sched.Deterministic, Seed: 1,

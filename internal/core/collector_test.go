@@ -742,8 +742,8 @@ func TestWarmCycleAllocations(t *testing.T) {
 }
 
 // TestExpungeMatchesOracle: the expunge deletes exactly IRR = {<s,d> | d ∈
-// GAR} (Property 6) and nothing else, at scale — four partitions, ids grown
-// far past the reserved range, thousands of garbage vertices, and reduction
+// GAR} (Property 6) and nothing else, at scale — four partitions, ids dealt
+// across many blocks, thousands of garbage vertices, and reduction
 // and marking tasks queued to random vertices. The tasks are queued as M_R
 // completes, so none of them runs before the expunge and all that
 // it keeps are still queued after it; a parallel rig's PEs are stopped there
@@ -772,7 +772,7 @@ func TestExpungeMatchesOracle(t *testing.T) {
 				}
 			}
 			if r.store.Len() < 10*64 {
-				t.Fatalf("test setup: %d vertices, want ids far past the 64 reserved", r.store.Len())
+				t.Fatalf("test setup: %d vertices, want ids across ten blocks or more", r.store.Len())
 			}
 			res := analysis.Analyze(r.store.Snapshot(), vs[0].ID, nil)
 			if len(res.Gar) < n-kept {

@@ -15,7 +15,7 @@ import (
 // transit a lossy inter-PE fabric.
 func newFabricRig(t *testing.T, pes int, seed int64, params fabric.Params) *rig {
 	t.Helper()
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 256})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
 		PEs:      pes,

@@ -121,7 +121,7 @@ func TestLockSetPastInlineCapacity(t *testing.T) {
 // machine's), in ascending ID order.
 func serialVertices(tb testing.TB, n int) []*graph.Vertex {
 	tb.Helper()
-	store := graph.NewStore(graph.Config{Partitions: 1, Capacity: n, Serial: true})
+	store := graph.NewStore(graph.Config{Partitions: 1, Serial: true})
 	vs := make([]*graph.Vertex, n)
 	for i := range vs {
 		v, err := store.Alloc(0, graph.KindApply, 0)

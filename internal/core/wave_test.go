@@ -343,12 +343,12 @@ func listOfLists(r *rig, outer, inner int) *graph.Vertex {
 // of 49 (10k vertices), on one partition (no cut) and on four, and four lists
 // of 2000, one per partition, so every partition's list spends the budget
 // many times over. The four-partition shapes run again on the store a seeded
-// dgr machine has (store=seeded: serial, every id reserved, so that a
-// vertex's owner is arithmetic). Each runs at budget 0 (one task per arc)
+// dgr machine has (store=seeded: serial, so a vertex takes no lock of its
+// own). Each runs at budget 0 (one task per arc)
 // and at the shipped budget, and reports ns and executed tasks per mark visit
 // and the continuations each phase queued.
 func BenchmarkMarkWave(b *testing.B) {
-	seeded := graph.Config{Partitions: 4, Capacity: 1 << 16, Serial: true}
+	seeded := graph.Config{Partitions: 4, Serial: true}
 	for _, shape := range []struct {
 		name                string
 		parts, outer, inner int

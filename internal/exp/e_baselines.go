@@ -26,8 +26,7 @@ func init() {
 // actions' edge list for RC barriers.
 func buildRCWorkload(parts, chains, chainLen, cycles, cycleLen int) (
 	*graph.Store, *graph.Vertex, [][2]*graph.Vertex, int, int) {
-	capacity := chains*chainLen + cycles*cycleLen + 8
-	store := graph.NewStore(graph.Config{Partitions: parts, Capacity: capacity})
+	store := graph.NewStore(graph.Config{Partitions: parts})
 	b := graph.NewBuilder(store, -1)
 	root := b.Hole()
 	root.Lock()
@@ -179,7 +178,7 @@ func runIrrelevant(cfg Config) (*Table, error) {
 	for _, b := range budgets {
 		m := dgr.New(dgr.Options{
 			PEs: 4, Seed: cfg.Seed, SpeculativeIf: true,
-			GCInterval: b.gcInterval, Capacity: 1 << 17,
+			GCInterval: b.gcInterval,
 		})
 		root, err := m.Compile(src)
 		if err != nil {
@@ -235,7 +234,7 @@ func runPriority(cfg Config) (*Table, error) {
 	for seed := int64(0); seed < int64(trials); seed++ {
 		m := dgr.New(dgr.Options{
 			PEs: 4, Seed: cfg.Seed + seed, SpeculativeIf: true,
-			GCInterval: 500, Capacity: 1 << 16,
+			GCInterval: 500,
 		})
 		v, err := m.Eval(src)
 		if err != nil {

@@ -126,7 +126,7 @@ func runVenn(cfg Config) (*Table, error) {
 	minV = 1 << 30
 	for i := 0; i < trials; i++ {
 		n := 10 + rng.Intn(60)
-		store := graph.NewStore(graph.Config{Partitions: 4, Capacity: n})
+		store := graph.NewStore(graph.Config{Partitions: 4})
 		root, vs, err := workload.RandomGraph(rng, store, n, 1.5+rng.Float64())
 		if err != nil {
 			return nil, err
@@ -179,7 +179,7 @@ func runRace(cfg Config) (*Table, error) {
 		for mutateAt := 0; mutateAt < points; mutateAt++ {
 			for seed := int64(0); seed < int64(seeds); seed++ {
 				counters := &metrics.Counters{}
-				store := graph.NewStore(graph.Config{Partitions: 2, Capacity: 8})
+				store := graph.NewStore(graph.Config{Partitions: 2})
 				mach := sched.New(sched.Config{
 					PEs: 2, Mode: sched.Deterministic, Seed: cfg.Seed + seed,
 					Adversarial: true, PartOf: store.PartitionOf, Counters: counters,

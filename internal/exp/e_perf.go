@@ -23,7 +23,7 @@ func init() {
 // fresh store for each machine configuration.
 func buildForMarking(seed int64, pes, n int) (*graph.Store, graph.VertexID, error) {
 	rng := rand.New(rand.NewSource(seed))
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: n})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	root, _, err := workload.RandomGraph(rng, store, n, 3.0)
 	return store, root, err
 }

@@ -37,9 +37,8 @@ func runPrograms(cfg Config) (*Table, error) {
 		p := workload.Programs[name]
 		for _, pes := range peList {
 			m := dgr.New(dgr.Options{
-				PEs:      pes,
-				Seed:     cfg.Seed,
-				Capacity: 1 << 16,
+				PEs:  pes,
+				Seed: cfg.Seed,
 			})
 			start := time.Now()
 			v, err := m.Eval(p.Src)

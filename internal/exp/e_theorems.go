@@ -27,9 +27,9 @@ type markRig struct {
 	counters *metrics.Counters
 }
 
-func newMarkRig(pes int, capacity int, seed int64) *markRig {
+func newMarkRig(pes int, seed int64) *markRig {
 	counters := &metrics.Counters{}
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: capacity})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	mach := sched.New(sched.Config{
 		PEs: pes, Mode: sched.Deterministic, Seed: seed, Adversarial: true,
 		PartOf: store.PartitionOf, Counters: counters,
@@ -132,7 +132,7 @@ func runThm1(cfg Config) (*Table, error) {
 	for _, n := range sizes {
 		for _, pes := range peList {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(n+pes)))
-			r := newMarkRig(pes, n+256, cfg.Seed)
+			r := newMarkRig(pes, cfg.Seed)
 			root, _, err := workload.RandomGraph(rng, r.store, n, 2.0)
 			if err != nil {
 				return nil, err
@@ -202,7 +202,7 @@ func runThm2(cfg Config) (*Table, error) {
 	}
 	for _, k := range knots {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(k)))
-		r := newMarkRig(2, 512, cfg.Seed+int64(k))
+		r := newMarkRig(2, cfg.Seed+int64(k))
 		b := graph.NewBuilder(r.store, 0)
 
 		root := b.Hole()

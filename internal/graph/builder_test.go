@@ -2,13 +2,13 @@ package graph
 
 import "testing"
 
-func newBuildStore(t *testing.T, capacity int) *Store {
+func newBuildStore(t *testing.T) *Store {
 	t.Helper()
-	return NewStore(Config{Partitions: 2, Capacity: capacity})
+	return NewStore(Config{Partitions: 2})
 }
 
 func TestBuilderLeaves(t *testing.T) {
-	s := newBuildStore(t, 16)
+	s := newBuildStore(t)
 	b := NewBuilder(s, 0)
 
 	i := b.Int(42)
@@ -38,7 +38,7 @@ func TestBuilderLeaves(t *testing.T) {
 }
 
 func TestBuilderApp(t *testing.T) {
-	s := newBuildStore(t, 16)
+	s := newBuildStore(t)
 	b := NewBuilder(s, 0)
 	f := b.Prim(PrimAdd)
 	x := b.Int(1)
@@ -55,7 +55,7 @@ func TestBuilderApp(t *testing.T) {
 }
 
 func TestBuilderListAndCons(t *testing.T) {
-	s := newBuildStore(t, 16)
+	s := newBuildStore(t)
 	b := NewBuilder(s, 0)
 	lst := b.List(b.Int(1), b.Int(2))
 	if lst.Kind != KindCons {
@@ -76,7 +76,7 @@ func TestBuilderListAndCons(t *testing.T) {
 }
 
 func TestBuilderKnot(t *testing.T) {
-	s := newBuildStore(t, 8)
+	s := newBuildStore(t)
 	b := NewBuilder(s, 0)
 	h := b.Hole()
 	target := b.Int(9)
@@ -90,10 +90,13 @@ func TestBuilderKnot(t *testing.T) {
 	}
 }
 
+// TestBuilderExhaustion: once the store has no id left to deal, the builder
+// records Alloc's error and still hands back a usable placeholder.
 func TestBuilderExhaustion(t *testing.T) {
-	s := NewStore(Config{Partitions: 1, Capacity: 1, FixedSize: true})
+	s := NewStore(Config{Partitions: 1})
 	b := NewBuilder(s, 0)
 	b.Int(1)
+	exhaustIDs(s)
 	v := b.Int(2) // exhausted: throwaway vertex, error recorded
 	if b.Err() == nil {
 		t.Fatal("exhaustion not reported")
@@ -104,7 +107,7 @@ func TestBuilderExhaustion(t *testing.T) {
 }
 
 func TestBuilderRotatingPartition(t *testing.T) {
-	s := newBuildStore(t, 8)
+	s := newBuildStore(t)
 	b := NewBuilder(s, -1)
 	v := b.Int(3)
 	if v.Part != 1 { // val 3 % 2 partitions

@@ -6,7 +6,7 @@ import (
 )
 
 func TestWriteDOT(t *testing.T) {
-	s := NewStore(Config{Partitions: 1, Capacity: 8})
+	s := NewStore(Config{Partitions: 1})
 	b := NewBuilder(s, 0)
 	one := b.Int(1)
 	app := b.App(b.Prim(PrimNeg), one)
@@ -43,7 +43,7 @@ func TestWriteDOT(t *testing.T) {
 // any drift in node attributes, edge styles, or emission order shows up as
 // a diff here rather than as silently garbled graph dumps.
 func TestWriteDOTGolden(t *testing.T) {
-	s := NewStore(Config{Partitions: 1, Capacity: 8})
+	s := NewStore(Config{Partitions: 1})
 	b := NewBuilder(s, 0)
 	one := b.Int(1)
 	two := b.Int(2)
@@ -62,16 +62,16 @@ func TestWriteDOTGolden(t *testing.T) {
 	const golden = `digraph computation {
   rankdir=TB;
   node [shape=circle fontsize=10];
-  v4 [label="@" penwidth=2 shape=doublecircle];
-  v5 [label="@"];
-  v6 [label="+"];
-  v7 [label="2"];
-  v8 [label="1"];
-  v4 -> v5;
-  v4 -> v7 [label="*v" penwidth=2];
-  v5 -> v6;
-  v5 -> v8;
-  v4 -> v7 [style=dotted constraint=false];
+  v1 [label="1"];
+  v2 [label="2"];
+  v3 [label="+"];
+  v4 [label="@"];
+  v5 [label="@" penwidth=2 shape=doublecircle];
+  v5 -> v2 [style=dotted constraint=false];
+  v4 -> v3;
+  v4 -> v1;
+  v5 -> v4;
+  v5 -> v2 [label="*v" penwidth=2];
 }
 `
 	if got := sb.String(); got != golden {

@@ -11,25 +11,20 @@ import (
 	"dgr/internal/lock"
 )
 
-// ErrNoFreeVertices is returned by Alloc when the free set F is exhausted
-// and the store was configured not to grow.
-var ErrNoFreeVertices = errors.New("graph: free list exhausted")
+// ErrNoFreeVertices is returned by Alloc when a partition's free list is
+// empty and the 32-bit id space has no block left to deal it.
+var ErrNoFreeVertices = errors.New("graph: vertex id space exhausted")
 
 // Config parameterizes a Store.
 type Config struct {
 	// Partitions is the number of subgraph partitions (one per PE). Must be
 	// at least 1 and at most MaxPartitions.
 	Partitions int
-	// Capacity is the initial size of V: ids 1..Capacity are reserved as
-	// free vertices, dealt to the partitions in blocks of consecutive ids
-	// (reservedOwner), so that a partition's vertices sit side by side.
-	// Reserving costs nothing; a vertex takes arena memory only once its
-	// segment is first touched.
+	// Capacity is how many ids the store's first segment directory spans;
+	// a smaller value, 0 included, spans firstDirSegments segments. It sizes
+	// that one allocation and nothing else: which partition an id goes to
+	// never depends on it.
 	Capacity int
-	// FixedSize, when true, makes Alloc fail with ErrNoFreeVertices instead
-	// of growing the vertex arena when F is empty. The paper's model has a
-	// fixed finite V; benchmarks that study reclamation use FixedSize.
-	FixedSize bool
 	// Serial promises that one goroutine at a time touches the store's
 	// vertices — a seeded machine, which runs one task at a time and fences
 	// every other reader with its owner lock. Vertex.Lock and Unlock then
@@ -46,39 +41,29 @@ const MaxPartitions = 1 << 16
 // whole system (every task execution does several), so the arena is a
 // lock-free two-level table — a directory of atomically published pointers
 // to fixed-size segments. Readers never take a lock; the grow mutex guards
-// only the publication of a new segment and the growth of the directory.
+// only the dealing of a block and the growth of the directory.
 //
-// The segment size is the unit in which a store pays for what a program
-// touched, and a segment is one block of reserved ids, the largest a
-// partition is dealt: a partition's vertices fill its segments alone, so a
-// store pays for the blocks its program reached and for none of another
-// partition's. A store whose block is smaller (a Capacity below 512 per
-// partition) shares each segment among partitions. The directory is
-// written in place, so a small segment costs no table copy, and a
-// partition's segments come in doubling chunks, so one costs no allocation
-// of its own either (DESIGN.md §8, "A segment is a block").
+// A segment is a block: the 64 consecutive ids a partition is dealt when
+// its free list runs dry, all of them that partition's (DESIGN.md §8, "A
+// partition that runs dry takes a fresh block"). Blocks are dealt in
+// ascending order, so the directory is dense from segment 0 and doubles as
+// the store grows; a partition's segments come in doubling chunks, so a
+// block costs no allocation of its own.
 const (
-	segBits = maxBlockBits
+	segBits = 6
 	segSize = 1 << segBits
 	segMask = segSize - 1
 )
 
-// slotOf returns the segment and the slot in it that hold id (not
-// NilVertex). Id 1 sits in slot 0, so a reserved range of whole segments —
-// the default Capacity, 65 536 — ends on a segment boundary, and no
-// partition pays a segment for its one top id.
-func slotOf(id VertexID) (segIdx, slot int) {
-	i := int(id) - 1
-	return i >> segBits, i & segMask
-}
+// firstDirSegments is the least a store's first directory spans: 2 048 ids,
+// 256 bytes of entries.
+const firstDirSegments = 32
 
-// segment is the arena of one block of ids: vertices are embedded by value,
-// 64 of them at 120 bytes, 7.5 KiB, and a partition's segments are
-// allocated in chunks (segChunk), so the arena costs an allocation per
-// chunk instead of one per vertex. A segment is materialised when Alloc
-// first hands out one of its ids, so a store pays for the id ranges a
-// program reached, not for Capacity. Vertex pointers into a segment stay
-// stable for the life of the store.
+// segment is the arena of one block: vertices are embedded by value, 64 of
+// them at 120 bytes, 7.5 KiB, and a partition's segments are allocated in
+// chunks (segChunk), so the arena costs an allocation per chunk instead of
+// one per vertex. Vertex pointers into a segment stay stable for the life
+// of the store.
 //
 // used holds one in-use bit per slot, so a sweep visits the vertices out of
 // F and nothing else (DESIGN.md §8, "The sweep visits what is in use").
@@ -94,73 +79,48 @@ type segment struct {
 	used  [segSize / 64]uint64
 }
 
-// freeShard is one partition's slice of the free set F: its own lock and a
-// stack of ids. The shards are the only record of F: |F| is the sum of
-// their stacks and never-used counts (Store.FreeCount). The bottom of the
-// stack is implicit: the partition's never-used ids, the k-th of them
-// virginID(k) for k < virgin, popped highest-first — exactly the stack a
-// store that pushed its blocks of ids 1..Capacity at construction would
-// hold. Released ids are pushed on top of it in ids.
-// PEs allocate and release on their own partition, so under
-// partition-local workloads no two PEs ever contend on the same shard
-// lock; a serial store's shards, like its vertices, take none (the lock
-// follows Config.Serial). The same lock guards recs, the spare overflow
-// records of the partition's vertices. A shard fills one cache line, so
-// adjacent shards do not false-share.
+// freeShard is one partition's slice of the free set F: its own lock, a
+// stack of released ids, and next, the cursor into the block it was dealt
+// last: the lowest id of that block not yet handed out, NilVertex once
+// every one has been. The shards are the only record of F: |F| is the sum of
+// their stacks and cursors (Store.FreeCount). PEs allocate and release on
+// their own partition, so no two PEs ever contend on the same shard lock; a
+// serial store's shards, like its vertices, take none (the lock follows
+// Config.Serial). The same lock guards recs, the spare overflow records of
+// the partition's vertices. A shard fills one cache line, so adjacent
+// shards do not false-share.
 type freeShard struct {
-	mu     lock.Mutex
-	virgin uint32 // fills the 4 bytes after the lock
-	ids    []VertexID
-	recs   []*overflow
+	mu   lock.Mutex
+	next VertexID // fills the 4 bytes after the lock
+	ids  []VertexID
+	recs []*overflow
 }
 
 // take pops the shard's top free id: the most recently released one, else
-// the highest never-used one. The caller holds sh.mu.
-func (sh *freeShard) take(part, parts int, blockBits uint) (VertexID, bool) {
+// the cursor's. The caller holds sh.mu.
+func (sh *freeShard) take() (VertexID, bool) {
 	if n := len(sh.ids); n > 0 {
 		id := sh.ids[n-1]
 		sh.ids = sh.ids[:n-1]
 		return id, true
 	}
-	if sh.virgin > 0 {
-		sh.virgin--
-		return virginID(int(sh.virgin), part, parts, blockBits), true
+	id := sh.next
+	if id == NilVertex {
+		return NilVertex, false
 	}
-	return NilVertex, false
+	if sh.next++; id&segMask == 0 { // the block's last id
+		sh.next = NilVertex
+	}
+	return id, true
 }
 
-// maxBlockBits is log₂ of the largest block of consecutive reserved ids a
-// partition is dealt (DESIGN.md §8, "A partition's vertices are
-// contiguous"). A block of that size fills one segment.
-const maxBlockBits = 6
-
-// blockBitsFor returns log₂ of the block size B: the largest power of two
-// at most 1<<maxBlockBits and capacity/(8·parts), so that each partition
-// owns eight blocks or more. A store too small for B = 2 deals round-robin.
-func blockBitsFor(capacity, parts int) uint {
-	return uint(max(0, min(maxBlockBits, bits.Len(uint(capacity/(8*parts)))-1)))
-}
-
-// virginCount returns how many of the reserved ids 1..capacity partition
-// part owns: its blocks part, part+parts, ..., the last of all blocks
-// partial when capacity is not a multiple of the block size.
-func virginCount(capacity, part, parts int, blockBits uint) int {
-	blocks := (capacity + 1<<blockBits - 1) >> blockBits
-	if blocks <= part {
-		return 0
-	}
-	n := ((blocks-1-part)/parts + 1) << blockBits
-	if (blocks-1)%parts == part {
-		n -= blocks<<blockBits - capacity
+// free returns how many ids the shard holds. The caller holds sh.mu.
+func (sh *freeShard) free() int {
+	n := len(sh.ids)
+	if sh.next != NilVertex {
+		n += segSize - int(sh.next-1)&segMask
 	}
 	return n
-}
-
-// virginID returns partition part's k-th reserved id, counting up from 0:
-// offset k mod B in the partition's (k div B)-th block.
-func virginID(k, part, parts int, blockBits uint) VertexID {
-	block := (k>>blockBits)*parts + part
-	return VertexID(block<<blockBits + k&(1<<blockBits-1) + 1)
 }
 
 // Store owns every vertex in the computation graph and the per-partition
@@ -168,38 +128,28 @@ func virginID(k, part, parts int, blockBits uint) VertexID {
 // Vertex field access is guarded by per-vertex locks, or, on a serial
 // store, by its owner running one task at a time; free-list access is
 // sharded per partition, so Alloc/Release on different PEs never touch a
-// shared lock (the slow path steals one vertex from a sibling shard), and a
-// serial store's owner takes no shard lock either. Segment materialisation
-// and growth past Capacity alone are funneled through one mutex, and the
+// shared lock, and a serial store's owner takes no shard lock either. A
+// partition whose shard is empty is dealt the next block of 64 ids under
+// one mutex, so Alloc(p) always returns a vertex of partition p, and the
 // segment directory is read lock-free: a segment is published by an atomic
-// store into its entry, and only growth past the reserved range copies the
-// directory. Construction costs O(partitions), and the never-used part of V
-// exists only as a count per shard; a ForEach costs the vertices in use plus
-// one directory entry per segment from the lowest one a program reached.
+// store into its entry before V counts it. Construction costs
+// O(partitions); a ForEach costs the vertices in use plus one directory
+// entry per block dealt.
 type Store struct {
-	// dir is the segment directory, indexed by slotOf: an entry is nil until
-	// its segment is first touched. The first materialisation makes it span
-	// the reserved range; growOne replaces it, twice as long, past that.
+	// dir is the segment directory, indexed by id-1 >> segBits, dense up to
+	// n; deal replaces it, twice as long, when a block falls past its end.
 	dir atomic.Pointer[[]atomic.Pointer[segment]]
-	n   atomic.Int64 // |V|: reserved + grown vertices (excludes NilVertex)
-	// low is the lowest materialised segment index, where ForEach starts: a
-	// partition reaches its blocks top first, so a small program's segments
-	// sit at the top of a directory that spans the whole reserved range.
-	low atomic.Int32
+	n   atomic.Int64 // |V|: the ids dealt, a multiple of 64 (excludes NilVertex)
 
-	growMu sync.Mutex // guards segment publication, chunks and growth past reserved; not taken by Alloc fast paths
+	growMu sync.Mutex // guards dealing, chunks and the directory's growth; not taken by Alloc fast paths
 	// chunks are the partitions' spare segments, made with the first
-	// directory on a store whose segment is a block; guarded by growMu.
-	chunks []segChunk
-
-	reserved  int    // ids 1..reserved start out free, owned block by block (reservedOwner)
-	blockBits uint   // log₂ of the block size B the reserved ids are dealt in
-	partsM    uint64 // modMultiplier(parts), reservedOwner's multiplier
+	// directory; guarded by growMu.
+	chunks   []segChunk
+	firstDir int // the entries of the first directory
 
 	shards []freeShard
-	fixed  bool
 	// serial is Config.Serial, stamped on every shard and on every vertex as
-	// it is materialised; markUsed writes the in-use bits plainly under it.
+	// it is dealt; markUsed writes the in-use bits plainly under it.
 	serial bool
 
 	// runs are the retired ids of each partition not yet published to F
@@ -216,9 +166,8 @@ type Store struct {
 	parts int
 }
 
-// NewStore builds a store with cfg.Capacity free vertices distributed over
-// cfg.Partitions partitions. It touches no vertex: its cost is one shard
-// per partition, whatever the capacity.
+// NewStore builds an empty store of cfg.Partitions partitions. It touches
+// no vertex: its cost is one shard per partition.
 func NewStore(cfg Config) *Store {
 	if cfg.Partitions < 1 {
 		cfg.Partitions = 1
@@ -226,111 +175,66 @@ func NewStore(cfg Config) *Store {
 	if cfg.Partitions > MaxPartitions {
 		panic(fmt.Sprintf("graph: NewStore with %d partitions, more than %d", cfg.Partitions, MaxPartitions))
 	}
-	if cfg.Capacity < 0 {
-		cfg.Capacity = 0
-	}
 	s := &Store{
-		shards:    make([]freeShard, cfg.Partitions),
-		fixed:     cfg.FixedSize,
-		serial:    cfg.Serial,
-		parts:     cfg.Partitions,
-		reserved:  cfg.Capacity,
-		blockBits: blockBitsFor(cfg.Capacity, cfg.Partitions),
-		partsM:    modMultiplier(cfg.Partitions),
+		shards:   make([]freeShard, cfg.Partitions),
+		serial:   cfg.Serial,
+		parts:    cfg.Partitions,
+		firstDir: max(firstDirSegments, (cfg.Capacity+segMask)>>segBits),
 	}
 	s.dir.Store(&noSegments)
-	s.low.Store(math.MaxInt32)
 	s.relMu.SetSerial(s.serial)
 	for part := range s.shards {
 		s.shards[part].mu.SetSerial(s.serial)
-		s.shards[part].virgin = uint32(virginCount(cfg.Capacity, part, cfg.Partitions, s.blockBits))
 	}
 	s.blank.home = s
-	s.n.Store(int64(cfg.Capacity))
 	return s
 }
 
-// reservedOwner returns the partition that owns reserved id (1..reserved):
-// the ids are dealt in blocks of B = 1<<blockBits consecutive ids,
-// partition p owning blocks p, p+parts, ... That is the block number mod
-// parts, which it takes with no division (Lemire, Kaser and Kurz, "Faster
-// remainder by direct computation", 2019): for a 32-bit block number b and
-// M = ⌈2⁶⁴/parts⌉, b mod parts is the high word of (M·b mod 2⁶⁴)·parts.
-// With one partition M wraps to 0, and so does the owner.
-func (s *Store) reservedOwner(id int) int {
-	hi, _ := bits.Mul64(s.partsM*uint64(uint32(id-1)>>s.blockBits), uint64(s.parts))
-	return int(hi)
-}
-
-// modMultiplier returns ⌈2⁶⁴/d⌉ mod 2⁶⁴, the multiplier with which
-// reservedOwner takes a 32-bit remainder by d.
-func modMultiplier(d int) uint64 { return ^uint64(0)/uint64(d) + 1 }
-
-// noSegments is the directory of a store no id of which was touched yet.
+// noSegments is the directory of a store that has dealt no block yet.
 var noSegments []atomic.Pointer[segment]
 
-// growOne extends V past the reserved range by one vertex owned by part and
-// returns its id. The new vertex is NOT added to any free list: it is
-// handed out directly.
-func (s *Store) growOne(part int) VertexID {
+// deal hands partition part the next block of ids: it writes the block's
+// vertices, free and owned by part, into a segment of part's chunk,
+// publishes the segment and then V's new size, and returns the block's
+// first id, leaving the rest to sh's cursor. V is counted before any id of
+// the block is free, so a reader that takes FreeCount before Len never
+// reads more free vertices than V holds. It fails only when the 32-bit id
+// space has no block left. The caller holds sh.mu, sh being part's shard.
+func (s *Store) deal(part int, sh *freeShard) (VertexID, error) {
 	s.growMu.Lock()
-	id := VertexID(s.n.Load() + 1)
-	segIdx, slot := slotOf(id)
-	v := &s.segmentLocked(segIdx).verts[slot]
-	v.ID = id
-	v.SetSerial(s.serial)
-	v.Part = uint16(part)
-	v.Kind = KindFree
-	v.more = &s.blank
-	// The vertex fields are fully written before n is published; readers
-	// only dereference ids at or below a loaded n.
-	s.n.Add(1)
-	s.growMu.Unlock()
-	return id
-}
-
-// segmentLocked returns segment segIdx, materialising it if no id in it was
-// ever touched: every reserved id in it becomes a free vertex of its
-// block's partition (ids past the reserved range are initialised by
-// growOne). The segment is published by an atomic store into its directory
-// entry, after its vertices are written. The caller holds growMu.
-func (s *Store) segmentLocked(segIdx int) *segment {
-	dir := *s.dir.Load()
-	if segIdx >= len(dir) {
-		dir = s.growDirLocked(segIdx)
-	} else if seg := dir[segIdx].Load(); seg != nil {
-		return seg
+	defer s.growMu.Unlock()
+	n := s.n.Load()
+	if n+segSize > math.MaxUint32 {
+		return NilVertex, ErrNoFreeVertices
 	}
-	seg := s.newSegmentLocked(segIdx)
-	base := segIdx<<segBits + 1 // the id in slot 0
+	segIdx := int(n >> segBits)
+	dir := *s.dir.Load()
+	if segIdx == len(dir) {
+		dir = s.growDirLocked()
+	}
+	seg := s.newSegmentLocked(part)
 	for i := range seg.verts {
-		id := base + i
-		if id > s.reserved {
-			break
-		}
 		v := &seg.verts[i]
-		v.ID = VertexID(id)
+		v.ID = VertexID(n + 1 + int64(i))
 		v.SetSerial(s.serial)
-		v.Part = uint16(s.reservedOwner(id))
+		v.Part = uint16(part)
 		v.Kind = KindFree
 		v.more = &s.blank
 	}
 	dir[segIdx].Store(seg)
-	if segIdx < int(s.low.Load()) {
-		s.low.Store(int32(segIdx))
-	}
-	return seg
+	s.n.Store(n + segSize)
+	sh.next = VertexID(n + 2)
+	return VertexID(n + 1), nil
 }
 
-// growDirLocked publishes a directory that has an entry for segIdx, and
-// returns it. The first spans the reserved range, inside which no directory
-// is copied again; past it, growOne's ids double the directory, so a store
-// that keeps growing copies each entry about once. Readers holding the old
-// directory miss only segments published after it was replaced, whose ids
-// they cannot have been handed. The caller holds growMu.
-func (s *Store) growDirLocked(segIdx int) []atomic.Pointer[segment] {
+// growDirLocked publishes a directory twice as long as the last, or
+// firstDir entries long, and returns it, so a store that keeps growing
+// copies each entry about once. Readers holding the old directory miss only
+// segments published after it was replaced, whose ids they cannot have been
+// handed. The caller holds growMu.
+func (s *Store) growDirLocked() []atomic.Pointer[segment] {
 	old := *s.dir.Load()
-	dir := make([]atomic.Pointer[segment], max(segIdx+1, 2*len(old), (s.reserved+segMask)>>segBits))
+	dir := make([]atomic.Pointer[segment], max(2*len(old), s.firstDir))
 	for i := range old {
 		dir[i].Store(old[i].Load())
 	}
@@ -339,60 +243,40 @@ func (s *Store) growDirLocked(segIdx int) []atomic.Pointer[segment] {
 }
 
 // segChunk is what is left of the last chunk of segments a partition was
-// given: one allocation holding the segments of the partition's next blocks,
-// highest first — the order its never-used ids leave its shard — spare[0]
-// standing for segment next. A partition's chunks hold 1, 2, 4, then
-// maxChunk segments, so a program pays for at most about twice the blocks it
-// reached, and a store that fills its range makes one allocation per
-// maxChunk segments.
+// given: one allocation holding the segments of the partition's next
+// blocks. A partition's chunks hold 1, 2, 4, then maxChunk segments, so a
+// program pays for at most about twice the blocks it reached, and a store
+// that keeps growing makes one allocation per maxChunk blocks.
 type segChunk struct {
 	spare []segment
-	next  int // the segment index of spare[0]
 	size  int // the segments the last chunk held
 }
 
 // maxChunk bounds a chunk: 8 segments of 64 vertices, 60 KiB.
 const maxChunk = 8
 
-// newSegmentLocked returns a zeroed segment for index segIdx. A segment that
-// is one reserved block comes from its partition's chunk, which is refilled,
-// twice as long as the last, when empty or when an allocator on a parallel
-// store reached the partition's blocks out of order; a segment shared by
-// partitions, or past the reserved range, is an allocation of its own. The
-// caller holds growMu.
-func (s *Store) newSegmentLocked(segIdx int) *segment {
-	base := segIdx << segBits // the slot-0 id, less one
-	if s.blockBits != segBits || base >= s.reserved {
-		return new(segment)
-	}
+// newSegmentLocked returns a zeroed segment for partition part's next
+// block, from its chunk, which is refilled, twice as long as the last, when
+// empty. The caller holds growMu.
+func (s *Store) newSegmentLocked(part int) *segment {
 	if s.chunks == nil {
 		s.chunks = make([]segChunk, s.parts)
 	}
-	c := &s.chunks[s.reservedOwner(base+1)]
-	if len(c.spare) == 0 || c.next != segIdx {
+	c := &s.chunks[part]
+	if len(c.spare) == 0 {
 		c.size = min(max(1, 2*c.size), maxChunk)
-		// The partition's blocks at or below segIdx: segIdx, segIdx-parts, ...
-		c.spare = make([]segment, min(c.size, segIdx/s.parts+1))
+		c.spare = make([]segment, c.size)
 	}
 	seg := &c.spare[0]
-	c.spare, c.next = c.spare[1:], segIdx-s.parts
+	c.spare = c.spare[1:]
 	return seg
-}
-
-// materialise returns the segment of an id, materialising it if need be;
-// Alloc calls it for the first vertex it hands out of a segment.
-func (s *Store) materialise(id VertexID) *segment {
-	s.growMu.Lock()
-	defer s.growMu.Unlock()
-	segIdx, _ := slotOf(id)
-	return s.segmentLocked(segIdx)
 }
 
 // Partitions returns the number of partitions.
 func (s *Store) Partitions() int { return s.parts }
 
-// Len returns the number of vertices in V (free or not, touched or not),
-// excluding the nil slot.
+// Len returns the number of vertices in V, free or not, excluding the nil
+// slot: every id of every block dealt, a multiple of 64.
 func (s *Store) Len() int { return int(s.n.Load()) }
 
 // FreeCount returns |F|, summed over the partitions' shards, each read
@@ -417,46 +301,29 @@ func (s *Store) FreeCountOf(part int) int {
 	}
 	sh := &s.shards[part]
 	sh.mu.Lock()
-	n := len(sh.ids) + int(sh.virgin)
+	n := sh.free()
 	sh.mu.Unlock()
 	return n
 }
 
-// Vertex returns the vertex with the given ID. It returns nil for
-// NilVertex, for an out-of-range ID, and for a reserved ID in a segment no
-// allocation has reached yet — a vertex that was never handed out, so no
-// edge, task or root can name it. The returned pointer is stable for the
-// life of the store. Lock-free, and small enough to inline: NilVertex's
-// slot index wraps to 2⁶⁴−1, past every directory, so one unsigned test
-// rejects it with every id past the directory.
+// Vertex returns the vertex with the given ID, or nil for NilVertex and for
+// an id no block dealt yet. The returned pointer is stable for the life of
+// the store. Lock-free, and small enough to inline: NilVertex's slot index
+// wraps to 2⁶⁴−1, so one unsigned test rejects it with every id past V, and
+// the directory, loaded after n, holds the segment of every id below n.
 func (s *Store) Vertex(id VertexID) *Vertex {
-	if int64(id) > s.n.Load() { // n first: growOne publishes a segment before n
-		return nil
-	}
 	i := uint64(id) - 1 // the slot index: id 1 in slot 0
-	dir := *s.dir.Load()
-	if i>>segBits >= uint64(len(dir)) {
+	if i >= uint64(s.n.Load()) {
 		return nil
 	}
-	if seg := dir[i>>segBits].Load(); seg != nil {
-		return &seg.verts[i&segMask]
-	}
-	return nil
+	return &(*s.dir.Load())[i>>segBits].Load().verts[i&segMask]
 }
 
-// segmentIn returns segment segIdx of a loaded directory, or nil if it is
-// not materialised there.
-func segmentIn(dir []atomic.Pointer[segment], segIdx int) *segment {
-	if segIdx >= len(dir) {
-		return nil
-	}
-	return dir[segIdx].Load()
-}
-
-// Alloc takes a vertex from the free list of the given partition, stealing
-// from other partitions if the local list is empty, and growing the arena if
-// allowed. The vertex is returned labeled with the given kind/value, with no
-// edges, ready for the caller to wire and splice in.
+// Alloc takes a vertex from the free list of the given partition, dealing
+// the partition a fresh block if the list is empty: the vertex is always
+// the partition's own. It is returned labeled with the given kind/value,
+// with no edges, ready for the caller to wire and splice in. It fails only
+// when the 32-bit id space is exhausted.
 //
 // part must be a valid partition. A caller that passes an out-of-range
 // partition is misrouting an allocation — silently clamping it to 0 would
@@ -481,33 +348,18 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 	if part < 0 || part >= s.parts {
 		panic(fmt.Sprintf("graph: Alloc partition %d out of range [0,%d)", part, s.parts))
 	}
-	var id VertexID
-	for {
-		var ok bool
-		id, ok = s.popLocal(part)
-		if !ok {
-			id, ok = s.steal(part)
-		}
-		if ok {
-			break
-		}
-		if !s.fixed {
-			id = s.growOne(part)
-			break
-		}
-		// FixedSize and the sweep found nothing. Vertices never leave F
-		// except when claimed, so shards that all read empty mean F really
-		// is empty. A non-empty one means a concurrent Release landed after
-		// we passed its shard — retry.
-		if s.FreeCount() == 0 {
-			return nil, ErrNoFreeVertices
+	sh := &s.shards[part]
+	sh.mu.Lock()
+	id, ok := sh.take()
+	if !ok {
+		var err error
+		if id, err = s.deal(part, sh); err != nil {
+			sh.mu.Unlock()
+			return nil, err
 		}
 	}
-	segIdx, slot := slotOf(id)
-	seg := segmentIn(*s.dir.Load(), segIdx)
-	if seg == nil {
-		seg = s.materialise(id) // the first vertex handed out of its segment
-	}
+	sh.mu.Unlock()
+	seg, slot := s.slotOf(id)
 	s.markUsed(seg, slot, true)
 	v := &seg.verts[slot]
 
@@ -517,38 +369,6 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 	v.Red = RedState{AllocEpoch: epochR, AllocEpochT: epochT}
 	v.Unlock()
 	return v, nil
-}
-
-// popLocal takes the top free vertex of part's own shard. This is the
-// allocation fast path: one uncontended per-partition lock, or none on a
-// serial store.
-func (s *Store) popLocal(part int) (VertexID, bool) {
-	sh := &s.shards[part]
-	sh.mu.Lock()
-	id, ok := sh.take(part, s.parts, s.blockBits)
-	sh.mu.Unlock()
-	return id, ok
-}
-
-// steal claims one free vertex from a sibling partition's shard. It is the
-// deliberate slow path: it runs only when part's own shard is empty, and it
-// probes victims in ring order from part — the exact order (and therefore
-// the exact id sequence) of the pre-sharding allocator, which the
-// deterministic scheduler's schedule-identity guarantee depends on. Only
-// one shard lock is held at a time, so steals can never deadlock against
-// each other or against Release.
-func (s *Store) steal(part int) (VertexID, bool) {
-	for off := 1; off < s.parts; off++ {
-		victim := (part + off) % s.parts
-		vs := &s.shards[victim]
-		vs.mu.Lock()
-		id, ok := vs.take(victim, s.parts, s.blockBits)
-		vs.mu.Unlock()
-		if ok {
-			return id, true
-		}
-	}
-	return NilVertex, false
 }
 
 // Release returns a vertex to F (the restructuring phase's "adding elements
@@ -621,11 +441,16 @@ func (s *Store) PublishRetired() {
 	}
 }
 
-// clearUsed clears the in-use bit of a vertex handed out earlier, whose
-// segment therefore exists.
+// clearUsed clears the in-use bit of a vertex handed out earlier.
 func (s *Store) clearUsed(id VertexID) {
-	segIdx, slot := slotOf(id)
-	s.markUsed(segmentIn(*s.dir.Load(), segIdx), slot, false)
+	seg, slot := s.slotOf(id)
+	s.markUsed(seg, slot, false)
+}
+
+// slotOf returns the segment and the slot in it that hold id, a dealt id.
+func (s *Store) slotOf(id VertexID) (*segment, int) {
+	i := uint64(id) - 1
+	return (*s.dir.Load())[i>>segBits].Load(), int(i & segMask)
 }
 
 // markUsed sets or clears slot i's in-use bit. A serial store's owner is the
@@ -652,8 +477,7 @@ func (s *Store) markUsed(seg *segment, i int, used bool) {
 func (s *Store) IsFree(id VertexID) bool {
 	v := s.Vertex(id)
 	if v == nil {
-		// Inside V but never materialised: never handed out, so still in F.
-		return id != NilVertex && int64(id) <= s.n.Load()
+		return false
 	}
 	v.Lock()
 	defer v.Unlock()
@@ -669,32 +493,21 @@ func (s *Store) IsFree(id VertexID) bool {
 // which is the semantics restructuring wants (new vertices come from F and
 // are never garbage in the current cycle by reduction axiom 1).
 func (s *Store) ForEach(fn func(*Vertex)) {
-	n := int(s.n.Load())
+	segs := int(s.n.Load() >> segBits)
 	dir := *s.dir.Load()
-	for si := int(s.low.Load()); si < len(dir); si++ {
+	for si := range segs {
 		seg := dir[si].Load()
-		if seg == nil {
-			continue
-		}
 		for w := range seg.used {
 			for word := atomic.LoadUint64(&seg.used[w]); word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				if si<<segBits+i+1 > n { // the slot's id
-					return // grown after the snapshot, like every id above it
-				}
-				fn(&seg.verts[i])
+				fn(&seg.verts[w<<6|bits.TrailingZeros64(word)])
 			}
 		}
 	}
 }
 
-// PartitionOf returns the partition that owns id (0 for invalid IDs). A
-// reserved id's owner is arithmetic, the value its vertex's Part is written
-// with, so only a grown id loads its vertex.
+// PartitionOf returns the partition that owns id (0 for invalid IDs): the
+// Part its vertex was written with when its block was dealt.
 func (s *Store) PartitionOf(id VertexID) int {
-	if id != NilVertex && int(id) <= s.reserved {
-		return s.reservedOwner(int(id))
-	}
 	if v := s.Vertex(id); v != nil {
 		return int(v.Part)
 	}
@@ -711,18 +524,10 @@ func (s *Store) Snapshot() *Snapshot {
 		Verts: make([]SnapVertex, n+1),
 		Parts: s.parts,
 	}
-	// Every id starts as a free vertex of its owner — a never-used reserved
-	// id's owner is arithmetic, no need to materialise the arena to say so;
-	// a grown id's is its immutable Part — and ForEach then overwrites the
-	// ones in use.
+	// Every id starts as a free vertex of its immutable owner, and ForEach
+	// then overwrites the ones in use.
 	for id := 1; id <= n; id++ {
-		sv := SnapVertex{ID: VertexID(id), Kind: KindFree}
-		if id <= s.reserved {
-			sv.Part = s.reservedOwner(id)
-		} else {
-			sv.Part = int(s.Vertex(VertexID(id)).Part)
-		}
-		snap.Verts[id] = sv
+		snap.Verts[id] = SnapVertex{ID: VertexID(id), Part: s.PartitionOf(VertexID(id)), Kind: KindFree}
 	}
 	s.ForEach(func(v *Vertex) {
 		v.Lock()

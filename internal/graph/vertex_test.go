@@ -240,13 +240,13 @@ func TestVertexSize(t *testing.T) {
 	}
 }
 
-// TestSerialStoreSkipsVertexLock: a serial store's vertices, reserved or
-// grown, leave their mutex alone, and a default store's take it. The flag
+// TestSerialStoreSkipsVertexLock: a serial store's vertices leave their
+// mutex alone, and a default store's take it. The flag
 // that says which sits in what would be the lock's padding (TestVertexSize).
 func TestSerialStoreSkipsVertexLock(t *testing.T) {
 	for _, serial := range []bool{false, true} {
-		s := NewStore(Config{Partitions: 1, Capacity: 2, Serial: serial})
-		for i := 0; i < 3; i++ { // the third grows the arena past Capacity
+		s := NewStore(Config{Partitions: 1, Serial: serial})
+		for i := 0; i < 3; i++ {
 			v, err := s.Alloc(0, KindInt, int64(i))
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +304,7 @@ func (m *edgeModel) taskChildren() []VertexID {
 // sequences must cross between inline and overflow storage both ways.
 func TestVertexEdgesMatchModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s := NewStore(Config{Partitions: 1, Capacity: 4})
+	s := NewStore(Config{Partitions: 1})
 	var spills, unspills, reqSpills, reqUnspills int
 	for seq := 0; seq < 300; seq++ {
 		v, err := s.Alloc(0, KindApply, 0)
@@ -431,7 +431,7 @@ func checkVertexEdges(t *testing.T, at string, v *Vertex, m *edgeModel) {
 // nothing, whether its edges fit inline or spill into an overflow record
 // that an earlier spill left among the store's spares.
 func TestVertexRewireAllocatesNothing(t *testing.T) {
-	s := NewStore(Config{Partitions: 1, Capacity: 8, Serial: true})
+	s := NewStore(Config{Partitions: 1, Serial: true})
 	v, err := s.Alloc(0, KindApply, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +469,7 @@ func TestVertexRewireAllocatesNothing(t *testing.T) {
 // the store's spares of the vertex's partition, from which the next spill
 // takes it.
 func TestOverflowRecordLifetime(t *testing.T) {
-	s := NewStore(Config{Partitions: 2, Capacity: 8})
+	s := NewStore(Config{Partitions: 2})
 	v, err := s.Alloc(1, KindApply, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // deadlock) and any runtime errors.
 func runOnEngine(t *testing.T, src string, pes int, seed int64, speculative bool) (reduce.Value, bool, []error) {
 	t.Helper()
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 4096})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
 		PEs: pes, Mode: sched.Deterministic, Seed: seed,
@@ -139,7 +139,7 @@ func TestCompiledProgramsSpeculative(t *testing.T) {
 func TestSpeculativeRecursionNeedsGC(t *testing.T) {
 	src := "let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 8"
 
-	store := graph.NewStore(graph.Config{Partitions: 4, Capacity: 4096})
+	store := graph.NewStore(graph.Config{Partitions: 4})
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
 		PEs: 4, Mode: sched.Deterministic, Seed: 7,
@@ -203,7 +203,7 @@ func TestCompiledDeadlock(t *testing.T) {
 
 func TestBracketAbstractionStructure(t *testing.T) {
 	// η-optimization: \x. f x compiles to just f.
-	c := NewCompiler(graph.NewStore(graph.Config{Partitions: 1, Capacity: 64}))
+	c := NewCompiler(graph.NewStore(graph.Config{Partitions: 1}))
 	tm, err := c.toTerm(mustParse(t, "\\x. neg x"), map[string]term{})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestBracketAbstractionStructure(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	store := graph.NewStore(graph.Config{Partitions: 1, Capacity: 64})
+	store := graph.NewStore(graph.Config{Partitions: 1})
 	if _, err := CompileString(store, "unboundvar"); err == nil {
 		t.Fatal("unbound variable should fail compilation")
 	}
@@ -340,7 +340,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 }
 
 func TestInnerLetMutualRecursionRejected(t *testing.T) {
-	store := graph.NewStore(graph.Config{Partitions: 1, Capacity: 256})
+	store := graph.NewStore(graph.Config{Partitions: 1})
 	// even captures the enclosing parameter n AND references the later
 	// binding odd: not expressible by either compilation strategy.
 	src := `let f n = let even k = if k == 0 then n else odd (k - 1);

@@ -97,9 +97,9 @@ func FuzzCompile(f *testing.F) {
 		if _, err := Parse(src); err != nil {
 			return
 		}
-		store := graph.NewStore(graph.Config{Capacity: 1 << 12})
+		store := graph.NewStore(graph.Config{})
 		_, _ = CompileString(store, src)
-		store2 := graph.NewStore(graph.Config{Capacity: 1 << 12})
+		store2 := graph.NewStore(graph.Config{})
 		_, _ = CompileSupers(store2, gm.NewProgram(), src)
 	})
 }

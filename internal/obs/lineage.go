@@ -5,7 +5,10 @@ package obs
 // its spawn DAG, and computing the critical path with per-category blame
 // (exec / queue-wait / steal / fabric / gc-overlap).
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // --- Assembly: spans back into per-trace spawn DAGs -----------------------
 
@@ -110,8 +113,8 @@ type CritReport struct {
 // (latest End not after the cursor), chaining across siblings the same way,
 // and decomposing each task's pre-execution wait into fabric-hop, post-steal,
 // and plain queue time using the span's Queue window and its annotation
-// children. Exec time overlapping a global collector interval is re-blamed
-// to gc.
+// children. Exec time overlapping a global collector interval of a machine
+// that ran one of the trace's eval spans is re-blamed to gc.
 func CriticalPath(tr *TraceAssembly, globals []TraceSpan) CritReport {
 	rep := CritReport{Trace: tr.ID, Start: tr.Start, End: tr.End,
 		Blame: map[string]int64{}}
@@ -140,7 +143,7 @@ func CriticalPath(tr *TraceAssembly, globals []TraceSpan) CritReport {
 	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
 		segs[i], segs[j] = segs[j], segs[i]
 	}
-	segs = carveGC(segs, globals)
+	segs = carveGC(segs, globals, evalMachs(tr))
 	for _, sg := range segs {
 		if d := sg.End - sg.Start; d > 0 {
 			rep.Blame[sg.Cat] += d
@@ -279,10 +282,24 @@ func chain(node *TraceNode, cursor int64, fin map[*TraceNode]int64, segs *[]Crit
 	return cursor
 }
 
-// carveGC splits exec segments where they overlap a collector phase (the
-// CatGC records among globals), re-blaming the overlap to gc. Segments arrive
-// and leave oldest first; globals must be Start-sorted.
-func carveGC(segs []CritSegment, globals []TraceSpan) []CritSegment {
+// evalMachs returns the Mach of each of tr's eval spans: the machines that
+// ran the trace. Machines that share a sink record their collector phases
+// into it side by side, and only a trace's own machines' phases held its
+// executions up.
+func evalMachs(tr *TraceAssembly) []uint32 {
+	var machs []uint32
+	for _, sp := range tr.Spans {
+		if sp.Cat == CatEval && !slices.Contains(machs, sp.Mach) {
+			machs = append(machs, sp.Mach)
+		}
+	}
+	return machs
+}
+
+// carveGC splits exec segments where they overlap a collector phase of one
+// of machs (the CatGC records among globals), re-blaming the overlap to gc.
+// Segments arrive and leave oldest first; globals must be Start-sorted.
+func carveGC(segs []CritSegment, globals []TraceSpan, machs []uint32) []CritSegment {
 	if len(globals) == 0 {
 		return segs
 	}
@@ -294,7 +311,7 @@ func carveGC(segs []CritSegment, globals []TraceSpan) []CritSegment {
 		}
 		cur := sg.Start
 		for _, g := range globals {
-			if g.Cat != CatGC || g.End <= cur || g.Start >= sg.End {
+			if g.Cat != CatGC || g.End <= cur || g.Start >= sg.End || !slices.Contains(machs, g.Mach) {
 				continue
 			}
 			if g.Start > cur {

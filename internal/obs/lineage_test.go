@@ -138,6 +138,38 @@ func TestCriticalPathBlame(t *testing.T) {
 	}
 }
 
+// TestGCBlameIsPerMachine: machines that share a sink record their
+// collector phases side by side. A trace whose eval ran on machine 1 is
+// blamed for machine 1's phase over its execution, and for nothing of
+// machine 2's over the same interval.
+func TestGCBlameIsPerMachine(t *testing.T) {
+	spans := func(gcMach uint32) []TraceSpan {
+		return []TraceSpan{
+			{Trace: 3, Span: 1, Name: "eval", Cat: CatEval, PE: TIDEval, Start: 0, End: 100, Mach: 1},
+			{Trace: 3, Span: 2, Parent: 1, Name: "demand", Cat: CatExec, PE: 0, Start: 10, End: 90},
+			{Span: 3, Name: "M_R", Cat: CatGC, PE: TIDCollector, Start: 40, End: 60, Mach: gcMach},
+		}
+	}
+	for _, tc := range []struct {
+		gcMach uint32
+		want   int64
+	}{{1, 20}, {2, 0}} {
+		traces, globals := AssembleTraces(spans(tc.gcMach))
+		rep := CriticalPath(traces[0], globals)
+		if rep.Blame[CatGC] != tc.want {
+			t.Errorf("machine %d's phase over a machine-1 trace: gc blame %d, want %d (full: %v)",
+				tc.gcMach, rep.Blame[CatGC], tc.want, rep.Blame)
+		}
+		var total int64
+		for _, ns := range rep.Blame {
+			total += ns
+		}
+		if total != rep.TotalNs {
+			t.Errorf("machine %d's phase: blame sums to %d, want %d", tc.gcMach, total, rep.TotalNs)
+		}
+	}
+}
+
 func TestTraceSinkSampling(t *testing.T) {
 	s := NewTraceSink(64, 0.25)
 	hits := 0

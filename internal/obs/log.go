@@ -75,9 +75,11 @@ type TraceSpan struct {
 	Src    uint64 `json:"src,omitempty"`
 	Dst    uint64 `json:"dst,omitempty"`
 	Note   string `json:"note,omitempty"`
-	// Mach identifies the Obs handle that emitted a global record, so each
-	// machine's flight dump and chrome export select their own from a shared
-	// log (0: emitted without a handle, e.g. by the serving layer).
+	// Mach identifies the Obs handle that emitted a global record or an
+	// eval span, so each machine's flight dump and chrome export select
+	// their own from a shared log, and a trace's critical path blames only
+	// its own machines' collectors (0: emitted without a handle, e.g. by
+	// the serving layer).
 	Mach uint32 `json:"mach,omitempty"`
 }
 

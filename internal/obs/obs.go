@@ -112,6 +112,14 @@ func New(opts Options) *Obs {
 	return o
 }
 
+// Mach returns the handle's TraceSpan.Mach, 0 for nil.
+func (o *Obs) Mach() uint32 {
+	if o == nil {
+		return 0
+	}
+	return o.id
+}
+
 // Now returns nanoseconds on the clock (0 for nil, so a disabled layer's
 // call sites read no clock).
 func (o *Obs) Now() int64 {

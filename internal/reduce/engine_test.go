@@ -31,7 +31,7 @@ func newERig(t *testing.T, pes int, seed int64, speculative bool) *erig {
 // Counters.
 func newERigConfig(t *testing.T, pes int, seed int64, cfg Config) *erig {
 	t.Helper()
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 512})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	counters := &metrics.Counters{}
 	mach := sched.New(sched.Config{
 		PEs:      pes,
@@ -413,14 +413,18 @@ func TestDeepSpine(t *testing.T) {
 }
 
 func TestArithTreeManyPEs(t *testing.T) {
-	// A balanced (+) tree of depth 6 over ones: value 64, across 8 PEs.
+	// A balanced (+) tree of depth 6 over ones: value 64, its nodes built
+	// round-robin on 8 PEs.
 	r := newERig(t, 8, 21, false)
+	nodes := 0
 	var buildTree func(d int) *graph.Vertex
 	buildTree = func(d int) *graph.Vertex {
+		b := graph.NewBuilder(r.store, nodes%8)
+		nodes++
 		if d == 0 {
-			return r.b.Int(1)
+			return b.Int(1)
 		}
-		return r.b.AppN(r.b.Prim(graph.PrimAdd), buildTree(d-1), buildTree(d-1))
+		return b.AppN(b.Prim(graph.PrimAdd), buildTree(d-1), buildTree(d-1))
 	}
 	r.evalInt(buildTree(6), 64)
 	if r.counters.RemoteMessages.Load() == 0 {

@@ -143,7 +143,7 @@ func TestSharedPartialApplicationRace(t *testing.T) {
 
 func sharedPartialRound(t *testing.T, seed int64) {
 	const pes, groups, parents = 4, 24, 4
-	store := graph.NewStore(graph.Config{Partitions: pes, Capacity: 1 << 12})
+	store := graph.NewStore(graph.Config{Partitions: pes})
 	counters := &metrics.Counters{}
 	var checker *check.Checker
 	var mu sync.Mutex

@@ -9,7 +9,7 @@ import (
 
 func build(t *testing.T, n int) (*graph.Store, []*graph.Vertex) {
 	t.Helper()
-	s := graph.NewStore(graph.Config{Partitions: 2, Capacity: n})
+	s := graph.NewStore(graph.Config{Partitions: 2})
 	vs := make([]*graph.Vertex, n)
 	for i := range vs {
 		v, err := s.Alloc(i%2, graph.KindApply, 0)

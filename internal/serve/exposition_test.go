@@ -23,7 +23,7 @@ import (
 // so partition 0's free list spills and spawns cross partitions).
 func machineExposition(t *testing.T) string {
 	t.Helper()
-	m := dgr.New(dgr.Options{PEs: 4, Seed: 1, Capacity: 1 << 10, Fabric: &fabric.Params{}, Obs: true,
+	m := dgr.New(dgr.Options{PEs: 4, Seed: 1, Fabric: &fabric.Params{}, Obs: true,
 		GCInterval: 2000}) // so the eval collects and the marking counters move
 	defer m.Close()
 	if v, err := m.Eval(fibSrc); err != nil || v.Int != 144 {

@@ -71,8 +71,8 @@ func (e *Error) IsRejection() bool {
 type Options struct {
 	// Workers is the machine-pool size (default 2).
 	Workers int
-	// Machine configures every pooled dgr.Machine (default PEs 2, Capacity
-	// 1<<16; dgr.New defaults the rest). Worker i runs seed Machine.Seed+i.
+	// Machine configures every pooled dgr.Machine (default PEs 2; dgr.New
+	// defaults the rest). Worker i runs seed Machine.Seed+i.
 	// Machine.TraceRate is the server's head-sampling rate: each submission
 	// is sampled at it, and a sampled request's causal history — admission,
 	// queue wait, memo probe, dispatch, the machine's spawn/steal/fabric
@@ -88,7 +88,7 @@ type Options struct {
 	// CacheEntries bounds the normal-form memo cache (default 1024).
 	CacheEntries int
 	// DefaultLimits applies to tenants not configured via SetTenant
-	// (defaults: MaxInflight 8, VertexQuota Machine.Capacity/2, BandEager,
+	// (defaults: MaxInflight 8, VertexQuota defaultVertexQuota, BandEager,
 	// weight 1).
 	DefaultLimits TenantLimits
 }
@@ -100,9 +100,6 @@ func (o Options) withDefaults() Options {
 	if o.Machine.PEs <= 0 {
 		o.Machine.PEs = 2
 	}
-	if o.Machine.Capacity <= 0 {
-		o.Machine.Capacity = 1 << 16
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
@@ -113,12 +110,17 @@ func (o Options) withDefaults() Options {
 		o.DefaultLimits.MaxInflight = 8
 	}
 	if o.DefaultLimits.VertexQuota <= 0 {
-		o.DefaultLimits.VertexQuota = o.Machine.Capacity / 2
+		o.DefaultLimits.VertexQuota = defaultVertexQuota
 	}
 	return o
 }
 
 const (
+	// defaultVertexQuota is a tenant's default vertex quota.
+	defaultVertexQuota = 1 << 15
+	// collectAbove is the vertices in use past which a worker collects
+	// before it takes its next job.
+	collectAbove = 3 << 14
 	// estimateVertices prices a tenant's first request against its vertex
 	// quota, before any footprint has been observed.
 	estimateVertices = 2048
@@ -621,15 +623,14 @@ func (s *Server) execute(w *worker, j *Job) {
 		return
 	}
 	m := w.m
-	// Settle the quota charge against real free-list movement: footprint =
-	// how far the sharded store's FreeCount dropped across the evaluation.
-	// The previous request's garbage is reclaimed first, so one job's
-	// leavings aren't billed to the next: no machine collects while it
-	// waits for work.
-	if m.FreeVertices() < s.opts.Machine.Capacity/4 {
+	// Settle the quota charge against the store: footprint = how far the
+	// vertices in use grew across the evaluation. The previous request's
+	// garbage is reclaimed first, so one job's leavings aren't billed to
+	// the next: no machine collects while it waits for work.
+	if inUse(m) > collectAbove {
 		m.RunGC()
 	}
-	free0 := m.FreeVertices()
+	inUse0 := inUse(m)
 
 	var evalErr error
 	if j.req.List {
@@ -646,10 +647,7 @@ func (s *Server) execute(w *worker, j *Job) {
 		}
 	}
 	j.evalDone = time.Now()
-	used := free0 - m.FreeVertices()
-	if used < 0 {
-		used = 0
-	}
+	used := max(0, inUse(m)-inUse0)
 
 	if evalErr != nil {
 		s.fail(j, evalError(j.tenant.name, evalErr), used)
@@ -658,6 +656,13 @@ func (s *Server) execute(w *worker, j *Job) {
 	}
 	s.cache.Put(cacheKey(j.digest, j.req.List), res)
 	s.finish(j, res, false, used)
+}
+
+// inUse returns the vertices m holds out of its free list. It reads the
+// free list first: V counts a block before any of its ids is free.
+func inUse(m *dgr.Machine) int {
+	free := m.FreeVertices()
+	return m.TotalVertices() - free
 }
 
 // finish completes a dispatched job successfully.

@@ -21,9 +21,6 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
-	if opts.Machine.Capacity == 0 {
-		opts.Machine.Capacity = 1 << 14
-	}
 	opts.Machine.Check = true
 	s := New(opts)
 	t.Cleanup(s.Close)

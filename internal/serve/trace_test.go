@@ -223,7 +223,7 @@ func TestHTTPTracesDisabled(t *testing.T) {
 // "request" span its admission span hangs off, and no orphan — and its
 // latency is observed like any other job's.
 func TestCloseSettlesQueuedTracedJob(t *testing.T) {
-	s := New(Options{Workers: 1, Machine: dgr.Options{TraceRate: 1, Capacity: 1 << 14}})
+	s := New(Options{Workers: 1, Machine: dgr.Options{TraceRate: 1}})
 	busy, err := s.Submit(Request{Tenant: "a", Program: "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 18"})
 	if err != nil {
 		t.Fatalf("submit: %v", err)

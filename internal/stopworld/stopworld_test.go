@@ -7,7 +7,7 @@ import (
 )
 
 func TestCollect(t *testing.T) {
-	s := graph.NewStore(graph.Config{Partitions: 2, Capacity: 8})
+	s := graph.NewStore(graph.Config{Partitions: 2})
 	alloc := func() *graph.Vertex {
 		v, err := s.Alloc(0, graph.KindApply, 0)
 		if err != nil {
@@ -48,7 +48,7 @@ func TestCollect(t *testing.T) {
 }
 
 func TestCollectMultipleRoots(t *testing.T) {
-	s := graph.NewStore(graph.Config{Partitions: 1, Capacity: 3})
+	s := graph.NewStore(graph.Config{Partitions: 1})
 	a, _ := s.Alloc(0, graph.KindApply, 0)
 	b, _ := s.Alloc(0, graph.KindApply, 0)
 	c, _ := s.Alloc(0, graph.KindApply, 0)

@@ -32,7 +32,7 @@ type Scenario struct {
 // root vitally awaits x; x vitally awaits its own value; the only task in
 // the system keeps an unrelated live region task-reachable.
 func Fig31(parts int) *Scenario {
-	s := graph.NewStore(graph.Config{Partitions: parts, Capacity: 16})
+	s := graph.NewStore(graph.Config{Partitions: parts})
 	b := graph.NewBuilder(s, 0)
 
 	root := b.Hole() // the overall computation root
@@ -92,7 +92,7 @@ func Fig31(parts int) *Scenario {
 //	           through the top if's unrequested else arc (R_r)
 //	irrelevant <t2, b>: b is reachable only from the dereferenced t2 (GAR)
 func Fig32(parts int) *Scenario {
-	s := graph.NewStore(graph.Config{Partitions: parts, Capacity: 32})
+	s := graph.NewStore(graph.Config{Partitions: parts})
 	b := graph.NewBuilder(s, 0)
 
 	a := b.Hole()  // shared leaf computation

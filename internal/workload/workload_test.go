@@ -156,7 +156,7 @@ func TestFig32MarkerPriorities(t *testing.T) {
 
 func TestRandomGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	store := graph.NewStore(graph.Config{Partitions: 4, Capacity: 64})
+	store := graph.NewStore(graph.Config{Partitions: 4})
 	root, vs, err := RandomGraph(rng, store, 50, 2.0)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestProgramsCorpusParses(t *testing.T) {
 	// Every corpus program must at least compile (full runs are in the
 	// benchmark harness and dgr package tests).
 	for name, p := range Programs {
-		store := graph.NewStore(graph.Config{Partitions: 2, Capacity: 4096})
+		store := graph.NewStore(graph.Config{Partitions: 2})
 		if _, err := lang.CompileString(store, p.Src); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

@@ -28,7 +28,6 @@ func TestTracingScheduleUnchanged(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:            4,
 		Seed:           42,
-		Capacity:       1 << 14,
 		RecordSchedule: true,
 		Obs:            true,
 		TraceRate:      1,
@@ -53,7 +52,6 @@ func TestTraceAssemblesDeterministic(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:       2,
 		Seed:      42,
-		Capacity:  1 << 14,
 		MTEvery:   1,
 		TraceRate: 1,
 	})
@@ -114,7 +112,6 @@ func TestTraceParallelStealsFabric(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:       4,
 		Seed:      42,
-		Capacity:  1 << 15,
 		Parallel:  true,
 		Fabric:    &fabric.Params{},
 		TraceRate: 1,
@@ -172,7 +169,6 @@ func TestWriteTracesJSON(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:       2,
 		Seed:      7,
-		Capacity:  1 << 14,
 		TraceRate: 1,
 	})
 	defer m.Close()
@@ -197,7 +193,7 @@ func TestWriteTracesJSON(t *testing.T) {
 	}
 
 	// Tracing disabled → the writer refuses rather than emitting an empty doc.
-	m2 := dgr.New(dgr.Options{PEs: 1, Capacity: 1 << 12})
+	m2 := dgr.New(dgr.Options{PEs: 1})
 	defer m2.Close()
 	if err := m2.WriteTracesJSON(&buf); err == nil {
 		t.Fatal("WriteTracesJSON on an untraced machine must error")
@@ -211,7 +207,6 @@ func TestCollectorPhaseRecordedOnce(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:        2,
 		Seed:       42,
-		Capacity:   1 << 14,
 		GCInterval: 500,
 		Obs:        true,
 		TraceRate:  1,
@@ -246,7 +241,6 @@ func TestBlameWithNonGCGlobals(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:        4,
 		Seed:       42,
-		Capacity:   1 << 12, // small partitions: allocation spills across them early
 		GCInterval: 2000,
 		Fabric:     &fabric.Params{},
 		Obs:        true,
@@ -321,7 +315,7 @@ func tracedSpans(m *dgr.Machine) (perTrace map[uint64]int, total int) {
 // previous, sampled call once put the unsampled call's root demand in that
 // call's trace: traced spans 0, 2, 3, 5.)
 func TestTraceUnsampledEvalAddsNoSpans(t *testing.T) {
-	m := dgr.New(dgr.Options{PEs: 2, Seed: 3, Capacity: 1 << 14, TraceRate: 0.5})
+	m := dgr.New(dgr.Options{PEs: 2, Seed: 3, TraceRate: 0.5})
 	defer m.Close()
 	root, err := m.Compile(`let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 8`)
 	if err != nil {
@@ -394,7 +388,7 @@ func TestTraceIsBottomLineage(t *testing.T) {
 // TestTraceEvalListSampled: EvalList is head-sampled as Eval is, once per
 // call, and the walk's evaluations share that one trace.
 func TestTraceEvalListSampled(t *testing.T) {
-	m := dgr.New(dgr.Options{PEs: 2, Seed: 5, Capacity: 1 << 14, TraceRate: 1})
+	m := dgr.New(dgr.Options{PEs: 2, Seed: 5, TraceRate: 1})
 	defer m.Close()
 	vs, err := m.EvalList("[1+1, 2*3]")
 	if err != nil || len(vs) != 2 || vs[0].Int != 2 || vs[1].Int != 6 {

@@ -13,7 +13,7 @@ import (
 // run, and the heap fully reclaimed between evals (no leak accumulating
 // across requests).
 func TestMachineReuseDeterministic(t *testing.T) {
-	m := New(Options{PEs: 2, Capacity: 1 << 14})
+	m := New(Options{PEs: 2})
 	defer m.Close()
 
 	progs := []string{"fib", "fac", "sumsquares"}
@@ -47,7 +47,7 @@ func TestMachineReuseDeterministic(t *testing.T) {
 // forcing walks spine cells that scalar evals never touch, so this catches
 // per-mode state bleeding across requests.
 func TestMachineReuseList(t *testing.T) {
-	m := New(Options{PEs: 2, Capacity: 1 << 14})
+	m := New(Options{PEs: 2})
 	defer m.Close()
 
 	const listSrc = `let upto a b = if a > b then [] else a : upto (a + 1) b in upto 1 5`
@@ -87,7 +87,7 @@ func TestMachineReuseParallel(t *testing.T) {
 		t.Skip("parallel reuse stress")
 	}
 	fresh := func() *Machine {
-		return New(Options{PEs: 4, Parallel: true, Capacity: 1 << 16, Timeout: 2 * time.Minute})
+		return New(Options{PEs: 4, Parallel: true, Timeout: 2 * time.Minute})
 	}
 	m := fresh()
 	defer func() { m.Close() }()

@@ -25,7 +25,6 @@ func TestObsSpansAndExposition(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:        2,
 		Seed:       42,
-		Capacity:   1 << 14,
 		MTEvery:    1,
 		GCInterval: 500, // force collector cycles to interleave with the eval
 		Obs:        true,
@@ -128,7 +127,6 @@ func TestObsScheduleUnchanged(t *testing.T) {
 	m := dgr.New(dgr.Options{
 		PEs:            4,
 		Seed:           42,
-		Capacity:       1 << 14,
 		RecordSchedule: true,
 		Obs:            true,
 	})
@@ -144,11 +142,10 @@ func TestObsScheduleUnchanged(t *testing.T) {
 // row naming the confirmed-deadlocked vertices.
 func TestObsFlightDumpOnDeadlock(t *testing.T) {
 	m := dgr.New(dgr.Options{
-		PEs:      2,
-		Seed:     1,
-		Capacity: 1 << 12,
-		MTEvery:  1,
-		Obs:      true,
+		PEs:     2,
+		Seed:    1,
+		MTEvery: 1,
+		Obs:     true,
 	})
 	defer m.Close()
 	_, err := m.Eval(`let x = x + 1 in x`)
@@ -300,7 +297,7 @@ func TestSharedLogReadersSeeOwnMachine(t *testing.T) {
 
 	var machines []*dgr.Machine
 	for i, cycles := range []int{3, 5} {
-		m := dgr.New(dgr.Options{PEs: 2, Seed: 1, Capacity: 1 << 12, Obs: true, TraceSink: log})
+		m := dgr.New(dgr.Options{PEs: 2, Seed: 1, Obs: true, TraceSink: log})
 		defer m.Close()
 		machines = append(machines, m)
 		if _, err := m.EvalTraced(`6 * 7`, log.NewTrace(), 0); err != nil {

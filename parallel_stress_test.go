@@ -44,7 +44,6 @@ func TestParallelStress(t *testing.T) {
 				Parallel: true,
 				MTEvery:  2,
 				Timeout:  2 * time.Minute,
-				Capacity: 1 << 16,
 			})
 			defer m.Close()
 			v, err := m.Eval(p.Src)
@@ -74,7 +73,6 @@ func TestParallelSpeculativeStress(t *testing.T) {
 		SpeculativeIf: true,
 		MTEvery:       2,
 		Timeout:       2 * time.Minute,
-		Capacity:      1 << 18,
 	})
 	defer m.Close()
 	v, err := m.Eval("let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 9")
@@ -99,7 +97,7 @@ func TestParallelRepeatedEvals(t *testing.T) {
 		t.Skip("stress test")
 	}
 	const bound = 400
-	m := New(Options{PEs: 4, Parallel: true, Capacity: 1 << 16, Timeout: 2 * time.Minute, GCInterval: 500})
+	m := New(Options{PEs: 4, Parallel: true, Timeout: 2 * time.Minute, GCInterval: 500})
 	defer m.Close()
 	for i := 0; i < 10; i++ {
 		src := fmt.Sprintf("let fac n = if n == 0 then 1 else n * fac (n - 1) in fac %d", 5+i%3)
@@ -146,7 +144,6 @@ func TestParallelFalseDeadlockStress(t *testing.T) {
 			Seed:       int64(i),
 			GCInterval: 1, // continuous collection: maximize snapshot/mutator overlap
 			Timeout:    2 * time.Minute,
-			Capacity:   1 << 14,
 		})
 		src := fmt.Sprintf("let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib %d", n)
 		v, err := m.Eval(src)
@@ -211,7 +208,7 @@ func TestFabricAdversarialStress(t *testing.T) {
 		live      int
 	}
 	run := func(name string, withFabric bool) outcome {
-		opts := Options{PEs: 4, Seed: 77, Stress: &check.Stress{Adversarial: true}, Capacity: 1 << 16}
+		opts := Options{PEs: 4, Seed: 77, Stress: &check.Stress{Adversarial: true}}
 		if withFabric {
 			opts.Fabric = &fabric.Params{
 				BatchSize:   8,

@@ -43,7 +43,7 @@ func TestRuntimeErrorMatrix(t *testing.T) {
 	for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
 		for _, parallel := range []bool{false, true} {
 			for _, specIf := range []bool{false, true} {
-				opts := dgr.Options{PEs: 2, Seed: 3, Engine: engine, Capacity: 1 << 12,
+				opts := dgr.Options{PEs: 2, Seed: 3, Engine: engine,
 					Parallel: parallel, SpeculativeIf: specIf, Check: true}
 				mode := fmt.Sprintf("parallel=%v/specif=%v", parallel, specIf)
 				t.Run(engine+"/"+mode, func(t *testing.T) {
@@ -73,7 +73,7 @@ func TestRuntimeErrorMatrix(t *testing.T) {
 func TestSpeculationErrorIsIrrelevant(t *testing.T) {
 	for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
 		for seed := int64(0); seed < 8; seed++ {
-			m := dgr.New(dgr.Options{PEs: 2, Engine: engine, Capacity: 1 << 12, Seed: seed})
+			m := dgr.New(dgr.Options{PEs: 2, Engine: engine, Seed: seed})
 			v, err := m.Eval("spec (1/0) 2")
 			if err != nil || v.Int != 2 {
 				t.Errorf("%s seed %d: got (%v, %v), want (2, nil)", engine, seed, v, err)
@@ -82,7 +82,7 @@ func TestSpeculationErrorIsIrrelevant(t *testing.T) {
 		}
 	}
 	for run := 0; run < 20; run++ {
-		m := dgr.New(dgr.Options{PEs: 2, Capacity: 1 << 12, SpeculativeIf: true, Parallel: true})
+		m := dgr.New(dgr.Options{PEs: 2, SpeculativeIf: true, Parallel: true})
 		v, err := m.Eval(guardedDivision)
 		if err != nil || v.Int != 20 {
 			t.Errorf("run %d: guarded division under SpeculativeIf: got (%v, %v), want (20, nil)", run, v, err)
@@ -101,7 +101,7 @@ func TestRuntimeErrorIsTheDiagnosis(t *testing.T) {
 			runs = 20
 		}
 		for run := 0; run < runs; run++ {
-			m := dgr.New(dgr.Options{PEs: 2, Capacity: 1 << 12, Parallel: parallel})
+			m := dgr.New(dgr.Options{PEs: 2, Parallel: parallel})
 			_, err := m.Eval("1 / 0")
 			if !errors.Is(err, dgr.ErrStuck) || !strings.Contains(err.Error(), "division by zero") {
 				t.Errorf("parallel=%v run %d: 1 / 0: got %v, want ErrStuck wrapping division by zero", parallel, run, err)
