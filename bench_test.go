@@ -1,10 +1,11 @@
 package dgr_test
 
-// The experiments of EXPERIMENTS.md run through `go run ./cmd/dgr-bench`
-// (and, in Quick mode, internal/exp's TestAllExperimentsQuick); seeded
-// evaluations on both engines and collector cycles are workloads of the
-// repository benchmark (benchmark/), and the parallel PE sweep is rows of
-// `dgr-bench -json`. What is left here is the one measurement none has.
+// The experiments of EXPERIMENTS.md, the parallel PE sweep and the
+// instrumentation-overhead gate among them, run through
+// `go run ./cmd/dgr-run -exp all` (and, in Quick mode, internal/exp's
+// TestAllExperimentsQuick); seeded evaluations on both engines and collector
+// cycles are workloads of the repository benchmark (benchmark/). What is
+// left here is the one measurement none has.
 
 import (
 	"testing"

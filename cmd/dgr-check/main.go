@@ -317,6 +317,14 @@ func injectSweep(f flags) error {
 			for seed := int64(1); seed <= int64(f.seeds); seed++ {
 				m := dgr.New(mustOptions(f, config, seed, true))
 				m.Eval(p.Src) // outcome irrelevant: the run is deliberately corrupted
+				if m.CheckErr() == nil {
+					// A parallel evaluation can deliver its value before the
+					// collection loop's goroutine gets a CPU; its one cycle then
+					// marks the root and its value, an arc the fault may not
+					// select at that epoch. One more cycle gives the fault a
+					// second epoch over the same heap.
+					m.RunGC()
+				}
 				m.Close()
 				if m.CheckErr() == nil {
 					continue

@@ -5,8 +5,13 @@
 //
 //	dgr-run [flags] -e 'let fib n = ... in fib 20'
 //	dgr-run [flags] program.dgr
-//	dgr-run -list                  # show the builtin program corpus
+//	dgr-run -list                  # show the builtin program corpus and the experiments
 //	dgr-run -name fib              # run a corpus program
+//	dgr-run -exp all               # regenerate every experiment table of EXPERIMENTS.md
+//	dgr-run -exp thm1,pes -quick   # some of them, on small workloads (smoke test)
+//
+// -exp runs the experiments of internal/exp, seeded with expSeed, and exits
+// non-zero when one fails its own checks.
 //
 // With -http the machine's observability layer is exposed live:
 //
@@ -28,9 +33,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"dgr"
+	"dgr/internal/exp"
 	"dgr/internal/serve"
 	"dgr/internal/workload"
 )
@@ -52,7 +59,7 @@ func run() error {
 		mtEvery   = flag.Int("mtevery", 4, "run deadlock detection every k-th GC cycle (0 = never)")
 		expr      = flag.String("e", "", "program text to evaluate")
 		name      = flag.String("name", "", "run a named corpus program")
-		list      = flag.Bool("list", false, "list corpus programs")
+		list      = flag.Bool("list", false, "list corpus programs and experiments")
 		stats     = flag.Bool("stats", true, "print run statistics")
 		timeout   = flag.Duration("timeout", 30*time.Second, "parallel evaluation timeout")
 		obsOn     = flag.Bool("obs", false, "enable the observability layer")
@@ -60,6 +67,8 @@ func run() error {
 		linger    = flag.Duration("linger", 0, "keep serving -http for this long after the eval finishes")
 		spansOut  = flag.String("spans", "", "write chrome://tracing span JSONL to this file (implies -obs)")
 		flightDir = flag.String("flightdir", "", "dump the flight recorder here when the eval fails (implies -obs)")
+		exps      = flag.String("exp", "", "run experiments instead: comma-separated IDs, or 'all'")
+		quick     = flag.Bool("quick", false, "shrink the -exp workloads")
 	)
 	flag.Parse()
 
@@ -72,7 +81,14 @@ func run() error {
 		for _, n := range names {
 			fmt.Printf("%-12s => %d\n", n, workload.Programs[n].Want)
 		}
+		fmt.Println("experiments (-exp):")
+		for _, e := range exp.All() {
+			fmt.Printf("  %-11s %s\n", e.ID, e.Title)
+		}
 		return nil
+	}
+	if *exps != "" {
+		return runExperiments(*exps, *quick)
 	}
 
 	src := *expr
@@ -159,6 +175,41 @@ func run() error {
 		fmt.Printf("elapsed: %s\n", elapsed)
 		fmt.Printf("stats: %s\n", s)
 		fmt.Printf("heap: %d vertices, %d free\n", m.TotalVertices(), m.FreeVertices())
+	}
+	return nil
+}
+
+// expSeed drives the experiments' randomized workloads: every table of
+// EXPERIMENTS.md was made with it.
+const expSeed = 7
+
+// runExperiments prints the tables of the named experiments (or all) and
+// fails if any experiment's own checks failed.
+func runExperiments(ids string, quick bool) error {
+	selected := exp.All()
+	if ids != "all" {
+		selected = nil
+		for _, id := range strings.Split(ids, ",") {
+			e, ok := exp.Get(strings.TrimSpace(id))
+			if !ok {
+				return fmt.Errorf("unknown experiment %q (ids: %s)", id, strings.Join(exp.IDs(), ", "))
+			}
+			selected = append(selected, e)
+		}
+	}
+	failures := 0
+	for _, e := range selected {
+		tbl, err := e.Run(exp.Config{Quick: quick, Seed: expSeed})
+		if tbl != nil {
+			tbl.Fprint(os.Stdout)
+		}
+		if err != nil {
+			failures++
+			fmt.Fprintf(os.Stderr, "EXPERIMENT FAILED %s: %v\n", e.ID, err)
+		}
+	}
+	if failures > 0 {
+		return fmt.Errorf("%d experiment(s) failed", failures)
 	}
 	return nil
 }

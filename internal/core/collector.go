@@ -17,9 +17,6 @@ import (
 
 // CollectorConfig parameterizes the endless mark/restructure cycles of §4.
 type CollectorConfig struct {
-	// Root is the distinguished root vertex of the computation; M_R marks
-	// from it with priority 3.
-	Root graph.VertexID
 	// MTEvery runs the M_T (deadlock-detection) phase on every k-th cycle;
 	// 0 disables M_T entirely ("in a system where deadlock is of no
 	// concern, M_T may be eliminated altogether", §6). 1 runs it every
@@ -87,6 +84,9 @@ type Collector struct {
 
 	mu     sync.Mutex
 	cycleN int64
+	// root is the distinguished root vertex of the computation (SetRoot);
+	// M_R marks from it with priority 3.
+	root graph.VertexID
 	// pin is a second M_R root (NilVertex: none), marked at reserve priority:
 	// what it reaches is retained whatever SetRoot does, without becoming
 	// vital work or a deadlock candidate on its account.
@@ -145,11 +145,12 @@ func contains(ids []graph.VertexID, id graph.VertexID) bool {
 	return found
 }
 
-// SetRoot changes the computation root (used by harnesses that rebuild the
-// graph between runs).
+// SetRoot sets the computation root, which M_R marks from with priority 3;
+// a harness that rebuilds the graph between runs sets it again. Until the
+// first call the root is NilVertex.
 func (c *Collector) SetRoot(root graph.VertexID) {
 	c.mu.Lock()
-	c.cfg.Root = root
+	c.root = root
 	c.mu.Unlock()
 }
 
@@ -178,7 +179,7 @@ func (c *Collector) Resume() { c.pauseMu.Unlock() }
 func (c *Collector) Root() graph.VertexID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg.Root
+	return c.root
 }
 
 // Cycles returns the number of completed cycles.
@@ -323,7 +324,7 @@ func (c *Collector) runCycle() CycleReport {
 	c.mu.Lock()
 	c.cycleN++
 	rep := CycleReport{Cycle: c.cycleN, Completed: true}
-	root, pin := c.cfg.Root, c.pin
+	root, pin := c.root, c.pin
 	c.mu.Unlock()
 
 	began := c.cfg.Obs.Now()
@@ -440,7 +441,7 @@ func (c *Collector) ReplayRestructure(mtRan bool) CycleReport {
 	c.mu.Lock()
 	c.cycleN++
 	rep := CycleReport{Cycle: c.cycleN, MTRan: mtRan, Completed: true}
-	root := c.cfg.Root
+	root := c.root
 	c.mu.Unlock()
 	c.closeCycle(&rep, c.cfg.Obs.Now(), root)
 	return rep

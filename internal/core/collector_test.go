@@ -43,7 +43,8 @@ func TestCollectorReclaimsGarbage(t *testing.T) {
 	r.edge(root, live, graph.ReqVital)
 	r.edge(g1, g2, graph.ReqVital) // unreachable pair
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	freeBefore := r.store.FreeCount()
 	rep := col.RunCycle()
 	if !rep.Completed {
@@ -81,7 +82,8 @@ func TestSweepDropsAbandonedRequests(t *testing.T) {
 	r.edge(abandoned, operand, graph.ReqVital) // unreachable
 	r.request(abandoned, operand, graph.ReqVital)
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	if rep := col.RunCycle(); !rep.Completed || rep.Reclaimed != 1 || !r.store.IsFree(abandoned.ID) {
 		t.Fatalf("cycle %+v: want the abandoned requester, and only it, reclaimed", rep)
 	}
@@ -107,7 +109,8 @@ func TestCollectorReclaimsCyclicGarbage(t *testing.T) {
 	selfy := r.vertex(graph.KindApply)
 	r.edge(selfy, selfy, graph.ReqVital)
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Reclaimed != 4 {
 		t.Fatalf("reclaimed = %d, want 4 (cycle of 3 + self-loop)", rep.Reclaimed)
@@ -120,7 +123,8 @@ func TestCollectorMultipleCycles(t *testing.T) {
 	keep := r.vertex(graph.KindApply)
 	r.edge(root, keep, graph.ReqVital)
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	for i := 0; i < 3; i++ {
 		col.RunCycle()
 	}
@@ -169,12 +173,12 @@ func TestCollectorDeadlockDetection(t *testing.T) {
 
 	var reported []graph.VertexID
 	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:    root.ID,
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			reported = append(reported, ids...)
 		},
 	})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if !rep.MTRan {
 		t.Fatal("M_T did not run")
@@ -218,9 +222,9 @@ func TestCollectorNoMTNoDeadlockReports(t *testing.T) {
 
 	called := false
 	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:       root.ID,
 		OnDeadlock: func([]graph.VertexID) { called = true },
 	})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.MTRan || called || len(rep.Deadlocked) != 0 {
 		t.Fatalf("unexpected deadlock machinery: %+v called=%v", rep, called)
@@ -231,9 +235,9 @@ func TestCollectorMTEveryK(t *testing.T) {
 	r := newRig(t, 1, 6, false)
 	root := r.vertex(graph.KindApply)
 	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:    root.ID,
 		MTEvery: 3,
 	})
+	col.SetRoot(root.ID)
 	mtRuns := 0
 	for i := 0; i < 9; i++ {
 		if col.RunCycle().MTRan {
@@ -257,7 +261,8 @@ func TestCollectorExpungesIrrelevantTasks(t *testing.T) {
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: root.ID, Dst: gar.ID, Req: graph.ReqEager})
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: live.ID, Dst: gar.ID, Req: graph.ReqEager})
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Expunged != 2 {
 		t.Fatalf("expunged = %d, want 2", rep.Expunged)
@@ -297,7 +302,8 @@ func TestCollectorReprioritizesTasks(t *testing.T) {
 	// to eager (prior(d) = 2).
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: root.ID, Dst: d.ID, Req: graph.ReqVital})
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Reprioritized != 1 {
 		t.Fatalf("reprioritized = %d, want 1", rep.Reprioritized)
@@ -327,7 +333,8 @@ func TestCollectorFreshAllocationsSurviveCycle(t *testing.T) {
 		r.edge(chain, nxt, graph.ReqVital)
 		chain = nxt
 	}
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 
 	// Drive the cycle manually: start M_R, allocate mid-marking, finish.
 	var fresh *graph.Vertex
@@ -391,7 +398,8 @@ func TestCollectorStepBound(t *testing.T) {
 			dropped = r.mach.Expunge(0, func(q task.Task) bool { return q.Kind == task.Return })
 		}
 	}))
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if dropped != 1 {
 		t.Fatalf("dropped %d return tasks, want exactly the first one queued", dropped)
@@ -416,7 +424,8 @@ func TestCollectorReprioritizesToReserve(t *testing.T) {
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: root.ID, Dst: d.ID, Req: graph.ReqVital})
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Reprioritized != 1 {
 		t.Fatalf("reprioritized = %d, want 1", rep.Reprioritized)
@@ -460,12 +469,12 @@ func deadlockKnot(t *testing.T, seed int64, reported *[]graph.VertexID) (*rig, *
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
 	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:    root.ID,
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			*reported = append(*reported, ids...)
 		},
 	})
+	col.SetRoot(root.ID)
 	return r, col, w
 }
 
@@ -503,10 +512,10 @@ func TestCollectorCandidatesAscending(t *testing.T) {
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
 	var reported []graph.VertexID
 	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:       root.ID,
 		MTEvery:    1,
 		OnDeadlock: func(ids []graph.VertexID) { reported = append(reported, ids...) },
 	})
+	col.SetRoot(root.ID)
 	if rep := col.RunCycle(); !slices.Equal(rep.Deadlocked, want) {
 		t.Fatalf("candidates = %v, want %v (ascending)", rep.Deadlocked, want)
 	}
@@ -533,7 +542,8 @@ func TestCollectorSweepDropsVerdicts(t *testing.T) {
 	w := r.knotUnder(root, 0)
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID, MTEvery: 2})
+	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{MTEvery: 2})
+	col.SetRoot(root.ID)
 	for i := 0; i < 4; i++ { // M_T in cycles 2 and 4: nominate, confirm
 		col.RunCycle()
 	}
@@ -714,7 +724,8 @@ func TestWarmCycleAllocations(t *testing.T) {
 			r.mach.Spawn(tk)
 		}
 		col := NewCollector(r.store, r.marker, r.mach, r.counters,
-			CollectorConfig{Root: vs[0].ID, MTEvery: tc.mtEvery})
+			CollectorConfig{MTEvery: tc.mtEvery})
+		col.SetRoot(vs[0].ID)
 		col.RunCycle() // sweeps what the root does not reach, sizes the buffers
 		col.RunCycle()
 		// cycle makes tc.garbage unreachable vertices, a chain per partition
@@ -820,7 +831,6 @@ func TestExpungeMatchesOracle(t *testing.T) {
 				defer r.mach.Stop()
 			}
 			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-				Root: vs[0].ID,
 				// The cycle's last phase: restructuring comes next.
 				AfterPhase: func(graph.Ctx) {
 					r.mach.Stop()
@@ -829,6 +839,7 @@ func TestExpungeMatchesOracle(t *testing.T) {
 					}
 				},
 			})
+			col.SetRoot(vs[0].ID)
 			rep := col.RunCycle()
 			if !rep.Completed || rep.Reclaimed != len(res.Gar) || rep.Expunged != irrelevant {
 				t.Fatalf("%+v, want %d reclaimed (the oracle's GAR) and %d expunged (the reduction tasks to it)", rep, len(res.Gar), irrelevant)
@@ -883,7 +894,8 @@ func TestSweepAfterMassRelease(t *testing.T) {
 				r.mach.Start()
 				defer r.mach.Stop()
 			}
-			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+			col.SetRoot(root.ID)
 
 			// cycle runs one collector cycle against the oracle and returns
 			// the vertices the root reaches, in id order.
@@ -981,13 +993,14 @@ func TestCycleShapeIsModeFree(t *testing.T) {
 			}()
 		}
 		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-			Root: vs[0].ID, MTEvery: 1,
+			MTEvery: 1,
 			AfterPhase: func(ctx graph.Ctx) {
 				if ctx == graph.CtxT && r.marker.Active(graph.CtxR) {
 					t.Errorf("%v: M_R opened while M_T was still marking", mode)
 				}
 			},
 		})
+		col.SetRoot(vs[0].ID)
 		if rep := col.RunCycle(); !rep.Completed || !rep.MTRan || rep.Reclaimed == 0 {
 			t.Fatalf("%v cycle: %+v", mode, rep)
 		}
@@ -1052,10 +1065,10 @@ func BenchmarkRestructure(b *testing.B) {
 			var began time.Time
 			var restructure time.Duration
 			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-				Root:       live[0].ID,
 				AfterPhase: func(graph.Ctx) { began = time.Now() },
 				AfterCycle: func(CycleReport) { restructure += time.Since(began) },
 			})
+			col.SetRoot(live[0].ID)
 			garbage := make([]*graph.Vertex, sz.garbage)
 			setup := func() {
 				for i := range garbage {

@@ -95,7 +95,8 @@ func TestMarkingOverLossyFabric(t *testing.T) {
 		}
 
 		// A full collector cycle reclaims the cross-partition cycle.
-		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{Root: root.ID})
+		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+		col.SetRoot(root.ID)
 		rep := col.RunCycle()
 		if !rep.Completed || rep.Reclaimed != 3 {
 			t.Fatalf("seed %d: reclaimed=%d completed=%v, want 3/true", seed, rep.Reclaimed, rep.Completed)
@@ -145,12 +146,12 @@ func TestMTSeesInTransitTasks(t *testing.T) {
 
 	var reported []graph.VertexID
 	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-		Root:    root.ID,
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			reported = append(reported, ids...)
 		},
 	})
+	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if !rep.MTRan {
 		t.Fatal("M_T did not run")

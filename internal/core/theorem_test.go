@@ -249,9 +249,9 @@ func testTheorem2Containments(t *testing.T, budget int) {
 		resA := analysis.Analyze(r.store.Snapshot(), root.ID, poolTasks)
 
 		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
-			Root:    root.ID,
 			MTEvery: 1,
 		})
+		col.SetRoot(root.ID)
 		// Drive the cycle manually so mutations interleave with marking.
 		col.mu.Lock()
 		col.cycleN++

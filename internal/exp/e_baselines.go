@@ -143,7 +143,8 @@ func runRefcount(cfg Config) (*Table, error) {
 		for _, d := range partialDetach(detach) {
 			mut.DeleteReference(d[0], d[1])
 		}
-		col := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{Root: root.ID})
+		col := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{})
+		col.SetRoot(root.ID)
 		rep := col.RunCycle()
 		reclaimedCyclic := min(rep.Reclaimed, cyclicN)
 		reclaimedAcyclic := rep.Reclaimed - reclaimedCyclic
@@ -274,9 +275,8 @@ func runMTFreq(cfg Config) (*Table, error) {
 		for _, tk := range sc2.Tasks {
 			mach.Spawn(tk)
 		}
-		col2 := core.NewCollector(sc2.Store, marker, mach, counters2, core.CollectorConfig{
-			Root: sc2.Root, MTEvery: k,
-		})
+		col2 := core.NewCollector(sc2.Store, marker, mach, counters2, core.CollectorConfig{MTEvery: k})
+		col2.SetRoot(sc2.Root)
 		start := time.Now()
 		cycles := 0
 		for cycles < 4*k+4 {

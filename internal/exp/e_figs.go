@@ -37,9 +37,8 @@ func scenarioMachine(sc *workload.Scenario, seed int64) (*sched.Machine, *core.M
 	for _, tk := range sc.Tasks {
 		mach.Spawn(tk)
 	}
-	col := core.NewCollector(sc.Store, marker, mach, counters, core.CollectorConfig{
-		Root: sc.Root, MTEvery: 1,
-	})
+	col := core.NewCollector(sc.Store, marker, mach, counters, core.CollectorConfig{MTEvery: 1})
+	col.SetRoot(sc.Root)
 	return mach, marker, col, counters
 }
 

@@ -269,9 +269,8 @@ func runThm2(cfg Config) (*Table, error) {
 		}
 		resA := analysis.Analyze(r.store.Snapshot(), root.ID, snapTasks())
 
-		col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
-			Root: root.ID, MTEvery: 1,
-		})
+		col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{MTEvery: 1})
+		col.SetRoot(root.ID)
 		var reported []graph.VertexID
 		colCfgRun := func() core.CycleReport { return col.RunCycle() }
 		// Mutate the live chain mid-cycle by interleaving explicit steps:

@@ -1,8 +1,8 @@
 // Package exp implements the experiment harness: one runnable experiment
 // per figure/scenario of the paper plus the quantitative evaluation its
 // claims imply (see DESIGN.md §3 and EXPERIMENTS.md). Each experiment
-// produces a Table; cmd/dgr-bench prints them and the root bench_test.go
-// wraps them as Go benchmarks.
+// produces a Table and checks its own claims; `dgr-run -exp` prints the
+// tables and fails when an experiment does.
 package exp
 
 import (

@@ -7,7 +7,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"fabdrop", "fabric", "fig31", "fig32", "irrelevant", "mtfreq", "pause",
+		"fabdrop", "fabric", "fig31", "fig32", "irrelevant", "mtfreq", "obs", "pause", "pes",
 		"priority", "programs", "race", "refcount", "scale", "space", "thm1", "thm2", "venn",
 	}
 	got := IDs()

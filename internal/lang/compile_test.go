@@ -154,7 +154,8 @@ func TestSpeculativeRecursionNeedsGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{Root: root.ID})
+	col := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{})
+	col.SetRoot(root.ID)
 
 	ch := eng.Demand(root.ID)
 	done := false

@@ -92,7 +92,6 @@ func TestBottomProbeDirect(t *testing.T) {
 	}
 
 	col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
-		Root:    root.ID,
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			// Resolving a probe relabels it, a rewrite its execution
@@ -103,6 +102,7 @@ func TestBottomProbeDirect(t *testing.T) {
 			}
 		},
 	})
+	col.SetRoot(root.ID)
 	// Two cycles: the first M_T pass nominates the knot, the second confirms
 	// it (two-phase verdict) and fires OnDeadlock.
 	col.RunCycle()

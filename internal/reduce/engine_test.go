@@ -373,9 +373,9 @@ func TestDeadlockFig31(t *testing.T) {
 	}
 
 	col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
-		Root:    expr.ID,
 		MTEvery: 1,
 	})
+	col.SetRoot(expr.ID)
 	rep := col.RunCycle()
 	if !rep.MTRan || !rep.Completed {
 		t.Fatalf("cycle: %+v", rep)
@@ -469,9 +469,9 @@ func TestEvaluationWithConcurrentGC(t *testing.T) {
 		}
 
 		col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
-			Root:    root.ID,
 			MTEvery: 2,
 		})
+		col.SetRoot(root.ID)
 		ch := r.engine.Demand(root.ID)
 		// Interleave: run a few reduction steps, then a whole GC cycle.
 		for i := 0; i < 50; i++ {

@@ -32,9 +32,9 @@ func runScenario(t *testing.T, sc *Scenario) (core.CycleReport, *metrics.Counter
 		mach.Spawn(tk)
 	}
 	col := core.NewCollector(sc.Store, marker, mach, counters, core.CollectorConfig{
-		Root:    sc.Root,
 		MTEvery: 1,
 	})
+	col.SetRoot(sc.Root)
 	return col.RunCycle(), counters
 }
 

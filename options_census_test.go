@@ -18,7 +18,7 @@ import (
 // field goes.
 const (
 	maxOptions      = 17 // dgr.Options
-	maxConfigFields = 44 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
+	maxConfigFields = 43 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
 )
 
 func exportedFields(v any) int {
