@@ -9,6 +9,7 @@ import (
 	"dgr/internal/check"
 	"dgr/internal/fabric"
 	"dgr/internal/graph"
+	"dgr/internal/sched"
 	"dgr/internal/task"
 	"dgr/internal/workload"
 )
@@ -19,7 +20,7 @@ import (
 func TestCheckedEvalDeterministic(t *testing.T) {
 	for _, name := range []string{"fib", "churn", "sumsquares"} {
 		p := workload.Programs[name]
-		m := New(Options{PEs: 4, Seed: 7, Check: true, CheckEvery: 2048,
+		m := New(Options{PEs: 4, Seed: 7, CheckEvery: 2048,
 			GCInterval: 2000})
 		v, err := m.Eval(p.Src)
 		if err != nil {
@@ -46,7 +47,7 @@ func TestCheckedEvalDeterministic(t *testing.T) {
 // a parallel evaluation, including the quiescence sweep at Close.
 func TestCheckedEvalParallel(t *testing.T) {
 	p := workload.Programs["fib"]
-	m := New(Options{PEs: 4, Parallel: true, Check: true, CheckEvery: 512})
+	m := New(Options{PEs: 4, Parallel: true, CheckEvery: 512})
 	v, err := m.Eval(p.Src)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func TestCheckedEvalParallel(t *testing.T) {
 func TestCheckedEvalFabric(t *testing.T) {
 	p := workload.Programs["fib"]
 	m := New(Options{
-		PEs: 4, Seed: 3, Check: true, CheckEvery: 2048, GCInterval: 2000,
+		PEs: 4, Seed: 3, CheckEvery: 2048, GCInterval: 2000,
 		Fabric: &fabric.Params{DropRate: 0.2},
 	})
 	defer m.Close()
@@ -90,7 +91,7 @@ func TestCheckedEvalFabric(t *testing.T) {
 func TestFaultSkipMarkCaught(t *testing.T) {
 	p := workload.Programs["churn"]
 	m := New(Options{
-		PEs: 4, Seed: 7, Check: true, CheckEvery: 1 << 30, GCInterval: 500,
+		PEs: 4, Seed: 7, CheckEvery: 1 << 30, GCInterval: 500,
 		Stress: &check.Stress{FaultSkipMark: 3},
 	})
 	defer m.Close()
@@ -112,7 +113,7 @@ func TestRecordReplayEval(t *testing.T) {
 	src := "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 10"
 	const want = 55
 	m := New(Options{
-		PEs: 3, Seed: 5, Check: true, CheckEvery: 512, GCInterval: 500,
+		PEs: 3, Seed: 5, CheckEvery: 512, GCInterval: 500,
 		RecordSchedule: true,
 	})
 	defer m.Close()
@@ -126,7 +127,7 @@ func TestRecordReplayEval(t *testing.T) {
 	}
 	execs := 0
 	for _, e := range events {
-		if e.Ev == check.EvExec {
+		if e.Op == sched.OpExec {
 			execs++
 		}
 	}
@@ -140,12 +141,12 @@ func TestRecordReplayEval(t *testing.T) {
 	if err := m.WriteScheduleJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := check.ReadJSONL(&buf)
+	decoded, err := check.ReadJSONL(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m2 := New(Options{PEs: 3, Seed: 999, Check: true, CheckEvery: 512, GCInterval: 500})
+	m2 := New(Options{PEs: 3, Seed: 999, CheckEvery: 512, GCInterval: 500})
 	defer m2.Close()
 	root, err := m2.Compile(src)
 	if err != nil {
@@ -228,20 +229,20 @@ func TestReplayMissingMarkDiverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range []string{check.EvExec, check.EvAbsorb} {
+	for _, op := range []sched.Op{sched.OpExec, sched.OpAbsorb} {
 		victim := -1
 		for i, e := range events {
-			if e.Ev == ev && e.Kind == task.Mark && e.Src != graph.NilVertex {
+			if e.Op == op && e.Kind == task.Mark && e.Src != graph.NilVertex {
 				victim = i
 				break
 			}
 		}
 		if victim < 0 {
-			t.Fatalf("the recorded run has no %s of a mark", ev)
+			t.Fatalf("the recorded run has no %v of a mark", op)
 		}
-		removed := append(append([]check.Event(nil), events[:victim]...), events[victim+1:]...)
-		twice := append(append([]check.Event(nil), events[:victim+1]...), events[victim:]...)
-		for what, doctored := range map[string][]check.Event{"without": removed, "running twice": twice} {
+		removed := append(append([]sched.Entry(nil), events[:victim]...), events[victim+1:]...)
+		twice := append(append([]sched.Entry(nil), events[:victim+1]...), events[victim:]...)
+		for what, doctored := range map[string][]sched.Entry{"without": removed, "running twice": twice} {
 			m2 := New(opts)
 			root, err := m2.Compile(src)
 			if err != nil {
@@ -250,8 +251,8 @@ func TestReplayMissingMarkDiverges(t *testing.T) {
 			err = m2.ReplaySchedule(root, doctored)
 			m2.Close()
 			if err == nil || !strings.Contains(err.Error(), "diverged") {
-				t.Errorf("log %s %s event %d (%s) replayed with error %v, want a divergence",
-					what, ev, victim, events[victim].Task(), err)
+				t.Errorf("log %s %v event %d (%s) replayed with error %v, want a divergence",
+					what, op, victim, events[victim].Task(), err)
 			}
 		}
 	}
@@ -271,7 +272,7 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 	// churn is some 5 000 tasks: a cycle every 500 collects it throughout.
 	for seed := int64(1); seed <= 5; seed++ {
 		m = New(Options{
-			PEs: 4, Seed: seed, Parallel: true, Check: true, CheckEvery: 1 << 30,
+			PEs: 4, Seed: seed, Parallel: true, CheckEvery: 1 << 30,
 			RecordSchedule: true, Stress: &check.Stress{FaultSkipMark: 3},
 			Timeout: 3 * time.Second, GCInterval: 500,
 		})
@@ -291,7 +292,7 @@ func TestParallelFaultReplaysToSameViolation(t *testing.T) {
 	}
 
 	m2 := New(Options{
-		PEs: 4, Seed: 1, Check: true, CheckEvery: 1 << 30,
+		PEs: 4, Seed: 1, CheckEvery: 1 << 30,
 		Stress: &check.Stress{FaultSkipMark: 3},
 	})
 	defer m2.Close()

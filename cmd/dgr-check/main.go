@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -115,6 +116,9 @@ func run(args []string) error {
 	fs.BoolVar(&f.verbose, "v", false, "log every run")
 	fs.Parse(args)
 
+	if f.checkEvery < 1 {
+		return fmt.Errorf("-checkevery %d: the checker samples every k-th execution, k ≥ 1", f.checkEvery)
+	}
 	if f.gen > 0 {
 		genPrograms = generatePrograms(f.gen, f.genSeed)
 	}
@@ -194,7 +198,6 @@ func optionsFor(f flags, config string, seed int64, record bool) (dgr.Options, e
 		// reporting the violations they already recorded.
 		MaxSteps:   4_000_000,
 		Timeout:    f.timeout,
-		Check:      true,
 		CheckEvery: f.checkEvery,
 
 		RecordSchedule: record,
@@ -389,21 +392,21 @@ func replayLog(f flags) error {
 	if err != nil {
 		return err
 	}
-	events, err := check.ReadJSONL(file)
+	var meta header
+	entries, err := check.ReadJSONL(file, &meta)
 	file.Close()
 	if err != nil {
 		return fmt.Errorf("%s: %w", f.replay, err)
 	}
-	if len(events) == 0 || events[0].Ev != check.EvMeta {
+	if meta.Ev != "meta" {
 		return fmt.Errorf("%s: no meta header; cannot reconstruct the run", f.replay)
 	}
-	meta := events[0]
 	src, ok := sourceFor(meta.Program)
 	if !ok {
 		return fmt.Errorf("unknown program %q in meta header", meta.Program)
 	}
 	fmt.Printf("replaying %s: program=%s config=%s seed=%d pes=%d events=%d\n",
-		f.replay, meta.Program, meta.Config, meta.Seed, meta.PEs, len(events)-1)
+		f.replay, meta.Program, meta.Config, meta.Seed, meta.PEs, len(entries))
 	o, err := optionsFor(f, "det", meta.Seed, false)
 	if err != nil {
 		return err
@@ -422,7 +425,7 @@ func replayLog(f flags) error {
 	if err != nil {
 		return err
 	}
-	rerr := m.ReplaySchedule(root, events)
+	rerr := m.ReplaySchedule(root, entries)
 	for _, v := range m.CheckViolations() {
 		fmt.Println("violation:", v)
 	}
@@ -436,6 +439,17 @@ func replayLog(f flags) error {
 	return nil
 }
 
+// header is a replay log's first line: what ran, with which knobs, so that
+// -replay can build the machine that re-drives the schedule after it.
+type header struct {
+	Ev      string `json:"ev"` // "meta"
+	Program string `json:"program,omitempty"`
+	Config  string `json:"config,omitempty"`
+	Seed    int64  `json:"seed,omitempty"`
+	PEs     int    `json:"pes,omitempty"`
+	MTEvery int    `json:"mtevery,omitempty"`
+}
+
 // writeReplayLog dumps a failed run's schedule, prefixed with a meta header
 // so -replay can reconstruct the machine.
 func writeReplayLog(f flags, m *dgr.Machine, program, config string, seed int64) (string, error) {
@@ -445,9 +459,9 @@ func writeReplayLog(f flags, m *dgr.Machine, program, config string, seed int64)
 		return path, err
 	}
 	defer file.Close()
-	meta := check.Event{Ev: check.EvMeta, Program: program, Config: config,
+	meta := header{Ev: "meta", Program: program, Config: config,
 		Seed: seed, PEs: f.pes, MTEvery: f.mtEvery}
-	if err := check.WriteJSONL(file, []check.Event{meta}); err != nil {
+	if err := json.NewEncoder(file).Encode(meta); err != nil {
 		return path, err
 	}
 	if err := m.WriteScheduleJSONL(file); err != nil {

@@ -85,10 +85,14 @@ func run() error {
 		return runLoad(*url, *nTen, *nProg, *rounds, *conc, *out)
 	}
 
+	checkEvery := 0
+	if *check {
+		checkEvery = 256
+	}
 	s := serve.New(serve.Options{
 		Workers: *workers, QueueDepth: *queue, CacheEntries: *cacheN,
 		Machine: dgr.Options{PEs: *pes, Parallel: *parallel, Seed: *seed,
-			MaxSteps: *maxSteps, Timeout: *timeout, Check: *check, Obs: *obsOn,
+			MaxSteps: *maxSteps, Timeout: *timeout, CheckEvery: checkEvery, Obs: *obsOn,
 			Engine: *engine, TraceRate: *traceR},
 		DefaultLimits: serve.TenantLimits{MaxInflight: *inflight, VertexQuota: *quota},
 	})

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"dgr"
+	"dgr/internal/sched"
 )
 
 // scheduleDigest evaluates src on a fresh deterministic machine and returns
@@ -45,7 +46,9 @@ func engineScheduleDigest(t *testing.T, seed int64, pes int, engine, src string,
 
 // digestEval evaluates src on a schedule-recording machine and digests the
 // recorded schedule (shared with the obs integration tests, which assert
-// instrumentation does not perturb it).
+// instrumentation does not perturb it). A line a cycle's root entries join
+// with it, as the ids and priorities of the cycle's roots: the digests were
+// pinned when the log folded them into the cycle's line.
 func digestEval(t *testing.T, m *dgr.Machine, src string, want int64) string {
 	t.Helper()
 	v, err := m.Eval(src)
@@ -60,9 +63,14 @@ func digestEval(t *testing.T, m *dgr.Machine, src string, want int64) string {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	for _, e := range evs {
+	for i := 0; i < len(evs); i++ {
+		e := evs[i]
+		var roots []sched.Root
+		for ; e.Op == sched.OpCycle && i+1 < len(evs) && evs[i+1].Op == sched.OpRoot; i++ {
+			roots = append(roots, sched.Root{ID: evs[i+1].Dst, Prior: evs[i+1].Prior})
+		}
 		fmt.Fprintf(h, "%s|%d|%d|%d|%d|%d|%d|%d|%d|%d|%v|%v\n",
-			e.Ev, e.Seq, e.PE, e.Kind, e.Src, e.Dst, e.Req, e.Ctx, e.Prior, e.Epoch, e.Roots, e.MT)
+			e.Op, e.Seq, e.PE, e.Kind, e.Src, e.Dst, e.Req, e.Ctx, e.Prior, e.Epoch, roots, e.MT)
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

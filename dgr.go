@@ -145,14 +145,11 @@ type Options struct {
 	// then the owner's (originate contexts via EvalTraced).
 	TraceSink *obs.TraceSink
 
-	// Check enables the always-on invariant checker: marking invariants
-	// (Figure 4-2), inflight conservation, band consistency, and mt-cnt
-	// underflow are asserted at sample points throughout the run. Inspect
-	// results with CheckErr / CheckViolations.
-	Check bool
-	// CheckEvery samples every k-th task execution (default 256; only
-	// meaningful with Check). Cycle-end and quiescence sample points always
-	// run when Check is on.
+	// CheckEvery, when positive, arms the invariant checker: marking
+	// invariants (Figure 4-2), inflight conservation, band consistency, and
+	// mt-cnt underflow are asserted at every k-th task execution, at every
+	// cycle end and at quiescence. Inspect results with CheckErr /
+	// CheckViolations.
 	CheckEvery int
 	// RecordSchedule keeps the whole execution record (of which Obs keeps
 	// each PE's tail) for deterministic replay: every (pe, task) execution,
@@ -186,9 +183,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
-	}
-	if o.Check && o.CheckEvery <= 0 {
-		o.CheckEvery = 256
 	}
 	return o
 }
@@ -281,7 +275,7 @@ func New(opts Options) *Machine {
 		Fabric:      opts.Fabric,
 		Obs:         ob,
 	}
-	if opts.Check {
+	if opts.CheckEvery > 0 {
 		schedCfg.AfterExecute = func(seq uint64, pe int, t task.Task) {
 			checker.AfterExecute(seq, pe, t)
 		}
@@ -294,7 +288,7 @@ func New(opts Options) *Machine {
 	if stress.FaultSkipMark > 0 {
 		marker.SetFaultSkipMark(stress.FaultSkipMark)
 	}
-	if opts.Check {
+	if opts.CheckEvery > 0 {
 		checker = &check.Checker{
 			Store: store, Marker: marker, Mach: mach,
 			Counters: counters, Obs: ob,
@@ -969,7 +963,8 @@ func (m *Machine) WriteGraphDOT(w io.Writer) error {
 func (m *Machine) Root() NodeID { return m.collector.Root() }
 
 // CheckViolations returns the invariant violations recorded so far. It is
-// empty unless Options.Check is on (and, one hopes, even then).
+// empty unless Options.CheckEvery arms the checker (and, one hopes, even
+// then).
 func (m *Machine) CheckViolations() []string {
 	if m.checker == nil {
 		return nil
@@ -987,26 +982,26 @@ func (m *Machine) CheckErr() error {
 }
 
 // ScheduleEvents returns the recorded schedule, the execution record in
-// replay order. A parallel machine's is a whole run once Close has stopped
-// its PEs. It errors unless Options.RecordSchedule was set.
-func (m *Machine) ScheduleEvents() ([]check.Event, error) {
+// replay order (sched.Machine.Record). A parallel machine's is a whole run
+// once Close has stopped its PEs. It errors unless Options.RecordSchedule
+// was set.
+func (m *Machine) ScheduleEvents() ([]sched.Entry, error) {
 	if !m.opts.RecordSchedule {
 		return nil, errors.New("dgr: schedule recording disabled (set Options.RecordSchedule)")
 	}
 	m.lockOwner() // see flightExecs
-	rec := m.mach.Record()
-	m.unlockOwner()
-	return check.Events(rec), nil
+	defer m.unlockOwner()
+	return m.mach.Record(), nil
 }
 
-// WriteScheduleJSONL writes the recorded schedule as JSON Lines. It errors
-// unless Options.RecordSchedule was set.
+// WriteScheduleJSONL writes the recorded schedule as JSON Lines, one entry a
+// line (check.WriteJSONL). It errors unless Options.RecordSchedule was set.
 func (m *Machine) WriteScheduleJSONL(w io.Writer) error {
-	events, err := m.ScheduleEvents()
+	entries, err := m.ScheduleEvents()
 	if err != nil {
 		return err
 	}
-	return check.WriteJSONL(w, events)
+	return check.WriteJSONL(w, entries)
 }
 
 // ReplaySchedule re-drives this machine from a recorded schedule instead of
@@ -1016,7 +1011,7 @@ func (m *Machine) WriteScheduleJSONL(w io.Writer) error {
 // freshly built with the same program, seed, and PE count as the recorded
 // run. It returns the first divergence as an error; a clean replay of a
 // violating run reproduces the violation (see CheckErr) at the same step.
-func (m *Machine) ReplaySchedule(root NodeID, events []check.Event) error {
+func (m *Machine) ReplaySchedule(root NodeID, entries []sched.Entry) error {
 	if m.closed.Load() {
 		return ErrClosed
 	}
@@ -1031,7 +1026,7 @@ func (m *Machine) ReplaySchedule(root NodeID, events []check.Event) error {
 	m.collector.SetRoot(root)
 	m.engine.Demand(root)
 	rp := &check.Replayer{Mach: m.mach, Coll: m.collector}
-	return rp.Run(events)
+	return rp.Run(entries)
 }
 
 // Deadlocked returns every vertex the collector has identified as

@@ -51,7 +51,6 @@ func diffOptions(mode, engine string, seed int64) dgr.Options {
 		GCInterval: 300,
 		MTEvery:    2,
 		MaxSteps:   8_000_000,
-		Check:      true,
 		CheckEvery: 256,
 	}
 	adversarial := &check.Stress{Adversarial: true}

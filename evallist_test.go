@@ -33,7 +33,7 @@ func TestEvalListKeepsUnwalkedTail(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					m := dgr.New(dgr.Options{
 						PEs: 2, Engine: engine,
-						Parallel: parallel, GCInterval: c.gcInterval, Check: true,
+						Parallel: parallel, GCInterval: c.gcInterval, CheckEvery: 256,
 					})
 					defer m.Close()
 					vs, err := m.EvalList(fmt.Sprintf(evalListSrc, c.base))
@@ -57,7 +57,7 @@ func TestEvalListKeepsUnwalkedTail(t *testing.T) {
 func TestEvalListDeadlockedElement(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			m := dgr.New(dgr.Options{PEs: 2, MTEvery: 1, Parallel: parallel, Check: true})
+			m := dgr.New(dgr.Options{PEs: 2, MTEvery: 1, Parallel: parallel, CheckEvery: 256})
 			defer m.Close()
 			vs, err := m.EvalList(`[1, let x = x + 1 in x, 3]`)
 			if !errors.Is(err, dgr.ErrDeadlock) {

@@ -1,7 +1,6 @@
 package dgr
 
 import (
-	"encoding/json"
 	"flag"
 	"os"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"dgr/internal/check"
 	"dgr/internal/core"
 	"dgr/internal/graph"
+	"dgr/internal/sched"
 )
 
 // regenReplayLogs regenerates the checked-in replay logs under
@@ -59,8 +59,8 @@ func regenFalseDeadlockLog(t *testing.T) {
 	// Locate the M_T cycle starts. The i-th one (1-based) ran at T epoch i:
 	// every M_T StartCycle is recorded, and epochs advance by one per start.
 	var tCycles []int
-	for i, e := range events {
-		if e.Ev == check.EvCycle && e.Ctx == graph.CtxT && len(e.Roots) > 0 {
+	for i := range events {
+		if isRootedTCycle(events, i) {
 			tCycles = append(tCycles, i)
 		}
 	}
@@ -77,20 +77,22 @@ func regenFalseDeadlockLog(t *testing.T) {
 			break
 		}
 	}
-	events[victim].Roots = nil
 	doctored := events[:0:0]
 	dropped := 0
 	inPhase := false // between the victim's start and the next phase's
 	for i, e := range events {
-		if e.Ev == check.EvCycle {
+		if e.Op == sched.OpCycle {
 			inPhase = i == victim
 		}
-		// The phase's continuations drained the lists its roots filled;
-		// they carry no epoch of their own. What its drains took in goes
-		// with them.
-		marking := e.Ev == check.EvExec || e.Ev == check.EvAbsorb
+		// The victim's roots go. The phase's continuations drained the lists
+		// its roots filled; they carry no epoch of their own. What its
+		// drains took in goes with them.
+		marking := e.Op == sched.OpExec || e.Op == sched.OpAbsorb
 		if marking && (e.Ctx == graph.CtxT && e.Epoch == epoch || inPhase && core.IsContinuation(e.Task())) {
 			dropped++
+			continue
+		}
+		if inPhase && e.Op == sched.OpRoot {
 			continue
 		}
 		doctored = append(doctored, e)
@@ -104,14 +106,18 @@ func regenFalseDeadlockLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	enc := json.NewEncoder(f)
-	for _, e := range doctored {
-		if err := enc.Encode(e); err != nil {
-			t.Fatal(err)
-		}
+	if err := check.WriteJSONL(f, doctored); err != nil {
+		t.Fatal(err)
 	}
 	t.Logf("regenerated %s: %d events (%d T-marking executions of epoch %d dropped)",
 		falseDeadlockLog, len(doctored), dropped, epoch)
+}
+
+// isRootedTCycle reports whether entry i starts an M_T phase that has roots:
+// root entries follow it.
+func isRootedTCycle(entries []sched.Entry, i int) bool {
+	return entries[i].Op == sched.OpCycle && entries[i].Ctx == graph.CtxT &&
+		i+1 < len(entries) && entries[i+1].Op == sched.OpRoot
 }
 
 // TestFalseDeadlockReplayRegression replays the checked-in doctored
@@ -129,15 +135,15 @@ func TestFalseDeadlockReplayRegression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -regen-replay-logs)", err)
 	}
-	events, err := check.ReadJSONL(f)
+	events, err := check.ReadJSONL(f, nil)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: the log really contains the doctored (empty-roots) M_T cycle.
 	doctoredCycles := 0
-	for _, e := range events {
-		if e.Ev == check.EvCycle && e.Ctx == graph.CtxT && len(e.Roots) == 0 {
+	for i, e := range events {
+		if e.Op == sched.OpCycle && e.Ctx == graph.CtxT && !isRootedTCycle(events, i) {
 			doctoredCycles++
 		}
 	}
@@ -146,7 +152,6 @@ func TestFalseDeadlockReplayRegression(t *testing.T) {
 	}
 
 	opts := falseDeadlockOpts()
-	opts.Check = true
 	opts.CheckEvery = 64
 	m := New(opts)
 	defer m.Close()

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,41 +19,45 @@ func partMod(n int) func(graph.VertexID) int {
 	return func(id graph.VertexID) int { return int(id) % n }
 }
 
-// TestEventJSONLRoundTrip: execution record entries convert to the log's
-// events — a cycle's roots folded into it, an absorb without seq or PE — and
-// the events survive JSON Lines unchanged.
+// TestEventJSONLRoundTrip: the schedule log is the execution record's
+// entries as they are, one a line — every op, a cycle with no roots and one
+// with several, an absorb without seq or PE — and they survive JSON Lines
+// unchanged, after a header line of the caller's own.
 func TestEventJSONLRoundTrip(t *testing.T) {
-	events := Events([]sched.Entry{
-		{Op: sched.OpExec, Seq: 0, PE: 2, Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital},
-		{Op: sched.OpCycle, Seq: 1, Ctx: graph.CtxT},
-		{Op: sched.OpRoot, Seq: 1, Dst: 5},
-		{Op: sched.OpRoot, Seq: 1, Dst: 9, Prior: graph.PriorVital},
+	entries := []sched.Entry{
+		{Op: sched.OpExec, PE: 2, Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital},
+		{Op: sched.OpCycle, Ctx: graph.CtxT},
+		{Op: sched.OpRoot, Ctx: graph.CtxT, Dst: 5},
+		{Op: sched.OpRoot, Ctx: graph.CtxT, Dst: 9, Prior: graph.PriorVital},
 		{Op: sched.OpExec, Seq: 1, Kind: task.Mark, Dst: 5, Ctx: graph.CtxT, Epoch: 7},
-		{Op: sched.OpAbsorb, Seq: 2, PE: 3, Kind: task.Return, Src: 5, Ctx: graph.CtxT, Epoch: 7},
-		{Op: sched.OpRestructure, Seq: 2, MT: true},
-	})
-	want := []Event{
-		{Ev: EvExec, PE: 2, Kind: task.Demand, Src: 1, Dst: 2, Req: graph.ReqVital},
-		{Ev: EvCycle, Ctx: graph.CtxT, Roots: []RootRec{{ID: 5}, {ID: 9, Prior: graph.PriorVital}}},
-		{Ev: EvExec, Seq: 1, Kind: task.Mark, Dst: 5, Ctx: graph.CtxT, Epoch: 7},
-		{Ev: EvAbsorb, Kind: task.Return, Src: 5, Ctx: graph.CtxT, Epoch: 7},
-		{Ev: EvRestructure, MT: true},
+		{Op: sched.OpAbsorb, Kind: task.Return, Src: 5, Ctx: graph.CtxT, Epoch: 7},
+		{Op: sched.OpCycle, Ctx: graph.CtxT},
+		{Op: sched.OpRestructure, MT: true},
 	}
-	if !reflect.DeepEqual(events, want) {
-		t.Fatalf("converted\n%+v\nwant\n%+v", events, want)
+	type header struct {
+		Program string `json:"program"`
+		PEs     int    `json:"pes"`
 	}
-	events = append([]Event{{Ev: EvMeta, Program: "fib", Config: "parallel", Seed: 42, PEs: 4, MTEvery: 3}}, events...)
-
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
+	if err := json.NewEncoder(&buf).Encode(header{"fib", 4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	if err := WriteJSONL(&buf, entries); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(buf.String(), "\n"); lines != 1+len(entries) {
+		t.Fatalf("wrote %d lines for a header and %d entries:\n%s", lines, len(entries), buf.String())
+	}
+	var head header
+	got, err := ReadJSONL(&buf, &head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, events) {
-		t.Fatalf("wrote\n%+v\nread\n%+v", events, got)
+	if head != (header{"fib", 4}) {
+		t.Errorf("header read back as %+v", head)
+	}
+	if !reflect.DeepEqual(got, entries) {
+		t.Fatalf("wrote\n%+v\nread\n%+v", entries, got)
 	}
 }
 
@@ -98,7 +103,7 @@ func TestRecordReplayDeterministic(t *testing.T) {
 		m2.Spawn(task.Task{Kind: task.Reduce, Dst: graph.VertexID(i)})
 	}
 	rp := &Replayer{Mach: m2}
-	if err := rp.Run(Events(m.Record())); err != nil {
+	if err := rp.Run(m.Record()); err != nil {
 		t.Fatal(err)
 	}
 	if len(h2.order) != len(recorded) {
@@ -126,7 +131,7 @@ func TestRecordReplayParallel(t *testing.T) {
 	m.WaitQuiescent()
 	m.Stop()
 
-	events := Events(m.Record())
+	events := m.Record()
 	if len(events) != len(h.order) {
 		t.Fatalf("recorded %d events for %d executions", len(events), len(h.order))
 	}
@@ -171,7 +176,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	m.Spawn(task.Task{Kind: task.Reduce, Dst: 1})
 	m.RunToQuiescence(0)
 
-	events := Events(m.Record())
+	events := m.Record()
 	// Tamper with an event: a task that was never spawned.
 	events[len(events)/2].Dst = 9999
 	events[len(events)/2].PE = 1
@@ -274,29 +279,33 @@ func TestCheckerSkipsUnstableSample(t *testing.T) {
 }
 
 // TestReadJSONLRefusesOtherFormats: a log is replayed exactly or not at
-// all. A field this build's Event does not declare — "sweep", the
-// incremental-sweep scope earlier builds recorded — is a decision the replay
-// could not honour, so the reader refuses the log and says where.
+// all. A field sched.Entry does not declare — "sweep", the incremental-sweep
+// scope earlier builds recorded — or an op it does not name is a decision the
+// replay could not honour, so the reader refuses the log and says where.
 func TestReadJSONLRefusesOtherFormats(t *testing.T) {
 	for _, tc := range []struct {
 		name, log string
 		events    int
 		wantErr   []string // substrings of the error; nil = accepted
 	}{
-		{"current", `{"ev":"meta","program":"fib","pes":4}
-{"ev":"cycle","ctx":1,"roots":[{"id":5}]}
+		{"current", `{"ev":"cycle","ctx":1}
+{"dst":5,"ev":"root","ctx":1}
 {"ev":"restructure","mt":true}
 `, 3, nil},
-		{"incremental sweep", `{"ev":"meta","program":"fib","pes":4}
+		{"incremental sweep", `{"ev":"cycle","ctx":1}
 {"ev":"restructure","sweep":2}
 `, 1, []string{"line 2", `"sweep"`}},
-		{"garbage", `{"ev":"meta"}
+		{"unknown op", `{"ev":"exec","pe":1}
+{"ev":"restructure"}
+{"ev":"sweep"}
+`, 2, []string{"line 3", `unknown ev "sweep"`}},
+		{"garbage", `{"ev":"cycle"}
 {"ev":"exec","pe":1}
 not json
 `, 2, []string{"line 3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			events, err := ReadJSONL(strings.NewReader(tc.log))
+			events, err := ReadJSONL(strings.NewReader(tc.log), nil)
 			if len(events) != tc.events {
 				t.Errorf("read %d events, want %d", len(events), tc.events)
 			}
@@ -315,5 +324,20 @@ not json
 				}
 			}
 		})
+	}
+}
+
+// TestReplayRefusesStrayRoot: a root entry belongs to the cycle start it
+// follows. One that follows none is refused, by its place in the log.
+func TestReplayRefusesStrayRoot(t *testing.T) {
+	m := sched.New(sched.Config{PEs: 2, Mode: sched.Deterministic, Seed: 3, PartOf: partMod(2)})
+	m.SetHandler(&fanout{m: m, limit: 20})
+	m.Spawn(task.Task{Kind: task.Reduce, Dst: 1})
+	err := (&Replayer{Mach: m}).Run([]sched.Entry{
+		{Op: sched.OpExec, Kind: task.Reduce, Dst: 1},
+		{Op: sched.OpRoot, Dst: 4},
+	})
+	if err == nil || !strings.Contains(err.Error(), "event 1 is a root that follows no cycle") {
+		t.Fatalf("a root after no cycle start replayed with error %v", err)
 	}
 }

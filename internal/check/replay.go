@@ -40,7 +40,7 @@ import (
 // continuation matches any queued continuation of its partition; when none
 // is queued the partition has nothing pending. A cooperation root (a mark
 // with no parent) depends on how far marking had got when a mutator ran, so
-// the log supplies it as a cycle event supplies its roots: replay adds a
+// the log supplies it as a cycle's root lines supply its roots: replay adds a
 // recorded one its own cooperation did not, and runs one its cooperation
 // added that the recording did not at the phase boundary. Anything else is a
 // divergence: a mark of a parent or a return neither queued nor taken in, a
@@ -61,7 +61,7 @@ type Replayer struct {
 // divergence (see Replayer). A clean replay of a recorded violation run
 // drives the machine to the same failing step, where the caller's checker
 // reports it again.
-func (rp *Replayer) Run(events []Event) error {
+func (rp *Replayer) Run(entries []sched.Entry) error {
 	if rp.Coll != nil {
 		rp.absorbed = make(map[task.Task]int)
 		rp.window = make(map[task.Task]int)
@@ -77,34 +77,35 @@ func (rp *Replayer) Run(events []Event) error {
 		})
 		defer mk.SetAbsorbHook(nil)
 	}
-	for i, e := range events {
-		// An execution opens a window of the absorb events right after it;
-		// any other event but an absorb closes it.
-		if rp.window != nil && e.Ev != EvAbsorb {
+	for i := 0; i < len(entries); i++ {
+		e := &entries[i]
+		// An execution opens a window of the absorb entries right after it;
+		// any other entry but an absorb closes it.
+		if rp.window != nil && e.Op != sched.OpAbsorb {
 			clear(rp.window)
-			for _, a := range events[i+1:] {
-				if e.Ev != EvExec || a.Ev != EvAbsorb {
+			for _, a := range entries[i+1:] {
+				if e.Op != sched.OpExec || a.Op != sched.OpAbsorb {
 					break
 				}
 				rp.window[key(a.Task())]++
 			}
 		}
-		switch e.Ev {
-		case EvMeta:
-			// Informational only.
-		case EvCycle:
+		switch e.Op {
+		case sched.OpCycle:
 			if rp.Coll == nil {
 				return fmt.Errorf("check: replay event %d is a cycle start but no collector is wired", i)
 			}
 			if err := rp.closePhases(i); err != nil {
 				return err
 			}
-			roots := make([]core.Root, len(e.Roots))
-			for j, r := range e.Roots {
-				roots[j] = core.Root{ID: r.ID, Prior: r.Prior}
+			var roots []sched.Root
+			for ; i+1 < len(entries) && entries[i+1].Op == sched.OpRoot; i++ {
+				roots = append(roots, sched.Root{ID: entries[i+1].Dst, Prior: entries[i+1].Prior})
 			}
 			rp.Coll.ReplayCycleStart(e.Ctx, roots)
-		case EvRestructure:
+		case sched.OpRoot:
+			return fmt.Errorf("check: replay event %d is a root that follows no cycle start", i)
+		case sched.OpRestructure:
 			if rp.Coll == nil {
 				return fmt.Errorf("check: replay event %d is a restructure but no collector is wired", i)
 			}
@@ -112,14 +113,14 @@ func (rp *Replayer) Run(events []Event) error {
 				return err
 			}
 			rp.Coll.ReplayRestructure(e.MT)
-		case EvExec, EvAbsorb:
+		case sched.OpExec, sched.OpAbsorb:
 			want := e.Task()
 			switch {
-			case e.Ev == EvExec && core.IsContinuation(want):
+			case e.Op == sched.OpExec && core.IsContinuation(want):
 				// A continuation names its partition by whichever of its
 				// vertices the drain that queued it ran for.
 				rp.runContinuation(rp.Mach.PartOf(want.Dst))
-			case e.Ev == EvExec && !want.Kind.IsMarking():
+			case e.Op == sched.OpExec && !want.Kind.IsMarking():
 				if !rp.execute(want) {
 					return rp.diverged(i, e, want)
 				}
@@ -127,24 +128,29 @@ func (rp *Replayer) Run(events []Event) error {
 				if rp.Coll == nil {
 					return fmt.Errorf("check: replay event %d is marking work but no collector is wired", i)
 				}
-				if !rp.claim(e, want) {
+				if !rp.claim(e.Op, want) {
 					return rp.diverged(i, e, want)
 				}
 			}
 		default:
-			return fmt.Errorf("check: replay event %d has unknown kind %q", i, e.Ev)
+			return fmt.Errorf("check: replay event %d has unknown kind %v", i, e.Op)
 		}
 	}
 	return nil
 }
 
 // diverged reports event i as a task replay neither has queued in its home
-// pool nor took in.
-func (rp *Replayer) diverged(i int, e Event, want task.Task) error {
+// pool nor took in. An execution is named as the recording numbered it, with
+// the PE that ran it.
+func (rp *Replayer) diverged(i int, e *sched.Entry, want task.Task) error {
+	what := e.Op.String()
+	if e.Op == sched.OpExec {
+		what = fmt.Sprintf("exec #%d (PE %d)", e.Seq, e.PE)
+	}
 	home := rp.Mach.PartOf(want.Dst)
 	return fmt.Errorf(
-		"check: replay diverged at event %d: %s %s not queued on PE %d (pool holds %d tasks, machine inflight %d)",
-		i, e.Ev, want, home, rp.Mach.Pool(home).Len(), rp.Mach.Inflight())
+		"check: replay diverged at event %d: %s %s not queued on its home PE %d (pool holds %d tasks, machine inflight %d)",
+		i, what, want, home, rp.Mach.Pool(home).Len(), rp.Mach.Inflight())
 }
 
 // execute runs the queued task matching want from its home pool, the PE
@@ -161,14 +167,14 @@ func (rp *Replayer) execute(want task.Task) bool {
 // whether it could. An absorb is claimed from what replayed drains took in
 // before a queued copy is executed, and an execution the other way round,
 // so a deterministic replay matches each the way the recorded run did.
-func (rp *Replayer) claim(e Event, want task.Task) bool {
+func (rp *Replayer) claim(op sched.Op, want task.Task) bool {
 	k := key(want)
 	for {
-		if e.Ev == EvAbsorb && rp.take(k) {
+		if op == sched.OpAbsorb && rp.take(k) {
 			return true
 		}
 		if rp.execute(want) {
-			if e.Ev == EvAbsorb && rp.window[k] > 0 {
+			if op == sched.OpAbsorb && rp.window[k] > 0 {
 				rp.window[k]-- // this event is claimed; its drain may not take it in again
 			}
 			return true
@@ -178,8 +184,8 @@ func (rp *Replayer) claim(e Event, want task.Task) bool {
 		}
 		if isCoopRoot(want) {
 			// The recorded run's cooperation registered this root; replay's
-			// marking, further on or behind, may not have. Like a cycle
-			// event's roots, it is input the log supplies.
+			// marking, further on or behind, may not have. Like a cycle's
+			// roots, it is input the log supplies.
 			if !rp.Coll.Marker().AddRootDuringCycle(want.Ctx, want.Dst, want.Prior) {
 				return false
 			}

@@ -105,13 +105,10 @@ type Collector struct {
 
 	// Per-cycle bookkeeping, kept from cycle to cycle so a warm collector
 	// does not ask the allocator for it again. pauseMu serializes cycles, so
-	// one set suffices. The sweep's garbage is kept as ids, not a hash set:
-	// a cycle pays per vertex, not per hash probe.
-	rRoots     []Root                   // M_R's root set
-	tRoots     []Root                   // M_T's root set (taskRoots)
-	garbageIDs []graph.VertexID         // this cycle's sweep, ascending: GAR, searched by the expunge
-	abandoned  []request                // garbage vertices' pending requests
-	destPrior  map[graph.VertexID]uint8 // marked priority of queued demands' destinations
+	// one set suffices. The sweep's garbage is the store's: its retired ids.
+	rRoots    []Root                   // M_R's root set
+	tRoots    []Root                   // M_T's root set (taskRoots)
+	destPrior map[graph.VertexID]uint8 // marked priority of queued demands' destinations
 
 	// The collection loop's trigger (Start, RunDue): due is the execution
 	// count at which its next cycle is due, zero on a collector without a
@@ -461,33 +458,33 @@ func (c *Collector) waitPhase(ctx graph.Ctx, done <-chan struct{}) bool {
 	return c.marker.Done(ctx)
 }
 
-// request is one pending request of a vertex: requester awaits child's value.
-type request struct{ requester, child graph.VertexID }
-
 // restructure is the restructuring phase: sweep garbage to F, detect
 // deadlocked vertices, expunge irrelevant tasks, and reprioritize the task
 // pools from the marked priorities. It is one visit per vertex in use: the
-// sweep retires a garbage vertex where it finds it (Store.Retire), and no
-// garbage vertex goes into a hash map (only the few queued demands'
-// destinations do). The expunge searches this cycle's garbage ids, so every
-// task destined to a vertex freed this cycle is deleted in the same cycle —
-// the invariant that makes freeing safe at all — and only then do the
-// retired ids reach F (Store.PublishRetired), so none is allocated again
-// while a task names it.
+// sweep retires a garbage vertex where it finds it (Store.Retire), and keeps
+// no list of it; no garbage vertex goes into a hash map (only the few queued
+// demands' destinations do). A retired vertex is out of use until its id is
+// published, so the expunge deletes every task destined to a vertex freed
+// this cycle in the same cycle — the invariant that makes freeing safe at
+// all — and only then do the retired ids reach F (Store.PublishRetired), so
+// none is allocated again while a task names it.
 func (c *Collector) restructure(rep *CycleReport) {
 	epochR := c.marker.Epoch(graph.CtxR)
 	c.mu.Lock()
 	epochT := c.lastTEpoch
 	c.mu.Unlock()
 
-	garbageIDs, abandoned := c.garbageIDs[:0], c.abandoned[:0]
 	var dead []graph.VertexID
+	// A garbage vertex's requested children, read before it is retired. An
+	// application awaits at most its operands, three for a speculative if;
+	// a vertex awaiting more than eight costs an allocation.
+	var kidsBuf [8]graph.VertexID
 
 	o := c.cfg.Obs
 	sweepStart := o.Now()
 	// The closure runs once per vertex in use, in ascending id order, so
-	// garbageIDs and dead come out sorted. It unlocks explicitly on each path
-	// rather than paying a defer per vertex.
+	// dead comes out sorted. It unlocks explicitly on each path rather than
+	// paying a defer per vertex.
 	c.store.ForEach(func(v *graph.Vertex) {
 		v.Lock()
 		switch {
@@ -495,13 +492,35 @@ func (c *Collector) restructure(rep *CycleReport) {
 		case v.Red.AllocEpoch >= epochR:
 			// Allocated during this cycle: from F, not garbage (axiom 1).
 		case v.RCtx.StateAt(epochR) == graph.Unmarked:
-			garbageIDs = append(garbageIDs, v.ID)
+			rep.Reclaimed++
+			kids := kidsBuf[:0]
 			for i, a := range v.Args() {
 				if v.ReqKindAt(i) != graph.ReqNone {
-					abandoned = append(abandoned, request{v.ID, a})
+					kids = append(kids, a)
 				}
 			}
+			id := v.ID
 			c.store.Retire(v)
+			v.Unlock()
+			// Its pending requests go with it: each child it awaits
+			// forgets it as a requester. A child that survives the sweep
+			// (another vertex needs its value, or it was allocated during
+			// the cycle) would otherwise keep a backlink to a freed vertex,
+			// which its next M_T would trace and its completion would
+			// answer with a Result to whatever the id is allocated to next.
+			// A garbage vertex awaits a value when a requester took the
+			// value through its indirection before it arrived
+			// (resolveWHNF follows an indirection that is still
+			// evaluating) and dropped it. The child is locked after the
+			// vertex is unlocked, never both at once.
+			for _, a := range kids {
+				if w := c.store.Vertex(a); w != nil {
+					w.Lock()
+					w.RemoveRequester(id)
+					w.Unlock()
+				}
+			}
+			return
 		case rep.MTRan &&
 			v.RCtx.PriorAt(epochR) == graph.PriorVital &&
 			v.Red.AllocEpochT < epochT &&
@@ -515,31 +534,15 @@ func (c *Collector) restructure(rep *CycleReport) {
 		}
 		v.Unlock()
 	})
-	c.garbageIDs, c.abandoned = garbageIDs, abandoned // keep what append grew
-	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(len(garbageIDs)))
-
-	// A garbage vertex's pending requests go with it: each child it awaits
-	// forgets it as a requester. A child that survives the sweep (another
-	// vertex needs its value, or it was allocated during the cycle) would
-	// otherwise keep a backlink to a freed vertex, which its next M_T would
-	// trace and its completion would answer with a Result to whatever the id
-	// is allocated to next. A garbage vertex awaits a value when a requester
-	// took the value through its indirection before it arrived (resolveWHNF
-	// follows an indirection that is still evaluating) and dropped it.
-	for _, r := range abandoned {
-		if w := c.store.Vertex(r.child); w != nil {
-			w.Lock()
-			w.RemoveRequester(r.requester)
-			w.Unlock()
-		}
-	}
+	o.Span("sweep", obs.CatCollector, obs.TIDCollector, sweepStart, int64(rep.Reclaimed))
 
 	// Expunge irrelevant tasks: every task whose destination is garbage
-	// (Property 6: IRR = {<s,d> | d ∈ GAR}). GAR was computed above, as
-	// ascending ids, so the pool predicate is a binary search that needs no
-	// vertex lock (avoiding pool→vertex lock nesting).
+	// (Property 6: IRR = {<s,d> | d ∈ GAR}). GAR is what the sweep retired:
+	// the vertices out of use, whose ids are not yet published. The pool
+	// predicate reads the store's in-use bit and needs no vertex lock
+	// (avoiding pool→vertex lock nesting).
 	irrelevant := func(t task.Task) bool {
-		return t.Kind.IsReduction() && contains(garbageIDs, t.Dst)
+		return t.Kind.IsReduction() && t.Dst != graph.NilVertex && !c.store.InUse(t.Dst)
 	}
 	for i := 0; i < c.mach.PEs(); i++ {
 		rep.Expunged += c.mach.Expunge(i, irrelevant)
@@ -584,24 +587,29 @@ func (c *Collector) restructure(rep *CycleReport) {
 		})
 	}
 
-	// The tasks that named the garbage are gone: its retired ids go to F.
-	c.store.PublishRetired()
-	rep.Reclaimed = len(garbageIDs)
-
 	// Swept vertices leave the verdict record: a reclaimed ID can be reused by
 	// an unrelated allocation (a root switch or is-bottom recovery can make a
 	// once-deadlocked knot garbage), and a stale record under a recycled ID
 	// would poison both the facade's deadlock check and the checker's
-	// confirmed-verdict oracle. Only a collector holding verdicts looks.
-	if len(garbageIDs) > 0 {
+	// confirmed-verdict oracle. A verdict's vertex is swept if it is out of
+	// use before the retired ids are published.
+	if rep.Reclaimed > 0 {
 		c.mu.Lock()
-		if len(c.deadSet) > 0 || len(c.pending) > 0 {
-			for _, id := range garbageIDs {
+		for id := range c.deadSet {
+			if !c.store.InUse(id) {
 				c.dropVerdictLocked(id)
+			}
+		}
+		for id := range c.pending {
+			if !c.store.InUse(id) {
+				delete(c.pending, id)
 			}
 		}
 		c.mu.Unlock()
 	}
+
+	// The tasks that named the garbage are gone: its retired ids go to F.
+	c.store.PublishRetired()
 
 	// Two-phase deadlock verdict. This cycle's candidate set DL'_v feeds
 	// the report but is not yet believed: in parallel mode M_T's taskpool

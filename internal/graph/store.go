@@ -473,6 +473,14 @@ func (s *Store) markUsed(seg *segment, i int, used bool) {
 	}
 }
 
+// InUse reports whether id's in-use bit is set (see segment), taking no
+// lock: whether it is out of F, and not retired since the last
+// PublishRetired. id must have been dealt.
+func (s *Store) InUse(id VertexID) bool {
+	seg, slot := s.slotOf(id)
+	return atomic.LoadUint64(&seg.used[slot>>6])&(1<<(slot&63)) != 0
+}
+
 // IsFree reports whether id is currently in F.
 func (s *Store) IsFree(id VertexID) bool {
 	v := s.Vertex(id)

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,25 +25,55 @@ const (
 	OpRestructure               // a restructuring phase starts; MT is the cycle's M_T flag
 )
 
-// Entry is one line of the execution record, 40 bytes.
+// opNames are the ops as the schedule log spells them, under "ev".
+var opNames = [...]string{OpExec: "exec", OpAbsorb: "absorb", OpCycle: "cycle", OpRoot: "root", OpRestructure: "restructure"}
+
+func (o Op) String() string {
+	if int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
+	}
+	return fmt.Sprintf("Op(%d)", uint8(o))
+}
+
+func (o Op) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+// UnmarshalText reads an op by name, and refuses a name it does not know.
+func (o *Op) UnmarshalText(b []byte) error {
+	i := slices.Index(opNames[:], string(b))
+	if i < 1 {
+		return fmt.Errorf("sched: unknown ev %q", b)
+	}
+	*o = Op(i)
+	return nil
+}
+
+// Entry is one line of the execution record, 40 bytes, and one line of the
+// schedule log (JSON Lines, zero fields left out). Record clears the merge
+// keys: in the log only an execution carries seq and pe, and no entry At.
 type Entry struct {
-	Seq   uint64 // an execution's number; another entry's, the execution count when written
-	Epoch uint64
-	At    int64 // an execution's clock (0 without Obs); another entry's ticket (stamp)
-	Src   graph.VertexID
-	Dst   graph.VertexID
-	PE    uint16
-	Op    Op
-	Kind  task.Kind
-	Req   graph.ReqKind
-	Ctx   graph.Ctx
-	Prior uint8
-	MT    bool
+	Seq   uint64         `json:"seq,omitempty"` // an execution's number; another entry's, the execution count when written
+	Epoch uint64         `json:"epoch,omitempty"`
+	At    int64          `json:"-"` // an execution's clock (0 without Obs); another entry's ticket (stamp)
+	Src   graph.VertexID `json:"src,omitempty"`
+	Dst   graph.VertexID `json:"dst,omitempty"`
+	PE    uint16         `json:"pe,omitempty"`
+	Op    Op             `json:"ev"`
+	Kind  task.Kind      `json:"kind,omitempty"`
+	Req   graph.ReqKind  `json:"req,omitempty"`
+	Ctx   graph.Ctx      `json:"ctx,omitempty"`
+	Prior uint8          `json:"prior,omitempty"`
+	MT    bool           `json:"mt,omitempty"`
 }
 
 func entryOf(op Op, pe int, t *task.Task) Entry {
 	return Entry{Op: op, PE: uint16(pe), Kind: t.Kind, Src: t.Src, Dst: t.Dst,
 		Req: t.Req, Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch}
+}
+
+// Task is the task an execution or absorb entry records.
+func (e *Entry) Task() task.Task {
+	return task.Task{Kind: e.Kind, Src: e.Src, Dst: e.Dst, Req: e.Req,
+		Ctx: e.Ctx, Prior: e.Prior, Epoch: e.Epoch}
 }
 
 const (
@@ -154,12 +185,13 @@ func (m *Machine) NotePhase(e Entry, roots []Root) {
 }
 
 // Record returns the whole run in replay order, a serial order that a
-// deterministic machine re-drives; the record must keep the schedule
-// (SetRecord(true)). Executions sort by number (a task is spawned after its
-// spawner took its number, and takes its own after it is popped), other
-// entries by stamp. An execution enters the record when it ends, so only a
-// stopped machine's record is a whole run. A seeded machine's caller must
-// hold off its stepping goroutine, as Flight's must.
+// deterministic machine re-drives, and the schedule log's entries; the
+// record must keep the schedule (SetRecord(true)). Executions sort by number
+// (a task is spawned after its spawner took its number, and takes its own
+// after it is popped), other entries by stamp, which is then cleared with
+// their PE and every clock. An execution enters the record when it ends, so
+// only a stopped machine's record is a whole run. A seeded machine's caller
+// must hold off its stepping goroutine, as Flight's must.
 func (m *Machine) Record() []Entry {
 	var out []Entry
 	for pe := range m.rec.lanes {
@@ -178,6 +210,12 @@ func (m *Machine) Record() []Entry {
 	slices.SortStableFunc(out, func(a, b Entry) int {
 		return cmp.Or(cmp.Compare(order(a), order(b)), cmp.Compare(a.At, b.At))
 	})
+	for i := range out {
+		out[i].At = 0
+		if out[i].Op != OpExec {
+			out[i].Seq, out[i].PE = 0, 0
+		}
+	}
 	return out
 }
 

@@ -21,7 +21,7 @@ func newTestServer(t *testing.T, opts Options) *Server {
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
-	opts.Machine.Check = true
+	opts.Machine.CheckEvery = 256
 	s := New(opts)
 	t.Cleanup(s.Close)
 	return s

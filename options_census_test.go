@@ -17,8 +17,8 @@ import (
 // configurations that tests and benchmarks must cover. Lower them when a
 // field goes.
 const (
-	maxOptions      = 17 // dgr.Options
-	maxConfigFields = 43 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
+	maxOptions      = 16 // dgr.Options
+	maxConfigFields = 42 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
 )
 
 func exportedFields(v any) int {

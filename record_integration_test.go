@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"dgr"
-	"dgr/internal/check"
 	"dgr/internal/obs"
 	"dgr/internal/sched"
 	"dgr/internal/task"
@@ -23,7 +22,7 @@ import (
 
 // TestFlightIsScheduleTail: on a seeded run with Obs and RecordSchedule both
 // on, each PE's execution rows in the flight view are, field for field, the
-// tail of that PE's exec events in the schedule, its last sched.FlightLen.
+// tail of that PE's executions in the schedule, its last sched.FlightLen.
 func TestFlightIsScheduleTail(t *testing.T) {
 	m := dgr.New(dgr.Options{PEs: 4, Seed: 3, GCInterval: 500, MTEvery: 1, Obs: true, RecordSchedule: true})
 	defer m.Close()
@@ -62,8 +61,9 @@ func TestFlightIsScheduleTail(t *testing.T) {
 	}
 	schedule := map[int][]row{}
 	for _, e := range events {
-		if e.Ev == check.EvExec {
-			schedule[e.PE] = append(schedule[e.PE], row{e.PE, e.Kind.String(), uint64(e.Src), uint64(e.Dst)})
+		if e.Op == sched.OpExec {
+			pe := int(e.PE)
+			schedule[pe] = append(schedule[pe], row{pe, e.Kind.String(), uint64(e.Src), uint64(e.Dst)})
 		}
 	}
 	longest := 0

@@ -44,7 +44,7 @@ func TestRuntimeErrorMatrix(t *testing.T) {
 		for _, parallel := range []bool{false, true} {
 			for _, specIf := range []bool{false, true} {
 				opts := dgr.Options{PEs: 2, Seed: 3, Engine: engine,
-					Parallel: parallel, SpeculativeIf: specIf, Check: true}
+					Parallel: parallel, SpeculativeIf: specIf, CheckEvery: 256}
 				mode := fmt.Sprintf("parallel=%v/specif=%v", parallel, specIf)
 				t.Run(engine+"/"+mode, func(t *testing.T) {
 					t.Parallel()
