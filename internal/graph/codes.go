@@ -16,10 +16,11 @@ const (
 	CombI
 	CombB
 	CombC
-	CombSP // S' f g x y -> (f (g y)) (x y) applied under a shared head
-	CombBP // B' f g x y -> f g (x y)
-	CombCP // C' f g x y -> f (g y) x
-	CombY  // Y f -> f (Y f), implemented as a cyclic knot
+	CombSP  // S' f g x y -> (f (g y)) (x y) applied under a shared head
+	CombBP  // B' f g x y -> f g (x y)
+	CombCP  // C' f g x y -> f (g y) x
+	CombY   // Y f -> f (Y f), implemented as a cyclic knot
+	CombEnd // one past the last code
 )
 
 // combs says each combinator once: conventional name and the number of

@@ -17,7 +17,7 @@ type tInt struct{ n int64 }
 type tBool struct{ v bool }
 type tNil struct{}
 type tLeaf struct{ v *graph.Vertex } // pre-allocated vertex (letrec holes)
-type tApp struct{ fun, arg term }
+type tApp struct{ fun, arg term }    // taken as *tApp from a Compiler's slab
 
 func (tVar) termNode()  {}
 func (tComb) termNode() {}
@@ -26,9 +26,43 @@ func (tInt) termNode()  {}
 func (tBool) termNode() {}
 func (tNil) termNode()  {}
 func (tLeaf) termNode() {}
-func (tApp) termNode()  {}
+func (*tApp) termNode() {}
 
-func ap(f, a term) term { return tApp{fun: f, arg: a} }
+// A Compiler's slabs of application nodes start at minSlab nodes and
+// double up to maxSlab, so a small program leaves little of its last slab
+// unused and a large one takes few slabs.
+const (
+	minSlab = 4
+	maxSlab = 32
+)
+
+// ap builds the application node f a: a node abstraction let go if there
+// is one, else the next of the compiler's slab. The nodes of one compile
+// come a slab at a time, and a full slab is left to the nodes that point
+// into it.
+func (c *Compiler) ap(f, a term) term {
+	n := c.free
+	if n != nil {
+		c.free, _ = n.fun.(*tApp)
+	} else {
+		if len(c.slab) == cap(c.slab) {
+			c.slab = make([]tApp, 0, min(maxSlab, max(minSlab, 2*cap(c.slab))))
+		}
+		c.slab = c.slab[:len(c.slab)+1]
+		n = &c.slab[len(c.slab)-1]
+	}
+	n.fun, n.arg = f, a
+	return n
+}
+
+// release returns n, which nothing points to any more, for ap to reuse.
+// Every application node is referenced from one place at most: toTerm
+// builds trees, and abstraction puts each subterm of its input into its
+// output at most once. So a node abstraction takes apart is dead.
+func (c *Compiler) release(n *tApp) {
+	n.fun, n.arg = c.free, nil
+	c.free = n
+}
 
 // builtins maps surface names to terms: every primitive under the builtin
 // name graph's table gives it (if has none, it is syntax), plus fix.
@@ -56,27 +90,59 @@ func Builtin(name string) (graph.Kind, int64, bool) {
 	}
 }
 
+// leaves holds the combinator and primitive leaf vertices of one compile,
+// each built on first use and shared by every later one.
+type leaves struct {
+	combs [graph.CombEnd]*graph.Vertex
+	prims [graph.PrimEnd]*graph.Vertex
+}
+
+func (l *leaves) comb(b *graph.Builder, c graph.Comb) *graph.Vertex {
+	if l.combs[c] == nil {
+		l.combs[c] = b.Comb(c)
+	}
+	return l.combs[c]
+}
+
+func (l *leaves) prim(b *graph.Builder, p graph.Prim) *graph.Vertex {
+	if l.prims[p] == nil {
+		l.prims[p] = b.Prim(p)
+	}
+	return l.prims[p]
+}
+
+// builtin returns the shared leaf of a builtin name, or nil if name is
+// none.
+func (l *leaves) builtin(b *graph.Builder, name string) *graph.Vertex {
+	k, val, ok := Builtin(name)
+	switch {
+	case !ok:
+		return nil
+	case k == graph.KindComb:
+		return l.comb(b, graph.Comb(val))
+	default:
+		return l.prim(b, graph.Prim(val))
+	}
+}
+
 // Compiler translates expressions to combinator graphs.
 type Compiler struct {
 	store *graph.Store
 	b     *graph.Builder
-	combs map[graph.Comb]*graph.Vertex
-	prims map[graph.Prim]*graph.Vertex
+	leaves
+	env  scope[term] // tVar for lambda parameters, tLeaf holes for letrec bindings
+	slab []tApp
+	free *tApp // nodes abstraction let go, linked through fun
 }
 
 // NewCompiler builds a compiler allocating into store.
 func NewCompiler(store *graph.Store) *Compiler {
-	return &Compiler{
-		store: store,
-		b:     graph.NewBuilder(store, -1),
-		combs: make(map[graph.Comb]*graph.Vertex),
-		prims: make(map[graph.Prim]*graph.Vertex),
-	}
+	return &Compiler{store: store, b: graph.NewBuilder(store, -1)}
 }
 
 // Compile translates an expression to a graph and returns its root vertex.
 func (c *Compiler) Compile(e Expr) (*graph.Vertex, error) {
-	t, err := c.toTerm(e, map[string]term{})
+	t, err := c.toTerm(e)
 	if err != nil {
 		return nil, err
 	}
@@ -96,13 +162,12 @@ func CompileString(store *graph.Store, src string) (*graph.Vertex, error) {
 	return NewCompiler(store).Compile(e)
 }
 
-// toTerm desugars and bracket-abstracts an expression. env maps in-scope
-// names to terms (tVar for lambda parameters, tLeaf holes for letrec
-// bindings).
-func (c *Compiler) toTerm(e Expr, env map[string]term) (term, error) {
+// toTerm desugars and bracket-abstracts an expression under the names in
+// c.env.
+func (c *Compiler) toTerm(e Expr) (term, error) {
 	switch x := e.(type) {
 	case Var:
-		if t, ok := env[x.Name]; ok {
+		if t, ok := c.env.lookup(x.Name); ok {
 			return t, nil
 		}
 		if t, ok := builtins[x.Name]; ok {
@@ -116,71 +181,72 @@ func (c *Compiler) toTerm(e Expr, env map[string]term) (term, error) {
 	case NilLit:
 		return tNil{}, nil
 	case App:
-		f, err := c.toTerm(x.Fun, env)
+		f, err := c.toTerm(x.Fun)
 		if err != nil {
 			return nil, err
 		}
-		a, err := c.toTerm(x.Arg, env)
+		a, err := c.toTerm(x.Arg)
 		if err != nil {
 			return nil, err
 		}
-		return ap(f, a), nil
+		return c.ap(f, a), nil
 	case If:
-		cond, err := c.toTerm(x.Cond, env)
+		cond, err := c.toTerm(x.Cond)
 		if err != nil {
 			return nil, err
 		}
-		thn, err := c.toTerm(x.Then, env)
+		thn, err := c.toTerm(x.Then)
 		if err != nil {
 			return nil, err
 		}
-		els, err := c.toTerm(x.Else, env)
+		els, err := c.toTerm(x.Else)
 		if err != nil {
 			return nil, err
 		}
-		return ap(ap(ap(tPrim{p: graph.PrimIf}, cond), thn), els), nil
+		return c.ap(c.ap(c.ap(tPrim{p: graph.PrimIf}, cond), thn), els), nil
 	case Lam:
-		inner := copyEnv(env)
+		mark := len(c.env)
 		for _, p := range x.Params {
-			inner[p] = tVar{name: p}
+			c.env.push(p, tVar{name: p})
 		}
-		body, err := c.toTerm(x.Body, inner)
+		body, err := c.toTerm(x.Body)
+		c.env = c.env[:mark]
 		if err != nil {
 			return nil, err
 		}
 		for i := len(x.Params) - 1; i >= 0; i-- {
-			body = abstract(x.Params[i], body)
+			body = c.abstract(x.Params[i], body)
 		}
 		return body, nil
 	case Let:
 		// A binding that captures an enclosing lambda parameter cannot be
 		// a static graph knot (its value differs per call); desugar such
 		// lets to applications, with fix for self-recursive bindings.
-		if capturesLambdaVar(x, env) {
+		if c.capturesLambdaVar(x) {
 			desugared, err := desugarLet(x)
 			if err != nil {
 				return nil, err
 			}
-			return c.toTerm(desugared, env)
+			return c.toTerm(desugared)
 		}
 		// Otherwise the (possibly mutually recursive) bindings become
 		// graph knots: each name is bound to a Hole vertex; binding bodies
 		// are emitted and the holes back-patched to indirections, sharing
 		// every binding's subgraph across all uses and calls.
-		inner := copyEnv(env)
-		holes := make([]*graph.Vertex, len(x.Binds))
-		for i, b := range x.Binds {
-			holes[i] = c.b.Hole()
-			inner[b.Name] = tLeaf{v: holes[i]}
+		mark := len(c.env)
+		for _, b := range x.Binds {
+			c.env.push(b.Name, tLeaf{v: c.b.Hole()})
 		}
 		for i, b := range x.Binds {
-			t, err := c.toTerm(b.Val, inner)
+			t, err := c.toTerm(b.Val)
 			if err != nil {
 				return nil, err
 			}
-			c.b.Knot(holes[i], c.emit(t))
+			c.b.Knot(c.env[mark+i].val.(tLeaf).v, c.emit(t))
 		}
-		return c.toTerm(x.Body, inner)
+		t, err := c.toTerm(x.Body)
+		c.env = c.env[:mark]
+		return t, err
 	default:
 		return nil, fmt.Errorf("unknown expression %T", e)
 	}
@@ -188,16 +254,18 @@ func (c *Compiler) toTerm(e Expr, env map[string]term) (term, error) {
 
 // capturesLambdaVar reports whether any binding value of the let has a
 // free variable that is currently bound to a lambda parameter (tVar).
-func capturesLambdaVar(x Let, env map[string]term) bool {
+func (c *Compiler) capturesLambdaVar(x Let) bool {
 	letNames := make(map[string]bool, len(x.Binds))
 	for _, b := range x.Binds {
 		letNames[b.Name] = true
 	}
+	free := map[string]bool{}
 	for _, b := range x.Binds {
-		free := map[string]bool{}
-		freeVars(b.Val, copyBound(letNames), free)
-		for name := range free {
-			if _, isVar := env[name].(tVar); isVar {
+		freeVars(b.Val, letNames, free)
+	}
+	for name := range free {
+		if t, _ := c.env.lookup(name); t != nil {
+			if _, isVar := t.(tVar); isVar {
 				return true
 			}
 		}
@@ -231,20 +299,12 @@ func desugarLet(x Let) (Expr, error) {
 	return expr, nil
 }
 
-func copyEnv(env map[string]term) map[string]term {
-	c := make(map[string]term, len(env))
-	for k, v := range env {
-		c[k] = v
-	}
-	return c
-}
-
 // occurs reports whether variable x appears free in t.
 func occurs(x string, t term) bool {
 	switch v := t.(type) {
 	case tVar:
 		return v.name == x
-	case tApp:
+	case *tApp:
 		return occurs(x, v.fun) || occurs(x, v.arg)
 	default:
 		return false
@@ -253,65 +313,72 @@ func occurs(x string, t term) bool {
 
 // abstract is Turner-style bracket abstraction of x out of t, producing a
 // combinator term over S, K, I, B, C with the S', B', C' optimizations.
-func abstract(x string, t term) term {
+func (c *Compiler) abstract(x string, t term) term {
 	if !occurs(x, t) {
-		return ap(tComb{c: graph.CombK}, t)
+		return c.ap(tComb{c: graph.CombK}, t)
 	}
 	switch v := t.(type) {
 	case tVar: // occurs ⇒ v.name == x
 		return tComb{c: graph.CombI}
-	case tApp:
-		fFree := occurs(x, v.fun)
-		aFree := occurs(x, v.arg)
+	case *tApp:
+		fun, arg := v.fun, v.arg
+		c.release(v)
+		fFree := occurs(x, fun)
+		aFree := occurs(x, arg)
 		switch {
 		case fFree && aFree:
-			fa := abstract(x, v.fun)
-			aa := abstract(x, v.arg)
+			fa := c.abstract(x, fun)
+			aa := c.abstract(x, arg)
 			// S (B k f) g → S' k f g
-			if bk, k, f, ok := matchB(fa); ok && bk {
-				return ap(ap(ap(tComb{c: graph.CombSP}, k), f), aa)
+			if k, f, ok := c.matchB(fa); ok {
+				return c.ap(c.ap(c.ap(tComb{c: graph.CombSP}, k), f), aa)
 			}
-			return ap(ap(tComb{c: graph.CombS}, fa), aa)
+			return c.ap(c.ap(tComb{c: graph.CombS}, fa), aa)
 		case fFree:
-			fa := abstract(x, v.fun)
+			fa := c.abstract(x, fun)
 			// C (B k f) g → C' k f g
-			if bk, k, f, ok := matchB(fa); ok && bk {
-				return ap(ap(ap(tComb{c: graph.CombCP}, k), f), v.arg)
+			if k, f, ok := c.matchB(fa); ok {
+				return c.ap(c.ap(c.ap(tComb{c: graph.CombCP}, k), f), arg)
 			}
-			return ap(ap(tComb{c: graph.CombC}, fa), v.arg)
+			return c.ap(c.ap(tComb{c: graph.CombC}, fa), arg)
 		default: // aFree
 			// η-reduction: λx. f x = f when x ∉ f.
-			if av, ok := v.arg.(tVar); ok && av.name == x {
-				return v.fun
+			if av, ok := arg.(tVar); ok && av.name == x {
+				return fun
 			}
-			aa := abstract(x, v.arg)
+			aa := c.abstract(x, arg)
 			// B (k f) g → B' k f g
-			if ka, ok := v.fun.(tApp); ok {
-				return ap(ap(ap(tComb{c: graph.CombBP}, ka.fun), ka.arg), aa)
+			if ka, ok := fun.(*tApp); ok {
+				k, f := ka.fun, ka.arg
+				c.release(ka)
+				return c.ap(c.ap(c.ap(tComb{c: graph.CombBP}, k), f), aa)
 			}
-			return ap(ap(tComb{c: graph.CombB}, v.fun), aa)
+			return c.ap(c.ap(tComb{c: graph.CombB}, fun), aa)
 		}
 	default:
 		// Unreachable: occurs(x, t) is false for every non-var, non-app.
-		return ap(tComb{c: graph.CombK}, t)
+		return c.ap(tComb{c: graph.CombK}, t)
 	}
 }
 
-// matchB matches the shape ((B k) f).
-func matchB(t term) (isB bool, k, f term, ok bool) {
-	outer, okOuter := t.(tApp)
-	if !okOuter {
-		return false, nil, nil, false
+// matchB matches the shape ((B k) f), which abstraction has just built,
+// and releases its two nodes.
+func (c *Compiler) matchB(t term) (k, f term, ok bool) {
+	outer, ok := t.(*tApp)
+	if !ok {
+		return nil, nil, false
 	}
-	inner, okInner := outer.fun.(tApp)
-	if !okInner {
-		return false, nil, nil, false
+	inner, ok := outer.fun.(*tApp)
+	if !ok {
+		return nil, nil, false
 	}
-	cb, okComb := inner.fun.(tComb)
-	if !okComb || cb.c != graph.CombB {
-		return false, nil, nil, false
+	if cb, ok := inner.fun.(tComb); !ok || cb.c != graph.CombB {
+		return nil, nil, false
 	}
-	return true, inner.arg, outer.arg, true
+	k, f = inner.arg, outer.arg
+	c.release(outer)
+	c.release(inner)
+	return k, f, true
 }
 
 // emit lowers a term to graph vertices. Combinator and primitive leaves
@@ -325,22 +392,12 @@ func (c *Compiler) emit(t term) *graph.Vertex {
 	case tNil:
 		return c.b.Nil()
 	case tComb:
-		if lv, ok := c.combs[v.c]; ok {
-			return lv
-		}
-		lv := c.b.Comb(v.c)
-		c.combs[v.c] = lv
-		return lv
+		return c.comb(c.b, v.c)
 	case tPrim:
-		if lv, ok := c.prims[v.p]; ok {
-			return lv
-		}
-		lv := c.b.Prim(v.p)
-		c.prims[v.p] = lv
-		return lv
+		return c.prim(c.b, v.p)
 	case tLeaf:
 		return v.v
-	case tApp:
+	case *tApp:
 		return c.b.App(c.emit(v.fun), c.emit(v.arg))
 	case tVar:
 		// A free variable survived abstraction: compiler bug or unbound

@@ -205,7 +205,7 @@ func TestCompiledDeadlock(t *testing.T) {
 func TestBracketAbstractionStructure(t *testing.T) {
 	// η-optimization: \x. f x compiles to just f.
 	c := NewCompiler(graph.NewStore(graph.Config{Partitions: 1}))
-	tm, err := c.toTerm(mustParse(t, "\\x. neg x"), map[string]term{})
+	tm, err := c.toTerm(mustParse(t, "\\x. neg x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,8 @@ func TestBracketAbstractionStructure(t *testing.T) {
 		t.Fatalf("eta-reduction failed: %T %v", tm, tm)
 	}
 	// K-optimization: \x. 5 is K 5.
-	term2, _ := c.toTerm(mustParse(t, "\\x. 5"), map[string]term{})
-	app, ok := term2.(tApp)
+	term2, _ := c.toTerm(mustParse(t, "\\x. 5"))
+	app, ok := term2.(*tApp)
 	if !ok {
 		t.Fatalf("\\x.5 = %T", term2)
 	}
@@ -222,7 +222,7 @@ func TestBracketAbstractionStructure(t *testing.T) {
 		t.Fatal("\\x.5 should compile to K 5")
 	}
 	// Identity: \x. x is I.
-	term3, _ := c.toTerm(mustParse(t, "\\x. x"), map[string]term{})
+	term3, _ := c.toTerm(mustParse(t, "\\x. x"))
 	if cb, ok := term3.(tComb); !ok || cb.c != graph.CombI {
 		t.Fatalf("\\x.x = %v", term3)
 	}

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 
 	"dgr/internal/gm"
 	"dgr/internal/graph"
@@ -28,18 +29,20 @@ func CompileSupers(store *graph.Store, prog *gm.Program, src string) (*graph.Ver
 // are assigned to the whole batch before any body is compiled.
 func CompileLifted(store *graph.Store, prog *gm.Program, sc *SCProg) (*graph.Vertex, error) {
 	base := prog.Len()
-	scIdx := make(map[string]int, len(sc.Supers))
-	for name, i := range sc.Index {
-		scIdx[name] = base + i
-	}
 	masks := strictMasks(sc)
 	compiled := make([]*gm.Super, len(sc.Supers))
+	c := &bodyCompiler{
+		index:  sc.Index,
+		base:   base,
+		code:   make([]gm.Instr, 0, 4*stackRoom),
+		spines: make([]Expr, 0, stackRoom),
+	}
 	for i, s := range sc.Supers {
-		sup, err := compileSuper(s, scIdx)
+		sup, err := c.compileSuper(s)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}
-		sup.Strict = masks[s.Name]
+		sup.Strict = masks[i]
 		compiled[i] = sup
 	}
 	if got := prog.AddBatch(compiled); got != base {
@@ -47,12 +50,12 @@ func CompileLifted(store *graph.Store, prog *gm.Program, sc *SCProg) (*graph.Ver
 	}
 	em := &emitter{
 		b:      graph.NewBuilder(store, -1),
-		scIdx:  scIdx,
-		combs:  make(map[graph.Comb]*graph.Vertex),
-		prims:  make(map[graph.Prim]*graph.Vertex),
-		supers: make(map[int]*graph.Vertex),
+		index:  sc.Index,
+		base:   base,
+		supers: make([]*graph.Vertex, len(sc.Supers)),
+		spines: c.spines,
 	}
-	root, err := em.emit(sc.Main, map[string]*graph.Vertex{})
+	root, err := em.emit(sc.Main)
 	if err != nil {
 		return nil, err
 	}
@@ -62,6 +65,34 @@ func CompileLifted(store *graph.Store, prog *gm.Program, sc *SCProg) (*graph.Ver
 	return root, nil
 }
 
+// stackRoom is the room a per-compile stack starts with: enough for the
+// nesting of most programs, so that a stack seldom grows.
+const stackRoom = 16
+
+// named is one binding of a scope.
+type named[T any] struct {
+	name string
+	val  T
+}
+
+// scope holds the names bound around an expression, innermost last, on one
+// stack per compile: a construct that binds pushes, and pops when it is
+// done. A lookup finds the latest binding of a name, as it would in a map
+// copied and rebound at every let.
+type scope[T any] []named[T]
+
+func (s scope[T]) lookup(name string) (T, bool) {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i].name == name {
+			return s[i].val, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+func (s *scope[T]) push(name string, val T) { *s = append(*s, named[T]{name, val}) }
+
 // ---- supercombinator body → instructions ----
 
 // binding classifies a name in scope inside a supercombinator body.
@@ -70,30 +101,34 @@ type binding struct {
 	idx     int // parameter position or local slot
 }
 
-// bodyCompiler compiles one supercombinator body to instructions,
-// tracking the stack height and local-slot usage.
+// bodyCompiler compiles supercombinator bodies to instructions, tracking
+// the stack height and local-slot usage. Its buffers serve every body of
+// one compile: a body is built in code and copied out at its final size.
 type bodyCompiler struct {
-	scIdx   map[string]int
+	index   map[string]int // the program's supers, by name
+	base    int            // the table index of the program's first super
 	code    []gm.Instr
+	env     scope[binding]
+	spines  []Expr // stack of spine arguments
 	nlocals int
 	depth   int
 	maxHigh int
 }
 
-func compileSuper(s SC, scIdx map[string]int) (*gm.Super, error) {
-	c := &bodyCompiler{scIdx: scIdx}
-	env := make(map[string]binding, len(s.Params))
+func (c *bodyCompiler) compileSuper(s SC) (*gm.Super, error) {
+	c.code, c.env = c.code[:0], c.env[:0]
+	c.nlocals, c.depth, c.maxHigh = 0, 0, 0
 	for i, p := range s.Params {
-		env[p] = binding{idx: i}
+		c.env.push(p, binding{idx: i})
 	}
-	if err := c.expr(s.Body, env); err != nil {
+	if err := c.expr(s.Body); err != nil {
 		return nil, err
 	}
 	c.patchTail()
 	return &gm.Super{
 		Name:    s.Name,
 		Arity:   s.Arity(),
-		Code:    c.code,
+		Code:    slices.Clone(c.code),
 		NLocals: c.nlocals,
 		MaxHigh: c.maxHigh,
 	}, nil
@@ -137,28 +172,27 @@ func (c *bodyCompiler) patchTail() {
 	}
 }
 
-// spine decomposes nested applications into head and argument list.
-func spine(e Expr) (Expr, []Expr) {
-	var args []Expr
+// spine decomposes nested applications into head and argument list,
+// appending the arguments, in order, to buf.
+func spine(e Expr, buf []Expr) (Expr, []Expr) {
+	mark := len(buf)
 	for {
 		app, ok := e.(App)
 		if !ok {
 			break
 		}
-		args = append(args, app.Arg)
+		buf = append(buf, app.Arg)
 		e = app.Fun
 	}
-	for i, j := 0, len(args)-1; i < j; i, j = i+1, j-1 {
-		args[i], args[j] = args[j], args[i]
-	}
-	return e, args
+	slices.Reverse(buf[mark:])
+	return e, buf
 }
 
 // expr compiles e, leaving one vertex on the stack.
-func (c *bodyCompiler) expr(e Expr, env map[string]binding) error {
+func (c *bodyCompiler) expr(e Expr) error {
 	switch x := e.(type) {
 	case Var:
-		return c.name(x.Name, env)
+		return c.name(x.Name)
 	case IntLit:
 		c.emit(gm.Instr{Op: gm.OpPushInt, A: x.Val}, 1)
 	case BoolLit:
@@ -170,16 +204,16 @@ func (c *bodyCompiler) expr(e Expr, env map[string]binding) error {
 	case NilLit:
 		c.emit(gm.Instr{Op: gm.OpPushNil}, 1)
 	case If:
-		for _, sub := range []Expr{x.Cond, x.Then, x.Else} {
-			if err := c.expr(sub, env); err != nil {
+		for _, sub := range [...]Expr{x.Cond, x.Then, x.Else} {
+			if err := c.expr(sub); err != nil {
 				return err
 			}
 		}
 		c.emit(gm.Instr{Op: gm.OpMkPrimApp, A: int64(graph.PrimIf), B: 3}, 1-3)
 	case App:
-		return c.app(x, env)
+		return c.app(e)
 	case Let:
-		return c.let(x, env)
+		return c.let(x)
 	case Lam:
 		return fmt.Errorf("gm: lambda survived lifting")
 	default:
@@ -192,15 +226,15 @@ func (c *bodyCompiler) expr(e Expr, env map[string]binding) error {
 // pipeline share: the spine's head names a builtin primitive (not shadowed
 // by a binding in env or a supercombinator) and the spine supplies at least
 // its arity of arguments.
-func saturatedPrim[B any](head Expr, nargs int, env map[string]B, scIdx map[string]int) (graph.Prim, bool) {
+func saturatedPrim[T any](head Expr, nargs int, env scope[T], supers map[string]int) (graph.Prim, bool) {
 	v, ok := head.(Var)
 	if !ok {
 		return 0, false
 	}
-	if _, bound := env[v.Name]; bound {
+	if _, bound := env.lookup(v.Name); bound {
 		return 0, false
 	}
-	if _, sc := scIdx[v.Name]; sc {
+	if _, sc := supers[v.Name]; sc {
 		return 0, false
 	}
 	k, val, ok := Builtin(v.Name)
@@ -215,28 +249,36 @@ func saturatedPrim[B any](head Expr, nargs int, env map[string]B, scIdx map[stri
 // strict primitive becomes one flattened primapp vertex — the big win over
 // interpreted combinator rewriting, which reaches the same flat form only
 // after several spine-collection task steps.
-func (c *bodyCompiler) app(e App, env map[string]binding) error {
-	head, args := spine(e)
-	if p, ok := saturatedPrim(head, len(args), env, c.scIdx); ok {
+func (c *bodyCompiler) app(e Expr) error {
+	mark := len(c.spines)
+	var head Expr
+	head, c.spines = spine(e, c.spines)
+	err := c.spine(head, c.spines[mark:])
+	c.spines = c.spines[:mark]
+	return err
+}
+
+func (c *bodyCompiler) spine(head Expr, args []Expr) error {
+	if p, ok := saturatedPrim(head, len(args), c.env, c.index); ok {
 		ar := p.Arity()
 		for _, a := range args[:ar] {
-			if err := c.expr(a, env); err != nil {
+			if err := c.expr(a); err != nil {
 				return err
 			}
 		}
 		c.emit(gm.Instr{Op: gm.OpMkPrimApp, A: int64(p), B: int64(ar)}, 1-ar)
-		return c.apps(args[ar:], env)
+		return c.apps(args[ar:])
 	}
-	if err := c.expr(head, env); err != nil {
+	if err := c.expr(head); err != nil {
 		return err
 	}
-	return c.apps(args, env)
+	return c.apps(args)
 }
 
 // apps applies the already-pushed function to each argument in turn.
-func (c *bodyCompiler) apps(args []Expr, env map[string]binding) error {
+func (c *bodyCompiler) apps(args []Expr) error {
 	for _, a := range args {
-		if err := c.expr(a, env); err != nil {
+		if err := c.expr(a); err != nil {
 			return err
 		}
 		c.emit(gm.Instr{Op: gm.OpMkApp}, -1)
@@ -245,8 +287,8 @@ func (c *bodyCompiler) apps(args []Expr, env map[string]binding) error {
 }
 
 // name compiles a variable reference.
-func (c *bodyCompiler) name(name string, env map[string]binding) error {
-	if b, ok := env[name]; ok {
+func (c *bodyCompiler) name(name string) error {
+	if b, ok := c.env.lookup(name); ok {
 		if b.isLocal {
 			c.emit(gm.Instr{Op: gm.OpPushLocal, A: int64(b.idx)}, 1)
 		} else {
@@ -254,8 +296,8 @@ func (c *bodyCompiler) name(name string, env map[string]binding) error {
 		}
 		return nil
 	}
-	if idx, ok := c.scIdx[name]; ok {
-		c.emit(gm.Instr{Op: gm.OpPushSuper, A: int64(idx)}, 1)
+	if idx, ok := c.index[name]; ok {
+		c.emit(gm.Instr{Op: gm.OpPushSuper, A: int64(c.base + idx)}, 1)
 		return nil
 	}
 	if k, val, ok := Builtin(name); ok {
@@ -273,25 +315,22 @@ func (c *bodyCompiler) name(name string, env map[string]binding) error {
 // per-invocation hole slot, bodies are built referencing the holes, and
 // the holes are knotted — the same shared-knot shape the interpreted
 // compiler builds statically, but per call.
-func (c *bodyCompiler) let(x Let, env map[string]binding) error {
-	inner := make(map[string]binding, len(env)+len(x.Binds))
-	for k, v := range env {
-		inner[k] = v
-	}
-	slots := make([]int, len(x.Binds))
-	for i, b := range x.Binds {
-		slots[i] = c.nlocals
+func (c *bodyCompiler) let(x Let) error {
+	mark := len(c.env)
+	for _, b := range x.Binds {
+		c.emit(gm.Instr{Op: gm.OpMkHole, A: int64(c.nlocals)}, 0)
+		c.env.push(b.Name, binding{isLocal: true, idx: c.nlocals})
 		c.nlocals++
-		c.emit(gm.Instr{Op: gm.OpMkHole, A: int64(slots[i])}, 0)
-		inner[b.Name] = binding{isLocal: true, idx: slots[i]}
 	}
 	for i, b := range x.Binds {
-		if err := c.expr(b.Val, inner); err != nil {
+		if err := c.expr(b.Val); err != nil {
 			return err
 		}
-		c.emit(gm.Instr{Op: gm.OpKnot, A: int64(slots[i])}, -1)
+		c.emit(gm.Instr{Op: gm.OpKnot, A: int64(c.env[mark+i].val.idx)}, -1)
 	}
-	return c.expr(x.Body, inner)
+	err := c.expr(x.Body)
+	c.env = c.env[:mark]
+	return err
 }
 
 // ---- main-expression emission ----
@@ -301,16 +340,19 @@ func (c *bodyCompiler) let(x Let, env map[string]binding) error {
 // interpreted compiler) and building static knots for top-level lets.
 type emitter struct {
 	b      *graph.Builder
-	scIdx  map[string]int
-	combs  map[graph.Comb]*graph.Vertex
-	prims  map[graph.Prim]*graph.Vertex
-	supers map[int]*graph.Vertex
+	index  map[string]int  // the program's supers, by name
+	base   int             // the table index of the program's first super
+	supers []*graph.Vertex // per super of the program: its shared leaf
+	leaves
+	env    scope[*graph.Vertex]
+	spines []Expr          // stack of spine arguments
+	ops    []*graph.Vertex // stack of primitive operands
 }
 
-func (em *emitter) emit(e Expr, env map[string]*graph.Vertex) (*graph.Vertex, error) {
+func (em *emitter) emit(e Expr) (*graph.Vertex, error) {
 	switch x := e.(type) {
 	case Var:
-		return em.name(x.Name, env)
+		return em.name(x.Name)
 	case IntLit:
 		return em.b.Int(x.Val), nil
 	case BoolLit:
@@ -318,39 +360,41 @@ func (em *emitter) emit(e Expr, env map[string]*graph.Vertex) (*graph.Vertex, er
 	case NilLit:
 		return em.b.Nil(), nil
 	case If:
-		c, err := em.emit(x.Cond, env)
+		c, err := em.emit(x.Cond)
 		if err != nil {
 			return nil, err
 		}
-		t, err := em.emit(x.Then, env)
+		t, err := em.emit(x.Then)
 		if err != nil {
 			return nil, err
 		}
-		els, err := em.emit(x.Else, env)
+		els, err := em.emit(x.Else)
 		if err != nil {
 			return nil, err
 		}
 		return em.b.PrimApp(graph.PrimIf, c, t, els), nil
 	case App:
-		return em.app(x, env)
+		mark := len(em.spines)
+		var head Expr
+		head, em.spines = spine(e, em.spines)
+		v, err := em.spine(head, em.spines[mark:])
+		em.spines = em.spines[:mark]
+		return v, err
 	case Let:
-		inner := make(map[string]*graph.Vertex, len(env)+len(x.Binds))
-		for k, v := range env {
-			inner[k] = v
-		}
-		holes := make([]*graph.Vertex, len(x.Binds))
-		for i, b := range x.Binds {
-			holes[i] = em.b.Hole()
-			inner[b.Name] = holes[i]
+		mark := len(em.env)
+		for _, b := range x.Binds {
+			em.env.push(b.Name, em.b.Hole())
 		}
 		for i, b := range x.Binds {
-			v, err := em.emit(b.Val, inner)
+			v, err := em.emit(b.Val)
 			if err != nil {
 				return nil, err
 			}
-			em.b.Knot(holes[i], v)
+			em.b.Knot(em.env[mark+i].val, v)
 		}
-		return em.emit(x.Body, inner)
+		v, err := em.emit(x.Body)
+		em.env = em.env[:mark]
+		return v, err
 	case Lam:
 		return nil, fmt.Errorf("gm: lambda survived lifting")
 	default:
@@ -358,31 +402,32 @@ func (em *emitter) emit(e Expr, env map[string]*graph.Vertex) (*graph.Vertex, er
 	}
 }
 
-func (em *emitter) app(e App, env map[string]*graph.Vertex) (*graph.Vertex, error) {
-	head, args := spine(e)
+func (em *emitter) spine(head Expr, args []Expr) (*graph.Vertex, error) {
 	// Statically saturated strict primitives flatten here too, so the main
 	// graph starts in the same normal shape compiled bodies build.
-	if p, ok := saturatedPrim(head, len(args), env, em.scIdx); ok {
-		ops := make([]*graph.Vertex, p.Arity())
-		for i, a := range args[:len(ops)] {
-			w, err := em.emit(a, env)
+	if p, ok := saturatedPrim(head, len(args), em.env, em.index); ok {
+		mark, ar := len(em.ops), p.Arity()
+		for _, a := range args[:ar] {
+			w, err := em.emit(a)
 			if err != nil {
 				return nil, err
 			}
-			ops[i] = w
+			em.ops = append(em.ops, w)
 		}
-		return em.apps(em.b.PrimApp(p, ops...), args[len(ops):], env)
+		v := em.b.PrimApp(p, em.ops[mark:]...)
+		em.ops = em.ops[:mark]
+		return em.apps(v, args[ar:])
 	}
-	f, err := em.emit(head, env)
+	f, err := em.emit(head)
 	if err != nil {
 		return nil, err
 	}
-	return em.apps(f, args, env)
+	return em.apps(f, args)
 }
 
-func (em *emitter) apps(f *graph.Vertex, args []Expr, env map[string]*graph.Vertex) (*graph.Vertex, error) {
+func (em *emitter) apps(f *graph.Vertex, args []Expr) (*graph.Vertex, error) {
 	for _, a := range args {
-		w, err := em.emit(a, env)
+		w, err := em.emit(a)
 		if err != nil {
 			return nil, err
 		}
@@ -391,34 +436,18 @@ func (em *emitter) apps(f *graph.Vertex, args []Expr, env map[string]*graph.Vert
 	return f, nil
 }
 
-func (em *emitter) name(name string, env map[string]*graph.Vertex) (*graph.Vertex, error) {
-	if v, ok := env[name]; ok {
+func (em *emitter) name(name string) (*graph.Vertex, error) {
+	if v, ok := em.env.lookup(name); ok {
 		return v, nil
 	}
-	if idx, ok := em.scIdx[name]; ok {
-		if v, ok := em.supers[idx]; ok {
-			return v, nil
+	if idx, ok := em.index[name]; ok {
+		v := &em.supers[idx]
+		if *v == nil {
+			*v = em.b.Super(em.base + idx)
 		}
-		v := em.b.Super(idx)
-		em.supers[idx] = v
-		return v, nil
+		return *v, nil
 	}
-	if k, val, ok := Builtin(name); ok {
-		if k == graph.KindComb {
-			c := graph.Comb(val)
-			if v, ok := em.combs[c]; ok {
-				return v, nil
-			}
-			v := em.b.Comb(c)
-			em.combs[c] = v
-			return v, nil
-		}
-		p := graph.Prim(val)
-		if v, ok := em.prims[p]; ok {
-			return v, nil
-		}
-		v := em.b.Prim(p)
-		em.prims[p] = v
+	if v := em.builtin(em.b, name); v != nil {
 		return v, nil
 	}
 	return nil, fmt.Errorf("gm: unbound variable %q", name)

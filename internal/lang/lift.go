@@ -3,12 +3,14 @@ package lang
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // SC is one lifted supercombinator: a closed function of Arity parameters
 // whose body contains no lambdas (every nested lambda has itself been
 // lifted and replaced by a partial application of its supercombinator to
-// its free variables).
+// its free variables). Params and Body may share slices and subtrees with
+// the lifted input, which is why neither may be written.
 type SC struct {
 	Name   string
 	Params []string
@@ -33,6 +35,11 @@ type lifter struct {
 	supers []SC
 	index  map[string]int
 	n      int
+	env    scope[liftEntry]
+	vals   []Expr // stack of lifted residual let values
+	// edits counts the replacements made so far: a subtree whose lifting
+	// made none is returned as it came, not rebuilt.
+	edits int
 }
 
 // liftEnv classifies the names in scope during lifting.
@@ -47,8 +54,9 @@ const (
 type liftEntry struct {
 	class liftBinding
 	// repl is the replacement expression for bindSuper entries: the
-	// supercombinator applied to its captured free variables.
-	repl Expr
+	// supercombinator applied to its captured free variables, extra.
+	repl  Expr
+	extra []string
 }
 
 // Lift lambda-lifts e into a supercombinator program (Johnsson-style: the
@@ -59,7 +67,7 @@ type liftEntry struct {
 // bindings are left in place (they compile to shared graph knots).
 func Lift(e Expr) (*SCProg, error) {
 	l := &lifter{index: make(map[string]int)}
-	main, err := l.lift(e, map[string]liftEntry{})
+	main, err := l.lift(e)
 	if err != nil {
 		return nil, err
 	}
@@ -69,57 +77,78 @@ func Lift(e Expr) (*SCProg, error) {
 // fresh reserves the next supercombinator slot under a unique name.
 func (l *lifter) fresh(hint string) (int, string) {
 	idx := len(l.supers)
-	name := fmt.Sprintf("$%d-%s", l.n, hint)
+	name := "$" + strconv.Itoa(l.n) + "-" + hint
 	l.n++
 	l.supers = append(l.supers, SC{Name: name})
 	l.index[name] = idx
 	return idx, name
 }
 
-// capturedSet collects, into out, the names from free that are bound to
-// parameters or locals in env. A free reference to an already-lifted
-// supercombinator expands at the occurrence site to the SC applied to its
-// own captured variables, so those variables are captured here too.
-func capturedSet(free map[string]bool, env map[string]liftEntry, out map[string]bool) {
+// capturedSet adds to out, which it makes on the first name it adds, the
+// names from free that are bound to parameters or locals in l.env. A free
+// reference to an already-lifted supercombinator expands at the occurrence
+// site to the SC applied to its own captured variables, so those variables
+// are captured here too.
+func (l *lifter) capturedSet(free, out map[string]bool) map[string]bool {
 	for name := range free {
-		ent, ok := env[name]
+		ent, ok := l.env.lookup(name)
 		if !ok {
 			continue
 		}
 		switch ent.class {
 		case bindParam, bindLocal:
-			out[name] = true
+			out = addName(out, name)
 		case bindSuper:
-			replFree := map[string]bool{}
-			freeVars(ent.repl, map[string]bool{}, replFree)
-			for fv := range replFree {
-				if e2, ok := env[fv]; ok && (e2.class == bindParam || e2.class == bindLocal) {
-					out[fv] = true
+			for _, fv := range ent.extra {
+				if e2, ok := l.env.lookup(fv); ok && (e2.class == bindParam || e2.class == bindLocal) {
+					out = addName(out, fv)
 				}
 			}
 		}
 	}
+	return out
 }
 
-// captured returns the free variables of e that a lifted lambda must
-// receive as extra arguments, sorted for determinism.
-func captured(e Expr, env map[string]liftEntry, exclude map[string]bool) []string {
-	free := map[string]bool{}
-	freeVars(e, copyBound(exclude), free)
-	set := map[string]bool{}
-	capturedSet(free, env, set)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
+func addName(set map[string]bool, name string) map[string]bool {
+	if set == nil {
+		set = map[string]bool{}
 	}
-	sort.Strings(out)
-	return out
+	set[name] = true
+	return set
+}
+
+// withCaptured returns the parameters of a lifted lambda: the captured
+// names in order, then its own params; and the captured names alone. A
+// lambda that captures nothing keeps its own params slice.
+func withCaptured(captured map[string]bool, params []string) (all, extra []string) {
+	if len(captured) == 0 {
+		return params, nil
+	}
+	all = make([]string, 0, len(captured)+len(params))
+	for name := range captured {
+		all = append(all, name)
+	}
+	sort.Strings(all)
+	return append(all, params...), all
+}
+
+// superRef is the occurrence-site form of a lifted supercombinator: name
+// applied to its captured variables.
+func superRef(name string, extra []string) Expr {
+	ref := Expr(Var{Name: name})
+	for _, p := range extra {
+		ref = App{Fun: ref, Arg: Var{Name: p}}
+	}
+	return ref
 }
 
 // flatten merges directly nested lambdas (\x. \y. e → \x y. e) so a
 // curried definition lifts to one supercombinator of full arity. Merging
 // stops at a shadowed parameter, where currying must stay observable.
 func flatten(lam Lam) Lam {
+	if _, ok := lam.Body.(Lam); !ok {
+		return lam
+	}
 	params := append([]string(nil), lam.Params...)
 	body := lam.Body
 	for {
@@ -148,44 +177,55 @@ func flatten(lam Lam) Lam {
 	return Lam{Params: params, Body: body}
 }
 
-// lift rewrites e, lifting every lambda out into l.supers.
-func (l *lifter) lift(e Expr, env map[string]liftEntry) (Expr, error) {
+// lift rewrites e, lifting every lambda out into l.supers. A subtree it
+// does not change comes back as the same Expr.
+func (l *lifter) lift(e Expr) (Expr, error) {
 	switch x := e.(type) {
 	case Var:
-		if ent, ok := env[x.Name]; ok && ent.class == bindSuper {
+		if ent, ok := l.env.lookup(x.Name); ok && ent.class == bindSuper {
+			l.edits++
 			return ent.repl, nil
 		}
-		return x, nil
+		return e, nil
 	case IntLit, BoolLit, NilLit:
-		return x, nil
+		return e, nil
 	case App:
-		f, err := l.lift(x.Fun, env)
+		edits := l.edits
+		f, err := l.lift(x.Fun)
 		if err != nil {
 			return nil, err
 		}
-		a, err := l.lift(x.Arg, env)
+		a, err := l.lift(x.Arg)
 		if err != nil {
 			return nil, err
+		}
+		if l.edits == edits {
+			return e, nil
 		}
 		return App{Fun: f, Arg: a}, nil
 	case If:
-		c, err := l.lift(x.Cond, env)
+		edits := l.edits
+		c, err := l.lift(x.Cond)
 		if err != nil {
 			return nil, err
 		}
-		t, err := l.lift(x.Then, env)
+		t, err := l.lift(x.Then)
 		if err != nil {
 			return nil, err
 		}
-		els, err := l.lift(x.Else, env)
+		els, err := l.lift(x.Else)
 		if err != nil {
 			return nil, err
+		}
+		if l.edits == edits {
+			return e, nil
 		}
 		return If{Cond: c, Then: t, Else: els}, nil
 	case Lam:
-		return l.liftLam(flatten(x), env, "lam")
+		l.edits++
+		return l.liftLam(flatten(x), "lam")
 	case Let:
-		return l.liftLet(x, env)
+		return l.liftLet(x, e)
 	default:
 		return nil, fmt.Errorf("lift: unknown expression %T", e)
 	}
@@ -194,41 +234,33 @@ func (l *lifter) lift(e Expr, env map[string]liftEntry) (Expr, error) {
 // liftLam lifts one anonymous lambda: its captured variables become extra
 // leading parameters and the occurrence site becomes the supercombinator
 // applied to those variables.
-func (l *lifter) liftLam(lam Lam, env map[string]liftEntry, hint string) (Expr, error) {
-	exclude := map[string]bool{}
+func (l *lifter) liftLam(lam Lam, hint string) (Expr, error) {
+	exclude := make(map[string]bool, len(lam.Params))
 	for _, p := range lam.Params {
 		exclude[p] = true
 	}
-	extra := captured(lam.Body, env, exclude)
+	free := map[string]bool{}
+	freeVars(lam.Body, exclude, free)
+	params, extra := withCaptured(l.capturedSet(free, nil), lam.Params)
 
 	idx, name := l.fresh(hint)
-	inner := copyLiftEnv(env)
-	for _, p := range extra {
-		inner[p] = liftEntry{class: bindParam}
+	mark := len(l.env)
+	for _, p := range params {
+		l.env.push(p, liftEntry{class: bindParam})
 	}
-	for _, p := range lam.Params {
-		inner[p] = liftEntry{class: bindParam}
-	}
-	body, err := l.lift(lam.Body, inner)
+	body, err := l.lift(lam.Body)
+	l.env = l.env[:mark]
 	if err != nil {
 		return nil, err
 	}
-	l.supers[idx] = SC{
-		Name:   name,
-		Params: append(append([]string(nil), extra...), lam.Params...),
-		Body:   body,
-	}
-	repl := Expr(Var{Name: name})
-	for _, p := range extra {
-		repl = App{Fun: repl, Arg: Var{Name: p}}
-	}
-	return repl, nil
+	l.supers[idx].Params, l.supers[idx].Body = params, body
+	return superRef(name, extra), nil
 }
 
-// liftLet lifts a let group: lambda-valued bindings become named
+// liftLet lifts a let group, e: lambda-valued bindings become named
 // supercombinators (with captured-variable sets closed over the mutually
 // recursive group), non-lambda bindings survive as a residual Let.
-func (l *lifter) liftLet(x Let, env map[string]liftEntry) (Expr, error) {
+func (l *lifter) liftLet(x Let, e Expr) (Expr, error) {
 	// Partition the group.
 	isFun := make(map[string]bool, len(x.Binds))
 	lams := make(map[string]Lam, len(x.Binds))
@@ -247,33 +279,31 @@ func (l *lifter) liftLet(x Let, env map[string]liftEntry) (Expr, error) {
 	capt := make(map[string]map[string]bool)
 	refs := make(map[string][]string)
 	for name, lam := range lams {
-		exclude := copyBound(groupNames)
+		params := make(map[string]bool, len(lam.Params))
 		for _, p := range lam.Params {
-			exclude[p] = true
+			params[p] = true
 		}
 		free := map[string]bool{}
-		freeVars(lam.Body, exclude, free)
-		set := map[string]bool{}
-		capturedSet(free, env, set)
-		// Non-lambda siblings the function captures are locals of the
-		// residual let: they too must be passed (their knot vertex is
-		// shared, so sharing is preserved).
-		innerFree := map[string]bool{}
-		exclude2 := map[string]bool{}
-		for _, p := range lam.Params {
-			exclude2[p] = true
-		}
-		freeVars(lam.Body, exclude2, innerFree)
-		for fv := range innerFree {
-			if groupNames[fv] {
-				if isFun[fv] {
-					refs[name] = append(refs[name], fv)
-				} else {
-					set[fv] = true
-				}
+		freeVars(lam.Body, params, free)
+		var set map[string]bool
+		for fv := range free {
+			if !groupNames[fv] {
+				continue
+			}
+			delete(free, fv)
+			switch {
+			case fv == name:
+				// A recursive call passes what the function captures.
+			case isFun[fv]:
+				refs[name] = append(refs[name], fv)
+			default:
+				// Non-lambda siblings the function captures are locals of
+				// the residual let: they too must be passed (their knot
+				// vertex is shared, so sharing is preserved).
+				set = addName(set, fv)
 			}
 		}
-		capt[name] = set
+		capt[name] = l.capturedSet(free, set)
 	}
 	// Transitive closure: f captures whatever the siblings it references
 	// capture (those variables are passed through f's call sites).
@@ -283,7 +313,7 @@ func (l *lifter) liftLet(x Let, env map[string]liftEntry) (Expr, error) {
 			for _, sib := range refs[name] {
 				for v := range capt[sib] {
 					if !capt[name][v] {
-						capt[name][v] = true
+						capt[name] = addName(capt[name], v)
 						changed = true
 					}
 				}
@@ -292,31 +322,23 @@ func (l *lifter) liftLet(x Let, env map[string]liftEntry) (Expr, error) {
 	}
 
 	// Reserve supercombinator slots (deterministic order: binding order),
-	// and build the environment in which bodies and the residual let lift.
-	inner := copyLiftEnv(env)
-	extras := make(map[string][]string)
-	scIdx := make(map[string]int)
+	// and bind the names in which bodies and the residual let lift.
+	edits := l.edits
+	outer := len(l.env)
+	scIdx := make(map[string]int, len(lams))
 	for _, b := range x.Binds {
 		if !isFun[b.Name] {
 			continue
 		}
-		var ex []string
-		for v := range capt[b.Name] {
-			ex = append(ex, v)
-		}
-		sort.Strings(ex)
-		extras[b.Name] = ex
+		params, extra := withCaptured(capt[b.Name], lams[b.Name].Params)
 		idx, scName := l.fresh(b.Name)
 		scIdx[b.Name] = idx
-		repl := Expr(Var{Name: scName})
-		for _, p := range ex {
-			repl = App{Fun: repl, Arg: Var{Name: p}}
-		}
-		inner[b.Name] = liftEntry{class: bindSuper, repl: repl}
+		l.supers[idx].Params = params
+		l.env.push(b.Name, liftEntry{class: bindSuper, repl: superRef(scName, extra), extra: extra})
 	}
 	for _, b := range x.Binds {
 		if !isFun[b.Name] {
-			inner[b.Name] = liftEntry{class: bindLocal}
+			l.env.push(b.Name, liftEntry{class: bindLocal})
 		}
 	}
 
@@ -325,53 +347,52 @@ func (l *lifter) liftLet(x Let, env map[string]liftEntry) (Expr, error) {
 		if !isFun[b.Name] {
 			continue
 		}
-		lam := lams[b.Name]
-		scEnv := copyLiftEnv(inner)
-		for _, p := range extras[b.Name] {
-			scEnv[p] = liftEntry{class: bindParam}
+		idx := scIdx[b.Name]
+		mark := len(l.env)
+		for _, p := range l.supers[idx].Params {
+			l.env.push(p, liftEntry{class: bindParam})
 		}
-		for _, p := range lam.Params {
-			scEnv[p] = liftEntry{class: bindParam}
-		}
-		body, err := l.lift(lam.Body, scEnv)
+		body, err := l.lift(lams[b.Name].Body)
+		l.env = l.env[:mark]
 		if err != nil {
 			return nil, err
 		}
-		idx := scIdx[b.Name]
-		l.supers[idx] = SC{
-			Name:   l.supers[idx].Name,
-			Params: append(append([]string(nil), extras[b.Name]...), lam.Params...),
-			Body:   body,
-		}
+		l.supers[idx].Body = body
 	}
 
 	// Residual let of the non-lambda bindings (if any), around the lifted
-	// body.
-	var binds []Bind
+	// body. The lifted values wait on l.vals until it is known whether
+	// the let changed.
+	vals := len(l.vals)
 	for _, b := range x.Binds {
 		if isFun[b.Name] {
 			continue
 		}
-		val, err := l.lift(b.Val, inner)
+		val, err := l.lift(b.Val)
 		if err != nil {
 			return nil, err
 		}
-		binds = append(binds, Bind{Name: b.Name, Val: val})
+		l.vals = append(l.vals, val)
 	}
-	body, err := l.lift(x.Body, inner)
+	body, err := l.lift(x.Body)
 	if err != nil {
 		return nil, err
 	}
-	if len(binds) == 0 {
+	l.env = l.env[:outer]
+	residual := l.vals[vals:]
+	l.vals = l.vals[:vals]
+	if len(lams) == 0 && l.edits == edits {
+		return e, nil
+	}
+	l.edits++
+	if len(residual) == 0 {
 		return body, nil
 	}
-	return Let{Binds: binds, Body: body}, nil
-}
-
-func copyLiftEnv(env map[string]liftEntry) map[string]liftEntry {
-	c := make(map[string]liftEntry, len(env))
-	for k, v := range env {
-		c[k] = v
+	binds := make([]Bind, 0, len(residual))
+	for _, b := range x.Binds {
+		if !isFun[b.Name] {
+			binds = append(binds, Bind{Name: b.Name, Val: residual[len(binds)]})
+		}
 	}
-	return c
+	return Let{Binds: binds, Body: body}, nil
 }
