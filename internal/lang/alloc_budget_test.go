@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,11 +16,7 @@ import (
 // measured alone, are taken off.
 func passAllocs(t *testing.T) (map[string]float64, []string) {
 	t.Helper()
-	names := make([]string, 0, len(workload.Programs))
-	for name := range workload.Programs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := corpusNames()
 	const runs = 20
 	storeOnly := testing.AllocsPerRun(runs, func() {
 		_ = graph.NewStore(graph.Config{Partitions: 4, Serial: true})
@@ -81,10 +76,10 @@ func passAllocs(t *testing.T) (map[string]float64, []string) {
 // TestCompileAllocBudget holds the front end to allocations in proportion
 // to what it outputs (DESIGN.md §8, "The front end allocates per
 // program"): it bounds the mean allocations per corpus program of the
-// whole pipeline on each back end and of the passes that used to allocate
-// per node, and logs every pass's share. The bounds are the measured
-// means (interp 76.3, compiled 111.3, lift 27.1, strict 6.0, gmbody 16.3)
-// with a little room; before, the pipelines made 158.4 and 270.6.
+// whole pipeline on each back end and of the lifter, the strictness
+// analysis and the gm body compiler, and logs every pass's share. The
+// bounds are the measured means (interp 76.3, compiled 111.3, lift 27.1,
+// strict 6.0, gmbody 16.3) with a little room.
 func TestCompileAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc census in -short")

@@ -19,7 +19,7 @@ import (
 )
 
 // regenCompile rewrites testdata/compile.golden from this build
-// (go test -run TestCompileGolden -regen-compile ./internal/lang).
+// (go test -run TestCompileGolden ./internal/lang -regen-compile).
 var regenCompile = flag.Bool("regen-compile", false, "regenerate testdata/compile.golden")
 
 const compileGolden = "testdata/compile.golden"
@@ -41,18 +41,23 @@ in `
 in `
 )
 
+// corpusNames returns the names of workload.Programs in order.
+func corpusNames() []string {
+	names := make([]string, 0, len(workload.Programs))
+	for name := range workload.Programs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // goldenCorpus is every program the compile golden pins: the workload
 // corpus, programs shaped like the benchmark's, a few shapes the lifter
 // treats specially (curried and nested lambdas, captured lets, shadowing,
 // residual knots) and a fixed run of generated programs.
 func goldenCorpus() [][2]string {
 	var out [][2]string
-	names := make([]string, 0, len(workload.Programs))
-	for name := range workload.Programs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range corpusNames() {
 		out = append(out, [2]string{"corpus/" + name, workload.Programs[name].Src})
 	}
 	extra := [][2]string{
