@@ -131,11 +131,13 @@ type Options struct {
 
 	// TraceRate enables causal task-lineage tracing: each Eval is
 	// head-sampled at this rate (1.0 = every request), and a sampled
-	// request's full causal history — spawn DAG, steals, fabric hops,
-	// collector-phase overlap — is recorded in the event log for assembly
-	// and critical-path analysis (WriteTracesJSON, `dgr-trace analyze`).
-	// 0 with a nil TraceSink disables tracing. Independent of Obs: tracing
-	// alone skips the per-task execution accounting.
+	// evaluation's causal history — an exec span per reduction execution,
+	// named by its number and parented on its spawner's, the steals and
+	// fabric hops that delayed one, collector-phase overlap — is recorded in
+	// the event log for assembly and critical-path analysis (WriteTracesJSON,
+	// `dgr-trace analyze`). 0 with a nil TraceSink disables tracing.
+	// Independent of Obs: tracing alone skips the per-task execution
+	// accounting.
 	TraceRate float64
 	// TraceSink, when non-nil, is the event log the machine writes to,
 	// shared with its owner instead of a private one — the serving layer
@@ -446,40 +448,28 @@ func (m *Machine) sampleTrace() uint64 {
 
 // evalNodeTraced evaluates root to WHNF under an externally originated
 // trace context: the evaluation envelope is recorded as an "eval" span with
-// the given parent (the serving layer passes its request span), and every
-// task the reduction spawns inherits the trace from the task that spawns it.
-// A zero trace runs untraced; the sampling decision belongs to the caller.
-func (m *Machine) evalNodeTraced(root NodeID, tr uint64, parent uint32) (Value, error) {
+// the given parent (the serving layer passes its request span), and while it
+// runs the obs handle holds it (obs.EvalTrace), so the scheduler and the
+// fabric record the spans of its executions. A zero trace runs untraced; the
+// sampling decision belongs to the caller.
+func (m *Machine) evalNodeTraced(root NodeID, tr, parent uint64) (Value, error) {
 	if m.closed.Load() {
 		return Value{}, ErrClosed
 	}
 	m.collector.SetRoot(root)
-	s := m.obs.Lineage()
-	if s == nil {
-		tr = 0
-	}
-	var span uint32
-	var start int64
-	if tr != 0 {
-		span = s.NewSpan()
-		start = obs.Now()
-	}
 	m.lockOwner()
-	ch := m.engine.DemandTraced(root, tr, span)
+	et := m.obs.BeginEval(tr, parent, m.mach.Executions()+1)
+	ch := m.engine.Demand(root)
 	m.unlockOwner()
 	v, err := m.drive(ch)
 	if err != nil {
 		// Nothing will read ch: the root stops being awaited.
 		m.engine.Withdraw(root, ch)
 	}
-	if span != 0 {
-		s.Record(obs.TraceSpan{Trace: tr, Span: span, Parent: parent,
-			Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval, Mach: m.obs.Mach(),
-			Start: start, End: obs.Now()})
-	}
+	m.obs.EndEval(et)
 	if err != nil && (errors.Is(err, ErrStuck) || errors.Is(err, ErrDeadlock)) {
 		// Failures flip the log sticky so everything after is traced.
-		s.Force()
+		m.obs.Lineage().Force()
 	}
 	return v, err
 }
@@ -669,7 +659,7 @@ func maxQuietCycles(mtEvery int) int {
 // EvalTraced compiles and evaluates a program under an externally
 // originated trace context (see evalNodeTraced); the serving layer calls
 // it with each sampled request's trace and request span.
-func (m *Machine) EvalTraced(src string, tr uint64, parent uint32) (Value, error) {
+func (m *Machine) EvalTraced(src string, tr, parent uint64) (Value, error) {
 	root, err := m.compileRooted(src)
 	if err != nil {
 		return Value{}, err
@@ -691,23 +681,17 @@ func (m *Machine) EvalList(src string) ([]Value, error) {
 // so the list's own root stays pinned for the whole walk: a cycle during one
 // element's evaluation must not sweep the cells and elements the walk has yet
 // to reach.
-func (m *Machine) EvalListTraced(src string, tr uint64, parent uint32) ([]Value, error) {
+func (m *Machine) EvalListTraced(src string, tr, parent uint64) ([]Value, error) {
 	root, err := m.compileRooted(src)
 	if err != nil {
 		return nil, err
 	}
 	m.collector.Pin(root)
 	defer m.collector.Pin(graph.NilVertex)
-	s := m.obs.Lineage()
-	var walk uint32
-	if tr != 0 && s != nil {
-		walk = s.NewSpan()
-		start := obs.Now()
-		defer func() {
-			s.Record(obs.TraceSpan{Trace: tr, Span: walk, Parent: parent,
-				Name: "eval", Cat: obs.CatEval, PE: obs.TIDEval, Mach: m.obs.Mach(),
-				Start: start, End: obs.Now()})
-		}()
+	var walk uint64
+	if et := m.obs.BeginEval(tr, parent, m.mach.Executions()+1); et != nil {
+		walk = et.Span
+		defer m.obs.EndEval(et)
 	}
 	var out []Value
 	cur := root

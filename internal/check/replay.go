@@ -267,9 +267,10 @@ func (rp *Replayer) closePhases(i int) error {
 	return nil
 }
 
-// key is a marking task's identity, what sameTask compares.
+// key is a marking task's identity, what sameTask compares: not its causal
+// word, which a replay makes anew.
 func key(t task.Task) task.Task {
-	t.Req, t.Band = 0, 0
+	t.Req, t.Band, t.Parent = 0, 0, 0
 	return t
 }
 

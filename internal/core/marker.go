@@ -420,11 +420,13 @@ func (w *wave) clear() {
 // list would have returned. The register lives on the drainer's stack, not in
 // the wave, so that a partSlot stays 304 bytes. take, which takes in the
 // inbox whenever a drain would stop, first puts a held return back on the
-// list.
+// list. parent is the number of the execution running the drain: what the
+// drain spawns carries it (task.Task.Parent).
 type drain struct {
-	w    *wave
-	ret  item
-	held bool
+	w      *wave
+	ret    item
+	held   bool
+	parent uint64
 }
 
 func (d *drain) push(it item) {
@@ -499,13 +501,15 @@ func IsContinuation(t task.Task) bool { return t.Kind == task.Mark && t.Epoch ==
 
 // unlockQueue releases s.mu, queuing a continuation of s's partition (to dst,
 // a vertex of it) first if the list is non-empty and has neither a drainer
-// nor a continuation.
-func (m *Marker) unlockQueue(s *partSlot, dst graph.VertexID) {
+// nor a continuation, as a child of execution parent (0: of none).
+func (m *Marker) unlockQueue(s *partSlot, dst graph.VertexID, parent uint64) {
 	queue := !s.draining && !s.queued && !s.list.empty()
 	s.queued = s.queued || queue
 	s.mu.Unlock()
 	if queue {
-		m.mach.Spawn(continuation(dst))
+		t := continuation(dst)
+		t.Parent = parent
+		m.mach.Spawn(t)
 	}
 }
 
@@ -515,7 +519,7 @@ func (m *Marker) park(it item) {
 	s := &m.parts[m.store.PartitionOf(it.dst)]
 	s.mu.Lock()
 	s.add(it)
-	m.unlockQueue(s, it.dst)
+	m.unlockQueue(s, it.dst, 0)
 }
 
 // Handle executes a marking task: it puts the task's item, if it carries one,
@@ -546,7 +550,7 @@ func (m *Marker) Handle(pe int, t task.Task) {
 	s.mu.Unlock()
 
 	w := &s.list
-	d := drain{w: w}
+	d := drain{w: w, parent: m.mach.Running(pe)}
 	var marks int64
 	for left := max(m.budget, 1); ; {
 		for ; left > 0; left-- {
@@ -571,7 +575,7 @@ func (m *Marker) Handle(pe int, t task.Task) {
 			continue
 		}
 		s.draining = false
-		m.unlockQueue(s, t.Dst)
+		m.unlockQueue(s, t.Dst, d.parent)
 		break
 	}
 	if m.counters != nil && marks > 0 { // a lone return must not touch the shared line
@@ -764,7 +768,11 @@ func (m *Marker) spawn(d *drain, it item) {
 		d.push(it)
 		return
 	}
-	m.mach.Spawn(it.task())
+	t := it.task()
+	if d != nil {
+		t.Parent = d.parent
+	}
+	m.mach.Spawn(t)
 }
 
 // spawnMark issues a mark.

@@ -39,6 +39,7 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -78,10 +79,10 @@ type Config struct {
 
 	Counters *metrics.Counters // shared counters; New supplies private ones when nil
 	// Obs, when non-nil, receives the fab.* message-lifecycle events and a
-	// "fab-batch" span per delivered batch (flush to first delivery); when
-	// its lineage tracing is on, also one "fabric-hop" span per traced task
-	// per delivered batch (flush to delivery) and a "fabric-retry" point
-	// span per retransmission carrying traced tasks.
+	// "fab-batch" span per delivered batch (flush to first delivery); while
+	// it holds a sampled evaluation (obs.EvalTrace), also a "fabric-hop"
+	// annotation per delivered task of that evaluation (flush to delivery)
+	// and a "fabric-retry" point annotation per retransmitted one.
 	Obs *obs.Obs
 }
 
@@ -276,18 +277,7 @@ func (lk *link) transmitLocked(b *batch, now int64) {
 	if b.attempts > 1 {
 		f.cfg.Counters.FabricRetries.Add(1)
 		lk.event("fab.retry", b)
-		if s := f.cfg.Obs.Lineage(); s != nil {
-			now := obs.Now()
-			for _, t := range b.tasks {
-				if t.Trace == 0 {
-					continue
-				}
-				s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
-					Parent: t.Span(), Name: "fabric-retry", Cat: obs.CatFabric,
-					PE: lk.to, Start: now, End: now, N: int64(b.attempts),
-					Note: fmt.Sprintf("from=%d to=%d seq=%d", lk.from, lk.to, b.seq)})
-			}
-		}
+		lk.annotate(b, "fabric-retry", 0)
 	}
 	delay := f.latD
 	if f.jitD > 0 {
@@ -326,19 +316,7 @@ func (lk *link) arriveLocked(b *batch, now int64) {
 		c.FabricLatency.Observe(now - b.born)
 		lk.event("fab.deliver", b)
 		f.cfg.Obs.Span("fab-batch", obs.CatFabric, obs.TIDFabric, b.flushed, n)
-		if s := f.cfg.Obs.Lineage(); s != nil {
-			now := obs.Now()
-			for _, t := range b.tasks {
-				if t.Trace == 0 {
-					continue
-				}
-				s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
-					Parent: t.Span(), Name: "fabric-hop", Cat: obs.CatFabric,
-					PE: lk.to, Start: b.flushed, End: now, N: int64(b.attempts),
-					Note: fmt.Sprintf("from=%d to=%d seq=%d attempts=%d",
-						lk.from, lk.to, b.seq, b.attempts)})
-			}
-		}
+		lk.annotate(b, "fabric-hop", b.flushed)
 		if n > 0 {
 			f.deliver(lk.to, b.tasks)
 		}
@@ -624,5 +602,17 @@ func (lk *link) event(kind string, b *batch) {
 	if o := lk.f.cfg.Obs; o != nil {
 		o.Event(obs.TIDFabric, kind, uint64(lk.from), uint64(lk.to),
 			fmt.Sprintf("seq=%d n=%d attempt=%d", b.seq, len(b.tasks), b.attempts))
+	}
+}
+
+// annotate records, for each of b's tasks of the machine's sampled evaluation,
+// a hop from start (the batch's flush) until now, or a point retry at start 0.
+func (lk *link) annotate(b *batch, name string, start int64) {
+	for _, t := range b.tasks {
+		if tr, now := lk.f.cfg.Obs.Traced(t.Kind.IsReduction(), t.Parent); tr != nil {
+			tr.Record(t.Parent, obs.TraceSpan{Name: name, Cat: obs.CatFabric, PE: lk.to, Start: cmp.Or(start, now),
+				End: now, N: int64(b.attempts), Dst: uint64(t.Dst),
+				Note: fmt.Sprintf("from=%d to=%d seq=%d attempts=%d", lk.from, lk.to, b.seq, b.attempts)})
+		}
 	}
 }

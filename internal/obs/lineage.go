@@ -1,18 +1,21 @@
 package obs
 
 // Readers over the log's trace class: assembling the spans of one sampled
-// request — admission, task spawn, steal, fabric hop, execution — back into
-// its spawn DAG, and computing the critical path with per-category blame
-// (exec / queue-wait / steal / fabric / gc-overlap).
+// request — admission, eval, execution, and the steals and fabric hops that
+// delayed an execution — back into its spawn DAG, and computing the critical
+// path with per-category blame (exec / queue-wait / steal / fabric /
+// gc-overlap).
 
 import (
+	"maps"
 	"slices"
 	"sort"
 )
 
 // --- Assembly: spans back into per-trace spawn DAGs -----------------------
 
-// TraceNode is one span with its causal children, Start-ordered.
+// TraceNode is one span with its causal children, Start-ordered, and then
+// the annotations of what delayed it.
 type TraceNode struct {
 	TraceSpan
 	Children []*TraceNode
@@ -35,6 +38,12 @@ type TraceAssembly struct {
 // separately, for overlap blame: the "cycle" record that encloses them would
 // otherwise swallow the whole path. Spans whose parent is missing become
 // extra roots and are counted as orphans.
+//
+// An exec span hangs off its spawner's, and its Queue is its Start minus the
+// spawner's End (the eval's Start, for a root demand), clamped at 0. An
+// annotation (a steal, a fabric hop or retry) names its task's spawner and
+// Dst, and hangs off the execution it delayed: the spawner's first exec
+// child on that Dst to start after it ends; finding none, it is an orphan.
 func AssembleTraces(spans []TraceSpan) (traces []*TraceAssembly, globals []TraceSpan) {
 	byTrace := map[uint64][]TraceSpan{}
 	for _, sp := range spans {
@@ -47,39 +56,69 @@ func AssembleTraces(spans []TraceSpan) (traces []*TraceAssembly, globals []Trace
 		byTrace[sp.Trace] = append(byTrace[sp.Trace], sp)
 	}
 	sort.Slice(globals, func(i, j int) bool { return globals[i].Start < globals[j].Start })
-	ids := make([]uint64, 0, len(byTrace))
-	for id := range byTrace {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(byTrace)) {
 		ts := byTrace[id]
 		sort.Slice(ts, func(i, j int) bool { return ts[i].Start < ts[j].Start })
 		asm := &TraceAssembly{ID: id, Spans: ts, Start: ts[0].Start, End: ts[0].End}
-		nodes := make(map[uint32]*TraceNode, len(ts))
+		nodes := make(map[uint64]*TraceNode, len(ts))
 		for i := range ts {
 			nodes[ts[i].Span] = &TraceNode{TraceSpan: ts[i]}
-			if ts[i].Start < asm.Start {
-				asm.Start = ts[i].Start
-			}
-			if ts[i].End > asm.End {
-				asm.End = ts[i].End
-			}
+			asm.Start, asm.End = min(asm.Start, ts[i].Start), max(asm.End, ts[i].End)
 		}
+		var notes []*TraceNode
 		for i := range ts {
 			n := nodes[ts[i].Span]
-			if p, ok := nodes[ts[i].Parent]; ok && ts[i].Parent != ts[i].Span {
-				p.Children = append(p.Children, n)
+			if n.Cat == CatSteal || n.Cat == CatFabric {
+				notes = append(notes, n)
 				continue
 			}
-			if ts[i].Parent != 0 {
-				asm.Orphans++
+			p, ok := nodes[n.Parent]
+			if !ok || n.Parent == n.Span {
+				asm.root(n)
+				continue
 			}
-			asm.Roots = append(asm.Roots, n)
+			p.Children = append(p.Children, n)
+			if n.Cat == CatExec {
+				born := p.Start
+				if p.Cat == CatExec {
+					born = p.End
+				}
+				n.Queue = max(0, n.Start-born)
+				ts[i].Queue = n.Queue
+			}
+		}
+		for _, a := range notes {
+			if d := delayed(nodes[a.Parent], a); d != nil {
+				d.Children = append(d.Children, a)
+			} else {
+				asm.root(a)
+			}
 		}
 		traces = append(traces, asm)
 	}
 	return traces, globals
+}
+
+// root makes n a root of the trace, an orphan unless it names no parent.
+func (asm *TraceAssembly) root(n *TraceNode) {
+	if n.Parent != 0 {
+		asm.Orphans++
+	}
+	asm.Roots = append(asm.Roots, n)
+}
+
+// delayed returns the execution annotation a delayed among the children of
+// its task's spawner p, nil if there is none.
+func delayed(p, a *TraceNode) *TraceNode {
+	if p == nil {
+		return nil
+	}
+	for _, c := range p.Children {
+		if c.Cat == CatExec && c.Dst == a.Dst && c.Start >= a.End {
+			return c
+		}
+	}
+	return nil
 }
 
 // --- Critical path + per-category blame -----------------------------------
@@ -89,7 +128,7 @@ func AssembleTraces(spans []TraceSpan) (traces []*TraceAssembly, globals []Trace
 type CritSegment struct {
 	Cat   string `json:"cat"`
 	Name  string `json:"name"`
-	Span  uint32 `json:"span"`
+	Span  uint64 `json:"span"`
 	PE    int    `json:"pe"`
 	Start int64  `json:"start"`
 	End   int64  `json:"end"`
@@ -233,46 +272,40 @@ func chain(node *TraceNode, cursor int64, fin map[*TraceNode]int64, segs *[]Crit
 			Name: node.Name, Span: node.Span, PE: node.PE, Start: node.Start, End: cursor})
 		cursor = node.Start
 	}
-	// Pre-execution wait: decompose (Born, Start] backward through the
-	// node's annotation children — a fabric hop's interval is fabric time, a
-	// steal point converts the wait after it into post-steal (thief pool)
-	// wait, and whatever remains is plain queue wait on the spawning PE.
+	// Pre-execution wait: decompose (born, Start] backward through the
+	// node's annotations, latest end first — a fabric hop's interval is
+	// fabric time, a steal point converts the wait after it into post-steal
+	// (thief pool) wait, and whatever remains is plain queue wait. born is
+	// the spawner's end (AssembleTraces), which an annotation may straddle:
+	// its part before born is the spawner's, not the wait's.
 	if node.Queue <= 0 {
 		return cursor
 	}
 	born := node.Start - node.Queue
-	for cursor > born {
-		var best *TraceNode
-		for _, c := range node.Children {
-			if c.Cat != CatFabric && c.Cat != CatSteal {
-				continue
-			}
-			if c.End > cursor || c.End <= born {
-				continue
-			}
-			if best == nil || c.End > best.End {
-				best = c
-			}
+	var notes []*TraceNode
+	for _, c := range node.Children {
+		if (c.Cat == CatFabric || c.Cat == CatSteal) && c.End > born {
+			notes = append(notes, c)
 		}
-		if best == nil {
-			break
+	}
+	sort.SliceStable(notes, func(i, j int) bool { return notes[i].End > notes[j].End })
+	for _, c := range notes {
+		if c.End > cursor { // inside an annotation already charged
+			continue
 		}
-		if cursor > best.End {
+		if cursor > c.End {
 			waitCat := CatQueue
-			if best.Cat == CatSteal {
+			if c.Cat == CatSteal {
 				waitCat = CatSteal
 			}
 			*segs = append(*segs, CritSegment{Cat: waitCat, Name: "wait",
-				Span: node.Span, PE: node.PE, Start: best.End, End: cursor})
+				Span: node.Span, PE: node.PE, Start: c.End, End: cursor})
 		}
-		if best.End > best.Start {
-			*segs = append(*segs, CritSegment{Cat: best.Cat, Name: best.Name,
-				Span: best.Span, PE: best.PE, Start: max64(best.Start, born), End: best.End})
+		cursor = max(c.Start, born)
+		if c.End > cursor {
+			*segs = append(*segs, CritSegment{Cat: c.Cat, Name: c.Name,
+				Span: c.Span, PE: c.PE, Start: cursor, End: c.End})
 		}
-		if best.Start >= cursor { // zero-width annotation at the cursor
-			break
-		}
-		cursor = best.Start
 	}
 	if cursor > born {
 		*segs = append(*segs, CritSegment{Cat: CatQueue, Name: "wait",
@@ -321,7 +354,7 @@ func carveGC(segs []CritSegment, globals []TraceSpan, machs []uint32) []CritSegm
 			}
 			gcSeg := sg
 			gcSeg.Cat, gcSeg.Name = CatGC, g.Name
-			gcSeg.Start, gcSeg.End = max64(cur, g.Start), min64(sg.End, g.End)
+			gcSeg.Start, gcSeg.End = max(cur, g.Start), min(sg.End, g.End)
 			out = append(out, gcSeg)
 			cur = gcSeg.End
 			if cur >= sg.End {
@@ -335,18 +368,4 @@ func carveGC(segs []CritSegment, globals []TraceSpan, machs []uint32) []CritSegm
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,15 +1,21 @@
 package obs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// A hand-built request trace exercising every span kind the runtime emits:
+// A hand-built request trace exercising every span kind the runtime emits.
+// Exec spans are named by execution number; the steal names its task's
+// spawner (the demand) and destination, and assembly hangs it off the
+// execution it delayed:
 //
 //	request [0,1000]
 //	├── admission [0,50]       (serve)
 //	├── queue-wait [50,200]    (queue)
 //	├── eval [200,950]         (eval)
-//	│   └── demand exec [250,400] Queue=30 (born 220)
-//	│       └── result exec [500,900] Queue=100 (born 400)
+//	│   └── demand exec [250,400] Queue=50 (from the eval's start)
+//	│       └── result exec [500,900] Queue=100 (from the demand's end)
 //	│           └── steal point @450
 //	└── settle [950,1000]      (serve)
 //	global gc interval [300,350]
@@ -19,9 +25,9 @@ func testSpans() []TraceSpan {
 		{Trace: 7, Span: 2, Parent: 1, Name: "admission", Cat: CatServe, PE: TIDEval, Start: 0, End: 50},
 		{Trace: 7, Span: 3, Parent: 1, Name: "queue-wait", Cat: CatQueue, PE: TIDEval, Start: 50, End: 200},
 		{Trace: 7, Span: 4, Parent: 1, Name: "eval", Cat: CatEval, PE: TIDEval, Start: 200, End: 950},
-		{Trace: 7, Span: 5, Parent: 4, Name: "demand", Cat: CatExec, PE: 0, Start: 250, End: 400, Queue: 30},
-		{Trace: 7, Span: 6, Parent: 5, Name: "result", Cat: CatExec, PE: 1, Start: 500, End: 900, Queue: 100},
-		{Trace: 7, Span: 7, Parent: 6, Name: "steal", Cat: CatSteal, PE: 1, Start: 450, End: 450},
+		{Trace: 7, Span: ExecSpan(5), Parent: 4, Name: "demand", Cat: CatExec, PE: 0, Start: 250, End: 400, Dst: 10},
+		{Trace: 7, Span: ExecSpan(6), Parent: ExecSpan(5), Name: "result", Cat: CatExec, PE: 1, Start: 500, End: 900, Dst: 11},
+		{Trace: 7, Span: 7, Parent: ExecSpan(5), Name: "steal", Cat: CatSteal, PE: 1, Start: 450, End: 450, Dst: 11},
 		{Trace: 7, Span: 8, Parent: 1, Name: "settle", Cat: CatServe, PE: TIDEval, Start: 950, End: 1000},
 		{Span: 9, Name: "M_R", Cat: CatGC, PE: TIDCollector, Start: 300, End: 350},
 	}
@@ -114,15 +120,15 @@ func TestCriticalPathBlame(t *testing.T) {
 		// 950→1000 settle + 0→50 admission.
 		CatServe: 100,
 		// Exec work: result [500,900], demand [250,400] minus the gc carve
-		// [300,350], eval remainder [200,220] + tail-gap [900,950].
-		CatExec: 570,
+		// [300,350], eval tail-gap [900,950].
+		CatExec: 550,
 		// The global M_R interval overlapping demand's execution.
 		CatGC: 50,
 		// Post-steal wait [450,500] on the thief's pool.
 		CatSteal: 50,
 		// queue-wait [50,200] + pre-steal wait [400,450] + demand's own
-		// spawn-to-exec wait [220,250].
-		CatQueue: 230,
+		// wait from the eval's start [200,250].
+		CatQueue: 250,
 	}
 	for cat, ns := range want {
 		if rep.Blame[cat] != ns {
@@ -135,6 +141,89 @@ func TestCriticalPathBlame(t *testing.T) {
 	}
 	if total != rep.TotalNs {
 		t.Errorf("blame sums to %d, want %d", total, rep.TotalNs)
+	}
+}
+
+// TestAnnotationsAttachToDelayedExec: a steal, a fabric hop and a fabric
+// retry name their task's spawner and destination, as the runtime records
+// them, and assembly hangs them off the execution they delayed — the
+// spawner's first child on that destination to start after them, not an
+// earlier sibling on it nor one on another vertex. The blame then splits
+// that execution's wait, from its spawner's end to its start, into queue,
+// fabric and steal:
+//
+//	eval [0,1000]
+//	└── A exec [10,100]
+//	    ├── D exec [105,110] on v7, before the annotations
+//	    ├── C exec [120,130] on v8
+//	    └── B exec [600,900] on v7, waits from 100
+//	        ├── fabric-hop [150,300]
+//	        ├── fabric-retry @200
+//	        └── steal @400
+func TestAnnotationsAttachToDelayedExec(t *testing.T) {
+	a := ExecSpan(1)
+	spans := []TraceSpan{
+		{Trace: 5, Span: 1, Name: "eval", Cat: CatEval, PE: TIDEval, Start: 0, End: 1000},
+		{Trace: 5, Span: a, Parent: 1, Name: "demand", Cat: CatExec, Start: 10, End: 100, Dst: 5},
+		{Trace: 5, Span: ExecSpan(3), Parent: a, Name: "demand", Cat: CatExec, Start: 105, End: 110, Dst: 7},
+		{Trace: 5, Span: ExecSpan(4), Parent: a, Name: "demand", Cat: CatExec, Start: 120, End: 130, Dst: 8},
+		{Trace: 5, Span: ExecSpan(9), Parent: a, Name: "result", Cat: CatExec, PE: 2, Start: 600, End: 900, Dst: 7},
+		{Trace: 5, Span: 2, Parent: a, Name: "fabric-hop", Cat: CatFabric, PE: 1, Start: 150, End: 300, Dst: 7},
+		{Trace: 5, Span: 3, Parent: a, Name: "fabric-retry", Cat: CatFabric, PE: 1, Start: 200, End: 200, Dst: 7},
+		{Trace: 5, Span: 4, Parent: a, Name: "steal", Cat: CatSteal, PE: 2, Start: 400, End: 400, Dst: 7},
+	}
+	traces, globals := AssembleTraces(spans)
+	if len(traces) != 1 || traces[0].Orphans != 0 || len(traces[0].Roots) != 1 {
+		t.Fatalf("assembled %d traces (%+v), want one with a single root and no orphans", len(traces), traces)
+	}
+	tr := traces[0]
+	var b *TraceNode
+	for _, c := range tr.Roots[0].Children[0].Children {
+		if len(c.Children) > 0 && c.Span != ExecSpan(9) {
+			t.Fatalf("exec %x on v%d has children %+v; only the delayed execution may", c.Span, c.Dst, c.Children)
+		}
+		if c.Span == ExecSpan(9) {
+			b = c
+		}
+	}
+	if b == nil || b.Queue != 500 {
+		t.Fatalf("delayed execution %+v, want B with Queue 500 (600 minus its spawner's end)", b)
+	}
+	var names []string
+	for _, c := range b.Children {
+		names = append(names, c.Name)
+	}
+	if want := "fabric-hop fabric-retry steal"; strings.Join(names, " ") != want {
+		t.Fatalf("B's children = %v, want %s", names, want)
+	}
+
+	rep := CriticalPath(tr, globals)
+	want := map[string]int64{
+		// B [600,900], A [10,100], eval's tail [900,1000].
+		CatExec: 490,
+		// After the steal [400,600].
+		CatSteal: 200,
+		// The hop [150,300].
+		CatFabric: 150,
+		// A's wait [0,10], B's before the hop [100,150] and between the hop
+		// and the steal [300,400].
+		CatQueue: 160,
+	}
+	var total int64
+	for cat, ns := range rep.Blame {
+		total += ns
+		if ns != want[cat] {
+			t.Errorf("blame[%s] = %d, want %d (full: %v)", cat, ns, want[cat], rep.Blame)
+		}
+	}
+	if total != rep.TotalNs || rep.TotalNs != 1000 {
+		t.Errorf("blame sums to %d, TotalNs %d, want both 1000", total, rep.TotalNs)
+	}
+
+	// An annotation whose task never ran in the trace is an orphan.
+	lost := append(spans, TraceSpan{Trace: 5, Span: 5, Parent: a, Name: "steal", Cat: CatSteal, Start: 50, End: 50, Dst: 6})
+	if traces, _ := AssembleTraces(lost); traces[0].Orphans != 1 {
+		t.Fatalf("an annotation naming no execution: %d orphans, want 1", traces[0].Orphans)
 	}
 }
 
@@ -206,7 +295,7 @@ func TestTraceSinkSampling(t *testing.T) {
 func TestTraceSinkEviction(t *testing.T) {
 	s := NewTraceSink(4, 1) // 4 trace spans, 1024 global records
 	for i := 0; i < 10; i++ {
-		s.Record(TraceSpan{Trace: 1, Span: uint32(i + 1), Start: int64(i)})
+		s.Record(TraceSpan{Trace: 1, Span: uint64(i + 1), Start: int64(i)})
 	}
 	spans, dropped := s.Spans()
 	if dropped != 6 || s.GlobalDropped() != 0 {
@@ -218,7 +307,7 @@ func TestTraceSinkEviction(t *testing.T) {
 
 	s.Record(TraceSpan{Name: "M_T", Cat: CatGC, PE: TIDCollector, Start: 1, End: 2})
 	for i := 0; i < 8; i++ {
-		s.Record(TraceSpan{Trace: 2, Span: uint32(100 + i)})
+		s.Record(TraceSpan{Trace: 2, Span: uint64(100 + i)})
 	}
 	spans, dropped = s.Spans()
 	if dropped != 14 || s.GlobalDropped() != 0 {

@@ -21,8 +21,7 @@ import (
 var epoch = time.Now()
 
 // Now returns nanoseconds on the process-wide monotonic clock: the time base
-// of every record, of task.Born, and of the execution record's stamps and
-// busy time.
+// of every record, and of the execution record's stamps and busy time.
 func Now() int64 { return int64(time.Since(epoch)) }
 
 // At places a time.Time on the clock (exactly, when t carries Go's monotonic
@@ -33,12 +32,12 @@ func At(t time.Time) int64 { return int64(t.Sub(epoch)) }
 // these exact strings.
 const (
 	CatExec   = "exec"   // a task execution on a PE
-	CatSteal  = "steal"  // a cross-PE steal (point span on the stolen task)
+	CatSteal  = "steal"  // a cross-PE steal (point annotation of the stolen task)
 	CatFabric = "fabric" // a fabric hop or retry of a traced task; a batch flight
 	CatServe  = "serve"  // serving-layer phases: request/admission/memo/settle
 	CatEval   = "eval"   // one machine evaluation (root of the task subtree)
 	CatGC     = "gc"     // a collector phase (M_T, M_R, restructure): overlap is blamed
-	CatQueue  = "queue"  // synthesized: pool wait between spawn and execution
+	CatQueue  = "queue"  // synthesized: wait between the spawner's end and execution
 	// Not blamed: the collector's enclosing intervals (cycle, sweep), per-PE
 	// execution batches, and point events (the flight recorder's rows).
 	CatCollector = "collector"
@@ -58,13 +57,15 @@ const (
 // TraceSpan is the log's one record: who (PE, Mach), what (Name, Cat, Src,
 // Dst, Note), cause (Trace, Span, Parent), when (Start, End; equal for a
 // point event) and cost (Queue, N). Trace != 0 marks a span of a sampled
-// request; Trace == 0 is a global record that belongs to no one trace. Queue,
-// set on exec spans, is Start minus the task's spawn time (the wait the
-// blame pass decomposes into fabric / steal / queue).
+// request; Trace == 0 is a global record that belongs to no one trace. An
+// exec span is named by its execution's number (ExecSpan), every other span
+// by NewSpan. Queue, which AssembleTraces sets on exec spans, is Start minus
+// the spawner's End (the eval span's Start, for a root demand), clamped at 0:
+// the wait the blame pass decomposes into fabric / steal / queue.
 type TraceSpan struct {
 	Trace  uint64 `json:"trace,omitempty"`
-	Span   uint32 `json:"span"`
-	Parent uint32 `json:"parent,omitempty"`
+	Span   uint64 `json:"span"`
+	Parent uint64 `json:"parent,omitempty"`
 	Name   string `json:"name"`
 	Cat    string `json:"cat"`
 	PE     int    `json:"pe"`
@@ -139,7 +140,7 @@ type TraceSink struct {
 	rate    uint64        // math.Float64bits of the sampling rate
 	acc     atomic.Uint64 // sampling accumulator (requests seen)
 	force   atomic.Bool   // sticky always-sample, set on violation/stuck
-	spanID  atomic.Uint32
+	spanID  atomic.Uint64
 	traceID atomic.Uint64
 	machID  atomic.Uint32
 }
@@ -197,14 +198,15 @@ func (s *TraceSink) Sample() bool {
 // NewTrace allocates a fresh nonzero trace ID.
 func (s *TraceSink) NewTrace() uint64 { return s.traceID.Add(1) }
 
-// NewSpan allocates a fresh nonzero span ID.
-func (s *TraceSink) NewSpan() uint32 {
-	id := s.spanID.Add(1)
-	for id == 0 { // wrapped: 0 means "no span"
-		id = s.spanID.Add(1)
-	}
-	return id
-}
+// NewSpan allocates a fresh nonzero span ID, below the exec spans' tag.
+func (s *TraceSink) NewSpan() uint64 { return s.spanID.Add(1) &^ execTag }
+
+// execTag sets an exec span's ID apart from every NewSpan ID.
+const execTag = 1 << 63
+
+// ExecSpan is the span ID of execution number n (the execution record's Seq
+// plus one): a trace node and a record entry are one identity.
+func ExecSpan(n uint64) uint64 { return n | execTag }
 
 // Record appends one record to its class's ring, evicting that class's
 // oldest when full.
@@ -217,16 +219,6 @@ func (s *TraceSink) Record(sp TraceSpan) {
 	} else {
 		s.global.put(sp)
 	}
-}
-
-// Exec records a task execution span: the scheduler's per-traced-task path.
-func (s *TraceSink) Exec(trace uint64, span, parent uint32, name string, pe int, born, start, end int64) {
-	var queue int64
-	if born > 0 && start > born {
-		queue = start - born
-	}
-	s.Record(TraceSpan{Trace: trace, Span: span, Parent: parent, Name: name,
-		Cat: CatExec, PE: pe, Start: start, End: end, Queue: queue})
 }
 
 // Spans returns the retained records (trace spans, then global records),

@@ -84,6 +84,7 @@ type Obs struct {
 	log     *TraceSink
 	id      uint32 // this handle's TraceSpan.Mach
 	tracing bool
+	eval    atomic.Pointer[EvalTrace] // the sampled evaluation running, or nil
 
 	// Per-task accounting; nil unless Options.Exec.
 	slots []peSlot
@@ -112,14 +113,6 @@ func New(opts Options) *Obs {
 	return o
 }
 
-// Mach returns the handle's TraceSpan.Mach, 0 for nil.
-func (o *Obs) Mach() uint32 {
-	if o == nil {
-		return 0
-	}
-	return o.id
-}
-
 // Now returns nanoseconds on the clock (0 for nil, so a disabled layer's
 // call sites read no clock).
 func (o *Obs) Now() int64 {
@@ -130,13 +123,74 @@ func (o *Obs) Now() int64 {
 }
 
 // Lineage returns the log when lineage tracing is enabled (a shared log, or
-// a positive TraceRate), else nil: the sink traced tasks record their exec,
-// steal and fabric-hop spans into, and the allocator of their span IDs.
+// a positive TraceRate), else nil: the sink sampled evaluations record their
+// spans into, and the allocator of their trace and span IDs.
 func (o *Obs) Lineage() *TraceSink {
 	if o == nil || !o.tracing {
 		return nil
 	}
 	return o.log
+}
+
+// EvalTrace is a sampled evaluation in progress on the handle's machine: its
+// trace, its eval span and that span's parent, and the number (Seq+1) of its
+// first execution. A task is the evaluation's when its causal word
+// (task.Task.Parent) is 0 (the root demand) or one of the evaluation's.
+type EvalTrace struct {
+	Trace, Span, Parent, First uint64
+	start                      int64
+	sink                       *TraceSink
+}
+
+// BeginEval opens the "eval" span of an evaluation of trace under span
+// parent, whose executions are numbered from first on, and makes it the
+// handle's sampled evaluation. Unless Lineage and trace are set, it is nil.
+func (o *Obs) BeginEval(trace, parent, first uint64) *EvalTrace {
+	s := o.Lineage()
+	if s == nil || trace == 0 {
+		return nil
+	}
+	tr := &EvalTrace{Trace: trace, Span: s.NewSpan(), Parent: parent, First: first, start: Now(), sink: s}
+	o.eval.Store(tr)
+	return tr
+}
+
+// EndEval records tr's eval span, and clears tr unless a later BeginEval
+// replaced it; an execution begun under it still records its span.
+func (o *Obs) EndEval(tr *EvalTrace) {
+	if tr == nil {
+		return
+	}
+	o.eval.CompareAndSwap(tr, nil)
+	tr.sink.Record(TraceSpan{Trace: tr.Trace, Span: tr.Span, Parent: tr.Parent, Name: "eval",
+		Cat: CatEval, PE: TIDEval, Mach: o.id, Start: tr.start, End: Now()})
+}
+
+// Traced returns the handle's sampled evaluation and the clock if a task is
+// the evaluation's: a reduction task whose causal word parent is 0 or one of
+// its executions. Otherwise, and on a nil handle after one test, it is nil.
+func (o *Obs) Traced(reduction bool, parent uint64) (*EvalTrace, int64) {
+	if o == nil {
+		return nil, 0
+	}
+	if tr := o.eval.Load(); tr != nil && reduction && (parent == 0 || parent >= tr.First) {
+		return tr, Now()
+	}
+	return nil, 0
+}
+
+// Record records sp, a span about a task of the evaluation whose causal word
+// is parent, under its spawner's span: execution parent's, or the eval's.
+// An exec span is named by its execution (ExecSpan), any other afresh.
+func (tr *EvalTrace) Record(parent uint64, sp TraceSpan) {
+	sp.Trace, sp.Parent = tr.Trace, tr.Span
+	if parent != 0 {
+		sp.Parent = ExecSpan(parent)
+	}
+	if sp.Span == 0 {
+		sp.Span = tr.sink.NewSpan()
+	}
+	tr.sink.Record(sp)
 }
 
 // Span records a completed global interval that began at start (a prior Now

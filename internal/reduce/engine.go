@@ -97,11 +97,11 @@ type Engine struct {
 	roots   [rootSlots]atomic.Uint32
 	spilled atomic.Int32
 	errs    []error
-	// probes maps pending is-bottom probe vertices to the lineage of the task
-	// that registered them; they are resolved to true, in that lineage, by
-	// ResolveBottomProbes when the deadlock detector finds the probe itself
-	// deadlocked (footnote 5).
-	probes map[graph.VertexID]lineage
+	// probes maps pending is-bottom probe vertices to the number of the
+	// execution that registered them; ResolveBottomProbes resolves them to
+	// true, as that execution's children, when the deadlock detector finds
+	// the probe itself deadlocked (footnote 5).
+	probes map[graph.VertexID]uint64
 
 	// superScratch holds each PE's compiled-body execution state, made at
 	// its first body and reused by every one after. Only Handle runs bodies,
@@ -119,8 +119,8 @@ type Engine struct {
 }
 
 // execution is one task's execution on a PE: the engine, the partition it
-// runs on, what the execution may still run in place, the running task's
-// lineage, and the rewrites and allocations it has made. The step functions,
+// runs on, what the execution may still run in place, its number, and the
+// rewrites and allocations it has made. The step functions,
 // which reach the spawn and hand-off sites, are its methods. Handle keeps it
 // on its stack, so no two executions share one.
 type execution struct {
@@ -140,21 +140,14 @@ type execution struct {
 	// handed reports a pending hand-off, which the machine holds in the PE's
 	// slot until Handle takes it.
 	handed bool
-	// lin is the running task's lineage: every task the execution spawns or
-	// hands off joins its trace, with its span as causal parent.
-	lin lineage
+	// num is the execution's number (sched.Machine.Running), 0 outside any:
+	// every task it spawns or hands off carries it as its Parent.
+	num uint64
 	// rewrites and allocs tally the execution's graph rewrites and the
 	// vertices it took from F; publish adds each to its counter once, as
 	// Handle adds the execution's steps (DESIGN §9, "Counters and
 	// exposition").
 	rewrites, allocs int64
-}
-
-// lineage is a task's trace (0 = untraced) and its own span. It travels on
-// the task alone (DESIGN §9, "Lineage").
-type lineage struct {
-	trace uint64
-	span  uint32
 }
 
 var _ sched.Handler = (*Engine)(nil)
@@ -167,7 +160,7 @@ func New(store *graph.Store, mach *sched.Machine, mut *core.Mutator, cfg Config)
 		mut:         mut,
 		cfg:         cfg,
 		rootWaiters: make(map[graph.VertexID][]chan Value),
-		probes:      make(map[graph.VertexID]lineage),
+		probes:      make(map[graph.VertexID]uint64),
 		budget:      inlineBudget,
 	}
 	if cfg.Prog != nil { // only a compiled program has bodies to run
@@ -199,20 +192,20 @@ func (e *Engine) SetInlineBudget(n int) { e.budget = n }
 func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.VertexID {
 	type hit struct {
 		p   graph.VertexID
-		lin lineage
+		num uint64
 	}
 	var hits []hit
 	e.mu.Lock()
 	for _, p := range deadlocked {
-		if lin, ok := e.probes[p]; ok {
-			hits = append(hits, hit{p, lin})
+		if num, ok := e.probes[p]; ok {
+			hits = append(hits, hit{p, num})
 			delete(e.probes, p)
 		}
 	}
 	e.mu.Unlock()
 
-	// Outside any execution: nothing runs in place, and the results go out in
-	// the lineage of the task that registered each probe.
+	// Outside any execution: nothing runs in place, and each result goes out
+	// as a child of the execution that registered its probe.
 	x := &execution{Engine: e}
 	defer x.publish()
 	var resolved []graph.VertexID
@@ -227,18 +220,18 @@ func (e *Engine) ResolveBottomProbes(deadlocked []graph.VertexID) []graph.Vertex
 		if !isProbe {
 			continue
 		}
-		x.lin = h.lin
+		x.num = h.num
 		x.finishBool(v, true)
 		resolved = append(resolved, h.p)
 	}
 	return resolved
 }
 
-// registerProbe records a pending is-bottom probe in the running task's
-// lineage.
+// registerProbe records a pending is-bottom probe, and the execution that
+// registered it.
 func (e *execution) registerProbe(probe graph.VertexID) {
 	e.mu.Lock()
-	e.probes[probe] = e.lin
+	e.probes[probe] = e.num
 	e.mu.Unlock()
 }
 
@@ -262,19 +255,12 @@ func (e *Engine) fail(v *graph.Vertex, format string, args ...any) {
 	e.mu.Unlock()
 }
 
-// Demand requests the value of root (the initial <-,root> task). The
-// returned channel receives the WHNF value once computed; it never fires
-// for a deadlocked or nonterminating computation.
+// Demand requests the value of root (the initial <-,root> task, spawned
+// from outside any execution). The returned channel receives the WHNF value
+// once computed; it never fires for a deadlocked or nonterminating
+// computation. A demand begins an evaluation: the runtime errors of the one
+// before are forgotten.
 func (e *Engine) Demand(root graph.VertexID) <-chan Value {
-	return e.DemandTraced(root, 0, 0)
-}
-
-// DemandTraced is Demand with an explicit causal-lineage context: the root
-// demand — and, transitively, every task its reduction spawns — belongs to
-// trace, with parent as the root demand's causal parent span (the serving
-// layer's eval span). A zero trace is an ordinary untraced Demand. A demand
-// begins an evaluation: the runtime errors of the one before are forgotten.
-func (e *Engine) DemandTraced(root graph.VertexID, trace uint64, parent uint32) <-chan Value {
 	ch := make(chan Value, 1)
 	e.mu.Lock()
 	e.errs = e.errs[:0]
@@ -283,14 +269,12 @@ func (e *Engine) DemandTraced(root graph.VertexID, trace uint64, parent uint32) 
 	}
 	e.rootWaiters[root] = append(e.rootWaiters[root], ch)
 	e.mu.Unlock()
-	// Outside any execution: the root demand is the child of the caller's
-	// span.
-	x := &execution{Engine: e, lin: lineage{trace, parent}}
+	x := &execution{Engine: e}
 	x.spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root, Req: graph.ReqVital})
 	return ch
 }
 
-// spawn enqueues a reduction task in the running task's lineage, then
+// spawn enqueues a reduction task as the execution's child, then
 // cooperates with any active M_T cycle: a task spawned after the cycle's pool
 // snapshot is the sole carrier of task-reachability to its endpoints, so they
 // must be registered as extra marking roots or the deadlock detector can
@@ -301,8 +285,7 @@ func (e *Engine) DemandTraced(root graph.VertexID, trace uint64, parent uint32) 
 // push sees the task queued, and a cycle activated before the push is active
 // when the cooperation check runs.
 func (e *execution) spawn(t task.Task) {
-	t.Trace = e.lin.trace
-	t.SetParentSpan(e.lin.span)
+	t.Parent = e.num
 	e.mach.Spawn(t)
 	e.mut.CoopTaskSpawn(t.Src, t.Dst)
 }
@@ -317,14 +300,14 @@ func (e *execution) spawn(t task.Task) {
 // pending hand-off, if a step left one (handOff), as the PE's next task.
 // Inline steps and hand-offs share the budget and are counted with the
 // machine as steps (AddSteps), and the execution's rewrites and allocations
-// are published when it ends. The execution takes on the lineage of each
-// task it runs, the popped one and every hand-off. Its partition is t.Dst's,
-// whichever PE pe is: a thief makes the choices the task's home PE would.
+// are published when it ends. What the popped task and its hand-offs spawn
+// is the execution's. Its partition is t.Dst's, whichever PE pe is: a thief
+// makes the choices the task's home PE would.
 func (e *Engine) Handle(pe int, t task.Task) {
-	x := &execution{Engine: e, pe: pe, part: e.store.PartitionOf(t.Dst), left: e.budget}
+	x := &execution{Engine: e, pe: pe, part: e.store.PartitionOf(t.Dst), left: e.budget,
+		num: e.mach.Running(pe)}
 	steps := 0
 	for {
-		x.lin = lineage{t.Trace, t.Span()}
 		var again bool
 		switch t.Kind {
 		case task.Demand:
@@ -373,10 +356,10 @@ func (e *execution) publish() {
 // partition (the store's, which the machine routes by), while the execution
 // has budget left and no hand-off pending; the hand-off spends one step of
 // the budget. Any other task is spawned. A hand-off pays what a spawn pays
-// but the pool: the machine stamps it, notes it against the verdict watch
-// and publishes it in the executing PE's slot (sched.Machine.HandOff)
-// before it cooperates with M_T, so the caller may move the edge it travels
-// on as it would after a spawn.
+// but the pool: it carries the execution's number, and the machine notes it
+// against the verdict watch and publishes it in the executing PE's slot
+// (sched.Machine.HandOff) before it cooperates with M_T, so the caller may
+// move the edge it travels on as it would after a spawn.
 func (e *execution) handOff(t task.Task) {
 	if e.left == 0 || e.handed || (t.Kind == task.Demand && t.Req != graph.ReqVital) ||
 		e.store.PartitionOf(t.Dst) != e.part {
@@ -385,8 +368,7 @@ func (e *execution) handOff(t task.Task) {
 	}
 	e.left--
 	e.handed = true
-	t.Trace = e.lin.trace
-	t.SetParentSpan(e.lin.span)
+	t.Parent = e.num
 	e.mach.HandOff(e.pe, t)
 	e.mut.CoopTaskSpawn(t.Src, t.Dst)
 }
@@ -537,7 +519,7 @@ func (e *Engine) notifyRoot(v *graph.Vertex) {
 	}
 }
 
-// Withdraw drops ch, which Demand or DemandTraced returned for root, from
+// Withdraw drops ch, which Demand returned for root, from
 // root's waiters: the evaluation that awaited it has ended without the value,
 // and a value delivered later would go to no one.
 func (e *Engine) Withdraw(root graph.VertexID, ch <-chan Value) {

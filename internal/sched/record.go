@@ -47,30 +47,34 @@ func (o *Op) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Entry is one line of the execution record, 40 bytes, and one line of the
+// Entry is one line of the execution record, 48 bytes, and one line of the
 // schedule log (JSON Lines, zero fields left out). Record clears the merge
 // keys: in the log only an execution carries seq and pe, and no entry At.
+// Parent, the task's causal word (task.Task.Parent), makes the execution
+// entries of a recorded run its whole spawn DAG; a replay records its own.
 type Entry struct {
-	Seq   uint64         `json:"seq,omitempty"` // an execution's number; another entry's, the execution count when written
-	Epoch uint64         `json:"epoch,omitempty"`
-	At    int64          `json:"-"` // an execution's clock (0 without Obs); another entry's ticket (stamp)
-	Src   graph.VertexID `json:"src,omitempty"`
-	Dst   graph.VertexID `json:"dst,omitempty"`
-	PE    uint16         `json:"pe,omitempty"`
-	Op    Op             `json:"ev"`
-	Kind  task.Kind      `json:"kind,omitempty"`
-	Req   graph.ReqKind  `json:"req,omitempty"`
-	Ctx   graph.Ctx      `json:"ctx,omitempty"`
-	Prior uint8          `json:"prior,omitempty"`
-	MT    bool           `json:"mt,omitempty"`
+	Seq    uint64         `json:"seq,omitempty"`    // an execution's number; another entry's, the execution count when written
+	Parent uint64         `json:"parent,omitempty"` // the spawner's Seq+1; 0 from outside any execution
+	Epoch  uint64         `json:"epoch,omitempty"`
+	At     int64          `json:"-"` // an execution's clock (0 without Obs); another entry's ticket (stamp)
+	Src    graph.VertexID `json:"src,omitempty"`
+	Dst    graph.VertexID `json:"dst,omitempty"`
+	PE     uint16         `json:"pe,omitempty"`
+	Op     Op             `json:"ev"`
+	Kind   task.Kind      `json:"kind,omitempty"`
+	Req    graph.ReqKind  `json:"req,omitempty"`
+	Ctx    graph.Ctx      `json:"ctx,omitempty"`
+	Prior  uint8          `json:"prior,omitempty"`
+	MT     bool           `json:"mt,omitempty"`
 }
 
 func entryOf(op Op, pe int, t *task.Task) Entry {
 	return Entry{Op: op, PE: uint16(pe), Kind: t.Kind, Src: t.Src, Dst: t.Dst,
-		Req: t.Req, Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch}
+		Req: t.Req, Ctx: t.Ctx, Prior: t.Prior, Epoch: t.Epoch, Parent: t.Parent}
 }
 
-// Task is the task an execution or absorb entry records.
+// Task is the task an execution or absorb entry records, as a replay
+// matches it: without its causal word.
 func (e *Entry) Task() task.Task {
 	return task.Task{Kind: e.Kind, Src: e.Src, Dst: e.Dst, Req: e.Req,
 		Ctx: e.Ctx, Prior: e.Prior, Epoch: e.Epoch}

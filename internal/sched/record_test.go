@@ -75,3 +75,13 @@ func TestFlightKeepsLastExecutions(t *testing.T) {
 			retained, n, unsafe.Sizeof(Entry{}))
 	}
 }
+
+// TestEntrySize: an entry is 48 bytes, the 40 of the schedule's fields and
+// the causal word, Parent. The CI census prints it.
+func TestEntrySize(t *testing.T) {
+	sz := unsafe.Sizeof(Entry{})
+	t.Logf("census: Sizeof(Entry)=%d", sz)
+	if sz != 48 {
+		t.Errorf("Sizeof(Entry) = %d, want 48", sz)
+	}
+}

@@ -134,12 +134,9 @@ type Config struct {
 
 	// Obs, when non-nil, receives per-execution timing, batch spans, and
 	// idle transitions — every call a nil-safe no-op when unset, so the hot
-	// path pays one pointer test for the disabled layer — and, when its
-	// lineage tracing is on, the spans of traced tasks: a span ID is
-	// assigned at spawn, an exec span is recorded per traced execution, and
-	// a steal point-span when a traced task moves pools. Untraced tasks
-	// (Trace == 0 — everything unless a head-sampled request stamped a
-	// context upstream) pay one field test.
+	// path pays one pointer test for the disabled layer — and, while it
+	// holds a sampled evaluation (obs.EvalTrace), the exec span of each of
+	// that evaluation's reduction executions and its steal annotations.
 	Obs *obs.Obs
 
 	// AfterExecute, when set, is called after every task execution
@@ -212,7 +209,8 @@ type Machine struct {
 // slot twice per task: the publish at the pop, the retire when the task is
 // done). execs rides along under the same per-PE lock: it is the PE's
 // execution count, incremented by the publish, and read (rarely) by
-// ExecutionsByPE for balance reporting. ts[cur] is the running task and
+// ExecutionsByPE for balance reporting. running is the running execution's
+// number (Running). ts[cur] is the running task and
 // ts[cur^1] the PE's pending hand-off (HandOff), so taking the hand-off
 // (TakeHandOff) flips cur and moves no task. A deterministic machine's slots
 // are serial, like its pools: its one goroutine is the only writer, and its
@@ -225,9 +223,9 @@ type curSlot struct {
 	cur            uint8
 	ts             [2]task.Task
 	execs          uint64
-	// started is when ts[cur] began to run, for a traced one; only the PE
-	// touches it.
-	started int64
+	// running is only the PE's: execute writes it, the handler reads it.
+	running uint64
+	_       [32]byte
 }
 
 // publish makes t the PE's in-execution task and counts its execution. Every
@@ -374,7 +372,6 @@ func (m *Machine) originOf(t task.Task) int {
 // counted inflight while in transit), otherwise it lands directly in the
 // destination pool.
 func (m *Machine) Spawn(t task.Task) {
-	m.stampTrace(&t)
 	m.note(t)
 	dst := m.PartOf(t.Dst)
 	origin := m.originOf(t)
@@ -392,27 +389,6 @@ func (m *Machine) Spawn(t task.Task) {
 		return
 	}
 	m.pools[dst].Push(t)
-}
-
-// stampTrace assigns a traced task its own lineage span ID and spawn
-// timestamp before routing. Untraced tasks (the common case) pay one field
-// test; with lineage tracing off a stray context is dropped instead of
-// carried dead.
-func (m *Machine) stampTrace(t *task.Task) {
-	if t.Trace == 0 {
-		return
-	}
-	s := m.cfg.Obs.Lineage()
-	if s == nil {
-		t.Trace, t.Spans, t.Born = 0, 0, 0
-		return
-	}
-	if t.Span() == 0 {
-		t.SetSpan(s.NewSpan())
-	}
-	if t.Born == 0 {
-		t.Born = obs.Now()
-	}
 }
 
 // release takes n tasks — executed or expunged, never to be waited for again —
@@ -478,7 +454,7 @@ func (m *Machine) WaitSteps(n uint64, stop <-chan struct{}) bool {
 // publish), so a taskpool snapshot (M_T's troot) cannot miss a task that is
 // neither queued nor finished; execute retires it, or the last hand-off the
 // handler took in its place, when it is done. The hand-offs run inside this
-// execution: the record and the execution count see t alone.
+// execution: the record, the execution count and the trace see t alone.
 func (m *Machine) execute(pe int, t task.Task) {
 	seq := m.execSeq.Add(1) - 1
 	if w := m.wakeAt.Load(); w != 0 && seq+1+m.inline.Load() >= w {
@@ -495,13 +471,9 @@ func (m *Machine) execute(pe int, t task.Task) {
 			c.ReductionTasks.Add(1)
 		}
 	}
-	// Every queued task passed stampTrace, so a set Trace means tracing is on.
-	var traceStart int64
-	if t.Trace != 0 {
-		traceStart = obs.Now()
-	}
+	tr, traceStart := m.cfg.Obs.Traced(t.Kind.IsReduction(), t.Parent)
 	slot := &m.current[pe]
-	slot.started = traceStart
+	slot.running = seq + 1
 	m.cfg.Obs.TaskStart(pe)
 	m.handler.Handle(pe, t)
 	ts := m.cfg.Obs.TaskEnd(pe)
@@ -514,9 +486,9 @@ func (m *Machine) execute(pe int, t task.Task) {
 		r.lanes[pe].add(e, r.all)
 	}
 	slot.mu.Unlock()
-	// The slot's task is t, or the last hand-off the handler took.
-	if last := &slot.ts[slot.cur]; last.Trace != 0 {
-		m.traceExec(pe, last, slot.started)
+	if tr != nil {
+		tr.Record(t.Parent, obs.TraceSpan{Span: obs.ExecSpan(seq + 1), Name: t.Kind.String(), Cat: obs.CatExec,
+			PE: pe, Start: traceStart, End: obs.Now(), Src: uint64(t.Src), Dst: uint64(t.Dst)})
 	}
 	m.release(1)
 	if fn := m.cfg.AfterExecute; fn != nil {
@@ -524,25 +496,20 @@ func (m *Machine) execute(pe int, t task.Task) {
 	}
 }
 
-// traceExec records the lineage exec span of a traced task that ran on PE pe
-// from start until now. Its callers test t.Trace, so an untraced task costs
-// them no call.
-func (m *Machine) traceExec(pe int, t *task.Task, start int64) {
-	m.cfg.Obs.Lineage().Exec(t.Trace, t.Span(), t.ParentSpan(), t.Kind.String(),
-		pe, t.Born, start, obs.Now())
-}
+// Running returns the number (Seq+1) of the execution PE pe is running, for
+// the handler running on pe to stamp on what it spawns (task.Task.Parent).
+func (m *Machine) Running(pe int) uint64 { return m.current[pe].running }
 
 // HandOff makes t PE pe's pending hand-off: a task of the running task's
 // partition (pe's own, unless pe stole the running task) that the handler
 // executing on pe runs later in the same execution (TakeHandOff) instead of
 // spawning it. A hand-off pays what Spawn pays but
-// the pool and the message count: a traced task is stamped, the armed watch
-// notes it, and the slot publishes it beside the running task, under the
-// slot lock, so M_T's troot snapshot (EachCurrent) sees it from this instant
-// as it would see a queued task. One hand-off may be pending on a PE, and
-// the handler must take it before it returns.
+// the pool and the message count: the armed watch notes it, and the slot
+// publishes it beside the running task, under the slot lock, so M_T's troot
+// snapshot (EachCurrent) sees it from this instant as it would see a queued
+// task. One hand-off may be pending on a PE, and the handler must take it
+// before it returns.
 func (m *Machine) HandOff(pe int, t task.Task) {
-	m.stampTrace(&t)
 	m.note(t)
 	s := &m.current[pe]
 	s.mu.Lock()
@@ -555,18 +522,11 @@ func (m *Machine) HandOff(pe int, t task.Task) {
 // handler runs it, and counts it as a step of the execution (AddSteps).
 func (m *Machine) TakeHandOff(pe int) task.Task {
 	s := &m.current[pe]
-	if prev := &s.ts[s.cur]; prev.Trace != 0 {
-		m.traceExec(pe, prev, s.started)
-	}
 	s.mu.Lock()
 	s.cur ^= 1
 	s.handing = false
 	s.mu.Unlock()
-	t := &s.ts[s.cur]
-	if t.Trace != 0 {
-		s.started = obs.Now()
-	}
-	return *t
+	return s.ts[s.cur]
 }
 
 // wakeUp wakes WaitSteps's waiter.
@@ -744,10 +704,13 @@ func (m *Machine) ExecuteMatching(pe int, pred func(task.Task) bool, exec task.T
 		return false
 	}
 	// TryPopWhere publishes nothing: the slot shows exec, the task the log
-	// names, not the pooled copy, and the watch notes it.
-	if _, ok := m.pools[pe].TryPopWhere(pred); !ok {
+	// names, not the pooled copy, and the watch notes it. Its causal word is
+	// the replay's own, the pooled copy's.
+	q, ok := m.pools[pe].TryPopWhere(pred)
+	if !ok {
 		return false
 	}
+	exec.Parent = q.Parent
 	m.note(exec)
 	m.current[pe].publish(exec)
 	m.execute(pe, exec)
@@ -869,19 +832,16 @@ func (m *Machine) stealFor(pe int) bool {
 	}
 	batch := min(best/2, stealBatch)
 	// A steal is a pop as far as a pending deadlock verdict is concerned, and
-	// for traced tasks a causal hop worth a span: it explains why the task's
-	// remaining queue wait happened on the thief's pool.
-	s := m.cfg.Obs.Lineage()
+	// for a sampled evaluation's task a causal hop worth an annotation: it
+	// explains why the task's remaining queue wait happened on the thief's
+	// pool.
+	o := m.cfg.Obs
 	n := m.pools[victim].StealInto(m.pools[pe], batch, func(t task.Task) {
 		m.note(t)
-		if t.Trace == 0 || s == nil {
-			return
+		if tr, now := o.Traced(t.Kind.IsReduction(), t.Parent); tr != nil {
+			tr.Record(t.Parent, obs.TraceSpan{Name: "steal", Cat: obs.CatSteal, PE: pe, Start: now, End: now,
+				N: int64(victim), Dst: uint64(t.Dst), Note: fmt.Sprintf("victim=%d thief=%d", victim, pe)})
 		}
-		now := obs.Now()
-		s.Record(obs.TraceSpan{Trace: t.Trace, Span: s.NewSpan(),
-			Parent: t.Span(), Name: "steal", Cat: obs.CatSteal, PE: pe,
-			Start: now, End: now, N: int64(victim),
-			Note: fmt.Sprintf("victim=%d thief=%d", victim, pe)})
 	})
 	if n == 0 {
 		return false

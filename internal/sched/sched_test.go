@@ -49,8 +49,8 @@ func TestDeterministicStepExecutesAll(t *testing.T) {
 // TestSerialModeFollowsMachine: a deterministic machine's pools and PE
 // slots take no lock, and a parallel machine's do. The slot's mode bit sits
 // in the padding after valid: curSlot is 128 bytes, two cache lines, the
-// running task and the pending hand-off, 48 bytes each (task.TestTaskSize),
-// plus the lock, the count and the trace start.
+// running task and the pending hand-off, 32 bytes each (task.TestTaskSize),
+// plus the lock, the count, the running execution's number and padding.
 func TestSerialModeFollowsMachine(t *testing.T) {
 	if got := unsafe.Sizeof(curSlot{}); got != 128 {
 		t.Errorf("Sizeof(curSlot) = %d, want 128", got)

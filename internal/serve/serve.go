@@ -188,7 +188,7 @@ type Job struct {
 	// rootSpan is the "request" envelope span every other span of the
 	// trace — serve phases and the machine's task lineage — hangs off.
 	trace    uint64
-	rootSpan uint32
+	rootSpan uint64
 }
 
 // JobView is an immutable snapshot of a Job. TraceID, when non-empty, is
@@ -393,7 +393,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	// is known, so rejected and failed requests are as likely to carry a
 	// trace as successful ones (and always, once the sink is forced).
 	var trID uint64
-	var rootSpan uint32
+	var rootSpan uint64
 	if s.trace.Sample() {
 		trID = s.trace.NewTrace()
 		rootSpan = s.trace.NewSpan()

@@ -379,13 +379,14 @@ func TestPoolReprioritizeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestTaskSize: the fields are ordered by size, so a task is 48 bytes. The
-// CI census prints it.
+// TestTaskSize: the fields are ordered by size, so a task is 32 bytes: its
+// one causal word (Parent) beside the scheduling state. The CI census prints
+// it.
 func TestTaskSize(t *testing.T) {
 	sz := unsafe.Sizeof(Task{})
 	t.Logf("census: Sizeof(Task)=%d", sz)
-	if sz != 48 {
-		t.Errorf("Sizeof(Task) = %d, want 48", sz)
+	if sz != 32 {
+		t.Errorf("Sizeof(Task) = %d, want 32", sz)
 	}
 }
 

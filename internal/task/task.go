@@ -80,7 +80,7 @@ const (
 const NumBands = int(numBands)
 
 // Task is an unexecuted task <s,d>. The zero value is invalid. The fields
-// are ordered by size, so the struct packs into 48 bytes (TestTaskSize):
+// are ordered by size, so the struct packs into 32 bytes (TestTaskSize):
 // every pool ring and PE slot holds tasks by value (a marker's wave list
 // packs its marks and returns into 16-byte items).
 type Task struct {
@@ -103,34 +103,13 @@ type Task struct {
 	// as the cycle completes) are dropped instead of corrupting the next
 	// cycle's mt-cnt accounting.
 	Epoch uint64
-
-	// Trace is the causal-lineage trace ID this task belongs to, or 0 for
-	// an untraced task (the common case — lineage is head-sampled). The
-	// field rides alongside scheduling state and is never consulted by the
-	// scheduler, pools, or marking machinery, so stamping it cannot perturb
-	// a schedule.
-	Trace uint64
-	// Spans packs this task's own span ID (high 32 bits) and its causal
-	// parent's span ID (low 32 bits). Zero halves mean "not yet assigned" /
-	// "no parent". Meaningful only when Trace != 0.
-	Spans uint64
-	// Born is the wall-clock UnixNano at which the task was spawned,
-	// stamped only for traced tasks; exec-start minus Born is the task's
-	// queue wait (plus any fabric transit, which hop spans subtract out).
-	Born int64
+	// Parent is the number (the record's Seq plus one) of the execution that
+	// spawned or handed off the task, and 0 for a spawn from outside any
+	// execution: the root demand, a phase's roots, a cooperating mutator's
+	// marks. It is the task's one causal word (DESIGN §9, "Lineage"); no
+	// scheduling decision reads it.
+	Parent uint64
 }
-
-// Span returns the task's own span ID (0 = unassigned).
-func (t Task) Span() uint32 { return uint32(t.Spans >> 32) }
-
-// ParentSpan returns the span ID of the task's causal parent (0 = root).
-func (t Task) ParentSpan() uint32 { return uint32(t.Spans) }
-
-// SetSpan assigns the task's own span ID, preserving the parent half.
-func (t *Task) SetSpan(id uint32) { t.Spans = uint64(id)<<32 | t.Spans&0xffffffff }
-
-// SetParentSpan assigns the causal parent's span ID, preserving the own half.
-func (t *Task) SetParentSpan(id uint32) { t.Spans = t.Spans&^uint64(0xffffffff) | uint64(id) }
 
 // ComputeBand derives the scheduling band from the task's kind and request
 // kind / priority.

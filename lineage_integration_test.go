@@ -11,12 +11,14 @@ package dgr_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"slices"
 	"testing"
 
 	"dgr"
 	"dgr/internal/fabric"
 	"dgr/internal/obs"
+	"dgr/internal/sched"
 )
 
 // TestTracingScheduleUnchanged asserts the tentpole's zero-perturbation
@@ -418,5 +420,154 @@ func TestTraceEvalListSampled(t *testing.T) {
 	}
 	if rep.TotalNs <= 0 || blamed != rep.TotalNs {
 		t.Fatalf("trace %d: blame sums to %d, want TotalNs %d", tr.ID, blamed, rep.TotalNs)
+	}
+}
+
+// recordedFib evaluates fib 12 on a seeded, recorded 4-PE machine of the
+// given engine and returns the machine (still open) and its record.
+func recordedFib(t *testing.T, engine string, opts dgr.Options) (*dgr.Machine, []sched.Entry) {
+	t.Helper()
+	opts.PEs, opts.Seed, opts.Engine, opts.RecordSchedule = 4, 42, engine, true
+	m := dgr.New(opts)
+	if v, err := m.Eval(detFib); err != nil || v.Int != 144 {
+		m.Close()
+		t.Fatalf("%s: eval = %v, %v; want 144", engine, v, err)
+	}
+	rec, err := m.ScheduleEvents()
+	if err != nil {
+		m.Close()
+		t.Fatal(err)
+	}
+	return m, rec
+}
+
+// TestRecordSpawnDAG: the execution entries of a recorded run are its whole
+// spawn DAG. Every nonzero Parent names an execution that precedes its
+// child in the record, every reduction execution but the root demand has
+// one, and a replay of the recording, which matches tasks without their
+// causal word, stamps every Parent anew and reproduces each.
+func TestRecordSpawnDAG(t *testing.T) {
+	for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
+		// Collector cycles put marking executions in the record too.
+		m, rec := recordedFib(t, engine, dgr.Options{GCInterval: 200, MTEvery: 1})
+		m.Close()
+		parents := map[uint64]uint64{} // execution number -> Parent
+		roots := 0
+		for _, e := range rec {
+			if e.Op != sched.OpExec {
+				continue
+			}
+			n := e.Seq + 1
+			if e.Parent >= n {
+				t.Fatalf("%s: execution %d names execution %d, which does not precede it", engine, n, e.Parent)
+			}
+			if e.Parent != 0 {
+				if _, ok := parents[e.Parent]; !ok {
+					t.Fatalf("%s: execution %d names execution %d, which is not in the record before it", engine, n, e.Parent)
+				}
+			}
+			if e.Parent == 0 && e.Kind.IsReduction() {
+				roots++
+			}
+			parents[n] = e.Parent
+		}
+		if roots != 1 {
+			t.Fatalf("%s: %d reduction executions without a Parent, want 1 (the root demand)", engine, roots)
+		}
+
+		m2 := dgr.New(dgr.Options{PEs: 4, Seed: 42, Engine: engine, RecordSchedule: true,
+			GCInterval: 200, MTEvery: 1})
+		root, err := m2.Compile(detFib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m2.ReplaySchedule(root, rec); err != nil {
+			t.Fatalf("%s: replay: %v", engine, err)
+		}
+		rep, err := m2.ScheduleEvents()
+		m2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, marking := 0, 0
+		for _, e := range rep {
+			if e.Op != sched.OpExec {
+				continue
+			}
+			replayed++
+			if e.Kind.IsMarking() {
+				marking++
+			}
+			if want, ok := parents[e.Seq+1]; !ok || e.Parent != want {
+				t.Fatalf("%s: replayed execution %d has Parent %d, the recording %d", engine, e.Seq+1, e.Parent, want)
+			}
+		}
+		if replayed != len(parents) {
+			t.Fatalf("%s: replay recorded %d executions, the recording %d", engine, replayed, len(parents))
+		}
+		t.Logf("%s: %d executions (%d marking), every Parent replayed", engine, replayed, marking)
+	}
+}
+
+// TestRecordAgreesWithTrace: a trace node and a record entry are one
+// identity. On an evaluation both traced and recorded, the exec spans are
+// exactly the record's reduction executions, one for one by execution
+// number, on the same PE and destination, each parented on its spawner's
+// span (the eval envelope's, for the root demand).
+func TestRecordAgreesWithTrace(t *testing.T) {
+	for _, engine := range []string{dgr.EngineInterp, dgr.EngineCompiled} {
+		m, rec := recordedFib(t, engine, dgr.Options{TraceRate: 1})
+		spans, _ := m.TraceSink().Spans()
+		m.Close()
+		var eval uint64
+		execs := map[uint64]obs.TraceSpan{}
+		for _, sp := range spans {
+			switch sp.Cat {
+			case obs.CatEval:
+				eval = sp.Span
+			case obs.CatExec:
+				n := sp.Span &^ obs.ExecSpan(0)
+				if _, dup := execs[n]; sp.Span != obs.ExecSpan(n) || n == 0 || dup {
+					t.Fatalf("%s: exec span %x is not one execution's", engine, sp.Span)
+				}
+				execs[n] = sp
+			}
+		}
+		matched := 0
+		for _, e := range rec {
+			if e.Op != sched.OpExec || !e.Kind.IsReduction() {
+				continue
+			}
+			sp, ok := execs[e.Seq+1]
+			if !ok {
+				t.Fatalf("%s: reduction execution %d has no exec span", engine, e.Seq+1)
+			}
+			parent := eval
+			if e.Parent != 0 {
+				parent = obs.ExecSpan(e.Parent)
+			}
+			if sp.Parent != parent || sp.PE != int(e.PE) || sp.Dst != uint64(e.Dst) || sp.Name != e.Kind.String() {
+				t.Fatalf("%s: execution %d: span %+v, record %+v", engine, e.Seq+1, sp, e)
+			}
+			matched++
+		}
+		if matched != len(execs) {
+			t.Fatalf("%s: %d exec spans, %d of them the record's reduction executions", engine, len(execs), matched)
+		}
+		t.Logf("%s: %d exec spans, each a reduction execution of the record", engine, matched)
+	}
+}
+
+// TestReplayLogPredatesParent: the checked-in false-deadlock log was
+// recorded before entries carried Parent, and replays unregenerated
+// (TestFalseDeadlockReplayRegression), since a replay matches tasks without
+// their causal word.
+func TestReplayLogPredatesParent(t *testing.T) {
+	b, err := os.ReadFile("internal/check/testdata/false_deadlock_replay.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(b, []byte(`"parent"`)) {
+		t.Fatal(`the checked-in replay log has "parent" fields; it was regenerated`)
 	}
 }
