@@ -316,18 +316,16 @@ func runPEs(cfg Config) (*Table, error) {
 }
 
 // The overhead gate. Each instrumented cell is timed against the bare
-// machine in the same mode, interleaved A/B within one process (which is
-// what keeps the comparison meaningful on a noisy host), the side that runs
-// first alternating per repetition, each side's best ns/op over obsReps
-// repetitions of obsTime counting: noise on a shared host only ever inflates
-// a time, so a side's minimum is its closest reading of the true cost, which
-// a minimum over per-repetition ratios is not. obsLimit is the bound on the
-// ratio of the gated cells, obs=on and trace=armed, the configurations a
-// production machine runs: the ceiling unchanged code measures with this
-// statistic (DESIGN.md §9), not the 5 % the budget names.
+// machine in the same mode, interleaved A/B within one process: obsPairs
+// pairs of passes of equal op counts (as many as fill obsTime on the bare
+// side), the side that runs first alternating. A cell is judged by the
+// median of its pairs' ratios, which a burst of host noise in one pass
+// barely moves; a best-of-N on each side read two independent extremes.
+// obsLimit bounds it for the gated cells, obs=on and trace=armed, what a
+// production machine runs (DESIGN.md §9).
 const (
-	obsReps  = 5
-	obsTime  = 500 * time.Millisecond
+	obsPairs = 10
+	obsTime  = 300 * time.Millisecond
 	obsLimit = 1.12
 	// armedRate arms the lineage sink without (statistically ever)
 	// sampling: the deterministic accumulator needs ~1e12 decisions before
@@ -365,23 +363,21 @@ func (c obsCell) pass(src string, want int64) func(n int) error {
 }
 
 // runObs measures the instrumentation overhead of obs and lineage tracing
-// on fib against the bare machine, in deterministic and parallel mode. A
-// full run fails when a gated cell's ratio exceeds obsLimit; full rate-1.0
-// tracing, a debugging mode that records a span per task execution, is
-// reported ungated. A quick run times one op a side and gates nothing.
+// on fib against the bare machine, in deterministic and parallel mode, with
+// the bare side's own spread beside each ratio. A full run fails when a
+// gated cell's ratio exceeds obsLimit; full rate-1.0 tracing is reported
+// ungated. A quick run times one op a side and gates nothing.
 func runObs(cfg Config) (*Table, error) {
-	reps, bt := obsReps, obsTime
+	pairs, bt := obsPairs, obsTime
 	if cfg.Quick {
-		reps, bt = 1, time.Nanosecond
+		pairs, bt = 1, time.Nanosecond
 	}
 	p := workload.Programs["fib"]
 	t := &Table{
-		ID:      "obs",
-		Title:   fmt.Sprintf("instrumented vs bare fib at 4 PEs: best of %d alternating reps a side", reps),
-		Columns: []string{"instrumented cell", "bare ms/op (best..worst)", "instrumented ms/op (best..worst)", "ratio", "verdict"},
-	}
-	span := func(best, worst time.Duration) string {
-		return fmt.Sprintf("%.3f..%.3f", float64(best)/1e6, float64(worst)/1e6)
+		ID:    "obs",
+		Title: fmt.Sprintf("instrumented vs bare fib at 4 PEs: median of %d alternating pairs", pairs),
+		Columns: []string{"instrumented cell", "ops/pass", "bare ms/op (q1..q3)", "bare spread",
+			"instrumented ms/op (q1..q3)", "ratio", "verdict"},
 	}
 	over := 0
 	for _, mode := range []struct {
@@ -398,19 +394,27 @@ func runObs(cfg Config) (*Table, error) {
 			{obsCell{"fib/" + mode.tag + "/trace=on", mode.parallel, true, 1}, false},
 		} {
 			sides := [2]obsCell{bare, cell.obsCell}
-			best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-			var worst [2]time.Duration
-			for rep := 0; rep < reps; rep++ {
+			cal, err := timePass(bt, bare.pass(p.Src, p.Want))
+			if err != nil {
+				return t, err
+			}
+			var ms [2][]float64
+			var ratios []float64
+			for pair := 0; pair < pairs; pair++ {
+				var ns [2]float64
 				for k := range sides {
-					side := (k + rep) % 2
-					tm, err := timePass(bt, sides[side].pass(p.Src, p.Want))
-					if err != nil {
+					side := (k + pair) % 2
+					runtime.GC()
+					start := time.Now()
+					if err := sides[side].pass(p.Src, p.Want)(cal.n); err != nil {
 						return t, err
 					}
-					best[side], worst[side] = min(best[side], tm.perOp()), max(worst[side], tm.perOp())
+					ns[side] = float64(time.Since(start)) / float64(cal.n)
+					ms[side] = append(ms[side], ns[side]/1e6)
 				}
+				ratios = append(ratios, ns[1]/ns[0])
 			}
-			ratio := float64(best[1]) / float64(best[0])
+			ratio := quantile(ratios, 0.5)
 			verdict := "info only"
 			switch {
 			case !cell.gated:
@@ -422,12 +426,30 @@ func runObs(cfg Config) (*Table, error) {
 			default:
 				verdict = "ok"
 			}
-			t.AddRow(cell.name, span(best[0], worst[0]), span(best[1], worst[1]), fmt.Sprintf("%.3f", ratio), verdict)
+			quart := func(xs []float64) string {
+				return fmt.Sprintf("%.3f..%.3f", quantile(xs, 0.25), quantile(xs, 0.75))
+			}
+			spread := (quantile(ms[0], 0.75) - quantile(ms[0], 0.25)) / quantile(ms[0], 0.5)
+			t.AddRow(cell.name, cal.n, quart(ms[0]), fmt.Sprintf("%.1f%%", 100*spread), quart(ms[1]),
+				fmt.Sprintf("%.3f", ratio), verdict)
 		}
 	}
-	t.Note("ratio is the instrumented side's best ms/op over the bare side's; obs=on and trace=armed are gated at %.2f in a full run", obsLimit)
+	t.Note("ratio is the median over pairs of the instrumented pass's time over the bare pass's; obs=on and trace=armed are gated at %.2f in a full run", obsLimit)
+	t.Note("bare spread is (q3-q1)/median of the bare side's ms/op over its passes")
 	if over > 0 {
 		return t, fmt.Errorf("obs: %d configuration(s) exceed the %.0f%% overhead budget", over, (obsLimit-1)*100)
 	}
 	return t, nil
+}
+
+// quantile returns the q-quantile of xs, interpolating between order
+// statistics; xs is not modified.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	pos := q * float64(len(s)-1)
+	i, f := int(pos), pos-math.Floor(pos)
+	if f == 0 {
+		return s[i]
+	}
+	return s[i] + f*(s[i+1]-s[i])
 }
