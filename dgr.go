@@ -120,9 +120,10 @@ type Options struct {
 
 	// Obs enables the observability layer (internal/obs): one event log
 	// holding collector phases, per-PE execution batches, fabric flights and
-	// the collector / fabric / checker events; per-PE busy-time counters; the
-	// flight view of the execution record, each PE's last executions; and
-	// the exposition methods that read them and the live machine
+	// the collector / fabric / checker events; the execution record's flight
+	// view, each PE's last executions, and the per-PE busy time the
+	// scheduler keeps beside it (both internal/sched); and the exposition
+	// methods that read them and the live machine
 	// (WriteSpansJSONL, WriteFlightJSONL, WritePrometheus,
 	// WriteSnapshotJSON). It starts no goroutine. With Obs, TraceRate and
 	// TraceSink all unset, instrumented hot paths pay a single pointer test
@@ -249,13 +250,7 @@ func New(opts Options) *Machine {
 	// phases, the checker.
 	var ob *obs.Obs
 	if opts.Obs || opts.TraceSink != nil || opts.TraceRate > 0 {
-		ob = obs.New(obs.Options{
-			PEs:       opts.PEs,
-			Parallel:  opts.Parallel,
-			Log:       opts.TraceSink,
-			TraceRate: opts.TraceRate,
-			Exec:      opts.Obs,
-		})
+		ob = obs.New(obs.Options{Log: opts.TraceSink, TraceRate: opts.TraceRate})
 	}
 	// The checker hooks into the scheduler, but needs the machine (and
 	// marker) that sched.New builds — so the hook closes over a variable
@@ -294,7 +289,7 @@ func New(opts Options) *Machine {
 		checker = &check.Checker{
 			Store: store, Marker: marker, Mach: mach,
 			Counters: counters, Obs: ob,
-			Every: uint64(opts.CheckEvery), Parallel: opts.Parallel,
+			Every: uint64(opts.CheckEvery),
 		}
 	}
 	mut := core.NewMutator(store, marker, mach, counters)
@@ -371,9 +366,9 @@ func (m *Machine) Close() {
 	} else if f := m.mach.Fabric(); f != nil {
 		f.Close()
 	}
-	// After Stop/wg.Wait (parallel) or with nothing executing
-	// (deterministic), closing obs may safely flush open batch spans.
-	m.obs.Close()
+	// With nothing executing, a seeded machine's open execution batches
+	// close into spans; a parallel machine's PEs closed theirs as they left.
+	m.mach.FlushBatches()
 }
 
 // Compile translates a program to a reducible graph and returns its root:
@@ -574,7 +569,7 @@ func (m *Machine) advance(ch <-chan Value, e *evaluation) (r reading, err error)
 		// Possibly the evaluation's last: close open execution batches so
 		// post-eval exposition reads exact totals. (A cycle's end has closed
 		// them already; this catches a value that came without one.)
-		m.obs.FlushBatches()
+		m.mach.FlushBatches()
 	}
 	// Quiescence was read before the channel is: the task that delivers the
 	// value is in flight until it returns, so a machine seen quiescent and
@@ -859,11 +854,11 @@ func (m *Machine) promData() obs.PromData {
 	}
 	execs := m.perPE(d.FreePerPart, d.PoolBands)
 	for pe := 0; pe < m.opts.PEs; pe++ {
-		// The scheduler's own per-PE counters, not the obs batches: they
-		// count every execution (including those before obs batching
-		// flushed), which is the balance view stealing is judged by.
+		// The execution counts, not the pe-batch spans: they count every
+		// execution (including those in a batch still open), which is the
+		// balance view stealing is judged by.
 		d.ExecsPerPE[pe] = int64(execs[pe])
-		d.BusyNs[pe] = m.obs.BusyNs(pe)
+		d.BusyNs[pe] = m.mach.BusyNs(pe)
 	}
 	return d
 }

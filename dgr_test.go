@@ -252,6 +252,42 @@ func TestStatsAndIntrospection(t *testing.T) {
 	}
 }
 
+// TestSeededCycleEndClosesBatches: on a seeded machine with Obs, a
+// collector cycle's end closes the open execution batches, so an explicit
+// RunGC with no Eval around it leaves a pe-batch span for every PE that
+// executed, covering each of its executions.
+func TestSeededCycleEndClosesBatches(t *testing.T) {
+	m := New(Options{PEs: 4, Seed: 5, Obs: true})
+	defer m.Close()
+	root, err := m.Compile(workload.Programs["fib"].Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DemandNode(root)
+	if rep := m.RunGC(); !rep.Completed {
+		t.Fatal("explicit GC cycle did not complete")
+	}
+	batched := make([]uint64, 4)
+	for _, sp := range m.obs.Spans() {
+		if sp.Name == "pe-batch" {
+			batched[sp.PE] += uint64(sp.N)
+		}
+	}
+	execs := m.ExecsPerPE()
+	ran := 0
+	for pe, n := range execs {
+		if n > 0 {
+			ran++
+		}
+		if batched[pe] != n {
+			t.Errorf("PE %d: pe-batch spans hold %d executions, want its %d", pe, batched[pe], n)
+		}
+	}
+	if ran < 2 {
+		t.Fatalf("executions per PE %v: the cycle ran on fewer than two PEs", execs)
+	}
+}
+
 func TestDeterministicReproducibility(t *testing.T) {
 	run := func() Stats {
 		m := New(Options{PEs: 3, Seed: 42})

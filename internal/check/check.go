@@ -56,10 +56,9 @@ type Checker struct {
 	Coll *core.Collector
 	// Every samples every k-th task execution via AfterExecute; 0 disables
 	// per-execution sampling (cycle-end and quiescence points still run).
-	Every uint64
-	// Parallel restricts every-execution and cycle-end samples to the
+	// On a parallel Mach, every-execution and cycle-end samples run only the
 	// checks that are sound under concurrent mutation.
-	Parallel bool
+	Every uint64
 
 	mu         sync.Mutex
 	violations []string
@@ -78,7 +77,7 @@ func (c *Checker) AfterExecute(seq uint64, pe int, t task.Task) {
 	var errs []string
 	errs = append(errs, c.bandErrs()...)
 	errs = append(errs, c.underflowErrs()...)
-	if !c.Parallel {
+	if c.Mach.Mode() != sched.Parallel {
 		errs = append(errs, c.conservationErrs()...)
 		for _, ctx := range bothCtxs {
 			if c.Marker.Active(ctx) {
@@ -104,16 +103,17 @@ func (c *Checker) AtCycleEnd(rep core.CycleReport) {
 	if c.capped() {
 		return
 	}
+	seeded := c.Mach.Mode() != sched.Parallel
 	var errs []string
 	errs = append(errs, c.bandErrs()...)
 	errs = append(errs, c.underflowErrs()...)
-	if !c.Parallel {
+	if seeded {
 		errs = append(errs, c.conservationErrs()...)
 	}
 	if rep.Completed {
 		errs = append(errs, c.markedClosureErrs(graph.CtxR)...)
 	}
-	if !c.Parallel {
+	if seeded {
 		// Deterministic cycle ends sit between scheduler steps, so the
 		// oracle's snapshot-plus-taskset reading is exact; in parallel mode
 		// the PEs are mutating under the sweep and the same invariant is
@@ -129,7 +129,7 @@ func (c *Checker) AtCycleEnd(rep core.CycleReport) {
 // scheduler steps; in parallel mode the PEs are still mutating and the
 // closure can already be legally stale, so the sweep is skipped.
 func (c *Checker) AtPhaseEnd(ctx graph.Ctx) {
-	if c.Parallel || c.capped() {
+	if c.Mach.Mode() == sched.Parallel || c.capped() {
 		return
 	}
 	var errs []string

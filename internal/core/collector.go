@@ -38,9 +38,9 @@ type CollectorConfig struct {
 	AfterPhase func(ctx graph.Ctx)
 	// Obs, when non-nil, receives one record per phase (M_T, M_R,
 	// restructure — the intervals trace analysis blames overlapping
-	// execution to), the sweep and cycle intervals around them, cycle and
-	// verdict events for the flight recorder, and the cycle-end hook
-	// (CycleEnd). All calls are nil-safe no-ops when unset.
+	// execution to), the sweep and cycle intervals around them, and cycle
+	// and verdict events for the flight recorder. All calls are nil-safe
+	// no-ops when unset.
 	Obs *obs.Obs
 }
 
@@ -413,8 +413,10 @@ func (c *Collector) closeCycle(rep *CycleReport, began int64, root graph.VertexI
 		o.Event(obs.TIDCollector, "cycle.end", uint64(root), 0,
 			fmt.Sprintf("reclaimed=%d expunged=%d reprio=%d deadlocked=%d",
 				rep.Reclaimed, rep.Expunged, rep.Reprioritized, len(rep.Deadlocked)))
-		o.CycleEnd()
 	}
+	// A seeded machine's cycle end is a safe point: close the open execution
+	// batches, so that span export between cycles sees them.
+	c.mach.FlushBatches()
 	rep.Confirmed, rep.Quiescent = c.Verdict()
 	if c.cfg.AfterCycle != nil {
 		c.cfg.AfterCycle(*rep)

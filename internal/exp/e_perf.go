@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"syscall"
 	"time"
 
 	"dgr"
@@ -366,7 +367,10 @@ func (c obsCell) pass(src string, want int64) func(n int) error {
 // on fib against the bare machine, in deterministic and parallel mode, with
 // the bare side's own spread beside each ratio. A full run fails when a
 // gated cell's ratio exceeds obsLimit; full rate-1.0 tracing is reported
-// ungated. A quick run times one op a side and gates nothing.
+// ungated. A quick run times one op a side and gates nothing. Beside each
+// wall-time ratio it reports the same ratio of process CPU time per op,
+// gating nothing: a parallel machine's PEs outnumber the CPUs it may have,
+// so its wall time hides part of a per-execution cost.
 func runObs(cfg Config) (*Table, error) {
 	pairs, bt := obsPairs, obsTime
 	if cfg.Quick {
@@ -377,7 +381,7 @@ func runObs(cfg Config) (*Table, error) {
 		ID:    "obs",
 		Title: fmt.Sprintf("instrumented vs bare fib at 4 PEs: median of %d alternating pairs", pairs),
 		Columns: []string{"instrumented cell", "ops/pass", "bare ms/op (q1..q3)", "bare spread",
-			"instrumented ms/op (q1..q3)", "ratio", "verdict"},
+			"instrumented ms/op (q1..q3)", "ratio", "cpu ratio", "verdict"},
 	}
 	over := 0
 	for _, mode := range []struct {
@@ -399,20 +403,22 @@ func runObs(cfg Config) (*Table, error) {
 				return t, err
 			}
 			var ms [2][]float64
-			var ratios []float64
+			var ratios, cpuRatios []float64
 			for pair := 0; pair < pairs; pair++ {
-				var ns [2]float64
+				var ns, cpu [2]float64
 				for k := range sides {
 					side := (k + pair) % 2
 					runtime.GC()
-					start := time.Now()
+					start, cpu0 := time.Now(), cpuTime()
 					if err := sides[side].pass(p.Src, p.Want)(cal.n); err != nil {
 						return t, err
 					}
 					ns[side] = float64(time.Since(start)) / float64(cal.n)
+					cpu[side] = float64(cpuTime()-cpu0) / float64(cal.n)
 					ms[side] = append(ms[side], ns[side]/1e6)
 				}
 				ratios = append(ratios, ns[1]/ns[0])
+				cpuRatios = append(cpuRatios, cpu[1]/cpu[0])
 			}
 			ratio := quantile(ratios, 0.5)
 			verdict := "info only"
@@ -431,11 +437,12 @@ func runObs(cfg Config) (*Table, error) {
 			}
 			spread := (quantile(ms[0], 0.75) - quantile(ms[0], 0.25)) / quantile(ms[0], 0.5)
 			t.AddRow(cell.name, cal.n, quart(ms[0]), fmt.Sprintf("%.1f%%", 100*spread), quart(ms[1]),
-				fmt.Sprintf("%.3f", ratio), verdict)
+				fmt.Sprintf("%.3f", ratio), fmt.Sprintf("%.3f", quantile(cpuRatios, 0.5)), verdict)
 		}
 	}
 	t.Note("ratio is the median over pairs of the instrumented pass's time over the bare pass's; obs=on and trace=armed are gated at %.2f in a full run", obsLimit)
 	t.Note("bare spread is (q3-q1)/median of the bare side's ms/op over its passes")
+	t.Note("cpu ratio is the median over pairs of the two passes' process CPU time (user+system) per op; it is reported, not gated")
 	if over > 0 {
 		return t, fmt.Errorf("obs: %d configuration(s) exceed the %.0f%% overhead budget", over, (obsLimit-1)*100)
 	}
@@ -452,4 +459,14 @@ func quantile(xs []float64, q float64) float64 {
 		return s[i]
 	}
 	return s[i] + f*(s[i+1]-s[i])
+}
+
+// cpuTime returns the CPU time, user and system, the process has used, in
+// nanoseconds (0 if the system will not say).
+func cpuTime() int64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return ru.Utime.Nano() + ru.Stime.Nano()
 }

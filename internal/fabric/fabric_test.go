@@ -215,7 +215,7 @@ func TestEachAndExpunge(t *testing.T) {
 
 func TestLinkStatsAndTrace(t *testing.T) {
 	c := &metrics.Counters{}
-	o := obs.New(obs.Options{PEs: 2})
+	o := obs.New(obs.Options{})
 	s := newSink()
 	f := New(Config{PEs: 2, Seed: 3, Counters: c, Obs: o,
 		Params: Params{BatchSize: 2, FlushEvery: 5 * time.Microsecond, DropRate: 0.3}})

@@ -10,7 +10,7 @@ import (
 // TestLogRing: a handle's events wrap in the log's global class, oldest
 // evicted first, retained in recording order.
 func TestLogRing(t *testing.T) {
-	o := New(Options{PEs: 1, Log: NewTraceSink(8, 0)}) // global class: 1024 records
+	o := New(Options{Log: NewTraceSink(8, 0)}) // global class: 1024 records
 	for i := 0; i < 1024+5; i++ {
 		o.Event(TIDFabric, "step", uint64(i), uint64(i+1), "")
 	}
@@ -27,7 +27,7 @@ func TestLogRing(t *testing.T) {
 // dropped plus retained always equals the number recorded.
 func TestLogDropped(t *testing.T) {
 	s := NewTraceSink(8, 0)
-	o := New(Options{PEs: 1, Log: s})
+	o := New(Options{Log: s})
 	if s.GlobalDropped() != 0 {
 		t.Fatalf("dropped on a fresh log = %d, want 0", s.GlobalDropped())
 	}
@@ -55,7 +55,7 @@ func TestLogDropped(t *testing.T) {
 // the clock time.Time values convert onto — and the JSONL rows carry the
 // same stamps.
 func TestLogTimestamps(t *testing.T) {
-	o := New(Options{PEs: 1})
+	o := New(Options{})
 	before := time.Now()
 	o.Event(TIDFabric, "a", 1, 2, "")
 	o.Event(TIDFabric, "b", 2, 3, "")
@@ -81,7 +81,7 @@ func TestLogTimestamps(t *testing.T) {
 // event, spans excluded; as JSON Lines its fields round-trip and an empty
 // note is omitted.
 func TestWriteEventsJSONL(t *testing.T) {
-	o := New(Options{PEs: 2})
+	o := New(Options{})
 	o.Event(TIDFabric, "fab.flush", 0, 1, "seq=1 n=3 attempt=0")
 	o.Span("fab-batch", CatFabric, TIDFabric, o.Now(), 3)
 	o.Event(TIDFabric, "fab.deliver", 0, 1, "")

@@ -17,18 +17,14 @@ import (
 // layer must be a total no-op, never a panic.
 func TestNilSafety(t *testing.T) {
 	var o *Obs
-	o.TaskStart(0)
-	if o.TaskEnd(0) != 0 {
-		t.Fatal("nil Obs read the clock")
-	}
-	o.PEIdle(0)
-	o.FlushBatches()
 	o.Span("x", "y", 0, 0, 0)
 	o.Event(0, "k", 0, 0, "")
-	o.CycleEnd()
-	o.Close()
+	o.EndEval(o.BeginEval(1, 0, 1))
+	if tr, now := o.Traced(true, 0); tr != nil || now != 0 {
+		t.Fatal("nil Obs traced a task")
+	}
 	if o.Now() != 0 || o.Lineage() != nil || o.Spans() != nil || o.Events() != nil ||
-		o.FlightEvents(nil) != nil || o.BusyNs(0) != 0 {
+		o.FlightEvents(nil) != nil {
 		t.Fatal("nil Obs returned non-zero data")
 	}
 	if err := o.WriteSpansJSONL(&bytes.Buffer{}); err != nil {
@@ -36,35 +32,24 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestTracingOnlyHandle: a handle built for lineage tracing alone logs
-// spans and events but skips the per-task accounting entirely.
+// TestTracingOnlyHandle: a handle built for lineage tracing logs spans and
+// events, and one built without a rate or a shared log traces nothing.
 func TestTracingOnlyHandle(t *testing.T) {
-	o := New(Options{PEs: 2, TraceRate: 1})
+	o := New(Options{TraceRate: 1})
 	if o.Lineage() == nil {
 		t.Fatal("TraceRate > 0 must enable lineage")
 	}
-	o.TaskStart(0)
-	ts := o.TaskEnd(0)
-	o.PEIdle(0)
-	o.CycleEnd()
 	o.Span("M_R", CatGC, TIDCollector, o.Now(), 1)
-	o.Close()
-	if o.BusyNs(0) != 0 {
-		t.Fatal("busy time without Options.Exec")
-	}
-	if ts != 0 {
-		t.Fatalf("TaskEnd stamped an execution %d without Options.Exec", ts)
-	}
 	if sp := o.Spans(); len(sp) != 1 || sp[0].Name != "M_R" {
 		t.Fatalf("spans = %+v, want the one M_R", sp)
 	}
-	if New(Options{PEs: 1, Exec: true}).Lineage() != nil {
+	if New(Options{}).Lineage() != nil {
 		t.Fatal("lineage on without TraceRate or a shared log")
 	}
 }
 
 func TestSpanRingAndJSONL(t *testing.T) {
-	o := New(Options{PEs: 2, Log: NewTraceSink(8, 0)}) // global class: 1024 records
+	o := New(Options{Log: NewTraceSink(8, 0)}) // global class: 1024 records
 	const n = 1024 + 2
 	for i := 0; i < n; i++ {
 		start := o.Now()
@@ -105,77 +90,15 @@ func TestSpanRingAndJSONL(t *testing.T) {
 	}
 }
 
-func TestTaskAccounting(t *testing.T) {
-	o := New(Options{PEs: 2, Exec: true})
-	for i := 0; i < 5; i++ {
-		o.TaskStart(1)
-		o.TaskEnd(1)
-	}
-	// The batch is still open: no pe-batch span until idle.
-	for _, s := range o.Spans() {
-		if s.Name == "pe-batch" {
-			t.Fatal("batch span recorded before PEIdle")
-		}
-	}
-	o.PEIdle(1) // accrual point: busy time becomes exact
-	if got := o.BusyNs(1); got < 0 {
-		t.Fatalf("negative busy time %d", got)
-	}
-	if got := o.BusyNs(0); got != 0 {
-		t.Fatalf("PE 0 executed nothing but was busy %d ns", got)
-	}
-	if got := batchTasks(o); got[0] != 0 || got[1] != 5 {
-		t.Fatalf("pe-batch span tasks per PE = %v, want [0 5]; spans: %+v", got, o.Spans())
-	}
-	// Idle with no open batch records nothing new.
-	n := len(o.Spans())
-	o.PEIdle(1)
-	if len(o.Spans()) != n {
-		t.Fatal("empty batch flushed into a span")
-	}
-
-	// A seeded handle alternating PEs: one goroutine runs both, so they share
-	// one busy window, each reading split by the PEs' task counts (three to
-	// PE 0 for every one to PE 1), and no batch closes on a switch.
-	o = New(Options{PEs: 2, Exec: true})
-	start := Now()
-	for i := 0; i < 8*clockTasks; i++ {
-		pe := 0
-		if i%4 == 3 {
-			pe = 1
-		}
-		o.TaskStart(pe)
-		o.TaskEnd(pe)
-	}
-	o.FlushBatches()
-	wall := Now() - start
-	b0, b1 := o.BusyNs(0), o.BusyNs(1)
-	if b1 <= 0 || b0+b1 > wall {
-		t.Fatalf("busy %d+%d ns in %d ns of wall time", b0, b1, wall)
-	}
-	// Each of the 8 readings gives floor(3d/4) and floor(d/4).
-	if d := b0 - 3*b1; d < 0 || d > 2*8 {
-		t.Fatalf("busy split %d:%d is not 3:1 per reading", b0, b1)
-	}
-	if got := batchTasks(o); got[0] != 6*clockTasks || got[1] != 2*clockTasks {
-		t.Fatalf("pe-batch span tasks per PE = %v, want [%d %d]", got, 6*clockTasks, 2*clockTasks)
-	}
-}
-
 // TestFlightRecorder: the flight view merges the rows the caller keeps (the
-// scheduler's record stamps each execution with what TaskEnd returns) with
-// the handle's point events, in timestamp order.
+// scheduler's record stamps each execution with its busy window's clock)
+// with the handle's point events, in timestamp order.
 func TestFlightRecorder(t *testing.T) {
-	o := New(Options{PEs: 2, Exec: true})
+	o := New(Options{})
 	o.Event(TIDCollector, "cycle.start", 0, 0, "n=1")
 	var execs []FlightEvent
-	for i := 0; i < 2*clockTasks; i++ {
-		o.TaskStart(0)
-		ts := o.TaskEnd(0)
-		if ts <= 0 || len(execs) > 0 && ts < execs[len(execs)-1].TS {
-			t.Fatalf("execution %d stamped %d after %+v", i, ts, execs[len(execs)-1:])
-		}
-		execs = append(execs, FlightEvent{TS: ts, PE: 0, Kind: "demand", Src: uint64(i), Dst: uint64(i + 100)})
+	for i := 0; i < 64; i++ {
+		execs = append(execs, FlightEvent{TS: Now(), PE: 0, Kind: "demand", Src: uint64(i), Dst: uint64(i + 100)})
 	}
 	o.Event(TIDFabric, "fab.flush", 0, 0, "seq=1")
 	evs := o.FlightEvents(execs)
@@ -206,57 +129,43 @@ func TestFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording drives every shard concurrently under -race.
+// TestConcurrentRecording drives the log from several writers and readers
+// at once under -race: no record is lost.
 func TestConcurrentRecording(t *testing.T) {
-	o := New(Options{PEs: 4, Parallel: true, Exec: true})
+	o := New(Options{})
+	const writers, n = 4, 200
 	var wg sync.WaitGroup
-	for pe := 0; pe < 4; pe++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(pe int) {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				o.TaskStart(pe)
-				o.TaskEnd(pe)
-				if i%100 == 0 {
-					o.PEIdle(pe)
-				}
+			for i := 0; i < n; i++ {
+				o.Span("pe-batch", CatSched, w, o.Now(), 1)
+				o.Event(w, "cycle", 0, 0, "")
 			}
-			o.PEIdle(pe)
-		}(pe)
+		}(w)
 	}
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			o.Event(TIDCollector, "cycle", 0, 0, "")
-			o.Span("M_R", CatGC, TIDCollector, o.Now(), 1)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			o.BusyNs(i % 4)
 			o.FlightEvents(nil)
 			o.Spans()
 		}
 	}()
 	wg.Wait()
-	for pe, n := range batchTasks(o) {
-		if n != 500 {
-			t.Fatalf("PE %d: pe-batch spans hold %d tasks, want 500", pe, n)
-		}
-	}
-}
-
-// batchTasks sums the N of o's pe-batch spans per PE.
-func batchTasks(o *Obs) []int64 {
-	n := make([]int64, o.opts.PEs)
+	spans := make([]int64, writers)
 	for _, s := range o.Spans() {
-		if s.Name == "pe-batch" {
-			n[s.PE] += s.N
+		spans[s.PE] += s.N
+	}
+	for w, got := range spans {
+		if got != n {
+			t.Errorf("writer %d: %d spans retained, want %d", w, got, n)
 		}
 	}
-	return n
+	if got := len(o.Events()); got != writers*n {
+		t.Errorf("%d events retained, want %d", got, writers*n)
+	}
 }
 
 func TestWritePrometheus(t *testing.T) {

@@ -165,7 +165,7 @@ func sharedPartialRound(t *testing.T, seed int64) {
 		},
 	})
 	marker := core.NewMarker(store, mach, counters)
-	checker = &check.Checker{Store: store, Marker: marker, Mach: mach, Counters: counters, Every: 1, Parallel: true}
+	checker = &check.Checker{Store: store, Marker: marker, Mach: mach, Counters: counters, Every: 1}
 	mut := core.NewMutator(store, marker, mach, counters)
 	eng := New(store, mach, mut, Config{Counters: counters})
 	eng.SetInlineBudget(0) // every task passes AfterExecute

@@ -56,7 +56,7 @@ type Entry struct {
 	Seq    uint64         `json:"seq,omitempty"`    // an execution's number; another entry's, the execution count when written
 	Parent uint64         `json:"parent,omitempty"` // the spawner's Seq+1; 0 from outside any execution
 	Epoch  uint64         `json:"epoch,omitempty"`
-	At     int64          `json:"-"` // an execution's clock (0 without Obs); another entry's ticket (stamp)
+	At     int64          `json:"-"` // an execution's clock, its busy window's (account.go); another entry's ticket (stamp)
 	Src    graph.VertexID `json:"src,omitempty"`
 	Dst    graph.VertexID `json:"dst,omitempty"`
 	PE     uint16         `json:"pe,omitempty"`
@@ -121,19 +121,22 @@ func (l *lane) appendTo(out []Entry) []Entry {
 }
 
 // record is the execution record: one lane per PE, written under its slot
-// lock, and one for the collector's phases.
+// lock, and one for the collector's phases; and a seeded machine's one busy
+// window (account.go).
 type record struct {
 	all    bool
 	ticket atomic.Int64
 	lanes  []lane
 	mu     sync.Mutex // guards phases
 	phases lane
+	seq    window
 }
 
 // SetRecord turns the execution record on, before any task executes. With
 // all it keeps every execution, absorb (NoteAbsorb) and phase start
 // (NotePhase), the schedule; without, each PE's last FlightLen executions
-// and nothing else, the flight view. Off, an execution pays one nil test.
+// and nothing else, the flight view. The execution accounting (account.go)
+// runs with it. Off, an execution pays two nil tests.
 func (m *Machine) SetRecord(all bool) {
 	m.rec = &record{all: all, lanes: make([]lane, m.cfg.PEs)}
 }

@@ -132,11 +132,12 @@ type Config struct {
 	// recorded goldens).
 	Steal bool
 
-	// Obs, when non-nil, receives per-execution timing, batch spans, and
-	// idle transitions — every call a nil-safe no-op when unset, so the hot
-	// path pays one pointer test for the disabled layer — and, while it
-	// holds a sampled evaluation (obs.EvalTrace), the exec span of each of
-	// that evaluation's reduction executions and its steal annotations.
+	// Obs, when non-nil, receives the "pe-batch" spans of the execution
+	// accounting (account.go) and, while it holds a sampled evaluation
+	// (obs.EvalTrace), the exec span of each of that evaluation's reduction
+	// executions and its steal annotations. Every call is a nil-safe no-op
+	// when unset, so the hot path pays one pointer test for the disabled
+	// layer.
 	Obs *obs.Obs
 
 	// AfterExecute, when set, is called after every task execution
@@ -214,18 +215,25 @@ type Machine struct {
 // ts[cur^1] the PE's pending hand-off (HandOff), so taking the hand-off
 // (TakeHandOff) flips cur and moves no task. A deterministic machine's slots
 // are serial, like its pools: its one goroutine is the only writer, and its
-// owner fences the readers.
+// owner fences the readers. The execution accounting (account.go) fills the
+// second line's tail.
 type curSlot struct {
 	mu lock.Mutex
-	// valid, handing and cur follow mu so that they fill the padding after
-	// mu's mode bit.
+	// valid, handing, cur and clocked follow mu so that they fill the
+	// padding after mu's mode bit.
 	valid, handing bool
 	cur            uint8
+	clocked        bool // last was read since the PE last went idle (parallel)
 	ts             [2]task.Task
 	execs          uint64
-	// running is only the PE's: execute writes it, the handler reads it.
-	running uint64
-	_       [32]byte
+	// running and the accounting are only the PE's: execute writes them,
+	// the handler reads running, and anyone may load busy.
+	running    uint64
+	last       int64 // the clock at the PE's window's previous reading (parallel)
+	batchStart int64 // the clock at the open batch's first execution
+	busy       atomic.Int64
+	n          int32 // executions since the window's previous reading
+	batchN     int32 // executions in the open batch
 }
 
 // publish makes t the PE's in-execution task and counts its execution. Every
@@ -474,15 +482,17 @@ func (m *Machine) execute(pe int, t task.Task) {
 	tr, traceStart := m.cfg.Obs.Traced(t.Kind.IsReduction(), t.Parent)
 	slot := &m.current[pe]
 	slot.running = seq + 1
-	m.cfg.Obs.TaskStart(pe)
+	r := m.rec
+	if r != nil {
+		m.begin(slot)
+	}
 	m.handler.Handle(pe, t)
-	ts := m.cfg.Obs.TaskEnd(pe)
 	slot.mu.Lock()
 	slot.valid = false
-	if r := m.rec; r != nil {
+	if r != nil {
 		// Under the lock the retire takes anyway, which guards the PE's lane.
 		e := entryOf(OpExec, pe, &t)
-		e.Seq, e.At = seq, ts
+		e.Seq, e.At = seq, m.end(pe)
 		r.lanes[pe].add(e, r.all)
 	}
 	slot.mu.Unlock()
@@ -561,9 +571,9 @@ func (m *Machine) Steps() uint64 { return m.execSeq.Load() + m.inline.Load() }
 
 // ExecutionsByPE returns each PE's execution count, indexed by PE. The
 // benchmark harness derives execution-balance figures from it; unlike the
-// observability layer's per-PE counters it is always available. A
-// deterministic machine's slots take no lock, so there the caller must be
-// the goroutine that steps the machine, or hold it off.
+// per-PE busy time (BusyNs) it is always available. A deterministic
+// machine's slots take no lock, so there the caller must be the goroutine
+// that steps the machine, or hold it off.
 func (m *Machine) ExecutionsByPE() []uint64 {
 	out := make([]uint64, len(m.current))
 	for i := range m.current {
@@ -785,9 +795,11 @@ func (m *Machine) peLoop(i int) {
 			if c := m.cfg.Counters; c != nil {
 				c.IdlePolls.Add(1)
 			}
-			// About to park: close the open execution-batch span so the trace
-			// shows the busy interval ending here.
-			m.cfg.Obs.PEIdle(i)
+			// About to park: close the open batch so the trace shows the busy
+			// interval ending here.
+			if m.rec != nil {
+				m.idle(i)
+			}
 			var closed bool
 			t, ok, closed = pool.PopWaitFor(park)
 			if closed {
