@@ -13,7 +13,10 @@
 // runs every PE's executions in turn, so a traced task's queue wait is
 // mostly other PEs' executions and queue takes nearly all the blame (about
 // 99 % of fib 14 at 4 PEs); -parallel runs the PEs at once and gives a
-// usable breakdown, with the steal and gc shares set apart from the queue.
+// usable breakdown, with the steal and gc shares set apart from the queue,
+// while every PE has a CPU. With more PEs than CPUs, a runnable PE waiting
+// for a CPU shows as queue wait too: fib 14 and fib 16 at 4 PEs on 2 vCPUs
+// read 62–91 % queue.
 //
 // Usage:
 //
@@ -70,7 +73,7 @@ func run() error {
 		analyze  = flag.String("analyze", "", "analyze an assembled trace document: URL, file path, or - for stdin")
 		lineage  = flag.Bool("lineage", false, "run -e under full lineage sampling and analyze its traces")
 		asJSON   = flag.Bool("json", false, "with -analyze/-lineage: emit the recomputed TraceDoc as JSON")
-		parallel = flag.Bool("parallel", false, "with -lineage: run the machine in parallel mode (a seeded machine's queue blame is mostly other PEs' executions)")
+		parallel = flag.Bool("parallel", false, "with -lineage: run the machine in parallel mode (a seeded machine's queue blame is mostly other PEs' executions; with more PEs than CPUs, a PE waiting for a CPU shows as queue too)")
 	)
 	flag.Parse()
 	if *engine != dgr.EngineInterp && *engine != dgr.EngineCompiled {
@@ -204,7 +207,9 @@ func analyzeDoc(src string, asJSON bool) error {
 		spans = append(spans, tr.Spans...)
 	}
 	spans = append(spans, doc.Globals...)
-	return report(obs.BuildTraceDoc(spans, doc.Dropped), asJSON)
+	rebuilt := obs.BuildTraceDoc(spans, doc.Dropped)
+	rebuilt.GlobalDropped = doc.GlobalDropped
+	return report(rebuilt, asJSON)
 }
 
 // runLineage evaluates src under full head sampling and analyzes the
@@ -218,7 +223,7 @@ func runLineage(src string, opts dgr.Options, asJSON bool) error {
 	} else {
 		fmt.Fprintf(os.Stderr, "result: %s\n", v)
 	}
-	return report(obs.BuildTraceDoc(m.TraceSink().Spans()), asJSON)
+	return report(m.TraceSink().Doc(), asJSON)
 }
 
 // report prints each trace's critical path with per-category blame, or
@@ -266,6 +271,9 @@ func report(doc obs.TraceDoc, asJSON bool) error {
 	}
 	if doc.Dropped > 0 {
 		fmt.Fprintf(w, "(%d spans evicted from the ring before assembly)\n", doc.Dropped)
+	}
+	if doc.GlobalDropped > 0 {
+		fmt.Fprintf(w, "(%d global records evicted from the ring before assembly: gc overlap they held reads as exec)\n", doc.GlobalDropped)
 	}
 	_, err := os.Stdout.Write(w.Bytes())
 	return err

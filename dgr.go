@@ -198,9 +198,7 @@ type Machine struct {
 	engine    *reduce.Engine
 	prog      *gm.Program
 	collector *core.Collector
-	counters  *metrics.Counters
 	checker   *check.Checker
-	obs       *obs.Obs
 	// closed is atomic so a machine pool (internal/serve) can race Close
 	// against exposition reads without a data race; the first Close wins.
 	closed atomic.Bool
@@ -234,7 +232,6 @@ func (m *Machine) unlockOwner() {
 // loop immediately; Close must be called to stop them.
 func New(opts Options) *Machine {
 	opts = opts.withDefaults()
-	counters := &metrics.Counters{}
 	store := graph.NewStore(graph.Config{
 		Partitions: opts.PEs,
 		// A seeded machine runs one task at a time, and its owner lock
@@ -245,9 +242,9 @@ func New(opts Options) *Machine {
 	if opts.Parallel {
 		mode = sched.Parallel
 	}
-	// The observability handle is threaded through every layer that records:
-	// scheduler spawns/execs/steals, fabric lifecycle and hops, collector
-	// phases, the checker.
+	// The observability handle goes to the machine, and every layer that
+	// records reads it there: scheduler execs and steals, fabric lifecycle
+	// and hops, collector phases, the checker.
 	var ob *obs.Obs
 	if opts.Obs || opts.TraceSink != nil || opts.TraceRate > 0 {
 		ob = obs.New(obs.Options{Log: opts.TraceSink, TraceRate: opts.TraceRate})
@@ -268,7 +265,6 @@ func New(opts Options) *Machine {
 		Adversarial: stress.Adversarial,
 		Steal:       opts.Parallel && !stress.DisableSteal,
 		PartOf:      store.PartitionOf,
-		Counters:    counters,
 		Fabric:      opts.Fabric,
 		Obs:         ob,
 	}
@@ -281,31 +277,24 @@ func New(opts Options) *Machine {
 	if opts.RecordSchedule || opts.Obs {
 		mach.SetRecord(opts.RecordSchedule)
 	}
-	marker := core.NewMarker(store, mach, counters)
+	// Each layer is built from the one below it, and reads the store, the
+	// machine, its counters and its handle there.
+	marker := core.NewMarker(store, mach)
 	if stress.FaultSkipMark > 0 {
 		marker.SetFaultSkipMark(stress.FaultSkipMark)
 	}
 	if opts.CheckEvery > 0 {
-		checker = &check.Checker{
-			Store: store, Marker: marker, Mach: mach,
-			Counters: counters, Obs: ob,
-			Every: uint64(opts.CheckEvery),
-		}
+		checker = &check.Checker{Marker: marker, Every: uint64(opts.CheckEvery)}
 	}
-	mut := core.NewMutator(store, marker, mach, counters)
+	mut := core.NewMutator(marker)
 	var prog *gm.Program
 	if opts.Engine == EngineCompiled {
 		prog = gm.NewProgram()
 	}
-	engine := reduce.New(store, mach, mut, reduce.Config{
-		SpeculativeIf: opts.SpeculativeIf,
-		Prog:          prog,
-		Counters:      counters,
-	})
+	engine := reduce.New(mut, reduce.Config{SpeculativeIf: opts.SpeculativeIf, Prog: prog})
 	var collector *core.Collector // late-bound, as the checker hooks are
 	collCfg := core.CollectorConfig{
 		MTEvery: opts.MTEvery,
-		Obs:     ob,
 		OnDeadlock: func(ids []graph.VertexID) {
 			// Footnote 5: resolve pending is-bottom probes that are
 			// themselves deadlocked, and un-record them (they now have a
@@ -320,7 +309,7 @@ func New(opts Options) *Machine {
 		collCfg.AfterPhase = checker.AtPhaseEnd
 	}
 	mach.SetHandler(core.NewDispatcher(marker, engine))
-	collector = core.NewCollector(store, marker, mach, counters, collCfg)
+	collector = core.NewCollector(marker, collCfg)
 	if checker != nil {
 		// Late binding, as above: the checker's confirmed-verdict invariant
 		// reads the collector, which needs the machine the checker hooks.
@@ -328,8 +317,7 @@ func New(opts Options) *Machine {
 	}
 	m := &Machine{
 		opts: opts, store: store, mach: mach,
-		engine: engine, prog: prog, collector: collector, counters: counters,
-		checker: checker, obs: ob,
+		engine: engine, prog: prog, collector: collector, checker: checker,
 	}
 	if opts.Parallel {
 		m.closing = make(chan struct{})
@@ -435,7 +423,7 @@ func (m *Machine) EvalNode(root NodeID) (Value, error) {
 // sampleTrace makes an evaluation's head-sampling decision: a new trace if
 // lineage tracing is on and chooses it, else 0.
 func (m *Machine) sampleTrace() uint64 {
-	if s := m.obs.Lineage(); s.Sample() {
+	if s := m.mach.Obs().Lineage(); s.Sample() {
 		return s.NewTrace()
 	}
 	return 0
@@ -453,7 +441,7 @@ func (m *Machine) evalNodeTraced(root NodeID, tr, parent uint64) (Value, error) 
 	}
 	m.collector.SetRoot(root)
 	m.lockOwner()
-	et := m.obs.BeginEval(tr, parent, m.mach.Executions()+1)
+	et := m.mach.Obs().BeginEval(tr, parent, m.mach.Executions()+1)
 	ch := m.engine.Demand(root)
 	m.unlockOwner()
 	v, err := m.drive(ch)
@@ -461,10 +449,10 @@ func (m *Machine) evalNodeTraced(root NodeID, tr, parent uint64) (Value, error) 
 		// Nothing will read ch: the root stops being awaited.
 		m.engine.Withdraw(root, ch)
 	}
-	m.obs.EndEval(et)
+	m.mach.Obs().EndEval(et)
 	if err != nil && (errors.Is(err, ErrStuck) || errors.Is(err, ErrDeadlock)) {
 		// Failures flip the log sticky so everything after is traced.
-		m.obs.Lineage().Force()
+		m.mach.Obs().Lineage().Force()
 	}
 	return v, err
 }
@@ -487,11 +475,12 @@ type reading struct {
 // machine quiescent at the close none run until this evaluation spawns again,
 // and a busy machine's count patience does not read.
 func (m *Machine) readClose(rep GCReport) reading {
+	reductions, _, _ := m.mach.Counters().Executed()
 	return reading{
 		quiescent:  rep.Quiescent,
 		deadlocked: rep.Confirmed,
 		terminal:   rep.Confirmed > 0 && rep.Quiescent,
-		reductions: m.counters.ReductionTasks.Load(),
+		reductions: reductions,
 	}
 }
 
@@ -684,9 +673,9 @@ func (m *Machine) EvalListTraced(src string, tr, parent uint64) ([]Value, error)
 	m.collector.Pin(root)
 	defer m.collector.Pin(graph.NilVertex)
 	var walk uint64
-	if et := m.obs.BeginEval(tr, parent, m.mach.Executions()+1); et != nil {
+	if et := m.mach.Obs().BeginEval(tr, parent, m.mach.Executions()+1); et != nil {
 		walk = et.Span
-		defer m.obs.EndEval(et)
+		defer m.mach.Obs().EndEval(et)
 	}
 	var out []Value
 	cur := root
@@ -750,18 +739,18 @@ func (m *Machine) DemandNode(root NodeID) <-chan Value {
 }
 
 // Stats snapshots the machine's counters.
-func (m *Machine) Stats() Stats { return m.counters.Snapshot() }
+func (m *Machine) Stats() Stats { return m.mach.Counters().Snapshot() }
 
 // TraceSink returns the event log lineage traces are recorded into (shared
 // or private), or nil when lineage tracing is off.
-func (m *Machine) TraceSink() *obs.TraceSink { return m.obs.Lineage() }
+func (m *Machine) TraceSink() *obs.TraceSink { return m.mach.Obs().Lineage() }
 
 // WriteTracesJSON writes the retained lineage traces — each assembled back
 // into its spawn DAG with critical-path analysis and per-category blame —
 // as an obs.TraceDoc. It errors unless lineage tracing is enabled (set
 // Options.TraceRate or Options.TraceSink).
 func (m *Machine) WriteTracesJSON(w io.Writer) error {
-	s := m.obs.Lineage()
+	s := m.mach.Obs().Lineage()
 	if s == nil {
 		return errors.New("dgr: lineage tracing disabled (set Options.TraceRate or Options.TraceSink)")
 	}
@@ -778,10 +767,10 @@ var errObsDisabled = errors.New("dgr: observability disabled (set Options.Obs)")
 // per-PE execution batches, fabric flights) as chrome://tracing-compatible
 // JSON Lines. It errors unless Options.Obs is on.
 func (m *Machine) WriteSpansJSONL(w io.Writer) error {
-	if m.obs == nil {
+	if m.mach.Obs() == nil {
 		return errObsDisabled
 	}
-	return m.obs.WriteSpansJSONL(w)
+	return m.mach.Obs().WriteSpansJSONL(w)
 }
 
 // WriteFlightJSONL writes the flight recorder's events (each PE's last
@@ -792,11 +781,11 @@ func (m *Machine) WriteSpansJSONL(w io.Writer) error {
 // (Options.Obs, TraceRate or TraceSink); only Options.Obs adds the
 // executions.
 func (m *Machine) WriteFlightJSONL(w io.Writer) error {
-	if m.obs == nil {
+	if m.mach.Obs() == nil {
 		return errObsDisabled
 	}
 	enc := json.NewEncoder(w)
-	for _, e := range m.obs.FlightEvents(m.flightExecs()) {
+	for _, e := range m.mach.Obs().FlightEvents(m.flightExecs()) {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
@@ -844,7 +833,7 @@ func (m *Machine) Gauges() obs.Gauges {
 // exposition.
 func (m *Machine) promData() obs.PromData {
 	d := obs.PromData{
-		Stats:  m.counters.Snapshot(),
+		Stats:  m.mach.Counters().Snapshot(),
 		Gauges: m.Gauges(),
 
 		FreePerPart: make([]int, m.opts.PEs),
@@ -886,7 +875,7 @@ func (m *Machine) perPE(free []int, bands [][obs.Bands]int) []uint64 {
 // WritePrometheus renders the machine's counters and live gauges in the
 // Prometheus text exposition format. It errors unless Options.Obs is on.
 func (m *Machine) WritePrometheus(w io.Writer) error {
-	if m.obs == nil {
+	if m.mach.Obs() == nil {
 		return errObsDisabled
 	}
 	return obs.WritePrometheus(w, m.promData())
@@ -896,7 +885,7 @@ func (m *Machine) WritePrometheus(w io.Writer) error {
 // graph occupancy, per-PE pool depths, execution counts and busy time, and
 // any recorded invariant violations. It errors unless Options.Obs is on.
 func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
-	if m.obs == nil {
+	if m.mach.Obs() == nil {
 		return errObsDisabled
 	}
 	out := struct {
@@ -910,11 +899,11 @@ func (m *Machine) WriteSnapshotJSON(w io.Writer) error {
 		Violations []string          `json:"violations,omitempty"`
 		FlightLast []obs.FlightEvent `json:"flight_last,omitempty"`
 	}{
-		Now: m.obs.Now(), PromData: m.promData(), Parallel: m.opts.Parallel,
+		Now: m.mach.Obs().Now(), PromData: m.promData(), Parallel: m.opts.Parallel,
 		Cycles: m.collector.Cycles(), Executions: m.mach.Executions(),
 		Deadlocked: m.collector.Deadlocked(), Violations: m.CheckViolations(),
 	}
-	evs := m.obs.FlightEvents(m.flightExecs())
+	evs := m.mach.Obs().FlightEvents(m.flightExecs())
 	out.FlightLast = evs[max(0, len(evs)-16):]
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -268,7 +268,7 @@ func TestSeededCycleEndClosesBatches(t *testing.T) {
 		t.Fatal("explicit GC cycle did not complete")
 	}
 	batched := make([]uint64, 4)
-	for _, sp := range m.obs.Spans() {
+	for _, sp := range m.mach.Obs().Spans() {
 		if sp.Name == "pe-batch" {
 			batched[sp.PE] += uint64(sp.N)
 		}

@@ -29,7 +29,6 @@ import (
 	"dgr/internal/analysis"
 	"dgr/internal/core"
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/obs"
 	"dgr/internal/sched"
 	"dgr/internal/task"
@@ -42,13 +41,12 @@ const maxViolations = 64
 
 // Checker asserts machine invariants at sample points. All exported fields
 // must be set before the machine executes its first task; the methods are
-// safe for concurrent use afterwards.
+// safe for concurrent use afterwards. It reads the store and the machine
+// through its Marker: the check counters land on the machine's counters,
+// and check.violation events on its obs handle, if it has one, which they
+// also force to trace every request after.
 type Checker struct {
-	Store    *graph.Store
-	Marker   *core.Marker
-	Mach     *sched.Machine
-	Counters *metrics.Counters // optional: check counters land here
-	Obs      *obs.Obs          // optional: check.violation events land here, and force tracing on
+	Marker *core.Marker
 	// Coll, when set, enables the confirmed-verdict invariant: a vertex the
 	// collector has CONFIRMED deadlocked (two-phase verdict) can never reduce
 	// again, so it must not be freed, must not hold a value, and must not be
@@ -56,7 +54,7 @@ type Checker struct {
 	Coll *core.Collector
 	// Every samples every k-th task execution via AfterExecute; 0 disables
 	// per-execution sampling (cycle-end and quiescence points still run).
-	// On a parallel Mach, every-execution and cycle-end samples run only the
+	// On a parallel machine, every-execution and cycle-end samples run only the
 	// checks that are sound under concurrent mutation.
 	Every uint64
 
@@ -65,6 +63,9 @@ type Checker struct {
 }
 
 var bothCtxs = [2]graph.Ctx{graph.CtxR, graph.CtxT}
+
+func (c *Checker) mach() *sched.Machine { return c.Marker.Machine() }
+func (c *Checker) store() *graph.Store  { return c.Marker.Store() }
 
 // AfterExecute is the sched.Config.AfterExecute hook: it samples every
 // Every-th task execution. In deterministic mode this point sits between
@@ -77,11 +78,11 @@ func (c *Checker) AfterExecute(seq uint64, pe int, t task.Task) {
 	var errs []string
 	errs = append(errs, c.bandErrs()...)
 	errs = append(errs, c.underflowErrs()...)
-	if c.Mach.Mode() != sched.Parallel {
+	if c.mach().Mode() != sched.Parallel {
 		errs = append(errs, c.conservationErrs()...)
 		for _, ctx := range bothCtxs {
 			if c.Marker.Active(ctx) {
-				for _, e := range core.CheckInvariants(c.Store, c.Marker, c.Mach, ctx) {
+				for _, e := range core.CheckInvariants(c.store(), c.Marker, c.mach(), ctx) {
 					errs = append(errs, e.Error())
 				}
 			}
@@ -103,7 +104,7 @@ func (c *Checker) AtCycleEnd(rep core.CycleReport) {
 	if c.capped() {
 		return
 	}
-	seeded := c.Mach.Mode() != sched.Parallel
+	seeded := c.mach().Mode() != sched.Parallel
 	var errs []string
 	errs = append(errs, c.bandErrs()...)
 	errs = append(errs, c.underflowErrs()...)
@@ -129,7 +130,7 @@ func (c *Checker) AtCycleEnd(rep core.CycleReport) {
 // scheduler steps; in parallel mode the PEs are still mutating and the
 // closure can already be legally stale, so the sweep is skipped.
 func (c *Checker) AtPhaseEnd(ctx graph.Ctx) {
-	if c.Mach.Mode() == sched.Parallel || c.capped() {
+	if c.mach().Mode() == sched.Parallel || c.capped() {
 		return
 	}
 	var errs []string
@@ -149,7 +150,7 @@ func (c *Checker) AtQuiescence() {
 	if c.capped() {
 		return
 	}
-	if c.Mach.Inflight() != 0 {
+	if c.mach().Inflight() != 0 {
 		c.skip()
 		return
 	}
@@ -172,7 +173,7 @@ func (c *Checker) AtQuiescence() {
 		errs = append(errs, fmt.Sprintf(
 			"quiescent machine but %d marks and returns parked on partition lists (a continuation was lost)", parked))
 	}
-	if c.Mach.Inflight() != 0 {
+	if c.mach().Inflight() != 0 {
 		// The machine moved under the sweep; nothing read above is
 		// trustworthy.
 		c.skip()
@@ -189,14 +190,15 @@ func (c *Checker) AtQuiescence() {
 // Only meaningful when the machine is not concurrently executing (between
 // deterministic steps, or at stable quiescence).
 func (c *Checker) conservationErrs() []string {
+	m := c.mach()
 	pools := 0
-	for i := 0; i < c.Mach.PEs(); i++ {
-		pools += c.Mach.Pool(i).Len()
+	for i := 0; i < m.PEs(); i++ {
+		pools += m.Pool(i).Len()
 	}
-	transit := c.Mach.InTransit()
+	transit := m.InTransit()
 	var current int64
-	c.Mach.EachCurrent(func(task.Task) { current++ })
-	inflight := c.Mach.Inflight()
+	m.EachCurrent(func(task.Task) { current++ })
+	inflight := m.Inflight()
 	if int64(pools)+transit+current != inflight {
 		return []string{fmt.Sprintf(
 			"conservation: pools=%d + in-transit=%d + executing=%d != inflight=%d",
@@ -211,9 +213,10 @@ func (c *Checker) conservationErrs() []string {
 // Each holds the pool lock and Band is only written under it.
 func (c *Checker) bandErrs() []string {
 	var errs []string
-	for i := 0; i < c.Mach.PEs(); i++ {
+	m := c.mach()
+	for i := 0; i < m.PEs(); i++ {
 		pe := i
-		c.Mach.Pool(i).Each(func(t task.Task) {
+		m.Pool(i).Each(func(t task.Task) {
 			if len(errs) >= maxViolations {
 				return
 			}
@@ -250,7 +253,7 @@ func (c *Checker) underflowErrs() []string {
 func (c *Checker) markedClosureErrs(ctx graph.Ctx) []string {
 	epoch := c.Marker.Epoch(ctx)
 	var errs []string
-	c.Store.ForEach(func(v *graph.Vertex) {
+	c.store().ForEach(func(v *graph.Vertex) {
 		if len(errs) >= maxViolations {
 			return
 		}
@@ -271,7 +274,7 @@ func (c *Checker) markedClosureErrs(ctx graph.Ctx) []string {
 			if cid == graph.NilVertex || cid == id {
 				continue
 			}
-			cv := c.Store.Vertex(cid)
+			cv := c.store().Vertex(cid)
 			if cv == nil {
 				continue
 			}
@@ -315,7 +318,7 @@ func (c *Checker) confirmedDeadlockErrs() []string {
 	}
 	var errs []string
 	for _, id := range dead {
-		v := c.Store.Vertex(id)
+		v := c.store().Vertex(id)
 		if v == nil {
 			continue
 		}
@@ -338,13 +341,14 @@ func (c *Checker) confirmedDeadlockErrs() []string {
 			tasks = append(tasks, t)
 		}
 	}
-	for i := 0; i < c.Mach.PEs(); i++ {
-		c.Mach.Pool(i).Each(keep)
+	m := c.mach()
+	for i := 0; i < m.PEs(); i++ {
+		m.Pool(i).Each(keep)
 	}
-	c.Mach.EachInTransit(keep)
-	c.Mach.EachCurrent(keep)
+	m.EachInTransit(keep)
+	m.EachCurrent(keep)
 	if len(tasks) > 0 {
-		res := analysis.Analyze(c.Store.Snapshot(), c.Coll.Root(), tasks)
+		res := analysis.Analyze(c.store().Snapshot(), c.Coll.Root(), tasks)
 		for _, id := range dead {
 			if res.T[id] {
 				errs = append(errs, fmt.Sprintf(
@@ -357,15 +361,12 @@ func (c *Checker) confirmedDeadlockErrs() []string {
 
 // report records one sample's outcome.
 func (c *Checker) report(point string, errs []string) {
-	if c.Counters != nil {
-		c.Counters.CheckRuns.Add(1)
-	}
+	cnt := c.mach().Counters()
+	cnt.CheckRuns.Add(1)
 	if len(errs) == 0 {
 		return
 	}
-	if c.Counters != nil {
-		c.Counters.CheckViolations.Add(int64(len(errs)))
-	}
+	cnt.CheckViolations.Add(int64(len(errs)))
 	c.mu.Lock()
 	for _, e := range errs {
 		if len(c.violations) >= maxViolations {
@@ -374,20 +375,16 @@ func (c *Checker) report(point string, errs []string) {
 		c.violations = append(c.violations, point+": "+e)
 	}
 	c.mu.Unlock()
-	if c.Obs != nil {
+	if o := c.mach().Obs(); o != nil {
 		for _, e := range errs {
-			c.Obs.Event(obs.TIDEval, "check.violation", 0, 0, point+": "+e)
+			o.Event(obs.TIDEval, "check.violation", 0, 0, point+": "+e)
 		}
 		// Every request after the failure carries a full trace.
-		c.Obs.Lineage().Force()
+		o.Lineage().Force()
 	}
 }
 
-func (c *Checker) skip() {
-	if c.Counters != nil {
-		c.Counters.CheckSkipped.Add(1)
-	}
-}
+func (c *Checker) skip() { c.mach().Counters().CheckSkipped.Add(1) }
 
 func (c *Checker) capped() bool {
 	c.mu.Lock()

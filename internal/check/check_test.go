@@ -202,9 +202,9 @@ func newCheckRig(t *testing.T, pes int) (*sched.Machine, *core.Marker, *Checker,
 		PEs: pes, Mode: sched.Deterministic, Seed: 1,
 		PartOf: store.PartitionOf, Counters: &c,
 	})
-	marker := core.NewMarker(store, m, &c)
+	marker := core.NewMarker(store, m)
 	m.SetHandler(marker)
-	chk := &Checker{Store: store, Marker: marker, Mach: m, Counters: &c, Every: 1}
+	chk := &Checker{Marker: marker, Every: 1}
 	return m, marker, chk, &c
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/obs"
 	"dgr/internal/sched"
 	"dgr/internal/task"
@@ -36,12 +35,6 @@ type CollectorConfig struct {
 	// completion, and later phases of the same cycle legally rewire edges
 	// (most visibly for M_T, which runs before the whole M_R phase).
 	AfterPhase func(ctx graph.Ctx)
-	// Obs, when non-nil, receives one record per phase (M_T, M_R,
-	// restructure — the intervals trace analysis blames overlapping
-	// execution to), the sweep and cycle intervals around them, and cycle
-	// and verdict events for the flight recorder. All calls are nil-safe
-	// no-ops when unset.
-	Obs *obs.Obs
 }
 
 // CycleReport summarizes one mark/restructure cycle.
@@ -70,12 +63,16 @@ type CycleReport struct {
 // Collector drives the endless cycle: (occasionally M_T, then) M_R, then
 // the restructuring phase that returns garbage to F, expunges irrelevant
 // tasks, reports deadlocked vertices, and reprioritizes the task pools.
+//
+// The machine's obs handle (sched.Machine.Obs), when it has one, receives
+// one record per phase (M_T, M_R, restructure — the intervals trace
+// analysis blames overlapping execution to), the sweep and cycle intervals
+// around them, and cycle and verdict events for the flight recorder.
 type Collector struct {
-	store    *graph.Store
-	marker   *Marker
-	mach     *sched.Machine
-	counters *metrics.Counters
-	cfg      CollectorConfig
+	store  *graph.Store
+	marker *Marker
+	mach   *sched.Machine
+	cfg    CollectorConfig
 
 	// pauseMu serializes whole cycles against harness critical sections
 	// (Pause/Resume); RunCycle holds it for the cycle's duration.
@@ -121,16 +118,15 @@ type Collector struct {
 	wg   sync.WaitGroup
 }
 
-// NewCollector builds a collector. counters may be nil.
-func NewCollector(store *graph.Store, marker *Marker, mach *sched.Machine, counters *metrics.Counters, cfg CollectorConfig) *Collector {
+// NewCollector builds a collector over the marker's store and machine.
+func NewCollector(marker *Marker, cfg CollectorConfig) *Collector {
 	return &Collector{
-		store:    store,
-		marker:   marker,
-		mach:     mach,
-		counters: counters,
-		cfg:      cfg,
-		deadSet:  make(map[graph.VertexID]bool),
-		pending:  make(map[graph.VertexID]bool),
+		store:   marker.store,
+		marker:  marker,
+		mach:    marker.mach,
+		cfg:     cfg,
+		deadSet: make(map[graph.VertexID]bool),
+		pending: make(map[graph.VertexID]bool),
 
 		destPrior: make(map[graph.VertexID]uint8),
 	}
@@ -324,8 +320,8 @@ func (c *Collector) runCycle() CycleReport {
 	root, pin := c.root, c.pin
 	c.mu.Unlock()
 
-	began := c.cfg.Obs.Now()
-	c.cfg.Obs.Event(obs.TIDCollector, "cycle.start", uint64(root), 0, "")
+	began := c.mach.Obs().Now()
+	c.mach.Obs().Event(obs.TIDCollector, "cycle.start", uint64(root), 0, "")
 
 	rRoots := append(c.rRoots[:0], Root{ID: root, Prior: graph.PriorVital})
 	if pin != graph.NilVertex && pin != root {
@@ -351,7 +347,7 @@ var phaseSpan = [...]string{graph.CtxR: "M_R", graph.CtxT: "M_T"}
 // see openPhase) and hands AfterPhase the context while its marked closure is
 // still exact.
 func (c *Collector) runPhase(ctx graph.Ctx, roots []Root, rep *CycleReport) {
-	o := c.cfg.Obs
+	o := c.mach.Obs()
 	began := o.Now()
 	done, n := c.openPhase(ctx, roots)
 	rep.Completed = c.waitPhase(ctx, done)
@@ -395,17 +391,15 @@ func (c *Collector) openPhase(ctx graph.Ctx, roots []Root) (<-chan struct{}, int
 // closeCycle is the cycle-closing half, shared likewise: restructure a
 // completed cycle and count it, emit the cycle's obs records, report it.
 func (c *Collector) closeCycle(rep *CycleReport, began int64, root graph.VertexID) {
-	o := c.cfg.Obs
+	o := c.mach.Obs()
 	if rep.Completed {
 		c.mach.NotePhase(sched.Entry{Op: sched.OpRestructure, MT: rep.MTRan}, nil)
 		phaseStart := o.Now()
 		c.restructure(rep)
 		o.Span("restructure", obs.CatGC, obs.TIDCollector, phaseStart, int64(rep.Reclaimed))
-		if c.counters != nil {
-			c.counters.Cycles.Add(1)
-			if rep.MTRan {
-				c.counters.MTRuns.Add(1)
-			}
+		c.mach.Counters().Cycles.Add(1)
+		if rep.MTRan {
+			c.mach.Counters().MTRuns.Add(1)
 		}
 	}
 	o.Span("cycle", obs.CatCollector, obs.TIDCollector, began, rep.Cycle)
@@ -442,7 +436,7 @@ func (c *Collector) ReplayRestructure(mtRan bool) CycleReport {
 	rep := CycleReport{Cycle: c.cycleN, MTRan: mtRan, Completed: true}
 	root := c.root
 	c.mu.Unlock()
-	c.closeCycle(&rep, c.cfg.Obs.Now(), root)
+	c.closeCycle(&rep, c.mach.Obs().Now(), root)
 	return rep
 }
 
@@ -482,7 +476,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 	// a vertex awaiting more than eight costs an allocation.
 	var kidsBuf [8]graph.VertexID
 
-	o := c.cfg.Obs
+	o := c.mach.Obs()
 	sweepStart := o.Now()
 	// The closure runs once per vertex in use, in ascending id order, so
 	// dead comes out sorted. It unlocks explicitly on each path rather than
@@ -627,18 +621,14 @@ func (c *Collector) restructure(rep *CycleReport) {
 		rep.Deadlocked = dead
 		confirmed, retracted := c.judgeVerdicts(dead)
 		if retracted > 0 {
-			if c.counters != nil {
-				c.counters.DeadlockRetracted.Add(int64(retracted))
-			}
+			c.mach.Counters().DeadlockRetracted.Add(int64(retracted))
 			if o != nil {
 				o.Event(obs.TIDCollector, "deadlock.retracted", 0, 0,
 					fmt.Sprintf("n=%d", retracted))
 			}
 		}
 		if len(confirmed) > 0 {
-			if c.counters != nil {
-				c.counters.DeadlockedFound.Add(int64(len(confirmed)))
-			}
+			c.mach.Counters().DeadlockedFound.Add(int64(len(confirmed)))
 			if o != nil {
 				o.Event(obs.TIDCollector, "deadlock.found", uint64(confirmed[0]), 0,
 					fmt.Sprintf("n=%d", len(confirmed)))
@@ -652,11 +642,10 @@ func (c *Collector) restructure(rep *CycleReport) {
 		}
 	}
 
-	if c.counters != nil {
-		c.counters.Reclaimed.Add(int64(rep.Reclaimed))
-		c.counters.Expunged.Add(int64(rep.Expunged))
-		c.counters.Reprioritized.Add(int64(rep.Reprioritized))
-	}
+	cnt := c.mach.Counters()
+	cnt.Reclaimed.Add(int64(rep.Reclaimed))
+	cnt.Expunged.Add(int64(rep.Expunged))
+	cnt.Reprioritized.Add(int64(rep.Reprioritized))
 }
 
 // judgeVerdicts is the two-phase confirmation pass, run after every M_T
@@ -707,8 +696,7 @@ func (c *Collector) judgeVerdicts(dead []graph.VertexID) (confirmed []graph.Vert
 // when the loop's goroutine first runs, and what the PEs reduce while a cycle
 // of the loop runs counts toward the next. A machine that executes nothing runs no
 // cycle, at any interval; one that runs on after its evaluation returned,
-// speculation or a runaway, is collected as it goes. The loop counts its
-// own marks on the collector's counters, which must not be nil.
+// speculation or a runaway, is collected as it goes.
 func (c *Collector) Start(interval int) {
 	c.mu.Lock()
 	if c.stop != nil {
@@ -752,7 +740,8 @@ func (c *Collector) RunDue() {
 // of the collection loop executes for itself, and must not count toward the
 // next.
 func (c *Collector) markExecutions() uint64 {
-	return uint64(c.counters.MarkTasks.Load() + c.counters.ReturnTasks.Load())
+	_, mark, ret := c.mach.Counters().Executed()
+	return uint64(mark + ret)
 }
 
 // Stop waits out the cycle in progress, if any, and ends the collection loop;

@@ -30,7 +30,7 @@ func parkReducer(mach *sched.Machine) sched.Handler {
 
 func newCollectorRig(t *testing.T, pes int, seed int64, cfg CollectorConfig) (*rig, *Collector) {
 	r := newRig(t, pes, seed, false)
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, cfg)
+	col := NewCollector(r.marker, cfg)
 	return r, col
 }
 
@@ -43,7 +43,7 @@ func TestCollectorReclaimsGarbage(t *testing.T) {
 	r.edge(root, live, graph.ReqVital)
 	r.edge(g1, g2, graph.ReqVital) // unreachable pair
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	freeBefore := r.store.FreeCount()
 	rep := col.RunCycle()
@@ -82,7 +82,7 @@ func TestSweepDropsAbandonedRequests(t *testing.T) {
 	r.edge(abandoned, operand, graph.ReqVital) // unreachable
 	r.request(abandoned, operand, graph.ReqVital)
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	if rep := col.RunCycle(); !rep.Completed || rep.Reclaimed != 1 || !r.store.IsFree(abandoned.ID) {
 		t.Fatalf("cycle %+v: want the abandoned requester, and only it, reclaimed", rep)
@@ -109,7 +109,7 @@ func TestCollectorReclaimsCyclicGarbage(t *testing.T) {
 	selfy := r.vertex(graph.KindApply)
 	r.edge(selfy, selfy, graph.ReqVital)
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Reclaimed != 4 {
@@ -123,7 +123,7 @@ func TestCollectorMultipleCycles(t *testing.T) {
 	keep := r.vertex(graph.KindApply)
 	r.edge(root, keep, graph.ReqVital)
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	for i := 0; i < 3; i++ {
 		col.RunCycle()
@@ -172,7 +172,7 @@ func TestCollectorDeadlockDetection(t *testing.T) {
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
 
 	var reported []graph.VertexID
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+	col := NewCollector(r.marker, CollectorConfig{
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			reported = append(reported, ids...)
@@ -221,7 +221,7 @@ func TestCollectorNoMTNoDeadlockReports(t *testing.T) {
 	r.edge(w, w, graph.ReqVital)
 
 	called := false
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+	col := NewCollector(r.marker, CollectorConfig{
 		OnDeadlock: func([]graph.VertexID) { called = true },
 	})
 	col.SetRoot(root.ID)
@@ -234,7 +234,7 @@ func TestCollectorNoMTNoDeadlockReports(t *testing.T) {
 func TestCollectorMTEveryK(t *testing.T) {
 	r := newRig(t, 1, 6, false)
 	root := r.vertex(graph.KindApply)
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+	col := NewCollector(r.marker, CollectorConfig{
 		MTEvery: 3,
 	})
 	col.SetRoot(root.ID)
@@ -261,7 +261,7 @@ func TestCollectorExpungesIrrelevantTasks(t *testing.T) {
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: root.ID, Dst: gar.ID, Req: graph.ReqEager})
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: live.ID, Dst: gar.ID, Req: graph.ReqEager})
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Expunged != 2 {
@@ -302,7 +302,7 @@ func TestCollectorReprioritizesTasks(t *testing.T) {
 	// to eager (prior(d) = 2).
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: root.ID, Dst: d.ID, Req: graph.ReqVital})
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Reprioritized != 1 {
@@ -333,7 +333,7 @@ func TestCollectorFreshAllocationsSurviveCycle(t *testing.T) {
 		r.edge(chain, nxt, graph.ReqVital)
 		chain = nxt
 	}
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 
 	// Drive the cycle manually: start M_R, allocate mid-marking, finish.
@@ -398,7 +398,7 @@ func TestCollectorStepBound(t *testing.T) {
 			dropped = r.mach.Expunge(0, func(q task.Task) bool { return q.Kind == task.Return })
 		}
 	}))
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if dropped != 1 {
@@ -424,7 +424,7 @@ func TestCollectorReprioritizesToReserve(t *testing.T) {
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: root.ID, Dst: d.ID, Req: graph.ReqVital})
 
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.SetRoot(root.ID)
 	rep := col.RunCycle()
 	if rep.Reprioritized != 1 {
@@ -446,7 +446,7 @@ func TestCollectorReprioritizesToReserve(t *testing.T) {
 
 func TestCollectorForget(t *testing.T) {
 	r := newRig(t, 1, 12, false)
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+	col := NewCollector(r.marker, CollectorConfig{})
 	col.mu.Lock()
 	col.deadSet[7] = true
 	col.deadSet[9] = true
@@ -468,7 +468,7 @@ func deadlockKnot(t *testing.T, seed int64, reported *[]graph.VertexID) (*rig, *
 	w := r.knotUnder(root, 0)
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+	col := NewCollector(r.marker, CollectorConfig{
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			*reported = append(*reported, ids...)
@@ -511,7 +511,7 @@ func TestCollectorCandidatesAscending(t *testing.T) {
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
 	var reported []graph.VertexID
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+	col := NewCollector(r.marker, CollectorConfig{
 		MTEvery:    1,
 		OnDeadlock: func(ids []graph.VertexID) { reported = append(reported, ids...) },
 	})
@@ -542,7 +542,7 @@ func TestCollectorSweepDropsVerdicts(t *testing.T) {
 	w := r.knotUnder(root, 0)
 	r.mach.SetHandler(NewDispatcher(r.marker, parkReducer(r.mach)))
 	r.mach.Spawn(task.Task{Kind: task.Demand, Src: graph.NilVertex, Dst: root.ID, Req: graph.ReqVital})
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{MTEvery: 2})
+	col := NewCollector(r.marker, CollectorConfig{MTEvery: 2})
 	col.SetRoot(root.ID)
 	for i := 0; i < 4; i++ { // M_T in cycles 2 and 4: nominate, confirm
 		col.RunCycle()
@@ -723,8 +723,7 @@ func TestWarmCycleAllocations(t *testing.T) {
 		for _, tk := range tasks {
 			r.mach.Spawn(tk)
 		}
-		col := NewCollector(r.store, r.marker, r.mach, r.counters,
-			CollectorConfig{MTEvery: tc.mtEvery})
+		col := NewCollector(r.marker, CollectorConfig{MTEvery: tc.mtEvery})
 		col.SetRoot(vs[0].ID)
 		col.RunCycle() // sweeps what the root does not reach, sizes the buffers
 		col.RunCycle()
@@ -830,7 +829,7 @@ func TestExpungeMatchesOracle(t *testing.T) {
 				r.mach.Start()
 				defer r.mach.Stop()
 			}
-			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+			col := NewCollector(r.marker, CollectorConfig{
 				// The cycle's last phase: restructuring comes next.
 				AfterPhase: func(graph.Ctx) {
 					r.mach.Stop()
@@ -894,7 +893,7 @@ func TestSweepAfterMassRelease(t *testing.T) {
 				r.mach.Start()
 				defer r.mach.Stop()
 			}
-			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+			col := NewCollector(r.marker, CollectorConfig{})
 			col.SetRoot(root.ID)
 
 			// cycle runs one collector cycle against the oracle and returns
@@ -992,7 +991,7 @@ func TestCycleShapeIsModeFree(t *testing.T) {
 				r.mach.Stop()
 			}()
 		}
-		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+		col := NewCollector(r.marker, CollectorConfig{
 			MTEvery: 1,
 			AfterPhase: func(ctx graph.Ctx) {
 				if ctx == graph.CtxT && r.marker.Active(graph.CtxR) {
@@ -1064,7 +1063,7 @@ func BenchmarkRestructure(b *testing.B) {
 			}
 			var began time.Time
 			var restructure time.Duration
-			col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+			col := NewCollector(r.marker, CollectorConfig{
 				AfterPhase: func(graph.Ctx) { began = time.Now() },
 				AfterCycle: func(CycleReport) { restructure += time.Since(began) },
 			})

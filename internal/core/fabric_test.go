@@ -25,9 +25,9 @@ func newFabricRig(t *testing.T, pes int, seed int64, params fabric.Params) *rig 
 		Counters: counters,
 		Fabric:   &params,
 	})
-	marker := NewMarker(store, mach, counters)
+	marker := NewMarker(store, mach)
 	mach.SetHandler(NewDispatcher(marker, nil))
-	mut := NewMutator(store, marker, mach, counters)
+	mut := NewMutator(marker)
 	return &rig{t: t, store: store, mach: mach, marker: marker, mut: mut, counters: counters}
 }
 
@@ -95,7 +95,7 @@ func TestMarkingOverLossyFabric(t *testing.T) {
 		}
 
 		// A full collector cycle reclaims the cross-partition cycle.
-		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{})
+		col := NewCollector(r.marker, CollectorConfig{})
 		col.SetRoot(root.ID)
 		rep := col.RunCycle()
 		if !rep.Completed || rep.Reclaimed != 3 {
@@ -145,7 +145,7 @@ func TestMTSeesInTransitTasks(t *testing.T) {
 	}
 
 	var reported []graph.VertexID
-	col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+	col := NewCollector(r.marker, CollectorConfig{
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			reported = append(reported, ids...)

@@ -53,9 +53,9 @@ func newRigOn(t testing.TB, cfg graph.Config, mode sched.Mode, seed int64, adver
 		PartOf:      store.PartitionOf,
 		Counters:    counters,
 	})
-	marker := NewMarker(store, mach, counters)
+	marker := NewMarker(store, mach)
 	mach.SetHandler(NewDispatcher(marker, nil))
-	mut := NewMutator(store, marker, mach, counters)
+	mut := NewMutator(marker)
 	return &rig{t: t, store: store, mach: mach, marker: marker, mut: mut, counters: counters}
 }
 

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/sched"
 	"dgr/internal/task"
 )
@@ -55,10 +54,9 @@ type ctxState struct {
 // Marker executes mark and return tasks and tracks cycle completion for the
 // two marking contexts.
 type Marker struct {
-	store    *graph.Store
-	mach     *sched.Machine
-	counters *metrics.Counters
-	ctxs     [2]ctxState
+	store *graph.Store
+	mach  *sched.Machine
+	ctxs  [2]ctxState
 
 	// budget is waveBudget; this package's step-granular tests set it to 0
 	// to get the paper-literal schedule of one task per arc.
@@ -91,11 +89,12 @@ func (m *Marker) SetFaultSkipMark(n int64) { m.faultSkipN.Store(n) }
 // touch the machine.
 func (m *Marker) SetAbsorbHook(fn func(task.Task) bool) { m.absorbed = fn }
 
-// NewMarker builds a marker over the given store and machine. counters may
-// be nil. mach must route by store.PartitionOf, as every machine that runs a
-// marker does: the marker asks the store which partition owns a vertex.
-func NewMarker(store *graph.Store, mach *sched.Machine, counters *metrics.Counters) *Marker {
-	m := &Marker{store: store, mach: mach, counters: counters, budget: waveBudget,
+// NewMarker builds a marker over the given store and machine, which counts
+// the marks (sched.Machine.Counters). mach must route by store.PartitionOf,
+// as every machine that runs a marker does: the marker asks the store which
+// partition owns a vertex.
+func NewMarker(store *graph.Store, mach *sched.Machine) *Marker {
+	m := &Marker{store: store, mach: mach, budget: waveBudget,
 		parts: make([]partSlot, mach.PEs())}
 	for p := range m.parts {
 		m.parts[p].list.part = p
@@ -107,6 +106,12 @@ func NewMarker(store *graph.Store, mach *sched.Machine, counters *metrics.Counte
 	}
 	return m
 }
+
+// Store returns the vertex store the marker marks.
+func (m *Marker) Store() *graph.Store { return m.store }
+
+// Machine returns the machine the marker's tasks run on.
+func (m *Marker) Machine() *sched.Machine { return m.mach }
 
 // Epoch returns the current cycle epoch of a context.
 func (m *Marker) Epoch(c graph.Ctx) uint64 { return m.ctxs[c].epoch.Load() }
@@ -578,8 +583,8 @@ func (m *Marker) Handle(pe int, t task.Task) {
 		m.unlockQueue(s, t.Dst, d.parent)
 		break
 	}
-	if m.counters != nil && marks > 0 { // a lone return must not touch the shared line
-		m.counters.MarkVisits.Add(marks)
+	if marks > 0 { // a lone return must not touch the shared line
+		m.mach.Counters().MarkVisits.Add(marks)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/sched"
 )
 
@@ -25,19 +24,18 @@ import (
 // A seeded machine's one owner runs one task at a time, which is the same
 // atomicity, so there its primitives lock nothing (lockSpliceSet).
 type Mutator struct {
-	store    *graph.Store
-	marker   *Marker
-	mach     *sched.Machine
-	counters *metrics.Counters
+	store  *graph.Store
+	marker *Marker
+	mach   *sched.Machine
 	// noCoop disables all marking cooperation — ONLY for the ablation
 	// experiment that demonstrates the §4.2 race actually loses vertices
 	// without it. Never set in a functioning system.
 	noCoop bool
 }
 
-// NewMutator builds a mutator. counters may be nil.
-func NewMutator(store *graph.Store, marker *Marker, mach *sched.Machine, counters *metrics.Counters) *Mutator {
-	return &Mutator{store: store, marker: marker, mach: mach, counters: counters}
+// NewMutator builds a mutator over the marker's store and machine.
+func NewMutator(marker *Marker) *Mutator {
+	return &Mutator{store: marker.store, marker: marker, mach: marker.mach}
 }
 
 // SetCooperation enables or disables mutator/marker cooperation. Disabling
@@ -52,11 +50,7 @@ func (mu *Mutator) Store() *graph.Store { return mu.store }
 func (mu *Mutator) Marker() *Marker { return mu.marker }
 
 // coopCount bumps the cooperating-mark counter.
-func (mu *Mutator) coopCount() {
-	if mu.counters != nil {
-		mu.counters.CoopMarks.Add(1)
-	}
-}
+func (mu *Mutator) coopCount() { mu.mach.Counters().CoopMarks.Add(1) }
 
 // Alloc takes a vertex from the free list stamped with FreshAllocEpoch, so
 // the restructuring sweep honors reduction axiom 1 (new vertices come only

@@ -248,7 +248,7 @@ func testTheorem2Containments(t *testing.T, budget int) {
 		}
 		resA := analysis.Analyze(r.store.Snapshot(), root.ID, poolTasks)
 
-		col := NewCollector(r.store, r.marker, r.mach, r.counters, CollectorConfig{
+		col := NewCollector(r.marker, CollectorConfig{
 			MTEvery: 1,
 		})
 		col.SetRoot(root.ID)

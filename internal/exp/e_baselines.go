@@ -7,10 +7,8 @@ import (
 	"dgr"
 	"dgr/internal/core"
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/refcount"
 	"dgr/internal/sched"
-	"dgr/internal/task"
 	"dgr/internal/workload"
 )
 
@@ -132,23 +130,21 @@ func runRefcount(cfg Config) (*Table, error) {
 	// Concurrent marking.
 	{
 		store, root, detach, _, _ := buildRCWorkload(4, chains, chainLen, cycles, cycleLen)
-		counters := &metrics.Counters{}
 		mach := sched.New(sched.Config{
-			PEs: 4, Mode: sched.Deterministic, Seed: cfg.Seed,
-			PartOf: store.PartitionOf, Counters: counters,
+			PEs: 4, Mode: sched.Deterministic, Seed: cfg.Seed, PartOf: store.PartitionOf,
 		})
-		marker := core.NewMarker(store, mach, counters)
+		marker := core.NewMarker(store, mach)
 		mach.SetHandler(core.NewDispatcher(marker, nil))
-		mut := core.NewMutator(store, marker, mach, counters)
+		mut := core.NewMutator(marker)
 		for _, d := range partialDetach(detach) {
 			mut.DeleteReference(d[0], d[1])
 		}
-		col := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{})
+		col := core.NewCollector(marker, core.CollectorConfig{})
 		col.SetRoot(root.ID)
 		rep := col.RunCycle()
 		reclaimedCyclic := min(rep.Reclaimed, cyclicN)
 		reclaimedAcyclic := rep.Reclaimed - reclaimedCyclic
-		s := counters.Snapshot()
+		s := mach.Counters().Snapshot()
 		t.AddRow("concurrent marking",
 			reclaimedAcyclic, reclaimedCyclic,
 			s.LocalMessages+s.RemoteMessages, s.RemoteMessages)
@@ -260,23 +256,7 @@ func runMTFreq(cfg Config) (*Table, error) {
 		Columns: []string{"MTEvery", "cycles to detect", "M_T runs", "mark visits", "wall time"},
 	}
 	for _, k := range ks {
-		counters2 := &metrics.Counters{}
-		sc2 := workload.Fig31(2)
-		mach := sched.New(sched.Config{
-			PEs: 2, Mode: sched.Deterministic, Seed: cfg.Seed,
-			PartOf: sc2.Store.PartitionOf, Counters: counters2,
-		})
-		marker := core.NewMarker(sc2.Store, mach, counters2)
-		mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
-			if tk.Kind == task.Demand {
-				mach.Spawn(tk)
-			}
-		})))
-		for _, tk := range sc2.Tasks {
-			mach.Spawn(tk)
-		}
-		col2 := core.NewCollector(sc2.Store, marker, mach, counters2, core.CollectorConfig{MTEvery: k})
-		col2.SetRoot(sc2.Root)
+		mach, col2 := scenarioMachine(workload.Fig31(2), cfg.Seed, k)
 		start := time.Now()
 		cycles := 0
 		for cycles < 4*k+4 {
@@ -287,7 +267,7 @@ func runMTFreq(cfg Config) (*Table, error) {
 			}
 		}
 		dur := time.Since(start)
-		s := counters2.Snapshot()
+		s := mach.Counters().Snapshot()
 		t.AddRow(k, cycles, s.MTRuns, s.MarkVisits, dur)
 		if cycles != k {
 			return t, fmt.Errorf("mtfreq: detection at cycle %d with MTEvery=%d", cycles, k)

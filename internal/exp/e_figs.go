@@ -7,7 +7,6 @@ import (
 	"dgr/internal/analysis"
 	"dgr/internal/core"
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/sched"
 	"dgr/internal/task"
 	"dgr/internal/workload"
@@ -21,14 +20,14 @@ func init() {
 }
 
 // scenarioMachine wires a deterministic machine around a workload scenario
-// with a parking reducer (tasks stay pooled, as a static instant demands).
-func scenarioMachine(sc *workload.Scenario, seed int64) (*sched.Machine, *core.Marker, *core.Collector, *metrics.Counters) {
-	counters := &metrics.Counters{}
+// with a parking reducer (tasks stay pooled, as a static instant demands),
+// and a collector that runs M_T every mtEvery cycles.
+func scenarioMachine(sc *workload.Scenario, seed int64, mtEvery int) (*sched.Machine, *core.Collector) {
 	mach := sched.New(sched.Config{
 		PEs: sc.Store.Partitions(), Mode: sched.Deterministic, Seed: seed,
-		PartOf: sc.Store.PartitionOf, Counters: counters,
+		PartOf: sc.Store.PartitionOf,
 	})
-	marker := core.NewMarker(sc.Store, mach, counters)
+	marker := core.NewMarker(sc.Store, mach)
 	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Kind == task.Demand {
 			mach.Spawn(tk)
@@ -37,15 +36,15 @@ func scenarioMachine(sc *workload.Scenario, seed int64) (*sched.Machine, *core.M
 	for _, tk := range sc.Tasks {
 		mach.Spawn(tk)
 	}
-	col := core.NewCollector(sc.Store, marker, mach, counters, core.CollectorConfig{MTEvery: 1})
+	col := core.NewCollector(marker, core.CollectorConfig{MTEvery: mtEvery})
 	col.SetRoot(sc.Root)
-	return mach, marker, col, counters
+	return mach, col
 }
 
 func runFig31(cfg Config) (*Table, error) {
 	sc := workload.Fig31(2)
 	oracle := analysis.Analyze(sc.Store.Snapshot(), sc.Root, sc.Tasks)
-	_, _, col, _ := scenarioMachine(sc, cfg.Seed)
+	_, col := scenarioMachine(sc, cfg.Seed, 1)
 	rep := col.RunCycle()
 
 	detected := map[graph.VertexID]bool{}
@@ -78,7 +77,7 @@ func runFig32(cfg Config) (*Table, error) {
 		Columns: []string{"task", "expected", "oracle", "after restructure"},
 	}
 	// Run the cycle; then inspect what happened to each task.
-	mach, _, col, _ := scenarioMachine(sc, cfg.Seed)
+	mach, col := scenarioMachine(sc, cfg.Seed, 1)
 	rep := col.RunCycle()
 
 	// Survivors and their (possibly reprioritized) request kinds.
@@ -177,15 +176,14 @@ func runRace(cfg Config) (*Table, error) {
 	sweep := func(cooperate bool) (trials, lost int, coop int64) {
 		for mutateAt := 0; mutateAt < points; mutateAt++ {
 			for seed := int64(0); seed < int64(seeds); seed++ {
-				counters := &metrics.Counters{}
 				store := graph.NewStore(graph.Config{Partitions: 2})
 				mach := sched.New(sched.Config{
 					PEs: 2, Mode: sched.Deterministic, Seed: cfg.Seed + seed,
-					Adversarial: true, PartOf: store.PartitionOf, Counters: counters,
+					Adversarial: true, PartOf: store.PartitionOf,
 				})
-				marker := core.NewMarker(store, mach, counters)
+				marker := core.NewMarker(store, mach)
 				mach.SetHandler(core.NewDispatcher(marker, nil))
-				mut := core.NewMutator(store, marker, mach, counters)
+				mut := core.NewMutator(marker)
 				mut.SetCooperation(cooperate)
 
 				a, _ := store.Alloc(0, graph.KindApply, 0)
@@ -221,7 +219,7 @@ func runRace(cfg Config) (*Table, error) {
 					lost++
 				}
 				c.Unlock()
-				coop += counters.CoopMarks.Load()
+				coop += mach.Counters().CoopMarks.Load()
 			}
 		}
 		return trials, lost, coop

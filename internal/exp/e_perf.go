@@ -12,10 +12,8 @@ import (
 	"dgr"
 	"dgr/internal/core"
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/sched"
 	"dgr/internal/stopworld"
-	"dgr/internal/task"
 	"dgr/internal/workload"
 )
 
@@ -53,27 +51,15 @@ func runScale(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// No shared counters on the per-task path: cross-PE atomic increments
-		// on adjacent cache lines would measure false sharing, not the
-		// algorithm. Mark tasks are counted per PE in padded slots instead;
-		// the marker's own counters see only MarkVisits, added once per wave.
+		// The machine counts its tasks and spawns on per-PE shares, a cache
+		// line each, so the table measures the algorithm, not false sharing
+		// (DESIGN §5, item 9); the visits are the marker's MarkVisits, added
+		// once per wave.
 		mach := sched.New(sched.Config{
 			PEs: pes, Mode: sched.Parallel, PartOf: store.PartitionOf,
 		})
-		counters := &metrics.Counters{}
-		marker := core.NewMarker(store, mach, counters)
-		type padded struct {
-			n int64
-			_ [7]int64
-		}
-		perPE := make([]padded, pes)
-		dispatch := core.NewDispatcher(marker, nil)
-		mach.SetHandler(sched.HandlerFunc(func(pe int, tk task.Task) {
-			if tk.Kind == task.Mark {
-				perPE[store.PartitionOf(tk.Dst)].n++
-			}
-			dispatch.Handle(pe, tk)
-		}))
+		marker := core.NewMarker(store, mach)
+		mach.SetHandler(core.NewDispatcher(marker, nil))
 		mach.Start()
 
 		best := time.Duration(1<<62 - 1)
@@ -87,12 +73,8 @@ func runScale(cfg Config) (*Table, error) {
 		}
 		mach.Stop()
 
-		var tasks int64
-		for i := range perPE {
-			tasks += perPE[i].n
-		}
-		tasks /= int64(reps)
-		visits := counters.MarkVisits.Load() / int64(reps)
+		counted := mach.Counters().Snapshot()
+		tasks, visits := counted.MarkTasks/int64(reps), counted.MarkVisits/int64(reps)
 		rate := float64(visits) / best.Seconds()
 		if pes == 1 {
 			base = best.Seconds()
@@ -139,13 +121,12 @@ func runPause(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		counters := &metrics.Counters{}
 		mach := sched.New(sched.Config{
-			PEs: 4, Mode: sched.Parallel, PartOf: store2.PartitionOf, Counters: counters,
+			PEs: 4, Mode: sched.Parallel, PartOf: store2.PartitionOf,
 		})
-		marker := core.NewMarker(store2, mach, counters)
+		marker := core.NewMarker(store2, mach)
 		mach.SetHandler(core.NewDispatcher(marker, nil))
-		mut := core.NewMutator(store2, marker, mach, counters)
+		mut := core.NewMutator(marker)
 		mach.Start()
 
 		// The mutator works under a dedicated child of the root. (Splicing

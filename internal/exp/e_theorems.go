@@ -7,7 +7,6 @@ import (
 	"dgr/internal/analysis"
 	"dgr/internal/core"
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/sched"
 	"dgr/internal/task"
 	"dgr/internal/workload"
@@ -20,28 +19,26 @@ func init() {
 
 // markRig is a deterministic marking stack over a fresh store.
 type markRig struct {
-	store    *graph.Store
-	mach     *sched.Machine
-	marker   *core.Marker
-	mut      *core.Mutator
-	counters *metrics.Counters
+	store  *graph.Store
+	mach   *sched.Machine
+	marker *core.Marker
+	mut    *core.Mutator
 }
 
 func newMarkRig(pes int, seed int64) *markRig {
-	counters := &metrics.Counters{}
 	store := graph.NewStore(graph.Config{Partitions: pes})
 	mach := sched.New(sched.Config{
 		PEs: pes, Mode: sched.Deterministic, Seed: seed, Adversarial: true,
-		PartOf: store.PartitionOf, Counters: counters,
+		PartOf: store.PartitionOf,
 	})
-	marker := core.NewMarker(store, mach, counters)
+	marker := core.NewMarker(store, mach)
 	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Kind == task.Demand {
 			mach.Spawn(tk)
 		}
 	})))
-	mut := core.NewMutator(store, marker, mach, counters)
-	return &markRig{store: store, mach: mach, marker: marker, mut: mut, counters: counters}
+	mut := core.NewMutator(marker)
+	return &markRig{store: store, mach: mach, marker: marker, mut: mut}
 }
 
 // liveMutation performs one random connectivity mutation on the live
@@ -269,7 +266,7 @@ func runThm2(cfg Config) (*Table, error) {
 		}
 		resA := analysis.Analyze(r.store.Snapshot(), root.ID, snapTasks())
 
-		col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{MTEvery: 1})
+		col := core.NewCollector(r.marker, core.CollectorConfig{MTEvery: 1})
 		col.SetRoot(root.ID)
 		var reported []graph.VertexID
 		colCfgRun := func() core.CycleReport { return col.RunCycle() }

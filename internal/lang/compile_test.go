@@ -23,9 +23,9 @@ func runOnEngine(t *testing.T, src string, pes int, seed int64, speculative bool
 		PEs: pes, Mode: sched.Deterministic, Seed: seed,
 		PartOf: store.PartitionOf, Counters: counters,
 	})
-	marker := core.NewMarker(store, mach, counters)
-	mut := core.NewMutator(store, marker, mach, counters)
-	eng := reduce.New(store, mach, mut, reduce.Config{SpeculativeIf: speculative, Counters: counters})
+	marker := core.NewMarker(store, mach)
+	mut := core.NewMutator(marker)
+	eng := reduce.New(mut, reduce.Config{SpeculativeIf: speculative})
 	mach.SetHandler(core.NewDispatcher(marker, eng))
 
 	root, err := CompileString(store, src)
@@ -145,16 +145,16 @@ func TestSpeculativeRecursionNeedsGC(t *testing.T) {
 		PEs: 4, Mode: sched.Deterministic, Seed: 7,
 		PartOf: store.PartitionOf, Counters: counters,
 	})
-	marker := core.NewMarker(store, mach, counters)
-	mut := core.NewMutator(store, marker, mach, counters)
-	eng := reduce.New(store, mach, mut, reduce.Config{SpeculativeIf: true, Counters: counters})
+	marker := core.NewMarker(store, mach)
+	mut := core.NewMutator(marker)
+	eng := reduce.New(mut, reduce.Config{SpeculativeIf: true})
 	mach.SetHandler(core.NewDispatcher(marker, eng))
 
 	root, err := CompileString(store, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{})
+	col := core.NewCollector(marker, core.CollectorConfig{})
 	col.SetRoot(root.ID)
 
 	ch := eng.Demand(root.ID)

@@ -6,7 +6,9 @@
 // Counters, which the layers increment, and the field of the same name and
 // position in Snapshot, whose tags give the Prometheus series it is exposed
 // as. Snapshot, Add, Sub and the /metrics exposition (internal/obs) are walks
-// over that declaration; none of them names a counter.
+// over that declaration; none of them names a counter. The six that move on
+// every task have a third line, in PE, each PE's share, which Snapshot and
+// Executed add in by name (TestSnapshotAddsPEShares holds every one).
 package metrics
 
 import (
@@ -60,6 +62,44 @@ type Counters struct {
 	FabricAcksDropped atomic.Int64 // acknowledgements lost to fault injection
 	FabricExpunged    atomic.Int64 // in-transit tasks deleted by restructuring
 	FabricLatency     Histogram    // enqueue→delivery latency in µs
+
+	pes []PE // the shares PEs handed out, which Snapshot adds in
+}
+
+// PE is one processing element's share of the counters that move on every
+// task, a cache line of its own so that PEs counting at once do not contend
+// for one (DESIGN §5, item 9). Snapshot adds every share to the counter of
+// its name, whose Counters field counts what is added without a PE.
+type PE struct {
+	TasksExecuted  atomic.Int64
+	ReductionTasks atomic.Int64
+	MarkTasks      atomic.Int64
+	ReturnTasks    atomic.Int64
+	RemoteMessages atomic.Int64
+	LocalMessages  atomic.Int64
+	_              [2]int64 // to 64 bytes
+}
+
+// Executed returns the reduction, mark and return tasks executed so far, as
+// Snapshot reports them, without its walk over every counter.
+func (c *Counters) Executed() (red, mark, ret int64) {
+	red, mark, ret = c.ReductionTasks.Load(), c.MarkTasks.Load(), c.ReturnTasks.Load()
+	for i := range c.pes {
+		p := &c.pes[i]
+		red, mark, ret = red+p.ReductionTasks.Load(), mark+p.MarkTasks.Load(), ret+p.ReturnTasks.Load()
+	}
+	return red, mark, ret
+}
+
+// PEs hands out n shares, one for each PE of the machine that counts on c,
+// which Snapshot reads from then on. The machine calls it once, as it is
+// built (sched.New), before c is read; a second call panics.
+func (c *Counters) PEs(n int) []PE {
+	if c.pes != nil {
+		panic("metrics: a machine already counts its PEs on these Counters")
+	}
+	c.pes = make([]PE, n)
+	return c.pes
 }
 
 // Snapshot is a point-in-time copy of the counters: the same names in the
@@ -142,12 +182,21 @@ var declared = SeriesOf(reflect.TypeOf(Snapshot{}))
 // CounterSeries returns the declared counters, Index into Snapshot.
 func CounterSeries() []Series { return declared }
 
-// Snapshot copies the current counter values.
+// Snapshot copies the current counter values, every PE's share added in.
 func (c *Counters) Snapshot() Snapshot {
 	var s Snapshot
 	cv, sv := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
 	for _, d := range declared {
 		sv.Field(d.Index).SetInt(cv.Field(d.Index).Addr().Interface().(*atomic.Int64).Load())
+	}
+	for i := range c.pes {
+		p := &c.pes[i]
+		s.TasksExecuted += p.TasksExecuted.Load()
+		s.ReductionTasks += p.ReductionTasks.Load()
+		s.MarkTasks += p.MarkTasks.Load()
+		s.ReturnTasks += p.ReturnTasks.Load()
+		s.RemoteMessages += p.RemoteMessages.Load()
+		s.LocalMessages += p.LocalMessages.Load()
 	}
 	s.FabricLatency = c.FabricLatency.Snapshot()
 	return s

@@ -298,8 +298,9 @@ func fillCounters(c *Counters) {
 // to name.
 func TestCountersDeclaredOnce(t *testing.T) {
 	ct, st := reflect.TypeOf(Counters{}), reflect.TypeOf(Snapshot{})
-	if ct.NumField() != st.NumField() {
-		t.Fatalf("Counters has %d fields, Snapshot %d", ct.NumField(), st.NumField())
+	// Counters' one field past Snapshot's is pes, the PEs' shares.
+	if ct.NumField() != st.NumField()+1 || ct.Field(st.NumField()).Name != "pes" {
+		t.Fatalf("Counters has %d fields, Snapshot %d, and the last is not pes", ct.NumField(), st.NumField())
 	}
 	series := CounterSeries()
 	if len(series) != st.NumField()-1 {
@@ -413,4 +414,51 @@ func TestSnapshotConcurrent(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestSnapshotAddsPEShares: a share is one cache line, and Snapshot adds
+// every counter of each PE's share to the counter of its name, beside what
+// was added without a PE, still without allocating; Executed reads the same.
+func TestSnapshotAddsPEShares(t *testing.T) {
+	if n := reflect.TypeOf(PE{}).Size(); n != 64 {
+		t.Errorf("PE is %d bytes, want 64", n)
+	}
+	var c Counters
+	pes := c.PEs(3)
+	c.MarkTasks.Add(1)
+	pes[0].MarkTasks.Add(2)
+	pes[2].MarkTasks.Add(4)
+	pes[1].RemoteMessages.Add(8)
+	pes[2].TasksExecuted.Add(16)
+	s := c.Snapshot()
+	if s.MarkTasks != 7 || s.RemoteMessages != 8 || s.TasksExecuted != 16 || s.LocalMessages != 0 {
+		t.Errorf("snapshot mark=%d remote=%d executed=%d local=%d, want 7/8/16/0",
+			s.MarkTasks, s.RemoteMessages, s.TasksExecuted, s.LocalMessages)
+	}
+	pt := reflect.TypeOf(PE{})
+	for i := 0; i < pt.NumField(); i++ {
+		f := pt.Field(i)
+		if f.Name == "_" {
+			continue
+		}
+		reflect.ValueOf(&pes[1]).Elem().Field(i).Addr().Interface().(*atomic.Int64).Add(100)
+		now := c.Snapshot()
+		if got := reflect.ValueOf(now.Sub(s)).FieldByName(f.Name).Int(); got != 100 {
+			t.Errorf("PE.%s: the snapshot moved by %d, want 100", f.Name, got)
+		}
+		if red, mark, ret := c.Executed(); red != now.ReductionTasks || mark != now.MarkTasks || ret != now.ReturnTasks {
+			t.Errorf("PE.%s moved: Executed reads %d/%d/%d, the snapshot %d/%d/%d",
+				f.Name, red, mark, ret, now.ReductionTasks, now.MarkTasks, now.ReturnTasks)
+		}
+		reflect.ValueOf(&pes[1]).Elem().Field(i).Addr().Interface().(*atomic.Int64).Add(-100)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkSnapshot = c.Snapshot() }); n != 0 {
+		t.Errorf("Snapshot with PE shares allocates %v times per call, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second PEs call on one Counters did not panic")
+		}
+	}()
+	c.PEs(1)
 }

@@ -12,11 +12,14 @@ import (
 
 // TraceDoc is the lineage exposition document: every assembled trace with
 // its critical-path analysis, plus the collector phases (CatGC records) they
-// overlap and how many trace spans the log has evicted.
+// overlap and how many trace spans and global records the log has evicted.
+// An evicted global record may be a collector phase: the critical path then
+// blames the execution it overlapped as exec, not gc.
 type TraceDoc struct {
-	Traces  []TraceReport `json:"traces"`
-	Globals []TraceSpan   `json:"globals,omitempty"`
-	Dropped uint64        `json:"dropped,omitempty"`
+	Traces        []TraceReport `json:"traces"`
+	Globals       []TraceSpan   `json:"globals,omitempty"`
+	Dropped       uint64        `json:"dropped,omitempty"`
+	GlobalDropped uint64        `json:"global_dropped,omitempty"`
 }
 
 // TraceReport is one assembled trace: its raw spans (Start-ordered) and the
@@ -48,10 +51,17 @@ func BuildTraceDoc(spans []TraceSpan, dropped uint64) TraceDoc {
 	return doc
 }
 
+// Doc builds the sink's exposition document, with both eviction counts.
+func (s *TraceSink) Doc() TraceDoc {
+	doc := BuildTraceDoc(s.Spans())
+	doc.GlobalDropped = s.GlobalDropped()
+	return doc
+}
+
 // WriteTracesJSON writes the sink's assembled traces as an indented
 // TraceDoc.
 func WriteTracesJSON(w io.Writer, s *TraceSink) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(BuildTraceDoc(s.Spans()))
+	return enc.Encode(s.Doc())
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -329,5 +331,31 @@ func TestTraceSinkEviction(t *testing.T) {
 	}
 	if spans[4].N != 2 || spans[len(spans)-1].N != 1025 {
 		t.Fatalf("global window = %d..%d, want 2..1025", spans[4].N, spans[len(spans)-1].N)
+	}
+}
+
+// TestTraceDocReportsGlobalEvictions: a sink whose global ring overflowed
+// says so in its document, beside the trace spans it evicted, so that a
+// reader knows gc phases may be missing from the blame.
+func TestTraceDocReportsGlobalEvictions(t *testing.T) {
+	s := NewTraceSink(4, 1) // 4 trace spans, 1024 global records
+	s.Record(TraceSpan{Trace: 1, Span: 1, Name: "demand", Cat: CatExec, Start: 0, End: 10})
+	for i := 0; i < 1024+5; i++ {
+		s.Record(TraceSpan{Name: "M_R", Cat: CatGC, PE: TIDCollector, Start: int64(i), End: int64(i + 1)})
+	}
+	var buf bytes.Buffer
+	if err := WriteTracesJSON(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"global_dropped": 5`) {
+		t.Fatalf("document does not report 5 evicted global records:\n%.400s", buf.String())
+	}
+	var doc TraceDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Dropped != 0 || doc.GlobalDropped != 5 || len(doc.Globals) != 1024 {
+		t.Fatalf("dropped %d trace / %d global, %d globals retained; want 0 / 5, 1024",
+			doc.Dropped, doc.GlobalDropped, len(doc.Globals))
 	}
 }

@@ -91,7 +91,7 @@ func TestBottomProbeDirect(t *testing.T) {
 	default:
 	}
 
-	col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
+	col := core.NewCollector(r.marker, core.CollectorConfig{
 		MTEvery: 1,
 		OnDeadlock: func(ids []graph.VertexID) {
 			// Resolving a probe relabels it, a rewrite its execution

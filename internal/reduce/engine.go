@@ -18,7 +18,6 @@ import (
 	"dgr/internal/core"
 	"dgr/internal/gm"
 	"dgr/internal/graph"
-	"dgr/internal/metrics"
 	"dgr/internal/sched"
 	"dgr/internal/task"
 )
@@ -54,8 +53,6 @@ type Config struct {
 	// (the machine's gm.Program table). Required only when the graph
 	// contains compiled supercombinators.
 	Prog *gm.Program
-	// Counters receives statistics; optional.
-	Counters *metrics.Counters
 }
 
 // Value is the WHNF result delivered for a demanded root.
@@ -152,10 +149,12 @@ type execution struct {
 
 var _ sched.Handler = (*Engine)(nil)
 
-// New builds an engine.
-func New(store *graph.Store, mach *sched.Machine, mut *core.Mutator, cfg Config) *Engine {
+// New builds an engine over the mutator's store and machine, which counts
+// its tasks and tallies (sched.Machine.Counters).
+func New(mut *core.Mutator, cfg Config) *Engine {
+	mach := mut.Marker().Machine()
 	e := &Engine{
-		store:       store,
+		store:       mut.Store(),
 		mach:        mach,
 		mut:         mut,
 		cfg:         cfg,
@@ -337,10 +336,7 @@ func (e *Engine) Handle(pe int, t task.Task) {
 
 // publish adds the execution's tallies to the counters, with one add each.
 func (e *execution) publish() {
-	c := e.cfg.Counters
-	if c == nil {
-		return
-	}
+	c := e.mach.Counters()
 	if e.rewrites > 0 {
 		c.Rewrites.Add(e.rewrites)
 	}

@@ -27,8 +27,7 @@ func newERig(t *testing.T, pes int, seed int64, speculative bool) *erig {
 	return newERigConfig(t, pes, seed, Config{SpeculativeIf: speculative})
 }
 
-// newERigConfig is newERig with the engine's configuration; the rig sets its
-// Counters.
+// newERigConfig is newERig with the engine's configuration.
 func newERigConfig(t *testing.T, pes int, seed int64, cfg Config) *erig {
 	t.Helper()
 	store := graph.NewStore(graph.Config{Partitions: pes})
@@ -40,10 +39,9 @@ func newERigConfig(t *testing.T, pes int, seed int64, cfg Config) *erig {
 		PartOf:   store.PartitionOf,
 		Counters: counters,
 	})
-	marker := core.NewMarker(store, mach, counters)
-	mut := core.NewMutator(store, marker, mach, counters)
-	cfg.Counters = counters
-	eng := New(store, mach, mut, cfg)
+	marker := core.NewMarker(store, mach)
+	mut := core.NewMutator(marker)
+	eng := New(mut, cfg)
 	mach.SetHandler(core.NewDispatcher(marker, eng))
 	return &erig{
 		t: t, store: store, mach: mach, marker: marker, mut: mut,
@@ -372,7 +370,7 @@ func TestDeadlockFig31(t *testing.T) {
 		t.Fatalf("deadlocked expression produced %v", val)
 	}
 
-	col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
+	col := core.NewCollector(r.marker, core.CollectorConfig{
 		MTEvery: 1,
 	})
 	col.SetRoot(expr.ID)
@@ -427,7 +425,7 @@ func TestArithTreeManyPEs(t *testing.T) {
 		return b.AppN(b.Prim(graph.PrimAdd), buildTree(d-1), buildTree(d-1))
 	}
 	r.evalInt(buildTree(6), 64)
-	if r.counters.RemoteMessages.Load() == 0 {
+	if r.counters.Snapshot().RemoteMessages == 0 {
 		t.Fatal("expected remote messages across 8 PEs")
 	}
 }
@@ -468,7 +466,7 @@ func TestEvaluationWithConcurrentGC(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		col := core.NewCollector(r.store, r.marker, r.mach, r.counters, core.CollectorConfig{
+		col := core.NewCollector(r.marker, core.CollectorConfig{
 			MTEvery: 2,
 		})
 		col.SetRoot(root.ID)

@@ -47,10 +47,10 @@ func TestTaskEffectIsPEIndependent(t *testing.T) {
 		for i := range pools {
 			r.mach.Pool(i).Each(func(q task.Task) { pools[i] = append(pools[i], q) })
 		}
-		c := r.counters
+		c := r.counters.Snapshot()
 		effect := fmt.Sprintf("value %s, steps in place %d, rewrites %d, allocations %d, spawns %d local %d remote, queued %v",
-			value, c.InlineSteps.Load(), c.Rewrites.Load(), c.Allocations.Load(),
-			c.LocalMessages.Load(), c.RemoteMessages.Load(), pools)
+			value, c.InlineSteps, c.Rewrites, c.Allocations,
+			c.LocalMessages, c.RemoteMessages, pools)
 		if pe == 0 && value != "8" {
 			t.Fatalf("at home: %s, want the value 8 from the one execution", effect)
 		}

@@ -164,13 +164,13 @@ func sharedPartialRound(t *testing.T, seed int64) {
 			mu.Unlock()
 		},
 	})
-	marker := core.NewMarker(store, mach, counters)
-	checker = &check.Checker{Store: store, Marker: marker, Mach: mach, Counters: counters, Every: 1}
-	mut := core.NewMutator(store, marker, mach, counters)
-	eng := New(store, mach, mut, Config{Counters: counters})
+	marker := core.NewMarker(store, mach)
+	checker = &check.Checker{Marker: marker, Every: 1}
+	mut := core.NewMutator(marker)
+	eng := New(mut, Config{})
 	eng.SetInlineBudget(0) // every task passes AfterExecute
 	mach.SetHandler(core.NewDispatcher(marker, eng))
-	coll := core.NewCollector(store, marker, mach, counters, core.CollectorConfig{
+	coll := core.NewCollector(marker, core.CollectorConfig{
 		MTEvery: 1, AfterCycle: checker.AtCycleEnd, AfterPhase: checker.AtPhaseEnd,
 	})
 	checker.Coll = coll

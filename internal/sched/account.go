@@ -6,8 +6,9 @@ import (
 	"dgr/internal/obs"
 )
 
-// Execution accounting runs exactly while the execution record is on. Each
-// PE's slot keeps its busy time and its open "pe-batch" span (the executions
+// Execution accounting runs exactly while the execution record is on and
+// the machine has an obs handle, its one reader (Config.Obs). Each PE's
+// slot keeps its busy time and its open "pe-batch" span (the executions
 // since the PE last went idle, recorded through Config.Obs), and each
 // execution entry is stamped with the clock of the busy window it ran in
 // (Entry.At). The clock is read once per clockExecs executions of a window
@@ -122,9 +123,9 @@ func (m *Machine) flushBatch(pe int) {
 // the spans and busy times between steps reads exact totals. The caller
 // steps the machine, or holds its stepping off. A parallel machine's PEs go
 // idle themselves each time they park, the last time before they leave, so
-// there it does nothing; nor with the record off.
+// there it does nothing; nor with the accounting off.
 func (m *Machine) FlushBatches() {
-	if m.rec == nil || m.cfg.Mode == Parallel {
+	if m.rec == nil || m.cfg.Obs == nil || m.cfg.Mode == Parallel {
 		return
 	}
 	for pe := range m.current {
@@ -134,6 +135,6 @@ func (m *Machine) FlushBatches() {
 }
 
 // BusyNs returns PE pe's nanoseconds spent executing tasks (0 with the
-// record off). Safe for concurrent use; it lags live execution by at most
+// accounting off). Safe for concurrent use; it lags live execution by at most
 // clockExecs-1 executions.
 func (m *Machine) BusyNs(pe int) int64 { return m.current[pe].busy.Load() }

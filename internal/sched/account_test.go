@@ -131,3 +131,35 @@ func TestTaskAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestAccountingFollowsHandle: the accounting's one reader is the obs handle,
+// so a machine whose record is on reads no clock without one, and every PE's
+// busy time stays 0; with one, a PE that executed was busy.
+func TestAccountingFollowsHandle(t *testing.T) {
+	const tasks, spin = 4 * clockExecs, 10 * time.Microsecond
+	for _, o := range []*obs.Obs{nil, obs.New(obs.Options{})} {
+		m := New(Config{PEs: 2, Mode: Deterministic, Seed: 1, PartOf: partMod(2), Obs: o})
+		m.SetRecord(true)
+		m.SetHandler(HandlerFunc(func(int, task.Task) {
+			for start := time.Now(); time.Since(start) < spin; {
+			}
+		}))
+		for i := 1; i <= tasks; i++ {
+			m.Spawn(task.Task{Kind: task.Reduce, Dst: graph.VertexID(i)})
+		}
+		m.RunToQuiescence(0)
+		m.FlushBatches()
+		if n := len(m.Record()); n != tasks {
+			t.Fatalf("handle %v: the record holds %d executions, want %d", o != nil, n, tasks)
+		}
+		for pe, execs := range m.ExecutionsByPE() {
+			busy := m.BusyNs(pe)
+			if o == nil && busy != 0 {
+				t.Errorf("no handle: PE %d busy %d ns, want 0 (nothing reads it)", pe, busy)
+			}
+			if o != nil && execs > 0 && busy <= 0 {
+				t.Errorf("handle: PE %d ran %d executions but was busy %d ns", pe, execs, busy)
+			}
+		}
+	}
+}

@@ -136,7 +136,9 @@ type record struct {
 // all it keeps every execution, absorb (NoteAbsorb) and phase start
 // (NotePhase), the schedule; without, each PE's last FlightLen executions
 // and nothing else, the flight view. The execution accounting (account.go)
-// runs with it. Off, an execution pays two nil tests.
+// runs with it if the machine has an obs handle (Config.Obs); without one
+// an execution entry's clock (Entry.At) is 0. Off, an execution pays two
+// nil tests.
 func (m *Machine) SetRecord(all bool) {
 	m.rec = &record{all: all, lanes: make([]lane, m.cfg.PEs)}
 }

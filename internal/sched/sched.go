@@ -116,7 +116,10 @@ type Config struct {
 	Adversarial bool
 	// PartOf maps a vertex to its owning partition; required.
 	PartOf func(graph.VertexID) int
-	// Counters receives statistics; optional.
+	// Counters receives the statistics of the machine, its fabric and the
+	// layers that read them here (Machine.Counters): marker, mutator,
+	// collector, engine, checker. Nil: New supplies them. The machine counts
+	// on its PEs' shares of them (Counters.PEs): one machine to a Counters.
 	Counters *metrics.Counters
 	// Fabric, when non-nil, carries every cross-partition spawn through a
 	// simulated inter-PE network with these dials; New builds it from the
@@ -137,7 +140,8 @@ type Config struct {
 	// (obs.EvalTrace), the exec span of each of that evaluation's reduction
 	// executions and its steal annotations. Every call is a nil-safe no-op
 	// when unset, so the hot path pays one pointer test for the disabled
-	// layer.
+	// layer. The fabric New builds records through it too, and the
+	// collector and the checker read it here (Machine.Obs).
 	Obs *obs.Obs
 
 	// AfterExecute, when set, is called after every task execution
@@ -189,10 +193,9 @@ type Machine struct {
 	// writers only ever touch their own PE's uncontended lock.
 	current []curSlot
 
-	// stepScratch is Step's reusable non-empty-PE selection buffer.
-	// Deterministic mode is single-threaded by contract, so one buffer
-	// per machine suffices and Step allocates nothing.
-	stepScratch []int
+	// pes[i] is PE i's share of the counters that move on every task
+	// (metrics.PE): its executions, and the spawns sent from partition i.
+	pes []metrics.PE
 
 	// watch is the collector's armed re-animation watch, nil when no
 	// deadlock verdict is pending. The spawn, deliver, pop and steal paths
@@ -208,15 +211,12 @@ type Machine struct {
 // curSlot is one PE's in-execution task slot, two cache lines long, which
 // keeps neighboring PEs' slots off each other's lines (each PE writes its
 // slot twice per task: the publish at the pop, the retire when the task is
-// done). execs rides along under the same per-PE lock: it is the PE's
-// execution count, incremented by the publish, and read (rarely) by
-// ExecutionsByPE for balance reporting. running is the running execution's
-// number (Running). ts[cur] is the running task and
-// ts[cur^1] the PE's pending hand-off (HandOff), so taking the hand-off
-// (TakeHandOff) flips cur and moves no task. A deterministic machine's slots
-// are serial, like its pools: its one goroutine is the only writer, and its
-// owner fences the readers. The execution accounting (account.go) fills the
-// second line's tail.
+// done). running is the running execution's number (Running). ts[cur] is
+// the running task and ts[cur^1] the PE's pending hand-off (HandOff), so
+// taking the hand-off (TakeHandOff) flips cur and moves no task. A
+// deterministic machine's slots are serial, like its pools: its one
+// goroutine is the only writer, and its owner fences the readers. The
+// execution accounting (account.go) fills the second line's tail.
 type curSlot struct {
 	mu lock.Mutex
 	// valid, handing, cur and clocked follow mu so that they fill the
@@ -225,7 +225,7 @@ type curSlot struct {
 	cur            uint8
 	clocked        bool // last was read since the PE last went idle (parallel)
 	ts             [2]task.Task
-	execs          uint64
+	_              uint64 // to 128 bytes
 	// running and the accounting are only the PE's: execute writes them,
 	// the handler reads running, and anyone may load busy.
 	running    uint64
@@ -236,14 +236,13 @@ type curSlot struct {
 	batchN     int32 // executions in the open batch
 }
 
-// publish makes t the PE's in-execution task and counts its execution. Every
-// task the PE executes is published once, before execute runs it: by its
-// pool's take hook under the pool lock, or by ExecuteMatching.
+// publish makes t the PE's in-execution task. Every task the PE executes is
+// published once, before execute runs it: by its pool's take hook under the
+// pool lock, or by ExecuteMatching.
 func (s *curSlot) publish(t task.Task) {
 	s.mu.Lock()
 	s.ts[s.cur] = t
 	s.valid = true
-	s.execs++
 	s.mu.Unlock()
 }
 
@@ -261,6 +260,9 @@ func New(cfg Config) *Machine {
 	if cfg.PartOf == nil {
 		panic("sched: Config.PartOf is required")
 	}
+	if cfg.Counters == nil {
+		cfg.Counters = &metrics.Counters{}
+	}
 	m := &Machine{
 		cfg:   cfg,
 		pools: make([]*task.Pool, cfg.PEs),
@@ -270,7 +272,7 @@ func New(cfg Config) *Machine {
 		m.wake = make(chan struct{}, 1)
 	}
 	m.current = make([]curSlot, cfg.PEs)
-	m.stepScratch = make([]int, 0, cfg.PEs)
+	m.pes = cfg.Counters.PEs(cfg.PEs)
 	// A deterministic machine runs one task at a time on one goroutine, so
 	// its pools and slots take no lock (task.NewSerialPool, lock.Mutex).
 	serial := cfg.Mode == Deterministic
@@ -333,6 +335,13 @@ func (m *Machine) SetHandler(h Handler) { m.handler = h }
 // PEs returns the number of processing elements.
 func (m *Machine) PEs() int { return m.cfg.PEs }
 
+// Counters returns the machine's statistics, Config.Counters or the ones New
+// supplied: never nil.
+func (m *Machine) Counters() *metrics.Counters { return m.cfg.Counters }
+
+// Obs returns the machine's observability handle, Config.Obs (nil: off).
+func (m *Machine) Obs() *obs.Obs { return m.cfg.Obs }
+
 // Mode returns the execution mode.
 func (m *Machine) Mode() Mode { return m.cfg.Mode }
 
@@ -384,12 +393,10 @@ func (m *Machine) Spawn(t task.Task) {
 	dst := m.PartOf(t.Dst)
 	origin := m.originOf(t)
 	remote := origin != dst
-	if c := m.cfg.Counters; c != nil {
-		if remote {
-			c.RemoteMessages.Add(1)
-		} else {
-			c.LocalMessages.Add(1)
-		}
+	if remote {
+		m.pes[origin].RemoteMessages.Add(1)
+	} else {
+		m.pes[origin].LocalMessages.Add(1)
 	}
 	m.inflight.Add(1)
 	if remote && m.fab != nil {
@@ -468,22 +475,21 @@ func (m *Machine) execute(pe int, t task.Task) {
 	if w := m.wakeAt.Load(); w != 0 && seq+1+m.inline.Load() >= w {
 		m.wakeUp()
 	}
-	if c := m.cfg.Counters; c != nil {
-		c.TasksExecuted.Add(1)
-		switch t.Kind {
-		case task.Mark:
-			c.MarkTasks.Add(1)
-		case task.Return:
-			c.ReturnTasks.Add(1)
-		default:
-			c.ReductionTasks.Add(1)
-		}
+	c := &m.pes[pe]
+	c.TasksExecuted.Add(1)
+	switch t.Kind {
+	case task.Mark:
+		c.MarkTasks.Add(1)
+	case task.Return:
+		c.ReturnTasks.Add(1)
+	default:
+		c.ReductionTasks.Add(1)
 	}
 	tr, traceStart := m.cfg.Obs.Traced(t.Kind.IsReduction(), t.Parent)
 	slot := &m.current[pe]
 	slot.running = seq + 1
-	r := m.rec
-	if r != nil {
+	r, clock := m.rec, m.cfg.Obs != nil
+	if r != nil && clock {
 		m.begin(slot)
 	}
 	m.handler.Handle(pe, t)
@@ -492,7 +498,10 @@ func (m *Machine) execute(pe int, t task.Task) {
 	if r != nil {
 		// Under the lock the retire takes anyway, which guards the PE's lane.
 		e := entryOf(OpExec, pe, &t)
-		e.Seq, e.At = seq, m.end(pe)
+		e.Seq = seq
+		if clock {
+			e.At = m.end(pe)
+		}
 		r.lanes[pe].add(e, r.all)
 	}
 	slot.mu.Unlock()
@@ -555,9 +564,7 @@ func (m *Machine) Executions() uint64 { return m.execSeq.Load() }
 // engine continuing its destination vertex (metrics InlineSteps).
 func (m *Machine) AddSteps(n int) {
 	inline := m.inline.Add(uint64(n))
-	if c := m.cfg.Counters; c != nil {
-		c.InlineSteps.Add(int64(n))
-	}
+	m.cfg.Counters.InlineSteps.Add(int64(n))
 	if w := m.wakeAt.Load(); w != 0 && m.execSeq.Load()+inline >= w {
 		m.wakeUp()
 	}
@@ -569,18 +576,13 @@ func (m *Machine) AddSteps(n int) {
 // tasks in one execution is paced as that many.
 func (m *Machine) Steps() uint64 { return m.execSeq.Load() + m.inline.Load() }
 
-// ExecutionsByPE returns each PE's execution count, indexed by PE. The
-// benchmark harness derives execution-balance figures from it; unlike the
-// per-PE busy time (BusyNs) it is always available. A deterministic
-// machine's slots take no lock, so there the caller must be the goroutine
-// that steps the machine, or hold it off.
+// ExecutionsByPE returns each PE's execution count (its share's
+// TasksExecuted), indexed by PE: the benchmark harness's execution balance.
+// Unlike the per-PE busy time (BusyNs) it is always available.
 func (m *Machine) ExecutionsByPE() []uint64 {
-	out := make([]uint64, len(m.current))
-	for i := range m.current {
-		s := &m.current[i]
-		s.mu.Lock()
-		out[i] = s.execs
-		s.mu.Unlock()
+	out := make([]uint64, len(m.pes))
+	for i := range m.pes {
+		out[i] = uint64(m.pes[i].TasksExecuted.Load())
 	}
 	return out
 }
@@ -671,19 +673,24 @@ func (m *Machine) Step() bool {
 		m.fab.Tick()
 	}
 	for {
-		nonEmpty := m.stepScratch[:0]
-		for i, p := range m.pools {
+		nonEmpty := 0
+		for _, p := range m.pools {
 			if p.Len() > 0 {
-				nonEmpty = append(nonEmpty, i)
+				nonEmpty++
 			}
 		}
-		if len(nonEmpty) == 0 {
+		if nonEmpty == 0 {
 			if m.fab == nil || !m.fab.Advance() {
 				return false
 			}
 			continue
 		}
-		pe := nonEmpty[m.rng.Intn(len(nonEmpty))]
+		k, pe := m.rng.Intn(nonEmpty), 0 // stop at the k-th non-empty pool
+		for ; k > 0 || m.pools[pe].Len() == 0; pe++ {
+			if m.pools[pe].Len() > 0 {
+				k--
+			}
+		}
 		var t task.Task
 		var ok bool
 		if m.cfg.Adversarial {
@@ -792,12 +799,10 @@ func (m *Machine) peLoop(i int) {
 			t, ok = pool.TryPop()
 		}
 		if !ok {
-			if c := m.cfg.Counters; c != nil {
-				c.IdlePolls.Add(1)
-			}
+			m.cfg.Counters.IdlePolls.Add(1)
 			// About to park: close the open batch so the trace shows the busy
 			// interval ending here.
-			if m.rec != nil {
+			if m.rec != nil && m.cfg.Obs != nil {
 				m.idle(i)
 			}
 			var closed bool
@@ -858,10 +863,8 @@ func (m *Machine) stealFor(pe int) bool {
 	if n == 0 {
 		return false
 	}
-	if c := m.cfg.Counters; c != nil {
-		c.Steals.Add(1)
-		c.StolenTasks.Add(int64(n))
-	}
+	m.cfg.Counters.Steals.Add(1)
+	m.cfg.Counters.StolenTasks.Add(int64(n))
 	return true
 }
 

@@ -22,7 +22,7 @@ func runScenario(t *testing.T, sc *Scenario) (core.CycleReport, *metrics.Counter
 		PEs: sc.Store.Partitions(), Mode: sched.Deterministic, Seed: 1,
 		PartOf: sc.Store.PartitionOf, Counters: counters,
 	})
-	marker := core.NewMarker(sc.Store, mach, counters)
+	marker := core.NewMarker(sc.Store, mach)
 	mach.SetHandler(core.NewDispatcher(marker, sched.HandlerFunc(func(_ int, tk task.Task) {
 		if tk.Kind == task.Demand {
 			mach.Spawn(tk) // park reduction tasks
@@ -31,7 +31,7 @@ func runScenario(t *testing.T, sc *Scenario) (core.CycleReport, *metrics.Counter
 	for _, tk := range sc.Tasks {
 		mach.Spawn(tk)
 	}
-	col := core.NewCollector(sc.Store, marker, mach, counters, core.CollectorConfig{
+	col := core.NewCollector(marker, core.CollectorConfig{
 		MTEvery: 1,
 	})
 	col.SetRoot(sc.Root)
@@ -128,7 +128,7 @@ func TestFig32MarkerPriorities(t *testing.T) {
 		PEs: 2, Mode: sched.Deterministic, Seed: 3,
 		PartOf: sc.Store.PartitionOf, Counters: counters,
 	})
-	marker := core.NewMarker(sc.Store, mach, counters)
+	marker := core.NewMarker(sc.Store, mach)
 	mach.SetHandler(core.NewDispatcher(marker, nil))
 	marker.StartCycle(graph.CtxR, []core.Root{{ID: sc.Root, Prior: graph.PriorVital}})
 	mach.RunUntil(func() bool { return marker.Done(graph.CtxR) }, 100000)

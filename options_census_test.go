@@ -18,7 +18,7 @@ import (
 // field goes.
 const (
 	maxOptions      = 16 // dgr.Options
-	maxConfigFields = 42 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
+	maxConfigFields = 41 // dgr.Options + serve.Options + sched.Config + fabric.Config + core.CollectorConfig
 )
 
 func exportedFields(v any) int {
