@@ -77,17 +77,21 @@ func TestTaskPathAllocBudget(t *testing.T) {
 // allocator: New, one Eval of fac 12 and Close on a default seeded machine.
 // Most of it is the store segments the program's vertices reach, so the
 // bound follows the vertex's size and the segment layout: a segment is one
-// partition's block of 64 vertices, 7.5 KiB at 120 bytes a vertex, and a
-// partition's segments come in chunks of 1, 2, 4, then 8, so a machine that
-// allocates on partition 0 pays for the blocks it reaches there, rounded up
-// to a chunk, plus a 256-byte first segment directory. The bound sits ~25 %
-// above the measured 36 KiB (47 with an 8 KiB directory). A segment of 512 vertices of all four partitions,
-// 60 KiB at 120 bytes (108 KiB for the 216-byte vertex), read 79 KiB; with
-// partition 3 paying a whole one for the top id alone, 145 KiB.
+// partition's block of 64 vertices, 6 152 bytes at 96 bytes a vertex, which
+// with the 8-byte header Go puts on a large pointerful object costs the
+// 6 528-byte size class; a partition's segments come in chunks of 1, 2, 4,
+// then 8 (6 528, 13 568, 27 264 and 57 344 bytes). fac 12 reaches three
+// blocks, about 20 KiB of segments, and the rest is the machine, the front
+// end and a 256-byte first segment directory: 31.9 KiB in all. The bound
+// sits ~25 % above. At 120 bytes a vertex a segment cost the 8 KiB class and
+// the same run read 36 KiB (47 with an 8 KiB directory); a segment of 512
+// vertices of all four partitions, 60 KiB at 120 bytes (108 KiB for the
+// 216-byte vertex), read 79 KiB; with partition 3 paying a whole one for the
+// top id alone, 145 KiB.
 func TestColdEvalByteBudget(t *testing.T) {
 	const (
 		src    = "let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 12"
-		budget = 45 << 10
+		budget = 40 << 10
 	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

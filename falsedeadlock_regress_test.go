@@ -70,7 +70,7 @@ func regenFalseDeadlockLog(t *testing.T) {
 		t.Fatalf("recording run produced only %d M_T cycles with roots; need ≥ 3", len(tCycles))
 	}
 	victim := tCycles[len(tCycles)/2]
-	epoch := uint64(0)
+	epoch := uint32(0)
 	for _, i := range tCycles {
 		epoch++
 		if i == victim {

@@ -290,7 +290,7 @@ func (c *Checker) markedClosureErrs(ctx graph.Ctx) []string {
 			case free:
 				errs = append(errs, fmt.Sprintf(
 					"I2(%s): marked v%d points to freed v%d — live vertex reclaimed", ctx, id, cid))
-			case st == graph.Unmarked && allocEpoch < epoch:
+			case st == graph.Unmarked && graph.EpochBefore(allocEpoch, epoch):
 				errs = append(errs, fmt.Sprintf(
 					"I2(%s): marked v%d has unmarked child v%d after completed cycle", ctx, id, cid))
 			}

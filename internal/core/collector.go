@@ -88,7 +88,7 @@ type Collector struct {
 	// what it reaches is retained whatever SetRoot does, without becoming
 	// vital work or a deadlock candidate on its account.
 	pin        graph.VertexID
-	lastTEpoch uint64 // T epoch of the most recent M_T run
+	lastTEpoch uint32 // T epoch of the most recent M_T run
 
 	// Two-phase deadlock verdict state. An M_T cycle's DL'_v computation
 	// yields candidates, which go to pending with a sched.Watch armed over
@@ -485,7 +485,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 		v.Lock()
 		switch {
 		case v.Kind == graph.KindFree:
-		case v.Red.AllocEpoch >= epochR:
+		case !graph.EpochBefore(v.Red.AllocEpoch, epochR):
 			// Allocated during this cycle: from F, not garbage (axiom 1).
 		case v.RCtx.StateAt(epochR) == graph.Unmarked:
 			rep.Reclaimed++
@@ -519,7 +519,7 @@ func (c *Collector) restructure(rep *CycleReport) {
 			return
 		case rep.MTRan &&
 			v.RCtx.PriorAt(epochR) == graph.PriorVital &&
-			v.Red.AllocEpochT < epochT &&
+			graph.EpochBefore(v.Red.AllocEpochT, epochT) &&
 			v.TCtx.StateAt(epochT) == graph.Unmarked &&
 			!v.IsValueLocked():
 			// DL'_v = R'_v − T', excluding vertices that already hold

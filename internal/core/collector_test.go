@@ -794,7 +794,7 @@ func TestExpungeMatchesOracle(t *testing.T) {
 			type key struct {
 				kind     task.Kind
 				src, dst graph.VertexID
-				epoch    uint64
+				epoch    uint32
 			}
 			keyOf := func(tk task.Task) key { return key{tk.Kind, tk.Src, tk.Dst, tk.Epoch} }
 			cmpKey := func(a, b key) int {
@@ -814,7 +814,7 @@ func TestExpungeMatchesOracle(t *testing.T) {
 				}
 				if tk.Kind.IsMarking() {
 					// Of no phase: were one to run, the marker would drop it.
-					tk.Ctx, tk.Prior, tk.Epoch = graph.Ctx(rng.Intn(2)), graph.PriorVital, 1<<40
+					tk.Ctx, tk.Prior, tk.Epoch = graph.Ctx(rng.Intn(2)), graph.PriorVital, 1<<30
 				}
 				queued = append(queued, tk)
 				if tk.Kind.IsReduction() && res.Gar[tk.Dst] {

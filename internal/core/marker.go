@@ -33,8 +33,10 @@ type Root = sched.Root
 // ctxState is the per-context cycle bookkeeping: the paper's rootpar/done
 // protocol generalized to many roots.
 type ctxState struct {
-	epoch  atomic.Uint64
+	epoch  atomic.Uint32
 	active atomic.Bool
+	// renormed is the epoch at the marker's last renormalisation (BeginCycle).
+	renormed uint32
 
 	mu           sync.Mutex
 	pendingRoots int64
@@ -114,7 +116,7 @@ func (m *Marker) Store() *graph.Store { return m.store }
 func (m *Marker) Machine() *sched.Machine { return m.mach }
 
 // Epoch returns the current cycle epoch of a context.
-func (m *Marker) Epoch(c graph.Ctx) uint64 { return m.ctxs[c].epoch.Load() }
+func (m *Marker) Epoch(c graph.Ctx) uint32 { return m.ctxs[c].epoch.Load() }
 
 // Active reports whether a marking cycle is in progress for the context.
 func (m *Marker) Active(c graph.Ctx) bool { return m.ctxs[c].active.Load() }
@@ -148,21 +150,33 @@ func (m *Marker) Upgrades(c graph.Ctx) int64 { return m.ctxs[c].upgrades.Load() 
 // coopTaskEdgeLocked) and registers still-unmarked endpoints as extra cycle
 // roots — so any activity concurrent with the snapshot is covered by
 // cooperation, and anything earlier is covered by the snapshot itself.
+//
+// The epoch is 32 bits and wraps (graph.NextEpoch). A counter that has come
+// graph.RenormEvery epochs since the last renormalisation has the store
+// renormalised first, which keeps every stamp within the wrap rule's bound
+// (DESIGN.md §8, "The wrap rule"); any other BeginCycle pays one compare for
+// it. BeginCycle's callers take turns: a marker has one collector.
 func (m *Marker) BeginCycle(c graph.Ctx) <-chan struct{} {
 	st := &m.ctxs[c]
-	st.mu.Lock()
-	epoch := st.epoch.Load() + 1
-	if epoch>>itemEpochBits != 0 { // a queued item holds 60 bits of it
-		st.mu.Unlock()
-		panic("core: marking epoch reached 2^60")
+	if st.epoch.Load()-st.renormed >= graph.RenormEvery {
+		m.renormalise()
 	}
-	st.epoch.Store(epoch)
+	st.mu.Lock()
+	st.epoch.Store(graph.NextEpoch(st.epoch.Load()))
 	st.pendingRoots = 1 // seeding sentinel, released by SeedRoots
 	st.done = make(chan struct{})
 	ch := st.done
 	st.active.Store(true)
 	st.mu.Unlock()
 	return ch
+}
+
+// renormalise applies the wrap rule to the store at both contexts' current
+// epochs, which stay put meanwhile: only BeginCycle advances them.
+func (m *Marker) renormalise() {
+	r, t := m.Epoch(graph.CtxR), m.Epoch(graph.CtxT)
+	m.store.Renormalise(r, t)
+	m.ctxs[graph.CtxR].renormed, m.ctxs[graph.CtxT].renormed = r, t
 }
 
 // SeedRoots registers the cycle's root set and puts each root on its
@@ -239,31 +253,28 @@ func (m *Marker) rootReturn(c graph.Ctx) {
 const waveBudget = 256
 
 // item is one mark or return on a wave list: a task.Task of 16 bytes rather
-// than 48. word packs epoch<<4 | ctx<<3 | isMark<<2 | prior; BeginCycle keeps
-// every epoch below 2⁶⁰, so the packing loses nothing. A task is built from an
-// item only where one leaves the drain: the cut, cooperation and EachPending.
+// than 32. word packs epoch<<4 | ctx<<3 | isMark<<2 | prior, the 32-bit epoch
+// whole. A task is built from an item only where one leaves the drain: the
+// cut, cooperation and EachPending.
 type item struct {
 	src, dst graph.VertexID
 	word     uint64
 }
 
-// itemMark is the word's isMark bit; itemEpochBits is the width of its epoch.
-const (
-	itemMark      = 1 << 2
-	itemEpochBits = 60
-)
+// itemMark is the word's isMark bit.
+const itemMark = 1 << 2
 
-func markItem(c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) item {
-	return item{src: par, dst: dst, word: epoch<<4 | uint64(c)<<3 | itemMark | uint64(prior)}
+func markItem(c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint32) item {
+	return item{src: par, dst: dst, word: uint64(epoch)<<4 | uint64(c)<<3 | itemMark | uint64(prior)}
 }
 
-func returnItem(c graph.Ctx, from, par graph.VertexID, epoch uint64) item {
-	return item{src: from, dst: par, word: epoch<<4 | uint64(c)<<3}
+func returnItem(c graph.Ctx, from, par graph.VertexID, epoch uint32) item {
+	return item{src: from, dst: par, word: uint64(epoch)<<4 | uint64(c)<<3}
 }
 
 // itemOf packs a mark or return task.
 func itemOf(t task.Task) item {
-	it := item{src: t.Src, dst: t.Dst, word: t.Epoch<<4 | uint64(t.Ctx)<<3 | uint64(t.Prior)}
+	it := item{src: t.Src, dst: t.Dst, word: uint64(t.Epoch)<<4 | uint64(t.Ctx)<<3 | uint64(t.Prior)}
 	if t.Kind == task.Mark {
 		it.word |= itemMark
 	}
@@ -273,7 +284,7 @@ func itemOf(t task.Task) item {
 func (it item) isMark() bool   { return it.word&itemMark != 0 }
 func (it item) ctx() graph.Ctx { return graph.Ctx(it.word >> 3 & 1) }
 func (it item) prior() uint8   { return uint8(it.word & 3) }
-func (it item) epoch() uint64  { return it.word >> 4 }
+func (it item) epoch() uint32  { return uint32(it.word >> 4) }
 
 // task is the task it packs.
 func (it item) task() task.Task {
@@ -492,7 +503,7 @@ func (s *partSlot) add(it item) {
 }
 
 // continuation is the task that drains partition PartOf(dst)'s list. It is a
-// mark of epoch 0, which no cycle has: the scheduler counts and bands it with
+// mark of epoch 0, which no cycle has (graph.NextEpoch never issues it): the scheduler counts and bands it with
 // the marks, and every reader that matches marking work to a cycle by epoch
 // (the stale-task test, the invariant checker) passes it by. Which vertex of
 // the partition dst is carries no meaning.
@@ -680,7 +691,7 @@ const taskChildrenInline = 8
 // record the marking-tree parent and priority, spawn mark tasks on the
 // context's children, and mark immediately if there are none. The caller
 // holds v's lock.
-func (m *Marker) modifyLocked(d *drain, v *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
+func (m *Marker) modifyLocked(d *drain, v *graph.Vertex, c graph.Ctx, epoch uint32, par graph.VertexID, prior uint8) {
 	mc := v.CtxOf(c)
 	mc.Touch(epoch, par, prior)
 
@@ -754,12 +765,12 @@ func (m *Marker) handleReturn(d *drain, it item) {
 // mark. Disarmed (the normal case) it is a single atomic load. Armed, the
 // decision is a pure function of (parent, child, epoch) — order-independent,
 // so replay reproduces the recorded run's faults exactly.
-func (m *Marker) faultDropsMark(par, child graph.VertexID, epoch uint64) bool {
+func (m *Marker) faultDropsMark(par, child graph.VertexID, epoch uint32) bool {
 	n := m.faultSkipN.Load()
 	if n <= 0 {
 		return false
 	}
-	h := uint64(par)*0x9E3779B97F4A7C15 ^ uint64(child)*0xBF58476D1CE4E5B9 ^ epoch*0x94D049BB133111EB
+	h := uint64(par)*0x9E3779B97F4A7C15 ^ uint64(child)*0xBF58476D1CE4E5B9 ^ uint64(epoch)*0x94D049BB133111EB
 	h ^= h >> 31
 	return h%uint64(n) == 0
 }
@@ -781,13 +792,13 @@ func (m *Marker) spawn(d *drain, it item) {
 }
 
 // spawnMark issues a mark.
-func (m *Marker) spawnMark(d *drain, c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint64) {
+func (m *Marker) spawnMark(d *drain, c graph.Ctx, par, dst graph.VertexID, prior uint8, epoch uint32) {
 	m.spawn(d, markItem(c, par, dst, prior, epoch))
 }
 
 // spawnReturn issues a return to the marking-tree parent par (from vertex
 // from, for diagnostics).
-func (m *Marker) spawnReturn(d *drain, c graph.Ctx, from, par graph.VertexID, epoch uint64) {
+func (m *Marker) spawnReturn(d *drain, c graph.Ctx, from, par graph.VertexID, epoch uint32) {
 	m.spawn(d, returnItem(c, from, par, epoch))
 }
 
@@ -797,7 +808,7 @@ func (m *Marker) spawnReturn(d *drain, c graph.Ctx, from, par graph.VertexID, ep
 // invariant 2 (a marked vertex never points to an unmarked vertex). The
 // caller holds child's lock; par is the transient vertex whose mt-cnt was
 // incremented for this mark.
-func (m *Marker) executeMarkLocked(child *graph.Vertex, c graph.Ctx, epoch uint64, par graph.VertexID, prior uint8) {
+func (m *Marker) executeMarkLocked(child *graph.Vertex, c graph.Ctx, epoch uint32, par graph.VertexID, prior uint8) {
 	mc := child.CtxOf(c)
 	if mc.StateAt(epoch) == graph.Unmarked {
 		m.modifyLocked(nil, child, c, epoch, par, prior)

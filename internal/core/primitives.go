@@ -136,7 +136,7 @@ func (mu *Mutator) ExpandNode(a *graph.Vertex, fresh []*graph.Vertex, splice fun
 
 	type coopPlan struct {
 		ctx   graph.Ctx
-		epoch uint64
+		epoch uint32
 		state graph.MarkState
 		prior uint8
 	}
@@ -309,7 +309,7 @@ func (mu *Mutator) AddRequesterCoop(y, x *graph.Vertex, rk graph.ReqKind) {
 // marked parents.
 //
 // Vertices allocated at or after the cycle's epoch are skipped: the
-// deadlock criterion already exempts them (AllocEpochT < epochT), so
+// deadlock criterion already exempts them (AllocEpochT not before epochT), so
 // marking them buys nothing and would let a busy reduction phase keep the
 // cycle alive indefinitely.
 func (mu *Mutator) CoopTaskSpawn(src, dst graph.VertexID) {
@@ -327,7 +327,7 @@ func (mu *Mutator) CoopTaskSpawn(src, dst graph.VertexID) {
 		}
 		v.Lock()
 		needsRoot := v.Kind != graph.KindFree &&
-			v.Red.AllocEpochT < epoch &&
+			graph.EpochBefore(v.Red.AllocEpochT, epoch) &&
 			v.CtxOf(graph.CtxT).StateAt(epoch) == graph.Unmarked
 		v.Unlock()
 		if needsRoot && mu.marker.AddRootDuringCycle(graph.CtxT, id, 0) {

@@ -411,7 +411,7 @@ func TestWaveListMatchesSliceModel(t *testing.T) {
 	d := drain{w: &w}
 	var model, omodel [4][]item
 	mk := func(op, class int) item {
-		c, src, epoch := graph.Ctx(op&1), graph.VertexID(op+7), uint64(1+op%5)<<40|uint64(op)
+		c, src, epoch := graph.Ctx(op&1), graph.VertexID(op+7), uint32(1+op%5)<<28|uint32(op)
 		if class == 0 {
 			return returnItem(c, src, graph.VertexID(op), epoch)
 		}
@@ -527,12 +527,12 @@ func TestWaveListMatchesSliceModel(t *testing.T) {
 
 // TestWaveItem: an item is a mark or return task in 16 bytes. Every kind,
 // context and priority, from rootpar and from the last id, at epochs 1,
-// 2³²+1 and 2⁶⁰−1, goes to a task and back unchanged, and markItem and
+// 2³¹+1 and the last the counter issues, goes to a task and back unchanged, and markItem and
 // returnItem pack what spawnMark and spawnReturn spawned as tasks. The
 // register lives in the drain, so a partition's slot stays within 304 bytes.
 // The CI census prints both sizes.
 func TestWaveItem(t *testing.T) {
-	for _, epoch := range []uint64{1, 1<<32 + 1, 1<<itemEpochBits - 1} {
+	for _, epoch := range []uint32{1, 1<<31 + 1, graph.FreshAllocEpoch - 1} {
 		for _, kind := range []task.Kind{task.Mark, task.Return} {
 			for _, c := range []graph.Ctx{graph.CtxR, graph.CtxT} {
 				for prior := range uint8(4) {
@@ -566,30 +566,20 @@ func TestWaveItem(t *testing.T) {
 	}
 }
 
-// TestEpochStopsShortOf2to60: an item holds 60 bits of its epoch, so
-// BeginCycle refuses the cycle that would reach 2⁶⁰. A cycle at 2⁶⁰−1 still
-// marks through the wave and completes; the next one panics and leaves the
-// epoch where it was.
-func TestEpochStopsShortOf2to60(t *testing.T) {
-	const last = 1<<itemEpochBits - 1
+// TestEpochWrapsThroughTheWave: an item holds the whole 32-bit epoch, and
+// the counter wraps past the sentinel to 1, never 0, which would read as a
+// continuation. A cycle at the last epoch before the sentinel and the one
+// after it both mark through the wave and across the cut arc, and complete.
+func TestEpochWrapsThroughTheWave(t *testing.T) {
 	r := newRig(t, 2, 1, false)
 	a, b := r.vertexOn(0, graph.KindApply), r.vertexOn(1, graph.KindInt)
 	r.edge(a, b, graph.ReqVital)
-	r.marker.ctxs[graph.CtxR].epoch.Store(last - 1)
-	r.runCycle(graph.CtxR, Root{ID: a.ID, Prior: graph.PriorVital})
-	if e := r.marker.Epoch(graph.CtxR); e != last {
-		t.Fatalf("epoch %d, want %d", e, uint64(last))
-	}
-	r.assertMarked(graph.CtxR, a, b)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("BeginCycle opened a cycle at epoch 2^60")
-			}
-		}()
-		r.marker.BeginCycle(graph.CtxR)
-	}()
-	if e := r.marker.Epoch(graph.CtxR); e != last {
-		t.Fatalf("a refused BeginCycle left epoch %d, want %d", e, uint64(last))
+	r.marker.ctxs[graph.CtxR].epoch.Store(graph.FreshAllocEpoch - 2)
+	for _, want := range []uint32{graph.FreshAllocEpoch - 1, 1} {
+		r.runCycle(graph.CtxR, Root{ID: a.ID, Prior: graph.PriorVital})
+		if e := r.marker.Epoch(graph.CtxR); e != want {
+			t.Fatalf("epoch %d, want %d", e, want)
+		}
+		r.assertMarked(graph.CtxR, a, b)
 	}
 }

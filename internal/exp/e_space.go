@@ -37,7 +37,10 @@ func runSpace(cfg Config) (*Table, error) {
 	t.AddRow("Vertex struct (first 2 args, first requester inline)", vertexSize, "100%")
 	t.AddRow("one MarkCtx (epoch, mt-cnt, mt-par, state, prior)", ctxSize, pct(ctxSize))
 	t.AddRow("both contexts (M_R + M_T, §5.2)", markBytes, pct(markBytes))
-	t.AddRow("allocation stamps (axiom-1 sweep guard)", stampBytes, pct(stampBytes))
+	t.AddRow(fmt.Sprintf("allocation stamps (axiom-1 sweep guard, 2 × %d-bit)", 8*unsafe.Sizeof(v.Red.AllocEpoch)), stampBytes, pct(stampBytes))
+	class := heapClass(graph.SegmentBytes + mallocHeader)
+	t.AddRow("segment (64 vertices and the in-use word)", graph.SegmentBytes, "-")
+	t.AddRow("segment's heap size class (what one costs the allocator)", class, "-")
 	t.Note("a larger edge set lives in an overflow record the vertex holds only while it needs one")
 	t.Note("the paper's space optimization [6] folds every mt-cnt and mt-par into two words per PE; kept per-vertex here (sanctioned by §6 for coarser granularity) and traded for O(1) epoch-based unmarking between cycles")
 
@@ -45,5 +48,19 @@ func runSpace(cfg Config) (*Table, error) {
 	if float64(markBytes) > 0.8*float64(vertexSize) {
 		return t, fmt.Errorf("space: marking fields dominate the vertex (%d of %d bytes)", markBytes, vertexSize)
 	}
+	if class < graph.SegmentBytes || class > graph.SegmentBytes+graph.SegmentBytes/8 {
+		return t, fmt.Errorf("space: a %d-byte segment costs the heap %d bytes", graph.SegmentBytes, class)
+	}
 	return t, nil
+}
+
+// mallocHeader is the header Go (1.22 on) puts on an object of more than
+// 512 bytes that holds pointers, up to 32 KiB: a segment is one.
+const mallocHeader = 8
+
+// heapClass is the bytes the Go allocator spends on an n-byte object: an
+// append to a nil slice rounds its capacity up to the size class (or, past
+// 32 KiB, to whole pages).
+func heapClass(n uintptr) uintptr {
+	return uintptr(cap(append([]byte(nil), make([]byte, n)...)))
 }

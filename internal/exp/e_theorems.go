@@ -158,7 +158,7 @@ func runThm1(cfg Config) (*Table, error) {
 			r.store.ForEach(func(v *graph.Vertex) {
 				v.Lock()
 				defer v.Unlock()
-				if v.Kind == graph.KindFree || v.Red.AllocEpoch >= epoch {
+				if v.Kind == graph.KindFree || !graph.EpochBefore(v.Red.AllocEpoch, epoch) {
 					return
 				}
 				if v.RCtx.StateAt(epoch) == graph.Unmarked {

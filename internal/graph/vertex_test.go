@@ -205,40 +205,105 @@ func TestResetFree(t *testing.T) {
 
 func TestMarkCtxTouchQuick(t *testing.T) {
 	// Property: after Touch(e, p, pr), state at e is Transient with the
-	// given parent and priority, and state at e+1 is Unmarked.
-	f := func(epoch uint64, par uint32, prior uint8) bool {
+	// given parent and priority, and state at the counter's next epoch is
+	// Unmarked. Half the epochs are drawn from the last and first few the
+	// 32-bit counter issues, where NextEpoch wraps.
+	nearWrap := []uint32{FreshAllocEpoch - 3, FreshAllocEpoch - 2, FreshAllocEpoch - 1, 1, 2, 3}
+	f := func(epoch uint32, wrap bool, par uint32, prior uint8) bool {
+		if wrap {
+			epoch = nearWrap[epoch%uint32(len(nearWrap))]
+		}
 		prior = prior%3 + 1
 		var c MarkCtx
 		c.Touch(epoch, VertexID(par), prior)
+		next := NextEpoch(epoch)
 		return c.StateAt(epoch) == Transient &&
 			c.MtPar == VertexID(par) &&
 			c.PriorAt(epoch) == prior &&
-			c.StateAt(epoch+1) == Unmarked
+			c.StateAt(next) == Unmarked &&
+			next != 0 && next != FreshAllocEpoch &&
+			EpochBefore(epoch, next) && !EpochBefore(next, epoch)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestVertexSize: a vertex is 120 bytes, so a segment of segSize (64)
-// vertices and its in-use word, 7 688 bytes, fit Go's 8 KiB size class, and
-// a chunk of 8 segments fits 64 KiB, eight pages, where 512 216-byte
-// vertices took fourteen. The CI census prints both sizes. An overflow
-// record is 120 bytes, which falls in Go's 128-byte size class: a record
-// costs an allocation what a 128-byte one would.
+// TestWrapRule: the counter steps over 0 and the sentinel; serial-number
+// order holds across the wrap and reads the sentinel as after everything;
+// renormalising pulls a stamp lagging by more than epochLagMax up to lag by
+// exactly that — still before, and still stale — and leaves the rest alone.
+func TestWrapRule(t *testing.T) {
+	if got := NextEpoch(FreshAllocEpoch - 1); got != 1 {
+		t.Errorf("NextEpoch(2^32-2) = %d, want 1", got)
+	}
+	if !EpochBefore(FreshAllocEpoch-1, 1) || EpochBefore(1, FreshAllocEpoch-1) {
+		t.Error("serial-number order flips across the wrap")
+	}
+	if EpochBefore(FreshAllocEpoch, 1) || EpochBefore(FreshAllocEpoch, FreshAllocEpoch-1) {
+		t.Error("FreshAllocEpoch reads as before a real epoch")
+	}
+	f := func(now, lag uint32) bool {
+		if now == 0 || now == FreshAllocEpoch {
+			return true
+		}
+		lag %= 1 << 31 // the wrap rule's bound
+		stamp := now - lag
+		if stamp == FreshAllocEpoch {
+			return true
+		}
+		var v Vertex
+		v.RCtx.Epoch, v.TCtx.Epoch = stamp, stamp
+		v.Red = RedState{AllocEpoch: stamp, AllocEpochT: FreshAllocEpoch}
+		v.renormalise(now, now)
+		got := v.RCtx.Epoch
+		if lag <= epochLagMax {
+			if got != stamp {
+				return false
+			}
+		} else if d := now - got; d != epochLagMax && d != epochLagMax+1 || got == FreshAllocEpoch {
+			return false
+		}
+		return v.TCtx.Epoch == got && v.Red.AllocEpoch == got &&
+			v.Red.AllocEpochT == FreshAllocEpoch &&
+			(lag == 0 || EpochBefore(got, now) && v.RCtx.StateAt(now) == Unmarked)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestVertexSize: a vertex is 96 bytes, so a segment of segSize (64)
+// vertices and its in-use word, 6 152 bytes and the 8-byte header Go puts
+// on an object of more than 512 bytes that holds pointers, costs the heap
+// the 6 528-byte size class (7 688 bytes and the 8 KiB class at 120), and a
+// chunk of 8 segments 56 KiB, seven pages. The class is what one segment
+// allocation adds to the heap, averaged over 64 of them so that a stray
+// allocation elsewhere cannot move it. The CI census prints both sizes and
+// the class. An overflow record is 120 bytes, which falls in Go's 128-byte
+// size class: a record costs an allocation what a 128-byte one would.
 func TestVertexSize(t *testing.T) {
 	vsz, ssz := unsafe.Sizeof(Vertex{}), unsafe.Sizeof(segment{})
-	t.Logf("census: Sizeof(Vertex)=%d Sizeof(segment)=%d", vsz, ssz)
-	if vsz != 120 {
-		t.Errorf("Sizeof(Vertex) = %d, want 120", vsz)
+	const n = 64
+	class := allocatedBytes(func() {
+		for range n {
+			sink = make([]segment, 1)
+		}
+	}) / n
+	t.Logf("census: Sizeof(Vertex)=%d Sizeof(segment)=%d segment heap class=%d", vsz, ssz, class)
+	if vsz != 96 {
+		t.Errorf("Sizeof(Vertex) = %d, want 96", vsz)
 	}
-	if ssz > 8<<10 {
-		t.Errorf("Sizeof(segment) = %d, want <= %d", ssz, 8<<10)
+	if class != 6528 {
+		t.Errorf("a segment costs the heap %d bytes, want the 6528-byte size class", class)
 	}
 	if got := unsafe.Sizeof(overflow{}); got != 120 {
 		t.Errorf("Sizeof(overflow) = %d, want 120", got)
 	}
 }
+
+// sink keeps TestVertexSize's segment on the heap.
+var sink []segment
 
 // TestSerialStoreSkipsVertexLock: a serial store's vertices leave their
 // mutex alone, and a default store's take it. The flag

@@ -55,7 +55,7 @@ func (o *Op) UnmarshalText(b []byte) error {
 type Entry struct {
 	Seq    uint64         `json:"seq,omitempty"`    // an execution's number; another entry's, the execution count when written
 	Parent uint64         `json:"parent,omitempty"` // the spawner's Seq+1; 0 from outside any execution
-	Epoch  uint64         `json:"epoch,omitempty"`
+	Epoch  uint32         `json:"epoch,omitempty"`
 	At     int64          `json:"-"` // an execution's clock, its busy window's (account.go); another entry's ticket (stamp)
 	Src    graph.VertexID `json:"src,omitempty"`
 	Dst    graph.VertexID `json:"dst,omitempty"`

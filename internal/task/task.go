@@ -88,8 +88,13 @@ type Task struct {
 	// written <-,d> in the paper).
 	Src graph.VertexID
 	// Dst is the destination vertex d; the task executes on the PE owning d.
-	Dst  graph.VertexID
-	Kind Kind
+	Dst graph.VertexID
+	// Epoch tags Mark/Return tasks with their marking cycle so tasks that
+	// straddle a cycle boundary (e.g. spawned by a cooperating mutator just
+	// as the cycle completes) are dropped instead of corrupting the next
+	// cycle's mt-cnt accounting.
+	Epoch uint32
+	Kind  Kind
 	// Req is the request kind for Demand tasks.
 	Req graph.ReqKind
 	// Ctx selects the marking context for Mark/Return tasks.
@@ -98,11 +103,6 @@ type Task struct {
 	Prior uint8
 	// Band caches the scheduling band, ComputeBand as of the push.
 	Band uint8
-	// Epoch tags Mark/Return tasks with their marking cycle so tasks that
-	// straddle a cycle boundary (e.g. spawned by a cooperating mutator just
-	// as the cycle completes) are dropped instead of corrupting the next
-	// cycle's mt-cnt accounting.
-	Epoch uint64
 	// Parent is the number (the record's Seq plus one) of the execution that
 	// spawned or handed off the task, and 0 for a spawn from outside any
 	// execution: the root demand, a phase's roots, a cooperating mutator's
