@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"dgr/internal/graph"
@@ -177,6 +178,20 @@ func TestEvalParseError(t *testing.T) {
 	defer m.Close()
 	if _, err := m.Eval("1 +"); err == nil {
 		t.Fatal("parse error not surfaced")
+	}
+}
+
+// TestEvalIntegerLiteralOutOfRange: a literal past int64 is a parse error
+// on both engines, not a value wrapped around.
+func TestEvalIntegerLiteralOutOfRange(t *testing.T) {
+	const want = `line 1: integer literal "99999999999999999999" out of range`
+	for _, engine := range []string{EngineInterp, EngineCompiled} {
+		m := New(Options{PEs: 1, Engine: engine})
+		v, err := m.Eval("99999999999999999999 + 1")
+		m.Close()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Eval = %v, %v, want error %q", engine, v, err, want)
+		}
 	}
 }
 

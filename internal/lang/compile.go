@@ -28,28 +28,14 @@ func (tNil) termNode()  {}
 func (tLeaf) termNode() {}
 func (*tApp) termNode() {}
 
-// A Compiler's slabs of application nodes start at minSlab nodes and
-// double up to maxSlab, so a small program leaves little of its last slab
-// unused and a large one takes few slabs.
-const (
-	minSlab = 4
-	maxSlab = 32
-)
-
 // ap builds the application node f a: a node abstraction let go if there
-// is one, else the next of the compiler's slab. The nodes of one compile
-// come a slab at a time, and a full slab is left to the nodes that point
-// into it.
+// is one, else the next of the compiler's slab.
 func (c *Compiler) ap(f, a term) term {
 	n := c.free
 	if n != nil {
 		c.free, _ = n.fun.(*tApp)
 	} else {
-		if len(c.slab) == cap(c.slab) {
-			c.slab = make([]tApp, 0, min(maxSlab, max(minSlab, 2*cap(c.slab))))
-		}
-		c.slab = c.slab[:len(c.slab)+1]
-		n = &c.slab[len(c.slab)-1]
+		n = c.slab.new()
 	}
 	n.fun, n.arg = f, a
 	return n
@@ -131,7 +117,7 @@ type Compiler struct {
 	b     *graph.Builder
 	leaves
 	env  scope[term] // tVar for lambda parameters, tLeaf holes for letrec bindings
-	slab []tApp
+	slab slab[tApp]
 	free *tApp // nodes abstraction let go, linked through fun
 }
 
@@ -166,7 +152,7 @@ func CompileString(store *graph.Store, src string) (*graph.Vertex, error) {
 // c.env.
 func (c *Compiler) toTerm(e Expr) (term, error) {
 	switch x := e.(type) {
-	case Var:
+	case *Var:
 		if t, ok := c.env.lookup(x.Name); ok {
 			return t, nil
 		}
@@ -174,13 +160,13 @@ func (c *Compiler) toTerm(e Expr) (term, error) {
 			return t, nil
 		}
 		return nil, fmt.Errorf("unbound variable %q", x.Name)
-	case IntLit:
+	case *IntLit:
 		return tInt{n: x.Val}, nil
-	case BoolLit:
+	case *BoolLit:
 		return tBool{v: x.Val}, nil
-	case NilLit:
+	case *NilLit:
 		return tNil{}, nil
-	case App:
+	case *App:
 		f, err := c.toTerm(x.Fun)
 		if err != nil {
 			return nil, err
@@ -190,7 +176,7 @@ func (c *Compiler) toTerm(e Expr) (term, error) {
 			return nil, err
 		}
 		return c.ap(f, a), nil
-	case If:
+	case *If:
 		cond, err := c.toTerm(x.Cond)
 		if err != nil {
 			return nil, err
@@ -204,7 +190,7 @@ func (c *Compiler) toTerm(e Expr) (term, error) {
 			return nil, err
 		}
 		return c.ap(c.ap(c.ap(tPrim{p: graph.PrimIf}, cond), thn), els), nil
-	case Lam:
+	case *Lam:
 		mark := len(c.env)
 		for _, p := range x.Params {
 			c.env.push(p, tVar{name: p})
@@ -218,7 +204,7 @@ func (c *Compiler) toTerm(e Expr) (term, error) {
 			body = c.abstract(x.Params[i], body)
 		}
 		return body, nil
-	case Let:
+	case *Let:
 		// A binding that captures an enclosing lambda parameter cannot be
 		// a static graph knot (its value differs per call); desugar such
 		// lets to applications, with fix for self-recursive bindings.
@@ -254,7 +240,7 @@ func (c *Compiler) toTerm(e Expr) (term, error) {
 
 // capturesLambdaVar reports whether any binding value of the let has a
 // free variable that is currently bound to a lambda parameter (tVar).
-func (c *Compiler) capturesLambdaVar(x Let) bool {
+func (c *Compiler) capturesLambdaVar(x *Let) bool {
 	letNames := make(map[string]bool, len(x.Binds))
 	for _, b := range x.Binds {
 		letNames[b.Name] = true
@@ -277,7 +263,7 @@ func (c *Compiler) capturesLambdaVar(x Let) bool {
 // applications (\x1. ... (\xn. body) en' ...) e1', where a self-recursive
 // ei becomes fix (\xi. ei). Forward and mutual references between the
 // bindings are not expressible this way and are rejected.
-func desugarLet(x Let) (Expr, error) {
+func desugarLet(x *Let) (Expr, error) {
 	expr := x.Body
 	for i := len(x.Binds) - 1; i >= 0; i-- {
 		b := x.Binds[i]
@@ -292,9 +278,9 @@ func desugarLet(x Let) (Expr, error) {
 		}
 		val := b.Val
 		if free[b.Name] {
-			val = App{Fun: Var{Name: "fix"}, Arg: Lam{Params: []string{b.Name}, Body: val}}
+			val = &App{Fun: &Var{Name: "fix"}, Arg: &Lam{Params: []string{b.Name}, Body: val}}
 		}
-		expr = App{Fun: Lam{Params: []string{b.Name}, Body: expr}, Arg: val}
+		expr = &App{Fun: &Lam{Params: []string{b.Name}, Body: expr}, Arg: val}
 	}
 	return expr, nil
 }

@@ -35,34 +35,34 @@ func DigestString(src string) (string, error) {
 // prefixed so concatenations of sibling encodings cannot collide.
 func writeExpr(h hash.Hash, e Expr) {
 	switch x := e.(type) {
-	case Var:
+	case *Var:
 		writeTagged(h, 'V', x.Name)
-	case IntLit:
+	case *IntLit:
 		writeTagged(h, 'I', strconv.FormatInt(x.Val, 10))
-	case BoolLit:
+	case *BoolLit:
 		if x.Val {
 			writeTagged(h, 'B', "t")
 		} else {
 			writeTagged(h, 'B', "f")
 		}
-	case NilLit:
+	case *NilLit:
 		writeTagged(h, 'N', "")
-	case App:
+	case *App:
 		writeTagged(h, 'A', "")
 		writeExpr(h, x.Fun)
 		writeExpr(h, x.Arg)
-	case If:
+	case *If:
 		writeTagged(h, 'C', "")
 		writeExpr(h, x.Cond)
 		writeExpr(h, x.Then)
 		writeExpr(h, x.Else)
-	case Lam:
+	case *Lam:
 		writeTagged(h, 'L', strconv.Itoa(len(x.Params)))
 		for _, p := range x.Params {
 			writeTagged(h, 'p', p)
 		}
 		writeExpr(h, x.Body)
-	case Let:
+	case *Let:
 		writeTagged(h, 'E', strconv.Itoa(len(x.Binds)))
 		for _, b := range x.Binds {
 			writeTagged(h, 'b', b.Name)

@@ -36,25 +36,29 @@ var fuzzSeeds = []string{
 	"1 +",
 	"seq bottom 1",
 	"isbottom (let x = x in x)",
+	"99999999999999999999 + 1",
 }
 
-// FuzzLex: the lexer must terminate without panicking on arbitrary bytes.
+// FuzzLex: the lexer must terminate without panicking on arbitrary bytes,
+// and scan must count the tokens a lexer pulls, or fail as it does.
 func FuzzLex(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Add("\x00\xff")
+	f.Add("let café = 1 in café")
+	f.Add("1 + ©")
 	f.Add(strings.Repeat("~", 64))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		_, _ = lex(src)
+		_, _ = tokens(t, src)
 	})
 }
 
-// FuzzParse: parse, and when parsing succeeds, require that the printed
-// form re-parses (String is the generator's bridge into Machine.Eval, so
+// FuzzParse: parse, and when parsing succeeds, require that scan's tally
+// counted the tree's nodes exactly and that the printed form re-parses (String is the generator's bridge into Machine.Eval, so
 // a print/re-parse gap is a real bug, not fuzz noise). Negative literals
 // are the one known asymmetry: they only arise from evaluation, never
 // from parsing, so printed output cannot contain them here.
@@ -72,6 +76,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkTally(t, src, e)
 		printed := e.String()
 		back, err := Parse(printed)
 		if err != nil {

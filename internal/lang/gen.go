@@ -138,9 +138,9 @@ func (s *genState) intExpr(depth int) Expr {
 			op = "%"
 		}
 		d := int64(s.rng.Intn(7) + 1)
-		return s.binop(op, s.intExpr(depth-1), IntLit{Val: d})
+		return s.binop(op, s.intExpr(depth-1), &IntLit{Val: d})
 	case 5: // conditional
-		return If{
+		return &If{
 			Cond: s.boolExpr(depth - 1),
 			Then: s.intExpr(depth - 1),
 			Else: s.intExpr(depth - 1),
@@ -152,7 +152,7 @@ func (s *genState) intExpr(depth int) Expr {
 		s.vars = append(s.vars, genVar{name: name, ty: tyInt})
 		body := s.intExpr(depth - 1)
 		s.vars = s.vars[:saved]
-		return Let{Binds: []Bind{{Name: name, Val: val}}, Body: body}
+		return &Let{Binds: []Bind{{Name: name, Val: val}}, Body: body}
 	case 7: // lambda applied immediately (exercises lifting + saturation)
 		return s.applyLambda(depth)
 	case 8: // structurally terminating recursion template
@@ -166,31 +166,31 @@ func (s *genState) intExpr(depth int) Expr {
 // int variable.
 func (s *genState) intLeaf() Expr {
 	if vs := s.ofType(tyInt); len(vs) > 0 && s.rng.Intn(2) == 0 {
-		return Var{Name: vs[s.rng.Intn(len(vs))].name}
+		return &Var{Name: vs[s.rng.Intn(len(vs))].name}
 	}
 	// Non-negative only: the surface syntax has no negative literals, so
 	// a negative IntLit would not re-parse from its rendering. Negative
 	// runtime values still arise through subtraction.
-	return IntLit{Val: int64(s.rng.Intn(13))}
+	return &IntLit{Val: int64(s.rng.Intn(13))}
 }
 
 // boolExpr generates a bool-typed expression.
 func (s *genState) boolExpr(depth int) Expr {
 	if depth <= 0 {
-		return BoolLit{Val: s.rng.Intn(2) == 0}
+		return &BoolLit{Val: s.rng.Intn(2) == 0}
 	}
 	switch s.rng.Intn(6) {
 	case 0:
-		return BoolLit{Val: s.rng.Intn(2) == 0}
+		return &BoolLit{Val: s.rng.Intn(2) == 0}
 	case 1, 2: // comparison
 		op := [...]string{"__lt", "__le", "__gt", "__ge", "__eq", "__ne"}[s.rng.Intn(6)]
-		return apps(Var{Name: op}, s.intExpr(depth-1), s.intExpr(depth-1))
+		return apps(&Var{Name: op}, s.intExpr(depth-1), s.intExpr(depth-1))
 	case 3:
-		return apps(Var{Name: "and"}, s.boolExpr(depth-1), s.boolExpr(depth-1))
+		return apps(&Var{Name: "and"}, s.boolExpr(depth-1), s.boolExpr(depth-1))
 	case 4:
-		return apps(Var{Name: "or"}, s.boolExpr(depth-1), s.boolExpr(depth-1))
+		return apps(&Var{Name: "or"}, s.boolExpr(depth-1), s.boolExpr(depth-1))
 	default:
-		return apps(Var{Name: "not"}, s.boolExpr(depth-1))
+		return apps(&Var{Name: "not"}, s.boolExpr(depth-1))
 	}
 }
 
@@ -200,7 +200,7 @@ func (s *genState) binop(op string, a, b Expr) Expr {
 	name := map[string]string{
 		"+": "__add", "-": "__sub", "*": "__mul", "/": "__div", "%": "__mod",
 	}[op]
-	return apps(Var{Name: name}, a, b)
+	return apps(&Var{Name: name}, a, b)
 }
 
 // applyLambda generates a lambda of 1-2 int parameters applied to
@@ -216,9 +216,9 @@ func (s *genState) applyLambda(depth int) Expr {
 	}
 	body := s.intExpr(depth - 1)
 	s.vars = s.vars[:saved]
-	e := Expr(Lam{Params: params, Body: body})
+	e := Expr(&Lam{Params: params, Body: body})
 	for range params {
-		e = App{Fun: e, Arg: s.intExpr(depth - 1)}
+		e = &App{Fun: e, Arg: s.intExpr(depth - 1)}
 	}
 	return e
 }
@@ -235,18 +235,18 @@ func (s *genState) recursion(depth int) Expr {
 	saved := len(s.vars)
 	s.vars = append(s.vars, genVar{name: n, ty: tyInt}, genVar{name: acc, ty: tyInt})
 	step := s.binop([...]string{"+", "-", "*"}[s.rng.Intn(3)],
-		Var{Name: acc}, s.intExpr(depth-2))
+		&Var{Name: acc}, s.intExpr(depth-2))
 	s.vars = s.vars[:saved]
-	body := If{
-		Cond: apps(Var{Name: "__le"}, Var{Name: n}, IntLit{Val: 0}),
-		Then: Var{Name: acc},
-		Else: apps(Var{Name: f},
-			s.binop("-", Var{Name: n}, IntLit{Val: 1}), step),
+	body := &If{
+		Cond: apps(&Var{Name: "__le"}, &Var{Name: n}, &IntLit{Val: 0}),
+		Then: &Var{Name: acc},
+		Else: apps(&Var{Name: f},
+			s.binop("-", &Var{Name: n}, &IntLit{Val: 1}), step),
 	}
-	return Let{
-		Binds: []Bind{{Name: f, Val: Lam{Params: []string{n, acc}, Body: body}}},
-		Body: apps(Var{Name: f},
-			IntLit{Val: int64(s.rng.Intn(8) + 1)}, s.intExpr(depth-1)),
+	return &Let{
+		Binds: []Bind{{Name: f, Val: &Lam{Params: []string{n, acc}, Body: body}}},
+		Body: apps(&Var{Name: f},
+			&IntLit{Val: int64(s.rng.Intn(8) + 1)}, s.intExpr(depth-1)),
 	}
 }
 
@@ -256,23 +256,23 @@ func (s *genState) listFold(depth int) Expr {
 	up := s.fresh("u")
 	sum := s.fresh("s")
 	a, b, xs := s.fresh("x"), s.fresh("y"), s.fresh("l")
-	upto := Lam{Params: []string{a, b}, Body: If{
-		Cond: apps(Var{Name: "__gt"}, Var{Name: a}, Var{Name: b}),
-		Then: NilLit{},
-		Else: apps(Var{Name: "cons"}, Var{Name: a},
-			apps(Var{Name: up}, s.binop("+", Var{Name: a}, IntLit{Val: 1}), Var{Name: b})),
+	upto := &Lam{Params: []string{a, b}, Body: &If{
+		Cond: apps(&Var{Name: "__gt"}, &Var{Name: a}, &Var{Name: b}),
+		Then: &NilLit{},
+		Else: apps(&Var{Name: "cons"}, &Var{Name: a},
+			apps(&Var{Name: up}, s.binop("+", &Var{Name: a}, &IntLit{Val: 1}), &Var{Name: b})),
 	}}
-	sumf := Lam{Params: []string{xs}, Body: If{
-		Cond: apps(Var{Name: "isnil"}, Var{Name: xs}),
-		Then: IntLit{Val: 0},
-		Else: s.binop("+", apps(Var{Name: "head"}, Var{Name: xs}),
-			apps(Var{Name: sum}, apps(Var{Name: "tail"}, Var{Name: xs}))),
+	sumf := &Lam{Params: []string{xs}, Body: &If{
+		Cond: apps(&Var{Name: "isnil"}, &Var{Name: xs}),
+		Then: &IntLit{Val: 0},
+		Else: s.binop("+", apps(&Var{Name: "head"}, &Var{Name: xs}),
+			apps(&Var{Name: sum}, apps(&Var{Name: "tail"}, &Var{Name: xs}))),
 	}}
 	lo := int64(s.rng.Intn(5))
-	return Let{
+	return &Let{
 		Binds: []Bind{{Name: up, Val: upto}, {Name: sum, Val: sumf}},
-		Body: apps(Var{Name: sum},
-			apps(Var{Name: up}, IntLit{Val: lo}, IntLit{Val: lo + int64(s.rng.Intn(8))})),
+		Body: apps(&Var{Name: sum},
+			apps(&Var{Name: up}, &IntLit{Val: lo}, &IntLit{Val: lo + int64(s.rng.Intn(8))})),
 	}
 }
 
@@ -286,45 +286,45 @@ func (s *genState) listFold(depth int) Expr {
 func Shrink(e Expr) []Expr {
 	var out []Expr
 	switch x := e.(type) {
-	case App:
+	case *App:
 		out = append(out, x.Fun, x.Arg)
 		for _, f := range Shrink(x.Fun) {
-			out = append(out, App{Fun: f, Arg: x.Arg})
+			out = append(out, &App{Fun: f, Arg: x.Arg})
 		}
 		for _, a := range Shrink(x.Arg) {
-			out = append(out, App{Fun: x.Fun, Arg: a})
+			out = append(out, &App{Fun: x.Fun, Arg: a})
 		}
-	case If:
+	case *If:
 		out = append(out, x.Then, x.Else)
 		for _, c := range Shrink(x.Cond) {
-			out = append(out, If{Cond: c, Then: x.Then, Else: x.Else})
+			out = append(out, &If{Cond: c, Then: x.Then, Else: x.Else})
 		}
 		for _, t := range Shrink(x.Then) {
-			out = append(out, If{Cond: x.Cond, Then: t, Else: x.Else})
+			out = append(out, &If{Cond: x.Cond, Then: t, Else: x.Else})
 		}
 		for _, el := range Shrink(x.Else) {
-			out = append(out, If{Cond: x.Cond, Then: x.Then, Else: el})
+			out = append(out, &If{Cond: x.Cond, Then: x.Then, Else: el})
 		}
-	case Let:
+	case *Let:
 		out = append(out, x.Body)
 		for _, b := range Shrink(x.Body) {
-			out = append(out, Let{Binds: x.Binds, Body: b})
+			out = append(out, &Let{Binds: x.Binds, Body: b})
 		}
 		for i, bind := range x.Binds {
 			for _, v := range Shrink(bind.Val) {
 				binds := append([]Bind(nil), x.Binds...)
 				binds[i] = Bind{Name: bind.Name, Val: v}
-				out = append(out, Let{Binds: binds, Body: x.Body})
+				out = append(out, &Let{Binds: binds, Body: x.Body})
 			}
 		}
-	case Lam:
+	case *Lam:
 		for _, b := range Shrink(x.Body) {
-			out = append(out, Lam{Params: x.Params, Body: b})
+			out = append(out, &Lam{Params: x.Params, Body: b})
 		}
 	}
 	// Last resort: collapse the whole position to a literal.
-	if _, isLit := e.(IntLit); !isLit {
-		out = append(out, IntLit{Val: 0})
+	if _, isLit := e.(*IntLit); !isLit {
+		out = append(out, &IntLit{Val: 0})
 	}
 	return out
 }

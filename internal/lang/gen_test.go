@@ -49,16 +49,16 @@ func TestGenValidWellTyped(t *testing.T) {
 func assertLambdaFree(t *testing.T, e Expr, src string) {
 	t.Helper()
 	switch x := e.(type) {
-	case Lam:
+	case *Lam:
 		t.Fatalf("lambda survived lifting in\n%s", src)
-	case App:
+	case *App:
 		assertLambdaFree(t, x.Fun, src)
 		assertLambdaFree(t, x.Arg, src)
-	case If:
+	case *If:
 		assertLambdaFree(t, x.Cond, src)
 		assertLambdaFree(t, x.Then, src)
 		assertLambdaFree(t, x.Else, src)
-	case Let:
+	case *Let:
 		for _, b := range x.Binds {
 			assertLambdaFree(t, b.Val, src)
 		}
@@ -79,7 +79,7 @@ func TestShrinkWhile(t *testing.T) {
 		return ok && v%2 == 0
 	}
 	if !fails(e) {
-		e = IntLit{Val: 4} // make the predicate hold to exercise the loop
+		e = &IntLit{Val: 4} // make the predicate hold to exercise the loop
 	}
 	min := ShrinkWhile(e, 100, fails)
 	if !fails(min) {

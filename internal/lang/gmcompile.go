@@ -177,7 +177,7 @@ func (c *bodyCompiler) patchTail() {
 func spine(e Expr, buf []Expr) (Expr, []Expr) {
 	mark := len(buf)
 	for {
-		app, ok := e.(App)
+		app, ok := e.(*App)
 		if !ok {
 			break
 		}
@@ -191,30 +191,30 @@ func spine(e Expr, buf []Expr) (Expr, []Expr) {
 // expr compiles e, leaving one vertex on the stack.
 func (c *bodyCompiler) expr(e Expr) error {
 	switch x := e.(type) {
-	case Var:
+	case *Var:
 		return c.name(x.Name)
-	case IntLit:
+	case *IntLit:
 		c.emit(gm.Instr{Op: gm.OpPushInt, A: x.Val}, 1)
-	case BoolLit:
+	case *BoolLit:
 		var n int64
 		if x.Val {
 			n = 1
 		}
 		c.emit(gm.Instr{Op: gm.OpPushBool, A: n}, 1)
-	case NilLit:
+	case *NilLit:
 		c.emit(gm.Instr{Op: gm.OpPushNil}, 1)
-	case If:
+	case *If:
 		for _, sub := range [...]Expr{x.Cond, x.Then, x.Else} {
 			if err := c.expr(sub); err != nil {
 				return err
 			}
 		}
 		c.emit(gm.Instr{Op: gm.OpMkPrimApp, A: int64(graph.PrimIf), B: 3}, 1-3)
-	case App:
+	case *App:
 		return c.app(e)
-	case Let:
+	case *Let:
 		return c.let(x)
-	case Lam:
+	case *Lam:
 		return fmt.Errorf("gm: lambda survived lifting")
 	default:
 		return fmt.Errorf("gm: unknown expression %T", e)
@@ -227,7 +227,7 @@ func (c *bodyCompiler) expr(e Expr) error {
 // by a binding in env or a supercombinator) and the spine supplies at least
 // its arity of arguments.
 func saturatedPrim[T any](head Expr, nargs int, env scope[T], supers map[string]int) (graph.Prim, bool) {
-	v, ok := head.(Var)
+	v, ok := head.(*Var)
 	if !ok {
 		return 0, false
 	}
@@ -315,7 +315,7 @@ func (c *bodyCompiler) name(name string) error {
 // per-invocation hole slot, bodies are built referencing the holes, and
 // the holes are knotted — the same shared-knot shape the interpreted
 // compiler builds statically, but per call.
-func (c *bodyCompiler) let(x Let) error {
+func (c *bodyCompiler) let(x *Let) error {
 	mark := len(c.env)
 	for _, b := range x.Binds {
 		c.emit(gm.Instr{Op: gm.OpMkHole, A: int64(c.nlocals)}, 0)
@@ -351,15 +351,15 @@ type emitter struct {
 
 func (em *emitter) emit(e Expr) (*graph.Vertex, error) {
 	switch x := e.(type) {
-	case Var:
+	case *Var:
 		return em.name(x.Name)
-	case IntLit:
+	case *IntLit:
 		return em.b.Int(x.Val), nil
-	case BoolLit:
+	case *BoolLit:
 		return em.b.Bool(x.Val), nil
-	case NilLit:
+	case *NilLit:
 		return em.b.Nil(), nil
-	case If:
+	case *If:
 		c, err := em.emit(x.Cond)
 		if err != nil {
 			return nil, err
@@ -373,14 +373,14 @@ func (em *emitter) emit(e Expr) (*graph.Vertex, error) {
 			return nil, err
 		}
 		return em.b.PrimApp(graph.PrimIf, c, t, els), nil
-	case App:
+	case *App:
 		mark := len(em.spines)
 		var head Expr
 		head, em.spines = spine(e, em.spines)
 		v, err := em.spine(head, em.spines[mark:])
 		em.spines = em.spines[:mark]
 		return v, err
-	case Let:
+	case *Let:
 		mark := len(em.env)
 		for _, b := range x.Binds {
 			em.env.push(b.Name, em.b.Hole())
@@ -395,7 +395,7 @@ func (em *emitter) emit(e Expr) (*graph.Vertex, error) {
 		v, err := em.emit(x.Body)
 		em.env = em.env[:mark]
 		return v, err
-	case Lam:
+	case *Lam:
 		return nil, fmt.Errorf("gm: lambda survived lifting")
 	default:
 		return nil, fmt.Errorf("gm: unknown expression %T", e)

@@ -152,13 +152,13 @@ func (in *Interp) eval(e Expr, env *IEnv) (IValue, error) {
 		return nil, err
 	}
 	switch x := e.(type) {
-	case IntLit:
+	case *IntLit:
 		return IInt(x.Val), nil
-	case BoolLit:
+	case *BoolLit:
 		return IBool(x.Val), nil
-	case NilLit:
+	case *NilLit:
 		return INil{}, nil
-	case Var:
+	case *Var:
 		if t, ok := env.lookup(x.Name); ok {
 			return in.Force(t)
 		}
@@ -169,9 +169,9 @@ func (in *Interp) eval(e Expr, env *IEnv) (IValue, error) {
 			return IPrimVal{Name: x.Name, Arity: ar}, nil
 		}
 		return nil, fmt.Errorf("unbound variable %q", x.Name)
-	case Lam:
+	case *Lam:
 		return IClosure{Param: x.Params[0], Rest: x.Params[1:], Body: x.Body, Env: env}, nil
-	case If:
+	case *If:
 		c, err := in.eval(x.Cond, env)
 		if err != nil {
 			return nil, err
@@ -184,7 +184,7 @@ func (in *Interp) eval(e Expr, env *IEnv) (IValue, error) {
 			return in.eval(x.Then, env)
 		}
 		return in.eval(x.Else, env)
-	case Let:
+	case *Let:
 		frame := env
 		thunks := make([]*Thunk, len(x.Binds))
 		for i, b := range x.Binds {
@@ -195,7 +195,7 @@ func (in *Interp) eval(e Expr, env *IEnv) (IValue, error) {
 			t.env = frame // recursive scope
 		}
 		return in.eval(x.Body, frame)
-	case App:
+	case *App:
 		f, err := in.eval(x.Fun, env)
 		if err != nil {
 			return nil, err

@@ -176,9 +176,9 @@ var operandGrid = map[graph.Kind][]int64{
 func TestPrimTableAgainstOracle(t *testing.T) {
 	lit := func(k graph.Kind, v int64) Expr {
 		if k == graph.KindBool {
-			return BoolLit{Val: v != 0}
+			return &BoolLit{Val: v != 0}
 		}
-		return IntLit{Val: v}
+		return &IntLit{Val: v}
 	}
 	checked := 0
 	for p := graph.Prim(1); p < graph.PrimEnd; p++ {
@@ -192,9 +192,9 @@ func TestPrimTableAgainstOracle(t *testing.T) {
 		}
 		for _, x := range operandGrid[k] {
 			for _, y := range ys {
-				term := Expr(App{Fun: Var{Name: p.Builtin()}, Arg: lit(k, x)})
+				term := Expr(&App{Fun: &Var{Name: p.Builtin()}, Arg: lit(k, x)})
 				if p.Arity() == 2 {
-					term = App{Fun: term, Arg: lit(k, y)}
+					term = &App{Fun: term, Arg: lit(k, y)}
 				}
 				want, werr := NewInterp(100).Eval(term)
 				kind, val, errName := p.Apply(x, y)

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -32,11 +33,12 @@ type SCProg struct {
 
 // lifter carries the state of one lifting pass.
 type lifter struct {
-	supers []SC
-	index  map[string]int
-	n      int
-	env    scope[liftEntry]
-	vals   []Expr // stack of lifted residual let values
+	supers    []SC
+	index     map[string]int
+	n         int
+	env       scope[liftEntry]
+	bindStack []Bind // stack of lifted residual let bindings
+	nodes
 	// edits counts the replacements made so far: a subtree whose lifting
 	// made none is returned as it came, not rebuilt.
 	edits int
@@ -134,10 +136,10 @@ func withCaptured(captured map[string]bool, params []string) (all, extra []strin
 
 // superRef is the occurrence-site form of a lifted supercombinator: name
 // applied to its captured variables.
-func superRef(name string, extra []string) Expr {
-	ref := Expr(Var{Name: name})
+func (l *lifter) superRef(name string, extra []string) Expr {
+	ref := Expr(l.newVar(name))
 	for _, p := range extra {
-		ref = App{Fun: ref, Arg: Var{Name: p}}
+		ref = l.newApp(ref, l.newVar(p))
 	}
 	return ref
 }
@@ -145,51 +147,43 @@ func superRef(name string, extra []string) Expr {
 // flatten merges directly nested lambdas (\x. \y. e → \x y. e) so a
 // curried definition lifts to one supercombinator of full arity. Merging
 // stops at a shadowed parameter, where currying must stay observable.
-func flatten(lam Lam) Lam {
-	if _, ok := lam.Body.(Lam); !ok {
-		return lam
-	}
-	params := append([]string(nil), lam.Params...)
-	body := lam.Body
+func flatten(lam *Lam) Lam {
+	params, body := lam.Params, lam.Body
 	for {
-		inner, ok := body.(Lam)
-		if !ok {
+		inner, ok := body.(*Lam)
+		if !ok || shadows(params, inner.Params) {
 			break
 		}
-		shadow := false
-		seen := make(map[string]bool, len(params))
-		for _, p := range params {
-			seen[p] = true
-		}
-		for _, p := range inner.Params {
-			if seen[p] {
-				shadow = true
-				break
-			}
-			seen[p] = true
-		}
-		if shadow {
-			break
-		}
-		params = append(params, inner.Params...)
+		params = append(params[:len(params):len(params)], inner.Params...)
 		body = inner.Body
 	}
 	return Lam{Params: params, Body: body}
+}
+
+// shadows reports whether a parameter of inner repeats one of params or an
+// earlier one of inner.
+func shadows(params, inner []string) bool {
+	for i, p := range inner {
+		if slices.Contains(params, p) || slices.Contains(inner[:i], p) {
+			return true
+		}
+	}
+	return false
 }
 
 // lift rewrites e, lifting every lambda out into l.supers. A subtree it
 // does not change comes back as the same Expr.
 func (l *lifter) lift(e Expr) (Expr, error) {
 	switch x := e.(type) {
-	case Var:
+	case *Var:
 		if ent, ok := l.env.lookup(x.Name); ok && ent.class == bindSuper {
 			l.edits++
 			return ent.repl, nil
 		}
 		return e, nil
-	case IntLit, BoolLit, NilLit:
+	case *IntLit, *BoolLit, *NilLit:
 		return e, nil
-	case App:
+	case *App:
 		edits := l.edits
 		f, err := l.lift(x.Fun)
 		if err != nil {
@@ -202,8 +196,8 @@ func (l *lifter) lift(e Expr) (Expr, error) {
 		if l.edits == edits {
 			return e, nil
 		}
-		return App{Fun: f, Arg: a}, nil
-	case If:
+		return l.newApp(f, a), nil
+	case *If:
 		edits := l.edits
 		c, err := l.lift(x.Cond)
 		if err != nil {
@@ -220,11 +214,11 @@ func (l *lifter) lift(e Expr) (Expr, error) {
 		if l.edits == edits {
 			return e, nil
 		}
-		return If{Cond: c, Then: t, Else: els}, nil
-	case Lam:
+		return l.newIf(c, t, els), nil
+	case *Lam:
 		l.edits++
 		return l.liftLam(flatten(x), "lam")
-	case Let:
+	case *Let:
 		return l.liftLet(x, e)
 	default:
 		return nil, fmt.Errorf("lift: unknown expression %T", e)
@@ -254,20 +248,20 @@ func (l *lifter) liftLam(lam Lam, hint string) (Expr, error) {
 		return nil, err
 	}
 	l.supers[idx].Params, l.supers[idx].Body = params, body
-	return superRef(name, extra), nil
+	return l.superRef(name, extra), nil
 }
 
 // liftLet lifts a let group, e: lambda-valued bindings become named
 // supercombinators (with captured-variable sets closed over the mutually
 // recursive group), non-lambda bindings survive as a residual Let.
-func (l *lifter) liftLet(x Let, e Expr) (Expr, error) {
+func (l *lifter) liftLet(x *Let, e Expr) (Expr, error) {
 	// Partition the group.
 	isFun := make(map[string]bool, len(x.Binds))
 	lams := make(map[string]Lam, len(x.Binds))
 	groupNames := make(map[string]bool, len(x.Binds))
 	for _, b := range x.Binds {
 		groupNames[b.Name] = true
-		if lam, ok := b.Val.(Lam); ok {
+		if lam, ok := b.Val.(*Lam); ok {
 			isFun[b.Name] = true
 			lams[b.Name] = flatten(lam)
 		}
@@ -334,7 +328,7 @@ func (l *lifter) liftLet(x Let, e Expr) (Expr, error) {
 		idx, scName := l.fresh(b.Name)
 		scIdx[b.Name] = idx
 		l.supers[idx].Params = params
-		l.env.push(b.Name, liftEntry{class: bindSuper, repl: superRef(scName, extra), extra: extra})
+		l.env.push(b.Name, liftEntry{class: bindSuper, repl: l.superRef(scName, extra), extra: extra})
 	}
 	for _, b := range x.Binds {
 		if !isFun[b.Name] {
@@ -361,9 +355,9 @@ func (l *lifter) liftLet(x Let, e Expr) (Expr, error) {
 	}
 
 	// Residual let of the non-lambda bindings (if any), around the lifted
-	// body. The lifted values wait on l.vals until it is known whether
+	// body. The lifted bindings wait on l.bindStack until it is known whether
 	// the let changed.
-	vals := len(l.vals)
+	mark := len(l.bindStack)
 	for _, b := range x.Binds {
 		if isFun[b.Name] {
 			continue
@@ -372,15 +366,15 @@ func (l *lifter) liftLet(x Let, e Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.vals = append(l.vals, val)
+		l.bindStack = append(l.bindStack, Bind{Name: b.Name, Val: val})
 	}
 	body, err := l.lift(x.Body)
 	if err != nil {
 		return nil, err
 	}
 	l.env = l.env[:outer]
-	residual := l.vals[vals:]
-	l.vals = l.vals[:vals]
+	residual := l.bindStack[mark:]
+	l.bindStack = l.bindStack[:mark]
 	if len(lams) == 0 && l.edits == edits {
 		return e, nil
 	}
@@ -388,11 +382,5 @@ func (l *lifter) liftLet(x Let, e Expr) (Expr, error) {
 	if len(residual) == 0 {
 		return body, nil
 	}
-	binds := make([]Bind, 0, len(residual))
-	for _, b := range x.Binds {
-		if !isFun[b.Name] {
-			binds = append(binds, Bind{Name: b.Name, Val: residual[len(binds)]})
-		}
-	}
-	return Let{Binds: binds, Body: body}, nil
+	return l.newLet(residual, body), nil
 }

@@ -2,8 +2,10 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"dgr/internal/workload"
@@ -98,29 +100,220 @@ func TestFreeVars(t *testing.T) {
 	}
 }
 
+// tokens pulls every token of src from the lexer, the closing EOF
+// included, and checks that scan counts as many.
+func tokens(t testing.TB, src string) ([]token, error) {
+	t.Helper()
+	c, err := scan(src)
+	lx := newLexer(src)
+	var toks []token
+	for {
+		tok, perr := lx.next()
+		if perr != nil {
+			if err == nil || perr.Error() != err.Error() {
+				t.Fatalf("%q: pulling fails with %v, scan with %v", src, perr, err)
+			}
+			return nil, err
+		}
+		toks = append(toks, tok)
+		if tok.kind == tokEOF {
+			break
+		}
+	}
+	if err != nil || c.tokens != len(toks) {
+		t.Fatalf("%q: scan counts %d tokens (err %v), pulling gives %d", src, c.tokens, err, len(toks))
+	}
+	if again, _ := lx.next(); again.kind != tokEOF {
+		t.Fatalf("%q: a pull past EOF gives %v", src, again)
+	}
+	return toks, nil
+}
+
 func TestLexerPositions(t *testing.T) {
-	toks, err := lex("a\nbb\n  c")
+	toks, err := tokens(t, "a\nbb\n  c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].line != 1 || toks[1].line != 2 || toks[2].line != 3 {
-		t.Fatalf("line numbers wrong: %+v", toks)
+	want := []token{
+		{kind: tokIdent, text: "a", pos: 0, line: 1},
+		{kind: tokIdent, text: "bb", pos: 2, line: 2},
+		{kind: tokIdent, text: "c", pos: 7, line: 3},
+		{kind: tokEOF, pos: 8, line: 3},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("tokens = %+v, want %+v", toks, want)
+	}
+	for i := range want {
+		if toks[i] != want[i] {
+			t.Fatalf("token %d = %+v, want %+v", i, toks[i], want[i])
+		}
 	}
 }
 
 func TestLexerError(t *testing.T) {
-	_, err := lex("a\n ? b")
-	if err == nil {
-		t.Fatal("expected lexer error for '?'")
+	const want = "line 2: unexpected character '?'"
+	if _, err := tokens(t, "a\n ? b"); err == nil || err.Error() != want {
+		t.Fatalf("lexing: error = %v, want %q", err, want)
 	}
-	if got, want := err.Error(), "line 2: unexpected character '?'"; got != want {
-		t.Fatalf("error = %q, want %q", got, want)
+	if _, err := Parse("a\n ? b"); err == nil || err.Error() != want {
+		t.Fatalf("parsing: error = %v, want %q", err, want)
 	}
 }
 
-// TestLexAllocatesOnce checks that lex makes one allocation, its token slice,
-// sized exactly: it counts the tokens before it writes them.
-func TestLexAllocatesOnce(t *testing.T) {
+// TestLexErrorComesFirst: Parse scans the whole source before it parses,
+// so a lexical error is the one reported even where a parse error comes
+// earlier in the text.
+func TestLexErrorComesFirst(t *testing.T) {
+	tests := []struct{ src, want string }{
+		{"let x = ( in ?", "line 1: unexpected character '?'"},
+		{"1 +\n)\n\n$", "line 4: unexpected character '$'"},
+		{"if then else 99999999999999999999 ~", "line 1: unexpected character '~'"},
+		{"let x = ( in x", `line 1: unexpected keyword "in"`},
+		{"99999999999999999999 + (", `line 1: integer literal "99999999999999999999" out of range`},
+	}
+	for _, tt := range tests {
+		_, err := Parse(tt.src)
+		if err == nil || err.Error() != tt.want {
+			t.Errorf("Parse(%q) error = %v, want %q", tt.src, err, tt.want)
+		}
+	}
+}
+
+// TestIntegerLiteralRange: a literal that does not fit in int64 is a parse
+// error naming it, not a value wrapped around; the largest one parses.
+func TestIntegerLiteralRange(t *testing.T) {
+	for _, src := range []string{"99999999999999999999 + 1", "9223372036854775808", "1 +\n18446744073709551617"} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Parse(%q) error = %v, want out of range", src, err)
+		}
+		if _, err := NewInterp(1000).EvalString(src); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("EvalString(%q) error = %v, want out of range", src, err)
+		}
+	}
+	if _, err := Parse("1 +\n18446744073709551617"); err == nil || !strings.HasPrefix(err.Error(), "line 2: ") {
+		t.Errorf("error %v does not name line 2", err)
+	}
+	v, err := NewInterp(1000).EvalString("9223372036854775807")
+	if err != nil || v != IInt(math.MaxInt64) {
+		t.Fatalf("max int64 literal = %v, %v", v, err)
+	}
+}
+
+// TestUnicodeIdentifiers: identifiers are lexed as UTF-8, so a letter
+// outside ASCII is a letter, and an error names the character, not one of
+// its bytes.
+func TestUnicodeIdentifiers(t *testing.T) {
+	v, err := NewInterp(1000).EvalString("let café = 1; λ x = x + café in λ 41")
+	if err != nil || v != IInt(42) {
+		t.Fatalf("unicode identifiers = %v, %v", v, err)
+	}
+	e := mustParse(t, "\\été. été")
+	if got := e.String(); got != "(\\été. été)" {
+		t.Fatalf("String = %s", got)
+	}
+	for src, want := range map[string]string{
+		"1 + ©":    "line 1: unexpected character '©'",
+		"x\n→ y":   "line 2: unexpected character '→'",
+		"a \xff b": "line 1: invalid UTF-8 byte 0xff",
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) error = %v, want %q", src, err, want)
+		}
+	}
+}
+
+// checkTally checks that scan's tally of src counts exactly the nodes of
+// each kind in e, its parse: every slab of the parse is then one
+// allocation, used to its end.
+func checkTally(t testing.TB, src string, e Expr) {
+	t.Helper()
+	c, err := scan(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[*Var]bool{consVar: true}
+	for _, op := range binOps {
+		shared[op.builtin] = true
+	}
+	var got tally
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case *Var:
+			if !shared[x] {
+				got.vars++
+			}
+		case *IntLit:
+			got.ints++
+		case *App:
+			got.apps++
+			walk(x.Fun)
+			walk(x.Arg)
+		case *If:
+			got.ifs++
+			walk(x.Cond)
+			walk(x.Then)
+			walk(x.Else)
+		case *Lam:
+			got.lams++
+			got.names += len(x.Params)
+			walk(x.Body)
+		case *Let:
+			got.lets++
+			got.binds += len(x.Binds)
+			for _, b := range x.Binds {
+				walk(b.Val)
+			}
+			walk(x.Body)
+		}
+	}
+	walk(e)
+	c.tokens, c.run, c.atomEnd, c.opened = 0, 0, false, false
+	if c != got {
+		t.Fatalf("%q: tally %+v, parse built %+v", src, c, got)
+	}
+}
+
+// TestTallyIsExact: scan's tally counts every corpus program's nodes
+// exactly, so Parse sizes each of its slabs to what it builds.
+func TestTallyIsExact(t *testing.T) {
+	srcs := []string{
+		"[]", "[[1], [], [2, 3]] ", "(\\f x y. f x y) (\\a b. a) 1 2",
+		"let f x y = x; g = \\z. z; h = 1 in f (g h) [h]",
+		"true false 1 (2) [3] x", "1 : 2 : [] == [3] && (x || \\y. y)",
+	}
+	for _, p := range workload.Programs {
+		srcs = append(srcs, p.Src)
+	}
+	for _, src := range srcs {
+		checkTally(t, src, mustParse(t, src))
+	}
+}
+
+// TestShortTallyGrowsSlabs: where the tally counts short (a lambda
+// header with no '.' holds parameters it never counted), the slabs grow
+// geometrically: thirty thousand parameters take a few dozen allocations,
+// not one per parameter, and the parse stays linear in the source.
+func TestShortTallyGrowsSlabs(t *testing.T) {
+	for _, src := range []string{
+		"\\" + strings.Repeat("a ", 30000),
+		"let " + strings.Repeat("a ", 30000),
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := Parse(src); err == nil {
+				t.Fatalf("%.20q: parsed", src)
+			}
+		})
+		if allocs > 40 {
+			t.Errorf("%.20q: %v allocations", src, allocs)
+		}
+	}
+}
+
+// TestLexAllocatesNothing checks that lexing allocates nothing: scan
+// counting every token, and a lexer pulling them one at a time.
+func TestLexAllocatesNothing(t *testing.T) {
 	names := make([]string, 0, len(workload.Programs))
 	for name := range workload.Programs {
 		names = append(names, name)
@@ -128,19 +321,21 @@ func TestLexAllocatesOnce(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		src := workload.Programs[name].Src
-		toks, err := lex(src)
+		c, err := scan(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(toks) != cap(toks) || toks[len(toks)-1].kind != tokEOF {
-			t.Fatalf("%s: %d tokens in a slice of capacity %d, last %v", name, len(toks), cap(toks), toks[len(toks)-1].kind)
-		}
-		allocs := testing.AllocsPerRun(20, func() { _, _ = lex(src) })
-		if allocs != 1 {
-			t.Fatalf("%s: lex made %v allocations per call, want 1", name, allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			_, _ = scan(src)
+			lx := newLexer(src)
+			for tok, _ := lx.next(); tok.kind != tokEOF; tok, _ = lx.next() {
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: lexing made %v allocations, want 0", name, allocs)
 		}
 		if name == "churn" {
-			t.Logf("census: lex allocations per call = %v (churn, %d tokens)", allocs, len(toks))
+			t.Logf("census: lex allocations per call = %v (churn, %d tokens)", allocs, c.tokens)
 		}
 	}
 }
@@ -150,26 +345,26 @@ func genExpr(rng *rand.Rand, depth int, scope []string) Expr {
 	if depth <= 0 {
 		switch rng.Intn(4) {
 		case 0:
-			return IntLit{Val: int64(rng.Intn(100))}
+			return &IntLit{Val: int64(rng.Intn(100))}
 		case 1:
-			return BoolLit{Val: rng.Intn(2) == 0}
+			return &BoolLit{Val: rng.Intn(2) == 0}
 		case 2:
 			if len(scope) > 0 {
-				return Var{Name: scope[rng.Intn(len(scope))]}
+				return &Var{Name: scope[rng.Intn(len(scope))]}
 			}
-			return IntLit{Val: 1}
+			return &IntLit{Val: 1}
 		default:
-			return NilLit{}
+			return &NilLit{}
 		}
 	}
 	switch rng.Intn(5) {
 	case 0:
-		return App{Fun: genExpr(rng, depth-1, scope), Arg: genExpr(rng, depth-1, scope)}
+		return &App{Fun: genExpr(rng, depth-1, scope), Arg: genExpr(rng, depth-1, scope)}
 	case 1:
 		p := fmt.Sprintf("p%d", len(scope))
-		return Lam{Params: []string{p}, Body: genExpr(rng, depth-1, append(scope, p))}
+		return &Lam{Params: []string{p}, Body: genExpr(rng, depth-1, append(scope, p))}
 	case 2:
-		return If{
+		return &If{
 			Cond: genExpr(rng, depth-1, scope),
 			Then: genExpr(rng, depth-1, scope),
 			Else: genExpr(rng, depth-1, scope),
@@ -177,7 +372,7 @@ func genExpr(rng *rand.Rand, depth int, scope []string) Expr {
 	case 3:
 		n := fmt.Sprintf("b%d", len(scope))
 		inner := append(scope, n)
-		return Let{
+		return &Let{
 			Binds: []Bind{{Name: n, Val: genExpr(rng, depth-1, inner)}},
 			Body:  genExpr(rng, depth-1, inner),
 		}

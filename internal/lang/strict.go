@@ -133,14 +133,14 @@ func (st *strictness) shadowed(name string) bool {
 // contributes nothing claimable about parameters.
 func (st *strictness) needed(e Expr, out bitset) {
 	switch x := e.(type) {
-	case Var:
+	case *Var:
 		if st.shadowed(x.Name) {
 			return
 		}
 		if i, ok := st.param(x.Name); ok {
 			out.set(i)
 		}
-	case If:
+	case *If:
 		st.needed(x.Cond, out)
 		t, el := st.take(), st.take()
 		st.needed(x.Then, t)
@@ -150,14 +150,14 @@ func (st *strictness) needed(e Expr, out bitset) {
 		}
 		st.drop(el)
 		st.drop(t)
-	case Let:
+	case *Let:
 		mark := len(st.shadow)
 		for _, b := range x.Binds {
 			st.shadow = append(st.shadow, b.Name)
 		}
 		st.needed(x.Body, out)
 		st.shadow = st.shadow[:mark]
-	case App:
+	case *App:
 		mark := len(st.spines)
 		var head Expr
 		head, st.spines = spine(e, st.spines)
@@ -175,7 +175,7 @@ func (st *strictness) app(head Expr, args []Expr, out bitset) {
 	var mask bitset
 	var prim graph.Prim
 	switch h := head.(type) {
-	case Var:
+	case *Var:
 		if st.shadowed(h.Name) {
 			return
 		}

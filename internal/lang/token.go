@@ -38,8 +38,3 @@ type token struct {
 	pos  int // byte offset, for error messages
 	line int
 }
-
-var keywords = map[string]bool{
-	"let": true, "in": true, "if": true, "then": true, "else": true,
-	"true": true, "false": true,
-}
