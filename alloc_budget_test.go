@@ -1,10 +1,14 @@
 package dgr
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"dgr/internal/graph"
 )
 
 // TestTaskPathAllocBudget pins what the per-task path (sched.execute →
@@ -27,7 +31,7 @@ import (
 // rewrite or reduction step costs at least 0.3 per task, so bringing any
 // back trips the bound, and so would edge arrays on the heap. What remains
 // is the front end's parse and compile of the source, and the odd new
-// overflow record or store segment when a run reaches further than the
+// overflow record or store sub-block when a run reaches further than the
 // last (DESIGN §8 names every site).
 func TestTaskPathAllocBudget(t *testing.T) {
 	const src = "let fib n = if n < 2 then n else fib (n-1) + fib (n-2) in fib 15"
@@ -50,7 +54,7 @@ func TestTaskPathAllocBudget(t *testing.T) {
 					t.Fatalf("fib 15 = %v, want 610", v)
 				}
 			}
-			eval() // warm: pools, arena segments and vertex slices reach size
+			eval() // warm: pools, arena sub-blocks and vertex slices reach size
 
 			var before, after runtime.MemStats
 			steps := func() int64 { s := m.Stats(); return s.ReductionTasks + s.InlineSteps }
@@ -74,41 +78,51 @@ func TestTaskPathAllocBudget(t *testing.T) {
 }
 
 // TestColdEvalByteBudget pins the bytes a one-shot machine asks of the Go
-// allocator: New, one Eval of fac 12 and Close on a default seeded machine.
-// Most of it is the store segments the program's vertices reach, so the
-// bound follows the vertex's size and the segment layout: a segment is one
-// partition's block of 64 vertices, 6 152 bytes at 96 bytes a vertex, which
-// with the 8-byte header Go puts on a large pointerful object costs the
-// 6 528-byte size class; a partition's segments come in chunks of 1, 2, 4,
-// then 8 (6 528, 13 568, 27 264 and 57 344 bytes). fac 12 reaches three
-// blocks, about 20 KiB of segments, and the rest is the machine, the front
-// end and a 256-byte first segment directory: 31.9 KiB in all. The bound
-// sits ~25 % above. At 120 bytes a vertex a segment cost the 8 KiB class and
-// the same run read 36 KiB (47 with an 8 KiB directory); a segment of 512
-// vertices of all four partitions, 60 KiB at 120 bytes (108 KiB for the
-// 216-byte vertex), read 79 KiB; with partition 3 paying a whole one for the
-// top id alone, 145 KiB.
+// allocator: New, one Eval of fac 12 and Close on a default seeded machine
+// and on a seeded one of 4 PEs. Much of it is the store's sub-blocks, so the
+// bounds follow the vertex's size and the arena's layout: a sub-block is 16
+// vertices of one partition and their in-use word, 1 600 bytes at 96 bytes a
+// vertex, backed when its partition's cursor first enters it, and the store
+// cuts sub-blocks from chunks of 4, 8, then 16 (the 6 528, 13 568 and 27 264-
+// byte size classes) that all its partitions share. The rest is the machine,
+// the front end and a 256-byte first directory. On one PE fac 12 reads 30.9
+// KiB, as it did when a partition paid for whole 64-vertex blocks; the bound
+// sits ~30 % above. On 4 PEs it reads 33.3 KiB, where each partition's first
+// block cost a 6 528-byte segment of its own and the run read 52.6 KiB; the
+// bound sits ~17 % above. At 120 bytes a
+// vertex, when a segment cost the 8 KiB class, one PE read 36 KiB (47 with
+// an 8 KiB directory); a segment of 512 vertices of all four partitions, 60
+// KiB at 120 bytes (108 KiB for the 216-byte vertex), read 79 KiB; with
+// partition 3 paying a whole one for the top id alone, 145 KiB.
 func TestColdEvalByteBudget(t *testing.T) {
-	const (
-		src    = "let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 12"
-		budget = 40 << 10
-	)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m := New(Options{})
-	v, err := m.Eval(src)
-	m.Close()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Int != 479001600 {
-		t.Fatalf("fac 12 = %v, want 479001600", v)
-	}
-	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("cold fac 12: %d KiB allocated (budget %d KiB)", bytes>>10, budget>>10)
-	if bytes > budget {
-		t.Errorf("cold fac 12 allocated %d KiB, budget %d KiB", bytes>>10, budget>>10)
+	const src = "let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 12"
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		budget uint64
+	}{
+		{"pes=1", Options{}, 40 << 10},
+		{"pes=4", Options{PEs: 4, Seed: 1}, 39 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m := New(tc.opts)
+			v, err := m.Eval(src)
+			m.Close()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Int != 479001600 {
+				t.Fatalf("fac 12 = %v, want 479001600", v)
+			}
+			bytes := after.TotalAlloc - before.TotalAlloc
+			t.Logf("cold fac 12, %s: %d B, %d KiB allocated (budget %d KiB)", tc.name, bytes, bytes>>10, tc.budget>>10)
+			if bytes > tc.budget {
+				t.Errorf("cold fac 12 allocated %d KiB, budget %d KiB", bytes>>10, tc.budget>>10)
+			}
+		})
 	}
 }
 
@@ -223,5 +237,58 @@ func TestRecordBudget(t *testing.T) {
 		events, (recorded-plain)>>10, plain>>10, per, perEvent)
 	if per > perEvent {
 		t.Errorf("recording allocated %.1f bytes per recorded event, budget %d", per, perEvent)
+	}
+}
+
+// coldCorpus is the benchmark's cold-oneshot programs, salted 17: a few
+// hundred tasks each, and two knots that deadlock.
+var coldCorpus = func() []string {
+	const list = `let upto a b = if a > b then [] else a : upto (a + 1) b;
+    sum xs = if isnil xs then 0 else head xs + sum (tail xs);
+    len xs = if isnil xs then 0 else 1 + len (tail xs);
+    map f xs = if isnil xs then [] else f (head xs) : map f (tail xs)
+in `
+	return []string{
+		`let fac n = if n == 0 then 1 else n * fac (n - 1) in fac 12 + 17`,
+		`let sq x = x * x; a = 17 in (sq a + sq (a + 1)) * 3 - a % 7`,
+		list + `sum (map (\x. x + 17) (upto 1 12))`,
+		`let even n = if n == 0 then true else odd (n - 1);
+    odd n = if n == 0 then false else even (n - 1)
+in if even 40 then 17 else 0 - 17`,
+		list + `len (upto 17 (17 + 15)) * 2`,
+		`let gcd a b = if b == 0 then a else gcd b (a % b) in gcd (17 * 18 + 12) 18`,
+		`let x = x + 1 in x`,
+		`let a = b + 1; b = a + 1 in a`,
+	}
+}()
+
+// TestColdCorpusBacking reports what the cold corpus's stores cost against
+// what its programs use, on seeded machines of 4 PEs: the ids dealt over
+// the ids handed out, and the bytes of the sub-blocks backed over the bytes
+// of the vertices handed out (DESIGN.md §8, "A partition pays for the
+// vertices it hands out"). CI's census prints the line, so a change that
+// inflates the store again shows there. They read 3 328 / 1 684 = 1.98,
+// since every partition that allocates is dealt a 64-id block, and 201 600
+// / 161 664 = 1.25: 126 sub-blocks of 1 600 B, the padding and the rest of
+// each partition's last sub-block. When memory came a block at a time the
+// bytes read 1.98 too (52 segments of 6 152 B); the bound is 1.4.
+func TestColdCorpusBacking(t *testing.T) {
+	var dealt, out, subs int
+	for _, src := range coldCorpus {
+		m := New(Options{PEs: 4, Seed: 1})
+		_, err := m.Eval(src)
+		if err != nil && !errors.Is(err, ErrDeadlock) {
+			m.Close()
+			t.Fatalf("%q: %v", src, err)
+		}
+		ids, n := m.store.Backing()
+		dealt, out, subs = dealt+m.store.Len(), out+ids, subs+n
+		m.Close()
+	}
+	backed, used := subs*int(graph.SubBlockBytes), out*int(unsafe.Sizeof(graph.Vertex{}))
+	t.Logf("census: cold corpus at 4 PEs: ids dealt / handed out = %d/%d = %.2f; backed sub-block bytes / handed-out vertex bytes = %d/%d = %.2f",
+		dealt, out, float64(dealt)/float64(out), backed, used, float64(backed)/float64(used))
+	if float64(backed) > 1.4*float64(used) {
+		t.Errorf("the cold corpus backs %d bytes of sub-blocks for %d bytes of vertices handed out", backed, used)
 	}
 }

@@ -21,10 +21,10 @@ type Config struct {
 	// Partitions is the number of subgraph partitions (one per PE). Must be
 	// at least 1 and at most MaxPartitions.
 	Partitions int
-	// Capacity is how many ids the store's first segment directory spans;
-	// a smaller value, 0 included, spans firstDirSegments segments. It sizes
-	// that one allocation and nothing else: which partition an id goes to
-	// never depends on it.
+	// Capacity is how many ids the store's first directory spans, rounded
+	// up to whole blocks; a smaller value, 0 included, spans firstDirEntries
+	// sub-blocks. It sizes that one allocation and nothing else: which
+	// partition an id goes to never depends on it.
 	Capacity int
 	// Serial promises that one goroutine at a time touches the store's
 	// vertices — a seeded machine, which runs one task at a time and fences
@@ -38,33 +38,45 @@ type Config struct {
 // in 16 bits.
 const MaxPartitions = 1 << 16
 
-// Arena segmentation: vertex lookups are the hottest operation in the
-// whole system (every task execution does several), so the arena is a
-// lock-free two-level table — a directory of atomically published pointers
-// to fixed-size segments. Readers never take a lock; the grow mutex guards
-// only the dealing of a block and the growth of the directory.
+// Arena layout: vertex lookups are the hottest operation in the whole
+// system (every task execution does several), so the arena is a lock-free
+// two-level table — a directory of atomically published pointers to
+// fixed-size sub-blocks. Readers never take a lock; the grow mutex guards
+// only the dealing of a block, the backing of a sub-block and the growth of
+// the directory.
 //
-// A segment is a block: the 64 consecutive ids a partition is dealt when
-// its free list runs dry, all of them that partition's (DESIGN.md §8, "A
-// partition that runs dry takes a fresh block"). Blocks are dealt in
-// ascending order, so the directory is dense from segment 0 and doubles as
-// the store grows; a partition's segments come in doubling chunks, so a
-// block costs no allocation of its own.
+// Ids and memory are split (DESIGN.md §8, "A partition pays for the vertices
+// it hands out"). A block is the 64 consecutive ids (segSize) a partition is
+// dealt when its free list runs dry, all of them that partition's. Blocks
+// are dealt in ascending order, so the directory is dense from entry 0 and
+// doubles as the store grows. Memory comes 16 vertices (subSize) at a time:
+// a sub-block is backed when its partition's cursor first enters it — deal
+// backs a block's first, Alloc each later one — so a dealt id may have no
+// vertex yet, and a partition pays for the vertices it hands out, not the
+// ids it was dealt.
 const (
-	segBits = 6
+	segBits = 6 // a block of ids
 	segSize = 1 << segBits
 	segMask = segSize - 1
+
+	subBits = 4 // a sub-block of vertices
+	subSize = 1 << subBits
+	subMask = subSize - 1
+
+	// subPerSeg is a block's directory entries, one per sub-block.
+	subPerSeg = segSize / subSize
 )
 
-// firstDirSegments is the least a store's first directory spans: 2 048 ids,
-// 256 bytes of entries.
-const firstDirSegments = 32
+// firstDirEntries is the least a store's first directory spans: 32
+// sub-blocks, 512 ids, 256 bytes of entries.
+const firstDirEntries = 32
 
-// segment is the arena of one block: vertices are embedded by value, 64 of
-// them at 96 bytes, 6 KiB, and a partition's segments are allocated in
-// chunks (segChunk), so the arena costs an allocation per chunk instead of
-// one per vertex. Vertex pointers into a segment stay stable for the life
-// of the store.
+// subBlock is the memory of 16 consecutive ids of one block: the vertices,
+// embedded by value, and their in-use word, padded to whole cache lines
+// (1 600 B, 25 lines), so two partitions' vertices never share one. Sub-
+// blocks are cut from chunks the whole store shares (newSubBlockLocked), so
+// the arena costs an allocation per chunk instead of one per vertex. Vertex
+// pointers into a sub-block stay stable for the life of the store.
 //
 // used holds one in-use bit per slot, so a sweep visits the vertices out of
 // F and nothing else (DESIGN.md §8, "The sweep visits what is in use").
@@ -74,18 +86,16 @@ const firstDirSegments = 32
 // therefore name a vertex that still reads KindFree, never the reverse: a
 // vertex labelled non-free before a ForEach began is visited by it. The bits
 // are written through Store.markUsed, which knows the store's mode, and
-// read with atomic loads. The word stays here: without it, chunks of 1, 2
-// and 4 segments would still land in the size classes they do (Go puts an
-// 8-byte header on them), only a chunk of 8 would be a page smaller, and
-// every other home for the word costs an allocation per chunk or a lock on
-// alloc and release (DESIGN.md §8, "The in-use word stays in the segment").
-type segment struct {
-	verts [segSize]Vertex
-	used  [segSize / 64]uint64
+// read with atomic loads.
+type subBlock struct {
+	verts [subSize]Vertex
+	used  uint64
+	_     [(64 - (subSize*unsafe.Sizeof(Vertex{})+8)%64) % 64]byte
 }
 
-// SegmentBytes is the size of a segment: its 64 vertices and its in-use word.
-const SegmentBytes = unsafe.Sizeof(segment{})
+// SubBlockBytes is the size of a sub-block: its 16 vertices, its in-use word
+// and the padding to a whole cache line.
+const SubBlockBytes = unsafe.Sizeof(subBlock{})
 
 // freeShard is one partition's slice of the free set F: its own lock, a
 // stack of released ids, and next, the cursor into the block it was dealt
@@ -104,31 +114,41 @@ type freeShard struct {
 	recs []*overflow
 }
 
-// take pops the shard's top free id: the most recently released one, else
-// the cursor's. The caller holds sh.mu.
-func (sh *freeShard) take() (VertexID, bool) {
+// take pops partition part's top free id: the most recently released one,
+// else the cursor's, backing the cursor's sub-block when the cursor has just
+// entered it, else the first of a block deal hands the partition. The caller
+// holds sh.mu, sh being part's shard.
+func (s *Store) take(part int, sh *freeShard) (VertexID, error) {
 	if n := len(sh.ids); n > 0 {
 		id := sh.ids[n-1]
 		sh.ids = sh.ids[:n-1]
-		return id, true
+		return id, nil
 	}
 	id := sh.next
 	if id == NilVertex {
-		return NilVertex, false
+		return s.deal(part, sh)
 	}
 	if sh.next++; id&segMask == 0 { // the block's last id
 		sh.next = NilVertex
 	}
-	return id, true
+	if (id-1)&subMask == 0 { // a later sub-block's first: deal backed the block's first
+		s.growMu.Lock()
+		s.backLocked(part, id)
+		s.growMu.Unlock()
+	}
+	return id, nil
 }
 
 // free returns how many ids the shard holds. The caller holds sh.mu.
-func (sh *freeShard) free() int {
-	n := len(sh.ids)
-	if sh.next != NilVertex {
-		n += segSize - int(sh.next-1)&segMask
+func (sh *freeShard) free() int { return len(sh.ids) + sh.unreached() }
+
+// unreached returns how many ids of the shard's last block its cursor has
+// not reached. The caller holds sh.mu.
+func (sh *freeShard) unreached() int {
+	if sh.next == NilVertex {
+		return 0
 	}
-	return n
+	return segSize - int(sh.next-1)&segMask
 }
 
 // Store owns every vertex in the computation graph and the per-partition
@@ -139,25 +159,27 @@ func (sh *freeShard) free() int {
 // shared lock, and a serial store's owner takes no shard lock either. A
 // partition whose shard is empty is dealt the next block of 64 ids under
 // one mutex, so Alloc(p) always returns a vertex of partition p, and the
-// segment directory is read lock-free: a segment is published by an atomic
-// store into its entry before V counts it. Construction costs
+// directory is read lock-free: a sub-block is published by an atomic store
+// into its entry before any of its ids leaves the store. Construction costs
 // O(partitions); a ForEach costs the vertices in use plus one directory
-// entry per block dealt.
+// entry per 16 ids dealt.
 type Store struct {
-	// dir is the segment directory, indexed by id-1 >> segBits, dense up to
-	// n; deal replaces it, twice as long, when a block falls past its end.
-	dir atomic.Pointer[[]atomic.Pointer[segment]]
+	// dir is the sub-block directory, indexed by id-1 >> subBits, spanning
+	// n; an entry is nil until its sub-block is backed. deal replaces the
+	// directory, twice as long, when a block falls past its end.
+	dir atomic.Pointer[[]atomic.Pointer[subBlock]]
 	n   atomic.Int64 // |V|: the ids dealt, a multiple of 64 (excludes NilVertex)
 
-	growMu sync.Mutex // guards dealing, chunks and the directory's growth; not taken by Alloc fast paths
-	// chunks are the partitions' spare segments, made with the first
-	// directory; guarded by growMu.
-	chunks   []segChunk
-	firstDir int // the entries of the first directory
+	growMu sync.Mutex // guards dealing, backing, the chunk and the directory's growth; not taken by Alloc fast paths
+	// spare is what is left of the last chunk of sub-blocks, shared by every
+	// partition, and chunk the sub-blocks that chunk held; guarded by growMu.
+	spare    []subBlock
+	chunk    int
+	firstDir int // the entries of the first directory, whole blocks
 
 	shards []freeShard
 	// serial is Config.Serial, stamped on every shard and on every vertex as
-	// it is dealt; markUsed writes the in-use bits plainly under it.
+	// it is backed; markUsed writes the in-use bits plainly under it.
 	serial bool
 
 	// runs are the retired ids of each partition not yet published to F
@@ -193,9 +215,9 @@ func NewStore(cfg Config) *Store {
 		shards:   make([]freeShard, cfg.Partitions),
 		serial:   cfg.Serial,
 		parts:    cfg.Partitions,
-		firstDir: max(firstDirSegments, (cfg.Capacity+segMask)>>segBits),
+		firstDir: max(firstDirEntries, (cfg.Capacity+segMask)>>segBits*subPerSeg),
 	}
-	s.dir.Store(&noSegments)
+	s.dir.Store(&noSubBlocks)
 	s.relMu.SetSerial(s.serial)
 	for part := range s.shards {
 		s.shards[part].mu.SetSerial(s.serial)
@@ -204,16 +226,16 @@ func NewStore(cfg Config) *Store {
 	return s
 }
 
-// noSegments is the directory of a store that has dealt no block yet.
-var noSegments []atomic.Pointer[segment]
+// noSubBlocks is the directory of a store that has dealt no block yet.
+var noSubBlocks []atomic.Pointer[subBlock]
 
-// deal hands partition part the next block of ids: it writes the block's
-// vertices, free and owned by part, into a segment of part's chunk,
-// publishes the segment and then V's new size, and returns the block's
-// first id, leaving the rest to sh's cursor. V is counted before any id of
-// the block is free, so a reader that takes FreeCount before Len never
-// reads more free vertices than V holds. It fails only when the 32-bit id
-// space has no block left. The caller holds sh.mu, sh being part's shard.
+// deal hands partition part the next block of ids: it backs the block's
+// first sub-block, publishes it and then V's new size, and returns the
+// block's first id, leaving the rest to sh's cursor, whose later sub-blocks
+// Alloc backs as it enters them. V is counted before any id of the block is
+// free, so a reader that takes FreeCount before Len never reads more free
+// vertices than V holds. It fails only when the 32-bit id space has no
+// block left. The caller holds sh.mu, sh being part's shard.
 func (s *Store) deal(part int, sh *freeShard) (VertexID, error) {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
@@ -221,76 +243,78 @@ func (s *Store) deal(part int, sh *freeShard) (VertexID, error) {
 	if n+segSize > math.MaxUint32 {
 		return NilVertex, ErrNoFreeVertices
 	}
-	segIdx := int(n >> segBits)
-	dir := *s.dir.Load()
-	if segIdx == len(dir) {
-		dir = s.growDirLocked()
+	if int(n>>subBits) == len(*s.dir.Load()) {
+		s.growDirLocked()
 	}
-	seg := s.newSegmentLocked(part)
-	for i := range seg.verts {
-		v := &seg.verts[i]
-		v.ID = VertexID(n + 1 + int64(i))
-		v.SetSerial(s.serial)
-		v.Part = uint16(part)
-		v.Kind = KindFree
-		v.more = &s.blank
-	}
-	dir[segIdx].Store(seg)
+	s.backLocked(part, VertexID(n+1))
 	s.n.Store(n + segSize)
 	sh.next = VertexID(n + 2)
 	return VertexID(n + 1), nil
 }
 
+// backLocked writes the vertices of the sub-block whose first id is first,
+// free and owned by part, into a sub-block of the store's chunk and
+// publishes it. Its marking contexts start zeroed, whenever it is backed:
+// MarkCtx.Epoch is compared only for equality, and no counter issues 0
+// (DESIGN.md §8, "The wrap rule"). The caller holds growMu.
+func (s *Store) backLocked(part int, first VertexID) {
+	sb := s.newSubBlockLocked()
+	for i := range sb.verts {
+		v := &sb.verts[i]
+		v.ID = first + VertexID(i)
+		v.SetSerial(s.serial)
+		v.Part = uint16(part)
+		v.Kind = KindFree
+		v.more = &s.blank
+	}
+	(*s.dir.Load())[(first-1)>>subBits].Store(sb)
+}
+
 // growDirLocked publishes a directory twice as long as the last, or
-// firstDir entries long, and returns it, so a store that keeps growing
-// copies each entry about once. Readers holding the old directory miss only
-// segments published after it was replaced, whose ids they cannot have been
-// handed. The caller holds growMu.
-func (s *Store) growDirLocked() []atomic.Pointer[segment] {
+// firstDir entries long, so a store that keeps growing copies each entry
+// about once. Both lengths are whole blocks, so a block never straddles the
+// end. Readers holding the old directory miss only sub-blocks published
+// after it was replaced, whose ids they cannot have been handed. The caller
+// holds growMu, which every writer of an entry holds too, so no entry is
+// published into the old directory after the copy.
+func (s *Store) growDirLocked() {
 	old := *s.dir.Load()
-	dir := make([]atomic.Pointer[segment], max(2*len(old), s.firstDir))
+	dir := make([]atomic.Pointer[subBlock], max(2*len(old), s.firstDir))
 	for i := range old {
 		dir[i].Store(old[i].Load())
 	}
 	s.dir.Store(&dir)
-	return dir
 }
 
-// segChunk is what is left of the last chunk of segments a partition was
-// given: one allocation holding the segments of the partition's next
-// blocks. A partition's chunks hold 1, 2, 4, then maxChunk segments, so a
-// program pays for at most about twice the blocks it reached, and a store
-// that keeps growing makes one allocation per maxChunk blocks.
-type segChunk struct {
-	spare []segment
-	size  int // the segments the last chunk held
-}
+// The store's chunks hold MinChunk, twice that, and so on up to MaxChunk
+// sub-blocks: 4, 8, then 16, 6 400, 12 800 and 25 600 B, which with Go's
+// 8-byte header fill the 6 528, 13 568 and 27 264-byte size classes. A
+// one-shot program pays for at most about twice the sub-blocks it reached,
+// and a store that keeps growing makes one allocation per 256 vertices
+// (DESIGN.md §8, "A partition pays for the vertices it hands out").
+const (
+	MinChunk = 4
+	MaxChunk = 16
+)
 
-// maxChunk bounds a chunk: 8 segments of 64 vertices, 48 KiB.
-const maxChunk = 8
-
-// newSegmentLocked returns a zeroed segment for partition part's next
-// block, from its chunk, which is refilled, twice as long as the last, when
-// empty. The caller holds growMu.
-func (s *Store) newSegmentLocked(part int) *segment {
-	if s.chunks == nil {
-		s.chunks = make([]segChunk, s.parts)
+// newSubBlockLocked returns a zeroed sub-block from the store's chunk, which
+// is refilled, twice as long as the last, when empty. The caller holds
+// growMu.
+func (s *Store) newSubBlockLocked() *subBlock {
+	if len(s.spare) == 0 {
+		s.chunk = min(max(MinChunk, 2*s.chunk), MaxChunk)
+		s.spare = make([]subBlock, s.chunk)
 	}
-	c := &s.chunks[part]
-	if len(c.spare) == 0 {
-		c.size = min(max(1, 2*c.size), maxChunk)
-		c.spare = make([]segment, c.size)
-	}
-	seg := &c.spare[0]
-	c.spare = c.spare[1:]
-	return seg
+	sb := &s.spare[0]
+	s.spare = s.spare[1:]
+	return sb
 }
 
 // Partitions returns the number of partitions.
 func (s *Store) Partitions() int { return s.parts }
 
 // Len returns the number of vertices in V, free or not, excluding the nil
-// slot: every id of every block dealt, a multiple of 64.
+// slot: every id of every block dealt, backed or not, a multiple of 64.
 func (s *Store) Len() int { return int(s.n.Load()) }
 
 // FreeCount returns |F|, summed over the partitions' shards, each read
@@ -320,17 +344,48 @@ func (s *Store) FreeCountOf(part int) int {
 	return n
 }
 
-// Vertex returns the vertex with the given ID, or nil for NilVertex and for
-// an id no block dealt yet. The returned pointer is stable for the life of
-// the store. Lock-free, and small enough to inline: NilVertex's slot index
-// wraps to 2⁶⁴−1, so one unsigned test rejects it with every id past V, and
-// the directory, loaded after n, holds the segment of every id below n.
+// Backing returns how many ids have ever left the store — every id dealt,
+// less those still behind a partition's cursor — and how many sub-blocks
+// are backed for them: what the store's memory costs against what its
+// program used. It takes each shard's lock and then growMu, and reads
+// exactly a store nobody is changing; on a serial store, the caller must be,
+// or hold off, the owner.
+func (s *Store) Backing() (handedOut, subBlocks int) {
+	unreached := 0
+	for part := range s.shards {
+		sh := &s.shards[part]
+		sh.mu.Lock()
+		unreached += sh.unreached()
+		sh.mu.Unlock()
+	}
+	s.growMu.Lock()
+	defer s.growMu.Unlock()
+	n := s.n.Load()
+	dir := *s.dir.Load()
+	for i := range n >> subBits {
+		if dir[i].Load() != nil {
+			subBlocks++
+		}
+	}
+	return int(n) - unreached, subBlocks
+}
+
+// Vertex returns the vertex with the given ID, or nil for NilVertex, for an
+// id no block dealt yet, and for a dealt id whose sub-block is not backed,
+// which no Alloc has handed out. The returned pointer is stable for the life
+// of the store. Lock-free, and small enough to inline: NilVertex's slot
+// index wraps to 2⁶⁴−1, so one unsigned test rejects it with every id past
+// V, and the directory, loaded after n, spans every id below n.
 func (s *Store) Vertex(id VertexID) *Vertex {
 	i := uint64(id) - 1 // the slot index: id 1 in slot 0
 	if i >= uint64(s.n.Load()) {
 		return nil
 	}
-	return &(*s.dir.Load())[i>>segBits].Load().verts[i&segMask]
+	sb := (*s.dir.Load())[i>>subBits].Load()
+	if sb == nil {
+		return nil
+	}
+	return &sb.verts[i&subMask]
 }
 
 // Alloc takes a vertex from the free list of the given partition, dealing
@@ -366,18 +421,14 @@ func (s *Store) AllocStamped(part int, kind Kind, val int64, epochR, epochT uint
 	}
 	sh := &s.shards[part]
 	sh.mu.Lock()
-	id, ok := sh.take()
-	if !ok {
-		var err error
-		if id, err = s.deal(part, sh); err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-	}
+	id, err := s.take(part, sh)
 	sh.mu.Unlock()
-	seg, slot := s.slotOf(id)
-	s.markUsed(seg, slot, true)
-	v := &seg.verts[slot]
+	if err != nil {
+		return nil, err
+	}
+	sb, slot := s.slotOf(id)
+	s.markUsed(sb, slot, true)
+	v := &sb.verts[slot]
 
 	v.Lock()
 	v.Kind = kind
@@ -463,17 +514,19 @@ func (s *Store) clearUsed(id VertexID) {
 	s.markUsed(seg, slot, false)
 }
 
-// slotOf returns the segment and the slot in it that hold id, a dealt id.
-func (s *Store) slotOf(id VertexID) (*segment, int) {
+// slotOf returns the sub-block and the slot in it that hold id, a dealt
+// id; the sub-block is nil if it is not backed.
+func (s *Store) slotOf(id VertexID) (*subBlock, int) {
 	i := uint64(id) - 1
-	return (*s.dir.Load())[i>>segBits].Load(), int(i & segMask)
+	return (*s.dir.Load())[i>>subBits].Load(), int(i & subMask)
 }
 
 // markUsed sets or clears slot i's in-use bit. A serial store's owner is the
 // only writer and fences every reader, so it writes the word plainly; a
-// parallel store's PEs share words, and write them with an atomic Or or And.
-func (s *Store) markUsed(seg *segment, i int, used bool) {
-	w, bit := &seg.used[i>>6], uint64(1)<<(i&63)
+// parallel store's PEs share words (a release may clear a bit while the
+// owner sets another), and write them with an atomic Or or And.
+func (s *Store) markUsed(sb *subBlock, i int, used bool) {
+	w, bit := &sb.used, uint64(1)<<i
 	if s.serial {
 		if used {
 			*w |= bit
@@ -489,19 +542,21 @@ func (s *Store) markUsed(seg *segment, i int, used bool) {
 	}
 }
 
-// InUse reports whether id's in-use bit is set (see segment), taking no
+// InUse reports whether id's in-use bit is set (see subBlock), taking no
 // lock: whether it is out of F, and not retired since the last
-// PublishRetired. id must have been dealt.
+// PublishRetired. id must have been dealt; one whose sub-block is not
+// backed has never been handed out.
 func (s *Store) InUse(id VertexID) bool {
-	seg, slot := s.slotOf(id)
-	return atomic.LoadUint64(&seg.used[slot>>6])&(1<<(slot&63)) != 0
+	sb, slot := s.slotOf(id)
+	return sb != nil && atomic.LoadUint64(&sb.used)&(1<<slot) != 0
 }
 
-// IsFree reports whether id is currently in F.
+// IsFree reports whether id is currently in F: a dealt id with no vertex
+// yet is.
 func (s *Store) IsFree(id VertexID) bool {
 	v := s.Vertex(id)
 	if v == nil {
-		return false
+		return s.dealt(id)
 	}
 	v.Lock()
 	defer v.Unlock()
@@ -517,19 +572,20 @@ func (s *Store) IsFree(id VertexID) bool {
 // which is the semantics restructuring wants (new vertices come from F and
 // are never garbage in the current cycle by reduction axiom 1).
 func (s *Store) ForEach(fn func(*Vertex)) {
-	segs := int(s.n.Load() >> segBits)
+	subs := int(s.n.Load() >> subBits)
 	dir := *s.dir.Load()
-	for si := range segs {
-		seg := dir[si].Load()
-		for w := range seg.used {
-			for word := atomic.LoadUint64(&seg.used[w]); word != 0; word &= word - 1 {
-				fn(&seg.verts[w<<6|bits.TrailingZeros64(word)])
-			}
+	for i := range subs {
+		sb := dir[i].Load()
+		if sb == nil {
+			continue
+		}
+		for word := atomic.LoadUint64(&sb.used); word != 0; word &= word - 1 {
+			fn(&sb.verts[bits.TrailingZeros64(word)])
 		}
 	}
 }
 
-// Renormalise applies the wrap rule to every vertex dealt, free or in use:
+// Renormalise applies the wrap rule to every vertex backed, free or in use:
 // under its lock, each stamp that lags its context's counter (r for M_R, t
 // for M_T) by more than epochLagMax is pulled forward to lag by that much.
 // A free vertex is visited too, since its marking contexts outlive its stay
@@ -539,12 +595,15 @@ func (s *Store) ForEach(fn func(*Vertex)) {
 func (s *Store) Renormalise(r, t uint32) {
 	s.floorR.Store(epochFloor(r))
 	s.floorT.Store(epochFloor(t))
-	segs := int(s.n.Load() >> segBits)
+	subs := int(s.n.Load() >> subBits)
 	dir := *s.dir.Load()
-	for si := range segs {
-		seg := dir[si].Load()
-		for i := range seg.verts {
-			v := &seg.verts[i]
+	for si := range subs {
+		sb := dir[si].Load()
+		if sb == nil { // backed later, with zeroed contexts (backLocked)
+			continue
+		}
+		for i := range sb.verts {
+			v := &sb.verts[i]
 			v.Lock()
 			v.renormalise(r, t)
 			v.Unlock()
@@ -553,12 +612,26 @@ func (s *Store) Renormalise(r, t uint32) {
 }
 
 // PartitionOf returns the partition that owns id (0 for invalid IDs): the
-// Part its vertex was written with when its block was dealt.
+// Part of its sub-block's first vertex, written when the sub-block was
+// backed, or, for a dealt id with no vertex yet, of its block's first
+// vertex, which deal backed. (Reading the vertex's own Part instead, in
+// reach of the inlining budget, measured no faster.)
 func (s *Store) PartitionOf(id VertexID) int {
-	if v := s.Vertex(id); v != nil {
-		return int(v.Part)
+	i := uint64(id) - 1
+	if i >= uint64(s.n.Load()) {
+		return 0
 	}
-	return 0
+	dir := *s.dir.Load()
+	sb := dir[i>>subBits].Load()
+	if sb == nil {
+		sb = dir[i>>segBits*subPerSeg].Load() // its block's first, which deal backed
+	}
+	return int(sb.verts[0].Part)
+}
+
+// dealt reports whether id is in V: dealt, backed or not.
+func (s *Store) dealt(id VertexID) bool {
+	return uint64(id)-1 < uint64(s.n.Load())
 }
 
 // Snapshot returns a consistent copy of the graph's connectivity for
@@ -572,11 +645,14 @@ func (s *Store) Snapshot() *Snapshot {
 		Parts: s.parts,
 	}
 	// Every id starts as a free vertex of its immutable owner, and ForEach
-	// then overwrites the ones in use.
+	// then overwrites the ones in use, less any of a block dealt since.
 	for id := 1; id <= n; id++ {
 		snap.Verts[id] = SnapVertex{ID: VertexID(id), Part: s.PartitionOf(VertexID(id)), Kind: KindFree}
 	}
 	s.ForEach(func(v *Vertex) {
+		if int(v.ID) > n {
+			return
+		}
 		v.Lock()
 		sv := SnapVertex{
 			ID:   v.ID,

@@ -44,8 +44,9 @@ func TestStoreAllocRelease(t *testing.T) {
 }
 
 // TestPartitionOfMatchesPart: PartitionOf answers every id of V with the
-// Part its vertex was written with when its block was dealt, on 1 to 5
-// partitions allocating in turn, and 0 for the ids outside V.
+// Part its vertex was written with when its sub-block was backed, on 1 to 5
+// partitions allocating in turn, and 0 for the ids outside V. An id dealt
+// but never handed out has no vertex, and is its block's partition's.
 func TestPartitionOfMatchesPart(t *testing.T) {
 	for parts := 1; parts <= 5; parts++ {
 		s := NewStore(Config{Partitions: parts})
@@ -57,7 +58,7 @@ func TestPartitionOfMatchesPart(t *testing.T) {
 		for id := VertexID(1); int(id) <= s.Len(); id++ {
 			v := s.Vertex(id)
 			if v == nil {
-				t.Fatalf("parts=%d: v%d not materialised", parts, id)
+				v = s.Vertex((id-1)&^segMask + 1) // its block's first
 			}
 			if got := s.PartitionOf(id); got != int(v.Part) {
 				t.Fatalf("parts=%d: PartitionOf(%d) = %d, Part %d", parts, id, got, v.Part)
@@ -231,6 +232,9 @@ func TestRenormaliseDuringAlloc(t *testing.T) {
 	s.Renormalise(now, now)
 	for id := VertexID(1); int(id) <= s.Len(); id++ {
 		v := s.Vertex(id)
+		if v == nil { // never handed out: backed after the pass, or not at all
+			continue
+		}
 		if lag := now - v.TCtx.Epoch; lag > epochLagMax+1 {
 			t.Fatalf("v%d's T epoch lags %d after a pass", id, lag)
 		}

@@ -233,8 +233,8 @@ type Requester struct {
 // without allocating; AddArg, RemoveArg, SetArgs, SetReqKindAt,
 // AddRequester, RemoveRequester and ResetFree are the only writers, and
 // they keep a set inline whenever it fits. The layout is 96 bytes, so a
-// segment of 64 vertices and its in-use word, 6 152 bytes, costs the heap
-// 6 528 (DESIGN.md §8, "The vertex on a diet").
+// sub-block of 16 vertices and its in-use word pads to 1 600 bytes, 25
+// cache lines (DESIGN.md §8, "The vertex on a diet").
 type Vertex struct {
 	// The vertex lock is embedded so that Lock and Unlock are its own,
 	// inlined at every call site. Its mode bit, set as the vertex is

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -273,37 +274,49 @@ func TestWrapRule(t *testing.T) {
 	}
 }
 
-// TestVertexSize: a vertex is 96 bytes, so a segment of segSize (64)
-// vertices and its in-use word, 6 152 bytes and the 8-byte header Go puts
-// on an object of more than 512 bytes that holds pointers, costs the heap
-// the 6 528-byte size class (7 688 bytes and the 8 KiB class at 120), and a
-// chunk of 8 segments 56 KiB, seven pages. The class is what one segment
-// allocation adds to the heap, averaged over 64 of them so that a stray
-// allocation elsewhere cannot move it. The CI census prints both sizes and
-// the class. An overflow record is 120 bytes, which falls in Go's 128-byte
-// size class: a record costs an allocation what a 128-byte one would.
+// TestVertexSize: a vertex is 96 bytes, so a sub-block of subSize (16)
+// vertices and its in-use word, 1 544 bytes, pads to 1 600, 25 cache lines,
+// and the store's chunks of 4, 8 and 16 sub-blocks, with the 8-byte header
+// Go puts on an object of more than 512 bytes that holds pointers, cost the
+// heap the 6 528, 13 568 and 27 264-byte size classes. A class is what one
+// chunk allocation adds to the heap, averaged over 64 of them and the least
+// of three such readings, so that a stray allocation elsewhere cannot move
+// it. The CI census prints the sizes and the classes. An overflow record is
+// 120 bytes, which falls in Go's 128-byte size class: a record costs an
+// allocation what a 128-byte one would.
 func TestVertexSize(t *testing.T) {
-	vsz, ssz := unsafe.Sizeof(Vertex{}), unsafe.Sizeof(segment{})
+	vsz, ssz := unsafe.Sizeof(Vertex{}), unsafe.Sizeof(subBlock{})
 	const n = 64
-	class := allocatedBytes(func() {
-		for range n {
-			sink = make([]segment, 1)
+	var classes []uint64
+	for c := MinChunk; c <= MaxChunk; c *= 2 {
+		class := uint64(math.MaxUint64)
+		for range 3 { // a stray allocation elsewhere only adds
+			class = min(class, allocatedBytes(func() {
+				for range n {
+					sink = make([]subBlock, c)
+				}
+			})/n)
 		}
-	}) / n
-	t.Logf("census: Sizeof(Vertex)=%d Sizeof(segment)=%d segment heap class=%d", vsz, ssz, class)
+		classes = append(classes, class)
+	}
+	t.Logf("census: Sizeof(Vertex)=%d Sizeof(subBlock)=%d chunk heap classes=%v", vsz, ssz, classes)
 	if vsz != 96 {
 		t.Errorf("Sizeof(Vertex) = %d, want 96", vsz)
 	}
-	if class != 6528 {
-		t.Errorf("a segment costs the heap %d bytes, want the 6528-byte size class", class)
+	if ssz != 1600 {
+		t.Errorf("Sizeof(subBlock) = %d, want 1600, 25 whole cache lines", ssz)
+	}
+	if !slices.Equal(classes, []uint64{6528, 13568, 27264}) {
+		t.Errorf("chunks of %d to %d sub-blocks cost the heap %v bytes, want the 6528, 13568 and 27264-byte size classes",
+			MinChunk, MaxChunk, classes)
 	}
 	if got := unsafe.Sizeof(overflow{}); got != 120 {
 		t.Errorf("Sizeof(overflow) = %d, want 120", got)
 	}
 }
 
-// sink keeps TestVertexSize's segment on the heap.
-var sink []segment
+// sink keeps TestVertexSize's chunks on the heap.
+var sink []subBlock
 
 // TestSerialStoreSkipsVertexLock: a serial store's vertices leave their
 // mutex alone, and a default store's take it. The flag

@@ -68,12 +68,117 @@ type liftEntry struct {
 // sets closed transitively across the recursive group. Non-lambda let
 // bindings are left in place (they compile to shared graph knots).
 func Lift(e Expr) (*SCProg, error) {
-	l := &lifter{index: make(map[string]int)}
+	var c liftTally
+	c.count(e)
+	l := &lifter{
+		supers: make([]SC, 0, c.lams),
+		index:  make(map[string]int, c.lams),
+		env:    make(scope[liftEntry], 0, c.names),
+	}
+	l.rebuilt(e, 0, &c)
+	l.apps.reserve(c.apps + c.captured)
+	l.ifs.reserve(c.ifs)
+	l.vars.reserve(c.lams + c.captured)
 	main, err := l.lift(e)
 	if err != nil {
 		return nil, err
 	}
 	return &SCProg{Supers: l.supers, Main: main, Index: l.index}, nil
+}
+
+// liftTally sizes what lifting an expression allocates. count fills lams,
+// its lambdas, each at most one supercombinator, and names, the names its
+// lambdas and lets bind, which the lifter's scope holds (with the captured
+// ones it adds, as it finds them); rebuilt fills the rest.
+type liftTally struct {
+	lams, names int
+	// apps and ifs are the nodes lift rebuilds, and captured the references
+	// a lambda's body makes to a parameter or local bound outside it: at
+	// least the captured names, each of which a supercombinator reference
+	// applies, as an App of a Var.
+	apps, ifs, captured int
+}
+
+func (c *liftTally) count(e Expr) {
+	switch x := e.(type) {
+	case *App:
+		c.count(x.Fun)
+		c.count(x.Arg)
+	case *If:
+		c.count(x.Cond)
+		c.count(x.Then)
+		c.count(x.Else)
+	case *Lam:
+		c.lams++
+		c.names += len(x.Params)
+		c.count(x.Body)
+	case *Let:
+		c.names += len(x.Binds)
+		for _, b := range x.Binds {
+			c.count(b.Val)
+		}
+		c.count(x.Body)
+	}
+}
+
+// rebuilt reports whether lifting e changes it — it holds a lambda, or a
+// reference to a let-bound one — and counts into c the Apps and Ifs on the
+// way to a change, which lift rebuilds, and the captured references, those
+// to names bound below l.env[floor], where the innermost lambda around e
+// starts binding. It binds names in l.env as lift does, less the captured
+// names, which never change what a name resolves to, and leaves l.env as it
+// found it.
+func (l *lifter) rebuilt(e Expr, floor int, c *liftTally) bool {
+	switch x := e.(type) {
+	case *Var:
+		for i := len(l.env) - 1; i >= 0; i-- {
+			if l.env[i].name != x.Name {
+				continue
+			}
+			if l.env[i].val.class == bindSuper {
+				return true
+			}
+			if i < floor {
+				c.captured++
+			}
+			break
+		}
+	case *App:
+		if f, a := l.rebuilt(x.Fun, floor, c), l.rebuilt(x.Arg, floor, c); f || a {
+			c.apps++
+			return true
+		}
+	case *If:
+		i, t := l.rebuilt(x.Cond, floor, c), l.rebuilt(x.Then, floor, c)
+		if el := l.rebuilt(x.Else, floor, c); i || t || el {
+			c.ifs++
+			return true
+		}
+	case *Lam:
+		mark := len(l.env)
+		for _, p := range x.Params {
+			l.env.push(p, liftEntry{class: bindParam})
+		}
+		l.rebuilt(x.Body, mark, c)
+		l.env = l.env[:mark]
+		return true
+	case *Let:
+		mark, changed := len(l.env), false
+		for _, b := range x.Binds {
+			class := bindLocal
+			if _, ok := b.Val.(*Lam); ok {
+				class, changed = bindSuper, true
+			}
+			l.env.push(b.Name, liftEntry{class: class})
+		}
+		for _, b := range x.Binds {
+			changed = l.rebuilt(b.Val, floor, c) || changed
+		}
+		changed = l.rebuilt(x.Body, floor, c) || changed
+		l.env = l.env[:mark]
+		return changed
+	}
+	return false
 }
 
 // fresh reserves the next supercombinator slot under a unique name.
